@@ -27,12 +27,12 @@ fn main() {
         .iter()
         .flat_map(|k| sizes.iter().map(move |&bs| (k.clone(), bs)))
         .collect();
-    let reports: Vec<((ScenarioKind, u32), JobReport)> = crossbeam::thread::scope(|s| {
+    let reports: Vec<((ScenarioKind, u32), JobReport)> = std::thread::scope(|s| {
         let handles: Vec<_> = points
             .into_iter()
             .map(|(kind, bs)| {
                 let calib = calib.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let spec = JobSpec::new("bs", RwMode::SeqRead)
                         .bs(bs)
                         .iodepth(8)
@@ -44,8 +44,7 @@ fn main() {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
 
     println!(
         "\n  {:<16} {:>10} {:>12} {:>12}",

@@ -22,7 +22,6 @@ use std::time::Instant;
 use bench::header;
 use blklayer::{Bio, BlockDevice};
 use dnvme::{ClientConfig, ClientDriver, Manager, ManagerConfig};
-use nvme::engine::BackendKind;
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams, HostId, MemRegion};
 use simcore::{LatencyRecorder, ReactorId, SimDuration, SimRuntime};
@@ -64,18 +63,16 @@ impl Mode {
             Mode::ZeroCopy => "zero-copy",
         }
     }
+}
 
-    fn client_cfg(self) -> ClientConfig {
-        ClientConfig {
-            backend: match self {
-                Mode::Bounce => BackendKind::Batched,
-                Mode::ZeroCopy => BackendKind::ZeroCopy,
-            },
-            // Charge driver overheads as reactor CPU so per-core
-            // saturation — the thing the shard sweep measures — exists.
-            cpu_accounting: true,
-            ..ClientConfig::default()
-        }
+/// Both modes run the same driver configuration (one submit path); they
+/// differ only in how the request buffer is allocated.
+fn client_cfg() -> ClientConfig {
+    ClientConfig {
+        // Charge driver overheads as reactor CPU so per-core
+        // saturation — the thing the shard sweep measures — exists.
+        cpu_accounting: true,
+        ..ClientConfig::default()
     }
 }
 
@@ -147,7 +144,7 @@ fn run(clients: usize, reactors: usize, mode: Mode, runtime: SimDuration) -> Lat
         let mut drivers: Vec<Rc<ClientDriver>> = Vec::new();
         for (i, &host) in client_hosts.iter().enumerate() {
             let smartio = smartio.clone();
-            let cfg = mode.client_cfg();
+            let cfg = client_cfg();
             let join = handle.spawn_on(ReactorId::new(i % reactors), async move {
                 ClientDriver::connect(&smartio, dev, host, cfg)
                     .await

@@ -41,21 +41,19 @@ fn main() {
         .flat_map(|k| qds.iter().map(move |&qd| (k.clone(), qd)))
         .collect();
     // Parallel fan-out across threads: each point is its own simulation.
-    let reports: Vec<((ScenarioKind, usize), (JobReport, QpairStats))> =
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = points
-                .into_iter()
-                .map(|(kind, qd)| {
-                    let calib = calib.clone();
-                    s.spawn(move |_| {
-                        let rep = run_point(kind.clone(), &calib, qd);
-                        ((kind, qd), rep)
-                    })
+    let reports: Vec<((ScenarioKind, usize), (JobReport, QpairStats))> = std::thread::scope(|s| {
+        let handles: Vec<_> = points
+            .into_iter()
+            .map(|(kind, qd)| {
+                let calib = calib.clone();
+                s.spawn(move || {
+                    let rep = run_point(kind.clone(), &calib, qd);
+                    ((kind, qd), rep)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     for ((kind, qd), (rep, db)) in &reports {
         let r = rep.read.as_ref().unwrap();
         let coalesce = db.sqes_submitted as f64 / db.sq_doorbells.max(1) as f64;

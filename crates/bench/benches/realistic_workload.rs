@@ -64,20 +64,19 @@ fn main() {
                 .map(move |(name, spec)| (k.clone(), name, spec))
         })
         .collect();
-    let reports: Vec<((String, &'static str), JobReport)> = crossbeam::thread::scope(|s| {
+    let reports: Vec<((String, &'static str), JobReport)> = std::thread::scope(|s| {
         let handles: Vec<_> = points
             .into_iter()
             .map(|(kind, name, spec)| {
                 let calib = calib.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let rep = bench::run_scenario(kind.clone(), &calib, &spec);
                     ((kind.label(), name), rep)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
 
     println!(
         "\n  {:<16} {:<8} {:>10} {:>10} {:>12} {:>12}",

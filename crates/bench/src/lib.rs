@@ -67,13 +67,13 @@ pub fn run_parallel_instrumented(
 ) -> Vec<(String, JobReport, QpairStats)> {
     let mut out: Vec<Option<(String, JobReport, QpairStats)>> = Vec::new();
     out.resize_with(points.len(), || None);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (i, (label, kind, spec)) in points.into_iter().enumerate() {
             let calib = calib.clone();
             handles.push((
                 i,
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (rep, doorbells) = run_scenario_instrumented(kind, &calib, &spec);
                     (label, rep, doorbells)
                 }),
@@ -82,8 +82,7 @@ pub fn run_parallel_instrumented(
         for (i, h) in handles {
             out[i] = Some(h.join().expect("bench thread panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
     out.into_iter().map(|o| o.unwrap()).collect()
 }
 

@@ -17,8 +17,8 @@ use std::rc::Rc;
 
 use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BioResult, BlockDevice};
 use nvme::engine::{
-    BackendKind, CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QpairStats,
-    QueuePairSpec, Tag, DEFAULT_COALESCE_LIMIT, DEFAULT_MAX_RETRIES,
+    CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QueuePairSpec, Tag,
+    DEFAULT_COALESCE_LIMIT,
 };
 use nvme::spec::command::{SqEntry, SQE_SIZE};
 use nvme::spec::completion::{CqEntry, CQE_SIZE};
@@ -75,10 +75,12 @@ pub enum DataPath {
 pub struct ClientConfig {
     /// Entries per I/O queue.
     pub queue_entries: u16,
-    /// Outstanding request limit (tags/bounce partitions).
+    /// Outstanding request limit (tags/bounce partitions); rings too
+    /// small to hold it clamp it ([`BlockDevice::queue_depth`] reports
+    /// the effective value).
     pub queue_depth: usize,
-    /// I/O queue pairs to request (§V: "one or more"); submissions are
-    /// striped across them.
+    /// I/O queue pairs to request (§V: "one or more"); one engine stripes
+    /// submissions across them by command id.
     pub num_qpairs: u16,
     /// Bytes per bounce partition = max transfer size.
     pub partition_size: u64,
@@ -103,27 +105,16 @@ pub struct ClientConfig {
     /// a direct hot-path saving at queue depth > 1.
     pub doorbell_coalesce: usize,
     /// Per-command deadline. `None` (the seed default) waits forever;
-    /// `Some(d)` arms the recovery ladder: doorbell-re-ring retries with
-    /// exponential backoff, then Abort via the manager, then
-    /// delete-and-recreate of the queue pair, then controller reset —
-    /// surfacing [`BioError::Timeout`] instead of hanging.
+    /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
+    /// doorbell re-rings with exponential backoff, then Abort via the
+    /// manager, then delete-and-recreate of the queue pair, then
+    /// controller reset — surfacing [`BioError::Timeout`] instead of
+    /// hanging.
     pub cmd_timeout: Option<SimDuration>,
-    /// Doorbell re-ring attempts before the ladder escalates.
-    pub cmd_retries: u32,
-    /// Deadline for one mailbox round trip. `None` waits forever.
-    pub mailbox_timeout: Option<SimDuration>,
-    /// Same-seq retransmissions before a mailbox RPC gives up with
+    /// Deadline for one mailbox round trip. `None` waits forever; after
+    /// [`MAILBOX_RETRIES`] same-seq retransmissions the RPC gives up with
     /// [`DnvmeError::RpcTimeout`].
-    pub mailbox_retries: u32,
-    /// Submission backend for the engine(s): coalescing flusher
-    /// (`Batched`, the §V default) or immediate push+ring per command
-    /// (`ZeroCopy`, the latency-first sharded path).
-    pub backend: BackendKind,
-    /// `true`: one [`IoEngine`] per queue pair, each with its own tag
-    /// table, so distinct reactor shards can drive distinct qpairs
-    /// without sharing allocator state. `false` (default): one engine
-    /// striping all qpairs — the exact legacy layout.
-    pub shard_qpairs: bool,
+    pub mailbox_timeout: Option<SimDuration>,
     /// `true`: charge submission/completion overheads as reactor CPU
     /// time ([`Handle::cpu_work`]) so per-core saturation is modelled in
     /// sharded benchmarks. `false` (default): plain sleeps (infinite CPU,
@@ -148,11 +139,7 @@ impl Default for ClientConfig {
             iommu_unmap_cost: SimDuration::from_nanos(700),
             doorbell_coalesce: DEFAULT_COALESCE_LIMIT,
             cmd_timeout: None,
-            cmd_retries: DEFAULT_MAX_RETRIES,
             mailbox_timeout: None,
-            mailbox_retries: 2,
-            backend: BackendKind::Batched,
-            shard_qpairs: false,
             cpu_accounting: false,
         }
     }
@@ -167,12 +154,9 @@ struct Cleanup {
     segments: Vec<SegmentId>,
 }
 
-/// Mailbox RPC deadline/retry policy (from [`ClientConfig`]).
-#[derive(Copy, Clone)]
-struct RpcPolicy {
-    deadline: Option<SimDuration>,
-    retries: u32,
-}
+/// Same-seq retransmissions before a deadline-armed mailbox RPC gives up
+/// with [`DnvmeError::RpcTimeout`].
+pub const MAILBOX_RETRIES: u32 = 2;
 
 /// Everything needed to re-create a queue pair under its original id.
 #[derive(Copy, Clone)]
@@ -235,14 +219,9 @@ pub struct ClientDriver {
     /// First granted queue id (see [`ClientDriver::qids`] for all).
     pub qid: u16,
     qids: Vec<u16>,
-    /// One engine striping all qpairs (legacy), or one per qpair
-    /// (`shard_qpairs`) — each with its own tag table.
-    engines: Vec<Rc<IoEngine>>,
-    /// Tags per engine; staging slot = `engine_idx * engine_depth + cid`
-    /// keeps bounce partitions and PRP-list pages globally disjoint.
-    engine_depth: usize,
-    /// Round-robin cursor over `engines`.
-    next_engine: Cell<usize>,
+    /// One engine striping all qpairs by cid; the cid doubles as the
+    /// bounce-partition and PRP-list-page index.
+    engine: Rc<IoEngine>,
     bounce: RefCell<Option<BouncePool>>,
     /// Per-tag PRP list page for DirectMapped mode.
     direct_lists: Vec<MemRegion>,
@@ -268,7 +247,7 @@ pub struct ClientDriver {
 /// With a `deadline`, the wait is raced against the clock; each expiry
 /// retransmits the *same* seq with a bumped retry counter (the manager
 /// re-sends its cached response without re-executing — idempotent
-/// retry), and after `retries` retransmissions the RPC fails with
+/// retry), and after [`MAILBOX_RETRIES`] retransmissions the RPC fails with
 /// [`DnvmeError::RpcTimeout`] instead of hanging on a dead manager.
 async fn mailbox_rpc(
     fabric: &Fabric,
@@ -277,7 +256,7 @@ async fn mailbox_rpc(
     resp_region: MemRegion,
     seq: u32,
     request: Request,
-    policy: RpcPolicy,
+    deadline: Option<SimDuration>,
 ) -> Result<Response> {
     let watch = fabric.watch(resp_region.host, resp_region.addr, resp_region.len);
     let send = |retry: u32| {
@@ -308,7 +287,7 @@ async fn mailbox_rpc(
         }
     };
     let sent = fabric.cpu_write(host, mailbox_slot_addr, &send(0)).await;
-    let resp = match (sent, policy.deadline) {
+    let resp = match (sent, deadline) {
         (Err(e), _) => Err(e.into()),
         (Ok(()), None) => wait_matching().await,
         (Ok(()), Some(d)) => {
@@ -317,7 +296,7 @@ async fn mailbox_rpc(
                 match simcore::timeout(&fabric.handle(), d, wait_matching()).await {
                     Ok(r) => break r,
                     Err(simcore::Elapsed) => {
-                        if attempt >= policy.retries {
+                        if attempt >= MAILBOX_RETRIES {
                             break Err(DnvmeError::RpcTimeout);
                         }
                         attempt += 1;
@@ -445,10 +424,7 @@ impl ClientDriver {
                     iv: want_iv.then_some(0), // placeholder; manager uses qid
                     want_qid: 0,
                 },
-                RpcPolicy {
-                    deadline: cfg.mailbox_timeout,
-                    retries: cfg.mailbox_retries,
-                },
+                cfg.mailbox_timeout,
             )
             .await?;
             let qid = resp.qid;
@@ -484,7 +460,7 @@ impl ClientDriver {
         }
         let qid = qids[0];
 
-        // --- The engine(s): rings, tags, completion services, backends. ---
+        // --- The engine: rings, tags, completion services. ---
         let qd = cfg
             .queue_depth
             .min(cfg.num_qpairs as usize * (entries as usize - 1));
@@ -494,30 +470,17 @@ impl ClientDriver {
             },
             ClientCompletion::Interrupt { latency } => CompletionStrategy::Interrupt { latency },
         };
-        let engine_cfg = |depth: usize| EngineConfig {
-            queue_depth: depth,
-            backend: cfg.backend,
-            coalesce_limit: cfg.doorbell_coalesce,
-            cmd_timeout: cfg.cmd_timeout,
-            max_retries: cfg.cmd_retries,
-            ..EngineConfig::default()
-        };
-        let (engines, engine_depth) = if cfg.shard_qpairs {
-            // One engine (tag table, completion service) per queue pair:
-            // shards submitting to different qpairs share no allocator.
-            let per = (qd / cfg.num_qpairs as usize).clamp(1, entries as usize - 1);
-            let engines: Vec<Rc<IoEngine>> = specs
-                .into_iter()
-                .map(|spec| IoEngine::start(&fabric, vec![spec], strategy, engine_cfg(per)))
-                .collect();
-            (engines, per)
-        } else {
-            (
-                vec![IoEngine::start(&fabric, specs, strategy, engine_cfg(qd))],
-                qd,
-            )
-        };
-        let total_tags = engines.len() * engine_depth;
+        let engine = IoEngine::start(
+            &fabric,
+            specs,
+            strategy,
+            EngineConfig {
+                queue_depth: qd,
+                coalesce_limit: cfg.doorbell_coalesce,
+                cmd_timeout: cfg.cmd_timeout,
+                ..EngineConfig::default()
+            },
+        );
 
         // --- Data path. ---
         let bounce = match cfg.data_path {
@@ -525,17 +488,17 @@ impl ClientDriver {
                 smartio,
                 device,
                 host,
-                total_tags,
+                qd,
                 cfg.partition_size,
             )?),
             DataPath::DirectMapped => None,
         };
         // Per-tag PRP list pages for DirectMapped transfers > 2 pages.
         let (direct_lists, direct_list_bus, lists_seg, lists_win) = {
-            let seg = smartio.create_segment(host, total_tags as u64 * prp::PAGE)?;
+            let seg = smartio.create_segment(host, qd as u64 * prp::PAGE)?;
             let region = smartio.segment_region(seg)?;
             let win = smartio.map_for_device(device, seg)?;
-            let lists: Vec<MemRegion> = (0..total_tags)
+            let lists: Vec<MemRegion> = (0..qd)
                 .map(|t| region.slice(t as u64 * prp::PAGE, prp::PAGE))
                 .collect();
             (lists, win.bus_base, seg, win)
@@ -552,9 +515,7 @@ impl ClientDriver {
             metadata,
             qid,
             qids,
-            engines,
-            engine_depth,
-            next_engine: Cell::new(0),
+            engine,
             bounce: RefCell::new(bounce),
             direct_lists,
             direct_list_bus,
@@ -607,14 +568,11 @@ impl ClientDriver {
         self.qids.clone()
     }
 
-    /// Snapshot of the run counters, with the engines' doorbell/batch
+    /// Snapshot of the run counters, with the engine's doorbell/batch
     /// counters folded in.
     pub fn stats(&self) -> ClientStats {
         let mut s = self.stats.borrow().clone();
-        let mut t = QpairStats::default();
-        for e in &self.engines {
-            t.absorb(&e.totals());
-        }
+        let t = self.engine.totals();
         s.sqes_submitted = t.sqes_submitted;
         s.sq_doorbells = t.sq_doorbells;
         s.coalesced_batches = t.coalesced_batches;
@@ -623,19 +581,9 @@ impl ClientDriver {
         s
     }
 
-    /// Per-queue-pair engine counters, concatenated across engines in
-    /// stripe order.
+    /// Per-queue-pair engine counters, in stripe order.
     pub fn qpair_stats(&self) -> EngineStats {
-        let mut s = EngineStats::default();
-        for e in &self.engines {
-            s.qpairs.extend(e.stats().qpairs);
-        }
-        s
-    }
-
-    /// Number of I/O engines (1, or `num_qpairs` under `shard_qpairs`).
-    pub fn engine_count(&self) -> usize {
-        self.engines.len()
+        self.engine.stats()
     }
 
     /// The client's cost/layout profile.
@@ -671,10 +619,7 @@ impl ClientDriver {
             resp_region,
             seq,
             request,
-            RpcPolicy {
-                deadline: self.cfg.mailbox_timeout,
-                retries: self.cfg.mailbox_retries,
-            },
+            self.cfg.mailbox_timeout,
         )
         .await
     }
@@ -693,22 +638,18 @@ impl ClientDriver {
     /// ending in a completion or a typed [`BioError`], never a hang.
     async fn issue_recovered(
         &self,
-        engine: &IoEngine,
         tag: &Tag,
         sqe: SqEntry,
     ) -> std::result::Result<CqEntry, BioError> {
-        match engine.issue(tag, sqe).await {
+        match self.engine.issue(tag, sqe).await {
             Ok(cqe) => Ok(cqe),
-            Err(EngineError::Timeout { qid, cid }) => {
-                self.recover(engine, tag, sqe, qid, cid).await
-            }
+            Err(EngineError::Timeout { qid, cid }) => self.recover(tag, sqe, qid, cid).await,
             Err(e) => Err(e.into()),
         }
     }
 
     async fn recover(
         &self,
-        engine: &IoEngine,
         tag: &Tag,
         sqe: SqEntry,
         qid: u16,
@@ -738,7 +679,7 @@ impl ClientDriver {
         // resubmit exactly once.
         if self.recreate_qpair(qid).await.is_ok() {
             self.stats.borrow_mut().qpairs_recreated += 1;
-            if let Ok(cqe) = engine.issue(tag, sqe).await {
+            if let Ok(cqe) = self.engine.issue(tag, sqe).await {
                 return Ok(cqe);
             }
         }
@@ -771,11 +712,7 @@ impl ClientDriver {
         .await?;
         // Local rings/backlog wiped; in-flight waiters striped to this
         // qpair fail with `Gone` (recovery collateral, still typed).
-        for e in &self.engines {
-            if e.reset_qpair(qid) {
-                break;
-            }
-        }
+        self.engine.reset_qpair(qid);
         let resp = self
             .rpc(Request::CreateQp {
                 entries: w.entries,
@@ -848,35 +785,22 @@ impl ClientDriver {
     async fn submit_inner(&self, bio: Bio) -> BioResult {
         let bs = self.metadata.block_size;
         let len = bio.len(bs);
-        let engine_idx = {
-            let i = self.next_engine.get();
-            self.next_engine.set((i + 1) % self.engines.len());
-            i
-        };
-        let tag = self.engines[engine_idx].acquire_tag().await?;
+        let tag = self.engine.acquire_tag().await?;
         self.cpu(self.cfg.submission_overhead).await;
-        let result = self.submit_with_tag(&bio, engine_idx, &tag, len).await;
+        let result = self.submit_with_tag(&bio, &tag, len).await;
         self.cpu(self.cfg.completion_overhead).await;
         result
     }
 
-    async fn submit_with_tag(
-        &self,
-        bio: &Bio,
-        engine_idx: usize,
-        tag: &Tag,
-        len: u64,
-    ) -> BioResult {
-        let engine = &self.engines[engine_idx];
+    async fn submit_with_tag(&self, bio: &Bio, tag: &Tag, len: u64) -> BioResult {
         let cid = tag.cid();
-        // Global staging slot: bounce partitions and PRP-list pages are
-        // indexed across all engines' tag tables.
-        let slot = engine_idx * self.engine_depth + cid as usize;
+        // The cid is the staging slot: bounce partition and PRP-list page.
+        let slot = cid as usize;
         let nlb0 = bio.blocks.saturating_sub(1) as u16;
         let status = match (bio.op, self.cfg.data_path) {
             (BioOp::Flush, _) => {
                 self.stats.borrow_mut().flushes += 1;
-                self.issue_recovered(engine, tag, SqEntry::flush(cid, 1))
+                self.issue_recovered(tag, SqEntry::flush(cid, 1))
                     .await?
                     .status()
             }
@@ -924,7 +848,7 @@ impl ClientDriver {
                         SqEntry::write(cid, 1, bio.lba, nlb0, prp1, prp2)
                     }
                 };
-                let status = self.issue_recovered(engine, tag, sqe).await?.status();
+                let status = self.issue_recovered(tag, sqe).await?.status();
                 if op == BioOp::Read && status.is_success() {
                     if let Some(part) = part {
                         // Unstage: partition -> user buffer (the extra copy
@@ -970,7 +894,7 @@ impl ClientDriver {
                         SqEntry::write(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
                     }
                 };
-                let status = self.issue_recovered(engine, tag, sqe).await?.status();
+                let status = self.issue_recovered(tag, sqe).await?.status();
                 // Unmap + IOTLB shootdown.
                 self.smartio.unmap_device(win);
                 self.handle.sleep(self.cfg.iommu_unmap_cost).await;
@@ -995,7 +919,7 @@ impl BlockDevice for ClientDriver {
     }
 
     fn queue_depth(&self) -> usize {
-        self.cfg.queue_depth
+        self.engine.queue_depth()
     }
 
     fn submit(&self, bio: Bio) -> BioFuture<'_> {

@@ -9,18 +9,14 @@
 //! * [`IoEngine`] owns one or more queue pairs (built from
 //!   [`QueuePairSpec`]s), a [`TagSet`], and one completion-service task
 //!   per queue pair driven by a [`CompletionStrategy`].
-//! * The submit path is **pluggable**: a [`SubmissionBackend`] decides how
-//!   an SQE travels into the ring. [`BatchedBackend`] (the default) is the
-//!   coalescing path below; [`ZeroCopyBackend`] pushes and rings
-//!   immediately — the shard-per-core datapath gives each shard its own
-//!   engine (own tag table, own queue pair) and submits through it.
-//! * **Doorbell coalescing**: callers enqueue SQEs; one *flusher* task
-//!   writes the backlog into the ring and issues **one** SQ tail-doorbell
-//!   MMIO per batch (bounded by [`EngineConfig::coalesce_limit`]) instead
-//!   of one per command. For the paper's remote clients each doorbell is
-//!   a posted write through the NTB, so this is a direct hot-path win at
-//!   queue depth > 1. At queue depth 1 there is never a second submitter
-//!   to batch with, so the submit path is byte-for-byte the old
+//! * There is **one submit path**, with **doorbell coalescing**: callers
+//!   enqueue SQEs; the first caller becomes the *flusher*, writes the
+//!   backlog into the ring and issues **one** SQ tail-doorbell MMIO per
+//!   batch (bounded by [`EngineConfig::coalesce_limit`]; `1` rings per
+//!   command). For the paper's remote clients each doorbell is a posted
+//!   write through the NTB, so this is a direct hot-path win at queue
+//!   depth > 1. At queue depth 1 there is never a second submitter to
+//!   batch with, so the submit path is byte-for-byte the old
 //!   push-then-ring sequence and QD=1 latency is unchanged.
 //! * CQ head doorbells are already coalesced per drain (one MMIO per
 //!   completion sweep, however many CQEs it reaped); the engine counts
@@ -34,8 +30,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use blklayer::BioError;
@@ -280,27 +274,11 @@ pub enum CompletionStrategy {
     },
 }
 
-/// Which built-in [`SubmissionBackend`] the engine submits through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Caller-becomes-flusher batching with doorbell coalescing
-    /// ([`BatchedBackend`], the historical engine path).
-    #[default]
-    Batched,
-    /// Immediate push-then-ring per command ([`ZeroCopyBackend`]): no
-    /// backlog, no flusher handoff, one doorbell per SQE — the
-    /// xNVMe-style latency-first path the sharded zero-copy datapath
-    /// submits through.
-    ZeroCopy,
-}
-
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Outstanding-command limit (tags across all queue pairs).
     pub queue_depth: usize,
-    /// Which submission backend to construct ([`IoEngine::start`]).
-    pub backend: BackendKind,
     /// Maximum SQEs written per SQ tail-doorbell MMIO. `1` rings per
     /// command (the pre-engine behaviour); larger values coalesce bursts
     /// while bounding how long the first SQE of a batch waits.
@@ -317,29 +295,25 @@ pub struct EngineConfig {
     /// `None` (the default) keeps the old unbounded wait. When set,
     /// [`IoEngine::issue`] re-rings the SQ tail doorbell on each expiry
     /// (recovering a dropped doorbell delivery) and doubles the deadline,
-    /// up to `max_retries` times, then fails the command with
+    /// up to [`MAX_RETRIES`] times, then fails the command with
     /// [`EngineError::Timeout`] instead of hanging.
     pub cmd_timeout: Option<SimDuration>,
-    /// Doorbell re-ring retries before a deadline expiry becomes an
-    /// [`EngineError::Timeout`]. Ignored when `cmd_timeout` is `None`.
-    pub max_retries: u32,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             queue_depth: 32,
-            backend: BackendKind::Batched,
             coalesce_limit: DEFAULT_COALESCE_LIMIT,
             aggregate_window: DEFAULT_AGGREGATE_WINDOW,
             cmd_timeout: None,
-            max_retries: DEFAULT_MAX_RETRIES,
         }
     }
 }
 
-/// Default doorbell re-ring retry budget when a command deadline is set.
-pub const DEFAULT_MAX_RETRIES: u32 = 2;
+/// Doorbell re-ring retries before a deadline expiry becomes an
+/// [`EngineError::Timeout`] (only reached when `cmd_timeout` is set).
+pub const MAX_RETRIES: u32 = 2;
 
 /// Default doorbell-coalesce limit used by the driver stacks.
 pub const DEFAULT_COALESCE_LIMIT: usize = 32;
@@ -458,241 +432,24 @@ struct EngineQpair {
     stats: RefCell<QpairStats>,
 }
 
-// ---------------------------------------------------------------------
-// Submission backends
-// ---------------------------------------------------------------------
-
-/// One queue pair as a submission backend sees it. The engine keeps
-/// [`SqRing`] to itself (lint rule D06); a backend pushes SQEs, rings the
-/// tail doorbell, works the shared backlog, and reports its counters
-/// through this view.
-pub struct SubmitCtx<'a> {
-    qp: &'a EngineQpair,
-    tags: &'a TagSet,
-    coalesce_limit: usize,
-}
-
-impl SubmitCtx<'_> {
-    /// Maximum SQEs one tail doorbell may cover.
-    pub fn coalesce_limit(&self) -> usize {
-        self.coalesce_limit
-    }
-
-    /// Append an accepted-but-unwritten SQE to the queue pair's backlog.
-    pub fn backlog_push(&self, sqe: SqEntry) {
-        self.qp.backlog.borrow_mut().push_back(sqe);
-    }
-
-    /// Take the oldest backlogged SQE.
-    pub fn backlog_pop(&self) -> Option<SqEntry> {
-        self.qp.backlog.borrow_mut().pop_front()
-    }
-
-    /// Whether the backlog is drained.
-    pub fn backlog_is_empty(&self) -> bool {
-        self.qp.backlog.borrow().is_empty()
-    }
-
-    /// Whether a flusher task currently owns the backlog.
-    pub fn flushing(&self) -> bool {
-        self.qp.flushing.get()
-    }
-
-    /// Claim or release the flusher role.
-    pub fn set_flushing(&self, on: bool) {
-        self.qp.flushing.set(on);
-    }
-
-    /// Write one SQE into the ring (posted; no doorbell).
-    pub async fn push(&self, sqe: &SqEntry) -> std::result::Result<(), pcie::FabricError> {
-        self.qp.sq.push(sqe).await
-    }
-
-    /// Ring the SQ tail doorbell, announcing everything pushed so far.
-    pub async fn ring(&self) -> std::result::Result<(), pcie::FabricError> {
-        self.qp.sq.ring().await
-    }
-
-    /// Record a successfully announced batch of `n` SQEs (one doorbell).
-    pub fn note_batch(&self, n: usize) {
-        let mut s = self.qp.stats.borrow_mut();
-        s.sqes_submitted += n as u64;
-        s.sq_doorbells += 1;
-        s.max_batch = s.max_batch.max(n as u64);
-        if n > 1 {
-            s.coalesced_batches += 1;
-        }
-    }
-
-    /// Count a failed SQE ring write.
-    pub fn note_push_error(&self) {
-        self.qp.stats.borrow_mut().push_errors += 1;
-    }
-
-    /// Count a failed doorbell MMIO.
-    pub fn note_doorbell_error(&self) {
-        self.qp.stats.borrow_mut().doorbell_errors += 1;
-    }
-
-    /// Deliver a submit-path failure to the waiter registered on `cid`.
-    pub fn fail(&self, cid: u16, err: EngineError) {
-        self.tags.complete(cid, Err(err));
-    }
-}
-
-/// How SQEs travel from [`IoEngine::issue`] into the ring — the pluggable
-/// half of the submit path. The engine owns admission (tags), striping,
-/// timeouts, and completion; the backend owns only the write-and-ring
-/// policy for one command on one queue pair. Implementations must deliver
-/// a typed error via [`SubmitCtx::fail`] for any SQE they cannot announce
-/// to the device — a silently dropped command would hang its waiter.
-pub trait SubmissionBackend {
-    /// Short label for reports ("batched", "zero-copy").
-    fn label(&self) -> &'static str;
-
-    /// Submit `sqe` through `ctx`'s queue pair. Resolves when the SQE (and
-    /// possibly coalesced neighbours) has been announced or failed.
-    fn submit<'a>(
-        &'a self,
-        ctx: SubmitCtx<'a>,
-        sqe: SqEntry,
-    ) -> Pin<Box<dyn Future<Output = ()> + 'a>>;
-}
-
-/// The historical engine path: callers enqueue SQEs and the first caller
-/// becomes the *flusher*, draining the backlog in batches of up to
-/// [`EngineConfig::coalesce_limit`] with **one** tail doorbell per batch.
-/// Later submitters ride along under the active flusher's doorbell. At
-/// queue depth 1 there is never a second submitter, so the sequence is
-/// byte-for-byte push-then-ring.
-pub struct BatchedBackend;
-
-impl SubmissionBackend for BatchedBackend {
-    fn label(&self) -> &'static str {
-        "batched"
-    }
-
-    fn submit<'a>(
-        &'a self,
-        ctx: SubmitCtx<'a>,
-        sqe: SqEntry,
-    ) -> Pin<Box<dyn Future<Output = ()> + 'a>> {
-        Box::pin(async move {
-            ctx.backlog_push(sqe);
-            if ctx.flushing() {
-                return; // the active flusher's doorbell covers this SQE
-            }
-            ctx.set_flushing(true);
-            loop {
-                let mut batch: Vec<u16> = Vec::new();
-                while batch.len() < ctx.coalesce_limit() {
-                    let Some(sqe) = ctx.backlog_pop() else { break };
-                    match ctx.push(&sqe).await {
-                        Ok(()) => batch.push(sqe.cid),
-                        Err(e) => {
-                            ctx.note_push_error();
-                            ctx.fail(sqe.cid, EngineError::Fabric(e));
-                        }
-                    }
-                }
-                if batch.is_empty() {
-                    if ctx.backlog_is_empty() {
-                        break;
-                    }
-                    continue; // every entry of this batch failed; keep draining
-                }
-                match ctx.ring().await {
-                    Ok(()) => ctx.note_batch(batch.len()),
-                    Err(e) => {
-                        // The tail never reached the device: the batch's
-                        // SQEs sit in the ring unannounced. Fail their
-                        // waiters instead of letting them hang.
-                        ctx.note_doorbell_error();
-                        for cid in batch {
-                            ctx.fail(cid, EngineError::Fabric(e.clone()));
-                        }
-                    }
-                }
-                if ctx.backlog_is_empty() {
-                    break;
-                }
-            }
-            ctx.set_flushing(false);
-        })
-    }
-}
-
-/// The zero-copy shard path: push the SQE and ring immediately, nothing
-/// shared with any other submitter — no backlog, no flusher handoff, no
-/// coalescing. One doorbell per command buys the lowest submit-to-device
-/// latency, which is the right trade for a shard that owns its queue pair
-/// outright and runs at low queue depth (xNVMe's I/O path makes the same
-/// call).
-pub struct ZeroCopyBackend;
-
-impl SubmissionBackend for ZeroCopyBackend {
-    fn label(&self) -> &'static str {
-        "zero-copy"
-    }
-
-    fn submit<'a>(
-        &'a self,
-        ctx: SubmitCtx<'a>,
-        sqe: SqEntry,
-    ) -> Pin<Box<dyn Future<Output = ()> + 'a>> {
-        Box::pin(async move {
-            if let Err(e) = ctx.push(&sqe).await {
-                ctx.note_push_error();
-                ctx.fail(sqe.cid, EngineError::Fabric(e));
-                return;
-            }
-            match ctx.ring().await {
-                Ok(()) => ctx.note_batch(1),
-                Err(e) => {
-                    ctx.note_doorbell_error();
-                    ctx.fail(sqe.cid, EngineError::Fabric(e));
-                }
-            }
-        })
-    }
-}
-
-/// The shared host-side I/O engine: tags, queue pairs, a pluggable
-/// submission backend, and per-qpair completion services.
+/// The shared host-side I/O engine: tags, queue pairs, the coalescing
+/// submit path, and per-qpair completion services.
 pub struct IoEngine {
     handle: Handle,
     strategy: CompletionStrategy,
     cfg: EngineConfig,
     qpairs: Vec<EngineQpair>,
     tags: TagSet,
-    backend: Box<dyn SubmissionBackend>,
 }
 
 impl IoEngine {
     /// Build the rings, spawn one completion-service task per queue pair,
-    /// and return the running engine. The submission backend is built
-    /// from [`EngineConfig::backend`]; use
-    /// [`IoEngine::start_with_backend`] to plug in a custom one.
+    /// and return the running engine.
     pub fn start(
         fabric: &Fabric,
         specs: Vec<QueuePairSpec>,
         strategy: CompletionStrategy,
         cfg: EngineConfig,
-    ) -> Rc<IoEngine> {
-        let backend: Box<dyn SubmissionBackend> = match cfg.backend {
-            BackendKind::Batched => Box::new(BatchedBackend),
-            BackendKind::ZeroCopy => Box::new(ZeroCopyBackend),
-        };
-        Self::start_with_backend(fabric, specs, strategy, cfg, backend)
-    }
-
-    /// [`IoEngine::start`] with an explicit submission backend.
-    pub fn start_with_backend(
-        fabric: &Fabric,
-        specs: Vec<QueuePairSpec>,
-        strategy: CompletionStrategy,
-        cfg: EngineConfig,
-        backend: Box<dyn SubmissionBackend>,
     ) -> Rc<IoEngine> {
         assert!(!specs.is_empty(), "engine needs at least one queue pair");
         assert!(cfg.coalesce_limit >= 1, "coalesce_limit must be >= 1");
@@ -738,7 +495,6 @@ impl IoEngine {
             cfg,
             qpairs,
             tags: TagSet::new(cfg.queue_depth),
-            backend,
         });
         for (index, (cq, irq)) in services.into_iter().enumerate() {
             let e = engine.clone();
@@ -752,11 +508,6 @@ impl IoEngine {
     /// Controller-side queue ids, in stripe order.
     pub fn qids(&self) -> Vec<u16> {
         self.qpairs.iter().map(|q| q.qid).collect()
-    }
-
-    /// The submission backend's label ("batched", "zero-copy", …).
-    pub fn backend_label(&self) -> &'static str {
-        self.backend.label()
     }
 
     /// Outstanding-command limit.
@@ -831,7 +582,8 @@ impl IoEngine {
     pub async fn issue(&self, tag: &Tag, sqe: SqEntry) -> EngineResult {
         debug_assert_eq!(tag.cid(), sqe.cid, "SQE cid must match the reserved tag");
         let mut rx = self.tags.register_at(tag, self.handle.now());
-        self.backend.submit(self.submit_ctx(sqe.cid), sqe).await;
+        let qp = self.qp_for(sqe.cid);
+        self.submit(qp, sqe).await;
         let Some(base) = self.cfg.cmd_timeout else {
             return match rx.await {
                 Ok(result) => result,
@@ -844,14 +596,13 @@ impl IoEngine {
         // merely-slow device isn't hammered. A command that stays silent
         // through the whole budget surfaces as `Timeout` for the caller's
         // abort/recreate/reset escalation instead of hanging forever.
-        let qp = self.qp_for(sqe.cid);
         let mut wait = base;
-        for attempt in 0..=self.cfg.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             match simcore::timeout(&self.handle, wait, &mut rx).await {
                 Ok(Ok(result)) => return result,
                 Ok(Err(_)) => return Err(EngineError::Gone),
                 Err(simcore::Elapsed) => {
-                    if attempt == self.cfg.max_retries {
+                    if attempt == MAX_RETRIES {
                         break;
                     }
                     qp.stats.borrow_mut().timeout_retries += 1;
@@ -894,13 +645,68 @@ impl IoEngine {
         true
     }
 
-    /// The backend's view of the queue pair `cid` stripes onto.
-    fn submit_ctx(&self, cid: u16) -> SubmitCtx<'_> {
-        SubmitCtx {
-            qp: self.qp_for(cid),
-            tags: &self.tags,
-            coalesce_limit: self.cfg.coalesce_limit,
+    /// The one submit path: enqueue `sqe`, and unless a flusher is already
+    /// draining `qp`'s backlog become it — write SQEs into the ring in
+    /// batches of up to [`EngineConfig::coalesce_limit`] with **one** tail
+    /// doorbell per batch. Later submitters ride along under the active
+    /// flusher's doorbell. At queue depth 1 the backlog never holds a
+    /// second entry, and at `coalesce_limit = 1` a batch never does, so
+    /// either way the sequence is push-then-ring per command. Every SQE
+    /// that cannot be announced to the device resolves its waiter with a
+    /// typed error — a silently dropped command would hang it.
+    async fn submit(&self, qp: &EngineQpair, sqe: SqEntry) {
+        qp.backlog.borrow_mut().push_back(sqe);
+        if qp.flushing.get() {
+            return; // the active flusher's doorbell covers this SQE
         }
+        qp.flushing.set(true);
+        loop {
+            let Some(first) = qp.backlog.borrow_mut().pop_front() else {
+                break;
+            };
+            if let Err(e) = qp.sq.push(&first).await {
+                qp.stats.borrow_mut().push_errors += 1;
+                self.tags.complete(first.cid, Err(EngineError::Fabric(e)));
+                continue; // nothing written yet, so no doorbell is owed
+            }
+            // From the first successful push on, every path reaches the
+            // one ring below.
+            let mut batch = vec![first.cid];
+            while batch.len() < self.cfg.coalesce_limit {
+                let Some(sqe) = qp.backlog.borrow_mut().pop_front() else {
+                    break;
+                };
+                match qp.sq.push(&sqe).await {
+                    Ok(()) => batch.push(sqe.cid),
+                    Err(e) => {
+                        qp.stats.borrow_mut().push_errors += 1;
+                        self.tags.complete(sqe.cid, Err(EngineError::Fabric(e)));
+                    }
+                }
+            }
+            match qp.sq.ring().await {
+                Ok(()) => {
+                    let n = batch.len() as u64;
+                    let mut s = qp.stats.borrow_mut();
+                    s.sqes_submitted += n;
+                    s.sq_doorbells += 1;
+                    s.max_batch = s.max_batch.max(n);
+                    if n > 1 {
+                        s.coalesced_batches += 1;
+                    }
+                }
+                Err(e) => {
+                    // The tail never reached the device: the batch's SQEs
+                    // sit in the ring unannounced. Fail their waiters
+                    // instead of letting them hang.
+                    qp.stats.borrow_mut().doorbell_errors += 1;
+                    for cid in batch {
+                        self.tags.complete(cid, Err(EngineError::Fabric(e.clone())));
+                    }
+                }
+            }
+        }
+        qp.flushing.set(false);
     }
 
     /// The per-queue-pair completion service: detect (poll or IRQ), drain

@@ -28,8 +28,8 @@ pub mod spec;
 
 pub use ctrl::{CtrlStats, NvmeConfig, NvmeController};
 pub use engine::{
-    BackendKind, BatchedBackend, CompletionStrategy, EngineConfig, EngineError, EngineStats,
-    IoEngine, QpairStats, QueuePairSpec, SubmissionBackend, SubmitCtx, TagSet, ZeroCopyBackend,
+    CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QpairStats,
+    QueuePairSpec, TagSet,
 };
 pub use medium::{BlockStore, MediaProfile};
 pub use queue::CqRing;

@@ -260,24 +260,57 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
     use cluster::{Calibration, Scenario, ScenarioKind};
     use pcie::SeverMode;
     let calib = Calibration::fault_recovery();
+    let cmd_timeout = calib.client.cmd_timeout.unwrap();
     let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
     let (host, dev) = sc.clients[0].clone();
     let ntb = sc.client_ntbs[0];
     let drv = sc.client_drivers()[0].clone();
     let fabric = sc.fabric.clone();
-    let (io_err, detach) = sc.rt.block_on(async move {
+    let handle = sc.rt.handle();
+    let (burst, io_err, prompt, detach) = sc.rt.block_on(async move {
         // Sanity: the path works before the pull.
         let buf = fabric.alloc(host, 4096).unwrap();
         dev.submit(Bio::write(0, 8, buf)).await.unwrap();
+        // A QD 8 burst is in flight when the cable goes. All eight leave
+        // the submission overhead together and one becomes the flusher;
+        // 400 ns later it is mid-batch — some SQEs written, the rest not,
+        // no doorbell yet — so the pull hits both of its error arms.
+        let burst: Vec<_> = (0..8u64)
+            .map(|lane| {
+                let dev = dev.clone();
+                let buf = fabric.alloc(host, 4096).unwrap();
+                handle.spawn(async move { dev.submit(Bio::write(lane * 8, 8, buf)).await })
+            })
+            .collect();
+        let mid_flush = drv.config().submission_overhead + SimDuration::from_nanos(400);
+        handle.sleep(mid_flush).await;
         fabric.sever_ntb_now(ntb, SeverMode::Both);
+        let mut results = Vec::new();
+        for j in burst {
+            results.push(j.await);
+        }
+        // The burst released the flusher role on its way out: a further
+        // submit reaches the (dead) ring itself and fails at once, rather
+        // than parking in the backlog behind a stuck `flushing` flag until
+        // its deadline.
+        let t0 = handle.now();
         let io_err = dev.submit(Bio::write(0, 8, buf)).await.unwrap_err();
+        let prompt = handle.now().since(t0) < cmd_timeout;
         let detach = drv.disconnect().await;
-        (io_err, detach)
+        (results, io_err, prompt, detach)
     });
-    match io_err {
-        BioError::DeviceError(_) | BioError::Timeout { .. } | BioError::Gone => {}
-        other => panic!("expected a typed fabric/timeout error, got {other}"),
+    for r in burst.into_iter().chain([Err(io_err)]) {
+        match r {
+            Err(BioError::DeviceError(_) | BioError::Timeout { .. } | BioError::Gone) => {}
+            other => panic!("expected a typed fabric/timeout error, got {other:?}"),
+        }
     }
+    assert!(prompt, "post-burst submit parked behind the flusher flag");
+    let engine = sc.client_drivers()[0].qpair_stats().totals();
+    assert!(
+        engine.push_errors > 0 && engine.doorbell_errors > 0,
+        "the pull must land mid-flush (failed pushes and a failed ring): {engine:?}"
+    );
     assert!(
         detach.is_err(),
         "disconnect over a severed link must report the failure"
