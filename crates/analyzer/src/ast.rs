@@ -178,10 +178,6 @@ pub(crate) struct FnItem {
     pub line: usize,
     pub params: Vec<Param>,
     pub body: (usize, usize),
-    /// The trait this function implements, when its body sits inside an
-    /// `impl Trait for Type` block — the hook for resolving `dyn`
-    /// dispatch by trait-impl enumeration.
-    pub impl_of: Option<String>,
 }
 
 /// A `trait` declaration: the method names it declares (bodied or
@@ -226,11 +222,12 @@ pub(crate) struct Ast {
 
 impl Ast {
     pub(crate) fn parse(text: &str) -> Ast {
+        #[cfg(test)]
+        crate::tests::count("parse");
         let lines = lex_lines(text);
         let tokens = tokenize(&lines);
-        let mut functions = parse_functions(&tokens);
+        let functions = parse_functions(&tokens);
         let traits = parse_traits(&tokens);
-        assign_impls(&tokens, &mut functions);
         Ast {
             lines,
             tokens,
@@ -511,7 +508,6 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
                         line: name_tok.line,
                         params: sig.map_or_else(Vec::new, |s| parse_params(tokens, s)),
                         body,
-                        impl_of: None,
                     });
                 }
             }
@@ -642,54 +638,4 @@ fn parse_traits(tokens: &[Tok]) -> Vec<TraitDecl> {
         i += 1;
     }
     out
-}
-
-/// Assign `FnItem::impl_of` for functions whose body sits inside an
-/// `impl Trait for Type { … }` block. The trait name is the last ident at
-/// zero delimiter depth before the `for` keyword (path-qualified traits
-/// resolve to their final segment, matching how calls are name-matched).
-fn assign_impls(tokens: &[Tok], functions: &mut [FnItem]) {
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is("impl") && tokens[i].kind == TokKind::Ident {
-            let mut depth = 0isize;
-            let mut j = i + 1;
-            let mut trait_name: Option<String> = None;
-            let mut last_ident: Option<String> = None;
-            let mut body = None;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.punct('(') || t.punct('<') || t.punct('[') {
-                    depth += 1;
-                } else if t.punct(')') || t.punct('>') || t.punct(']') {
-                    depth -= 1;
-                } else if depth == 0 {
-                    if t.punct(';') {
-                        break;
-                    }
-                    if t.punct('{') {
-                        body = Some((j, match_delim(tokens, j, '{', '}')));
-                        break;
-                    }
-                    if t.kind == TokKind::Ident {
-                        if t.is("for") {
-                            trait_name = last_ident.take();
-                        } else {
-                            last_ident = Some(t.text.clone());
-                        }
-                    }
-                }
-                j += 1;
-            }
-            if let (Some(name), Some((open, close))) = (trait_name, body) {
-                for f in functions.iter_mut() {
-                    if f.body.0 > open && f.body.1 < close {
-                        f.impl_of = Some(name.clone());
-                    }
-                }
-                i = open; // fns inside still get visited harmlessly
-            }
-        }
-        i += 1;
-    }
 }

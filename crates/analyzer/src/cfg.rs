@@ -60,6 +60,8 @@ pub(crate) struct Cfg {
 impl Cfg {
     /// Lower `f`'s body into basic blocks and precompute dominators.
     pub(crate) fn build(ast: &Ast, f: &FnItem) -> Cfg {
+        #[cfg(test)]
+        crate::tests::count("cfg");
         let mut b = Builder {
             toks: &ast.tokens,
             blocks: vec![Block::default(), Block::default()],

@@ -41,9 +41,71 @@
 //! The pre-CFG statement-ordered pass survives as [`eval_fn_linear`],
 //! the branch-free equivalence baseline the property suite holds the
 //! new engine to.
+//!
+//! A scan builds these products once per function: [`FnFacts`] holds the
+//! call list, the parameter-aware def-use chains, the CFG and the
+//! abstract values behind `OnceCell`s, and both the interprocedural
+//! extractor and every per-function rule read that one set.
 
-use crate::ast::{Ast, FnItem, TokKind};
+use crate::ast::{Ast, Call, FnItem, TokKind};
 use crate::cfg::Cfg;
+use std::cell::OnceCell;
+
+// ---------------------------------------------------------------------
+// The per-function fact set
+// ---------------------------------------------------------------------
+
+/// One function's analysis products, each built on first use and then
+/// shared by every reader in the scan. The def-use chains carry the
+/// parameters ([`def_use_with_params`]) and the values are evaluated
+/// with the file's `const` items in scope, so the one set serves the
+/// summary extractor (parameter nodes) and D15 (constant intervals)
+/// alike — the interval is the only lattice component the constants
+/// can change.
+pub(crate) struct FnFacts<'a> {
+    pub ast: &'a Ast,
+    pub f: &'a FnItem,
+    /// The file's `const NAME: ty = <int>;` items ([`const_env`]).
+    pub consts: &'a [(String, u64)],
+    calls: OnceCell<Vec<Call>>,
+    cfg: OnceCell<Cfg>,
+    du: OnceCell<DefUse>,
+    vals: OnceCell<Vec<AbstractVal>>,
+}
+
+impl<'a> FnFacts<'a> {
+    pub(crate) fn new(ast: &'a Ast, f: &'a FnItem, consts: &'a [(String, u64)]) -> Self {
+        FnFacts {
+            ast,
+            f,
+            consts,
+            calls: OnceCell::new(),
+            cfg: OnceCell::new(),
+            du: OnceCell::new(),
+            vals: OnceCell::new(),
+        }
+    }
+
+    /// Call expressions in the body, in token order.
+    pub(crate) fn calls(&self) -> &[Call] {
+        self.calls.get_or_init(|| self.ast.calls_in(self.f.body))
+    }
+
+    pub(crate) fn cfg(&self) -> &Cfg {
+        self.cfg.get_or_init(|| Cfg::build(self.ast, self.f))
+    }
+
+    pub(crate) fn du(&self) -> &DefUse {
+        self.du
+            .get_or_init(|| def_use_with_params(self.ast, self.f.body, &self.f.params))
+    }
+
+    /// The abstract value of every def in [`FnFacts::du`].
+    pub(crate) fn vals(&self) -> &[AbstractVal] {
+        self.vals
+            .get_or_init(|| eval_fn_cfg(self.ast, self.cfg(), self.du(), self.consts))
+    }
+}
 
 // ---------------------------------------------------------------------
 // Def-use chains
@@ -109,11 +171,7 @@ pub fn build_def_use(src: &str) -> Vec<(String, DefUse)> {
 /// to the parameter until a local binding shadows it, which is what the
 /// interprocedural summaries need: "does param `i` reach a sink/return?"
 /// is a plain reachability question over these chains.
-pub(crate) fn def_use_with_params(
-    ast: &Ast,
-    body: (usize, usize),
-    params: &[crate::ast::Param],
-) -> DefUse {
+fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Param]) -> DefUse {
     let du = def_use(ast, body);
     let mut defs: Vec<Def> = params
         .iter()
@@ -223,6 +281,8 @@ pub(crate) fn live_end(du: &DefUse, di: usize, body_end: usize) -> usize {
 
 /// Scan one body's tokens into def-use chains.
 pub(crate) fn def_use(ast: &Ast, body: (usize, usize)) -> DefUse {
+    #[cfg(test)]
+    crate::tests::count("def_use");
     let toks = &ast.tokens;
     let end = body.1.min(toks.len());
     let mut defs: Vec<Def> = Vec::new();
@@ -469,12 +529,7 @@ pub(crate) fn parse_num(text: &str) -> Option<u64> {
 
 /// Evaluate every def of `f`'s body with the CFG-grounded forward
 /// dataflow (builds the graph; use [`eval_fn_cfg`] to share one).
-pub(crate) fn eval_fn(
-    ast: &Ast,
-    f: &FnItem,
-    du: &DefUse,
-    consts: &[(String, u64)],
-) -> Vec<AbstractVal> {
+fn eval_fn(ast: &Ast, f: &FnItem, du: &DefUse, consts: &[(String, u64)]) -> Vec<AbstractVal> {
     let cfg = Cfg::build(ast, f);
     eval_fn_cfg(ast, &cfg, du, consts)
 }
@@ -495,6 +550,8 @@ pub(crate) fn eval_fn_cfg(
     du: &DefUse,
     consts: &[(String, u64)],
 ) -> Vec<AbstractVal> {
+    #[cfg(test)]
+    crate::tests::count("eval");
     let n = du.defs.len();
     let mut vals: Vec<AbstractVal> = vec![AbstractVal::default(); n];
     if n == 0 {
@@ -833,21 +890,9 @@ pub(crate) fn split_args(ast: &Ast, args: (usize, usize)) -> Vec<(usize, usize)>
     out
 }
 
-/// The constant interval of an expression range, given a function's
-/// evaluated defs (the rule-facing wrapper over [`eval_range`]).
-pub(crate) fn range_of(
-    ast: &Ast,
-    du: &DefUse,
-    vals: &[AbstractVal],
-    expr: (usize, usize),
-    consts: &[(String, u64)],
-) -> Option<(u64, u64)> {
-    eval_range(ast, du, vals, expr, consts)
-}
-
 /// Evaluate a token range as a constant interval: a literal, a known
 /// const/def, an `a..b` range, or `+ - *` arithmetic over those.
-fn eval_range(
+pub(crate) fn eval_range(
     ast: &Ast,
     du: &DefUse,
     vals: &[AbstractVal],
@@ -980,10 +1025,7 @@ fn eval_range(
                 .map(|&(_, v)| (v, v));
         }
     }
-    // `mod :: CONST` path: take the tail ident.
-    if e == s + 3 && toks[s + 1].punct(':') && toks[s + 2].punct(':') {
-        // `a::B` arrives as 4 tokens (`a : : B`); handled below.
-    }
+    // `mod :: CONST` path (`a : : B`, four tokens): take the tail ident.
     if e >= s + 2 && toks[e - 1].kind == TokKind::Ident && toks[e - 2].punct(':') {
         return consts
             .iter()

@@ -3,18 +3,15 @@
 //! The intraprocedural lattice (D12–D16) stops at a function boundary: a
 //! raw `as_u64()` laundered through one helper return is invisible, and
 //! the lock-order / reactor-affinity invariants are inherently
-//! cross-function. This module closes that gap without giving up the
-//! per-file cacheability the self-benchmark depends on, by splitting the
-//! analysis in two:
+//! cross-function. This module closes that gap in two steps:
 //!
 //! 1. **Extraction** ([`FnLocal`]): per function, a small fact record
-//!    derived purely from the file's tokens — a node graph (parameters +
-//!    defs) with def-use flow edges, raw/typed/host seeds, call sites
-//!    with per-argument node lists, return-range facts, guard
-//!    acquisitions with liveness windows, shard-channel endpoints, spawn
-//!    regions, and D11-style blocking awaits. Extraction never looks at
-//!    another file, so the records are cached per file keyed on a
-//!    content hash (`target/dnvme-lint.summaries`).
+//!    read off the scan's shared [`FnFacts`] (calls, def-use chains,
+//!    abstract values) — a node graph (parameters + defs) with def-use
+//!    flow edges, raw/typed/host seeds, call sites with per-argument
+//!    node lists, return-range facts, guard acquisitions with liveness
+//!    windows, shard-channel endpoints, spawn regions, and D11-style
+//!    blocking awaits. Extraction never looks at another file.
 //! 2. **Composition** ([`Program`]): a bottom-up fixpoint over the whole
 //!    program's call graph (edges by callee name; `dyn Trait` dispatch
 //!    resolves by trait-impl enumeration, i.e. every impl of the method
@@ -59,18 +56,13 @@
 //! graph — expression temporaries drop before any call they could
 //! order against.
 
-use crate::ast::{Ast, FnItem, TokKind};
+use crate::ast::{Ast, TokKind};
 use crate::dataflow::{
-    self, def_use_with_params, eval_fn, first_arg_path, live_end, split_args, stmt_end, Taint,
-    GUARD_CALLS, TRANSLATORS, WRAPPERS,
+    self, first_arg_path, live_end, split_args, stmt_end, FnFacts, Taint, GUARD_CALLS, TRANSLATORS,
+    WRAPPERS,
 };
-use crate::{
-    Rule, D07_READS, D07_ROOTS, D11_BLOCKING, D11_ROOTS, D12_SINKS, D13_FABRIC_SINKS, D17_ROOTS,
-};
+use crate::{Rule, SourceFile, D07_READS, D11_BLOCKING, D12_SINKS, D13_FABRIC_SINKS};
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write as _;
-use std::path::Path;
 
 /// Candidate-set cap for summary composition: a callee name matched by
 /// more functions than this is treated as opaque (no facts) unless it
@@ -94,7 +86,7 @@ fn cap_chain(mut c: Chain) -> Chain {
 }
 
 // ---------------------------------------------------------------------
-// Per-function local facts (cacheable)
+// Per-function local facts
 // ---------------------------------------------------------------------
 
 /// One call site inside a function body.
@@ -116,7 +108,6 @@ pub(crate) struct CallRec {
 pub(crate) struct FnLocal {
     pub name: String,
     pub line: usize,
-    pub impl_of: Option<String>,
     pub n_params: usize,
     pub mut_ref_params: Vec<bool>,
     pub calls: Vec<CallRec>,
@@ -170,24 +161,18 @@ pub(crate) struct FnLocal {
     pub endpoint_ops: Vec<(bool, String, usize, usize)>,
     /// Endpoint ops whose receiver is a parameter: `(is_send, param, line)`.
     pub param_endpoint_ops: Vec<(bool, usize, usize)>,
-    /// Directly-awaited unguarded blocking calls (D11): `(name, line)`.
-    pub blocking_awaits: Vec<(String, usize)>,
+    /// Lines of directly-awaited unguarded blocking calls (D11).
+    pub blocking_awaits: Vec<usize>,
 }
 
-/// Extract every function's local facts from one parsed file.
-pub(crate) fn extract_file(ast: &Ast) -> Vec<FnLocal> {
-    ast.functions.iter().map(|f| extract_fn(ast, f)).collect()
-}
-
-fn extract_fn(ast: &Ast, f: &FnItem) -> FnLocal {
+/// Read one function's local facts off its shared fact set.
+fn extract_fn(facts: &FnFacts) -> FnLocal {
+    let (ast, f) = (facts.ast, facts.f);
     let toks = &ast.tokens;
-    let du = def_use_with_params(ast, f.body, &f.params);
-    let vals = eval_fn(ast, f, &du, &[]);
-    let raw_calls = ast.calls_in(f.body);
+    let (du, vals, raw_calls) = (facts.du(), facts.vals(), facts.calls());
     let mut out = FnLocal {
         name: f.name.clone(),
         line: f.line,
-        impl_of: f.impl_of.clone(),
         n_params: f.params.len(),
         mut_ref_params: f.params.iter().map(|p| p.by_mut_ref).collect(),
         n_nodes: du.defs.len(),
@@ -332,7 +317,7 @@ fn extract_fn(ast: &Ast, f: &FnItem) -> FnLocal {
                 .iter()
                 .any(|&(ga, gb)| ga <= call.args.0 && call.args.1 <= gb);
             if awaited && !guarded {
-                out.blocking_awaits.push((call.name.clone(), call.line));
+                out.blocking_awaits.push(call.line);
             }
         }
     }
@@ -410,7 +395,7 @@ fn extract_fn(ast: &Ast, f: &FnItem) -> FnLocal {
         .filter(|(di, d)| vals[*di].guard && d.name != "_")
         .filter_map(|(di, d)| {
             guard_class(ast, d.expr).map(|cls| {
-                let live = (d.expr.1, live_end(&du, di, f.body.1));
+                let live = (d.expr.1, live_end(du, di, f.body.1));
                 (di, cls, d.line, live)
             })
         })
@@ -550,14 +535,8 @@ impl Summary {
     }
 }
 
-/// A file handed to [`Program::build`].
-pub(crate) struct FileInput<'a> {
-    pub rel: &'a str,
-    pub text: &'a str,
-    pub rules: Vec<Rule>,
-}
-
-/// One interprocedural finding (paths resolved by the caller).
+/// One interprocedural finding: `file` and the chain's hops index the
+/// scan's file list.
 pub(crate) struct ProgFinding {
     pub rule: Rule,
     pub file: usize,
@@ -566,27 +545,15 @@ pub(crate) struct ProgFinding {
     pub related: Chain,
 }
 
-/// One file's cached analysis products: content hash, the method names
-/// its `trait` declarations contribute to dispatch resolution, and the
-/// per-function fact records.
-struct FileFacts {
-    hash: u64,
-    trait_methods: Vec<String>,
-    fns: Vec<FnLocal>,
-}
-
 /// The whole-program view: every file's per-function facts plus the
 /// converged summaries.
-pub(crate) struct Program {
-    rels: Vec<String>,
-    file_rules: Vec<Vec<Rule>>,
+pub(crate) struct Program<'a> {
+    files: &'a [SourceFile<'a>],
     fns: Vec<FnLocal>,
     fn_file: Vec<usize>,
     by_name: BTreeMap<String, Vec<usize>>,
     trait_methods: Vec<String>,
     summaries: Vec<Summary>,
-    /// Number of function summaries computed (the BENCH counter).
-    pub summary_count: usize,
 }
 
 struct NodeFacts {
@@ -595,99 +562,53 @@ struct NodeFacts {
     host: Vec<Option<(String, bool, Chain)>>,
 }
 
-impl Program {
-    /// Parse/extract every file (through the cache when given) and run
-    /// the summary fixpoint.
-    pub(crate) fn build(files: &[FileInput], cache: Option<&Path>) -> Program {
-        let cached = cache.map(read_cache).unwrap_or_default();
-        let mut rels = Vec::new();
-        let mut file_rules = Vec::new();
+impl<'a> Program<'a> {
+    /// Extract every function of every file and run the summary
+    /// fixpoint.
+    pub(crate) fn build(files: &'a [SourceFile<'a>]) -> Program<'a> {
         let mut fns = Vec::new();
         let mut fn_file = Vec::new();
         let mut trait_methods: Vec<String> = Vec::new();
-        let mut cache_out: Vec<(String, FileFacts)> = Vec::new();
-        for (fi, f) in files.iter().enumerate() {
-            rels.push(f.rel.to_string());
-            file_rules.push(f.rules.clone());
-            let hash = fnv1a(f.text.as_bytes());
-            let facts = match cached.get(f.rel) {
-                Some(ff) if ff.hash == hash => FileFacts {
-                    hash,
-                    trait_methods: ff.trait_methods.clone(),
-                    fns: ff.fns.clone(),
-                },
-                _ => {
-                    let ast = Ast::parse(f.text);
-                    let mut tm: Vec<String> = Vec::new();
-                    for t in &ast.traits {
-                        for m in &t.methods {
-                            if !tm.contains(m) {
-                                tm.push(m.clone());
-                            }
-                        }
-                    }
-                    FileFacts {
-                        hash,
-                        trait_methods: tm,
-                        fns: extract_file(&ast),
-                    }
-                }
-            };
+        for (fi, file) in files.iter().enumerate() {
             // Only *declared* traits widen dispatch: `impl Trait for`
             // blocks alone would drag in std names (`poll`, `drop`,
             // `fmt`) and smear summaries across the whole program.
-            for m in &facts.trait_methods {
+            for m in file.ast.traits.iter().flat_map(|t| &t.methods) {
                 if !trait_methods.contains(m) {
                     trait_methods.push(m.clone());
                 }
             }
-            if cache.is_some() {
-                cache_out.push((
-                    f.rel.to_string(),
-                    FileFacts {
-                        hash,
-                        trait_methods: facts.trait_methods.clone(),
-                        fns: facts.fns.clone(),
-                    },
-                ));
-            }
-            for l in facts.fns {
+            for facts in &file.fns {
                 fn_file.push(fi);
-                fns.push(l);
+                fns.push(extract_fn(facts));
             }
-        }
-        if let Some(path) = cache {
-            write_cache(path, &cache_out);
         }
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
         }
-        let summary_count = fns.len();
         let mut prog = Program {
-            rels,
-            file_rules,
+            files,
+            summaries: vec![Summary::default(); fns.len()],
             fns,
             fn_file,
             by_name,
             trait_methods,
-            summaries: Vec::new(),
-            summary_count,
         };
-        prog.summaries = vec![Summary::default(); prog.fns.len()];
         prog.fixpoint();
         prog
     }
 
-    pub(crate) fn rel(&self, file: usize) -> &str {
-        &self.rels[file]
+    /// Number of function summaries computed (the BENCH counter).
+    pub(crate) fn summary_count(&self) -> usize {
+        self.fns.len()
     }
 
     /// Guard classes are keyed by defining file so same-named fields
     /// of unrelated types (`state` in the fabric vs `state` in the
     /// oracle) never alias into one lock class.
     fn guard_key(&self, file: usize, cls: &str) -> String {
-        let rel = &self.rels[file];
+        let rel = self.files[file].rel;
         let short = rel
             .strip_prefix("crates/")
             .unwrap_or(rel)
@@ -1050,7 +971,7 @@ impl Program {
     }
 
     fn file_has(&self, file: usize, rule: Rule) -> bool {
-        self.file_rules[file].contains(&rule)
+        self.files[file].rules.contains(&rule)
     }
 
     /// All interprocedural findings, deduplicated by `(rule, file, line)`
@@ -1068,7 +989,6 @@ impl Program {
         self.d18_d13_findings(&mut |f| push(&mut out, f));
         self.d19_findings(&mut |f| push(&mut out, f));
         self.d20_findings(&mut |f| push(&mut out, f));
-        self.d21_findings(&mut |f| push(&mut out, f));
         self.reach_findings(&mut |f| push(&mut out, f));
         out.sort_by(|a, b| (a.file, a.line, a.rule.code()).cmp(&(b.file, b.line, b.rule.code())));
         out
@@ -1333,643 +1253,125 @@ impl Program {
         }
     }
 
-    fn d21_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
-        // BFS over (fn, laddered); the ladder frame is entered through a
-        // `recover*` / `recreate*` callee.
+    /// D07/D11/D17/D21: one breadth-first walk of the call graph per
+    /// [`REACH`] row, from the rule's roots. The walk tracks whether a
+    /// `barrier`-prefixed frame (D21's recovery ladder) has been entered;
+    /// a rule's sites count only in functions reachable outside one.
+    fn reach_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
         let n = self.fns.len();
-        let mut visited = vec![[false; 2]; n];
-        let mut parent: Vec<[Option<(usize, usize)>; 2]> = vec![[None; 2]; n];
-        let mut queue: Vec<(usize, bool)> = Vec::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            let file = self.fn_file[i];
-            if self.file_has(file, Rule::D21)
-                && ["submit", "issue"].iter().any(|p| f.name.starts_with(p))
-            {
-                visited[i][0] = true;
-                queue.push((i, false));
+        for spec in &REACH {
+            // Index 0: reached outside any barrier frame; 1: inside one.
+            let mut parent: Vec<[Option<(usize, usize)>; 2]> = vec![[None; 2]; n];
+            let mut visited = vec![[false; 2]; n];
+            let mut queue: Vec<(usize, usize)> = Vec::new();
+            for (i, f) in self.fns.iter().enumerate() {
+                if self.file_has(self.fn_file[i], spec.rule)
+                    && spec.roots.iter().any(|p| f.name.starts_with(p))
+                {
+                    visited[i][0] = true;
+                    queue.push((i, 0));
+                }
             }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let (i, laddered) = queue[qi];
-            qi += 1;
-            for call in &self.fns[i].calls {
-                for c in self.resolve(self.fn_file[i], call) {
-                    let lad = laddered
-                        || self.fns[c].name.starts_with("recover")
-                        || self.fns[c].name.starts_with("recreate");
-                    let state = usize::from(lad);
-                    if !visited[c][state] {
-                        visited[c][state] = true;
-                        parent[c][state] = Some((i, call.line));
-                        queue.push((c, lad));
+            let mut qi = 0;
+            while qi < queue.len() {
+                let (i, state) = queue[qi];
+                qi += 1;
+                for call in &self.fns[i].calls {
+                    for c in self.resolve(self.fn_file[i], call) {
+                        let inside = spec.barrier.iter().any(|p| self.fns[c].name.starts_with(p));
+                        let state = state.max(usize::from(inside));
+                        if !visited[c][state] {
+                            visited[c][state] = true;
+                            parent[c][state] = Some((i, call.line));
+                            queue.push((c, state));
+                        }
                     }
                 }
             }
-        }
-        for (i, f) in self.fns.iter().enumerate() {
-            if !visited[i][0] {
-                continue;
-            }
-            let file = self.fn_file[i];
-            if !self.file_has(file, Rule::D21) {
-                continue;
-            }
-            for call in &f.calls {
-                if call.name == "reset_qpair" {
+            for (i, f) in self.fns.iter().enumerate() {
+                let file = self.fn_file[i];
+                if !visited[i][0] || !self.file_has(file, spec.rule) {
+                    continue;
+                }
+                for line in (spec.sites)(f) {
+                    // The call chain back to the root (root first).
+                    let mut related = Vec::new();
+                    let mut j = i;
+                    while let Some((p, line)) = parent[j][0] {
+                        related.push((
+                            self.fn_file[p],
+                            line,
+                            format!("`{}` calls `{}`", self.fns[p].name, self.fns[j].name),
+                        ));
+                        j = p;
+                        if related.len() >= CHAIN_CAP {
+                            break;
+                        }
+                    }
+                    related.reverse();
                     hit(ProgFinding {
-                        rule: Rule::D21,
+                        rule: spec.rule,
                         file,
-                        line: call.line,
-                        related: self.chain_to_root(&parent, i, 0),
+                        line,
+                        related,
                     });
                 }
             }
         }
     }
-
-    /// Rebuild the call chain from a BFS parent table (root first).
-    fn chain_to_root(
-        &self,
-        parent: &[[Option<(usize, usize)>; 2]],
-        mut i: usize,
-        state: usize,
-    ) -> Chain {
-        let mut hops = Vec::new();
-        while let Some((p, line)) = parent[i][state] {
-            hops.push((
-                self.fn_file[p],
-                line,
-                format!("`{}` calls `{}`", self.fns[p].name, self.fns[i].name),
-            ));
-            i = p;
-            if hops.len() >= CHAIN_CAP {
-                break;
-            }
-        }
-        hops.reverse();
-        hops
-    }
-
-    /// D07/D11/D17: the global reachability walk with per-rule roots and
-    /// site predicates (the pre-PR-8 per-file walk, program-wide).
-    fn reach_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
-        let specs: [(Rule, &[&str]); 3] = [
-            (Rule::D07, &D07_ROOTS),
-            (Rule::D11, &D11_ROOTS),
-            (Rule::D17, &D17_ROOTS),
-        ];
-        for (rule, roots) in specs {
-            let n = self.fns.len();
-            let mut visited = vec![false; n];
-            let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-            let mut queue: Vec<usize> = Vec::new();
-            for (i, f) in self.fns.iter().enumerate() {
-                if self.file_has(self.fn_file[i], rule)
-                    && roots.iter().any(|p| f.name.starts_with(p))
-                {
-                    visited[i] = true;
-                    queue.push(i);
-                }
-            }
-            let mut qi = 0;
-            while qi < queue.len() {
-                let i = queue[qi];
-                qi += 1;
-                for call in &self.fns[i].calls {
-                    for c in self.resolve(self.fn_file[i], call) {
-                        if !visited[c] {
-                            visited[c] = true;
-                            parent[c] = Some((i, call.line));
-                            queue.push(c);
-                        }
-                    }
-                }
-            }
-            for (i, f) in self.fns.iter().enumerate() {
-                if !visited[i] {
-                    continue;
-                }
-                let file = self.fn_file[i];
-                if !self.file_has(file, rule) {
-                    continue;
-                }
-                let chain = |this: &Self| -> Chain {
-                    let mut hops = Vec::new();
-                    let mut j = i;
-                    while let Some((p, line)) = parent[j] {
-                        hops.push((
-                            this.fn_file[p],
-                            line,
-                            format!("`{}` calls `{}`", this.fns[p].name, this.fns[j].name),
-                        ));
-                        j = p;
-                        if hops.len() >= CHAIN_CAP {
-                            break;
-                        }
-                    }
-                    hops.reverse();
-                    hops
-                };
-                match rule {
-                    Rule::D07 => {
-                        for call in &f.calls {
-                            if D07_READS.iter().any(|r| call.name == *r) {
-                                hit(ProgFinding {
-                                    rule,
-                                    file,
-                                    line: call.line,
-                                    related: chain(self),
-                                });
-                            }
-                        }
-                    }
-                    Rule::D11 => {
-                        for (_, line) in &f.blocking_awaits {
-                            hit(ProgFinding {
-                                rule,
-                                file,
-                                line: *line,
-                                related: chain(self),
-                            });
-                        }
-                    }
-                    Rule::D17 => {
-                        for call in &f.calls {
-                            if call.name == "alloc"
-                                && call.recv.as_deref().is_some_and(|r| r.contains("fabric"))
-                            {
-                                hit(ProgFinding {
-                                    rule,
-                                    file,
-                                    line: call.line,
-                                    related: chain(self),
-                                });
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
 }
 
-// ---------------------------------------------------------------------
-// Per-file fact cache
-// ---------------------------------------------------------------------
-
-/// FNV-1a over the file contents: the cache key. Any edit reruns
-/// extraction for that file only; composition always reruns (it is
-/// cheap and cross-file).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// One call-graph reachability rule: root-name prefixes, the frame
+/// prefixes that fence the walk off, and the flagged sites of a reached
+/// function (1-based lines).
+struct ReachSpec {
+    rule: Rule,
+    roots: &'static [&'static str],
+    barrier: &'static [&'static str],
+    sites: fn(&FnLocal) -> Vec<usize>,
 }
 
-fn read_cache(path: &Path) -> BTreeMap<String, FileFacts> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    parse_cache(&text).unwrap_or_default()
+fn call_lines(f: &FnLocal, pred: impl Fn(&CallRec) -> bool) -> Vec<usize> {
+    f.calls.iter().filter(|c| pred(c)).map(|c| c.line).collect()
 }
 
-fn parse_cache(text: &str) -> Option<BTreeMap<String, FileFacts>> {
-    let mut lines = text.lines();
-    if lines.next()? != "dnvme-lint-summaries v3" {
-        return None;
-    }
-    let mut out = BTreeMap::new();
-    while let Some(header) = lines.next() {
-        let mut parts = header.splitn(3, ' ');
-        let hash: u64 = parts.next()?.parse().ok()?;
-        let nfns: usize = parts.next()?.parse().ok()?;
-        let rel = parts.next()?.to_string();
-        let traits_line = lines.next()?;
-        let trait_methods = traits_line
-            .strip_prefix("traits:")?
-            .split_whitespace()
-            .map(str::to_string)
-            .collect();
-        let mut fns = Vec::with_capacity(nfns);
-        for _ in 0..nfns {
-            fns.push(parse_fnlocal(lines.next()?)?);
-        }
-        out.insert(
-            rel,
-            FileFacts {
-                hash,
-                trait_methods,
-                fns,
-            },
-        );
-    }
-    Some(out)
-}
-
-fn write_cache(path: &Path, entries: &[(String, FileFacts)]) {
-    let Some(dir) = path.parent() else { return };
-    let _ = fs::create_dir_all(dir);
-    let mut buf = String::from("dnvme-lint-summaries v3\n");
-    for (rel, ff) in entries {
-        buf.push_str(&format!("{} {} {rel}\n", ff.hash, ff.fns.len()));
-        buf.push_str("traits:");
-        for m in &ff.trait_methods {
-            buf.push(' ');
-            buf.push_str(m);
-        }
-        buf.push('\n');
-        for f in &ff.fns {
-            buf.push_str(&ser_fnlocal(f));
-            buf.push('\n');
-        }
-    }
-    // Atomic publish: concurrent scans (parallel test binaries) must
-    // never observe a torn file. A parse failure is only a cache miss,
-    // but the rename keeps even that window closed.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let ok = fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(buf.as_bytes()))
-        .is_ok();
-    if ok {
-        let _ = fs::rename(&tmp, path);
-    } else {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-fn opt_str(s: &Option<String>) -> &str {
-    s.as_deref().unwrap_or("-")
-}
-
-fn ser_fnlocal(f: &FnLocal) -> String {
-    let mut sec: Vec<String> = Vec::new();
-    sec.push(format!(
-        "{} {} {} {} {}",
-        f.name,
-        f.line,
-        opt_str(&f.impl_of),
-        f.n_params,
-        if f.mut_ref_params.is_empty() {
-            "-".to_string()
-        } else {
-            f.mut_ref_params
-                .iter()
-                .map(|&b| if b { '1' } else { '0' })
-                .collect()
-        }
-    ));
-    sec.push(
-        f.calls
-            .iter()
-            .map(|c| {
-                format!(
-                    "{} {} {} {}",
-                    c.name,
-                    c.line,
-                    c.pos,
-                    c.recv.as_deref().unwrap_or("-")
-                )
+const REACH: [ReachSpec; 4] = [
+    // Teardown from a datapath root must pass the recovery ladder.
+    ReachSpec {
+        rule: Rule::D21,
+        roots: &["submit", "issue"],
+        barrier: &["recover", "recreate"],
+        sites: |f| call_lines(f, |c| c.name == "reset_qpair"),
+    },
+    // I/O-path entry points: everything they (transitively) call is on
+    // the I/O path and must stay free of non-posted reads.
+    ReachSpec {
+        rule: Rule::D07,
+        roots: &["submit", "issue", "poll", "flush", "complet"],
+        barrier: &[],
+        sites: |f| call_lines(f, |c| D07_READS.contains(&c.name.as_str())),
+    },
+    // The I/O-path prefixes plus the manager's serve and reaper loops.
+    // Bring-up (`connect`, `start`) may still block: a hung bring-up
+    // fails the scenario immediately rather than wedging live I/O.
+    ReachSpec {
+        rule: Rule::D11,
+        roots: &[
+            "submit", "issue", "poll", "flush", "complet", "serve", "reap",
+        ],
+        barrier: &[],
+        sites: |f| f.blocking_awaits.clone(),
+    },
+    // The client datapath entry points; `read*`/`write*` join the
+    // submit/issue prefixes so blklayer-facing wrappers are walked too.
+    ReachSpec {
+        rule: Rule::D17,
+        roots: &["submit", "issue", "read", "write"],
+        barrier: &[],
+        sites: |f| {
+            call_lines(f, |c| {
+                c.name == "alloc" && c.recv.as_deref().is_some_and(|r| r.contains("fabric"))
             })
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(join_nums(&f.node_lines));
-    sec.push(if f.typed_nodes.is_empty() {
-        "-".to_string()
-    } else {
-        f.typed_nodes
-            .iter()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect()
-    });
-    sec.push(join_pairs(&f.raw_nodes));
-    sec.push(
-        f.node_hosts
-            .iter()
-            .map(|(n, h)| format!("{n} {h}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(join_pairs(&f.flow));
-    sec.push(join_pairs(&f.call_results));
-    sec.push(
-        f.sink_uses
-            .iter()
-            .map(|(s, l, n)| format!("{s} {l} {n}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.host_sink_uses
-            .iter()
-            .map(|(c, l, n, t)| format!("{c} {l} {n} {}", u8::from(*t)))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(join_triples(&f.call_arg_nodes));
-    sec.push(join_triples(&f.call_arg_raw));
-    sec.push(join_triples(&f.call_arg_mutref));
-    sec.push(
-        f.call_arg_idents
-            .iter()
-            .map(|(k, a, s)| format!("{k} {a} {s}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(join_pairs(&f.param_rebinds));
-    sec.push(join_nums(&f.ret_nodes));
-    sec.push(format!(
-        "{} {} {}",
-        f.ret_raw.map_or("-".to_string(), |l| l.to_string()),
-        u8::from(f.ret_typed),
-        opt_str(&f.ret_host)
-    ));
-    sec.push(
-        f.guards
-            .iter()
-            .map(|(c, l)| format!("{c} {l}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.guard_pairs
-            .iter()
-            .map(|(a, b, la, lb)| format!("{a} {b} {la} {lb}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.guard_over_calls
-            .iter()
-            .map(|(c, k, l)| format!("{c} {k} {l}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.channel_pairs
-            .iter()
-            .map(|(t, r, l)| format!("{t} {r} {l}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.spawns
-            .iter()
-            .map(|(r, a, b)| format!("{r} {a} {b}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.endpoint_ops
-            .iter()
-            .map(|(s, r, p, l)| format!("{} {r} {p} {l}", u8::from(*s)))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.param_endpoint_ops
-            .iter()
-            .map(|(s, p, l)| format!("{} {p} {l}", u8::from(*s)))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.push(
-        f.blocking_awaits
-            .iter()
-            .map(|(n, l)| format!("{n} {l}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    );
-    sec.join("|")
-}
-
-fn join_nums(v: &[usize]) -> String {
-    v.iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn join_pairs(v: &[(usize, usize)]) -> String {
-    v.iter()
-        .map(|(a, b)| format!("{a} {b}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn join_triples(v: &[(usize, usize, usize)]) -> String {
-    v.iter()
-        .map(|(a, b, c)| format!("{a} {b} {c}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn parse_fnlocal(line: &str) -> Option<FnLocal> {
-    let sec: Vec<&str> = line.split('|').collect();
-    if sec.len() != 25 {
-        return None;
-    }
-    let toks = |s: &str| -> Vec<String> { s.split_whitespace().map(str::to_string).collect() };
-    let head = toks(sec[0]);
-    if head.len() != 5 {
-        return None;
-    }
-    let mut f = FnLocal {
-        name: head[0].clone(),
-        line: head[1].parse().ok()?,
-        impl_of: (head[2] != "-").then(|| head[2].clone()),
-        n_params: head[3].parse().ok()?,
-        mut_ref_params: if head[4] == "-" {
-            Vec::new()
-        } else {
-            head[4].chars().map(|c| c == '1').collect()
         },
-        ..FnLocal::default()
-    };
-    for g in toks(sec[1]).chunks(4) {
-        if g.len() != 4 {
-            return None;
-        }
-        f.calls.push(CallRec {
-            name: g[0].clone(),
-            line: g[1].parse().ok()?,
-            pos: g[2].parse().ok()?,
-            recv: (g[3] != "-").then(|| g[3].clone()),
-        });
-    }
-    f.node_lines = parse_nums(sec[2])?;
-    f.n_nodes = f.node_lines.len();
-    f.typed_nodes = if sec[3] == "-" {
-        Vec::new()
-    } else {
-        sec[3].chars().map(|c| c == '1').collect()
-    };
-    if f.typed_nodes.len() != f.n_nodes {
-        return None;
-    }
-    f.raw_nodes = parse_pairs(sec[4])?;
-    for g in toks(sec[5]).chunks(2) {
-        if g.len() != 2 {
-            return None;
-        }
-        f.node_hosts.push((g[0].parse().ok()?, g[1].clone()));
-    }
-    f.flow = parse_pairs(sec[6])?;
-    f.call_results = parse_pairs(sec[7])?;
-    for g in toks(sec[8]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.sink_uses
-            .push((g[0].clone(), g[1].parse().ok()?, g[2].parse().ok()?));
-    }
-    for g in toks(sec[9]).chunks(4) {
-        if g.len() != 4 {
-            return None;
-        }
-        f.host_sink_uses.push((
-            g[0].clone(),
-            g[1].parse().ok()?,
-            g[2].parse().ok()?,
-            g[3] == "1",
-        ));
-    }
-    f.call_arg_nodes = parse_triples(sec[10])?;
-    f.call_arg_raw = parse_triples(sec[11])?;
-    f.call_arg_mutref = parse_triples(sec[12])?;
-    for g in toks(sec[13]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.call_arg_idents
-            .push((g[0].parse().ok()?, g[1].parse().ok()?, g[2].clone()));
-    }
-    f.param_rebinds = parse_pairs(sec[14])?;
-    f.ret_nodes = parse_nums(sec[15])?;
-    let rt = toks(sec[16]);
-    if rt.len() != 3 {
-        return None;
-    }
-    f.ret_raw = (rt[0] != "-").then(|| rt[0].parse()).transpose().ok()?;
-    f.ret_typed = rt[1] == "1";
-    f.ret_host = (rt[2] != "-").then(|| rt[2].clone());
-    for g in toks(sec[17]).chunks(2) {
-        if g.len() != 2 {
-            return None;
-        }
-        f.guards.push((g[0].clone(), g[1].parse().ok()?));
-    }
-    for g in toks(sec[18]).chunks(4) {
-        if g.len() != 4 {
-            return None;
-        }
-        f.guard_pairs.push((
-            g[0].clone(),
-            g[1].clone(),
-            g[2].parse().ok()?,
-            g[3].parse().ok()?,
-        ));
-    }
-    for g in toks(sec[19]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.guard_over_calls
-            .push((g[0].clone(), g[1].parse().ok()?, g[2].parse().ok()?));
-    }
-    for g in toks(sec[20]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.channel_pairs
-            .push((g[0].clone(), g[1].clone(), g[2].parse().ok()?));
-    }
-    for g in toks(sec[21]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.spawns
-            .push((g[0].parse().ok()?, g[1].parse().ok()?, g[2].parse().ok()?));
-    }
-    for g in toks(sec[22]).chunks(4) {
-        if g.len() != 4 {
-            return None;
-        }
-        f.endpoint_ops.push((
-            g[0] == "1",
-            g[1].clone(),
-            g[2].parse().ok()?,
-            g[3].parse().ok()?,
-        ));
-    }
-    for g in toks(sec[23]).chunks(3) {
-        if g.len() != 3 {
-            return None;
-        }
-        f.param_endpoint_ops
-            .push((g[0] == "1", g[1].parse().ok()?, g[2].parse().ok()?));
-    }
-    for g in toks(sec[24]).chunks(2) {
-        if g.len() != 2 {
-            return None;
-        }
-        f.blocking_awaits.push((g[0].clone(), g[1].parse().ok()?));
-    }
-    Some(f)
-}
-
-fn parse_nums(s: &str) -> Option<Vec<usize>> {
-    s.split_whitespace().map(|t| t.parse().ok()).collect()
-}
-
-fn parse_pairs(s: &str) -> Option<Vec<(usize, usize)>> {
-    let nums = parse_nums(s)?;
-    if nums.len() % 2 != 0 {
-        return None;
-    }
-    Some(nums.chunks(2).map(|c| (c[0], c[1])).collect())
-}
-
-fn parse_triples(s: &str) -> Option<Vec<(usize, usize, usize)>> {
-    let nums = parse_nums(s)?;
-    if nums.len() % 3 != 0 {
-        return None;
-    }
-    Some(nums.chunks(3).map(|c| (c[0], c[1], c[2])).collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnlocal_roundtrips_through_the_cache_format() {
-        let src =
-            "fn helper(a: PhysAddr, out: &mut u64) -> u64 { *out = a.as_u64(); a.as_u64() }\n\
-                   fn caller(f: &F) { let r = helper(x, &mut y); f.dma_write(r, 0, 8); }\n";
-        let ast = Ast::parse(src);
-        let locals = extract_file(&ast);
-        assert_eq!(locals.len(), 2);
-        for l in &locals {
-            let line = ser_fnlocal(l);
-            let back = parse_fnlocal(&line).expect("roundtrip");
-            assert_eq!(format!("{l:?}"), format!("{back:?}"));
-        }
-    }
-
-    #[test]
-    fn blocking_awaits_counted_once_and_ser_robust_to_garbage() {
-        assert!(parse_fnlocal("").is_none());
-        assert!(parse_fnlocal("a|b|c").is_none());
-        assert!(parse_cache("not-the-header\nx").is_none());
-        // An old-format cache (pre-CFG facts) is a clean miss, not an error.
-        assert!(parse_cache("dnvme-lint-summaries v2\n").is_none());
-        let empty = parse_cache("dnvme-lint-summaries v3\n").unwrap();
-        assert!(empty.is_empty());
-    }
-}
+    },
+];

@@ -6,109 +6,25 @@
 //! This crate enforces the source-level half of those promises with a
 //! dependency-free syntax pass (lexer → token stream → item tree, see
 //! [`ast`]) instead of regexes, so rules can reason about function
-//! bodies, call expressions, and statement order:
+//! bodies, call expressions, and statement order.
 //!
-//! * **D01** — no `std::time::{Instant,SystemTime}` / `std::thread::sleep`
-//!   in simulation code: the virtual clock is the only clock.
-//! * **D02** — no entropy-seeded RNG (`thread_rng`, `from_entropy`,
-//!   `rand::random`): every random stream must be seed-derived.
-//! * **D03** — no order-dependent iteration (`.iter()`, `.keys()`,
-//!   `.values()`, `.drain()`, `for … in &map`) over `HashMap`/`HashSet`
-//!   in sim-visible crates: hasher order varies run to run.
-//! * **D04** — no `std::thread::spawn` / raw `Mutex` in DES-driven code:
-//!   tasks belong to the single-threaded executor.
-//! * **D05** — no `unwrap()`/`expect()` on fabric/DMA results in
-//!   `crates/core`: a torn-down segment or unmapped window is a normal
-//!   runtime event for the distributed driver, not a bug.
-//! * **D06** — no direct `SqRing` use outside `nvme::engine` (and the
-//!   ring's own module): submission goes through the engine so doorbell
-//!   coalescing and the stats/sanitize hooks cannot be bypassed.
-//! * **D07** — no non-posted fabric read (`cpu_read*`, `dma_read`)
-//!   reachable from an I/O-path function (`submit*`, `issue*`, `poll*`,
-//!   `flush*`, `complet*`) in `core::client` / `nvme::engine`: a read
-//!   stalls for the full NTB round trip (paper §4.2).
-//! * **D08** — no SQE store (SQ `push`, `sqe` field assignment, or a
-//!   write call carrying an `sqe`) after a doorbell ring in the same
-//!   function body: the device may fetch the entry before it is written.
-//! * **D09** — no `unsafe` / raw-pointer access outside `pcie::memory`:
-//!   exported segment memory is only reachable through the checked
-//!   fabric API.
-//! * **D10** — queue segments must carry their placement hint
-//!   (`smartio::hints`): SQ device-side, CQ client-local (Fig. 8).
-//! * **D11** — no unbounded `.await` on a non-posted fabric read or an
-//!   admin RPC inside an I/O-path or manager-serve function: with fault
-//!   injection armed, the completing event may never arrive, so every
-//!   such wait must go through `simcore::timeout` (the recovery ladder
-//!   turns the expiry into abort/reset escalation instead of a hang).
+//! The twenty-five rules are the rows of one table, [`RULES`]: code,
+//! one-line summary, `--explain` text, the paths the rule binds, and
+//! the runner that implements it (`dnvme-lint --explain Dxx` and the
+//! README table are the reader-facing views of it). Four families:
+//! line/syntax rules (D01–D11); the address-domain rules on the
+//! [`dataflow`] def-use engine and taint/interval lattice (D12–D17,
+//! DESIGN §5.3); the interprocedural rules on the [`interproc`] summary
+//! engine (D18–D21, with D07/D11/D13/D17 walking the same call graph,
+//! DESIGN §5.4); and the path-sensitive rules on the [`cfg`]
+//! control-flow graph (D22–D25, DESIGN §5.5).
 //!
-//! The address-domain rules ride the [`dataflow`] def-use engine
-//! (intraprocedural chains + taint/interval lattice, DESIGN §5.3):
-//!
-//! * **D12** — a raw `u64` minted by `PhysAddr::as_u64()` must not
-//!   reach a fabric/DMA/doorbell sink without re-wrapping through a
-//!   domain constructor: raw integers silently survive domain crossings
-//!   the type system would have caught.
-//! * **D13** — an address minted in one `HostId`'s domain must not be
-//!   used against another host's region (`contains`/`slice`) or fabric
-//!   call without an NTB translation (`translate`, `map_for_*`,
-//!   `program_window`) on the def-use path: each host's PCIe domain is
-//!   independent, so the bits mean nothing across the bridge.
-//! * **D14** — a CQE status / `BioError` binding must be read before
-//!   the command's buffer is freed/retired in the same function:
-//!   retiring on an unchecked status recycles a buffer the device may
-//!   have failed to fill.
-//! * **D15** — DMA offset/length arithmetic whose constant interval
-//!   provably exceeds the enclosing region's literal length: the slice
-//!   would panic (or the DMA would stray) on the first boundary hit.
-//! * **D16** — a `Mutex`/`RefCell` guard held across an `.await`: the
-//!   executor may interleave a reentrant borrow (panic) or hold the
-//!   lock for a full fabric round trip.
-//! * **D17** — no plain `fabric.alloc(..)` buffer allocation reachable
-//!   from a client datapath root (`submit*`/`issue*`/`read*`/`write*`):
-//!   datapath buffers come from `SmartIo::alloc_hinted`, whose placement
-//!   hint is what lets the staging decision pick the zero-copy path.
-//!   Bring-up and admin allocations live off those roots and are exempt.
-//!
-//! The interprocedural rules ride the [`interproc`] summary engine
-//! (per-function dataflow summaries composed bottom-up over the whole
-//! program's call graph with SCC fixpointing, `dyn Trait` dispatch by
-//! trait-impl enumeration, DESIGN §5.4); D07/D11/D13/D17 are
-//! re-grounded on the same engine so their walks cross files. All
-//! engine findings carry the call chain as related locations:
-//!
-//! * **D18** — a raw/untranslated address escaping through a helper
-//!   return, a tainted argument, or a `&mut` out-parameter into a
-//!   fabric/DMA/doorbell sink: the interprocedural completion of D12.
-//! * **D19** — a lock/RefCell acquisition-order cycle across functions:
-//!   two guard classes each acquired while the other is held (directly
-//!   or through a callee) deadlock — or reentrant-borrow panic — the
-//!   moment the executor interleaves the two paths.
-//! * **D20** — a shard-channel `recv` reachable on the same reactor its
-//!   paired `send` is pinned to (`spawn_on` affinity walk): one side
-//!   blocks the only reactor that would run the other, so the channel
-//!   can never make progress.
-//! * **D21** — `reset_qpair` / engine teardown reachable from a
-//!   datapath root (`submit*`/`issue*`) without passing through the
-//!   recovery-ladder frame (`recover*`/`recreate*`): tearing a qpair
-//!   down outside the ladder drops pending tags on the floor.
-//!
-//! The path-sensitive rules ride the [`cfg`] control-flow graph (basic
-//! blocks + dominators + all-path/some-path reachability, DESIGN §5.5),
-//! so "on every path" and "on some path" are real graph queries instead
-//! of statement-order approximations:
-//!
-//! * **D22** — an SQE store whose doorbell ring is reachable on only
-//!   some of the paths to exit: the error/early-return path leaves a
-//!   written entry the device is never told about (missed doorbell).
-//! * **D23** — an engine tag/slot or hinted DMA allocation acquired but
-//!   not retired/freed on every path to exit: the `?`/early-return leak
-//!   that drains the tag pool under fault injection.
-//! * **D24** — a doorbell ring or slot retire repeated along a single
-//!   path with no intervening store/acquire: the static shadow of the
-//!   double-complete the lifecycle oracle catches dynamically.
-//! * **D25** — path-sensitive refinement of D11: a blocking
-//!   fabric/admin await reachable on a path that skipped the
-//!   `simcore::timeout` deadline arm the function otherwise has.
+//! A scan is one pass over its sources: every file is parsed once,
+//! every function gets one lazily-built fact set
+//! ([`dataflow::FnFacts`]: calls, def-use chains, CFG, abstract values)
+//! that the summary extractor and every per-function rule share, and
+//! all findings — engine findings included — go through one
+//! suppression accounting.
 //!
 //! D22/D08-class findings (including suppressed ones) can be exported
 //! as ordering *hypotheses* (`dnvme-lint --emit-hypotheses`), which
@@ -132,13 +48,13 @@ mod interproc;
 
 use ast::{Ast, TokKind};
 use cfg::Cfg;
-use std::collections::BTreeMap;
+use dataflow::FnFacts;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The twenty-five lint rules.
+/// The twenty-five lint rules; `rule as usize` indexes [`RULES`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Rule {
     D01,
@@ -168,34 +84,47 @@ pub enum Rule {
     D25,
 }
 
-/// Every rule, in code order.
-pub const ALL_RULES: [Rule; 25] = [
-    Rule::D01,
-    Rule::D02,
-    Rule::D03,
-    Rule::D04,
-    Rule::D05,
-    Rule::D06,
-    Rule::D07,
-    Rule::D08,
-    Rule::D09,
-    Rule::D10,
-    Rule::D11,
-    Rule::D12,
-    Rule::D13,
-    Rule::D14,
-    Rule::D15,
-    Rule::D16,
-    Rule::D17,
-    Rule::D18,
-    Rule::D19,
-    Rule::D20,
-    Rule::D21,
-    Rule::D22,
-    Rule::D23,
-    Rule::D24,
-    Rule::D25,
-];
+/// One row of the rule table.
+pub struct RuleInfo {
+    pub rule: Rule,
+    /// The code used in reports, `analyzer.toml`, and `lint:allow(..)`.
+    pub code: &'static str,
+    /// One-line description (reports, annotations, SARIF metadata).
+    pub summary: &'static str,
+    /// Long-form documentation for `dnvme-lint --explain <rule>`: what
+    /// the rule flags, why it matters in this codebase, a worked example,
+    /// and how to suppress a justified finding.
+    pub explain: &'static str,
+    scope: Scope,
+    run: &'static [Runner],
+}
+
+/// Which workspace-relative paths a rule binds (prefix match).
+enum Scope {
+    Under(&'static [&'static str]),
+    /// Everywhere but these; `Outside(&[])` is the whole workspace.
+    Outside(&'static [&'static str]),
+}
+
+/// An ordering rule's callback: `(finding, site_a, site_b)` lines.
+type SitePairHit<'a> = &'a mut dyn FnMut(usize, usize, usize);
+
+/// How a rule is evaluated. Callbacks take 1-based lines.
+enum Runner {
+    /// Any of these tokens on a sanitized code line.
+    Patterns(&'static [&'static str]),
+    /// A walk over the whole file's lines or token stream.
+    File(fn(&Ast, &mut dyn FnMut(usize))),
+    /// Per function, reading the scan's shared fact set.
+    Function(fn(&FnFacts, &mut dyn FnMut(usize))),
+    /// Per function, and each finding is one half of an ordering site
+    /// pair that the hypothesis export carries. The flag is the file's
+    /// event-model vocabulary ([`submit_events`]).
+    Ordering(fn(&FnFacts, bool, SitePairHit)),
+    /// Reported by the whole-program [`interproc`] engine, with the call
+    /// chain as related locations.
+    Engine,
+}
 
 /// Crates whose state is reachable from simulation tasks: hasher-ordered
 /// iteration here changes the event stream between runs.
@@ -207,190 +136,151 @@ pub const SIM_VISIBLE: [&str; 6] = [
     "crates/blklayer",
     "crates/nvmeof",
 ];
+/// Files whose I/O paths the paper's read-free discipline binds.
+const IO_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine.rs"];
+/// Production crates the dataflow, interprocedural address/lock and
+/// path-sensitive rules bind (src only — tests assert through raw values
+/// on purpose).
+const DF_SCOPE: [&str; 5] = [
+    "crates/pcie/src",
+    "crates/nvme/src",
+    "crates/smartio/src",
+    "crates/core/src",
+    "crates/nvmeof/src",
+];
+/// The explore fixture deck: seeded missed-doorbell fixtures are written
+/// in the event vocabulary (`SqeWritten`/`SqDoorbell`) and their
+/// suppressed findings feed the hypothesis bridge.
+const EVENT_MODEL_FILE: &str = "crates/explore/src/fixtures.rs";
+/// D22 binds [`DF_SCOPE`] plus the fixture deck.
+const D22_SCOPE: [&str; 6] = [
+    "crates/pcie/src",
+    "crates/nvme/src",
+    "crates/smartio/src",
+    "crates/core/src",
+    "crates/nvmeof/src",
+    EVENT_MODEL_FILE,
+];
 
-impl Rule {
-    /// The code used in reports, `analyzer.toml`, and `lint:allow(..)`.
-    pub fn code(self) -> &'static str {
-        match self {
-            Rule::D01 => "D01",
-            Rule::D02 => "D02",
-            Rule::D03 => "D03",
-            Rule::D04 => "D04",
-            Rule::D05 => "D05",
-            Rule::D06 => "D06",
-            Rule::D07 => "D07",
-            Rule::D08 => "D08",
-            Rule::D09 => "D09",
-            Rule::D10 => "D10",
-            Rule::D11 => "D11",
-            Rule::D12 => "D12",
-            Rule::D13 => "D13",
-            Rule::D14 => "D14",
-            Rule::D15 => "D15",
-            Rule::D16 => "D16",
-            Rule::D17 => "D17",
-            Rule::D18 => "D18",
-            Rule::D19 => "D19",
-            Rule::D20 => "D20",
-            Rule::D21 => "D21",
-            Rule::D22 => "D22",
-            Rule::D23 => "D23",
-            Rule::D24 => "D24",
-            Rule::D25 => "D25",
-        }
-    }
-
-    pub fn describe(self) -> &'static str {
-        match self {
-            Rule::D01 => "wall-clock time in simulation code (virtual clock only)",
-            Rule::D02 => "entropy-seeded RNG (streams must be seed-derived)",
-            Rule::D03 => "order-dependent HashMap/HashSet iteration in sim-visible code",
-            Rule::D04 => "OS thread / raw Mutex in DES-driven code",
-            Rule::D05 => "unwrap/expect on a fabric or DMA result in crates/core",
-            Rule::D06 => {
-                "direct SqRing use outside nvme::engine (submission must go through the engine)"
-            }
-            Rule::D07 => {
-                "non-posted fabric read reachable from an I/O-path function (stalls a full NTB RTT)"
-            }
-            Rule::D08 => {
-                "SQE store after the doorbell ring in the same function (device may fetch early)"
-            }
-            Rule::D09 => "unsafe / raw-pointer memory access outside pcie::memory",
-            Rule::D10 => {
-                "queue segment allocated without its placement hint (SQ device-side, CQ local)"
-            }
-            Rule::D11 => {
-                "unbounded await on a fabric read / admin RPC in an I/O-path or manager-serve \
-                 function (wrap it in simcore::timeout so a lost event escalates, not hangs)"
-            }
-            Rule::D12 => {
-                "raw u64 address (from as_u64) reaching a fabric/DMA/doorbell sink without \
-                 re-wrapping through PhysAddr/DomainAddr/MemRegion"
-            }
-            Rule::D13 => {
-                "address from one host's domain used against another host's region or fabric \
-                 call with no NTB translation on the def-use path"
-            }
-            Rule::D14 => {
-                "command status bound but never checked before the buffer is freed/retired \
-                 in the same function"
-            }
-            Rule::D15 => {
-                "offset/length arithmetic whose constant interval exceeds the region's \
-                 literal bounds (slice would panic / DMA would stray)"
-            }
-            Rule::D16 => {
-                "lock/borrow guard held across an .await (reentrant-borrow panic or a lock \
-                 held for a fabric round trip)"
-            }
-            Rule::D17 => {
-                "plain fabric.alloc buffer on the client datapath (use SmartIo::alloc_hinted \
-                 so the staging decision can pick zero-copy)"
-            }
-            Rule::D18 => {
-                "raw/untranslated address escaping through a helper return or &mut out-param \
-                 into a fabric/DMA/doorbell sink (interprocedural D12)"
-            }
-            Rule::D19 => {
-                "lock/RefCell acquisition-order cycle across functions (two guard classes \
-                 each acquired while the other is held — deadlock/reentrant-borrow hazard)"
-            }
-            Rule::D20 => {
-                "shard-channel recv reachable on the same reactor as its paired send \
-                 (the blocked side starves the only reactor that would run the other)"
-            }
-            Rule::D21 => {
-                "reset_qpair/engine teardown reachable from a datapath root outside the \
-                 recovery ladder (pending tags may be live — escalate via recover*/recreate*)"
-            }
-            Rule::D22 => {
-                "SQE stored but the doorbell ring is reachable on only some paths to exit \
-                 (an error/early-return path leaves a written entry the device never fetches)"
-            }
-            Rule::D23 => {
-                "tag/slot or hinted DMA allocation acquired but not retired/freed on every \
-                 path to exit (leak through ? / early return drains the pool)"
-            }
-            Rule::D24 => {
-                "doorbell ring or slot retire repeated along a single path with no \
-                 intervening store/acquire (static double-complete)"
-            }
-            Rule::D25 => {
-                "blocking fabric/admin await reachable on a path that skipped the \
-                 simcore::timeout deadline arm this function otherwise has (path-sensitive D11)"
-            }
-        }
-    }
-
-    /// Long-form documentation for `dnvme-lint --explain <rule>`: what the
-    /// rule flags, why it matters in this codebase, a worked example, and
-    /// how to suppress a justified finding.
-    pub fn explain(self) -> &'static str {
-        match self {
-            Rule::D01 => {
-                "D01 — wall-clock time in simulation code\n\n\
+/// Every rule, in code order.
+pub static RULES: [RuleInfo; 25] = [
+    RuleInfo {
+        rule: Rule::D01,
+        code: "D01",
+        summary: "wall-clock time in simulation code (virtual clock only)",
+        explain: "D01 — wall-clock time in simulation code\n\n\
                  Flags `std::time::Instant/SystemTime` (and friends) inside crates that run\n\
                  under the discrete-event simulator. Sim time is the virtual clock; reading\n\
                  the host clock makes traces non-reproducible.\n\n\
                  Example:\n    let t0 = std::time::Instant::now();      // D01\n    \
                  let t0 = ctx.now();                      // ok: virtual nanos\n\n\
                  Suppress with `// lint:allow(D01)` on or above the line — justified only\n\
-                 in host-side tooling that never runs under the simulator."
-            }
-            Rule::D02 => {
-                "D02 — entropy-seeded RNG\n\n\
+                 in host-side tooling that never runs under the simulator.",
+        scope: Scope::Outside(&[]),
+        run: &[Runner::Patterns(&[
+            "std::time::Instant",
+            "std::time::SystemTime",
+            "std::thread::sleep",
+            "use std::time",
+        ])],
+    },
+    RuleInfo {
+        rule: Rule::D02,
+        code: "D02",
+        summary: "entropy-seeded RNG (streams must be seed-derived)",
+        explain: "D02 — entropy-seeded RNG\n\n\
                  Flags RNG construction from OS entropy (`thread_rng`, `from_entropy`, ...).\n\
                  Every random stream must derive from the run seed so a schedule token\n\
                  replays byte-identically.\n\n\
                  Example:\n    let mut rng = rand::thread_rng();        // D02\n    \
                  let mut rng = ctx.rng_stream(\"arb\");     // ok: seed-derived\n\n\
                  Suppress with `// lint:allow(D02)` — essentially never justified in\n\
-                 sim-visible code."
-            }
-            Rule::D03 => {
-                "D03 — hasher-ordered iteration in sim-visible code\n\n\
+                 sim-visible code.",
+        scope: Scope::Outside(&[]),
+        run: &[Runner::Patterns(&["thread_rng", "from_entropy", "rand::random"])],
+    },
+    RuleInfo {
+        rule: Rule::D03,
+        code: "D03",
+        summary: "order-dependent HashMap/HashSet iteration in sim-visible code",
+        explain: "D03 — hasher-ordered iteration in sim-visible code\n\n\
                  Flags iteration over `HashMap`/`HashSet` in crates whose state feeds the\n\
                  event stream. Hasher order varies run to run, so it silently reorders\n\
                  events. Use `BTreeMap`/`BTreeSet` or sort before iterating.\n\n\
                  Suppress with `// lint:allow(D03)` when the loop provably folds into an\n\
-                 order-insensitive value (a sum, a max)."
-            }
-            Rule::D04 => {
-                "D04 — OS thread / raw Mutex in DES-driven code\n\n\
+                 order-insensitive value (a sum, a max).",
+        scope: Scope::Under(&SIM_VISIBLE),
+        run: &[Runner::File(scan_d03)],
+    },
+    RuleInfo {
+        rule: Rule::D04,
+        code: "D04",
+        summary: "OS thread / raw Mutex in DES-driven code",
+        explain: "D04 — OS thread / raw Mutex in DES-driven code\n\n\
                  Flags `std::thread::spawn` and `std::sync::{Mutex,RwLock,Condvar}` in\n\
                  simulator-scheduled crates. Real threads race the virtual clock; blocking\n\
                  a reactor on a kernel mutex deadlocks the single-threaded scheduler.\n\
                  Use simcore tasks and `RefCell`/`LocalKey` state instead.\n\n\
-                 Suppress with `// lint:allow(D04)` only in host-side harness code."
-            }
-            Rule::D05 => {
-                "D05 — unwrap/expect on fabric or DMA results in crates/core\n\n\
+                 Suppress with `// lint:allow(D04)` only in host-side harness code.",
+        scope: Scope::Outside(&[]),
+        run: &[Runner::Patterns(&[
+            "std::thread::spawn",
+            "thread::spawn(",
+            "thread::scope(",
+            "std::sync::Mutex",
+            "Mutex<",
+        ])],
+    },
+    RuleInfo {
+        rule: Rule::D05,
+        code: "D05",
+        summary: "unwrap/expect on a fabric or DMA result in crates/core",
+        explain: "D05 — unwrap/expect on fabric or DMA results in crates/core\n\n\
                  Fabric reads and DMA ops fail under fault injection; `.unwrap()` turns an\n\
                  injected fault into a panic instead of an escalation-ladder recovery.\n\
                  Propagate with `?` into the ladder.\n\n\
                  Suppress with `// lint:allow(D05)` for init-time invariants that cannot\n\
-                 be injected against (say why in the comment)."
-            }
-            Rule::D06 => {
-                "D06 — direct SqRing use outside nvme::engine\n\n\
+                 be injected against (say why in the comment).",
+        // Production driver code only: in tests, unwrapping a fabric result
+        // *is* the assertion.
+        scope: Scope::Under(&["crates/core/src"]),
+        run: &[Runner::File(scan_d05)],
+    },
+    RuleInfo {
+        rule: Rule::D06,
+        code: "D06",
+        summary: "direct SqRing use outside nvme::engine (submission must go through the engine)",
+        explain: "D06 — direct SqRing use outside nvme::engine\n\n\
                  All submission must flow through `nvme::engine` so tag accounting,\n\
                  batching, and the doorbell protocol stay in one place. Touching the ring\n\
                  from outside bypasses slot lifetime tracking.\n\n\
-                 Suppress with `// lint:allow(D06)` — reserved for the engine's own tests."
-            }
-            Rule::D07 => {
-                "D07 — non-posted fabric read on an I/O path\n\n\
+                 Suppress with `// lint:allow(D06)` — reserved for the engine's own tests.",
+        // Exempt: the ring's own module and the engine that wraps it. One
+        // token is enough — constructing, importing, or storing the type
+        // all mention it.
+        scope: Scope::Outside(&["crates/nvme/src/queue.rs", "crates/nvme/src/engine.rs"]),
+        run: &[Runner::Patterns(&["SqRing"])],
+    },
+    RuleInfo {
+        rule: Rule::D07,
+        code: "D07",
+        summary: "non-posted fabric read reachable from an I/O-path function (stalls a full NTB RTT)",
+        explain: "D07 — non-posted fabric read on an I/O path\n\n\
                  Interprocedural: flags `cpu_read*`/`dma_read` reachable from a\n\
                  submit/poll/complete root. A non-posted read stalls the caller for a full\n\
                  NTB round trip; the datapath must stay posted-write-only (the paper's\n\
                  core latency argument).\n\n\
                  Example: submit() -> refresh_head() -> fabric.cpu_read_u32(db)   // D07\n\n\
                  Suppress with `// lint:allow(D07)` at the read site when the root is\n\
-                 provably cold (slow-path recovery only)."
-            }
-            Rule::D08 => {
-                "D08 — SQE store after the doorbell ring\n\n\
+                 provably cold (slow-path recovery only).",
+        scope: Scope::Under(&IO_SCOPE),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D08,
+        code: "D08",
+        summary: "SQE store after the doorbell ring in the same function (device may fetch early)",
+        explain: "D08 — SQE store after the doorbell ring\n\n\
                  Within one function, flags a store into an SQE slot that happens after\n\
                  the doorbell write. The device may fetch the entry the moment the\n\
                  doorbell lands, reading a half-written command.\n\n\
@@ -398,115 +288,206 @@ impl Rule {
                  sq.slot_mut(tail).cdw0 = opcode;   // D08: device may already have fetched\n\n\
                  Fix by completing all stores before the ring. Suppress with\n\
                  `// lint:allow(D08)` never — reorder instead. D08 findings are exported\n\
-                 as ordering hypotheses for dnvme-explore."
-            }
-            Rule::D09 => {
-                "D09 — unsafe / raw-pointer access outside pcie::memory\n\n\
+                 as ordering hypotheses for dnvme-explore.",
+        scope: Scope::Outside(&[]),
+        run: &[Runner::Ordering(scan_d08)],
+    },
+    RuleInfo {
+        rule: Rule::D09,
+        code: "D09",
+        summary: "unsafe / raw-pointer memory access outside pcie::memory",
+        explain: "D09 — unsafe / raw-pointer access outside pcie::memory\n\n\
                  All raw memory access is centralized in `pcie::memory` where bounds and\n\
                  domain checks live. Suppress with `// lint:allow(D09)` only with a\n\
-                 safety comment explaining the invariant."
-            }
-            Rule::D10 => {
-                "D10 — queue segment without its placement hint\n\n\
+                 safety comment explaining the invariant.",
+        // The only file allowed raw-pointer access to segment memory.
+        scope: Scope::Outside(&["crates/pcie/src/memory.rs"]),
+        run: &[Runner::File(scan_d09)],
+    },
+    RuleInfo {
+        rule: Rule::D10,
+        code: "D10",
+        summary: "queue segment allocated without its placement hint (SQ device-side, CQ local)",
+        explain: "D10 — queue segment without its placement hint\n\n\
                  SQs belong device-side (doorbell locality), CQs host-local (polling\n\
                  locality). Allocating without the hint silently gets the default and\n\
                  costs a fabric crossing per access. Pass the placement hint explicitly.\n\n\
-                 Suppress with `// lint:allow(D10)` in tests that don't measure placement."
-            }
-            Rule::D11 => {
-                "D11 — unbounded blocking await on an I/O or manager path\n\n\
+                 Suppress with `// lint:allow(D10)` in tests that don't measure placement.",
+        scope: Scope::Outside(&[]),
+        run: &[Runner::File(scan_d10)],
+    },
+    RuleInfo {
+        rule: Rule::D11,
+        code: "D11",
+        summary: "unbounded await on a fabric read / admin RPC in an I/O-path or manager-serve \
+                 function (wrap it in simcore::timeout so a lost event escalates, not hangs)",
+        explain: "D11 — unbounded blocking await on an I/O or manager path\n\n\
                  Flags `.await` on fabric reads / admin RPCs reachable from datapath or\n\
                  manager-serve roots without a `simcore::timeout` wrapper. A lost\n\
                  completion must escalate through the recovery ladder, not hang the\n\
                  reactor. See D25 for the path-sensitive refinement.\n\n\
                  Fix:\n    simcore::timeout(deadline, fabric.cpu_read_u32(addr)).await\n\n\
                  Suppress with `// lint:allow(D11)` when an enclosing frame owns the\n\
-                 deadline (name the frame in the comment)."
-            }
-            Rule::D12 => {
-                "D12 — raw u64 address reaching a sink\n\n\
+                 deadline (name the frame in the comment).",
+        // The same production paths as D07: the crates whose I/O and serve
+        // loops must survive injected faults without hanging.
+        scope: Scope::Under(&IO_SCOPE),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D12,
+        code: "D12",
+        summary: "raw u64 address (from as_u64) reaching a fabric/DMA/doorbell sink without \
+                 re-wrapping through PhysAddr/DomainAddr/MemRegion",
+        explain: "D12 — raw u64 address reaching a sink\n\n\
                  Dataflow rule: a value tainted by `.as_u64()` must be re-wrapped through\n\
                  `PhysAddr`/`DomainAddr`/`MemRegion` before any fabric/DMA/doorbell sink.\n\
                  Raw integers skip the domain tag that catches cross-host confusion.\n\n\
-                 Suppress with `// lint:allow(D12)` at the sink for log-only uses."
-            }
-            Rule::D13 => {
-                "D13 — cross-domain address without NTB translation\n\n\
+                 Suppress with `// lint:allow(D12)` at the sink for log-only uses.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d12)],
+    },
+    RuleInfo {
+        rule: Rule::D13,
+        code: "D13",
+        summary: "address from one host's domain used against another host's region or fabric \
+                 call with no NTB translation on the def-use path",
+        explain: "D13 — cross-domain address without NTB translation\n\n\
                  Dataflow rule: an address whose def-use chain starts in host A's domain\n\
                  must pass `ntb_translate`/`to_domain` before hitting host B's region or\n\
                  a fabric call for B. The classic symptom is a DMA landing in the wrong\n\
                  host's window.\n\n\
                  Suppress with `// lint:allow(D13)` when both domains are provably the\n\
-                 same host (say why)."
-            }
-            Rule::D14 => {
-                "D14 — buffer retired before its status is checked\n\n\
+                 same host (say why).",
+        // Intraprocedural pass plus the engine's helper-return completion.
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d13), Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D14,
+        code: "D14",
+        summary: "command status bound but never checked before the buffer is freed/retired \
+                 in the same function",
+        explain: "D14 — buffer retired before its status is checked\n\n\
                  Dataflow rule: a bound command status must be branched on before the\n\
                  associated buffer is freed/retired/recycled in the same function;\n\
                  otherwise failed commands recycle buffers the device may still DMA into.\n\n\
                  Suppress with `// lint:allow(D14)` when the status is consumed by the\n\
-                 caller (document the contract)."
-            }
-            Rule::D15 => {
-                "D15 — interval arithmetic exceeds region bounds\n\n\
+                 caller (document the contract).",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d14)],
+    },
+    RuleInfo {
+        rule: Rule::D15,
+        code: "D15",
+        summary: "offset/length arithmetic whose constant interval exceeds the region's \
+                 literal bounds (slice would panic / DMA would stray)",
+        explain: "D15 — interval arithmetic exceeds region bounds\n\n\
                  Dataflow rule: constant-interval analysis of offset/len arithmetic\n\
                  against the region's literal size. The lattice folds `min`/`max`/\n\
                  `saturating_sub`/`.len()`, so clamp-then-slice patterns stay precise\n\
                  instead of widening to Top.\n\n\
                  Example:\n    let off = base.min(region_len);          // folded, ok\n    \
                  let end = off + 128;                     // D15 iff 128 > slack\n\n\
-                 Suppress with `// lint:allow(D15)` when bounds come from checked config."
-            }
-            Rule::D16 => {
-                "D16 — guard held across .await\n\n\
+                 Suppress with `// lint:allow(D15)` when bounds come from checked config.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d15)],
+    },
+    RuleInfo {
+        rule: Rule::D16,
+        code: "D16",
+        summary: "lock/borrow guard held across an .await (reentrant-borrow panic or a lock \
+                 held for a fabric round trip)",
+        explain: "D16 — guard held across .await\n\n\
                  Dataflow rule: a `RefCell` borrow or lock guard live across an await\n\
                  point. Another task on the same reactor can re-enter and panic the\n\
                  borrow, or the lock is held for a fabric round trip.\n\
                  Drop the guard before awaiting (scope it or `drop()` it).\n\n\
-                 Suppress with `// lint:allow(D16)` only for guards over task-local state."
-            }
-            Rule::D17 => {
-                "D17 — unhinted allocation on the client datapath\n\n\
+                 Suppress with `// lint:allow(D16)` only for guards over task-local state.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d16)],
+    },
+    RuleInfo {
+        rule: Rule::D17,
+        code: "D17",
+        summary: "plain fabric.alloc buffer on the client datapath (use SmartIo::alloc_hinted \
+                 so the staging decision can pick zero-copy)",
+        explain: "D17 — unhinted allocation on the client datapath\n\n\
                  Client buffers must come from `SmartIo::alloc_hinted` so the staging\n\
                  tier can choose zero-copy vs. bounce. Plain `fabric.alloc` pins the\n\
                  decision to bounce. Suppress with `// lint:allow(D17)` for control-plane\n\
-                 metadata buffers."
-            }
-            Rule::D18 => {
-                "D18 — raw address escaping through a helper (interprocedural D12)\n\n\
+                 metadata buffers.",
+        // Files whose datapath buffers must stay hinted (zero-copy eligible).
+        scope: Scope::Under(&["crates/core/src", "crates/blklayer/src"]),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D18,
+        code: "D18",
+        summary: "raw/untranslated address escaping through a helper return or &mut out-param \
+                 into a fabric/DMA/doorbell sink (interprocedural D12)",
+        explain: "D18 — raw address escaping through a helper (interprocedural D12)\n\n\
                  Summary-based: a helper that returns (or writes through &mut) a raw\n\
                  `as_u64` value taints its callers; flagged when the tainted value\n\
                  reaches a sink in any caller. The finding's related hops show the chain.\n\n\
-                 Suppress at the sink with `// lint:allow(D18)`."
-            }
-            Rule::D19 => {
-                "D19 — cross-function lock-order cycle\n\n\
+                 Suppress at the sink with `// lint:allow(D18)`.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D19,
+        code: "D19",
+        summary: "lock/RefCell acquisition-order cycle across functions (two guard classes \
+                 each acquired while the other is held — deadlock/reentrant-borrow hazard)",
+        explain: "D19 — cross-function lock-order cycle\n\n\
                  Summary-based: builds the acquired-while-held graph over guard classes\n\
                  and flags cycles. Two functions acquiring {A then B} and {B then A} can\n\
                  deadlock (or reentrant-panic RefCells) under interleaving. The related\n\
                  hops name both acquisition sites. D19 findings are exported as ordering\n\
                  hypotheses for dnvme-explore.\n\n\
                  Fix by imposing a global acquisition order. Suppress with\n\
-                 `// lint:allow(D19)` only with a proof both paths can't interleave."
-            }
-            Rule::D20 => {
-                "D20 — shard-channel recv on the sender's reactor\n\n\
+                 `// lint:allow(D19)` only with a proof both paths can't interleave.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D20,
+        code: "D20",
+        summary: "shard-channel recv reachable on the same reactor as its paired send \
+                 (the blocked side starves the only reactor that would run the other)",
+        explain: "D20 — shard-channel recv on the sender's reactor\n\n\
                  Summary-based reactor-affinity analysis: a `recv` reachable on the same\n\
                  reactor as its paired `send` starves the only reactor that could make\n\
                  the send happen. The related hops show the affinity chain. Exported as\n\
                  an ordering hypothesis for dnvme-explore.\n\n\
                  Suppress with `// lint:allow(D20)` when the pairing is refuted by a\n\
-                 refuted hypothesis (cite the replay token)."
-            }
-            Rule::D21 => {
-                "D21 — teardown outside the recovery ladder\n\n\
+                 refuted hypothesis (cite the replay token).",
+        // The crates that create shard channels and pin tasks to reactors
+        // (`spawn_on`). Tests deliberately pin both ends to one reactor to
+        // seed the HB race detector, so src only.
+        scope: Scope::Under(&["crates/simcore/src", "crates/core/src", "crates/cluster/src"]),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D21,
+        code: "D21",
+        summary: "reset_qpair/engine teardown reachable from a datapath root outside the \
+                 recovery ladder (pending tags may be live — escalate via recover*/recreate*)",
+        explain: "D21 — teardown outside the recovery ladder\n\n\
                  Summary-based: `reset_qpair`/engine teardown reachable from a datapath\n\
                  root without an intervening `recover*`/`recreate*` frame. The ladder\n\
                  drains pending tags first; bypassing it drops them.\n\n\
-                 Suppress with `// lint:allow(D21)` in shutdown-only paths."
-            }
-            Rule::D22 => {
-                "D22 — doorbell reachable on only some paths after an SQE store\n\n\
+                 Suppress with `// lint:allow(D21)` in shutdown-only paths.",
+        // Where qpair engines live and are torn down.
+        scope: Scope::Under(&["crates/core/src", "crates/nvme/src"]),
+        run: &[Runner::Engine],
+    },
+    RuleInfo {
+        rule: Rule::D22,
+        code: "D22",
+        summary: "SQE stored but the doorbell ring is reachable on only some paths to exit \
+                 (an error/early-return path leaves a written entry the device never fetches)",
+        explain: "D22 — doorbell reachable on only some paths after an SQE store\n\n\
                  Path-sensitive (CFG): after a store into an SQE slot, every path to the\n\
                  function's exit must pass a doorbell ring or an explicit failure\n\
                  resolution (`fail`/`complete`). A path that returns early leaves a\n\
@@ -518,39 +499,93 @@ impl Rule {
                  The store's own `?` is benign (failure means nothing was written).\n\
                  Fix by ringing or failing the tag on every exit path. Suppress with\n\
                  `// lint:allow(D22)` only for deliberately-seeded fixtures; suppressed\n\
-                 findings still emit a hypothesis that dnvme-explore will try to confirm."
-            }
-            Rule::D23 => {
-                "D23 — allocation not retired on every path\n\n\
+                 findings still emit a hypothesis that dnvme-explore will try to confirm.",
+        scope: Scope::Under(&D22_SCOPE),
+        run: &[Runner::Ordering(scan_d22)],
+    },
+    RuleInfo {
+        rule: Rule::D23,
+        code: "D23",
+        summary: "tag/slot or hinted DMA allocation acquired but not retired/freed on every \
+                 path to exit (leak through ? / early return drains the pool)",
+        explain: "D23 — allocation not retired on every path\n\n\
                  Path-sensitive (CFG): a tag/slot acquire or hinted DMA allocation whose\n\
                  owning function also retires resources, but where some path from the\n\
                  acquire to exit skips every retire site — the `?`/early-return leak that\n\
                  drains the tag pool under fault injection. Functions with no retire\n\
                  site at all are assumed RAII and skipped.\n\n\
                  Fix by retiring in the error arm (or converting to an RAII guard).\n\
-                 Suppress with `// lint:allow(D23)` when ownership transfers out."
-            }
-            Rule::D24 => {
-                "D24 — ring/retire repeated along a single path\n\n\
+                 Suppress with `// lint:allow(D23)` when ownership transfers out.",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d23)],
+    },
+    RuleInfo {
+        rule: Rule::D24,
+        code: "D24",
+        summary: "doorbell ring or slot retire repeated along a single path with no \
+                 intervening store/acquire (static double-complete)",
+        explain: "D24 — ring/retire repeated along a single path\n\n\
                  Path-sensitive (CFG): two doorbell rings with no intervening SQE store\n\
                  (or timeout re-arm), or two textually-identical slot retires with no\n\
                  intervening acquire, connected by one control-flow path. This is the\n\
                  static shadow of the double-complete the lifecycle oracle catches\n\
                  dynamically.\n\n\
                  Suppress with `// lint:allow(D24)` for deliberate re-rings after a\n\
-                 deadline (the timeout call already exempts the common shape)."
-            }
-            Rule::D25 => {
-                "D25 — blocking await on a path that skipped the timeout arm\n\n\
+                 deadline (the timeout call already exempts the common shape).",
+        scope: Scope::Under(&DF_SCOPE),
+        run: &[Runner::Function(scan_d24)],
+    },
+    RuleInfo {
+        rule: Rule::D25,
+        code: "D25",
+        summary: "blocking fabric/admin await reachable on a path that skipped the \
+                 simcore::timeout deadline arm this function otherwise has (path-sensitive D11)",
+        explain: "D25 — blocking await on a path that skipped the timeout arm\n\n\
                  Path-sensitive refinement of D11: the function does have a\n\
                  `simcore::timeout` deadline arm, but some entry path reaches a blocking\n\
                  fabric/admin await without passing it. D11 checks the await is guarded\n\
                  somewhere; D25 checks it is guarded on every path that reaches it.\n\n\
                  Fix by hoisting the timeout to dominate the await. Suppress with\n\
-                 `// lint:allow(D25)` when the unguarded path is init-only."
-            }
-        }
+                 `// lint:allow(D25)` when the unguarded path is init-only.",
+        // D11's path-sensitive refinement rides D11's scope.
+        scope: Scope::Under(&IO_SCOPE),
+        run: &[Runner::Function(scan_d25)],
+    },
+];
+
+impl Rule {
+    fn info(self) -> &'static RuleInfo {
+        &RULES[self as usize]
     }
+
+    /// The code used in reports, `analyzer.toml`, and `lint:allow(..)`.
+    pub fn code(self) -> &'static str {
+        self.info().code
+    }
+
+    pub fn describe(self) -> &'static str {
+        self.info().summary
+    }
+}
+
+/// `--explain` lookup by rule code, case-insensitively.
+pub fn explain(code: &str) -> Option<&'static str> {
+    RULES
+        .iter()
+        .find(|r| r.code.eq_ignore_ascii_case(code))
+        .map(|r| r.explain)
+}
+
+/// The rules that apply to the file at workspace-relative path `rel`.
+pub fn rules_for(rel: &str) -> Vec<Rule> {
+    RULES
+        .iter()
+        .filter(|r| match r.scope {
+            Scope::Under(paths) => paths.iter().any(|p| rel.starts_with(p)),
+            Scope::Outside(paths) => !paths.iter().any(|p| rel.starts_with(p)),
+        })
+        .map(|r| r.rule)
+        .collect()
 }
 
 /// One hop of an interprocedural finding's explanation: where on the
@@ -646,13 +681,13 @@ fn json_escape(s: &str) -> String {
 /// rule id `strict-allow`. An empty scan still yields a valid report
 /// (one run, zero results): CI uploads it unconditionally.
 pub fn to_sarif(findings: &[Finding], unused: &[AllowFinding]) -> String {
-    let mut rules = ALL_RULES
+    let mut rules = RULES
         .iter()
         .map(|r| {
             format!(
                 "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-                r.code(),
-                json_escape(r.describe())
+                r.code,
+                json_escape(r.summary)
             )
         })
         .collect::<Vec<_>>();
@@ -927,31 +962,10 @@ fn strip_passthrough(mut expr: &str) -> &str {
 }
 
 // ---------------------------------------------------------------------
-// The scanner
+// Rule vocabulary
 // ---------------------------------------------------------------------
 
-const D01_PATTERNS: [&str; 4] = [
-    "std::time::Instant",
-    "std::time::SystemTime",
-    "std::thread::sleep",
-    "use std::time",
-];
-const D02_PATTERNS: [&str; 3] = ["thread_rng", "from_entropy", "rand::random"];
-const D04_PATTERNS: [&str; 5] = [
-    "std::thread::spawn",
-    "thread::spawn(",
-    "thread::scope(",
-    "std::sync::Mutex",
-    "Mutex<",
-];
 const D03_ITER: [&str; 4] = [".iter()", ".keys()", ".values()", ".drain("];
-/// The host-side SQ ring type: engine-internal since the qpair refactor.
-/// One token is enough — constructing, importing, or storing the type all
-/// mention it.
-const D06_PATTERNS: [&str; 1] = ["SqRing"];
-/// Files allowed to touch `SqRing` directly: its own module and the
-/// engine that wraps it.
-const D06_EXEMPT: [&str; 2] = ["crates/nvme/src/queue.rs", "crates/nvme/src/engine.rs"];
 /// Calls whose `Result` encodes a fabric/DMA failure the distributed
 /// driver must handle (windows can be torn down under it at any time).
 const D05_FABRIC: [&str; 14] = [
@@ -974,12 +988,6 @@ const D05_FABRIC: [&str; 14] = [
 /// Non-posted fabric/memory reads: each stalls the caller for a full NTB
 /// round trip, so none may sit on the I/O path (D07).
 const D07_READS: [&str; 4] = ["cpu_read", "cpu_read_u32", "cpu_read_u64", "dma_read"];
-/// I/O-path entry points: functions whose names carry these prefixes are
-/// D07 roots; everything they (transitively, within the file) call is on
-/// the I/O path.
-const D07_ROOTS: [&str; 5] = ["submit", "issue", "poll", "flush", "complet"];
-/// Files whose I/O paths the paper's read-free discipline binds.
-const D07_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine.rs"];
 /// Write-style calls D08 inspects for doorbell targets / SQE payloads.
 const D08_WRITES: [&str; 5] = [
     "cpu_write",
@@ -988,8 +996,6 @@ const D08_WRITES: [&str; 5] = [
     "mem_write_u32",
     "dma_write",
 ];
-/// The only file allowed raw-pointer access to segment memory (D09).
-const D09_EXEMPT: [&str; 1] = ["crates/pcie/src/memory.rs"];
 
 /// Awaits that park until a *remote* event arrives (D11): non-posted
 /// fabric reads and the admin-queue RPCs. Under fault injection the
@@ -1007,18 +1013,6 @@ const D11_BLOCKING: [&str; 10] = [
     "identify_namespace",
     "set_num_queues",
 ];
-/// D11 roots: the I/O-path entry prefixes plus the manager's serve and
-/// reaper loops. Bring-up (`connect`, `start`) may still block: a hung
-/// bring-up fails the scenario immediately rather than wedging live I/O.
-const D11_ROOTS: [&str; 7] = [
-    "submit", "issue", "poll", "flush", "complet", "serve", "reap",
-];
-
-/// D17 roots: the client datapath entry points. `read*`/`write*` join
-/// the submit/issue prefixes so blklayer-facing wrappers are walked too.
-const D17_ROOTS: [&str; 4] = ["submit", "issue", "read", "write"];
-/// Files whose datapath buffers must stay hinted (zero-copy eligible).
-const D17_SCOPE: [&str; 2] = ["crates/core/src", "crates/blklayer/src"];
 
 /// D12 sinks: calls where a raw integer is interpreted as an address by
 /// the fabric, a DMA engine, or a doorbell. Everything here takes typed
@@ -1046,32 +1040,6 @@ const D13_FABRIC_SINKS: [&str; 4] = ["mem_write", "mem_read", "dma_write", "dma_
 /// D14 retire/reuse calls: once one of these runs, an unread status can
 /// never influence whether the buffer was safe to recycle.
 const D14_RETIRE: [&str; 5] = ["free", "release", "retire", "recycle", "reuse"];
-/// Production crates the dataflow rules bind (src only — tests assert
-/// through raw values on purpose).
-const DF_SCOPE: [&str; 5] = [
-    "crates/pcie/src",
-    "crates/nvme/src",
-    "crates/smartio/src",
-    "crates/core/src",
-    "crates/nvmeof/src",
-];
-
-/// D20 scope: the crates that create shard channels and pin tasks to
-/// reactors (`spawn_on`). Tests deliberately pin both ends to one
-/// reactor to seed the HB race detector, so src only.
-const D20_SCOPE: [&str; 3] = [
-    "crates/simcore/src",
-    "crates/core/src",
-    "crates/cluster/src",
-];
-/// D21 scope: where qpair engines live and are torn down.
-const D21_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src"];
-
-/// D22 additionally binds the explore fixture deck: seeded
-/// missed-doorbell fixtures are written in the event vocabulary
-/// (`SqeWritten`/`SqDoorbell`) and their suppressed findings feed the
-/// hypothesis bridge.
-const D22_EXTRA_SCOPE: [&str; 1] = ["crates/explore/src/fixtures.rs"];
 /// D23 acquire sites: tag/slot grants and hinted DMA allocations.
 const D23_ACQUIRE: [&str; 5] = [
     "acquire",
@@ -1093,63 +1061,45 @@ const D2X_RETIRE: [&str; 8] = [
     "complete",
 ];
 
-/// The rules that apply to the file at workspace-relative path `rel`.
-pub fn rules_for(rel: &str) -> Vec<Rule> {
-    let mut rules = vec![Rule::D01, Rule::D02, Rule::D04];
-    if SIM_VISIBLE.iter().any(|c| rel.starts_with(c)) {
-        rules.push(Rule::D03);
-    }
-    // Production driver code only: in tests, unwrapping a fabric result
-    // *is* the assertion.
-    if rel.starts_with("crates/core/src") {
-        rules.push(Rule::D05);
-    }
-    if !D06_EXEMPT.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D06);
-    }
-    if D07_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D07);
-        // D11 binds the same production paths: the crates whose I/O and
-        // serve loops must survive injected faults without hanging.
-        // D25 is its path-sensitive refinement and rides along.
-        rules.push(Rule::D11);
-        rules.push(Rule::D25);
-    }
-    rules.push(Rule::D08);
-    if !D09_EXEMPT.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D09);
-    }
-    rules.push(Rule::D10);
-    if DF_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.extend([Rule::D12, Rule::D13, Rule::D14, Rule::D15, Rule::D16]);
-        // The interprocedural address/lock rules bind the same
-        // production sources the intraprocedural lattice does.
-        rules.extend([Rule::D18, Rule::D19]);
-        // The path-sensitive rules ride the same production sources: the
-        // CFG queries only sharpen what the lattice rules approximate.
-        rules.extend([Rule::D22, Rule::D23, Rule::D24]);
-    }
-    if D22_EXTRA_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D22);
-    }
-    if D17_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D17);
-    }
-    if D20_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D20);
-    }
-    if D21_SCOPE.iter().any(|p| rel.starts_with(p)) {
-        rules.push(Rule::D21);
-    }
-    rules
+// ---------------------------------------------------------------------
+// The scanner
+// ---------------------------------------------------------------------
+
+/// One parsed file inside a scan: what the per-file rules and the
+/// whole-program engine both read.
+pub(crate) struct SourceFile<'a> {
+    /// Workspace-relative path, forward slashes.
+    pub rel: &'a str,
+    pub rules: &'a [Rule],
+    pub ast: &'a Ast,
+    /// One fact set per `ast.functions` entry.
+    pub fns: Vec<FnFacts<'a>>,
+    raw_lines: Vec<&'a str>,
 }
 
-/// One source file's scan in strict mode: the findings that survived
-/// suppression, plus every `lint:allow` code that suppressed nothing.
+/// One source file's scan: the findings that survived suppression, plus
+/// every `lint:allow` code that suppressed nothing.
 pub struct SourceScan {
     pub findings: Vec<Finding>,
     /// `(1-based line, rule code)` of each unused suppression.
     pub unused_allows: Vec<(usize, String)>,
+    /// The ordering site pairs behind this file's D08/D22 findings
+    /// (suppressed ones included) and surviving D19/D20 findings.
+    sites: Vec<Site>,
+}
+
+/// Two sites whose relative order a finding claims can go wrong.
+struct Site {
+    rule: Rule,
+    /// Choice-point domain ([`Hypothesis::class`]).
+    class: &'static str,
+    site_fn: String,
+    /// 1-based line in the scanned file.
+    a: usize,
+    /// `(path, line)`: engine findings may pair with another file.
+    b: (String, usize),
+    /// Silenced by a `lint:allow` comment.
+    suppressed: bool,
 }
 
 /// Scan one source text with the given rules. `lint:allow` suppressions
@@ -1162,69 +1112,138 @@ pub fn scan_source(rel: &str, text: &str, rules: &[Rule]) -> Vec<Finding> {
 /// never fired — a stale `lint:allow` hides nothing today and will
 /// silently hide a real finding tomorrow.
 pub fn scan_source_strict(rel: &str, text: &str, rules: &[Rule]) -> SourceScan {
-    scan_source_inner(rel, text, rules, None)
+    let (mut scans, _) = scan_program(&[(rel, text, rules.to_vec())]);
+    scans.remove(0)
 }
 
-/// Rules owned by the [`interproc`] summary engine: their roots, walks,
-/// or flows cross function (and, in workspace scans, file) boundaries.
-const ENGINE_RULES: [Rule; 8] = [
-    Rule::D07,
-    Rule::D11,
-    Rule::D13,
-    Rule::D17,
-    Rule::D18,
-    Rule::D19,
-    Rule::D20,
-    Rule::D21,
-];
+/// Multi-file twin of [`scan_source`]: scan in-memory sources as one
+/// program, so fixtures can exercise findings that only exist through
+/// cross-file call chains (helper summaries, trait-impl dispatch).
+pub fn scan_sources(files: &[(&str, &str, Vec<Rule>)]) -> Vec<Finding> {
+    merge_findings(scan_program(files).0)
+}
 
-/// Convert the engine's index-based findings into path-resolved
-/// [`Finding`]s (excerpts are filled in by the per-file merge).
-fn program_findings(prog: &interproc::Program) -> Vec<Finding> {
-    prog.findings()
-        .into_iter()
-        .map(|pf| Finding {
+/// All files' findings, sorted by `(path, line, rule)`.
+fn merge_findings(scans: Vec<SourceScan>) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = scans.into_iter().flat_map(|s| s.findings).collect();
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.rule.code()).cmp(&(b.path.as_str(), b.line, b.rule.code()))
+    });
+    findings
+}
+
+/// The one scan driver: `(path, text, rules)` sources in, one
+/// [`SourceScan`] per source out (input order), plus the number of
+/// function summaries the engine computed. Each file is parsed once and
+/// each function gets one [`FnFacts`]; the whole-program engine (built
+/// only when some file carries an engine rule) and the per-file rules
+/// read the same sets, and engine findings pass through the same
+/// `lint:allow` accounting as the rest.
+fn scan_program(inputs: &[(&str, &str, Vec<Rule>)]) -> (Vec<SourceScan>, usize) {
+    let parsed: Vec<(Ast, Vec<(String, u64)>)> = inputs
+        .iter()
+        .map(|(_, text, _)| {
+            let ast = Ast::parse(text);
+            let consts = dataflow::const_env(&ast);
+            (ast, consts)
+        })
+        .collect();
+    let files: Vec<SourceFile> = inputs
+        .iter()
+        .zip(&parsed)
+        .map(|((rel, text, rules), (ast, consts))| SourceFile {
+            rel,
+            rules,
+            ast,
+            fns: ast
+                .functions
+                .iter()
+                .map(|f| FnFacts::new(ast, f, consts))
+                .collect(),
+            raw_lines: text.lines().collect(),
+        })
+        .collect();
+    let wants_engine = |r: &Rule| r.info().run.iter().any(|k| matches!(k, Runner::Engine));
+    let prog = files
+        .iter()
+        .any(|f| f.rules.iter().any(wants_engine))
+        .then(|| interproc::Program::build(&files));
+    let mut engine: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
+    for pf in prog.iter().flat_map(|p| p.findings()) {
+        let hop = |(file, line, note): (usize, usize, String)| Related {
+            path: files[file].rel.to_string(),
+            line,
+            note,
+        };
+        engine[pf.file].push(Finding {
             rule: pf.rule,
-            path: prog.rel(pf.file).to_string(),
+            path: files[pf.file].rel.to_string(),
             line: pf.line,
             excerpt: String::new(),
-            related: pf
-                .related
-                .into_iter()
-                .map(|(file, line, note)| Related {
-                    path: prog.rel(file).to_string(),
-                    line,
-                    note,
-                })
-                .collect(),
-        })
-        .collect()
+            related: pf.related.into_iter().map(hop).collect(),
+        });
+    }
+    let scans = files
+        .iter()
+        .zip(engine)
+        .map(|(file, engine)| scan_file(file, engine))
+        .collect();
+    (scans, prog.map_or(0, |p| p.summary_count()))
 }
 
-/// The single-file scan body. `engine`: `None` runs the interprocedural
-/// engine over this file alone (the [`scan_source`] contract — a
-/// single-file program degenerates to the old per-file walks); `Some`
-/// carries this file's share of a whole-program run, so the engine is
-/// not re-run per file. Either way engine findings pass through the
-/// same suppression accounting as the intraprocedural ones.
-fn scan_source_inner(
-    rel: &str,
-    text: &str,
-    rules: &[Rule],
-    engine: Option<Vec<Finding>>,
-) -> SourceScan {
-    let ast = Ast::parse(text);
-    let raw_lines: Vec<&str> = text.lines().collect();
-    let lines = &ast.lines;
+/// A file's findings under construction, with its suppressions: every
+/// `lint:allow(..)` code with the 1-based line of its comment. A
+/// suppression covers its own line and the line below.
+struct Report<'a> {
+    file: &'a SourceFile<'a>,
+    /// `(line, code, used)`.
+    sups: Vec<(usize, &'a str, bool)>,
+    findings: Vec<Finding>,
+    sites: Vec<Site>,
+}
 
-    // Suppressions: every `lint:allow(..)` code, with the 1-based line of
-    // its comment. A suppression covers its own line and the line below.
-    struct Suppression {
-        line: usize,
-        code: String,
-        used: bool,
+impl Report<'_> {
+    /// Record a finding of `rule` at `line` unless a suppression covers
+    /// it (every covering suppression is marked used) or the same
+    /// `(rule, line)` is already reported. Returns whether it was
+    /// suppressed.
+    fn hit(&mut self, rule: Rule, line: usize, related: Vec<Related>) -> bool {
+        let mut suppressed = false;
+        for (at, code, used) in &mut self.sups {
+            if *code == rule.code() && (*at == line || *at + 1 == line) {
+                *used = true;
+                suppressed = true;
+            }
+        }
+        if !suppressed
+            && !self
+                .findings
+                .iter()
+                .any(|f| f.rule == rule && f.line == line)
+        {
+            self.findings.push(Finding {
+                rule,
+                path: self.file.rel.to_string(),
+                line,
+                excerpt: self
+                    .file
+                    .raw_lines
+                    .get(line - 1)
+                    .copied()
+                    .unwrap_or("")
+                    .to_string(),
+                related,
+            });
+        }
+        suppressed
     }
-    let mut sups: Vec<Suppression> = Vec::new();
+}
+
+/// Run one file's rules off the rule table and merge its share of the
+/// engine's findings.
+fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
+    let lines = &file.ast.lines;
+    let mut sups = Vec::new();
     for (idx, (_, comment)) in lines.iter().enumerate() {
         for rest in comment.split("lint:allow(").skip(1) {
             let inside = rest.split(')').next().unwrap_or("");
@@ -1233,767 +1252,201 @@ fn scan_source_inner(
             // typo'd code suppresses nothing — its finding surfaces.
             for code in inside
                 .split(|c: char| !c.is_ascii_alphanumeric())
-                .filter(|s| ALL_RULES.iter().any(|r| r.code() == *s))
+                .filter(|s| RULES.iter().any(|r| r.code == *s))
             {
-                sups.push(Suppression {
-                    line: idx + 1,
-                    code: code.to_string(),
-                    used: false,
-                });
+                sups.push((idx + 1, code, false));
             }
         }
     }
-    let sups = std::cell::RefCell::new(sups);
-    let allows_on = |idx: usize, rule: Rule| -> bool {
-        let mut sups = sups.borrow_mut();
-        let mut found = false;
-        for s in sups.iter_mut() {
-            if s.code == rule.code() && (s.line == idx + 1 || s.line == idx) {
-                s.used = true;
-                found = true;
-            }
-        }
-        found
+    let mut rep = Report {
+        file,
+        sups,
+        findings: Vec::new(),
+        sites: Vec::new(),
     };
-
-    // D03 pass 1: identifiers bound to HashMap/HashSet (or aliases).
-    let mut map_names: Vec<String> = Vec::new();
-    if rules.contains(&Rule::D03) {
-        let mut aliases: Vec<String> = Vec::new();
-        for (code, _) in lines {
-            let trimmed = code.trim_start();
-            if trimmed.starts_with("use ") {
-                continue;
-            }
-            let mentions_map = has_token(code, "HashMap")
-                || has_token(code, "HashSet")
-                || aliases.iter().any(|a| has_token(code, a));
-            if !mentions_map {
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("type ") {
-                if let Some(name) = rest.split(['=', '<', ' ']).next() {
-                    if !name.is_empty() {
-                        aliases.push(name.to_string());
-                    }
-                }
-                continue;
-            }
-            // `name: HashMap<…>` (field or param) or `let name = HashMap::…`.
-            let hit = ["HashMap", "HashSet"]
-                .iter()
-                .filter_map(|p| code.find(p))
-                .chain(aliases.iter().filter_map(|a| code.find(a.as_str())))
-                .min()
-                .unwrap_or(0);
-            let prefix = &code[..hit];
-            // Bind via the last single `:` (field/param/let type) or `=`
-            // (inferred let); `::` path separators don't count.
-            let bytes = prefix.as_bytes();
-            let type_colon = (0..bytes.len()).rev().find(|&i| {
-                bytes[i] == b':'
-                    && (i == 0 || bytes[i - 1] != b':')
-                    && bytes.get(i + 1) != Some(&b':')
-            });
-            let binder = if let Some(colon) = type_colon {
-                ident_ending_at(prefix, colon)
-            } else if let Some(eq) = prefix.rfind('=') {
-                let lhs = prefix[..eq].trim_end();
-                ident_ending_at(lhs, lhs.len())
-            } else {
-                None
-            };
-            if let Some(name) = binder {
-                if !map_names.iter().any(|n| n == name) {
-                    map_names.push(name.to_string());
-                }
-            }
-        }
-    }
-
-    let mut findings: Vec<Finding> = Vec::new();
-    let hit = |rule: Rule, lineno: usize, findings: &mut Vec<Finding>| {
-        if !allows_on(lineno.saturating_sub(1), rule)
-            && !findings
-                .iter()
-                .any(|f: &Finding| f.rule == rule && f.line == lineno)
-        {
-            findings.push(Finding {
-                rule,
-                path: rel.to_string(),
-                line: lineno,
-                excerpt: raw_lines.get(lineno - 1).copied().unwrap_or("").to_string(),
-                related: Vec::new(),
-            });
-        }
-    };
-
-    // -------------------------------------------------- line-level rules
-    let mut stmt = String::new(); // rolling statement window for D05
-    for (idx, (code, _)) in lines.iter().enumerate() {
-        let lineno = idx + 1;
-        for rule in rules {
-            match rule {
-                Rule::D01 => {
-                    if D01_PATTERNS.iter().any(|p| has_token(code, p)) {
-                        hit(Rule::D01, lineno, &mut findings);
-                    }
-                }
-                Rule::D02 => {
-                    if D02_PATTERNS.iter().any(|p| has_token(code, p)) {
-                        hit(Rule::D02, lineno, &mut findings);
-                    }
-                }
-                Rule::D04 => {
-                    if D04_PATTERNS.iter().any(|p| has_token(code, p)) {
-                        hit(Rule::D04, lineno, &mut findings);
-                    }
-                }
-                Rule::D06 => {
-                    if D06_PATTERNS.iter().any(|p| has_token(code, p)) {
-                        hit(Rule::D06, lineno, &mut findings);
-                    }
-                }
-                Rule::D03 => {
-                    // `map.iter()` (and through `.borrow()` chains).
-                    for pat in D03_ITER {
-                        let mut from = 0;
-                        while let Some(pos) = code[from..].find(pat) {
-                            let at = from + pos;
-                            let recv = strip_passthrough(&code[..at]);
-                            if ident_ending_at(recv, recv.len())
-                                .is_some_and(|n| map_names.iter().any(|m| m == n))
-                            {
-                                hit(Rule::D03, lineno, &mut findings);
-                            }
-                            from = at + pat.len();
-                        }
-                    }
-                    // `for x in &map` / `for x in map`.
-                    if let Some(pos) = code.find(" in ") {
-                        if code.trim_start().starts_with("for ") {
-                            let expr = code[pos + 4..].split('{').next().unwrap_or("").trim();
-                            let expr = expr
-                                .trim_start_matches('&')
-                                .trim_start_matches("mut ")
-                                .trim();
-                            let expr = strip_passthrough(expr);
-                            if !expr.ends_with(')')
-                                && ident_ending_at(expr, expr.len())
-                                    .is_some_and(|n| map_names.iter().any(|m| m == n))
-                            {
-                                hit(Rule::D03, lineno, &mut findings);
-                            }
+    let event_model = file.rel.starts_with(EVENT_MODEL_FILE);
+    for &rule in file.rules {
+        for runner in rule.info().run {
+            match *runner {
+                Runner::Patterns(pats) => {
+                    for (idx, (code, _)) in lines.iter().enumerate() {
+                        if pats.iter().any(|p| has_token(code, p)) {
+                            rep.hit(rule, idx + 1, Vec::new());
                         }
                     }
                 }
-                Rule::D05 => {
-                    stmt.push(' ');
-                    stmt.push_str(code);
-                    if (code.contains(".unwrap()") || code.contains(".expect("))
-                        && D05_FABRIC.iter().any(|p| stmt.contains(p))
-                    {
-                        hit(Rule::D05, lineno, &mut findings);
-                    }
-                    if matches!(code.trim_end().chars().next_back(), Some(';' | '{' | '}')) {
-                        stmt.clear();
+                Runner::File(run) => run(file.ast, &mut |line| {
+                    rep.hit(rule, line, Vec::new());
+                }),
+                Runner::Function(run) => {
+                    for facts in &file.fns {
+                        run(facts, &mut |line| {
+                            rep.hit(rule, line, Vec::new());
+                        });
                     }
                 }
-                Rule::D07
-                | Rule::D08
-                | Rule::D09
-                | Rule::D10
-                | Rule::D11
-                | Rule::D12
-                | Rule::D13
-                | Rule::D14
-                | Rule::D15
-                | Rule::D16
-                | Rule::D17
-                | Rule::D18
-                | Rule::D19
-                | Rule::D20
-                | Rule::D21
-                | Rule::D22
-                | Rule::D23
-                | Rule::D24
-                | Rule::D25 => {} // syntax / dataflow / engine rules below
-            }
-        }
-    }
-
-    // -------------------------------------------------- syntax rules
-    if rules.contains(&Rule::D08) {
-        scan_d08(&ast, &mut |line| hit(Rule::D08, line, &mut findings));
-    }
-    if rules.contains(&Rule::D09) {
-        scan_d09(&ast, &mut |line| hit(Rule::D09, line, &mut findings));
-    }
-    if rules.contains(&Rule::D10) {
-        scan_d10(&ast, &mut |line| hit(Rule::D10, line, &mut findings));
-    }
-    if rules.contains(&Rule::D12) {
-        scan_d12(&ast, &mut |line| hit(Rule::D12, line, &mut findings));
-    }
-    if rules.contains(&Rule::D13) {
-        scan_d13(&ast, &mut |line| hit(Rule::D13, line, &mut findings));
-    }
-    if rules.contains(&Rule::D14) {
-        scan_d14(&ast, &mut |line| hit(Rule::D14, line, &mut findings));
-    }
-    if rules.contains(&Rule::D15) {
-        scan_d15(&ast, &mut |line| hit(Rule::D15, line, &mut findings));
-    }
-    if rules.contains(&Rule::D16) {
-        scan_d16(&ast, &mut |line| hit(Rule::D16, line, &mut findings));
-    }
-
-    // ------------------------------------------- path-sensitive rules
-    if rules.contains(&Rule::D22) {
-        let event_model = D22_EXTRA_SCOPE.iter().any(|p| rel.starts_with(p));
-        scan_d22(&ast, event_model, &mut |line| {
-            hit(Rule::D22, line, &mut findings)
-        });
-    }
-    if rules.contains(&Rule::D23) {
-        scan_d23(&ast, &mut |line| hit(Rule::D23, line, &mut findings));
-    }
-    if rules.contains(&Rule::D24) {
-        scan_d24(&ast, &mut |line| hit(Rule::D24, line, &mut findings));
-    }
-    if rules.contains(&Rule::D25) {
-        scan_d25(&ast, &mut |line| hit(Rule::D25, line, &mut findings));
-    }
-
-    // --------------------------------------------- interprocedural rules
-    let engine_findings = match engine {
-        Some(v) => v,
-        None => {
-            if rules.iter().any(|r| ENGINE_RULES.contains(r)) {
-                let prog = interproc::Program::build(
-                    &[interproc::FileInput {
-                        rel,
-                        text,
-                        rules: rules.to_vec(),
-                    }],
-                    None,
-                );
-                program_findings(&prog)
-            } else {
-                Vec::new()
-            }
-        }
-    };
-    for f in engine_findings {
-        if !rules.contains(&f.rule) {
-            continue;
-        }
-        if !allows_on(f.line.saturating_sub(1), f.rule)
-            && !findings
-                .iter()
-                .any(|x| x.rule == f.rule && x.line == f.line)
-        {
-            findings.push(Finding {
-                excerpt: raw_lines.get(f.line - 1).copied().unwrap_or("").to_string(),
-                ..f
-            });
-        }
-    }
-
-    findings.sort_by(|a, b| (a.line, a.rule.code()).cmp(&(b.line, b.rule.code())));
-    let unused_allows = sups
-        .into_inner()
-        .into_iter()
-        .filter(|s| !s.used)
-        .map(|s| (s.line, s.code))
-        .collect();
-    SourceScan {
-        findings,
-        unused_allows,
-    }
-}
-
-// D07, D11, and D17 (call-graph reachability rules) moved into the
-// [`interproc`] engine in PR 8: the walk is now whole-program (a
-// single-file scan degenerates to the old per-file behavior), follows
-// `dyn Trait` dispatch by trait-impl enumeration, and attaches the call
-// chain to every finding.
-
-/// The submission-protocol events of one function body, in the
-/// vocabulary shared by D08 (order), D22 (missed ring), and D24
-/// (repeated ring): doorbell rings, SQE stores, and explicit failure
-/// resolutions. Each event is `(token index, 1-based line)`.
-///
-/// With `event_model` set (the explore fixture deck only — the oracle
-/// *matches* these names without emitting), `SqeWritten`/`SqDoorbell`
-/// struct literals count too: they are the simulated twin of a slot
-/// store and a doorbell write, which is what lets the seeded
-/// missed-doorbell fixture carry a D22 finding into the hypothesis
-/// bridge.
-struct SubmitEvents {
-    rings: Vec<(usize, usize)>,
-    stores: Vec<(usize, usize)>,
-    resolves: Vec<(usize, usize)>,
-}
-
-fn submit_events(ast: &Ast, f: &ast::FnItem, event_model: bool) -> SubmitEvents {
-    let mut ev = SubmitEvents {
-        rings: Vec::new(),
-        stores: Vec::new(),
-        resolves: Vec::new(),
-    };
-    for call in ast.calls_in(f.body) {
-        let is_write = D08_WRITES.iter().any(|w| call.name == *w);
-        if call.name == "ring"
-            || call.name == "ring_doorbell"
-            || (is_write && ast.any_ident_in(call.args, |id| id.contains("doorbell")))
-        {
-            ev.rings.push((call.args.0, call.line));
-        } else if (is_write && ast.any_ident_in(call.args, |id| id.contains("sqe")))
-            || (call.name == "push" && call.receiver.as_deref().is_some_and(|r| r.contains("sq")))
-        {
-            ev.stores.push((call.args.0, call.line));
-        } else if call.name == "fail" || call.name == "complete" {
-            ev.resolves.push((call.args.0, call.line));
-        }
-    }
-    for fa in ast.field_assigns_in(f.body) {
-        if fa.path.iter().any(|seg| seg.contains("sqe")) {
-            ev.stores.push((fa.at, fa.line));
-        }
-    }
-    if event_model {
-        for i in f.body.0..f.body.1 {
-            let t = &ast.tokens[i];
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "SqeWritten" => ev.stores.push((i, t.line)),
-                    "SqDoorbell" => ev.rings.push((i, t.line)),
-                    _ => {}
+                Runner::Ordering(run) => {
+                    for facts in &file.fns {
+                        run(facts, event_model, &mut |line, a, b| {
+                            let suppressed = rep.hit(rule, line, Vec::new());
+                            rep.sites.push(Site {
+                                rule,
+                                class: "doorbell",
+                                site_fn: facts.f.name.clone(),
+                                a,
+                                b: (file.rel.to_string(), b),
+                                suppressed,
+                            });
+                        });
+                    }
                 }
+                Runner::Engine => {} // merged below
             }
         }
     }
-    ev.rings.sort_unstable();
-    ev.stores.sort_unstable();
-    ev.resolves.sort_unstable();
-    ev
-}
-
-/// D08: inside each function body, a doorbell ring followed by an SQE
-/// store in token order — `(fn, ring line, store line)` per late store,
-/// pairing the store with the latest preceding ring.
-fn d08_pairs(ast: &Ast, event_model: bool) -> Vec<(String, usize, usize)> {
-    let mut pairs = Vec::new();
-    for f in &ast.functions {
-        let ev = submit_events(ast, f, event_model);
-        for &(tok, line) in &ev.stores {
-            if let Some(&(_, ring_line)) = ev.rings.iter().rev().find(|&&(r, _)| r < tok) {
-                pairs.push((f.name.clone(), ring_line, line));
-            }
-        }
-    }
-    pairs
-}
-
-fn scan_d08(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for (_, _, store_line) in d08_pairs(ast, false) {
-        hit(store_line);
-    }
-}
-
-/// Name of the innermost `fn` item whose body spans `line` — how a
-/// hypothesis site gets tied back to a runnable program (the explore
-/// fixture registry keys off function names).
-fn enclosing_fn_name(ast: &Ast, line: usize) -> Option<String> {
-    ast.functions
-        .iter()
-        .filter(|f| {
-            f.line <= line
-                && ast
-                    .tokens
-                    .get(
-                        f.body
-                            .1
-                            .saturating_sub(1)
-                            .min(ast.tokens.len().saturating_sub(1)),
-                    )
-                    .is_some_and(|t| t.line >= line)
-        })
-        .max_by_key(|f| f.line)
-        .map(|f| f.name.clone())
-}
-
-/// The block holding the end of the statement containing token `pos`.
-/// Path queries for "after this store/acquire landed" start here rather
-/// than at the site itself, so the site's own `?`-failure edge (nothing
-/// was written / nothing was acquired) is not mistaken for a path that
-/// skips the ring/retire.
-fn stmt_exit_block(ast: &Ast, cfg: &Cfg, pos: usize, body_end: usize) -> Option<usize> {
-    // `pos` may sit *inside* the site's argument list, so track depth
-    // from there and let it go negative while climbing out; the
-    // statement ends at the first `;`/`,` at or above the start level,
-    // or at an enclosing close brace.
-    let end = body_end.min(ast.tokens.len());
-    let mut depth = 0isize;
-    let mut q = pos;
-    for i in pos..end {
-        let t = &ast.tokens[i];
-        if t.punct('(') || t.punct('[') || t.punct('{') {
-            depth += 1;
-        } else if t.punct(')') || t.punct(']') {
-            depth -= 1;
-        } else if t.punct('}') {
-            if depth <= 0 {
-                // Close of an enclosing block: the statement cannot
-                // extend past it.
-                q = i;
-                break;
-            }
-            depth -= 1;
-        } else if (t.punct(';') || t.punct(',')) && depth <= 0 {
-            q = i;
-            break;
-        }
-        q = i;
-    }
-    (pos..=q).rev().find_map(|k| cfg.block_of(k))
-}
-
-/// D22 core: SQE stores whose doorbell ring (or explicit failure
-/// resolution) is skipped by some path to the exit. Returns
-/// `(store line, paired ring line)` so the hypothesis exporter can cite
-/// both sites; the paired ring is the first one at or after the store,
-/// falling back to the first ring in the function.
-fn d22_missed(ast: &Ast, f: &ast::FnItem, event_model: bool) -> Vec<(usize, usize)> {
-    let ev = submit_events(ast, f, event_model);
-    if ev.rings.is_empty() || ev.stores.is_empty() {
-        return Vec::new();
-    }
-    let cfg = Cfg::build(ast, f);
-    let mut avoid = vec![false; cfg.blocks.len()];
-    for &(pos, _) in ev.rings.iter().chain(&ev.resolves) {
-        if let Some(b) = cfg.block_of(pos) {
-            avoid[b] = true;
-        }
-    }
-    let mut out = Vec::new();
-    for &(pos, line) in &ev.stores {
-        let Some(sb) = cfg.block_of(pos) else {
+    for f in engine {
+        if !file.rules.contains(&f.rule) {
             continue;
+        }
+        let partner = f.related.first().map(|r| (r.path.clone(), r.line));
+        let suppressed = rep.hit(f.rule, f.line, f.related);
+        // Surviving lock-order / channel findings are hypotheses too,
+        // with their first related hop as the partner site.
+        let class = match f.rule {
+            Rule::D19 => "lock",
+            Rule::D20 => "channel",
+            _ => continue,
         };
-        if !cfg.reachable(sb) {
-            continue;
-        }
-        let start = stmt_exit_block(ast, &cfg, pos, f.body.1).unwrap_or(sb);
-        // A ring or resolution later in the store's own block — or in
-        // the continuation block its `?` split off — covers the whole
-        // straight-line continuation: blocks execute atomically.
-        if ev.rings.iter().chain(&ev.resolves).any(|&(r, _)| {
-            r > pos && (cfg.block_of(r) == Some(sb) || cfg.block_of(r) == Some(start))
-        }) {
-            continue;
-        }
-        if cfg.exit_reachable_avoiding(start, &avoid) {
-            let ring = ev
-                .rings
-                .iter()
-                .find(|&&(r, _)| r > pos)
-                .or_else(|| ev.rings.first())
-                .map(|&(_, l)| l)
-                .unwrap_or(line);
-            out.push((line, ring));
-        }
-    }
-    out
-}
-
-/// D22: an SQE store in a function that also rings a doorbell, where
-/// some path from the store to the exit passes neither a ring nor an
-/// explicit failure resolution. Functions that never ring are not this
-/// rule's business (the ring may live in the caller).
-fn scan_d22(ast: &Ast, event_model: bool, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        for (line, _) in d22_missed(ast, f, event_model) {
-            hit(line);
-        }
-    }
-}
-
-/// First identifier token inside a range (e.g. the leading argument of
-/// a call) — the coarse resource key D23 pairs acquires and retires by
-/// when there is no `let` binding to match on.
-fn first_ident_in(ast: &Ast, range: (usize, usize)) -> Option<&str> {
-    ast.tokens[range.0..range.1.min(ast.tokens.len())]
-        .iter()
-        .find(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-/// D23: an acquire whose resource the function *does* retire on some
-/// path, but where an **error exit** (a `?` edge or a `return`
-/// mentioning `Err`) is reachable from the acquire without passing any
-/// retire of that same resource — the `?`/early-return leak. Pairing
-/// is by the acquire's `let` binding appearing in the retire's
-/// arguments, or (bindingless acquires like
-/// `smartio.acquire(device, …)?;`) by equal receiver and leading
-/// argument. Acquires with no paired retire at all are skipped
-/// (ownership moved into an RAII guard, a struct, or the caller), and
-/// success-path exits never count: returning the live resource is the
-/// point of the function.
-fn scan_d23(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let calls = ast.calls_in(f.body);
-        let acquires: Vec<&ast::Call> = calls
-            .iter()
-            .filter(|c| D23_ACQUIRE.iter().any(|a| c.name == *a))
-            .collect();
-        if acquires.is_empty() {
-            continue;
-        }
-        let retires: Vec<&ast::Call> = calls
-            .iter()
-            .filter(|c| D2X_RETIRE.iter().any(|r| c.name == *r))
-            .collect();
-        if retires.is_empty() {
-            continue;
-        }
-        let cfg = Cfg::build(ast, f);
-        // Error exits: every `?` (its block has an edge to exit at that
-        // position) and every `return` whose statement mentions `Err`.
-        let mut err_exits: Vec<usize> = Vec::new();
-        for i in f.body.0..f.body.1.min(ast.tokens.len()) {
-            let t = &ast.tokens[i];
-            if t.punct('?') {
-                err_exits.push(i);
-            } else if t.kind == TokKind::Ident && t.is("return") {
-                let e = dataflow::stmt_end(ast, i + 1, f.body.1);
-                if ast.any_ident_in((i, e), |id| id == "Err") {
-                    err_exits.push(i);
-                }
-            }
-        }
-        for c in &acquires {
-            let Some(ab) = cfg.block_of(c.args.0) else {
-                continue;
-            };
-            if !cfg.reachable(ab) {
-                continue;
-            }
-            let binding = ast.binding_for(c.args.0).map(str::to_string);
-            let paired: Vec<&&ast::Call> = retires
-                .iter()
-                .filter(|r| match &binding {
-                    Some(b) => ast.any_ident_in(r.args, |id| id == b),
-                    None => {
-                        r.receiver == c.receiver
-                            && first_ident_in(ast, r.args) == first_ident_in(ast, c.args)
-                    }
-                })
-                .collect();
-            // Some paired retire must be reachable from the acquire:
-            // a resource this function never retires downstream is an
-            // ownership transfer, not a leak candidate.
-            if !paired.iter().any(|r| {
-                cfg.block_of(r.args.0)
-                    .is_some_and(|rb| cfg.site_reaches_site((ab, c.args.0), (rb, r.args.0), &[]))
-            }) {
-                continue;
-            }
-            // Path query from the end of the acquire's own statement
-            // (its own `?`-failure acquired nothing) to each error
-            // exit, with the paired retires as blockers.
-            let q = dataflow::stmt_end(ast, c.args.1 + 1, f.body.1).min(f.body.1 - 1);
-            let Some(from_pos) = (c.args.0..=q).rev().find(|&k| cfg.block_of(k).is_some()) else {
-                continue;
-            };
-            let from_block = cfg.block_of(from_pos).unwrap_or(ab);
-            let blockers: Vec<usize> = paired.iter().map(|r| r.args.0).collect();
-            let leaks = err_exits.iter().any(|&e| {
-                e > from_pos
-                    && cfg.block_of(e).is_some_and(|eb| {
-                        cfg.site_reaches_site((from_block, from_pos), (eb, e), &blockers)
-                    })
+        if !suppressed {
+            rep.sites.push(Site {
+                rule: f.rule,
+                class,
+                site_fn: enclosing_fn_name(file.ast, f.line).unwrap_or_default(),
+                a: f.line,
+                b: partner.unwrap_or((f.path, f.line)),
+                suppressed,
             });
-            if leaks {
-                hit(c.line);
-            }
         }
     }
-}
-
-/// Whether the statement on `line` consumes the call's result —
-/// asserted, branched on, or bound. A checked ring/retire is observing
-/// the protocol's defensive return; the D24 bug shape is the bare
-/// statement that ignores it.
-fn consumed_at(ast: &Ast, line: usize) -> bool {
-    ast.lines.get(line - 1).is_some_and(|(code, _)| {
-        let lt = code.trim_start();
-        code.contains("assert")
-            || lt.starts_with("if ")
-            || lt.starts_with("while ")
-            || lt.starts_with("match ")
-            || lt.starts_with("let ")
-    })
-}
-
-/// The textual identity of a call — receiver, name, and argument
-/// tokens — used by D24 to tell a deliberate second retire (different
-/// tag) from a double-complete of the same one.
-fn call_text(ast: &Ast, c: &ast::Call) -> String {
-    let mut s = c.receiver.clone().unwrap_or_default();
-    s.push('.');
-    s.push_str(&c.name);
-    for t in &ast.tokens[c.args.0..c.args.1] {
-        s.push_str(&t.text);
+    rep.findings
+        .sort_by(|a, b| (a.line, a.rule.code()).cmp(&(b.line, b.rule.code())));
+    SourceScan {
+        findings: rep.findings,
+        unused_allows: rep
+            .sups
+            .into_iter()
+            .filter(|s| !s.2)
+            .map(|(line, code, _)| (line, code.to_string()))
+            .collect(),
+        sites: rep.sites,
     }
-    s
 }
 
-/// D24: a doorbell ring reachable from a ring (itself via a back edge,
-/// or another site) with no intervening SQE store or `timeout` re-arm;
-/// or a retire call reachable from a textually-identical retire with no
-/// intervening acquire. Both are single-path repeats — the static
-/// shadow of the lifecycle oracle's double-complete checks.
-fn scan_d24(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let calls = ast.calls_in(f.body);
-        let ev = submit_events(ast, f, false);
-        if calls.is_empty() {
+// ---------------------------------------------------------------------
+// Line and syntax rules
+// ---------------------------------------------------------------------
+
+/// D03: iteration over an identifier bound to a `HashMap`/`HashSet` (or
+/// an alias of one) — `.iter()`/`.keys()`/`.values()`/`.drain(` through
+/// pass-through chains, and `for x in &map`.
+fn scan_d03(ast: &Ast, hit: &mut dyn FnMut(usize)) {
+    // Pass 1: identifiers bound to HashMap/HashSet (or aliases).
+    let mut map_names: Vec<&str> = Vec::new();
+    let mut aliases: Vec<&str> = Vec::new();
+    for (code, _) in &ast.lines {
+        let trimmed = code.trim_start();
+        if trimmed.starts_with("use ") {
             continue;
         }
-        let cfg = Cfg::build(ast, f);
-        // (a) ring repeated: blockers are events that justify a new ring —
-        // an SQE store (new tail entry), a CQE pop (new head position),
-        // or a timeout re-arm (deadline re-ring). Sites pair only within
-        // one receiver — ringing two different queues back to back is
-        // two protocols, not a repeat.
-        let mut ring_sites: Vec<(usize, usize, String)> = Vec::new();
-        for c in &calls {
-            let is_write = D08_WRITES.iter().any(|w| c.name == *w);
-            if c.name == "ring"
-                || c.name == "ring_doorbell"
-                || (is_write && ast.any_ident_in(c.args, |id| id.contains("doorbell")))
-            {
-                ring_sites.push((c.args.0, c.line, c.receiver.clone().unwrap_or_default()));
-            }
+        let mentions_map = has_token(code, "HashMap")
+            || has_token(code, "HashSet")
+            || aliases.iter().any(|a| has_token(code, a));
+        if !mentions_map {
+            continue;
         }
-        let mut blockers: Vec<usize> = ev.stores.iter().map(|&(p, _)| p).collect();
-        blockers.extend(
-            calls
-                .iter()
-                .filter(|c| {
-                    matches!(
-                        c.name.as_str(),
-                        "timeout" | "try_pop" | "pop" | "next" | "drain" | "recv"
-                    )
-                })
-                .map(|c| c.args.0),
-        );
-        for &(r1, _, ref k1) in &ring_sites {
-            for &(r2, line2, ref k2) in &ring_sites {
-                if k1 != k2 || consumed_at(ast, line2) {
-                    continue;
-                }
-                let (Some(b1), Some(b2)) = (cfg.block_of(r1), cfg.block_of(r2)) else {
-                    continue;
-                };
-                if !cfg.reachable(b1) {
-                    continue;
-                }
-                if cfg.site_reaches_site((b1, r1), (b2, r2), &blockers) {
-                    hit(line2);
+        if let Some(rest) = trimmed.strip_prefix("type ") {
+            if let Some(name) = rest.split(['=', '<', ' ']).next() {
+                if !name.is_empty() {
+                    aliases.push(name);
                 }
             }
+            continue;
         }
-        // (b) identical retire repeated: blockers are acquires.
-        let retires: Vec<&ast::Call> = calls
+        // `name: HashMap<…>` (field or param) or `let name = HashMap::…`.
+        let hit = ["HashMap", "HashSet"]
             .iter()
-            .filter(|c| D2X_RETIRE.iter().any(|r| c.name == *r))
-            .collect();
-        let acquires: Vec<usize> = calls
-            .iter()
-            .filter(|c| D23_ACQUIRE.iter().any(|a| c.name == *a))
-            .map(|c| c.args.0)
-            .collect();
-        for a in &retires {
-            for b in &retires {
-                if a.args.0 == b.args.0 || call_text(ast, a) != call_text(ast, b) {
-                    continue;
+            .filter_map(|p| code.find(p))
+            .chain(aliases.iter().filter_map(|a| code.find(a)))
+            .min()
+            .unwrap_or(0);
+        let prefix = &code[..hit];
+        // Bind via the last single `:` (field/param/let type) or `=`
+        // (inferred let); `::` path separators don't count.
+        let bytes = prefix.as_bytes();
+        let type_colon = (0..bytes.len()).rev().find(|&i| {
+            bytes[i] == b':' && (i == 0 || bytes[i - 1] != b':') && bytes.get(i + 1) != Some(&b':')
+        });
+        let binder = if let Some(colon) = type_colon {
+            ident_ending_at(prefix, colon)
+        } else if let Some(eq) = prefix.rfind('=') {
+            let lhs = prefix[..eq].trim_end();
+            ident_ending_at(lhs, lhs.len())
+        } else {
+            None
+        };
+        if let Some(name) = binder {
+            if !map_names.contains(&name) {
+                map_names.push(name);
+            }
+        }
+    }
+    // Pass 2: order-dependent walks over those names.
+    for (idx, (code, _)) in ast.lines.iter().enumerate() {
+        // `map.iter()` (and through `.borrow()` chains).
+        for pat in D03_ITER {
+            let mut from = 0;
+            while let Some(pos) = code[from..].find(pat) {
+                let at = from + pos;
+                let recv = strip_passthrough(&code[..at]);
+                if ident_ending_at(recv, recv.len()).is_some_and(|n| map_names.contains(&n)) {
+                    hit(idx + 1);
                 }
-                if consumed_at(ast, b.line) {
-                    continue;
-                }
-                let (Some(ba), Some(bb)) = (cfg.block_of(a.args.0), cfg.block_of(b.args.0)) else {
-                    continue;
-                };
-                if !cfg.reachable(ba) {
-                    continue;
-                }
-                if cfg.site_reaches_site((ba, a.args.0), (bb, b.args.0), &acquires) {
-                    hit(b.line);
+                from = at + pat.len();
+            }
+        }
+        // `for x in &map` / `for x in map`.
+        if let Some(pos) = code.find(" in ") {
+            if code.trim_start().starts_with("for ") {
+                let expr = code[pos + 4..].split('{').next().unwrap_or("").trim();
+                let expr = expr
+                    .trim_start_matches('&')
+                    .trim_start_matches("mut ")
+                    .trim();
+                let expr = strip_passthrough(expr);
+                if !expr.ends_with(')')
+                    && ident_ending_at(expr, expr.len()).is_some_and(|n| map_names.contains(&n))
+                {
+                    hit(idx + 1);
                 }
             }
         }
     }
 }
 
-/// D25: the function has a `simcore::timeout` deadline arm, but a
-/// blocking fabric/admin await is reachable from the entry on a path
-/// that never passes it — D11's guard holds on the measured path only.
-fn scan_d25(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let calls = ast.calls_in(f.body);
-        let timeouts: Vec<&ast::Call> = calls.iter().filter(|c| c.name == "timeout").collect();
-        if timeouts.is_empty() {
-            continue;
+/// D05: `.unwrap()`/`.expect(` on a line whose statement (a rolling
+/// window up to the last `;`/`{`/`}`) mentions a fabric/DMA call.
+fn scan_d05(ast: &Ast, hit: &mut dyn FnMut(usize)) {
+    let mut stmt = String::new();
+    for (idx, (code, _)) in ast.lines.iter().enumerate() {
+        stmt.push(' ');
+        stmt.push_str(code);
+        if (code.contains(".unwrap()") || code.contains(".expect("))
+            && D05_FABRIC.iter().any(|p| stmt.contains(p))
+        {
+            hit(idx + 1);
         }
-        let cfg = Cfg::build(ast, f);
-        let mut avoid = vec![false; cfg.blocks.len()];
-        for t in &timeouts {
-            if let Some(b) = cfg.block_of(t.args.0) {
-                avoid[b] = true;
-            }
-        }
-        for c in &calls {
-            if !D11_BLOCKING.iter().any(|b| c.name == *b) {
-                continue;
-            }
-            // Only awaited calls block; a closure value or fn pointer
-            // does not.
-            let awaited = ast.tokens.get(c.args.1 + 1).is_some_and(|t| t.punct('.'))
-                && ast.tokens.get(c.args.1 + 2).is_some_and(|t| t.is("await"));
-            if !awaited {
-                continue;
-            }
-            // Lexically inside a timeout's argument list: guarded.
-            if timeouts
-                .iter()
-                .any(|t| c.args.0 > t.args.0 && c.args.1 <= t.args.1)
-            {
-                continue;
-            }
-            let Some(cb) = cfg.block_of(c.args.0) else {
-                continue;
-            };
-            if !cfg.reachable(cb) {
-                continue;
-            }
-            // A timeout earlier in the await's own block guards every
-            // path that reaches it (blocks execute atomically); one
-            // later in the block does not, so the block itself must not
-            // be treated as avoided for the entry query.
-            if timeouts
-                .iter()
-                .any(|t| cfg.block_of(t.args.0) == Some(cb) && t.args.0 < c.args.0)
-            {
-                continue;
-            }
-            let mut path_avoid = avoid.clone();
-            path_avoid[cb] = false;
-            if cfg.entry_reaches_avoiding(cb, &path_avoid) {
-                hit(c.line);
-            }
+        if matches!(code.trim_end().chars().next_back(), Some(';' | '{' | '}')) {
+            stmt.clear();
         }
     }
 }
@@ -2051,43 +1504,475 @@ fn scan_d10(ast: &Ast, hit: &mut dyn FnMut(usize)) {
     }
 }
 
+// ---------------------------------------------------------------------
+// Submission-protocol rules (D08, D22, D24) and the other CFG rules
+// ---------------------------------------------------------------------
+
+/// The submission-protocol events of one function body, in the
+/// vocabulary shared by D08 (order), D22 (missed ring), and D24
+/// (repeated ring): doorbell rings, SQE stores, and explicit failure
+/// resolutions. Each event is `(token index, 1-based line)`; rings also
+/// carry their receiver, which D24 pairs sites by.
+///
+/// With `event_model` set (the explore fixture deck only — the oracle
+/// *matches* these names without emitting), `SqeWritten`/`SqDoorbell`
+/// struct literals count too: they are the simulated twin of a slot
+/// store and a doorbell write, which is what lets the seeded
+/// missed-doorbell fixture carry a D22 finding into the hypothesis
+/// bridge.
+struct SubmitEvents {
+    rings: Vec<(usize, usize, String)>,
+    stores: Vec<(usize, usize)>,
+    resolves: Vec<(usize, usize)>,
+}
+
+fn submit_events(facts: &FnFacts, event_model: bool) -> SubmitEvents {
+    let (ast, f) = (facts.ast, facts.f);
+    let mut ev = SubmitEvents {
+        rings: Vec::new(),
+        stores: Vec::new(),
+        resolves: Vec::new(),
+    };
+    for call in facts.calls() {
+        let is_write = D08_WRITES.iter().any(|w| call.name == *w);
+        if call.name == "ring"
+            || call.name == "ring_doorbell"
+            || (is_write && ast.any_ident_in(call.args, |id| id.contains("doorbell")))
+        {
+            let recv = call.receiver.clone().unwrap_or_default();
+            ev.rings.push((call.args.0, call.line, recv));
+        } else if (is_write && ast.any_ident_in(call.args, |id| id.contains("sqe")))
+            || (call.name == "push" && call.receiver.as_deref().is_some_and(|r| r.contains("sq")))
+        {
+            ev.stores.push((call.args.0, call.line));
+        } else if call.name == "fail" || call.name == "complete" {
+            ev.resolves.push((call.args.0, call.line));
+        }
+    }
+    for fa in ast.field_assigns_in(f.body) {
+        if fa.path.iter().any(|seg| seg.contains("sqe")) {
+            ev.stores.push((fa.at, fa.line));
+        }
+    }
+    if event_model {
+        for i in f.body.0..f.body.1 {
+            let t = &ast.tokens[i];
+            if t.kind == TokKind::Ident {
+                match t.text.as_str() {
+                    "SqeWritten" => ev.stores.push((i, t.line)),
+                    "SqDoorbell" => ev.rings.push((i, t.line, String::new())),
+                    _ => {}
+                }
+            }
+        }
+    }
+    ev.rings.sort_unstable();
+    ev.stores.sort_unstable();
+    ev.resolves.sort_unstable();
+    ev
+}
+
+/// D08: a doorbell ring followed by an SQE store in token order. Each
+/// late store pairs with the latest preceding ring — the hypothesis is
+/// `(ring, store)`, the finding sits on the store.
+fn scan_d08(facts: &FnFacts, event_model: bool, hit: SitePairHit) {
+    let ev = submit_events(facts, event_model);
+    for &(tok, line) in &ev.stores {
+        if let Some(ring) = ev.rings.iter().rev().find(|r| r.0 < tok) {
+            hit(line, ring.1, line);
+        }
+    }
+}
+
+/// Name of the innermost `fn` item whose body spans `line` — how an
+/// engine finding's hypothesis gets tied back to a runnable program
+/// (the explore fixture registry keys off function names).
+fn enclosing_fn_name(ast: &Ast, line: usize) -> Option<String> {
+    ast.functions
+        .iter()
+        .filter(|f| {
+            f.line <= line
+                && ast
+                    .tokens
+                    .get(
+                        f.body
+                            .1
+                            .saturating_sub(1)
+                            .min(ast.tokens.len().saturating_sub(1)),
+                    )
+                    .is_some_and(|t| t.line >= line)
+        })
+        .max_by_key(|f| f.line)
+        .map(|f| f.name.clone())
+}
+
+/// The block holding the end of the statement containing token `pos`.
+/// Path queries for "after this store/acquire landed" start here rather
+/// than at the site itself, so the site's own `?`-failure edge (nothing
+/// was written / nothing was acquired) is not mistaken for a path that
+/// skips the ring/retire.
+fn stmt_exit_block(ast: &Ast, cfg: &Cfg, pos: usize, body_end: usize) -> Option<usize> {
+    // `pos` may sit *inside* the site's argument list, so track depth
+    // from there and let it go negative while climbing out; the
+    // statement ends at the first `;`/`,` at or above the start level,
+    // or at an enclosing close brace.
+    let end = body_end.min(ast.tokens.len());
+    let mut depth = 0isize;
+    let mut q = pos;
+    for i in pos..end {
+        let t = &ast.tokens[i];
+        if t.punct('(') || t.punct('[') || t.punct('{') {
+            depth += 1;
+        } else if t.punct(')') || t.punct(']') {
+            depth -= 1;
+        } else if t.punct('}') {
+            if depth <= 0 {
+                // Close of an enclosing block: the statement cannot
+                // extend past it.
+                q = i;
+                break;
+            }
+            depth -= 1;
+        } else if (t.punct(';') || t.punct(',')) && depth <= 0 {
+            q = i;
+            break;
+        }
+        q = i;
+    }
+    (pos..=q).rev().find_map(|k| cfg.block_of(k))
+}
+
+/// D22: an SQE store in a function that also rings a doorbell, where
+/// some path from the store to the exit passes neither a ring nor an
+/// explicit failure resolution. Functions that never ring are not this
+/// rule's business (the ring may live in the caller). The hypothesis is
+/// `(store, paired ring)`: the first ring at or after the store, falling
+/// back to the first ring in the function.
+fn scan_d22(facts: &FnFacts, event_model: bool, hit: SitePairHit) {
+    let ev = submit_events(facts, event_model);
+    if ev.rings.is_empty() || ev.stores.is_empty() {
+        return;
+    }
+    let (ast, f, cfg) = (facts.ast, facts.f, facts.cfg());
+    // Positions that discharge a store: rings and resolutions.
+    let done: Vec<usize> = ev
+        .rings
+        .iter()
+        .map(|r| r.0)
+        .chain(ev.resolves.iter().map(|r| r.0))
+        .collect();
+    let mut avoid = vec![false; cfg.blocks.len()];
+    for &pos in &done {
+        if let Some(b) = cfg.block_of(pos) {
+            avoid[b] = true;
+        }
+    }
+    for &(pos, line) in &ev.stores {
+        let Some(sb) = cfg.block_of(pos) else {
+            continue;
+        };
+        if !cfg.reachable(sb) {
+            continue;
+        }
+        let start = stmt_exit_block(ast, cfg, pos, f.body.1).unwrap_or(sb);
+        // A ring or resolution later in the store's own block — or in
+        // the continuation block its `?` split off — covers the whole
+        // straight-line continuation: blocks execute atomically.
+        if done
+            .iter()
+            .any(|&r| r > pos && (cfg.block_of(r) == Some(sb) || cfg.block_of(r) == Some(start)))
+        {
+            continue;
+        }
+        if cfg.exit_reachable_avoiding(start, &avoid) {
+            let ring = ev
+                .rings
+                .iter()
+                .find(|r| r.0 > pos)
+                .or_else(|| ev.rings.first())
+                .map_or(line, |r| r.1);
+            hit(line, line, ring);
+        }
+    }
+}
+
+/// First identifier token inside a range (e.g. the leading argument of
+/// a call) — the coarse resource key D23 pairs acquires and retires by
+/// when there is no `let` binding to match on.
+fn first_ident_in(ast: &Ast, range: (usize, usize)) -> Option<&str> {
+    ast.tokens[range.0..range.1.min(ast.tokens.len())]
+        .iter()
+        .find(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+}
+
+/// D23: an acquire whose resource the function *does* retire on some
+/// path, but where an **error exit** (a `?` edge or a `return`
+/// mentioning `Err`) is reachable from the acquire without passing any
+/// retire of that same resource — the `?`/early-return leak. Pairing
+/// is by the acquire's `let` binding appearing in the retire's
+/// arguments, or (bindingless acquires like
+/// `smartio.acquire(device, …)?;`) by equal receiver and leading
+/// argument. Acquires with no paired retire at all are skipped
+/// (ownership moved into an RAII guard, a struct, or the caller), and
+/// success-path exits never count: returning the live resource is the
+/// point of the function.
+fn scan_d23(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, f) = (facts.ast, facts.f);
+    let named = |names: &[&str]| -> Vec<&ast::Call> {
+        let calls = facts.calls().iter();
+        calls.filter(|c| names.contains(&c.name.as_str())).collect()
+    };
+    let (acquires, retires) = (named(&D23_ACQUIRE), named(&D2X_RETIRE));
+    if acquires.is_empty() || retires.is_empty() {
+        return;
+    }
+    let cfg = facts.cfg();
+    // Error exits: every `?` (its block has an edge to exit at that
+    // position) and every `return` whose statement mentions `Err`.
+    let mut err_exits: Vec<usize> = Vec::new();
+    for i in f.body.0..f.body.1.min(ast.tokens.len()) {
+        let t = &ast.tokens[i];
+        if t.punct('?') {
+            err_exits.push(i);
+        } else if t.kind == TokKind::Ident && t.is("return") {
+            let e = dataflow::stmt_end(ast, i + 1, f.body.1);
+            if ast.any_ident_in((i, e), |id| id == "Err") {
+                err_exits.push(i);
+            }
+        }
+    }
+    for c in &acquires {
+        let Some(ab) = cfg.block_of(c.args.0) else {
+            continue;
+        };
+        if !cfg.reachable(ab) {
+            continue;
+        }
+        let binding = ast.binding_for(c.args.0);
+        let paired: Vec<&&ast::Call> = retires
+            .iter()
+            .filter(|r| match binding {
+                Some(b) => ast.any_ident_in(r.args, |id| id == b),
+                None => {
+                    r.receiver == c.receiver
+                        && first_ident_in(ast, r.args) == first_ident_in(ast, c.args)
+                }
+            })
+            .collect();
+        // Some paired retire must be reachable from the acquire:
+        // a resource this function never retires downstream is an
+        // ownership transfer, not a leak candidate.
+        if !paired.iter().any(|r| {
+            cfg.block_of(r.args.0)
+                .is_some_and(|rb| cfg.site_reaches_site((ab, c.args.0), (rb, r.args.0), &[]))
+        }) {
+            continue;
+        }
+        // Path query from the end of the acquire's own statement
+        // (its own `?`-failure acquired nothing) to each error
+        // exit, with the paired retires as blockers.
+        let q = dataflow::stmt_end(ast, c.args.1 + 1, f.body.1).min(f.body.1 - 1);
+        let Some(from_pos) = (c.args.0..=q).rev().find(|&k| cfg.block_of(k).is_some()) else {
+            continue;
+        };
+        let from_block = cfg.block_of(from_pos).unwrap_or(ab);
+        let blockers: Vec<usize> = paired.iter().map(|r| r.args.0).collect();
+        let leaks = err_exits.iter().any(|&e| {
+            e > from_pos
+                && cfg.block_of(e).is_some_and(|eb| {
+                    cfg.site_reaches_site((from_block, from_pos), (eb, e), &blockers)
+                })
+        });
+        if leaks {
+            hit(c.line);
+        }
+    }
+}
+
+/// Whether the statement on `line` consumes the call's result —
+/// asserted, branched on, or bound. A checked ring/retire is observing
+/// the protocol's defensive return; the D24 bug shape is the bare
+/// statement that ignores it.
+fn consumed_at(ast: &Ast, line: usize) -> bool {
+    ast.lines.get(line - 1).is_some_and(|(code, _)| {
+        let lt = code.trim_start();
+        code.contains("assert")
+            || lt.starts_with("if ")
+            || lt.starts_with("while ")
+            || lt.starts_with("match ")
+            || lt.starts_with("let ")
+    })
+}
+
+/// The textual identity of a call — receiver, name, and argument
+/// tokens — used by D24 to tell a deliberate second retire (different
+/// tag) from a double-complete of the same one.
+fn call_text(ast: &Ast, c: &ast::Call) -> String {
+    let mut s = c.receiver.clone().unwrap_or_default();
+    s.push('.');
+    s.push_str(&c.name);
+    for t in &ast.tokens[c.args.0..c.args.1] {
+        s.push_str(&t.text);
+    }
+    s
+}
+
+/// D24: a doorbell ring reachable from a ring (itself via a back edge,
+/// or another site) with no intervening SQE store or `timeout` re-arm;
+/// or a retire call reachable from a textually-identical retire with no
+/// intervening acquire. Both are single-path repeats — the static
+/// shadow of the lifecycle oracle's double-complete checks.
+fn scan_d24(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, calls) = (facts.ast, facts.calls());
+    if calls.is_empty() {
+        return;
+    }
+    let ev = submit_events(facts, false);
+    let cfg = facts.cfg();
+    // Whether site `to` (token, line) repeats site `from` along one path.
+    let repeats = |from: usize, to: (usize, usize), blockers: &[usize]| -> bool {
+        let (Some(b1), Some(b2)) = (cfg.block_of(from), cfg.block_of(to.0)) else {
+            return false;
+        };
+        !consumed_at(ast, to.1)
+            && cfg.reachable(b1)
+            && cfg.site_reaches_site((b1, from), (b2, to.0), blockers)
+    };
+    let positions = |names: &[&str]| -> Vec<usize> {
+        let named = calls.iter().filter(|c| names.contains(&c.name.as_str()));
+        named.map(|c| c.args.0).collect()
+    };
+    // (a) ring repeated: blockers are events that justify a new ring —
+    // an SQE store (new tail entry), a CQE pop (new head position),
+    // or a timeout re-arm (deadline re-ring). Sites pair only within
+    // one receiver — ringing two different queues back to back is
+    // two protocols, not a repeat.
+    let mut blockers: Vec<usize> = ev.stores.iter().map(|&(p, _)| p).collect();
+    blockers.extend(positions(&[
+        "timeout", "try_pop", "pop", "next", "drain", "recv",
+    ]));
+    for r1 in &ev.rings {
+        for r2 in &ev.rings {
+            if r1.2 == r2.2 && repeats(r1.0, (r2.0, r2.1), &blockers) {
+                hit(r2.1);
+            }
+        }
+    }
+    // (b) identical retire repeated: blockers are acquires.
+    let acquires = positions(&D23_ACQUIRE);
+    let retires: Vec<&ast::Call> = calls
+        .iter()
+        .filter(|c| D2X_RETIRE.contains(&c.name.as_str()))
+        .collect();
+    for a in &retires {
+        for b in &retires {
+            if a.args.0 != b.args.0
+                && call_text(ast, a) == call_text(ast, b)
+                && repeats(a.args.0, (b.args.0, b.line), &acquires)
+            {
+                hit(b.line);
+            }
+        }
+    }
+}
+
+/// D25: the function has a `simcore::timeout` deadline arm, but a
+/// blocking fabric/admin await is reachable from the entry on a path
+/// that never passes it — D11's guard holds on the measured path only.
+fn scan_d25(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, calls) = (facts.ast, facts.calls());
+    let timeouts: Vec<&ast::Call> = calls.iter().filter(|c| c.name == "timeout").collect();
+    if timeouts.is_empty() {
+        return;
+    }
+    let cfg = facts.cfg();
+    let mut avoid = vec![false; cfg.blocks.len()];
+    for t in &timeouts {
+        if let Some(b) = cfg.block_of(t.args.0) {
+            avoid[b] = true;
+        }
+    }
+    for c in calls {
+        if !D11_BLOCKING.iter().any(|b| c.name == *b) {
+            continue;
+        }
+        // Only awaited calls block; a closure value or fn pointer
+        // does not.
+        let awaited = ast.tokens.get(c.args.1 + 1).is_some_and(|t| t.punct('.'))
+            && ast.tokens.get(c.args.1 + 2).is_some_and(|t| t.is("await"));
+        if !awaited {
+            continue;
+        }
+        // Lexically inside a timeout's argument list: guarded.
+        if timeouts
+            .iter()
+            .any(|t| c.args.0 > t.args.0 && c.args.1 <= t.args.1)
+        {
+            continue;
+        }
+        let Some(cb) = cfg.block_of(c.args.0) else {
+            continue;
+        };
+        if !cfg.reachable(cb) {
+            continue;
+        }
+        // A timeout earlier in the await's own block guards every
+        // path that reaches it (blocks execute atomically); one
+        // later in the block does not, so the block itself must not
+        // be treated as avoided for the entry query.
+        if timeouts
+            .iter()
+            .any(|t| cfg.block_of(t.args.0) == Some(cb) && t.args.0 < c.args.0)
+        {
+            continue;
+        }
+        let mut path_avoid = avoid.clone();
+        path_avoid[cb] = false;
+        if cfg.entry_reaches_avoiding(cb, &path_avoid) {
+            hit(c.line);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Dataflow rules (D12–D16)
+// ---------------------------------------------------------------------
+
 /// D12: per function, flag a raw `as_u64()` product reaching a
 /// fabric/DMA/doorbell sink — directly in the argument list, or through
 /// a `Raw`-tainted def-use chain — unless a domain constructor wraps it
 /// inside the same call.
-fn scan_d12(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let du = dataflow::def_use(ast, f.body);
-        let vals = dataflow::eval_fn(ast, f, &du, &[]);
-        for call in ast.calls_in(f.body) {
-            if !D12_SINKS.contains(&call.name.as_str()) {
+fn scan_d12(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, du, vals) = (facts.ast, facts.du(), facts.vals());
+    for call in facts.calls() {
+        if !D12_SINKS.contains(&call.name.as_str()) {
+            continue;
+        }
+        let (a, b) = (call.args.0, call.args.1.min(ast.tokens.len()));
+        let mut direct = None;
+        let mut wrapped = false;
+        for k in a..b {
+            let t = &ast.tokens[k];
+            if t.kind != TokKind::Ident {
                 continue;
             }
-            let (a, b) = (call.args.0, call.args.1.min(ast.tokens.len()));
-            let mut direct = None;
-            let mut wrapped = false;
-            for k in a..b {
-                let t = &ast.tokens[k];
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                if t.is("as_u64") && k > 0 && ast.tokens[k - 1].punct('.') {
-                    direct = Some(t.line);
-                }
-                if matches!(t.text.as_str(), "PhysAddr" | "DomainAddr" | "MemRegion") {
-                    wrapped = true;
-                }
+            if t.is("as_u64") && k > 0 && ast.tokens[k - 1].punct('.') {
+                direct = Some(t.line);
             }
-            if wrapped {
-                continue; // re-wrapped at the sink boundary: the typed path
+            if matches!(t.text.as_str(), "PhysAddr" | "DomainAddr" | "MemRegion") {
+                wrapped = true;
             }
-            if let Some(line) = direct {
-                hit(line);
-            }
-            for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
-                if let dataflow::Taint::Raw(_) = vals[u.def].taint {
-                    hit(u.line);
-                }
+        }
+        if wrapped {
+            continue; // re-wrapped at the sink boundary: the typed path
+        }
+        if let Some(line) = direct {
+            hit(line);
+        }
+        for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
+            if let dataflow::Taint::Raw(_) = vals[u.def].taint {
+                hit(u.line);
             }
         }
     }
@@ -2098,42 +1983,38 @@ fn scan_d12(ast: &Ast, hit: &mut dyn FnMut(usize)) {
 /// constructor host for `contains`/`slice`, the first (domain) argument
 /// for the fabric accessors — with no NTB translation call between the
 /// def and the use.
-fn scan_d13(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let du = dataflow::def_use(ast, f.body);
-        let vals = dataflow::eval_fn(ast, f, &du, &[]);
-        let calls = ast.calls_in(f.body);
-        let translations: Vec<usize> = calls
-            .iter()
-            .filter(|c| dataflow::TRANSLATORS.contains(&c.name.as_str()))
-            .map(|c| c.args.0)
-            .collect();
-        for call in &calls {
-            let ctx = if D13_FABRIC_SINKS.contains(&call.name.as_str()) {
-                dataflow::first_arg_path(ast, call.args.0 - 1)
-            } else if D13_REGION_SINKS.contains(&call.name.as_str()) {
-                call.receiver.as_ref().and_then(|r| {
-                    du.defs
-                        .iter()
-                        .enumerate()
-                        .rfind(|(_, d)| &d.name == r && d.at < call.args.0)
-                        .and_then(|(i, _)| vals[i].host.clone())
-                })
-            } else {
-                None
-            };
-            let Some(ctx) = ctx else { continue };
-            let (a, b) = (call.args.0, call.args.1.min(ast.tokens.len()));
-            for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
-                let Some(h) = &vals[u.def].host else { continue };
-                if *h == ctx {
-                    continue;
-                }
-                let def_at = du.defs[u.def].at;
-                let translated = translations.iter().any(|&t| def_at < t && t < u.at);
-                if !translated {
-                    hit(u.line);
-                }
+fn scan_d13(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, du, vals, calls) = (facts.ast, facts.du(), facts.vals(), facts.calls());
+    let translations: Vec<usize> = calls
+        .iter()
+        .filter(|c| dataflow::TRANSLATORS.contains(&c.name.as_str()))
+        .map(|c| c.args.0)
+        .collect();
+    for call in calls {
+        let ctx = if D13_FABRIC_SINKS.contains(&call.name.as_str()) {
+            dataflow::first_arg_path(ast, call.args.0 - 1)
+        } else if D13_REGION_SINKS.contains(&call.name.as_str()) {
+            call.receiver.as_ref().and_then(|r| {
+                du.defs
+                    .iter()
+                    .enumerate()
+                    .rfind(|(_, d)| &d.name == r && d.at < call.args.0)
+                    .and_then(|(i, _)| vals[i].host.clone())
+            })
+        } else {
+            None
+        };
+        let Some(ctx) = ctx else { continue };
+        let (a, b) = (call.args.0, call.args.1.min(ast.tokens.len()));
+        for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
+            let Some(h) = &vals[u.def].host else { continue };
+            if *h == ctx {
+                continue;
+            }
+            let def_at = du.defs[u.def].at;
+            let translated = translations.iter().any(|&t| def_at < t && t < u.at);
+            if !translated {
+                hit(u.line);
             }
         }
     }
@@ -2143,61 +2024,53 @@ fn scan_d13(ast: &Ast, hit: &mut dyn FnMut(usize)) {
 /// reads, in a function that later frees/retires a buffer: the retire
 /// decision ignored the command's outcome. `_`-named/prefixed bindings
 /// are a deliberate discard and stay silent.
-fn scan_d14(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let du = dataflow::def_use(ast, f.body);
-        let vals = dataflow::eval_fn(ast, f, &du, &[]);
-        let calls = ast.calls_in(f.body);
-        for (di, d) in du.defs.iter().enumerate() {
-            if !vals[di].status || d.name.starts_with('_') {
-                continue;
-            }
-            if du.uses_of(di).next().is_some() {
-                continue;
-            }
-            let retired_later = calls
-                .iter()
-                .any(|c| D14_RETIRE.contains(&c.name.as_str()) && c.args.0 > d.expr.1);
-            if retired_later {
-                hit(d.line);
-            }
+fn scan_d14(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (du, vals) = (facts.du(), facts.vals());
+    for (di, d) in du.defs.iter().enumerate() {
+        if !vals[di].status || d.name.starts_with('_') {
+            continue;
+        }
+        if du.uses_of(di).next().is_some() {
+            continue;
+        }
+        let retired_later = facts
+            .calls()
+            .iter()
+            .any(|c| D14_RETIRE.contains(&c.name.as_str()) && c.args.0 > d.expr.1);
+        if retired_later {
+            hit(d.line);
         }
     }
 }
 
 /// D15: a `recv.slice(off, len)` whose receiver's literal region length
 /// is known and whose `off`/`len` constant intervals can exceed it.
-fn scan_d15(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    let consts = dataflow::const_env(ast);
-    for f in &ast.functions {
-        let du = dataflow::def_use(ast, f.body);
-        let vals = dataflow::eval_fn(ast, f, &du, &consts);
-        for call in ast.calls_in(f.body) {
-            if call.name != "slice" {
-                continue;
-            }
-            let Some(recv) = &call.receiver else { continue };
-            let Some((ri, _)) = du
-                .defs
-                .iter()
-                .enumerate()
-                .rfind(|(_, d)| &d.name == recv && d.at < call.args.0)
-            else {
-                continue;
-            };
-            let Some(limit) = vals[ri].region_len else {
-                continue;
-            };
-            let args = dataflow::split_args(ast, call.args);
-            if args.len() != 2 {
-                continue;
-            }
-            let off = dataflow::range_of(ast, &du, &vals, args[0], &consts);
-            let len = dataflow::range_of(ast, &du, &vals, args[1], &consts);
-            if let (Some(off), Some(len)) = (off, len) {
-                if off.1.saturating_add(len.1) > limit {
-                    hit(call.line);
-                }
+fn scan_d15(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, du, vals) = (facts.ast, facts.du(), facts.vals());
+    for call in facts.calls() {
+        if call.name != "slice" {
+            continue;
+        }
+        let Some(recv) = &call.receiver else { continue };
+        let Some((ri, _)) = du
+            .defs
+            .iter()
+            .enumerate()
+            .rfind(|(_, d)| &d.name == recv && d.at < call.args.0)
+        else {
+            continue;
+        };
+        let Some(limit) = vals[ri].region_len else {
+            continue;
+        };
+        let args = dataflow::split_args(ast, call.args);
+        if args.len() != 2 {
+            continue;
+        }
+        let range = |arg| dataflow::eval_range(ast, du, vals, arg, facts.consts);
+        if let (Some(off), Some(len)) = (range(args[0]), range(args[1])) {
+            if off.1.saturating_add(len.1) > limit {
+                hit(call.line);
             }
         }
     }
@@ -2209,26 +2082,23 @@ fn scan_d15(ast: &Ast, hit: &mut dyn FnMut(usize)) {
 /// same-name rebind releases it, else the end of the body (Rust drops
 /// at end of scope). A bare `let _ = …` drops immediately and is
 /// exempt.
-fn scan_d16(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    for f in &ast.functions {
-        let du = dataflow::def_use(ast, f.body);
-        let vals = dataflow::eval_fn(ast, f, &du, &[]);
-        for (di, d) in du.defs.iter().enumerate() {
-            if !vals[di].guard {
-                continue;
-            }
-            let live_end = dataflow::live_end(&du, di, f.body.1);
-            let awaited = (d.expr.1..live_end.min(ast.tokens.len()))
-                .any(|k| ast.tokens[k].is("await") && k > 0 && ast.tokens[k - 1].punct('.'));
-            if awaited {
-                hit(d.line);
-            }
+fn scan_d16(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
+    let (ast, f, du, vals) = (facts.ast, facts.f, facts.du(), facts.vals());
+    for (di, d) in du.defs.iter().enumerate() {
+        if !vals[di].guard {
+            continue;
+        }
+        let live_end = dataflow::live_end(du, di, f.body.1);
+        let awaited = (d.expr.1..live_end.min(ast.tokens.len()))
+            .any(|k| ast.tokens[k].is("await") && k > 0 && ast.tokens[k - 1].punct('.'));
+        if awaited {
+            hit(d.line);
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Workspace walking
+// Workspace scans
 // ---------------------------------------------------------------------
 
 /// The workspace root this crate was built from.
@@ -2261,72 +2131,38 @@ fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// Every `.rs` source under `crates/` and `tests/` as
+/// `(workspace-relative path with forward slashes, text)`, in walk order.
+fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut paths = Vec::new();
+    for top in ["crates", "tests"] {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            collect_sources(&dir, &mut paths)?;
+        }
+    }
+    let mut files = Vec::new();
+    for path in paths {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/");
+        files.push((rel, fs::read_to_string(&path)?));
+    }
+    Ok(files)
+}
+
 /// Counters from a workspace scan, for the `BENCH_lint.json`
 /// self-benchmark.
 #[derive(Copy, Clone, Debug)]
 pub struct ScanStats {
-    /// Files that entered the scan (had at least one applicable rule).
+    /// Source files the workspace walk visited.
     pub files: usize,
     /// Function summaries the interprocedural engine computed.
     pub summaries: usize,
-}
-
-/// Where the per-file fact cache lives (under `target/`, so `cargo
-/// clean` clears it and it never enters version control). The cache
-/// only affects speed — a stale, torn, or missing file re-extracts.
-/// Public so `--bench` can delete it to time a cold scan.
-pub fn summary_cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("dnvme-lint.summaries")
-}
-
-/// Scan a set of sources as one program: per-file line and
-/// intraprocedural rules plus one whole-program interprocedural pass
-/// whose findings are distributed back to their files (through the same
-/// `lint:allow` accounting). Findings come back sorted by
-/// `(path, line, rule)`.
-fn scan_files_with_engine(
-    inputs: &[(String, String, Vec<Rule>)],
-    cache: Option<&Path>,
-) -> (Vec<Finding>, ScanStats) {
-    let file_inputs: Vec<interproc::FileInput> = inputs
-        .iter()
-        .map(|(rel, text, rules)| interproc::FileInput {
-            rel,
-            text,
-            rules: rules.clone(),
-        })
-        .collect();
-    let prog = interproc::Program::build(&file_inputs, cache);
-    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in program_findings(&prog) {
-        by_file.entry(f.path.clone()).or_default().push(f);
-    }
-    let mut findings = Vec::new();
-    for (rel, text, rules) in inputs {
-        let extra = by_file.remove(rel.as_str()).unwrap_or_default();
-        findings.extend(scan_source_inner(rel, text, rules, Some(extra)).findings);
-    }
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.code()).cmp(&(b.path.as_str(), b.line, b.rule.code()))
-    });
-    (
-        findings,
-        ScanStats {
-            files: inputs.len(),
-            summaries: prog.summary_count,
-        },
-    )
-}
-
-/// Multi-file twin of [`scan_source`]: scan in-memory sources as one
-/// program, so fixtures can exercise findings that only exist through
-/// cross-file call chains (helper summaries, trait-impl dispatch).
-pub fn scan_sources(files: &[(&str, &str, Vec<Rule>)]) -> Vec<Finding> {
-    let inputs: Vec<(String, String, Vec<Rule>)> = files
-        .iter()
-        .map(|(rel, text, rules)| (rel.to_string(), text.to_string(), rules.clone()))
-        .collect();
-    scan_files_with_engine(&inputs, None).0
 }
 
 /// Scan every workspace source under `crates/` and `tests/`, applying the
@@ -2335,200 +2171,30 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     scan_workspace_stats(root).map(|(f, _)| f)
 }
 
-/// [`scan_workspace`] plus the scan counters, with the per-file fact
-/// cache engaged.
+/// [`scan_workspace`] plus the scan counters. Allowlisted rules are
+/// switched off before the scan, and a file left with none is skipped.
 pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Finding>, ScanStats)> {
     let config = Config::load(root);
-    let mut files = Vec::new();
-    for top in ["crates", "tests"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_sources(&dir, &mut files)?;
-        }
-    }
-    let mut inputs = Vec::new();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let rules: Vec<Rule> = rules_for(&rel)
-            .into_iter()
-            .filter(|r| !config.allows(*r, &rel))
-            .collect();
-        if rules.is_empty() {
-            continue;
-        }
-        let text = fs::read_to_string(&path)?;
-        inputs.push((rel, text, rules));
-    }
-    let cache = summary_cache_path(root);
-    Ok(scan_files_with_engine(&inputs, Some(&cache)))
+    let files = workspace_files(root)?;
+    let inputs: Vec<(&str, &str, Vec<Rule>)> = files
+        .iter()
+        .map(|(rel, text)| {
+            let mut rules = rules_for(rel);
+            rules.retain(|r| !config.allows(*r, rel));
+            (rel.as_str(), text.as_str(), rules)
+        })
+        .filter(|(_, _, rules)| !rules.is_empty())
+        .collect();
+    let (scans, summaries) = scan_program(&inputs);
+    let stats = ScanStats {
+        files: files.len(),
+        summaries,
+    };
+    Ok((merge_findings(scans), stats))
 }
 
 // ---------------------------------------------------------------------
-// Static→dynamic hypothesis bridge
-// ---------------------------------------------------------------------
-
-/// One ordering hypothesis behind a D08/D19/D20/D22-class finding: a
-/// pair of sites whose relative order the finding claims can go wrong.
-/// `dnvme-lint --emit-hypotheses` exports these; `dnvme-explore
-/// --hints` perturbs exactly these pairs and reports each hypothesis
-/// confirmed (with a replay token) or refuted — a refuted hypothesis is
-/// a machine-checked FP annotation instead of a hand-written allowlist
-/// entry.
-#[derive(Clone, Debug)]
-pub struct Hypothesis {
-    pub id: String,
-    pub rule: String,
-    /// Choice-point domain the explorer should perturb: "doorbell"
-    /// (D08/D22), "lock" (D19), "channel" (D20).
-    pub class: String,
-    /// `(workspace-relative path, 1-based line)`.
-    pub site_a: (String, usize),
-    pub site_b: (String, usize),
-    /// The `fn` item holding `site_a` — the key `dnvme-explore --hints`
-    /// uses to pick a runnable program for the hypothesis.
-    pub site_fn: String,
-    /// The finding is suppressed in source (`lint:allow` or an
-    /// `analyzer.toml` entry). A suppression on an ordering rule is a
-    /// claim, and claims get checked — suppressed hypotheses are
-    /// exported too, so the explorer can confirm or refute them.
-    pub suppressed: bool,
-}
-
-/// Collect the ordering hypotheses for the whole workspace: D08/D22
-/// site pairs re-derived per file (so suppressed findings surface with
-/// `suppressed: true`), plus the surviving D19/D20 engine findings with
-/// their first related hop as the partner site.
-pub fn collect_hypotheses(root: &Path) -> io::Result<Vec<Hypothesis>> {
-    let config = Config::load(root);
-    let mut hyps: Vec<Hypothesis> = Vec::new();
-    for f in scan_workspace(root)? {
-        let class = match f.rule {
-            Rule::D19 => "lock",
-            Rule::D20 => "channel",
-            _ => continue,
-        };
-        let (bp, bl) = f
-            .related
-            .first()
-            .map(|r| (r.path.clone(), r.line))
-            .unwrap_or((f.path.clone(), f.line));
-        let site_fn = fs::read_to_string(root.join(&f.path))
-            .ok()
-            .and_then(|text| enclosing_fn_name(&Ast::parse(&text), f.line))
-            .unwrap_or_default();
-        hyps.push(Hypothesis {
-            id: String::new(),
-            rule: f.rule.code().to_string(),
-            class: class.to_string(),
-            site_a: (f.path, f.line),
-            site_b: (bp, bl),
-            site_fn,
-            suppressed: false,
-        });
-    }
-    let mut files = Vec::new();
-    for top in ["crates", "tests"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_sources(&dir, &mut files)?;
-        }
-    }
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let rules = rules_for(&rel);
-        let want_d08 = rules.contains(&Rule::D08);
-        let want_d22 = rules.contains(&Rule::D22);
-        if !want_d08 && !want_d22 {
-            continue;
-        }
-        let text = fs::read_to_string(&path)?;
-        let ast = Ast::parse(&text);
-        let allowed = |line: usize, rule: Rule| -> bool {
-            config.allows(rule, &rel)
-                || [line, line.saturating_sub(1)].iter().any(|&l| {
-                    l >= 1
-                        && ast.lines.get(l - 1).is_some_and(|(_, c)| {
-                            c.contains(&format!("lint:allow({}", rule.code()))
-                        })
-                })
-        };
-        let event_model = D22_EXTRA_SCOPE.iter().any(|p| rel.starts_with(p));
-        if want_d08 {
-            for (fn_name, ring_line, store_line) in d08_pairs(&ast, event_model) {
-                hyps.push(Hypothesis {
-                    id: String::new(),
-                    rule: "D08".to_string(),
-                    class: "doorbell".to_string(),
-                    site_a: (rel.clone(), ring_line),
-                    site_b: (rel.clone(), store_line),
-                    site_fn: fn_name,
-                    suppressed: allowed(store_line, Rule::D08),
-                });
-            }
-        }
-        if want_d22 {
-            for f in &ast.functions {
-                for (store_line, ring_line) in d22_missed(&ast, f, event_model) {
-                    hyps.push(Hypothesis {
-                        id: String::new(),
-                        rule: "D22".to_string(),
-                        class: "doorbell".to_string(),
-                        site_a: (rel.clone(), store_line),
-                        site_b: (rel.clone(), ring_line),
-                        site_fn: f.name.clone(),
-                        suppressed: allowed(store_line, Rule::D22),
-                    });
-                }
-            }
-        }
-    }
-    for (i, h) in hyps.iter_mut().enumerate() {
-        h.id = format!("H{}", i + 1);
-    }
-    Ok(hyps)
-}
-
-/// Serialize hypotheses as the `--emit-hypotheses` JSON artifact.
-pub fn hypotheses_json(hyps: &[Hypothesis]) -> String {
-    let mut s = String::from("{\n  \"version\": 1,\n  \"hypotheses\": [");
-    for (i, h) in hyps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"id\": \"{}\", \"rule\": \"{}\", \"class\": \"{}\", \"suppressed\": {}, \
-             \"site_fn\": \"{}\", \
-             \"site_a\": {{\"path\": \"{}\", \"line\": {}}}, \
-             \"site_b\": {{\"path\": \"{}\", \"line\": {}}}}}",
-            json_escape(&h.id),
-            json_escape(&h.rule),
-            json_escape(&h.class),
-            h.suppressed,
-            json_escape(&h.site_fn),
-            json_escape(&h.site_a.0),
-            h.site_a.1,
-            json_escape(&h.site_b.0),
-            h.site_b.1,
-        ));
-    }
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-// ---------------------------------------------------------------------
-// Strict-allow mode
+// Strict-allow mode and the static→dynamic hypothesis bridge
 // ---------------------------------------------------------------------
 
 /// One `--strict-allow` diagnostic: a suppression mechanism that hides
@@ -2566,11 +2232,43 @@ impl AllowFinding {
     }
 }
 
-/// The outcome of a `--strict-allow` scan: the ordinary findings plus
-/// every unused `lint:allow` comment and dead `analyzer.toml` entry.
+/// One ordering hypothesis behind a D08/D19/D20/D22-class finding: a
+/// pair of sites whose relative order the finding claims can go wrong.
+/// `dnvme-lint --emit-hypotheses` exports these; `dnvme-explore
+/// --hints` perturbs exactly these pairs and reports each hypothesis
+/// confirmed (with a replay token) or refuted — a refuted hypothesis is
+/// a machine-checked FP annotation instead of a hand-written allowlist
+/// entry.
+#[derive(Clone, Debug)]
+pub struct Hypothesis {
+    pub id: String,
+    pub rule: String,
+    /// Choice-point domain the explorer should perturb: "doorbell"
+    /// (D08/D22), "lock" (D19), "channel" (D20).
+    pub class: String,
+    /// `(workspace-relative path, 1-based line)`.
+    pub site_a: (String, usize),
+    pub site_b: (String, usize),
+    /// The `fn` item holding `site_a` — the key `dnvme-explore --hints`
+    /// uses to pick a runnable program for the hypothesis.
+    pub site_fn: String,
+    /// The finding is suppressed in source (`lint:allow` or an
+    /// `analyzer.toml` entry). A suppression on an ordering rule is a
+    /// claim, and claims get checked — suppressed hypotheses are
+    /// exported too, so the explorer can confirm or refute them.
+    pub suppressed: bool,
+}
+
+/// The outcome of a strict scan: the ordinary findings, every unused
+/// `lint:allow` comment and dead `analyzer.toml` entry, and the
+/// ordering hypotheses behind the scan's D08/D19/D20/D22 sites.
 pub struct StrictReport {
     pub findings: Vec<Finding>,
     pub unused: Vec<AllowFinding>,
+    /// Surviving D19/D20 findings (workspace order) first, then each
+    /// file's D08 and D22 site pairs — suppressed ones included, as
+    /// classified by the scan's own suppression accounting.
+    pub hypotheses: Vec<Hypothesis>,
 }
 
 /// Strict scan over in-memory `(path, text)` sources. Every file is
@@ -2579,36 +2277,15 @@ pub struct StrictReport {
 /// allowlist rot (a glob whose offending code was fixed or moved) is
 /// flagged the moment it happens.
 pub fn strict_scan_files(config: &Config, files: &[(String, String)]) -> StrictReport {
-    strict_scan_files_cached(config, files, None)
-}
-
-fn strict_scan_files_cached(
-    config: &Config,
-    files: &[(String, String)],
-    cache: Option<&Path>,
-) -> StrictReport {
-    // One whole-program engine pass; each file then merges its share
-    // through the strict per-file scan. Fact extraction is
-    // rule-independent, so the cache is shared with [`scan_workspace`].
-    let file_inputs: Vec<interproc::FileInput> = files
+    let inputs: Vec<(&str, &str, Vec<Rule>)> = files
         .iter()
-        .map(|(rel, text)| interproc::FileInput {
-            rel,
-            text,
-            rules: rules_for(rel),
-        })
+        .map(|(rel, text)| (rel.as_str(), text.as_str(), rules_for(rel)))
         .collect();
-    let prog = interproc::Program::build(&file_inputs, cache);
-    let mut by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in program_findings(&prog) {
-        by_file.entry(f.path.clone()).or_default().push(f);
-    }
     let mut used_entries = vec![false; config.allow.len()];
     let mut findings = Vec::new();
     let mut unused = Vec::new();
-    for (rel, text) in files {
-        let extra = by_file.remove(rel.as_str()).unwrap_or_default();
-        let scan = scan_source_inner(rel, text, &rules_for(rel), Some(extra));
+    let mut hypotheses = Vec::new();
+    for ((rel, _), scan) in files.iter().zip(scan_program(&inputs).0) {
         for (line, code) in scan.unused_allows {
             unused.push(AllowFinding {
                 path: rel.clone(),
@@ -2628,6 +2305,21 @@ fn strict_scan_files_cached(
                 findings.push(f);
             }
         }
+        for s in scan.sites {
+            let allowlisted = config.allows(s.rule, rel);
+            if allowlisted && s.class != "doorbell" {
+                continue; // engine hypotheses export surviving findings only
+            }
+            hypotheses.push(Hypothesis {
+                id: String::new(),
+                rule: s.rule.code().to_string(),
+                class: s.class.to_string(),
+                site_a: (rel.clone(), s.a),
+                site_b: s.b,
+                site_fn: s.site_fn,
+                suppressed: s.suppressed || allowlisted,
+            });
+        }
     }
     for (i, (k, p)) in config.allow.iter().enumerate() {
         if !used_entries[i] {
@@ -2638,51 +2330,124 @@ fn strict_scan_files_cached(
             });
         }
     }
-    StrictReport { findings, unused }
+    // Engine hypotheses first; the sort is stable, so walk order holds.
+    hypotheses.sort_by_key(|h| h.class == "doorbell");
+    for (i, h) in hypotheses.iter_mut().enumerate() {
+        h.id = format!("H{}", i + 1);
+    }
+    StrictReport {
+        findings,
+        unused,
+        hypotheses,
+    }
 }
 
 /// [`strict_scan_files`] over the workspace tree (same walk as
 /// [`scan_workspace`]).
 pub fn scan_workspace_strict(root: &Path) -> io::Result<StrictReport> {
-    let config = Config::load(root);
-    let mut paths = Vec::new();
-    for top in ["crates", "tests"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_sources(&dir, &mut paths)?;
-        }
-    }
-    let mut files = Vec::new();
-    for path in paths {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        files.push((rel, fs::read_to_string(&path)?));
-    }
-    let cache = summary_cache_path(root);
-    Ok(strict_scan_files_cached(&config, &files, Some(&cache)))
+    Ok(strict_scan_files(
+        &Config::load(root),
+        &workspace_files(root)?,
+    ))
 }
 
-/// How many source files the workspace walk visits (the denominator of
-/// the `BENCH_lint.json` self-benchmark).
-pub fn workspace_source_count(root: &Path) -> io::Result<usize> {
-    let mut paths = Vec::new();
-    for top in ["crates", "tests"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_sources(&dir, &mut paths)?;
+/// The ordering hypotheses for the whole workspace
+/// ([`StrictReport::hypotheses`]).
+pub fn collect_hypotheses(root: &Path) -> io::Result<Vec<Hypothesis>> {
+    Ok(scan_workspace_strict(root)?.hypotheses)
+}
+
+/// Serialize hypotheses as the `--emit-hypotheses` JSON artifact.
+pub fn hypotheses_json(hyps: &[Hypothesis]) -> String {
+    let mut s = String::from("{\n  \"version\": 1,\n  \"hypotheses\": [");
+    for (i, h) in hyps.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
         }
+        s.push_str(&format!(
+            "\n    {{\"id\": \"{}\", \"rule\": \"{}\", \"class\": \"{}\", \"suppressed\": {}, \
+             \"site_fn\": \"{}\", \
+             \"site_a\": {{\"path\": \"{}\", \"line\": {}}}, \
+             \"site_b\": {{\"path\": \"{}\", \"line\": {}}}}}",
+            json_escape(&h.id),
+            json_escape(&h.rule),
+            json_escape(&h.class),
+            h.suppressed,
+            json_escape(&h.site_fn),
+            json_escape(&h.site_a.0),
+            h.site_a.1,
+            json_escape(&h.site_b.0),
+            h.site_b.1,
+        ));
     }
-    Ok(paths.len())
+    s.push_str("\n  ]\n}\n");
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    thread_local! {
+        /// How often this thread built each analysis product
+        /// ("parse", "cfg", "def_use", "eval").
+        static BUILDS: RefCell<BTreeMap<&'static str, usize>> = RefCell::default();
+    }
+
+    pub(crate) fn count(what: &'static str) {
+        BUILDS.with(|b| *b.borrow_mut().entry(what).or_default() += 1);
+    }
+
+    /// One parse per file and one fact set per function: a scan with
+    /// every rule on (engine extraction plus D08/D12–D16/D22–D25 all
+    /// reading the facts) builds each product exactly once.
+    #[test]
+    fn scan_parses_each_file_once_and_builds_facts_once_per_function() {
+        let a = "async fn submit(&self, qp: &Qp, sqe: Sqe) -> Result<()> {\n    \
+                 let g = self.state.borrow_mut();\n    qp.sq.push(sqe)?;\n    \
+                 if g.paused { return Ok(()); }\n    helper(qp.base.as_u64());\n    \
+                 simcore::timeout(d, qp.sq.ring()).await?;\n    Ok(())\n}\n\
+                 fn helper(raw: u64) { fabric.dma_write(raw, 0, 8); }\n";
+        let b = "fn poll(&self) { let r = MemRegion::new(h, PhysAddr(0), 64); r.slice(0, 128); }\n";
+        let all: Vec<Rule> = RULES.iter().map(|r| r.rule).collect();
+        BUILDS.with(|b| b.borrow_mut().clear());
+        let findings = scan_sources(&[
+            ("crates/core/src/a.rs", a, all.clone()),
+            ("crates/core/src/b.rs", b, all),
+        ]);
+        assert!(!findings.is_empty());
+        let builds = BUILDS.with(|b| b.borrow().clone());
+        assert_eq!(builds["parse"], 2, "{builds:?}");
+        for product in ["cfg", "def_use", "eval"] {
+            assert_eq!(builds[product], 3, "three functions: {builds:?}");
+        }
+    }
+
+    /// The table is indexed by `rule as usize`, and the README's rule
+    /// table and `--explain` cover exactly its rows.
+    #[test]
+    fn rule_table_readme_and_explain_agree() {
+        for (i, r) in RULES.iter().enumerate() {
+            assert_eq!(r.rule as usize, i);
+            assert_eq!(r.code, format!("{:?}", r.rule));
+            assert!(!r.run.is_empty() && !r.summary.is_empty());
+        }
+        let readme = fs::read_to_string(workspace_root().join("README.md")).expect("README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| D"))
+            .filter_map(|l| l.split(" |").next())
+            .collect();
+        let codes: Vec<&str> = RULES.iter().map(|r| &r.code[1..]).collect();
+        assert_eq!(rows, codes, "README rule table drifted from RULES");
+        for row in rows {
+            let text = explain(&format!("d{row}")).expect("--explain covers every README row");
+            assert!(text.starts_with(&format!("D{row} — ")), "{text}");
+        }
+        assert!(explain("D26").is_none());
+    }
 
     /// Tier-1 gate: the workspace must be lint-clean.
     #[test]
@@ -2819,8 +2584,8 @@ mod tests {
         assert!(sarif.contains("\"uri\":\"crates/fixture/src/lib.rs\""));
         assert!(sarif.contains("\"startLine\":1"));
         // Every rule is declared, and the excerpt's quotes are escaped.
-        for r in ALL_RULES {
-            assert!(sarif.contains(&format!("\"id\":\"{}\"", r.code())));
+        for r in &RULES {
+            assert!(sarif.contains(&format!("\"id\":\"{}\"", r.code)));
         }
         assert!(sarif.contains("\\\"now\\\""));
         // Balanced braces/brackets outside strings — a cheap syntactic

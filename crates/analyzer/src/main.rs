@@ -1,6 +1,7 @@
 //! `dnvme-lint`: run the determinism/protocol lint pass over the
-//! workspace and exit non-zero on findings. See the library docs for the
-//! rule list; `analyzer.toml` at the workspace root holds the allowlist.
+//! workspace and exit non-zero on findings. The rules are the rows of
+//! `analyzer::RULES`; `analyzer.toml` at the workspace root holds the
+//! allowlist.
 //!
 //! `--format github` switches the report to GitHub Actions annotation
 //! lines (`::error file=…,line=…::…`) so findings surface inline on PRs.
@@ -9,9 +10,10 @@
 //! `--strict-allow` (on in CI) additionally fails on suppressions that
 //! suppress nothing: stale `lint:allow` comments and dead `analyzer.toml`
 //! allowlist entries.
-//! `--bench` re-runs the scan under a wall-clock timer and rewrites
-//! `BENCH_lint.json` at the workspace root; CI diffs the committed copy
-//! (ignoring `wall_ms`) so rule-count and finding-count drift is loud.
+//! `--bench` re-runs the scan once more under a wall-clock timer and
+//! rewrites `BENCH_lint.json` at the workspace root; CI diffs the
+//! committed copy (ignoring `wall_ms`) so rule-count and finding-count
+//! drift is loud.
 //! `--explain <rule>` prints one rule's long-form documentation (what it
 //! flags, why, a worked example, suppression guidance) and exits.
 //! `--emit-hypotheses <file>` additionally writes the ordering
@@ -74,38 +76,29 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Time the full workspace scan — cold (summary cache deleted first)
-/// and warm (second run reuses the per-file fact cache) — and rewrite
-/// `BENCH_lint.json` at the root. The file is the canonical
-/// self-benchmark: everything in it but the `wall_ms`/`warm_wall_ms`
-/// timings must be byte-stable run to run.
+/// Time one full workspace scan and rewrite `BENCH_lint.json` at the
+/// root. The file is the canonical self-benchmark: everything in it but
+/// `wall_ms` must be byte-stable run to run.
 fn write_bench(root: &std::path::Path) -> std::io::Result<()> {
-    let _ = std::fs::remove_file(analyzer::summary_cache_path(root));
     // lint:allow(D01) — host wall-clock benchmark of the linter itself
     let t0 = std::time::Instant::now();
     let (findings, stats) = analyzer::scan_workspace_stats(root)?;
     let wall_ms = t0.elapsed().as_millis();
-    let findings = findings.len();
-    // lint:allow(D01) — warm-cache timing of the same scan
-    let t1 = std::time::Instant::now();
-    let _ = analyzer::scan_workspace_stats(root)?;
-    let warm_wall_ms = t1.elapsed().as_millis();
-    let files = analyzer::workspace_source_count(root)?;
     let json = format!(
         "{{\n  \"rules\": {},\n  \"files_scanned\": {},\n  \"findings\": {},\n  \
-         \"summaries\": {},\n  \"wall_ms\": {},\n  \"warm_wall_ms\": {}\n}}\n",
-        analyzer::ALL_RULES.len(),
-        files,
-        findings,
+         \"summaries\": {},\n  \"wall_ms\": {}\n}}\n",
+        analyzer::RULES.len(),
+        stats.files,
+        findings.len(),
         stats.summaries,
-        wall_ms,
-        warm_wall_ms
+        wall_ms
     );
     let path = root.join("BENCH_lint.json");
     std::fs::write(&path, json)?;
     eprintln!(
-        "dnvme-lint: bench — {files} files, {findings} finding(s), {} summaries, \
-         {wall_ms} ms cold / {warm_wall_ms} ms warm → {}",
+        "dnvme-lint: bench — {} files, {} finding(s), {} summaries, {wall_ms} ms → {}",
+        stats.files,
+        findings.len(),
         stats.summaries,
         path.display()
     );
@@ -121,16 +114,16 @@ fn main() -> ExitCode {
         }
     };
     if let Some(code) = &opts.explain {
-        let code = code.to_ascii_uppercase();
-        return match analyzer::ALL_RULES.iter().find(|r| r.code() == code) {
-            Some(rule) => {
-                println!("{}", rule.explain());
+        return match analyzer::explain(code) {
+            Some(text) => {
+                println!("{text}");
                 ExitCode::SUCCESS
             }
             None => {
                 eprintln!(
-                    "dnvme-lint: unknown rule {code:?} (rules are D01..D{:02})",
-                    analyzer::ALL_RULES.len()
+                    "dnvme-lint: unknown rule {:?} (rules are D01..D{:02})",
+                    code.to_ascii_uppercase(),
+                    analyzer::RULES.len()
                 );
                 ExitCode::FAILURE
             }

@@ -237,40 +237,6 @@ proptest! {
     }
 }
 
-/// Cold-vs-warm cache determinism: delete the summary cache, scan, scan
-/// again off the cache the first run wrote — finding fingerprints
-/// (chains included) must be byte-identical. The cache may only ever
-/// buy time, never change results.
-#[test]
-fn summary_cache_cold_and_warm_scans_agree() {
-    let root = analyzer::workspace_root();
-    let cache = analyzer::summary_cache_path(&root);
-    let _ = std::fs::remove_file(&cache);
-    let fingerprint = |findings: &[analyzer::Finding]| -> String {
-        findings
-            .iter()
-            .map(|f| {
-                let hops: String = f
-                    .related
-                    .iter()
-                    .map(|r| format!(" via {}:{}:{}", r.path, r.line, r.note))
-                    .collect();
-                format!(
-                    "{}|{}|{}|{}{hops}\n",
-                    f.rule.code(),
-                    f.path,
-                    f.line,
-                    f.excerpt
-                )
-            })
-            .collect()
-    };
-    let cold = analyzer::scan_workspace(&root).expect("cold scan");
-    assert!(cache.exists(), "the scan writes the summary cache");
-    let warm = analyzer::scan_workspace(&root).expect("warm scan");
-    assert_eq!(fingerprint(&cold), fingerprint(&warm));
-}
-
 /// Double-run determinism: two full D01–D16 scans of the real workspace
 /// produce byte-identical finding fingerprints (rule, path, line, and
 /// excerpt all included — ordering is part of the contract, since CI

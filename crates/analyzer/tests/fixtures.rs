@@ -789,6 +789,36 @@ fn strict_allow_findings_survive_uncovered() {
     assert!(report.unused.is_empty());
 }
 
+#[test]
+fn two_code_allow_suppresses_both_hypotheses() {
+    // The store is late (after a ring: D08) and its own ring is skipped
+    // by the early return (D22); one comment allows both. The exported
+    // hypotheses take the scanner's verdict — the exporter's own
+    // substring match on the comment used to see only the first code and
+    // leave the D22 one `suppressed: false`.
+    let src = "async fn submit(&self, qp: &QPair, sqe: Sqe, more: bool) -> Result<()> {\n\
+                   qp.sq.ring().await?;\n\
+                   // lint:allow(D08, D22)\n\
+                   qp.sq.push(sqe)?;\n\
+                   if more {\n\
+                       return Ok(());\n\
+                   }\n\
+                   qp.sq.ring().await?;\n\
+                   Ok(())\n\
+               }\n";
+    let files = vec![("crates/nvme/src/fixture.rs".to_string(), src.to_string())];
+    let report = analyzer::strict_scan_files(&analyzer::Config::parse("[allow]\n"), &files);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert!(report.unused.is_empty(), "{:?}", report.unused);
+    let got: Vec<_> = report
+        .hypotheses
+        .iter()
+        .map(|h| (h.rule.as_str(), h.site_a.1, h.site_b.1, h.suppressed))
+        .collect();
+    assert_eq!(got, vec![("D08", 2, 4, true), ("D22", 4, 8, true)]);
+    assert!(report.hypotheses.iter().all(|h| h.site_fn == "submit"));
+}
+
 // ------------------------------------------------------------------ D16 (interproc-era liveness)
 
 #[test]

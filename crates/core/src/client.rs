@@ -461,9 +461,9 @@ impl ClientDriver {
         let qid = qids[0];
 
         // --- The engine: rings, tags, completion services. ---
-        let qd = cfg
-            .queue_depth
-            .min(cfg.num_qpairs as usize * (entries as usize - 1));
+        // Every tag must fit in any ring it can stripe onto (a ring holds
+        // entries - 1), so more rings do not raise the bound.
+        let qd = cfg.queue_depth.min(entries as usize - 1);
         let strategy = match cfg.completion {
             ClientCompletion::Polling => CompletionStrategy::Polling {
                 check_cost: cfg.poll_check_cost,

@@ -460,62 +460,71 @@ fn remote_access_is_slightly_slower_than_local_not_hugely() {
 #[test]
 fn multi_qpair_client_stripes_and_verifies() {
     // §V: "a client module uses one or more I/O queue pairs" — request 4
-    // and stripe a mixed workload across them.
-    let c = cluster(2);
-    let smartio = c.smartio.clone();
-    let fabric = c.fabric.clone();
-    let dev = c.dev;
-    let dev_host = c.dev_host;
-    let client_host = c.hosts[0];
-    let handle = c.rt.handle();
-    let (qids, ok, per_qp) = c.rt.block_on(async move {
-        let mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
-            .await
-            .unwrap();
-        let cfg = ClientConfig {
-            num_qpairs: 4,
-            queue_depth: 16,
-            ..ClientConfig::default()
-        };
-        let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
-            .await
-            .unwrap();
-        let qids = drv.qids();
-        assert_eq!(mgr.qpairs_in_use(), 4);
-        // Concurrent writes across all stripes, then read-verify.
-        let mut joins = Vec::new();
-        for lane in 0..16u64 {
-            let drv = drv.clone();
-            let fabric = fabric.clone();
-            joins.push(handle.spawn(async move {
-                let buf = fabric.alloc(client_host, 4096).unwrap();
-                let data = [lane as u8 + 1; 4096];
-                fabric.mem_write(client_host, buf.addr, &data).unwrap();
-                drv.submit(Bio::write(lane * 8, 8, buf)).await.unwrap();
-                fabric
-                    .mem_write(client_host, buf.addr, &[0u8; 4096])
-                    .unwrap();
-                drv.submit(Bio::read(lane * 8, 8, buf)).await.unwrap();
-                let mut out = vec![0u8; 4096];
-                fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
-                out.iter().all(|&b| b == lane as u8 + 1)
-            }));
+    // and stripe a mixed workload across them. Second input: two tiny
+    // rings and a depth above what one ring holds — the depth clamps to a
+    // single ring's capacity (every tag can stripe onto any ring), so
+    // connect must not trip the engine's per-ring assert.
+    for (num_qpairs, queue_entries, queue_depth, depth) in [(4u16, 256u16, 16, 16), (2, 4, 32, 3)] {
+        let c = cluster(2);
+        let smartio = c.smartio.clone();
+        let fabric = c.fabric.clone();
+        let dev = c.dev;
+        let dev_host = c.dev_host;
+        let client_host = c.hosts[0];
+        let handle = c.rt.handle();
+        let (qids, ok, per_qp) = c.rt.block_on(async move {
+            let mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                .await
+                .unwrap();
+            let cfg = ClientConfig {
+                num_qpairs,
+                queue_entries,
+                queue_depth,
+                ..ClientConfig::default()
+            };
+            let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+                .await
+                .unwrap();
+            assert_eq!(drv.queue_depth(), depth);
+            let qids = drv.qids();
+            assert_eq!(mgr.qpairs_in_use(), num_qpairs as usize);
+            // Concurrent writes across all stripes, then read-verify.
+            let mut joins = Vec::new();
+            for lane in 0..16u64 {
+                let drv = drv.clone();
+                let fabric = fabric.clone();
+                joins.push(handle.spawn(async move {
+                    let buf = fabric.alloc(client_host, 4096).unwrap();
+                    let data = [lane as u8 + 1; 4096];
+                    fabric.mem_write(client_host, buf.addr, &data).unwrap();
+                    drv.submit(Bio::write(lane * 8, 8, buf)).await.unwrap();
+                    fabric
+                        .mem_write(client_host, buf.addr, &[0u8; 4096])
+                        .unwrap();
+                    drv.submit(Bio::read(lane * 8, 8, buf)).await.unwrap();
+                    let mut out = vec![0u8; 4096];
+                    fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
+                    out.iter().all(|&b| b == lane as u8 + 1)
+                }));
+            }
+            let mut all = true;
+            for j in joins {
+                all &= j.await;
+            }
+            (qids, all, drv.qpair_stats().qpairs)
+        });
+        assert!(ok, "striped I/O corrupted data");
+        assert_eq!(qids.len(), num_qpairs as usize);
+        assert_eq!(c.ctrl.live_io_queues(), num_qpairs as usize);
+        assert!(c.ctrl.stats().commands_fetched >= 32);
+        // Every SQ actually carried commands (striping by tag): with 4
+        // pairs the 16 concurrent first-wave writes hold all 16 tags, 4
+        // per queue pair; with 3 tags over 2 rings each ring still sees
+        // a third of the 32 commands.
+        assert_eq!(per_qp.len(), num_qpairs as usize);
+        for (qid, s) in &per_qp {
+            assert!(s.sqes_submitted >= 4, "qpair {qid} starved: {s:?}");
         }
-        let mut all = true;
-        for j in joins {
-            all &= j.await;
-        }
-        (qids, all, drv.qpair_stats().qpairs)
-    });
-    assert!(ok, "striped I/O corrupted data");
-    assert_eq!(qids.len(), 4);
-    assert_eq!(c.ctrl.live_io_queues(), 4);
-    assert!(c.ctrl.stats().commands_fetched >= 32);
-    // All four SQs actually carried commands (striping by tag): the 16
-    // concurrent first-wave writes hold all 16 tags, 4 per queue pair.
-    assert_eq!(per_qp.len(), 4);
-    for (qid, s) in &per_qp {
-        assert!(s.sqes_submitted >= 4, "qpair {qid} starved: {s:?}");
     }
 }
 

@@ -321,13 +321,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::new("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                Some(lead) => {
+                    // Advance over one UTF-8 scalar: its width comes from
+                    // the lead byte, and validating just those bytes still
+                    // rejects a truncated or malformed sequence — without
+                    // re-validating the whole remaining input per character.
+                    let width = match lead {
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        0xf0..=0xf7 => 4,
+                        _ => 1,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or_else(|| Error::new("invalid utf-8"))?;
+                    out.push_str(scalar);
+                    self.pos += width;
                 }
             }
         }
@@ -429,6 +440,30 @@ mod tests {
         assert_eq!(json, "1.0");
         let v: f64 = from_str(&json).unwrap();
         assert_eq!(v, 1.0);
+    }
+
+    #[test]
+    fn megabyte_multibyte_string_roundtrips() {
+        // Quadratic in the input when every character re-validated the
+        // whole remainder; linear now.
+        let unit = "π≈3.14159 — 東京 🚀 ";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let json = to_string(&big).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, big);
+    }
+
+    #[test]
+    fn truncated_multibyte_sequence_is_an_error() {
+        // `€` is e2 82 ac: cut after two bytes, before the closing quote
+        // and at end of input; and a bare continuation byte.
+        for bytes in [&b"\"\xe2\x82\""[..], b"\"\xe2\x82", b"\"\x82\""] {
+            let mut p = Parser { bytes, pos: 0 };
+            assert!(p.string().is_err(), "{bytes:?}");
+        }
+        let mut ok = Parser { bytes: "\"€\"".as_bytes(), pos: 0 };
+        assert_eq!(ok.string().unwrap(), "€");
     }
 
     #[test]
