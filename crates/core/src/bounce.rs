@@ -14,18 +14,17 @@ use crate::error::{DnvmeError, Result};
 
 const PAGE: u64 = nvme::spec::prp::PAGE;
 
-/// Bounce-layout overlap check (feature `sanitize`): every request tag
-/// must own a disjoint byte range of the DMA window, or two in-flight
-/// commands DMA into each other's staging space. Reports
-/// `dnvme.bounce-overlap` for each overlapping pair of `(bus_base, len)`
-/// ranges. [`BouncePool::new`] runs it on the real layout; tests can feed
-/// a deliberately broken one.
+/// Bounce-layout overlap check: every request tag must own a disjoint
+/// byte range of the DMA window, or two in-flight commands DMA into each
+/// other's staging space. Reports `dnvme.bounce-overlap` for each
+/// overlapping pair of `(bus_base, len)` ranges (recorded only on a
+/// runtime armed with `simcore::sanitize::arm`). [`BouncePool::new`] runs
+/// it on the real layout; tests can feed a deliberately broken one.
 ///
 /// Sort-by-start sweep: O(n log n + k) for k overlapping pairs, instead
 /// of the quadratic all-pairs scan — the layout grows with `tags ×
 /// qpairs` under sharding, and this runs on every connect. Reports are
 /// emitted in the same `(i, j)` order as the old pairwise scan.
-#[cfg(feature = "sanitize")]
 pub fn sanitize_check_partitions(handle: &simcore::Handle, parts: &[(PhysAddr, u64)]) {
     let mut order: Vec<usize> = (0..parts.len()).collect();
     order.sort_unstable_by_key(|&i| (parts[i].0, i));
@@ -154,8 +153,7 @@ impl BouncePool {
                 )?;
             }
         }
-        #[cfg(feature = "sanitize")]
-        {
+        if fabric.sanitize_armed() {
             let layout: Vec<(PhysAddr, u64)> = (0..tags as u64)
                 .map(|t| (window.bus_base.offset(t * partition), partition))
                 .chain((0..tags as u64).map(|t| (list_window.bus_base.offset(t * PAGE), PAGE)))

@@ -276,7 +276,6 @@ async fn mailbox_rpc(
             if r.seq == seq {
                 // Observing the matching seq acquires the manager's posted
                 // write (happens-before edge, like a CQE phase observation).
-                #[cfg(feature = "sanitize")]
                 fabric.sanitize_consume(
                     resp_region.host,
                     resp_region.addr,

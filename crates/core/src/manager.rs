@@ -421,7 +421,6 @@ impl Manager {
                 // Accepting a fresh seq acquires the client's posted
                 // request write (happens-before edge, mirroring the
                 // client's acquire on the response).
-                #[cfg(feature = "sanitize")]
                 fabric.sanitize_consume(
                     region.host,
                     region.addr.offset((slot * proto::MAILBOX_SLOT) as u64),

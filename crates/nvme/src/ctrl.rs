@@ -353,8 +353,9 @@ impl NvmeController {
                     self.fatal();
                     return;
                 }
-                #[cfg(feature = "sanitize")]
-                self.sanitize_sq_doorbell(qid, s.base, s.entries, s.tail, value as u16);
+                if self.fabric.sanitize_armed() {
+                    self.sanitize_sq_doorbell(qid, s.base, s.entries, s.tail, value as u16);
+                }
                 s.tail = value as u16;
                 s.doorbell.notify_one();
             }
@@ -494,8 +495,9 @@ impl NvmeController {
                 phase,
                 entries,
             });
-            #[cfg(feature = "sanitize")]
-            self.sanitize_cq_post(cqid, slot, phase, base);
+            if self.fabric.sanitize_armed() {
+                self.sanitize_cq_post(cqid, slot, phase, base);
+            }
             let cqe = CqEntry::new(result, sq_head, sq_id, cid, phase, status);
             if !status.is_success() {
                 self.stats.borrow_mut().errors_returned += 1;
@@ -890,7 +892,8 @@ impl NvmeController {
     }
 }
 
-#[cfg(feature = "sanitize")]
+/// Protocol checks, run only on a runtime armed with
+/// `simcore::sanitize::arm`.
 impl NvmeController {
     /// Doorbell-before-SQE check: a host must not expose a SQ tail whose
     /// SQE posted writes are still in flight, or the controller's DMA

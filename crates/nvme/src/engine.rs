@@ -24,7 +24,7 @@
 //! * Per-qpair [`QpairStats`] feed `ClientStats` and the cluster-level
 //!   benchmark reports.
 //!
-//! The `sanitize` hooks are unaffected: the engine still reaches the
+//! The run-time checker hooks are unaffected: the engine still reaches the
 //! fabric through [`SqRing`]/[`CqRing`], so doorbell-before-SQE ordering
 //! and CQ phase discipline are checked exactly as before, one layer down.
 

@@ -32,16 +32,9 @@ use std::rc::Rc;
 
 use simcore::Handle;
 
-/// One protocol violation detected by the oracle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LifecycleViolation {
-    /// Stable machine-readable code, `nvme.lifecycle.*`.
-    pub code: &'static str,
-    /// Virtual time the violating event was observed.
-    pub at_nanos: u64,
-    /// Human-readable context.
-    pub detail: String,
-}
+/// One protocol violation detected by the oracle: the workspace's one
+/// violation record, with a stable `nvme.lifecycle.*` code.
+pub use simcore::Violation as LifecycleViolation;
 
 /// Everything the oracle can observe. `entries` rides along on ring events
 /// so the oracle needs no out-of-band queue registration.

@@ -211,23 +211,16 @@ impl CqRing {
     pub fn try_pop(&self) -> Option<CqEntry> {
         let head = self.head.get();
         let phase = self.phase.get();
+        let slot = self.ring.addr.offset(head as u64 * CQE_SIZE as u64);
         let mut raw = [0u8; CQE_SIZE];
         self.fabric
-            .mem_read(
-                self.ring.host,
-                self.ring.addr.offset(head as u64 * CQE_SIZE as u64),
-                &mut raw,
-            )
+            .mem_read(self.ring.host, slot, &mut raw)
             .expect("CQ ring read");
         if CqEntry::peek_phase(&raw) != phase {
             return None;
         }
-        #[cfg(feature = "sanitize")]
-        self.fabric.sanitize_consume(
-            self.ring.host,
-            self.ring.addr.offset(head as u64 * CQE_SIZE as u64),
-            CQE_SIZE as u64,
-        );
+        self.fabric
+            .sanitize_consume(self.ring.host, slot, CQE_SIZE as u64);
         let cqe = CqEntry::decode(&raw);
         if let Some(qid) = self.oracle_qid.get() {
             oracle::emit(oracle::Event::CqeConsumed {
@@ -281,56 +274,6 @@ impl CqRing {
                 self.head.get() as u32,
             )
             .await
-    }
-
-    /// Sanitizer seam: consume the head slot *without* the phase guard, the
-    /// way an interrupt-driven driver that trusts the MSI unconditionally
-    /// would. Reports `nvme.cq-stale-phase` when the consumed entry's phase
-    /// tag does not match the ring's expectation — i.e. the driver just
-    /// decoded a stale or not-yet-delivered completion.
-    #[cfg(feature = "sanitize")]
-    pub fn pop_unchecked(&self) -> CqEntry {
-        let head = self.head.get();
-        let phase = self.phase.get();
-        let mut raw = [0u8; CQE_SIZE];
-        self.fabric
-            .mem_read(
-                self.ring.host,
-                self.ring.addr.offset(head as u64 * CQE_SIZE as u64),
-                &mut raw,
-            )
-            .expect("CQ ring read");
-        if CqEntry::peek_phase(&raw) != phase {
-            self.fabric.handle().sanitize_report(
-                "nvme.cq-stale-phase",
-                format!(
-                    "consumed CQE at slot {} with phase {} but the ring expects {}",
-                    head,
-                    CqEntry::peek_phase(&raw) as u8,
-                    phase as u8
-                ),
-            );
-        }
-        self.fabric.sanitize_consume(
-            self.ring.host,
-            self.ring.addr.offset(head as u64 * CQE_SIZE as u64),
-            CQE_SIZE as u64,
-        );
-        let cqe = CqEntry::decode(&raw);
-        if let Some(qid) = self.oracle_qid.get() {
-            // Report the phase actually observed in memory, not the ring's
-            // expectation — an unchecked consume of a stale slot is exactly
-            // what the oracle's phase mirror exists to catch.
-            oracle::emit(oracle::Event::CqeConsumed {
-                qid,
-                cid: cqe.cid,
-                slot: head,
-                phase: CqEntry::peek_phase(&raw),
-                entries: self.entries,
-            });
-        }
-        self.advance(head);
-        cqe
     }
 }
 

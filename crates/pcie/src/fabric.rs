@@ -24,6 +24,7 @@ use crate::addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAd
 use crate::device::MmioDevice;
 use crate::error::{FabricError, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultStats, SeverMode};
+use crate::hb::{Agent, HbLog};
 use crate::memory::{HostMemory, WatchHandle};
 use crate::ntb::Ntb;
 use crate::params::FabricParams;
@@ -90,10 +91,9 @@ struct PendingDelivery {
     path: PathKey,
     loc: Location,
     data: Vec<u8>,
-    #[cfg(feature = "sanitize")]
-    pending: u64,
-    #[cfg(feature = "sanitize")]
-    hb: (u64, Vec<u64>),
+    /// The write's [`crate::hb::HbLog`] token (`None` on an unarmed
+    /// runtime).
+    hb: Option<u64>,
 }
 
 /// All in-flight posted writes plus the pump bookkeeping.
@@ -122,12 +122,12 @@ struct FabricInner {
     pump_wake: Notify,
     /// Deterministic fault-injection state (empty plan = no faults).
     faults: RefCell<FaultInjector>,
-    /// In-flight posted writes, for the read-race sanitizer.
-    #[cfg(feature = "sanitize")]
-    sanitize: RefCell<crate::sanitize::PendingSet>,
-    /// Access log and actor registry for the happens-before race detector.
-    #[cfg(feature = "sanitize")]
-    hb: RefCell<crate::hb::HbLog>,
+    /// Whether the runtime was built under `simcore::sanitize::arm`: the
+    /// one test every checker hook below sits behind.
+    armed: bool,
+    /// Access table and actor registry of the race detector — in-flight
+    /// posted writes included. Stays empty unless `armed`.
+    hb: RefCell<HbLog>,
 }
 
 impl Fabric {
@@ -135,6 +135,7 @@ impl Fabric {
     pub fn new(handle: Handle, params: FabricParams) -> Self {
         Fabric {
             inner: Rc::new(FabricInner {
+                armed: handle.sanitize_armed(),
                 handle,
                 params,
                 state: RefCell::new(State {
@@ -146,10 +147,7 @@ impl Fabric {
                 deliveries: RefCell::new(DeliveryState::default()),
                 pump_wake: Notify::new(),
                 faults: RefCell::new(FaultInjector::default()),
-                #[cfg(feature = "sanitize")]
-                sanitize: RefCell::new(crate::sanitize::PendingSet::default()),
-                #[cfg(feature = "sanitize")]
-                hb: RefCell::new(crate::hb::HbLog::default()),
+                hb: RefCell::new(HbLog::default()),
             }),
         }
     }
@@ -178,8 +176,9 @@ impl Fabric {
             memory: HostMemory::new(id, mem_size),
             mmio_cursor: MMIO_BASE,
         });
-        #[cfg(feature = "sanitize")]
-        self.inner.hb.borrow_mut().register_host(&self.inner.handle);
+        if self.inner.armed {
+            self.inner.hb.borrow_mut().register_host(&self.inner.handle);
+        }
         id
     }
 
@@ -242,11 +241,12 @@ impl Fabric {
             link_scale: 1.0,
             msi: Vec::new(),
         });
-        #[cfg(feature = "sanitize")]
-        self.inner
-            .hb
-            .borrow_mut()
-            .register_device(&self.inner.handle);
+        if self.inner.armed {
+            self.inner
+                .hb
+                .borrow_mut()
+                .register_device(&self.inner.handle);
+        }
         id
     }
 
@@ -498,11 +498,12 @@ impl Fabric {
         // Freeing severs the happens-before history: accesses to the dead
         // object cannot race accesses to whatever the allocator hands the
         // range to next (the single-owner allocator orders the reuse).
-        #[cfg(feature = "sanitize")]
-        self.inner
-            .hb
-            .borrow_mut()
-            .purge_dram(region.host, region.addr.as_u64(), region.len);
+        if self.inner.armed {
+            self.inner
+                .hb
+                .borrow_mut()
+                .purge_dram(region.host, region.addr.as_u64(), region.len);
+        }
     }
 
     /// Untimed functional write into a host's DRAM (setup / checking).
@@ -668,28 +669,12 @@ impl Fabric {
         };
         let delivery = p.one_way(chips);
         self.inner.handle.sleep(issue).await;
-        #[cfg(feature = "sanitize")]
-        let pending = self
-            .inner
-            .sanitize
-            .borrow_mut()
-            .track(&loc, data.len() as u64, "cpu");
-        #[cfg(feature = "sanitize")]
-        let hb = self.inner.hb.borrow_mut().record_write(
-            &self.inner.handle,
-            crate::hb::Agent::Host(host),
-            &loc,
-            data.len() as u64,
-            "CPU posted write",
-        );
+        let hb = self.hb_record_write(Agent::Host(host), &loc, data.len(), "CPU posted write");
         self.enqueue_delivery(
             delivery,
             (u32::from(host.0), dest_path_key(&loc)),
             loc,
             data.to_vec(),
-            #[cfg(feature = "sanitize")]
-            pending,
-            #[cfg(feature = "sanitize")]
             hb,
         );
         Ok(())
@@ -718,17 +703,9 @@ impl Fabric {
                 + p.nonposted_transfer(buf.len() as u64)
         };
         self.inner.handle.sleep(lat).await;
-        #[cfg(feature = "sanitize")]
-        self.sanitize_check_read(&loc, buf.len() as u64, "CPU read");
-        #[cfg(feature = "sanitize")]
-        self.inner.hb.borrow_mut().record_read(
-            &self.inner.handle,
-            crate::hb::Agent::Host(host),
-            &loc,
-            buf.len() as u64,
-            "CPU read",
-            true,
-        );
+        if self.inner.armed {
+            self.hb_record_read(Agent::Host(host), &loc, buf.len(), "CPU read");
+        }
         self.apply_read(&loc, buf);
         Ok(())
     }
@@ -773,17 +750,9 @@ impl Fabric {
         ))
         .await;
         self.inner.handle.sleep(p.read_rtt(chips)).await;
-        #[cfg(feature = "sanitize")]
-        self.sanitize_check_read(&loc, buf.len() as u64, "DMA read");
-        #[cfg(feature = "sanitize")]
-        self.inner.hb.borrow_mut().record_read(
-            &self.inner.handle,
-            crate::hb::Agent::Device(dev),
-            &loc,
-            buf.len() as u64,
-            "DMA read",
-            false,
-        );
+        if self.inner.armed {
+            self.hb_record_read(Agent::Device(dev), &loc, buf.len(), "DMA read");
+        }
         self.apply_read(&loc, buf);
         Ok(())
     }
@@ -827,28 +796,12 @@ impl Fabric {
         tx.occupy(scale_transfer(p.posted_transfer(data.len() as u64), scale))
             .await;
         let delivery = p.one_way(chips);
-        #[cfg(feature = "sanitize")]
-        let pending = self
-            .inner
-            .sanitize
-            .borrow_mut()
-            .track(&loc, data.len() as u64, "dma");
-        #[cfg(feature = "sanitize")]
-        let hb = self.inner.hb.borrow_mut().record_write(
-            &self.inner.handle,
-            crate::hb::Agent::Device(dev),
-            &loc,
-            data.len() as u64,
-            "DMA posted write",
-        );
+        let hb = self.hb_record_write(Agent::Device(dev), &loc, data.len(), "DMA posted write");
         self.enqueue_delivery(
             delivery,
             (DEVICE_PATH_BIT | dev.0, dest_path_key(&loc)),
             loc,
             data.to_vec(),
-            #[cfg(feature = "sanitize")]
-            pending,
-            #[cfg(feature = "sanitize")]
             hb,
         );
         Ok(delivery)
@@ -863,15 +816,13 @@ impl Fabric {
     /// applies deliveries so that the order of co-due writes on *different*
     /// paths is an explicit [`ChoiceKind::Delivery`] schedule choice point;
     /// writes on one path always apply in issue order.
-    #[allow(clippy::too_many_arguments)]
     fn enqueue_delivery(
         &self,
         delay: SimDuration,
         path: PathKey,
         loc: Location,
         data: Vec<u8>,
-        #[cfg(feature = "sanitize")] pending: u64,
-        #[cfg(feature = "sanitize")] hb: (u64, Vec<u64>),
+        hb: Option<u64>,
     ) {
         let mut delay = delay;
         let mut copies = 1usize;
@@ -892,13 +843,12 @@ impl Fabric {
                     Some(FaultAction::Drop) => {
                         fi.stats.dropped += 1;
                         drop(fi);
-                        // The write vanishes in flight: retire its
-                        // sanitizer bookkeeping so it is not reported as
-                        // pending forever.
-                        #[cfg(feature = "sanitize")]
-                        {
-                            self.inner.sanitize.borrow_mut().untrack(pending);
-                            self.inner.hb.borrow_mut().mark_applied(hb.0);
+                        // The write vanishes in flight: forget it, so it
+                        // is neither reported as pending forever nor
+                        // "observed" (a false happens-before edge) by a
+                        // later read of data that never landed.
+                        if let Some(token) = hb {
+                            self.inner.hb.borrow_mut().untrack(token);
                         }
                         return;
                     }
@@ -917,16 +867,9 @@ impl Fabric {
         let due = self.inner.handle.now() + delay;
         let spawn_pump = {
             // A duplicated TLP is queued right behind the original on the
-            // same path, so it applies in order after it; the sanitizer
-            // tokens are shared (untrack/mark_applied are idempotent).
-            let dup = (copies == 2).then(|| {
-                (
-                    loc.clone(),
-                    data.clone(),
-                    #[cfg(feature = "sanitize")]
-                    hb.clone(),
-                )
-            });
+            // same path, so it applies in order after it; the checker
+            // token is shared (`HbLog::write_applied` is idempotent).
+            let dup = (copies == 2).then(|| (loc.clone(), data.clone()));
             let mut dq = self.inner.deliveries.borrow_mut();
             let seq = dq.next_seq;
             dq.next_seq += 1;
@@ -936,26 +879,8 @@ impl Fabric {
                 path,
                 loc,
                 data,
-                #[cfg(feature = "sanitize")]
-                pending,
-                #[cfg(feature = "sanitize")]
                 hb,
             });
-            #[cfg(feature = "sanitize")]
-            if let Some((loc, data, hb)) = dup {
-                let seq = dq.next_seq;
-                dq.next_seq += 1;
-                dq.queue.push(PendingDelivery {
-                    seq,
-                    due,
-                    path,
-                    loc,
-                    data,
-                    pending,
-                    hb,
-                });
-            }
-            #[cfg(not(feature = "sanitize"))]
             if let Some((loc, data)) = dup {
                 let seq = dq.next_seq;
                 dq.next_seq += 1;
@@ -965,6 +890,7 @@ impl Fabric {
                     path,
                     loc,
                     data,
+                    hb,
                 });
             }
             let first = !dq.pump_spawned;
@@ -992,11 +918,13 @@ impl Fabric {
     async fn delivery_pump(&self) {
         loop {
             while let Some(d) = self.take_due_delivery() {
-                #[cfg(feature = "sanitize")]
-                self.hb_write_applied(&d.loc, d.hb);
+                if let Some(token) = d.hb {
+                    self.inner
+                        .hb
+                        .borrow_mut()
+                        .write_applied(&self.inner.handle, token);
+                }
                 self.apply_write(&d.loc, &d.data);
-                #[cfg(feature = "sanitize")]
-                self.inner.sanitize.borrow_mut().untrack(d.pending);
             }
             self.inner.pump_wake.notified().await;
         }
@@ -1147,17 +1075,50 @@ impl Fabric {
     }
 }
 
-#[cfg(feature = "sanitize")]
+/// Checker hooks: each is a no-op (recording and allocating nothing) unless
+/// the runtime was built under `simcore::sanitize::arm`.
 impl Fabric {
-    /// Report every in-flight posted write overlapping a non-posted read's
-    /// target range: the read observes pre-write data (through-NTB race).
-    fn sanitize_check_read(&self, loc: &Location, len: u64, what: &str) {
-        for pw in self.inner.sanitize.borrow().overlapping(loc, len) {
+    /// Whether the checker is armed on this fabric's runtime.
+    pub fn sanitize_armed(&self) -> bool {
+        self.inner.armed
+    }
+
+    /// Number of records in the checker's access table (diagnostic: stays
+    /// 0 on an unarmed runtime, bounded by ring geometry on an armed one).
+    pub fn sanitize_log_len(&self) -> usize {
+        self.inner.hb.borrow().len()
+    }
+
+    /// Record a posted write at issue (armed only); the token rides in its
+    /// [`PendingDelivery`].
+    fn hb_record_write(
+        &self,
+        agent: Agent,
+        loc: &Location,
+        len: usize,
+        kind: &'static str,
+    ) -> Option<u64> {
+        if !self.inner.armed {
+            return None;
+        }
+        let mut log = self.inner.hb.borrow_mut();
+        Some(log.record(&self.inner.handle, agent, loc, len as u64, kind, true))
+    }
+
+    /// A non-posted read at its apply instant (armed only). Every in-flight
+    /// posted write overlapping the range is reported — the read observes
+    /// pre-write data (through-NTB race) — then the read is race-checked
+    /// and recorded.
+    fn hb_record_read(&self, agent: Agent, loc: &Location, len: usize, what: &'static str) {
+        let len = len as u64;
+        let mut log = self.inner.hb.borrow_mut();
+        for pw in log.in_flight(loc, len) {
             self.inner.handle.sanitize_report(
                 "pcie.read-races-posted-write",
-                format!("{what} of {len} B at {loc:?} overlaps {}", pw.describe()),
+                format!("{what} of {len} B at {loc:?} overlaps {pw}"),
             );
         }
+        log.record(&self.inner.handle, agent, loc, len, what, false);
     }
 
     /// Whether any in-flight posted write overlaps `len` bytes at
@@ -1168,27 +1129,7 @@ impl Fabric {
         let Ok(loc) = self.resolve(host, addr, len) else {
             return false;
         };
-        !self
-            .inner
-            .sanitize
-            .borrow()
-            .overlapping(&loc, len)
-            .is_empty()
-    }
-
-    /// A posted write has been delivered: flip it to applied in the
-    /// happens-before log and, for MMIO targets, hand the writer's
-    /// issue-time clock to the device (the doorbell edge — posted writes on
-    /// one path apply in order, so everything stored before the bell rang
-    /// has landed when it does).
-    fn hb_write_applied(&self, loc: &Location, hb: (u64, Vec<u64>)) {
-        let (token, release) = hb;
-        let mut log = self.inner.hb.borrow_mut();
-        log.mark_applied(token);
-        if let Location::Bar { dev, .. } = loc {
-            let actor = log.actor_of(crate::hb::Agent::Device(*dev));
-            self.inner.handle.sanitize_actor_join(actor, &release);
-        }
+        self.inner.hb.borrow().in_flight(&loc, len).next().is_some()
     }
 
     /// Record a completion-queue consume by `host` at `(addr, len)`: the
@@ -1197,50 +1138,45 @@ impl Fabric {
     /// any still-in-flight overlapping write — consuming an entry whose
     /// posted write has not landed is exactly a stale-phase race.
     pub fn sanitize_consume(&self, host: HostId, addr: PhysAddr, len: u64) {
+        if !self.inner.armed {
+            return;
+        }
         let Ok(loc) = self.resolve(host, addr, len) else {
             return;
         };
-        self.inner.hb.borrow_mut().record_read(
+        self.inner.hb.borrow_mut().record(
             &self.inner.handle,
-            crate::hb::Agent::Host(host),
+            Agent::Host(host),
             &loc,
             len,
             "CQE consume",
-            true,
+            false,
         );
-    }
-
-    /// The happens-before actor modelling `host`'s CPU — the identity
-    /// cross-reactor shard channels bind to
-    /// ([`simcore::channel::shard`]'s `bind_actor`), so a handoff's
-    /// release/acquire edge joins the right fabric clocks.
-    pub fn sanitize_host_actor(&self, host: HostId) -> simcore::ActorId {
-        self.inner
-            .hb
-            .borrow()
-            .actor_of(crate::hb::Agent::Host(host))
     }
 
     /// Fabric barrier: `host` observes everything `dev` has done — the
     /// completion-delivery edge for engines (RDMA NICs) whose completion
     /// queues live outside fabric memory.
     pub fn sanitize_barrier_to_host(&self, host: HostId, dev: DeviceId) {
-        let log = self.inner.hb.borrow();
-        let from = log.actor_of(crate::hb::Agent::Device(dev));
-        let to = log.actor_of(crate::hb::Agent::Host(host));
-        let clock = self.inner.handle.sanitize_actor_clock(from);
-        self.inner.handle.sanitize_actor_join(to, &clock);
+        self.hb_barrier(Agent::Device(dev), Agent::Host(host));
     }
 
     /// Fabric barrier: `dev` observes everything `host` has done — the
     /// work-submission edge for engines whose work queues live outside
     /// fabric memory.
     pub fn sanitize_barrier_to_device(&self, dev: DeviceId, host: HostId) {
+        self.hb_barrier(Agent::Host(host), Agent::Device(dev));
+    }
+
+    fn hb_barrier(&self, from: Agent, to: Agent) {
+        if !self.inner.armed {
+            return;
+        }
         let log = self.inner.hb.borrow();
-        let from = log.actor_of(crate::hb::Agent::Host(host));
-        let to = log.actor_of(crate::hb::Agent::Device(dev));
-        let clock = self.inner.handle.sanitize_actor_clock(from);
-        self.inner.handle.sanitize_actor_join(to, &clock);
+        let clock = self.inner.handle.sanitize_actor_clock(log.actor_of(from));
+        self.inner
+            .handle
+            .sanitize_actor_join(log.actor_of(to), &clock);
     }
 }
 

@@ -1,4 +1,6 @@
-//! Vector-clock happens-before race detector (feature `sanitize`).
+//! The fabric's access table: the vector-clock happens-before race
+//! detector and the in-flight posted-write tracker in one structure
+//! (populated only on a runtime armed with `simcore::sanitize::arm`).
 //!
 //! Every host CPU and every device DMA engine is a happens-before *actor*
 //! with a vector clock held by the simcore sanitizer. The fabric records
@@ -7,6 +9,15 @@
 //! actor's clock. Two accesses to overlapping bytes from different actors,
 //! at least one of them a write, must be ordered by a happens-before edge
 //! or the run is racy — `pcie.hb-race` is reported with both sites.
+//!
+//! A posted write is *in flight* from issue until its data applies at the
+//! destination one propagation delay later — a write record with
+//! `applied == false`. A non-posted read that samples an overlapping range
+//! during that window observes stale data: the through-NTB race the
+//! paper's queue placement (CQs CPU-side, SQs device-side) is designed to
+//! make impossible. [`HbLog::in_flight`] answers that question for
+//! `pcie.read-races-posted-write`, `nvme.doorbell-before-sqe` and
+//! `nvme.cq-overwrite`.
 //!
 //! Edges come only from the synchronization the paper's protocol actually
 //! provides:
@@ -73,6 +84,11 @@ struct Access {
     /// Posted writes are in flight from issue until delivery; reads and
     /// consumes are recorded at their apply instant.
     applied: bool,
+    /// Out of the happens-before graph — superseded by a newer write of
+    /// the same actor to the same start, or its range was freed — but
+    /// still on the wire: only [`HbLog::in_flight`] sees it, and delivery
+    /// drops it.
+    retired: bool,
     kind: &'static str,
     at_nanos: u64,
 }
@@ -80,6 +96,13 @@ struct Access {
 impl Access {
     fn overlaps(&self, space: Space, start: u64, len: u64) -> bool {
         self.space == space && self.start < start + len && start < self.start + self.len
+    }
+
+    /// Take the record out of the happens-before graph; returns whether it
+    /// must stay in the table (a posted write still in flight).
+    fn retire(&mut self) -> bool {
+        self.retired = true;
+        self.write && !self.applied
     }
 
     fn describe(&self, handle: &Handle) -> String {
@@ -98,8 +121,9 @@ impl Access {
 
 /// Per-fabric happens-before state: the actor registry plus the access
 /// log. Superseded accesses (same actor, same range, same direction) are
-/// replaced in place, so the log stays bounded by ring geometry rather
-/// than growing with simulated I/O count.
+/// replaced in place — a superseded write still in flight lingers, retired,
+/// until it is delivered — so the log stays bounded by ring geometry plus
+/// the writes on the wire rather than growing with simulated I/O count.
 #[derive(Default)]
 pub(crate) struct HbLog {
     host_actors: Vec<ActorId>,
@@ -126,73 +150,34 @@ impl HbLog {
         }
     }
 
-    /// Record a posted write at issue. Conflicts are checked against every
-    /// overlapping foreign access; returns a token for
-    /// [`HbLog::mark_applied`] at delivery plus the issue-time clock — the
-    /// release payload for the doorbell edge.
-    pub(crate) fn record_write(
+    /// Number of records currently held (diagnostic; 0 on an unarmed
+    /// runtime).
+    pub(crate) fn len(&self) -> usize {
+        self.accesses.len()
+    }
+
+    /// Record one access, race-checking it against every overlapping
+    /// foreign access not ordered before it (`pcie.hb-race`, both sites
+    /// named), and return its token.
+    ///
+    /// A posted write (`write`) is recorded at issue, in flight; its token
+    /// goes to [`HbLog::write_applied`] at delivery, or [`HbLog::untrack`]
+    /// if the write is lost. A non-posted read or CQ consume is recorded
+    /// at its apply instant; a host CPU first joins the applied
+    /// overlapping writes — the observation edge — while a device DMA read
+    /// gets no such grace.
+    pub(crate) fn record(
         &mut self,
         handle: &Handle,
         agent: Agent,
         loc: &Location,
         len: u64,
         kind: &'static str,
-    ) -> (u64, Vec<u64>) {
-        let actor = self.actor_of(agent);
-        let clock = handle.sanitize_actor_tick(actor);
-        let (space, start) = key(loc);
-        self.check_conflicts(handle, actor, &clock, space, start, len, true, kind);
-        self.accesses
-            .retain(|a| !(a.actor == actor && a.write && a.space == space && a.start == start));
-        let token = self.next_token;
-        self.next_token += 1;
-        self.accesses.push(Access {
-            token,
-            actor,
-            clock: clock.clone(),
-            space,
-            start,
-            len,
-            write: true,
-            applied: false,
-            kind,
-            at_nanos: handle.now().as_nanos(),
-        });
-        (token, clock)
-    }
-
-    /// Drop every recorded access overlapping a freed DRAM range: the
-    /// allocator handoff orders the dead object's accesses before any
-    /// access to the range's next tenant (TSan-style shadow reset on
-    /// free).
-    pub(crate) fn purge_dram(&mut self, host: HostId, start: u64, len: u64) {
-        let space = Space::Dram(host);
-        self.accesses.retain(|a| !a.overlaps(space, start, len));
-    }
-
-    /// Flip a posted write to applied at its delivery instant.
-    pub(crate) fn mark_applied(&mut self, token: u64) {
-        if let Some(a) = self.accesses.iter_mut().find(|a| a.token == token) {
-            a.applied = true;
-        }
-    }
-
-    /// Record a non-posted read (or CQ consume) at its apply instant.
-    /// With `observe`, applied overlapping writes are joined first — the
-    /// observation edge; conflicts are then checked against the remaining
-    /// unordered foreign writes.
-    pub(crate) fn record_read(
-        &mut self,
-        handle: &Handle,
-        agent: Agent,
-        loc: &Location,
-        len: u64,
-        kind: &'static str,
-        observe: bool,
-    ) {
+        write: bool,
+    ) -> u64 {
         let actor = self.actor_of(agent);
         let (space, start) = key(loc);
-        if observe {
+        if !write && matches!(agent, Agent::Host(_)) {
             for a in &self.accesses {
                 if a.write && a.applied && a.actor != actor && a.overlaps(space, start, len) {
                     handle.sanitize_actor_join(actor, &a.clock);
@@ -200,45 +185,13 @@ impl HbLog {
             }
         }
         let clock = handle.sanitize_actor_tick(actor);
-        self.check_conflicts(handle, actor, &clock, space, start, len, false, kind);
-        self.accesses
-            .retain(|a| !(a.actor == actor && !a.write && a.space == space && a.start == start));
-        let token = self.next_token;
-        self.next_token += 1;
-        self.accesses.push(Access {
-            token,
-            actor,
-            clock,
-            space,
-            start,
-            len,
-            write: false,
-            applied: true,
-            kind,
-            at_nanos: handle.now().as_nanos(),
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn check_conflicts(
-        &self,
-        handle: &Handle,
-        actor: ActorId,
-        clock: &[u64],
-        space: Space,
-        start: u64,
-        len: u64,
-        is_write: bool,
-        kind: &'static str,
-    ) {
         for a in &self.accesses {
-            if a.actor == actor || !a.overlaps(space, start, len) {
-                continue;
-            }
-            if !a.write && !is_write {
-                continue;
-            }
-            if happens_before(a.actor, &a.clock, clock) {
+            if a.retired
+                || a.actor == actor
+                || !(a.write || write)
+                || !a.overlaps(space, start, len)
+                || happens_before(a.actor, &a.clock, &clock)
+            {
                 continue;
             }
             handle.sanitize_report(
@@ -254,5 +207,80 @@ impl HbLog {
                 ),
             );
         }
+        // Supersede the actor's previous access of this direction here.
+        self.accesses.retain_mut(|a| {
+            !(a.actor == actor && a.write == write && a.space == space && a.start == start)
+                || a.retire()
+        });
+        let token = self.next_token;
+        self.next_token += 1;
+        self.accesses.push(Access {
+            token,
+            actor,
+            clock,
+            space,
+            start,
+            len,
+            write,
+            applied: !write,
+            retired: false,
+            kind,
+            at_nanos: handle.now().as_nanos(),
+        });
+        token
+    }
+
+    /// Sever the happens-before history of a freed DRAM range: the
+    /// allocator handoff orders the dead object's accesses before any
+    /// access to the range's next tenant (TSan-style shadow reset on
+    /// free). Writes still on the wire stay visible to
+    /// [`HbLog::in_flight`] — freeing does not stop them landing.
+    pub(crate) fn purge_dram(&mut self, host: HostId, start: u64, len: u64) {
+        let space = Space::Dram(host);
+        self.accesses
+            .retain_mut(|a| !a.overlaps(space, start, len) || a.retire());
+    }
+
+    /// A posted write has been delivered: flip it to applied and, for MMIO
+    /// targets, hand the writer's issue-time clock to the device (the
+    /// doorbell edge — posted writes on one path apply in order, so
+    /// everything stored before the bell rang has landed when it does).
+    /// Idempotent, so a duplicated TLP may share its original's token.
+    pub(crate) fn write_applied(&mut self, handle: &Handle, token: u64) {
+        let Some(i) = self.accesses.iter().position(|a| a.token == token) else {
+            return;
+        };
+        let a = &mut self.accesses[i];
+        a.applied = true;
+        if let Space::Bar(dev, _) = a.space {
+            handle.sanitize_actor_join(self.dev_actors[dev.0 as usize], &a.clock);
+        }
+        if a.retired {
+            self.accesses.remove(i);
+        }
+    }
+
+    /// Forget a posted write that was lost in flight: it never lands, so
+    /// nothing may observe it and nothing can race it.
+    pub(crate) fn untrack(&mut self, token: u64) {
+        self.accesses.retain(|a| a.token != token);
+    }
+
+    /// Descriptions of the in-flight posted writes overlapping `len`
+    /// bytes at `loc`, in issue order.
+    pub(crate) fn in_flight(&self, loc: &Location, len: u64) -> impl Iterator<Item = String> + '_ {
+        let (space, start) = key(loc);
+        self.accesses
+            .iter()
+            .filter(move |a| a.write && !a.applied && a.overlaps(space, start, len))
+            .map(|a| {
+                format!(
+                    "{} {:?}+{:#x}..{:#x}",
+                    a.kind.to_ascii_lowercase(),
+                    a.space,
+                    a.start,
+                    a.start + a.len
+                )
+            })
     }
 }

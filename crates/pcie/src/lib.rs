@@ -21,13 +21,10 @@ pub mod device;
 pub mod error;
 pub mod fabric;
 pub mod fault;
-#[cfg(feature = "sanitize")]
 mod hb;
 pub mod memory;
 pub mod ntb;
 pub mod params;
-#[cfg(feature = "sanitize")]
-mod sanitize;
 pub mod topology;
 
 pub use addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr};

@@ -350,7 +350,6 @@ impl QpShared {
 
     /// Happens-before fabric barrier: deliver the NIC's clock to its host
     /// CPU — a completion made the NIC's DMA work visible to software.
-    #[cfg(feature = "sanitize")]
     fn hb_barrier_to_host(&self) {
         let dev = self.net.nic_dev(self.nic);
         let host = self.net.nic_host(self.nic);
@@ -359,7 +358,6 @@ impl QpShared {
 
     /// Happens-before fabric barrier: deliver the host CPU's clock to the
     /// NIC — processing a WQE acquires everything posted before it.
-    #[cfg(feature = "sanitize")]
     fn hb_barrier_to_device(&self) {
         let dev = self.net.nic_dev(self.nic);
         let host = self.net.nic_host(self.nic);
@@ -367,7 +365,6 @@ impl QpShared {
     }
 
     fn complete_send(&self, wr: &SendWr, opcode: WcOpcode, len: u64, status: WcStatus) {
-        #[cfg(feature = "sanitize")]
         self.hb_barrier_to_host();
         self.send_cq.push(Wc {
             wr_id: wr.wr_id(),
@@ -394,7 +391,6 @@ impl QpShared {
             self.complete_send(&wr, WcOpcode::Send, 0, WcStatus::NotConnected);
             return;
         };
-        #[cfg(feature = "sanitize")]
         self.hb_barrier_to_device();
         let local_dev = net.nic_dev(self.nic);
         let peer_dev = net.nic_dev(peer.nic);
@@ -459,7 +455,6 @@ impl QpShared {
                             if len > 0 {
                                 let _ = fabric.dma_write(peer_dev, dst.addr, &data).await;
                             }
-                            #[cfg(feature = "sanitize")]
                             peer.hb_barrier_to_host();
                             peer.recv_cq.push(Wc {
                                 wr_id: rwqe.wr_id,

@@ -138,7 +138,6 @@ struct Core {
     /// charged to one reactor serializes back to back, so fewer reactors
     /// mean more queueing delay at the same offered load.
     reactor_busy: RefCell<Vec<SimTime>>,
-    #[cfg(feature = "sanitize")]
     sanitize: crate::sanitize::SanitizerState,
 }
 
@@ -163,8 +162,7 @@ impl Core {
             task_reactor: RefCell::new(HashMap::new()),
             current_reactor: Cell::new(ReactorId(0)),
             reactor_busy: RefCell::new(vec![SimTime::ZERO; reactors]),
-            #[cfg(feature = "sanitize")]
-            sanitize: crate::sanitize::SanitizerState::default(),
+            sanitize: crate::sanitize::SanitizerState::new(),
         })
     }
 
@@ -404,21 +402,13 @@ impl SimRuntime {
     }
 
     /// Violations recorded by the simulation-time sanitizer so far.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_violations(&self) -> Vec<crate::sanitize::Violation> {
         self.core.sanitize.violations()
     }
 
     /// Drain the recorded sanitizer violations.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_take_violations(&self) -> Vec<crate::sanitize::Violation> {
         self.core.sanitize.take()
-    }
-
-    /// Panic at the moment of the next violation instead of recording it.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_panic_on_violation(&self, on: bool) {
-        self.core.sanitize.set_panic(on);
     }
 
     /// Install a schedule controller; replaces any previous one. Pass the
@@ -601,8 +591,14 @@ impl Handle {
         self.core().scheduler.borrow().is_some()
     }
 
-    /// Record a sanitizer violation at the current virtual time.
-    #[cfg(feature = "sanitize")]
+    /// Whether this runtime was built under a [`crate::sanitize::arm`]
+    /// guard: the one test every checker hook sits behind.
+    pub fn sanitize_armed(&self) -> bool {
+        self.core().sanitize.armed
+    }
+
+    /// Record a sanitizer violation at the current virtual time (dropped
+    /// when the runtime is not armed).
     pub fn sanitize_report(&self, code: &'static str, detail: String) {
         let core = self.core();
         core.sanitize
@@ -610,52 +606,39 @@ impl Handle {
     }
 
     /// Violations recorded so far (see [`SimRuntime::sanitize_violations`]).
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_violations(&self) -> Vec<crate::sanitize::Violation> {
         self.core().sanitize.violations()
     }
 
     /// Drain the recorded sanitizer violations.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_take_violations(&self) -> Vec<crate::sanitize::Violation> {
         self.core().sanitize.take()
     }
 
-    /// Panic at the moment of the next violation instead of recording it.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_panic_on_violation(&self, on: bool) {
-        self.core().sanitize.set_panic(on);
-    }
-
     /// Register a happens-before actor (host CPU, device DMA engine) with
     /// the race detector and get its clock slot.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_register_actor(&self, name: &str) -> crate::sanitize::ActorId {
         self.core().sanitize.register_actor(name)
     }
 
     /// The display name `actor` registered under.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_actor_name(&self, actor: crate::sanitize::ActorId) -> String {
         self.core().sanitize.actor_name(actor)
     }
 
     /// Advance `actor`'s vector clock for a new event and return the
     /// event's timestamp.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_actor_tick(&self, actor: crate::sanitize::ActorId) -> Vec<u64> {
         self.core().sanitize.tick(actor)
     }
 
     /// Acquire edge: merge `observed` (a clock released by another actor)
     /// into `actor`'s clock.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_actor_join(&self, actor: crate::sanitize::ActorId, observed: &[u64]) {
         self.core().sanitize.join(actor, observed);
     }
 
     /// Snapshot `actor`'s clock without advancing it.
-    #[cfg(feature = "sanitize")]
     pub fn sanitize_actor_clock(&self, actor: crate::sanitize::ActorId) -> Vec<u64> {
         self.core().sanitize.clock_of(actor)
     }

@@ -23,11 +23,9 @@
 //! assert_eq!(t.as_nanos(), 10_000);
 //! ```
 
-pub mod channel;
 pub mod executor;
 pub mod resource;
 pub mod rng;
-#[cfg(feature = "sanitize")]
 pub mod sanitize;
 pub mod sched;
 pub mod stats;
@@ -38,7 +36,6 @@ pub mod timeout;
 pub use executor::{yield_now, Handle, JoinHandle, ReactorId, SimRuntime, TaskId};
 pub use resource::SerialResource;
 pub use rng::SimRng;
-#[cfg(feature = "sanitize")]
 pub use sanitize::{happens_before, ActorId, Violation};
 pub use sched::{ChoiceKind, ChoiceOption, Footprint, ReplayScheduler, ScheduleTrace, Scheduler};
 pub use stats::{Histogram, LatencyRecorder, LatencySummary};

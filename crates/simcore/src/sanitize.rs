@@ -1,14 +1,27 @@
-//! Simulation-time protocol sanitizer (feature `sanitize`).
+//! Simulation-time protocol checker, armed at run time.
 //!
-//! The sanitizer is a passive observer: model code reports protocol
+//! The checker is a passive observer: model code reports protocol
 //! violations it detects (a non-posted read racing an in-flight posted
-//! write, a doorbell exposing unwritten SQEs, a completion-queue phase
-//! error, overlapping bounce-buffer partitions) and the runtime records
-//! them without disturbing virtual time. Tests then assert on the recorded
-//! violations; [`Handle::sanitize_panic_on_violation`] turns a report into
-//! an immediate panic for interactive debugging.
+//! write, a doorbell exposing unwritten SQEs, a completion-queue
+//! overwrite, overlapping bounce-buffer partitions, an unordered pair of
+//! conflicting accesses) and the runtime records them without disturbing
+//! virtual time. Every hook is compiled into every build and sits behind
+//! one [`Handle::sanitize_armed`] test; a runtime is armed for its whole
+//! life iff an [`arm`] guard was alive on the thread when it was built,
+//! so the binary that is measured is the binary that can be checked:
 //!
-//! [`Handle::sanitize_panic_on_violation`]: crate::Handle::sanitize_panic_on_violation
+//! ```
+//! let armed = simcore::sanitize::arm();
+//! let rt = simcore::SimRuntime::new(); // build the fabric / Scenario here
+//! drop(armed);
+//! assert!(rt.handle().sanitize_armed());
+//! assert!(rt.sanitize_violations().is_empty());
+//! ```
+//!
+//! Unarmed, nothing is recorded or allocated. Tests assert on the recorded
+//! violations.
+//!
+//! [`Handle::sanitize_armed`]: crate::Handle::sanitize_armed
 
 use std::cell::{Cell, RefCell};
 
@@ -18,14 +31,34 @@ use std::cell::{Cell, RefCell};
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ActorId(pub u32);
 
-impl std::fmt::Display for ActorId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "actor{}", self.0)
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Disarms the thread (restoring the previous state) on drop. Runtimes
+/// built while it lived stay armed.
+pub struct ArmGuard {
+    previous: bool,
+}
+
+impl Drop for ArmGuard {
+    fn drop(&mut self) {
+        ARMED.with(|a| a.set(self.previous));
     }
 }
 
-/// One recorded protocol violation.
-#[derive(Clone, Debug)]
+/// Arm the checker for every [`SimRuntime`](crate::SimRuntime) built on
+/// this thread until the returned guard drops.
+#[must_use = "dropping the guard disarms the thread"]
+pub fn arm() -> ArmGuard {
+    ARMED.with(|a| ArmGuard {
+        previous: a.replace(true),
+    })
+}
+
+/// One recorded protocol violation (from this checker or, re-exported as
+/// `nvme::oracle::LifecycleViolation`, from the lifecycle oracle).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Stable machine-readable code, e.g. `pcie.read-races-posted-write`.
     pub code: &'static str,
@@ -41,11 +74,11 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Per-runtime sanitizer state, owned by the executor core.
-#[derive(Default)]
+/// Per-runtime checker state, owned by the executor core.
 pub(crate) struct SanitizerState {
+    /// Whether an [`arm`] guard was alive when the runtime was built.
+    pub(crate) armed: bool,
     violations: RefCell<Vec<Violation>>,
-    panic_on_violation: Cell<bool>,
     /// Vector clocks for the happens-before race detector, one slot per
     /// registered actor; `clocks[a][b]` = the latest event of actor `b`
     /// that actor `a` has (transitively) observed.
@@ -54,9 +87,18 @@ pub(crate) struct SanitizerState {
 }
 
 impl SanitizerState {
+    pub(crate) fn new() -> Self {
+        SanitizerState {
+            armed: ARMED.with(Cell::get),
+            violations: RefCell::default(),
+            clocks: RefCell::default(),
+            actor_names: RefCell::default(),
+        }
+    }
+
     pub(crate) fn report(&self, code: &'static str, at_nanos: u64, detail: String) {
-        if self.panic_on_violation.get() {
-            panic!("sanitize violation [{code}] at t={at_nanos}ns: {detail}");
+        if !self.armed {
+            return;
         }
         self.violations.borrow_mut().push(Violation {
             code,
@@ -73,10 +115,6 @@ impl SanitizerState {
         std::mem::take(&mut *self.violations.borrow_mut())
     }
 
-    pub(crate) fn set_panic(&self, on: bool) {
-        self.panic_on_violation.set(on);
-    }
-
     // ----------------------------------------------------- vector clocks
 
     pub(crate) fn register_actor(&self, name: &str) -> ActorId {
@@ -88,11 +126,7 @@ impl SanitizerState {
     }
 
     pub(crate) fn actor_name(&self, actor: ActorId) -> String {
-        self.actor_names
-            .borrow()
-            .get(actor.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| actor.to_string())
+        self.actor_names.borrow()[actor.0 as usize].clone()
     }
 
     /// Advance `actor`'s own component and return the updated clock — the

@@ -3,14 +3,16 @@
 //! folds an FNV-1a hash over every `(task id, virtual time)` poll, so any
 //! divergence — a hasher-ordered map iteration, a wallclock leak, an
 //! entropy-seeded RNG — shows up as a hash mismatch even when the final
-//! state happens to agree. The fingerprint also folds in the sanitizer's
-//! violation set: two runs that poll identically but *diagnose*
+//! state happens to agree. The fingerprint also folds in the armed
+//! checker's violation set: two runs that poll identically but *diagnose*
 //! differently (a violation recorded in one run only, or with different
-//! context) are just as non-deterministic as diverging schedules.
+//! context) are just as non-deterministic as diverging schedules. And the
+//! checker must be passive: arming it may not move the event stream.
 
 use blklayer::Bio;
 use cluster::{Calibration, Scenario, ScenarioKind};
-use fioflex::verify_region;
+use fioflex::{run_job, verify_region, JobSpec, RwMode};
+use simcore::{LatencySummary, SimDuration};
 
 /// FNV-1a over the sanitize violation set, order-sensitive: the sanitizer
 /// must report the same violations in the same order on every replay.
@@ -35,6 +37,7 @@ fn violations_fingerprint(violations: &[simcore::sanitize::Violation]) -> u64 {
 /// plus a hash of everything the sanitizer flagged.
 fn run_once(kind: ScenarioKind, seed: u64) -> (u64, u64) {
     let calib = Calibration::paper();
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build(kind, &calib);
     let (host, dev) = sc.clients[0].clone();
     let fabric = sc.fabric.clone();
@@ -90,6 +93,7 @@ fn multihost_is_deterministic() {
 /// logical reactors, each verifying a disjoint region concurrently.
 fn run_once_sharded(reactors: usize, seed: u64) -> (u64, u64) {
     let calib = Calibration::paper();
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build_sharded(ScenarioKind::OursMultihost { clients: 4 }, &calib, reactors);
     assert_eq!(sc.rt.reactor_count(), reactors);
     let fabric = sc.fabric.clone();
@@ -141,6 +145,7 @@ fn fault_schedule_replays_bit_identically() {
     let run = || {
         let calib = Calibration::fault_recovery();
         let plan = pcie::FaultPlan::parse("f1:drop@0/cqe").unwrap();
+        let _armed = simcore::sanitize::arm();
         let sc =
             Scenario::build_with_faults(ScenarioKind::OursRemote { switches: 1 }, &calib, plan);
         let (host, dev) = sc.clients[0].clone();
@@ -164,6 +169,64 @@ fn fault_schedule_replays_bit_identically() {
         "same fault token produced diverging runs (event stream, \
          sanitizer set, or injection counters)"
     );
+}
+
+/// One seeded mixed job on a fresh scenario, with or without the checker
+/// armed: (event-stream hash, read latencies, write latencies, violations
+/// recorded, records in the fabric's access table).
+type JobOutcome = (
+    u64,
+    Option<LatencySummary>,
+    Option<LatencySummary>,
+    usize,
+    usize,
+);
+
+fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
+    let calib = Calibration::paper();
+    let guard = armed.then(simcore::sanitize::arm);
+    let sc = Scenario::build(kind, &calib);
+    drop(guard);
+    let (host, dev) = sc.clients[0].clone();
+    let fabric = sc.fabric.clone();
+    let spec = JobSpec::new("mix", RwMode::RandRw { read_pct: 70 })
+        .region(0, 50_000)
+        .runtime(SimDuration::from_millis(2))
+        .seed(0x5EED);
+    let report = sc
+        .rt
+        .block_on(async move { run_job(&fabric, host, dev, &spec).await });
+    assert_eq!(report.errors, 0, "{}", sc.label);
+    (
+        sc.rt.trace_hash(),
+        report.read.map(|s| s.lat),
+        report.write.map(|s| s.lat),
+        sc.rt.sanitize_violations().len(),
+        sc.fabric.sanitize_log_len(),
+    )
+}
+
+#[test]
+fn checker_is_passive() {
+    // The armed and the un-armed run are the same binary: arming may add
+    // bookkeeping but not one poll, one nanosecond or one violation, and
+    // un-armed the checker records nothing at all.
+    for kind in [
+        ScenarioKind::LinuxLocal,
+        ScenarioKind::NvmfRemote,
+        ScenarioKind::OursLocal,
+        ScenarioKind::OursRemote { switches: 1 },
+        ScenarioKind::OursMultihost { clients: 3 },
+    ] {
+        let (hash, read, write, violations, log) = job_once(kind.clone(), true);
+        assert!(log > 0, "{kind:?}: the armed run recorded no accesses");
+        assert_eq!(violations, 0, "{kind:?}: a legitimate job was flagged");
+        assert_eq!(
+            job_once(kind.clone(), false),
+            (hash, read, write, 0, 0),
+            "{kind:?}: arming the checker changed the run"
+        );
+    }
 }
 
 #[test]

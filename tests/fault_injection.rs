@@ -199,6 +199,7 @@ fn oversized_bio_rejected_cleanly_everywhere() {
         ScenarioKind::NvmfRemote,
     ] {
         let calib = Calibration::paper();
+        let _armed = simcore::sanitize::arm();
         let sc = Scenario::build(kind, &calib);
         let (host, dev) = sc.clients[0].clone();
         let fabric = sc.fabric.clone();
@@ -213,6 +214,7 @@ fn oversized_bio_rejected_cleanly_everywhere() {
             0,
             "{label}: must not reach the device"
         );
+        assert_eq!(sc.rt.sanitize_violations(), [], "{label}");
     }
 }
 
@@ -227,6 +229,7 @@ fn dropped_cqe_recovers_through_the_abort_ladder() {
     use cluster::{Calibration, Scenario, ScenarioKind};
     use pcie::FaultPlan;
     let calib = Calibration::fault_recovery();
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build_with_faults(
         ScenarioKind::OursRemote { switches: 1 },
         &calib,
@@ -249,6 +252,9 @@ fn dropped_cqe_recovers_through_the_abort_ladder() {
         ms.aborts_issued >= 1,
         "manager must issue the abort: {ms:?}"
     );
+    // The lost CQE and the whole recovery ladder are protocol-clean: the
+    // dropped write is forgotten, not left pending or "observed".
+    assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
 #[test]
@@ -261,6 +267,7 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
     use pcie::SeverMode;
     let calib = Calibration::fault_recovery();
     let cmd_timeout = calib.client.cmd_timeout.unwrap();
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
     let (host, dev) = sc.clients[0].clone();
     let ntb = sc.client_ntbs[0];
@@ -319,6 +326,9 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
         sc.fabric.fault_stats().refused > 0,
         "severed link must refuse accesses"
     );
+    // Refused accesses never enter the fabric, so even a mid-flush cable
+    // pull leaves no race and no write pending forever.
+    assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
 #[test]

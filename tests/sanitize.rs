@@ -1,23 +1,33 @@
-//! Simulation-time sanitizer (feature `sanitize`, enabled for all
-//! integration tests): seed each violation class the checker exists to
-//! catch and assert the corresponding report fires, then run legitimate
-//! stacks and assert the sanitizer stays silent.
+//! Simulation-time protocol checker (compiled into every build, armed at
+//! run time with `simcore::sanitize::arm`): seed each violation class the
+//! checker exists to catch and assert the corresponding report fires, then
+//! run legitimate stacks and assert the checker stays silent.
 
 use std::rc::Rc;
 
 use nvme::driver::{AdminQueue, AdminQueueLayout};
+use nvme::oracle::{self, Event, LifecycleOracle};
 use nvme::spec::command::SQE_SIZE;
 use nvme::spec::completion::CQE_SIZE;
-use nvme::{
-    BlockStore, CqEntry, CqRing, MediaProfile, NvmeConfig, NvmeController, SqEntry, Status,
-};
-use pcie::{DomainAddr, Fabric, FabricParams, HostId, NtbId, PhysAddr};
-use simcore::{ReactorId, SimDuration, SimRuntime};
+use nvme::{BlockStore, CqEntry, MediaProfile, NvmeConfig, NvmeController, SqEntry, Status};
+use pcie::{DomainAddr, Fabric, FabricParams, FaultPlan, HostId, MemRegion, NtbId, PhysAddr};
+use simcore::{SimDuration, SimRuntime, Violation};
+
+/// A runtime with the checker armed (the guard only has to outlive the
+/// runtime's construction).
+fn armed_runtime() -> SimRuntime {
+    let _armed = simcore::sanitize::arm();
+    SimRuntime::new()
+}
+
+fn codes(violations: &[Violation]) -> Vec<&'static str> {
+    violations.iter().map(|v| v.code).collect()
+}
 
 /// Two hosts joined through NTBs and one switch chip — the minimal fabric
 /// where posted writes have a propagation window a racing read can hit.
 fn two_host_bed() -> (SimRuntime, Fabric, [HostId; 2], [NtbId; 2]) {
-    let rt = SimRuntime::new();
+    let rt = armed_runtime();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let sw = fabric.add_switch("sw");
     let mut hosts = Vec::new();
@@ -51,15 +61,75 @@ fn read_racing_posted_write_is_flagged() {
             let mut buf = [0u8; 64];
             fabric.cpu_read(b, target.addr, &mut buf).await.unwrap();
             let v = fabric.handle().sanitize_take_violations();
-            assert!(
-                v.iter().any(|x| x.code == "pcie.read-races-posted-write"),
-                "expected a race report, got {v:?}"
+            assert_eq!(
+                codes(&v),
+                ["pcie.read-races-posted-write", "pcie.hb-race"],
+                "{v:?}"
             );
             // Once the write has applied, the same read is clean.
             fabric.handle().sleep(SimDuration::from_micros(10)).await;
             fabric.cpu_read(b, target.addr, &mut buf).await.unwrap();
             assert_eq!(buf, [0xAB; 64]);
             assert!(fabric.handle().sanitize_take_violations().is_empty());
+
+            // Two posted writes in flight to one address, the older one
+            // longer: the newer supersedes the older in the
+            // happens-before graph (one race report, against the newer),
+            // but both are still on the wire and the read is stale against
+            // each of them.
+            fabric
+                .cpu_write(a, win.offset(0x100), &[1; 64])
+                .await
+                .unwrap();
+            fabric
+                .cpu_write(a, win.offset(0x100), &[2; 8])
+                .await
+                .unwrap();
+            let at = target.addr.offset(0x100);
+            // The tail of the range is covered by the older write alone.
+            fabric
+                .cpu_read(b, at.offset(8), &mut buf[..56])
+                .await
+                .unwrap();
+            let v = fabric.handle().sanitize_take_violations();
+            assert_eq!(codes(&v), ["pcie.read-races-posted-write"], "{v:?}");
+            fabric.cpu_read(b, at, &mut buf).await.unwrap();
+            let v = fabric.handle().sanitize_take_violations();
+            assert_eq!(
+                codes(&v),
+                [
+                    "pcie.read-races-posted-write",
+                    "pcie.read-races-posted-write",
+                    "pcie.hb-race"
+                ],
+                "{v:?}"
+            );
+            fabric.handle().sleep(SimDuration::from_micros(10)).await;
+            fabric.cpu_read(b, at, &mut buf).await.unwrap();
+            assert!(fabric.handle().sanitize_take_violations().is_empty());
+
+            // Freeing the target severs its happens-before history (no
+            // race report) but does not stop in-flight writes landing.
+            fabric
+                .cpu_write(a, win.offset(0x200), &[3; 64])
+                .await
+                .unwrap();
+            fabric
+                .cpu_write(a, win.offset(0x200), &[4; 8])
+                .await
+                .unwrap();
+            fabric.release(target);
+            let at = target.addr.offset(0x200);
+            fabric.cpu_read(b, at, &mut buf).await.unwrap();
+            let v = fabric.handle().sanitize_take_violations();
+            assert_eq!(
+                codes(&v),
+                [
+                    "pcie.read-races-posted-write",
+                    "pcie.read-races-posted-write"
+                ],
+                "{v:?}"
+            );
         }
     });
 }
@@ -109,9 +179,12 @@ fn doorbell_before_sqe_is_flagged() {
                 .unwrap();
             fabric.handle().sleep(SimDuration::from_micros(20)).await;
             let v = fabric.handle().sanitize_take_violations();
-            assert!(
-                v.iter().any(|x| x.code == "nvme.doorbell-before-sqe"),
-                "expected a doorbell-ordering report, got {v:?}"
+            // The doorbell exposed an unwritten slot, and the fetch it
+            // triggered raced the SQE store.
+            assert_eq!(
+                codes(&v),
+                ["nvme.doorbell-before-sqe", "pcie.hb-race"],
+                "{v:?}"
             );
         }
     });
@@ -125,7 +198,7 @@ fn cq_overwrite_is_flagged() {
     // completion service that would legitimately consume the planted
     // entry (and release its slot) before the controller posts.
     use nvme::spec::registers::{csts, offset, Aqa, Cap, Cc};
-    let rt = SimRuntime::new();
+    let rt = armed_runtime();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let host = fabric.add_host(64 << 20);
     let store = Rc::new(BlockStore::new(
@@ -204,42 +277,86 @@ fn cq_overwrite_is_flagged() {
                 .unwrap();
             fabric.handle().sleep(SimDuration::from_micros(20)).await;
             let v = fabric.handle().sanitize_take_violations();
-            assert!(
-                v.iter().any(|x| x.code == "nvme.cq-overwrite"),
-                "expected an overwrite report, got {v:?}"
-            );
+            assert_eq!(codes(&v), ["nvme.cq-overwrite"], "{v:?}");
         }
     });
 }
 
+/// Seeded bug: consume `slot` of a CQ ring *without* the phase guard, the
+/// way an interrupt-driven driver that trusts the MSI unconditionally
+/// would, and tell the checkers what was actually consumed — the phase
+/// observed in memory, not the one the ring expects.
+fn pop_unchecked(fabric: &Fabric, ring: MemRegion, qid: u16, slot: u16, entries: u16) -> CqEntry {
+    let addr = ring.addr.offset(slot as u64 * CQE_SIZE as u64);
+    let mut raw = [0u8; CQE_SIZE];
+    fabric.mem_read(ring.host, addr, &mut raw).unwrap();
+    fabric.sanitize_consume(ring.host, addr, CQE_SIZE as u64);
+    let cqe = CqEntry::decode(&raw);
+    oracle::emit(Event::CqeConsumed {
+        qid,
+        cid: cqe.cid,
+        slot,
+        phase: CqEntry::peek_phase(&raw),
+        entries,
+    });
+    cqe
+}
+
 #[test]
 fn stale_phase_consumption_is_flagged() {
+    const QID: u16 = 1;
+    const ENTRIES: u16 = 4;
     let rt = SimRuntime::new();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let host = fabric.add_host(16 << 20);
-    let ring = fabric.alloc(host, 4 * CQE_SIZE as u64).unwrap();
-    let db = DomainAddr::new(host, ring.addr);
-    let cq = CqRing::new(&fabric, ring, db, 4);
-    // Consuming an empty slot (phase tag 0, ring expects 1) — what a
-    // driver trusting a spurious interrupt would do.
-    let _ = cq.pop_unchecked();
-    let v = rt.sanitize_take_violations();
+    let ring = fabric
+        .alloc(host, ENTRIES as u64 * CQE_SIZE as u64)
+        .unwrap();
+    let checker = LifecycleOracle::new(rt.handle());
+    let _installed = oracle::install(checker.clone());
+    // A genuinely delivered entry pops silently, even unguarded.
+    oracle::emit(Event::SqeWritten {
+        qid: QID,
+        cid: 42,
+        slot: 0,
+        entries: ENTRIES,
+    });
+    oracle::emit(Event::SqDoorbell {
+        qid: QID,
+        tail: 1,
+        entries: ENTRIES,
+    });
+    oracle::emit(Event::CmdFetched {
+        qid: QID,
+        cid: 42,
+        slot: 0,
+    });
+    oracle::emit(Event::CqePosted {
+        qid: QID,
+        cid: 42,
+        slot: 0,
+        phase: true,
+        entries: ENTRIES,
+    });
+    let cqe = CqEntry::new(0, 0, QID, 42, true, Status::SUCCESS);
+    fabric.mem_write(host, ring.addr, &cqe.encode()).unwrap();
+    assert_eq!(pop_unchecked(&fabric, ring, QID, 0, ENTRIES).cid, 42);
+    assert!(checker.take_violations().is_empty());
+    // Consuming the next, still empty slot (phase tag 0, ring expects 1) —
+    // what a driver trusting a spurious interrupt would do.
+    let _ = pop_unchecked(&fabric, ring, QID, 1, ENTRIES);
+    let v = checker.take_violations();
     assert!(
-        v.iter().any(|x| x.code == "nvme.cq-stale-phase"),
+        !v.is_empty()
+            && v.iter()
+                .all(|x| x.code == "nvme.lifecycle.stale-phase-consume"),
         "got {v:?}"
     );
-    // A genuinely delivered entry pops silently.
-    let cqe = CqEntry::new(0, 0, 1, 42, true, Status::SUCCESS);
-    fabric
-        .mem_write(host, ring.addr.offset(CQE_SIZE as u64), &cqe.encode())
-        .unwrap();
-    assert_eq!(cq.pop_unchecked().cid, 42);
-    assert!(rt.sanitize_take_violations().is_empty());
 }
 
 #[test]
 fn bounce_partition_overlap_is_flagged() {
-    let rt = SimRuntime::new();
+    let rt = armed_runtime();
     let handle = rt.handle();
     // Tags 0 and 1 share a page — two in-flight commands would DMA into
     // each other's staging space.
@@ -258,83 +375,6 @@ fn bounce_partition_overlap_is_flagged() {
         "exactly the overlapping pair must be reported: {v:?}"
     );
     assert_eq!(v[0].code, "dnvme.bounce-overlap");
-}
-
-/// Two reactors hand a buffer from host `a`'s shard to host `b`'s shard
-/// over a [`simcore::channel::shard`] channel; the consumer then writes
-/// the range host `a` already wrote. With the channel's release/acquire
-/// edge the writes are ordered; with `send_unsynchronized` (the seeded
-/// seam) they are not, and only the happens-before detector can tell —
-/// both writes have long since applied.
-fn cross_reactor_handoff(synchronized: bool) -> bool {
-    let rt = SimRuntime::with_reactors(2);
-    let fabric = Fabric::new(rt.handle(), FabricParams::default());
-    let sw = fabric.add_switch("sw");
-    let mut hosts = Vec::new();
-    let mut ntbs = Vec::new();
-    for _ in 0..2 {
-        let h = fabric.add_host(64 << 20);
-        let ntb = fabric.add_ntb(h, 2 << 20, 16);
-        fabric.link(fabric.ntb_node(ntb), sw);
-        hosts.push(h);
-        ntbs.push(ntb);
-    }
-    let (a, b) = (hosts[0], hosts[1]);
-    let target = fabric.alloc(b, 4096).unwrap();
-    let slot = fabric.find_free_lut_slot(ntbs[0]).unwrap();
-    let win = fabric
-        .program_lut(ntbs[0], slot, DomainAddr::new(b, target.addr))
-        .unwrap();
-    let handle = rt.handle();
-    let (mut tx, mut rx) = simcore::channel::shard::channel::<u64>();
-    tx.bind_actor(&handle, fabric.sanitize_host_actor(a));
-    rx.bind_actor(&handle, fabric.sanitize_host_actor(b));
-    rt.block_on({
-        let fabric = fabric.clone();
-        let handle = handle.clone();
-        async move {
-            let f2 = fabric.clone();
-            let h2 = handle.clone();
-            let producer = handle.spawn_on(ReactorId::new(0), async move {
-                f2.cpu_write(a, win, &[0xAA; 64]).await.unwrap();
-                // Let the posted write apply: from here on only the
-                // happens-before log can order the two stores.
-                h2.sleep(SimDuration::from_micros(10)).await;
-                if synchronized {
-                    tx.send(1).unwrap();
-                } else {
-                    tx.send_unsynchronized(1).unwrap();
-                }
-            });
-            let f3 = fabric.clone();
-            let consumer = handle.spawn_on(ReactorId::new(1), async move {
-                rx.recv().await.unwrap();
-                f3.cpu_write(b, target.addr, &[0xBB; 64]).await.unwrap();
-            });
-            producer.await;
-            consumer.await;
-            handle.sleep(SimDuration::from_micros(10)).await;
-        }
-    });
-    rt.sanitize_take_violations()
-        .iter()
-        .any(|v| v.code == "pcie.hb-race")
-}
-
-#[test]
-fn cross_reactor_handoff_without_join_edge_is_flagged() {
-    assert!(
-        cross_reactor_handoff(false),
-        "unsynchronized handoff must leave the writes racy"
-    );
-}
-
-#[test]
-fn cross_reactor_handoff_with_join_edge_is_clean() {
-    assert!(
-        !cross_reactor_handoff(true),
-        "the channel's release/acquire edge must order the writes"
-    );
 }
 
 #[test]
@@ -382,7 +422,7 @@ fn bounce_overlap_sweep_matches_quadratic_reference() {
                 .collect(),
         );
     }
-    let rt = SimRuntime::new();
+    let rt = armed_runtime();
     let handle = rt.handle();
     for parts in &layouts {
         dnvme::bounce::sanitize_check_partitions(&handle, parts);
@@ -437,10 +477,7 @@ fn sqe_store_after_doorbell_races_fetch() {
             let mut raw = [0u8; SQE_SIZE];
             fabric.dma_read(dev, sq.addr, &mut raw).await.unwrap();
             let v = fabric.handle().sanitize_take_violations();
-            assert!(
-                v.iter().any(|x| x.code == "pcie.hb-race"),
-                "expected a happens-before race report, got {v:?}"
-            );
+            assert_eq!(codes(&v), ["pcie.hb-race"], "{v:?}");
         }
     });
 }
@@ -465,20 +502,51 @@ fn cq_poll_racing_posted_cqe_is_flagged() {
     let win = fabric
         .program_lut(ntb_b, slot, DomainAddr::new(a, ring.addr))
         .unwrap();
-    let db = DomainAddr::new(a, ring.addr);
     rt.block_on({
         let fabric = fabric.clone();
         async move {
-            let cq = CqRing::new(&fabric, ring, db, 4);
             let cqe = CqEntry::new(0, 0, 0, 7, true, Status::SUCCESS);
             fabric.dma_write(dev, win, &cqe.encode()).await.unwrap();
-            // Poll before the posted write can have applied.
-            let _ = cq.pop_unchecked();
+            // Consume before the posted write can have applied.
+            fabric.sanitize_consume(a, ring.addr, CQE_SIZE as u64);
             let v = fabric.handle().sanitize_take_violations();
-            assert!(
-                v.iter().any(|x| x.code == "pcie.hb-race"),
-                "expected a happens-before race report, got {v:?}"
-            );
+            assert_eq!(codes(&v), ["pcie.hb-race"], "{v:?}");
+        }
+    });
+}
+
+#[test]
+fn dropped_write_gives_no_happens_before_edge() {
+    // A posts W1 -> X (delivered), then W2 -> Y (lost in flight). B reads
+    // Y: nothing landed there, so B has observed nothing of A, and its
+    // store to X is unordered against W1. Treating the lost write as
+    // applied would let B's read join W2's clock and hide the race.
+    let (rt, fabric, [a, b], [ntb_a, _]) = two_host_bed();
+    fabric.set_fault_plan(FaultPlan::parse("f1:drop@1/any").unwrap());
+    let target = fabric.alloc(b, 4096).unwrap();
+    let slot = fabric.find_free_lut_slot(ntb_a).unwrap();
+    let win = fabric
+        .program_lut(ntb_a, slot, DomainAddr::new(b, target.addr))
+        .unwrap();
+    rt.block_on({
+        let fabric = fabric.clone();
+        async move {
+            fabric.cpu_write(a, win, &[0xAA; 64]).await.unwrap();
+            fabric
+                .cpu_write(a, win.offset(0x100), &[0xBB; 64])
+                .await
+                .unwrap();
+            fabric.handle().sleep(SimDuration::from_micros(10)).await;
+            assert_eq!(fabric.fault_stats().dropped, 1);
+            let mut buf = [0u8; 64];
+            fabric
+                .cpu_read(b, target.addr.offset(0x100), &mut buf)
+                .await
+                .unwrap();
+            assert_eq!(buf, [0u8; 64], "the dropped write must not have landed");
+            fabric.cpu_write(b, target.addr, &[0xCC; 64]).await.unwrap();
+            let v = fabric.handle().sanitize_take_violations();
+            assert_eq!(codes(&v), ["pcie.hb-race"], "{v:?}");
         }
     });
 }
@@ -486,10 +554,11 @@ fn cq_poll_racing_posted_cqe_is_flagged() {
 #[test]
 fn legitimate_stacks_stay_silent() {
     // The full verified data path — including the real BouncePool layout —
-    // must produce zero sanitizer reports, across every scenario kind and
+    // must produce zero checker reports, across every scenario kind and
     // with the happens-before race detector live.
     use cluster::{Calibration, Scenario, ScenarioKind};
     use fioflex::verify_region;
+    let _armed = simcore::sanitize::arm();
     for kind in [
         ScenarioKind::LinuxLocal,
         ScenarioKind::NvmfRemote,
@@ -499,6 +568,7 @@ fn legitimate_stacks_stay_silent() {
     ] {
         let calib = Calibration::paper();
         let sc = Scenario::build(kind, &calib);
+        assert!(sc.fabric.sanitize_armed(), "{}", sc.label);
         for (host, dev) in sc.clients.clone() {
             let fabric = sc.fabric.clone();
             let report = sc
