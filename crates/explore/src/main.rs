@@ -4,7 +4,7 @@
 //! dnvme-explore --scenario ours-multihost --exhaustive
 //! dnvme-explore --scenario ours-remote --schedules 64
 //! dnvme-explore --fixture double-cqe --schedules 16
-//! dnvme-explore --scenario ours-multihost --replay x1:0.3.2
+//! dnvme-explore --scenario ours-multihost --replay x1:0.1.1
 //! dnvme-explore --all --schedules 64
 //! ```
 //!

@@ -12,7 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
-use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, PhysAddr};
+use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, PhysAddr, WeakFabric};
 use simcore::sync::{Notify, Semaphore};
 use simcore::{Handle, SimDuration};
 
@@ -115,7 +115,8 @@ pub struct CtrlStats {
 
 /// The controller. Register it on the fabric with [`NvmeController::attach`].
 pub struct NvmeController {
-    fabric: Fabric,
+    /// Weak: the fabric owns this controller as a device's MMIO handler.
+    fabric: WeakFabric,
     handle: Handle,
     store: Rc<BlockStore>,
     config: NvmeConfig,
@@ -159,7 +160,7 @@ impl NvmeController {
             cqr: true,
         };
         let ctrl = Rc::new(NvmeController {
-            fabric: fabric.clone(),
+            fabric: fabric.downgrade(),
             handle: fabric.handle(),
             store,
             exec_sem: Semaphore::new(config.max_exec),
@@ -205,6 +206,12 @@ impl NvmeController {
     /// Number of live I/O submission queues (diagnostic).
     pub fn live_io_queues(&self) -> usize {
         self.sqs.borrow().keys().filter(|qid| **qid != 0).count()
+    }
+
+    fn fabric(&self) -> Fabric {
+        self.fabric
+            .upgrade()
+            .expect("fabric dropped while its controller is in use")
     }
 
     fn me(&self) -> Rc<NvmeController> {
@@ -353,7 +360,7 @@ impl NvmeController {
                     self.fatal();
                     return;
                 }
-                if self.fabric.sanitize_armed() {
+                if self.handle.sanitize_armed() {
                     self.sanitize_sq_doorbell(qid, s.base, s.entries, s.tail, value as u16);
                 }
                 s.tail = value as u16;
@@ -367,6 +374,7 @@ impl NvmeController {
     // -----------------------------------------------------------------
 
     async fn sq_worker(self: Rc<Self>, sq: Rc<RefCell<SqState>>) {
+        let fabric = self.fabric();
         let dev = self.device_id();
         loop {
             let doorbell = sq.borrow().doorbell.clone();
@@ -385,8 +393,7 @@ impl NvmeController {
                 // Fetch one SQE via DMA — this is the read the paper's
                 // Fig. 8 placement optimization shortens.
                 let mut raw = [0u8; SQE_SIZE];
-                if self
-                    .fabric
+                if fabric
                     .dma_read(dev, base.offset(head as u64 * SQE_SIZE as u64), &mut raw)
                     .await
                     .is_err()
@@ -443,6 +450,7 @@ impl NvmeController {
         cid: u16,
         status: Status,
     ) {
+        let fabric = self.fabric();
         let dev = self.device_id();
         loop {
             let (slot, phase, base, iv, full, space, alive, entries) = {
@@ -495,7 +503,7 @@ impl NvmeController {
                 phase,
                 entries,
             });
-            if self.fabric.sanitize_armed() {
+            if fabric.sanitize_armed() {
                 self.sanitize_cq_post(cqid, slot, phase, base);
             }
             let cqe = CqEntry::new(result, sq_head, sq_id, cid, phase, status);
@@ -503,8 +511,7 @@ impl NvmeController {
                 self.stats.borrow_mut().errors_returned += 1;
                 self.record_error(sq_id, cid, status, self.last_error_lba.take());
             }
-            let _ = self
-                .fabric
+            let _ = fabric
                 .dma_write(
                     dev,
                     base.offset(slot as u64 * CQE_SIZE as u64),
@@ -513,7 +520,7 @@ impl NvmeController {
                 .await;
             self.stats.borrow_mut().completions_posted += 1;
             if let Some(v) = iv {
-                self.fabric.raise_msi(dev, v);
+                fabric.raise_msi(dev, v);
             }
             return;
         }
@@ -543,6 +550,7 @@ impl NvmeController {
     }
 
     async fn admin_identify(&self, sqe: &SqEntry) -> (u32, Status) {
+        let fabric = self.fabric();
         let data = match sqe.cdw10 {
             cns::CONTROLLER => self.identify_controller_data().encode(),
             cns::NAMESPACE => {
@@ -554,7 +562,7 @@ impl NvmeController {
             _ => return (0, Status::INVALID_FIELD),
         };
         let dev = self.device_id();
-        if self.fabric.dma_write(dev, sqe.prp1, &data).await.is_err() {
+        if fabric.dma_write(dev, sqe.prp1, &data).await.is_err() {
             return (0, Status::DATA_TRANSFER_ERROR);
         }
         (0, Status::SUCCESS)
@@ -563,6 +571,7 @@ impl NvmeController {
     /// Get Log Page: serves the Error Information log (newest first) and
     /// an all-zero health page; truncates to the requested dword count.
     async fn admin_get_log_page(&self, sqe: &SqEntry) -> (u32, Status) {
+        let fabric = self.fabric();
         let lid = sqe.cdw10 & 0xFF;
         let numd = ((sqe.cdw10 >> 16) & 0xFFF) as usize + 1;
         let want_bytes = numd * 4;
@@ -580,12 +589,7 @@ impl NvmeController {
         };
         let n = want_bytes.min(data.len());
         let dev = self.device_id();
-        if self
-            .fabric
-            .dma_write(dev, sqe.prp1, &data[..n])
-            .await
-            .is_err()
-        {
+        if fabric.dma_write(dev, sqe.prp1, &data[..n]).await.is_err() {
             return (0, Status::DATA_TRANSFER_ERROR);
         }
         (0, Status::SUCCESS)
@@ -779,6 +783,7 @@ impl NvmeController {
 
     /// Dataset Management: deallocate (TRIM) the listed ranges.
     async fn io_dsm(&self, sqe: &SqEntry) -> Status {
+        let fabric = self.fabric();
         if sqe.nsid != 1 {
             return Status::INVALID_NAMESPACE;
         }
@@ -788,8 +793,7 @@ impl NvmeController {
         }
         let deallocate = sqe.cdw11 & 0x4 != 0;
         let mut raw = vec![0u8; nr * DSM_RANGE_LEN];
-        if self
-            .fabric
+        if fabric
             .dma_read(self.device_id(), sqe.prp1, &mut raw)
             .await
             .is_err()
@@ -813,6 +817,7 @@ impl NvmeController {
     /// Gather the DMA chunk list for a command, fetching the PRP list from
     /// host memory when the transfer spans more than two pages.
     async fn dma_chunks(&self, sqe: &SqEntry, len: u64) -> Result<Vec<(PhysAddr, u64)>, Status> {
+        let fabric = self.fabric();
         let off = sqe.prp1.align_offset(prp::PAGE);
         let pages = prp::pages_spanned(off, len);
         let rest: Vec<PhysAddr> = if pages <= 1 {
@@ -822,7 +827,7 @@ impl NvmeController {
         } else {
             let n = (pages - 1) as usize;
             let mut raw = vec![0u8; n * 8];
-            self.fabric
+            fabric
                 .dma_read(self.device_id(), sqe.prp2, &mut raw)
                 .await
                 .map_err(|_| Status::DATA_TRANSFER_ERROR)?;
@@ -834,6 +839,7 @@ impl NvmeController {
     }
 
     async fn io_read(&self, sqe: &SqEntry) -> Status {
+        let fabric = self.fabric();
         if sqe.nsid != 1 {
             return Status::INVALID_NAMESPACE;
         }
@@ -854,7 +860,7 @@ impl NvmeController {
         let mut cursor = 0usize;
         for (addr, clen) in chunks {
             let slice = &data[cursor..cursor + clen as usize];
-            if self.fabric.dma_write(dev, addr, slice).await.is_err() {
+            if fabric.dma_write(dev, addr, slice).await.is_err() {
                 return Status::DATA_TRANSFER_ERROR;
             }
             cursor += clen as usize;
@@ -863,6 +869,7 @@ impl NvmeController {
     }
 
     async fn io_write(&self, sqe: &SqEntry) -> Status {
+        let fabric = self.fabric();
         if sqe.nsid != 1 {
             return Status::INVALID_NAMESPACE;
         }
@@ -882,7 +889,7 @@ impl NvmeController {
         let mut cursor = 0usize;
         for (addr, clen) in chunks {
             let slice = &mut data[cursor..cursor + clen as usize];
-            if self.fabric.dma_read(dev, addr, slice).await.is_err() {
+            if fabric.dma_read(dev, addr, slice).await.is_err() {
                 return Status::DATA_TRANSFER_ERROR;
             }
             cursor += clen as usize;
@@ -908,14 +915,12 @@ impl NvmeController {
         old_tail: u16,
         new_tail: u16,
     ) {
-        let host = self.fabric.device_host(self.device_id());
+        let fabric = self.fabric();
+        let host = fabric.device_host(self.device_id());
         let mut slot = old_tail;
         while slot != new_tail {
             let addr = base.offset(slot as u64 * SQE_SIZE as u64);
-            if self
-                .fabric
-                .sanitize_pending_posted_overlap(host, addr, SQE_SIZE as u64)
-            {
+            if fabric.sanitize_pending_posted_overlap(host, addr, SQE_SIZE as u64) {
                 self.handle.sanitize_report(
                     "nvme.doorbell-before-sqe",
                     format!("SQ {qid} doorbell exposed slot {slot} while its SQE posted write is still in flight"),
@@ -931,12 +936,10 @@ impl NvmeController {
     /// the one being posted; a matching phase means the controller lapped
     /// the host's head doorbell.
     fn sanitize_cq_post(&self, cqid: u16, slot: u16, phase: bool, base: PhysAddr) {
-        let host = self.fabric.device_host(self.device_id());
+        let fabric = self.fabric();
+        let host = fabric.device_host(self.device_id());
         let addr = base.offset(slot as u64 * CQE_SIZE as u64);
-        if self
-            .fabric
-            .sanitize_pending_posted_overlap(host, addr, CQE_SIZE as u64)
-        {
+        if fabric.sanitize_pending_posted_overlap(host, addr, CQE_SIZE as u64) {
             // The previous CQE written to this slot has not even applied
             // yet — the host cannot possibly have consumed it.
             self.handle.sanitize_report(
@@ -945,11 +948,11 @@ impl NvmeController {
             );
             return;
         }
-        let Ok(pcie::Location::Dram(da)) = self.fabric.resolve(host, addr, CQE_SIZE as u64) else {
+        let Ok(pcie::Location::Dram(da)) = fabric.resolve(host, addr, CQE_SIZE as u64) else {
             return;
         };
         let mut raw = [0u8; CQE_SIZE];
-        if self.fabric.mem_read(da.host, da.addr, &mut raw).is_err() {
+        if fabric.mem_read(da.host, da.addr, &mut raw).is_err() {
             return;
         }
         if CqEntry::peek_phase(&raw) == phase {

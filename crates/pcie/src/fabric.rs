@@ -14,7 +14,7 @@
 //! modeling work done outside the measured path.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use simcore::sched::{ChoiceKind, ChoiceOption, Footprint};
 use simcore::sync::Notify;
@@ -33,6 +33,35 @@ use crate::topology::{NodeKind, Topology};
 const MAX_TRANSLATION_DEPTH: usize = 4;
 /// MMIO (BAR/NTB-window) space begins here in every domain; DRAM is above.
 const MMIO_BASE: u64 = 0x2000_0000;
+
+/// The NTB windows one translation walk crossed. A walk takes at most
+/// [`MAX_TRANSLATION_DEPTH`] steps, so they fit inline.
+struct Crossed {
+    ids: [NtbId; MAX_TRANSLATION_DEPTH],
+    len: usize,
+}
+
+impl Crossed {
+    fn new() -> Self {
+        Crossed {
+            ids: [NtbId(0); MAX_TRANSLATION_DEPTH],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, ntb: NtbId) {
+        self.ids[self.len] = ntb;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Crossed {
+    type Target = [NtbId];
+
+    fn deref(&self) -> &[NtbId] {
+        &self.ids[..self.len]
+    }
+}
 
 /// Where an address resolves after NTB translation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,8 +113,6 @@ type PathKey = (u32, u32);
 
 /// A posted write that has been issued but not yet applied.
 struct PendingDelivery {
-    /// Global issue order; ties at an instant resolve by this.
-    seq: u64,
     /// Virtual instant the write reaches its destination.
     due: SimTime,
     path: PathKey,
@@ -99,8 +126,9 @@ struct PendingDelivery {
 /// All in-flight posted writes plus the pump bookkeeping.
 #[derive(Default)]
 struct DeliveryState {
+    /// In issue order: pushed at the back, and `Vec::remove` keeps the
+    /// rest in place, so the first entry on a path is that path's oldest.
     queue: Vec<PendingDelivery>,
-    next_seq: u64,
     pump_spawned: bool,
 }
 
@@ -109,6 +137,22 @@ struct DeliveryState {
 #[derive(Clone)]
 pub struct Fabric {
     inner: Rc<FabricInner>,
+}
+
+/// A handle to a [`Fabric`] that does not keep it alive. A device model
+/// registered with [`Fabric::add_device`] is owned by the fabric, so it
+/// must reach back through one of these: holding a [`Fabric`] would tie
+/// the two into a cycle that outlives every other owner.
+#[derive(Clone)]
+pub struct WeakFabric {
+    inner: Weak<FabricInner>,
+}
+
+impl WeakFabric {
+    /// The fabric, unless its last strong handle is gone.
+    pub fn upgrade(&self) -> Option<Fabric> {
+        self.inner.upgrade().map(|inner| Fabric { inner })
+    }
 }
 
 struct FabricInner {
@@ -149,6 +193,13 @@ impl Fabric {
                 faults: RefCell::new(FaultInjector::default()),
                 hb: RefCell::new(HbLog::default()),
             }),
+        }
+    }
+
+    /// A handle that does not keep this fabric alive (see [`WeakFabric`]).
+    pub fn downgrade(&self) -> WeakFabric {
+        WeakFabric {
+            inner: Rc::downgrade(&self.inner),
         }
     }
 
@@ -550,7 +601,7 @@ impl Fabric {
     }
 
     fn resolve_in(st: &State, host: HostId, addr: PhysAddr, len: u64) -> Result<Location> {
-        Self::resolve_traced(st, host, addr, len, &mut Vec::new())
+        Self::resolve_traced(st, host, addr, len, &mut Crossed::new())
     }
 
     /// Like [`resolve_in`](Self::resolve_in), additionally recording the
@@ -561,7 +612,7 @@ impl Fabric {
         host: HostId,
         addr: PhysAddr,
         len: u64,
-        crossed: &mut Vec<NtbId>,
+        crossed: &mut Crossed,
     ) -> Result<Location> {
         let mut cur = DomainAddr::new(host, addr);
         for _ in 0..MAX_TRANSLATION_DEPTH {
@@ -630,9 +681,9 @@ impl Fabric {
         host: HostId,
         addr: PhysAddr,
         len: u64,
-    ) -> Result<(Location, u32, Vec<NtbId>)> {
+    ) -> Result<(Location, u32, Crossed)> {
         let mut st = self.inner.state.borrow_mut();
-        let mut crossed = Vec::new();
+        let mut crossed = Crossed::new();
         let loc = Self::resolve_traced(&st, host, addr, len, &mut crossed)?;
         let dest_node = match &loc {
             Location::Dram(da) => st.hosts[da.host.0 as usize].rc_node,
@@ -871,10 +922,7 @@ impl Fabric {
             // token is shared (`HbLog::write_applied` is idempotent).
             let dup = (copies == 2).then(|| (loc.clone(), data.clone()));
             let mut dq = self.inner.deliveries.borrow_mut();
-            let seq = dq.next_seq;
-            dq.next_seq += 1;
             dq.queue.push(PendingDelivery {
-                seq,
                 due,
                 path,
                 loc,
@@ -882,10 +930,7 @@ impl Fabric {
                 hb,
             });
             if let Some((loc, data)) = dup {
-                let seq = dq.next_seq;
-                dq.next_seq += 1;
                 dq.queue.push(PendingDelivery {
-                    seq,
                     due,
                     path,
                     loc,
@@ -903,14 +948,11 @@ impl Fabric {
                 .handle
                 .spawn(async move { this.delivery_pump().await });
         }
-        // A ticker per write guarantees a pump wakeup at the due instant;
+        // A timer per write guarantees a pump wakeup at the due instant;
         // the Notify coalesces redundant ones.
-        let this = self.clone();
-        let h = self.inner.handle.clone();
-        self.inner.handle.spawn(async move {
-            h.sleep(delay).await;
-            this.inner.pump_wake.notify_one();
-        });
+        self.inner
+            .handle
+            .notify_at(due, self.inner.pump_wake.clone());
     }
 
     /// Applies every due posted write, consulting the installed scheduler
@@ -938,20 +980,18 @@ impl Fabric {
     fn take_due_delivery(&self) -> Option<PendingDelivery> {
         let now = self.inner.handle.now();
         let mut dq = self.inner.deliveries.borrow_mut();
+        let queue = &mut dq.queue;
+        // A path's head is its first entry in the queue, and it goes first
+        // whether or not it is due itself; `heads` comes out in issue order.
         let mut heads: Vec<usize> = Vec::new();
-        for (i, d) in dq.queue.iter().enumerate() {
-            if d.due > now {
-                continue;
-            }
-            let blocked = dq.queue.iter().any(|e| e.path == d.path && e.seq < d.seq);
-            if !blocked {
+        for (i, d) in queue.iter().enumerate() {
+            if d.due <= now && !queue[..i].iter().any(|e| e.path == d.path) {
                 heads.push(i);
             }
         }
         if heads.is_empty() {
             return None;
         }
-        heads.sort_by_key(|&i| dq.queue[i].seq);
         let pick = if heads.len() == 1 {
             0
         } else {
@@ -966,13 +1006,13 @@ impl Fabric {
             }
             let options: Vec<ChoiceOption> = heads
                 .iter()
-                .map(|&i| ChoiceOption::writing(delivery_footprint(&dq.queue[i])))
+                .map(|&i| ChoiceOption::writing(delivery_footprint(&queue[i])))
                 .collect();
             self.inner
                 .handle
                 .sched_choose(ChoiceKind::Delivery, &options)
         };
-        Some(dq.queue.remove(heads[pick]))
+        Some(queue.remove(heads[pick]))
     }
 
     // ---------------------------------------------------------------
@@ -1013,11 +1053,8 @@ impl Fabric {
             let chips = st.topology.chips_between(node, rc).unwrap_or(0);
             (notify, self.inner.params.one_way(chips))
         };
-        let h = self.inner.handle.clone();
-        self.inner.handle.spawn(async move {
-            h.sleep(delay).await;
-            notify.notify_one();
-        });
+        let handle = &self.inner.handle;
+        handle.notify_at(handle.now() + delay, notify);
     }
 
     // ---------------------------------------------------------------

@@ -30,7 +30,7 @@ pub mod topology;
 pub use addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr};
 pub use device::{MmioDevice, RegisterFile};
 pub use error::{FabricError, Result};
-pub use fabric::{Fabric, Location};
+pub use fabric::{Fabric, Location, WeakFabric};
 pub use fault::{
     CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, FaultStats, Selector,
     SeverLink, SeverMode,

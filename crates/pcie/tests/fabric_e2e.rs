@@ -4,8 +4,8 @@
 use std::rc::Rc;
 
 use pcie::{
-    DomainAddr, Fabric, FabricError, FabricParams, HostId, Location, MmioDevice, PhysAddr,
-    RegisterFile,
+    DomainAddr, Fabric, FabricError, FabricParams, FaultPlan, HostId, Location, MmioDevice,
+    PhysAddr, RegisterFile,
 };
 use simcore::{SimDuration, SimRuntime};
 
@@ -249,30 +249,37 @@ fn msi_delivery_after_propagation() {
 #[test]
 fn dma_write_ordering_preserved_for_same_path() {
     // A device posting data then a "flag" write must have the flag land
-    // after the data (NVMe relies on this: CQE after data).
-    let tb = build();
-    let f = tb.fabric.clone();
-    let seg = f.alloc(tb.host_a, 8192).unwrap();
-    let data_bus = f
-        .program_lut(tb.ntb_b, 0, DomainAddr::new(tb.host_a, seg.addr))
-        .unwrap();
-    let flag_bus = data_bus.offset(4096);
-    let watch = f.watch(tb.host_a, seg.addr.offset(4096), 4);
-    let dev = tb.dev;
-    let f2 = f.clone();
-    let host_a = tb.host_a;
-    let ok = tb.rt.block_on(async move {
-        f2.dma_write(dev, data_bus, &[0xABu8; 4096]).await.unwrap();
-        f2.dma_write(dev, flag_bus, &1u32.to_le_bytes())
-            .await
+    // after the data (NVMe relies on this: CQE after data) — also when the
+    // data write is held up in flight, so that the flag comes due first.
+    let delay_data = FaultPlan::parse("f1:delay@0/any/5000").unwrap();
+    for plan in [FaultPlan::default(), delay_data] {
+        let tb = build();
+        let f = tb.fabric.clone();
+        let delayed = !plan.is_empty();
+        f.set_fault_plan(plan);
+        let seg = f.alloc(tb.host_a, 8192).unwrap();
+        let data_bus = f
+            .program_lut(tb.ntb_b, 0, DomainAddr::new(tb.host_a, seg.addr))
             .unwrap();
-        watch.notify.notified().await;
-        // When the flag is visible, the full data block must be too.
-        let mut buf = vec![0u8; 4096];
-        f2.mem_read(host_a, seg.addr, &mut buf).unwrap();
-        buf.iter().all(|&b| b == 0xAB)
-    });
-    assert!(ok, "flag landed before data");
+        let flag_bus = data_bus.offset(4096);
+        let watch = f.watch(tb.host_a, seg.addr.offset(4096), 4);
+        let dev = tb.dev;
+        let f2 = f.clone();
+        let host_a = tb.host_a;
+        let ok = tb.rt.block_on(async move {
+            f2.dma_write(dev, data_bus, &[0xABu8; 4096]).await.unwrap();
+            f2.dma_write(dev, flag_bus, &1u32.to_le_bytes())
+                .await
+                .unwrap();
+            watch.notify.notified().await;
+            // When the flag is visible, the full data block must be too.
+            let mut buf = vec![0u8; 4096];
+            f2.mem_read(host_a, seg.addr, &mut buf).unwrap();
+            buf.iter().all(|&b| b == 0xAB)
+        });
+        assert!(ok, "flag landed before data (delayed: {delayed})");
+        assert_eq!(f.fault_stats().delayed, u64::from(delayed));
+    }
 }
 
 /// MmioDevice that counts doorbell writes — checks BAR dispatch plumbing.

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MemRegion, RegisterFile};
 use simcore::sync::{mpsc, Notify};
@@ -278,7 +278,9 @@ impl IbNet {
 struct QpShared {
     net: IbNet,
     nic: NicId,
-    peer: RefCell<Option<Rc<QpShared>>>,
+    /// Weak: two connected QPs point at each other. Each is kept alive by
+    /// its own [`Qp`] handles and send worker.
+    peer: RefCell<Option<Weak<QpShared>>>,
     recv_queue: RefCell<VecDeque<RecvWqe>>,
     send_cq: Cq,
     recv_cq: Cq,
@@ -294,8 +296,8 @@ pub struct Qp {
 impl Qp {
     /// Connect two QPs (both directions).
     pub fn connect(&self, other: &Qp) {
-        *self.shared.peer.borrow_mut() = Some(other.shared.clone());
-        *other.shared.peer.borrow_mut() = Some(self.shared.clone());
+        *self.shared.peer.borrow_mut() = Some(Rc::downgrade(&other.shared));
+        *other.shared.peer.borrow_mut() = Some(Rc::downgrade(&self.shared));
     }
 
     /// Whether the QP has a peer.
@@ -387,7 +389,7 @@ impl QpShared {
         let p = net.inner.params.clone();
         let fabric = net.inner.fabric.clone();
         let handle = net.inner.handle.clone();
-        let Some(peer) = self.peer.borrow().clone() else {
+        let Some(peer) = self.peer.borrow().as_ref().and_then(Weak::upgrade) else {
             self.complete_send(&wr, WcOpcode::Send, 0, WcStatus::NotConnected);
             return;
         };

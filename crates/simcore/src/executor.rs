@@ -11,17 +11,31 @@
 //! `(deadline, registration sequence)` order, and there is exactly one
 //! executor thread. Two runs with the same seed perform the identical event
 //! sequence.
+//!
+//! Timers come in two kinds sharing that one order. A [`Handle::sleep`]
+//! timer wakes the task that awaited it. A [`Handle::notify_at`] timer
+//! signals a [`Notify`] and involves no task at all: no spawn, no poll, no
+//! entry in `trace_hash`. The second kind is for a delay whose only effect
+//! is that signal (a posted write coming due, an MSI arriving).
+//!
+//! Live tasks sit in one table keyed by [`TaskId`]: the future, the
+//! [`Waker`] built for it at admission (cloned per poll, never rebuilt) and
+//! the reactor it is pinned to. A poll takes the future out of its entry
+//! and puts it back; an entry leaves the table when its task completes, so
+//! a wake that arrives afterwards finds nothing and is skipped unpolled.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::sched::{ChoiceKind, ChoiceOption, Scheduler};
+use crate::sync::Notify;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier for a spawned task.
@@ -85,10 +99,61 @@ impl Wake for TaskWaker {
     }
 }
 
+/// One live task: see the module header.
+struct TaskEntry {
+    /// `None` only while the task is being polled, so the task body may
+    /// itself spawn/wake without re-entering the `tasks` borrow.
+    future: Option<LocalBoxFuture>,
+    waker: Waker,
+    reactor: ReactorId,
+}
+
+/// Hasher for the task table. [`TaskId`]s are consecutive integers the
+/// executor itself hands out, so one multiply spreads them over the
+/// table's buckets and control bytes; SipHash's flooding resistance buys
+/// nothing here and costs most of a poll.
+#[derive(Default)]
+struct TaskIdHasher(u64);
+
+impl Hasher for TaskIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type TaskTable = HashMap<TaskId, TaskEntry, BuildHasherDefault<TaskIdHasher>>;
+
+/// What a timer does at its deadline.
+enum TimerAction {
+    /// Wake the task that awaited a [`Sleep`].
+    Wake(Waker),
+    /// Signal a [`Notify`] ([`Handle::notify_at`]); no task runs.
+    Notify(Notify),
+}
+
 struct TimerEntry {
     deadline: SimTime,
     seq: u64,
-    waker: Waker,
+    action: TimerAction,
+}
+
+impl TimerEntry {
+    fn fire(self) {
+        match self.action {
+            TimerAction::Wake(waker) => waker.wake(),
+            TimerAction::Notify(notify) => notify.notify_one(),
+        }
+    }
 }
 
 impl PartialEq for TimerEntry {
@@ -110,9 +175,10 @@ impl Ord for TimerEntry {
 
 struct Core {
     now: Cell<SimTime>,
-    tasks: RefCell<HashMap<TaskId, LocalBoxFuture>>,
+    /// Every live task. Keyed access only.
+    tasks: RefCell<TaskTable>,
     /// Tasks spawned while another task is being polled; folded in between polls.
-    spawn_queue: RefCell<Vec<(TaskId, LocalBoxFuture)>>,
+    spawn_queue: RefCell<Vec<(TaskId, ReactorId, LocalBoxFuture)>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     wake_queue: Arc<WakeQueue>,
     next_task: Cell<u64>,
@@ -129,8 +195,6 @@ struct Core {
     /// Number of logical reactors. One (the default) disables every
     /// reactor-aware code path, including the `ReactorPick` choice point.
     reactors: usize,
-    /// Which reactor each live task is pinned to. Keyed access only.
-    task_reactor: RefCell<HashMap<TaskId, ReactorId>>,
     /// Reactor of the task currently being polled; spawns inherit it.
     /// Outside any poll (bring-up, `block_on` root) it is reactor 0.
     current_reactor: Cell<ReactorId>,
@@ -149,7 +213,7 @@ impl Core {
         assert!(reactors >= 1, "a runtime needs at least one reactor");
         Rc::new(Core {
             now: Cell::new(SimTime::ZERO),
-            tasks: RefCell::new(HashMap::new()),
+            tasks: RefCell::new(TaskTable::default()),
             spawn_queue: RefCell::new(Vec::new()),
             timers: RefCell::new(BinaryHeap::new()),
             wake_queue: Arc::new(WakeQueue::default()),
@@ -159,7 +223,6 @@ impl Core {
             trace: Cell::new(FNV_OFFSET),
             scheduler: RefCell::new(None),
             reactors,
-            task_reactor: RefCell::new(HashMap::new()),
             current_reactor: Cell::new(ReactorId(0)),
             reactor_busy: RefCell::new(vec![SimTime::ZERO; reactors]),
             sanitize: crate::sanitize::SanitizerState::new(),
@@ -167,11 +230,10 @@ impl Core {
     }
 
     fn reactor_of(&self, id: TaskId) -> ReactorId {
-        self.task_reactor
+        self.tasks
             .borrow()
             .get(&id)
-            .copied()
-            .unwrap_or(ReactorId(0))
+            .map_or(ReactorId(0), |entry| entry.reactor)
     }
 
     fn trace_fold(&self, word: u64) {
@@ -188,21 +250,36 @@ impl Core {
         TaskId(id)
     }
 
-    fn register_timer(&self, deadline: SimTime, waker: Waker) {
+    fn register_timer(&self, deadline: SimTime, action: TimerAction) {
         let seq = self.next_timer_seq.get();
         self.next_timer_seq.set(seq + 1);
         self.timers.borrow_mut().push(Reverse(TimerEntry {
             deadline,
             seq,
-            waker,
+            action,
         }));
     }
 
     /// Admit freshly spawned tasks and mark them runnable.
     fn admit_spawned(&self) {
-        let spawned: Vec<_> = self.spawn_queue.borrow_mut().drain(..).collect();
-        for (id, fut) in spawned {
-            self.tasks.borrow_mut().insert(id, fut);
+        let mut spawned = self.spawn_queue.borrow_mut();
+        if spawned.is_empty() {
+            return;
+        }
+        let mut tasks = self.tasks.borrow_mut();
+        for (id, reactor, future) in spawned.drain(..) {
+            let waker = Waker::from(Arc::new(TaskWaker {
+                id,
+                queue: self.wake_queue.clone(),
+            }));
+            tasks.insert(
+                id,
+                TaskEntry {
+                    future: Some(future),
+                    waker,
+                    reactor,
+                },
+            );
             self.wake_queue.push(id);
         }
     }
@@ -283,15 +360,13 @@ impl Core {
             let Some(id) = self.next_runnable() else {
                 break;
             };
-            // Take the future out of the map so the task body may itself
-            // spawn/wake without re-entering the `tasks` borrow.
-            let Some(mut fut) = self.tasks.borrow_mut().remove(&id) else {
+            let taken = self.tasks.borrow_mut().get_mut(&id).and_then(|entry| {
+                let fut = entry.future.take()?;
+                Some((fut, entry.waker.clone(), entry.reactor))
+            });
+            let Some((mut fut, waker, reactor)) = taken else {
                 continue; // already completed; stale wake
             };
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                queue: self.wake_queue.clone(),
-            }));
             let mut cx = Context::from_waker(&waker);
             self.steps.set(self.steps.get() + 1);
             self.trace_fold(id.0);
@@ -299,15 +374,19 @@ impl Core {
             // The polled task's reactor becomes current so spawns inherit
             // it and `cpu_work` charges the right core.
             let prev_reactor = self.current_reactor.get();
-            self.current_reactor.set(self.reactor_of(id));
+            self.current_reactor.set(reactor);
             let polled = fut.as_mut().poll(&mut cx);
             self.current_reactor.set(prev_reactor);
+            let mut tasks = self.tasks.borrow_mut();
             match polled {
                 Poll::Ready(()) => {
-                    self.task_reactor.borrow_mut().remove(&id);
+                    tasks.remove(&id);
                 }
                 Poll::Pending => {
-                    self.tasks.borrow_mut().insert(id, fut);
+                    tasks
+                        .get_mut(&id)
+                        .expect("a polled task stays in the table")
+                        .future = Some(fut);
                 }
             }
         }
@@ -321,17 +400,18 @@ impl Core {
             None => return false,
         };
         debug_assert!(first.deadline >= self.now.get(), "timer in the past");
-        self.now.set(first.deadline);
-        first.waker.wake();
+        let deadline = first.deadline;
+        self.now.set(deadline);
+        first.fire();
         // Fire all timers that share this deadline so their tasks interleave
         // in registration order within a single ready-queue drain.
         loop {
             let mut timers = self.timers.borrow_mut();
             match timers.peek() {
-                Some(Reverse(e)) if e.deadline == first.deadline => {
+                Some(Reverse(e)) if e.deadline == deadline => {
                     let Reverse(e) = timers.pop().unwrap();
                     drop(timers);
-                    e.waker.wake();
+                    e.fire();
                 }
                 _ => break,
             }
@@ -512,7 +592,6 @@ impl Handle {
             core.reactors
         );
         let id = core.alloc_task_id();
-        core.task_reactor.borrow_mut().insert(id, reactor);
         let state = Rc::new(RefCell::new(JoinState {
             value: None,
             waker: None,
@@ -526,7 +605,7 @@ impl Handle {
                 w.wake();
             }
         });
-        core.spawn_queue.borrow_mut().push((id, wrapped));
+        core.spawn_queue.borrow_mut().push((id, reactor, wrapped));
         JoinHandle { state, id }
     }
 
@@ -561,8 +640,21 @@ impl Handle {
         }
     }
 
-    pub(crate) fn register_timer(&self, deadline: SimTime, waker: Waker) {
-        self.core().register_timer(deadline, waker);
+    /// Signal `notify` (as [`Notify::notify_one`]) at absolute virtual time
+    /// `deadline`, without a task: nothing is spawned, nothing is polled
+    /// and `trace_hash` does not move when it is registered or when it
+    /// fires. It takes its place among the [`Handle::sleep`] timers in
+    /// `(deadline, registration)` order, and like them it never fires past
+    /// the end of a [`SimRuntime::block_on`] whose root finished earlier.
+    ///
+    /// Use it for a delay whose *only* effect is that signal — a posted
+    /// write coming due for the delivery pump, an MSI reaching its host.
+    /// Anything that must run code at the deadline (touch state, decide
+    /// something, signal conditionally) stays a spawned task that sleeps:
+    /// a timer cannot be cancelled and carries no logic.
+    pub fn notify_at(&self, deadline: SimTime, notify: Notify) {
+        self.core()
+            .register_timer(deadline, TimerAction::Notify(notify));
     }
 
     /// The runtime's event-stream hash (see [`SimRuntime::trace_hash`]).
@@ -661,11 +753,11 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.handle.now() >= self.deadline {
+        let core = self.handle.core();
+        if core.now.get() >= self.deadline {
             Poll::Ready(())
         } else {
-            self.handle
-                .register_timer(self.deadline, cx.waker().clone());
+            core.register_timer(self.deadline, TimerAction::Wake(cx.waker().clone()));
             Poll::Pending
         }
     }
@@ -810,6 +902,95 @@ mod tests {
         }
         rt.run();
         assert_eq!(*log.borrow(), vec!["x", "y", "z"]);
+    }
+
+    #[test]
+    fn notify_at_takes_its_place_among_sleep_timers() {
+        // Registration order a, (notify_at 100), c, (notify_at 50): the
+        // waiter runs first at t=50, then at t=100 between a and c.
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let n = Notify::new();
+        {
+            let (h2, n, log) = (h.clone(), n.clone(), log.clone());
+            h.spawn(async move {
+                loop {
+                    n.notified().await;
+                    log.borrow_mut().push(("waiter", h2.now().as_nanos()));
+                }
+            });
+        }
+        let sleeper = |name: &'static str| {
+            let (h2, log) = (h.clone(), log.clone());
+            h.spawn(async move {
+                h2.sleep(SimDuration::from_nanos(100)).await;
+                log.borrow_mut().push((name, 100));
+            });
+        };
+        let registrar = |at: u64| {
+            let (h2, n) = (h.clone(), n.clone());
+            h.spawn(async move { h2.notify_at(SimTime::from_nanos(at), n) });
+        };
+        sleeper("a");
+        registrar(100);
+        sleeper("c");
+        registrar(50);
+        rt.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![("waiter", 50), ("a", 100), ("waiter", 100), ("c", 100)]
+        );
+    }
+
+    #[test]
+    fn notify_at_polls_nothing_and_stores_one_permit() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let n = Notify::new();
+        h.notify_at(SimTime::from_nanos(10), n.clone());
+        h.notify_at(SimTime::from_nanos(20), n.clone());
+        let hash = rt.trace_hash();
+        rt.run();
+        assert_eq!(rt.now().as_nanos(), 20);
+        assert_eq!((rt.steps(), rt.trace_hash()), (0, hash));
+        // Nobody waited: the two signals coalesced into a single permit.
+        let second = rt.block_on(async move {
+            n.notified().await;
+            crate::timeout(&h, SimDuration::from_nanos(5), n.notified()).await
+        });
+        assert_eq!(second, Err(crate::Elapsed));
+    }
+
+    #[test]
+    fn notify_at_does_not_fire_past_the_end_of_block_on() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let n = Notify::new();
+        h.notify_at(SimTime::from_nanos(1_000), n.clone());
+        rt.block_on(async move { h.sleep(SimDuration::from_nanos(10)).await });
+        // Firing it would have taken the clock to its deadline.
+        assert_eq!(rt.now().as_nanos(), 10);
+        rt.run();
+        assert_eq!(rt.now().as_nanos(), 1_000);
+        rt.block_on(async move { n.notified().await }); // the permit it left
+    }
+
+    #[test]
+    fn wake_after_completion_is_skipped_unpolled() {
+        let rt = SimRuntime::new();
+        let kept = Rc::new(RefCell::new(None));
+        let kept2 = kept.clone();
+        rt.handle().spawn(std::future::poll_fn(move |cx| {
+            *kept2.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        rt.run();
+        let before = (rt.steps(), rt.trace_hash());
+        let waker: Waker = kept.borrow_mut().take().expect("task ran");
+        waker.wake();
+        rt.run();
+        assert_eq!((rt.steps(), rt.trace_hash()), before);
     }
 
     #[test]

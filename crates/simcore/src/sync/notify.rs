@@ -32,12 +32,12 @@ impl Notify {
     /// Wake one waiter, or store a (single, coalesced) permit if none waits.
     pub fn notify_one(&self) {
         let mut st = self.state.borrow_mut();
-        if let Some((_, w)) = st.waiters.first().cloned() {
-            st.waiters.remove(0);
+        if st.waiters.is_empty() {
+            st.permit = true;
+        } else {
+            let (_, w) = st.waiters.remove(0);
             drop(st);
             w.wake();
-        } else {
-            st.permit = true;
         }
     }
 

@@ -16,9 +16,12 @@ fn two_client_program() -> ScenarioProgram {
 #[test]
 fn exhaustive_two_client_is_conformant() {
     let prog = two_client_program();
+    // Posted writes and MSIs come due on timers, not ticker tasks, so
+    // every `Task` choice point is between tasks that do something and a
+    // preemption bound of 3 drains in a few dozen schedules.
     let cfg = ExploreConfig {
         max_schedules: None,
-        max_preemptions: 1,
+        max_preemptions: 3,
         prune: true,
         stop_on_violation: true,
     };
@@ -39,6 +42,16 @@ fn exhaustive_two_client_is_conformant() {
         "independent cross-client deliveries must commute: {:?}",
         res.stats
     );
+    // Cross-path delivery order is the choice the pump exists to expose:
+    // the canonical schedule keeps all three of its `Delivery` points (the
+    // two clients' data, SQE and doorbell writes coming due together).
+    let canonical = prog.run(&[]);
+    let deliveries = canonical
+        .records
+        .iter()
+        .filter(|r| r.kind == simcore::ChoiceKind::Delivery && r.footprints.len() >= 2)
+        .count();
+    assert_eq!(deliveries, 3, "canonical schedule: {:?}", canonical.records);
 }
 
 #[test]

@@ -176,3 +176,33 @@ fn scenario_exposes_driver_handles() {
     assert!(linux.smartio().is_none());
     assert!(linux.client_drivers().is_empty());
 }
+
+#[test]
+fn dropped_scenario_frees_controller_and_fabric() {
+    // The fabric owns the controller (its MMIO handler), so the controller
+    // may only reach the fabric weakly: a strong handle back would keep
+    // both — the block store and every host's DRAM with them — alive after
+    // the scenario is gone, once per explored schedule or benchmark
+    // repetition.
+    for kind in [
+        ScenarioKind::LinuxLocal,
+        ScenarioKind::NvmfRemote,
+        ScenarioKind::OursLocal,
+        ScenarioKind::OursRemote { switches: 1 },
+        ScenarioKind::OursMultihost { clients: 2 },
+    ] {
+        let sc = Scenario::build(kind, &Calibration::paper());
+        let label = sc.label.clone();
+        let (host, dev) = sc.clients[0].clone();
+        let fabric = sc.fabric.clone();
+        sc.rt.block_on(async move {
+            let buf = fabric.alloc(host, 4096).unwrap();
+            dev.submit(Bio::read(0, 8, buf)).await.unwrap();
+        });
+        let ctrl = Rc::downgrade(&sc.ctrl);
+        let fabric = sc.fabric.downgrade();
+        drop(sc);
+        assert!(ctrl.upgrade().is_none(), "{label}: controller leaked");
+        assert!(fabric.upgrade().is_none(), "{label}: fabric leaked");
+    }
+}

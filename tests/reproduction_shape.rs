@@ -106,3 +106,38 @@ fn remote_penalty_scales_with_chip_latency_corners() {
         "corner spread {spread} ns implausible"
     );
 }
+
+/// `(executor polls, I/Os)` of QD1 4 KiB random reads over a fixed
+/// simulated window.
+fn polls_and_ios(kind: ScenarioKind) -> (u64, u64) {
+    let sc = Scenario::build(kind, &Calibration::paper());
+    let (steps, ios) = (sc.rt.steps(), sc.ctrl.stats().io_reads);
+    let rep = sc.run(&JobSpec::fig10(
+        RwMode::RandRead,
+        SimDuration::from_millis(20),
+    ));
+    assert_eq!(rep.errors, 0);
+    (sc.rt.steps() - steps, sc.ctrl.stats().io_reads - ios)
+}
+
+#[test]
+fn polls_per_io_stay_within_budget() {
+    // The simulator's own cost as an exact, hardware-independent count:
+    // every task poll is an event the host pays for, and a `spawn` per
+    // posted write, MSI or command is two more of them per operation. The
+    // ceilings are what the stack needs today; the allowance covers the
+    // polls that start and stop the job, a few against ~1000 I/Os.
+    const JOB_POLLS: u64 = 16;
+    for (kind, ceiling) in [
+        (ScenarioKind::OursRemote { switches: 1 }, 23),
+        (ScenarioKind::NvmfRemote, 67),
+    ] {
+        let label = kind.label();
+        let (polls, ios) = polls_and_ios(kind);
+        assert!(ios > 500, "{label}: only {ios} I/Os in the window");
+        assert!(
+            polls <= ceiling * ios + JOB_POLLS,
+            "{label}: {polls} polls for {ios} I/Os, ceiling {ceiling} per I/O"
+        );
+    }
+}
