@@ -193,7 +193,11 @@ pub(crate) struct TraitDecl {
 pub(crate) struct Call {
     pub name: String,
     pub line: usize,
-    /// Receiver identifier for `recv.name(…)` method calls.
+    /// A method call `<expr>.name(…)`, whatever the receiver expression.
+    pub method: bool,
+    /// The receiver, when it is a plain identifier (`recv.name(…)`); a
+    /// chained receiver (`a().name(…)`, `x?.name(…)`, `(…).name(…)`)
+    /// leaves this `None` with `method` set.
     pub receiver: Option<String>,
     /// Token-index range of the argument list (exclusive of the parens).
     pub args: (usize, usize),
@@ -277,15 +281,15 @@ impl Ast {
             if i > 0 && self.tokens[i - 1].is("fn") {
                 continue; // definition, not a call
             }
-            let receiver = if i >= 2 && self.tokens[i - 1].punct('.') {
-                (self.tokens[i - 2].kind == TokKind::Ident).then(|| self.tokens[i - 2].text.clone())
-            } else {
-                None
-            };
+            // `recv.name(` — but not the upper bound of a range, `a..name(`.
+            let method = i >= 2 && self.tokens[i - 1].punct('.') && !self.tokens[i - 2].punct('.');
+            let receiver = (method && self.tokens[i - 2].kind == TokKind::Ident)
+                .then(|| self.tokens[i - 2].text.clone());
             let close = match_delim(&self.tokens, open, '(', ')');
             out.push(Call {
                 name: self.tokens[i].text.clone(),
                 line: self.tokens[i].line,
+                method,
                 receiver,
                 args: (open + 1, close),
             });

@@ -13,7 +13,7 @@
 //! (D22–D25) need and the flow-insensitive engine could not:
 //!
 //! * **all-paths**: does every entry→exit path execute block B?
-//!   (`dominates`, or `!exit_reachable_avoiding(entry, {B})`)
+//!   (`!exit_reachable_avoiding(entry, {B})`)
 //! * **some-path**: is there an entry→exit path that skips B?
 //!   (`exit_reachable_avoiding`)
 //!
@@ -42,23 +42,18 @@ pub(crate) struct Block {
     pub succs: Vec<usize>,
 }
 
-/// The per-function CFG with dominators and reachability precomputed.
+/// The per-function CFG with reachability precomputed.
 #[derive(Debug)]
 pub(crate) struct Cfg {
     pub blocks: Vec<Block>,
     pub entry: usize,
     pub exit: usize,
-    preds: Vec<Vec<usize>>,
     rpo: Vec<usize>,
     reach: Vec<bool>,
-    idom: Vec<Option<usize>>,
-    /// RPO index per block; only read by [`Cfg::dominates`].
-    #[allow(dead_code)]
-    order: Vec<usize>,
 }
 
 impl Cfg {
-    /// Lower `f`'s body into basic blocks and precompute dominators.
+    /// Lower `f`'s body into basic blocks and precompute reachability.
     pub(crate) fn build(ast: &Ast, f: &FnItem) -> Cfg {
         #[cfg(test)]
         crate::tests::count("cfg");
@@ -77,12 +72,6 @@ impl Cfg {
         b.edge(last, 1);
         let blocks = b.blocks;
         let n = blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        for (i, blk) in blocks.iter().enumerate() {
-            for &s in &blk.succs {
-                preds[s].push(i);
-            }
-        }
         // Reachability + postorder from the entry block.
         let mut reach = vec![false; n];
         let mut post = Vec::with_capacity(n);
@@ -101,44 +90,12 @@ impl Cfg {
                 stack.pop();
             }
         }
-        let rpo: Vec<usize> = post.into_iter().rev().collect();
-        let mut order = vec![usize::MAX; n];
-        for (k, &blk) in rpo.iter().enumerate() {
-            order[blk] = k;
-        }
-        // Iterative dominators (Cooper–Harvey–Kennedy) over the
-        // reachable subgraph; unreachable preds are ignored.
-        let mut idom: Vec<Option<usize>> = vec![None; n];
-        idom[0] = Some(0);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &blk in rpo.iter().skip(1) {
-                let mut new_idom = None;
-                for &p in &preds[blk] {
-                    if !reach[p] || idom[p].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(c) => intersect(&idom, &order, p, c),
-                    });
-                }
-                if new_idom.is_some() && idom[blk] != new_idom {
-                    idom[blk] = new_idom;
-                    changed = true;
-                }
-            }
-        }
         Cfg {
             blocks,
             entry: 0,
             exit: 1,
-            preds,
-            rpo,
+            rpo: post.into_iter().rev().collect(),
             reach,
-            idom,
-            order,
         }
     }
 
@@ -157,33 +114,9 @@ impl Cfg {
         self.reach[b]
     }
 
-    #[allow(dead_code)] // part of the query API; exercised by tests
-    pub(crate) fn preds(&self, b: usize) -> &[usize] {
-        &self.preds[b]
-    }
-
     /// Reachable blocks in reverse postorder (entry first).
     pub(crate) fn rpo(&self) -> &[usize] {
         &self.rpo
-    }
-
-    /// Whether `a` dominates `b`: every entry→b path executes `a`.
-    /// False when either block is unreachable.
-    #[allow(dead_code)] // all-paths query API; exercised by tests
-    pub(crate) fn dominates(&self, a: usize, b: usize) -> bool {
-        if !self.reach[a] || !self.reach[b] {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur] {
-                Some(p) if p != cur => cur = p,
-                _ => return false,
-            }
-        }
     }
 
     /// Some-path query: starting from `from`'s successors, can the
@@ -287,19 +220,6 @@ impl Cfg {
     }
 }
 
-fn intersect(idom: &[Option<usize>], order: &[usize], a: usize, b: usize) -> usize {
-    let (mut a, mut b) = (a, b);
-    while a != b {
-        while order[a] > order[b] {
-            a = idom[a].unwrap_or(a);
-        }
-        while order[b] > order[a] {
-            b = idom[b].unwrap_or(b);
-        }
-    }
-    a
-}
-
 struct Builder<'a> {
     toks: &'a [Tok],
     blocks: Vec<Block>,
@@ -337,6 +257,17 @@ impl Builder<'_> {
             }
         }
         hi
+    }
+
+    /// The first `{…}` group at zero paren/bracket depth from `from`, when
+    /// it opens and closes inside `hi`: `(open, close)`.
+    fn braces(&self, from: usize, hi: usize) -> Option<(usize, usize)> {
+        let open = self.find_brace(from, hi);
+        if open >= hi {
+            return None;
+        }
+        let close = match_delim(self.toks, open, '{', '}');
+        (close < hi).then_some((open, close))
     }
 
     /// Token index of the `;` or depth-0 `,` terminating the
@@ -425,16 +356,10 @@ impl Builder<'_> {
                 continue;
             }
             if t.is("if") {
-                let then_open = self.find_brace(i + 1, hi);
-                if then_open >= hi {
+                let Some((then_open, then_close)) = self.braces(i + 1, hi) else {
                     i += 1;
                     continue;
-                }
-                let then_close = match_delim(self.toks, then_open, '{', '}');
-                if then_close >= hi {
-                    i += 1;
-                    continue;
-                }
+                };
                 let chain_end = self.if_extent(i, hi);
                 self.seg(cur, seg_start, then_open);
                 let then_b = self.new_block();
@@ -483,16 +408,10 @@ impl Builder<'_> {
                 continue;
             }
             if t.is("match") {
-                let body_open = self.find_brace(i + 1, hi);
-                if body_open >= hi {
+                let Some((body_open, body_close)) = self.braces(i + 1, hi) else {
                     i += 1;
                     continue;
-                }
-                let body_close = match_delim(self.toks, body_open, '{', '}');
-                if body_close >= hi {
-                    i += 1;
-                    continue;
-                }
+                };
                 self.seg(cur, seg_start, body_open);
                 let join = self.new_block();
                 let mut arms = 0usize;
@@ -548,16 +467,10 @@ impl Builder<'_> {
                 continue;
             }
             if t.is("loop") {
-                let body_open = self.find_brace(i + 1, hi);
-                if body_open >= hi {
+                let Some((body_open, body_close)) = self.braces(i + 1, hi) else {
                     i += 1;
                     continue;
-                }
-                let body_close = match_delim(self.toks, body_open, '{', '}');
-                if body_close >= hi {
-                    i += 1;
-                    continue;
-                }
+                };
                 self.seg(cur, seg_start, body_open);
                 let header = self.new_block();
                 self.edge(cur, header);
@@ -572,16 +485,10 @@ impl Builder<'_> {
                 continue;
             }
             if t.is("while") || t.is("for") {
-                let body_open = self.find_brace(i + 1, hi);
-                if body_open >= hi {
+                let Some((body_open, body_close)) = self.braces(i + 1, hi) else {
                     i += 1;
                     continue;
-                }
-                let body_close = match_delim(self.toks, body_open, '{', '}');
-                if body_close >= hi {
-                    i += 1;
-                    continue;
-                }
+                };
                 self.seg(cur, seg_start, i);
                 let header = self.new_block();
                 self.edge(cur, header);
@@ -599,25 +506,16 @@ impl Builder<'_> {
                 seg_start = i;
                 continue;
             }
-            if t.is("return") {
+            if t.is("return") || t.is("break") || t.is("continue") {
+                let target = match (t.text.as_str(), loops.last()) {
+                    ("break", Some(&(_, after))) => after,
+                    ("continue", Some(&(header, _))) => header,
+                    _ => exit,
+                };
                 let e = self.stmt_end_from(i, hi);
                 let stop = (e + 1).min(hi);
                 self.seg(cur, seg_start, stop);
-                self.edge(cur, exit);
-                cur = self.new_block();
-                i = stop;
-                seg_start = i;
-                continue;
-            }
-            if t.is("break") || t.is("continue") {
-                let is_break = t.is("break");
-                let e = self.stmt_end_from(i, hi);
-                let stop = (e + 1).min(hi);
-                self.seg(cur, seg_start, stop);
-                match loops.last() {
-                    Some(&(header, after)) => self.edge(cur, if is_break { after } else { header }),
-                    None => self.edge(cur, exit),
-                }
+                self.edge(cur, target);
                 cur = self.new_block();
                 i = stop;
                 seg_start = i;
@@ -674,8 +572,9 @@ mod tests {
         assert_ne!(ring, done);
         assert!(cfg.reachable(ring) && cfg.reachable(done));
         assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring])));
-        assert!(cfg.dominates(cfg.entry, done));
-        assert!(!cfg.dominates(ring, done));
+        // Every path runs `done`; not every path runs `ring` first.
+        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[done])));
+        assert!(cfg.entry_reaches_avoiding(done, &avoid(&cfg, &[ring])));
     }
 
     #[test]
@@ -762,6 +661,6 @@ mod tests {
         }
         assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[a, b, c])));
         assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[a, b])));
-        assert!(cfg.dominates(cfg.entry, done));
+        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[done])));
     }
 }

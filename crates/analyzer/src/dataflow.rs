@@ -43,13 +43,16 @@
 //! new engine to.
 //!
 //! A scan builds these products once per function: [`FnFacts`] holds the
-//! call list, the parameter-aware def-use chains, the CFG and the
-//! abstract values behind `OnceCell`s, and both the interprocedural
-//! extractor and every per-function rule read that one set.
+//! call list, the parameter-aware def-use chains, the CFG, the abstract
+//! values and the per-call site table ([`Sites`]) behind `OnceCell`s,
+//! and both the interprocedural extractor and every per-function rule
+//! read that one set.
 
 use crate::ast::{Ast, Call, FnItem, TokKind};
 use crate::cfg::Cfg;
+use crate::{D08_WRITES, D11_BLOCKING, D12_SINKS, D13_FABRIC_SINKS, D13_REGION_SINKS};
 use std::cell::OnceCell;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------
 // The per-function fact set
@@ -67,22 +70,32 @@ pub(crate) struct FnFacts<'a> {
     pub f: &'a FnItem,
     /// The file's `const NAME: ty = <int>;` items ([`const_env`]).
     pub consts: &'a [(String, u64)],
+    /// The file speaks the event-model vocabulary ([`SubmitEvents`]).
+    event_model: bool,
     calls: OnceCell<Vec<Call>>,
     cfg: OnceCell<Cfg>,
     du: OnceCell<DefUse>,
     vals: OnceCell<Vec<AbstractVal>>,
+    sites: OnceCell<Sites>,
 }
 
 impl<'a> FnFacts<'a> {
-    pub(crate) fn new(ast: &'a Ast, f: &'a FnItem, consts: &'a [(String, u64)]) -> Self {
+    pub(crate) fn new(
+        ast: &'a Ast,
+        f: &'a FnItem,
+        consts: &'a [(String, u64)],
+        event_model: bool,
+    ) -> Self {
         FnFacts {
             ast,
             f,
             consts,
+            event_model,
             calls: OnceCell::new(),
             cfg: OnceCell::new(),
             du: OnceCell::new(),
             vals: OnceCell::new(),
+            sites: OnceCell::new(),
         }
     }
 
@@ -104,6 +117,181 @@ impl<'a> FnFacts<'a> {
     pub(crate) fn vals(&self) -> &[AbstractVal] {
         self.vals
             .get_or_init(|| eval_fn_cfg(self.ast, self.cfg(), self.du(), self.consts))
+    }
+
+    /// What the rules ask of each call site, and the submission events.
+    pub(crate) fn sites(&self) -> &Sites {
+        self.sites.get_or_init(|| build_sites(self))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-call site table
+// ---------------------------------------------------------------------
+
+/// What the sink, domain and deadline rules (D12, D13, D15, D25) and the
+/// summary extractor ask of one call site.
+pub(crate) struct CallSite {
+    /// Region sinks (`contains`/`slice`): the def governing the receiver
+    /// identifier at the call.
+    pub recv_def: Option<usize>,
+    /// Argument token ranges, split at top-level commas.
+    pub args: Vec<(usize, usize)>,
+    /// The [`DefUse::uses`] (token order) inside the argument list.
+    pub uses: Range<usize>,
+    /// D12: the callee interprets an integer as an address.
+    pub sink: bool,
+    /// A domain constructor in the argument list re-wraps at the sink
+    /// boundary: the typed path.
+    pub wrapped: bool,
+    /// Line of the last direct `.as_u64()` in the argument list.
+    pub direct_raw: Option<usize>,
+    /// D13: the host domain the call addresses — a fabric accessor's
+    /// first-argument path, or the host of a region sink's receiver.
+    pub domain: Option<String>,
+    /// `domain` is a fabric accessor's (the kind the interprocedural D13
+    /// completes through helper returns).
+    pub fabric_sink: bool,
+    /// D11/D25: a blocking fabric/admin call, directly `.await`ed (a
+    /// closure value or fn pointer does not block).
+    pub blocking_await: bool,
+    /// Lexically inside a `timeout(..)` argument list: guarded.
+    pub in_timeout: bool,
+}
+
+/// The submission-protocol events of one function body, in the
+/// vocabulary shared by D08 (order), D22 (missed ring), and D24
+/// (repeated ring): doorbell rings, SQE stores, and explicit failure
+/// resolutions. Each event is `(token index, 1-based line)`; rings also
+/// carry their receiver, which D24 pairs sites by.
+///
+/// In the explore fixture deck only (the oracle *matches* these names
+/// without emitting), `SqeWritten`/`SqDoorbell` struct literals count
+/// too: they are the simulated twin of a slot store and a doorbell
+/// write, which is what lets the seeded missed-doorbell fixture carry a
+/// D22 finding into the hypothesis bridge.
+#[derive(Default)]
+pub(crate) struct SubmitEvents {
+    pub rings: Vec<(usize, usize, String)>,
+    pub stores: Vec<(usize, usize)>,
+    pub resolves: Vec<(usize, usize)>,
+}
+
+/// One function's call sites, read once off its tokens.
+pub(crate) struct Sites {
+    /// One entry per [`FnFacts::calls`] entry, same order.
+    pub calls: Vec<CallSite>,
+    pub events: SubmitEvents,
+    /// Argument ranges of the `timeout(..)` deadline arms.
+    pub timeouts: Vec<(usize, usize)>,
+    /// Argument-list starts of the NTB translation calls.
+    translations: Vec<usize>,
+}
+
+impl Sites {
+    /// D13: an NTB translation call sits between the use's def and the
+    /// use — the domain crossing is legitimate.
+    pub(crate) fn translated(&self, du: &DefUse, u: &UseSite) -> bool {
+        let def_at = du.defs[u.def].at;
+        self.translations.iter().any(|&t| def_at < t && t < u.at)
+    }
+}
+
+/// Lines of the `.as_u64()` calls inside a token range — where a raw
+/// address is minted.
+pub(crate) fn as_u64_lines(ast: &Ast, range: (usize, usize)) -> impl Iterator<Item = usize> + '_ {
+    let toks = &ast.tokens;
+    (range.0.max(1)..range.1.min(toks.len()))
+        .filter(|&i| toks[i].is("as_u64") && toks[i - 1].punct('.'))
+        .map(|i| toks[i].line)
+}
+
+fn build_sites(facts: &FnFacts) -> Sites {
+    #[cfg(test)]
+    crate::tests::count("sites");
+    let (ast, f, calls, du, vals) = (facts.ast, facts.f, facts.calls(), facts.du(), facts.vals());
+    let toks = &ast.tokens;
+    let timeouts: Vec<(usize, usize)> = {
+        let named = calls.iter().filter(|c| c.name == "timeout");
+        named.map(|c| c.args).collect()
+    };
+    let mut ev = SubmitEvents::default();
+    let sites = calls
+        .iter()
+        .map(|call| {
+            let (a, b) = (call.args.0, call.args.1.min(toks.len()));
+            let name = call.name.as_str();
+            let is_write = D08_WRITES.contains(&name);
+            if name == "ring"
+                || name == "ring_doorbell"
+                || (is_write && ast.any_ident_in(call.args, |id| id.contains("doorbell")))
+            {
+                let recv = call.receiver.clone().unwrap_or_default();
+                ev.rings.push((a, call.line, recv));
+            } else if (is_write && ast.any_ident_in(call.args, |id| id.contains("sqe")))
+                || (name == "push" && call.receiver.as_deref().is_some_and(|r| r.contains("sq")))
+            {
+                ev.stores.push((a, call.line));
+            } else if name == "fail" || name == "complete" {
+                ev.resolves.push((a, call.line));
+            }
+            let region_recv = call
+                .receiver
+                .as_ref()
+                .filter(|_| D13_REGION_SINKS.contains(&name));
+            let recv_def = region_recv.and_then(|r| {
+                let before = |d: &Def| &d.name == r && d.at < a;
+                du.defs.iter().rposition(before)
+            });
+            let fabric_sink = D13_FABRIC_SINKS.contains(&name);
+            let domain = if fabric_sink {
+                first_arg_path(ast, a - 1)
+            } else {
+                recv_def.and_then(|i| vals[i].host.clone())
+            };
+            CallSite {
+                recv_def,
+                args: split_args(ast, call.args),
+                uses: du.uses.partition_point(|u| u.at < a)..du.uses.partition_point(|u| u.at < b),
+                sink: D12_SINKS.contains(&name),
+                wrapped: ast.any_ident_in((a, b), |id| WRAPPERS.contains(&id)),
+                direct_raw: as_u64_lines(ast, (a, b)).last(),
+                domain,
+                fabric_sink,
+                blocking_await: D11_BLOCKING.contains(&name)
+                    && toks.get(call.args.1 + 1).is_some_and(|t| t.punct('.'))
+                    && toks.get(call.args.1 + 2).is_some_and(|t| t.is("await")),
+                in_timeout: timeouts.iter().any(|t| t.0 < a && call.args.1 <= t.1),
+            }
+        })
+        .collect();
+    for fa in ast.field_assigns_in(f.body) {
+        if fa.path.iter().any(|seg| seg.contains("sqe")) {
+            ev.stores.push((fa.at, fa.line));
+        }
+    }
+    if facts.event_model {
+        for (i, t) in toks.iter().enumerate().take(f.body.1).skip(f.body.0) {
+            if t.kind == TokKind::Ident {
+                match t.text.as_str() {
+                    "SqeWritten" => ev.stores.push((i, t.line)),
+                    "SqDoorbell" => ev.rings.push((i, t.line, String::new())),
+                    _ => {}
+                }
+            }
+        }
+    }
+    ev.rings.sort_unstable();
+    ev.stores.sort_unstable();
+    ev.resolves.sort_unstable();
+    let translators = calls
+        .iter()
+        .filter(|c| TRANSLATORS.contains(&c.name.as_str()));
+    Sites {
+        calls: sites,
+        events: ev,
+        timeouts,
+        translations: translators.map(|c| c.args.0).collect(),
     }
 }
 
@@ -172,7 +360,6 @@ pub fn build_def_use(src: &str) -> Vec<(String, DefUse)> {
 /// interprocedural summaries need: "does param `i` reach a sink/return?"
 /// is a plain reachability question over these chains.
 fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Param]) -> DefUse {
-    let du = def_use(ast, body);
     let mut defs: Vec<Def> = params
         .iter()
         .map(|p| Def {
@@ -182,7 +369,7 @@ fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Pa
             expr: (p.at, p.at), // empty RHS: nothing to evaluate
         })
         .collect();
-    defs.extend(du.defs);
+    defs.extend(body_defs(ast, body));
     // Parameter reassignments: the body pass cannot see `p = …` (and
     // deliberately skips `*p = …`) because parameter names are not
     // `let` defs there. A deref write through a `&mut` parameter is
@@ -221,38 +408,7 @@ fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Pa
             });
         }
     }
-    // Re-resolve all uses against the combined def list: body defs moved
-    // up by `n`, and previously-unresolved mentions may now bind to a
-    // parameter.
-    let mut uses = Vec::new();
-    for i in body.0..body.1.min(ast.tokens.len()) {
-        let t = &ast.tokens[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if defs.iter().any(|d| d.at == i) {
-            continue;
-        }
-        if i > 0 && ast.tokens[i - 1].punct('.') {
-            continue;
-        }
-        if ast.tokens.get(i + 1).is_some_and(|nx| nx.punct(':'))
-            && !ast.tokens.get(i + 2).is_some_and(|nx| nx.punct(':'))
-            && i > 0
-            && (ast.tokens[i - 1].punct('{')
-                || ast.tokens[i - 1].punct(',')
-                || ast.tokens[i - 1].punct('('))
-        {
-            continue;
-        }
-        if let Some(d) = resolve_use(&defs, &t.text, i) {
-            uses.push(UseSite {
-                def: d,
-                at: i,
-                line: t.line,
-            });
-        }
-    }
+    let uses = resolve_uses(ast, body, &defs);
     DefUse { defs, uses }
 }
 
@@ -281,13 +437,16 @@ pub(crate) fn live_end(du: &DefUse, di: usize, body_end: usize) -> usize {
 
 /// Scan one body's tokens into def-use chains.
 pub(crate) fn def_use(ast: &Ast, body: (usize, usize)) -> DefUse {
-    #[cfg(test)]
-    crate::tests::count("def_use");
+    let defs = body_defs(ast, body);
+    let uses = resolve_uses(ast, body, &defs);
+    DefUse { defs, uses }
+}
+
+/// Pass 1: a body's definitions, in token order.
+fn body_defs(ast: &Ast, body: (usize, usize)) -> Vec<Def> {
     let toks = &ast.tokens;
     let end = body.1.min(toks.len());
     let mut defs: Vec<Def> = Vec::new();
-
-    // Pass 1: definitions, in token order.
     let mut i = body.0;
     while i < end {
         let t = &toks[i];
@@ -364,12 +523,18 @@ pub(crate) fn def_use(ast: &Ast, body: (usize, usize)) -> DefUse {
         }
         i += 1;
     }
+    defs
+}
 
-    // Pass 2: uses. Each in-scope identifier mention resolves to the
-    // nearest preceding def of that name — excluding a def whose own
-    // RHS contains the mention (`let x = x + 1` reads the old `x`).
+/// Pass 2: uses. Each in-scope identifier mention resolves to the
+/// nearest preceding def of that name — excluding a def whose own RHS
+/// contains the mention (`let x = x + 1` reads the old `x`).
+fn resolve_uses(ast: &Ast, body: (usize, usize), defs: &[Def]) -> Vec<UseSite> {
+    #[cfg(test)]
+    crate::tests::count("def_use");
+    let toks = &ast.tokens;
     let mut uses = Vec::new();
-    for i in body.0..end {
+    for i in body.0..body.1.min(toks.len()) {
         let t = &toks[i];
         if t.kind != TokKind::Ident {
             continue;
@@ -388,7 +553,7 @@ pub(crate) fn def_use(ast: &Ast, body: (usize, usize)) -> DefUse {
         {
             continue;
         }
-        if let Some(d) = resolve_use(&defs, &t.text, i) {
+        if let Some(d) = resolve_use(defs, &t.text, i) {
             uses.push(UseSite {
                 def: d,
                 at: i,
@@ -396,7 +561,7 @@ pub(crate) fn def_use(ast: &Ast, body: (usize, usize)) -> DefUse {
             });
         }
     }
-    DefUse { defs, uses }
+    uses
 }
 
 /// The def governing a mention of `name` at token `at`: the latest def
@@ -670,39 +835,32 @@ pub(crate) fn eval_fn_linear(ast: &Ast, du: &DefUse, consts: &[(String, u64)]) -
     vals
 }
 
-/// Debug digest of every def's abstract value per function, via the
-/// CFG-grounded engine (public for the property suite's oracle).
-pub fn eval_digest(src: &str) -> Vec<(String, Vec<String>)> {
+/// Debug digest of every def's abstract value per function, under `eval`.
+fn digest(
+    src: &str,
+    eval: impl Fn(&Ast, &FnItem, &DefUse, &[(String, u64)]) -> Vec<AbstractVal>,
+) -> Vec<(String, Vec<String>)> {
     let ast = Ast::parse(src);
     let consts = const_env(&ast);
-    ast.functions
-        .iter()
-        .map(|f| {
-            let du = def_use(&ast, f.body);
-            let vals = eval_fn(&ast, f, &du, &consts);
-            (
-                f.name.clone(),
-                vals.iter().map(|v| format!("{v:?}")).collect(),
-            )
-        })
-        .collect()
+    let per_fn = ast.functions.iter().map(|f| {
+        let vals = eval(&ast, f, &def_use(&ast, f.body), &consts);
+        (
+            f.name.clone(),
+            vals.iter().map(|v| format!("{v:?}")).collect(),
+        )
+    });
+    per_fn.collect()
+}
+
+/// The digest from the CFG-grounded engine (public for the property
+/// suite's oracle).
+pub fn eval_digest(src: &str) -> Vec<(String, Vec<String>)> {
+    digest(src, eval_fn)
 }
 
 /// The same digest from the legacy statement-ordered engine.
 pub fn eval_digest_linear(src: &str) -> Vec<(String, Vec<String>)> {
-    let ast = Ast::parse(src);
-    let consts = const_env(&ast);
-    ast.functions
-        .iter()
-        .map(|f| {
-            let du = def_use(&ast, f.body);
-            let vals = eval_fn_linear(&ast, &du, &consts);
-            (
-                f.name.clone(),
-                vals.iter().map(|v| format!("{v:?}")).collect(),
-            )
-        })
-        .collect()
+    digest(src, |ast, _, du, consts| eval_fn_linear(ast, du, consts))
 }
 
 /// Fold one RHS token range into an abstract value.
@@ -868,7 +1026,7 @@ fn last_arg_literal(ast: &Ast, open: usize) -> Option<u64> {
 }
 
 /// Split a call's argument token range at top-level commas.
-pub(crate) fn split_args(ast: &Ast, args: (usize, usize)) -> Vec<(usize, usize)> {
+fn split_args(ast: &Ast, args: (usize, usize)) -> Vec<(usize, usize)> {
     let toks = &ast.tokens;
     let (start, end) = (args.0, args.1.min(toks.len()));
     let mut out = Vec::new();

@@ -2,25 +2,28 @@
 //!
 //! The intraprocedural lattice (D12–D16) stops at a function boundary: a
 //! raw `as_u64()` laundered through one helper return is invisible, and
-//! the lock-order / reactor-affinity invariants are inherently
-//! cross-function. This module closes that gap in two steps:
+//! the lock-order invariant is inherently cross-function. This module
+//! closes that gap in two steps:
 //!
 //! 1. **Extraction** ([`FnLocal`]): per function, a small fact record
 //!    read off the scan's shared [`FnFacts`] (calls, def-use chains,
-//!    abstract values) — a node graph (parameters + defs) with def-use
-//!    flow edges, raw/typed/host seeds, call sites with per-argument
-//!    node lists, return-range facts, guard acquisitions with liveness
-//!    windows, shard-channel endpoints, spawn regions, and D11-style
-//!    blocking awaits. Extraction never looks at another file.
+//!    abstract values, the per-call site table) — a node graph
+//!    (parameters + defs) with def-use flow edges, raw/typed/host seeds,
+//!    call sites with per-argument node lists, return-range facts, guard
+//!    acquisitions with liveness windows, and D11-style blocking awaits.
+//!    Extraction never looks at another file.
 //! 2. **Composition** ([`Program`]): a bottom-up fixpoint over the whole
-//!    program's call graph (edges by callee name; `dyn Trait` dispatch
-//!    resolves by trait-impl enumeration, i.e. every impl of the method
-//!    name) folds the records into per-function [`Summary`]s —
+//!    program's call graph ([`Program::resolve`]: same-file definitions,
+//!    `dyn Trait` dispatch by trait-impl enumeration, and program-unique
+//!    free helpers) folds the records into per-function [`Summary`]s —
 //!    param→return / param→sink transfer, returned address domain and
-//!    host tag, `&mut` out-parameter taint, transitively acquired guard
-//!    classes, and channel-endpoint use by parameter. Mutual recursion
-//!    (an SCC in the call graph) converges because the fixpoint
-//!    iterates all functions until no summary's fact set changes.
+//!    host tag, `&mut` out-parameter taint, and transitively acquired
+//!    guard classes. The fixpoint iterates all functions until no
+//!    summary changes. The fact *sets* only grow, but a summary keeps
+//!    them as insertion-ordered lists and is compared as such, so inside
+//!    a large call-graph cycle the order callees' facts arrive in can
+//!    keep rotating: [`PASS_CAP`] bounds that, and [`Program::passes`]
+//!    lets the tree's tests hold a scan below it.
 //!
 //! The rules grounded here:
 //!
@@ -37,10 +40,6 @@
 //!   (the interprocedural lock-order graph has `a → b` when `b` is
 //!   acquired — directly or via a callee — while `a` is held; a 2-cycle
 //!   is a deadlock/reentrant-borrow hazard, reported with both chains).
-//! * **D20**: a shard-channel `recv` reachable on the same reactor as
-//!   its paired `send` (spawn_on affinity walk — the channel can never
-//!   make progress because one side blocks the only reactor that would
-//!   run the other).
 //! * **D21**: `reset_qpair` reachable from a datapath root without
 //!   passing through the recovery-ladder frame (`recover*` /
 //!   `recreate*`), i.e. a teardown while pending tags may be live.
@@ -56,12 +55,12 @@
 //! graph — expression temporaries drop before any call they could
 //! order against.
 
-use crate::ast::{Ast, TokKind};
+use crate::ast::{Ast, Call, TokKind};
 use crate::dataflow::{
-    self, first_arg_path, live_end, split_args, stmt_end, FnFacts, Taint, GUARD_CALLS, TRANSLATORS,
-    WRAPPERS,
+    as_u64_lines, first_arg_path, live_end, stmt_end, AbstractVal, Def, FnFacts, Taint,
+    GUARD_CALLS, TRANSLATORS, WRAPPERS,
 };
-use crate::{Rule, SourceFile, D07_READS, D11_BLOCKING, D12_SINKS, D13_FABRIC_SINKS};
+use crate::{Rule, SourceFile, D07_READS};
 use std::collections::BTreeMap;
 
 /// Candidate-set cap for summary composition: a callee name matched by
@@ -71,10 +70,12 @@ use std::collections::BTreeMap;
 const CAND_CAP: usize = 6;
 /// Call chains attached to findings are capped at this many hops.
 const CHAIN_CAP: usize = 8;
-/// Fixpoint pass cap — far above any real nesting depth; a cycle that
-/// somehow keeps churning fact *sets* (it cannot: they only grow) would
-/// stop here rather than hang.
-const PASS_CAP: usize = 50;
+/// Fixpoint pass cap — far above any real nesting depth. A call-graph
+/// cycle whose summaries keep reordering the same facts (see the module
+/// docs) stops here rather than hang; the scan reports its pass count,
+/// so a tree that reaches the cap fails its test instead of being
+/// truncated silently.
+pub(crate) const PASS_CAP: usize = 50;
 
 /// One hop of an interprocedural explanation: file index, 1-based line,
 /// and a human-readable note.
@@ -85,42 +86,35 @@ fn cap_chain(mut c: Chain) -> Chain {
     c
 }
 
+/// `hop` followed by a callee's explanation, capped.
+fn hop_then(hop: (usize, usize, String), rest: &Chain) -> Chain {
+    let mut chain = vec![hop];
+    chain.extend(rest.iter().cloned());
+    cap_chain(chain)
+}
+
 // ---------------------------------------------------------------------
 // Per-function local facts
 // ---------------------------------------------------------------------
 
-/// One call site inside a function body.
-#[derive(Clone, Debug)]
-pub(crate) struct CallRec {
-    pub name: String,
-    pub line: usize,
-    /// Token position (argument-list start) for ordering against guard
-    /// liveness windows and spawn regions.
-    pub pos: usize,
-    pub recv: Option<String>,
-}
-
 /// Everything the composition pass needs to know about one function,
 /// derived from its own file only. "Nodes" are the function's def-use
 /// defs with the parameters prepended (node `i` < `n_params` is
-/// parameter `i`).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FnLocal {
+/// parameter `i`); `defs`, `vals` and `calls` are the shared fact set's
+/// own lists, and the `call` indices below index `calls`.
+#[derive(Debug, Default)]
+pub(crate) struct FnLocal<'a> {
     pub name: String,
     pub line: usize,
     pub n_params: usize,
     pub mut_ref_params: Vec<bool>,
-    pub calls: Vec<CallRec>,
-    pub n_nodes: usize,
-    pub node_lines: Vec<usize>,
+    pub defs: &'a [Def],
+    pub vals: &'a [AbstractVal],
+    pub calls: &'a [Call],
     /// Def-use flow: `(src, dst)` — `dst`'s RHS reads `src`.
     pub flow: Vec<(usize, usize)>,
     /// Node re-entered the typed world (wrapper/translator in its RHS).
     pub typed_nodes: Vec<bool>,
-    /// Locally raw nodes: `(node, as_u64 line)`.
-    pub raw_nodes: Vec<(usize, usize)>,
-    /// Locally host-tagged nodes: `(node, host path)`.
-    pub node_hosts: Vec<(usize, String)>,
     /// `(call, node)` — the node's RHS is (or contains) this call.
     pub call_results: Vec<(usize, usize)>,
     /// Node used inside a D12-sink argument list: `(sink name, line, node)`.
@@ -134,9 +128,6 @@ pub(crate) struct FnLocal {
     pub call_arg_raw: Vec<(usize, usize, usize)>,
     /// `(call, arg index, node)` — argument is `&mut node`.
     pub call_arg_mutref: Vec<(usize, usize, usize)>,
-    /// `(call, arg index, ident)` — argument is a single bare ident
-    /// (channel endpoints handed to helpers).
-    pub call_arg_idents: Vec<(usize, usize, String)>,
     /// `(node, param)` — the node is a reassignment of parameter `param`.
     pub param_rebinds: Vec<(usize, usize)>,
     /// Nodes read in a return position (explicit `return` or tail expr).
@@ -153,30 +144,23 @@ pub(crate) struct FnLocal {
     pub guard_pairs: Vec<(String, String, usize, usize)>,
     /// Call made while a guard is live: `(class, call, guard line)`.
     pub guard_over_calls: Vec<(String, usize, usize)>,
-    /// `let (tx, rx) = …channel…()`: `(tx, rx, line)`.
-    pub channel_pairs: Vec<(String, String, usize)>,
-    /// `spawn_on(ReactorId::new(N), …)`: `(reactor, args start, args end)`.
-    pub spawns: Vec<(u64, usize, usize)>,
-    /// `send`/`recv` method calls: `(is_send, receiver, pos, line)`.
-    pub endpoint_ops: Vec<(bool, String, usize, usize)>,
-    /// Endpoint ops whose receiver is a parameter: `(is_send, param, line)`.
-    pub param_endpoint_ops: Vec<(bool, usize, usize)>,
     /// Lines of directly-awaited unguarded blocking calls (D11).
     pub blocking_awaits: Vec<usize>,
 }
 
 /// Read one function's local facts off its shared fact set.
-fn extract_fn(facts: &FnFacts) -> FnLocal {
+fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
     let (ast, f) = (facts.ast, facts.f);
     let toks = &ast.tokens;
-    let (du, vals, raw_calls) = (facts.du(), facts.vals(), facts.calls());
+    let (du, vals, calls, sites) = (facts.du(), facts.vals(), facts.calls(), facts.sites());
     let mut out = FnLocal {
         name: f.name.clone(),
         line: f.line,
         n_params: f.params.len(),
         mut_ref_params: f.params.iter().map(|p| p.by_mut_ref).collect(),
-        n_nodes: du.defs.len(),
-        node_lines: du.defs.iter().map(|d| d.line).collect(),
+        defs: &du.defs,
+        vals,
+        calls,
         typed_nodes: vals.iter().map(|v| v.taint == Taint::Typed).collect(),
         ..FnLocal::default()
     };
@@ -191,14 +175,6 @@ fn extract_fn(facts: &FnFacts) -> FnLocal {
             .any(|t| t.kind == TokKind::Ident && WRAPPERS.contains(&t.text.as_str()))
         {
             out.typed_nodes[pi] = true;
-        }
-    }
-    for (di, v) in vals.iter().enumerate() {
-        if let Taint::Raw(l) = v.taint {
-            out.raw_nodes.push((di, l));
-        }
-        if let Some(h) = &v.host {
-            out.node_hosts.push((di, h.clone()));
         }
     }
     // Flow edges: a use of `src` inside `dst`'s RHS.
@@ -216,59 +192,27 @@ fn extract_fn(facts: &FnFacts) -> FnLocal {
     }
 
     // ---- calls and their argument structure
-    let translations: Vec<usize> = raw_calls
-        .iter()
-        .filter(|c| TRANSLATORS.contains(&c.name.as_str()))
-        .map(|c| c.args.0)
-        .collect();
-    let timeout_guards: Vec<(usize, usize)> = raw_calls
-        .iter()
-        .filter(|c| c.name == "timeout")
-        .map(|c| c.args)
-        .collect();
-    for (k, call) in raw_calls.iter().enumerate() {
-        out.calls.push(CallRec {
-            name: call.name.clone(),
-            line: call.line,
-            pos: call.args.0,
-            recv: call.receiver.clone(),
-        });
-        let (a, b) = (call.args.0, call.args.1.min(toks.len()));
-        let wrapped = ast.any_ident_in((a, b), |id| WRAPPERS.contains(&id));
-        if D12_SINKS.contains(&call.name.as_str()) && !wrapped {
-            for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
+    for (k, (call, site)) in calls.iter().zip(&sites.calls).enumerate() {
+        let uses = &du.uses[site.uses.clone()];
+        if site.sink && !site.wrapped {
+            for u in uses {
                 out.sink_uses.push((call.name.clone(), u.line, u.def));
             }
         }
-        if D13_FABRIC_SINKS.contains(&call.name.as_str()) {
-            if let Some(ctx) = first_arg_path(ast, a.saturating_sub(1)) {
-                for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
-                    if vals[u.def].host.is_some() {
-                        continue; // the intraprocedural D13 pass owns it
-                    }
-                    let def_at = du.defs[u.def].at;
-                    let translated = translations.iter().any(|&t| def_at < t && t < u.at);
-                    out.host_sink_uses
-                        .push((ctx.clone(), u.line, u.def, translated));
-                }
+        if let Some(ctx) = site.domain.as_ref().filter(|_| site.fabric_sink) {
+            // Host-tagged uses are the intraprocedural D13 pass's.
+            for u in uses.iter().filter(|u| vals[u.def].host.is_none()) {
+                out.host_sink_uses
+                    .push((ctx.clone(), u.line, u.def, sites.translated(du, u)));
             }
         }
-        for (ai, arange) in split_args(ast, call.args).into_iter().enumerate() {
-            for u in du
-                .uses
-                .iter()
-                .filter(|u| arange.0 <= u.at && u.at < arange.1)
-            {
+        for (ai, &arange) in site.args.iter().enumerate() {
+            for u in uses.iter().filter(|u| arange.0 <= u.at && u.at < arange.1) {
                 out.call_arg_nodes.push((k, ai, u.def));
             }
-            let arg_wrapped =
-                ast.any_ident_in(arange, |id| WRAPPERS.contains(&id) || id == "PhysAddr");
-            if !arg_wrapped {
-                for i in arange.0..arange.1.min(toks.len()) {
-                    if toks[i].is("as_u64") && i > 0 && toks[i - 1].punct('.') {
-                        out.call_arg_raw.push((k, ai, toks[i].line));
-                        break;
-                    }
+            if !ast.any_ident_in(arange, |id| WRAPPERS.contains(&id)) {
+                if let Some(line) = as_u64_lines(ast, arange).next() {
+                    out.call_arg_raw.push((k, ai, line));
                 }
             }
             if arange.1 - arange.0 == 3
@@ -276,13 +220,9 @@ fn extract_fn(facts: &FnFacts) -> FnLocal {
                 && toks[arange.0 + 1].is("mut")
                 && toks[arange.0 + 2].kind == TokKind::Ident
             {
-                if let Some(u) = du.uses.iter().find(|u| u.at == arange.0 + 2) {
+                if let Some(u) = uses.iter().find(|u| u.at == arange.0 + 2) {
                     out.call_arg_mutref.push((k, ai, u.def));
                 }
-            }
-            if arange.1 - arange.0 == 1 && toks[arange.0].kind == TokKind::Ident {
-                out.call_arg_idents
-                    .push((k, ai, toks[arange.0].text.clone()));
             }
         }
         // Node whose RHS contains this call (result binding).
@@ -291,34 +231,9 @@ fn extract_fn(facts: &FnFacts) -> FnLocal {
                 out.call_results.push((k, di));
             }
         }
-        // Shard-channel endpoint operations.
-        let is_send = call.name == "send" || call.name == "send_unsynchronized";
-        let is_recv = call.name == "recv" || call.name == "try_recv";
-        if is_send || is_recv {
-            if let Some(r) = &call.receiver {
-                out.endpoint_ops
-                    .push((is_send, r.clone(), call.args.0, call.line));
-                if let Some(p) = f.params.iter().position(|p| &p.name == r) {
-                    out.param_endpoint_ops.push((is_send, p, call.line));
-                }
-            }
-        }
-        if call.name == "spawn_on" {
-            if let Some(r) = reactor_literal(ast, call.args) {
-                out.spawns.push((r, call.args.0, call.args.1));
-            }
-        }
         // D11 facts: directly awaited, not inside a `timeout(..)` wrapper.
-        if D11_BLOCKING.iter().any(|bk| call.name == *bk) {
-            let close = call.args.1;
-            let awaited = toks.get(close + 1).is_some_and(|t| t.punct('.'))
-                && toks.get(close + 2).is_some_and(|t| t.is("await"));
-            let guarded = timeout_guards
-                .iter()
-                .any(|&(ga, gb)| ga <= call.args.0 && call.args.1 <= gb);
-            if awaited && !guarded {
-                out.blocking_awaits.push(call.line);
-            }
+        if site.blocking_await && !site.in_timeout {
+            out.blocking_awaits.push(call.line);
         }
     }
 
@@ -411,57 +326,13 @@ fn extract_fn(facts: &FnFacts) -> FnLocal {
                 }
             }
         }
-        for (k, call) in raw_calls.iter().enumerate() {
+        for (k, call) in calls.iter().enumerate() {
             if live.0 <= call.args.0 && call.args.0 < live.1 {
                 out.guard_over_calls.push((cls.clone(), k, *line));
             }
         }
     }
-
-    // ---- channel pairs: `let ( tx , rx ) = …channel…`
-    let mut i = f.body.0;
-    while i + 6 < end {
-        if toks[i].is("let")
-            && toks[i + 1].punct('(')
-            && toks[i + 2].kind == TokKind::Ident
-            && toks[i + 3].punct(',')
-            && toks[i + 4].kind == TokKind::Ident
-            && toks[i + 5].punct(')')
-            && toks[i + 6].punct('=')
-        {
-            let stop = stmt_end(ast, i + 7, end);
-            if (i + 7..stop)
-                .any(|x| toks[x].kind == TokKind::Ident && toks[x].text.ends_with("channel"))
-            {
-                out.channel_pairs.push((
-                    toks[i + 2].text.clone(),
-                    toks[i + 4].text.clone(),
-                    toks[i].line,
-                ));
-            }
-        }
-        i += 1;
-    }
     out
-}
-
-/// `ReactorId::new(<literal>)` inside the argument range → the literal.
-fn reactor_literal(ast: &Ast, args: (usize, usize)) -> Option<u64> {
-    let toks = &ast.tokens;
-    let end = args.1.min(toks.len());
-    for i in args.0..end.saturating_sub(6) {
-        if toks[i].is("ReactorId")
-            && toks[i + 1].punct(':')
-            && toks[i + 2].punct(':')
-            && toks[i + 3].is("new")
-            && toks[i + 4].punct('(')
-            && toks[i + 5].kind == TokKind::Num
-            && toks[i + 6].punct(')')
-        {
-            return dataflow::parse_num(&toks[i + 5].text);
-        }
-    }
-    None
 }
 
 /// The lock-order class of a guard RHS: the receiver path component
@@ -486,53 +357,51 @@ fn guard_class(ast: &Ast, expr: (usize, usize)) -> Option<String> {
 // Summaries and composition
 // ---------------------------------------------------------------------
 
-/// The composed interprocedural summary of one function.
-#[derive(Clone, Debug, Default)]
+/// The composed interprocedural summary of one function: the facts
+/// the fixpoint compares. Why each holds is in the parallel [`Why`].
+#[derive(Debug, Default, PartialEq)]
 struct Summary {
-    /// Returns a raw (never re-wrapped) address; chain explains whence.
-    ret_raw: Option<Chain>,
-    /// Returns a host-tagged address: `(host path, chain)`.
-    ret_host: Option<(String, Chain)>,
+    /// Returns a raw (never re-wrapped) address.
+    ret_raw: bool,
+    /// Returns an address tagged with this host path.
+    ret_host: Option<String>,
     /// Parameters whose taint flows to the return value.
     param_rets: Vec<usize>,
     /// Parameters whose taint reaches a sink inside (transitively).
-    param_sinks: Vec<(usize, Chain)>,
+    param_sinks: Vec<usize>,
     /// `&mut` out-parameters written with a raw address.
-    raw_out: Vec<(usize, Chain)>,
+    raw_out: Vec<usize>,
     /// Guard classes acquired here or in any callee.
-    acquired: Vec<(String, Chain)>,
-    /// Parameters this function sends on / receives on (shard channels).
-    param_sends: Vec<usize>,
-    param_recvs: Vec<usize>,
+    acquired: Vec<String>,
 }
 
-impl Summary {
-    /// The chain-free fact set, for fixpoint change detection (chains
-    /// adopt the first derivation and never churn).
-    #[allow(clippy::type_complexity)]
-    fn facts(
-        &self,
-    ) -> (
-        bool,
-        Option<&String>,
-        Vec<usize>,
-        Vec<usize>,
-        Vec<usize>,
-        Vec<&String>,
-        Vec<usize>,
-        Vec<usize>,
-    ) {
-        (
-            self.ret_raw.is_some(),
-            self.ret_host.as_ref().map(|(h, _)| h),
-            self.param_rets.clone(),
-            self.param_sinks.iter().map(|(p, _)| *p).collect(),
-            self.raw_out.iter().map(|(p, _)| *p).collect(),
-            self.acquired.iter().map(|(c, _)| c).collect(),
-            self.param_sends.clone(),
-            self.param_recvs.clone(),
-        )
+/// The explanation of each [`Summary`] fact — the derivation found in
+/// the pass that produced it, index-aligned with the fact lists.
+#[derive(Debug, Default)]
+struct Why {
+    ret_raw: Chain,
+    ret_host: Chain,
+    param_sinks: Vec<Chain>,
+    raw_out: Vec<Chain>,
+    acquired: Vec<Chain>,
+}
+
+/// Record `key` with its explanation unless the fact is already known.
+fn learn<K: PartialEq>(
+    keys: &mut Vec<K>,
+    chains: &mut Vec<Chain>,
+    key: K,
+    why: impl FnOnce() -> Chain,
+) {
+    if !keys.contains(&key) {
+        keys.push(key);
+        chains.push(why());
     }
+}
+
+/// The explanation recorded with `key`, if the fact holds.
+fn why_of<'c, K: PartialEq>(keys: &[K], chains: &'c [Chain], key: &K) -> Option<&'c Chain> {
+    keys.iter().position(|k| k == key).map(|i| &chains[i])
 }
 
 /// One interprocedural finding: `file` and the chain's hops index the
@@ -549,11 +418,14 @@ pub(crate) struct ProgFinding {
 /// converged summaries.
 pub(crate) struct Program<'a> {
     files: &'a [SourceFile<'a>],
-    fns: Vec<FnLocal>,
+    fns: Vec<FnLocal<'a>>,
     fn_file: Vec<usize>,
     by_name: BTreeMap<String, Vec<usize>>,
     trait_methods: Vec<String>,
     summaries: Vec<Summary>,
+    why: Vec<Why>,
+    /// Fixpoint passes run; [`PASS_CAP`] means it was cut off.
+    pub passes: usize,
 }
 
 struct NodeFacts {
@@ -589,11 +461,13 @@ impl<'a> Program<'a> {
         }
         let mut prog = Program {
             files,
-            summaries: vec![Summary::default(); fns.len()],
+            summaries: fns.iter().map(|_| Summary::default()).collect(),
+            why: fns.iter().map(|_| Why::default()).collect(),
             fns,
             fn_file,
             by_name,
             trait_methods,
+            passes: 0,
         };
         prog.fixpoint();
         prog
@@ -620,16 +494,18 @@ impl<'a> Program<'a> {
     /// (the intraprocedural behaviour the engine grew out of); a call
     /// crosses a file boundary only through a trait-*declared* method
     /// name (`dyn` dispatch over a trait the workspace defines) or a
-    /// receiver-less call on a name with exactly one definition
+    /// free (non-method) call on a name with exactly one definition
     /// program-wide (a free-function helper). Method calls never
-    /// cross files on a name match alone — `map.remove(k)` must not
-    /// resolve to whatever single `fn remove` the workspace happens
-    /// to define — and `drop` never resolves at all: `drop(x)` is the
+    /// cross files on a name match alone, whatever their receiver
+    /// expression — `map.remove(k)` and `self.fabric().dma_write(..)`
+    /// must not resolve to whatever single `fn remove`/`fn dma_write`
+    /// the workspace happens to define — and `drop` never resolves at
+    /// all: `drop(x)` is the
     /// std release function and `impl Drop` bodies are not explicitly
     /// callable. Without these fences a whole-program name walk
     /// smears through ubiquitous method names (`push`, `read`, `run`)
     /// and invents flows between unrelated crates.
-    fn resolve(&self, caller_file: usize, call: &CallRec) -> Vec<usize> {
+    fn resolve(&self, caller_file: usize, call: &Call) -> Vec<usize> {
         if call.name == "drop" {
             return Vec::new();
         }
@@ -637,7 +513,7 @@ impl<'a> Program<'a> {
             return Vec::new();
         };
         let dispatched = self.trait_methods.contains(&call.name);
-        let unique_helper = all.len() == 1 && call.recv.is_none();
+        let unique_helper = all.len() == 1 && !call.method;
         all.iter()
             .copied()
             .filter(|&c| self.fn_file[c] == caller_file || dispatched || unique_helper)
@@ -647,7 +523,7 @@ impl<'a> Program<'a> {
     /// Summary-composition candidates: [`Program::resolve`], but a
     /// non-dispatched name whose fan-out still exceeds [`CAND_CAP`]
     /// is treated as opaque rather than merging unrelated summaries.
-    fn candidates(&self, caller_file: usize, call: &CallRec) -> Vec<usize> {
+    fn candidates(&self, caller_file: usize, call: &Call) -> Vec<usize> {
         let out = self.resolve(caller_file, call);
         if out.len() > CAND_CAP && !self.trait_methods.contains(&call.name) {
             return Vec::new();
@@ -656,14 +532,14 @@ impl<'a> Program<'a> {
     }
 
     fn fixpoint(&mut self) {
-        for _ in 0..PASS_CAP {
+        while self.passes < PASS_CAP {
+            self.passes += 1;
             let mut changed = false;
             for i in 0..self.fns.len() {
-                let s = self.compute_summary(i);
-                if s.facts() != self.summaries[i].facts() {
-                    changed = true;
-                }
+                let (s, w) = self.compute_summary(i);
+                changed |= s != self.summaries[i];
                 self.summaries[i] = s;
+                self.why[i] = w;
             }
             if !changed {
                 break;
@@ -671,166 +547,113 @@ impl<'a> Program<'a> {
         }
     }
 
-    fn compute_summary(&self, fidx: usize) -> Summary {
+    fn compute_summary(&self, fidx: usize) -> (Summary, Why) {
         let f = &self.fns[fidx];
         let file = self.fn_file[fidx];
         let facts = self.propagate(fidx, None);
-        let mut s = Summary::default();
+        let (mut s, mut w) = (Summary::default(), Why::default());
 
         // Return facts.
         if let Some(line) = f.ret_raw {
-            s.ret_raw = Some(vec![(
+            s.ret_raw = true;
+            w.ret_raw = vec![(
                 file,
                 line,
                 format!("`{}` returns a raw as_u64() value", f.name),
-            )]);
+            )];
         } else if !f.ret_typed {
-            for &n in &f.ret_nodes {
-                if let Some((_, ch)) = &facts.raw[n] {
-                    let mut chain = ch.clone();
-                    chain.push((file, f.line, format!("returned by `{}`", f.name)));
-                    s.ret_raw = Some(cap_chain(chain));
-                    break;
-                }
+            if let Some((_, ch)) = f.ret_nodes.iter().find_map(|&n| facts.raw[n].as_ref()) {
+                let mut chain = ch.clone();
+                chain.push((file, f.line, format!("returned by `{}`", f.name)));
+                s.ret_raw = true;
+                w.ret_raw = cap_chain(chain);
             }
         }
         if let Some(h) = &f.ret_host {
-            s.ret_host = Some((h.clone(), Vec::new()));
-        } else {
-            for &n in &f.ret_nodes {
-                if let Some((h, _, ch)) = &facts.host[n] {
-                    s.ret_host = Some((h.clone(), cap_chain(ch.clone())));
-                    break;
-                }
-            }
+            s.ret_host = Some(h.clone());
+        } else if let Some((h, _, ch)) = f.ret_nodes.iter().find_map(|&n| facts.host[n].as_ref()) {
+            s.ret_host = Some(h.clone());
+            w.ret_host = cap_chain(ch.clone());
         }
         // `&mut` out-params written with a raw value.
         for &(n, p) in &f.param_rebinds {
             if f.mut_ref_params.get(p) == Some(&true) {
                 if let Some((_, ch)) = &facts.raw[n] {
-                    if !s.raw_out.iter().any(|(q, _)| *q == p) {
+                    learn(&mut s.raw_out, &mut w.raw_out, p, || {
                         let mut chain = ch.clone();
                         chain.push((
                             file,
-                            f.node_lines[n],
+                            f.defs[n].line,
                             format!("written through `&mut` out-param of `{}`", f.name),
                         ));
-                        s.raw_out.push((p, cap_chain(chain)));
-                    }
+                        cap_chain(chain)
+                    });
                 }
             }
         }
         // Acquired guard classes: local + transitive.
         for (cls, line) in &f.guards {
             let key = self.guard_key(file, cls);
-            if !s.acquired.iter().any(|(c, _)| c == &key) {
-                s.acquired.push((
-                    key.clone(),
-                    vec![(
-                        file,
-                        *line,
-                        format!("`{key}` guard acquired in `{}`", f.name),
-                    )],
-                ));
-            }
+            let note = format!("`{key}` guard acquired in `{}`", f.name);
+            learn(&mut s.acquired, &mut w.acquired, key, || {
+                vec![(file, *line, note)]
+            });
         }
-        for (k, call) in f.calls.iter().enumerate() {
-            let _ = k;
-            for c in self.candidates(file, call) {
-                if c == fidx {
-                    continue;
-                }
-                for (cls, ch) in &self.summaries[c].acquired {
-                    if !s.acquired.iter().any(|(x, _)| x == cls) {
-                        let mut chain =
-                            vec![(file, call.line, format!("via call to `{}`", call.name))];
-                        chain.extend(ch.iter().cloned());
-                        s.acquired.push((cls.clone(), cap_chain(chain)));
-                    }
-                }
-            }
-        }
-        // Channel endpoints by parameter: direct + transitive.
-        for &(is_send, p, _) in &f.param_endpoint_ops {
-            let list = if is_send {
-                &mut s.param_sends
-            } else {
-                &mut s.param_recvs
-            };
-            if !list.contains(&p) {
-                list.push(p);
-            }
-        }
-        for &(k, ai, node) in &f.call_arg_nodes {
-            if node >= f.n_params {
-                continue;
-            }
-            for c in self.candidates(file, &f.calls[k]) {
-                if c == fidx {
-                    continue;
-                }
-                if self.summaries[c].param_sends.contains(&ai) && !s.param_sends.contains(&node) {
-                    s.param_sends.push(node);
-                }
-                if self.summaries[c].param_recvs.contains(&ai) && !s.param_recvs.contains(&node) {
-                    s.param_recvs.push(node);
+        for call in f.calls {
+            for c in self.callees(fidx, call) {
+                let held = self.summaries[c].acquired.iter().zip(&self.why[c].acquired);
+                for (cls, ch) in held {
+                    learn(&mut s.acquired, &mut w.acquired, cls.clone(), || {
+                        let hop = (file, call.line, format!("via call to `{}`", call.name));
+                        hop_then(hop, ch)
+                    });
                 }
             }
         }
         // Per-parameter taint transfer.
         for p in 0..f.n_params {
             let pf = self.propagate(fidx, Some(p));
-            if !f.ret_typed
-                && f.ret_nodes.iter().any(|&n| pf.raw[n].is_some())
-                && !s.param_rets.contains(&p)
-            {
+            if !f.ret_typed && f.ret_nodes.iter().any(|&n| pf.raw[n].is_some()) {
                 s.param_rets.push(p);
             }
-            let mut sink_chain: Option<Chain> = None;
-            for (name, line, node) in &f.sink_uses {
-                if pf.raw[*node].is_some() {
-                    sink_chain = Some(vec![(
-                        file,
-                        *line,
-                        format!("argument of `{}` reaches the `{name}` sink", f.name),
-                    )]);
-                    break;
-                }
-            }
-            if sink_chain.is_none() {
-                'outer: for &(k, ai, node) in &f.call_arg_nodes {
-                    if pf.raw[node].is_none() {
-                        continue;
-                    }
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c == fidx {
-                            continue;
-                        }
-                        if let Some((_, ch)) =
-                            self.summaries[c].param_sinks.iter().find(|(q, _)| *q == ai)
-                        {
-                            let mut chain = vec![(
-                                file,
-                                f.calls[k].line,
-                                format!("passed on to `{}`", f.calls[k].name),
-                            )];
-                            chain.extend(ch.iter().cloned());
-                            sink_chain = Some(cap_chain(chain));
-                            break 'outer;
-                        }
-                    }
-                }
-            }
+            let local = f
+                .sink_uses
+                .iter()
+                .find(|(_, _, node)| pf.raw[*node].is_some());
+            let sink_chain = match local {
+                Some((name, line, _)) => Some(vec![(
+                    file,
+                    *line,
+                    format!("argument of `{}` reaches the `{name}` sink", f.name),
+                )]),
+                None => f.call_arg_nodes.iter().find_map(|&(k, ai, node)| {
+                    pf.raw[node].as_ref()?;
+                    let call = &f.calls[k];
+                    let ch = self
+                        .callees(fidx, call)
+                        .find_map(|c| self.param_sink(c, ai))?;
+                    let hop = (file, call.line, format!("passed on to `{}`", call.name));
+                    Some(hop_then(hop, ch))
+                }),
+            };
             if let Some(ch) = sink_chain {
-                if !s.param_sinks.iter().any(|(q, _)| *q == p) {
-                    s.param_sinks.push((p, ch));
-                }
+                s.param_sinks.push(p);
+                w.param_sinks.push(ch);
             }
         }
-        s.param_rets.sort_unstable();
-        s.param_sends.sort_unstable();
-        s.param_recvs.sort_unstable();
-        s
+        (s, w)
+    }
+
+    /// Whose summaries compose into `fidx` at `call`: its candidates,
+    /// the caller itself excluded (recursion adds nothing new).
+    fn callees(&self, fidx: usize, call: &Call) -> impl Iterator<Item = usize> {
+        let cands = self.candidates(self.fn_file[fidx], call);
+        cands.into_iter().filter(move |&c| c != fidx)
+    }
+
+    /// Why `c`'s parameter `p` reaches a sink, if it does.
+    fn param_sink(&self, c: usize, p: usize) -> Option<&Chain> {
+        why_of(&self.summaries[c].param_sinks, &self.why[c].param_sinks, &p)
     }
 
     /// Propagate raw/host facts over one function's node graph. With a
@@ -840,58 +663,43 @@ impl<'a> Program<'a> {
     fn propagate(&self, fidx: usize, seed: Option<usize>) -> NodeFacts {
         let f = &self.fns[fidx];
         let file = self.fn_file[fidx];
-        let mut raw: Vec<Option<(bool, Chain)>> = vec![None; f.n_nodes];
-        let mut host: Vec<Option<(String, bool, Chain)>> = vec![None; f.n_nodes];
+        let mut raw: Vec<Option<(bool, Chain)>> = vec![None; f.defs.len()];
+        let mut host: Vec<Option<(String, bool, Chain)>> = vec![None; f.defs.len()];
         match seed {
             Some(p) => {
-                if p < f.n_nodes && !f.typed_nodes[p] {
+                if p < f.defs.len() && !f.typed_nodes[p] {
                     raw[p] = Some((true, Vec::new()));
                 }
             }
             None => {
-                for &(n, line) in &f.raw_nodes {
-                    if !f.typed_nodes[n] && raw[n].is_none() {
-                        raw[n] = Some((
-                            false,
-                            vec![(file, line, "raw u64 minted by as_u64() here".to_string())],
-                        ));
+                for (n, v) in f.vals.iter().enumerate() {
+                    if let Taint::Raw(line) = v.taint {
+                        if !f.typed_nodes[n] {
+                            let note = "raw u64 minted by as_u64() here".to_string();
+                            raw[n] = Some((false, vec![(file, line, note)]));
+                        }
                     }
-                }
-                for (n, h) in &f.node_hosts {
-                    host[*n] = Some((h.clone(), false, Vec::new()));
+                    if let Some(h) = &v.host {
+                        host[n] = Some((h.clone(), false, Vec::new()));
+                    }
                 }
                 for &(k, n) in &f.call_results {
                     if f.typed_nodes[n] {
                         continue;
                     }
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c == fidx {
-                            continue;
+                    let call = &f.calls[k];
+                    for c in self.callees(fidx, call) {
+                        let (sum, why) = (&self.summaries[c], &self.why[c]);
+                        if raw[n].is_none() && sum.ret_raw {
+                            let note = format!("`{}` returns a raw address", call.name);
+                            let chain = hop_then((file, call.line, note), &why.ret_raw);
+                            raw[n] = Some((true, chain));
                         }
-                        if raw[n].is_none() {
-                            if let Some(ch) = &self.summaries[c].ret_raw {
-                                let mut chain = vec![(
-                                    file,
-                                    f.calls[k].line,
-                                    format!("`{}` returns a raw address", f.calls[k].name),
-                                )];
-                                chain.extend(ch.iter().cloned());
-                                raw[n] = Some((true, cap_chain(chain)));
-                            }
-                        }
-                        if host[n].is_none() {
-                            if let Some((h, ch)) = &self.summaries[c].ret_host {
-                                let mut chain = vec![(
-                                    file,
-                                    f.calls[k].line,
-                                    format!(
-                                        "`{}` returns an address in `{h}`'s domain",
-                                        f.calls[k].name
-                                    ),
-                                )];
-                                chain.extend(ch.iter().cloned());
-                                host[n] = Some((h.clone(), true, cap_chain(chain)));
-                            }
+                        if let (None, Some(h)) = (&host[n], &sum.ret_host) {
+                            let note =
+                                format!("`{}` returns an address in `{h}`'s domain", call.name);
+                            let chain = hop_then((file, call.line, note), &why.ret_host);
+                            host[n] = Some((h.clone(), true, chain));
                         }
                     }
                 }
@@ -899,22 +707,13 @@ impl<'a> Program<'a> {
                     if f.typed_nodes[n] || raw[n].is_some() {
                         continue;
                     }
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c == fidx {
-                            continue;
-                        }
-                        if let Some((_, ch)) =
-                            self.summaries[c].raw_out.iter().find(|(q, _)| *q == ai)
-                        {
-                            let mut chain = vec![(
-                                file,
-                                f.calls[k].line,
-                                format!("`{}` writes a raw address out", f.calls[k].name),
-                            )];
-                            chain.extend(ch.iter().cloned());
-                            raw[n] = Some((true, cap_chain(chain)));
-                            break;
-                        }
+                    let call = &f.calls[k];
+                    let written = self.callees(fidx, call).find_map(|c| {
+                        why_of(&self.summaries[c].raw_out, &self.why[c].raw_out, &ai)
+                    });
+                    if let Some(ch) = written {
+                        let note = format!("`{}` writes a raw address out", call.name);
+                        raw[n] = Some((true, hop_then((file, call.line, note), ch)));
                     }
                 }
             }
@@ -942,23 +741,17 @@ impl<'a> Program<'a> {
                     if k2 != k {
                         continue;
                     }
-                    let Some((_, ch)) = raw[src].clone() else {
+                    let Some((_, ch)) = &raw[src] else {
                         continue;
                     };
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c != fidx && self.summaries[c].param_rets.contains(&ai) {
-                            let mut chain = ch;
-                            chain.push((
-                                file,
-                                f.calls[k].line,
-                                format!("flows through `{}` back to the caller", f.calls[k].name),
-                            ));
-                            raw[n] = Some((true, cap_chain(chain)));
-                            changed = true;
-                            break;
-                        }
-                    }
-                    if raw[n].is_some() {
+                    let call = &f.calls[k];
+                    let mut through = self.callees(fidx, call);
+                    if through.any(|c| self.summaries[c].param_rets.contains(&ai)) {
+                        let mut chain = ch.clone();
+                        let note = format!("flows through `{}` back to the caller", call.name);
+                        chain.push((file, call.line, note));
+                        raw[n] = Some((true, cap_chain(chain)));
+                        changed = true;
                         break;
                     }
                 }
@@ -988,7 +781,6 @@ impl<'a> Program<'a> {
         };
         self.d18_d13_findings(&mut |f| push(&mut out, f));
         self.d19_findings(&mut |f| push(&mut out, f));
-        self.d20_findings(&mut |f| push(&mut out, f));
         self.reach_findings(&mut |f| push(&mut out, f));
         out.sort_by(|a, b| (a.file, a.line, a.rule.code()).cmp(&(b.file, b.line, b.rule.code())));
         out
@@ -1021,44 +813,29 @@ impl<'a> Program<'a> {
                     let Some((_, ch)) = &facts.raw[node] else {
                         continue;
                     };
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c == fidx {
-                            continue;
-                        }
-                        if let Some((_, sch)) =
-                            self.summaries[c].param_sinks.iter().find(|(q, _)| *q == ai)
-                        {
-                            let mut chain = ch.clone();
-                            chain.push((
-                                file,
-                                f.calls[k].line,
-                                format!("passed into `{}`", f.calls[k].name),
-                            ));
-                            chain.extend(sch.iter().cloned());
-                            hit(ProgFinding {
-                                rule: Rule::D18,
-                                file,
-                                line: f.calls[k].line,
-                                related: cap_chain(chain),
-                            });
-                        }
+                    let call = &f.calls[k];
+                    let sinks = self.callees(fidx, call);
+                    for sch in sinks.filter_map(|c| self.param_sink(c, ai)) {
+                        let mut chain = ch.clone();
+                        chain.push((file, call.line, format!("passed into `{}`", call.name)));
+                        chain.extend(sch.iter().cloned());
+                        hit(ProgFinding {
+                            rule: Rule::D18,
+                            file,
+                            line: call.line,
+                            related: cap_chain(chain),
+                        });
                     }
                 }
                 for &(k, ai, line) in &f.call_arg_raw {
-                    for c in self.candidates(file, &f.calls[k]) {
-                        if c == fidx {
-                            continue;
-                        }
-                        if let Some((_, sch)) =
-                            self.summaries[c].param_sinks.iter().find(|(q, _)| *q == ai)
-                        {
-                            hit(ProgFinding {
-                                rule: Rule::D18,
-                                file,
-                                line,
-                                related: cap_chain(sch.clone()),
-                            });
-                        }
+                    let sinks = self.callees(fidx, &f.calls[k]);
+                    for sch in sinks.filter_map(|c| self.param_sink(c, ai)) {
+                        hit(ProgFinding {
+                            rule: Rule::D18,
+                            file,
+                            line,
+                            related: cap_chain(sch.clone()),
+                        });
                     }
                 }
             }
@@ -1110,11 +887,9 @@ impl<'a> Program<'a> {
             }
             for (cls, k, la) in &f.guard_over_calls {
                 let key = self.guard_key(file, cls);
-                for c in self.candidates(file, &f.calls[*k]) {
-                    if c == fidx {
-                        continue;
-                    }
-                    for (h, hch) in &self.summaries[c].acquired {
+                for c in self.callees(fidx, &f.calls[*k]) {
+                    let held = self.summaries[c].acquired.iter().zip(&self.why[c].acquired);
+                    for (h, hch) in held {
                         if *h != key {
                             edges.entry((key.clone(), h.clone())).or_insert_with(|| {
                                 let mut chain = vec![
@@ -1162,97 +937,6 @@ impl<'a> Program<'a> {
         }
     }
 
-    fn d20_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
-        for (fidx, f) in self.fns.iter().enumerate() {
-            let file = self.fn_file[fidx];
-            if !self.file_has(file, Rule::D20) {
-                continue;
-            }
-            for (tx, rx, pline) in &f.channel_pairs {
-                // (is_send, reactor, line, chain)
-                let mut ops: Vec<(bool, u64, usize, Chain)> = Vec::new();
-                for &(r, a, b) in &f.spawns {
-                    for (is_send, name, pos, line) in &f.endpoint_ops {
-                        if a <= *pos
-                            && *pos < b
-                            && ((*is_send && name == tx) || (!*is_send && name == rx))
-                        {
-                            ops.push((*is_send, r, *line, Vec::new()));
-                        }
-                    }
-                    for &(k, ai, ref name) in &f.call_arg_idents {
-                        let call = &f.calls[k];
-                        if call.pos < a || call.pos >= b {
-                            continue;
-                        }
-                        for c in self.candidates(file, call) {
-                            if c == fidx {
-                                continue;
-                            }
-                            if name == tx && self.summaries[c].param_sends.contains(&ai) {
-                                ops.push((
-                                    true,
-                                    r,
-                                    call.line,
-                                    vec![(
-                                        file,
-                                        call.line,
-                                        format!(
-                                            "`{tx}` moved into `{}`, which sends on it",
-                                            call.name
-                                        ),
-                                    )],
-                                ));
-                            }
-                            if name == rx && self.summaries[c].param_recvs.contains(&ai) {
-                                ops.push((
-                                    false,
-                                    r,
-                                    call.line,
-                                    vec![(
-                                        file,
-                                        call.line,
-                                        format!(
-                                            "`{rx}` moved into `{}`, which receives on it",
-                                            call.name
-                                        ),
-                                    )],
-                                ));
-                            }
-                        }
-                    }
-                }
-                let mut reported: Vec<u64> = Vec::new();
-                for (s_send, s_r, s_line, s_ch) in ops.iter().filter(|o| o.0) {
-                    let _ = s_send;
-                    for (r_send, r_r, r_line, r_ch) in ops.iter().filter(|o| !o.0) {
-                        let _ = r_send;
-                        if s_r != r_r || reported.contains(s_r) {
-                            continue;
-                        }
-                        reported.push(*s_r);
-                        let mut related = vec![
-                            (
-                                file,
-                                *pline,
-                                format!("`({tx}, {rx})` channel pair created here"),
-                            ),
-                            (file, *s_line, format!("send side pinned to reactor {s_r}")),
-                        ];
-                        related.extend(s_ch.iter().cloned());
-                        related.extend(r_ch.iter().cloned());
-                        hit(ProgFinding {
-                            rule: Rule::D20,
-                            file,
-                            line: *r_line,
-                            related: cap_chain(related),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     /// D07/D11/D17/D21: one breadth-first walk of the call graph per
     /// [`REACH`] row, from the rule's roots. The walk tracks whether a
     /// `barrier`-prefixed frame (D21's recovery ladder) has been entered;
@@ -1276,7 +960,7 @@ impl<'a> Program<'a> {
             while qi < queue.len() {
                 let (i, state) = queue[qi];
                 qi += 1;
-                for call in &self.fns[i].calls {
+                for call in self.fns[i].calls {
                     for c in self.resolve(self.fn_file[i], call) {
                         let inside = spec.barrier.iter().any(|p| self.fns[c].name.starts_with(p));
                         let state = state.max(usize::from(inside));
@@ -1331,7 +1015,7 @@ struct ReachSpec {
     sites: fn(&FnLocal) -> Vec<usize>,
 }
 
-fn call_lines(f: &FnLocal, pred: impl Fn(&CallRec) -> bool) -> Vec<usize> {
+fn call_lines(f: &FnLocal, pred: impl Fn(&Call) -> bool) -> Vec<usize> {
     f.calls.iter().filter(|c| pred(c)).map(|c| c.line).collect()
 }
 
@@ -1370,7 +1054,7 @@ const REACH: [ReachSpec; 4] = [
         barrier: &[],
         sites: |f| {
             call_lines(f, |c| {
-                c.name == "alloc" && c.recv.as_deref().is_some_and(|r| r.contains("fabric"))
+                c.name == "alloc" && c.receiver.as_deref().is_some_and(|r| r.contains("fabric"))
             })
         },
     },

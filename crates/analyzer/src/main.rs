@@ -17,7 +17,7 @@
 //! `--explain <rule>` prints one rule's long-form documentation (what it
 //! flags, why, a worked example, suppression guidance) and exits.
 //! `--emit-hypotheses <file>` additionally writes the ordering
-//! hypotheses behind D08/D19/D20/D22-class findings (suppressed ones
+//! hypotheses behind D08/D19/D22-class findings (suppressed ones
 //! included) as a JSON artifact for `dnvme-explore --hints`.
 
 use std::process::ExitCode;
@@ -121,9 +121,8 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!(
-                    "dnvme-lint: unknown rule {:?} (rules are D01..D{:02})",
-                    code.to_ascii_uppercase(),
-                    analyzer::RULES.len()
+                    "dnvme-lint: unknown rule {:?} (see the README rule table)",
+                    code.to_ascii_uppercase()
                 );
                 ExitCode::FAILURE
             }
@@ -131,7 +130,7 @@ fn main() -> ExitCode {
     }
     let root = analyzer::workspace_root();
     if let Some(out) = &opts.emit_hypotheses {
-        match analyzer::collect_hypotheses(&root) {
+        match analyzer::scan_workspace_strict(&root).map(|r| r.hypotheses) {
             Ok(hyps) => {
                 let json = analyzer::hypotheses_json(&hyps);
                 if let Err(e) = std::fs::write(out, json) {
@@ -146,21 +145,16 @@ fn main() -> ExitCode {
             }
         }
     }
-    let (findings, unused) = if opts.strict_allow {
-        match analyzer::scan_workspace_strict(&root) {
-            Ok(r) => (r.findings, r.unused),
-            Err(e) => {
-                eprintln!("dnvme-lint: failed to scan {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
-        }
+    let scanned = if opts.strict_allow {
+        analyzer::scan_workspace_strict(&root).map(|r| (r.findings, r.unused))
     } else {
-        match analyzer::scan_workspace(&root) {
-            Ok(f) => (f, Vec::new()),
-            Err(e) => {
-                eprintln!("dnvme-lint: failed to scan {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
+        analyzer::scan_workspace(&root).map(|f| (f, Vec::new()))
+    };
+    let (findings, unused) = match scanned {
+        Ok(scan) => scan,
+        Err(e) => {
+            eprintln!("dnvme-lint: failed to scan {}: {e}", root.display());
+            return ExitCode::FAILURE;
         }
     };
     if opts.bench {

@@ -5,7 +5,7 @@
 //! shape. A second family synthesizes interprocedural helper chains
 //! with a known taint verdict and checks the summary engine against it.
 //! Double-run fingerprint tests pin the full scan as deterministic over
-//! the real workspace tree, cold and warm summary cache alike.
+//! the real workspace tree.
 
 use analyzer::dataflow::build_def_use;
 use proptest::prelude::*;

@@ -1064,61 +1064,6 @@ fn d19_suppression() {
     assert!(scan(src, &[Rule::D19]).is_empty());
 }
 
-// ------------------------------------------------------------------ D20
-
-#[test]
-fn d20_flags_send_and_recv_pinned_to_one_reactor() {
-    let src = "fn wire(&self, rt: &Rt) {\n\
-                   let (tx, rx) = shard::channel();\n\
-                   rt.spawn_on(ReactorId::new(0), async move { tx.send(job); });\n\
-                   rt.spawn_on(ReactorId::new(0), async move { let j = rx.recv().await; j });\n\
-               }\n";
-    let f = scan(src, &[Rule::D20]);
-    assert_eq!(codes(&f), ["D20"]);
-    assert_eq!(f[0].line, 4, "reported at the recv side");
-}
-
-#[test]
-fn d20_follows_an_endpoint_moved_into_a_helper() {
-    let src = "fn drain(rx: Rx) {\n\
-                   let j = rx.recv();\n\
-                   j.work();\n\
-               }\n\
-               fn wire(&self, rt: &Rt) {\n\
-                   let (tx, rx) = shard::channel();\n\
-                   rt.spawn_on(ReactorId::new(2), async move { tx.send(job); });\n\
-                   rt.spawn_on(ReactorId::new(2), async move { drain(rx); });\n\
-               }\n";
-    let f = scan(src, &[Rule::D20]);
-    assert_eq!(codes(&f), ["D20"]);
-    assert!(
-        f[0].related.iter().any(|r| r.note.contains("drain")),
-        "{:?}",
-        f[0].related
-    );
-}
-
-#[test]
-fn d20_ignores_endpoints_on_distinct_reactors() {
-    let src = "fn wire(&self, rt: &Rt) {\n\
-                   let (tx, rx) = shard::channel();\n\
-                   rt.spawn_on(ReactorId::new(0), async move { tx.send(job); });\n\
-                   rt.spawn_on(ReactorId::new(1), async move { let j = rx.recv().await; j });\n\
-               }\n";
-    assert!(scan(src, &[Rule::D20]).is_empty());
-}
-
-#[test]
-fn d20_suppression() {
-    let src = "fn wire(&self, rt: &Rt) {\n\
-                   let (tx, rx) = shard::channel();\n\
-                   rt.spawn_on(ReactorId::new(0), async move { tx.send(job); });\n\
-                   // lint:allow(D20) — self-delivery fixture for the HB detector\n\
-                   rt.spawn_on(ReactorId::new(0), async move { let j = rx.recv().await; j });\n\
-               }\n";
-    assert!(scan(src, &[Rule::D20]).is_empty());
-}
-
 // ------------------------------------------------------------------ D21
 
 #[test]
@@ -1243,6 +1188,50 @@ fn method_calls_do_not_cross_files_without_a_trait() {
         ("crates/core/src/mmio.rs", other, vec![Rule::D07]),
     ]);
     assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
+    // `fn dma_write` has exactly one definition program-wide, which is
+    // what lets a *free* call `dma_write(..)` cross files. A method call
+    // must not, however its receiver is spelled: `self.fabric().x()`
+    // walks no further than `let fabric = self.fabric(); fabric.x()`.
+    let other = "impl Fabric {\n\
+                     pub async fn dma_write(&self, dev: Dev, addr: PhysAddr, data: &[u8]) {\n\
+                         let head = self.window.cpu_read(HEAD_OFF);\n\
+                         self.land(dev, addr, data, head);\n\
+                     }\n\
+                 }\n";
+    let scan = |call: &str| {
+        let root = format!(
+            "impl Ctrl {{\n\
+                 async fn submit_io(&self, dev: Dev, addr: PhysAddr, data: &[u8]) -> Result<()> {{\n\
+                     let fabric = self.fabric();\n\
+                     {call};\n\
+                     Ok(())\n\
+                 }}\n\
+             }}\n"
+        );
+        analyzer::scan_sources(&[
+            ("crates/core/src/ctrl.rs", &root, vec![Rule::D07]),
+            ("crates/core/src/fabric.rs", other, vec![Rule::D07]),
+        ])
+    };
+    let bound = scan("fabric.dma_write(dev, addr, data).await");
+    assert!(bound.is_empty(), "{bound:?}");
+    for chained in [
+        "self.fabric().dma_write(dev, addr, data).await",
+        "self.fabric()?.dma_write(dev, addr, data).await",
+        "(self.fabric()).dma_write(dev, addr, data).await",
+        "self.fabrics[0].dma_write(dev, addr, data).await",
+    ] {
+        let f = scan(chained);
+        assert!(f.is_empty(), "`{chained}` resolved across files: {f:?}");
+    }
+    // The free-helper arm itself still stands.
+    let free = scan("dma_write(&fabric, dev, addr, data).await");
+    assert_eq!(codes(&free), ["D07"]);
+    assert_eq!(free[0].path, "crates/core/src/fabric.rs");
 }
 
 // ----------------------------------------------------- chain rendering

@@ -148,10 +148,81 @@ impl Default for ClientConfig {
 /// Everything a client must give back on disconnect: NTB window slots,
 /// device-side DMA windows, and its segments. Leaking these would
 /// exhaust the adapters' LUTs after enough connect/disconnect cycles.
+#[derive(Default)]
 struct Cleanup {
     mappings: Vec<smartio::CpuMapping>,
     windows: Vec<smartio::DmaWindow>,
     segments: Vec<SegmentId>,
+}
+
+impl Cleanup {
+    /// Release every mapping, window, and segment (LUT slots are a
+    /// finite resource on the adapters).
+    fn release(self, smartio: &SmartIo) {
+        for w in self.windows {
+            smartio.unmap_device(w);
+        }
+        for m in self.mappings {
+            smartio.unmap_cpu(m);
+        }
+        for seg in self.segments {
+            let _ = smartio.destroy_segment(seg);
+        }
+    }
+}
+
+/// What a connect in progress holds, recorded as it is taken so that a
+/// refusal or failure part-way gives all of it back.
+#[derive(Default)]
+struct BringUp {
+    cleanup: Cleanup,
+    /// Queue ids the manager has granted so far.
+    qids: Vec<u16>,
+    /// Last mailbox sequence number used.
+    seq: u32,
+    /// `(slot address, response region, response segment)` once the
+    /// mailbox is wired: how granted qids are handed back.
+    mailbox: Option<(PhysAddr, MemRegion, SegmentId)>,
+    bounce: Option<BouncePool>,
+}
+
+impl BringUp {
+    /// The connect was refused or failed: hand back what `disconnect`
+    /// would — granted qids, mappings, windows, segments, the bounce
+    /// pool and the device reference. Best-effort, like `disconnect`.
+    async fn give_back(
+        mut self,
+        smartio: &SmartIo,
+        device: SmartDeviceId,
+        host: HostId,
+        mailbox_timeout: Option<SimDuration>,
+    ) {
+        if let Some((slot_addr, resp_region, response_segment)) = self.mailbox {
+            for qid in self.qids {
+                self.seq += 1;
+                let request = Request::DeleteQp {
+                    qid,
+                    response_segment: response_segment.0,
+                };
+                let fabric = smartio.fabric();
+                let _ = mailbox_rpc(
+                    fabric,
+                    host,
+                    slot_addr,
+                    resp_region,
+                    self.seq,
+                    request,
+                    mailbox_timeout,
+                )
+                .await;
+            }
+        }
+        self.cleanup.release(smartio);
+        if let Some(b) = self.bounce {
+            b.destroy(smartio);
+        }
+        let _ = smartio.release(device, host);
+    }
 }
 
 /// Same-seq retransmissions before a deadline-armed mailbox RPC gives up
@@ -328,14 +399,33 @@ impl ClientDriver {
         host: HostId,
         cfg: ClientConfig,
     ) -> Result<Rc<ClientDriver>> {
-        let fabric = smartio.fabric().clone();
         smartio.acquire(device, host, BorrowMode::Shared)?;
+        let mailbox_timeout = cfg.mailbox_timeout;
+        let mut up = BringUp::default();
+        let driver = Self::bring_up(smartio, device, host, cfg, &mut up).await;
+        if driver.is_err() {
+            up.give_back(smartio, device, host, mailbox_timeout).await;
+        }
+        driver
+    }
+
+    /// [`ClientDriver::connect`] after the device reference is taken;
+    /// everything else it takes goes into `up` first.
+    async fn bring_up(
+        smartio: &SmartIo,
+        device: SmartDeviceId,
+        host: HostId,
+        cfg: ClientConfig,
+        up: &mut BringUp,
+    ) -> Result<Rc<ClientDriver>> {
+        let fabric = smartio.fabric().clone();
 
         // --- Bootstrap: read the metadata segment. ---
         let meta_seg = smartio
             .lookup(&Manager::meta_name(device))
             .map_err(|_| DnvmeError::BadMetadata)?;
         let meta_map = smartio.map_for_cpu(host, meta_seg)?;
+        up.cleanup.mappings.push(meta_map);
         let mut raw = [0u8; proto::META_LEN];
         fabric
             .cpu_read(host, meta_map.region.addr, &mut raw)
@@ -352,7 +442,9 @@ impl ClientDriver {
 
         // --- Map registers (BAR window) and the mailbox. ---
         let bar_map = smartio.map_for_cpu(host, SegmentId(metadata.bar_segment))?;
+        up.cleanup.mappings.push(bar_map);
         let mailbox_map = smartio.map_for_cpu(host, SegmentId(metadata.mailbox_segment))?;
+        up.cleanup.mappings.push(mailbox_map);
         let cap = Cap::decode(fabric.cpu_read_u64(host, bar_map.region.addr).await?);
 
         if cfg.num_qpairs == 0 {
@@ -363,22 +455,17 @@ impl ClientDriver {
         //     CreateQp, repeated for every requested queue pair. ---
         let entries = cfg.queue_entries;
         let response_segment = smartio.create_segment(host, proto::RESPONSE_LEN as u64)?;
+        up.cleanup.segments.push(response_segment);
         let resp_region = smartio.segment_region(response_segment)?;
         let slot_addr = mailbox_map
             .region
             .addr
             .offset(host.0 as u64 * proto::MAILBOX_SLOT as u64);
+        up.mailbox = Some((slot_addr, resp_region, response_segment));
         let bar = bar_map.region;
-        let mut seq = 0u32;
         let mut specs = Vec::new();
-        let mut qids = Vec::new();
         let mut wiring = Vec::new();
         let fabric_dev = smartio.device_fabric_id(device)?;
-        let mut cleanup = Cleanup {
-            mappings: vec![meta_map, bar_map, mailbox_map],
-            windows: Vec::new(),
-            segments: vec![response_segment],
-        };
         for _ in 0..cfg.num_qpairs {
             let sq_seg = match cfg.sq_placement {
                 SqPlacement::DeviceSide => smartio.create_segment_hinted(
@@ -393,18 +480,23 @@ impl ClientDriver {
                     smartio.create_segment(host, entries as u64 * SQE_SIZE as u64)?
                 }
             };
+            up.cleanup.segments.push(sq_seg);
             let cq_seg = smartio.create_segment_hinted(
                 host,
                 device,
                 entries as u64 * CQE_SIZE as u64,
                 AccessHints::cq(),
             )?;
+            up.cleanup.segments.push(cq_seg);
             let cq_region = smartio.segment_region(cq_seg)?;
             assert_eq!(cq_region.host, host, "CQ must be client-local for polling");
             let sq_cpu = smartio.map_for_cpu(host, sq_seg)?;
+            up.cleanup.mappings.push(sq_cpu);
             let sq_win = smartio.map_for_device(device, sq_seg)?;
+            up.cleanup.windows.push(sq_win);
             let cq_win = smartio.map_for_device(device, cq_seg)?;
-            seq += 1;
+            up.cleanup.windows.push(cq_win);
+            up.seq += 1;
             // Interrupt mode reserves a vector per queue pair; vectors are
             // granted as qid at the controller, so request "next" (the
             // manager echoes the actual qid and we route that vector).
@@ -414,7 +506,7 @@ impl ClientDriver {
                 host,
                 slot_addr,
                 resp_region,
-                seq,
+                up.seq,
                 Request::CreateQp {
                     entries,
                     sq_bus: sq_win.bus_base,
@@ -427,6 +519,7 @@ impl ClientDriver {
             )
             .await?;
             let qid = resp.qid;
+            up.qids.push(qid);
             wiring.push(QpWiring {
                 qid,
                 entries,
@@ -450,14 +543,8 @@ impl ClientDriver {
                 entries,
                 irq,
             });
-            qids.push(qid);
-            cleanup.mappings.push(sq_cpu);
-            cleanup.windows.push(sq_win);
-            cleanup.windows.push(cq_win);
-            cleanup.segments.push(sq_seg);
-            cleanup.segments.push(cq_seg);
         }
-        let qid = qids[0];
+        let qid = up.qids[0];
 
         // --- The engine: rings, tags, completion services. ---
         // Every tag must fit in any ring it can stripe onto (a ring holds
@@ -482,28 +569,27 @@ impl ClientDriver {
         );
 
         // --- Data path. ---
-        let bounce = match cfg.data_path {
-            DataPath::Bounce => Some(BouncePool::new(
+        if cfg.data_path == DataPath::Bounce {
+            up.bounce = Some(BouncePool::new(
                 smartio,
                 device,
                 host,
                 qd,
                 cfg.partition_size,
-            )?),
-            DataPath::DirectMapped => None,
-        };
+            )?);
+        }
         // Per-tag PRP list pages for DirectMapped transfers > 2 pages.
-        let (direct_lists, direct_list_bus, lists_seg, lists_win) = {
+        let (direct_lists, direct_list_bus) = {
             let seg = smartio.create_segment(host, qd as u64 * prp::PAGE)?;
+            up.cleanup.segments.push(seg);
             let region = smartio.segment_region(seg)?;
             let win = smartio.map_for_device(device, seg)?;
+            up.cleanup.windows.push(win);
             let lists: Vec<MemRegion> = (0..qd)
                 .map(|t| region.slice(t as u64 * prp::PAGE, prp::PAGE))
                 .collect();
-            (lists, win.bus_base, seg, win)
+            (lists, win.bus_base)
         };
-        cleanup.windows.push(lists_win);
-        cleanup.segments.push(lists_seg);
 
         let driver = Rc::new(ClientDriver {
             smartio: smartio.clone(),
@@ -513,15 +599,15 @@ impl ClientDriver {
             device,
             metadata,
             qid,
-            qids,
+            qids: std::mem::take(&mut up.qids),
             engine,
-            bounce: RefCell::new(bounce),
+            bounce: RefCell::new(up.bounce.take()),
             direct_lists,
             direct_list_bus,
-            cleanup: RefCell::new(Some(cleanup)),
+            cleanup: RefCell::new(Some(std::mem::take(&mut up.cleanup))),
             response_segment,
             mailbox_map,
-            next_seq: RefCell::new(seq + 1),
+            next_seq: RefCell::new(up.seq + 1),
             rpc_lock: Semaphore::new(1),
             qp_wiring: RefCell::new(wiring),
             hb_stop: Cell::new(false),
@@ -746,18 +832,8 @@ impl ClientDriver {
                 first_err.get_or_insert(e);
             }
         }
-        // Release every mapping, window, and segment this client created
-        // (LUT slots are a finite resource on the adapters).
         if let Some(c) = self.cleanup.borrow_mut().take() {
-            for w in c.windows {
-                self.smartio.unmap_device(w);
-            }
-            for m in c.mappings {
-                self.smartio.unmap_cpu(m);
-            }
-            for seg in c.segments {
-                let _ = self.smartio.destroy_segment(seg);
-            }
+            c.release(&self.smartio);
         }
         if let Some(b) = self.bounce.borrow_mut().take() {
             b.destroy(&self.smartio);

@@ -378,6 +378,7 @@ impl Manager {
         let watch = fabric.watch(region.host, region.addr, region.len);
         let slots = self.cfg.mailbox_slots as usize;
         let mut last_seq = vec![0u32; slots];
+        let mut last_seg = vec![0u32; slots];
         let mut last_retry = vec![0u32; slots];
         let mut cached: Vec<Option<Response>> = vec![None; slots];
         loop {
@@ -401,7 +402,13 @@ impl Manager {
                 if msg.seq == 0 {
                     continue;
                 }
-                if msg.seq == last_seq[slot] {
+                // A new connection numbers its requests from 1 again but
+                // answers into a new response segment (ids are never
+                // reused), so a repeated seq is a duplicate only when the
+                // segment repeats too — else a host refused on its first
+                // request could never be heard again.
+                let seg = msg.request.response_segment();
+                if msg.seq == last_seq[slot] && seg == last_seg[slot] {
                     // Duplicate seq: either nothing new, or the client
                     // retried because our response got lost. A bumped
                     // retry counter asks for the cached answer again —
@@ -417,6 +424,7 @@ impl Manager {
                     continue;
                 }
                 last_seq[slot] = msg.seq;
+                last_seg[slot] = seg;
                 last_retry[slot] = msg.retry;
                 // Accepting a fresh seq acquires the client's posted
                 // request write (happens-before edge, mirroring the
@@ -447,15 +455,17 @@ impl Manager {
                     }
                 }
                 // A departed client's response-segment mapping is dead
-                // weight on the manager's adapter: release it.
-                if ok {
-                    if let Request::DeleteQp {
-                        response_segment, ..
-                    } = msg.request
-                    {
-                        if let Some(m) = self.resp_maps.borrow_mut().remove(&response_segment) {
-                            self.smartio.unmap_cpu(m);
-                        }
+                // weight on the manager's adapter, and so is a refused
+                // one's (it owes no DeleteQp that would drop it): release it.
+                let gone = match msg.request {
+                    Request::DeleteQp { .. } => ok,
+                    Request::CreateQp { .. } => !ok,
+                    _ => false,
+                };
+                if gone {
+                    let seg = msg.request.response_segment();
+                    if let Some(m) = self.resp_maps.borrow_mut().remove(&seg) {
+                        self.smartio.unmap_cpu(m);
                     }
                 }
             }

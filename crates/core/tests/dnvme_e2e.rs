@@ -334,64 +334,92 @@ fn disconnect_returns_qpair_to_pool() {
 
 #[test]
 fn qpair_exhaustion_rejected_via_mailbox() {
-    // A controller with only 2 I/O queue pairs: the third client must get
-    // a clean mailbox rejection.
-    let rt = SimRuntime::new();
-    let fabric = Fabric::new(rt.handle(), FabricParams::default());
-    let sw = fabric.add_switch("sw");
-    let mut hosts = Vec::new();
-    for _ in 0..4 {
-        let h = fabric.add_host(128 << 20);
-        let ntb = fabric.add_ntb(h, 2 << 20, 64);
-        fabric.link(fabric.ntb_node(ntb), sw);
-        hosts.push(h);
-    }
-    let dev_host = hosts[3];
-    let store = Rc::new(BlockStore::new(
-        rt.handle(),
-        MediaProfile::optane(),
-        512,
-        1 << 20,
-        1,
-    ));
-    let ctrl = NvmeController::attach(
-        &fabric,
-        dev_host,
-        fabric.rc_node(dev_host),
-        store,
-        NvmeConfig {
-            io_queue_pairs: 2,
-            ..NvmeConfig::default()
-        },
-    );
-    let smartio = SmartIo::new(&fabric);
-    let dev = smartio.register_device(ctrl.device_id()).unwrap();
-    let err = rt.block_on(async move {
-        let _mgr = Manager::start(
-            &smartio,
-            dev,
-            dev_host,
-            ManagerConfig {
-                want_qpairs: 2,
-                ..ManagerConfig::default()
-            },
-        )
-        .await
-        .unwrap();
-        let _c0 = ClientDriver::connect(&smartio, dev, hosts[0], ClientConfig::default())
-            .await
-            .unwrap();
-        let _c1 = ClientDriver::connect(&smartio, dev, hosts[1], ClientConfig::default())
-            .await
-            .unwrap();
-        match ClientDriver::connect(&smartio, dev, hosts[2], ClientConfig::default()).await {
-            Err(e) => e,
-            Ok(_) => panic!("third client must be rejected"),
+    // A controller with only 2 I/O queue pairs: the client that asks for
+    // one more gets a clean mailbox rejection — on its first CreateQp
+    // (two peers hold both) and on its second (one peer, two wanted) —
+    // and the refused connect gives back everything it had taken.
+    for (peers, num_qpairs) in [(2usize, 1u16), (1, 2)] {
+        let rt = SimRuntime::new();
+        let fabric = Fabric::new(rt.handle(), FabricParams::default());
+        let sw = fabric.add_switch("sw");
+        let mut hosts = Vec::new();
+        for _ in 0..4 {
+            let h = fabric.add_host(128 << 20);
+            let ntb = fabric.add_ntb(h, 2 << 20, 64);
+            fabric.link(fabric.ntb_node(ntb), sw);
+            hosts.push(h);
         }
-    });
-    assert!(
-        matches!(err, dnvme::DnvmeError::Mailbox(code) if code == dnvme::proto::status::NO_FREE_QPAIR)
-    );
+        let dev_host = hosts[3];
+        let store = Rc::new(BlockStore::new(
+            rt.handle(),
+            MediaProfile::optane(),
+            512,
+            1 << 20,
+            1,
+        ));
+        let ctrl = NvmeController::attach(
+            &fabric,
+            dev_host,
+            fabric.rc_node(dev_host),
+            store,
+            NvmeConfig {
+                io_queue_pairs: 2,
+                ..NvmeConfig::default()
+            },
+        );
+        let smartio = SmartIo::new(&fabric);
+        let dev = smartio.register_device(ctrl.device_id()).unwrap();
+        rt.block_on(async move {
+            let mgr = Manager::start(
+                &smartio,
+                dev,
+                dev_host,
+                ManagerConfig {
+                    want_qpairs: 2,
+                    ..ManagerConfig::default()
+                },
+            )
+            .await
+            .unwrap();
+            let mut connected = Vec::new();
+            for &h in &hosts[..peers] {
+                let c = ClientDriver::connect(&smartio, dev, h, ClientConfig::default());
+                connected.push(c.await.unwrap());
+            }
+            let cfg = ClientConfig {
+                num_qpairs,
+                ..ClientConfig::default()
+            };
+            let held = |smartio: &SmartIo| {
+                (
+                    smartio.borrow_state(dev).unwrap(),
+                    fabric.free_lut_slots(hosts[2]),
+                    fabric.free_lut_slots(dev_host),
+                )
+            };
+            let before = held(&smartio);
+            let err = match ClientDriver::connect(&smartio, dev, hosts[2], cfg.clone()).await {
+                Err(e) => e,
+                Ok(_) => panic!("the client asking for a third queue pair must be rejected"),
+            };
+            assert!(
+                matches!(err, dnvme::DnvmeError::Mailbox(code) if code == dnvme::proto::status::NO_FREE_QPAIR),
+                "{err}"
+            );
+            assert_eq!(held(&smartio), before, "refused on CreateQp #{num_qpairs}");
+            assert_eq!(mgr.qpairs_in_use(), peers, "a granted qid was not handed back");
+            // Once a peer leaves, the same request goes through.
+            connected.pop().unwrap().disconnect().await.unwrap();
+            if peers == 1 {
+                let drv = ClientDriver::connect(&smartio, dev, hosts[2], cfg).await.unwrap();
+                assert_eq!(mgr.qpairs_in_use(), num_qpairs as usize);
+                drv.disconnect().await.unwrap();
+            } else {
+                ClientDriver::connect(&smartio, dev, hosts[2], cfg).await.unwrap();
+                assert_eq!(mgr.qpairs_in_use(), peers);
+            }
+        });
+    }
 }
 
 #[test]

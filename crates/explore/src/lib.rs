@@ -437,8 +437,8 @@ async fn client_workload(
 pub struct Hint {
     pub id: String,
     pub rule: String,
-    /// Choice-point domain to perturb: "doorbell" (D08/D22), "lock"
-    /// (D19), "channel" (D20).
+    /// Choice-point domain to perturb: "doorbell" (D08/D22) or "lock"
+    /// (D19).
     pub class: String,
     /// The `fn` item holding `site_a` — matched (with `_` → `-`)
     /// against the fixture registry to pick the program to explore.

@@ -380,6 +380,15 @@ impl Fabric {
         rec.find_free_range(n)
     }
 
+    /// Unprogrammed LUT slots across `host`'s adapters — what a leak check
+    /// compares before and after a connect/disconnect.
+    pub fn free_lut_slots(&self, host: HostId) -> usize {
+        let st = self.inner.state.borrow();
+        let own = st.ntbs.iter().filter(|n| n.local_domain == host);
+        own.map(|n| (0..n.slots()).filter(|&s| n.entry(s).is_none()).count())
+            .sum()
+    }
+
     /// NTB adapters attached to a host's domain.
     pub fn ntbs_of(&self, host: HostId) -> Vec<NtbId> {
         let st = self.inner.state.borrow();

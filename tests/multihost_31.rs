@@ -72,17 +72,52 @@ fn thirty_second_host_is_refused() {
     let smartio: SmartIo = sc.smartio().expect("distributed scenario has SmartIO");
     let dev = smartio.devices()[0];
     let dev_host = smartio.device_host(dev).unwrap();
-    let err = sc.rt.block_on({
+    let held = {
         let smartio = smartio.clone();
-        async move {
-            match ClientDriver::connect(&smartio, dev, dev_host, ClientConfig::default()).await {
-                Err(e) => e,
-                Ok(_) => panic!("32nd queue pair must not exist"),
-            }
+        move || {
+            let fabric = smartio.fabric();
+            (
+                smartio.borrow_state(dev).unwrap(),
+                fabric.free_lut_slots(dev_host),
+            )
         }
-    });
-    assert!(
-        matches!(err, dnvme::DnvmeError::Mailbox(c) if c == dnvme::proto::status::NO_FREE_QPAIR),
-        "{err}"
-    );
+    };
+    let before = held();
+    let connect = |cfg: ClientConfig| {
+        let smartio = smartio.clone();
+        async move { ClientDriver::connect(&smartio, dev, dev_host, cfg).await }
+    };
+    // Refused on the first CreateQp, and — once one of the 31 has left —
+    // on the second of two: either way the refused connect gives back
+    // everything it took, the granted first queue pair included.
+    let two = ClientConfig {
+        num_qpairs: 2,
+        ..ClientConfig::default()
+    };
+    for (leavers, cfg) in [(0, ClientConfig::default()), (1, two)] {
+        for departing in sc.client_drivers().into_iter().take(leavers) {
+            sc.rt
+                .block_on(async move { departing.disconnect().await })
+                .unwrap();
+        }
+        let before = if leavers == 0 { before } else { held() };
+        let err = match sc.rt.block_on(connect(cfg)) {
+            Err(e) => e,
+            Ok(_) => panic!("32nd queue pair must not exist"),
+        };
+        assert!(
+            matches!(err, dnvme::DnvmeError::Mailbox(c) if c == dnvme::proto::status::NO_FREE_QPAIR),
+            "{err}"
+        );
+        assert_eq!(held(), before, "refused connect leaked ({leavers} left)");
+    }
+    // With a peer gone, a fresh single-qpair connect from the refused host
+    // succeeds.
+    let drv = sc
+        .rt
+        .block_on(connect(ClientConfig::default()))
+        .expect("one queue pair is free");
+    sc.rt
+        .block_on(async move { drv.disconnect().await })
+        .unwrap();
 }
