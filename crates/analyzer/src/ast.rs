@@ -162,9 +162,6 @@ pub(crate) struct Param {
     pub name: String,
     /// Token index of the identifier in the signature.
     pub at: usize,
-    /// The declared type is a `&mut` reference — an out-parameter
-    /// candidate for the interprocedural summaries.
-    pub by_mut_ref: bool,
 }
 
 /// A `fn` item: name, its line, parameters, and the token-index extent
@@ -582,15 +579,9 @@ fn parse_param_segment(tokens: &[Tok], start: usize, end: usize) -> Option<Param
     if name_tok.kind != TokKind::Ident || colon - 1 < start {
         return None; // tuple/struct pattern parameter — not a plain binding
     }
-    // `&mut T` / `&'a mut T` types mark out-parameter candidates. The
-    // lexer drops lifetime quotes, leaving the lifetime name as an ident.
-    let by_mut_ref = tokens.get(colon + 1).is_some_and(|t| t.punct('&'))
-        && (tokens.get(colon + 2).is_some_and(|t| t.is("mut"))
-            || tokens.get(colon + 3).is_some_and(|t| t.is("mut")));
     Some(Param {
         name: name_tok.text.clone(),
         at: colon - 1,
-        by_mut_ref,
     })
 }
 

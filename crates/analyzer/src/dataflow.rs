@@ -1,11 +1,11 @@
 //! dnvme-dataflow: intraprocedural def-use chains and an abstract-value
 //! lattice over the [`crate::ast`] token stream.
 //!
-//! The syntactic rules (D01–D11) see single lines or call expressions;
-//! the address-domain rules (D12–D16) need to know *where a value came
-//! from* — a raw `u64` minted three statements ago by
-//! `PhysAddr::as_u64()` is still raw when it reaches a DMA sink. This
-//! module recovers that with two passes per function body:
+//! The syntactic rules see single lines or call expressions; the domain,
+//! interval and guard rules (D13, D15, D16) need to know *where a value
+//! came from* — an address minted three statements ago in host A's
+//! domain is still host A's when it reaches a fabric call for host B.
+//! This module recovers that with two passes per function body:
 //!
 //! 1. **Def-use chains** ([`def_use`]): every `let` binding,
 //!    reassignment, and `for` loop variable becomes a [`Def`]; every
@@ -13,31 +13,29 @@
 //!    (shadowing-aware, so `let x = x + 1` reads the *old* `x`).
 //! 2. **Abstract values** ([`eval_fn`]): each def's right-hand side is
 //!    folded into an [`AbstractVal`] carrying
-//!    * an address-domain taint ([`Taint`]): `Raw` is seeded at
-//!      `PhysAddr::as_u64()` and propagates through arithmetic and
-//!      def-to-def copies until a domain constructor (`PhysAddr(..)`,
-//!      `DomainAddr::new`, `MemRegion::new`) re-wraps it;
 //!    * a host tag (the first-argument path of `MemRegion::new` /
 //!      `DomainAddr::new`), so D13 can see an address minted in one
-//!      host's domain crossing into another's;
+//!      host's domain crossing into another's, and a `typed` flag for
+//!      values that just came out of a domain constructor or an NTB
+//!      translation (such a value owns its tag: the interprocedural
+//!      pass never overwrites it with one flowing in);
 //!    * a constant interval for integers (literals, `for i in a..b`
 //!      bounds, `+ - *` arithmetic, `const` items), so D15 can bound
 //!      offset/length expressions against a region's literal length;
-//!    * flags for guard values (`.lock()` / `.borrow()` /
-//!      `.borrow_mut()` as the outermost call) and status values
-//!      (`io_raw` / `issue` / `.status()`), feeding D16 and D14.
+//!    * a flag for guard values (`.lock()` / `.borrow()` /
+//!      `.borrow_mut()` as the outermost call), feeding D16 and D19.
 //!
 //! Everything is intraprocedural and name-based, matching the rest of
-//! the analyzer: no type inference, no heap model. The lattice is
-//! deliberately shallow — `Raw` vs `Typed` vs unknown — because the
-//! substrate sweep (typed `PhysAddr` end to end) makes the honest
-//! answer for most values "statically typed, nothing to check".
+//! the analyzer: no type inference, no heap model. Whether an integer
+//! is a *raw* address is not tracked at all: every fabric accessor takes
+//! `PhysAddr`, so a `u64` at a sink is a type error (E0308), not a lint
+//! finding.
 //!
 //! Since the CFG landed ([`crate::cfg`]), [`eval_fn`] is a forward
 //! dataflow over basic blocks: defs are evaluated in reverse postorder
 //! and, at every use, the values of all same-name definitions that
-//! reach it merge under the lattice join (`Raw` absorbs `Unknown`,
-//! intervals take their hull, disagreeing host tags drop to unknown).
+//! reach it merge under the lattice join (intervals take their hull,
+//! disagreeing host tags drop to unknown).
 //! The pre-CFG statement-ordered pass survives as [`eval_fn_linear`],
 //! the branch-free equivalence baseline the property suite holds the
 //! new engine to.
@@ -50,7 +48,7 @@
 
 use crate::ast::{Ast, Call, FnItem, TokKind};
 use crate::cfg::Cfg;
-use crate::{D08_WRITES, D11_BLOCKING, D12_SINKS, D13_FABRIC_SINKS, D13_REGION_SINKS};
+use crate::{D08_WRITES, D11_BLOCKING, D13_FABRIC_SINKS, D13_REGION_SINKS};
 use std::cell::OnceCell;
 use std::ops::Range;
 
@@ -129,7 +127,7 @@ impl<'a> FnFacts<'a> {
 // The per-call site table
 // ---------------------------------------------------------------------
 
-/// What the sink, domain and deadline rules (D12, D13, D15, D25) and the
+/// What the domain, bounds and deadline rules (D13, D15, D25) and the
 /// summary extractor ask of one call site.
 pub(crate) struct CallSite {
     /// Region sinks (`contains`/`slice`): the def governing the receiver
@@ -139,13 +137,6 @@ pub(crate) struct CallSite {
     pub args: Vec<(usize, usize)>,
     /// The [`DefUse::uses`] (token order) inside the argument list.
     pub uses: Range<usize>,
-    /// D12: the callee interprets an integer as an address.
-    pub sink: bool,
-    /// A domain constructor in the argument list re-wraps at the sink
-    /// boundary: the typed path.
-    pub wrapped: bool,
-    /// Line of the last direct `.as_u64()` in the argument list.
-    pub direct_raw: Option<usize>,
     /// D13: the host domain the call addresses — a fabric accessor's
     /// first-argument path, or the host of a region sink's receiver.
     pub domain: Option<String>,
@@ -197,15 +188,6 @@ impl Sites {
     }
 }
 
-/// Lines of the `.as_u64()` calls inside a token range — where a raw
-/// address is minted.
-pub(crate) fn as_u64_lines(ast: &Ast, range: (usize, usize)) -> impl Iterator<Item = usize> + '_ {
-    let toks = &ast.tokens;
-    (range.0.max(1)..range.1.min(toks.len()))
-        .filter(|&i| toks[i].is("as_u64") && toks[i - 1].punct('.'))
-        .map(|i| toks[i].line)
-}
-
 fn build_sites(facts: &FnFacts) -> Sites {
     #[cfg(test)]
     crate::tests::count("sites");
@@ -253,9 +235,6 @@ fn build_sites(facts: &FnFacts) -> Sites {
                 recv_def,
                 args: split_args(ast, call.args),
                 uses: du.uses.partition_point(|u| u.at < a)..du.uses.partition_point(|u| u.at < b),
-                sink: D12_SINKS.contains(&name),
-                wrapped: ast.any_ident_in((a, b), |id| WRAPPERS.contains(&id)),
-                direct_raw: as_u64_lines(ast, (a, b)).last(),
                 domain,
                 fabric_sink,
                 blocking_await: D11_BLOCKING.contains(&name)
@@ -372,8 +351,8 @@ fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Pa
     defs.extend(body_defs(ast, body));
     // Parameter reassignments: the body pass cannot see `p = …` (and
     // deliberately skips `*p = …`) because parameter names are not
-    // `let` defs there. A deref write through a `&mut` parameter is
-    // how out-params hand values back, so both forms become defs here.
+    // `let` defs there. Both forms rebind what later reads of the name
+    // see, so both become defs here.
     {
         let toks = &ast.tokens;
         let end = body.1.min(toks.len());
@@ -598,25 +577,12 @@ pub(crate) fn stmt_end(ast: &Ast, from: usize, end: usize) -> usize {
 // Abstract values
 // ---------------------------------------------------------------------
 
-/// Address-domain taint: where an integer value stands relative to the
-/// typed address world.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub(crate) enum Taint {
-    /// Nothing known (most values).
-    #[default]
-    Unknown,
-    /// A raw `u64` escaped via `PhysAddr::as_u64()` on this line, not
-    /// yet re-wrapped in a domain type.
-    Raw(usize),
-    /// Re-wrapped through `PhysAddr` / `DomainAddr` / `MemRegion` (or
-    /// produced by an NTB translation): safe to hand to a sink.
-    Typed,
-}
-
 /// What the dataflow pass knows about one def's value.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct AbstractVal {
-    pub taint: Taint,
+    /// The RHS names a domain constructor ([`WRAPPERS`]) or an NTB
+    /// translation ([`TRANSLATORS`]): the value owns its host tag.
+    pub typed: bool,
     /// The host-domain tag: the dotted first-argument path of the
     /// `MemRegion::new` / `DomainAddr::new` that minted the value.
     pub host: Option<String>,
@@ -628,11 +594,9 @@ pub(crate) struct AbstractVal {
     /// The value is a lock/borrow guard (`.lock()` / `.borrow()` /
     /// `.borrow_mut()` as the outermost call).
     pub guard: bool,
-    /// The value is a command status (`io_raw` / `issue` / `.status()`).
-    pub status: bool,
 }
 
-/// Constructors that re-enter the typed address world.
+/// The address-domain constructors.
 pub(crate) const WRAPPERS: [&str; 3] = ["PhysAddr", "DomainAddr", "MemRegion"];
 /// Calls that translate an address across an NTB (domain-crossing is
 /// legitimate downstream of any of these).
@@ -644,8 +608,6 @@ pub(crate) const TRANSLATORS: [&str; 4] = [
 ];
 /// Guard-producing calls (D16).
 pub(crate) const GUARD_CALLS: [&str; 3] = ["lock", "borrow", "borrow_mut"];
-/// Status-producing calls (D14).
-const STATUS_CALLS: [&str; 3] = ["io_raw", "issue", "status"];
 
 /// `const NAME: ty = <int literal>;` items in the file, for D15 ranges.
 pub(crate) fn const_env(ast: &Ast) -> Vec<(String, u64)> {
@@ -794,17 +756,11 @@ pub(crate) fn eval_fn_cfg(
     vals
 }
 
-/// Lattice join at a control-flow merge. `Raw` absorbs `Unknown`
-/// (raw-on-some-path must still reach the sink rules); `Typed` only
-/// survives when both sides are typed; intervals take their hull;
-/// host/region/guard/status facts survive only when both sides agree.
+/// Lattice join at a control-flow merge: intervals take their hull;
+/// typed/host/region/guard facts survive only when both sides agree.
 fn join_vals(a: &AbstractVal, b: &AbstractVal) -> AbstractVal {
     AbstractVal {
-        taint: match (&a.taint, &b.taint) {
-            (Taint::Raw(l), _) | (_, Taint::Raw(l)) => Taint::Raw(*l),
-            (Taint::Typed, Taint::Typed) => Taint::Typed,
-            _ => Taint::Unknown,
-        },
+        typed: a.typed && b.typed,
         host: match (&a.host, &b.host) {
             (Some(x), Some(y)) if x == y => Some(x.clone()),
             _ => None,
@@ -818,7 +774,6 @@ fn join_vals(a: &AbstractVal, b: &AbstractVal) -> AbstractVal {
             _ => None,
         },
         guard: a.guard && b.guard,
-        status: a.status && b.status,
     }
 }
 
@@ -876,11 +831,7 @@ fn eval_expr(
     let (start, end) = (expr.0, expr.1.min(toks.len()));
     let mut v = AbstractVal::default();
 
-    let mut has_wrap = false;
-    let mut raw_line = None;
-    let mut inherited_raw = None;
     let mut inherited_host = None;
-    let mut inherited_range: Option<(u64, u64)> = None;
 
     for i in start..end {
         let t = &toks[i];
@@ -889,7 +840,7 @@ fn eval_expr(
         }
         // Domain constructors: `PhysAddr(…)` / `DomainAddr::new(h, …)`.
         if WRAPPERS.contains(&t.text.as_str()) {
-            has_wrap = true;
+            v.typed = true;
             if t.text != "PhysAddr" {
                 // Host tag: first argument of `::new(h, …)`.
                 if let Some(open) = (i..end.min(i + 5)).find(|&k| toks[k].punct('(')) {
@@ -905,11 +856,8 @@ fn eval_expr(
                 }
             }
         }
-        if t.is("as_u64") && i > start && toks[i - 1].punct('.') {
-            raw_line = Some(t.line);
-        }
         if TRANSLATORS.contains(&t.text.as_str()) {
-            has_wrap = true; // translated values are device-visible, typed
+            v.typed = true; // translated values are device-visible
         }
         if GUARD_CALLS.contains(&t.text.as_str())
             && i > start
@@ -918,10 +866,6 @@ fn eval_expr(
             && guard_is_outermost(ast, i, end)
         {
             v.guard = true;
-        }
-        if STATUS_CALLS.contains(&t.text.as_str()) && toks.get(i + 1).is_some_and(|n| n.punct('('))
-        {
-            v.status = true;
         }
         // `.slice(_, LIT)` re-derives a region with a literal length.
         if t.is("slice") && toks.get(i + 1).is_some_and(|n| n.punct('(')) {
@@ -933,9 +877,6 @@ fn eval_expr(
         if let Some(u) = du.uses.iter().find(|u| u.at == i) {
             if u.def < vals.len() && u.def != def_idx {
                 let uv = &vals[u.def];
-                if let Taint::Raw(l) = uv.taint {
-                    inherited_raw = Some(l);
-                }
                 if uv.host.is_some() && inherited_host.is_none() {
                     inherited_host.clone_from(&uv.host);
                 }
@@ -948,19 +889,10 @@ fn eval_expr(
 
     // Constant interval: literal, `a..b` range (for-loops), or a
     // left-associated `+ - *` chain over known terms.
-    inherited_range = eval_range(ast, du, vals, expr, consts).or(inherited_range);
-
-    v.taint = if has_wrap {
-        Taint::Typed
-    } else if let Some(l) = raw_line.or(inherited_raw) {
-        Taint::Raw(l)
-    } else {
-        Taint::Unknown
-    };
+    v.range = eval_range(ast, du, vals, expr, consts);
     if v.host.is_none() {
         v.host = inherited_host;
     }
-    v.range = inherited_range;
     v
 }
 
@@ -1266,16 +1198,17 @@ mod tests {
         assert_eq!(vals[1].range, Some((0, 511 * 8)));
     }
 
+    /// `typed` is set by the RHS's own constructor or translator, never
+    /// inherited through a copy.
     #[test]
     fn taint_seeds_propagates_and_clears() {
-        let src = "fn f() { let raw = addr.as_u64(); let off = raw + 16; \
-                   let ok = PhysAddr(off); }";
+        let src = "fn f() { let raw = addr.as_u64(); let ok = PhysAddr(raw + 16); \
+                   let copy = ok; let dev = ntb.map_for_device(copy); }";
         let ast = Ast::parse(src);
         let du = def_use(&ast, ast.functions[0].body);
         let vals = eval_fn(&ast, &ast.functions[0], &du, &[]);
-        assert!(matches!(vals[0].taint, Taint::Raw(_)));
-        assert!(matches!(vals[1].taint, Taint::Raw(_)));
-        assert_eq!(vals[2].taint, Taint::Typed);
+        let typed: Vec<bool> = vals.iter().map(|v| v.typed).collect();
+        assert_eq!(typed, [false, true, false, true]);
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! dnvme-interproc: summary-based interprocedural dataflow (DESIGN §5.4).
 //!
-//! The intraprocedural lattice (D12–D16) stops at a function boundary: a
-//! raw `as_u64()` laundered through one helper return is invisible, and
-//! the lock-order invariant is inherently cross-function. This module
-//! closes that gap in two steps:
+//! The intraprocedural values (D13, D15, D16) stop at a function
+//! boundary: a host-tagged address handed back by one helper is
+//! invisible to its caller, and the lock-order invariant is inherently
+//! cross-function. This module closes that gap in two steps:
 //!
 //! 1. **Extraction** ([`FnLocal`]): per function, a small fact record
 //!    read off the scan's shared [`FnFacts`] (calls, def-use chains,
 //!    abstract values, the per-call site table) — a node graph
-//!    (parameters + defs) with def-use flow edges, raw/typed/host seeds,
-//!    call sites with per-argument node lists, return-range facts, guard
+//!    (parameters + defs) with def-use flow edges and typed/host seeds,
+//!    the nodes that bind a call's result, return-position facts, guard
 //!    acquisitions with liveness windows, and D11-style blocking awaits.
 //!    Extraction never looks at another file.
 //! 2. **Composition** ([`Program`]): a bottom-up fixpoint over the whole
 //!    program's call graph ([`Program::resolve`]: same-file definitions,
 //!    `dyn Trait` dispatch by trait-impl enumeration, and program-unique
 //!    free helpers) folds the records into per-function [`Summary`]s —
-//!    param→return / param→sink transfer, returned address domain and
-//!    host tag, `&mut` out-parameter taint, and transitively acquired
+//!    the host tag of the returned address and the transitively acquired
 //!    guard classes. The fixpoint iterates all functions until no
 //!    summary changes. The fact *sets* only grow, but a summary keeps
 //!    them as insertion-ordered lists and is compared as such, so inside
@@ -33,9 +32,6 @@
 //! * **D13** (re-grounded): a host-tagged address returned by a helper
 //!   and used against another host's fabric domain is caught even
 //!   though the tag was minted in a different function.
-//! * **D18**: a raw/untranslated address escaping through a helper
-//!   return, a tainted argument, or a `&mut` out-parameter into a
-//!   fabric/DMA/doorbell sink.
 //! * **D19**: lock/RefCell acquisition-order cycles across functions
 //!   (the interprocedural lock-order graph has `a → b` when `b` is
 //!   acquired — directly or via a callee — while `a` is held; a 2-cycle
@@ -47,6 +43,11 @@
 //! Findings carry the full call chain as related locations; the SARIF
 //! and `--format github` writers render them.
 //!
+//! Raw addresses are not tracked: whether a bare `u64` reaches a fabric
+//! sink — directly or through a helper's return, argument or `&mut`
+//! out-parameter — is decided by the sinks' `PhysAddr` parameters at
+//! `cargo build`.
+//!
 //! Precision notes (deliberate, mirrored in the fixtures): candidate
 //! sets larger than [`CAND_CAP`] are treated as opaque unless the name
 //! is a declared trait method (dispatch legitimately fans out there);
@@ -57,8 +58,7 @@
 
 use crate::ast::{Ast, Call, TokKind};
 use crate::dataflow::{
-    as_u64_lines, first_arg_path, live_end, stmt_end, AbstractVal, Def, FnFacts, Taint,
-    GUARD_CALLS, TRANSLATORS, WRAPPERS,
+    first_arg_path, live_end, stmt_end, AbstractVal, FnFacts, GUARD_CALLS, TRANSLATORS, WRAPPERS,
 };
 use crate::{Rule, SourceFile, D07_READS};
 use std::collections::BTreeMap;
@@ -66,7 +66,7 @@ use std::collections::BTreeMap;
 /// Candidate-set cap for summary composition: a callee name matched by
 /// more functions than this is treated as opaque (no facts) unless it
 /// is a declared trait method. Keeps ubiquitous names (`new`, `len`)
-/// from smearing taint program-wide.
+/// from smearing facts program-wide.
 const CAND_CAP: usize = 6;
 /// Call chains attached to findings are capped at this many hops.
 const CHAIN_CAP: usize = 8;
@@ -99,43 +99,23 @@ fn hop_then(hop: (usize, usize, String), rest: &Chain) -> Chain {
 
 /// Everything the composition pass needs to know about one function,
 /// derived from its own file only. "Nodes" are the function's def-use
-/// defs with the parameters prepended (node `i` < `n_params` is
-/// parameter `i`); `defs`, `vals` and `calls` are the shared fact set's
-/// own lists, and the `call` indices below index `calls`.
+/// defs (parameters first); `vals` and `calls` are the shared fact set's
+/// own lists, `vals` one entry per node, and the `call` indices below
+/// index `calls`.
 #[derive(Debug, Default)]
 pub(crate) struct FnLocal<'a> {
     pub name: String,
-    pub line: usize,
-    pub n_params: usize,
-    pub mut_ref_params: Vec<bool>,
-    pub defs: &'a [Def],
     pub vals: &'a [AbstractVal],
     pub calls: &'a [Call],
     /// Def-use flow: `(src, dst)` — `dst`'s RHS reads `src`.
     pub flow: Vec<(usize, usize)>,
-    /// Node re-entered the typed world (wrapper/translator in its RHS).
-    pub typed_nodes: Vec<bool>,
     /// `(call, node)` — the node's RHS is (or contains) this call.
     pub call_results: Vec<(usize, usize)>,
-    /// Node used inside a D12-sink argument list: `(sink name, line, node)`.
-    pub sink_uses: Vec<(String, usize, usize)>,
     /// Node used inside a fabric-sink argument list whose *local* host is
     /// unknown: `(domain ctx, line, node, translated)`.
     pub host_sink_uses: Vec<(String, usize, usize, bool)>,
-    /// `(call, arg index, node)` — the node is read in that argument.
-    pub call_arg_nodes: Vec<(usize, usize, usize)>,
-    /// `(call, arg index, line)` — a direct un-wrapped `as_u64()` in it.
-    pub call_arg_raw: Vec<(usize, usize, usize)>,
-    /// `(call, arg index, node)` — argument is `&mut node`.
-    pub call_arg_mutref: Vec<(usize, usize, usize)>,
-    /// `(node, param)` — the node is a reassignment of parameter `param`.
-    pub param_rebinds: Vec<(usize, usize)>,
     /// Nodes read in a return position (explicit `return` or tail expr).
     pub ret_nodes: Vec<usize>,
-    /// Direct un-wrapped `as_u64()` in a return position.
-    pub ret_raw: Option<usize>,
-    /// A wrapper/translator appears in a return position.
-    pub ret_typed: bool,
     /// Host tag minted directly in a return position.
     pub ret_host: Option<String>,
     /// `let`-bound guards: `(class, line)`.
@@ -155,28 +135,10 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
     let (du, vals, calls, sites) = (facts.du(), facts.vals(), facts.calls(), facts.sites());
     let mut out = FnLocal {
         name: f.name.clone(),
-        line: f.line,
-        n_params: f.params.len(),
-        mut_ref_params: f.params.iter().map(|p| p.by_mut_ref).collect(),
-        defs: &du.defs,
         vals,
         calls,
-        typed_nodes: vals.iter().map(|v| v.taint == Taint::Typed).collect(),
         ..FnLocal::default()
     };
-    // A parameter declared with a wrapper type (`PhysAddr(bus)`, …) is
-    // typed at the call boundary — the caller cannot hand it a bare
-    // u64 — so its node never seeds or carries raw taint and the
-    // function contributes no `param_sinks` entry for it.
-    for (pi, p) in f.params.iter().enumerate() {
-        let end = f.params.get(pi + 1).map_or(f.body.0, |n| n.at);
-        if toks[p.at..end.min(toks.len())]
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && WRAPPERS.contains(&t.text.as_str()))
-        {
-            out.typed_nodes[pi] = true;
-        }
-    }
     // Flow edges: a use of `src` inside `dst`'s RHS.
     for u in &du.uses {
         for (di, d) in du.defs.iter().enumerate() {
@@ -185,44 +147,15 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
             }
         }
     }
-    for (di, d) in du.defs.iter().enumerate().skip(out.n_params) {
-        if let Some(p) = (0..out.n_params).find(|&p| du.defs[p].name == d.name) {
-            out.param_rebinds.push((di, p));
-        }
-    }
 
-    // ---- calls and their argument structure
+    // ---- calls
     for (k, (call, site)) in calls.iter().zip(&sites.calls).enumerate() {
         let uses = &du.uses[site.uses.clone()];
-        if site.sink && !site.wrapped {
-            for u in uses {
-                out.sink_uses.push((call.name.clone(), u.line, u.def));
-            }
-        }
         if let Some(ctx) = site.domain.as_ref().filter(|_| site.fabric_sink) {
             // Host-tagged uses are the intraprocedural D13 pass's.
             for u in uses.iter().filter(|u| vals[u.def].host.is_none()) {
                 out.host_sink_uses
                     .push((ctx.clone(), u.line, u.def, sites.translated(du, u)));
-            }
-        }
-        for (ai, &arange) in site.args.iter().enumerate() {
-            for u in uses.iter().filter(|u| arange.0 <= u.at && u.at < arange.1) {
-                out.call_arg_nodes.push((k, ai, u.def));
-            }
-            if !ast.any_ident_in(arange, |id| WRAPPERS.contains(&id)) {
-                if let Some(line) = as_u64_lines(ast, arange).next() {
-                    out.call_arg_raw.push((k, ai, line));
-                }
-            }
-            if arange.1 - arange.0 == 3
-                && toks[arange.0].punct('&')
-                && toks[arange.0 + 1].is("mut")
-                && toks[arange.0 + 2].kind == TokKind::Ident
-            {
-                if let Some(u) = uses.iter().find(|u| u.at == arange.0 + 2) {
-                    out.call_arg_mutref.push((k, ai, u.def));
-                }
             }
         }
         // Node whose RHS contains this call (result binding).
@@ -285,21 +218,14 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
             if t.kind != TokKind::Ident {
                 continue;
             }
-            if t.is("as_u64") && i > 0 && toks[i - 1].punct('.') && out.ret_raw.is_none() {
-                out.ret_raw = Some(t.line);
-            }
-            if WRAPPERS.contains(&t.text.as_str()) || TRANSLATORS.contains(&t.text.as_str()) {
-                out.ret_typed = true;
-                if t.text != "PhysAddr" && out.ret_host.is_none() {
-                    if let Some(open) = (i..b.min(i + 5)).find(|&x| toks[x].punct('(')) {
-                        out.ret_host = first_arg_path(ast, open);
-                    }
+            let minter = t.text != "PhysAddr"
+                && (WRAPPERS.contains(&t.text.as_str()) || TRANSLATORS.contains(&t.text.as_str()));
+            if minter && out.ret_host.is_none() {
+                if let Some(open) = (i..b.min(i + 5)).find(|&x| toks[x].punct('(')) {
+                    out.ret_host = first_arg_path(ast, open);
                 }
             }
         }
-    }
-    if out.ret_typed {
-        out.ret_raw = None;
     }
 
     // ---- guards (let-bound only; see module docs)
@@ -361,16 +287,8 @@ fn guard_class(ast: &Ast, expr: (usize, usize)) -> Option<String> {
 /// the fixpoint compares. Why each holds is in the parallel [`Why`].
 #[derive(Debug, Default, PartialEq)]
 struct Summary {
-    /// Returns a raw (never re-wrapped) address.
-    ret_raw: bool,
     /// Returns an address tagged with this host path.
     ret_host: Option<String>,
-    /// Parameters whose taint flows to the return value.
-    param_rets: Vec<usize>,
-    /// Parameters whose taint reaches a sink inside (transitively).
-    param_sinks: Vec<usize>,
-    /// `&mut` out-parameters written with a raw address.
-    raw_out: Vec<usize>,
     /// Guard classes acquired here or in any callee.
     acquired: Vec<String>,
 }
@@ -379,29 +297,21 @@ struct Summary {
 /// the pass that produced it, index-aligned with the fact lists.
 #[derive(Debug, Default)]
 struct Why {
-    ret_raw: Chain,
     ret_host: Chain,
-    param_sinks: Vec<Chain>,
-    raw_out: Vec<Chain>,
     acquired: Vec<Chain>,
 }
 
 /// Record `key` with its explanation unless the fact is already known.
-fn learn<K: PartialEq>(
-    keys: &mut Vec<K>,
+fn learn(
+    keys: &mut Vec<String>,
     chains: &mut Vec<Chain>,
-    key: K,
+    key: String,
     why: impl FnOnce() -> Chain,
 ) {
     if !keys.contains(&key) {
         keys.push(key);
         chains.push(why());
     }
-}
-
-/// The explanation recorded with `key`, if the fact holds.
-fn why_of<'c, K: PartialEq>(keys: &[K], chains: &'c [Chain], key: &K) -> Option<&'c Chain> {
-    keys.iter().position(|k| k == key).map(|i| &chains[i])
 }
 
 /// One interprocedural finding: `file` and the chain's hops index the
@@ -428,11 +338,8 @@ pub(crate) struct Program<'a> {
     pub passes: usize,
 }
 
-struct NodeFacts {
-    /// `(came through a call boundary, chain)` per node.
-    raw: Vec<Option<(bool, Chain)>>,
-    host: Vec<Option<(String, bool, Chain)>>,
-}
+/// Per node: `(host tag, came through a call boundary, chain)`.
+type NodeHosts = Vec<Option<(String, bool, Chain)>>;
 
 impl<'a> Program<'a> {
     /// Extract every function of every file and run the summary
@@ -550,45 +457,17 @@ impl<'a> Program<'a> {
     fn compute_summary(&self, fidx: usize) -> (Summary, Why) {
         let f = &self.fns[fidx];
         let file = self.fn_file[fidx];
-        let facts = self.propagate(fidx, None);
         let (mut s, mut w) = (Summary::default(), Why::default());
 
-        // Return facts.
-        if let Some(line) = f.ret_raw {
-            s.ret_raw = true;
-            w.ret_raw = vec![(
-                file,
-                line,
-                format!("`{}` returns a raw as_u64() value", f.name),
-            )];
-        } else if !f.ret_typed {
-            if let Some((_, ch)) = f.ret_nodes.iter().find_map(|&n| facts.raw[n].as_ref()) {
-                let mut chain = ch.clone();
-                chain.push((file, f.line, format!("returned by `{}`", f.name)));
-                s.ret_raw = true;
-                w.ret_raw = cap_chain(chain);
-            }
-        }
+        // The returned address's host tag: minted in the return position,
+        // or carried there by a node.
         if let Some(h) = &f.ret_host {
             s.ret_host = Some(h.clone());
-        } else if let Some((h, _, ch)) = f.ret_nodes.iter().find_map(|&n| facts.host[n].as_ref()) {
-            s.ret_host = Some(h.clone());
-            w.ret_host = cap_chain(ch.clone());
-        }
-        // `&mut` out-params written with a raw value.
-        for &(n, p) in &f.param_rebinds {
-            if f.mut_ref_params.get(p) == Some(&true) {
-                if let Some((_, ch)) = &facts.raw[n] {
-                    learn(&mut s.raw_out, &mut w.raw_out, p, || {
-                        let mut chain = ch.clone();
-                        chain.push((
-                            file,
-                            f.defs[n].line,
-                            format!("written through `&mut` out-param of `{}`", f.name),
-                        ));
-                        cap_chain(chain)
-                    });
-                }
+        } else if !f.ret_nodes.is_empty() {
+            let hosts = self.propagate(fidx);
+            if let Some((h, _, ch)) = f.ret_nodes.iter().find_map(|&n| hosts[n].as_ref()) {
+                s.ret_host = Some(h.clone());
+                w.ret_host = cap_chain(ch.clone());
             }
         }
         // Acquired guard classes: local + transitive.
@@ -610,37 +489,6 @@ impl<'a> Program<'a> {
                 }
             }
         }
-        // Per-parameter taint transfer.
-        for p in 0..f.n_params {
-            let pf = self.propagate(fidx, Some(p));
-            if !f.ret_typed && f.ret_nodes.iter().any(|&n| pf.raw[n].is_some()) {
-                s.param_rets.push(p);
-            }
-            let local = f
-                .sink_uses
-                .iter()
-                .find(|(_, _, node)| pf.raw[*node].is_some());
-            let sink_chain = match local {
-                Some((name, line, _)) => Some(vec![(
-                    file,
-                    *line,
-                    format!("argument of `{}` reaches the `{name}` sink", f.name),
-                )]),
-                None => f.call_arg_nodes.iter().find_map(|&(k, ai, node)| {
-                    pf.raw[node].as_ref()?;
-                    let call = &f.calls[k];
-                    let ch = self
-                        .callees(fidx, call)
-                        .find_map(|c| self.param_sink(c, ai))?;
-                    let hop = (file, call.line, format!("passed on to `{}`", call.name));
-                    Some(hop_then(hop, ch))
-                }),
-            };
-            if let Some(ch) = sink_chain {
-                s.param_sinks.push(p);
-                w.param_sinks.push(ch);
-            }
-        }
         (s, w)
     }
 
@@ -651,116 +499,43 @@ impl<'a> Program<'a> {
         cands.into_iter().filter(move |&c| c != fidx)
     }
 
-    /// Why `c`'s parameter `p` reaches a sink, if it does.
-    fn param_sink(&self, c: usize, p: usize) -> Option<&Chain> {
-        why_of(&self.summaries[c].param_sinks, &self.why[c].param_sinks, &p)
-    }
-
-    /// Propagate raw/host facts over one function's node graph. With a
-    /// `seed`, only that parameter starts tainted (transfer-function
-    /// mode); without, local mints and callee-derived facts seed the
-    /// graph (whole-function mode).
-    fn propagate(&self, fidx: usize, seed: Option<usize>) -> NodeFacts {
+    /// Propagate host tags over one function's node graph: tags minted
+    /// locally and tags of callee-returned addresses seed it, def-use
+    /// flow carries them, and a typed node keeps its own.
+    fn propagate(&self, fidx: usize) -> NodeHosts {
         let f = &self.fns[fidx];
         let file = self.fn_file[fidx];
-        let mut raw: Vec<Option<(bool, Chain)>> = vec![None; f.defs.len()];
-        let mut host: Vec<Option<(String, bool, Chain)>> = vec![None; f.defs.len()];
-        match seed {
-            Some(p) => {
-                if p < f.defs.len() && !f.typed_nodes[p] {
-                    raw[p] = Some((true, Vec::new()));
-                }
+        let mut host: NodeHosts = f
+            .vals
+            .iter()
+            .map(|v| v.host.as_ref().map(|h| (h.clone(), false, Vec::new())))
+            .collect();
+        for &(k, n) in &f.call_results {
+            if f.vals[n].typed {
+                continue;
             }
-            None => {
-                for (n, v) in f.vals.iter().enumerate() {
-                    if let Taint::Raw(line) = v.taint {
-                        if !f.typed_nodes[n] {
-                            let note = "raw u64 minted by as_u64() here".to_string();
-                            raw[n] = Some((false, vec![(file, line, note)]));
-                        }
-                    }
-                    if let Some(h) = &v.host {
-                        host[n] = Some((h.clone(), false, Vec::new()));
-                    }
-                }
-                for &(k, n) in &f.call_results {
-                    if f.typed_nodes[n] {
-                        continue;
-                    }
-                    let call = &f.calls[k];
-                    for c in self.callees(fidx, call) {
-                        let (sum, why) = (&self.summaries[c], &self.why[c]);
-                        if raw[n].is_none() && sum.ret_raw {
-                            let note = format!("`{}` returns a raw address", call.name);
-                            let chain = hop_then((file, call.line, note), &why.ret_raw);
-                            raw[n] = Some((true, chain));
-                        }
-                        if let (None, Some(h)) = (&host[n], &sum.ret_host) {
-                            let note =
-                                format!("`{}` returns an address in `{h}`'s domain", call.name);
-                            let chain = hop_then((file, call.line, note), &why.ret_host);
-                            host[n] = Some((h.clone(), true, chain));
-                        }
-                    }
-                }
-                for &(k, ai, n) in &f.call_arg_mutref {
-                    if f.typed_nodes[n] || raw[n].is_some() {
-                        continue;
-                    }
-                    let call = &f.calls[k];
-                    let written = self.callees(fidx, call).find_map(|c| {
-                        why_of(&self.summaries[c].raw_out, &self.why[c].raw_out, &ai)
-                    });
-                    if let Some(ch) = written {
-                        let note = format!("`{}` writes a raw address out", call.name);
-                        raw[n] = Some((true, hop_then((file, call.line, note), ch)));
-                    }
+            let call = &f.calls[k];
+            for c in self.callees(fidx, call) {
+                if let (None, Some(h)) = (&host[n], &self.summaries[c].ret_host) {
+                    let note = format!("`{}` returns an address in `{h}`'s domain", call.name);
+                    let chain = hop_then((file, call.line, note), &self.why[c].ret_host);
+                    host[n] = Some((h.clone(), true, chain));
                 }
             }
         }
         loop {
             let mut changed = false;
             for &(src, dst) in &f.flow {
-                if !f.typed_nodes[dst] {
-                    if raw[dst].is_none() && raw[src].is_some() {
-                        raw[dst] = raw[src].clone();
-                        changed = true;
-                    }
-                    if host[dst].is_none() && host[src].is_some() {
-                        host[dst] = host[src].clone();
-                        changed = true;
-                    }
-                }
-            }
-            // Arg taint flowing through a callee back into its result.
-            for &(k, n) in &f.call_results {
-                if f.typed_nodes[n] || raw[n].is_some() {
-                    continue;
-                }
-                for &(k2, ai, src) in &f.call_arg_nodes {
-                    if k2 != k {
-                        continue;
-                    }
-                    let Some((_, ch)) = &raw[src] else {
-                        continue;
-                    };
-                    let call = &f.calls[k];
-                    let mut through = self.callees(fidx, call);
-                    if through.any(|c| self.summaries[c].param_rets.contains(&ai)) {
-                        let mut chain = ch.clone();
-                        let note = format!("flows through `{}` back to the caller", call.name);
-                        chain.push((file, call.line, note));
-                        raw[n] = Some((true, cap_chain(chain)));
-                        changed = true;
-                        break;
-                    }
+                if !f.vals[dst].typed && host[dst].is_none() && host[src].is_some() {
+                    host[dst] = host[src].clone();
+                    changed = true;
                 }
             }
             if !changed {
                 break;
             }
         }
-        NodeFacts { raw, host }
+        host
     }
 
     fn file_has(&self, file: usize, rule: Rule) -> bool {
@@ -779,80 +554,34 @@ impl<'a> Program<'a> {
                 out.push(f);
             }
         };
-        self.d18_d13_findings(&mut |f| push(&mut out, f));
+        self.d13_findings(&mut |f| push(&mut out, f));
         self.d19_findings(&mut |f| push(&mut out, f));
         self.reach_findings(&mut |f| push(&mut out, f));
         out.sort_by(|a, b| (a.file, a.line, a.rule.code()).cmp(&(b.file, b.line, b.rule.code())));
         out
     }
 
-    fn d18_d13_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
+    /// D13's helper-return completion: a node whose host tag arrived
+    /// through a call, used untranslated against another host's domain.
+    fn d13_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
         for (fidx, f) in self.fns.iter().enumerate() {
             let file = self.fn_file[fidx];
-            let d18 = self.file_has(file, Rule::D18);
-            let d13 = self.file_has(file, Rule::D13);
-            if !d18 && !d13 {
+            if f.host_sink_uses.is_empty() || !self.file_has(file, Rule::D13) {
                 continue;
             }
-            let facts = self.propagate(fidx, None);
-            if d18 {
-                // (a) an interprocedurally-raw node reaching a local sink.
-                for (_, line, node) in &f.sink_uses {
-                    if let Some((true, ch)) = &facts.raw[*node] {
+            let hosts = self.propagate(fidx);
+            for (ctx, line, node, translated) in &f.host_sink_uses {
+                if *translated {
+                    continue;
+                }
+                if let Some((h, true, ch)) = &hosts[*node] {
+                    if h != ctx {
                         hit(ProgFinding {
-                            rule: Rule::D18,
+                            rule: Rule::D13,
                             file,
                             line: *line,
                             related: ch.clone(),
                         });
-                    }
-                }
-                // (b) a raw node handed to a helper whose param reaches a
-                // sink; (c) a direct as_u64() in such an argument.
-                for &(k, ai, node) in &f.call_arg_nodes {
-                    let Some((_, ch)) = &facts.raw[node] else {
-                        continue;
-                    };
-                    let call = &f.calls[k];
-                    let sinks = self.callees(fidx, call);
-                    for sch in sinks.filter_map(|c| self.param_sink(c, ai)) {
-                        let mut chain = ch.clone();
-                        chain.push((file, call.line, format!("passed into `{}`", call.name)));
-                        chain.extend(sch.iter().cloned());
-                        hit(ProgFinding {
-                            rule: Rule::D18,
-                            file,
-                            line: call.line,
-                            related: cap_chain(chain),
-                        });
-                    }
-                }
-                for &(k, ai, line) in &f.call_arg_raw {
-                    let sinks = self.callees(fidx, &f.calls[k]);
-                    for sch in sinks.filter_map(|c| self.param_sink(c, ai)) {
-                        hit(ProgFinding {
-                            rule: Rule::D18,
-                            file,
-                            line,
-                            related: cap_chain(sch.clone()),
-                        });
-                    }
-                }
-            }
-            if d13 {
-                for (ctx, line, node, translated) in &f.host_sink_uses {
-                    if *translated {
-                        continue;
-                    }
-                    if let Some((h, true, ch)) = &facts.host[*node] {
-                        if h != ctx {
-                            hit(ProgFinding {
-                                rule: Rule::D13,
-                                file,
-                                line: *line,
-                                related: ch.clone(),
-                            });
-                        }
                     }
                 }
             }

@@ -8,16 +8,22 @@
 //! [`ast`]) instead of regexes, so rules can reason about function
 //! bodies, call expressions, and statement order.
 //!
-//! The twenty-four rules are the rows of one table, [`RULES`]: code,
+//! The nineteen rules are the rows of one table, [`RULES`]: code,
 //! one-line summary, `--explain` text, the paths the rule binds, and
 //! the runner that implements it (`dnvme-lint --explain Dxx` and the
 //! README table are the reader-facing views of it). Four families:
-//! line/syntax rules (D01–D11); the address-domain rules on the
-//! [`dataflow`] def-use engine and taint/interval lattice (D12–D17,
-//! DESIGN §5.3); the interprocedural rules on the [`interproc`] summary
-//! engine (D18, D19, D21, with D07/D11/D13/D17 walking the same call
-//! graph, DESIGN §5.4); and the path-sensitive rules on the [`cfg`]
-//! control-flow graph (D22–D25, DESIGN §5.5).
+//! line/syntax rules (D01–D05, D08, D10); the domain, interval and guard
+//! rules on the [`dataflow`] def-use engine and its abstract values
+//! (D13, D15, D16, DESIGN §5.3); the interprocedural rules on the
+//! [`interproc`] summary engine (D19, plus D13's helper-return
+//! completion, with D07/D11/D17/D21 walking the same call graph, DESIGN
+//! §5.4); and the path-sensitive rules on the [`cfg`] control-flow graph
+//! (D22–D25, DESIGN §5.5).
+//!
+//! A rule exists only for what `rustc` cannot say: D06, D09, D12, D14 and
+//! D18 are retired because a private type, two `[workspace.lints]` lines
+//! and the fabric accessors' `PhysAddr` parameters reject the same code at
+//! `cargo build`, with no `lint:allow` escape (README has the table).
 //!
 //! A scan is one pass over its sources: every file is parsed once,
 //! every function gets one lazily-built fact set
@@ -54,8 +60,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The twenty-four lint rules (D20 is retired; the other codes keep
-/// their names); `rule as usize` indexes [`RULES`].
+/// The nineteen lint rules (D06, D09, D12, D14, D18 and D20 are retired;
+/// the other codes keep their names); `rule as usize` indexes [`RULES`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Rule {
     D01,
@@ -63,19 +69,14 @@ pub enum Rule {
     D03,
     D04,
     D05,
-    D06,
     D07,
     D08,
-    D09,
     D10,
     D11,
-    D12,
     D13,
-    D14,
     D15,
     D16,
     D17,
-    D18,
     D19,
     D21,
     D22,
@@ -102,8 +103,7 @@ pub struct RuleInfo {
 /// Which workspace-relative paths a rule binds (prefix match).
 enum Scope {
     Under(&'static [&'static str]),
-    /// Everywhere but these; `Outside(&[])` is the whole workspace.
-    Outside(&'static [&'static str]),
+    Everywhere,
 }
 
 /// An ordering rule's callback: `(finding, site_a, site_b)` lines.
@@ -135,8 +135,9 @@ pub const SIM_VISIBLE: [&str; 6] = [
     "crates/blklayer",
     "crates/nvmeof",
 ];
-/// Files whose I/O paths the paper's read-free discipline binds.
-const IO_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine.rs"];
+/// Files whose I/O paths the paper's read-free discipline binds (the
+/// engine prefix covers `engine.rs` and its ring module under `engine/`).
+const IO_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine"];
 /// Production crates the dataflow, interprocedural address/lock and
 /// path-sensitive rules bind (src only — tests assert through raw values
 /// on purpose).
@@ -162,7 +163,7 @@ const D22_SCOPE: [&str; 6] = [
 ];
 
 /// Every rule, in code order.
-pub static RULES: [RuleInfo; 24] = [
+pub static RULES: [RuleInfo; 19] = [
     RuleInfo {
         rule: Rule::D01,
         code: "D01",
@@ -175,7 +176,7 @@ pub static RULES: [RuleInfo; 24] = [
                  let t0 = ctx.now();                      // ok: virtual nanos\n\n\
                  Suppress with `// lint:allow(D01)` on or above the line — justified only\n\
                  in host-side tooling that never runs under the simulator.",
-        scope: Scope::Outside(&[]),
+        scope: Scope::Everywhere,
         run: &[Runner::Patterns(&[
             "std::time::Instant",
             "std::time::SystemTime",
@@ -195,7 +196,7 @@ pub static RULES: [RuleInfo; 24] = [
                  let mut rng = ctx.rng_stream(\"arb\");     // ok: seed-derived\n\n\
                  Suppress with `// lint:allow(D02)` — essentially never justified in\n\
                  sim-visible code.",
-        scope: Scope::Outside(&[]),
+        scope: Scope::Everywhere,
         run: &[Runner::Patterns(&["thread_rng", "from_entropy", "rand::random"])],
     },
     RuleInfo {
@@ -221,7 +222,7 @@ pub static RULES: [RuleInfo; 24] = [
                  a reactor on a kernel mutex deadlocks the single-threaded scheduler.\n\
                  Use simcore tasks and `RefCell`/`LocalKey` state instead.\n\n\
                  Suppress with `// lint:allow(D04)` only in host-side harness code.",
-        scope: Scope::Outside(&[]),
+        scope: Scope::Everywhere,
         run: &[Runner::Patterns(&[
             "std::thread::spawn",
             "thread::spawn(",
@@ -244,21 +245,6 @@ pub static RULES: [RuleInfo; 24] = [
         // *is* the assertion.
         scope: Scope::Under(&["crates/core/src"]),
         run: &[Runner::File(scan_d05)],
-    },
-    RuleInfo {
-        rule: Rule::D06,
-        code: "D06",
-        summary: "direct SqRing use outside nvme::engine (submission must go through the engine)",
-        explain: "D06 — direct SqRing use outside nvme::engine\n\n\
-                 All submission must flow through `nvme::engine` so tag accounting,\n\
-                 batching, and the doorbell protocol stay in one place. Touching the ring\n\
-                 from outside bypasses slot lifetime tracking.\n\n\
-                 Suppress with `// lint:allow(D06)` — reserved for the engine's own tests.",
-        // Exempt: the ring's own module and the engine that wraps it. One
-        // token is enough — constructing, importing, or storing the type
-        // all mention it.
-        scope: Scope::Outside(&["crates/nvme/src/queue.rs", "crates/nvme/src/engine.rs"]),
-        run: &[Runner::Patterns(&["SqRing"])],
     },
     RuleInfo {
         rule: Rule::D07,
@@ -288,20 +274,8 @@ pub static RULES: [RuleInfo; 24] = [
                  Fix by completing all stores before the ring. Suppress with\n\
                  `// lint:allow(D08)` never — reorder instead. D08 findings are exported\n\
                  as ordering hypotheses for dnvme-explore.",
-        scope: Scope::Outside(&[]),
+        scope: Scope::Everywhere,
         run: &[Runner::Ordering(scan_d08)],
-    },
-    RuleInfo {
-        rule: Rule::D09,
-        code: "D09",
-        summary: "unsafe / raw-pointer memory access outside pcie::memory",
-        explain: "D09 — unsafe / raw-pointer access outside pcie::memory\n\n\
-                 All raw memory access is centralized in `pcie::memory` where bounds and\n\
-                 domain checks live. Suppress with `// lint:allow(D09)` only with a\n\
-                 safety comment explaining the invariant.",
-        // The only file allowed raw-pointer access to segment memory.
-        scope: Scope::Outside(&["crates/pcie/src/memory.rs"]),
-        run: &[Runner::File(scan_d09)],
     },
     RuleInfo {
         rule: Rule::D10,
@@ -312,7 +286,7 @@ pub static RULES: [RuleInfo; 24] = [
                  locality). Allocating without the hint silently gets the default and\n\
                  costs a fabric crossing per access. Pass the placement hint explicitly.\n\n\
                  Suppress with `// lint:allow(D10)` in tests that don't measure placement.",
-        scope: Scope::Outside(&[]),
+        scope: Scope::Everywhere,
         run: &[Runner::File(scan_d10)],
     },
     RuleInfo {
@@ -334,19 +308,6 @@ pub static RULES: [RuleInfo; 24] = [
         run: &[Runner::Engine],
     },
     RuleInfo {
-        rule: Rule::D12,
-        code: "D12",
-        summary: "raw u64 address (from as_u64) reaching a fabric/DMA/doorbell sink without \
-                 re-wrapping through PhysAddr/DomainAddr/MemRegion",
-        explain: "D12 — raw u64 address reaching a sink\n\n\
-                 Dataflow rule: a value tainted by `.as_u64()` must be re-wrapped through\n\
-                 `PhysAddr`/`DomainAddr`/`MemRegion` before any fabric/DMA/doorbell sink.\n\
-                 Raw integers skip the domain tag that catches cross-host confusion.\n\n\
-                 Suppress with `// lint:allow(D12)` at the sink for log-only uses.",
-        scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d12)],
-    },
-    RuleInfo {
         rule: Rule::D13,
         code: "D13",
         summary: "address from one host's domain used against another host's region or fabric \
@@ -361,20 +322,6 @@ pub static RULES: [RuleInfo; 24] = [
         // Intraprocedural pass plus the engine's helper-return completion.
         scope: Scope::Under(&DF_SCOPE),
         run: &[Runner::Function(scan_d13), Runner::Engine],
-    },
-    RuleInfo {
-        rule: Rule::D14,
-        code: "D14",
-        summary: "command status bound but never checked before the buffer is freed/retired \
-                 in the same function",
-        explain: "D14 — buffer retired before its status is checked\n\n\
-                 Dataflow rule: a bound command status must be branched on before the\n\
-                 associated buffer is freed/retired/recycled in the same function;\n\
-                 otherwise failed commands recycle buffers the device may still DMA into.\n\n\
-                 Suppress with `// lint:allow(D14)` when the status is consumed by the\n\
-                 caller (document the contract).",
-        scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d14)],
     },
     RuleInfo {
         rule: Rule::D15,
@@ -418,19 +365,6 @@ pub static RULES: [RuleInfo; 24] = [
                  metadata buffers.",
         // Files whose datapath buffers must stay hinted (zero-copy eligible).
         scope: Scope::Under(&["crates/core/src", "crates/blklayer/src"]),
-        run: &[Runner::Engine],
-    },
-    RuleInfo {
-        rule: Rule::D18,
-        code: "D18",
-        summary: "raw/untranslated address escaping through a helper return or &mut out-param \
-                 into a fabric/DMA/doorbell sink (interprocedural D12)",
-        explain: "D18 — raw address escaping through a helper (interprocedural D12)\n\n\
-                 Summary-based: a helper that returns (or writes through &mut) a raw\n\
-                 `as_u64` value taints its callers; flagged when the tainted value\n\
-                 reaches a sink in any caller. The finding's related hops show the chain.\n\n\
-                 Suppress at the sink with `// lint:allow(D18)`.",
-        scope: Scope::Under(&DF_SCOPE),
         run: &[Runner::Engine],
     },
     RuleInfo {
@@ -563,7 +497,7 @@ pub fn rules_for(rel: &str) -> Vec<Rule> {
         .iter()
         .filter(|r| match r.scope {
             Scope::Under(paths) => paths.iter().any(|p| rel.starts_with(p)),
-            Scope::Outside(paths) => !paths.iter().any(|p| rel.starts_with(p)),
+            Scope::Everywhere => true,
         })
         .map(|r| r.rule)
         .collect()
@@ -924,32 +858,11 @@ const D11_BLOCKING: [&str; 10] = [
     "set_num_queues",
 ];
 
-/// D12 sinks: calls where a raw integer is interpreted as an address by
-/// the fabric, a DMA engine, or a doorbell. Everything here takes typed
-/// addresses in the production API; a raw `as_u64()` product flowing in
-/// means the type discipline was bypassed.
-const D12_SINKS: [&str; 12] = [
-    "dma_read",
-    "dma_write",
-    "cpu_read",
-    "cpu_read_u32",
-    "cpu_read_u64",
-    "cpu_write",
-    "cpu_write_u32",
-    "mem_read",
-    "mem_write",
-    "ring",
-    "ring_doorbell",
-    "resolve",
-];
 /// D13 sinks: operations that interpret an address *within a specific
 /// host's domain* — region membership/slicing and the fabric accessors
 /// (whose first argument names the domain).
 const D13_REGION_SINKS: [&str; 2] = ["contains", "slice"];
 const D13_FABRIC_SINKS: [&str; 4] = ["mem_write", "mem_read", "dma_write", "dma_read"];
-/// D14 retire/reuse calls: once one of these runs, an unread status can
-/// never influence whether the buffer was safe to recycle.
-const D14_RETIRE: [&str; 5] = ["free", "release", "retire", "recycle", "reuse"];
 /// D23 acquire sites: tag/slot grants and hinted DMA allocations.
 const D23_ACQUIRE: [&str; 5] = [
     "acquire",
@@ -958,7 +871,7 @@ const D23_ACQUIRE: [&str; 5] = [
     "create_segment",
     "alloc_hinted",
 ];
-/// D23/D24 retire sites: D14's retire vocabulary plus the segment and
+/// D23/D24 retire sites: buffer/tag release calls plus the segment and
 /// tag-table teardown calls.
 const D2X_RETIRE: [&str; 8] = [
     "free",
@@ -1161,12 +1074,15 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
     for (idx, (_, comment)) in lines.iter().enumerate() {
         for rest in comment.split("lint:allow(").skip(1) {
             let inside = rest.split(')').next().unwrap_or("");
-            // Only real rule codes are tracked: prose like
-            // `lint:allow(Dxx)` in docs is not a suppression, and a
-            // typo'd code suppresses nothing — its finding surfaces.
+            // Anything shaped like a rule code is tracked. A retired or
+            // mistyped code matches no finding, so it is never honoured
+            // and `--strict-allow` reports it; prose like
+            // `lint:allow(Dxx)` in docs is not a suppression.
             for code in inside
                 .split(|c: char| !c.is_ascii_alphanumeric())
-                .filter(|s| RULES.iter().any(|r| r.code == *s))
+                .filter(|s| {
+                    s.len() == 3 && s.starts_with('D') && s[1..].bytes().all(|b| b.is_ascii_digit())
+                })
             {
                 sups.push((idx + 1, code, false));
             }
@@ -1355,32 +1271,6 @@ fn scan_d05(ast: &Ast, hit: &mut dyn FnMut(usize)) {
         }
         if matches!(code.trim_end().chars().next_back(), Some(';' | '{' | '}')) {
             stmt.clear();
-        }
-    }
-}
-
-/// D09: `unsafe` blocks/fns and raw-pointer syntax (`*const` / `*mut`
-/// types, `as *` casts, `.as_ptr()` / `.as_mut_ptr()`, `ptr::` paths).
-fn scan_d09(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    let toks = &ast.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        let flag = match (t.kind, t.text.as_str()) {
-            (TokKind::Ident, "unsafe") => true,
-            (TokKind::Punct, "*") => toks
-                .get(i + 1)
-                .is_some_and(|n| n.is("const") || n.is("mut")),
-            (TokKind::Ident, "as") => toks.get(i + 1).is_some_and(|n| n.punct('*')),
-            (TokKind::Ident, "as_ptr" | "as_mut_ptr") => {
-                i > 0 && toks[i - 1].punct('.') && toks.get(i + 1).is_some_and(|n| n.punct('('))
-            }
-            (TokKind::Ident, "ptr") => {
-                toks.get(i + 1).is_some_and(|n| n.punct(':'))
-                    && toks.get(i + 2).is_some_and(|n| n.punct(':'))
-            }
-            _ => false,
-        };
-        if flag {
-            hit(t.line);
         }
     }
 }
@@ -1763,29 +1653,8 @@ fn scan_d25(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
 }
 
 // ---------------------------------------------------------------------
-// Dataflow rules (D12–D16)
+// Dataflow rules (D13, D15, D16)
 // ---------------------------------------------------------------------
-
-/// D12: per function, flag a raw `as_u64()` product reaching a
-/// fabric/DMA/doorbell sink — directly in the argument list, or through
-/// a `Raw`-tainted def-use chain — unless a domain constructor wraps it
-/// inside the same call.
-fn scan_d12(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (du, vals) = (facts.du(), facts.vals());
-    for site in &facts.sites().calls {
-        if !site.sink || site.wrapped {
-            continue;
-        }
-        if let Some(line) = site.direct_raw {
-            hit(line);
-        }
-        for u in &du.uses[site.uses.clone()] {
-            if let dataflow::Taint::Raw(_) = vals[u.def].taint {
-                hit(u.line);
-            }
-        }
-    }
-}
 
 /// D13: per function, an address def carrying one host tag used inside a
 /// sink bound to a *different* host tag — the receiving region's
@@ -1801,29 +1670,6 @@ fn scan_d13(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
             if crosses && !sites.translated(du, u) {
                 hit(u.line);
             }
-        }
-    }
-}
-
-/// D14: a status binding (`io_raw` / `issue` / `.status()`) with zero
-/// reads, in a function that later frees/retires a buffer: the retire
-/// decision ignored the command's outcome. `_`-named/prefixed bindings
-/// are a deliberate discard and stay silent.
-fn scan_d14(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (du, vals) = (facts.du(), facts.vals());
-    for (di, d) in du.defs.iter().enumerate() {
-        if !vals[di].status || d.name.starts_with('_') {
-            continue;
-        }
-        if du.uses_of(di).next().is_some() {
-            continue;
-        }
-        let retired_later = facts
-            .calls()
-            .iter()
-            .any(|c| D14_RETIRE.contains(&c.name.as_str()) && c.args.0 > d.expr.1);
-        if retired_later {
-            hit(d.line);
         }
     }
 }
@@ -2063,10 +1909,14 @@ pub fn strict_scan_files(config: &Config, files: &[(String, String)]) -> StrictR
     let mut hypotheses = Vec::new();
     for ((rel, _), scan) in files.iter().zip(scan_program(&inputs).0) {
         for (line, code) in scan.unused_allows {
+            let why = match explain(&code) {
+                Some(_) => "suppresses nothing",
+                None => "names no rule (retired or mistyped)",
+            };
             unused.push(AllowFinding {
                 path: rel.clone(),
                 line,
-                detail: format!("lint:allow({code}) suppresses nothing — remove it"),
+                detail: format!("lint:allow({code}) {why} — remove it"),
             });
         }
         for f in scan.findings {
@@ -2171,8 +2021,8 @@ mod tests {
     }
 
     /// One parse per file and one fact set per function: a scan with
-    /// every rule on (engine extraction plus D08/D12–D16/D22–D25 all
-    /// reading the facts, five of them the site table) builds each
+    /// every rule on (engine extraction plus D08/D13/D15/D16/D22–D25
+    /// all reading the facts, six of them the site table) builds each
     /// product exactly once.
     #[test]
     fn scan_parses_each_file_once_and_builds_facts_once_per_function() {
@@ -2217,7 +2067,9 @@ mod tests {
             let text = explain(&format!("d{row}")).expect("--explain covers every README row");
             assert!(text.starts_with(&format!("D{row} — ")), "{text}");
         }
-        assert!(explain("D20").is_none() && explain("D26").is_none());
+        for gone in ["D06", "D09", "D12", "D14", "D18", "D20", "D26"] {
+            assert!(explain(gone).is_none(), "{gone} is not a rule");
+        }
     }
 
     /// The summary fixpoint converges on the real tree instead of
@@ -2279,14 +2131,11 @@ mod tests {
         assert!(!rules_for("crates/core/tests/dnvme_e2e.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D05));
         assert!(rules_for("tests/full_stack.rs").contains(&Rule::D01));
-        assert!(!rules_for("crates/nvme/src/engine.rs").contains(&Rule::D06));
-        assert!(!rules_for("crates/nvme/src/queue.rs").contains(&Rule::D06));
-        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D06));
-        assert!(rules_for("crates/nvme/src/driver/local.rs").contains(&Rule::D06));
         // D07 binds the client/engine I/O paths only; D08/D10 apply
-        // everywhere; D09 exempts exactly the segment-memory module.
+        // everywhere.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D07));
         assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D07));
+        assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D07));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D07));
         assert!(rules_for("tests/sanitize.rs").contains(&Rule::D08));
         // D11 rides the D07 scope: production I/O/serve paths, not tests
@@ -2296,17 +2145,15 @@ mod tests {
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D11));
         assert!(!rules_for("tests/fault_injection.rs").contains(&Rule::D11));
         assert!(rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D10));
-        assert!(!rules_for("crates/pcie/src/memory.rs").contains(&Rule::D09));
-        assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D09));
-        // D12–D16 bind the production sources of the four address-typed
-        // crates plus nvmeof — not their tests (which assert through raw
-        // wire values on purpose) and not the sim/cluster scaffolding.
-        assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D12));
-        assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D13));
-        assert!(rules_for("crates/smartio/src/service.rs").contains(&Rule::D14));
+        // D13/D15/D16 bind the production sources of the four
+        // address-typed crates plus nvmeof — not their tests (which assert
+        // through raw wire values on purpose) and not the sim/cluster
+        // scaffolding.
+        assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D13));
+        assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D13));
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D16));
         assert!(rules_for("crates/nvmeof/src/target.rs").contains(&Rule::D15));
-        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D12));
+        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D13));
         assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D16));
         assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D13));
         // D17 binds the client datapath crates; benches allocate plain
@@ -2315,10 +2162,8 @@ mod tests {
         assert!(rules_for("crates/blklayer/src/lib.rs").contains(&Rule::D17));
         assert!(!rules_for("crates/bench/benches/datapath_shards.rs").contains(&Rule::D17));
         assert!(!rules_for("crates/nvme/src/driver/local.rs").contains(&Rule::D17));
-        // D18/D19 ride the dataflow scope; tests stay exempt.
-        assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D18));
+        // D19 rides the dataflow scope; tests stay exempt.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D19));
-        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D18));
         assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D19));
         // D21 binds the engine/teardown crates.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D21));

@@ -3,7 +3,8 @@
 //! (so the oracle is independent of the builder's own resolution logic),
 //! and consistent renaming of every binding never changes the chain
 //! shape. A second family synthesizes interprocedural helper chains
-//! with a known taint verdict and checks the summary engine against it.
+//! with a known host-tag verdict (D13) and checks the summary engine
+//! against it.
 //! Double-run fingerprint tests pin the full scan as deterministic over
 //! the real workspace tree.
 
@@ -155,89 +156,82 @@ proptest! {
     }
 }
 
-/// Synthesize a call chain `kick → h{len-1} → … → h0`, where `h0` hands
-/// its value to the `dma_write` sink. `minted` controls whether `kick`
-/// passes a raw `as_u64()` product; `wrap` (1-based layer, `len` = the
-/// root itself) retypes the value through `map_for_device` on the way
-/// down. Ground truth is by construction: the sink sees a raw address
-/// iff a raw value was minted and never re-wrapped.
-fn chain_src(len: usize, wrap: Option<usize>, minted: bool) -> String {
-    let mut src = String::from("impl W {\n");
-    src.push_str(
-        "    fn h0(&self, fab: &Fabric, v: u64) {\n        fab.dma_write(v, 0, 8);\n    }\n",
+/// Synthesize a call chain `kick → h{len-1} → … → h0`: `h0` mints an
+/// address, every layer hands its callee's value up, and `kick` writes
+/// it through `self.host`'s fabric domain. `foreign` controls whether
+/// `h0` mints in the peer's domain or the local one; `wrap` (1-based
+/// layer, `len` = the root itself) passes the value through an NTB
+/// translation on the way up. Ground truth is by construction: the sink
+/// sees a foreign-domain address iff one was minted and never
+/// translated.
+fn chain_src(len: usize, wrap: Option<usize>, foreign: bool) -> String {
+    let host = if foreign { "self.peer" } else { "self.host" };
+    let mut src = format!(
+        "impl W {{\n    fn h0(&self) -> DomainAddr {{\n        \
+         DomainAddr::new({host}, 0x4000)\n    }}\n"
     );
-    for i in 1..len {
-        if wrap == Some(i) {
-            src.push_str(&format!(
-                "    fn h{i}(&self, fab: &Fabric, v: u64) {{\n        \
-                 let t = self.iommu.map_for_device(v);\n        \
-                 self.h{}(fab, t);\n    }}\n",
-                i - 1
-            ));
+    let via = |layer: usize, callee: usize| {
+        if wrap == Some(layer) {
+            format!("self.ntb.translate(self.h{callee}())")
         } else {
-            src.push_str(&format!(
-                "    fn h{i}(&self, fab: &Fabric, v: u64) {{\n        \
-                 self.h{}(fab, v);\n    }}\n",
-                i - 1
-            ));
+            format!("self.h{callee}()")
         }
-    }
-    let arg = if minted {
-        "self.base.as_u64()"
-    } else {
-        "self.base.window()"
     };
-    if wrap == Some(len) {
+    for i in 1..len {
         src.push_str(&format!(
-            "    fn kick(&self, fab: &Fabric) {{\n        \
-             let t = self.iommu.map_for_device({arg});\n        \
-             self.h{}(fab, t);\n    }}\n}}\n",
-            len - 1
-        ));
-    } else {
-        src.push_str(&format!(
-            "    fn kick(&self, fab: &Fabric) {{\n        \
-             self.h{}(fab, {arg});\n    }}\n}}\n",
-            len - 1
+            "    fn h{i}(&self) -> DomainAddr {{\n        \
+             let v = {};\n        v\n    }}\n",
+            via(i, i - 1)
         ));
     }
+    src.push_str(&format!(
+        "    fn kick(&self, fab: &Fabric) {{\n        \
+         let a = {};\n        \
+         fab.mem_write(self.host, a, &bytes);\n    }}\n}}\n",
+        via(len, len - 1)
+    ));
     src
 }
 
 proptest! {
-    /// Summary soundness over generated helper chains: D18 fires iff
-    /// the synthesized program provably lets a raw address reach the
-    /// sink — minted at the root, never retyped at any layer. Every
-    /// wrap position and the unminted variant must scan clean.
+    /// Summary soundness over generated helper chains: the
+    /// interprocedural D13 fires iff the synthesized program provably
+    /// lets a peer-domain address reach the local host's sink — minted
+    /// foreign at the leaf, never translated at any layer. Every
+    /// translation position and the same-host variant must scan clean.
     #[test]
     fn interproc_verdict_matches_constructed_taint(
         len in 1usize..6,
         wrap_raw in 0usize..8,
-        minted in any::<bool>(),
+        foreign in any::<bool>(),
     ) {
-        // `wrap_raw` folds onto 0..=len: 0 = never retyped, k = retype
-        // at layer k (len = at the root call itself).
+        // `wrap_raw` folds onto 0..=len: 0 = never translated, k =
+        // translated at layer k (len = at the root call itself).
         let wrap = match wrap_raw % (len + 1) {
             0 => None,
             k => Some(k),
         };
-        let src = chain_src(len, wrap, minted);
+        let src = chain_src(len, wrap, foreign);
         let findings = analyzer::scan_source(
             "crates/fixture/src/lib.rs",
             &src,
-            &[analyzer::Rule::D18],
+            &[analyzer::Rule::D13],
         );
-        let tainted = minted && wrap.is_none();
+        let tainted = foreign && wrap.is_none();
         prop_assert_eq!(
             !findings.is_empty(),
             tainted,
-            "len={} wrap={:?} minted={} on:\n{}\n{:?}",
-            len, wrap, minted, src, findings
+            "len={} wrap={:?} foreign={} on:\n{}\n{:?}",
+            len, wrap, foreign, src, findings
         );
+        if tainted {
+            // One hop per call boundary the tag crossed, root first.
+            prop_assert_eq!(findings[0].related.len(), len, "{:?}", findings[0].related);
+        }
     }
 }
 
-/// Double-run determinism: two full D01–D16 scans of the real workspace
+/// Double-run determinism: two full scans of the real workspace
 /// produce byte-identical finding fingerprints (rule, path, line, and
 /// excerpt all included — ordering is part of the contract, since CI
 /// diffs annotation output).

@@ -154,38 +154,6 @@ fn d05_suppression() {
     assert!(scan(src, &[Rule::D05]).is_empty());
 }
 
-// ------------------------------------------------------------------ D06
-
-#[test]
-fn d06_flags_direct_sqring_use() {
-    let src = "use nvme::queue::SqRing;\n";
-    assert_eq!(codes(&scan(src, &[Rule::D06])), ["D06"]);
-    let src = "let sq = SqRing::new(&fabric, ring, db, entries);\n";
-    assert_eq!(codes(&scan(src, &[Rule::D06])), ["D06"]);
-    let src = "struct Qp { sq: Rc<SqRing> }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D06])), ["D06"]);
-}
-
-#[test]
-fn d06_ignores_engine_api_and_cq_ring() {
-    let src = "use nvme::engine::{IoEngine, QueuePairSpec};\n\
-               use nvme::queue::CqRing;\n\
-               let cqe = engine.issue(&tag, sqe).await?;\n";
-    assert!(scan(src, &[Rule::D06]).is_empty());
-    // Identifier-boundary check: a type merely *containing* the name is
-    // not the ring.
-    let src = "struct FakeSqRingStats { pushes: u64 }\n";
-    assert!(scan(src, &[Rule::D06]).is_empty());
-}
-
-#[test]
-fn d06_suppression() {
-    let src = "let sq = SqRing::new(&fabric, ring, db, entries); // lint:allow(D06)\n";
-    assert!(scan(src, &[Rule::D06]).is_empty());
-    let src = "// lint:allow(D06) — ring-level unit test\nuse nvme::queue::SqRing;\n";
-    assert!(scan(src, &[Rule::D06]).is_empty());
-}
-
 // ------------------------------------------------------------------ D07
 
 #[test]
@@ -291,35 +259,6 @@ fn d08_suppression() {
                    qp.sq.push(&sqe).await?;\n\
                }\n";
     assert!(scan(src, &[Rule::D08]).is_empty());
-}
-
-// ------------------------------------------------------------------ D09
-
-#[test]
-fn d09_flags_unsafe_and_raw_pointers() {
-    let src = "fn f(seg: &Segment) { unsafe { poke(seg) } }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D09])), ["D09"]);
-    let src = "fn g(p: *const u8) -> u8 { 0 }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D09])), ["D09"]);
-    let src = "fn h(buf: &[u8]) { let p = buf.as_ptr(); }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D09])), ["D09"]);
-    let src = "fn k(x: &u8) { let a = x as *const u8 as usize; }\n";
-    assert!(!scan(src, &[Rule::D09]).is_empty());
-}
-
-#[test]
-fn d09_ignores_safe_code_and_multiplication() {
-    let src = "fn f(entries: u64) -> u64 { entries * SQE_SIZE }\n\
-               fn g(m: &Memory) { m.write(addr, &bytes); }\n\
-               fn h(s: &str) { let c = s.as_bytes(); }\n";
-    assert!(scan(src, &[Rule::D09]).is_empty());
-}
-
-#[test]
-fn d09_suppression() {
-    let src = "// lint:allow(D09) — FFI boundary audited in review\n\
-               fn f(p: *mut u8) {}\n";
-    assert!(scan(src, &[Rule::D09]).is_empty());
 }
 
 // ------------------------------------------------------------------ D10
@@ -430,49 +369,6 @@ fn d11_suppression() {
     assert!(scan(src, &[Rule::D11]).is_empty());
 }
 
-// ------------------------------------------------------------------ D12
-
-#[test]
-fn d12_flags_raw_as_u64_reaching_a_sink() {
-    // Direct: the raw qword is minted inside the sink's argument list.
-    let src = "async fn f(&self) {\n\
-                   fabric.cpu_write_u32(h, self.db.as_u64(), tail).await?;\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D12])), ["D12"]);
-    // Through the chain: minted two statements up, laundered through
-    // arithmetic, then handed to a DMA sink still raw.
-    let src = "async fn f(&self) {\n\
-                   let raw = self.win.bus_base.as_u64();\n\
-                   let target = raw + 16;\n\
-                   fabric.dma_write(dev, target, &payload).await?;\n\
-               }\n";
-    let f = scan(src, &[Rule::D12]);
-    assert_eq!(codes(&f), ["D12"]);
-    assert_eq!(f[0].line, 4, "finding points at the sink, not the mint");
-}
-
-#[test]
-fn d12_ignores_rewrapped_values() {
-    // Re-entering the typed world before the sink clears the taint —
-    // upstream of the call or right at the sink boundary.
-    let src = "async fn f(&self) {\n\
-                   let raw = self.win.bus_base.as_u64();\n\
-                   let target = PhysAddr(raw + 16);\n\
-                   fabric.dma_write(dev, target, &payload).await?;\n\
-                   fabric.ring(PhysAddr(self.db.as_u64())).await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D12]).is_empty());
-}
-
-#[test]
-fn d12_suppression() {
-    let src = "async fn f(&self) {\n\
-                   // lint:allow(D12) — wire-format register takes a raw qword\n\
-                   fabric.cpu_write_u32(h, self.db.as_u64(), tail).await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D12]).is_empty());
-}
-
 // ------------------------------------------------------------------ D13
 
 #[test]
@@ -514,43 +410,6 @@ fn d13_suppression() {
                    fabric.mem_write(host_b, addr, &bytes);\n\
                }\n";
     assert!(scan(src, &[Rule::D13]).is_empty());
-}
-
-// ------------------------------------------------------------------ D14
-
-#[test]
-fn d14_flags_unread_status_before_retire() {
-    let src = "async fn f(&self) {\n\
-                   let status = self.engine.io_raw(qid, sqe).await;\n\
-                   self.pool.free(tag);\n\
-               }\n";
-    let f = scan(src, &[Rule::D14]);
-    assert_eq!(codes(&f), ["D14"]);
-    assert_eq!(f[0].line, 2, "finding points at the dead binding");
-}
-
-#[test]
-fn d14_ignores_checked_and_deliberately_discarded_status() {
-    let src = "async fn f(&self) {\n\
-                   let status = self.engine.io_raw(qid, sqe).await;\n\
-                   if status.is_err() { return; }\n\
-                   self.pool.free(tag);\n\
-               }\n\
-               async fn g(&self) {\n\
-                   let _ignored = self.engine.io_raw(qid, sqe).await;\n\
-                   self.pool.free(tag);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D14]).is_empty());
-}
-
-#[test]
-fn d14_suppression() {
-    let src = "async fn f(&self) {\n\
-                   // lint:allow(D14) — fire-and-forget flush, pool is idempotent\n\
-                   let status = self.engine.io_raw(qid, sqe).await;\n\
-                   self.pool.free(tag);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D14]).is_empty());
 }
 
 // ------------------------------------------------------------------ D15
@@ -819,6 +678,132 @@ fn two_code_allow_suppresses_both_hypotheses() {
     assert!(report.hypotheses.iter().all(|h| h.site_fn == "submit"));
 }
 
+// ----------------------------------------------------- retired codes
+//
+// D06, D09, D12, D14 and D18 guard nothing any more — rustc rejects the
+// code they flagged (README, "retired — enforced by"; the witnesses are
+// the `compile_fail` doctests on `Fabric::dma_write` and `nvme::engine`
+// and `workspace_lints_cover_the_retired_rules` below). What is left to
+// pin per code is the opposite of the old suppression fixture: its
+// `lint:allow` names no rule, so it is never honoured silently —
+// `--strict-allow` reports the comment, and an `analyzer.toml` entry under
+// the code is a dead entry.
+
+/// Each `(line of the comment, source)` is a former suppression fixture.
+fn assert_retired(code: &str, sources: &[(usize, &str)]) {
+    assert!(analyzer::explain(code).is_none(), "{code} is still a rule");
+    let config = analyzer::Config::parse(&format!("[allow]\n{code} = [\"crates/nvme\"]\n"));
+    for &(line, src) in sources {
+        let files = vec![("crates/nvme/src/fixture.rs".to_string(), src.to_string())];
+        let report = analyzer::strict_scan_files(&config, &files);
+        let unused: Vec<String> = report.unused.iter().map(|u| u.to_string()).collect();
+        assert_eq!(
+            unused,
+            [
+                format!(
+                    "strict-allow crates/nvme/src/fixture.rs:{line}: lint:allow({code}) names \
+                     no rule (retired or mistyped) — remove it"
+                ),
+                format!(
+                    "strict-allow analyzer.toml: [allow] entry {code} = \"crates/nvme\" covers \
+                     no finding — remove it"
+                ),
+            ],
+            "{src}"
+        );
+    }
+}
+
+#[test]
+fn d06_suppression() {
+    let inline = "let sq = SqRing::new(&fabric, ring, db, entries); // lint:allow(D06)\n";
+    let above = "// lint:allow(D06) — ring-level unit test\nuse nvme::queue::SqRing;\n";
+    assert_retired("D06", &[(1, inline), (1, above)]);
+}
+
+#[test]
+fn d09_suppression() {
+    let src = "// lint:allow(D09) — FFI boundary audited in review\n\
+               fn f(p: *mut u8) {}\n";
+    assert_retired("D09", &[(1, src)]);
+}
+
+#[test]
+fn d12_suppression() {
+    let src = "async fn f(&self) {\n\
+                   // lint:allow(D12) — wire-format register takes a raw qword\n\
+                   fabric.cpu_write_u32(h, self.db.as_u64(), tail).await?;\n\
+               }\n";
+    assert_retired("D12", &[(2, src)]);
+}
+
+#[test]
+fn d14_suppression() {
+    let src = "async fn f(&self) {\n\
+                   // lint:allow(D14) — fire-and-forget flush, pool is idempotent\n\
+                   let status = self.engine.io_raw(qid, sqe).await;\n\
+                   self.pool.free(tag);\n\
+               }\n";
+    assert_retired("D14", &[(2, src)]);
+}
+
+#[test]
+fn d18_suppression() {
+    let src = "impl W {\n\
+                   fn window_base(&self) -> u64 {\n\
+                       self.base.as_u64()\n\
+                   }\n\
+                   fn kick(&self, fab: &Fabric) {\n\
+                       let a = self.window_base();\n\
+                       // lint:allow(D18) — bounce-buffer base is device-relative\n\
+                       fab.dma_write(a, 0, 8);\n\
+                   }\n\
+               }\n";
+    assert_retired("D18", &[(7, src)]);
+}
+
+/// The two retired rules that became workspace lints are only as good
+/// as the manifests: the root table must carry them at a level no
+/// attribute can lower (`forbid`) or that fails the build (`deny`), and
+/// every member must inherit the table — a new crate cannot opt out by
+/// leaving `[lints]` off.
+#[test]
+fn workspace_lints_cover_the_retired_rules() {
+    let root = analyzer::workspace_root();
+    let read = |p: std::path::PathBuf| {
+        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+    };
+    // Lines of the `[header]` table, comments and blanks dropped.
+    let table = |text: &str, header: &str| -> Vec<String> {
+        text.lines()
+            .map(|l| l.split('#').next().unwrap_or("").trim().to_string())
+            .skip_while(|l| l != header)
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .filter(|l| !l.is_empty())
+            .collect()
+    };
+    let lints = table(&read(root.join("Cargo.toml")), "[workspace.lints.rust]");
+    for want in ["unsafe_code = \"forbid\"", "unused_variables = \"deny\""] {
+        assert!(
+            lints.iter().any(|l| l == want),
+            "root manifest lacks `{want}`: {lints:?}"
+        );
+    }
+    let mut members = 0;
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = entry.expect("dir entry").path();
+        // `crates/shims` holds the workspace-excluded dependency shims.
+        if !dir.join("Cargo.toml").is_file() {
+            continue;
+        }
+        members += 1;
+        let inherits = table(&read(dir.join("Cargo.toml")), "[lints]");
+        assert_eq!(inherits, ["workspace = true"], "{}", dir.display());
+    }
+    assert!(members >= 15, "walked {members} member manifests");
+}
+
 // ------------------------------------------------------------------ D16 (interproc-era liveness)
 
 #[test]
@@ -854,117 +839,6 @@ fn d16_still_flags_guard_dropped_only_after_the_await() {
                    drop(admin);\n\
                }\n";
     assert_eq!(codes(&scan(src, &[Rule::D16])), ["D16"]);
-}
-
-// ------------------------------------------------------------------ D18
-
-#[test]
-fn d18_flags_raw_address_returned_by_a_helper_into_a_sink() {
-    let src = "impl W {\n\
-                   fn window_base(&self) -> u64 {\n\
-                       self.base.as_u64()\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.window_base();\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D18]);
-    assert_eq!(codes(&f), ["D18"]);
-    assert_eq!(f[0].line, 7, "reported at the sink");
-    assert!(
-        f[0].related.iter().any(|r| r.note.contains("as_u64")),
-        "chain names the mint: {:?}",
-        f[0].related
-    );
-}
-
-#[test]
-fn d18_flags_raw_address_through_a_mut_out_param() {
-    let src = "impl W {\n\
-                   fn fill(&self, out: &mut u64) {\n\
-                       *out = self.base.as_u64();\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let mut a = 0;\n\
-                       self.fill(&mut a);\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D18]);
-    assert_eq!(codes(&f), ["D18"]);
-    assert_eq!(f[0].line, 8);
-}
-
-#[test]
-fn d18_flags_raw_argument_into_a_helper_that_sinks_it() {
-    let src = "impl W {\n\
-                   fn blast(&self, fab: &Fabric, a: u64) {\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       self.blast(fab, self.base.as_u64());\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D18]);
-    assert_eq!(codes(&f), ["D18"]);
-    assert_eq!(
-        f[0].line, 6,
-        "reported where the raw value crosses the call"
-    );
-}
-
-#[test]
-fn d18_ignores_typed_returns_and_translated_values() {
-    // Helper returns the wrapper type: the boundary re-types the value.
-    let src = "impl W {\n\
-                   fn window_base(&self) -> PhysAddr {\n\
-                       PhysAddr::new(self.base.as_u64())\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.window_base();\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D18]).is_empty());
-    // Translated before the sink: the translator output is typed.
-    let src = "impl W {\n\
-                   fn window_base(&self) -> u64 {\n\
-                       self.base.as_u64()\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.window_base();\n\
-                       let b = self.iommu.map_for_device(a);\n\
-                       fab.dma_write(b, 0, 8);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D18]).is_empty());
-    // A callee parameter declared with a wrapper type cannot receive a
-    // bare u64 — no param-to-sink summary, no finding.
-    let src = "impl W {\n\
-                   fn blast(&self, fab: &Fabric, a: PhysAddr) {\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       self.blast(fab, self.base);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D18]).is_empty());
-}
-
-#[test]
-fn d18_suppression() {
-    let src = "impl W {\n\
-                   fn window_base(&self) -> u64 {\n\
-                       self.base.as_u64()\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.window_base();\n\
-                       // lint:allow(D18) — bounce-buffer base is device-relative\n\
-                       fab.dma_write(a, 0, 8);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D18]).is_empty());
 }
 
 // ------------------------------------------------------------------ D19
@@ -1238,22 +1112,41 @@ fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
 
 #[test]
 fn interproc_chains_render_in_github_and_sarif_output() {
+    // The interprocedural D13: the address is minted in the peer's
+    // domain two helpers down and used against the local host's — no
+    // single function sees both the tag and the sink.
     let src = "impl W {\n\
-                   fn window_base(&self) -> u64 {\n\
-                       self.base.as_u64()\n\
+                   fn peer_slot(&self) -> DomainAddr {\n\
+                       DomainAddr::new(self.peer, 0x4000)\n\
+                   }\n\
+                   fn slot(&self) -> DomainAddr {\n\
+                       let s = self.peer_slot();\n\
+                       s\n\
                    }\n\
                    fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.window_base();\n\
-                       fab.dma_write(a, 0, 8);\n\
+                       let a = self.slot();\n\
+                       fab.mem_write(self.host, a, &bytes);\n\
                    }\n\
                }\n";
-    let f = scan(src, &[Rule::D18]);
-    assert_eq!(codes(&f), ["D18"]);
+    let f = scan(src, &[Rule::D13]);
+    assert_eq!(codes(&f), ["D13"]);
+    assert_eq!(f[0].line, 11, "reported at the sink");
+    let hops: Vec<usize> = f[0].related.iter().map(|r| r.line).collect();
+    assert_eq!(hops, [10, 6], "root first: {:?}", f[0].related);
     let gh = f[0].to_github_annotation();
-    assert!(gh.contains("via crates/fixture/src/lib.rs:3"), "{gh}");
+    assert!(gh.contains("via crates/fixture/src/lib.rs:6"), "{gh}");
     let sarif = analyzer::to_sarif(&f, &[]);
     assert!(sarif.contains("relatedLocations"), "{sarif}");
-    assert!(sarif.contains("as_u64"), "{sarif}");
+    assert!(
+        sarif.contains("`peer_slot` returns an address in `self.peer`'s domain"),
+        "{sarif}"
+    );
+    // Translated on the way up, the same chain is clean.
+    let src = src.replace(
+        "let s = self.peer_slot();",
+        "let s = self.ntb.translate(self.peer_slot());",
+    );
+    assert!(scan(&src, &[Rule::D13]).is_empty());
 }
 
 // ------------------------------------------------------------------ D22

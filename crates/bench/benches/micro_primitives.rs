@@ -12,7 +12,6 @@ use nvme::spec::status::Status;
 use pcie::ntb::Ntb;
 use pcie::topology::{NodeKind, Topology};
 use pcie::{DeviceId, DomainAddr, HostId, NodeId, NtbId, PhysAddr};
-use simcore::stats::Histogram;
 use simcore::LatencyRecorder;
 
 fn bench_sqe(c: &mut Criterion) {
@@ -121,14 +120,6 @@ fn bench_stats(c: &mut Criterion) {
         b.iter(|| {
             v = v.wrapping_add(9973);
             r.record_nanos(black_box(v % 1_000_000));
-        })
-    });
-    c.bench_function("histogram_record", |b| {
-        let mut h = Histogram::new();
-        let mut v = 0u64;
-        b.iter(|| {
-            v = v.wrapping_add(9973);
-            h.record(black_box(v % 1_000_000));
         })
     });
     let mut r = LatencyRecorder::with_capacity(100_000);

@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use blklayer::{BlockDevice, BlockRegistry};
+use blklayer::BlockDevice;
 use dnvme::{ClientDriver, Manager};
 use fioflex::{run_job, JobReport, JobSpec};
 use nvme::driver::{attach_local_driver, LocalNvmeDriver};
@@ -60,8 +60,6 @@ pub struct Scenario {
     /// NTB adapter per remote client, in `clients` order (empty for the
     /// local and NVMe-oF testbeds) — fault tests sever these.
     pub client_ntbs: Vec<NtbId>,
-    /// Named block devices per host.
-    pub registry: BlockRegistry,
     /// The scenario's label.
     pub label: String,
     /// Kept alive for the scenario's lifetime.
@@ -93,7 +91,6 @@ impl Scenario {
 
     fn build_on(kind: ScenarioKind, calib: &Calibration, rt: SimRuntime) -> Scenario {
         let fabric = Fabric::new(rt.handle(), calib.fabric.clone());
-        let registry = BlockRegistry::new();
         let store = Rc::new(BlockStore::new(
             rt.handle(),
             calib.media.clone(),
@@ -122,14 +119,12 @@ impl Scenario {
                             .unwrap()
                     }
                 });
-                registry.register(host, "nvme0n1", drv.clone());
                 Scenario {
                     rt,
                     fabric,
                     ctrl,
                     clients: vec![(host, drv.clone() as Rc<dyn BlockDevice>)],
                     client_ntbs: Vec::new(),
-                    registry,
                     label,
                     _keep: Keep::Linux(drv),
                 }
@@ -170,26 +165,24 @@ impl Scenario {
                         (target, init)
                     }
                 });
-                registry.register(initiator_host, "nvme1n1", init.clone());
                 Scenario {
                     rt,
                     fabric,
                     ctrl,
                     clients: vec![(initiator_host, init.clone() as Rc<dyn BlockDevice>)],
                     client_ntbs: Vec::new(),
-                    registry,
                     label,
                     _keep: Keep::Nvmf(target, init),
                 }
             }
             ScenarioKind::OursLocal => {
-                Self::build_ours(rt, fabric, store, registry, calib, label, 0, 1, true)
+                Self::build_ours(rt, fabric, store, calib, label, 0, 1, true)
             }
-            ScenarioKind::OursRemote { switches } => Self::build_ours(
-                rt, fabric, store, registry, calib, label, switches, 1, false,
-            ),
+            ScenarioKind::OursRemote { switches } => {
+                Self::build_ours(rt, fabric, store, calib, label, switches, 1, false)
+            }
             ScenarioKind::OursMultihost { clients } => {
-                Self::build_ours(rt, fabric, store, registry, calib, label, 1, clients, false)
+                Self::build_ours(rt, fabric, store, calib, label, 1, clients, false)
             }
         }
     }
@@ -203,7 +196,6 @@ impl Scenario {
         rt: SimRuntime,
         fabric: Fabric,
         store: Rc<BlockStore>,
-        registry: BlockRegistry,
         calib: &Calibration,
         label: String,
         switches: u32,
@@ -290,16 +282,12 @@ impl Scenario {
             .zip(&drivers)
             .map(|(h, d)| (*h, d.clone() as Rc<dyn BlockDevice>))
             .collect();
-        for (i, (h, d)) in clients.iter().enumerate() {
-            registry.register(*h, &format!("dnvme0n1c{i}"), d.clone());
-        }
         Scenario {
             rt,
             fabric,
             ctrl,
             clients,
             client_ntbs,
-            registry,
             label,
             _keep: Keep::Ours(mgr, drivers, smartio),
         }

@@ -61,7 +61,7 @@ where
     let trace = replay.trace();
     let checker = LifecycleOracle::new(rt.handle());
     let guard = oracle::install(checker.clone());
-    rt.set_scheduler(Box::new(replay));
+    rt.set_scheduler(replay);
     let f = fabric.clone();
     rt.block_on(async move { body(f, h0, h1).await });
     rt.clear_scheduler();

@@ -3,7 +3,7 @@
 //! The simulator is deterministic: one seed, one schedule. That hides
 //! schedule-dependent protocol bugs (a CQE applied before the SQE data it
 //! answers, a doorbell racing a fetch). This crate turns the executor's
-//! [`simcore::Scheduler`] hook into a bounded stateless model checker:
+//! scheduler hook into a bounded stateless model checker:
 //!
 //! 1. A *program* builds the whole world from scratch and runs a workload
 //!    under a [`simcore::ReplayScheduler`] primed with a choice prefix.
@@ -346,7 +346,7 @@ impl ScenarioProgram {
         let trace = replay.trace();
         let checker = LifecycleOracle::new(sc.rt.handle());
         let guard = oracle::install(checker.clone());
-        sc.rt.set_scheduler(Box::new(replay));
+        sc.rt.set_scheduler(replay);
         let fabric = sc.fabric.clone();
         let targets: Vec<_> = sc.clients.iter().take(n).cloned().collect();
         let hd = sc.rt.handle();

@@ -284,8 +284,10 @@ impl BlockDevice for LocalNvmeDriver {
         self.ns_info.nsze
     }
 
+    /// The effective depth — `init` clamps the configured one to what the
+    /// ring holds (`entries - 1`).
     fn queue_depth(&self) -> usize {
-        self.cfg.queue_depth
+        self.engine.queue_depth()
     }
 
     fn submit(&self, bio: Bio) -> BioFuture<'_> {

@@ -25,8 +25,25 @@
 //!   benchmark reports.
 //!
 //! The run-time checker hooks are unaffected: the engine still reaches the
-//! fabric through [`SqRing`]/[`CqRing`], so doorbell-before-SQE ordering
-//! and CQ phase discipline are checked exactly as before, one layer down.
+//! fabric through its private submission ring (`engine/sq.rs`) and
+//! [`CqRing`], so doorbell-before-SQE ordering and CQ phase discipline are
+//! checked exactly as before, one layer down.
+//!
+//! The submission ring is nameable only from this module, so "all
+//! submission goes through the engine" is a compile-time fact. The
+//! engine's public types import fine:
+//!
+//! ```
+//! use nvme::engine::{IoEngine, QueuePairSpec};
+//! ```
+//!
+//! the ring does not (E0603, private):
+//!
+//! ```compile_fail,E0603
+//! use nvme::engine::{IoEngine, SqRing};
+//! ```
+
+mod sq;
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -37,7 +54,8 @@ use pcie::{DomainAddr, Fabric, MemRegion};
 use simcore::sync::{oneshot, Notify, Permit, Semaphore};
 use simcore::{Handle, SimDuration, SimTime};
 
-use crate::queue::{CqRing, SqRing};
+use self::sq::SqRing;
+use crate::queue::CqRing;
 use crate::spec::command::SqEntry;
 use crate::spec::completion::CqEntry;
 
@@ -324,8 +342,8 @@ pub const DEFAULT_COALESCE_LIMIT: usize = 32;
 pub const DEFAULT_AGGREGATE_WINDOW: SimDuration = SimDuration::from_micros(4);
 
 /// Everything the engine needs to operate one queue pair. The engine
-/// constructs the rings itself — callers never touch `SqRing` directly
-/// (lint rule D06 enforces this).
+/// constructs the rings itself — callers cannot name the submission ring
+/// (it is private to this module).
 pub struct QueuePairSpec {
     /// Controller-side queue id (doorbell index).
     pub qid: u16,
@@ -529,11 +547,6 @@ impl IoEngine {
     /// The queue pair a cid stripes onto.
     fn qp_for(&self, cid: u16) -> &EngineQpair {
         &self.qpairs[cid as usize % self.qpairs.len()]
-    }
-
-    /// The controller-side queue id `cid` stripes onto.
-    pub fn qid_for(&self, cid: u16) -> u16 {
-        self.qp_for(cid).qid
     }
 
     /// Counter snapshot across all queue pairs, with each qpair's

@@ -4,12 +4,13 @@
 //!
 //! * [`spec`] — on-the-wire structures (SQE/CQE, registers, identify,
 //!   PRPs) with encode/decode round-trip tests.
-//! * [`queue`] — host-side ring abstractions (`SqRing` writes through any
-//!   CPU-visible address, including NTB windows; `CqRing` polls phase
-//!   tags in local memory).
+//! * [`queue`] — the host-side completion ring (`CqRing` polls phase tags
+//!   in local memory).
 //! * [`engine`] — the shared host-side qpair engine every driver stack
 //!   builds on: tags + pending table, pluggable completion strategy, and
-//!   batched submission with doorbell coalescing.
+//!   batched submission with doorbell coalescing. It owns the submission
+//!   ring (written through any CPU-visible address, including NTB
+//!   windows), which no other module can name.
 //! * [`medium`] — storage media with calibrated latency profiles
 //!   (Optane-like consistency, NAND-like asymmetry).
 //! * [`ctrl`] — the controller device model: one register file, one admin

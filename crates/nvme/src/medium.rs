@@ -196,11 +196,6 @@ impl BlockStore {
             map.insert(slba + i as u64, block);
         }
     }
-
-    /// Number of blocks that have ever been written (diagnostic).
-    pub fn resident_blocks(&self) -> usize {
-        self.data.borrow().len()
-    }
 }
 
 #[cfg(test)]

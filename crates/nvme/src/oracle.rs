@@ -167,17 +167,6 @@ impl LifecycleOracle {
         self.state.borrow().cmds.len()
     }
 
-    /// Commands whose abort was accepted but whose CQE the host has not
-    /// consumed (diagnostic: they are disposed of with the queue).
-    pub fn aborted_pending(&self) -> usize {
-        self.state
-            .borrow()
-            .cmds
-            .values()
-            .filter(|c| c.aborted)
-            .count()
-    }
-
     fn report(&self, st: &mut OracleState, code: &'static str, detail: String) {
         st.violations.push(LifecycleViolation {
             code,

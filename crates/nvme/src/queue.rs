@@ -1,14 +1,9 @@
-//! Host-side (driver) views of NVMe queues.
+//! Host-side (driver) view of an NVMe completion queue.
 //!
-//! An [`SqRing`] writes entries through whatever address the driver's host
-//! uses to reach the queue memory — local DRAM, or an **NTB window** into
-//! device-side memory (the paper's Fig. 8 placement). A [`CqRing`] polls
-//! local memory for entries whose phase tag matches its expectation.
-//!
-//! `SqRing` uses interior mutability (`Cell`) so a submit path and a
-//! completion path can share it through an `Rc` without holding borrows
-//! across awaits; callers serialize slot allocation with a queue lock,
-//! exactly like the per-queue spinlock in a real driver.
+//! A [`CqRing`] polls local memory for entries whose phase tag matches its
+//! expectation. Its submission-side twin is private to [`crate::engine`]
+//! (`engine/sq.rs`): submission goes through the engine's one submit
+//! path, and the compiler — not a lint — keeps it that way.
 
 use std::cell::Cell;
 
@@ -16,133 +11,7 @@ use pcie::{DomainAddr, Fabric, MemRegion, WatchHandle};
 use simcore::SimDuration;
 
 use crate::oracle;
-use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::{CqEntry, CQE_SIZE};
-
-/// Driver-side submission queue.
-pub struct SqRing {
-    fabric: Fabric,
-    /// Address the *driver's* CPU uses to write entries (may be remote via
-    /// an NTB window).
-    ring: MemRegion,
-    /// SQ tail doorbell address in the driver host's domain.
-    doorbell: DomainAddr,
-    entries: u16,
-    tail: Cell<u16>,
-    /// Controller's consumed head, learned from CQE.sq_head. Advisory:
-    /// completions can arrive out of submission order, so a later CQE may
-    /// carry an *earlier* fetch-head snapshot.
-    head: Cell<u16>,
-    /// Entries pushed but not yet retired by a completion — the exact
-    /// occupancy, unaffected by out-of-order head snapshots.
-    outstanding: Cell<u16>,
-    /// When set, ring operations feed the lifecycle conformance oracle
-    /// under this queue id (see [`crate::oracle`]).
-    oracle_qid: Cell<Option<u16>>,
-}
-
-impl SqRing {
-    /// A ring over `ring` with its doorbell at `doorbell`.
-    pub fn new(fabric: &Fabric, ring: MemRegion, doorbell: DomainAddr, entries: u16) -> Self {
-        assert!(
-            ring.len >= entries as u64 * SQE_SIZE as u64,
-            "SQ ring region too small"
-        );
-        SqRing {
-            fabric: fabric.clone(),
-            ring,
-            doorbell,
-            entries,
-            tail: Cell::new(0),
-            head: Cell::new(0),
-            outstanding: Cell::new(0),
-            oracle_qid: Cell::new(None),
-        }
-    }
-
-    /// Report this ring's operations to the lifecycle oracle as SQ `qid`.
-    pub fn set_oracle_qid(&self, qid: u16) {
-        self.oracle_qid.set(Some(qid));
-    }
-
-    /// Ring capacity in entries.
-    pub fn entries(&self) -> u16 {
-        self.entries
-    }
-
-    /// Producer tail index.
-    pub fn tail(&self) -> u16 {
-        self.tail.get()
-    }
-
-    /// Whether no slot is free (a ring holds `entries - 1` commands).
-    pub fn is_full(&self) -> bool {
-        self.outstanding.get() >= self.entries - 1
-    }
-
-    /// Free SQE slots.
-    pub fn space(&self) -> u16 {
-        self.entries - 1 - self.outstanding.get()
-    }
-
-    /// Forget all host-side ring state (tail, head snapshot, occupancy) —
-    /// the Delete-and-Recreate recovery path rebuilds the controller-side
-    /// queue from scratch, so the driver's view restarts at slot 0.
-    pub fn reset(&self) {
-        self.tail.set(0);
-        self.head.set(0);
-        self.outstanding.set(0);
-    }
-
-    /// Retire one command on its completion: records the controller's SQ
-    /// head snapshot and releases the slot.
-    pub fn retire(&self, sq_head: u16) {
-        self.head.set(sq_head);
-        let n = self.outstanding.get();
-        debug_assert!(n > 0, "retired a command from an empty SQ");
-        self.outstanding.set(n.saturating_sub(1));
-    }
-
-    /// Write one entry at the tail (posted; CPU-side cost applies).
-    /// Does not ring the doorbell — batch then [`SqRing::ring`].
-    pub async fn push(&self, sqe: &SqEntry) -> pcie::Result<()> {
-        assert!(!self.is_full(), "pushed into full SQ");
-        self.outstanding.set(self.outstanding.get() + 1);
-        let tail = self.tail.get();
-        let slot_addr = self.ring.addr.offset(tail as u64 * SQE_SIZE as u64);
-        self.tail.set((tail + 1) % self.entries);
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::SqeWritten {
-                qid,
-                cid: sqe.cid,
-                slot: tail,
-                entries: self.entries,
-            });
-        }
-        self.fabric
-            .cpu_write(self.ring.host, slot_addr, &sqe.encode())
-            .await?;
-        Ok(())
-    }
-
-    /// Ring the tail doorbell (posted 4-byte MMIO write).
-    pub async fn ring(&self) -> pcie::Result<()> {
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::SqDoorbell {
-                qid,
-                tail: self.tail.get(),
-                entries: self.entries,
-            });
-        }
-        self.fabric
-            .cpu_write_u32(
-                self.doorbell.host,
-                self.doorbell.addr,
-                self.tail.get() as u32,
-            )
-            .await
-    }
-}
 
 /// Driver-side completion queue. The ring must live in memory local to the
 /// polling host (the paper allocates CQs CPU-side for this reason).
@@ -289,43 +158,6 @@ mod tests {
         let fabric = Fabric::new(rt.handle(), FabricParams::default());
         let host = fabric.add_host(16 << 20);
         (rt, fabric, host)
-    }
-
-    #[test]
-    fn sq_wraps_and_tracks_space() {
-        let (rt, fabric, host) = setup();
-        let ring = fabric.alloc(host, 4 * SQE_SIZE as u64).unwrap();
-        let db = DomainAddr::new(host, ring.addr); // fake doorbell target in DRAM
-        let sq = SqRing::new(&fabric, ring, db, 4);
-        assert_eq!(sq.space(), 3);
-        rt.block_on(async move {
-            for i in 0..3u16 {
-                sq.push(&SqEntry::flush(i, 1)).await.unwrap();
-            }
-            assert!(sq.is_full());
-            assert_eq!(sq.space(), 0);
-            // Two commands completed.
-            sq.retire(1);
-            sq.retire(2);
-            assert!(!sq.is_full());
-            assert_eq!(sq.space(), 2);
-            sq.push(&SqEntry::flush(3, 1)).await.unwrap();
-            assert_eq!(sq.tail(), 0); // wrapped
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "full SQ")]
-    fn sq_overflow_panics() {
-        let (rt, fabric, host) = setup();
-        let ring = fabric.alloc(host, 4 * SQE_SIZE as u64).unwrap();
-        let db = DomainAddr::new(host, ring.addr);
-        let sq = SqRing::new(&fabric, ring, db, 4);
-        rt.block_on(async move {
-            for i in 0..4u16 {
-                sq.push(&SqEntry::flush(i, 1)).await.unwrap();
-            }
-        });
     }
 
     #[test]

@@ -288,16 +288,6 @@ impl SqEntry {
             ..Default::default()
         }
     }
-
-    /// Get Features / Number of Queues.
-    pub fn get_num_queues(cid: u16) -> SqEntry {
-        SqEntry {
-            opcode: AdminOpcode::GetFeatures as u8,
-            cid,
-            cdw10: feature::NUM_QUEUES,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -233,6 +233,25 @@ fn concurrent_requests_pipeline_through_channels() {
 }
 
 #[test]
+fn queue_depth_reports_the_effective_clamped_depth() {
+    // A 64-entry ring holds 63 commands, whatever depth was asked for;
+    // `queue_depth()` is what the block layer sizes its admission by.
+    let b = bed();
+    let fabric = b.fabric.clone();
+    let host = b.host;
+    let ctrl = b.ctrl.clone();
+    let mut cfg = LocalDriverConfig::spdk();
+    cfg.queue_entries = 64;
+    cfg.queue_depth = 128;
+    let drv = b.rt.block_on(async move {
+        attach_local_driver(&fabric, host, &ctrl, cfg)
+            .await
+            .unwrap()
+    });
+    assert_eq!(drv.queue_depth(), 63);
+}
+
+#[test]
 fn queue_wraparound_survives_many_ios() {
     // More I/Os than queue entries forces SQ/CQ wraps and phase flips.
     let b = bed();

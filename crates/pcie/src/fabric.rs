@@ -328,11 +328,6 @@ impl Fabric {
         self.inner.state.borrow().ntbs[ntb.0 as usize].node
     }
 
-    /// The host whose domain exposes this adapter's window.
-    pub fn ntb_host(&self, ntb: NtbId) -> HostId {
-        self.inner.state.borrow().ntbs[ntb.0 as usize].local_domain
-    }
-
     /// The adapter's LUT slot size in bytes.
     pub fn ntb_slot_size(&self, ntb: NtbId) -> u64 {
         self.inner.state.borrow().ntbs[ntb.0 as usize].slot_size
@@ -399,19 +394,9 @@ impl Fabric {
             .collect()
     }
 
-    /// Number of hosts on the fabric.
-    pub fn host_count(&self) -> usize {
-        self.inner.state.borrow().hosts.len()
-    }
-
     /// The domain a device lives in.
     pub fn device_host(&self, dev: DeviceId) -> HostId {
         self.inner.state.borrow().devices[dev.0 as usize].host
-    }
-
-    /// The device's endpoint topology node.
-    pub fn device_node(&self, dev: DeviceId) -> NodeId {
-        self.inner.state.borrow().devices[dev.0 as usize].node
     }
 
     /// Scale a device's link bandwidth relative to the fabric base link
@@ -445,11 +430,6 @@ impl Fabric {
         self.inner.faults.borrow_mut().install(plan);
     }
 
-    /// Remove the fault plan and any manually injected severs/crashes.
-    pub fn clear_fault_plan(&self) {
-        self.inner.faults.borrow_mut().clear();
-    }
-
     /// Counters of faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.inner.faults.borrow().stats
@@ -461,19 +441,9 @@ impl Fabric {
         self.inner.faults.borrow_mut().crash_now(host);
     }
 
-    /// Whether the fault injector has crashed this host.
-    pub fn host_is_crashed(&self, host: HostId) -> bool {
-        self.inner.faults.borrow().is_crashed(host)
-    }
-
     /// Immediately sever an NTB link in the given mode.
     pub fn sever_ntb_now(&self, ntb: NtbId, mode: SeverMode) {
         self.inner.faults.borrow_mut().sever_now(ntb, mode);
-    }
-
-    /// Restore a previously severed NTB link.
-    pub fn restore_ntb(&self, ntb: NtbId) {
-        self.inner.faults.borrow_mut().restore(ntb);
     }
 
     /// Refuse the op if the issuing host has crashed.
@@ -820,6 +790,26 @@ impl Fabric {
     /// Device-initiated posted write (CQE post, data delivery for disk
     /// reads). The device is released once the transfer has been pushed
     /// onto the link; the data applies after propagation.
+    ///
+    /// Like every accessor here it takes a [`PhysAddr`], not an integer:
+    /// which address space a bus address belongs to is the paper's whole
+    /// correctness argument, and the type is what carries it.
+    ///
+    /// ```
+    /// use pcie::{DeviceId, Fabric, PhysAddr};
+    /// async fn post(fabric: &Fabric, dev: DeviceId, addr: PhysAddr) -> pcie::Result<()> {
+    ///     fabric.dma_write(dev, addr, &[0u8; 16]).await
+    /// }
+    /// ```
+    ///
+    /// A raw `u64` — however it was obtained — is a type error (E0308):
+    ///
+    /// ```compile_fail,E0308
+    /// use pcie::{DeviceId, Fabric, PhysAddr};
+    /// async fn post(fabric: &Fabric, dev: DeviceId, addr: PhysAddr) -> pcie::Result<()> {
+    ///     fabric.dma_write(dev, addr.as_u64(), &[0u8; 16]).await
+    /// }
+    /// ```
     pub async fn dma_write(&self, dev: DeviceId, addr: PhysAddr, data: &[u8]) -> Result<()> {
         self.dma_write_landing(dev, addr, data).await.map(|_| ())
     }

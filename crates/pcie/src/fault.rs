@@ -381,10 +381,6 @@ impl FaultInjector {
         self.stats = FaultStats::default();
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.install(FaultPlan::default());
-    }
-
     /// Whether any fault could still fire (cheap fast-path guard).
     pub(crate) fn active(&self) -> bool {
         !self.plan.is_empty() || !self.severed.is_empty() || !self.crashed.is_empty()
@@ -435,10 +431,6 @@ impl FaultInjector {
     pub(crate) fn sever_now(&mut self, ntb: NtbId, mode: SeverMode) {
         self.severed.retain(|&(n, _)| n != ntb);
         self.severed.push((ntb, mode));
-    }
-
-    pub(crate) fn restore(&mut self, ntb: NtbId) {
-        self.severed.retain(|&(n, _)| n != ntb);
     }
 
     pub(crate) fn is_crashed(&self, host: HostId) -> bool {

@@ -211,11 +211,6 @@ impl HostMemory {
             }
         }
     }
-
-    /// Number of materialized (touched) pages — diagnostic for memory use.
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 #[cfg(test)]

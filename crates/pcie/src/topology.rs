@@ -62,11 +62,6 @@ impl Topology {
         &self.nodes[node.0 as usize]
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Connect two nodes with a link (idempotent).
     pub fn link(&mut self, a: NodeId, b: NodeId) {
         assert_ne!(a, b, "self-link");

@@ -300,11 +300,6 @@ impl Qp {
         *other.shared.peer.borrow_mut() = Some(Rc::downgrade(&self.shared));
     }
 
-    /// Whether the QP has a peer.
-    pub fn is_connected(&self) -> bool {
-        self.shared.peer.borrow().is_some()
-    }
-
     /// Completions for posted sends/writes/reads.
     pub fn send_cq(&self) -> Cq {
         self.shared.send_cq.clone()

@@ -34,7 +34,7 @@ use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-use crate::sched::{ChoiceKind, ChoiceOption, Scheduler};
+use crate::sched::{ChoiceKind, ChoiceOption, ReplayScheduler};
 use crate::sync::Notify;
 use crate::time::{SimDuration, SimTime};
 
@@ -191,7 +191,7 @@ struct Core {
     trace: Cell<u64>,
     /// Installed schedule controller (see [`crate::sched`]). `None` means
     /// the canonical FIFO schedule; the hot path stays branch-cheap.
-    scheduler: RefCell<Option<Box<dyn Scheduler>>>,
+    scheduler: RefCell<Option<ReplayScheduler>>,
     /// Number of logical reactors. One (the default) disables every
     /// reactor-aware code path, including the `ReactorPick` choice point.
     reactors: usize,
@@ -493,7 +493,7 @@ impl SimRuntime {
 
     /// Install a schedule controller; replaces any previous one. Pass the
     /// result of a recorded exploration prefix to replay a schedule.
-    pub fn set_scheduler(&self, scheduler: Box<dyn crate::sched::Scheduler>) {
+    pub fn set_scheduler(&self, scheduler: ReplayScheduler) {
         *self.core.scheduler.borrow_mut() = Some(scheduler);
     }
 
@@ -675,12 +675,6 @@ impl Handle {
             Some(s) => s.choose(kind, options).min(options.len() - 1),
             None => 0,
         }
-    }
-
-    /// Whether a schedule controller is installed (lets instrumentation
-    /// skip building option lists on the canonical schedule).
-    pub fn scheduler_installed(&self) -> bool {
-        self.core().scheduler.borrow().is_some()
     }
 
     /// Whether this runtime was built under a [`crate::sanitize::arm`]
@@ -1109,7 +1103,7 @@ mod tests {
             let rt = SimRuntime::with_reactors(2);
             let sched = ReplayScheduler::new(prefix);
             let trace = sched.trace();
-            rt.set_scheduler(Box::new(sched));
+            rt.set_scheduler(sched);
             let h = rt.handle();
             let log = Rc::new(RefCell::new(Vec::new()));
             for (r, name) in [(0usize, "r0"), (1, "r1")] {

@@ -37,7 +37,7 @@ pub use executor::{yield_now, Handle, JoinHandle, ReactorId, SimRuntime, TaskId}
 pub use resource::SerialResource;
 pub use rng::SimRng;
 pub use sanitize::{happens_before, ActorId, Violation};
-pub use sched::{ChoiceKind, ChoiceOption, Footprint, ReplayScheduler, ScheduleTrace, Scheduler};
-pub use stats::{Histogram, LatencyRecorder, LatencySummary};
+pub use sched::{ChoiceKind, ChoiceOption, Footprint, ReplayScheduler, ScheduleTrace};
+pub use stats::{LatencyRecorder, LatencySummary};
 pub use time::{SimDuration, SimTime};
 pub use timeout::{timeout, Elapsed};

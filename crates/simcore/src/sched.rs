@@ -2,9 +2,9 @@
 //!
 //! By default the simulator runs one canonical schedule: runnable tasks are
 //! polled in FIFO wake order and fabric deliveries apply in issue order.
-//! Installing a [`Scheduler`] turns both of those decisions into explicit
-//! *choice points*: whenever more than one continuation is legal, the
-//! executor (or the fabric) asks the scheduler which one to take. A model
+//! Installing a [`ReplayScheduler`] turns both of those decisions into
+//! explicit *choice points*: whenever more than one continuation is legal,
+//! the executor (or the fabric) asks the scheduler which one to take. A model
 //! checker drives this hook to enumerate alternative schedules; replaying a
 //! recorded choice sequence reproduces a schedule exactly.
 //!
@@ -72,13 +72,6 @@ impl ChoiceOption {
     }
 }
 
-/// Resolves choice points. `options` always holds at least two entries; the
-/// returned index must be `< options.len()` (out-of-range answers are
-/// clamped to the canonical choice `0` by callers).
-pub trait Scheduler {
-    fn choose(&mut self, kind: ChoiceKind, options: &[ChoiceOption]) -> usize;
-}
-
 /// One resolved choice point, as recorded by [`ReplayScheduler`].
 #[derive(Clone, Debug)]
 pub struct ChoiceRecord {
@@ -127,10 +120,10 @@ impl ReplayScheduler {
     pub fn trace(&self) -> Rc<RefCell<ScheduleTrace>> {
         self.trace.clone()
     }
-}
 
-impl Scheduler for ReplayScheduler {
-    fn choose(&mut self, kind: ChoiceKind, options: &[ChoiceOption]) -> usize {
+    /// Resolve one choice point. `options` always holds at least two
+    /// entries; the returned index is `< options.len()`.
+    pub(crate) fn choose(&mut self, kind: ChoiceKind, options: &[ChoiceOption]) -> usize {
         let mut trace = self.trace.borrow_mut();
         let idx = trace.records.len();
         let want = self.prefix.get(idx).copied().unwrap_or(0) as usize;
@@ -182,7 +175,7 @@ mod tests {
         let rt = SimRuntime::new();
         let sched = ReplayScheduler::new(vec![1]);
         let trace = sched.trace();
-        rt.set_scheduler(Box::new(sched));
+        rt.set_scheduler(sched);
         let log = two_racers(&rt);
         rt.run();
         assert_eq!(*log.borrow(), vec!["second", "first"]);
@@ -205,7 +198,7 @@ mod tests {
         };
         let replayed = {
             let rt = SimRuntime::new();
-            rt.set_scheduler(Box::new(ReplayScheduler::new(Vec::new())));
+            rt.set_scheduler(ReplayScheduler::new(Vec::new()));
             let log = two_racers(&rt);
             rt.run();
             let out = (log.borrow().clone(), rt.trace_hash());
@@ -223,7 +216,7 @@ mod tests {
         let rt = SimRuntime::new();
         let sched = ReplayScheduler::new(vec![17]);
         let trace = sched.trace();
-        rt.set_scheduler(Box::new(sched));
+        rt.set_scheduler(sched);
         let log = two_racers(&rt);
         rt.run();
         assert_eq!(*log.borrow(), vec!["first", "second"]);

@@ -1,8 +1,5 @@
-//! Measurement collection: exact recorders for benchmark latencies and
-//! log-bucketed histograms for unbounded streams.
+//! Measurement collection: exact recorders for benchmark latencies.
 
-pub mod histogram;
 pub mod recorder;
 
-pub use histogram::Histogram;
 pub use recorder::{LatencyRecorder, LatencySummary};

@@ -6,8 +6,7 @@ use serde::{Deserialize, Serialize};
 use crate::time::SimDuration;
 
 /// Records every sample exactly (nanoseconds). Fine for the volumes a
-/// simulated FIO run produces; the log-bucketed [`crate::stats::Histogram`]
-/// exists for unbounded streams.
+/// simulated FIO run produces.
 #[derive(Default, Clone, Debug)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,

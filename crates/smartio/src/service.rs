@@ -45,7 +45,7 @@ enum SegmentKind {
     /// Ordinary DRAM segment (we own the allocation).
     Dram,
     /// A device BAR exported as a segment.
-    Bar { dev: SmartDeviceId, bar: u8 },
+    Bar,
 }
 
 struct SegmentInfo {
@@ -198,7 +198,7 @@ impl SmartIo {
                         sid,
                         SegmentInfo {
                             region,
-                            kind: SegmentKind::Bar { dev: id, bar },
+                            kind: SegmentKind::Bar,
                             exported: true,
                             owner: host,
                         },
@@ -456,19 +456,6 @@ impl SmartIo {
     /// Which host a segment physically lives in.
     pub fn segment_host(&self, id: SegmentId) -> Result<HostId> {
         Ok(self.segment_region(id)?.host)
-    }
-
-    /// If the segment exports a device BAR, which device/BAR it is.
-    pub fn segment_bar_info(&self, id: SegmentId) -> Result<Option<(SmartDeviceId, u8)>> {
-        let st = self.state.borrow();
-        let s = st
-            .segments
-            .get(&id)
-            .ok_or(SmartIoError::NoSuchSegment(id))?;
-        Ok(match s.kind {
-            SegmentKind::Bar { dev, bar } => Some((dev, bar)),
-            SegmentKind::Dram => None,
-        })
     }
 
     /// Free a DRAM segment (BAR segments live as long as the device).
