@@ -812,16 +812,21 @@ fn strip_passthrough(mut expr: &str) -> &str {
 const D03_ITER: [&str; 4] = [".iter()", ".keys()", ".values()", ".drain("];
 /// Calls whose `Result` encodes a fabric/DMA failure the distributed
 /// driver must handle (windows can be torn down under it at any time).
-const D05_FABRIC: [&str; 14] = [
+const D05_FABRIC: [&str; 19] = [
     "dma_read(",
+    "dma_read_payload(",
     "dma_write(",
+    "dma_write_payload(",
     "cpu_read(",
     "cpu_read_u32(",
     "cpu_read_u64(",
     "cpu_write(",
+    "cpu_write_payload(",
     "cpu_write_u32(",
     "mem_read(",
+    "mem_snapshot(",
     "mem_write(",
+    "mem_adopt(",
     "segment_region(",
     "map_for_cpu(",
     "map_for_device(",
@@ -831,25 +836,39 @@ const D05_FABRIC: [&str; 14] = [
 
 /// Non-posted fabric/memory reads: each stalls the caller for a full NTB
 /// round trip, so none may sit on the I/O path (D07).
-const D07_READS: [&str; 4] = ["cpu_read", "cpu_read_u32", "cpu_read_u64", "dma_read"];
+///
+/// Every list below carries both spellings of a fabric accessor: the slice
+/// form and the owned-`Payload` form (`*_payload`, `mem_snapshot`,
+/// `mem_adopt`) — same operation, same timing, same rules.
+const D07_READS: [&str; 5] = [
+    "cpu_read",
+    "cpu_read_u32",
+    "cpu_read_u64",
+    "dma_read",
+    "dma_read_payload",
+];
 /// Write-style calls D08 inspects for doorbell targets / SQE payloads.
-const D08_WRITES: [&str; 5] = [
+const D08_WRITES: [&str; 8] = [
     "cpu_write",
+    "cpu_write_payload",
     "cpu_write_u32",
     "mem_write",
     "mem_write_u32",
+    "mem_adopt",
     "dma_write",
+    "dma_write_payload",
 ];
 
 /// Awaits that park until a *remote* event arrives (D11): non-posted
 /// fabric reads and the admin-queue RPCs. Under fault injection the
 /// completing CQE or delivery may never come, so each of these must sit
 /// inside a `simcore::timeout` wrapper on the paths that cannot stall.
-const D11_BLOCKING: [&str; 10] = [
+const D11_BLOCKING: [&str; 11] = [
     "cpu_read",
     "cpu_read_u32",
     "cpu_read_u64",
     "dma_read",
+    "dma_read_payload",
     "abort",
     "create_io_qpair",
     "delete_io_qpair",
@@ -862,7 +881,16 @@ const D11_BLOCKING: [&str; 10] = [
 /// host's domain* — region membership/slicing and the fabric accessors
 /// (whose first argument names the domain).
 const D13_REGION_SINKS: [&str; 2] = ["contains", "slice"];
-const D13_FABRIC_SINKS: [&str; 4] = ["mem_write", "mem_read", "dma_write", "dma_read"];
+const D13_FABRIC_SINKS: [&str; 8] = [
+    "mem_write",
+    "mem_adopt",
+    "mem_read",
+    "mem_snapshot",
+    "dma_write",
+    "dma_write_payload",
+    "dma_read",
+    "dma_read_payload",
+];
 /// D23 acquire sites: tag/slot grants and hinted DMA allocations.
 const D23_ACQUIRE: [&str; 5] = [
     "acquire",

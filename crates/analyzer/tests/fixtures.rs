@@ -207,6 +207,26 @@ fn d07_follows_turbofish_method_calls() {
 }
 
 #[test]
+fn d07_knows_the_payload_spelling_of_a_non_posted_read() {
+    // `dma_read_payload` waits out the same round trip as `dma_read`.
+    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
+                   let data = self.fabric.dma_read_payload(self.dev, addr, len).await?;\n\
+                   Ok(())\n\
+               }\n";
+    let f = scan(src, &[Rule::D07]);
+    assert_eq!(codes(&f), ["D07"]);
+    assert_eq!(f[0].line, 2);
+    // Near miss: `mem_snapshot` is the functional read (no round trip),
+    // the payload twin of `mem_read` — fine on the I/O path.
+    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
+                   let data = self.fabric.mem_snapshot(self.host, addr, len)?;\n\
+                   self.fabric.cpu_write_payload(self.host, part, data).await?;\n\
+                   Ok(())\n\
+               }\n";
+    assert!(scan(src, &[Rule::D07]).is_empty());
+}
+
+#[test]
 fn d07_suppression() {
     let src = "async fn submit(&self) {\n\
                    // lint:allow(D07) — migration fallback reads the old ring once\n\
@@ -248,6 +268,25 @@ fn d08_ignores_store_then_ring_order() {
     // Stores after a doorbell in a *different* function don't pair up.
     let src = "async fn a(&self) { self.qp.sq.ring().await?; }\n\
                async fn b(&self, mut sqe: SqEntry) { sqe.cdw10 = 7; }\n";
+    assert!(scan(src, &[Rule::D08]).is_empty());
+}
+
+#[test]
+fn d08_knows_the_payload_spellings_of_a_store() {
+    // An SQE pushed as an owned payload after the doorbell MMIO is still
+    // a store after the ring.
+    let src = "async fn oops(&self) {\n\
+                   fabric.cpu_write_u32(h, cap.sq_doorbell(0), 1).await?;\n\
+                   fabric.cpu_write_payload(h, win, Payload::from(&sqe.encode()[..])).await?;\n\
+               }\n";
+    let f = scan(src, &[Rule::D08]);
+    assert_eq!(codes(&f), ["D08"]);
+    assert_eq!(f[0].line, 3);
+    // Near miss: a data payload after the ring is ordinary traffic.
+    let src = "async fn fine(&self) {\n\
+                   fabric.cpu_write_u32(h, cap.sq_doorbell(0), 1).await?;\n\
+                   fabric.cpu_write_payload(h, part, data).await?;\n\
+               }\n";
     assert!(scan(src, &[Rule::D08]).is_empty());
 }
 
@@ -361,6 +400,23 @@ fn d11_ignores_timeout_wrapped_awaits_and_bringup() {
 }
 
 #[test]
+fn d11_knows_the_payload_spelling_of_a_blocking_read() {
+    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
+                   let data = self.fabric.dma_read_payload(self.dev, addr, len).await?;\n\
+                   Ok(())\n\
+               }\n";
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 2);
+    // Near miss: the same await under a deadline.
+    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
+                   let data = simcore::timeout(&handle, deadline, self.fabric.dma_read_payload(self.dev, addr, len)).await;\n\
+                   Ok(())\n\
+               }\n";
+    assert!(scan(src, &[Rule::D11]).is_empty());
+}
+
+#[test]
 fn d11_suppression() {
     let src = "async fn serve(self: Rc<Self>) {\n\
                    // lint:allow(D11) — seeded hang for the fault-injection test\n\
@@ -398,6 +454,34 @@ fn d13_ignores_translated_and_same_host_flows() {
                    let mapped = ntb.translate(addr);\n\
                    fabric.mem_write(host_b, mapped, &bytes);\n\
                    fabric.mem_write(host_a, addr, &bytes);\n\
+               }\n";
+    assert!(scan(src, &[Rule::D13]).is_empty());
+}
+
+#[test]
+fn d13_knows_the_payload_spellings_of_the_fabric_sinks() {
+    // An address minted in host_a's domain adopted into / snapshotted
+    // from host_b's memory with no translation on the path.
+    for sink in [
+        "fabric.mem_adopt(host_b, addr, data);",
+        "let data = fabric.mem_snapshot(host_b, addr, 4096);",
+    ] {
+        let src = format!(
+            "fn f(&self, fabric: &Fabric) {{\n\
+                 let addr = DomainAddr::new(host_a, 0x4000);\n\
+                 {sink}\n\
+             }}\n"
+        );
+        let f = scan(&src, &[Rule::D13]);
+        assert_eq!(codes(&f), ["D13"], "{sink}");
+        assert_eq!(f[0].line, 3);
+    }
+    // Near miss: translated, or the address's own host.
+    let src = "fn f(&self, fabric: &Fabric) {\n\
+                   let addr = DomainAddr::new(host_a, 0x4000);\n\
+                   let mapped = ntb.translate(addr);\n\
+                   fabric.mem_adopt(host_b, mapped, data);\n\
+                   let data = fabric.mem_snapshot(host_a, addr, 4096);\n\
                }\n";
     assert!(scan(src, &[Rule::D13]).is_empty());
 }

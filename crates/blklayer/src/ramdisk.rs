@@ -71,27 +71,27 @@ impl BlockDevice for RamDisk {
             if !self.service.is_zero() {
                 self.fabric.handle().sleep(self.service).await;
             }
-            let len = bio.len(self.block_size) as usize;
+            let len = bio.len(self.block_size);
             let dev_off = bio.lba * self.block_size as u64;
             match bio.op {
                 BioOp::Flush => Ok(()),
                 BioOp::Read => {
-                    let mut data = vec![0u8; len];
-                    self.fabric
-                        .mem_read(self.host, self.backing.addr.offset(dev_off), &mut data)
+                    let data = self
+                        .fabric
+                        .mem_snapshot(self.host, self.backing.addr.offset(dev_off), len)
                         .map_err(|e| BioError::DeviceError(e.to_string()))?;
                     self.fabric
-                        .mem_write(bio.buf.host, bio.buf.addr, &data)
+                        .mem_adopt(bio.buf.host, bio.buf.addr, data)
                         .map_err(|e| BioError::DeviceError(e.to_string()))?;
                     Ok(())
                 }
                 BioOp::Write => {
-                    let mut data = vec![0u8; len];
-                    self.fabric
-                        .mem_read(bio.buf.host, bio.buf.addr, &mut data)
+                    let data = self
+                        .fabric
+                        .mem_snapshot(bio.buf.host, bio.buf.addr, len)
                         .map_err(|e| BioError::DeviceError(e.to_string()))?;
                     self.fabric
-                        .mem_write(self.host, self.backing.addr.offset(dev_off), &data)
+                        .mem_adopt(self.host, self.backing.addr.offset(dev_off), data)
                         .map_err(|e| BioError::DeviceError(e.to_string()))?;
                     Ok(())
                 }

@@ -902,12 +902,12 @@ impl ClientDriver {
                     if let Some(part) = part {
                         // Stage: local memcpy user buffer -> partition (the
                         // extra copy on the write submission path, §V).
-                        let mut data = vec![0u8; len as usize];
-                        self.fabric
-                            .mem_read(bio.buf.host, bio.buf.addr, &mut data)
+                        let data = self
+                            .fabric
+                            .mem_snapshot(bio.buf.host, bio.buf.addr, len)
                             .map_err(|e| BioError::DeviceError(e.to_string()))?;
                         self.fabric
-                            .cpu_write(self.host, part.addr, &data)
+                            .cpu_write_payload(self.host, part.addr, data)
                             .await
                             .map_err(|e| BioError::DeviceError(e.to_string()))?;
                         self.stats.borrow_mut().bounce_bytes_copied += len;
@@ -928,12 +928,12 @@ impl ClientDriver {
                     if let Some(part) = part {
                         // Unstage: partition -> user buffer (the extra copy
                         // on the read completion path).
-                        let mut data = vec![0u8; len as usize];
-                        self.fabric
-                            .mem_read(self.host, part.addr, &mut data)
+                        let data = self
+                            .fabric
+                            .mem_snapshot(self.host, part.addr, len)
                             .map_err(|e| BioError::DeviceError(e.to_string()))?;
                         self.fabric
-                            .cpu_write(bio.buf.host, bio.buf.addr, &data)
+                            .cpu_write_payload(bio.buf.host, bio.buf.addr, data)
                             .await
                             .map_err(|e| BioError::DeviceError(e.to_string()))?;
                         self.stats.borrow_mut().bounce_bytes_copied += len;

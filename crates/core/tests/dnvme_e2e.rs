@@ -700,3 +700,249 @@ fn zero_copy_staging_skips_the_bounce_copy_and_round_trips() {
         smartio.free_hinted(hinted.segment).unwrap();
     });
 }
+
+/// The three ways request data reaches the device, as `(client config,
+/// whether the user buffer is a hinted allocation)`: the §V bounce copy,
+/// zero-copy staging where the transfer qualifies (hinted buffer — other
+/// transfers fall back to the bounce copy), and per-I/O mapping.
+fn data_paths() -> [(&'static str, ClientConfig, bool); 3] {
+    let direct = ClientConfig {
+        data_path: DataPath::DirectMapped,
+        ..ClientConfig::default()
+    };
+    [
+        ("bounce", ClientConfig::default(), false),
+        ("zero-copy", ClientConfig::default(), true),
+        ("direct-mapped", direct, false),
+    ]
+}
+
+/// A user buffer of `len` bytes on `host`: hinted (pre-mapped for the
+/// device) or plain.
+fn user_buffer(c: &Cluster, host: HostId, len: u64, hinted: bool) -> pcie::MemRegion {
+    if hinted {
+        let buffer = smartio::AccessHints::buffer();
+        c.smartio
+            .alloc_hinted(host, c.dev, len, buffer)
+            .unwrap()
+            .region
+    } else {
+        c.fabric.alloc(host, len).unwrap()
+    }
+}
+
+#[test]
+fn aligned_read_shares_the_mediums_pages_with_the_user_buffer() {
+    // The zero-copy witness: a page-aligned 128 KiB read moves no bytes on
+    // the host. Medium -> PRP chunk -> bounce partition -> user buffer is
+    // one `Rc<Page>` per page all the way, and the staging copy is still
+    // *modelled* (`bounce_bytes_copied`).
+    let c = cluster(2);
+    let smartio = c.smartio.clone();
+    let fabric = c.fabric.clone();
+    let store = c.ctrl.store().clone();
+    let dev = c.dev;
+    let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+    c.rt.block_on(async move {
+        let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+            .await
+            .unwrap();
+        let drv = ClientDriver::connect(&smartio, dev, client_host, ClientConfig::default())
+            .await
+            .unwrap();
+        const LEN: u64 = 128 << 10;
+        let buf = fabric.alloc(client_host, LEN).unwrap();
+        let pattern: Vec<u8> = (0..LEN as u32)
+            .map(|i| (i % 251) as u8 ^ (i >> 12) as u8)
+            .collect();
+        fabric.mem_write(client_host, buf.addr, &pattern).unwrap();
+        drv.submit(Bio::write(512, 256, buf)).await.unwrap();
+        fabric
+            .mem_write(client_host, buf.addr, &vec![0u8; LEN as usize])
+            .unwrap();
+        drv.submit(Bio::read(512, 256, buf)).await.unwrap();
+        assert_eq!(drv.stats().bounce_bytes_copied, 2 * LEN);
+
+        let user = fabric.mem_snapshot(client_host, buf.addr, LEN).unwrap();
+        let medium = store.snapshot(512, 256);
+        assert_eq!(user.to_vec(), pattern);
+        let (user, medium) = (user.pages().unwrap(), medium.pages().unwrap());
+        assert_eq!(user.len(), 32);
+        for (u, m) in user.iter().zip(medium) {
+            assert!(Rc::ptr_eq(u.as_ref().unwrap(), m.as_ref().unwrap()));
+        }
+
+        // One byte stored into the user buffer afterwards: the buffer gets
+        // its own copy of that page; the page it shared with the medium and
+        // the bounce partition keeps its bytes and merely loses an owner.
+        let shared = medium[3].as_ref().unwrap();
+        let owners = Rc::strong_count(shared);
+        fabric
+            .mem_write(client_host, buf.addr.offset(3 * 4096 + 17), &[0xFF])
+            .unwrap();
+        assert_eq!(Rc::strong_count(shared), owners - 1);
+        assert_eq!(shared[..], pattern[3 * 4096..4 * 4096]);
+        let mut from_medium = vec![0u8; LEN as usize];
+        store.read_raw(512, &mut from_medium);
+        assert_eq!(from_medium, pattern);
+        let mut from_user = vec![0u8; LEN as usize];
+        fabric
+            .mem_read(client_host, buf.addr, &mut from_user)
+            .unwrap();
+        assert_eq!(from_user[3 * 4096 + 17], 0xFF);
+        from_user[3 * 4096 + 17] = pattern[3 * 4096 + 17];
+        assert_eq!(from_user, pattern);
+        // And the data path still works over the now partly private buffer.
+        drv.submit(Bio::read(512, 256, buf)).await.unwrap();
+        fabric
+            .mem_read(client_host, buf.addr, &mut from_user)
+            .unwrap();
+        assert_eq!(from_user, pattern);
+    });
+}
+
+#[test]
+fn transfers_that_cannot_move_whole_pages_are_byte_exact_on_every_data_path() {
+    // The fallbacks of the by-reference path, each written, checked on the
+    // medium, clobbered and read back: one block; a page at an LBA that is
+    // not a multiple of 8; a buffer starting inside a page (under
+    // DirectMapped PRP1 then carries the offset); a page plus a block; and
+    // a transfer long enough for a PRP list, off page boundaries at both
+    // ends.
+    for (label, cfg, hinted) in data_paths() {
+        let c = cluster(2);
+        let smartio = c.smartio.clone();
+        let fabric = c.fabric.clone();
+        let store = c.ctrl.store().clone();
+        let dev = c.dev;
+        let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+        let arena = user_buffer(&c, client_host, 64 << 10, hinted);
+        c.rt.block_on(async move {
+            let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                .await
+                .unwrap();
+            let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+                .await
+                .unwrap();
+            let shapes = [
+                (40u64, 1u32, 0u64),
+                (43, 8, 0),
+                (56, 8, 1536),
+                (64, 9, 0),
+                (83, 40, 512),
+                (128, 16, 0),
+            ];
+            for (n, (lba, blocks, buf_off)) in shapes.into_iter().enumerate() {
+                let len = blocks as usize * 512;
+                let buf = arena.slice(buf_off, len as u64);
+                let pattern: Vec<u8> = (0..len).map(|i| (i * 5 + n * 29) as u8).collect();
+                fabric.mem_write(client_host, buf.addr, &pattern).unwrap();
+                drv.submit(Bio::write(lba, blocks, buf)).await.unwrap();
+                let mut stored = vec![0u8; len];
+                store.read_raw(lba, &mut stored);
+                assert_eq!(stored, pattern, "{label} case {n}: medium");
+                fabric
+                    .mem_write(client_host, buf.addr, &vec![0xEE; len])
+                    .unwrap();
+                drv.submit(Bio::read(lba, blocks, buf)).await.unwrap();
+                let mut out = vec![0u8; len];
+                fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
+                assert_eq!(out, pattern, "{label} case {n}: read back");
+            }
+            // What lies between the shapes on the medium was never written.
+            for lba in [39u64, 41, 42, 51, 73, 82, 123] {
+                let mut gap = [0xFFu8; 512];
+                store.read_raw(lba, &mut gap);
+                assert_eq!(gap, [0u8; 512], "{label}: LBA {lba}");
+            }
+            let s = drv.stats();
+            match label {
+                "bounce" => assert_eq!((s.zero_copy_ios, s.dynamic_maps), (0, 0)),
+                // Aligned start, at most two pages: four of the six shapes.
+                "zero-copy" => assert_eq!(s.zero_copy_ios, 2 * 4, "{s:?}"),
+                _ => assert_eq!(s.dynamic_maps, 2 * 6),
+            }
+        });
+    }
+}
+
+#[test]
+fn a_write_racing_an_in_flight_read_never_shows_in_the_reads_snapshot() {
+    // A 128 KiB read takes one snapshot of the medium after the media
+    // latency, then spends tens of microseconds delivering it chunk by
+    // chunk. A 4 KiB write to the *last* page of the range is started at
+    // every offset across that window. Whatever the offset, the read must
+    // return that page entirely old or entirely new and everything else
+    // old; and for some offsets the write completes first yet the read
+    // still returns old bytes — the snapshot predates it, and replacing
+    // the medium's page must not reach into a snapshot already taken.
+    for (label, cfg, _) in data_paths().into_iter().filter(|(_, _, hinted)| !hinted) {
+        let mut snapshot_outlived_the_write = 0;
+        for delay_us in (0..130).step_by(5) {
+            let c = cluster(2);
+            let smartio = c.smartio.clone();
+            let fabric = c.fabric.clone();
+            let handle = c.rt.handle();
+            let dev = c.dev;
+            let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+            let cfg = cfg.clone();
+            let (page, rest_old, write_done, read_done) = c.rt.block_on(async move {
+                let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                    .await
+                    .unwrap();
+                let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+                    .await
+                    .unwrap();
+                const LEN: u64 = 128 << 10;
+                let big = fabric.alloc(client_host, LEN).unwrap();
+                let small = fabric.alloc(client_host, 4096).unwrap();
+                fabric
+                    .mem_write(client_host, big.addr, &vec![0x11; LEN as usize])
+                    .unwrap();
+                drv.submit(Bio::write(0, 256, big)).await.unwrap();
+                fabric
+                    .mem_write(client_host, big.addr, &vec![0; LEN as usize])
+                    .unwrap();
+                fabric
+                    .mem_write(client_host, small.addr, &[0x22; 4096])
+                    .unwrap();
+                let writer = handle.spawn({
+                    let (drv, handle) = (drv.clone(), handle.clone());
+                    async move {
+                        handle
+                            .sleep(simcore::SimDuration::from_micros(delay_us))
+                            .await;
+                        drv.submit(Bio::write(248, 8, small)).await.unwrap();
+                        handle.now()
+                    }
+                });
+                drv.submit(Bio::read(0, 256, big)).await.unwrap();
+                let read_done = handle.now();
+                let write_done = writer.await;
+                let mut out = vec![0u8; LEN as usize];
+                fabric.mem_read(client_host, big.addr, &mut out).unwrap();
+                let (rest, page) = out.split_at(LEN as usize - 4096);
+                (
+                    page.to_vec(),
+                    rest.iter().all(|&b| b == 0x11),
+                    write_done,
+                    read_done,
+                )
+            });
+            assert!(
+                rest_old,
+                "{label} +{delay_us} µs: bytes outside the written page changed"
+            );
+            let old = page.iter().all(|&b| b == 0x11);
+            let new = page.iter().all(|&b| b == 0x22);
+            assert!(old || new, "{label} +{delay_us} µs: torn page");
+            if old && write_done < read_done {
+                snapshot_outlived_the_write += 1;
+            }
+        }
+        assert!(
+            snapshot_outlived_the_write > 0,
+            "{label}: no offset put the write between the read's snapshot and its last delivery"
+        );
+    }
+}

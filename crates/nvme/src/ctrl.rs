@@ -12,7 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
-use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, PhysAddr, WeakFabric};
+use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, Payload, PhysAddr, WeakFabric};
 use simcore::sync::{Notify, Semaphore};
 use simcore::{Handle, SimDuration};
 
@@ -853,14 +853,16 @@ impl NvmeController {
             Err(s) => return s,
         };
         self.stats.borrow_mut().io_reads += 1;
-        let mut data = vec![0u8; len as usize];
-        self.store.read(sqe.slba(), &mut data).await;
+        // One snapshot of the whole range at the post-media instant;
+        // copy-on-write keeps it intact while a racing write replaces
+        // store pages during the pipelined deliveries below.
+        let data = self.store.read_payload(sqe.slba(), blocks).await;
         // Deliver data to host memory: posted writes, pipelined.
         let dev = self.device_id();
         let mut cursor = 0usize;
         for (addr, clen) in chunks {
-            let slice = &data[cursor..cursor + clen as usize];
-            if fabric.dma_write(dev, addr, slice).await.is_err() {
+            let piece = data.slice(cursor, clen as usize);
+            if fabric.dma_write_payload(dev, addr, piece).await.is_err() {
                 return Status::DATA_TRANSFER_ERROR;
             }
             cursor += clen as usize;
@@ -883,18 +885,19 @@ impl NvmeController {
             Err(s) => return s,
         };
         self.stats.borrow_mut().io_writes += 1;
-        // Fetch data from host memory: non-posted reads (round trips!).
+        // Fetch data from host memory: non-posted reads (round trips!),
+        // each chunk snapshotted as its own read completes.
         let dev = self.device_id();
-        let mut data = vec![0u8; len as usize];
-        let mut cursor = 0usize;
+        let mut parts = Vec::with_capacity(chunks.len());
         for (addr, clen) in chunks {
-            let slice = &mut data[cursor..cursor + clen as usize];
-            if fabric.dma_read(dev, addr, slice).await.is_err() {
-                return Status::DATA_TRANSFER_ERROR;
+            match fabric.dma_read_payload(dev, addr, clen).await {
+                Ok(part) => parts.push(part),
+                Err(_) => return Status::DATA_TRANSFER_ERROR,
             }
-            cursor += clen as usize;
         }
-        self.store.write(sqe.slba(), &data).await;
+        self.store
+            .write_payload(sqe.slba(), Payload::concat(parts))
+            .await;
         Status::SUCCESS
     }
 }

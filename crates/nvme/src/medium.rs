@@ -7,9 +7,9 @@
 //! experiments (higher, asymmetric, jittery latency).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use simcore::sync::Semaphore;
+use pcie::{PageTable, Payload};
+use simcore::sync::{Permit, Semaphore};
 use simcore::{Handle, SimDuration, SimRng};
 
 /// Latency/parallelism profile of a storage medium.
@@ -65,13 +65,18 @@ impl MediaProfile {
 
 /// In-memory sparse block store with a latency model. This is the
 /// "storage medium" an [`crate::ctrl::NvmeController`] executes against.
+///
+/// Blocks live in a [`PageTable`] (4 KiB pages, eight blocks each at 512 B;
+/// an unwritten or deallocated page is absent and reads as zeros), so a
+/// page-aligned command moves page references: [`BlockStore::read_payload`]
+/// snapshots, [`BlockStore::write_payload`] adopts.
 pub struct BlockStore {
     handle: Handle,
     profile: MediaProfile,
     block_size: u32,
     capacity_blocks: u64,
     channels: Semaphore,
-    data: RefCell<HashMap<u64, Box<[u8]>>>,
+    data: RefCell<PageTable>,
     rng: RefCell<SimRng>,
 }
 
@@ -91,7 +96,7 @@ impl BlockStore {
             profile,
             block_size,
             capacity_blocks,
-            data: RefCell::new(HashMap::new()),
+            data: RefCell::new(PageTable::default()),
             rng: RefCell::new(SimRng::seed_from_u64(seed)),
         }
     }
@@ -139,34 +144,61 @@ impl BlockStore {
             .is_some_and(|end| end <= self.capacity_blocks)
     }
 
+    /// One media access of `len` bytes: take a channel and wait out the
+    /// sampled latency. The caller performs the functional effect, then
+    /// drops the channel.
+    async fn access(&self, write: bool, len: u64) -> Permit {
+        let channel = self.channels.acquire().await;
+        let lat = if write {
+            self.write_latency(len)
+        } else {
+            self.read_latency(len)
+        };
+        self.handle.sleep(lat).await;
+        channel
+    }
+
+    fn byte_offset(&self, lba: u64) -> u64 {
+        lba * u64::from(self.block_size)
+    }
+
     /// Media read: occupies a channel, samples latency, fills `buf`
     /// (`buf.len()` must be a multiple of the block size).
     pub async fn read(&self, slba: u64, buf: &mut [u8]) {
         debug_assert_eq!(buf.len() % self.block_size as usize, 0);
-        let _ch = self.channels.acquire().await;
-        let lat = self.read_latency(buf.len() as u64);
-        self.handle.sleep(lat).await;
+        let _channel = self.access(false, buf.len() as u64).await;
         self.read_raw(slba, buf);
+    }
+
+    /// [`BlockStore::read`] of `blocks` blocks into an owned payload,
+    /// snapshotted at the same post-latency instant: whole aligned pages
+    /// by reference, and a later write does not show through.
+    pub async fn read_payload(&self, slba: u64, blocks: u64) -> Payload {
+        let _channel = self.access(false, self.byte_offset(blocks)).await;
+        self.snapshot(slba, blocks)
     }
 
     /// Media write.
     pub async fn write(&self, slba: u64, data: &[u8]) {
         debug_assert_eq!(data.len() % self.block_size as usize, 0);
-        let _ch = self.channels.acquire().await;
-        let lat = self.write_latency(data.len() as u64);
-        self.handle.sleep(lat).await;
+        let _channel = self.access(true, data.len() as u64).await;
         self.write_raw(slba, data);
     }
 
-    /// Write zeroes without a data transfer.
+    /// [`BlockStore::write`] of an owned payload: whole pages landing on a
+    /// page boundary are adopted by reference.
+    pub async fn write_payload(&self, slba: u64, data: Payload) {
+        debug_assert_eq!(data.len() % self.block_size as usize, 0);
+        let _channel = self.access(true, data.len() as u64).await;
+        let off = self.byte_offset(slba);
+        self.data.borrow_mut().write_payload(off, &data);
+    }
+
+    /// Write zeroes without a data transfer; whole pages are freed.
     pub async fn write_zeroes(&self, slba: u64, blocks: u64) {
-        let _ch = self.channels.acquire().await;
-        let lat = self.write_latency(0);
-        self.handle.sleep(lat).await;
-        let mut map = self.data.borrow_mut();
-        for lba in slba..slba + blocks {
-            map.remove(&lba);
-        }
+        let _channel = self.access(true, 0).await;
+        let (off, len) = (self.byte_offset(slba), self.byte_offset(blocks));
+        self.data.borrow_mut().zero(off, len);
     }
 
     /// Flush: drains device-side buffering; cheap for both profiles.
@@ -176,25 +208,29 @@ impl BlockStore {
 
     /// Untimed functional read (verification in tests).
     pub fn read_raw(&self, slba: u64, buf: &mut [u8]) {
-        let bs = self.block_size as usize;
-        let map = self.data.borrow();
-        for (i, chunk) in buf.chunks_mut(bs).enumerate() {
-            match map.get(&(slba + i as u64)) {
-                Some(block) => chunk.copy_from_slice(&block[..chunk.len()]),
-                None => chunk.fill(0),
-            }
-        }
+        self.data.borrow().read(self.byte_offset(slba), buf);
     }
 
-    /// Untimed functional write (test setup).
+    /// Untimed [`BlockStore::read_payload`].
+    pub fn snapshot(&self, slba: u64, blocks: u64) -> Payload {
+        let (off, len) = (self.byte_offset(slba), self.byte_offset(blocks));
+        self.data.borrow().snapshot(off, len as usize)
+    }
+
+    /// Untimed functional write (test setup). A trailing partial block is
+    /// padded with zeros.
     pub fn write_raw(&self, slba: u64, data: &[u8]) {
-        let bs = self.block_size as usize;
-        let mut map = self.data.borrow_mut();
-        for (i, chunk) in data.chunks(bs).enumerate() {
-            let mut block = vec![0u8; bs].into_boxed_slice();
-            block[..chunk.len()].copy_from_slice(chunk);
-            map.insert(slba + i as u64, block);
-        }
+        let off = self.byte_offset(slba);
+        let pad = data.len().next_multiple_of(self.block_size as usize) - data.len();
+        let mut table = self.data.borrow_mut();
+        table.write(off, data);
+        table.zero(off + data.len() as u64, pad as u64);
+    }
+
+    /// Pages the store currently holds (diagnostic: deallocated and
+    /// never-written pages are not resident).
+    pub fn resident_pages(&self) -> usize {
+        self.data.borrow().resident_pages()
     }
 }
 
@@ -316,6 +352,77 @@ mod tests {
             buf
         });
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn aligned_payloads_move_by_reference_and_others_by_copy() {
+        let rt = SimRuntime::new();
+        let s = store(&rt);
+        let s2 = s.clone();
+        rt.block_on(async move {
+            let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+            let pages = Payload::from(&data[..]);
+            // LBA 16 = byte 8192: page aligned at 512 B blocks — adopted.
+            s2.write_payload(16, pages.clone()).await;
+            let back = s2.read_payload(16, 16).await;
+            for (a, b) in back.pages().unwrap().iter().zip(pages.pages().unwrap()) {
+                assert!(std::rc::Rc::ptr_eq(
+                    a.as_ref().unwrap(),
+                    b.as_ref().unwrap()
+                ));
+            }
+            // A later overwrite does not show through the snapshot.
+            s2.write(16, &[0xEE; 8192]).await;
+            assert_eq!(back.to_vec(), data);
+            // LBA 3 is not a multiple of 8: same bytes, copied.
+            s2.write_payload(3, pages).await;
+            let unaligned = s2.read_payload(3, 16).await;
+            assert!(unaligned.pages().is_none());
+            assert_eq!(unaligned.to_vec(), data);
+            let mut raw = vec![0u8; 8192];
+            s2.read_raw(3, &mut raw);
+            assert_eq!(raw, data);
+            // One block, and a page plus a block.
+            assert_eq!(s2.read_payload(4, 1).await.to_vec(), data[512..1024]);
+            assert_eq!(s2.snapshot(20, 9).to_vec(), [0xEE; 4608]);
+        });
+    }
+
+    #[test]
+    fn write_zeroes_frees_whole_pages_and_spares_the_neighbours() {
+        let rt = SimRuntime::new();
+        let s = store(&rt);
+        let s2 = s.clone();
+        rt.block_on(async move {
+            s2.write(0, &[0xAA; 4 * 4096]).await;
+            assert_eq!(s2.resident_pages(), 4);
+            // Blocks 6..=17: the tail of page 0, all of page 1, two blocks
+            // of page 2.
+            s2.write_zeroes(6, 12).await;
+            assert_eq!(s2.resident_pages(), 3, "page 1 is freed");
+            let mut buf = vec![0u8; 4 * 4096];
+            s2.read(0, &mut buf).await;
+            assert!(buf[..6 * 512].iter().all(|&b| b == 0xAA));
+            assert!(buf[6 * 512..18 * 512].iter().all(|&b| b == 0));
+            assert!(buf[18 * 512..].iter().all(|&b| b == 0xAA));
+        });
+    }
+
+    #[test]
+    fn write_raw_pads_a_trailing_partial_block() {
+        let rt = SimRuntime::new();
+        let s = store(&rt);
+        s.write_raw(0, &[0xAA; 1024]);
+        s.write_raw(0, &[0xBB; 700]);
+        let mut buf = [0u8; 1536];
+        s.read_raw(0, &mut buf);
+        assert_eq!(buf[..700], [0xBB; 700]);
+        assert_eq!(
+            buf[700..1024],
+            [0; 324],
+            "rest of the second block is zeroed"
+        );
+        assert_eq!(buf[1024..], [0; 512]);
     }
 
     #[test]

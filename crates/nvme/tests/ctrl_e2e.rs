@@ -423,3 +423,114 @@ fn error_log_readable_via_get_log_page() {
         assert_eq!(entries[0].sqid, 0, "admin queue error");
     });
 }
+
+#[test]
+fn wrapping_prp_is_a_data_transfer_error_and_the_queue_survives() {
+    // A corrupt PRP1 at the very top of the address space: `addr + len`
+    // wraps, and an unchecked range test once took the wrapped end for
+    // DRAM. The controller must fail that one command and carry on.
+    let b = bed();
+    let fabric = b.fabric.clone();
+    let host = b.host;
+    let ctrl = b.ctrl.clone();
+    b.rt.block_on(async move {
+        let drv = attach_local_driver(&fabric, host, &ctrl, LocalDriverConfig::spdk())
+            .await
+            .unwrap();
+        let bad = pcie::PhysAddr(0xFFFF_FFFF_FFFF_F000);
+        let status = drv.io_raw(BioOp::Read, 16, 8, bad).await.unwrap();
+        assert_eq!(status, nvme::Status::DATA_TRANSFER_ERROR);
+        let log = ctrl.error_log();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].status, nvme::Status::DATA_TRANSFER_ERROR);
+        assert_eq!(log[0].lba, 16);
+        // Same queue, next command: unaffected.
+        let buf = fabric.alloc(host, 4096).unwrap();
+        fabric.mem_write(host, buf.addr, &[0x5A; 4096]).unwrap();
+        drv.submit(Bio::write(16, 8, buf)).await.unwrap();
+        fabric.mem_write(host, buf.addr, &[0; 4096]).unwrap();
+        drv.submit(Bio::read(16, 8, buf)).await.unwrap();
+        let mut out = [0u8; 4096];
+        fabric.mem_read(host, buf.addr, &mut out).unwrap();
+        assert_eq!(out, [0x5A; 4096]);
+    });
+    assert_eq!(b.ctrl.stats().errors_returned, 1);
+}
+
+#[test]
+fn deallocate_frees_whole_pages_and_spares_their_neighbours() {
+    let b = bed();
+    let fabric = b.fabric.clone();
+    let host = b.host;
+    let ctrl = b.ctrl.clone();
+    b.rt.block_on(async move {
+        let drv = attach_local_driver(&fabric, host, &ctrl, LocalDriverConfig::spdk())
+            .await
+            .unwrap();
+        let buf = fabric.alloc(host, 16 << 10).unwrap();
+        fabric.mem_write(host, buf.addr, &[0xC3; 16 << 10]).unwrap();
+        drv.submit(Bio::write(0, 32, buf)).await.unwrap();
+        let store = ctrl.store();
+        assert_eq!(store.resident_pages(), 4);
+        // Part of page 0 (blocks 5..8), all of pages 1 and 2, one block of
+        // page 3 — in two ranges of one command.
+        let ranges = [
+            nvme::spec::log::DsmRange::new(5, 3),
+            nvme::spec::log::DsmRange::new(8, 17),
+        ];
+        assert!(drv.deallocate(&ranges).await.unwrap().is_success());
+        assert_eq!(store.resident_pages(), 2, "whole pages are freed");
+        fabric.mem_write(host, buf.addr, &[0xFF; 16 << 10]).unwrap();
+        drv.submit(Bio::read(0, 32, buf)).await.unwrap();
+        let mut out = vec![0u8; 16 << 10];
+        fabric.mem_read(host, buf.addr, &mut out).unwrap();
+        assert!(out[..5 * 512].iter().all(|&x| x == 0xC3));
+        assert!(out[5 * 512..25 * 512].iter().all(|&x| x == 0));
+        assert!(out[25 * 512..].iter().all(|&x| x == 0xC3));
+    });
+}
+
+#[test]
+fn transfers_that_cannot_move_whole_pages_round_trip_byte_exact() {
+    // Every shape that falls off the by-reference path: one block, a page
+    // at an LBA that is not a multiple of 8, a buffer that starts inside a
+    // page (PRP1 carries an offset), and a page plus a block.
+    let b = bed();
+    let fabric = b.fabric.clone();
+    let host = b.host;
+    let ctrl = b.ctrl.clone();
+    b.rt.block_on(async move {
+        let drv = attach_local_driver(&fabric, host, &ctrl, LocalDriverConfig::spdk())
+            .await
+            .unwrap();
+        let arena = fabric.alloc(host, 32 << 10).unwrap();
+        for (n, (lba, blocks, buf_off)) in [
+            (40u64, 1u32, 0u64),
+            (43, 8, 0),
+            (48, 8, 1536),
+            (64, 9, 0),
+            (75, 24, 512),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let len = blocks as usize * 512;
+            let buf = arena.slice(buf_off, len as u64);
+            let pattern: Vec<u8> = (0..len).map(|i| (i * 3 + n * 17) as u8).collect();
+            fabric.mem_write(host, buf.addr, &pattern).unwrap();
+            drv.submit(Bio::write(lba, blocks, buf)).await.unwrap();
+            let mut stored = vec![0u8; len];
+            ctrl.store().read_raw(lba, &mut stored);
+            assert_eq!(stored, pattern, "case {n}: medium");
+            fabric.mem_write(host, buf.addr, &vec![0xEE; len]).unwrap();
+            drv.submit(Bio::read(lba, blocks, buf)).await.unwrap();
+            let mut out = vec![0u8; len];
+            fabric.mem_read(host, buf.addr, &mut out).unwrap();
+            assert_eq!(out, pattern, "case {n}: read back");
+        }
+        // Neighbouring blocks of the unaligned page write are untouched.
+        let mut edge = [0xFFu8; 512];
+        ctrl.store().read_raw(42, &mut edge);
+        assert_eq!(edge, [0u8; 512]);
+    });
+}

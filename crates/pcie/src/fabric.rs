@@ -12,6 +12,12 @@
 //!
 //! Untimed `mem_read`/`mem_write` accessors exist for test setup and for
 //! modeling work done outside the measured path.
+//!
+//! A posted write owns its bytes as a [`Payload`] from issue to apply. The
+//! `&[u8]` accessors wrap the payload ones; an agent that reads bytes only
+//! to write them elsewhere uses the payload accessors (`mem_snapshot`,
+//! `dma_read_payload`, `cpu_write_payload`, `dma_write_payload`,
+//! `mem_adopt`) directly and moves whole pages by reference.
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
@@ -28,6 +34,7 @@ use crate::hb::{Agent, HbLog};
 use crate::memory::{HostMemory, WatchHandle};
 use crate::ntb::Ntb;
 use crate::params::FabricParams;
+use crate::payload::Payload;
 use crate::topology::{NodeKind, Topology};
 
 const MAX_TRANSLATION_DEPTH: usize = 4;
@@ -117,7 +124,7 @@ struct PendingDelivery {
     due: SimTime,
     path: PathKey,
     loc: Location,
-    data: Vec<u8>,
+    data: Payload,
     /// The write's [`crate::hb::HbLog`] token (`None` on an unarmed
     /// runtime).
     hb: Option<u64>,
@@ -546,6 +553,17 @@ impl Fabric {
             .write(addr, data)
     }
 
+    /// [`Fabric::mem_write`] of an owned payload: whole pages landing on a
+    /// page boundary are adopted by reference, not copied.
+    pub fn mem_adopt(&self, host: HostId, addr: PhysAddr, data: Payload) -> Result<()> {
+        let mut st = self.inner.state.borrow_mut();
+        st.hosts
+            .get_mut(host.0 as usize)
+            .ok_or(FabricError::NoSuchHost(host))?
+            .memory
+            .write_payload(addr, &data)
+    }
+
     /// Untimed functional read from a host's DRAM.
     pub fn mem_read(&self, host: HostId, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
         let st = self.inner.state.borrow();
@@ -554,6 +572,18 @@ impl Fabric {
             .ok_or(FabricError::NoSuchHost(host))?
             .memory
             .read(addr, buf)
+    }
+
+    /// [`Fabric::mem_read`] into an owned payload: whole aligned pages are
+    /// taken by reference (copy-on-write keeps the snapshot intact whatever
+    /// is written there afterwards), anything else is copied.
+    pub fn mem_snapshot(&self, host: HostId, addr: PhysAddr, len: u64) -> Result<Payload> {
+        let st = self.inner.state.borrow();
+        st.hosts
+            .get(host.0 as usize)
+            .ok_or(FabricError::NoSuchHost(host))?
+            .memory
+            .snapshot(addr, len)
     }
 
     /// Register a write-watch on host DRAM (see [`crate::memory`]).
@@ -608,7 +638,10 @@ impl Fabric {
                     continue;
                 }
                 for (bi, b) in d.bars.iter().enumerate() {
-                    if cur.addr >= b.base && cur.addr.offset(len) <= b.base.offset(b.size) {
+                    // `checked_add`: an address near `u64::MAX` must not
+                    // wrap into the window.
+                    let end = cur.addr.0.checked_add(len);
+                    if cur.addr >= b.base && end.is_some_and(|end| end <= b.base.0 + b.size) {
                         return Ok(Location::Bar {
                             dev: DeviceId(di as u32),
                             bar: bi as u8,
@@ -680,10 +713,21 @@ impl Fabric {
     /// issued (write-combining); the data lands after propagation. Small
     /// writes (≤ 8 B) to a BAR become an MMIO register write.
     pub async fn cpu_write(&self, host: HostId, addr: PhysAddr, data: &[u8]) -> Result<()> {
+        self.cpu_write_payload(host, addr, data.into()).await
+    }
+
+    /// [`Fabric::cpu_write`] of an owned payload (the one posted CPU write
+    /// path; the slice form wraps it).
+    pub async fn cpu_write_payload(
+        &self,
+        host: HostId,
+        addr: PhysAddr,
+        data: Payload,
+    ) -> Result<()> {
         self.fault_check_issuer(host)?;
         let origin = self.rc_node(host);
-        let (loc, chips, crossed) =
-            self.resolve_with_path_traced(origin, host, addr, data.len() as u64)?;
+        let len = data.len() as u64;
+        let (loc, chips, crossed) = self.resolve_with_path_traced(origin, host, addr, len)?;
         if self.fault_gate(host, &crossed, &loc, true)? {
             // Lost at a severed target port: the posted write vanishes,
             // and the issuer (fire-and-forget) never learns.
@@ -691,11 +735,11 @@ impl Fabric {
         }
         let p = &self.inner.params;
         let issue = if chips == 0 && matches!(loc, Location::Dram(_)) {
-            p.cpu_memcpy(data.len() as u64)
-        } else if data.len() <= 8 {
+            p.cpu_memcpy(len)
+        } else if len <= 8 {
             SimDuration::from_nanos(p.mmio_store_ns)
         } else {
-            p.cpu_ntb_store(data.len() as u64)
+            p.cpu_ntb_store(len)
         };
         let delivery = p.one_way(chips);
         self.inner.handle.sleep(issue).await;
@@ -704,7 +748,7 @@ impl Fabric {
             delivery,
             (u32::from(host.0), dest_path_key(&loc)),
             loc,
-            data.to_vec(),
+            data,
             hb,
         );
         Ok(())
@@ -762,6 +806,27 @@ impl Fabric {
     /// writes). Waits round trip + serialized transfer on the device's
     /// inbound engine.
     pub async fn dma_read(&self, dev: DeviceId, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
+        let loc = self.dma_read_wait(dev, addr, buf.len()).await?;
+        self.apply_read(&loc, buf);
+        Ok(())
+    }
+
+    /// [`Fabric::dma_read`] into an owned payload: same waits, and the
+    /// bytes are snapshotted at the same post-round-trip instant — whole
+    /// aligned DRAM pages by reference.
+    pub async fn dma_read_payload(
+        &self,
+        dev: DeviceId,
+        addr: PhysAddr,
+        len: u64,
+    ) -> Result<Payload> {
+        let loc = self.dma_read_wait(dev, addr, len as usize).await?;
+        Ok(self.snapshot(&loc, len as usize))
+    }
+
+    /// Everything a device read does before it touches the bytes: resolve,
+    /// fault gate, link occupancy, round trip, race-detector record.
+    async fn dma_read_wait(&self, dev: DeviceId, addr: PhysAddr, len: usize) -> Result<Location> {
         let (origin, rx, host, scale) = {
             let st = self.inner.state.borrow();
             let d = st
@@ -771,20 +836,16 @@ impl Fabric {
             (d.node, d.rx.clone(), d.host, d.link_scale)
         };
         let (loc, chips, crossed) =
-            self.resolve_with_path_traced(origin, host, addr, buf.len() as u64)?;
+            self.resolve_with_path_traced(origin, host, addr, len as u64)?;
         self.fault_gate(host, &crossed, &loc, false)?;
         let p = &self.inner.params;
-        rx.occupy(scale_transfer(
-            p.nonposted_transfer(buf.len() as u64),
-            scale,
-        ))
-        .await;
+        rx.occupy(scale_transfer(p.nonposted_transfer(len as u64), scale))
+            .await;
         self.inner.handle.sleep(p.read_rtt(chips)).await;
         if self.inner.armed {
-            self.hb_record_read(Agent::Device(dev), &loc, buf.len(), "DMA read");
+            self.hb_record_read(Agent::Device(dev), &loc, len, "DMA read");
         }
-        self.apply_read(&loc, buf);
-        Ok(())
+        Ok(loc)
     }
 
     /// Device-initiated posted write (CQE post, data delivery for disk
@@ -811,23 +872,26 @@ impl Fabric {
     /// }
     /// ```
     pub async fn dma_write(&self, dev: DeviceId, addr: PhysAddr, data: &[u8]) -> Result<()> {
-        self.dma_write_landing(dev, addr, data).await.map(|_| ())
+        self.dma_write_payload(dev, addr, data.into())
+            .await
+            .map(|_| ())
     }
 
-    /// Like [`Self::dma_write`], but returns the delay from the issue
-    /// instant until the write *applies* at its destination. Agents whose
-    /// completion contract promises landed data (an RDMA read's work
+    /// [`Fabric::dma_write`] of an owned payload (the one posted device
+    /// write path; the slice form wraps it). Returns the delay from the
+    /// issue instant until the write *applies* at its destination. Agents
+    /// whose completion contract promises landed data (an RDMA read's work
     /// completion, for one) sleep that long before signalling; the fast
     /// path never needs it. The delay is nominal: a write refused by a
     /// severed link reports zero, and one dropped in flight by fault
     /// injection still reports its propagation delay even though it will
     /// never land — sleeping on it cannot hang, and the caller's own
     /// deadline machinery is what turns lost data into a timeout.
-    pub async fn dma_write_landing(
+    pub async fn dma_write_payload(
         &self,
         dev: DeviceId,
         addr: PhysAddr,
-        data: &[u8],
+        data: Payload,
     ) -> Result<SimDuration> {
         let (origin, tx, host, scale) = {
             let st = self.inner.state.borrow();
@@ -837,13 +901,13 @@ impl Fabric {
                 .ok_or(FabricError::NoSuchDevice(dev))?;
             (d.node, d.tx.clone(), d.host, d.link_scale)
         };
-        let (loc, chips, crossed) =
-            self.resolve_with_path_traced(origin, host, addr, data.len() as u64)?;
+        let len = data.len() as u64;
+        let (loc, chips, crossed) = self.resolve_with_path_traced(origin, host, addr, len)?;
         if self.fault_gate(host, &crossed, &loc, true)? {
             return Ok(SimDuration::from_nanos(0));
         }
         let p = &self.inner.params;
-        tx.occupy(scale_transfer(p.posted_transfer(data.len() as u64), scale))
+        tx.occupy(scale_transfer(p.posted_transfer(len), scale))
             .await;
         let delivery = p.one_way(chips);
         let hb = self.hb_record_write(Agent::Device(dev), &loc, data.len(), "DMA posted write");
@@ -851,7 +915,7 @@ impl Fabric {
             delivery,
             (DEVICE_PATH_BIT | dev.0, dest_path_key(&loc)),
             loc,
-            data.to_vec(),
+            data,
             hb,
         );
         Ok(delivery)
@@ -871,7 +935,7 @@ impl Fabric {
         delay: SimDuration,
         path: PathKey,
         loc: Location,
-        data: Vec<u8>,
+        data: Payload,
         hb: Option<u64>,
     ) {
         let mut delay = delay;
@@ -1060,13 +1124,13 @@ impl Fabric {
     // Apply helpers (functional effects at delivery time)
     // ---------------------------------------------------------------
 
-    fn apply_write(&self, loc: &Location, data: &[u8]) {
+    fn apply_write(&self, loc: &Location, data: &Payload) {
         match loc {
             Location::Dram(da) => {
                 let mut st = self.inner.state.borrow_mut();
                 st.hosts[da.host.0 as usize]
                     .memory
-                    .write(da.addr, data)
+                    .write_payload(da.addr, data)
                     .expect("resolved DRAM write failed");
             }
             Location::Bar { dev, bar, offset } => {
@@ -1076,13 +1140,28 @@ impl Fabric {
                 };
                 // Split into at-most-8-byte register writes.
                 let mut off = *offset;
-                for chunk in data.chunks(8) {
+                for chunk in data.segments().flat_map(|seg| seg.chunks(8)) {
                     let mut v = [0u8; 8];
                     v[..chunk.len()].copy_from_slice(chunk);
                     handler.mmio_write(*bar, off, u64::from_le_bytes(v), chunk.len());
                     off += chunk.len() as u64;
                 }
             }
+        }
+    }
+
+    /// What [`Self::apply_read`] would fill a `len`-byte buffer with, as a
+    /// payload (DRAM pages by reference where the range allows).
+    fn snapshot(&self, loc: &Location, len: usize) -> Payload {
+        match loc {
+            Location::Dram(da) => {
+                let st = self.inner.state.borrow();
+                st.hosts[da.host.0 as usize]
+                    .memory
+                    .snapshot(da.addr, len as u64)
+                    .expect("resolved DRAM read failed")
+            }
+            Location::Bar { .. } => Payload::filled_with(len, |buf| self.apply_read(loc, buf)),
         }
     }
 

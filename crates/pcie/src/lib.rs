@@ -25,6 +25,7 @@ mod hb;
 pub mod memory;
 pub mod ntb;
 pub mod params;
+pub mod payload;
 pub mod topology;
 
 pub use addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr};
@@ -35,6 +36,7 @@ pub use fault::{
     CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, FaultStats, Selector,
     SeverLink, SeverMode,
 };
-pub use memory::{HostMemory, WatchHandle, PAGE_SIZE};
+pub use memory::{HostMemory, PageTable, WatchHandle, PAGE_SIZE};
 pub use params::FabricParams;
+pub use payload::{Page, PageRef, Payload};
 pub use topology::{NodeKind, Topology};

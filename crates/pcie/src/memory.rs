@@ -1,27 +1,160 @@
 //! Host DRAM model: sparse page-granular backing store, a segment
 //! allocator, and write-watches.
 //!
+//! The backing store is a [`PageTable`]: shared, copy-on-write pages, so a
+//! page-aligned transfer moves references instead of bytes (see
+//! [`crate::payload`]). The storage medium model keeps its blocks in the
+//! same structure.
+//!
 //! Watches are the simulation analog of cache-line polling: a task that
 //! would spin on a completion-queue cache line instead parks on the watch's
 //! [`Notify`] and is woken at the exact virtual instant the DMA write
 //! lands. (Detection cost on a real CPU is added by the *driver* model,
 //! not here.)
 
-use std::collections::HashMap;
+use std::rc::Rc;
 
 use simcore::sync::Notify;
+use simcore::IntMap;
 
 use crate::addr::PhysAddr;
 use crate::error::{FabricError, Result};
+use crate::payload::{make_mut, new_page, recycle, zero_page, Page, Payload, PAGE};
 
 /// Memory page granularity of the allocator and backing store.
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Sparse byte store of shared copy-on-write pages, addressed by byte
+/// offset. An absent page reads as zeros, so space nobody wrote costs
+/// nothing. A page may be shared with payloads in flight and with other
+/// tables: every in-place store first makes the page unshared (copying it
+/// if it is not), so a holder of a reference keeps reading what was there
+/// when it took it.
+#[derive(Default)]
+pub struct PageTable {
+    pages: IntMap<u64, Rc<Page>>,
+}
+
+/// `[off, off + len)` cut at page boundaries: `(page index, offset in
+/// page, bytes)` per piece.
+fn page_pieces(off: u64, len: u64) -> impl Iterator<Item = (u64, usize, usize)> {
+    let mut off = off;
+    let mut left = len;
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let in_page = off % PAGE_SIZE;
+        let n = left.min(PAGE_SIZE - in_page);
+        let piece = (off / PAGE_SIZE, in_page as usize, n as usize);
+        off += n;
+        left -= n;
+        Some(piece)
+    })
+}
+
+impl PageTable {
+    /// Copy `buf.len()` bytes starting at `off` into `buf`.
+    pub fn read(&self, off: u64, buf: &mut [u8]) {
+        let mut rest = buf;
+        for (idx, in_page, n) in page_pieces(off, rest.len() as u64) {
+            let (head, tail) = rest.split_at_mut(n);
+            match self.pages.get(&idx) {
+                Some(page) => head.copy_from_slice(&page[in_page..in_page + n]),
+                None => head.fill(0),
+            }
+            rest = tail;
+        }
+    }
+
+    /// Store `data` at `off`. A whole-page piece overwrites an unshared
+    /// resident page in place and otherwise *is* the new page — it never
+    /// clones bytes it is about to replace.
+    pub fn write(&mut self, off: u64, data: &[u8]) {
+        let mut rest = data;
+        for (idx, in_page, n) in page_pieces(off, rest.len() as u64) {
+            let (head, tail) = rest.split_at(n);
+            if n == PAGE {
+                match self.pages.get_mut(&idx).and_then(Rc::get_mut) {
+                    Some(page) => page.copy_from_slice(head),
+                    None => {
+                        self.pages.insert(idx, new_page(head));
+                    }
+                }
+            } else {
+                let page = self.pages.entry(idx).or_insert_with(zero_page);
+                make_mut(page)[in_page..in_page + n].copy_from_slice(head);
+            }
+            rest = tail;
+        }
+    }
+
+    /// The `len` bytes at `off` as a payload: by reference (no byte is
+    /// copied) when the range is whole aligned pages, by copy otherwise.
+    pub fn snapshot(&self, off: u64, len: usize) -> Payload {
+        if len > 0 && off.is_multiple_of(PAGE_SIZE) && len.is_multiple_of(PAGE) {
+            let first = off / PAGE_SIZE;
+            let pages = first..first + (len / PAGE) as u64;
+            Payload::from_pages(pages.map(|idx| self.pages.get(&idx).cloned()))
+        } else {
+            Payload::filled_with(len, |buf| self.read(off, buf))
+        }
+    }
+
+    /// Store a payload at `off`. Whole pages landing on a page boundary
+    /// are *adopted* — the table takes a reference and drops whatever page
+    /// it held — and anything else is copied in.
+    pub fn write_payload(&mut self, off: u64, data: &Payload) {
+        match data.pages() {
+            Some(pages) if off.is_multiple_of(PAGE_SIZE) => {
+                for (idx, page) in (off / PAGE_SIZE..).zip(pages) {
+                    let old = match page {
+                        Some(page) => self.pages.insert(idx, page.clone()),
+                        None => self.pages.remove(&idx),
+                    };
+                    old.into_iter().for_each(recycle);
+                }
+            }
+            _ => {
+                let mut at = off;
+                for seg in data.segments() {
+                    self.write(at, seg);
+                    at += seg.len() as u64;
+                }
+            }
+        }
+    }
+
+    /// Make `[off, off + len)` read as zeros: whole pages are freed, the
+    /// ends of the range are cleared inside their (resident) pages.
+    pub fn zero(&mut self, off: u64, len: u64) {
+        for (idx, in_page, n) in page_pieces(off, len) {
+            if n == PAGE {
+                self.pages.remove(&idx).into_iter().for_each(recycle);
+            } else if let Some(page) = self.pages.get_mut(&idx) {
+                make_mut(page)[in_page..in_page + n].fill(0);
+            }
+        }
+    }
+
+    /// Pages currently held (diagnostic: a freed or never-written page is
+    /// not counted).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.len()
+    }
+}
+
+impl Drop for PageTable {
+    fn drop(&mut self) {
+        self.pages.drain().for_each(|(_, page)| recycle(page));
+    }
+}
 
 /// DRAM of one host: sparse pages plus a first-fit segment allocator.
 pub struct HostMemory {
     base: PhysAddr,
     size: u64,
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: PageTable,
     /// Free list of (start, len), sorted by start, coalesced.
     free: Vec<(u64, u64)>,
     watches: Vec<Watch>,
@@ -58,7 +191,7 @@ impl HostMemory {
         HostMemory {
             base: Self::DRAM_BASE,
             size,
-            pages: HashMap::new(),
+            pages: PageTable::default(),
             free: vec![(Self::DRAM_BASE.as_u64(), size)],
             watches: Vec::new(),
             next_watch: 0,
@@ -78,7 +211,13 @@ impl HostMemory {
 
     /// Whether `[addr, addr+len)` is inside DRAM.
     pub fn contains(&self, addr: PhysAddr, len: u64) -> bool {
-        addr >= self.base && addr.0 + len <= self.base.0 + self.size
+        // `checked_add`: an address near `u64::MAX` (a corrupt PRP) must
+        // not wrap around into range.
+        addr >= self.base
+            && addr
+                .0
+                .checked_add(len)
+                .is_some_and(|end| end <= self.base.0 + self.size)
     }
 
     /// Allocate a page-aligned segment of at least `size` bytes (rounded up
@@ -147,20 +286,16 @@ impl HostMemory {
     /// Functional write (timing handled by the fabric). Fires watches.
     pub fn write(&mut self, addr: PhysAddr, data: &[u8]) -> Result<()> {
         self.check(addr, data.len() as u64)?;
-        let mut off = addr.as_u64();
-        let mut rest = data;
-        while !rest.is_empty() {
-            let page_idx = off / PAGE_SIZE;
-            let in_page = (off % PAGE_SIZE) as usize;
-            let n = rest.len().min(PAGE_SIZE as usize - in_page);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
-            page[in_page..in_page + n].copy_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            off += n as u64;
-        }
+        self.pages.write(addr.as_u64(), data);
+        self.fire_watches(addr.as_u64(), addr.as_u64() + data.len() as u64);
+        Ok(())
+    }
+
+    /// [`HostMemory::write`] of an owned payload: whole pages landing on a
+    /// page boundary are adopted by reference. Fires watches once.
+    pub fn write_payload(&mut self, addr: PhysAddr, data: &Payload) -> Result<()> {
+        self.check(addr, data.len() as u64)?;
+        self.pages.write_payload(addr.as_u64(), data);
         self.fire_watches(addr.as_u64(), addr.as_u64() + data.len() as u64);
         Ok(())
     }
@@ -168,20 +303,15 @@ impl HostMemory {
     /// Functional read.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
         self.check(addr, buf.len() as u64)?;
-        let mut off = addr.as_u64();
-        let mut rest = &mut buf[..];
-        while !rest.is_empty() {
-            let page_idx = off / PAGE_SIZE;
-            let in_page = (off % PAGE_SIZE) as usize;
-            let n = rest.len().min(PAGE_SIZE as usize - in_page);
-            match self.pages.get(&page_idx) {
-                Some(page) => rest[..n].copy_from_slice(&page[in_page..in_page + n]),
-                None => rest[..n].fill(0),
-            }
-            rest = &mut rest[n..];
-            off += n as u64;
-        }
+        self.pages.read(addr.as_u64(), buf);
         Ok(())
+    }
+
+    /// [`HostMemory::read`] into an owned payload: whole aligned pages are
+    /// taken by reference, and later writes to them do not show through.
+    pub fn snapshot(&self, addr: PhysAddr, len: u64) -> Result<Payload> {
+        self.check(addr, len)?;
+        Ok(self.pages.snapshot(addr.as_u64(), len as usize))
     }
 
     /// Register a watch over `[addr, addr+len)`; its notify fires on every
@@ -301,6 +431,131 @@ mod tests {
             m.read(PhysAddr(0), &mut b),
             Err(FabricError::UnmappedAddress { .. })
         ));
+    }
+
+    #[test]
+    fn a_range_wrapping_past_u64_max_is_outside_dram() {
+        let mut m = mem();
+        let top = PhysAddr(u64::MAX - 100);
+        assert!(!m.contains(top, 4096));
+        assert!(!m.contains(HostMemory::DRAM_BASE, u64::MAX));
+        assert!(m.write(top, &[1; 4096]).is_err());
+        assert!(m.write_payload(top, &Payload::zeroed(4096)).is_err());
+        assert!(m.read(top, &mut [0; 4096]).is_err());
+        assert!(m.snapshot(top, 4096).is_err());
+    }
+
+    fn page_ptr(t: &PageTable, off: u64) -> *const Page {
+        Rc::as_ptr(t.snapshot(off, PAGE).pages().unwrap()[0].as_ref().unwrap())
+    }
+
+    #[test]
+    fn whole_page_write_overwrites_in_place_unless_the_page_is_shared() {
+        let mut t = PageTable::default();
+        t.write(0, &[1; PAGE]);
+        let first = page_ptr(&t, 0);
+        t.write(0, &[2; PAGE]);
+        assert_eq!(page_ptr(&t, 0), first, "unshared: overwritten in place");
+        let held = t.snapshot(0, PAGE);
+        t.write(0, &[3; PAGE]);
+        assert_ne!(
+            page_ptr(&t, 0),
+            first,
+            "shared: a new page, no clone-then-overwrite"
+        );
+        assert_eq!(held.to_vec(), [2; PAGE]);
+        // A partial write to a shared page copies it first.
+        let held = t.snapshot(0, PAGE);
+        t.write(10, &[4; 20]);
+        assert_eq!(held.to_vec(), [3; PAGE]);
+        let mut got = [0u8; 40];
+        t.read(0, &mut got);
+        assert_eq!(got[..10], [3; 10]);
+        assert_eq!(got[10..30], [4; 20]);
+        assert_eq!(got[30..], [3; 10]);
+    }
+
+    #[test]
+    fn adoption_shares_and_absent_pages_stay_absent() {
+        let (mut a, mut b) = (PageTable::default(), PageTable::default());
+        a.write(PAGE_SIZE, &[7; PAGE]);
+        b.write(0, &[9; 3 * PAGE]);
+        // Pages 0 and 2 of the snapshot are absent in `a`.
+        b.write_payload(0, &a.snapshot(0, 3 * PAGE));
+        assert_eq!(
+            b.resident_pages(),
+            1,
+            "adopting an absent page frees the slot"
+        );
+        assert_eq!(page_ptr(&b, PAGE_SIZE), page_ptr(&a, PAGE_SIZE));
+        // Off a page boundary the same payload is copied in.
+        b.write_payload(512, &a.snapshot(0, 3 * PAGE));
+        let mut got = vec![0u8; 4 * PAGE];
+        b.read(0, &mut got);
+        assert!(got[..PAGE + 512].iter().all(|&x| x == 0));
+        assert!(got[PAGE + 512..2 * PAGE + 512].iter().all(|&x| x == 7));
+        assert!(got[2 * PAGE + 512..].iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn zero_frees_whole_pages_and_clears_the_ragged_ends() {
+        let mut t = PageTable::default();
+        t.write(0, &[5; 4 * PAGE]);
+        t.zero(PAGE_SIZE - 512, 2 * PAGE_SIZE + 1024);
+        assert_eq!(t.resident_pages(), 2, "pages 1 and 2 are gone");
+        let mut got = vec![0u8; 4 * PAGE];
+        t.read(0, &mut got);
+        assert!(got[..PAGE - 512].iter().all(|&x| x == 5));
+        assert!(got[PAGE - 512..3 * PAGE + 512].iter().all(|&x| x == 0));
+        assert!(got[3 * PAGE + 512..].iter().all(|&x| x == 5));
+        // Zeroing what was never written allocates nothing.
+        t.zero(10 * PAGE_SIZE + 8, 100);
+        assert_eq!(t.resident_pages(), 2);
+    }
+
+    #[test]
+    fn a_dropped_table_hands_its_unshared_pages_to_the_next() {
+        let mut old = PageTable::default();
+        old.write(0, &[1; 3 * PAGE]);
+        let ptrs = [0, 1, 2].map(|i| page_ptr(&old, i * PAGE_SIZE));
+        let held = old.snapshot(0, PAGE);
+        drop(old);
+        // The shared page was not recycled: its holder is now its only
+        // owner and still reads the same bytes.
+        let page = held.pages().unwrap()[0].as_ref().unwrap();
+        assert_eq!(Rc::strong_count(page), 1);
+        assert_eq!(held.to_vec(), [1; PAGE]);
+        let mut new = PageTable::default();
+        new.write(0, &[2; 2 * PAGE]);
+        for i in 0..2 {
+            assert!(ptrs[1..].contains(&page_ptr(&new, i * PAGE_SIZE)));
+        }
+        let mut got = [0u8; 2 * PAGE];
+        new.read(0, &mut got);
+        assert_eq!(got, [2; 2 * PAGE]);
+    }
+
+    #[test]
+    fn the_spare_list_does_not_grow_over_identical_build_and_drop_rounds() {
+        // Whole-page, partial and copy-on-write allocations all draw from
+        // the list a dropped table feeds, so a round takes out what the
+        // previous one put in.
+        let round = || {
+            let mut t = PageTable::default();
+            t.write(0, &[1; 2 * PAGE]);
+            t.write(5 * PAGE_SIZE + 100, &[2; 50]);
+            let held = t.snapshot(0, PAGE);
+            t.write(8, &[3; 8]);
+            t.zero(PAGE_SIZE, 16);
+            drop(held);
+        };
+        round();
+        let after_one = crate::payload::spare_pages();
+        assert_eq!(after_one, 3, "pages 0, 1 and 5");
+        for _ in 0..3 {
+            round();
+            assert_eq!(crate::payload::spare_pages(), after_one);
+        }
     }
 
     #[test]

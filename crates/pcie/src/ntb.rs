@@ -143,7 +143,9 @@ impl Ntb {
         let off = addr.offset_from(self.window_base);
         let slot = (off / self.slot_size) as usize;
         let in_slot = off % self.slot_size;
-        if in_slot + len > self.slot_size {
+        // `in_slot < slot_size`, so the subtraction cannot wrap; `in_slot +
+        // len` could.
+        if len > self.slot_size - in_slot {
             return Err(FabricError::CrossesBoundary {
                 host: self.local_domain,
                 addr,
@@ -192,6 +194,20 @@ mod tests {
         let far = n.translate(local, 8).unwrap();
         assert_eq!(far.host, HostId(1));
         assert_eq!(far.addr, PhysAddr(0x1_0000_0123));
+    }
+
+    #[test]
+    fn a_length_that_overflows_the_slot_arithmetic_crosses_the_boundary() {
+        let mut n = ntb();
+        n.program(0, DomainAddr::new(HostId(1), PhysAddr(0x1_0000_0000)))
+            .unwrap();
+        let local = n.slot_addr(0).unwrap().offset(8);
+        assert!(matches!(
+            n.translate(local, u64::MAX),
+            Err(FabricError::CrossesBoundary { .. })
+        ));
+        assert!(n.translate(local, (1 << 21) - 8).is_ok());
+        assert!(n.translate(local, (1 << 21) - 7).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use pcie::{
     DomainAddr, Fabric, FabricError, FabricParams, FaultPlan, HostId, Location, MmioDevice,
-    PhysAddr, RegisterFile,
+    Payload, PhysAddr, RegisterFile,
 };
 use simcore::{SimDuration, SimRuntime};
 
@@ -339,4 +339,191 @@ fn resolve_classifies_locations() {
         f.resolve(tb.host_a, PhysAddr(0x10), 4),
         Err(FabricError::UnmappedAddress { .. })
     ));
+}
+
+#[test]
+fn a_range_wrapping_past_the_top_of_the_address_space_is_unmapped() {
+    // `addr + len` overflows: in a release build it used to wrap to a low
+    // address and pass the range test, so a corrupt PRP was taken for DRAM
+    // (and in a debug build it panicked). Nothing may resolve, and nothing
+    // may be planted at the wrapped page indices.
+    let tb = build();
+    let f = tb.fabric.clone();
+    for top in [PhysAddr(u64::MAX - 100), PhysAddr(0xFFFF_FFFF_FFFF_F000)] {
+        assert!(matches!(
+            f.resolve(tb.host_a, top, 4096),
+            Err(FabricError::UnmappedAddress { .. })
+        ));
+        assert!(matches!(
+            f.mem_write(tb.host_a, top, &[0xEE; 4096]),
+            Err(FabricError::UnmappedAddress { .. })
+        ));
+        assert!(matches!(
+            f.mem_adopt(tb.host_a, top, Payload::from(&[0xEE; 4096][..])),
+            Err(FabricError::UnmappedAddress { .. })
+        ));
+        assert!(matches!(
+            f.mem_read(tb.host_a, top, &mut [0u8; 4096]),
+            Err(FabricError::UnmappedAddress { .. })
+        ));
+        assert!(matches!(
+            f.mem_snapshot(tb.host_a, top, 4096),
+            Err(FabricError::UnmappedAddress { .. })
+        ));
+    }
+    // A length that overflows from inside a real mapping is refused too.
+    let seg = f.alloc(tb.host_a, 4096).unwrap();
+    assert!(f.resolve(tb.host_a, seg.addr, u64::MAX).is_err());
+    let bar = f.bar_region(tb.dev, 0).unwrap();
+    assert!(f.resolve(tb.host_b, bar.addr.offset(8), u64::MAX).is_err());
+    let win = f
+        .program_lut(tb.ntb_a, 0, DomainAddr::new(tb.host_b, seg.addr))
+        .unwrap();
+    assert!(matches!(
+        f.resolve(tb.host_a, win.offset(8), u64::MAX),
+        Err(FabricError::CrossesBoundary { .. })
+    ));
+    // The first page of DRAM — where `u64::MAX - 100 + 4096` wraps to in
+    // page-index terms — is untouched.
+    let low = f.alloc(tb.host_a, 4096).unwrap();
+    let mut probe = [0xFFu8; 4096];
+    f.mem_read(tb.host_a, low.addr, &mut probe).unwrap();
+    assert_eq!(probe, [0u8; 4096]);
+}
+
+#[test]
+fn page_payloads_are_adopted_by_reference_with_the_slice_path_timing() {
+    // The same 8 KiB device write through the NTB, once copied out of a
+    // slice (what `dma_write` does) and once as a snapshot of the source:
+    // same landing delay, same bytes, and on the snapshot side the
+    // destination's pages *are* the source's.
+    let tb = build();
+    let f = tb.fabric.clone();
+    let dst = f.alloc(tb.host_a, 16 << 10).unwrap();
+    let src = f.alloc(tb.host_b, 8 << 10).unwrap();
+    let slot = f.find_free_lut_range(tb.ntb_b, 1).unwrap();
+    let win = f
+        .program_lut(tb.ntb_b, slot, DomainAddr::new(tb.host_a, dst.addr))
+        .unwrap();
+    let data: Vec<u8> = (0..8192u32).map(|i| (i % 239) as u8).collect();
+    f.mem_write(tb.host_b, src.addr, &data).unwrap();
+    let (dev, host_a, host_b) = (tb.dev, tb.host_a, tb.host_b);
+    let h = tb.rt.handle();
+    tb.rt.block_on({
+        let f = f.clone();
+        async move {
+            let t0 = h.now();
+            let copied = Payload::from(&data[..]);
+            let by_slice = f.dma_write_payload(dev, win, copied).await.unwrap();
+            let slice_issue = h.now() - t0;
+            let snap = f.mem_snapshot(host_b, src.addr, 8192).unwrap();
+            let t1 = h.now();
+            let by_payload = f
+                .dma_write_payload(dev, win.offset(8192), snap.clone())
+                .await
+                .unwrap();
+            assert_eq!(
+                h.now() - t1,
+                slice_issue,
+                "issue cost must not depend on the form"
+            );
+            assert_eq!(
+                by_payload, by_slice,
+                "landing delay must not depend on the form"
+            );
+            h.sleep(by_payload).await;
+            let landed = f.mem_snapshot(host_a, dst.addr.offset(8192), 8192).unwrap();
+            assert_eq!(landed.to_vec(), data);
+            for (a, b) in landed.pages().unwrap().iter().zip(snap.pages().unwrap()) {
+                assert!(Rc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
+            }
+            let mut slice_side = vec![0u8; 8192];
+            f.mem_read(host_a, dst.addr, &mut slice_side).unwrap();
+            assert_eq!(slice_side, data);
+            // Overwrite the source afterwards: the destination (and the
+            // snapshot) keep the bytes they were given.
+            f.mem_write(host_b, src.addr.offset(100), &[0xFF; 5000])
+                .unwrap();
+            assert_eq!(snap.to_vec(), data);
+            assert_eq!(
+                f.mem_snapshot(host_a, dst.addr.offset(8192), 8192)
+                    .unwrap()
+                    .to_vec(),
+                data
+            );
+        }
+    });
+}
+
+#[test]
+fn dma_read_payload_snapshots_at_the_instant_dma_read_fills_its_buffer() {
+    let tb = build();
+    let f = tb.fabric.clone();
+    let seg = f.alloc(tb.host_a, 8192).unwrap();
+    let slot = f.find_free_lut_range(tb.ntb_b, 1).unwrap();
+    let win = f
+        .program_lut(tb.ntb_b, slot, DomainAddr::new(tb.host_a, seg.addr))
+        .unwrap();
+    f.mem_write(tb.host_a, seg.addr, &[1u8; 8192]).unwrap();
+    let (dev, host_a) = (tb.dev, tb.host_a);
+    let h = tb.rt.handle();
+    tb.rt.block_on({
+        let f = f.clone();
+        async move {
+            // Something rewrites the source 1 µs into the ~3 µs round trip:
+            // both forms must see the rewritten bytes, and take equally long.
+            for len in [64u64, 4096, 4096 + 512] {
+                f.mem_write(host_a, seg.addr, &[1u8; 8192]).unwrap();
+                let rewrite = h.spawn({
+                    let (f, h) = (f.clone(), h.clone());
+                    async move {
+                        h.sleep(SimDuration::from_micros(1)).await;
+                        f.mem_write(host_a, seg.addr, &[2u8; 8192]).unwrap();
+                    }
+                });
+                let t0 = h.now();
+                let got = f.dma_read_payload(dev, win, len).await.unwrap();
+                let took = h.now() - t0;
+                rewrite.await;
+                assert_eq!(got.to_vec(), vec![2u8; len as usize]);
+                // ...and a later write does not show through the snapshot.
+                f.mem_write(host_a, seg.addr, &[3u8; 8192]).unwrap();
+                assert_eq!(got.to_vec(), vec![2u8; len as usize]);
+                let mut buf = vec![0u8; len as usize];
+                let t1 = h.now();
+                f.dma_read(dev, win, &mut buf).await.unwrap();
+                assert_eq!(h.now() - t1, took, "len {len}");
+                assert_eq!(buf, vec![3u8; len as usize]);
+            }
+        }
+    });
+}
+
+#[test]
+fn duplicated_page_payload_applies_twice() {
+    // `dup` re-queues the same payload (a clone shares its pages) right
+    // behind the original. A BAR destination makes both applications
+    // countable: 4096 B = 512 register writes, twice.
+    let rt = SimRuntime::new();
+    let f = Fabric::new(rt.handle(), FabricParams::default());
+    let host = f.add_host(16 << 20);
+    let counter = Rc::new(CountingDev {
+        hits: std::cell::Cell::new(0),
+    });
+    let dev = f.add_device(host, f.rc_node(host), &[0x2000], counter.clone());
+    let bar = f.bar_region(dev, 0).unwrap();
+    let src = f.alloc(host, 4096).unwrap();
+    f.mem_write(host, src.addr, &[7u8; 4096]).unwrap();
+    f.set_fault_plan(FaultPlan::parse("f1:dup@0/any").unwrap());
+    rt.block_on({
+        let f = f.clone();
+        async move {
+            let page = f.mem_snapshot(host, src.addr, 4096).unwrap();
+            assert!(page.pages().is_some());
+            f.cpu_write_payload(host, bar.addr, page).await.unwrap();
+            f.handle().sleep(SimDuration::from_micros(5)).await;
+        }
+    });
+    assert_eq!(f.fault_stats().duplicated, 1);
+    assert_eq!(counter.hits.get(), 2 * 512);
 }

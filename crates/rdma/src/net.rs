@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use pcie::{DeviceId, Fabric, HostId, MemRegion, RegisterFile};
+use pcie::{DeviceId, Fabric, HostId, MemRegion, Payload, PhysAddr, RegisterFile};
 use simcore::sync::{mpsc, Notify};
 use simcore::{Handle, SimDuration};
 
@@ -275,6 +275,14 @@ impl IbNet {
     }
 }
 
+/// A NIC's DMA fetch of `len` message bytes. A refused read (severed
+/// link, crashed host) still sends the message — as zeros, which is what
+/// the buffer it used to fill held.
+async fn fetch(fabric: &Fabric, dev: DeviceId, addr: PhysAddr, len: u64) -> Payload {
+    let read = fabric.dma_read_payload(dev, addr, len).await;
+    read.unwrap_or_else(|_| Payload::zeroed(len as usize))
+}
+
 struct QpShared {
     net: IbNet,
     nic: NicId,
@@ -416,10 +424,11 @@ impl QpShared {
                 };
                 let me = self.clone();
                 handle.clone().spawn(async move {
-                    let mut data = vec![0u8; len as usize];
-                    if len > 0 {
-                        let _ = fabric.dma_read(local_dev, src.addr, &mut data).await;
-                    }
+                    let data = if len > 0 {
+                        fetch(&fabric, local_dev, src.addr, len).await
+                    } else {
+                        Payload::zeroed(0)
+                    };
                     local_tx
                         .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
                         .await;
@@ -450,7 +459,7 @@ impl QpShared {
                     match dst {
                         Ok(dst) => {
                             if len > 0 {
-                                let _ = fabric.dma_write(peer_dev, dst.addr, &data).await;
+                                let _ = fabric.dma_write_payload(peer_dev, dst.addr, data).await;
                             }
                             peer.hb_barrier_to_host();
                             peer.recv_cq.push(Wc {
@@ -502,13 +511,12 @@ impl QpShared {
                 };
                 let me = self.clone();
                 handle.clone().spawn(async move {
-                    let mut data = vec![0u8; len as usize];
-                    let _ = fabric.dma_read(local_dev, src.addr, &mut data).await;
+                    let data = fetch(&fabric, local_dev, src.addr, len).await;
                     local_tx
                         .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
                         .await;
                     handle.sleep(propagate).await;
-                    let _ = fabric.dma_write(peer_dev, dst.addr, &data).await;
+                    let _ = fabric.dma_write_payload(peer_dev, dst.addr, data).await;
                     me.spawn_ack(wr, WcOpcode::RdmaWrite, len);
                 });
             }
@@ -545,8 +553,7 @@ impl QpShared {
                         .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(16)))
                         .await;
                     handle.sleep(propagate).await;
-                    let mut data = vec![0u8; len as usize];
-                    let _ = fabric.dma_read(peer_dev, src.addr, &mut data).await;
+                    let data = fetch(&fabric, peer_dev, src.addr, len).await;
                     peer_tx
                         .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
                         .await;
@@ -554,8 +561,7 @@ impl QpShared {
                     // Reads complete when the data has landed: the write is
                     // posted, so wait out its apply delay before raising the
                     // work completion.
-                    if let Ok(landing) = fabric.dma_write_landing(local_dev, dst.addr, &data).await
-                    {
+                    if let Ok(landing) = fabric.dma_write_payload(local_dev, dst.addr, data).await {
                         handle.sleep(landing).await;
                     }
                     me.complete_send(&wr, WcOpcode::RdmaRead, len, WcStatus::Success);

@@ -26,14 +26,14 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
+use crate::hash::IntMap;
 use crate::sched::{ChoiceKind, ChoiceOption, ReplayScheduler};
 use crate::sync::Notify;
 use crate::time::{SimDuration, SimTime};
@@ -108,30 +108,8 @@ struct TaskEntry {
     reactor: ReactorId,
 }
 
-/// Hasher for the task table. [`TaskId`]s are consecutive integers the
-/// executor itself hands out, so one multiply spreads them over the
-/// table's buckets and control bytes; SipHash's flooding resistance buys
-/// nothing here and costs most of a poll.
-#[derive(Default)]
-struct TaskIdHasher(u64);
-
-impl Hasher for TaskIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type TaskTable = HashMap<TaskId, TaskEntry, BuildHasherDefault<TaskIdHasher>>;
+/// Task ids are consecutive integers the executor itself hands out.
+type TaskTable = IntMap<TaskId, TaskEntry>;
 
 /// What a timer does at its deadline.
 enum TimerAction {

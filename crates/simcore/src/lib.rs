@@ -24,6 +24,7 @@
 //! ```
 
 pub mod executor;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod sanitize;
@@ -34,6 +35,7 @@ pub mod time;
 pub mod timeout;
 
 pub use executor::{yield_now, Handle, JoinHandle, ReactorId, SimRuntime, TaskId};
+pub use hash::{IntHasher, IntMap};
 pub use resource::SerialResource;
 pub use rng::SimRng;
 pub use sanitize::{happens_before, ActorId, Violation};

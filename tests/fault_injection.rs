@@ -443,3 +443,39 @@ fn torn_slot_never_decodes() {
         assert_eq!(SlotMessage::decode(&raw), None);
     }
 }
+
+#[test]
+fn duplicated_page_payload_is_oracle_and_hb_clean() {
+    // `f1:dup@0/d2h`: the first device-to-host posted write after the plan
+    // is installed — the 4 KiB data page of the read below, which travels
+    // as one shared page — is delivered twice. The second application
+    // adopts the same page again: same bytes, one checker token, nothing
+    // for the lifecycle oracle or the race detector to object to.
+    use cluster::{Calibration, Scenario, ScenarioKind};
+    use nvme::oracle::{self, LifecycleOracle};
+    use pcie::FaultPlan;
+    let _armed = simcore::sanitize::arm();
+    let sc = Scenario::build(
+        ScenarioKind::OursRemote { switches: 1 },
+        &Calibration::paper(),
+    );
+    let checker = LifecycleOracle::new(sc.rt.handle());
+    let _installed = oracle::install(checker.clone());
+    let (host, dev) = sc.clients[0].clone();
+    let fabric = sc.fabric.clone();
+    sc.rt.block_on(async move {
+        let buf = fabric.alloc(host, 4096).unwrap();
+        fabric.mem_write(host, buf.addr, &[0x6B; 4096]).unwrap();
+        dev.submit(Bio::write(64, 8, buf)).await.unwrap();
+        fabric.mem_write(host, buf.addr, &[0; 4096]).unwrap();
+        fabric.set_fault_plan(FaultPlan::parse("f1:dup@0/d2h").unwrap());
+        dev.submit(Bio::read(64, 8, buf)).await.unwrap();
+        assert_eq!(fabric.fault_stats().duplicated, 1, "the plan must fire");
+        let page = fabric.mem_snapshot(host, buf.addr, 4096).unwrap();
+        assert_eq!(page.to_vec(), [0x6B; 4096]);
+        // A further I/O on the same queue is unaffected.
+        dev.submit(Bio::read(0, 8, buf)).await.unwrap();
+    });
+    assert_eq!(checker.take_violations(), []);
+    assert_eq!(sc.rt.sanitize_violations(), []);
+}
