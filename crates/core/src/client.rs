@@ -246,8 +246,6 @@ pub struct ClientStats {
     pub reads: u64,
     /// Write commands issued.
     pub writes: u64,
-    /// Flush commands issued.
-    pub flushes: u64,
     /// Bytes staged through the bounce buffer.
     pub bounce_bytes_copied: u64,
     /// I/Os that DMA'd directly to/from a hinted user buffer — no
@@ -255,16 +253,6 @@ pub struct ClientStats {
     pub zero_copy_ios: u64,
     /// Per-I/O windows programmed (DirectMapped).
     pub dynamic_maps: u64,
-    /// SQEs written into the rings (engine counter).
-    pub sqes_submitted: u64,
-    /// SQ tail-doorbell MMIOs; ≤ `sqes_submitted` under coalescing.
-    pub sq_doorbells: u64,
-    /// Doorbell flushes that covered more than one SQE.
-    pub coalesced_batches: u64,
-    /// CQ head-doorbell MMIOs (one per drain sweep).
-    pub cq_doorbells: u64,
-    /// Doorbell MMIO failures — counted, never silently discarded.
-    pub doorbell_errors: u64,
     /// Commands that entered the recovery ladder (deadline expired).
     pub recoveries: u64,
     /// Abort RPCs sent (ladder rung 2).
@@ -564,7 +552,6 @@ impl ClientDriver {
                 queue_depth: qd,
                 coalesce_limit: cfg.doorbell_coalesce,
                 cmd_timeout: cfg.cmd_timeout,
-                ..EngineConfig::default()
             },
         );
 
@@ -653,17 +640,10 @@ impl ClientDriver {
         self.qids.clone()
     }
 
-    /// Snapshot of the run counters, with the engine's doorbell/batch
-    /// counters folded in.
+    /// Snapshot of the run counters (the engine's doorbell/batch counters
+    /// are [`ClientDriver::qpair_stats`]).
     pub fn stats(&self) -> ClientStats {
-        let mut s = self.stats.borrow().clone();
-        let t = self.engine.totals();
-        s.sqes_submitted = t.sqes_submitted;
-        s.sq_doorbells = t.sq_doorbells;
-        s.coalesced_batches = t.coalesced_batches;
-        s.cq_doorbells = t.cq_doorbells;
-        s.doorbell_errors = t.doorbell_errors;
-        s
+        self.stats.borrow().clone()
     }
 
     /// Per-queue-pair engine counters, in stripe order.
@@ -873,12 +853,10 @@ impl ClientDriver {
         let slot = cid as usize;
         let nlb0 = bio.blocks.saturating_sub(1) as u16;
         let status = match (bio.op, self.cfg.data_path) {
-            (BioOp::Flush, _) => {
-                self.stats.borrow_mut().flushes += 1;
-                self.issue_recovered(tag, SqEntry::flush(cid, 1))
-                    .await?
-                    .status()
-            }
+            (BioOp::Flush, _) => self
+                .issue_recovered(tag, SqEntry::flush(cid, 1))
+                .await?
+                .status(),
             (op, DataPath::Bounce) => {
                 let staging = {
                     let b = self.bounce.borrow();

@@ -71,12 +71,8 @@ pub struct ManagerStats {
     pub qpairs_reclaimed: u64,
     /// Clients evicted by the lease reaper.
     pub clients_evicted: u64,
-    /// Cached responses re-sent for duplicate (retried) requests.
-    pub retries_resent: u64,
     /// Abort commands issued on behalf of clients.
     pub aborts_issued: u64,
-    /// Controller resets performed (recovery ladder rung 4).
-    pub controller_resets: u64,
 }
 
 struct QidPool {
@@ -417,7 +413,6 @@ impl Manager {
                         last_retry[slot] = msg.retry;
                         if let Some(resp) = cached[slot] {
                             self.touch_lease(slot);
-                            self.stats.borrow_mut().retries_resent += 1;
                             self.respond(msg, resp).await;
                         }
                     }
@@ -661,7 +656,6 @@ impl Manager {
         match r {
             Ok(Ok(fresh)) => {
                 *self.admin.borrow_mut() = fresh;
-                self.stats.borrow_mut().controller_resets += 1;
                 Ok(())
             }
             Ok(Err(e)) => Err(e),

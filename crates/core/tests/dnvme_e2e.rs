@@ -125,6 +125,49 @@ fn remote_client_reads_and_writes() {
 }
 
 #[test]
+fn six_entry_rings_wrap_clean_under_the_armed_checker() {
+    // NVMe allows any ring size >= 2. Forty commands on 6-entry rings lap
+    // them six times; the lifecycle FSM's doorbell arithmetic must follow
+    // the wrap (5 -> 0 is an advance of one), so the run leaves the one
+    // violation log empty.
+    let _armed = simcore::sanitize::arm();
+    let c = cluster(2);
+    let smartio = c.smartio.clone();
+    let fabric = c.fabric.clone();
+    let dev = c.dev;
+    let (mgr_host, client_host) = (c.dev_host, c.hosts[0]);
+    c.rt.block_on(async move {
+        let _mgr = Manager::start(&smartio, dev, mgr_host, ManagerConfig::default())
+            .await
+            .unwrap();
+        let cfg = ClientConfig {
+            queue_entries: 6,
+            queue_depth: 3,
+            ..ClientConfig::default()
+        };
+        let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+            .await
+            .unwrap();
+        let buf = fabric.alloc(client_host, 4096).unwrap();
+        for pair in 0..20u8 {
+            let data = [pair + 1; 4096];
+            fabric.mem_write(client_host, buf.addr, &data).unwrap();
+            drv.submit(Bio::write(u64::from(pair) * 8, 8, buf))
+                .await
+                .unwrap();
+            fabric.mem_write(client_host, buf.addr, &[0; 4096]).unwrap();
+            drv.submit(Bio::read(u64::from(pair) * 8, 8, buf))
+                .await
+                .unwrap();
+            let mut out = [0u8; 4096];
+            fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
+            assert_eq!(out, data, "pair {pair}");
+        }
+    });
+    assert_eq!(c.rt.sanitize_violations(), []);
+}
+
+#[test]
 fn queue_memory_lands_where_hints_say() {
     let c = cluster(2);
     let smartio = c.smartio.clone();

@@ -2,14 +2,14 @@
 //!
 //! Each fixture is a miniature buggy driver/device pair: two concurrent
 //! tasks over a real fabric (so the run has genuine choice points) whose
-//! oracle event stream deliberately breaks one clause of the NVMe queue
+//! lifecycle event stream deliberately breaks one clause of the NVMe queue
 //! contract. The explorer must catch every one of them and hand back a
-//! token that replays the identical violation — that is the oracle's
-//! regression suite, and the proof that a token pins down a schedule.
+//! token that replays the identical violation — that is the lifecycle
+//! FSM's regression suite, and the proof that a token pins down a schedule.
 
 use std::future::Future;
 
-use nvme::oracle::{self, emit, Event, LifecycleOracle};
+use nvme::oracle::{self, Event};
 use pcie::{Fabric, FabricParams, HostId};
 use simcore::{ReplayScheduler, SimRuntime};
 
@@ -46,31 +46,29 @@ pub fn by_name(name: &str) -> Option<(&'static str, FixtureFn)> {
         .map(|(_, code, f)| (*code, *f))
 }
 
-/// Shared bed: fresh runtime + two-host fabric, replay scheduler and
-/// oracle installed, then `body` runs as the simulated buggy stack.
+/// Shared bed: fresh armed runtime + two-host fabric, replay scheduler
+/// installed, then `body` runs as the simulated buggy stack.
 fn run_fixture<F, Fut>(prefix: &[u32], body: F) -> RunOutcome
 where
     F: FnOnce(Fabric, HostId, HostId) -> Fut + 'static,
     Fut: Future<Output = ()> + 'static,
 {
+    let _armed = simcore::sanitize::arm();
     let rt = SimRuntime::new();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let h0 = fabric.add_host(1 << 20);
     let h1 = fabric.add_host(1 << 20);
     let replay = ReplayScheduler::new(prefix.to_vec());
     let trace = replay.trace();
-    let checker = LifecycleOracle::new(rt.handle());
-    let guard = oracle::install(checker.clone());
     rt.set_scheduler(replay);
     let f = fabric.clone();
     rt.block_on(async move { body(f, h0, h1).await });
     rt.clear_scheduler();
-    drop(guard);
     let t = trace.borrow();
     RunOutcome {
         records: t.records.clone(),
         diverged: t.diverged,
-        violations: checker.take_violations(),
+        violations: rt.sanitize_take_violations(),
         trace_hash: rt.trace_hash(),
     }
 }
@@ -101,6 +99,7 @@ const ENTRIES: u16 = 8;
 /// the spec violation (e.g. a retried fetch executing twice).
 fn double_cqe(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
+        let emit = |ev| oracle::emit(&fabric, ev);
         emit(Event::SqeWritten {
             qid: Q,
             cid: 7,
@@ -139,6 +138,7 @@ fn double_cqe(prefix: &[u32]) -> RunOutcome {
 /// epoch — the entry it "completed" was never posted.
 fn stale_phase_consume(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
+        let emit = |ev| oracle::emit(&fabric, ev);
         emit(Event::SqeWritten {
             qid: Q,
             cid: 3,
@@ -171,6 +171,7 @@ fn stale_phase_consume(prefix: &[u32]) -> RunOutcome {
 /// has not fetched yet.
 fn slot_reuse(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
+        let emit = |ev| oracle::emit(&fabric, ev);
         emit(Event::SqeWritten {
             qid: Q,
             cid: 1,
@@ -193,6 +194,7 @@ fn slot_reuse(prefix: &[u32]) -> RunOutcome {
 /// exposes more slots than were ever written.
 fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
+        let emit = |ev| oracle::emit(&fabric, ev);
         emit(Event::SqeWritten {
             qid: Q,
             cid: 9,
@@ -219,6 +221,7 @@ fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
 /// never exposed, which is how the lost command manifests dynamically.
 fn missed_doorbell(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
+        let emit = |ev| oracle::emit(&fabric, ev);
         let paused = true;
         // Seeded missed doorbell: the hypothesis is exported anyway and
         // the explorer confirms it dynamically.

@@ -11,9 +11,11 @@
 //!    reads the recorded choice points, and enqueues one new prefix per
 //!    untried alternative — depth-first, so failing schedules surface with
 //!    short prefixes.
-//! 3. Every run carries an installed [`nvme::oracle::LifecycleOracle`];
-//!    any violation stops the search and yields a [`ScheduleToken`] that
-//!    replays the exact failing schedule.
+//! 3. Every run is built under [`simcore::sanitize::arm`], so the one
+//!    run-time checker judges it: the happens-before race detector, the
+//!    doorbell/CQ/bounce protocol checks and the command-lifecycle FSM
+//!    ([`nvme::oracle`]). Any violation stops the search and yields a
+//!    [`ScheduleToken`] that replays the exact failing schedule.
 //!
 //! Two bounds keep the search tractable: a *preemption bound* (at most N
 //! non-canonical task picks per schedule, the classic CHESS bound) and
@@ -29,10 +31,9 @@ use std::rc::Rc;
 
 use blklayer::{Bio, BlockDevice};
 use cluster::{Calibration, Scenario, ScenarioKind};
-use nvme::oracle::{self, LifecycleOracle, LifecycleViolation};
 use pcie::{Fabric, FaultPlan, HostId};
 use simcore::sched::{ChoiceKind, ChoiceRecord};
-use simcore::{ReactorId, ReplayScheduler};
+use simcore::{ReactorId, ReplayScheduler, Violation};
 
 /// Everything observed while re-executing a program under one prefix.
 pub struct RunOutcome {
@@ -41,8 +42,8 @@ pub struct RunOutcome {
     /// The prescribed prefix did not fit the choice points actually
     /// encountered (stale token, or a non-deterministic program).
     pub diverged: bool,
-    /// Conformance-oracle violations observed during the run.
-    pub violations: Vec<LifecycleViolation>,
+    /// Everything the armed checker logged during the run.
+    pub violations: Vec<Violation>,
     /// The executor's poll-trace hash — two runs with the same hash took
     /// the same schedule.
     pub trace_hash: u64,
@@ -118,7 +119,7 @@ pub struct Failure {
     /// Token replaying the failing schedule (`--replay` accepts it).
     pub token: ScheduleToken,
     /// The violations that schedule produced.
-    pub violations: Vec<LifecycleViolation>,
+    pub violations: Vec<Violation>,
     /// Poll-trace hash of the failing run, for replay verification.
     pub trace_hash: u64,
 }
@@ -273,8 +274,9 @@ pub fn explore(program: &Program<'_>, config: &ExploreConfig) -> ExploreResult {
 /// A scenario workload the explorer can re-execute: builds the full
 /// testbed via [`cluster::Scenario`], then runs a tiny deterministic
 /// write/read-back job on each client under the replay scheduler with the
-/// lifecycle oracle installed. Scenario bring-up happens *before* the
-/// scheduler is installed, so choice points cover the I/O phase only.
+/// checker armed. Scenario bring-up happens *before* the scheduler is
+/// installed, so choice points cover the I/O phase only (the checker
+/// watches bring-up too).
 #[derive(Clone, Debug)]
 pub struct ScenarioProgram {
     pub kind: ScenarioKind,
@@ -285,8 +287,8 @@ pub struct ScenarioProgram {
     /// Fault plan installed after bring-up, identically on every explored
     /// schedule. When set, the clients run with the recovery ladder armed
     /// (deadlines + mailbox retries), and a workload op failing with a
-    /// *typed* error is acceptable — the oracle still checks every
-    /// schedule for lifecycle violations, and a hang still fails the run.
+    /// *typed* error is acceptable — the checker still judges every
+    /// schedule, and a hang still fails the run.
     pub fault: Option<FaultPlan>,
     /// Logical reactors for the runtime. With more than one, clients pin
     /// round-robin to reactors and the explorer's schedule space grows
@@ -335,6 +337,7 @@ impl ScenarioProgram {
             Calibration::paper()
         };
         let reactors = self.reactors.max(1);
+        let _armed = simcore::sanitize::arm();
         let sc = Scenario::build_sharded(self.kind.clone(), &calib, reactors);
         if let Some(plan) = &self.fault {
             sc.fabric.set_fault_plan(plan.clone());
@@ -344,8 +347,6 @@ impl ScenarioProgram {
         let ops = self.ops_per_client;
         let replay = ReplayScheduler::new(prefix.to_vec());
         let trace = replay.trace();
-        let checker = LifecycleOracle::new(sc.rt.handle());
-        let guard = oracle::install(checker.clone());
         sc.rt.set_scheduler(replay);
         let fabric = sc.fabric.clone();
         let targets: Vec<_> = sc.clients.iter().take(n).cloned().collect();
@@ -366,10 +367,9 @@ impl ScenarioProgram {
             total
         });
         sc.rt.clear_scheduler();
-        drop(guard);
-        let mut violations = checker.take_violations();
+        let mut violations = sc.rt.sanitize_take_violations();
         if mismatches > 0 {
-            violations.push(LifecycleViolation {
+            violations.push(Violation {
                 code: "nvme.lifecycle.data-integrity",
                 at_nanos: sc.rt.now().as_nanos(),
                 detail: format!("{mismatches} read-back mismatches under explored schedule"),
@@ -758,7 +758,7 @@ mod tests {
             let c0 = prefix.first().copied().unwrap_or(0);
             let c1 = prefix.get(1).copied().unwrap_or(0);
             let violations = if c1 == 1 {
-                vec![LifecycleViolation {
+                vec![Violation {
                     code: "nvme.lifecycle.double-completion",
                     at_nanos: 7,
                     detail: "synthetic".into(),

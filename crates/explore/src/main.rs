@@ -20,8 +20,11 @@ use explore::{
 use pcie::FaultPlan;
 
 const USAGE: &str = "\
-dnvme-explore: bounded schedule-space exploration with the NVMe
-command-lifecycle conformance oracle checked on every schedule.
+dnvme-explore: bounded schedule-space exploration. Every schedule runs
+armed (simcore::sanitize::arm) and is judged by the whole run-time
+checker: happens-before races and reads racing posted writes (pcie.*),
+doorbell-before-SQE, CQ-overwrite and bounce-overlap (nvme.*, dnvme.*),
+the NVMe command-lifecycle FSM (nvme.lifecycle.*), and read-back data.
 
 usage: dnvme-explore [target] [bounds] [--replay TOKEN]
 
@@ -223,7 +226,7 @@ fn report(label: &str, res: &ExploreResult) -> bool {
 /// one program — canonical schedule first, then the bounded neighborhood
 /// around its choice points — instead of being spread blind across the
 /// scenario matrix. Returns `Ok(false)` (exit 1) iff a hypothesis was
-/// confirmed by an actual lifecycle violation.
+/// confirmed by an actual violation.
 fn run_hints(path: &str, cfg: &ExploreConfig) -> Result<bool, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read hints {path}: {e}"))?;

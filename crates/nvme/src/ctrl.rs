@@ -307,7 +307,7 @@ impl NvmeController {
         self.inflight.borrow_mut().clear();
         self.error_log.borrow_mut().clear();
         self.stats.borrow_mut().resets += 1;
-        crate::oracle::emit(crate::oracle::Event::ControllerReset);
+        crate::oracle::emit(&self.fabric(), crate::oracle::Event::ControllerReset);
     }
 
     fn record_error(&self, sqid: u16, cid: u16, status: Status, lba: Option<u64>) {
@@ -414,11 +414,14 @@ impl NvmeController {
                 sq.borrow_mut().head = new_head;
                 self.stats.borrow_mut().commands_fetched += 1;
                 let sqe = SqEntry::decode(&raw);
-                crate::oracle::emit(crate::oracle::Event::CmdFetched {
-                    qid,
-                    cid: sqe.cid,
-                    slot: head,
-                });
+                crate::oracle::emit(
+                    &fabric,
+                    crate::oracle::Event::CmdFetched {
+                        qid,
+                        cid: sqe.cid,
+                        slot: head,
+                    },
+                );
                 self.handle.sleep(self.config.cmd_overhead).await;
                 let permit = self.exec_sem.acquire().await;
                 if qid == 0 {
@@ -496,13 +499,16 @@ impl NvmeController {
                 space.notified().await;
                 continue;
             }
-            crate::oracle::emit(crate::oracle::Event::CqePosted {
-                qid: sq_id,
-                cid,
-                slot,
-                phase,
-                entries,
-            });
+            crate::oracle::emit(
+                &fabric,
+                crate::oracle::Event::CqePosted {
+                    qid: sq_id,
+                    cid,
+                    slot,
+                    phase,
+                    entries,
+                },
+            );
             if fabric.sanitize_armed() {
                 self.sanitize_cq_post(cqid, slot, phase, base);
             }
@@ -677,7 +683,7 @@ impl NvmeController {
         self.inflight
             .borrow_mut()
             .retain(|(sqid, _), _| *sqid != qid);
-        crate::oracle::emit(crate::oracle::Event::QueueDeleted { qid });
+        crate::oracle::emit(&self.fabric(), crate::oracle::Event::QueueDeleted { qid });
         (0, Status::SUCCESS)
     }
 
@@ -700,7 +706,7 @@ impl NvmeController {
         let mut c = cq.borrow_mut();
         c.alive = false;
         c.space.notify_all();
-        crate::oracle::emit(crate::oracle::Event::QueueDeleted { qid });
+        crate::oracle::emit(&self.fabric(), crate::oracle::Event::QueueDeleted { qid });
         (0, Status::SUCCESS)
     }
 
@@ -715,7 +721,10 @@ impl NvmeController {
         match self.inflight.borrow().get(&(sqid, cid)) {
             Some(flag) => {
                 flag.set(true);
-                crate::oracle::emit(crate::oracle::Event::CmdAborted { qid: sqid, cid });
+                crate::oracle::emit(
+                    &self.fabric(),
+                    crate::oracle::Event::CmdAborted { qid: sqid, cid },
+                );
                 (0, Status::SUCCESS)
             }
             None => (1, Status::SUCCESS),

@@ -152,7 +152,6 @@ impl AdminQueue {
             EngineConfig {
                 queue_depth: 1,
                 coalesce_limit: 1,
-                aggregate_window: SimDuration::ZERO,
                 ..EngineConfig::default()
             },
         );

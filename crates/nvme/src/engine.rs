@@ -21,13 +21,14 @@
 //! * CQ head doorbells are already coalesced per drain (one MMIO per
 //!   completion sweep, however many CQEs it reaped); the engine counts
 //!   them, and counts ring failures instead of discarding them.
-//! * Per-qpair [`QpairStats`] feed `ClientStats` and the cluster-level
-//!   benchmark reports.
+//! * Per-qpair [`QpairStats`] feed the drivers' `qpair_stats()` and the
+//!   cluster-level benchmark reports.
 //!
-//! The run-time checker hooks are unaffected: the engine still reaches the
-//! fabric through its private submission ring (`engine/sq.rs`) and
-//! [`CqRing`], so doorbell-before-SQE ordering and CQ phase discipline are
-//! checked exactly as before, one layer down.
+//! The run-time checker sees every engine: it reaches the fabric through
+//! its private submission ring (`engine/sq.rs`) and [`CqRing`], which
+//! carry the queue id they were built with, so doorbell-before-SQE
+//! ordering, CQ phase discipline and the command lifecycle
+//! ([`crate::oracle`]) are checked one layer down, on any armed runtime.
 //!
 //! The submission ring is nameable only from this module, so "all
 //! submission goes through the engine" is a compile-time fact. The
@@ -52,7 +53,7 @@ use std::rc::Rc;
 use blklayer::BioError;
 use pcie::{DomainAddr, Fabric, MemRegion};
 use simcore::sync::{oneshot, Notify, Permit, Semaphore};
-use simcore::{Handle, SimDuration, SimTime};
+use simcore::{Handle, SimDuration};
 
 use self::sq::SqRing;
 use crate::queue::CqRing;
@@ -126,10 +127,6 @@ pub type EngineResult = Result<CqEntry, EngineError>;
 struct TagTable {
     slots: Vec<Option<oneshot::Sender<EngineResult>>>,
     free: Vec<u16>,
-    /// Submission instant per registered cid — the raw material for
-    /// [`QpairStats::oldest_pending_age`]. Cleared on completion and on
-    /// tag drop, so an entry here means "a waiter is still pending".
-    since: Vec<Option<SimTime>>,
 }
 
 /// A reserved command identifier. Dropping the tag returns the cid to the
@@ -152,7 +149,6 @@ impl Drop for Tag {
     fn drop(&mut self) {
         let mut t = self.table.borrow_mut();
         t.slots[self.cid as usize] = None;
-        t.since[self.cid as usize] = None;
         t.free.push(self.cid);
     }
 }
@@ -177,7 +173,6 @@ impl TagSet {
             table: Rc::new(RefCell::new(TagTable {
                 slots: (0..depth).map(|_| None).collect(),
                 free: (0..depth as u16).rev().collect(),
-                since: vec![None; depth],
             })),
         }
     }
@@ -216,25 +211,15 @@ impl TagSet {
         rx
     }
 
-    /// [`TagSet::register`], additionally recording `now` as the
-    /// submission instant so the command shows up in pending-age stats.
-    pub fn register_at(&self, tag: &Tag, now: SimTime) -> oneshot::Receiver<EngineResult> {
-        let rx = self.register(tag);
-        self.table.borrow_mut().since[tag.cid as usize] = Some(now);
-        rx
-    }
-
     /// Deliver `result` to the waiter registered on `cid`. Returns false
     /// when no waiter is registered (stale or duplicate completion).
     pub fn complete(&self, cid: u16, result: EngineResult) -> bool {
-        let tx = {
-            let mut t = self.table.borrow_mut();
-            let tx = t.slots.get_mut(cid as usize).and_then(Option::take);
-            if tx.is_some() {
-                t.since[cid as usize] = None;
-            }
-            tx
-        };
+        let tx = self
+            .table
+            .borrow_mut()
+            .slots
+            .get_mut(cid as usize)
+            .and_then(Option::take);
         match tx {
             Some(tx) => {
                 tx.send(result);
@@ -242,19 +227,6 @@ impl TagSet {
             }
             None => false,
         }
-    }
-
-    /// Earliest recorded submission instant among registered cids that
-    /// `pred` accepts (the engine filters by queue-pair stripe).
-    fn oldest_since_where(&self, pred: impl Fn(u16) -> bool) -> Option<SimTime> {
-        self.table
-            .borrow()
-            .since
-            .iter()
-            .enumerate()
-            .filter(|(cid, _)| pred(*cid as u16))
-            .filter_map(|(_, s)| *s)
-            .min()
     }
 
     /// Cids with a registered completion slot, for recovery sweeps.
@@ -301,14 +273,6 @@ pub struct EngineConfig {
     /// command (the pre-engine behaviour); larger values coalesce bursts
     /// while bounding how long the first SQE of a batch waits.
     pub coalesce_limit: usize,
-    /// Adaptive completion aggregation (the engine's analog of NVMe
-    /// interrupt coalescing): when **more than one** tag is in flight, the
-    /// completion service holds its drain sweep open this long so
-    /// neighbouring CQEs — and therefore their waiters' resubmissions —
-    /// batch under one doorbell each way. With a single tag in flight the
-    /// window never engages, so queue-depth-1 latency is untouched.
-    /// `SimDuration::ZERO` disables aggregation entirely.
-    pub aggregate_window: SimDuration,
     /// Per-command completion deadline — rung 1 of the recovery ladder.
     /// `None` (the default) keeps the old unbounded wait. When set,
     /// [`IoEngine::issue`] re-rings the SQ tail doorbell on each expiry
@@ -323,7 +287,6 @@ impl Default for EngineConfig {
         EngineConfig {
             queue_depth: 32,
             coalesce_limit: DEFAULT_COALESCE_LIMIT,
-            aggregate_window: DEFAULT_AGGREGATE_WINDOW,
             cmd_timeout: None,
         }
     }
@@ -336,10 +299,15 @@ pub const MAX_RETRIES: u32 = 2;
 /// Default doorbell-coalesce limit used by the driver stacks.
 pub const DEFAULT_COALESCE_LIMIT: usize = 32;
 
-/// Default completion-aggregation window. Sized to span a few
+/// Adaptive completion aggregation (the engine's analog of NVMe interrupt
+/// coalescing): when **more than one** tag is in flight, the completion
+/// service holds its drain sweep open this long so neighbouring CQEs — and
+/// therefore their waiters' resubmissions — batch under one doorbell each
+/// way. With a single tag in flight the window never engages, so
+/// queue-depth-1 latency is untouched. Sized to span a few
 /// inter-completion gaps of a saturated low-latency device (~1.3 µs on the
 /// Optane profile) without stretching at-depth latency noticeably.
-pub const DEFAULT_AGGREGATE_WINDOW: SimDuration = SimDuration::from_micros(4);
+pub const AGGREGATE_WINDOW: SimDuration = SimDuration::from_micros(4);
 
 /// Everything the engine needs to operate one queue pair. The engine
 /// constructs the rings itself — callers cannot name the submission ring
@@ -386,19 +354,14 @@ pub struct QpairStats {
     pub doorbell_errors: u64,
     /// SQE ring-write failures (waiter receives the typed error).
     pub push_errors: u64,
-    /// Deadline expiries that triggered a doorbell re-ring retry.
-    pub timeout_retries: u64,
     /// Commands abandoned after the retry budget: their waiters received
     /// [`EngineError::Timeout`].
     pub timeouts: u64,
-    /// Age of the oldest still-pending command at snapshot time. A
-    /// gauge, not a counter — [`QpairStats::absorb`] takes the max.
-    pub oldest_pending_age: SimDuration,
 }
 
 impl QpairStats {
-    /// Fold another counter set into this one (`max_batch` and
-    /// `oldest_pending_age` take the max, everything else sums).
+    /// Fold another counter set into this one (`max_batch` takes the max,
+    /// everything else sums).
     pub fn absorb(&mut self, other: &QpairStats) {
         self.sqes_submitted += other.sqes_submitted;
         self.sq_doorbells += other.sq_doorbells;
@@ -408,9 +371,7 @@ impl QpairStats {
         self.cq_doorbells += other.cq_doorbells;
         self.doorbell_errors += other.doorbell_errors;
         self.push_errors += other.push_errors;
-        self.timeout_retries += other.timeout_retries;
         self.timeouts += other.timeouts;
-        self.oldest_pending_age = self.oldest_pending_age.max(other.oldest_pending_age);
     }
 }
 
@@ -488,15 +449,20 @@ impl IoEngine {
                 cfg.queue_depth,
                 spec.entries - 1
             );
-            let sq = SqRing::new(fabric, spec.sq_ring, spec.sq_doorbell, spec.entries);
+            let sq = SqRing::new(
+                fabric,
+                spec.qid,
+                spec.sq_ring,
+                spec.sq_doorbell,
+                spec.entries,
+            );
             let cq = Rc::new(CqRing::new(
                 fabric,
+                spec.qid,
                 spec.cq_ring,
                 spec.cq_doorbell,
                 spec.entries,
             ));
-            sq.set_oracle_qid(spec.qid);
-            cq.set_oracle_qid(spec.qid);
             qpairs.push(EngineQpair {
                 qid: spec.qid,
                 sq,
@@ -549,38 +515,15 @@ impl IoEngine {
         &self.qpairs[cid as usize % self.qpairs.len()]
     }
 
-    /// Counter snapshot across all queue pairs, with each qpair's
-    /// `oldest_pending_age` computed against the current sim time.
+    /// Counter snapshot across all queue pairs.
     pub fn stats(&self) -> EngineStats {
-        let now = self.handle.now();
-        let stripe = self.qpairs.len();
         EngineStats {
             qpairs: self
                 .qpairs
                 .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let mut s = q.stats.borrow().clone();
-                    s.oldest_pending_age = self
-                        .tags
-                        .oldest_since_where(|cid| cid as usize % stripe == i)
-                        .map(|t| now.since(t))
-                        .unwrap_or(SimDuration::ZERO);
-                    (q.qid, s)
-                })
+                .map(|q| (q.qid, q.stats.borrow().clone()))
                 .collect(),
         }
-    }
-
-    /// Age of the oldest pending command across all queue pairs — the
-    /// liveness gauge fault scenarios assert on (a healthy engine keeps
-    /// this bounded by the device's service time).
-    pub fn oldest_pending_age(&self) -> SimDuration {
-        let now = self.handle.now();
-        self.tags
-            .oldest_since_where(|_| true)
-            .map(|t| now.since(t))
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Summed counter snapshot.
@@ -594,7 +537,7 @@ impl IoEngine {
     /// the tag.
     pub async fn issue(&self, tag: &Tag, sqe: SqEntry) -> EngineResult {
         debug_assert_eq!(tag.cid(), sqe.cid, "SQE cid must match the reserved tag");
-        let mut rx = self.tags.register_at(tag, self.handle.now());
+        let mut rx = self.tags.register(tag);
         let qp = self.qp_for(sqe.cid);
         self.submit(qp, sqe).await;
         let Some(base) = self.cfg.cmd_timeout else {
@@ -618,7 +561,6 @@ impl IoEngine {
                     if attempt == MAX_RETRIES {
                         break;
                     }
-                    qp.stats.borrow_mut().timeout_retries += 1;
                     if qp.sq.ring().await.is_err() {
                         qp.stats.borrow_mut().doorbell_errors += 1;
                     }
@@ -738,8 +680,8 @@ impl IoEngine {
             // Adaptive aggregation: with multiple commands in flight, hold
             // the sweep open so the completions arriving on the heels of
             // this one — and the resubmissions they trigger — batch.
-            if !self.cfg.aggregate_window.is_zero() && self.tags.in_flight() > 1 {
-                self.handle.sleep(self.cfg.aggregate_window).await;
+            if self.tags.in_flight() > 1 {
+                self.handle.sleep(AGGREGATE_WINDOW).await;
             }
             let mut reaped = 0u64;
             if let Some(cqe) = held {

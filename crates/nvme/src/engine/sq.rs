@@ -21,6 +21,9 @@ use crate::spec::command::{SqEntry, SQE_SIZE};
 /// Driver-side submission queue.
 pub(super) struct SqRing {
     fabric: Fabric,
+    /// Controller-side queue id, the key the lifecycle oracle
+    /// ([`crate::oracle`]) tracks this ring under.
+    qid: u16,
     /// Address the *driver's* CPU uses to write entries (may be remote via
     /// an NTB window).
     ring: MemRegion,
@@ -35,15 +38,13 @@ pub(super) struct SqRing {
     /// Entries pushed but not yet retired by a completion — the exact
     /// occupancy, unaffected by out-of-order head snapshots.
     outstanding: Cell<u16>,
-    /// When set, ring operations feed the lifecycle conformance oracle
-    /// under this queue id (see [`crate::oracle`]).
-    oracle_qid: Cell<Option<u16>>,
 }
 
 impl SqRing {
-    /// A ring over `ring` with its doorbell at `doorbell`.
+    /// SQ `qid`: a ring over `ring` with its doorbell at `doorbell`.
     pub(super) fn new(
         fabric: &Fabric,
+        qid: u16,
         ring: MemRegion,
         doorbell: DomainAddr,
         entries: u16,
@@ -54,19 +55,14 @@ impl SqRing {
         );
         SqRing {
             fabric: fabric.clone(),
+            qid,
             ring,
             doorbell,
             entries,
             tail: Cell::new(0),
             head: Cell::new(0),
             outstanding: Cell::new(0),
-            oracle_qid: Cell::new(None),
         }
-    }
-
-    /// Report this ring's operations to the lifecycle oracle as SQ `qid`.
-    pub(super) fn set_oracle_qid(&self, qid: u16) {
-        self.oracle_qid.set(Some(qid));
     }
 
     /// Whether no slot is free (a ring holds `entries - 1` commands).
@@ -96,40 +92,43 @@ impl SqRing {
     /// Does not ring the doorbell — batch then [`SqRing::ring`].
     pub(super) async fn push(&self, sqe: &SqEntry) -> pcie::Result<()> {
         assert!(!self.is_full(), "pushed into full SQ");
-        self.outstanding.set(self.outstanding.get() + 1);
         let tail = self.tail.get();
         let slot_addr = self.ring.addr.offset(tail as u64 * SQE_SIZE as u64);
-        self.tail.set((tail + 1) % self.entries);
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::SqeWritten {
-                qid,
-                cid: sqe.cid,
-                slot: tail,
-                entries: self.entries,
-            });
-        }
         self.fabric
             .cpu_write(self.ring.host, slot_addr, &sqe.encode())
             .await?;
+        // The slot is taken, and reported, once the fabric has accepted
+        // the store: a refused one (severed link) wrote nothing the
+        // controller could fetch and must not eat ring capacity.
+        self.tail.set((tail + 1) % self.entries);
+        self.outstanding.set(self.outstanding.get() + 1);
+        oracle::emit(
+            &self.fabric,
+            oracle::Event::SqeWritten {
+                qid: self.qid,
+                cid: sqe.cid,
+                slot: tail,
+                entries: self.entries,
+            },
+        );
         Ok(())
     }
 
     /// Ring the tail doorbell (posted 4-byte MMIO write).
     pub(super) async fn ring(&self) -> pcie::Result<()> {
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::SqDoorbell {
-                qid,
-                tail: self.tail.get(),
-                entries: self.entries,
-            });
-        }
+        let tail = self.tail.get();
         self.fabric
-            .cpu_write_u32(
-                self.doorbell.host,
-                self.doorbell.addr,
-                self.tail.get() as u32,
-            )
-            .await
+            .cpu_write_u32(self.doorbell.host, self.doorbell.addr, tail as u32)
+            .await?;
+        oracle::emit(
+            &self.fabric,
+            oracle::Event::SqDoorbell {
+                qid: self.qid,
+                tail,
+                entries: self.entries,
+            },
+        );
+        Ok(())
     }
 }
 
@@ -151,7 +150,7 @@ mod tests {
         let (rt, fabric, host) = setup();
         let ring = fabric.alloc(host, 4 * SQE_SIZE as u64).unwrap();
         let db = DomainAddr::new(host, ring.addr); // fake doorbell target in DRAM
-        let sq = SqRing::new(&fabric, ring, db, 4);
+        let sq = SqRing::new(&fabric, 1, ring, db, 4);
         assert_eq!(sq.outstanding.get(), 0);
         rt.block_on(async move {
             for i in 0..3u16 {
@@ -175,7 +174,7 @@ mod tests {
         let (rt, fabric, host) = setup();
         let ring = fabric.alloc(host, 4 * SQE_SIZE as u64).unwrap();
         let db = DomainAddr::new(host, ring.addr);
-        let sq = SqRing::new(&fabric, ring, db, 4);
+        let sq = SqRing::new(&fabric, 1, ring, db, 4);
         rt.block_on(async move {
             for i in 0..4u16 {
                 sq.push(&SqEntry::flush(i, 1)).await.unwrap();

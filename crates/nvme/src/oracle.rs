@@ -17,11 +17,12 @@
 //! fetched the previous occupant, and doorbells that regress or expose
 //! unwritten slots.
 //!
-//! The oracle is passive and allocation-free when not installed: emitters
-//! call [`emit`] unconditionally, and the thread-local check is the only
-//! cost on the canonical path. The schedule explorer (`dnvme-explore`)
-//! installs one oracle per explored schedule; tests install one around a
-//! seeded-buggy driver to prove the bug class is caught.
+//! The oracle is one consumer of the run-time checker: emitters call
+//! [`emit`] unconditionally, which is one bool test on a runtime not built
+//! under `simcore::sanitize::arm`. Armed, the FSM's state lives in the
+//! runtime's checker slot and every violation goes to the runtime's one
+//! log (`nvme.lifecycle.*` codes) beside the race detector's and the
+//! protocol checks'.
 //!
 //! Queue identifiers: this codebase (like the paper's prototype) pairs SQ
 //! *n* with CQ *n*, so one `qid` keys both directions of a qpair.
@@ -30,11 +31,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use simcore::Handle;
-
-/// One protocol violation detected by the oracle: the workspace's one
-/// violation record, with a stable `nvme.lifecycle.*` code.
-pub use simcore::Violation as LifecycleViolation;
+use pcie::Fabric;
 
 /// Everything the oracle can observe. `entries` rides along on ring events
 /// so the oracle needs no out-of-band queue registration.
@@ -133,50 +130,39 @@ struct OracleState {
     cq_poster: HashMap<u16, CqPoster>,
     /// (qid, cid) → lifecycle record.
     cmds: HashMap<(u16, u16), CmdRec>,
-    violations: Vec<LifecycleViolation>,
 }
 
-/// The conformance oracle. Create one per checked run, [`install`] it, run
-/// the workload, then read [`LifecycleOracle::violations`].
-pub struct LifecycleOracle {
-    handle: Handle,
-    state: RefCell<OracleState>,
+/// Where the FSM lives: the armed runtime's checker slot.
+type Slot = Rc<RefCell<OracleState>>;
+
+/// Feed one event to the lifecycle FSM of `fabric`'s runtime (no-op unless
+/// that runtime is armed).
+pub fn emit(fabric: &Fabric, ev: Event) {
+    if !fabric.sanitize_armed() {
+        return;
+    }
+    let handle = fabric.handle();
+    let state: Slot = handle.sanitize_slot().expect("an armed runtime has a slot");
+    let report = |code: &'static str, detail: String| handle.sanitize_report(code, detail);
+    state.borrow_mut().on_event(ev, report);
 }
 
-impl LifecycleOracle {
-    /// A fresh oracle tracking time through `handle`.
-    pub fn new(handle: Handle) -> Rc<Self> {
-        Rc::new(LifecycleOracle {
-            handle,
-            state: RefCell::new(OracleState::default()),
-        })
-    }
+/// Number of commands currently tracked mid-lifecycle (diagnostic); `None`
+/// on a runtime that is not armed, where no FSM state exists.
+pub fn in_flight(fabric: &Fabric) -> Option<usize> {
+    let state: Option<Slot> = fabric.handle().sanitize_slot();
+    state.map(|s| s.borrow().cmds.len())
+}
 
-    /// Violations recorded so far.
-    pub fn violations(&self) -> Vec<LifecycleViolation> {
-        self.state.borrow().violations.clone()
-    }
+/// The slot after `slot` on an `entries`-deep ring, with the phase tag
+/// flipped when the walk wraps.
+fn ring_next(slot: u16, phase: bool, entries: u16) -> (u16, bool) {
+    let next = (slot + 1) % entries;
+    (next, phase ^ (next == 0))
+}
 
-    /// Drain the recorded violations.
-    pub fn take_violations(&self) -> Vec<LifecycleViolation> {
-        std::mem::take(&mut self.state.borrow_mut().violations)
-    }
-
-    /// Number of commands currently tracked mid-lifecycle (diagnostic).
-    pub fn in_flight(&self) -> usize {
-        self.state.borrow().cmds.len()
-    }
-
-    fn report(&self, st: &mut OracleState, code: &'static str, detail: String) {
-        st.violations.push(LifecycleViolation {
-            code,
-            at_nanos: self.handle.now().as_nanos(),
-            detail,
-        });
-    }
-
-    fn on_event(&self, ev: Event) {
-        let mut st = self.state.borrow_mut();
+impl OracleState {
+    fn on_event(&mut self, ev: Event, report: impl Fn(&'static str, String)) {
         match ev {
             Event::SqeWritten {
                 qid,
@@ -184,70 +170,67 @@ impl LifecycleOracle {
                 slot,
                 entries,
             } => {
-                let sq = st.sqs.entry(qid).or_insert_with(|| SqTrack {
+                let sq = self.sqs.entry(qid).or_insert_with(|| SqTrack {
                     entries,
                     last_tail: None,
                     unexposed: VecDeque::new(),
                     slot_owner: HashMap::new(),
                 });
-                if let Some(&owner) = sq.slot_owner.get(&slot) {
-                    let detail = format!(
-                        "SQ {qid} slot {slot}: SQE for cid {cid} overwrites cid {owner} \
-                         before the controller fetched it"
+                if let Some(owner) = sq.slot_owner.insert(slot, cid) {
+                    report(
+                        "nvme.lifecycle.slot-reuse",
+                        format!(
+                            "SQ {qid} slot {slot}: SQE for cid {cid} overwrites cid {owner} \
+                             before the controller fetched it"
+                        ),
                     );
-                    self.report(&mut st, "nvme.lifecycle.slot-reuse", detail);
                 }
-                let sq = st.sqs.get_mut(&qid).expect("sq just inserted");
-                sq.slot_owner.insert(slot, cid);
                 sq.unexposed.push_back(cid);
-                if let Some(prev) = st.cmds.insert(
-                    (qid, cid),
-                    CmdRec {
-                        state: CmdState::Written,
-                        slot,
-                        aborted: false,
-                    },
-                ) {
-                    let detail = format!(
-                        "SQ {qid} cid {cid} resubmitted while still {:?}",
-                        prev.state
+                let rec = CmdRec {
+                    state: CmdState::Written,
+                    slot,
+                    aborted: false,
+                };
+                if let Some(prev) = self.cmds.insert((qid, cid), rec) {
+                    report(
+                        "nvme.lifecycle.cid-reuse",
+                        format!(
+                            "SQ {qid} cid {cid} resubmitted while still {:?}",
+                            prev.state
+                        ),
                     );
-                    self.report(&mut st, "nvme.lifecycle.cid-reuse", detail);
                 }
             }
             Event::SqDoorbell { qid, tail, entries } => {
-                let Some(sq) = st.sqs.get_mut(&qid) else {
+                let Some(sq) = self.sqs.get_mut(&qid) else {
                     return;
                 };
                 let entries = if sq.entries != 0 { sq.entries } else { entries };
                 let advance = match sq.last_tail {
-                    Some(prev) => (tail.wrapping_sub(prev)) % entries,
+                    // Distance walked round the ring; `wrapping_sub` on the
+                    // raw u16s is only right when `entries` divides 65 536.
+                    Some(prev) => {
+                        (i32::from(tail) - i32::from(prev)).rem_euclid(i32::from(entries)) as usize
+                    }
                     // First observed doorbell exposes everything written
                     // so far (the mirror attached mid-stream).
-                    None => sq.unexposed.len() as u16,
+                    None => sq.unexposed.len(),
                 };
                 sq.last_tail = Some(tail);
-                if advance as usize > sq.unexposed.len() {
-                    let detail = format!(
-                        "SQ {qid} doorbell={tail} exposes {advance} slots but only {} \
-                         SQEs were written since the last ring (regressed or \
-                         exposed unwritten slots)",
-                        sq.unexposed.len()
+                if advance > sq.unexposed.len() {
+                    report(
+                        "nvme.lifecycle.doorbell-regression",
+                        format!(
+                            "SQ {qid} doorbell={tail} exposes {advance} slots but only {} \
+                             SQEs were written since the last ring (regressed or \
+                             exposed unwritten slots)",
+                            sq.unexposed.len()
+                        ),
                     );
-                    self.report(&mut st, "nvme.lifecycle.doorbell-regression", detail);
                     return;
                 }
-                let mut exposed = Vec::new();
-                {
-                    let sq = st.sqs.get_mut(&qid).expect("sq tracked");
-                    for _ in 0..advance {
-                        if let Some(cid) = sq.unexposed.pop_front() {
-                            exposed.push(cid);
-                        }
-                    }
-                }
-                for cid in exposed {
-                    if let Some(cmd) = st.cmds.get_mut(&(qid, cid)) {
+                for cid in sq.unexposed.drain(..advance) {
+                    if let Some(cmd) = self.cmds.get_mut(&(qid, cid)) {
                         if cmd.state == CmdState::Written {
                             cmd.state = CmdState::Exposed;
                         }
@@ -255,48 +238,43 @@ impl LifecycleOracle {
                 }
             }
             Event::CmdFetched { qid, cid, slot } => {
-                if !st.sqs.contains_key(&qid) {
-                    return; // untracked queue (e.g. admin bring-up)
-                }
-                match st.cmds.get_mut(&(qid, cid)) {
-                    Some(cmd) => {
-                        if cmd.slot != slot {
-                            let wrote = cmd.slot;
-                            let detail = format!(
-                                "SQ {qid} cid {cid}: fetched from slot {slot} but the SQE \
-                                 was stored in slot {wrote}"
-                            );
-                            self.report(&mut st, "nvme.lifecycle.fetch-before-doorbell", detail);
-                            return;
-                        }
-                        match cmd.state {
-                            CmdState::Exposed => cmd.state = CmdState::Fetched,
-                            CmdState::Written => {
-                                let detail = format!(
-                                    "SQ {qid} cid {cid}: fetched from slot {slot} before \
-                                     any doorbell exposed it"
-                                );
-                                self.report(
-                                    &mut st,
-                                    "nvme.lifecycle.fetch-before-doorbell",
-                                    detail,
-                                );
-                            }
-                            _ => {}
-                        }
-                        if let Some(sq) = st.sqs.get_mut(&qid) {
-                            if sq.slot_owner.get(&slot) == Some(&cid) {
-                                sq.slot_owner.remove(&slot);
-                            }
-                        }
-                    }
-                    None => {
-                        let detail = format!(
+                let Some(sq) = self.sqs.get_mut(&qid) else {
+                    return; // untracked queue (e.g. raw-register bring-up)
+                };
+                let Some(cmd) = self.cmds.get_mut(&(qid, cid)) else {
+                    report(
+                        "nvme.lifecycle.fetch-before-doorbell",
+                        format!(
                             "SQ {qid}: controller fetched slot {slot} (cid {cid}) but no \
                              SQE store was observed there"
-                        );
-                        self.report(&mut st, "nvme.lifecycle.fetch-before-doorbell", detail);
-                    }
+                        ),
+                    );
+                    return;
+                };
+                if cmd.slot != slot {
+                    report(
+                        "nvme.lifecycle.fetch-before-doorbell",
+                        format!(
+                            "SQ {qid} cid {cid}: fetched from slot {slot} but the SQE \
+                             was stored in slot {}",
+                            cmd.slot
+                        ),
+                    );
+                    return;
+                }
+                match cmd.state {
+                    CmdState::Exposed => cmd.state = CmdState::Fetched,
+                    CmdState::Written => report(
+                        "nvme.lifecycle.fetch-before-doorbell",
+                        format!(
+                            "SQ {qid} cid {cid}: fetched from slot {slot} before \
+                             any doorbell exposed it"
+                        ),
+                    ),
+                    _ => {}
+                }
+                if sq.slot_owner.get(&slot) == Some(&cid) {
+                    sq.slot_owner.remove(&slot);
                 }
             }
             Event::CqePosted {
@@ -306,64 +284,52 @@ impl LifecycleOracle {
                 phase,
                 entries,
             } => {
-                if !st.sqs.contains_key(&qid) {
+                if !self.sqs.contains_key(&qid) {
                     return;
                 }
                 // Device-side ring mirror: posts must walk slots in order,
                 // flipping the phase tag on wrap.
-                match st.cq_poster.get_mut(&qid) {
-                    Some(p) => {
-                        if slot != p.tail || phase != p.phase {
-                            let detail = format!(
-                                "CQ {qid}: CQE for cid {cid} posted at slot {slot} \
-                                 phase {} but the ring's next post is slot {} phase {}",
-                                u8::from(phase),
-                                p.tail,
-                                u8::from(p.phase)
-                            );
-                            self.report(&mut st, "nvme.lifecycle.cq-phase", detail);
-                        } else {
-                            p.tail = (p.tail + 1) % entries;
-                            if p.tail == 0 {
-                                p.phase = !p.phase;
-                            }
-                        }
-                    }
-                    None => {
-                        // Adopt the first observed post as the ring state.
-                        let mut tail = (slot + 1) % entries;
-                        let mut ph = phase;
-                        if tail == 0 {
-                            ph = !ph;
-                            tail = 0;
-                        }
-                        st.cq_poster.insert(qid, CqPoster { tail, phase: ph });
+                match self.cq_poster.get_mut(&qid) {
+                    Some(p) if slot != p.tail || phase != p.phase => report(
+                        "nvme.lifecycle.cq-phase",
+                        format!(
+                            "CQ {qid}: CQE for cid {cid} posted at slot {slot} \
+                             phase {} but the ring's next post is slot {} phase {}",
+                            u8::from(phase),
+                            p.tail,
+                            u8::from(p.phase)
+                        ),
+                    ),
+                    // In step — or the first observed post, adopted as the
+                    // ring state.
+                    _ => {
+                        let (tail, phase) = ring_next(slot, phase, entries);
+                        self.cq_poster.insert(qid, CqPoster { tail, phase });
                     }
                 }
-                match st.cmds.get_mut(&(qid, cid)) {
+                match self.cmds.get_mut(&(qid, cid)) {
                     Some(cmd) => match cmd.state {
                         CmdState::Fetched => cmd.state = CmdState::Completed { phase },
-                        CmdState::Completed { .. } => {
-                            let detail =
-                                format!("CQ {qid}: second CQE posted for cid {cid} (slot {slot})");
-                            self.report(&mut st, "nvme.lifecycle.double-completion", detail);
-                        }
-                        CmdState::Written | CmdState::Exposed => {
-                            let detail = format!(
+                        CmdState::Completed { .. } => report(
+                            "nvme.lifecycle.double-completion",
+                            format!("CQ {qid}: second CQE posted for cid {cid} (slot {slot})"),
+                        ),
+                        CmdState::Written | CmdState::Exposed => report(
+                            "nvme.lifecycle.completion-before-fetch",
+                            format!(
                                 "CQ {qid}: CQE posted for cid {cid} which was never \
                                  fetched (state {:?})",
                                 cmd.state
-                            );
-                            self.report(&mut st, "nvme.lifecycle.completion-before-fetch", detail);
-                        }
+                            ),
+                        ),
                     },
-                    None => {
-                        let detail = format!(
+                    None => report(
+                        "nvme.lifecycle.double-completion",
+                        format!(
                             "CQ {qid}: CQE posted for unknown cid {cid} (already retired \
                              or never submitted)"
-                        );
-                        self.report(&mut st, "nvme.lifecycle.double-completion", detail);
-                    }
+                        ),
+                    ),
                 }
             }
             Event::CqeConsumed {
@@ -373,91 +339,95 @@ impl LifecycleOracle {
                 phase,
                 entries,
             } => {
-                if !st.sqs.contains_key(&qid) {
+                if !self.sqs.contains_key(&qid) {
                     return;
                 }
                 // Consumer mirror: consumption walks slots in order with the
                 // expected phase. Adopt on first observation (mid-stream
                 // attach), check thereafter.
-                if let Some(c) = st.cq_consumer.get_mut(&qid) {
+                if let Some(c) = self.cq_consumer.get(&qid) {
                     if slot != c.head || phase != c.phase {
-                        let detail = format!(
-                            "CQ {qid}: consumed slot {slot} phase {} but the ring \
-                             expects slot {} phase {}",
-                            u8::from(phase),
-                            c.head,
-                            u8::from(c.phase)
+                        report(
+                            "nvme.lifecycle.stale-phase-consume",
+                            format!(
+                                "CQ {qid}: consumed slot {slot} phase {} but the ring \
+                                 expects slot {} phase {}",
+                                u8::from(phase),
+                                c.head,
+                                u8::from(c.phase)
+                            ),
                         );
-                        self.report(&mut st, "nvme.lifecycle.stale-phase-consume", detail);
                     }
                 }
-                let mut head = (slot + 1) % entries;
-                let mut ph = phase;
-                if head == 0 {
-                    ph = !ph;
-                    head = 0;
-                }
-                st.cq_consumer.insert(qid, CqConsumer { head, phase: ph });
-                match st.cmds.remove(&(qid, cid)) {
-                    Some(cmd) => match cmd.state {
-                        CmdState::Completed { phase: posted } => {
-                            if posted != phase {
-                                let detail = format!(
+                let (head, next_phase) = ring_next(slot, phase, entries);
+                let next = CqConsumer {
+                    head,
+                    phase: next_phase,
+                };
+                self.cq_consumer.insert(qid, next);
+                match self.cmds.remove(&(qid, cid)).map(|cmd| cmd.state) {
+                    Some(CmdState::Completed { phase: posted }) => {
+                        if posted != phase {
+                            report(
+                                "nvme.lifecycle.stale-phase-consume",
+                                format!(
                                     "CQ {qid} cid {cid}: consumed with phase {} but the \
                                      CQE was posted with phase {}",
                                     u8::from(phase),
                                     u8::from(posted)
-                                );
-                                self.report(&mut st, "nvme.lifecycle.stale-phase-consume", detail);
-                            }
-                        }
-                        other => {
-                            let detail = format!(
-                                "CQ {qid} cid {cid}: consumed a CQE the controller never \
-                                 posted (command state {other:?} — stale ring contents)"
+                                ),
                             );
-                            self.report(&mut st, "nvme.lifecycle.stale-phase-consume", detail);
                         }
-                    },
-                    None => {
-                        let detail = format!(
+                    }
+                    Some(other) => report(
+                        "nvme.lifecycle.stale-phase-consume",
+                        format!(
+                            "CQ {qid} cid {cid}: consumed a CQE the controller never \
+                             posted (command state {other:?} — stale ring contents)"
+                        ),
+                    ),
+                    None => report(
+                        "nvme.lifecycle.stale-phase-consume",
+                        format!(
                             "CQ {qid}: consumed CQE for cid {cid} with no submitted \
                              command (double consume or stale entry)"
-                        );
-                        self.report(&mut st, "nvme.lifecycle.stale-phase-consume", detail);
-                    }
+                        ),
+                    ),
                 }
             }
             Event::CqHeadDoorbell { qid, head } => {
-                let Some(c) = st.cq_consumer.get(&qid) else {
+                let Some(c) = self.cq_consumer.get(&qid) else {
                     return;
                 };
                 if head != c.head {
-                    let expected = c.head;
-                    let detail = format!(
-                        "CQ {qid}: head doorbell wrote {head} but the consumer has \
-                         advanced to {expected}"
+                    report(
+                        "nvme.lifecycle.cq-doorbell-mismatch",
+                        format!(
+                            "CQ {qid}: head doorbell wrote {head} but the consumer has \
+                             advanced to {}",
+                            c.head
+                        ),
                     );
-                    self.report(&mut st, "nvme.lifecycle.cq-doorbell-mismatch", detail);
                 }
             }
             Event::CmdAborted { qid, cid } => {
                 // Abort for an untracked command is legal: it raced the
                 // completion (or the queue is not mirrored).
-                match st.cmds.get(&(qid, cid)).map(|c| c.state) {
+                match self.cmds.get_mut(&(qid, cid)) {
                     // A controller can only abort a command it has
                     // fetched; claiming to abort one still sitting in the
                     // ring means it peeked past the doorbell.
-                    Some(state @ (CmdState::Written | CmdState::Exposed)) => {
-                        let detail = format!(
+                    Some(CmdRec {
+                        state: state @ (CmdState::Written | CmdState::Exposed),
+                        ..
+                    }) => report(
+                        "nvme.lifecycle.abort-unfetched",
+                        format!(
                             "SQ {qid} cid {cid}: abort accepted for a command the \
                              controller never fetched (state {state:?})"
-                        );
-                        self.report(&mut st, "nvme.lifecycle.abort-unfetched", detail);
-                    }
-                    Some(_) => {
-                        st.cmds.get_mut(&(qid, cid)).expect("cmd tracked").aborted = true;
-                    }
+                        ),
+                    ),
+                    Some(cmd) => cmd.aborted = true,
                     None => {}
                 }
             }
@@ -466,144 +436,136 @@ impl LifecycleOracle {
                 // host abandoned (timed out, aborted, CQE lost in the
                 // fabric) are disposed of with the queue, and a recreate
                 // under the same qid starts a pristine mirror.
-                st.sqs.remove(&qid);
-                st.cq_consumer.remove(&qid);
-                st.cq_poster.remove(&qid);
-                st.cmds.retain(|(q, _), _| *q != qid);
+                self.sqs.remove(&qid);
+                self.cq_consumer.remove(&qid);
+                self.cq_poster.remove(&qid);
+                self.cmds.retain(|(q, _), _| *q != qid);
             }
-            Event::ControllerReset => {
-                st.sqs.clear();
-                st.cq_consumer.clear();
-                st.cq_poster.clear();
-                st.cmds.clear();
-            }
+            Event::ControllerReset => *self = OracleState::default(),
         }
-    }
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<Rc<LifecycleOracle>>> = const { RefCell::new(None) };
-}
-
-/// Uninstalls the oracle (restoring any previously installed one) on drop.
-pub struct OracleGuard {
-    previous: Option<Rc<LifecycleOracle>>,
-}
-
-impl Drop for OracleGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
-    }
-}
-
-/// Install `oracle` as the event sink for this thread until the returned
-/// guard drops.
-#[must_use = "dropping the guard uninstalls the oracle"]
-pub fn install(oracle: Rc<LifecycleOracle>) -> OracleGuard {
-    CURRENT.with(|c| OracleGuard {
-        previous: c.borrow_mut().replace(oracle),
-    })
-}
-
-/// Whether an oracle is currently installed.
-pub fn installed() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
-/// Feed one event to the installed oracle (no-op when none is installed).
-pub fn emit(ev: Event) {
-    let oracle = CURRENT.with(|c| c.borrow().clone());
-    if let Some(o) = oracle {
-        o.on_event(ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcie::FabricParams;
     use simcore::SimRuntime;
 
-    fn walk_clean(qid: u16) {
-        emit(Event::SqeWritten {
-            qid,
-            cid: 1,
-            slot: 0,
-            entries: 4,
-        });
-        emit(Event::SqDoorbell {
-            qid,
-            tail: 1,
-            entries: 4,
-        });
-        emit(Event::CmdFetched {
-            qid,
-            cid: 1,
-            slot: 0,
-        });
-        emit(Event::CqePosted {
-            qid,
-            cid: 1,
-            slot: 0,
-            phase: true,
-            entries: 4,
-        });
-        emit(Event::CqeConsumed {
-            qid,
-            cid: 1,
-            slot: 0,
-            phase: true,
-            entries: 4,
-        });
-        emit(Event::CqHeadDoorbell { qid, head: 1 });
+    /// A runtime (armed or not) and a fabric on it to emit through.
+    fn bed(armed: bool) -> (SimRuntime, Fabric) {
+        let _armed = armed.then(simcore::sanitize::arm);
+        let rt = SimRuntime::new();
+        let fabric = Fabric::new(rt.handle(), FabricParams::default());
+        (rt, fabric)
+    }
+
+    fn walk_clean(fabric: &Fabric, qid: u16) {
+        emit(
+            fabric,
+            Event::SqeWritten {
+                qid,
+                cid: 1,
+                slot: 0,
+                entries: 4,
+            },
+        );
+        emit(
+            fabric,
+            Event::SqDoorbell {
+                qid,
+                tail: 1,
+                entries: 4,
+            },
+        );
+        emit(
+            fabric,
+            Event::CmdFetched {
+                qid,
+                cid: 1,
+                slot: 0,
+            },
+        );
+        emit(
+            fabric,
+            Event::CqePosted {
+                qid,
+                cid: 1,
+                slot: 0,
+                phase: true,
+                entries: 4,
+            },
+        );
+        emit(
+            fabric,
+            Event::CqeConsumed {
+                qid,
+                cid: 1,
+                slot: 0,
+                phase: true,
+                entries: 4,
+            },
+        );
+        emit(fabric, Event::CqHeadDoorbell { qid, head: 1 });
     }
 
     #[test]
     fn clean_lifecycle_records_nothing() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        walk_clean(3);
-        assert!(oracle.violations().is_empty());
-        assert_eq!(oracle.in_flight(), 0);
+        let (rt, fabric) = bed(true);
+        walk_clean(&fabric, 3);
+        assert_eq!(rt.sanitize_violations(), []);
+        assert_eq!(in_flight(&fabric), Some(0));
     }
 
     #[test]
-    fn emit_without_install_is_noop() {
-        assert!(!installed());
-        walk_clean(3); // must not panic
+    fn emit_unarmed_is_noop() {
+        let (rt, fabric) = bed(false);
+        walk_clean(&fabric, 3);
+        assert_eq!(rt.sanitize_violations(), []);
+        assert_eq!(in_flight(&fabric), None, "no FSM state was allocated");
     }
 
     #[test]
     fn double_completion_is_flagged() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        emit(Event::SqeWritten {
-            qid: 1,
-            cid: 9,
-            slot: 0,
-            entries: 8,
-        });
-        emit(Event::SqDoorbell {
-            qid: 1,
-            tail: 1,
-            entries: 8,
-        });
-        emit(Event::CmdFetched {
-            qid: 1,
-            cid: 9,
-            slot: 0,
-        });
-        for slot in 0..2 {
-            emit(Event::CqePosted {
+        let (rt, fabric) = bed(true);
+        emit(
+            &fabric,
+            Event::SqeWritten {
                 qid: 1,
                 cid: 9,
-                slot,
-                phase: true,
+                slot: 0,
                 entries: 8,
-            });
+            },
+        );
+        emit(
+            &fabric,
+            Event::SqDoorbell {
+                qid: 1,
+                tail: 1,
+                entries: 8,
+            },
+        );
+        emit(
+            &fabric,
+            Event::CmdFetched {
+                qid: 1,
+                cid: 9,
+                slot: 0,
+            },
+        );
+        for slot in 0..2 {
+            emit(
+                &fabric,
+                Event::CqePosted {
+                    qid: 1,
+                    cid: 9,
+                    slot,
+                    phase: true,
+                    entries: 8,
+                },
+            );
         }
-        let v = oracle.violations();
+        let v = rt.sanitize_violations();
         assert!(
             v.iter()
                 .any(|v| v.code == "nvme.lifecycle.double-completion"),
@@ -613,22 +575,26 @@ mod tests {
 
     #[test]
     fn slot_reuse_before_fetch_is_flagged() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        emit(Event::SqeWritten {
-            qid: 1,
-            cid: 1,
-            slot: 0,
-            entries: 8,
-        });
-        emit(Event::SqeWritten {
-            qid: 1,
-            cid: 2,
-            slot: 0,
-            entries: 8,
-        });
-        let v = oracle.violations();
+        let (rt, fabric) = bed(true);
+        emit(
+            &fabric,
+            Event::SqeWritten {
+                qid: 1,
+                cid: 1,
+                slot: 0,
+                entries: 8,
+            },
+        );
+        emit(
+            &fabric,
+            Event::SqeWritten {
+                qid: 1,
+                cid: 2,
+                slot: 0,
+                entries: 8,
+            },
+        );
+        let v = rt.sanitize_violations();
         assert!(
             v.iter().any(|v| v.code == "nvme.lifecycle.slot-reuse"),
             "{v:?}"
@@ -637,29 +603,36 @@ mod tests {
 
     #[test]
     fn stale_phase_consume_is_flagged() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        emit(Event::SqeWritten {
-            qid: 1,
-            cid: 5,
-            slot: 0,
-            entries: 8,
-        });
-        emit(Event::SqDoorbell {
-            qid: 1,
-            tail: 1,
-            entries: 8,
-        });
+        let (rt, fabric) = bed(true);
+        emit(
+            &fabric,
+            Event::SqeWritten {
+                qid: 1,
+                cid: 5,
+                slot: 0,
+                entries: 8,
+            },
+        );
+        emit(
+            &fabric,
+            Event::SqDoorbell {
+                qid: 1,
+                tail: 1,
+                entries: 8,
+            },
+        );
         // Consume before the controller posted anything: stale ring bytes.
-        emit(Event::CqeConsumed {
-            qid: 1,
-            cid: 5,
-            slot: 0,
-            phase: false,
-            entries: 8,
-        });
-        let v = oracle.violations();
+        emit(
+            &fabric,
+            Event::CqeConsumed {
+                qid: 1,
+                cid: 5,
+                slot: 0,
+                phase: false,
+                entries: 8,
+            },
+        );
+        let v = rt.sanitize_violations();
         assert!(
             v.iter()
                 .any(|v| v.code == "nvme.lifecycle.stale-phase-consume"),
@@ -669,27 +642,34 @@ mod tests {
 
     #[test]
     fn doorbell_regression_is_flagged() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        emit(Event::SqeWritten {
-            qid: 1,
-            cid: 1,
-            slot: 0,
-            entries: 8,
-        });
-        emit(Event::SqDoorbell {
-            qid: 1,
-            tail: 1,
-            entries: 8,
-        });
+        let (rt, fabric) = bed(true);
+        emit(
+            &fabric,
+            Event::SqeWritten {
+                qid: 1,
+                cid: 1,
+                slot: 0,
+                entries: 8,
+            },
+        );
+        emit(
+            &fabric,
+            Event::SqDoorbell {
+                qid: 1,
+                tail: 1,
+                entries: 8,
+            },
+        );
         // Ring claims three more slots with nothing written.
-        emit(Event::SqDoorbell {
-            qid: 1,
-            tail: 4,
-            entries: 8,
-        });
-        let v = oracle.violations();
+        emit(
+            &fabric,
+            Event::SqDoorbell {
+                qid: 1,
+                tail: 4,
+                entries: 8,
+            },
+        );
+        let v = rt.sanitize_violations();
         assert!(
             v.iter()
                 .any(|v| v.code == "nvme.lifecycle.doorbell-regression"),
@@ -697,53 +677,77 @@ mod tests {
         );
     }
 
-    #[test]
-    fn wrapping_lifecycle_stays_clean() {
-        let rt = SimRuntime::new();
-        let oracle = LifecycleOracle::new(rt.handle());
-        let _g = install(oracle.clone());
-        // 2 full laps of a 4-entry qpair: phases flip, slots reuse legally.
-        let entries = 4u16;
+    /// Two full laps of an `entries`-deep qpair, one command at a time:
+    /// phases flip, slots are reused legally.
+    fn two_laps_stay_clean(entries: u16) {
+        let (rt, fabric) = bed(true);
         let mut phase = true;
         for lap in 0..2u16 {
             for slot in 0..entries {
                 let cid = lap * entries + slot;
-                emit(Event::SqeWritten {
-                    qid: 2,
-                    cid,
-                    slot,
-                    entries,
-                });
-                emit(Event::SqDoorbell {
-                    qid: 2,
-                    tail: (slot + 1) % entries,
-                    entries,
-                });
-                emit(Event::CmdFetched { qid: 2, cid, slot });
-                emit(Event::CqePosted {
-                    qid: 2,
-                    cid,
-                    slot,
-                    phase,
-                    entries,
-                });
-                emit(Event::CqeConsumed {
-                    qid: 2,
-                    cid,
-                    slot,
-                    phase,
-                    entries,
-                });
-                emit(Event::CqHeadDoorbell {
-                    qid: 2,
-                    head: (slot + 1) % entries,
-                });
+                emit(
+                    &fabric,
+                    Event::SqeWritten {
+                        qid: 2,
+                        cid,
+                        slot,
+                        entries,
+                    },
+                );
+                emit(
+                    &fabric,
+                    Event::SqDoorbell {
+                        qid: 2,
+                        tail: (slot + 1) % entries,
+                        entries,
+                    },
+                );
+                emit(&fabric, Event::CmdFetched { qid: 2, cid, slot });
+                emit(
+                    &fabric,
+                    Event::CqePosted {
+                        qid: 2,
+                        cid,
+                        slot,
+                        phase,
+                        entries,
+                    },
+                );
+                emit(
+                    &fabric,
+                    Event::CqeConsumed {
+                        qid: 2,
+                        cid,
+                        slot,
+                        phase,
+                        entries,
+                    },
+                );
+                emit(
+                    &fabric,
+                    Event::CqHeadDoorbell {
+                        qid: 2,
+                        head: (slot + 1) % entries,
+                    },
+                );
                 if slot == entries - 1 {
                     phase = !phase;
                 }
             }
         }
-        assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
-        assert_eq!(oracle.in_flight(), 0);
+        assert_eq!(rt.sanitize_violations(), []);
+        assert_eq!(in_flight(&fabric), Some(0));
+    }
+
+    #[test]
+    fn wrapping_lifecycle_stays_clean() {
+        two_laps_stay_clean(4);
+    }
+
+    #[test]
+    fn wrapping_lifecycle_stays_clean_when_entries_do_not_divide_65536() {
+        // NVMe allows any ring size >= 2: on 6 entries the first wrap
+        // (tail 5 -> 0) is an advance of 1, not of (0 - 5) mod 2^16 mod 6.
+        two_laps_stay_clean(6);
     }
 }

@@ -17,19 +17,26 @@ use crate::spec::completion::{CqEntry, CQE_SIZE};
 /// polling host (the paper allocates CQs CPU-side for this reason).
 pub struct CqRing {
     fabric: Fabric,
+    /// Controller-side queue id, the key the lifecycle oracle
+    /// ([`crate::oracle`]) tracks this ring under.
+    qid: u16,
     ring: MemRegion,
     doorbell: DomainAddr,
     entries: u16,
     head: Cell<u16>,
     phase: Cell<bool>,
     watch: WatchHandle,
-    /// When set, consumes feed the lifecycle oracle under this queue id.
-    oracle_qid: Cell<Option<u16>>,
 }
 
 impl CqRing {
-    /// A ring over `ring` with its doorbell at `doorbell`.
-    pub fn new(fabric: &Fabric, ring: MemRegion, doorbell: DomainAddr, entries: u16) -> Self {
+    /// CQ `qid`: a ring over `ring` with its doorbell at `doorbell`.
+    pub fn new(
+        fabric: &Fabric,
+        qid: u16,
+        ring: MemRegion,
+        doorbell: DomainAddr,
+        entries: u16,
+    ) -> Self {
         assert!(
             ring.len >= entries as u64 * CQE_SIZE as u64,
             "CQ ring region too small"
@@ -37,19 +44,14 @@ impl CqRing {
         let watch = fabric.watch(ring.host, ring.addr, entries as u64 * CQE_SIZE as u64);
         CqRing {
             fabric: fabric.clone(),
+            qid,
             ring,
             doorbell,
             entries,
             head: Cell::new(0),
             phase: Cell::new(true),
             watch,
-            oracle_qid: Cell::new(None),
         }
-    }
-
-    /// Report this ring's consumes to the lifecycle oracle as CQ `qid`.
-    pub fn set_oracle_qid(&self, qid: u16) {
-        self.oracle_qid.set(Some(qid));
     }
 
     /// Ring capacity in entries.
@@ -91,15 +93,16 @@ impl CqRing {
         self.fabric
             .sanitize_consume(self.ring.host, slot, CQE_SIZE as u64);
         let cqe = CqEntry::decode(&raw);
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::CqeConsumed {
-                qid,
+        oracle::emit(
+            &self.fabric,
+            oracle::Event::CqeConsumed {
+                qid: self.qid,
                 cid: cqe.cid,
                 slot: head,
                 phase,
                 entries: self.entries,
-            });
-        }
+            },
+        );
         self.advance(head);
         Some(cqe)
     }
@@ -130,12 +133,13 @@ impl CqRing {
 
     /// Ring the CQ head doorbell, releasing consumed slots to the device.
     pub async fn ring_doorbell(&self) -> pcie::Result<()> {
-        if let Some(qid) = self.oracle_qid.get() {
-            oracle::emit(oracle::Event::CqHeadDoorbell {
-                qid,
+        oracle::emit(
+            &self.fabric,
+            oracle::Event::CqHeadDoorbell {
+                qid: self.qid,
                 head: self.head.get(),
-            });
-        }
+            },
+        );
         self.fabric
             .cpu_write_u32(
                 self.doorbell.host,
@@ -165,7 +169,7 @@ mod tests {
         let (rt, fabric, host) = setup();
         let ring = fabric.alloc(host, 2 * CQE_SIZE as u64).unwrap();
         let db = DomainAddr::new(host, ring.addr);
-        let cq = CqRing::new(&fabric, ring, db, 2);
+        let cq = CqRing::new(&fabric, 1, ring, db, 2);
         assert!(cq.try_pop().is_none(), "empty queue must not pop");
         // Simulate the controller posting entries with correct phases.
         let write_cqe = |slot: u16, cid: u16, phase: bool| {
@@ -196,7 +200,7 @@ mod tests {
         let h = rt.handle();
         let ring = fabric.alloc(host, 4 * CQE_SIZE as u64).unwrap();
         let db = DomainAddr::new(host, ring.addr);
-        let cq = CqRing::new(&fabric, ring, db, 4);
+        let cq = CqRing::new(&fabric, 1, ring, db, 4);
         let f2 = fabric.clone();
         let h2 = h.clone();
         // Poster task: writes a CQE at t=5µs.

@@ -138,7 +138,7 @@ proptest! {
         let host = fabric.add_host(16 << 20);
         let ring = fabric.alloc(host, entries as u64 * CQE_SIZE as u64).unwrap();
         let db = DomainAddr::new(host, ring.addr);
-        let cq = CqRing::new(&fabric, ring, db, entries);
+        let cq = CqRing::new(&fabric, 1, ring, db, entries);
         for i in 0..total {
             let slot = i % entries as usize;
             let phase = (i / entries as usize).is_multiple_of(2);

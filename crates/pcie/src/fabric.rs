@@ -235,7 +235,7 @@ impl Fabric {
             mmio_cursor: MMIO_BASE,
         });
         if self.inner.armed {
-            self.inner.hb.borrow_mut().register_host(&self.inner.handle);
+            self.inner.hb.borrow_mut().register_host();
         }
         id
     }
@@ -300,10 +300,7 @@ impl Fabric {
             msi: Vec::new(),
         });
         if self.inner.armed {
-            self.inner
-                .hb
-                .borrow_mut()
-                .register_device(&self.inner.handle);
+            self.inner.hb.borrow_mut().register_device();
         }
         id
     }
@@ -672,22 +669,10 @@ impl Fabric {
         Err(FabricError::TranslationLoop { host, addr })
     }
 
-    /// Resolve and report the final location together with the number of
-    /// switch chips between `origin` and that location.
-    pub fn resolve_with_path(
-        &self,
-        origin: NodeId,
-        host: HostId,
-        addr: PhysAddr,
-        len: u64,
-    ) -> Result<(Location, u32)> {
-        let (loc, chips, _) = self.resolve_with_path_traced(origin, host, addr, len)?;
-        Ok((loc, chips))
-    }
-
-    /// [`resolve_with_path`](Self::resolve_with_path) plus the NTB
-    /// windows the walk crossed, for the fault injector's sever gate.
-    fn resolve_with_path_traced(
+    /// Resolve and report the final location, the number of switch chips
+    /// between `origin` and that location, and the NTB windows the walk
+    /// crossed (for the fault injector's sever gate).
+    fn resolve_with_path(
         &self,
         origin: NodeId,
         host: HostId,
@@ -727,7 +712,7 @@ impl Fabric {
         self.fault_check_issuer(host)?;
         let origin = self.rc_node(host);
         let len = data.len() as u64;
-        let (loc, chips, crossed) = self.resolve_with_path_traced(origin, host, addr, len)?;
+        let (loc, chips, crossed) = self.resolve_with_path(origin, host, addr, len)?;
         if self.fault_gate(host, &crossed, &loc, true)? {
             // Lost at a severed target port: the posted write vanishes,
             // and the issuer (fire-and-forget) never learns.
@@ -764,8 +749,7 @@ impl Fabric {
     pub async fn cpu_read(&self, host: HostId, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
         self.fault_check_issuer(host)?;
         let origin = self.rc_node(host);
-        let (loc, chips, crossed) =
-            self.resolve_with_path_traced(origin, host, addr, buf.len() as u64)?;
+        let (loc, chips, crossed) = self.resolve_with_path(origin, host, addr, buf.len() as u64)?;
         self.fault_gate(host, &crossed, &loc, false)?;
         let p = &self.inner.params;
         let lat = if chips == 0 && matches!(loc, Location::Dram(_)) {
@@ -835,8 +819,7 @@ impl Fabric {
                 .ok_or(FabricError::NoSuchDevice(dev))?;
             (d.node, d.rx.clone(), d.host, d.link_scale)
         };
-        let (loc, chips, crossed) =
-            self.resolve_with_path_traced(origin, host, addr, len as u64)?;
+        let (loc, chips, crossed) = self.resolve_with_path(origin, host, addr, len as u64)?;
         self.fault_gate(host, &crossed, &loc, false)?;
         let p = &self.inner.params;
         rx.occupy(scale_transfer(p.nonposted_transfer(len as u64), scale))
@@ -902,7 +885,7 @@ impl Fabric {
             (d.node, d.tx.clone(), d.host, d.link_scale)
         };
         let len = data.len() as u64;
-        let (loc, chips, crossed) = self.resolve_with_path_traced(origin, host, addr, len)?;
+        let (loc, chips, crossed) = self.resolve_with_path(origin, host, addr, len)?;
         if self.fault_gate(host, &crossed, &loc, true)? {
             return Ok(SimDuration::from_nanos(0));
         }
@@ -1024,10 +1007,7 @@ impl Fabric {
         loop {
             while let Some(d) = self.take_due_delivery() {
                 if let Some(token) = d.hb {
-                    self.inner
-                        .hb
-                        .borrow_mut()
-                        .write_applied(&self.inner.handle, token);
+                    self.inner.hb.borrow_mut().write_applied(token);
                 }
                 self.apply_write(&d.loc, &d.data);
             }
@@ -1099,19 +1079,18 @@ impl Fabric {
     pub fn raise_msi(&self, dev: DeviceId, vector: u16) {
         let (notify, delay) = {
             let mut st = self.inner.state.borrow_mut();
-            let (node, host, entry) = {
+            let (node, entry) = {
                 let d = &st.devices[dev.0 as usize];
                 let entry = d
                     .msi
                     .iter()
                     .find(|(v, _, _)| *v == vector)
                     .map(|(_, h, n)| (*h, n.clone()));
-                (d.node, d.host, entry)
+                (d.node, entry)
             };
             let Some((target, notify)) = entry else {
                 return;
             };
-            let _ = host;
             let rc = st.hosts[target.0 as usize].rc_node;
             let chips = st.topology.chips_between(node, rc).unwrap_or(0);
             (notify, self.inner.params.one_way(chips))
@@ -1284,14 +1263,9 @@ impl Fabric {
     }
 
     fn hb_barrier(&self, from: Agent, to: Agent) {
-        if !self.inner.armed {
-            return;
+        if self.inner.armed {
+            self.inner.hb.borrow_mut().barrier(from, to);
         }
-        let log = self.inner.hb.borrow();
-        let clock = self.inner.handle.sanitize_actor_clock(log.actor_of(from));
-        self.inner
-            .handle
-            .sanitize_actor_join(log.actor_of(to), &clock);
     }
 }
 

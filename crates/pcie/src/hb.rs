@@ -3,8 +3,8 @@
 //! (populated only on a runtime armed with `simcore::sanitize::arm`).
 //!
 //! Every host CPU and every device DMA engine is a happens-before *actor*
-//! with a vector clock held by the simcore sanitizer. The fabric records
-//! each **timed** access (posted `cpu_write`/`dma_write`, non-posted
+//! with a vector clock held here, beside the accesses it stamps. The fabric
+//! records each **timed** access (posted `cpu_write`/`dma_write`, non-posted
 //! `cpu_read`/`dma_read`, and CQ consumes) here, stamped with the issuing
 //! actor's clock. Two accesses to overlapping bytes from different actors,
 //! at least one of them a write, must be ordered by a happens-before edge
@@ -46,7 +46,7 @@
 //! [`Fabric::sanitize_barrier_to_host`]: crate::fabric::Fabric::sanitize_barrier_to_host
 //! [`Fabric::sanitize_barrier_to_device`]: crate::fabric::Fabric::sanitize_barrier_to_device
 
-use simcore::{happens_before, ActorId, Handle};
+use simcore::Handle;
 
 use crate::addr::{DeviceId, HostId};
 use crate::fabric::Location;
@@ -72,10 +72,30 @@ pub(crate) enum Agent {
     Device(DeviceId),
 }
 
+/// One independently-scheduled agent whose accesses the detector orders.
+struct Actor {
+    name: String,
+    /// `clock[b]` = the latest event of actor `b` this actor has
+    /// (transitively) observed; its own component counts its events.
+    clock: Vec<u64>,
+}
+
+/// Acquire half of a synchronization edge: merge an observed clock into
+/// `clock` (elementwise max).
+fn join(clock: &mut Vec<u64>, observed: &[u64]) {
+    if clock.len() < observed.len() {
+        clock.resize(observed.len(), 0);
+    }
+    for (own, seen) in clock.iter_mut().zip(observed) {
+        *own = (*own).max(*seen);
+    }
+}
+
 /// One recorded access, stamped with the actor's clock at issue.
 struct Access {
     token: u64,
-    actor: ActorId,
+    /// Index of the issuing actor in [`HbLog::actors`].
+    actor: usize,
     clock: Vec<u64>,
     space: Space,
     start: u64,
@@ -105,11 +125,19 @@ impl Access {
         self.write && !self.applied
     }
 
-    fn describe(&self, handle: &Handle) -> String {
+    /// Whether this access happens-before an event whose observer clock
+    /// is `later`: the observer must have seen at least the issuing
+    /// actor's own component.
+    fn happens_before(&self, later: &[u64]) -> bool {
+        let own = self.clock.get(self.actor).copied().unwrap_or(0);
+        later.get(self.actor).copied().unwrap_or(0) >= own
+    }
+
+    fn describe(&self, actors: &[Actor]) -> String {
         format!(
             "{} by {} to {:?}+{:#x}..{:#x} (issued t={}ns{})",
             self.kind,
-            handle.sanitize_actor_name(self.actor),
+            actors[self.actor].name,
             self.space,
             self.start,
             self.start + self.len,
@@ -119,35 +147,51 @@ impl Access {
     }
 }
 
-/// Per-fabric happens-before state: the actor registry plus the access
+/// Per-fabric happens-before state: the actors' clocks plus the access
 /// log. Superseded accesses (same actor, same range, same direction) are
 /// replaced in place — a superseded write still in flight lingers, retired,
 /// until it is delivered — so the log stays bounded by ring geometry plus
 /// the writes on the wire rather than growing with simulated I/O count.
 #[derive(Default)]
 pub(crate) struct HbLog {
-    host_actors: Vec<ActorId>,
-    dev_actors: Vec<ActorId>,
+    actors: Vec<Actor>,
+    host_actors: Vec<usize>,
+    dev_actors: Vec<usize>,
     accesses: Vec<Access>,
     next_token: u64,
 }
 
 impl HbLog {
-    pub(crate) fn register_host(&mut self, handle: &Handle) {
-        let name = format!("host{}", self.host_actors.len());
-        self.host_actors.push(handle.sanitize_register_actor(&name));
+    fn register(&mut self, name: String) -> usize {
+        self.actors.push(Actor {
+            name,
+            clock: Vec::new(),
+        });
+        self.actors.len() - 1
     }
 
-    pub(crate) fn register_device(&mut self, handle: &Handle) {
-        let name = format!("dev{}", self.dev_actors.len());
-        self.dev_actors.push(handle.sanitize_register_actor(&name));
+    pub(crate) fn register_host(&mut self) {
+        let actor = self.register(format!("host{}", self.host_actors.len()));
+        self.host_actors.push(actor);
     }
 
-    pub(crate) fn actor_of(&self, agent: Agent) -> ActorId {
+    pub(crate) fn register_device(&mut self) {
+        let actor = self.register(format!("dev{}", self.dev_actors.len()));
+        self.dev_actors.push(actor);
+    }
+
+    fn actor_of(&self, agent: Agent) -> usize {
         match agent {
             Agent::Host(h) => self.host_actors[h.0 as usize],
             Agent::Device(d) => self.dev_actors[d.0 as usize],
         }
+    }
+
+    /// An explicit edge: `to` observes everything `from` has done.
+    pub(crate) fn barrier(&mut self, from: Agent, to: Agent) {
+        let observed = self.actors[self.actor_of(from)].clock.clone();
+        let to = self.actor_of(to);
+        join(&mut self.actors[to].clock, &observed);
     }
 
     /// Number of records currently held (diagnostic; 0 on an unarmed
@@ -177,20 +221,25 @@ impl HbLog {
     ) -> u64 {
         let actor = self.actor_of(agent);
         let (space, start) = key(loc);
+        let n_actors = self.actors.len();
+        let own = &mut self.actors[actor].clock;
         if !write && matches!(agent, Agent::Host(_)) {
             for a in &self.accesses {
                 if a.write && a.applied && a.actor != actor && a.overlaps(space, start, len) {
-                    handle.sanitize_actor_join(actor, &a.clock);
+                    join(own, &a.clock);
                 }
             }
         }
-        let clock = handle.sanitize_actor_tick(actor);
+        // The event's timestamp: the clock with its own component advanced.
+        own.resize(n_actors.max(own.len()), 0);
+        own[actor] += 1;
+        let clock = own.clone();
         for a in &self.accesses {
             if a.retired
                 || a.actor == actor
                 || !(a.write || write)
                 || !a.overlaps(space, start, len)
-                || happens_before(a.actor, &a.clock, &clock)
+                || a.happens_before(&clock)
             {
                 continue;
             }
@@ -199,11 +248,11 @@ impl HbLog {
                 format!(
                     "{} by {} to {:?}+{:#x}..{:#x} is unordered against {}",
                     kind,
-                    handle.sanitize_actor_name(actor),
+                    self.actors[actor].name,
                     space,
                     start,
                     start + len,
-                    a.describe(handle),
+                    a.describe(&self.actors),
                 ),
             );
         }
@@ -246,14 +295,15 @@ impl HbLog {
     /// doorbell edge — posted writes on one path apply in order, so
     /// everything stored before the bell rang has landed when it does).
     /// Idempotent, so a duplicated TLP may share its original's token.
-    pub(crate) fn write_applied(&mut self, handle: &Handle, token: u64) {
+    pub(crate) fn write_applied(&mut self, token: u64) {
         let Some(i) = self.accesses.iter().position(|a| a.token == token) else {
             return;
         };
         let a = &mut self.accesses[i];
         a.applied = true;
         if let Space::Bar(dev, _) = a.space {
-            handle.sanitize_actor_join(self.dev_actors[dev.0 as usize], &a.clock);
+            let device = self.dev_actors[dev.0 as usize];
+            join(&mut self.actors[device].clock, &a.clock);
         }
         if a.retired {
             self.accesses.remove(i);

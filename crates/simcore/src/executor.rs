@@ -679,32 +679,11 @@ impl Handle {
         self.core().sanitize.take()
     }
 
-    /// Register a happens-before actor (host CPU, device DMA engine) with
-    /// the race detector and get its clock slot.
-    pub fn sanitize_register_actor(&self, name: &str) -> crate::sanitize::ActorId {
-        self.core().sanitize.register_actor(name)
-    }
-
-    /// The display name `actor` registered under.
-    pub fn sanitize_actor_name(&self, actor: crate::sanitize::ActorId) -> String {
-        self.core().sanitize.actor_name(actor)
-    }
-
-    /// Advance `actor`'s vector clock for a new event and return the
-    /// event's timestamp.
-    pub fn sanitize_actor_tick(&self, actor: crate::sanitize::ActorId) -> Vec<u64> {
-        self.core().sanitize.tick(actor)
-    }
-
-    /// Acquire edge: merge `observed` (a clock released by another actor)
-    /// into `actor`'s clock.
-    pub fn sanitize_actor_join(&self, actor: crate::sanitize::ActorId, observed: &[u64]) {
-        self.core().sanitize.join(actor, observed);
-    }
-
-    /// Snapshot `actor`'s clock without advancing it.
-    pub fn sanitize_actor_clock(&self, actor: crate::sanitize::ActorId) -> Vec<u64> {
-        self.core().sanitize.clock_of(actor)
+    /// The armed runtime's one checker-state slot as a `T`, created on
+    /// first use: where a checker above `simcore` keeps what it tracks
+    /// between hooks. `None` (and nothing allocated) when not armed.
+    pub fn sanitize_slot<T: Default + 'static>(&self) -> Option<Rc<T>> {
+        self.core().sanitize.slot()
     }
 }
 

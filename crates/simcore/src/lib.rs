@@ -38,7 +38,7 @@ pub use executor::{yield_now, Handle, JoinHandle, ReactorId, SimRuntime, TaskId}
 pub use hash::{IntHasher, IntMap};
 pub use resource::SerialResource;
 pub use rng::SimRng;
-pub use sanitize::{happens_before, ActorId, Violation};
+pub use sanitize::Violation;
 pub use sched::{ChoiceKind, ChoiceOption, Footprint, ReplayScheduler, ScheduleTrace};
 pub use stats::{LatencyRecorder, LatencySummary};
 pub use time::{SimDuration, SimTime};

@@ -4,11 +4,12 @@
 //! violations it detects (a non-posted read racing an in-flight posted
 //! write, a doorbell exposing unwritten SQEs, a completion-queue
 //! overwrite, overlapping bounce-buffer partitions, an unordered pair of
-//! conflicting accesses) and the runtime records them without disturbing
-//! virtual time. Every hook is compiled into every build and sits behind
-//! one [`Handle::sanitize_armed`] test; a runtime is armed for its whole
-//! life iff an [`arm`] guard was alive on the thread when it was built,
-//! so the binary that is measured is the binary that can be checked:
+//! conflicting accesses, a command that shortcuts its NVMe lifecycle) and
+//! the runtime records them in one log without disturbing virtual time.
+//! Every hook is compiled into every build and sits behind one
+//! [`Handle::sanitize_armed`] test; a runtime is armed for its whole life
+//! iff an [`arm`] guard was alive on the thread when it was built, so the
+//! binary that is measured is the binary that can be checked:
 //!
 //! ```
 //! let armed = simcore::sanitize::arm();
@@ -21,15 +22,17 @@
 //! Unarmed, nothing is recorded or allocated. Tests assert on the recorded
 //! violations.
 //!
+//! This module is the switch, the [`Violation`] record, the log, and one
+//! typed state slot ([`Handle::sanitize_slot`]) for a checker that keeps
+//! state between hooks; the checkers themselves live beside what they
+//! check (`pcie::hb`, `nvme::oracle`).
+//!
 //! [`Handle::sanitize_armed`]: crate::Handle::sanitize_armed
+//! [`Handle::sanitize_slot`]: crate::Handle::sanitize_slot
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
-
-/// A happens-before actor: one independently-scheduled agent whose
-/// memory accesses the race detector orders (a host CPU, a device DMA
-/// engine). Registered by the fabric layer at topology-build time.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct ActorId(pub u32);
+use std::rc::Rc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
@@ -56,8 +59,7 @@ pub fn arm() -> ArmGuard {
     })
 }
 
-/// One recorded protocol violation (from this checker or, re-exported as
-/// `nvme::oracle::LifecycleViolation`, from the lifecycle oracle).
+/// One recorded protocol violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Stable machine-readable code, e.g. `pcie.read-races-posted-write`.
@@ -79,11 +81,9 @@ pub(crate) struct SanitizerState {
     /// Whether an [`arm`] guard was alive when the runtime was built.
     pub(crate) armed: bool,
     violations: RefCell<Vec<Violation>>,
-    /// Vector clocks for the happens-before race detector, one slot per
-    /// registered actor; `clocks[a][b]` = the latest event of actor `b`
-    /// that actor `a` has (transitively) observed.
-    clocks: RefCell<Vec<Vec<u64>>>,
-    actor_names: RefCell<Vec<String>>,
+    /// State a checker above `simcore` keeps between hooks (the NVMe
+    /// lifecycle FSM); allocated by its first armed hook.
+    slot: RefCell<Option<Rc<dyn Any>>>,
 }
 
 impl SanitizerState {
@@ -91,8 +91,7 @@ impl SanitizerState {
         SanitizerState {
             armed: ARMED.with(Cell::get),
             violations: RefCell::default(),
-            clocks: RefCell::default(),
-            actor_names: RefCell::default(),
+            slot: RefCell::default(),
         }
     }
 
@@ -115,55 +114,32 @@ impl SanitizerState {
         std::mem::take(&mut *self.violations.borrow_mut())
     }
 
-    // ----------------------------------------------------- vector clocks
-
-    pub(crate) fn register_actor(&self, name: &str) -> ActorId {
-        let mut clocks = self.clocks.borrow_mut();
-        let id = ActorId(clocks.len() as u32);
-        clocks.push(Vec::new());
-        self.actor_names.borrow_mut().push(name.to_string());
-        id
-    }
-
-    pub(crate) fn actor_name(&self, actor: ActorId) -> String {
-        self.actor_names.borrow()[actor.0 as usize].clone()
-    }
-
-    /// Advance `actor`'s own component and return the updated clock — the
-    /// timestamp to attach to the event the caller is recording.
-    pub(crate) fn tick(&self, actor: ActorId) -> Vec<u64> {
-        let mut clocks = self.clocks.borrow_mut();
-        let n = clocks.len().max(actor.0 as usize + 1);
-        let clock = &mut clocks[actor.0 as usize];
-        clock.resize(n.max(clock.len()), 0);
-        clock[actor.0 as usize] += 1;
-        clock.clone()
-    }
-
-    /// Merge an observed clock into `actor`'s (elementwise max): the
-    /// acquire half of a synchronization edge.
-    pub(crate) fn join(&self, actor: ActorId, observed: &[u64]) {
-        let mut clocks = self.clocks.borrow_mut();
-        let clock = &mut clocks[actor.0 as usize];
-        if clock.len() < observed.len() {
-            clock.resize(observed.len(), 0);
+    pub(crate) fn slot<T: Default + 'static>(&self) -> Option<Rc<T>> {
+        if !self.armed {
+            return None;
         }
-        for (own, seen) in clock.iter_mut().zip(observed) {
-            *own = (*own).max(*seen);
-        }
-    }
-
-    /// Snapshot of `actor`'s clock without advancing it.
-    pub(crate) fn clock_of(&self, actor: ActorId) -> Vec<u64> {
-        self.clocks.borrow()[actor.0 as usize].clone()
+        let state = self
+            .slot
+            .borrow_mut()
+            .get_or_insert_with(|| Rc::new(T::default()))
+            .clone();
+        Some(state.downcast().expect("the checker slot holds one type"))
     }
 }
 
-/// Whether an event stamped `earlier` (by `earlier_actor`) happens-before
-/// an event whose observer clock is `later`: the observer must have seen
-/// at least the stamping actor's own component.
-pub fn happens_before(earlier_actor: ActorId, earlier: &[u64], later: &[u64]) -> bool {
-    let i = earlier_actor.0 as usize;
-    let own = earlier.get(i).copied().unwrap_or(0);
-    later.get(i).copied().unwrap_or(0) >= own
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slot_is_armed_only_and_keeps_its_state() {
+        let unarmed = SanitizerState::new();
+        assert!(unarmed.slot::<Cell<u32>>().is_none());
+        assert!(unarmed.slot.borrow().is_none(), "nothing allocated");
+        let _armed = arm();
+        let st = SanitizerState::new();
+        assert!(st.slot.borrow().is_none(), "allocated by the first hook");
+        st.slot::<Cell<u32>>().expect("armed").set(7);
+        assert_eq!(st.slot::<Cell<u32>>().expect("armed").get(), 7);
+    }
 }

@@ -171,16 +171,20 @@ fn fault_schedule_replays_bit_identically() {
     );
 }
 
-/// One seeded mixed job on a fresh scenario, with or without the checker
-/// armed: (event-stream hash, read latencies, write latencies, violations
-/// recorded, records in the fabric's access table).
-type JobOutcome = (
-    u64,
-    Option<LatencySummary>,
-    Option<LatencySummary>,
-    usize,
-    usize,
-);
+/// What one seeded mixed job on a fresh scenario leaves behind, with or
+/// without the checker armed.
+#[derive(Debug, PartialEq)]
+struct JobOutcome {
+    trace_hash: u64,
+    steps: u64,
+    read: Option<LatencySummary>,
+    write: Option<LatencySummary>,
+    violations: usize,
+    /// Records in the fabric's access table (the race detector's state).
+    hb_log: usize,
+    /// Commands the lifecycle FSM still tracks; `None` = no FSM state.
+    fsm_in_flight: Option<usize>,
+}
 
 fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
     let calib = Calibration::paper();
@@ -197,20 +201,23 @@ fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
         .rt
         .block_on(async move { run_job(&fabric, host, dev, &spec).await });
     assert_eq!(report.errors, 0, "{}", sc.label);
-    (
-        sc.rt.trace_hash(),
-        report.read.map(|s| s.lat),
-        report.write.map(|s| s.lat),
-        sc.rt.sanitize_violations().len(),
-        sc.fabric.sanitize_log_len(),
-    )
+    JobOutcome {
+        trace_hash: sc.rt.trace_hash(),
+        steps: sc.rt.steps(),
+        read: report.read.map(|s| s.lat),
+        write: report.write.map(|s| s.lat),
+        violations: sc.rt.sanitize_violations().len(),
+        hb_log: sc.fabric.sanitize_log_len(),
+        fsm_in_flight: nvme::oracle::in_flight(&sc.fabric),
+    }
 }
 
 #[test]
 fn checker_is_passive() {
     // The armed and the un-armed run are the same binary: arming may add
     // bookkeeping but not one poll, one nanosecond or one violation, and
-    // un-armed the checker records nothing at all.
+    // un-armed the checker — race detector, protocol checks and lifecycle
+    // FSM alike — records nothing and allocates no state at all.
     for kind in [
         ScenarioKind::LinuxLocal,
         ScenarioKind::NvmfRemote,
@@ -218,12 +225,27 @@ fn checker_is_passive() {
         ScenarioKind::OursRemote { switches: 1 },
         ScenarioKind::OursMultihost { clients: 3 },
     ] {
-        let (hash, read, write, violations, log) = job_once(kind.clone(), true);
-        assert!(log > 0, "{kind:?}: the armed run recorded no accesses");
-        assert_eq!(violations, 0, "{kind:?}: a legitimate job was flagged");
+        let armed = job_once(kind.clone(), true);
+        assert!(
+            armed.hb_log > 0,
+            "{kind:?}: the armed run recorded no accesses"
+        );
+        assert_eq!(
+            armed.fsm_in_flight,
+            Some(0),
+            "{kind:?}: the FSM must have followed every command to its end"
+        );
+        assert_eq!(
+            armed.violations, 0,
+            "{kind:?}: a legitimate job was flagged"
+        );
         assert_eq!(
             job_once(kind.clone(), false),
-            (hash, read, write, 0, 0),
+            JobOutcome {
+                hb_log: 0,
+                fsm_in_flight: None,
+                ..armed
+            },
             "{kind:?}: arming the checker changed the run"
         );
     }

@@ -3,11 +3,14 @@
 //! Exhaustively explores a small two-client scenario (zero lifecycle
 //! violations expected, partial-order pruning must kill at least half of
 //! the naive schedule space), runs bounded exploration over all five
-//! scenario kinds, and proves each seeded-violation fixture is caught
-//! with a token that replays the identical failing run.
+//! scenario kinds, and proves each seeded-violation fixture — and a race
+//! only the happens-before detector can see — is caught with a token that
+//! replays the identical failing run.
 
 use cluster::ScenarioKind;
-use explore::{explore, fixtures, ExploreConfig, ScenarioProgram, ScheduleToken};
+use explore::{explore, fixtures, ExploreConfig, RunOutcome, ScenarioProgram, ScheduleToken};
+use pcie::{DomainAddr, Fabric, FabricParams};
+use simcore::{ReplayScheduler, SimDuration, SimRuntime};
 
 fn two_client_program() -> ScenarioProgram {
     ScenarioProgram::small(ScenarioKind::OursMultihost { clients: 2 })
@@ -59,7 +62,7 @@ fn exhaustive_two_client_with_cqe_drop_is_conformant() {
     // Fault-bearing model check: the same two-client space, but with the
     // first CQE after bring-up dropped on every explored schedule. The
     // recovery ladder (timeout → abort → queue recreate → resubmit) runs
-    // under every delivery ordering, and the lifecycle oracle must stay
+    // under every delivery ordering, and the armed checker must stay
     // silent on all of them — recovery may not double-complete, reuse a
     // live cid, or leave a queue half-deleted, on any schedule.
     let mut prog = two_client_program();
@@ -88,7 +91,7 @@ fn exhaustive_two_client_with_cqe_drop_is_conformant() {
 fn exhaustive_two_client_two_reactors_is_conformant() {
     // The sharded datapath: clients pinned to distinct reactors. Reactor
     // interleavings become ReactorPick choice points, the schedule space
-    // grows accordingly, and the lifecycle oracle must stay silent on all
+    // grows accordingly, and the armed checker must stay silent on all
     // of it. Tokens replay across the bigger space exactly as before.
     let mut prog = two_client_program();
     prog.reactors = 2;
@@ -204,4 +207,75 @@ fn seeded_fixtures_are_caught_and_tokens_replay() {
         assert_eq!(replayed.trace_hash, failure.trace_hash, "{name}");
         assert_eq!(replayed.violations, failure.violations, "{name}");
     }
+}
+
+/// A program with no NVMe in it: two hosts joined through NTBs and a
+/// switch chip; host A stores through its window into host B's DRAM while
+/// B reads the same bytes locally, and nothing orders the two.
+fn unsynchronised_ntb_pair(prefix: &[u32]) -> RunOutcome {
+    let _armed = simcore::sanitize::arm();
+    let rt = SimRuntime::new();
+    let fabric = Fabric::new(rt.handle(), FabricParams::default());
+    let sw = fabric.add_switch("sw");
+    let [(a, ntb_a), (b, _)] = [(); 2].map(|()| {
+        let h = fabric.add_host(64 << 20);
+        let ntb = fabric.add_ntb(h, 2 << 20, 16);
+        fabric.link(fabric.ntb_node(ntb), sw);
+        (h, ntb)
+    });
+    let target = fabric.alloc(b, 4096).unwrap();
+    let slot = fabric.find_free_lut_slot(ntb_a).unwrap();
+    let win = fabric
+        .program_lut(ntb_a, slot, DomainAddr::new(b, target.addr))
+        .unwrap();
+    let replay = ReplayScheduler::new(prefix.to_vec());
+    let trace = replay.trace();
+    rt.set_scheduler(replay);
+    let h = rt.handle();
+    rt.block_on(async move {
+        let writer = h.spawn({
+            let f = fabric.clone();
+            async move { f.cpu_write(a, win, &[0xAB; 64]).await.unwrap() }
+        });
+        let reader = h.spawn(async move {
+            let mut buf = [0u8; 64];
+            fabric.cpu_read(b, target.addr, &mut buf).await.unwrap();
+        });
+        writer.await;
+        reader.await;
+        h.sleep(SimDuration::from_micros(10)).await; // the store lands
+    });
+    rt.clear_scheduler();
+    let t = trace.borrow();
+    RunOutcome {
+        records: t.records.clone(),
+        diverged: t.diverged,
+        violations: rt.sanitize_take_violations(),
+        trace_hash: rt.trace_hash(),
+    }
+}
+
+#[test]
+fn a_race_only_the_hb_detector_sees_is_caught_and_its_token_replays() {
+    // No command lifecycle is broken here — there are no commands. What
+    // the explorer hands back is the race detector's verdict, from the
+    // same log and under the same token discipline as the fixtures'.
+    let res = explore(
+        &|p: &[u32]| unsynchronised_ntb_pair(p),
+        &ExploreConfig::bounded(16),
+    );
+    let failure = res.failure.expect("the unordered pair must be reported");
+    assert!(
+        failure
+            .violations
+            .iter()
+            .all(|v| matches!(v.code, "pcie.read-races-posted-write" | "pcie.hb-race")),
+        "{:?}",
+        failure.violations
+    );
+    let token = ScheduleToken::parse(&failure.token.to_string()).unwrap();
+    let replayed = unsynchronised_ntb_pair(&token.prefix);
+    assert!(!replayed.diverged);
+    assert_eq!(replayed.trace_hash, failure.trace_hash);
+    assert_eq!(replayed.violations, failure.violations);
 }
