@@ -2184,11 +2184,11 @@ mod tests {
         assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D13));
         assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D16));
         assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D13));
-        // D17 binds the client datapath crates; benches allocate plain
+        // D17 binds the client datapath crates; the reproduction allocates plain
         // bounce-mode buffers on purpose.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D17));
         assert!(rules_for("crates/blklayer/src/lib.rs").contains(&Rule::D17));
-        assert!(!rules_for("crates/bench/benches/datapath_shards.rs").contains(&Rule::D17));
+        assert!(!rules_for("crates/bench/src/datapath.rs").contains(&Rule::D17));
         assert!(!rules_for("crates/nvme/src/driver/local.rs").contains(&Rule::D17));
         // D19 rides the dataflow scope; tests stay exempt.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D19));

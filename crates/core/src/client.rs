@@ -229,14 +229,23 @@ impl BringUp {
 /// with [`DnvmeError::RpcTimeout`].
 pub const MAILBOX_RETRIES: u32 = 2;
 
-/// Everything needed to re-create a queue pair under its original id.
-#[derive(Copy, Clone)]
+/// Everything needed to re-create a queue pair under its original id,
+/// and the state that lets only one command at a time try.
 struct QpWiring {
     qid: u16,
     entries: u16,
     sq_bus: PhysAddr,
     cq_bus: PhysAddr,
     iv: Option<u16>,
+    /// Held by the one command climbing ladder rungs 2–4 for this ring.
+    /// A lost CQE stalls the ring's consumer, so every command in flight
+    /// on it times out; climbing side by side their delete/recreate RPCs
+    /// collide and a fault one recreate absorbs ends in a controller reset.
+    climber: Semaphore,
+    /// Times this ring has been re-created. A command that waited for
+    /// `climber` and finds it advanced died with the old ring: all that
+    /// is left for it to do is resubmit.
+    recreated: Cell<u64>,
 }
 
 /// Per-client driver stats.
@@ -294,7 +303,7 @@ pub struct ClientDriver {
     rpc_lock: Semaphore,
     /// Per-qid ring wiring, kept so recovery can re-create a queue pair
     /// under the same id with the same rings.
-    qp_wiring: RefCell<Vec<QpWiring>>,
+    qp_wiring: Vec<QpWiring>,
     /// Set on disconnect; stops the heartbeat task.
     hb_stop: Cell<bool>,
     stats: RefCell<ClientStats>,
@@ -514,6 +523,8 @@ impl ClientDriver {
                 sq_bus: sq_win.bus_base,
                 cq_bus: cq_win.bus_base,
                 iv: want_iv.then_some(0),
+                climber: Semaphore::new(1),
+                recreated: Cell::new(0),
             });
             // Interrupt extension: route vector `qid` to this host.
             let irq = match cfg.completion {
@@ -596,7 +607,7 @@ impl ClientDriver {
             mailbox_map,
             next_seq: RefCell::new(up.seq + 1),
             rpc_lock: Semaphore::new(1),
-            qp_wiring: RefCell::new(wiring),
+            qp_wiring: wiring,
             hb_stop: Cell::new(false),
             stats: RefCell::new(ClientStats::default()),
             cfg,
@@ -700,7 +711,9 @@ impl ClientDriver {
     /// (rung 1, doorbell retries exhausted) escalates to Abort via the
     /// manager (rung 2), then delete-and-recreate of the queue pair with
     /// one resubmission (rung 3), then controller reset (rung 4) — always
-    /// ending in a completion or a typed [`BioError`], never a hang.
+    /// ending in a completion or a typed [`BioError`], never a hang. Rungs
+    /// 2–4 run one command at a time per ring; the others on that ring
+    /// wait for its verdict.
     async fn issue_recovered(
         &self,
         tag: &Tag,
@@ -721,29 +734,44 @@ impl ClientDriver {
         cid: u16,
     ) -> std::result::Result<CqEntry, BioError> {
         self.stats.borrow_mut().recoveries += 1;
-        // Rung 2: ask the manager's admin queue to abort the command.
-        self.stats.borrow_mut().aborts_requested += 1;
-        let aborted = match self
-            .rpc(Request::Abort {
-                qid,
-                cid,
-                response_segment: self.response_segment.0,
-            })
-            .await
-        {
-            Ok(r) => r.flags & proto::flag::ABORTED != 0,
-            Err(_) => false,
+        let timeout = BioError::Timeout { qid, cid };
+        let Some(ring) = self.qp_wiring.iter().find(|w| w.qid == qid) else {
+            return Err(timeout);
         };
-        if aborted {
-            // The controller killed it; the command is dead and the slot
-            // will retire when the abort CQE lands. Surface the deadline.
-            return Err(BioError::Timeout { qid, cid });
+        // One climber per ring; read the epoch before waiting for the turn.
+        let seen = ring.recreated.get();
+        let _climbing = ring.climber.acquire().await;
+        if ring.recreated.get() == seen {
+            // Rung 2: ask the manager's admin queue to abort the command.
+            self.stats.borrow_mut().aborts_requested += 1;
+            let aborted = match self
+                .rpc(Request::Abort {
+                    qid,
+                    cid,
+                    response_segment: self.response_segment.0,
+                })
+                .await
+            {
+                Ok(r) => r.flags & proto::flag::ABORTED != 0,
+                Err(_) => false,
+            };
+            if aborted {
+                // The controller killed it; the command is dead and the
+                // slot will retire when the abort CQE lands. Surface the
+                // deadline.
+                return Err(timeout);
+            }
+            // Rung 3: the command was never seen or its completion was
+            // lost — tear the queue pair down and re-create it under the
+            // same id.
+            if self.recreate_qpair(ring).await.is_ok() {
+                self.stats.borrow_mut().qpairs_recreated += 1;
+                ring.recreated.set(seen + 1);
+            }
         }
-        // Rung 3: the command was never seen or its completion was lost —
-        // tear the queue pair down, re-create it under the same id, and
+        // On the rebuilt ring — by this climb or the one waited for —
         // resubmit exactly once.
-        if self.recreate_qpair(qid).await.is_ok() {
-            self.stats.borrow_mut().qpairs_recreated += 1;
+        if ring.recreated.get() != seen {
             if let Ok(cqe) = self.engine.issue(tag, sqe).await {
                 return Ok(cqe);
             }
@@ -756,20 +784,14 @@ impl ClientDriver {
                 response_segment: self.response_segment.0,
             })
             .await;
-        Err(BioError::Timeout { qid, cid })
+        Err(timeout)
     }
 
-    /// Delete + re-create queue pair `qid` in place: same rings, same
+    /// Delete + re-create queue pair `w.qid` in place: same rings, same
     /// doorbells, same qid — only the controller-side state is rebuilt,
     /// so the engine wiring stays valid.
-    async fn recreate_qpair(&self, qid: u16) -> Result<()> {
-        let w = {
-            let wiring = self.qp_wiring.borrow();
-            *wiring
-                .iter()
-                .find(|w| w.qid == qid)
-                .ok_or_else(|| DnvmeError::BadConfig(format!("unknown qid {qid}")))?
-        };
+    async fn recreate_qpair(&self, w: &QpWiring) -> Result<()> {
+        let qid = w.qid;
         self.rpc(Request::DeleteQp {
             qid,
             response_segment: self.response_segment.0,

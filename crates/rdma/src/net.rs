@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MemRegion, Payload, PhysAddr, RegisterFile};
-use simcore::sync::{mpsc, Notify};
+use simcore::sync::Notify;
 use simcore::{Handle, SimDuration};
 
 use crate::mr::{Access, MemoryRegion, MrTable};
@@ -253,7 +253,6 @@ impl IbNet {
 
     /// Create a queue pair on a NIC.
     pub fn create_qp(&self, nic: NicId) -> Qp {
-        let (tx, rx) = mpsc::channel();
         let shared = Rc::new(QpShared {
             net: self.clone(),
             nic,
@@ -261,12 +260,7 @@ impl IbNet {
             recv_queue: RefCell::new(VecDeque::new()),
             send_cq: Cq::new(),
             recv_cq: Cq::new(),
-            send_chan: tx,
         });
-        let worker = shared.clone();
-        self.inner
-            .handle
-            .spawn(async move { worker.send_worker(rx).await });
         Qp { shared }
     }
 
@@ -287,12 +281,11 @@ struct QpShared {
     net: IbNet,
     nic: NicId,
     /// Weak: two connected QPs point at each other. Each is kept alive by
-    /// its own [`Qp`] handles and send worker.
+    /// its own [`Qp`] handles and in-flight deliveries.
     peer: RefCell<Option<Weak<QpShared>>>,
     recv_queue: RefCell<VecDeque<RecvWqe>>,
     send_cq: Cq,
     recv_cq: Cq,
-    send_chan: mpsc::Sender<SendWr>,
 }
 
 /// A reliable-connected queue pair.
@@ -342,17 +335,11 @@ impl Qp {
             .handle
             .sleep(self.shared.net.inner.params.post_cost())
             .await;
-        let _ = self.shared.send_chan.send(wr);
+        self.shared.process(wr);
     }
 }
 
 impl QpShared {
-    async fn send_worker(self: Rc<Self>, mut rx: mpsc::Receiver<SendWr>) {
-        while let Some(wr) = rx.recv().await {
-            self.process(wr).await;
-        }
-    }
-
     /// Happens-before fabric barrier: deliver the NIC's clock to its host
     /// CPU — a completion made the NIC's DMA work visible to software.
     fn hb_barrier_to_host(&self) {
@@ -380,14 +367,13 @@ impl QpShared {
         });
     }
 
-    /// Process one WQE. The worker is only occupied for the *serial*
-    /// parts — validating, fetching the payload over local PCIe, and the
-    /// message's wire-transfer slot on the NIC's TX link. Propagation and
-    /// remote-side effects run in a spawned delivery task, so back-to-back
-    /// WQEs pipeline like on a real RNIC. Deliveries stay ordered because
-    /// TX slots end at strictly increasing times and every delivery adds
-    /// the same propagation constant.
-    async fn process(self: &Rc<Self>, wr: SendWr) {
+    /// Process one WQE: validate it here, then fetch the payload over
+    /// local PCIe, take the message's wire-transfer slot on the NIC's TX
+    /// link, propagate and apply the remote-side effects in a spawned
+    /// delivery task, so back-to-back WQEs pipeline like on a real RNIC.
+    /// Deliveries stay ordered because TX slots end at strictly increasing
+    /// times and every delivery adds the same propagation constant.
+    fn process(self: &Rc<Self>, wr: SendWr) {
         let net = &self.net;
         let p = net.inner.params.clone();
         let fabric = net.inner.fabric.clone();

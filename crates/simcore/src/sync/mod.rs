@@ -1,6 +1,5 @@
 //! Single-threaded async synchronization primitives for simulation code.
 
-pub mod mpsc;
 pub mod notify;
 pub mod oneshot;
 pub mod semaphore;

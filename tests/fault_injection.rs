@@ -257,20 +257,15 @@ fn dropped_cqe_recovers_through_the_abort_ladder() {
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
-#[test]
-fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
-    // One engine stripes two rings by cid. Two submitters keep both rings
-    // busy when the first CQE is dropped: the ring that lost it climbs the
-    // ladder once — abort, `reset_qpair`, recreate — while the sibling
-    // ring, sharing the engine's tag set and flusher state, keeps reaping
-    // its own completions. Every read succeeds and the checker (race
-    // detector, protocol checks, lifecycle FSM) has nothing to say.
+/// Two rings striped by cid under one engine, `lanes` submitters of three
+/// reads each at `queue_depth = lanes`, the first CQE dropped. Returns the
+/// scenario and every read's result, lane-major.
+fn drop_first_cqe_on_two_rings(lanes: u64) -> (cluster::Scenario, Vec<Result<(), BioError>>) {
     use cluster::{Calibration, Scenario, ScenarioKind};
     use pcie::FaultPlan;
     let mut calib = Calibration::fault_recovery();
     calib.client.num_qpairs = 2;
-    calib.client.queue_depth = 2;
-    let _armed = simcore::sanitize::arm();
+    calib.client.queue_depth = lanes as usize;
     let sc = Scenario::build_with_faults(
         ScenarioKind::OursRemote { switches: 1 },
         &calib,
@@ -279,25 +274,41 @@ fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
     let (host, dev) = sc.clients[0].clone();
     let fabric = sc.fabric.clone();
     let handle = sc.rt.handle();
-    sc.rt.block_on(async move {
-        let lanes: Vec<_> = (0..2u64)
+    let results = sc.rt.block_on(async move {
+        let lanes: Vec<_> = (0..lanes)
             .map(|lane| {
                 let dev = dev.clone();
                 let buf = fabric.alloc(host, 4096).unwrap();
                 handle.spawn(async move {
+                    let mut results = Vec::new();
                     for i in 0..3 {
-                        dev.submit(Bio::read((lane * 3 + i) * 8, 8, buf))
-                            .await
-                            .unwrap();
+                        results.push(dev.submit(Bio::read((lane * 3 + i) * 8, 8, buf)).await);
                     }
+                    results
                 })
             })
             .collect();
+        let mut results = Vec::new();
         for lane in lanes {
-            lane.await;
+            results.extend(lane.await);
         }
+        results
     });
     assert_eq!(sc.fabric.fault_stats().dropped, 1, "the plan must fire");
+    (sc, results)
+}
+
+#[test]
+fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
+    // Two submitters keep both rings busy when the first CQE is dropped:
+    // the ring that lost it climbs the ladder once — abort, `reset_qpair`,
+    // recreate — while the sibling ring, sharing the engine's tag set and
+    // flusher state, keeps reaping its own completions. Every read
+    // succeeds and the checker (race detector, protocol checks, lifecycle
+    // FSM) has nothing to say.
+    let _armed = simcore::sanitize::arm();
+    let (sc, results) = drop_first_cqe_on_two_rings(2);
+    assert_eq!(results, vec![Ok(()); 6]);
     let drv = sc.client_drivers()[0].clone();
     let cs = drv.stats();
     assert_eq!(
@@ -312,6 +323,28 @@ fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
     assert_eq!((hit.len(), sibling.len()), (1, 1), "{rings:?}");
     let (_, s) = sibling[0];
     assert_eq!((s.sqes_submitted, s.cqes_reaped), (3, 3), "{rings:?}");
+    assert_eq!(sc.rt.sanitize_violations(), []);
+}
+
+#[test]
+fn one_climber_per_ring_when_two_commands_lose_the_same_cqe_slot() {
+    // Four submitters, two commands in flight per ring. The dropped CQE
+    // stalls its ring's consumer, so *both* of that ring's commands run
+    // out their deadline and enter the ladder. One climbs (abort, delete,
+    // recreate); the other waits for that verdict, finds the ring rebuilt
+    // and goes straight to its one resubmission. Left to climb side by
+    // side their delete/recreate RPCs collide and one lost TLP ends in a
+    // controller reset, which revokes every host's queue pairs.
+    let _armed = simcore::sanitize::arm();
+    let (sc, results) = drop_first_cqe_on_two_rings(4);
+    assert_eq!(results, vec![Ok(()); 12]);
+    let cs = sc.client_drivers()[0].stats();
+    assert_eq!(
+        (cs.recoveries, cs.aborts_requested, cs.qpairs_recreated),
+        (2, 1, 1),
+        "{cs:?}"
+    );
+    assert_eq!(cs.resets_requested, 0, "ladder must stop before reset");
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 

@@ -130,7 +130,7 @@ fn polls_per_io_stay_within_budget() {
     const JOB_POLLS: u64 = 16;
     for (kind, ceiling) in [
         (ScenarioKind::OursRemote { switches: 1 }, 23),
-        (ScenarioKind::NvmfRemote, 67),
+        (ScenarioKind::NvmfRemote, 64),
     ] {
         let label = kind.label();
         let (polls, ios) = polls_and_ios(kind);
