@@ -306,7 +306,11 @@ pub const DEFAULT_COALESCE_LIMIT: usize = 32;
 /// way. With a single tag in flight the window never engages, so
 /// queue-depth-1 latency is untouched. Sized to span a few
 /// inter-completion gaps of a saturated low-latency device (~1.3 µs on the
-/// Optane profile) without stretching at-depth latency noticeably.
+/// Optane profile), where the wait overlaps queueing. At every
+/// *unsaturated* point with 2–8 commands in flight it is on the critical
+/// path instead: EXPERIMENTS.md ("The QD 2–8 shift") measured +5.4 µs of
+/// p50 and −21 % kIOPS there, on all four stacks. ROADMAP item 2 owns the
+/// verdict on removing or retuning it.
 pub const AGGREGATE_WINDOW: SimDuration = SimDuration::from_micros(4);
 
 /// Everything the engine needs to operate one queue pair. The engine

@@ -19,10 +19,19 @@
 //! is that signal (a posted write coming due, an MSI arriving).
 //!
 //! Live tasks sit in one table keyed by [`TaskId`]: the future, the
-//! [`Waker`] built for it at admission (cloned per poll, never rebuilt) and
-//! the reactor it is pinned to. A poll takes the future out of its entry
-//! and puts it back; an entry leaves the table when its task completes, so
-//! a wake that arrives afterwards finds nothing and is skipped unpolled.
+//! [`Waker`] built for it at admission and the reactor it is pinned to. A
+//! poll moves future and waker out of their entry and back; an entry leaves
+//! the table when its task completes, so a wake that arrives afterwards
+//! finds nothing and is skipped unpolled.
+//!
+//! The ready queue is a plain `VecDeque<TaskId>` per runtime, registered in
+//! a `thread_local!` table under the runtime's id for as long as the
+//! runtime lives. A [`Waker`] must be `Send + Sync`, so it carries only two
+//! integers, `(runtime id, task id)`, and a wake looks the queue up on the
+//! calling thread: no lock, no atomic. That is sound because a runtime is
+//! not `Send` and its ids are never reused — a wake from another thread, or
+//! one that outlives its runtime, finds no such queue and does nothing. A
+//! sleep timer bypasses the waker altogether and names its task by id.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -30,7 +39,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use crate::hash::IntMap;
@@ -64,38 +74,37 @@ impl ReactorId {
 
 type LocalBoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Queue of tasks made runnable by wakers.
-///
-/// This is the only piece of executor state reachable from a [`Waker`]
-/// (which must be `Send + Sync`), so it uses a real mutex; everything else
-/// stays in single-threaded `RefCell`s.
-#[derive(Default)]
-struct WakeQueue {
-    ready: Mutex<VecDeque<TaskId>>, // lint:allow(D04) — see above
+/// A runtime's queue of tasks made runnable, in wake order.
+type ReadyQueue = Rc<RefCell<VecDeque<TaskId>>>;
+
+thread_local! {
+    /// The ready queue of every runtime alive on this thread, by runtime
+    /// id: all a [`Waker`] can reach (see the module header).
+    static READY: RefCell<IntMap<u64, ReadyQueue>> = RefCell::default();
 }
 
-impl WakeQueue {
-    fn push(&self, id: TaskId) {
-        self.ready.lock().unwrap().push_back(id);
-    }
-
-    fn pop(&self) -> Option<TaskId> {
-        self.ready.lock().unwrap().pop_front()
-    }
-}
+/// Runtime ids handed out so far, process-wide, so that no two runtimes
+/// ever share one whichever threads they live on. Bumped once per runtime.
+static NEXT_RUNTIME: AtomicU64 = AtomicU64::new(0);
 
 struct TaskWaker {
-    id: TaskId,
-    queue: Arc<WakeQueue>,
+    runtime: u64,
+    task: TaskId,
 }
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.queue.push(self.id);
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.push(self.id);
+        // `try_with`: a waker parked in some other thread-local may fire
+        // while this thread's locals are being torn down.
+        let _ = READY.try_with(|ready| {
+            if let Some(queue) = ready.borrow().get(&self.runtime) {
+                queue.borrow_mut().push_back(self.task);
+            }
+        });
     }
 }
 
@@ -103,8 +112,7 @@ impl Wake for TaskWaker {
 struct TaskEntry {
     /// `None` only while the task is being polled, so the task body may
     /// itself spawn/wake without re-entering the `tasks` borrow.
-    future: Option<LocalBoxFuture>,
-    waker: Waker,
+    parked: Option<(LocalBoxFuture, Waker)>,
     reactor: ReactorId,
 }
 
@@ -114,7 +122,7 @@ type TaskTable = IntMap<TaskId, TaskEntry>;
 /// What a timer does at its deadline.
 enum TimerAction {
     /// Wake the task that awaited a [`Sleep`].
-    Wake(Waker),
+    Wake(TaskId),
     /// Signal a [`Notify`] ([`Handle::notify_at`]); no task runs.
     Notify(Notify),
 }
@@ -123,15 +131,6 @@ struct TimerEntry {
     deadline: SimTime,
     seq: u64,
     action: TimerAction,
-}
-
-impl TimerEntry {
-    fn fire(self) {
-        match self.action {
-            TimerAction::Wake(waker) => waker.wake(),
-            TimerAction::Notify(notify) => notify.notify_one(),
-        }
-    }
 }
 
 impl PartialEq for TimerEntry {
@@ -158,7 +157,11 @@ struct Core {
     /// Tasks spawned while another task is being polled; folded in between polls.
     spawn_queue: RefCell<Vec<(TaskId, ReactorId, LocalBoxFuture)>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    wake_queue: Arc<WakeQueue>,
+    /// This runtime's key in [`READY`].
+    id: u64,
+    /// The queue registered there: wakers push through the registry, the
+    /// run loop, spawns and sleep timers through this handle.
+    ready: ReadyQueue,
     next_task: Cell<u64>,
     next_timer_seq: Cell<u64>,
     steps: Cell<u64>,
@@ -173,6 +176,9 @@ struct Core {
     /// Number of logical reactors. One (the default) disables every
     /// reactor-aware code path, including the `ReactorPick` choice point.
     reactors: usize,
+    /// The task currently being polled, which a [`Sleep`] polled now
+    /// belongs to; `None` outside any poll.
+    current_task: Cell<Option<TaskId>>,
     /// Reactor of the task currently being polled; spawns inherit it.
     /// Outside any poll (bring-up, `block_on` root) it is reactor 0.
     current_reactor: Cell<ReactorId>,
@@ -189,18 +195,23 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 impl Core {
     fn new(reactors: usize) -> Rc<Core> {
         assert!(reactors >= 1, "a runtime needs at least one reactor");
+        let id = NEXT_RUNTIME.fetch_add(1, Ordering::Relaxed);
+        let ready = ReadyQueue::default();
+        READY.with(|all| all.borrow_mut().insert(id, ready.clone()));
         Rc::new(Core {
             now: Cell::new(SimTime::ZERO),
             tasks: RefCell::new(TaskTable::default()),
             spawn_queue: RefCell::new(Vec::new()),
             timers: RefCell::new(BinaryHeap::new()),
-            wake_queue: Arc::new(WakeQueue::default()),
+            id,
+            ready,
             next_task: Cell::new(0),
             next_timer_seq: Cell::new(0),
             steps: Cell::new(0),
             trace: Cell::new(FNV_OFFSET),
             scheduler: RefCell::new(None),
             reactors,
+            current_task: Cell::new(None),
             current_reactor: Cell::new(ReactorId(0)),
             reactor_busy: RefCell::new(vec![SimTime::ZERO; reactors]),
             sanitize: crate::sanitize::SanitizerState::new(),
@@ -245,20 +256,20 @@ impl Core {
             return;
         }
         let mut tasks = self.tasks.borrow_mut();
+        let mut ready = self.ready.borrow_mut();
         for (id, reactor, future) in spawned.drain(..) {
             let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                queue: self.wake_queue.clone(),
+                runtime: self.id,
+                task: id,
             }));
             tasks.insert(
                 id,
                 TaskEntry {
-                    future: Some(future),
-                    waker,
+                    parked: Some((future, waker)),
                     reactor,
                 },
             );
-            self.wake_queue.push(id);
+            ready.push_back(id);
         }
     }
 
@@ -271,10 +282,10 @@ impl Core {
     /// in the wake queue so the all-zeros answer reproduces the canonical
     /// FIFO schedule exactly.
     fn next_runnable(&self) -> Option<TaskId> {
+        let mut queue = self.ready.borrow_mut();
         if self.scheduler.borrow().is_none() {
-            return self.wake_queue.pop();
+            return queue.pop_front();
         }
-        let mut queue = self.wake_queue.ready.lock().unwrap();
         // Candidates: live tasks in wake order, first occurrence only
         // (duplicate and stale wakes are not schedulable alternatives).
         let mut candidates: Vec<TaskId> = Vec::new();
@@ -339,8 +350,8 @@ impl Core {
                 break;
             };
             let taken = self.tasks.borrow_mut().get_mut(&id).and_then(|entry| {
-                let fut = entry.future.take()?;
-                Some((fut, entry.waker.clone(), entry.reactor))
+                let (fut, waker) = entry.parked.take()?;
+                Some((fut, waker, entry.reactor))
             });
             let Some((mut fut, waker, reactor)) = taken else {
                 continue; // already completed; stale wake
@@ -351,9 +362,10 @@ impl Core {
             self.trace_fold(self.now.get().as_nanos());
             // The polled task's reactor becomes current so spawns inherit
             // it and `cpu_work` charges the right core.
-            let prev_reactor = self.current_reactor.get();
-            self.current_reactor.set(reactor);
+            let prev_reactor = self.current_reactor.replace(reactor);
+            let prev_task = self.current_task.replace(Some(id));
             let polled = fut.as_mut().poll(&mut cx);
+            self.current_task.set(prev_task);
             self.current_reactor.set(prev_reactor);
             let mut tasks = self.tasks.borrow_mut();
             match polled {
@@ -364,9 +376,16 @@ impl Core {
                     tasks
                         .get_mut(&id)
                         .expect("a polled task stays in the table")
-                        .future = Some(fut);
+                        .parked = Some((fut, waker));
                 }
             }
+        }
+    }
+
+    fn fire(&self, timer: TimerEntry) {
+        match timer.action {
+            TimerAction::Wake(task) => self.ready.borrow_mut().push_back(task),
+            TimerAction::Notify(notify) => notify.notify_one(),
         }
     }
 
@@ -380,7 +399,7 @@ impl Core {
         debug_assert!(first.deadline >= self.now.get(), "timer in the past");
         let deadline = first.deadline;
         self.now.set(deadline);
-        first.fire();
+        self.fire(first);
         // Fire all timers that share this deadline so their tasks interleave
         // in registration order within a single ready-queue drain.
         loop {
@@ -389,12 +408,19 @@ impl Core {
                 Some(Reverse(e)) if e.deadline == deadline => {
                     let Reverse(e) = timers.pop().unwrap();
                     drop(timers);
-                    e.fire();
+                    self.fire(e);
                 }
                 _ => break,
             }
         }
         true
+    }
+}
+
+impl Drop for Core {
+    fn drop(&mut self) {
+        // Wakers may outlive the runtime; from here on they find no queue.
+        let _ = READY.try_with(|all| all.borrow_mut().remove(&self.id));
     }
 }
 
@@ -703,12 +729,19 @@ impl Sleep {
 impl Future for Sleep {
     type Output = ();
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let core = self.handle.core();
         if core.now.get() >= self.deadline {
             Poll::Ready(())
         } else {
-            core.register_timer(self.deadline, TimerAction::Wake(cx.waker().clone()));
+            let task = core.current_task.get();
+            debug_assert!(
+                task.is_some(),
+                "Sleep polled outside any task of its runtime: nothing would advance its clock"
+            );
+            if let Some(task) = task {
+                core.register_timer(self.deadline, TimerAction::Wake(task));
+            }
             Poll::Pending
         }
     }
@@ -786,8 +819,6 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn block_on_returns_value() {
@@ -942,6 +973,134 @@ mod tests {
         waker.wake();
         rt.run();
         assert_eq!((rt.steps(), rt.trace_hash()), before);
+    }
+
+    /// What is left in this thread's registry (each test has its own thread).
+    fn registered() -> usize {
+        READY.with(|all| all.borrow().len())
+    }
+
+    /// A task that parks its waker in `slot` and counts its polls.
+    fn park_waker(rt: &SimRuntime, slot: &Rc<RefCell<Option<Waker>>>, polls: &Rc<Cell<u32>>) {
+        let (slot, polls) = (slot.clone(), polls.clone());
+        rt.handle().spawn(std::future::poll_fn(move |cx| {
+            polls.set(polls.get() + 1);
+            *slot.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+    }
+
+    #[test]
+    fn registry_is_empty_after_100_000_runtimes() {
+        for i in 0..100_000u64 {
+            let rt = SimRuntime::new();
+            let h = rt.handle();
+            let out = rt.block_on(async move {
+                h.sleep(SimDuration::from_nanos(1)).await;
+                i
+            });
+            assert_eq!((out, registered()), (i, 1));
+        }
+        assert_eq!(registered(), 0);
+    }
+
+    #[test]
+    fn runtimes_sharing_a_thread_poll_only_on_their_own_wakes() {
+        // Task ids coincide across runtimes (both count from zero), so a
+        // wake delivered to the wrong queue would poll a real task there.
+        fn slice(rt: &SimRuntime, delay: u64) {
+            let h = rt.handle();
+            rt.block_on(async move {
+                let n = Notify::new();
+                let (h2, n2) = (h.clone(), n.clone());
+                h.spawn(async move {
+                    h2.sleep(SimDuration::from_nanos(delay)).await;
+                    n2.notify_one();
+                });
+                n.notified().await;
+                yield_now().await;
+            });
+        }
+        let alone = |delays: [u64; 3]| {
+            let rt = SimRuntime::new();
+            delays.iter().for_each(|&d| slice(&rt, d));
+            (rt.steps(), rt.trace_hash(), rt.now())
+        };
+        let (a, b) = (SimRuntime::new(), SimRuntime::new());
+        for (da, db) in [(5, 7), (11, 3), (2, 2)] {
+            slice(&a, da);
+            slice(&b, db);
+        }
+        assert_eq!((a.steps(), a.trace_hash(), a.now()), alone([5, 11, 2]));
+        assert_eq!((b.steps(), b.trace_hash(), b.now()), alone([7, 3, 2]));
+    }
+
+    #[test]
+    fn wake_between_block_on_calls_is_delivered_by_the_next() {
+        let rt = SimRuntime::new();
+        let n = Notify::new();
+        let woken = Rc::new(Cell::new(false));
+        let (n2, woken2) = (n.clone(), woken.clone());
+        rt.handle().spawn(async move {
+            n2.notified().await;
+            woken2.set(true);
+        });
+        rt.block_on(async {}); // the waiter parks
+        n.notify_one(); // no task is being polled, no `block_on` is running
+        assert!(!woken.get());
+        rt.block_on(async {});
+        assert!(woken.get());
+    }
+
+    #[test]
+    fn stale_waker_of_a_dropped_runtime_wakes_nothing() {
+        let slot = Rc::new(RefCell::new(None));
+        let polls = Rc::new(Cell::new(0));
+        let old = SimRuntime::new();
+        park_waker(&old, &slot, &polls);
+        old.run();
+        drop(old);
+        let stale: Waker = slot.borrow_mut().take().expect("task ran");
+        // Same thread, same task id (0), a new runtime.
+        let new = SimRuntime::new();
+        park_waker(&new, &slot, &polls);
+        new.run();
+        assert_eq!((polls.get(), new.steps(), registered()), (2, 1, 1));
+        stale.wake_by_ref();
+        stale.wake();
+        new.run();
+        assert_eq!((polls.get(), new.steps()), (2, 1));
+        // The live task's own waker still works.
+        slot.borrow_mut().take().expect("task ran").wake();
+        new.run();
+        assert_eq!((polls.get(), new.steps()), (3, 2));
+    }
+
+    #[test]
+    fn sleep_under_timeout_and_poll_fn_wakes_the_enclosing_task() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let at = rt.block_on(async move {
+            let nap = h.sleep(SimDuration::from_nanos(200));
+            let cut = crate::timeout(&h, SimDuration::from_nanos(50), nap).await;
+            assert_eq!((cut, h.now().as_nanos()), (Err(crate::Elapsed), 50));
+            let mut nap = Box::pin(h.sleep(SimDuration::from_nanos(30)));
+            std::future::poll_fn(|cx| nap.as_mut().poll(cx)).await;
+            h.now().as_nanos()
+        });
+        // The abandoned 200 ns timer names a finished task: skipped unpolled.
+        let steps = rt.steps();
+        rt.run();
+        assert_eq!((at, rt.now().as_nanos(), rt.steps()), (80, 200, steps));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside any task")]
+    fn sleep_polled_outside_any_task_is_a_bug() {
+        let rt = SimRuntime::new();
+        let mut nap = Box::pin(rt.handle().sleep(SimDuration::from_nanos(1)));
+        let _ = nap.as_mut().poll(&mut Context::from_waker(Waker::noop()));
     }
 
     #[test]
