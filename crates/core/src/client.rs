@@ -18,7 +18,6 @@ use std::rc::Rc;
 use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BioResult, BlockDevice};
 use nvme::engine::{
     CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QueuePairSpec, Tag,
-    DEFAULT_COALESCE_LIMIT,
 };
 use nvme::spec::command::{SqEntry, SQE_SIZE};
 use nvme::spec::completion::{CqEntry, CQE_SIZE};
@@ -42,20 +41,6 @@ pub enum SqPlacement {
     DeviceSide,
     /// Naive: SQ in client memory; the controller fetches across the NTB.
     ClientSide,
-}
-
-/// How the client learns about completions.
-///
-/// The paper's SISCI extension "does not currently support
-/// device-generated interrupts", so its driver polls. `Interrupt` models
-/// the forwarding extension (MSI routed through the NTB to the client
-/// host) as an ablation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ClientCompletion {
-    /// Poll the CQ in client-local memory (the paper's design).
-    Polling,
-    /// Device-generated interrupts forwarded across the fabric.
-    Interrupt { latency: SimDuration },
 }
 
 /// How request data reaches the device (E8 ablation).
@@ -88,22 +73,20 @@ pub struct ClientConfig {
     pub sq_placement: SqPlacement,
     /// Bounce buffer or per-I/O mapping.
     pub data_path: DataPath,
-    /// Polling (paper) or forwarded interrupts (extension).
-    pub completion: ClientCompletion,
+    /// How the client learns about completions. The paper's SISCI
+    /// extension "does not currently support device-generated
+    /// interrupts", so its driver polls the CQ in client-local memory
+    /// (the default). `Interrupt` models the forwarding extension (MSI
+    /// routed through the NTB to the client host) as an ablation.
+    pub completion: CompletionStrategy,
     /// CPU cost of the submit path (block layer glue + naive driver).
     pub submission_overhead: SimDuration,
     /// CPU cost after completion detection.
     pub completion_overhead: SimDuration,
-    /// CQ poll detection cost.
-    pub poll_check_cost: SimDuration,
     /// IOMMU map / unmap costs (DirectMapped only).
     pub iommu_map_cost: SimDuration,
     /// IOMMU unmap + IOTLB shootdown cost (DirectMapped).
     pub iommu_unmap_cost: SimDuration,
-    /// Max SQEs covered by one SQ doorbell MMIO (1 = ring per command).
-    /// Each doorbell is a posted write through the NTB, so coalescing is
-    /// a direct hot-path saving at queue depth > 1.
-    pub doorbell_coalesce: usize,
     /// Per-command deadline. `None` (the seed default) waits forever;
     /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
     /// doorbell re-rings with exponential backoff, then Abort via the
@@ -131,13 +114,13 @@ impl Default for ClientConfig {
             partition_size: 128 << 10,
             sq_placement: SqPlacement::DeviceSide,
             data_path: DataPath::Bounce,
-            completion: ClientCompletion::Polling,
+            completion: CompletionStrategy::Polling {
+                check_cost: SimDuration::from_nanos(120),
+            },
             submission_overhead: SimDuration::from_nanos(2_400),
             completion_overhead: SimDuration::from_nanos(600),
-            poll_check_cost: SimDuration::from_nanos(120),
             iommu_map_cost: SimDuration::from_nanos(450),
             iommu_unmap_cost: SimDuration::from_nanos(700),
-            doorbell_coalesce: DEFAULT_COALESCE_LIMIT,
             cmd_timeout: None,
             mailbox_timeout: None,
             cpu_accounting: false,
@@ -497,7 +480,7 @@ impl ClientDriver {
             // Interrupt mode reserves a vector per queue pair; vectors are
             // granted as qid at the controller, so request "next" (the
             // manager echoes the actual qid and we route that vector).
-            let want_iv = matches!(cfg.completion, ClientCompletion::Interrupt { .. });
+            let want_iv = matches!(cfg.completion, CompletionStrategy::Interrupt { .. });
             let resp = mailbox_rpc(
                 &fabric,
                 host,
@@ -527,12 +510,7 @@ impl ClientDriver {
                 recreated: Cell::new(0),
             });
             // Interrupt extension: route vector `qid` to this host.
-            let irq = match cfg.completion {
-                ClientCompletion::Interrupt { .. } => {
-                    Some(fabric.config_msi(fabric_dev, qid, host))
-                }
-                ClientCompletion::Polling => None,
-            };
+            let irq = want_iv.then(|| fabric.config_msi(fabric_dev, qid, host));
             specs.push(QueuePairSpec {
                 qid,
                 sq_ring: sq_cpu.region,
@@ -549,19 +527,12 @@ impl ClientDriver {
         // Every tag must fit in any ring it can stripe onto (a ring holds
         // entries - 1), so more rings do not raise the bound.
         let qd = cfg.queue_depth.min(entries as usize - 1);
-        let strategy = match cfg.completion {
-            ClientCompletion::Polling => CompletionStrategy::Polling {
-                check_cost: cfg.poll_check_cost,
-            },
-            ClientCompletion::Interrupt { latency } => CompletionStrategy::Interrupt { latency },
-        };
         let engine = IoEngine::start(
             &fabric,
             specs,
-            strategy,
+            cfg.completion,
             EngineConfig {
                 queue_depth: qd,
-                coalesce_limit: cfg.doorbell_coalesce,
                 cmd_timeout: cfg.cmd_timeout,
             },
         );

@@ -23,9 +23,7 @@ pub mod manager;
 pub mod proto;
 
 pub use bounce::BouncePool;
-pub use client::{
-    ClientCompletion, ClientConfig, ClientDriver, ClientStats, DataPath, SqPlacement,
-};
+pub use client::{ClientConfig, ClientDriver, ClientStats, DataPath, SqPlacement};
 pub use error::{DnvmeError, Result};
 pub use manager::{Manager, ManagerConfig, ManagerStats};
 pub use proto::Metadata;

@@ -630,9 +630,9 @@ fn interrupt_mode_extension_works_and_costs_latency() {
     // The paper's driver polls because its SISCI extension lacks
     // device-generated interrupts; the forwarding extension must work
     // correctly and cost roughly the interrupt latency per I/O.
-    use dnvme::ClientCompletion;
+    use nvme::CompletionStrategy;
     use simcore::SimDuration;
-    fn one_read(completion: ClientCompletion) -> (bool, u64) {
+    fn one_read(completion: CompletionStrategy) -> (bool, u64) {
         let c = cluster(2);
         let smartio = c.smartio.clone();
         let fabric = c.fabric.clone();
@@ -667,8 +667,8 @@ fn interrupt_mode_extension_works_and_costs_latency() {
             (out.iter().all(|&b| b == 0x42), lat)
         })
     }
-    let (ok_poll, lat_poll) = one_read(ClientCompletion::Polling);
-    let (ok_irq, lat_irq) = one_read(ClientCompletion::Interrupt {
+    let (ok_poll, lat_poll) = one_read(ClientConfig::default().completion);
+    let (ok_irq, lat_irq) = one_read(CompletionStrategy::Interrupt {
         latency: SimDuration::from_nanos(1_400),
     });
     assert!(ok_poll && ok_irq, "data integrity in both modes");

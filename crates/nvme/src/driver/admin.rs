@@ -4,8 +4,8 @@
 //! window and places the admin rings behind DMA windows).
 //!
 //! The queue pair itself runs on [`crate::engine::IoEngine`] — admin is
-//! the engine at its smallest configuration (one qpair, depth 1, no
-//! coalescing), so the ring/completion machinery is not duplicated here.
+//! the engine at its smallest configuration (one qpair, depth 1), so the
+//! ring/completion machinery is not duplicated here.
 
 use std::rc::Rc;
 
@@ -134,7 +134,7 @@ impl AdminQueue {
             .await?;
         wait_csts(fabric, host, reg(offset::CSTS), true, cap.to).await?;
         // Admin traffic is serialized bring-up, not the fast path: one
-        // queue pair, one outstanding command, no doorbell coalescing.
+        // queue pair, one outstanding command.
         let engine = IoEngine::start(
             fabric,
             vec![QueuePairSpec {
@@ -151,7 +151,6 @@ impl AdminQueue {
             },
             EngineConfig {
                 queue_depth: 1,
-                coalesce_limit: 1,
                 ..EngineConfig::default()
             },
         );

@@ -4,7 +4,7 @@
 //! baselines in the paper's Fig. 9a scenario.
 //!
 //! Both run on [`crate::engine::IoEngine`]: the ring handling, tag table,
-//! completion service, and doorbell coalescing all live there; this file
+//! completion service, and submit-path flusher all live there; this file
 //! keeps only the bring-up sequence and the command-building glue (PRPs,
 //! DSM range staging).
 
@@ -18,7 +18,6 @@ use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BlockDevice};
 use crate::driver::admin::{AdminError, AdminQueue, AdminQueueLayout, AdminResult};
 use crate::engine::{
     CompletionStrategy, EngineConfig, EngineStats, IoEngine, QpairStats, QueuePairSpec,
-    DEFAULT_COALESCE_LIMIT,
 };
 use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::CQE_SIZE;
@@ -26,15 +25,6 @@ use crate::spec::identify::{IdentifyController, IdentifyNamespace};
 use crate::spec::log::{DsmRange, DSM_MAX_RANGES, DSM_RANGE_LEN};
 use crate::spec::prp;
 use crate::spec::status::Status;
-
-/// How a driver learns about completions.
-#[derive(Clone, Copy, Debug)]
-pub enum CompletionMode {
-    /// MSI + interrupt handling latency (stock kernel driver).
-    Interrupt { latency: SimDuration },
-    /// Busy polling; per-detection CPU cost (SPDK / the paper's driver).
-    Polling { check_cost: SimDuration },
-}
 
 /// Software-cost profile of a local driver.
 #[derive(Clone, Debug)]
@@ -48,11 +38,9 @@ pub struct LocalDriverConfig {
     /// CPU cost on the completion path after detection.
     pub completion_overhead: SimDuration,
     /// How completions are detected.
-    pub mode: CompletionMode,
+    pub mode: CompletionStrategy,
     /// Largest single transfer (bytes).
     pub max_transfer: u64,
-    /// Max SQEs covered by one SQ doorbell MMIO (1 = ring per command).
-    pub doorbell_coalesce: usize,
 }
 
 impl LocalDriverConfig {
@@ -63,11 +51,10 @@ impl LocalDriverConfig {
             queue_depth: 128,
             submission_overhead: SimDuration::from_nanos(700),
             completion_overhead: SimDuration::from_nanos(500),
-            mode: CompletionMode::Interrupt {
+            mode: CompletionStrategy::Interrupt {
                 latency: SimDuration::from_nanos(1_400),
             },
             max_transfer: 1 << 20,
-            doorbell_coalesce: DEFAULT_COALESCE_LIMIT,
         }
     }
 
@@ -78,11 +65,10 @@ impl LocalDriverConfig {
             queue_depth: 128,
             submission_overhead: SimDuration::from_nanos(220),
             completion_overhead: SimDuration::from_nanos(150),
-            mode: CompletionMode::Polling {
+            mode: CompletionStrategy::Polling {
                 check_cost: SimDuration::from_nanos(90),
             },
             max_transfer: 1 << 20,
-            doorbell_coalesce: DEFAULT_COALESCE_LIMIT,
         }
     }
 }
@@ -141,30 +127,21 @@ impl LocalNvmeDriver {
         let sq_mem = fabric.alloc(host, entries as u64 * SQE_SIZE as u64)?;
         let cq_mem = fabric.alloc(host, entries as u64 * CQE_SIZE as u64)?;
         let iv = match cfg.mode {
-            CompletionMode::Interrupt { .. } => Some(1u16),
-            CompletionMode::Polling { .. } => None,
+            CompletionStrategy::Interrupt { .. } => Some(1u16),
+            CompletionStrategy::Polling { .. } => None,
         };
         admin
             .create_io_qpair(1, entries, sq_mem.addr, cq_mem.addr, iv)
             .await?;
         let cap = admin.cap;
-        // IRQ routing + completion strategy for the engine's service task.
-        let (strategy, irq) = match cfg.mode {
-            CompletionMode::Interrupt { latency } => {
-                // Vector 1 routed to this host.
-                let dev_id = match fabric.resolve(host, bar.addr, 8) {
-                    Ok(pcie::Location::Bar { dev, .. }) => dev,
-                    _ => panic!("controller BAR did not resolve to a device"),
-                };
-                (
-                    CompletionStrategy::Interrupt { latency },
-                    Some(fabric.config_msi(dev_id, 1, host)),
-                )
-            }
-            CompletionMode::Polling { check_cost } => {
-                (CompletionStrategy::Polling { check_cost }, None)
-            }
-        };
+        // Vector 1 routed to this host, for the engine's service task.
+        let irq = iv.map(|vector| {
+            let dev_id = match fabric.resolve(host, bar.addr, 8) {
+                Ok(pcie::Location::Bar { dev, .. }) => dev,
+                _ => panic!("controller BAR did not resolve to a device"),
+            };
+            fabric.config_msi(dev_id, vector, host)
+        });
         let qd = cfg.queue_depth.min(entries as usize - 1);
         let engine = IoEngine::start(
             fabric,
@@ -177,10 +154,9 @@ impl LocalNvmeDriver {
                 entries,
                 irq,
             }],
-            strategy,
+            cfg.mode,
             EngineConfig {
                 queue_depth: qd,
-                coalesce_limit: cfg.doorbell_coalesce,
                 ..EngineConfig::default()
             },
         );

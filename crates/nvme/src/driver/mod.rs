@@ -5,4 +5,4 @@ pub mod admin;
 pub mod local;
 
 pub use admin::{AdminError, AdminQueue, AdminQueueLayout, AdminResult};
-pub use local::{attach_local_driver, CompletionMode, LocalDriverConfig, LocalNvmeDriver};
+pub use local::{attach_local_driver, LocalDriverConfig, LocalNvmeDriver};

@@ -9,18 +9,19 @@
 //! * [`IoEngine`] owns one or more queue pairs (built from
 //!   [`QueuePairSpec`]s), a [`TagSet`], and one completion-service task
 //!   per queue pair driven by a [`CompletionStrategy`].
-//! * There is **one submit path**, with **doorbell coalescing**: callers
-//!   enqueue SQEs; the first caller becomes the *flusher*, writes the
-//!   backlog into the ring and issues **one** SQ tail-doorbell MMIO per
-//!   batch (bounded by [`EngineConfig::coalesce_limit`]; `1` rings per
-//!   command). For the paper's remote clients each doorbell is a posted
-//!   write through the NTB, so this is a direct hot-path win at queue
-//!   depth > 1. At queue depth 1 there is never a second submitter to
-//!   batch with, so the submit path is byte-for-byte the old
-//!   push-then-ring sequence and QD=1 latency is unchanged.
-//! * CQ head doorbells are already coalesced per drain (one MMIO per
-//!   completion sweep, however many CQEs it reaped); the engine counts
-//!   them, and counts ring failures instead of discarding them.
+//! * There is **one submit path**: callers enqueue SQEs; the first caller
+//!   becomes the *flusher*, writes the backlog into the ring and issues
+//!   **one** SQ tail-doorbell MMIO per batch. The flusher is what
+//!   serialises concurrent pushes onto a ring, and it puts a same-instant
+//!   burst under one doorbell (for the paper's remote clients, one posted
+//!   write through the NTB). At queue depth 1 there is never a second
+//!   submitter to batch with, so the sequence is push-then-ring per
+//!   command.
+//! * A completion is delivered the moment it is detected (the paper puts
+//!   the CQ in client-local memory for exactly that): the service hands
+//!   over the CQE it saw, drains whatever else has already landed, and
+//!   rings the CQ head doorbell once per sweep. The engine counts those
+//!   doorbells, and counts ring failures instead of discarding them.
 //! * Per-qpair [`QpairStats`] feed the drivers' `qpair_stats()` and the
 //!   cluster-level benchmark reports.
 //!
@@ -177,12 +178,6 @@ impl TagSet {
         }
     }
 
-    /// Tags currently reserved (commands in flight plus tags held across
-    /// pre/post-submission driver overhead).
-    pub fn in_flight(&self) -> usize {
-        self.depth - self.table.borrow().free.len()
-    }
-
     /// Outstanding-command limit.
     pub fn depth(&self) -> usize {
         self.depth
@@ -269,10 +264,6 @@ pub enum CompletionStrategy {
 pub struct EngineConfig {
     /// Outstanding-command limit (tags across all queue pairs).
     pub queue_depth: usize,
-    /// Maximum SQEs written per SQ tail-doorbell MMIO. `1` rings per
-    /// command (the pre-engine behaviour); larger values coalesce bursts
-    /// while bounding how long the first SQE of a batch waits.
-    pub coalesce_limit: usize,
     /// Per-command completion deadline — rung 1 of the recovery ladder.
     /// `None` (the default) keeps the old unbounded wait. When set,
     /// [`IoEngine::issue`] re-rings the SQ tail doorbell on each expiry
@@ -286,7 +277,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             queue_depth: 32,
-            coalesce_limit: DEFAULT_COALESCE_LIMIT,
             cmd_timeout: None,
         }
     }
@@ -296,22 +286,9 @@ impl Default for EngineConfig {
 /// [`EngineError::Timeout`] (only reached when `cmd_timeout` is set).
 pub const MAX_RETRIES: u32 = 2;
 
-/// Default doorbell-coalesce limit used by the driver stacks.
-pub const DEFAULT_COALESCE_LIMIT: usize = 32;
-
-/// Adaptive completion aggregation (the engine's analog of NVMe interrupt
-/// coalescing): when **more than one** tag is in flight, the completion
-/// service holds its drain sweep open this long so neighbouring CQEs — and
-/// therefore their waiters' resubmissions — batch under one doorbell each
-/// way. With a single tag in flight the window never engages, so
-/// queue-depth-1 latency is untouched. Sized to span a few
-/// inter-completion gaps of a saturated low-latency device (~1.3 µs on the
-/// Optane profile), where the wait overlaps queueing. At every
-/// *unsaturated* point with 2–8 commands in flight it is on the critical
-/// path instead: EXPERIMENTS.md ("The QD 2–8 shift") measured +5.4 µs of
-/// p50 and −21 % kIOPS there, on all four stacks. ROADMAP item 2 owns the
-/// verdict on removing or retuning it.
-pub const AGGREGATE_WINDOW: SimDuration = SimDuration::from_micros(4);
+/// Most SQEs the flusher writes under one SQ tail-doorbell MMIO: bounds
+/// how long the first SQE of a burst waits for its doorbell.
+const COALESCE_LIMIT: usize = 32;
 
 /// Everything the engine needs to operate one queue pair. The engine
 /// constructs the rings itself — callers cannot name the submission ring
@@ -343,11 +320,9 @@ pub struct QueuePairSpec {
 pub struct QpairStats {
     /// SQEs written into the ring.
     pub sqes_submitted: u64,
-    /// SQ tail-doorbell MMIOs. With coalescing this is ≤ `sqes_submitted`;
-    /// at queue depth 1 the two are equal.
+    /// SQ tail-doorbell MMIOs: ≤ `sqes_submitted`, and equal to it at
+    /// queue depth 1.
     pub sq_doorbells: u64,
-    /// Doorbell flushes that covered more than one SQE.
-    pub coalesced_batches: u64,
     /// Largest number of SQEs covered by a single doorbell.
     pub max_batch: u64,
     /// CQEs reaped by the completion service.
@@ -369,7 +344,6 @@ impl QpairStats {
     pub fn absorb(&mut self, other: &QpairStats) {
         self.sqes_submitted += other.sqes_submitted;
         self.sq_doorbells += other.sq_doorbells;
-        self.coalesced_batches += other.coalesced_batches;
         self.max_batch = self.max_batch.max(other.max_batch);
         self.cqes_reaped += other.cqes_reaped;
         self.cq_doorbells += other.cq_doorbells;
@@ -435,7 +409,6 @@ impl IoEngine {
         cfg: EngineConfig,
     ) -> Rc<IoEngine> {
         assert!(!specs.is_empty(), "engine needs at least one queue pair");
-        assert!(cfg.coalesce_limit >= 1, "coalesce_limit must be >= 1");
         let mut qpairs = Vec::with_capacity(specs.len());
         let mut services = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -606,13 +579,12 @@ impl IoEngine {
 
     /// The one submit path: enqueue `sqe`, and unless a flusher is already
     /// draining `qp`'s backlog become it — write SQEs into the ring in
-    /// batches of up to [`EngineConfig::coalesce_limit`] with **one** tail
-    /// doorbell per batch. Later submitters ride along under the active
-    /// flusher's doorbell. At queue depth 1 the backlog never holds a
-    /// second entry, and at `coalesce_limit = 1` a batch never does, so
-    /// either way the sequence is push-then-ring per command. Every SQE
-    /// that cannot be announced to the device resolves its waiter with a
-    /// typed error — a silently dropped command would hang it.
+    /// batches of up to [`COALESCE_LIMIT`] with **one** tail doorbell per
+    /// batch. Later submitters ride along under the active flusher's
+    /// doorbell. At queue depth 1 the backlog never holds a second entry,
+    /// so the sequence is push-then-ring per command. Every SQE that
+    /// cannot be announced to the device resolves its waiter with a typed
+    /// error — a silently dropped command would hang it.
     async fn submit(&self, qp: &EngineQpair, sqe: SqEntry) {
         qp.backlog.borrow_mut().push_back(sqe);
         if qp.flushing.get() {
@@ -631,7 +603,7 @@ impl IoEngine {
             // From the first successful push on, every path reaches the
             // one ring below.
             let mut batch = vec![first.cid];
-            while batch.len() < self.cfg.coalesce_limit {
+            while batch.len() < COALESCE_LIMIT {
                 let Some(sqe) = qp.backlog.borrow_mut().pop_front() else {
                     break;
                 };
@@ -650,9 +622,6 @@ impl IoEngine {
                     s.sqes_submitted += n;
                     s.sq_doorbells += 1;
                     s.max_batch = s.max_batch.max(n);
-                    if n > 1 {
-                        s.coalesced_batches += 1;
-                    }
                 }
                 Err(e) => {
                     // The tail never reached the device: the batch's SQEs
@@ -668,8 +637,9 @@ impl IoEngine {
         qp.flushing.set(false);
     }
 
-    /// The per-queue-pair completion service: detect (poll or IRQ), drain
-    /// every available CQE, ring the CQ head doorbell once per sweep.
+    /// The per-queue-pair completion service: detect (poll or IRQ),
+    /// deliver the detected CQE and every other one already in the ring,
+    /// ring the CQ head doorbell once per sweep.
     async fn completion_service(self: Rc<Self>, index: usize, cq: Rc<CqRing>, irq: Option<Notify>) {
         loop {
             let held = match (self.strategy, &irq) {
@@ -681,12 +651,6 @@ impl IoEngine {
                 (CompletionStrategy::Polling { check_cost }, _) => Some(cq.next(check_cost).await),
                 _ => unreachable!("interrupt strategy without an IRQ route"),
             };
-            // Adaptive aggregation: with multiple commands in flight, hold
-            // the sweep open so the completions arriving on the heels of
-            // this one — and the resubmissions they trigger — batch.
-            if self.tags.in_flight() > 1 {
-                self.handle.sleep(AGGREGATE_WINDOW).await;
-            }
             let mut reaped = 0u64;
             if let Some(cqe) = held {
                 self.deliver(index, cqe);

@@ -6,9 +6,12 @@
 use std::rc::Rc;
 
 use blklayer::BioOp;
-use nvme::driver::{attach_local_driver, CompletionMode, LocalDriverConfig};
+use nvme::driver::{attach_local_driver, LocalDriverConfig};
 use nvme::spec::completion::CQE_SIZE;
-use nvme::{BlockStore, CqEntry, CqRing, MediaProfile, NvmeConfig, NvmeController, Status};
+use nvme::{
+    BlockStore, CompletionStrategy, CqEntry, CqRing, MediaProfile, NvmeConfig, NvmeController,
+    Status,
+};
 use pcie::{DomainAddr, Fabric, FabricParams};
 use proptest::prelude::*;
 use simcore::{SimDuration, SimRuntime};
@@ -118,7 +121,7 @@ proptest! {
             // even while the rings wrap.
             if burst == 1 {
                 all &= t.sq_doorbells == t.sqes_submitted;
-                all &= t.coalesced_batches == 0;
+                all &= t.max_batch <= 1;
             }
             all
         });
@@ -179,7 +182,7 @@ fn interrupt_mode_tiny_ring_sequential() {
     let f2 = fabric.clone();
     rt.block_on(async move {
         let mut cfg = tiny_config(false);
-        cfg.mode = CompletionMode::Interrupt {
+        cfg.mode = CompletionStrategy::Interrupt {
             latency: SimDuration::from_nanos(1_400),
         };
         let drv = attach_local_driver(&f2, host, &ctrl, cfg).await.unwrap();

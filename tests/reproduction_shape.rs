@@ -12,9 +12,13 @@ fn job(rw: RwMode) -> JobSpec {
 }
 
 fn latency(kind: ScenarioKind, rw: RwMode) -> LatencySummary {
+    latency_of(kind, &job(rw))
+}
+
+fn latency_of(kind: ScenarioKind, spec: &JobSpec) -> LatencySummary {
     let calib = Calibration::paper();
     let sc = Scenario::build(kind, &calib);
-    let rep = sc.run(&job(rw));
+    let rep = sc.run(spec);
     assert_eq!(rep.errors, 0);
     rep.read.or(rep.write).map(|s| s.lat).unwrap()
 }
@@ -104,6 +108,23 @@ fn remote_penalty_scales_with_chip_latency_corners() {
     assert!(
         (150..600).contains(&spread),
         "corner spread {spread} ns implausible"
+    );
+}
+
+#[test]
+fn a_second_command_in_flight_does_not_delay_completions() {
+    // §V puts the CQ in client-local memory so that a polling client sees
+    // a completion the moment the controller's posted write lands. With
+    // the device far from saturated, a second command in flight may add a
+    // little queueing but never a hold on an already-detected CQE.
+    let p50 = |qd: usize| {
+        let spec = job(RwMode::RandRead).iodepth(qd);
+        latency_of(ScenarioKind::OursRemote { switches: 1 }, &spec).p50
+    };
+    let (qd1, qd2) = (p50(1), p50(2));
+    assert!(
+        qd2 <= qd1 + 2_000,
+        "QD 2 p50 {qd2} ns is more than 2 µs above QD 1 p50 {qd1} ns"
     );
 }
 
