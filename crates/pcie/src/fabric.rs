@@ -10,6 +10,13 @@
 //!   asymmetry is why the paper places SQs device-side and CQs CPU-side
 //!   (Fig. 8).
 //!
+//! Posted writes in flight wait in one queue until the *delivery pump*
+//! applies them: a callback task of the executor (a plain function —
+//! applying a write never suspends) that a timer per write makes runnable
+//! at the write's due instant. A posted write costs the simulator two
+//! steps, its issuer's wake and the pump's run; co-due writes share the
+//! second.
+//!
 //! Untimed `mem_read`/`mem_write` accessors exist for test setup and for
 //! modeling work done outside the measured path.
 //!
@@ -24,7 +31,7 @@ use std::rc::{Rc, Weak};
 
 use simcore::sched::{ChoiceKind, ChoiceOption, Footprint};
 use simcore::sync::Notify;
-use simcore::{Handle, SerialResource, SimDuration, SimTime};
+use simcore::{Handle, SerialResource, SimDuration, SimTime, TaskId};
 
 use crate::addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr};
 use crate::device::MmioDevice;
@@ -130,13 +137,14 @@ struct PendingDelivery {
     hb: Option<u64>,
 }
 
-/// All in-flight posted writes plus the pump bookkeeping.
+/// All in-flight posted writes plus the pump that applies them.
 #[derive(Default)]
 struct DeliveryState {
     /// In issue order: pushed at the back, and `Vec::remove` keeps the
     /// rest in place, so the first entry on a path is that path's oldest.
     queue: Vec<PendingDelivery>,
-    pump_spawned: bool,
+    /// The delivery pump's callback task, spawned by the first posted write.
+    pump: Option<TaskId>,
 }
 
 /// The shared-fabric simulator. Cheap to clone (all clones view the same
@@ -169,8 +177,6 @@ struct FabricInner {
     /// Posted writes in flight, applied by the delivery pump in an order
     /// that is FIFO per path but a schedule choice point across paths.
     deliveries: RefCell<DeliveryState>,
-    /// Wakes the delivery pump when a write is enqueued or comes due.
-    pump_wake: Notify,
     /// Deterministic fault-injection state (empty plan = no faults).
     faults: RefCell<FaultInjector>,
     /// Whether the runtime was built under `simcore::sanitize::arm`: the
@@ -196,7 +202,6 @@ impl Fabric {
                     ntbs: Vec::new(),
                 }),
                 deliveries: RefCell::new(DeliveryState::default()),
-                pump_wake: Notify::new(),
                 faults: RefCell::new(FaultInjector::default()),
                 hb: RefCell::new(HbLog::default()),
             }),
@@ -909,10 +914,11 @@ impl Fabric {
     // ---------------------------------------------------------------
 
     /// Queue a posted write for application `delay` after now and make sure
-    /// the pump will run at that instant. The pump (not a per-write task)
-    /// applies deliveries so that the order of co-due writes on *different*
-    /// paths is an explicit [`ChoiceKind::Delivery`] schedule choice point;
-    /// writes on one path always apply in issue order.
+    /// the pump will run at that instant. The pump (one callback task, not
+    /// a task per write) applies deliveries so that the order of co-due
+    /// writes on *different* paths is an explicit [`ChoiceKind::Delivery`]
+    /// schedule choice point; writes on one path always apply in issue
+    /// order.
     fn enqueue_delivery(
         &self,
         delay: SimDuration,
@@ -962,7 +968,7 @@ impl Fabric {
             }
         }
         let due = self.inner.handle.now() + delay;
-        let spawn_pump = {
+        let pump = {
             // A duplicated TLP is queued right behind the original on the
             // same path, so it applies in order after it; the checker
             // token is shared (`HbLog::write_applied` is idempotent).
@@ -984,34 +990,27 @@ impl Fabric {
                     hb,
                 });
             }
-            let first = !dq.pump_spawned;
-            dq.pump_spawned = true;
-            first
+            *dq.pump.get_or_insert_with(|| {
+                let this = self.clone();
+                self.inner
+                    .handle
+                    .spawn_callback(move || this.delivery_pump())
+            })
         };
-        if spawn_pump {
-            let this = self.clone();
-            self.inner
-                .handle
-                .spawn(async move { this.delivery_pump().await });
-        }
-        // A timer per write guarantees a pump wakeup at the due instant;
-        // the Notify coalesces redundant ones.
-        self.inner
-            .handle
-            .notify_at(due, self.inner.pump_wake.clone());
+        // A timer per write makes the pump runnable at the due instant;
+        // any number of them firing together cost one run.
+        self.inner.handle.run_at(due, pump);
     }
 
-    /// Applies every due posted write, consulting the installed scheduler
-    /// (if any) whenever more than one path has a delivery ready.
-    async fn delivery_pump(&self) {
-        loop {
-            while let Some(d) = self.take_due_delivery() {
-                if let Some(token) = d.hb {
-                    self.inner.hb.borrow_mut().write_applied(token);
-                }
-                self.apply_write(&d.loc, &d.data);
+    /// The pump's whole body, run as a callback task of the executor: apply
+    /// every due posted write, consulting the installed scheduler (if any)
+    /// whenever more than one path has a delivery ready.
+    fn delivery_pump(&self) {
+        while let Some(d) = self.take_due_delivery() {
+            if let Some(token) = d.hb {
+                self.inner.hb.borrow_mut().write_applied(token);
             }
-            self.inner.pump_wake.notified().await;
+            self.apply_write(&d.loc, &d.data);
         }
     }
 
@@ -1025,37 +1024,35 @@ impl Fabric {
         let mut dq = self.inner.deliveries.borrow_mut();
         let queue = &mut dq.queue;
         // A path's head is its first entry in the queue, and it goes first
-        // whether or not it is due itself; `heads` comes out in issue order.
-        let mut heads: Vec<usize> = Vec::new();
-        for (i, d) in queue.iter().enumerate() {
-            if d.due <= now && !queue[..i].iter().any(|e| e.path == d.path) {
-                heads.push(i);
-            }
-        }
-        if heads.is_empty() {
-            return None;
-        }
-        let pick = if heads.len() == 1 {
-            0
-        } else {
-            // A real schedule choice point: tell the fault injector, so
-            // choice-indexed host crashes fire at schedule-relative
-            // positions the explorer can enumerate.
-            {
-                let mut fi = self.inner.faults.borrow_mut();
-                if fi.active() {
-                    fi.on_choice_point();
+        // whether or not it is due itself; heads come out in issue order.
+        let mut heads = queue.iter().enumerate().filter_map(|(i, d)| {
+            (d.due <= now && !queue[..i].iter().any(|e| e.path == d.path)).then_some(i)
+        });
+        let first = heads.next()?;
+        let pick = match heads.next() {
+            None => first,
+            Some(second) => {
+                // A real schedule choice point: tell the fault injector, so
+                // choice-indexed host crashes fire at schedule-relative
+                // positions the explorer can enumerate.
+                {
+                    let mut fi = self.inner.faults.borrow_mut();
+                    if fi.active() {
+                        fi.on_choice_point();
+                    }
                 }
+                let heads: Vec<usize> = [first, second].into_iter().chain(heads).collect();
+                let options: Vec<ChoiceOption> = heads
+                    .iter()
+                    .map(|&i| ChoiceOption::writing(delivery_footprint(&queue[i])))
+                    .collect();
+                heads[self
+                    .inner
+                    .handle
+                    .sched_choose(ChoiceKind::Delivery, &options)]
             }
-            let options: Vec<ChoiceOption> = heads
-                .iter()
-                .map(|&i| ChoiceOption::writing(delivery_footprint(&queue[i])))
-                .collect();
-            self.inner
-                .handle
-                .sched_choose(ChoiceKind::Delivery, &options)
         };
-        Some(queue.remove(heads[pick]))
+        Some(queue.remove(pick))
     }
 
     // ---------------------------------------------------------------

@@ -7,7 +7,7 @@ use pcie::{
     DomainAddr, Fabric, FabricError, FabricParams, FaultPlan, HostId, Location, MmioDevice,
     Payload, PhysAddr, RegisterFile,
 };
-use simcore::{SimDuration, SimRuntime};
+use simcore::{ChoiceKind, ReplayScheduler, SimDuration, SimRuntime};
 
 /// Build: hostA(RC) - ntbA - switch - ntbB - hostB(RC) - device.
 struct TestBed {
@@ -280,6 +280,76 @@ fn dma_write_ordering_preserved_for_same_path() {
         assert!(ok, "flag landed before data (delayed: {delayed})");
         assert_eq!(f.fault_stats().delayed, u64::from(delayed));
     }
+}
+
+#[test]
+fn a_posted_write_costs_its_issuers_wake_and_one_delivery_step() {
+    // `writes` doorbell-sized stores from host A into host B's DRAM, one
+    // after the other: executor steps until everything has landed.
+    fn steps(writes: u32) -> u64 {
+        let tb = build();
+        let f = tb.fabric.clone();
+        let seg = f.alloc(tb.host_b, 4096).unwrap();
+        let win = f
+            .program_lut(tb.ntb_a, 0, DomainAddr::new(tb.host_b, seg.addr))
+            .unwrap();
+        let (f2, host_a) = (f.clone(), tb.host_a);
+        tb.rt.block_on(async move {
+            for value in 1..=writes {
+                f2.cpu_write_u32(host_a, win, value).await.unwrap();
+            }
+        });
+        tb.rt.run();
+        let mut landed = [0u8; 4];
+        f.mem_read(tb.host_b, seg.addr, &mut landed).unwrap();
+        assert_eq!(u32::from_le_bytes(landed), writes);
+        tb.rt.steps()
+    }
+    // The issuer's first poll and the pump's admission, then per write the
+    // issuer waking from the issue cost and the pump applying the write.
+    assert_eq!((steps(1), steps(2), steps(7)), (4, 6, 16));
+}
+
+#[test]
+fn co_due_writes_on_different_paths_share_one_delivery_step() {
+    // Host A stores into host B's DRAM while host B stores into host A's:
+    // same issue cost, same distance, so both come due at one instant.
+    let tb = build();
+    let sched = ReplayScheduler::new(vec![]);
+    let trace = sched.trace();
+    tb.rt.set_scheduler(sched);
+    let f = tb.fabric.clone();
+    let ends = [
+        (tb.host_a, tb.ntb_a, tb.host_b),
+        (tb.host_b, tb.ntb_b, tb.host_a),
+    ];
+    let segs = ends.map(|(from, ntb, to)| {
+        let seg = f.alloc(to, 4096).unwrap();
+        let win = f
+            .program_lut(ntb, 0, DomainAddr::new(to, seg.addr))
+            .unwrap();
+        let f = f.clone();
+        tb.rt.handle().spawn(async move {
+            f.cpu_write_u32(from, win, 0xD00D).await.unwrap();
+        });
+        (to, seg)
+    });
+    tb.rt.run();
+    for (to, seg) in segs {
+        let mut landed = [0u8; 4];
+        f.mem_read(to, seg.addr, &mut landed).unwrap();
+        assert_eq!(u32::from_le_bytes(landed), 0xD00D);
+    }
+    // Two first polls, two issuer wakes, the pump's admission, and a single
+    // pump step that applies both writes — their order a choice it asked.
+    assert_eq!(tb.rt.steps(), 6);
+    let records = &trace.borrow().records;
+    let deliveries: Vec<usize> = records
+        .iter()
+        .filter(|r| r.kind == ChoiceKind::Delivery)
+        .map(|r| r.options())
+        .collect();
+    assert_eq!(deliveries, vec![2]);
 }
 
 /// MmioDevice that counts doorbell writes — checks BAR dispatch plumbing.

@@ -12,17 +12,26 @@
 //! executor thread. Two runs with the same seed perform the identical event
 //! sequence.
 //!
-//! Timers come in two kinds sharing that one order. A [`Handle::sleep`]
-//! timer wakes the task that awaited it. A [`Handle::notify_at`] timer
-//! signals a [`Notify`] and involves no task at all: no spawn, no poll, no
-//! entry in `trace_hash`. The second kind is for a delay whose only effect
-//! is that signal (a posted write coming due, an MSI arriving).
+//! A task has one of two bodies. An `async` task ([`Handle::spawn`]) is a
+//! future polled with the [`Waker`] built for it at admission; the poll moves
+//! both out of the task's entry and back, and the entry leaves the table
+//! when the future completes, so a wake that arrives afterwards finds
+//! nothing and is skipped unpolled. A callback task
+//! ([`Handle::spawn_callback`]) is a plain `Fn()` that never completes: it
+//! runs once when admitted and once each time it is made runnable, with no
+//! future, no [`Context`] and no waker. Both kinds live in one table keyed
+//! by [`TaskId`], wait in the same ready queue, count as a step and enter
+//! `trace_hash` the same way, and are the same [`ChoiceKind::Task`]
+//! candidates to an installed scheduler.
 //!
-//! Live tasks sit in one table keyed by [`TaskId`]: the future, the
-//! [`Waker`] built for it at admission and the reactor it is pinned to. A
-//! poll moves future and waker out of their entry and back; an entry leaves
-//! the table when its task completes, so a wake that arrives afterwards
-//! finds nothing and is skipped unpolled.
+//! Timers come in three kinds sharing the one `(deadline, registration)`
+//! order. A [`Handle::sleep`] timer wakes the task that awaited it. A
+//! [`Handle::run_at`] timer makes a callback task runnable; the task's
+//! `queued` flag folds any number of them firing before it runs into one
+//! run. A [`Handle::notify_at`] timer signals a [`Notify`] and involves no
+//! task at all: no spawn, no step, no entry in `trace_hash` — it is for a
+//! delay whose only effect is that signal, which in this tree is an MSI
+//! reaching its host.
 //!
 //! The ready queue is a plain `VecDeque<TaskId>` per runtime, registered in
 //! a `thread_local!` table under the runtime's id for as long as the
@@ -108,12 +117,43 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One live task: see the module header.
-struct TaskEntry {
-    /// `None` only while the task is being polled, so the task body may
-    /// itself spawn/wake without re-entering the `tasks` borrow.
-    parked: Option<(LocalBoxFuture, Waker)>,
-    reactor: ReactorId,
+/// One live task: what it runs (see the module header) and the reactor it
+/// is pinned to. Two things keep the second kind of body from costing the
+/// first anything (`simcore.spawn_join_host_ns` is the probe). The reactor
+/// sits inside each variant, next to the tag, so an entry is no larger
+/// than future, waker and reactor. And a callback is named by its index in
+/// [`Core::callbacks`] instead of being owned here, so only `Parked` has
+/// anything to drop when a poll overwrites or removes an entry.
+enum TaskEntry {
+    /// An `async` task between polls.
+    Parked(LocalBoxFuture, Waker, ReactorId),
+    /// That task while it is being polled: future and waker are out, so the
+    /// body may itself spawn/wake without re-entering the `tasks` borrow.
+    Polling(ReactorId),
+    /// A callback task; `queued` from the moment it is made runnable until
+    /// it runs, so that it sits in the ready queue at most once.
+    Callback {
+        index: u32,
+        queued: bool,
+        reactor: ReactorId,
+    },
+}
+
+/// A task between spawn and admission (the waker is built at admission).
+enum Spawned {
+    Future(LocalBoxFuture),
+    /// Index in [`Core::callbacks`].
+    Callback(u32),
+}
+
+impl TaskEntry {
+    fn reactor(&self) -> ReactorId {
+        match self {
+            TaskEntry::Parked(_, _, reactor)
+            | TaskEntry::Polling(reactor)
+            | TaskEntry::Callback { reactor, .. } => *reactor,
+        }
+    }
 }
 
 /// Task ids are consecutive integers the executor itself hands out.
@@ -123,19 +163,28 @@ type TaskTable = IntMap<TaskId, TaskEntry>;
 enum TimerAction {
     /// Wake the task that awaited a [`Sleep`].
     Wake(TaskId),
+    /// Make a callback task runnable ([`Handle::run_at`]).
+    Run(TaskId),
     /// Signal a [`Notify`] ([`Handle::notify_at`]); no task runs.
     Notify(Notify),
 }
 
 struct TimerEntry {
-    deadline: SimTime,
-    seq: u64,
+    /// `(deadline, registration sequence)` as one integer, the deadline's
+    /// nanoseconds in the high half: heap order is a single comparison.
+    key: u128,
     action: TimerAction,
+}
+
+impl TimerEntry {
+    fn deadline(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl PartialEq for TimerEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl Eq for TimerEntry {}
@@ -146,7 +195,7 @@ impl PartialOrd for TimerEntry {
 }
 impl Ord for TimerEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -155,7 +204,10 @@ struct Core {
     /// Every live task. Keyed access only.
     tasks: RefCell<TaskTable>,
     /// Tasks spawned while another task is being polled; folded in between polls.
-    spawn_queue: RefCell<Vec<(TaskId, ReactorId, LocalBoxFuture)>>,
+    spawn_queue: RefCell<Vec<(TaskId, ReactorId, Spawned)>>,
+    /// The body of every callback task. They never complete, so this only
+    /// grows.
+    callbacks: RefCell<Vec<Rc<dyn Fn()>>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     /// This runtime's key in [`READY`].
     id: u64,
@@ -192,6 +244,30 @@ struct Core {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME` to the power of the index, for [`trace_fold`]'s zero bytes.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut i = 1;
+    while i < pow.len() {
+        pow[i] = pow[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    pow
+};
+
+/// FNV-1a of `word`'s eight little-endian bytes folded into `h`. A zero
+/// byte only multiplies, so the zero high bytes of a small word (a task id,
+/// an instant) fold as one multiply by a power of the prime.
+fn trace_fold(mut h: u64, mut word: u64) -> u64 {
+    let mut left = 8;
+    while word != 0 {
+        h = (h ^ (word & 0xff)).wrapping_mul(FNV_PRIME);
+        word >>= 8;
+        left -= 1;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[left])
+}
+
 impl Core {
     fn new(reactors: usize) -> Rc<Core> {
         assert!(reactors >= 1, "a runtime needs at least one reactor");
@@ -202,6 +278,7 @@ impl Core {
             now: Cell::new(SimTime::ZERO),
             tasks: RefCell::new(TaskTable::default()),
             spawn_queue: RefCell::new(Vec::new()),
+            callbacks: RefCell::new(Vec::new()),
             timers: RefCell::new(BinaryHeap::new()),
             id,
             ready,
@@ -222,15 +299,7 @@ impl Core {
         self.tasks
             .borrow()
             .get(&id)
-            .map_or(ReactorId(0), |entry| entry.reactor)
-    }
-
-    fn trace_fold(&self, word: u64) {
-        let mut h = self.trace.get();
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        self.trace.set(h);
+            .map_or(ReactorId(0), TaskEntry::reactor)
     }
 
     fn alloc_task_id(&self) -> TaskId {
@@ -242,11 +311,10 @@ impl Core {
     fn register_timer(&self, deadline: SimTime, action: TimerAction) {
         let seq = self.next_timer_seq.get();
         self.next_timer_seq.set(seq + 1);
-        self.timers.borrow_mut().push(Reverse(TimerEntry {
-            deadline,
-            seq,
-            action,
-        }));
+        let key = u128::from(deadline.as_nanos()) << 64 | u128::from(seq);
+        self.timers
+            .borrow_mut()
+            .push(Reverse(TimerEntry { key, action }));
     }
 
     /// Admit freshly spawned tasks and mark them runnable.
@@ -257,18 +325,22 @@ impl Core {
         }
         let mut tasks = self.tasks.borrow_mut();
         let mut ready = self.ready.borrow_mut();
-        for (id, reactor, future) in spawned.drain(..) {
-            let waker = Waker::from(Arc::new(TaskWaker {
-                runtime: self.id,
-                task: id,
-            }));
-            tasks.insert(
-                id,
-                TaskEntry {
-                    parked: Some((future, waker)),
+        for (id, reactor, body) in spawned.drain(..) {
+            let entry = match body {
+                Spawned::Future(future) => {
+                    let waker = Waker::from(Arc::new(TaskWaker {
+                        runtime: self.id,
+                        task: id,
+                    }));
+                    TaskEntry::Parked(future, waker, reactor)
+                }
+                Spawned::Callback(index) => TaskEntry::Callback {
+                    index,
+                    queued: true,
                     reactor,
                 },
-            );
+            };
+            tasks.insert(id, entry);
             ready.push_back(id);
         }
     }
@@ -344,47 +416,76 @@ impl Core {
 
     /// Run every runnable task until the ready queue drains.
     fn run_ready(&self) {
+        /// A task body taken out of the table for one step.
+        enum Step {
+            Poll(LocalBoxFuture, Waker),
+            Call(Rc<dyn Fn()>),
+        }
         loop {
             self.admit_spawned();
             let Some(id) = self.next_runnable() else {
                 break;
             };
             let taken = self.tasks.borrow_mut().get_mut(&id).and_then(|entry| {
-                let (fut, waker) = entry.parked.take()?;
-                Some((fut, waker, entry.reactor))
+                let reactor = entry.reactor();
+                let step = match entry {
+                    TaskEntry::Callback { index, queued, .. } => {
+                        *queued = false;
+                        Step::Call(self.callbacks.borrow()[*index as usize].clone())
+                    }
+                    _ => match std::mem::replace(entry, TaskEntry::Polling(reactor)) {
+                        TaskEntry::Parked(fut, waker, _) => Step::Poll(fut, waker),
+                        _ => return None,
+                    },
+                };
+                Some((step, reactor))
             });
-            let Some((mut fut, waker, reactor)) = taken else {
+            let Some((step, reactor)) = taken else {
                 continue; // already completed; stale wake
             };
-            let mut cx = Context::from_waker(&waker);
             self.steps.set(self.steps.get() + 1);
-            self.trace_fold(id.0);
-            self.trace_fold(self.now.get().as_nanos());
-            // The polled task's reactor becomes current so spawns inherit
-            // it and `cpu_work` charges the right core.
+            let hash = trace_fold(self.trace.get(), id.0);
+            self.trace.set(trace_fold(hash, self.now.get().as_nanos()));
+            // The task's reactor becomes current so spawns inherit it and
+            // `cpu_work` charges the right core.
             let prev_reactor = self.current_reactor.replace(reactor);
-            let prev_task = self.current_task.replace(Some(id));
-            let polled = fut.as_mut().poll(&mut cx);
-            self.current_task.set(prev_task);
-            self.current_reactor.set(prev_reactor);
-            let mut tasks = self.tasks.borrow_mut();
-            match polled {
-                Poll::Ready(()) => {
-                    tasks.remove(&id);
-                }
-                Poll::Pending => {
-                    tasks
-                        .get_mut(&id)
-                        .expect("a polled task stays in the table")
-                        .parked = Some((fut, waker));
+            match step {
+                Step::Call(run) => run(),
+                Step::Poll(mut fut, waker) => {
+                    let prev_task = self.current_task.replace(Some(id));
+                    let polled = fut.as_mut().poll(&mut Context::from_waker(&waker));
+                    self.current_task.set(prev_task);
+                    let mut tasks = self.tasks.borrow_mut();
+                    match polled {
+                        Poll::Ready(()) => {
+                            tasks.remove(&id);
+                        }
+                        Poll::Pending => {
+                            *tasks
+                                .get_mut(&id)
+                                .expect("a polled task stays in the table") =
+                                TaskEntry::Parked(fut, waker, reactor);
+                        }
+                    }
                 }
             }
+            self.current_reactor.set(prev_reactor);
         }
     }
 
     fn fire(&self, timer: TimerEntry) {
         match timer.action {
             TimerAction::Wake(task) => self.ready.borrow_mut().push_back(task),
+            TimerAction::Run(task) => {
+                // Anything but a callback task not yet queued: nothing to do.
+                if let Some(TaskEntry::Callback { queued, .. }) =
+                    self.tasks.borrow_mut().get_mut(&task)
+                {
+                    if !std::mem::replace(queued, true) {
+                        self.ready.borrow_mut().push_back(task);
+                    }
+                }
+            }
             TimerAction::Notify(notify) => notify.notify_one(),
         }
     }
@@ -396,8 +497,8 @@ impl Core {
             Some(Reverse(entry)) => entry,
             None => return false,
         };
-        debug_assert!(first.deadline >= self.now.get(), "timer in the past");
-        let deadline = first.deadline;
+        let deadline = first.deadline();
+        debug_assert!(deadline >= self.now.get(), "timer in the past");
         self.now.set(deadline);
         self.fire(first);
         // Fire all timers that share this deadline so their tasks interleave
@@ -405,7 +506,7 @@ impl Core {
         loop {
             let mut timers = self.timers.borrow_mut();
             match timers.peek() {
-                Some(Reverse(e)) if e.deadline == deadline => {
+                Some(Reverse(e)) if e.deadline() == deadline => {
                     let Reverse(e) = timers.pop().unwrap();
                     drop(timers);
                     self.fire(e);
@@ -609,8 +710,42 @@ impl Handle {
                 w.wake();
             }
         });
-        core.spawn_queue.borrow_mut().push((id, reactor, wrapped));
+        core.spawn_queue
+            .borrow_mut()
+            .push((id, reactor, Spawned::Future(wrapped)));
         JoinHandle { state, id }
+    }
+
+    /// Spawn a callback task on the spawner's reactor: `run` is called once
+    /// when the task is admitted (where a spawned future would get its
+    /// first poll) and once each time a [`Handle::run_at`] timer makes it
+    /// runnable. Each call is one step, enters `trace_hash` as a poll of
+    /// the returned id does, and is a [`ChoiceKind::Task`] candidate like
+    /// any runnable future; the task never completes.
+    ///
+    /// Use it for work that is synchronous from start to finish every time
+    /// it runs: such a task has nothing to suspend, so a future, a
+    /// [`Context`] and a waker per run would buy it nothing.
+    pub fn spawn_callback(&self, run: impl Fn() + 'static) -> TaskId {
+        let core = self.core();
+        let id = core.alloc_task_id();
+        let mut callbacks = core.callbacks.borrow_mut();
+        let body = Spawned::Callback(callbacks.len() as u32);
+        callbacks.push(Rc::new(run));
+        let reactor = core.current_reactor.get();
+        core.spawn_queue.borrow_mut().push((id, reactor, body));
+        id
+    }
+
+    /// Make callback task `task` runnable at absolute virtual time
+    /// `deadline`. The timer takes its place among the others in
+    /// `(deadline, registration)` order; however many of a task's timers
+    /// fire before it next runs, it runs once. Nothing happens if `task`
+    /// is not a callback task of this runtime, or the runtime is gone.
+    pub fn run_at(&self, deadline: SimTime, task: TaskId) {
+        if let Some(core) = self.core.upgrade() {
+            core.register_timer(deadline, TimerAction::Run(task));
+        }
     }
 
     /// The reactor of the task currently being polled (reactor 0 outside
@@ -651,11 +786,11 @@ impl Handle {
     /// `(deadline, registration)` order, and like them it never fires past
     /// the end of a [`SimRuntime::block_on`] whose root finished earlier.
     ///
-    /// Use it for a delay whose *only* effect is that signal — a posted
-    /// write coming due for the delivery pump, an MSI reaching its host.
-    /// Anything that must run code at the deadline (touch state, decide
-    /// something, signal conditionally) stays a spawned task that sleeps:
-    /// a timer cannot be cancelled and carries no logic.
+    /// Use it for a delay whose *only* effect is that signal — an MSI
+    /// reaching its host is the one caller. Code that must run at the
+    /// deadline is a callback task's [`Handle::run_at`] when it is
+    /// synchronous, and a spawned task that sleeps otherwise: a timer
+    /// cannot be cancelled and carries no logic.
     pub fn notify_at(&self, deadline: SimTime, notify: Notify) {
         self.core()
             .register_timer(deadline, TimerAction::Notify(notify));
@@ -956,6 +1091,184 @@ mod tests {
         rt.run();
         assert_eq!(rt.now().as_nanos(), 1_000);
         rt.block_on(async move { n.notified().await }); // the permit it left
+    }
+
+    /// A callback task that logs the instant of each run.
+    fn logging_callback(h: &Handle, log: &Rc<RefCell<Vec<u64>>>) -> TaskId {
+        let (h2, log) = (h.clone(), log.clone());
+        h.spawn_callback(move || log.borrow_mut().push(h2.now().as_nanos()))
+    }
+
+    #[test]
+    fn callback_task_runs_on_admission_and_once_per_instant() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let task = logging_callback(&h, &log);
+        rt.run();
+        assert_eq!((log.borrow().clone(), rt.steps()), (vec![0], 1));
+        // Three timers sharing a deadline are one run; a fourth, later, one more.
+        for at in [40, 40, 40, 70] {
+            h.run_at(SimTime::from_nanos(at), task);
+        }
+        let hash = rt.trace_hash();
+        rt.run();
+        assert_eq!((log.borrow().clone(), rt.steps()), (vec![0, 40, 70], 3));
+        // Each run entered the hash as a poll of `task` at that instant does.
+        let expected = [40, 70]
+            .iter()
+            .fold(hash, |h, &at| trace_fold(trace_fold(h, task.0), at));
+        assert_eq!(rt.trace_hash(), expected);
+    }
+
+    #[test]
+    fn callback_task_runs_on_its_spawners_reactor_between_other_timers() {
+        // Registration order at t=100: sleeper a, the callback's timer,
+        // sleeper c — and that is the order they run in.
+        let rt = SimRuntime::with_reactors(2);
+        let h = rt.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (h2, log2) = (h.clone(), log.clone());
+        h.spawn_on(ReactorId::new(1), async move {
+            let (h3, log3) = (h2.clone(), log2.clone());
+            let task = h2.spawn_callback(move || {
+                let reactor = h3.current_reactor().index();
+                log3.borrow_mut().push(("callback", reactor));
+            });
+            let sleeper = |name: &'static str| {
+                let (h3, log3) = (h2.clone(), log2.clone());
+                h2.spawn_on(ReactorId::new(0), async move {
+                    h3.sleep(SimDuration::from_nanos(100)).await;
+                    log3.borrow_mut().push((name, h3.current_reactor().index()));
+                });
+            };
+            sleeper("a");
+            let h3 = h2.clone();
+            h2.spawn(async move { h3.run_at(SimTime::from_nanos(100), task) });
+            sleeper("c");
+        });
+        rt.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![("callback", 1), ("a", 0), ("callback", 1), ("c", 0)]
+        );
+    }
+
+    #[test]
+    fn run_at_without_a_callback_task_to_run_does_nothing() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let polls = Rc::new(Cell::new(0));
+        let polls2 = polls.clone();
+        let parked = h.spawn(std::future::poll_fn(move |_| {
+            polls2.set(polls2.get() + 1);
+            Poll::<()>::Pending
+        }));
+        let finished = h.spawn(async {});
+        rt.run();
+        let before = (rt.steps(), rt.trace_hash(), polls.get());
+        assert_eq!(before.2, 1);
+        // A parked future, a finished one, an id nothing was ever given.
+        for task in [parked.id(), finished.id(), TaskId(1_000)] {
+            h.run_at(SimTime::from_nanos(10), task);
+        }
+        rt.run();
+        assert_eq!(rt.now().as_nanos(), 10);
+        assert_eq!((rt.steps(), rt.trace_hash(), polls.get()), before);
+        // Through the handle of a runtime that is gone: not even a panic.
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let task = logging_callback(&h, &log);
+        drop(rt);
+        h.run_at(SimTime::from_nanos(20), task);
+        assert!(log.borrow().is_empty());
+    }
+
+    #[test]
+    fn callback_task_is_a_task_choice_like_a_runnable_future() {
+        use crate::sched::ReplayScheduler;
+        // A callback task and a future made runnable at the same instant,
+        // under the scheduler replaying `prefix` (or under none).
+        fn run(prefix: Option<Vec<u32>>) -> (Vec<&'static str>, Vec<(ChoiceKind, usize)>) {
+            let rt = SimRuntime::new();
+            let trace = prefix.map(|prefix| {
+                let sched = ReplayScheduler::new(prefix);
+                let trace = sched.trace();
+                rt.set_scheduler(sched);
+                trace
+            });
+            let h = rt.handle();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (h2, log2) = (h.clone(), log.clone());
+            let task = h.spawn_callback(move || {
+                if h2.now().as_nanos() == 10 {
+                    log2.borrow_mut().push("callback");
+                }
+            });
+            h.run_at(SimTime::from_nanos(10), task);
+            let (h2, log2) = (h.clone(), log.clone());
+            h.spawn(async move {
+                h2.sleep(SimDuration::from_nanos(10)).await;
+                log2.borrow_mut().push("future");
+            });
+            rt.run();
+            let order = log.borrow().clone();
+            let choices = trace.map_or(Vec::new(), |trace| {
+                let records = &trace.borrow().records;
+                records.iter().map(|c| (c.kind, c.options())).collect()
+            });
+            (order, choices)
+        }
+        let (fifo, _) = run(None);
+        assert_eq!(fifo, vec!["callback", "future"]);
+        // One choice between the two at admission, one at t=10; the
+        // all-zeros answer is the FIFO schedule.
+        let (canonical, choices) = run(Some(vec![]));
+        assert_eq!(canonical, fifo);
+        assert_eq!(choices, vec![(ChoiceKind::Task, 2); 2]);
+        let (flipped, _) = run(Some(vec![0, 1]));
+        assert_eq!(flipped, vec!["future", "callback"]);
+    }
+
+    /// FNV-1a over the eight little-endian bytes of `word`, one at a time:
+    /// what `trace_fold` has computed since the hash was introduced.
+    fn trace_fold_bytewise(mut h: u64, word: u64) -> u64 {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    #[test]
+    fn trace_fold_matches_bytewise_fnv1a_at_the_edges() {
+        for word in [0, 1, 0xff, 0x100, 1 << 56, (1 << 56) - 1, u64::MAX] {
+            for h in [FNV_OFFSET, 0, u64::MAX] {
+                assert_eq!(
+                    trace_fold(h, word),
+                    trace_fold_bytewise(h, word),
+                    "{word:#x}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn trace_fold_matches_bytewise_fnv1a(
+            h in proptest::prelude::any::<u64>(),
+            word in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // Shifted down as well: most words folded are small.
+            for word in [word, word >> shift] {
+                proptest::prop_assert_eq!(trace_fold(h, word), trace_fold_bytewise(h, word));
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_task_body_costs_the_task_table_nothing() {
+        // Future, waker and reactor: what an entry held before callbacks.
+        assert!(std::mem::size_of::<TaskEntry>() <= 5 * std::mem::size_of::<usize>());
     }
 
     #[test]

@@ -16,6 +16,22 @@ fn two_client_program() -> ScenarioProgram {
     ScenarioProgram::small(ScenarioKind::OursMultihost { clients: 2 })
 }
 
+/// A search's tallies in the order `dnvme-explore` prints them: schedules,
+/// choice points, branches queued, pruned, preemption-bounded. The
+/// two-client numbers are pinned exactly below: any change to what is
+/// runnable when — one poll more or fewer, a timer registered in another
+/// order — moves them, and must arrive as an edit to this file rather than
+/// as a line in a CI log nobody compares.
+fn tallies(stats: &explore::ExploreStats) -> [usize; 5] {
+    [
+        stats.schedules_run,
+        stats.choice_points,
+        stats.branches_enqueued,
+        stats.branches_pruned,
+        stats.preemption_bounded,
+    ]
+}
+
 #[test]
 fn exhaustive_two_client_is_conformant() {
     let prog = two_client_program();
@@ -40,6 +56,7 @@ fn exhaustive_two_client_is_conformant() {
         "expected a nontrivial schedule space, ran {}",
         res.stats.schedules_run
     );
+    assert_eq!(tallies(&res.stats), [42, 378, 41, 78, 15]);
     assert!(
         res.stats.branches_pruned > 0,
         "independent cross-client deliveries must commute: {:?}",
@@ -85,6 +102,7 @@ fn exhaustive_two_client_with_cqe_drop_is_conformant() {
         "recovery must open schedule alternatives, ran {}",
         res.stats.schedules_run
     );
+    assert_eq!(tallies(&res.stats), [8, 80, 7, 18, 21]);
 }
 
 #[test]
@@ -108,6 +126,7 @@ fn exhaustive_two_client_two_reactors_is_conformant() {
         res.failure
     );
     assert!(res.stats.exhausted, "frontier must drain: {:?}", res.stats);
+    assert_eq!(tallies(&res.stats), [7, 63, 6, 18, 15]);
     // The canonical schedule must actually exercise ReactorPick points and
     // replay bit-identically.
     let canonical = prog.run(&[]);
