@@ -435,7 +435,7 @@ impl NvmeController {
                         .borrow_mut()
                         .insert((qid, sqe.cid), aborted.clone());
                     let me = self.clone();
-                    self.handle.spawn(async move {
+                    self.handle.spawn_detached(async move {
                         me.exec_io(qid, cqid, sqe, new_head, aborted).await;
                         drop(permit);
                     });

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BioResult, BlockDevice};
-use nvme::engine::{Tag, TagSet};
+use nvme::engine::{EngineError, Tag, TagSet};
 use nvme::spec::command::SqEntry;
 use pcie::{Fabric, HostId, MemRegion, PhysAddr};
 use rdma::{Access, IbNet, NicId, Qp, SendWr, WcStatus};
@@ -136,31 +136,49 @@ impl NvmfInitiator {
             stats: RefCell::new(InitiatorStats::default()),
             cfg,
         });
-        // Completion service: response capsules arrive on the recv CQ.
+        // Completion service: response capsules arrive on the recv CQ and
+        // reach the driver an interrupt + softirq later (kernel path).
         let me = init.clone();
         let recv_cq = qp.recv_cq();
-        fabric.handle().spawn(async move {
+        recv_cq.set_consumer_cost(init.cfg.irq_latency);
+        fabric.handle().spawn_detached(async move {
             loop {
                 let wc = recv_cq.next().await;
-                // Kernel path: interrupt + softirq before the CQE reaches
-                // the driver.
-                me.handle.sleep(me.cfg.irq_latency).await;
-                if wc.status != WcStatus::Success {
-                    continue;
-                }
                 let addr = resp_region.addr.as_u64() + wc.wr_id * 64;
-                let mut raw = [0u8; 16];
-                me.fabric
-                    .mem_read(me.host, PhysAddr(addr), &mut raw)
-                    .expect("resp read");
-                // Recycle the response buffer.
+                let cqe = if wc.status == WcStatus::Success {
+                    let mut raw = [0u8; 16];
+                    me.fabric
+                        .mem_read(me.host, PhysAddr(addr), &mut raw)
+                        .expect("resp read");
+                    decode_response(&raw)
+                } else {
+                    None
+                };
+                // Recycle the response buffer: the NIC consumed the receive
+                // whether or not the message fitted it.
                 me.qp.post_recv(wc.wr_id, resp_mr.lkey, addr, 64);
-                if let Some(cqe) = decode_response(&raw) {
+                if let Some(cqe) = cqe {
                     me.tags.complete(cqe.cid, Ok(cqe));
                 }
             }
         });
+        // Capsule sends are unsignaled, so the send CQ carries nothing but
+        // capsules that were never delivered: fail their commands.
+        let me = init.clone();
+        let send_cq = qp.send_cq();
+        fabric.handle().spawn_detached(async move {
+            loop {
+                let wc = send_cq.next().await;
+                me.tags.complete(wc.wr_id as u16, Err(EngineError::Gone));
+            }
+        });
         init
+    }
+
+    /// This end of the connection's queue pair (e.g. to look at what its
+    /// completion queues hold).
+    pub fn qp(&self) -> &Qp {
+        &self.qp
     }
 
     /// Snapshot of the run counters.
@@ -249,7 +267,7 @@ impl NvmfInitiator {
             .map_err(|e| BioError::DeviceError(e.to_string()))?;
         let rx = self.tags.register(tag);
         self.qp
-            .post_send(SendWr::Send {
+            .post_send_unsignaled(SendWr::Send {
                 wr_id: cid as u64,
                 lkey: self.cmd_lkey,
                 laddr: addr,

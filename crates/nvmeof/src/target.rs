@@ -186,11 +186,14 @@ impl NvmfTarget {
             resp_lkey: resp_mr.lkey,
             pending_sends: RefCell::new(std::collections::BTreeMap::new()),
         });
+        // Poll-mode detection + capsule parsing, per capsule.
         let recv_cq = qp.recv_cq();
+        recv_cq.set_consumer_cost(self.cfg.poll_check + self.cfg.proc_overhead);
         let c2 = conn.clone();
         self.handle.spawn(async move { c2.run(recv_cq).await });
         // Send-completion dispatcher: routes completions to waiters by
-        // wr_id; unclaimed completions (data writes, responses) drop.
+        // wr_id. Data writes and responses are unsignaled, so what arrives
+        // is an RDMA READ's completion or a failure; unclaimed ones drop.
         let send_cq = qp.send_cq();
         let c3 = conn.clone();
         self.handle.spawn(async move {
@@ -224,18 +227,30 @@ impl Connection {
     async fn run(self: Rc<Self>, recv_cq: Cq) {
         loop {
             let wc = recv_cq.next().await;
-            // Poll-mode detection + capsule parsing cost.
             let t = &self.target;
-            t.handle.sleep(t.cfg.poll_check + t.cfg.proc_overhead).await;
             if wc.status != WcStatus::Success {
                 t.stats.borrow_mut().errors += 1;
+                // The NIC consumed the receive all the same: give the
+                // slot back, or every bad capsule costs the connection one.
+                self.repost(wc.wr_id);
                 continue;
             }
             t.stats.borrow_mut().capsules += 1;
             // Handle commands concurrently: the poller keeps receiving.
             let me = self.clone();
-            t.handle.spawn(async move { me.handle_capsule(wc).await });
+            t.handle
+                .spawn_detached(async move { me.handle_capsule(wc).await });
         }
+    }
+
+    /// Post `tag`'s command buffer as a receive.
+    fn repost(&self, tag: u64) {
+        self.qp.post_recv(
+            tag,
+            self.cmd_lkey,
+            self.tag_addr(tag).as_u64(),
+            self.capsule_len,
+        );
     }
 
     fn tag_addr(&self, tag: u64) -> PhysAddr {
@@ -319,8 +334,8 @@ impl Connection {
         // semantics: data lands before the response capsule).
         t.stats.borrow_mut().rdma_writes += 1;
         self.qp
-            .post_send(SendWr::Write {
-                wr_id: u64::MAX, // data transfers complete silently
+            .post_send_unsignaled(SendWr::Write {
+                wr_id: u64::MAX, // no waiter: a failure is dropped
                 lkey: self.staging_lkey,
                 laddr: self.staging(tag).as_u64(),
                 len,
@@ -402,12 +417,7 @@ impl Connection {
         let t = &self.target;
         // Repost the command buffer before answering so the initiator can
         // immediately reuse the slot.
-        self.qp.post_recv(
-            tag,
-            self.cmd_lkey,
-            self.tag_addr(tag).as_u64(),
-            self.capsule_len,
-        );
+        self.repost(tag);
         let Some(cqe) = cqe else { return };
         t.handle.sleep(t.cfg.resp_overhead).await;
         let resp = encode_response(&cqe);
@@ -416,7 +426,7 @@ impl Connection {
             .mem_write(t.host, pcie::PhysAddr(resp_addr), &resp)
             .expect("response stage");
         self.qp
-            .post_send(SendWr::Send {
+            .post_send_unsignaled(SendWr::Send {
                 wr_id: tag | (1 << 62),
                 lkey: self.resp_lkey,
                 laddr: resp_addr,

@@ -8,8 +8,8 @@ use nvme::driver::{attach_local_driver, LocalDriverConfig};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use nvmeof::{InitiatorConfig, NvmfInitiator, NvmfTarget, TargetConfig};
 use pcie::{Fabric, FabricParams, HostId};
-use rdma::{IbNet, IbParams, NicId};
-use simcore::SimRuntime;
+use rdma::{Access, IbNet, IbParams, NicId, Qp, SendWr};
+use simcore::{SimDuration, SimRuntime};
 
 struct Parts {
     fabric: Fabric,
@@ -58,6 +58,10 @@ fn bed() -> (SimRuntime, Rc<Parts>) {
 }
 
 async fn connect(p: &Parts) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
+    connect_with_depth(p, 64).await
+}
+
+async fn connect_with_depth(p: &Parts, queue_depth: usize) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
     let driver = attach_local_driver(&p.fabric, p.target_host, &p.ctrl, LocalDriverConfig::spdk())
         .await
         .unwrap();
@@ -67,7 +71,10 @@ async fn connect(p: &Parts) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
         p.nic_t,
         p.target_host,
         driver,
-        TargetConfig::default(),
+        TargetConfig {
+            queue_depth,
+            ..TargetConfig::default()
+        },
     );
     let init = NvmfInitiator::connect(
         &p.fabric,
@@ -75,7 +82,10 @@ async fn connect(p: &Parts) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
         p.nic_i,
         p.initiator_host,
         &target,
-        InitiatorConfig::default(),
+        InitiatorConfig {
+            queue_depth,
+            ..InitiatorConfig::default()
+        },
     );
     (target, init)
 }
@@ -240,4 +250,88 @@ fn nvmeof_latency_penalty_is_several_microseconds() {
         (4_000..12_000).contains(&delta),
         "NVMe-oF penalty should be several µs, got {delta} ns (local {local_ns}, remote {remote_ns})"
     );
+}
+
+/// `count` signaled sends of `len` bytes of `host`'s memory on `qp`, then
+/// long enough for the other end to have dealt with all of them.
+async fn send_raw(p: &Parts, qp: &Qp, nic: NicId, host: HostId, len: u64, count: usize) {
+    let region = p.fabric.alloc(host, len).unwrap();
+    let mr = p.net.register_mr(nic, region, Access::local_only());
+    for i in 0..count {
+        qp.post_send(SendWr::Send {
+            wr_id: 1_000 + i as u64,
+            lkey: mr.lkey,
+            laddr: region.addr.as_u64(),
+            len,
+            imm: 0,
+        })
+        .await;
+    }
+    p.fabric.handle().sleep(SimDuration::from_micros(200)).await;
+}
+
+#[test]
+fn a_receive_that_failed_gets_its_buffer_back() {
+    // The NIC consumes a receive even when the message does not fit it. A
+    // peer that sends `queue_depth + 1` oversized messages must not leave
+    // the connection without receive buffers, in either direction.
+    const QD: usize = 4;
+    let (rt, p) = bed();
+    let errors = rt.block_on({
+        let p = p.clone();
+        async move {
+            let (target, init) = connect_with_depth(&p, QD).await;
+            let qp_i = init.qp().clone();
+            let qp_t = qp_i.peer().unwrap();
+            // Capsules larger than the target's 8 KiB command buffers...
+            send_raw(&p, &qp_i, p.nic_i, p.initiator_host, 16 << 10, QD + 1).await;
+            // ...and responses larger than the initiator's 64 B ones.
+            send_raw(&p, &qp_t, p.nic_t, p.target_host, 128, QD + 1).await;
+            let buf = p.fabric.alloc(p.initiator_host, 4096).unwrap();
+            for lba in 0..2 * QD as u64 {
+                let read = init.submit(Bio::read(lba * 8, 8, buf));
+                simcore::timeout(&p.fabric.handle(), SimDuration::from_millis(1), read)
+                    .await
+                    .expect("a read after the bad messages never completed")
+                    .unwrap();
+            }
+            target.stats().errors
+        }
+    });
+    assert_eq!(errors, QD as u64 + 1, "one per oversized capsule");
+}
+
+#[test]
+fn a_capsule_that_cannot_be_delivered_fails_its_command() {
+    let (rt, p) = bed();
+    let err = rt.block_on({
+        let p = p.clone();
+        async move {
+            let (_t, init) = connect(&p).await;
+            // Point the initiator at a QP nobody posted a receive on.
+            let deaf = p.net.create_qp(p.nic_t);
+            init.qp().connect(&deaf);
+            let buf = p.fabric.alloc(p.initiator_host, 4096).unwrap();
+            init.submit(Bio::read(0, 8, buf)).await.unwrap_err()
+        }
+    });
+    assert!(matches!(err, BioError::Gone), "got {err:?}");
+}
+
+#[test]
+fn send_queues_stay_empty_over_ten_thousand_reads() {
+    let (rt, p) = bed();
+    let (left_i, left_t) = rt.block_on({
+        let p = p.clone();
+        async move {
+            let (_t, init) = connect(&p).await;
+            let buf = p.fabric.alloc(p.initiator_host, 4096).unwrap();
+            for i in 0..10_000u64 {
+                init.submit(Bio::read(i % 1_000 * 8, 8, buf)).await.unwrap();
+            }
+            let qp_t = init.qp().peer().unwrap();
+            (init.qp().send_cq().len(), qp_t.send_cq().len())
+        }
+    });
+    assert_eq!((left_i, left_t), (0, 0), "unread send completions");
 }

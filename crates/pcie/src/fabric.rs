@@ -827,9 +827,13 @@ impl Fabric {
         let (loc, chips, crossed) = self.resolve_with_path(origin, host, addr, len as u64)?;
         self.fault_gate(host, &crossed, &loc, false)?;
         let p = &self.inner.params;
-        rx.occupy(scale_transfer(p.nonposted_transfer(len as u64), scale))
+        // Nothing is observable between the slot's end and the round
+        // trip's: one wait for the sum.
+        let slot_end = rx.reserve(scale_transfer(p.nonposted_transfer(len as u64), scale));
+        self.inner
+            .handle
+            .sleep_until(slot_end + p.read_rtt(chips))
             .await;
-        self.inner.handle.sleep(p.read_rtt(chips)).await;
         if self.inner.armed {
             self.hb_record_read(Agent::Device(dev), &loc, len, "DMA read");
         }

@@ -352,6 +352,39 @@ fn co_due_writes_on_different_paths_share_one_delivery_step() {
     assert_eq!(deliveries, vec![2]);
 }
 
+#[test]
+fn a_device_dma_read_is_one_wait_until_slot_end_plus_round_trip() {
+    // `readers` 4 KiB reads of host A's memory by the device, all issued
+    // at t=0: the instant each returns, and the executor steps they cost.
+    fn read_at(readers: usize) -> (Vec<u64>, u64) {
+        let tb = build();
+        let f = tb.fabric.clone();
+        let seg = f.alloc(tb.host_a, 4096).unwrap();
+        let bus_addr = f
+            .program_lut(tb.ntb_b, 3, DomainAddr::new(tb.host_a, seg.addr))
+            .unwrap();
+        let done: Vec<_> = (0..readers)
+            .map(|_| {
+                let (f, h, dev) = (f.clone(), tb.rt.handle(), tb.dev);
+                tb.rt.handle().spawn(async move {
+                    f.dma_read_payload(dev, bus_addr, 4096).await.unwrap();
+                    h.now().as_nanos()
+                })
+            })
+            .collect();
+        tb.rt.run();
+        let at = done.iter().map(|j| j.try_take().unwrap()).collect();
+        (at, tb.rt.steps())
+    }
+    let p = FabricParams::default();
+    let slot = p.nonposted_transfer(4096).as_nanos();
+    let rtt = p.read_rtt(3).as_nanos();
+    // A first poll and one wake per read; the second read's slot on the
+    // device's inbound engine starts where the first one's ends.
+    assert_eq!(read_at(1), (vec![slot + rtt], 2));
+    assert_eq!(read_at(2), (vec![slot + rtt, 2 * slot + rtt], 4));
+}
+
 /// MmioDevice that counts doorbell writes — checks BAR dispatch plumbing.
 struct CountingDev {
     hits: std::cell::Cell<u32>,

@@ -5,14 +5,26 @@
 //! side is *not* parametric — NICs are PCIe devices on the [`pcie`]
 //! fabric and move every byte with real DMA calls, so buffer bugs fail
 //! loudly and PCIe costs at both ends are accounted.
+//!
+//! What a work request costs the simulator: one delivery task per WQE,
+//! which waits once per stage — payload fetch, TX slot plus propagation
+//! (the slot is reserved, not slept on: nothing is observable between its
+//! end and the message's arrival), remote DMA. A *signaled* WR
+//! ([`Qp::post_send`]) then raises its send completion one ack round trip
+//! after delivery, from a per-QP FIFO drained by one callback task; an
+//! *unsignaled* one ([`Qp::post_send_unsignaled`]) completes only if it
+//! fails. A [`Cq`] can be told what its consumer spends per completion
+//! ([`Cq::set_consumer_cost`]) and then hands each completion over at the
+//! instant that consumer would have finished with it, instead of waking it
+//! to sleep the cost.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MemRegion, Payload, PhysAddr, RegisterFile};
 use simcore::sync::Notify;
-use simcore::{Handle, SimDuration};
+use simcore::{Handle, SerialResource, SimDuration, SimTime, TaskId};
 
 use crate::mr::{Access, MemoryRegion, MrTable};
 use crate::params::IbParams;
@@ -67,33 +79,64 @@ pub struct Wc {
 /// Completion queue: poll or await.
 #[derive(Clone)]
 pub struct Cq {
-    queue: Rc<RefCell<VecDeque<Wc>>>,
-    notify: Notify,
+    inner: Rc<CqInner>,
 }
 
-impl Default for Cq {
-    fn default() -> Self {
-        Self::new()
-    }
+struct CqInner {
+    handle: Handle,
+    /// Each completion with the instant its consumer may have it.
+    queue: RefCell<VecDeque<(SimTime, Wc)>>,
+    notify: Notify,
+    /// The consumer as a serial server spending `cost` per completion.
+    consumer: SerialResource,
+    cost: Cell<SimDuration>,
 }
 
 impl Cq {
-    /// An empty completion queue.
-    pub fn new() -> Self {
+    fn new(handle: &Handle) -> Self {
         Cq {
-            queue: Rc::new(RefCell::new(VecDeque::new())),
-            notify: Notify::new(),
+            inner: Rc::new(CqInner {
+                handle: handle.clone(),
+                queue: RefCell::new(VecDeque::new()),
+                notify: Notify::new(),
+                consumer: SerialResource::new(handle.clone()),
+                cost: Cell::new(SimDuration::ZERO),
+            }),
         }
     }
 
+    /// Tell the queue what its one consumer spends on each completion
+    /// before acting on it (interrupt latency, poll detection plus
+    /// parsing), once, at connection set-up. From then on a completion
+    /// comes out of [`Cq::next`] / [`Cq::poll`] when a consumer that took
+    /// completions in order and slept `per_completion` after each would
+    /// have finished that sleep — `max(pushed, previous handed over) +
+    /// per_completion` — so the consumer acts on it at once and wakes once
+    /// per completion, not twice. Unset, a completion is there for the
+    /// taking the moment it is pushed.
+    pub fn set_consumer_cost(&self, per_completion: SimDuration) {
+        self.inner.cost.set(per_completion);
+    }
+
     fn push(&self, wc: Wc) {
-        self.queue.borrow_mut().push_back(wc);
-        self.notify.notify_one();
+        let cq = &*self.inner;
+        let visible_at = cq.consumer.reserve(cq.cost.get());
+        cq.queue.borrow_mut().push_back((visible_at, wc));
+        if visible_at > cq.handle.now() {
+            cq.handle.notify_at(visible_at, cq.notify.clone());
+        } else {
+            cq.notify.notify_one();
+        }
     }
 
     /// Non-blocking poll for one completion.
     pub fn poll(&self) -> Option<Wc> {
-        self.queue.borrow_mut().pop_front()
+        let mut queue = self.inner.queue.borrow_mut();
+        let &(visible_at, _) = queue.front()?;
+        if visible_at > self.inner.handle.now() {
+            return None;
+        }
+        queue.pop_front().map(|(_, wc)| wc)
     }
 
     /// Wait for the next completion.
@@ -102,18 +145,18 @@ impl Cq {
             if let Some(wc) = self.poll() {
                 return wc;
             }
-            self.notify.notified().await;
+            self.inner.notify.notified().await;
         }
     }
 
-    /// Pending completions.
+    /// Pending completions, handed over or not yet.
     pub fn len(&self) -> usize {
-        self.queue.borrow().len()
+        self.inner.queue.borrow().len()
     }
 
     /// Whether no completion is pending.
     pub fn is_empty(&self) -> bool {
-        self.queue.borrow().is_empty()
+        self.inner.queue.borrow().is_empty()
     }
 }
 
@@ -154,6 +197,17 @@ impl SendWr {
             SendWr::Send { wr_id, .. }
             | SendWr::Write { wr_id, .. }
             | SendWr::Read { wr_id, .. } => wr_id,
+        }
+    }
+
+    /// This request's send-side work completion.
+    fn completion(&self, opcode: WcOpcode, len: u64, status: WcStatus) -> Wc {
+        Wc {
+            wr_id: self.wr_id(),
+            opcode,
+            byte_len: len,
+            status,
+            imm: 0,
         }
     }
 }
@@ -258,8 +312,10 @@ impl IbNet {
             nic,
             peer: RefCell::new(None),
             recv_queue: RefCell::new(VecDeque::new()),
-            send_cq: Cq::new(),
-            recv_cq: Cq::new(),
+            send_cq: Cq::new(&self.inner.handle),
+            recv_cq: Cq::new(&self.inner.handle),
+            acks: RefCell::new(VecDeque::new()),
+            ack_task: Cell::new(None),
         });
         Qp { shared }
     }
@@ -286,6 +342,13 @@ struct QpShared {
     recv_queue: RefCell<VecDeque<RecvWqe>>,
     send_cq: Cq,
     recv_cq: Cq,
+    /// Reliable-connection acks on their way back: the send completion
+    /// each raises and when. Every ack takes the same `ack_rtt`, so arrival
+    /// order is due order.
+    acks: RefCell<VecDeque<(SimTime, Wc)>>,
+    /// The callback task that raises them, spawned by the first ack. It
+    /// holds this QP weakly: pending acks do not keep a dropped QP alive.
+    ack_task: Cell<Option<TaskId>>,
 }
 
 /// A reliable-connected queue pair.
@@ -299,6 +362,12 @@ impl Qp {
     pub fn connect(&self, other: &Qp) {
         *self.shared.peer.borrow_mut() = Some(Rc::downgrade(&other.shared));
         *other.shared.peer.borrow_mut() = Some(Rc::downgrade(&self.shared));
+    }
+
+    /// The QP this one is connected to, if it is still alive.
+    pub fn peer(&self) -> Option<Qp> {
+        let peer = self.shared.peer.borrow().as_ref()?.upgrade()?;
+        Some(Qp { shared: peer })
     }
 
     /// Completions for posted sends/writes/reads.
@@ -326,16 +395,25 @@ impl Qp {
         });
     }
 
-    /// Post a send-side work request; costs the doorbell time, then the
-    /// NIC processes WQEs in order.
+    /// Post a signaled send-side work request; costs the doorbell time,
+    /// then the NIC processes WQEs in order. Its completion, good or bad,
+    /// arrives on [`Qp::send_cq`].
     pub async fn post_send(&self, wr: SendWr) {
-        self.shared
-            .net
-            .inner
-            .handle
-            .sleep(self.shared.net.inner.params.post_cost())
-            .await;
-        self.shared.process(wr);
+        self.post(wr, true).await;
+    }
+
+    /// [`Qp::post_send`] without a completion on success, as a verbs WR
+    /// posted without `IBV_SEND_SIGNALED`: a failure still completes on
+    /// [`Qp::send_cq`] with its status; success is silent, so a consumer
+    /// of that CQ sees nothing but errors.
+    pub async fn post_send_unsignaled(&self, wr: SendWr) {
+        self.post(wr, false).await;
+    }
+
+    async fn post(&self, wr: SendWr, signaled: bool) {
+        let net = &self.shared.net.inner;
+        net.handle.sleep(net.params.post_cost()).await;
+        self.shared.process(wr, signaled);
     }
 }
 
@@ -357,14 +435,12 @@ impl QpShared {
     }
 
     fn complete_send(&self, wr: &SendWr, opcode: WcOpcode, len: u64, status: WcStatus) {
+        self.raise(wr.completion(opcode, len, status));
+    }
+
+    fn raise(&self, wc: Wc) {
         self.hb_barrier_to_host();
-        self.send_cq.push(Wc {
-            wr_id: wr.wr_id(),
-            opcode,
-            byte_len: len,
-            status,
-            imm: 0,
-        });
+        self.send_cq.push(wc);
     }
 
     /// Process one WQE: validate it here, then fetch the payload over
@@ -372,10 +448,12 @@ impl QpShared {
     /// link, propagate and apply the remote-side effects in a spawned
     /// delivery task, so back-to-back WQEs pipeline like on a real RNIC.
     /// Deliveries stay ordered because TX slots end at strictly increasing
-    /// times and every delivery adds the same propagation constant.
-    fn process(self: &Rc<Self>, wr: SendWr) {
+    /// times and every delivery adds the same propagation constant. Slot
+    /// and propagation are one wait: the slot is reserved and the task
+    /// sleeps until the message arrives.
+    fn process(self: &Rc<Self>, wr: SendWr, signaled: bool) {
         let net = &self.net;
-        let p = net.inner.params.clone();
+        let p = &net.inner.params;
         let fabric = net.inner.fabric.clone();
         let handle = net.inner.handle.clone();
         let Some(peer) = self.peer.borrow().as_ref().and_then(Weak::upgrade) else {
@@ -386,8 +464,8 @@ impl QpShared {
         let local_dev = net.nic_dev(self.nic);
         let peer_dev = net.nic_dev(peer.nic);
         let local_tx = net.nic_tx(self.nic);
-        let peer_tx = net.nic_tx(peer.nic);
         let propagate = SimDuration::from_nanos(p.wire_ns + p.nic_rx_ns);
+        let tx_slot = |len: u64| SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len));
         match wr {
             SendWr::Send {
                 lkey,
@@ -409,16 +487,14 @@ impl QpShared {
                     }
                 };
                 let me = self.clone();
-                handle.clone().spawn(async move {
+                let slot = tx_slot(len);
+                handle.clone().spawn_detached(async move {
                     let data = if len > 0 {
                         fetch(&fabric, local_dev, src.addr, len).await
                     } else {
                         Payload::zeroed(0)
                     };
-                    local_tx
-                        .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
-                        .await;
-                    handle.sleep(propagate).await;
+                    handle.sleep_until(local_tx.reserve(slot) + propagate).await;
                     // Match a posted receive at the peer.
                     let rwqe = peer.recv_queue.borrow_mut().pop_front();
                     let Some(rwqe) = rwqe else {
@@ -455,7 +531,9 @@ impl QpShared {
                                 status: WcStatus::Success,
                                 imm,
                             });
-                            me.spawn_ack(wr, WcOpcode::Send, len);
+                            if signaled {
+                                me.ack(&wr, WcOpcode::Send, len);
+                            }
                         }
                         Err(_) => {
                             peer.recv_cq.push(Wc {
@@ -496,14 +574,14 @@ impl QpShared {
                     }
                 };
                 let me = self.clone();
-                handle.clone().spawn(async move {
+                let slot = tx_slot(len);
+                handle.clone().spawn_detached(async move {
                     let data = fetch(&fabric, local_dev, src.addr, len).await;
-                    local_tx
-                        .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
-                        .await;
-                    handle.sleep(propagate).await;
+                    handle.sleep_until(local_tx.reserve(slot) + propagate).await;
                     let _ = fabric.dma_write_payload(peer_dev, dst.addr, data).await;
-                    me.spawn_ack(wr, WcOpcode::RdmaWrite, len);
+                    if signaled {
+                        me.ack(&wr, WcOpcode::RdmaWrite, len);
+                    }
                 });
             }
             SendWr::Read {
@@ -534,37 +612,152 @@ impl QpShared {
                 // Request over (small); response data occupies the peer's
                 // TX wire; local NIC writes it to memory on arrival.
                 let me = self.clone();
-                handle.clone().spawn(async move {
-                    local_tx
-                        .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(16)))
+                let peer_tx = net.nic_tx(peer.nic);
+                let (request_slot, response_slot) = (tx_slot(16), tx_slot(len));
+                handle.clone().spawn_detached(async move {
+                    handle
+                        .sleep_until(local_tx.reserve(request_slot) + propagate)
                         .await;
-                    handle.sleep(propagate).await;
                     let data = fetch(&fabric, peer_dev, src.addr, len).await;
-                    peer_tx
-                        .occupy(SimDuration::from_nanos(p.nic_tx_ns + p.transfer_ns(len)))
+                    handle
+                        .sleep_until(peer_tx.reserve(response_slot) + propagate)
                         .await;
-                    handle.sleep(propagate).await;
                     // Reads complete when the data has landed: the write is
                     // posted, so wait out its apply delay before raising the
                     // work completion.
                     if let Ok(landing) = fabric.dma_write_payload(local_dev, dst.addr, data).await {
                         handle.sleep(landing).await;
                     }
-                    me.complete_send(&wr, WcOpcode::RdmaRead, len, WcStatus::Success);
+                    if signaled {
+                        me.complete_send(&wr, WcOpcode::RdmaRead, len, WcStatus::Success);
+                    }
                 });
             }
         }
     }
 
-    /// Reliable-connection ACK: the send completion surfaces after the
-    /// ack round trip, without blocking the next WQE.
-    fn spawn_ack(self: &Rc<Self>, wr: SendWr, opcode: WcOpcode, len: u64) {
-        let me = self.clone();
-        let rtt = self.net.inner.params.ack_rtt();
-        let handle = self.net.inner.handle.clone();
-        self.net.inner.handle.spawn(async move {
-            handle.sleep(rtt).await;
-            me.complete_send(&wr, opcode, len, WcStatus::Success);
+    /// Reliable-connection ACK for a delivered signaled WR: its send
+    /// completion surfaces one ack round trip from now, without blocking
+    /// the next WQE.
+    fn ack(self: &Rc<Self>, wr: &SendWr, opcode: WcOpcode, len: u64) {
+        let handle = &self.net.inner.handle;
+        let due = handle.now() + self.net.inner.params.ack_rtt();
+        self.acks
+            .borrow_mut()
+            .push_back((due, wr.completion(opcode, len, WcStatus::Success)));
+        let task = self.ack_task.get().unwrap_or_else(|| {
+            let qp = Rc::downgrade(self);
+            let task = handle.spawn_callback(move || {
+                if let Some(qp) = qp.upgrade() {
+                    qp.raise_due_acks();
+                }
+            });
+            self.ack_task.set(Some(task));
+            task
+        });
+        handle.run_at(due, task);
+    }
+
+    fn raise_due_acks(&self) {
+        let now = self.net.inner.handle.now();
+        loop {
+            let mut acks = self.acks.borrow_mut();
+            match acks.front() {
+                Some(&(due, wc)) if due <= now => {
+                    acks.pop_front();
+                    drop(acks);
+                    self.raise(wc);
+                }
+                _ => break,
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::SimRuntime;
+
+    fn recv_wc(wr_id: u64) -> Wc {
+        Wc {
+            wr_id,
+            opcode: WcOpcode::Recv,
+            byte_len: 0,
+            status: WcStatus::Success,
+            imm: 0,
+        }
+    }
+
+    /// Push one completion per gap, `gap` ns after the previous one, onto
+    /// `cq`; consume with `consume` and return `(wr_id, instant handled)`.
+    fn handled_at<F, Fut>(gaps: &[u64], cost: Option<SimDuration>, consume: F) -> Vec<(u64, u64)>
+    where
+        F: FnOnce(Handle, Cq, Rc<RefCell<Vec<(u64, u64)>>>) -> Fut,
+        Fut: std::future::Future<Output = ()> + 'static,
+    {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let cq = Cq::new(&h);
+        if let Some(cost) = cost {
+            cq.set_consumer_cost(cost);
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        h.spawn_detached(consume(h.clone(), cq.clone(), log.clone()));
+        let gaps = gaps.to_vec();
+        rt.block_on(async move {
+            for (wr_id, gap) in gaps.into_iter().enumerate() {
+                h.sleep(SimDuration::from_nanos(gap)).await;
+                cq.push(recv_wc(wr_id as u64));
+            }
+            // Long enough for the slowest consumer to drain the backlog.
+            h.sleep(SimDuration::from_micros(1_000)).await;
+        });
+        let log = log.borrow().clone();
+        log
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn consumer_cost_hands_over_when_a_sleeping_consumer_would_act(
+            gaps in proptest::prelude::prop::collection::vec(0u64..3_000, 1..24),
+            cost in 0u64..2_500,
+        ) {
+            let d = SimDuration::from_nanos(cost);
+            // The consumer both NVMe-oF ends used to be: take, then sleep.
+            let reference = handled_at(&gaps, None, move |h, cq, log| async move {
+                loop {
+                    let wc = cq.next().await;
+                    h.sleep(d).await;
+                    log.borrow_mut().push((wc.wr_id, h.now().as_nanos()));
+                }
+            });
+            let served = handled_at(&gaps, Some(d), |h, cq, log| async move {
+                loop {
+                    let wc = cq.next().await;
+                    log.borrow_mut().push((wc.wr_id, h.now().as_nanos()));
+                }
+            });
+            proptest::prop_assert_eq!(reference.len(), gaps.len());
+            proptest::prop_assert_eq!(served, reference);
+        }
+    }
+
+    #[test]
+    fn a_completion_is_not_polled_out_before_its_consumer_could_have_it() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let cq = Cq::new(&h);
+        cq.set_consumer_cost(SimDuration::from_nanos(500));
+        rt.block_on(async move {
+            cq.push(recv_wc(9));
+            assert_eq!(cq.len(), 1);
+            assert!(cq.poll().is_none(), "visible only 500 ns from now");
+            h.sleep(SimDuration::from_nanos(499)).await;
+            assert!(cq.poll().is_none());
+            h.sleep(SimDuration::from_nanos(1)).await;
+            assert_eq!(cq.poll().map(|wc| wc.wr_id), Some(9));
+            assert!(cq.is_empty());
         });
     }
 }

@@ -286,3 +286,184 @@ fn disconnected_qp_errors() {
     });
     assert_eq!(wc.status, WcStatus::NotConnected);
 }
+
+/// Post `n` signaled 64 B sends back to back; return each one's
+/// `(delivery instant, completion instant, completed wr_id)`.
+fn send_burst(n: u64) -> Vec<(u64, u64, u64)> {
+    let b = bed();
+    let (src, src_mr) = alloc_mr(&b, b.h0, b.nic0, 64 * n, Access::local_only());
+    let (dst, dst_mr) = alloc_mr(&b, b.h1, b.nic1, 64 * n, Access::local_only());
+    for i in 0..n {
+        b.qp1
+            .post_recv(100 + i, dst_mr.lkey, dst.addr.as_u64() + 64 * i, 64);
+    }
+    let h = b.rt.handle();
+    let delivered = b.rt.handle().spawn({
+        let (h, recv_cq) = (h.clone(), b.qp1.recv_cq());
+        async move {
+            let mut at = Vec::new();
+            for _ in 0..n {
+                recv_cq.next().await;
+                at.push(h.now().as_nanos());
+            }
+            at
+        }
+    });
+    b.rt.block_on({
+        let qp0 = b.qp0.clone();
+        async move {
+            for i in 0..n {
+                qp0.post_send(SendWr::Send {
+                    wr_id: i,
+                    lkey: src_mr.lkey,
+                    laddr: src.addr.as_u64() + 64 * i,
+                    len: 64,
+                    imm: 0,
+                })
+                .await;
+            }
+            let delivered = delivered.await;
+            let mut out = Vec::new();
+            for at in delivered {
+                let wc = qp0.send_cq().next().await;
+                assert_eq!(wc.status, WcStatus::Success);
+                out.push((at, h.now().as_nanos(), wc.wr_id));
+            }
+            out
+        }
+    })
+}
+
+#[test]
+fn signaled_sends_complete_one_ack_round_trip_after_delivery_in_order() {
+    let ack_rtt = IbParams::default().ack_rtt().as_nanos();
+    let burst = send_burst(3);
+    for (i, &(delivered, completed, wr_id)) in burst.iter().enumerate() {
+        assert_eq!(wr_id, i as u64, "completions in WQE order");
+        assert_eq!(completed, delivered + ack_rtt, "send {i}");
+    }
+    assert!(
+        burst[2].0 < burst[0].1,
+        "three acks were in flight at once ({burst:?})"
+    );
+}
+
+#[test]
+fn a_signaled_write_completes_when_a_send_of_its_size_would() {
+    // Same fetch, TX slot, propagation and remote DMA; the write has no
+    // receive to observe delivery by, so compare completion instants.
+    let send_done = {
+        let b = bed();
+        let (src, src_mr) = alloc_mr(&b, b.h0, b.nic0, 4096, Access::local_only());
+        let (dst, dst_mr) = alloc_mr(&b, b.h1, b.nic1, 4096, Access::local_only());
+        b.qp1.post_recv(1, dst_mr.lkey, dst.addr.as_u64(), 4096);
+        let (h, qp0) = (b.rt.handle(), b.qp0.clone());
+        b.rt.block_on(async move {
+            qp0.post_send(SendWr::Send {
+                wr_id: 1,
+                lkey: src_mr.lkey,
+                laddr: src.addr.as_u64(),
+                len: 4096,
+                imm: 0,
+            })
+            .await;
+            qp0.send_cq().next().await;
+            h.now().as_nanos()
+        })
+    };
+    let b = bed();
+    let (src, src_mr) = alloc_mr(&b, b.h0, b.nic0, 4096, Access::local_only());
+    let (dst, dst_mr) = alloc_mr(&b, b.h1, b.nic1, 4096, Access::remote_all());
+    let (h, qp0) = (b.rt.handle(), b.qp0.clone());
+    let write_done = b.rt.block_on(async move {
+        qp0.post_send(SendWr::Write {
+            wr_id: 1,
+            lkey: src_mr.lkey,
+            laddr: src.addr.as_u64(),
+            len: 4096,
+            raddr: dst.addr.as_u64(),
+            rkey: dst_mr.rkey,
+        })
+        .await;
+        let wc = qp0.send_cq().next().await;
+        assert_eq!(
+            (wc.opcode, wc.status),
+            (WcOpcode::RdmaWrite, WcStatus::Success)
+        );
+        h.now().as_nanos()
+    });
+    assert_eq!(write_done, send_done);
+}
+
+#[test]
+fn an_unsignaled_wr_completes_only_when_it_fails() {
+    let b = bed();
+    let (src, src_mr) = alloc_mr(&b, b.h0, b.nic0, 4096, Access::local_only());
+    let (dst, dst_mr) = alloc_mr(&b, b.h1, b.nic1, 4096, Access::remote_all());
+    b.fabric.mem_write(b.h0, src.addr, &[0x5au8; 64]).unwrap();
+    b.qp1.post_recv(7, dst_mr.lkey, dst.addr.as_u64(), 64);
+    let send = SendWr::Send {
+        wr_id: 1,
+        lkey: src_mr.lkey,
+        laddr: src.addr.as_u64(),
+        len: 64,
+        imm: 0,
+    };
+    let write = move |rkey| SendWr::Write {
+        wr_id: 2,
+        lkey: src_mr.lkey,
+        laddr: src.addr.as_u64(),
+        len: 64,
+        raddr: dst.addr.as_u64() + 64,
+        rkey,
+    };
+    let (h, qp0, qp1) = (b.rt.handle(), b.qp0.clone(), b.qp1.clone());
+    let (good_rkey, bad_rkey) = (dst_mr.rkey, dst_mr.rkey ^ 0x55);
+    b.rt.block_on(async move {
+        // Success is silent: the data arrives, no completion ever does.
+        qp0.post_send_unsignaled(send).await;
+        qp0.post_send_unsignaled(write(good_rkey)).await;
+        assert_eq!(qp1.recv_cq().next().await.status, WcStatus::Success);
+        h.sleep(simcore::SimDuration::from_micros(50)).await;
+        assert!(qp0.send_cq().is_empty());
+        // Failures complete as they always did.
+        qp0.post_send_unsignaled(send).await; // no receive posted any more
+        let wc = qp0.send_cq().next().await;
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::RnrError));
+        qp0.post_send_unsignaled(write(bad_rkey)).await;
+        let wc = qp0.send_cq().next().await;
+        assert_eq!((wc.wr_id, wc.status), (2, WcStatus::ProtectionError));
+    });
+    let mut landed = [0u8; 128];
+    b.fabric.mem_read(b.h1, dst.addr, &mut landed).unwrap();
+    assert_eq!(landed, [0x5au8; 128], "both unsignaled transfers landed");
+}
+
+#[test]
+fn acks_in_flight_do_not_outlive_their_qp() {
+    // The ack of a delivered send is the QP's own state, not a task that
+    // owns the QP: drop every handle and the completion is never raised.
+    let b = bed();
+    let (src, src_mr) = alloc_mr(&b, b.h0, b.nic0, 64, Access::local_only());
+    let (dst, dst_mr) = alloc_mr(&b, b.h1, b.nic1, 64, Access::local_only());
+    b.qp1.post_recv(1, dst_mr.lkey, dst.addr.as_u64(), 64);
+    let Bed { rt, qp0, qp1, .. } = b;
+    let send_cq = qp0.send_cq();
+    rt.block_on({
+        let recv_cq = qp1.recv_cq();
+        async move {
+            qp0.post_send(SendWr::Send {
+                wr_id: 1,
+                lkey: src_mr.lkey,
+                laddr: src.addr.as_u64(),
+                len: 64,
+                imm: 0,
+            })
+            .await;
+            recv_cq.next().await; // delivered; the ack is on its way back
+        }
+    });
+    drop(qp1);
+    rt.run();
+    assert!(send_cq.is_empty(), "the QP died with its ack pending");
+}

@@ -12,11 +12,12 @@
 //! executor thread. Two runs with the same seed perform the identical event
 //! sequence.
 //!
-//! A task has one of two bodies. An `async` task ([`Handle::spawn`]) is a
-//! future polled with the [`Waker`] built for it at admission; the poll moves
-//! both out of the task's entry and back, and the entry leaves the table
-//! when the future completes, so a wake that arrives afterwards finds
-//! nothing and is skipped unpolled. A callback task
+//! A task has one of two bodies. An `async` task ([`Handle::spawn`], or
+//! [`Handle::spawn_detached`] when nobody joins it) is a future polled with
+//! the [`Waker`] built for it at admission; the poll moves both out of the
+//! task's entry and back, and the entry leaves the table when the future
+//! completes, so a wake that arrives afterwards finds nothing and is
+//! skipped unpolled. A callback task
 //! ([`Handle::spawn_callback`]) is a plain `Fn()` that never completes: it
 //! runs once when admitted and once each time it is made runnable, with no
 //! future, no [`Context`] and no waker. Both kinds live in one table keyed
@@ -30,8 +31,8 @@
 //! `queued` flag folds any number of them firing before it runs into one
 //! run. A [`Handle::notify_at`] timer signals a [`Notify`] and involves no
 //! task at all: no spawn, no step, no entry in `trace_hash` — it is for a
-//! delay whose only effect is that signal, which in this tree is an MSI
-//! reaching its host.
+//! delay whose only effect is that signal: an MSI reaching its host, an
+//! RDMA completion becoming visible to its consumer.
 //!
 //! The ready queue is a plain `VecDeque<TaskId>` per runtime, registered in
 //! a `thread_local!` table under the runtime's id for as long as the
@@ -315,6 +316,16 @@ impl Core {
         self.timers
             .borrow_mut()
             .push(Reverse(TimerEntry { key, action }));
+    }
+
+    /// Box `fut` and queue it for admission on `reactor`: the one way an
+    /// `async` task enters the runtime.
+    fn queue_future(&self, reactor: ReactorId, fut: impl Future<Output = ()> + 'static) -> TaskId {
+        let id = self.alloc_task_id();
+        self.spawn_queue
+            .borrow_mut()
+            .push((id, reactor, Spawned::Future(Box::pin(fut))));
+        id
     }
 
     /// Admit freshly spawned tasks and mark them runnable.
@@ -696,13 +707,12 @@ impl Handle {
             reactor,
             core.reactors
         );
-        let id = core.alloc_task_id();
         let state = Rc::new(RefCell::new(JoinState {
             value: None,
             waker: None,
         }));
         let state2 = state.clone();
-        let wrapped = Box::pin(async move {
+        let id = core.queue_future(reactor, async move {
             let value = fut.await;
             let mut st = state2.borrow_mut();
             st.value = Some(value);
@@ -710,10 +720,16 @@ impl Handle {
                 w.wake();
             }
         });
-        core.spawn_queue
-            .borrow_mut()
-            .push((id, reactor, Spawned::Future(wrapped)));
         JoinHandle { state, id }
+    }
+
+    /// [`Handle::spawn`] for a task nobody joins: the same admission, id,
+    /// steps and `trace_hash`, without the join cell and the wrapper that
+    /// stores the result in it. A per-command task whose [`JoinHandle`]
+    /// would be dropped on the spot is the caller.
+    pub fn spawn_detached(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
+        let core = self.core();
+        core.queue_future(core.current_reactor.get(), fut)
     }
 
     /// Spawn a callback task on the spawner's reactor: `run` is called once
@@ -786,8 +802,9 @@ impl Handle {
     /// `(deadline, registration)` order, and like them it never fires past
     /// the end of a [`SimRuntime::block_on`] whose root finished earlier.
     ///
-    /// Use it for a delay whose *only* effect is that signal — an MSI
-    /// reaching its host is the one caller. Code that must run at the
+    /// Use it for a delay whose *only* effect is that signal: an MSI
+    /// reaching its host (`pcie`), a work completion becoming visible to
+    /// the consumer of its CQ (`rdma`). Code that must run at the
     /// deadline is a callback task's [`Handle::run_at`] when it is
     /// synchronous, and a spawned task that sleeps otherwise: a timer
     /// cannot be cancelled and carries no logic.
@@ -1502,6 +1519,52 @@ mod tests {
         }
         assert_eq!(finish_times(1, [0, 0]), vec![100, 200]);
         assert_eq!(finish_times(2, [0, 1]), vec![100, 100]);
+    }
+
+    #[test]
+    fn spawn_detached_is_spawn_without_the_join_cell() {
+        // The same bodies — one that finishes on its first poll, one that
+        // sleeps, one that yields and spawns a child — admitted either way:
+        // same ids in the same order, same steps, same event stream.
+        fn run(detached: bool) -> (Vec<TaskId>, Vec<u64>, u64, u64) {
+            let rt = SimRuntime::new();
+            let h = rt.handle();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut ids = Vec::new();
+            for nanos in [0u64, 70, 30] {
+                let (h2, log) = (h.clone(), log.clone());
+                let body = async move {
+                    if nanos > 0 {
+                        h2.sleep(SimDuration::from_nanos(nanos)).await;
+                        yield_now().await;
+                        let log2 = log.clone();
+                        let child = async move { log2.borrow_mut().push(1_000 + nanos) };
+                        if detached {
+                            h2.spawn_detached(child);
+                        } else {
+                            h2.spawn(child);
+                        }
+                    }
+                    log.borrow_mut().push(nanos);
+                };
+                ids.push(if detached {
+                    h.spawn_detached(body)
+                } else {
+                    h.spawn(body).id()
+                });
+            }
+            rt.run();
+            let log = log.borrow().clone();
+            (ids, log, rt.steps(), rt.trace_hash())
+        }
+        let joined = run(false);
+        assert_eq!(joined.1, vec![0, 30, 1_030, 70, 1_070]);
+        assert_eq!(
+            joined.2,
+            3 + 2 * 3,
+            "three first polls, two wakes and a child each"
+        );
+        assert_eq!(run(true), joined);
     }
 
     #[test]

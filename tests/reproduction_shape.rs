@@ -128,17 +128,14 @@ fn a_second_command_in_flight_does_not_delay_completions() {
     );
 }
 
-/// `(executor polls, I/Os)` of QD1 4 KiB random reads over a fixed
-/// simulated window.
-fn polls_and_ios(kind: ScenarioKind) -> (u64, u64) {
+/// `(executor polls, I/Os)` of `spec` over its 20 simulated ms.
+fn polls_and_ios(kind: ScenarioKind, spec: &JobSpec) -> (u64, u64) {
     let sc = Scenario::build(kind, &Calibration::paper());
-    let (steps, ios) = (sc.rt.steps(), sc.ctrl.stats().io_reads);
-    let rep = sc.run(&JobSpec::fig10(
-        RwMode::RandRead,
-        SimDuration::from_millis(20),
-    ));
+    let ios = |sc: &Scenario| sc.ctrl.stats().io_reads + sc.ctrl.stats().io_writes;
+    let (steps_before, ios_before) = (sc.rt.steps(), ios(&sc));
+    let rep = sc.run(spec);
     assert_eq!(rep.errors, 0);
-    (sc.rt.steps() - steps, sc.ctrl.stats().io_reads - ios)
+    (sc.rt.steps() - steps_before, ios(&sc) - ios_before)
 }
 
 #[test]
@@ -149,13 +146,27 @@ fn polls_per_io_stay_within_budget() {
     // ceilings are what the stack needs today; the allowance covers the
     // polls that start and stop the job, a few against ~1000 I/Os.
     const JOB_POLLS: u64 = 16;
-    for (kind, ceiling) in [
-        (ScenarioKind::OursRemote { switches: 1 }, 23),
-        (ScenarioKind::NvmfRemote, 64),
+    let ours = || ScenarioKind::OursRemote { switches: 1 };
+    let window = SimDuration::from_millis(20);
+    let seq128k = JobSpec::new("seq128k", RwMode::SeqRead)
+        .bs(128 << 10)
+        .iodepth(16)
+        .runtime(window);
+    for (kind, spec, ceiling, least) in [
+        (ours(), JobSpec::fig10(RwMode::RandRead, window), 22, 500),
+        (ours(), JobSpec::fig10(RwMode::RandWrite, window), 21, 500),
+        // A pump step and a DMA write for each of the 32 PRP pages on top.
+        (ours(), seq128k, 85, 300),
+        (
+            ScenarioKind::NvmfRemote,
+            JobSpec::fig10(RwMode::RandRead, window),
+            47,
+            500,
+        ),
     ] {
-        let label = kind.label();
-        let (polls, ios) = polls_and_ios(kind);
-        assert!(ios > 500, "{label}: only {ios} I/Os in the window");
+        let label = format!("{} {}", kind.label(), spec.rw.label());
+        let (polls, ios) = polls_and_ios(kind, &spec);
+        assert!(ios > least, "{label}: only {ios} I/Os in the window");
         assert!(
             polls <= ceiling * ios + JOB_POLLS,
             "{label}: {polls} polls for {ios} I/Os, ceiling {ceiling} per I/O"
