@@ -5,7 +5,9 @@
 //! front, partitions it per request tag, and stages data through it. "The
 //! benefit of this approach is that NVMe DMA descriptors can be
 //! programmed once" — the PRP lists below are written exactly once, at
-//! connect time.
+//! connect time, into one table: each tag's list sits at a power-of-two
+//! stride, so no list crosses a page and a page holds `PAGE / stride` of
+//! them (sixteen for the 31 entries of a 128 KiB partition).
 
 use pcie::{MemRegion, PhysAddr};
 use smartio::{AccessHints, DmaWindow, SegmentId, SmartDeviceId, SmartIo};
@@ -89,17 +91,22 @@ pub struct BouncePool {
     region: MemRegion,
     /// Device view (through the device-side NTB when remote).
     window: DmaWindow,
-    list_window: DmaWindow,
     segment: SegmentId,
-    list_segment: SegmentId,
+    /// The PRP-list table's segment and device window; `None` when a
+    /// partition spans at most two pages, which PRP1 and PRP2 address
+    /// without a list.
+    lists: Option<(SegmentId, DmaWindow)>,
+    /// Bytes from one tag's list to the next: the list's size rounded up
+    /// to a power of two.
+    list_stride: u64,
     device: SmartDeviceId,
     partition: u64,
     tags: usize,
 }
 
 impl BouncePool {
-    /// Allocate and map the buffer + PRP-list pages, and write every PRP
-    /// list once.
+    /// Allocate and map the buffer and the PRP-list table, and write every
+    /// PRP list once.
     pub fn new(
         smartio: &SmartIo,
         device: SmartDeviceId,
@@ -131,55 +138,49 @@ impl BouncePool {
         debug_assert_eq!(region.host, client, "bounce buffer must be client-local");
         let window = smartio.map_for_device(device, segment)?;
 
-        // PRP list pages: one page per tag, kept with the DMA buffer
-        // (client-local, written exactly once below).
-        let list_segment = smartio.create_segment(client, tags as u64 * PAGE)?;
-        let list_region = smartio.segment_region(list_segment)?;
-        let list_window = smartio.map_for_device(device, list_segment)?;
-
-        // Write every PRP list once: entry i of tag t points at page i+1
-        // of partition t (bus addresses!).
+        // The PRP-list table, kept with the DMA buffer (client-local) and
+        // written whole, once: entry i of tag t points at page i+1 of
+        // partition t (bus addresses!). Two pages need no list.
         let fabric = smartio.fabric();
-        for tag in 0..tags {
-            let part_bus = window.bus_base.offset(tag as u64 * partition);
-            let entries: Vec<u8> = (1..pages_per_partition)
-                .flat_map(|i| part_bus.offset(i * PAGE).to_le_bytes())
-                .collect();
-            if !entries.is_empty() {
-                fabric.mem_write(
-                    list_region.host,
-                    list_region.addr.offset(tag as u64 * PAGE),
-                    &entries,
-                )?;
+        let entries = pages_per_partition - 1;
+        let list_stride = (entries * 8).next_power_of_two();
+        let lists = if pages_per_partition <= 2 {
+            None
+        } else {
+            let table_len = (tags as u64 * list_stride).next_multiple_of(PAGE);
+            let list_segment = smartio.create_segment(client, table_len)?;
+            let list_region = smartio.segment_region(list_segment)?;
+            let list_window = smartio.map_for_device(device, list_segment)?;
+            let mut table = vec![0u8; table_len as usize];
+            let lists = table.chunks_exact_mut(list_stride as usize).take(tags);
+            for (tag, list) in lists.enumerate() {
+                let part_bus = window.bus_base.offset(tag as u64 * partition);
+                for (i, entry) in (1..=entries).zip(list.chunks_exact_mut(8)) {
+                    entry.copy_from_slice(&part_bus.offset(i * PAGE).to_le_bytes());
+                }
             }
-        }
+            fabric.mem_write(list_region.host, list_region.addr, &table)?;
+            Some((list_segment, list_window))
+        };
         if fabric.sanitize_armed() {
-            let layout: Vec<(PhysAddr, u64)> = (0..tags as u64)
-                .map(|t| (window.bus_base.offset(t * partition), partition))
-                .chain((0..tags as u64).map(|t| (list_window.bus_base.offset(t * PAGE), PAGE)))
-                .collect();
+            let partitions =
+                (0..tags as u64).map(|t| (window.bus_base.offset(t * partition), partition));
+            let lists = lists.iter().flat_map(|(_, w)| {
+                (0..tags as u64).map(move |t| (w.bus_base.offset(t * list_stride), list_stride))
+            });
+            let layout: Vec<(PhysAddr, u64)> = partitions.chain(lists).collect();
             sanitize_check_partitions(&fabric.handle(), &layout);
         }
         Ok(BouncePool {
             region,
             window,
-            list_window,
             segment,
-            list_segment,
+            lists,
+            list_stride,
             device,
             partition,
             tags,
         })
-    }
-
-    /// Number of partitions (= request tags).
-    pub fn tags(&self) -> usize {
-        self.tags
-    }
-
-    /// Bytes per partition.
-    pub fn partition_size(&self) -> u64 {
-        self.partition
     }
 
     /// Client-local region of tag `t`'s partition.
@@ -192,15 +193,17 @@ impl BouncePool {
     /// PRP1/PRP2 for a transfer of `len` bytes staged in tag `t`'s
     /// partition. Partitions are page aligned, so PRP1 never carries an
     /// offset; PRP2 is unused (≤1 page), the second page (≤2 pages), or
-    /// the tag's precomputed list pointer.
+    /// the tag's precomputed list pointer, one stride per tag into the
+    /// table.
     pub fn prps(&self, tag: usize, len: u64) -> (PhysAddr, PhysAddr) {
         assert!(tag < self.tags && len > 0 && len <= self.partition);
         let prp1 = self.window.bus_base.offset(tag as u64 * self.partition);
         let pages = len.div_ceil(PAGE);
-        let prp2 = match pages {
-            1 => PhysAddr(0),
-            2 => prp1.offset(PAGE),
-            _ => self.list_window.bus_base.offset(tag as u64 * PAGE),
+        let prp2 = match (pages, &self.lists) {
+            (1, _) => PhysAddr(0),
+            (2, _) => prp1.offset(PAGE),
+            (_, Some((_, lists))) => lists.bus_base.offset(tag as u64 * self.list_stride),
+            (_, None) => unreachable!("a partition of three pages or more has a PRP list"),
         };
         (prp1, prp2)
     }
@@ -242,8 +245,10 @@ impl BouncePool {
     /// Release mappings and segments.
     pub fn destroy(self, smartio: &SmartIo) {
         smartio.unmap_device(self.window);
-        smartio.unmap_device(self.list_window);
         let _ = smartio.destroy_segment(self.segment);
-        let _ = smartio.destroy_segment(self.list_segment);
+        if let Some((list_segment, list_window)) = self.lists {
+            smartio.unmap_device(list_window);
+            let _ = smartio.destroy_segment(list_segment);
+        }
     }
 }

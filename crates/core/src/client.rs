@@ -271,12 +271,13 @@ pub struct ClientDriver {
     pub qid: u16,
     qids: Vec<u16>,
     /// One engine striping all qpairs by cid; the cid doubles as the
-    /// bounce-partition and PRP-list-page index.
+    /// staging slot: the bounce partition and its PRP list, or the
+    /// DirectMapped list page.
     engine: Rc<IoEngine>,
     bounce: RefCell<Option<BouncePool>>,
-    /// Per-tag PRP list page for DirectMapped mode.
-    direct_lists: Vec<MemRegion>,
-    direct_list_bus: PhysAddr,
+    /// DirectMapped mode only: one PRP-list page per tag, as (client
+    /// address, device bus address) of the first.
+    direct_lists: Option<(PhysAddr, PhysAddr)>,
     /// Mappings/segments to release on disconnect.
     cleanup: RefCell<Option<Cleanup>>,
     response_segment: SegmentId,
@@ -538,26 +539,21 @@ impl ClientDriver {
         );
 
         // --- Data path. ---
-        if cfg.data_path == DataPath::Bounce {
-            up.bounce = Some(BouncePool::new(
-                smartio,
-                device,
-                host,
-                qd,
-                cfg.partition_size,
-            )?);
-        }
-        // Per-tag PRP list pages for DirectMapped transfers > 2 pages.
-        let (direct_lists, direct_list_bus) = {
-            let seg = smartio.create_segment(host, qd as u64 * prp::PAGE)?;
-            up.cleanup.segments.push(seg);
-            let region = smartio.segment_region(seg)?;
-            let win = smartio.map_for_device(device, seg)?;
-            up.cleanup.windows.push(win);
-            let lists: Vec<MemRegion> = (0..qd)
-                .map(|t| region.slice(t as u64 * prp::PAGE, prp::PAGE))
-                .collect();
-            (lists, win.bus_base)
+        let direct_lists = match cfg.data_path {
+            DataPath::Bounce => {
+                let pool = BouncePool::new(smartio, device, host, qd, cfg.partition_size)?;
+                up.bounce = Some(pool);
+                None
+            }
+            DataPath::DirectMapped => {
+                // Per-tag PRP list pages for transfers > 2 pages.
+                let seg = smartio.create_segment(host, qd as u64 * prp::PAGE)?;
+                up.cleanup.segments.push(seg);
+                let region = smartio.segment_region(seg)?;
+                let win = smartio.map_for_device(device, seg)?;
+                up.cleanup.windows.push(win);
+                Some((region.addr, win.bus_base))
+            }
         };
 
         let driver = Rc::new(ClientDriver {
@@ -572,7 +568,6 @@ impl ClientDriver {
             engine,
             bounce: RefCell::new(up.bounce.take()),
             direct_lists,
-            direct_list_bus,
             cleanup: RefCell::new(Some(std::mem::take(&mut up.cleanup))),
             response_segment,
             mailbox_map,
@@ -842,7 +837,8 @@ impl ClientDriver {
 
     async fn submit_with_tag(&self, bio: &Bio, tag: &Tag, len: u64) -> BioResult {
         let cid = tag.cid();
-        // The cid is the staging slot: bounce partition and PRP-list page.
+        // The cid is the staging slot: bounce partition and PRP list, or
+        // DirectMapped list page.
         let slot = cid as usize;
         let nlb0 = bio.blocks.saturating_sub(1) as u16;
         let status = match (bio.op, self.cfg.data_path) {
@@ -920,14 +916,14 @@ impl ClientDriver {
                     .map_region_for_device(self.device, bio.buf.slice(0, len))
                     .map_err(|e| BioError::DeviceError(e.to_string()))?;
                 self.stats.borrow_mut().dynamic_maps += 1;
-                let list_page = &self.direct_lists[slot];
-                let list_bus = self.direct_list_bus.offset(slot as u64 * prp::PAGE);
+                let (lists, lists_bus) = self.direct_lists.ok_or(BioError::Gone)?;
+                let list_bus = lists_bus.offset(slot as u64 * prp::PAGE);
                 let set = prp::build_prps(win.bus_base, len, list_bus)
                     .map_err(|e| BioError::DeviceError(e.to_string()))?;
                 if !set.list.is_empty() {
                     let raw: Vec<u8> = set.list.iter().flat_map(|e| e.to_le_bytes()).collect();
                     self.fabric
-                        .mem_write(self.host, list_page.addr, &raw)
+                        .mem_write(self.host, lists.offset(slot as u64 * prp::PAGE), &raw)
                         .map_err(|e| BioError::DeviceError(e.to_string()))?;
                 }
                 let sqe = match op {

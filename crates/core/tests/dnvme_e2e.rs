@@ -989,3 +989,197 @@ fn a_write_racing_an_in_flight_read_never_shows_in_the_reads_snapshot() {
         );
     }
 }
+
+/// The partition sizes the PRP-list table must serve: two pages (no list),
+/// three (the smallest list), the default, and the 2 MiB ceiling (a list
+/// fills its page).
+const PARTITIONS: [u64; 4] = [8 << 10, 12 << 10, 128 << 10, 2 << 20];
+
+#[test]
+fn packed_prp_lists_are_disjoint_page_local_and_point_at_their_partition() {
+    for partition in PARTITIONS {
+        let _armed = simcore::sanitize::arm();
+        let c = cluster(2);
+        let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+        let tags = 5;
+        let pool = dnvme::BouncePool::new(&c.smartio, c.dev, client_host, tags, partition).unwrap();
+        let pages = partition / 4096;
+        let mut lists = Vec::new();
+        for tag in 0..tags {
+            let (prp1, prp2) = pool.prps(tag, partition);
+            if pages <= 2 {
+                assert_eq!(
+                    prp2,
+                    prp1.offset(4096),
+                    "{partition:#x}: no list, PRP2 is page 2"
+                );
+                continue;
+            }
+            // Where the controller fetches the list from: client DRAM, one page.
+            let len = (pages - 1) * 8;
+            let Ok(pcie::Location::Dram(at)) = c.fabric.resolve(dev_host, prp2, len) else {
+                panic!("{partition:#x} tag {tag}: list does not resolve to DRAM");
+            };
+            assert_eq!(at.host, client_host);
+            assert!(
+                at.addr.align_offset(4096) + len <= 4096,
+                "{partition:#x} tag {tag}: list crosses a page"
+            );
+            let mut raw = vec![0u8; len as usize];
+            c.fabric.mem_read(at.host, at.addr, &mut raw).unwrap();
+            for (i, entry) in raw.chunks(8).enumerate() {
+                let entry = u64::from_le_bytes(entry.try_into().unwrap());
+                let page = prp1.offset((i as u64 + 1) * 4096);
+                assert_eq!(entry, page.as_u64(), "{partition:#x} tag {tag} entry {i}");
+            }
+            lists.push((at.addr.as_u64(), len));
+        }
+        lists.sort_unstable();
+        for pair in lists.windows(2) {
+            assert!(
+                pair[0].0 + pair[0].1 <= pair[1].0,
+                "{partition:#x}: lists overlap"
+            );
+        }
+        assert_eq!(c.rt.sanitize_violations(), [], "{partition:#x}");
+        pool.destroy(&c.smartio);
+    }
+}
+
+#[test]
+fn more_than_two_pages_round_trip_through_the_first_and_the_last_tag() {
+    // Every tag in flight at once, each moving the largest transfer its
+    // partition and the controller's 1 MiB limit allow.
+    for partition in PARTITIONS {
+        let c = cluster(2);
+        let smartio = c.smartio.clone();
+        let fabric = c.fabric.clone();
+        let handle = c.rt.handle();
+        let dev = c.dev;
+        let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+        c.rt.block_on(async move {
+            let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                .await
+                .unwrap();
+            let cfg = ClientConfig {
+                partition_size: partition,
+                queue_depth: 3,
+                ..ClientConfig::default()
+            };
+            let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+                .await
+                .unwrap();
+            let len = partition.min(1 << 20);
+            let blocks = (len / 512) as u32;
+            let lanes: Vec<_> = (0..3u64)
+                .map(|lane| {
+                    let (drv, fabric) = (drv.clone(), fabric.clone());
+                    handle.spawn(async move {
+                        let buf = fabric.alloc(client_host, len).unwrap();
+                        let pattern: Vec<u8> = (0..len)
+                            .map(|i| (i % 253) as u8 ^ (lane as u8 * 85))
+                            .collect();
+                        let lba = lane * u64::from(blocks);
+                        fabric.mem_write(client_host, buf.addr, &pattern).unwrap();
+                        drv.submit(Bio::write(lba, blocks, buf)).await.unwrap();
+                        fabric
+                            .mem_write(client_host, buf.addr, &vec![0; len as usize])
+                            .unwrap();
+                        drv.submit(Bio::read(lba, blocks, buf)).await.unwrap();
+                        let mut out = vec![0u8; len as usize];
+                        fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
+                        out == pattern
+                    })
+                })
+                .collect();
+            for (lane, join) in lanes.into_iter().enumerate() {
+                assert!(
+                    join.await,
+                    "{partition:#x}: lane {lane} read back wrong bytes"
+                );
+            }
+            assert_eq!(drv.stats().bounce_bytes_copied, 6 * len);
+        });
+    }
+}
+
+/// Lengths of the segments living on `host`, in id order.
+fn segments_on(smartio: &SmartIo, host: HostId) -> Vec<u64> {
+    (1..512)
+        .filter_map(|id| smartio.segment_region(smartio::SegmentId(id)).ok())
+        .filter(|region| region.host == host)
+        .map(|region| region.len)
+        .collect()
+}
+
+#[test]
+fn only_a_direct_mapped_connect_creates_the_per_tag_list_pages() {
+    // Client-local segments after connect: the mailbox response and the
+    // CQ, then the bounce buffer and its PRP-list table — or, under
+    // DirectMapped, one list page per tag (32 of them) and no buffer.
+    for (path, want) in [
+        (DataPath::Bounce, vec![16, 4096, 32 * (128 << 10), 2 * 4096]),
+        (DataPath::DirectMapped, vec![16, 4096, 32 * 4096]),
+    ] {
+        let c = cluster(2);
+        let smartio = c.smartio.clone();
+        let dev = c.dev;
+        let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+        let sio = c.smartio.clone();
+        c.rt.block_on(async move {
+            let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                .await
+                .unwrap();
+            let cfg = ClientConfig {
+                data_path: path,
+                ..ClientConfig::default()
+            };
+            ClientDriver::connect(&smartio, dev, client_host, cfg)
+                .await
+                .unwrap()
+        });
+        assert_eq!(segments_on(&sio, client_host), want, "{path:?}");
+    }
+}
+
+#[test]
+fn a_connect_disconnect_cycle_gives_back_every_lut_slot() {
+    let direct = ClientConfig {
+        data_path: DataPath::DirectMapped,
+        ..ClientConfig::default()
+    };
+    let small = ClientConfig {
+        partition_size: 8 << 10,
+        ..ClientConfig::default()
+    };
+    for cfg in [ClientConfig::default(), direct, small] {
+        let c = cluster(2);
+        let smartio = c.smartio.clone();
+        let fabric = c.fabric.clone();
+        let dev = c.dev;
+        let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+        let label = format!("{:?} {:#x}", cfg.data_path, cfg.partition_size);
+        c.rt.block_on(async move {
+            let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+                .await
+                .unwrap();
+            let free = || {
+                (
+                    fabric.free_lut_slots(client_host),
+                    fabric.free_lut_slots(dev_host),
+                )
+            };
+            let before = free();
+            let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+                .await
+                .unwrap();
+            let during = free();
+            assert!(
+                during.0 < before.0 && during.1 < before.1,
+                "{label}: {during:?}"
+            );
+            drv.disconnect().await.unwrap();
+            assert_eq!(free(), before, "{label}");
+        });
+    }
+}

@@ -90,6 +90,8 @@ struct HostRec {
     rc_node: NodeId,
     memory: HostMemory,
     mmio_cursor: u64,
+    /// The NTB adapters whose windows live in this domain, in id order.
+    ntbs: Vec<NtbId>,
 }
 
 struct BarRec {
@@ -238,6 +240,7 @@ impl Fabric {
             rc_node,
             memory: HostMemory::new(id, mem_size),
             mmio_cursor: MMIO_BASE,
+            ntbs: Vec::new(),
         });
         if self.inner.armed {
             self.inner.hb.borrow_mut().register_host();
@@ -327,6 +330,7 @@ impl Fabric {
             PhysAddr(hrec.mmio_cursor) <= HostMemory::DRAM_BASE,
             "MMIO space exhausted"
         );
+        hrec.ntbs.push(id);
         st.ntbs
             .push(Ntb::new(id, host, node, PhysAddr(base), slot_size, slots));
         id
@@ -388,19 +392,17 @@ impl Fabric {
     /// compares before and after a connect/disconnect.
     pub fn free_lut_slots(&self, host: HostId) -> usize {
         let st = self.inner.state.borrow();
-        let own = st.ntbs.iter().filter(|n| n.local_domain == host);
-        own.map(|n| (0..n.slots()).filter(|&s| n.entry(s).is_none()).count())
+        let own = st.hosts.get(host.0 as usize).into_iter();
+        own.flat_map(|h| &h.ntbs)
+            .map(|id| &st.ntbs[id.0 as usize])
+            .map(|n| (0..n.slots()).filter(|&s| n.entry(s).is_none()).count())
             .sum()
     }
 
-    /// NTB adapters attached to a host's domain.
-    pub fn ntbs_of(&self, host: HostId) -> Vec<NtbId> {
+    /// The first NTB adapter attached to a host's domain, if it has any.
+    pub fn first_ntb_of(&self, host: HostId) -> Option<NtbId> {
         let st = self.inner.state.borrow();
-        st.ntbs
-            .iter()
-            .filter(|n| n.local_domain == host)
-            .map(|n| n.id)
-            .collect()
+        st.hosts.get(host.0 as usize)?.ntbs.first().copied()
     }
 
     /// The domain a device lives in.
@@ -608,14 +610,10 @@ impl Fabric {
     /// An access of `len` bytes must stay within one mapping.
     pub fn resolve(&self, host: HostId, addr: PhysAddr, len: u64) -> Result<Location> {
         let st = self.inner.state.borrow();
-        Self::resolve_in(&st, host, addr, len)
+        Self::resolve_traced(&st, host, addr, len, &mut Crossed::new())
     }
 
-    fn resolve_in(st: &State, host: HostId, addr: PhysAddr, len: u64) -> Result<Location> {
-        Self::resolve_traced(st, host, addr, len, &mut Crossed::new())
-    }
-
-    /// Like [`resolve_in`](Self::resolve_in), additionally recording the
+    /// Like [`resolve`](Self::resolve), additionally recording the
     /// NTB windows the walk crossed (the fault injector's sever check
     /// keys off these).
     fn resolve_traced(
@@ -654,7 +652,7 @@ impl Fabric {
             }
             // NTB windows in this domain.
             let mut translated = None;
-            for n in st.ntbs.iter().filter(|n| n.local_domain == cur.host) {
+            for n in hrec.ntbs.iter().map(|id| &st.ntbs[id.0 as usize]) {
                 if n.contains(cur.addr) {
                     translated = Some(n.translate(cur.addr, len)?);
                     crossed.push(n.id);

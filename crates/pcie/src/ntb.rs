@@ -65,11 +65,6 @@ impl Ntb {
         self.slot_size * self.lut.len() as u64
     }
 
-    /// The window's base address in the local domain.
-    pub fn window_base(&self) -> PhysAddr {
-        self.window_base
-    }
-
     /// Local-domain address of the start of `slot`.
     pub fn slot_addr(&self, slot: usize) -> Result<PhysAddr> {
         if slot >= self.lut.len() {

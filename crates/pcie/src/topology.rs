@@ -7,7 +7,7 @@
 //! decided by address translation (see [`crate::fabric`]), not by the
 //! graph.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::addr::{DeviceId, HostId, NodeId, NtbId};
 use crate::error::{FabricError, Result};
@@ -38,9 +38,10 @@ impl NodeKind {
 pub struct Topology {
     nodes: Vec<NodeKind>,
     adj: Vec<Vec<NodeId>>,
-    /// Shortest-path cache: (from, to) -> chips traversed. Ordered map so
-    /// any future iteration (debug dumps, invalidation) is deterministic.
-    cache: BTreeMap<(NodeId, NodeId), u32>,
+    /// Distance rows, indexed by origin: chips on the shortest path from
+    /// that origin to every node (`u32::MAX` = unreachable). Empty until
+    /// the origin is first asked; a graph change empties them all.
+    rows: Vec<Vec<u32>>,
 }
 
 impl Topology {
@@ -54,6 +55,8 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(kind);
         self.adj.push(Vec::new());
+        self.rows.iter_mut().for_each(Vec::clear);
+        self.rows.push(Vec::new());
         id
     }
 
@@ -68,30 +71,37 @@ impl Topology {
         if !self.adj[a.0 as usize].contains(&b) {
             self.adj[a.0 as usize].push(b);
             self.adj[b.0 as usize].push(a);
-            self.cache.clear();
+            self.rows.iter_mut().for_each(Vec::clear);
         }
     }
 
-    /// Number of switch chips on the shortest path from `from` to `to`
-    /// (endpoints themselves never count). BFS minimizes chip count.
+    /// Number of switch chips on the shortest path from `from` to `to`,
+    /// ends included: a chip at either end is on the path, so the count
+    /// is the same both ways. Root complexes and endpoints are not chips,
+    /// so a transaction between them pays for exactly the chips it passes
+    /// through.
     pub fn chips_between(&mut self, from: NodeId, to: NodeId) -> Result<u32> {
-        if from == to {
-            return Ok(0);
+        if self.rows[from.0 as usize].is_empty() {
+            self.rows[from.0 as usize] = self.distances_from(from);
         }
-        if let Some(&c) = self.cache.get(&(from, to)) {
-            return Ok(c);
+        match self.rows[from.0 as usize][to.0 as usize] {
+            u32::MAX => Err(FabricError::Unreachable { from, to }),
+            d => Ok(d),
         }
-        // Dijkstra-light: BFS layered by chip weight (0 for RC/endpoints,
-        // 1 for chips). All weights are 0/1 so a deque-based 0-1 BFS works.
-        let n = self.nodes.len();
-        let mut dist = vec![u32::MAX; n];
+    }
+
+    /// One row: a 0-1 BFS weighting each node by whether it is a chip,
+    /// the origin's own weight counted at the start.
+    fn distances_from(&self, from: NodeId) -> Vec<u32> {
+        let chip = |v: NodeId| u32::from(self.nodes[v.0 as usize].is_chip());
+        let mut dist = vec![u32::MAX; self.nodes.len()];
         let mut dq = VecDeque::new();
-        dist[from.0 as usize] = 0;
+        dist[from.0 as usize] = chip(from);
         dq.push_back(from);
         while let Some(u) = dq.pop_front() {
             let du = dist[u.0 as usize];
             for &v in &self.adj[u.0 as usize] {
-                let w = u32::from(self.nodes[v.0 as usize].is_chip());
+                let w = chip(v);
                 if du + w < dist[v.0 as usize] {
                     dist[v.0 as usize] = du + w;
                     if w == 0 {
@@ -102,16 +112,7 @@ impl Topology {
                 }
             }
         }
-        let d = dist[to.0 as usize];
-        if d == u32::MAX {
-            return Err(FabricError::Unreachable { from, to });
-        }
-        // Destination chip weight was counted on entry, which is what we
-        // want: a transaction *through* a chip pays its latency; arriving
-        // *at* an endpoint or RC does not add a chip.
-        self.cache.insert((from, to), d);
-        self.cache.insert((to, from), d);
-        Ok(d)
+        dist
     }
 }
 
@@ -157,6 +158,69 @@ mod tests {
         let (mut t, rc_a, rc_b, _) = fig9b();
         assert_eq!(t.chips_between(rc_a, rc_b).unwrap(), 3);
         assert_eq!(t.chips_between(rc_b, rc_a).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_chip_end_counts_whichever_direction_is_asked_first() {
+        // The cluster switch, then adapter B, are on the path to rc_b: two
+        // chips, and the same two the other way round, in either order.
+        for switch_first in [true, false] {
+            let (mut t, _, rc_b, _) = fig9b();
+            let sw = (0..6)
+                .map(NodeId)
+                .find(|&n| matches!(t.kind(n), NodeKind::Switch { .. }))
+                .unwrap();
+            let asks = if switch_first {
+                [(sw, rc_b), (rc_b, sw)]
+            } else {
+                [(rc_b, sw), (sw, rc_b)]
+            };
+            for (from, to) in asks {
+                assert_eq!(t.chips_between(from, to).unwrap(), 2, "{from:?} -> {to:?}");
+            }
+            assert_eq!(
+                t.chips_between(sw, sw).unwrap(),
+                1,
+                "a chip is on its own path"
+            );
+        }
+    }
+
+    #[test]
+    fn a_link_drops_every_row() {
+        // A chain of three switches between two hosts, rows cached from
+        // every node; a shortcut past the middle switch must reach them all.
+        let mut t = Topology::new();
+        let a = t.add_node(NodeKind::RootComplex(HostId(0)));
+        let b = t.add_node(NodeKind::RootComplex(HostId(1)));
+        let s: Vec<NodeId> = (0..3)
+            .map(|i| {
+                t.add_node(NodeKind::Switch {
+                    label: format!("s{i}"),
+                })
+            })
+            .collect();
+        t.link(a, s[0]);
+        t.link(s[0], s[1]);
+        t.link(s[1], s[2]);
+        t.link(s[2], b);
+        let all = [a, b, s[0], s[1], s[2]];
+        for &from in &all {
+            for &to in &all {
+                t.chips_between(from, to).unwrap();
+            }
+        }
+        assert_eq!(t.chips_between(a, b).unwrap(), 3);
+        t.link(s[0], s[2]);
+        assert_eq!(t.chips_between(a, b).unwrap(), 2);
+        assert_eq!(t.chips_between(b, a).unwrap(), 2);
+        assert_eq!(t.chips_between(s[2], a).unwrap(), 2);
+        assert_eq!(t.chips_between(s[0], b).unwrap(), 2);
+        // A node added later is reachable once linked, from an old origin.
+        let c = t.add_node(NodeKind::RootComplex(HostId(2)));
+        assert!(t.chips_between(a, c).is_err());
+        t.link(c, s[1]);
+        assert_eq!(t.chips_between(a, c).unwrap(), 2);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! bounce-buffer partitions, medium channels, DMA engines.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -9,8 +10,10 @@ use std::task::{Context, Poll, Waker};
 
 struct SemState {
     permits: usize,
-    /// FIFO of parked acquirers: (key, wanted, waker).
-    waiters: Vec<(u64, usize, Waker)>,
+    /// FIFO of parked acquirers: (key, wanted, waker). Keys are handed out
+    /// in increasing order and only ever pushed at the back, so the queue
+    /// is sorted by key.
+    waiters: VecDeque<(u64, usize, Waker)>,
     next_key: u64,
 }
 
@@ -26,7 +29,7 @@ impl Semaphore {
         Semaphore {
             state: Rc::new(RefCell::new(SemState {
                 permits,
-                waiters: Vec::new(),
+                waiters: VecDeque::new(),
                 next_key: 0,
             })),
         }
@@ -68,27 +71,38 @@ impl Semaphore {
 
     /// Add permits (used by Permit drop and by dynamic resizing).
     pub fn release(&self, n: usize) {
-        let to_wake = {
-            let mut st = self.state.borrow_mut();
-            st.permits += n;
-            // Wake head waiters that can now be satisfied, in order.
-            let mut wake = Vec::new();
-            let mut budget = st.permits;
-            let mut i = 0;
-            while i < st.waiters.len() {
-                let (_, wanted, _) = st.waiters[i];
-                if wanted <= budget {
+        self.state.borrow_mut().permits += n;
+        self.wake_satisfiable();
+    }
+
+    /// A parked acquire was dropped: it leaves the queue, and permits a
+    /// release may have woken it to take pass on to the new head. Out of
+    /// line, since every future holding an `Acquire` inlines its drop.
+    #[cold]
+    #[inline(never)]
+    fn cancel(&self, key: u64) {
+        let mut st = self.state.borrow_mut();
+        if let Ok(i) = st.waiters.binary_search_by_key(&key, |w| w.0) {
+            st.waiters.remove(i);
+        }
+        drop(st);
+        self.wake_satisfiable();
+    }
+
+    /// Wake, in order, the head waiters the free permits can satisfy
+    /// (FIFO: the scan stops at the first that must keep waiting). Each
+    /// waker is cloned under the borrow and woken after it.
+    fn wake_satisfiable(&self) {
+        let mut budget = self.state.borrow().permits;
+        for i in 0.. {
+            let waker = match self.state.borrow().waiters.get(i) {
+                Some((_, wanted, waker)) if *wanted <= budget => {
                     budget -= wanted;
-                    wake.push(st.waiters[i].2.clone());
-                    i += 1;
-                } else {
-                    break; // FIFO: don't skip the head
+                    waker.clone()
                 }
-            }
-            wake
-        };
-        for w in to_wake {
-            w.wake();
+                _ => return,
+            };
+            waker.wake();
         }
     }
 }
@@ -97,16 +111,6 @@ impl Semaphore {
 pub struct Permit {
     sem: Semaphore,
     count: usize,
-}
-
-impl Permit {
-    /// Release early (equivalent to dropping).
-    pub fn release(self) {}
-
-    /// Number of permits this guard holds.
-    pub fn count(&self) -> usize {
-        self.count
-    }
 }
 
 impl Drop for Permit {
@@ -129,16 +133,12 @@ impl Future for Acquire {
         let mut st = self.sem.state.borrow_mut();
         let at_head = match self.key {
             None => st.waiters.is_empty(),
-            Some(key) => st
-                .waiters
-                .first()
-                .map(|(k, _, _)| *k == key)
-                .unwrap_or(false),
+            Some(key) => st.waiters.front().is_some_and(|w| w.0 == key),
         };
         if at_head && st.permits >= self.wanted {
             st.permits -= self.wanted;
-            if let Some(key) = self.key {
-                st.waiters.retain(|(k, _, _)| *k != key);
+            if self.key.is_some() {
+                st.waiters.pop_front();
             }
             let wanted = self.wanted;
             drop(st);
@@ -153,13 +153,13 @@ impl Future for Acquire {
                 let key = st.next_key;
                 st.next_key += 1;
                 let wanted = self.wanted;
-                st.waiters.push((key, wanted, cx.waker().clone()));
+                st.waiters.push_back((key, wanted, cx.waker().clone()));
                 drop(st);
                 self.key = Some(key);
             }
             Some(key) => {
-                if let Some(slot) = st.waiters.iter_mut().find(|(k, _, _)| *k == key) {
-                    slot.2 = cx.waker().clone();
+                if let Ok(i) = st.waiters.binary_search_by_key(&key, |w| w.0) {
+                    st.waiters[i].2.clone_from(cx.waker());
                 }
             }
         }
@@ -170,8 +170,7 @@ impl Future for Acquire {
 impl Drop for Acquire {
     fn drop(&mut self) {
         if let Some(key) = self.key {
-            let mut st = self.sem.state.borrow_mut();
-            st.waiters.retain(|(k, _, _)| *k != key);
+            self.sem.cancel(key);
         }
     }
 }
@@ -281,5 +280,37 @@ mod tests {
             let _p = sem2.acquire().await;
             h2.sleep(SimDuration::from_nanos(1)).await;
         });
+    }
+
+    #[test]
+    fn a_waiter_dropped_after_its_wake_passes_the_permit_on() {
+        // Hold the one permit; A parks; B parks; release (which wakes A);
+        // A's acquire is dropped before it polls again. B must still run.
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let sem = Semaphore::new(1);
+        let b_ran = Rc::new(Cell::new(false));
+        let (sem2, b_ran2) = (sem.clone(), b_ran.clone());
+        rt.block_on(async move {
+            let held = sem2.try_acquire().unwrap();
+            let mut a = Box::pin(sem2.acquire());
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut a).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            let (sem3, b_ran3) = (sem2.clone(), b_ran2.clone());
+            h.spawn(async move {
+                let _p = sem3.acquire().await;
+                b_ran3.set(true);
+            });
+            h.sleep(SimDuration::from_nanos(1)).await; // B parks behind A
+            drop(held);
+            drop(a);
+            h.sleep(SimDuration::from_nanos(1)).await;
+            assert!(b_ran2.get(), "B slept on a free permit");
+        });
+        assert!(b_ran.get());
+        assert_eq!(sem.available(), 1);
     }
 }

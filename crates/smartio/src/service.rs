@@ -631,8 +631,10 @@ impl SmartIo {
         host: HostId,
         region: MemRegion,
     ) -> Result<(NtbId, usize, usize, PhysAddr)> {
-        let ntbs = self.fabric.ntbs_of(host);
-        let ntb = *ntbs.first().ok_or(SmartIoError::NoPath { host })?;
+        let ntb = self
+            .fabric
+            .first_ntb_of(host)
+            .ok_or(SmartIoError::NoPath { host })?;
         let slot_size = self.fabric.ntb_slot_size(ntb);
         let base = region.addr.align_down(slot_size);
         let offset = region.addr.align_offset(slot_size);
