@@ -164,15 +164,13 @@ pub(crate) struct Param {
     pub at: usize,
 }
 
-/// A `fn` item: name, its line, parameters, and the token-index extent
-/// of the body (inclusive of the braces). Trait-method declarations
-/// without a body are not recorded as items (their names still surface
-/// through [`Ast::traits`]).
+/// A `fn` item: name, parameters, and the token-index extent of the
+/// body (inclusive of the braces). Trait-method declarations without a
+/// body are not recorded as items (their names still surface through
+/// [`Ast::traits`]).
 #[derive(Debug)]
 pub(crate) struct FnItem {
     pub name: String,
-    /// 1-based line of the `fn` name.
-    pub line: usize,
     pub params: Vec<Param>,
     pub body: (usize, usize),
 }
@@ -506,7 +504,6 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
                 if let Some(body) = body {
                     out.push(FnItem {
                         name: name_tok.text.clone(),
-                        line: name_tok.line,
                         params: sig.map_or_else(Vec::new, |s| parse_params(tokens, s)),
                         body,
                     });

@@ -68,8 +68,6 @@ pub(crate) struct FnFacts<'a> {
     pub f: &'a FnItem,
     /// The file's `const NAME: ty = <int>;` items ([`const_env`]).
     pub consts: &'a [(String, u64)],
-    /// The file speaks the event-model vocabulary ([`SubmitEvents`]).
-    event_model: bool,
     calls: OnceCell<Vec<Call>>,
     cfg: OnceCell<Cfg>,
     du: OnceCell<DefUse>,
@@ -78,17 +76,11 @@ pub(crate) struct FnFacts<'a> {
 }
 
 impl<'a> FnFacts<'a> {
-    pub(crate) fn new(
-        ast: &'a Ast,
-        f: &'a FnItem,
-        consts: &'a [(String, u64)],
-        event_model: bool,
-    ) -> Self {
+    pub(crate) fn new(ast: &'a Ast, f: &'a FnItem, consts: &'a [(String, u64)]) -> Self {
         FnFacts {
             ast,
             f,
             consts,
-            event_model,
             calls: OnceCell::new(),
             cfg: OnceCell::new(),
             du: OnceCell::new(),
@@ -155,12 +147,6 @@ pub(crate) struct CallSite {
 /// (repeated ring): doorbell rings, SQE stores, and explicit failure
 /// resolutions. Each event is `(token index, 1-based line)`; rings also
 /// carry their receiver, which D24 pairs sites by.
-///
-/// In the explore fixture deck only (the oracle *matches* these names
-/// without emitting), `SqeWritten`/`SqDoorbell` struct literals count
-/// too: they are the simulated twin of a slot store and a doorbell
-/// write, which is what lets the seeded missed-doorbell fixture carry a
-/// D22 finding into the hypothesis bridge.
 #[derive(Default)]
 pub(crate) struct SubmitEvents {
     pub rings: Vec<(usize, usize, String)>,
@@ -247,17 +233,6 @@ fn build_sites(facts: &FnFacts) -> Sites {
     for fa in ast.field_assigns_in(f.body) {
         if fa.path.iter().any(|seg| seg.contains("sqe")) {
             ev.stores.push((fa.at, fa.line));
-        }
-    }
-    if facts.event_model {
-        for (i, t) in toks.iter().enumerate().take(f.body.1).skip(f.body.0) {
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "SqeWritten" => ev.stores.push((i, t.line)),
-                    "SqDoorbell" => ev.rings.push((i, t.line, String::new())),
-                    _ => {}
-                }
-            }
         }
     }
     ev.rings.sort_unstable();

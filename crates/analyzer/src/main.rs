@@ -16,9 +16,6 @@
 //! drift is loud.
 //! `--explain <rule>` prints one rule's long-form documentation (what it
 //! flags, why, a worked example, suppression guidance) and exits.
-//! `--emit-hypotheses <file>` additionally writes the ordering
-//! hypotheses behind D08/D19/D22-class findings (suppressed ones
-//! included) as a JSON artifact for `dnvme-explore --hints`.
 
 use std::process::ExitCode;
 
@@ -33,7 +30,6 @@ struct Options {
     strict_allow: bool,
     bench: bool,
     explain: Option<String>,
-    emit_hypotheses: Option<String>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -42,7 +38,6 @@ fn parse_args() -> Result<Options, String> {
         strict_allow: false,
         bench: false,
         explain: None,
-        emit_hypotheses: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -59,14 +54,10 @@ fn parse_args() -> Result<Options, String> {
                 Some(rule) => opts.explain = Some(rule),
                 None => return Err("--explain expects a rule code (e.g. D22)".to_string()),
             },
-            "--emit-hypotheses" => match args.next() {
-                Some(path) => opts.emit_hypotheses = Some(path),
-                None => return Err("--emit-hypotheses expects an output path".to_string()),
-            },
             "--help" | "-h" => {
                 return Err(
                     "usage: dnvme-lint [--format text|github|sarif] [--strict-allow] [--bench] \
-                     [--explain <rule>] [--emit-hypotheses <file>]"
+                     [--explain <rule>]"
                         .to_string(),
                 );
             }
@@ -129,22 +120,6 @@ fn main() -> ExitCode {
         };
     }
     let root = analyzer::workspace_root();
-    if let Some(out) = &opts.emit_hypotheses {
-        match analyzer::scan_workspace_strict(&root).map(|r| r.hypotheses) {
-            Ok(hyps) => {
-                let json = analyzer::hypotheses_json(&hyps);
-                if let Err(e) = std::fs::write(out, json) {
-                    eprintln!("dnvme-lint: failed to write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("dnvme-lint: {} hypothesis(es) → {out}", hyps.len());
-            }
-            Err(e) => {
-                eprintln!("dnvme-lint: failed to collect hypotheses: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let scanned = if opts.strict_allow {
         analyzer::scan_workspace_strict(&root).map(|r| (r.findings, r.unused))
     } else {

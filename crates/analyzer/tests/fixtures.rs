@@ -733,12 +733,10 @@ fn strict_allow_findings_survive_uncovered() {
 }
 
 #[test]
-fn two_code_allow_suppresses_both_hypotheses() {
+fn two_code_allow_suppresses_both_findings() {
     // The store is late (after a ring: D08) and its own ring is skipped
-    // by the early return (D22); one comment allows both. The exported
-    // hypotheses take the scanner's verdict — the exporter's own
-    // substring match on the comment used to see only the first code and
-    // leave the D22 one `suppressed: false`.
+    // by the early return (D22); one comment naming both codes allows
+    // both, and neither code is left unused.
     let src = "async fn submit(&self, qp: &QPair, sqe: Sqe, more: bool) -> Result<()> {\n\
                    qp.sq.ring().await?;\n\
                    // lint:allow(D08, D22)\n\
@@ -753,13 +751,6 @@ fn two_code_allow_suppresses_both_hypotheses() {
     let report = analyzer::strict_scan_files(&analyzer::Config::parse("[allow]\n"), &files);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert!(report.unused.is_empty(), "{:?}", report.unused);
-    let got: Vec<_> = report
-        .hypotheses
-        .iter()
-        .map(|h| (h.rule.as_str(), h.site_a.1, h.site_b.1, h.suppressed))
-        .collect();
-    assert_eq!(got, vec![("D08", 2, 4, true), ("D22", 4, 8, true)]);
-    assert!(report.hypotheses.iter().all(|h| h.site_fn == "submit"));
 }
 
 // ----------------------------------------------------- retired codes
@@ -885,7 +876,7 @@ fn workspace_lints_cover_the_retired_rules() {
         let inherits = table(&read(dir.join("Cargo.toml")), "[lints]");
         assert_eq!(inherits, ["workspace = true"], "{}", dir.display());
     }
-    assert!(members >= 15, "walked {members} member manifests");
+    assert!(members >= 14, "walked {members} member manifests");
 }
 
 // ------------------------------------------------------------------ D16 (interproc-era liveness)

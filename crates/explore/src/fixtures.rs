@@ -216,16 +216,13 @@ fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
 }
 
 /// The submission path writes the SQE but a pause check returns before
-/// the tail doorbell moves — the statically-flagged missed-doorbell
-/// shape (D22). The device's fetch then acts on a slot the doorbell
+/// the tail doorbell moves — the missed-doorbell shape D22 flags
+/// statically in driver code. The device's fetch then acts on a slot the doorbell
 /// never exposed, which is how the lost command manifests dynamically.
 fn missed_doorbell(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
         let emit = |ev| oracle::emit(&fabric, ev);
         let paused = true;
-        // Seeded missed doorbell: the hypothesis is exported anyway and
-        // the explorer confirms it dynamically.
-        // lint:allow(D22)
         emit(Event::SqeWritten {
             qid: Q,
             cid: 5,

@@ -426,225 +426,9 @@ async fn client_workload(
     mismatches
 }
 
-// ---------------------------------------------------------------------
-// Lint-hypothesis hints (`--hints`)
-// ---------------------------------------------------------------------
-
-/// One ordering hypothesis imported from `dnvme-lint --emit-hypotheses`:
-/// a pair of sites whose relative order a static finding claims can go
-/// wrong, plus the function that anchors it to a runnable program.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Hint {
-    pub id: String,
-    pub rule: String,
-    /// Choice-point domain to perturb: "doorbell" (D08/D22) or "lock"
-    /// (D19).
-    pub class: String,
-    /// The `fn` item holding `site_a` — matched (with `_` → `-`)
-    /// against the fixture registry to pick the program to explore.
-    pub site_fn: String,
-    pub site_a: (String, usize),
-    pub site_b: (String, usize),
-    /// The static finding is suppressed in source. The suppression is a
-    /// claim ("this ordering is fine"), and the explorer checks it.
-    pub suppressed: bool,
-}
-
-/// Parse the `--emit-hypotheses` JSON artifact. Hand-rolled over the
-/// subset the linter emits (flat string/number/bool fields, one level
-/// of site objects) so the exchange format costs no dependency;
-/// unknown fields are skipped, missing ones default to empty/zero.
-pub fn parse_hints(text: &str) -> Result<Vec<Hint>, String> {
-    let body = text
-        .split_once("\"hypotheses\"")
-        .ok_or("hints file has no \"hypotheses\" key")?
-        .1;
-    let open = body.find('[').ok_or("hints file has no hypotheses array")?;
-    let bytes = body.as_bytes();
-    let mut out = Vec::new();
-    let mut i = open + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' => {
-                let start = i;
-                let mut depth = 0usize;
-                let mut in_str = false;
-                let mut esc = false;
-                while i < bytes.len() {
-                    let c = bytes[i];
-                    if esc {
-                        esc = false;
-                    } else if in_str {
-                        if c == b'\\' {
-                            esc = true;
-                        } else if c == b'"' {
-                            in_str = false;
-                        }
-                    } else {
-                        match c {
-                            b'"' => in_str = true,
-                            b'{' => depth += 1,
-                            b'}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    i += 1;
-                }
-                if depth != 0 || in_str {
-                    return Err("unterminated hypothesis object".into());
-                }
-                out.push(parse_hint_obj(&body[start..i]));
-            }
-            b']' => break,
-            _ => i += 1,
-        }
-    }
-    Ok(out)
-}
-
-fn parse_hint_obj(obj: &str) -> Hint {
-    let site = |key: &str| -> (String, usize) {
-        json_subobject(obj, key)
-            .map(|sub| {
-                (
-                    json_str(sub, "path").unwrap_or_default(),
-                    json_num(sub, "line").unwrap_or(0),
-                )
-            })
-            .unwrap_or_default()
-    };
-    Hint {
-        id: json_str(obj, "id").unwrap_or_default(),
-        rule: json_str(obj, "rule").unwrap_or_default(),
-        class: json_str(obj, "class").unwrap_or_default(),
-        site_fn: json_str(obj, "site_fn").unwrap_or_default(),
-        site_a: site("site_a"),
-        site_b: site("site_b"),
-        suppressed: obj
-            .split_once("\"suppressed\"")
-            .map(|(_, rest)| rest.trim_start_matches([':', ' ']).starts_with("true"))
-            .unwrap_or(false),
-    }
-}
-
-/// The text of the `{…}` value under `"key"`, braces included.
-fn json_subobject<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let rest = obj.split_once(&format!("\"{key}\""))?.1;
-    let open = rest.find('{')?;
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    for (k, &c) in bytes.iter().enumerate().skip(open) {
-        match c {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open..=k]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// A top-level `"key": "…"` string value, JSON escapes decoded.
-fn json_str(obj: &str, key: &str) -> Option<String> {
-    let rest = obj.split_once(&format!("\"{key}\""))?.1;
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let mut chars = rest.strip_prefix('"')?.chars();
-    let mut s = String::new();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(s),
-            '\\' => match chars.next()? {
-                'n' => s.push('\n'),
-                't' => s.push('\t'),
-                'r' => s.push('\r'),
-                other => s.push(other),
-            },
-            other => s.push(other),
-        }
-    }
-    None
-}
-
-/// A top-level `"key": 123` number value.
-fn json_num(obj: &str, key: &str) -> Option<usize> {
-    let rest = obj.split_once(&format!("\"{key}\""))?.1;
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_hints_reads_the_lint_artifact_shape() {
-        let text = r#"{
-  "version": 1,
-  "hypotheses": [
-    {
-      "id": "H1",
-      "rule": "D22",
-      "class": "doorbell",
-      "suppressed": true,
-      "site_fn": "missed_doorbell",
-      "site_a": {"path": "crates/explore/src/fixtures.rs", "line": 226},
-      "site_b": {"path": "crates/explore/src/fixtures.rs", "line": 243}
-    },
-    {
-      "id": "H2",
-      "rule": "D19",
-      "class": "lock",
-      "suppressed": false,
-      "site_fn": "take_both",
-      "site_a": {"path": "crates/core/src/manager.rs", "line": 10},
-      "site_b": {"path": "crates/core/src/manager.rs", "line": 12}
-    }
-  ]
-}"#;
-        let hints = parse_hints(text).unwrap();
-        assert_eq!(
-            hints,
-            vec![
-                Hint {
-                    id: "H1".into(),
-                    rule: "D22".into(),
-                    class: "doorbell".into(),
-                    site_fn: "missed_doorbell".into(),
-                    site_a: ("crates/explore/src/fixtures.rs".into(), 226),
-                    site_b: ("crates/explore/src/fixtures.rs".into(), 243),
-                    suppressed: true,
-                },
-                Hint {
-                    id: "H2".into(),
-                    rule: "D19".into(),
-                    class: "lock".into(),
-                    site_fn: "take_both".into(),
-                    site_a: ("crates/core/src/manager.rs".into(), 10),
-                    site_b: ("crates/core/src/manager.rs".into(), 12),
-                    suppressed: false,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn parse_hints_rejects_garbage_and_accepts_empty() {
-        assert!(parse_hints("{}").is_err());
-        assert!(parse_hints("not json at all").is_err());
-        let empty = parse_hints(r#"{"version":1,"hypotheses":[]}"#).unwrap();
-        assert!(empty.is_empty());
-    }
 
     #[test]
     fn token_round_trips() {

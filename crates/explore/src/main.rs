@@ -14,9 +14,7 @@
 use std::process::ExitCode;
 
 use cluster::ScenarioKind;
-use explore::{
-    explore, fixtures, parse_hints, ExploreConfig, ExploreResult, ScenarioProgram, ScheduleToken,
-};
+use explore::{explore, fixtures, ExploreConfig, ExploreResult, ScenarioProgram, ScheduleToken};
 use pcie::FaultPlan;
 
 const USAGE: &str = "\
@@ -34,13 +32,6 @@ targets (pick one):
   --all               every scenario kind in sequence
   --fixture NAME      a seeded-violation fixture (--list-fixtures)
   --list-fixtures     print fixture names and expected violation codes
-  --hints FILE        hypothesis-directed mode: read the JSON artifact
-                      `dnvme-lint --emit-hypotheses` wrote, map each
-                      ordering hypothesis to its implicated program, and
-                      spend the schedule budget perturbing exactly those
-                      pairs; each hypothesis is reported CONFIRMED (with
-                      a replay token) or refuted. Exit 1 iff any
-                      hypothesis is confirmed.
 
 bounds:
   --schedules N       stop after N schedules (default 64)
@@ -69,7 +60,6 @@ struct Cli {
     all: bool,
     fixture: Option<String>,
     list_fixtures: bool,
-    hints: Option<String>,
     schedules: Option<usize>,
     exhaustive: bool,
     preemptions: Option<usize>,
@@ -99,7 +89,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         all: false,
         fixture: None,
         list_fixtures: false,
-        hints: None,
         schedules: None,
         exhaustive: false,
         preemptions: None,
@@ -127,7 +116,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--all" => cli.all = true,
             "--fixture" => cli.fixture = Some(value("--fixture")?),
             "--list-fixtures" => cli.list_fixtures = true,
-            "--hints" => cli.hints = Some(value("--hints")?),
             "--schedules" => {
                 cli.schedules = Some(
                     value("--schedules")?
@@ -220,79 +208,6 @@ fn report(label: &str, res: &ExploreResult) -> bool {
     }
 }
 
-/// Hypothesis-directed exploration: each hypothesis names the function
-/// behind a static ordering finding; when that function is (or seeds) a
-/// registered fixture program, the whole schedule budget goes to that
-/// one program — canonical schedule first, then the bounded neighborhood
-/// around its choice points — instead of being spread blind across the
-/// scenario matrix. Returns `Ok(false)` (exit 1) iff a hypothesis was
-/// confirmed by an actual violation.
-fn run_hints(path: &str, cfg: &ExploreConfig) -> Result<bool, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read hints {path}: {e}"))?;
-    let hints = parse_hints(&text)?;
-    if hints.is_empty() {
-        println!("hints: no hypotheses in {path}; nothing to explore");
-        return Ok(true);
-    }
-    let mut confirmed = 0usize;
-    let mut refuted = 0usize;
-    let mut unmapped = 0usize;
-    for h in &hints {
-        let label = format!(
-            "{} [{} {} {}:{} vs {}:{}{}]",
-            h.id,
-            h.rule,
-            h.class,
-            h.site_a.0,
-            h.site_a.1,
-            h.site_b.0,
-            h.site_b.1,
-            if h.suppressed { ", suppressed" } else { "" }
-        );
-        let fixture_name = h.site_fn.replace('_', "-");
-        let Some((_, f)) = fixtures::by_name(&fixture_name) else {
-            println!(
-                "{label}: unmapped — no runnable program for fn {:?}",
-                h.site_fn
-            );
-            unmapped += 1;
-            continue;
-        };
-        let res = explore(&|p: &[u32]| f(p), cfg);
-        match &res.failure {
-            Some(fail) => {
-                confirmed += 1;
-                println!(
-                    "{label}: CONFIRMED in {} schedule(s) — replay with --fixture {} --replay {}",
-                    res.stats.schedules_run, fixture_name, fail.token
-                );
-                for v in &fail.violations {
-                    println!("  [{}] t={}ns {}", v.code, v.at_nanos, v.detail);
-                }
-            }
-            None => {
-                refuted += 1;
-                println!(
-                    "{label}: refuted — {} schedule(s) conformant{}",
-                    res.stats.schedules_run,
-                    if res.stats.exhausted {
-                        ", space exhausted"
-                    } else {
-                        ""
-                    }
-                );
-            }
-        }
-    }
-    println!(
-        "hints: {} hypothesis(es) — {confirmed} confirmed, {refuted} refuted, \
-         {unmapped} unmapped",
-        hints.len()
-    );
-    Ok(confirmed == 0)
-}
-
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_args(&args)?;
@@ -303,9 +218,6 @@ fn run() -> Result<bool, String> {
         return Ok(true);
     }
     let cfg = config_of(&cli);
-    if let Some(path) = &cli.hints {
-        return run_hints(path, &cfg);
-    }
     if let Some(name) = &cli.fixture {
         let (code, f) =
             fixtures::by_name(name).ok_or_else(|| format!("unknown fixture {name:?}"))?;
