@@ -9,13 +9,12 @@
 //! token ranges (`segs`) rather than one range because join blocks
 //! resume the enclosing statement sequence.
 //!
-//! The graph answers the two questions the path-sensitive rules
-//! (D22–D25) need and the flow-insensitive engine could not:
-//!
-//! * **all-paths**: does every entry→exit path execute block B?
-//!   (`!exit_reachable_avoiding(entry, {B})`)
-//! * **some-path**: is there an entry→exit path that skips B?
-//!   (`exit_reachable_avoiding`)
+//! The graph answers the one question the path-sensitive rules (D23,
+//! D24) and the forward dataflow need and a token walk could not: can
+//! the event at one token position be followed by the event at another
+//! on *some* execution, without passing a blocker
+//! ([`Cfg::site_reaches_site`])? "Every path from the acquire to an
+//! error exit retires" is its negation with the retires as blockers.
 //!
 //! Blocks are atomic: entering a block executes all of its tokens, so
 //! "path avoids block B" is exactly "path never executes B's tokens".
@@ -29,8 +28,7 @@
 //! return), labeled `break`/`continue` target the innermost loop, and
 //! `?`/branches inside `if` conditions or `match` scrutinees stay in
 //! the pre-branch block. All three over- or under-split in ways the
-//! rules tolerate; none manufacture an impossible path for the
-//! all-paths queries used by D22/D23.
+//! rules tolerate; none manufacture an impossible path for D23.
 
 use crate::ast::{match_delim, Ast, FnItem, Tok, TokKind};
 
@@ -47,7 +45,6 @@ pub(crate) struct Block {
 pub(crate) struct Cfg {
     pub blocks: Vec<Block>,
     pub entry: usize,
-    pub exit: usize,
     rpo: Vec<usize>,
     reach: Vec<bool>,
 }
@@ -93,7 +90,6 @@ impl Cfg {
         Cfg {
             blocks,
             entry: 0,
-            exit: 1,
             rpo: post.into_iter().rev().collect(),
             reach,
         }
@@ -117,63 +113,6 @@ impl Cfg {
     /// Reachable blocks in reverse postorder (entry first).
     pub(crate) fn rpo(&self) -> &[usize] {
         &self.rpo
-    }
-
-    /// Some-path query: starting from `from`'s successors, can the
-    /// exit block be reached without entering any block marked in
-    /// `avoid`? (`from` itself may be re-entered via a back edge when
-    /// not avoided.)
-    pub(crate) fn exit_reachable_avoiding(&self, from: usize, avoid: &[bool]) -> bool {
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack: Vec<usize> = self.blocks[from]
-            .succs
-            .iter()
-            .copied()
-            .filter(|&s| !avoid[s])
-            .collect();
-        while let Some(b) = stack.pop() {
-            if b == self.exit {
-                return true;
-            }
-            if seen[b] {
-                continue;
-            }
-            seen[b] = true;
-            for &s in &self.blocks[b].succs {
-                if !avoid[s] && !seen[s] {
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// Some-path query from the other end: can `target` be reached
-    /// from entry without executing any avoided block first? The
-    /// target itself may carry the avoid mark (callers resolve the
-    /// intra-block position ordering).
-    pub(crate) fn entry_reaches_avoiding(&self, target: usize, avoid: &[bool]) -> bool {
-        if target == self.entry {
-            return true;
-        }
-        if avoid[self.entry] {
-            return false;
-        }
-        let mut seen = vec![false; self.blocks.len()];
-        let mut stack = vec![self.entry];
-        seen[self.entry] = true;
-        while let Some(b) = stack.pop() {
-            for &s in &self.blocks[b].succs {
-                if s == target {
-                    return true;
-                }
-                if !avoid[s] && !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
     }
 
     /// Path-sensitive event ordering: can the event at `from` =
@@ -533,6 +472,9 @@ mod tests {
     use super::*;
     use crate::ast::Ast;
 
+    /// The exit block's index (the entry is 0).
+    const EXIT: usize = 1;
+
     fn build(src: &str) -> (Ast, Cfg) {
         let ast = Ast::parse(src);
         let cfg = Cfg::build(&ast, &ast.functions[0]);
@@ -546,12 +488,10 @@ mod tests {
             .unwrap_or_else(|| panic!("token {text} not found"))
     }
 
-    fn avoid(cfg: &Cfg, blocks: &[usize]) -> Vec<bool> {
-        let mut v = vec![false; cfg.blocks.len()];
-        for &b in blocks {
-            v[b] = true;
-        }
-        v
+    /// Whether some path from `from` = (block, token) reaches the exit
+    /// without executing the block of any token in `avoid`.
+    fn exit_avoiding(cfg: &Cfg, from: (usize, usize), avoid: &[usize]) -> bool {
+        cfg.site_reaches_site(from, (EXIT, usize::MAX), avoid)
     }
 
     #[test]
@@ -561,29 +501,31 @@ mod tests {
         let bb = cfg.block_of(pos_of(&ast, "b")).unwrap();
         assert_eq!(ba, cfg.entry);
         assert_eq!(ba, bb);
-        assert_eq!(cfg.blocks[cfg.entry].succs, vec![cfg.exit]);
+        assert_eq!(cfg.blocks[cfg.entry].succs, vec![EXIT]);
     }
 
     #[test]
     fn if_without_else_can_skip_the_branch() {
         let (ast, cfg) = build("fn f(x: u32) {\n if x > 0 {\n ring();\n }\n done();\n}\n");
-        let ring = cfg.block_of(pos_of(&ast, "ring")).unwrap();
-        let done = cfg.block_of(pos_of(&ast, "done")).unwrap();
+        let (ring_at, done_at) = (pos_of(&ast, "ring"), pos_of(&ast, "done"));
+        let ring = cfg.block_of(ring_at).unwrap();
+        let done = cfg.block_of(done_at).unwrap();
         assert_ne!(ring, done);
         assert!(cfg.reachable(ring) && cfg.reachable(done));
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring])));
+        let entry = (cfg.entry, 0);
+        assert!(exit_avoiding(&cfg, entry, &[ring_at]));
         // Every path runs `done`; not every path runs `ring` first.
-        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[done])));
-        assert!(cfg.entry_reaches_avoiding(done, &avoid(&cfg, &[ring])));
+        assert!(!exit_avoiding(&cfg, entry, &[done_at]));
+        assert!(cfg.site_reaches_site(entry, (done, done_at), &[ring_at]));
     }
 
     #[test]
     fn if_else_covers_both_paths() {
         let (ast, cfg) = build("fn f(c: bool) {\n if c {\n ring();\n } else {\n also();\n }\n}\n");
-        let ring = cfg.block_of(pos_of(&ast, "ring")).unwrap();
-        let also = cfg.block_of(pos_of(&ast, "also")).unwrap();
-        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring, also])));
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring])));
+        let (ring, also) = (pos_of(&ast, "ring"), pos_of(&ast, "also"));
+        let entry = (cfg.entry, 0);
+        assert!(!exit_avoiding(&cfg, entry, &[ring, also]));
+        assert!(exit_avoiding(&cfg, entry, &[ring]));
     }
 
     #[test]
@@ -591,48 +533,50 @@ mod tests {
         let (ast, cfg) = build(
             "fn f(r: Result<u32, E>) {\n match r {\n Ok(v) => ring(v),\n Err(_) => return,\n }\n tail();\n}\n",
         );
-        let ring = cfg.block_of(pos_of(&ast, "ring")).unwrap();
-        let tail = cfg.block_of(pos_of(&ast, "tail")).unwrap();
+        let ring = pos_of(&ast, "ring");
+        let entry = (cfg.entry, 0);
         // Some path reaches exit without ringing (the Err arm returns).
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring])));
+        assert!(exit_avoiding(&cfg, entry, &[ring]));
         // But not without taking any arm: match is exhaustive.
-        let err_arm = cfg.block_of(pos_of(&ast, "Err")).unwrap();
-        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[ring, err_arm])));
-        assert!(cfg.reachable(tail));
+        let err_arm = pos_of(&ast, "Err");
+        assert!(!exit_avoiding(&cfg, entry, &[ring, err_arm]));
+        assert!(cfg.reachable(cfg.block_of(pos_of(&ast, "tail")).unwrap()));
     }
 
     #[test]
     fn question_mark_splits_the_statement() {
         let (ast, cfg) =
             build("fn f() -> Result<(), E> {\n let t = acquire()?;\n retire(t);\n Ok(())\n}\n");
-        let acq = cfg.block_of(pos_of(&ast, "acquire")).unwrap();
-        let ret = cfg.block_of(pos_of(&ast, "retire")).unwrap();
+        let (acq_at, ret_at) = (pos_of(&ast, "acquire"), pos_of(&ast, "retire"));
+        let acq = cfg.block_of(acq_at).unwrap();
+        let ret = cfg.block_of(ret_at).unwrap();
         assert_ne!(acq, ret);
-        assert!(cfg.blocks[acq].succs.contains(&cfg.exit));
+        assert!(cfg.blocks[acq].succs.contains(&EXIT));
         assert!(cfg.blocks[acq].succs.contains(&ret));
         // The `?` path from the acquire block skips the retire block.
-        assert!(cfg.exit_reachable_avoiding(acq, &avoid(&cfg, &[ret])));
+        assert!(exit_avoiding(&cfg, (acq, acq_at), &[ret_at]));
     }
 
     #[test]
     fn loop_breaks_reach_the_after_block() {
         let (ast, cfg) =
             build("fn f() {\n loop {\n if done() {\n break;\n }\n step();\n }\n after();\n}\n");
-        let step = cfg.block_of(pos_of(&ast, "step")).unwrap();
+        let step_at = pos_of(&ast, "step");
+        let step = cfg.block_of(step_at).unwrap();
         let after = cfg.block_of(pos_of(&ast, "after")).unwrap();
         assert!(cfg.reachable(after));
         // Back edge: the body tail loops to the header that holds `done`.
         let header = cfg.block_of(pos_of(&ast, "done")).unwrap();
         assert!(cfg.blocks[step].succs.contains(&header));
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[step])));
+        assert!(exit_avoiding(&cfg, (cfg.entry, 0), &[step_at]));
     }
 
     #[test]
     fn return_path_skips_the_tail() {
         let (ast, cfg) = build("fn f(x: bool) {\n if x {\n return;\n }\n tail();\n}\n");
-        let tail = cfg.block_of(pos_of(&ast, "tail")).unwrap();
-        assert!(cfg.reachable(tail));
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[tail])));
+        let tail_at = pos_of(&ast, "tail");
+        assert!(cfg.reachable(cfg.block_of(tail_at).unwrap()));
+        assert!(exit_avoiding(&cfg, (cfg.entry, 0), &[tail_at]));
     }
 
     #[test]
@@ -652,15 +596,13 @@ mod tests {
         let (ast, cfg) = build(
             "fn f(x: u32) {\n if x == 0 {\n a();\n } else if x == 1 {\n b();\n } else {\n c();\n }\n done();\n}\n",
         );
-        let a = cfg.block_of(pos_of(&ast, "a")).unwrap();
-        let b = cfg.block_of(pos_of(&ast, "b")).unwrap();
-        let c = cfg.block_of(pos_of(&ast, "c")).unwrap();
-        let done = cfg.block_of(pos_of(&ast, "done")).unwrap();
-        for blk in [a, b, c, done] {
-            assert!(cfg.reachable(blk));
+        let [a, b, c, done] = ["a", "b", "c", "done"].map(|t| pos_of(&ast, t));
+        for at in [a, b, c, done] {
+            assert!(cfg.reachable(cfg.block_of(at).unwrap()));
         }
-        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[a, b, c])));
-        assert!(cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[a, b])));
-        assert!(!cfg.exit_reachable_avoiding(cfg.entry, &avoid(&cfg, &[done])));
+        let entry = (cfg.entry, 0);
+        assert!(!exit_avoiding(&cfg, entry, &[a, b, c]));
+        assert!(exit_avoiding(&cfg, entry, &[a, b]));
+        assert!(!exit_avoiding(&cfg, entry, &[done]));
     }
 }

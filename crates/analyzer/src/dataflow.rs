@@ -2,8 +2,8 @@
 //! lattice over the [`crate::ast`] token stream.
 //!
 //! The syntactic rules see single lines or call expressions; the domain,
-//! interval and guard rules (D13, D15, D16) need to know *where a value
-//! came from* — an address minted three statements ago in host A's
+//! interval and lock-order rules (D13, D15, D19) need to know *where a
+//! value came from* — an address minted three statements ago in host A's
 //! domain is still host A's when it reaches a fabric call for host B.
 //! This module recovers that with two passes per function body:
 //!
@@ -23,7 +23,7 @@
 //!      bounds, `+ - *` arithmetic, `const` items), so D15 can bound
 //!      offset/length expressions against a region's literal length;
 //!    * a flag for guard values (`.lock()` / `.borrow()` /
-//!      `.borrow_mut()` as the outermost call), feeding D16 and D19.
+//!      `.borrow_mut()` as the outermost call), feeding D19.
 //!
 //! Everything is intraprocedural and name-based, matching the rest of
 //! the analyzer: no type inference, no heap model. Whether an integer
@@ -35,10 +35,9 @@
 //! dataflow over basic blocks: defs are evaluated in reverse postorder
 //! and, at every use, the values of all same-name definitions that
 //! reach it merge under the lattice join (intervals take their hull,
-//! disagreeing host tags drop to unknown).
-//! The pre-CFG statement-ordered pass survives as [`eval_fn_linear`],
-//! the branch-free equivalence baseline the property suite holds the
-//! new engine to.
+//! disagreeing host tags drop to unknown). On a branch-free body no
+//! merge fires; the property suite checks that case against values its
+//! generator computes while it writes the body.
 //!
 //! A scan builds these products once per function: [`FnFacts`] holds the
 //! call list, the parameter-aware def-use chains, the CFG, the abstract
@@ -119,8 +118,8 @@ impl<'a> FnFacts<'a> {
 // The per-call site table
 // ---------------------------------------------------------------------
 
-/// What the domain, bounds and deadline rules (D13, D15, D25) and the
-/// summary extractor ask of one call site.
+/// What the domain and bounds rules (D13, D15) and the summary
+/// extractor ask of one call site.
 pub(crate) struct CallSite {
     /// Region sinks (`contains`/`slice`): the def governing the receiver
     /// identifier at the call.
@@ -132,26 +131,21 @@ pub(crate) struct CallSite {
     /// D13: the host domain the call addresses — a fabric accessor's
     /// first-argument path, or the host of a region sink's receiver.
     pub domain: Option<String>,
-    /// `domain` is a fabric accessor's (the kind the interprocedural D13
-    /// completes through helper returns).
-    pub fabric_sink: bool,
-    /// D11/D25: a blocking fabric/admin call, directly `.await`ed (a
-    /// closure value or fn pointer does not block).
+    /// D11: a blocking fabric/admin call, directly `.await`ed (a closure
+    /// value or fn pointer does not block).
     pub blocking_await: bool,
     /// Lexically inside a `timeout(..)` argument list: guarded.
     pub in_timeout: bool,
 }
 
 /// The submission-protocol events of one function body, in the
-/// vocabulary shared by D08 (order), D22 (missed ring), and D24
-/// (repeated ring): doorbell rings, SQE stores, and explicit failure
-/// resolutions. Each event is `(token index, 1-based line)`; rings also
-/// carry their receiver, which D24 pairs sites by.
+/// vocabulary shared by D08 (order) and D24 (repeated ring): doorbell
+/// rings and SQE stores. Each event is `(token index, 1-based line)`;
+/// rings also carry their receiver, which D24 pairs sites by.
 #[derive(Default)]
 pub(crate) struct SubmitEvents {
     pub rings: Vec<(usize, usize, String)>,
     pub stores: Vec<(usize, usize)>,
-    pub resolves: Vec<(usize, usize)>,
 }
 
 /// One function's call sites, read once off its tokens.
@@ -159,8 +153,6 @@ pub(crate) struct Sites {
     /// One entry per [`FnFacts::calls`] entry, same order.
     pub calls: Vec<CallSite>,
     pub events: SubmitEvents,
-    /// Argument ranges of the `timeout(..)` deadline arms.
-    pub timeouts: Vec<(usize, usize)>,
     /// Argument-list starts of the NTB translation calls.
     translations: Vec<usize>,
 }
@@ -200,8 +192,6 @@ fn build_sites(facts: &FnFacts) -> Sites {
                 || (name == "push" && call.receiver.as_deref().is_some_and(|r| r.contains("sq")))
             {
                 ev.stores.push((a, call.line));
-            } else if name == "fail" || name == "complete" {
-                ev.resolves.push((a, call.line));
             }
             let region_recv = call
                 .receiver
@@ -211,8 +201,7 @@ fn build_sites(facts: &FnFacts) -> Sites {
                 let before = |d: &Def| &d.name == r && d.at < a;
                 du.defs.iter().rposition(before)
             });
-            let fabric_sink = D13_FABRIC_SINKS.contains(&name);
-            let domain = if fabric_sink {
+            let domain = if D13_FABRIC_SINKS.contains(&name) {
                 first_arg_path(ast, a - 1)
             } else {
                 recv_def.and_then(|i| vals[i].host.clone())
@@ -222,7 +211,6 @@ fn build_sites(facts: &FnFacts) -> Sites {
                 args: split_args(ast, call.args),
                 uses: du.uses.partition_point(|u| u.at < a)..du.uses.partition_point(|u| u.at < b),
                 domain,
-                fabric_sink,
                 blocking_await: D11_BLOCKING.contains(&name)
                     && toks.get(call.args.1 + 1).is_some_and(|t| t.punct('.'))
                     && toks.get(call.args.1 + 2).is_some_and(|t| t.is("await")),
@@ -237,14 +225,12 @@ fn build_sites(facts: &FnFacts) -> Sites {
     }
     ev.rings.sort_unstable();
     ev.stores.sort_unstable();
-    ev.resolves.sort_unstable();
     let translators = calls
         .iter()
         .filter(|c| TRANSLATORS.contains(&c.name.as_str()));
     Sites {
         calls: sites,
         events: ev,
-        timeouts,
         translations: translators.map(|c| c.args.0).collect(),
     }
 }
@@ -371,10 +357,10 @@ fn def_use_with_params(ast: &Ast, body: (usize, usize), params: &[crate::ast::Pa
 /// rebinds the name (shadowing/reassignment kills the old value), else
 /// `body_end`. A bare `let _ = …` dies at the end of its own
 /// initializer (Rust drops it immediately; a named `_g` still holds to
-/// scope end). This is the D16/D19 liveness question: "is the guard
-/// still held at token X?" — `drop(g)` counts as a last use, and a
-/// rebind (`g = other.lock()`) releases the previous guard, so neither
-/// extends liveness to the body end the way the pre-PR-8 scan assumed.
+/// scope end). This is D19's liveness question: "is the guard still
+/// held at token X?" — `drop(g)` counts as a last use, and a rebind
+/// (`g = other.lock()`) releases the previous guard, so neither extends
+/// liveness to the body end.
 pub(crate) fn live_end(du: &DefUse, di: usize, body_end: usize) -> usize {
     let d = &du.defs[di];
     if let Some(last) = du.uses_of(di).map(|u| u.at).max() {
@@ -581,7 +567,7 @@ pub(crate) const TRANSLATORS: [&str; 4] = [
     "map_for_cpu",
     "program_window",
 ];
-/// Guard-producing calls (D16).
+/// Guard-producing calls (D19).
 pub(crate) const GUARD_CALLS: [&str; 3] = ["lock", "borrow", "borrow_mut"];
 
 /// `const NAME: ty = <int literal>;` items in the file, for D15 ranges.
@@ -642,8 +628,7 @@ fn eval_fn(ast: &Ast, f: &FnItem, du: &DefUse, consts: &[(String, u64)]) -> Vec<
 /// merge under [`join_vals`]. A definition reaches a use when some
 /// path from the end of its binding statement arrives at the use
 /// without executing another binding of the name — on a straight-line
-/// body no merge ever fires, which is the equivalence the property
-/// suite checks against [`eval_fn_linear`]. Defs still changing at the
+/// body no merge ever fires. Defs still changing at the
 /// pass bound (loop-carried arithmetic) have their interval widened to
 /// Top rather than keeping the last sample.
 pub(crate) fn eval_fn_cfg(
@@ -752,45 +737,19 @@ fn join_vals(a: &AbstractVal, b: &AbstractVal) -> AbstractVal {
     }
 }
 
-/// Evaluate every def of a body into an [`AbstractVal`], in def order
-/// (later defs see earlier defs' values through their uses). This is
-/// the pre-CFG statement-ordered engine, kept as the branch-free
-/// equivalence baseline for the property suite.
-pub(crate) fn eval_fn_linear(ast: &Ast, du: &DefUse, consts: &[(String, u64)]) -> Vec<AbstractVal> {
-    let mut vals: Vec<AbstractVal> = Vec::new();
-    for (di, d) in du.defs.iter().enumerate() {
-        let v = eval_expr(ast, du, &vals, di, d.expr, consts);
-        vals.push(v);
-    }
-    vals
-}
-
-/// Debug digest of every def's abstract value per function, under `eval`.
-fn digest(
-    src: &str,
-    eval: impl Fn(&Ast, &FnItem, &DefUse, &[(String, u64)]) -> Vec<AbstractVal>,
-) -> Vec<(String, Vec<String>)> {
+/// Debug digest of every def's abstract value per function, from the
+/// CFG-grounded engine (public for the property suite's oracle).
+pub fn eval_digest(src: &str) -> Vec<(String, Vec<String>)> {
     let ast = Ast::parse(src);
     let consts = const_env(&ast);
     let per_fn = ast.functions.iter().map(|f| {
-        let vals = eval(&ast, f, &def_use(&ast, f.body), &consts);
+        let vals = eval_fn(&ast, f, &def_use(&ast, f.body), &consts);
         (
             f.name.clone(),
             vals.iter().map(|v| format!("{v:?}")).collect(),
         )
     });
     per_fn.collect()
-}
-
-/// The digest from the CFG-grounded engine (public for the property
-/// suite's oracle).
-pub fn eval_digest(src: &str) -> Vec<(String, Vec<String>)> {
-    digest(src, eval_fn)
-}
-
-/// The same digest from the legacy statement-ordered engine.
-pub fn eval_digest_linear(src: &str) -> Vec<(String, Vec<String>)> {
-    digest(src, |ast, _, du, consts| eval_fn_linear(ast, du, consts))
 }
 
 /// Fold one RHS token range into an abstract value.

@@ -1,6 +1,6 @@
 //! dnvme-interproc: summary-based interprocedural dataflow (DESIGN §5.4).
 //!
-//! The intraprocedural values (D13, D15, D16) stop at a function
+//! The intraprocedural values of [`crate::dataflow`] stop at a function
 //! boundary: a host-tagged address handed back by one helper is
 //! invisible to its caller, and the lock-order invariant is inherently
 //! cross-function. This module closes that gap in two steps:
@@ -29,9 +29,11 @@
 //! * **D07/D11/D17** (re-grounded): the reachability walk is now global
 //!   — a root in `core::client` walks through `blklayer`, trait-object
 //!   backends, and any helper file — instead of per-file.
-//! * **D13** (re-grounded): a host-tagged address returned by a helper
-//!   and used against another host's fabric domain is caught even
-//!   though the tag was minted in a different function.
+//! * **D13**: one runner for both halves — a host-tagged address minted
+//!   in the function itself or returned by a helper, used untranslated
+//!   against another host's region or fabric domain. A translation call
+//!   in a return position hands back an untagged value: its argument's
+//!   tag does not flow through it, and it mints none of its own.
 //! * **D19**: lock/RefCell acquisition-order cycles across functions
 //!   (the interprocedural lock-order graph has `a → b` when `b` is
 //!   acquired — directly or via a callee — while `a` is held; a 2-cycle
@@ -111,12 +113,15 @@ pub(crate) struct FnLocal<'a> {
     pub flow: Vec<(usize, usize)>,
     /// `(call, node)` — the node's RHS is (or contains) this call.
     pub call_results: Vec<(usize, usize)>,
-    /// Node used inside a fabric-sink argument list whose *local* host is
-    /// unknown: `(domain ctx, line, node, translated)`.
+    /// Node used inside a D13 sink's argument list (a fabric accessor
+    /// or a region bound to a host): `(domain ctx, line, node,
+    /// translated)`.
     pub host_sink_uses: Vec<(String, usize, usize, bool)>,
-    /// Nodes read in a return position (explicit `return` or tail expr).
+    /// Nodes read in a return position (explicit `return` or tail expr),
+    /// outside any translation call's arguments.
     pub ret_nodes: Vec<usize>,
-    /// Host tag minted directly in a return position.
+    /// Host tag minted directly in a return position by a domain
+    /// constructor.
     pub ret_host: Option<String>,
     /// `let`-bound guards: `(class, line)`.
     pub guards: Vec<(String, usize)>,
@@ -150,10 +155,8 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
 
     // ---- calls
     for (k, (call, site)) in calls.iter().zip(&sites.calls).enumerate() {
-        let uses = &du.uses[site.uses.clone()];
-        if let Some(ctx) = site.domain.as_ref().filter(|_| site.fabric_sink) {
-            // Host-tagged uses are the intraprocedural D13 pass's.
-            for u in uses.iter().filter(|u| vals[u.def].host.is_none()) {
+        if let Some(ctx) = &site.domain {
+            for u in &du.uses[site.uses.clone()] {
                 out.host_sink_uses
                     .push((ctx.clone(), u.line, u.def, sites.translated(du, u)));
             }
@@ -196,10 +199,16 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
         let simple = !(tail_start..end).any(|i| toks[i].punct('{'));
         ret_ranges.push(((tail_start, end), simple));
     }
+    let translated = |at: usize| {
+        let mut tr = calls
+            .iter()
+            .filter(|c| TRANSLATORS.contains(&c.name.as_str()));
+        tr.any(|c| c.args.0 <= at && at < c.args.1)
+    };
     for &((a, b), full) in &ret_ranges {
         if full {
             for u in du.uses.iter().filter(|u| a <= u.at && u.at < b) {
-                if !out.ret_nodes.contains(&u.def) {
+                if !translated(u.at) && !out.ret_nodes.contains(&u.def) {
                     out.ret_nodes.push(u.def);
                 }
             }
@@ -218,8 +227,7 @@ fn extract_fn<'a>(facts: &'a FnFacts) -> FnLocal<'a> {
             if t.kind != TokKind::Ident {
                 continue;
             }
-            let minter = t.text != "PhysAddr"
-                && (WRAPPERS.contains(&t.text.as_str()) || TRANSLATORS.contains(&t.text.as_str()));
+            let minter = t.text != "PhysAddr" && WRAPPERS.contains(&t.text.as_str());
             if minter && out.ret_host.is_none() {
                 if let Some(open) = (i..b.min(i + 5)).find(|&x| toks[x].punct('(')) {
                     out.ret_host = first_arg_path(ast, open);
@@ -338,8 +346,8 @@ pub(crate) struct Program<'a> {
     pub passes: usize,
 }
 
-/// Per node: `(host tag, came through a call boundary, chain)`.
-type NodeHosts = Vec<Option<(String, bool, Chain)>>;
+/// Per node: `(host tag, chain)` — the chain is empty for a local mint.
+type NodeHosts = Vec<Option<(String, Chain)>>;
 
 impl<'a> Program<'a> {
     /// Extract every function of every file and run the summary
@@ -465,7 +473,7 @@ impl<'a> Program<'a> {
             s.ret_host = Some(h.clone());
         } else if !f.ret_nodes.is_empty() {
             let hosts = self.propagate(fidx);
-            if let Some((h, _, ch)) = f.ret_nodes.iter().find_map(|&n| hosts[n].as_ref()) {
+            if let Some((h, ch)) = f.ret_nodes.iter().find_map(|&n| hosts[n].as_ref()) {
                 s.ret_host = Some(h.clone());
                 w.ret_host = cap_chain(ch.clone());
             }
@@ -508,7 +516,7 @@ impl<'a> Program<'a> {
         let mut host: NodeHosts = f
             .vals
             .iter()
-            .map(|v| v.host.as_ref().map(|h| (h.clone(), false, Vec::new())))
+            .map(|v| v.host.as_ref().map(|h| (h.clone(), Vec::new())))
             .collect();
         for &(k, n) in &f.call_results {
             if f.vals[n].typed {
@@ -519,7 +527,7 @@ impl<'a> Program<'a> {
                 if let (None, Some(h)) = (&host[n], &self.summaries[c].ret_host) {
                     let note = format!("`{}` returns an address in `{h}`'s domain", call.name);
                     let chain = hop_then((file, call.line, note), &self.why[c].ret_host);
-                    host[n] = Some((h.clone(), true, chain));
+                    host[n] = Some((h.clone(), chain));
                 }
             }
         }
@@ -561,8 +569,8 @@ impl<'a> Program<'a> {
         out
     }
 
-    /// D13's helper-return completion: a node whose host tag arrived
-    /// through a call, used untranslated against another host's domain.
+    /// D13: a node whose host tag — minted locally or arrived through a
+    /// call — is used untranslated against another host's domain.
     fn d13_findings(&self, hit: &mut dyn FnMut(ProgFinding)) {
         for (fidx, f) in self.fns.iter().enumerate() {
             let file = self.fn_file[fidx];
@@ -574,7 +582,7 @@ impl<'a> Program<'a> {
                 if *translated {
                     continue;
                 }
-                if let Some((h, true, ch)) = &hosts[*node] {
+                if let Some((h, ch)) = &hosts[*node] {
                     if h != ctx {
                         hit(ProgFinding {
                             rule: Rule::D13,

@@ -8,22 +8,24 @@
 //! [`ast`]) instead of regexes, so rules can reason about function
 //! bodies, call expressions, and statement order.
 //!
-//! The nineteen rules are the rows of one table, [`RULES`]: code,
+//! The sixteen rules are the rows of one table, [`RULES`]: code,
 //! one-line summary, `--explain` text, the paths the rule binds, and
 //! the runner that implements it (`dnvme-lint --explain Dxx` and the
 //! README table are the reader-facing views of it). Four families:
-//! line/syntax rules (D01–D05, D08, D10); the domain, interval and guard
-//! rules on the [`dataflow`] def-use engine and its abstract values
-//! (D13, D15, D16, DESIGN §5.3); the interprocedural rules on the
-//! [`interproc`] summary engine (D19, plus D13's helper-return
-//! completion, with D07/D11/D17/D21 walking the same call graph, DESIGN
-//! §5.4); and the path-sensitive rules on the [`cfg`] control-flow graph
-//! (D22–D25, DESIGN §5.5).
+//! line/syntax rules (D01–D05, D08, D10); the interval rule on the
+//! [`dataflow`] def-use engine and its abstract values (D15, DESIGN
+//! §5.3); the rules on the [`interproc`] summary engine (D13's host tags,
+//! D19's lock order, with D07/D11/D17/D21 walking the same call graph,
+//! DESIGN §5.4); and the path-sensitive rules on the [`cfg`]
+//! control-flow graph (D23, D24, DESIGN §5.5).
 //!
-//! A rule exists only for what `rustc` cannot say: D06, D09, D12, D14 and
-//! D18 are retired because a private type, two `[workspace.lints]` lines
-//! and the fabric accessors' `PhysAddr` parameters reject the same code at
-//! `cargo build`, with no `lint:allow` escape (README has the table).
+//! A rule exists only for what `rustc` and clippy cannot say: D06, D09,
+//! D12, D14 and D18 are retired because a private type, two
+//! `[workspace.lints]` lines and the fabric accessors' `PhysAddr`
+//! parameters reject the same code at `cargo build`; D16 because clippy's
+//! `await_holding_refcell_ref` sees every guard it saw and more; D25
+//! because D11 flags every site it flagged; D22 because it was silent on
+//! the one function that can store an SQE (README has the table).
 //!
 //! A scan is one pass over its sources: every file is parsed once,
 //! every function gets one lazily-built fact set
@@ -47,16 +49,16 @@ pub(crate) mod cfg;
 pub mod dataflow;
 mod interproc;
 
-use ast::{Ast, TokKind};
-use cfg::Cfg;
+use ast::{Ast, Tok, TokKind};
 use dataflow::FnFacts;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The nineteen lint rules (D06, D09, D12, D14, D18 and D20 are retired;
-/// the other codes keep their names); `rule as usize` indexes [`RULES`].
+/// The sixteen lint rules (D06, D09, D12, D14, D16, D18, D20, D22 and
+/// D25 are retired; the other codes keep their names); `rule as usize`
+/// indexes [`RULES`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Rule {
     D01,
@@ -70,14 +72,11 @@ pub enum Rule {
     D11,
     D13,
     D15,
-    D16,
     D17,
     D19,
     D21,
-    D22,
     D23,
     D24,
-    D25,
 }
 
 /// One row of the rule table.
@@ -92,7 +91,7 @@ pub struct RuleInfo {
     /// and how to suppress a justified finding.
     pub explain: &'static str,
     scope: Scope,
-    run: &'static [Runner],
+    run: Runner,
 }
 
 /// Which workspace-relative paths a rule binds (prefix match).
@@ -114,16 +113,6 @@ enum Runner {
     Engine,
 }
 
-/// Crates whose state is reachable from simulation tasks: hasher-ordered
-/// iteration here changes the event stream between runs.
-pub const SIM_VISIBLE: [&str; 6] = [
-    "crates/simcore",
-    "crates/pcie",
-    "crates/smartio",
-    "crates/nvme",
-    "crates/blklayer",
-    "crates/nvmeof",
-];
 /// Files whose I/O paths the paper's read-free discipline binds (the
 /// engine prefix covers `engine.rs` and its ring module under `engine/`).
 const IO_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine"];
@@ -139,7 +128,7 @@ const DF_SCOPE: [&str; 5] = [
 ];
 
 /// Every rule, in code order.
-pub static RULES: [RuleInfo; 19] = [
+pub static RULES: [RuleInfo; 16] = [
     RuleInfo {
         rule: Rule::D01,
         code: "D01",
@@ -153,12 +142,12 @@ pub static RULES: [RuleInfo; 19] = [
                  Suppress with `// lint:allow(D01)` on or above the line — justified only\n\
                  in host-side tooling that never runs under the simulator.",
         scope: Scope::Everywhere,
-        run: &[Runner::Patterns(&[
+        run: Runner::Patterns(&[
             "std::time::Instant",
             "std::time::SystemTime",
             "std::thread::sleep",
             "use std::time",
-        ])],
+        ]),
     },
     RuleInfo {
         rule: Rule::D02,
@@ -173,20 +162,23 @@ pub static RULES: [RuleInfo; 19] = [
                  Suppress with `// lint:allow(D02)` — essentially never justified in\n\
                  sim-visible code.",
         scope: Scope::Everywhere,
-        run: &[Runner::Patterns(&["thread_rng", "from_entropy", "rand::random"])],
+        run: Runner::Patterns(&["thread_rng", "from_entropy", "rand::random"]),
     },
     RuleInfo {
         rule: Rule::D03,
         code: "D03",
-        summary: "order-dependent HashMap/HashSet iteration in sim-visible code",
-        explain: "D03 — hasher-ordered iteration in sim-visible code\n\n\
-                 Flags iteration over `HashMap`/`HashSet` in crates whose state feeds the\n\
-                 event stream. Hasher order varies run to run, so it silently reorders\n\
-                 events. Use `BTreeMap`/`BTreeSet` or sort before iterating.\n\n\
+        summary: "order-dependent HashMap/HashSet iteration (hasher order reorders the event stream)",
+        explain: "D03 — hasher-ordered iteration\n\n\
+                 Flags iteration over `HashMap`/`HashSet` anywhere in the workspace: every\n\
+                 crate's code runs under the simulator or feeds its output. Hasher order\n\
+                 varies run to run — between two maps built in one process too — so it\n\
+                 silently reorders events. The match is on tokens, so a rustfmt'd chain\n\
+                 (`self\\n.leases\\n.borrow()\\n.iter()`) counts. Use `BTreeMap`/`BTreeSet`\n\
+                 or sort before iterating.\n\n\
                  Suppress with `// lint:allow(D03)` when the loop provably folds into an\n\
                  order-insensitive value (a sum, a max).",
-        scope: Scope::Under(&SIM_VISIBLE),
-        run: &[Runner::File(scan_d03)],
+        scope: Scope::Everywhere,
+        run: Runner::File(scan_d03),
     },
     RuleInfo {
         rule: Rule::D04,
@@ -199,13 +191,13 @@ pub static RULES: [RuleInfo; 19] = [
                  Use simcore tasks and `RefCell`/`LocalKey` state instead.\n\n\
                  Suppress with `// lint:allow(D04)` only in host-side harness code.",
         scope: Scope::Everywhere,
-        run: &[Runner::Patterns(&[
+        run: Runner::Patterns(&[
             "std::thread::spawn",
             "thread::spawn(",
             "thread::scope(",
             "std::sync::Mutex",
             "Mutex<",
-        ])],
+        ]),
     },
     RuleInfo {
         rule: Rule::D05,
@@ -220,7 +212,7 @@ pub static RULES: [RuleInfo; 19] = [
         // Production driver code only: in tests, unwrapping a fabric result
         // *is* the assertion.
         scope: Scope::Under(&["crates/core/src"]),
-        run: &[Runner::File(scan_d05)],
+        run: Runner::File(scan_d05),
     },
     RuleInfo {
         rule: Rule::D07,
@@ -235,7 +227,7 @@ pub static RULES: [RuleInfo; 19] = [
                  Suppress with `// lint:allow(D07)` at the read site when the root is\n\
                  provably cold (slow-path recovery only).",
         scope: Scope::Under(&IO_SCOPE),
-        run: &[Runner::Engine],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D08,
@@ -250,7 +242,7 @@ pub static RULES: [RuleInfo; 19] = [
                  Fix by completing all stores before the ring. Suppress with\n\
                  `// lint:allow(D08)` never — reorder instead.",
         scope: Scope::Everywhere,
-        run: &[Runner::Function(scan_d08)],
+        run: Runner::Function(scan_d08),
     },
     RuleInfo {
         rule: Rule::D10,
@@ -262,7 +254,7 @@ pub static RULES: [RuleInfo; 19] = [
                  costs a fabric crossing per access. Pass the placement hint explicitly.\n\n\
                  Suppress with `// lint:allow(D10)` in tests that don't measure placement.",
         scope: Scope::Everywhere,
-        run: &[Runner::File(scan_d10)],
+        run: Runner::File(scan_d10),
     },
     RuleInfo {
         rule: Rule::D11,
@@ -273,14 +265,15 @@ pub static RULES: [RuleInfo; 19] = [
                  Flags `.await` on fabric reads / admin RPCs reachable from datapath or\n\
                  manager-serve roots without a `simcore::timeout` wrapper. A lost\n\
                  completion must escalate through the recovery ladder, not hang the\n\
-                 reactor. See D25 for the path-sensitive refinement.\n\n\
-                 Fix:\n    simcore::timeout(deadline, fabric.cpu_read_u32(addr)).await\n\n\
+                 reactor. Every such await is flagged, whether or not a sibling path\n\
+                 of the same function is guarded.\n\n\
+                 Fix:\n    simcore::timeout(&handle, deadline, fabric.cpu_read_u32(host, addr)).await\n\n\
                  Suppress with `// lint:allow(D11)` when an enclosing frame owns the\n\
                  deadline (name the frame in the comment).",
         // The same production paths as D07: the crates whose I/O and serve
         // loops must survive injected faults without hanging.
         scope: Scope::Under(&IO_SCOPE),
-        run: &[Runner::Engine],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D13,
@@ -289,14 +282,14 @@ pub static RULES: [RuleInfo; 19] = [
                  call with no NTB translation on the def-use path",
         explain: "D13 — cross-domain address without NTB translation\n\n\
                  Dataflow rule: an address whose def-use chain starts in host A's domain\n\
-                 must pass `ntb_translate`/`to_domain` before hitting host B's region or\n\
-                 a fabric call for B. The classic symptom is a DMA landing in the wrong\n\
-                 host's window.\n\n\
+                 — minted in this function or returned by a helper — must pass an NTB\n\
+                 translation (`translate`/`map_for_*`/`program_window`) before hitting\n\
+                 host B's region or a fabric call for B. The classic symptom is a DMA\n\
+                 landing in the wrong host's window.\n\n\
                  Suppress with `// lint:allow(D13)` when both domains are provably the\n\
                  same host (say why).",
-        // Intraprocedural pass plus the engine's helper-return completion.
         scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d13), Runner::Engine],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D15,
@@ -312,21 +305,7 @@ pub static RULES: [RuleInfo; 19] = [
                  let end = off + 128;                     // D15 iff 128 > slack\n\n\
                  Suppress with `// lint:allow(D15)` when bounds come from checked config.",
         scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d15)],
-    },
-    RuleInfo {
-        rule: Rule::D16,
-        code: "D16",
-        summary: "lock/borrow guard held across an .await (reentrant-borrow panic or a lock \
-                 held for a fabric round trip)",
-        explain: "D16 — guard held across .await\n\n\
-                 Dataflow rule: a `RefCell` borrow or lock guard live across an await\n\
-                 point. Another task on the same reactor can re-enter and panic the\n\
-                 borrow, or the lock is held for a fabric round trip.\n\
-                 Drop the guard before awaiting (scope it or `drop()` it).\n\n\
-                 Suppress with `// lint:allow(D16)` only for guards over task-local state.",
-        scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d16)],
+        run: Runner::Function(scan_d15),
     },
     RuleInfo {
         rule: Rule::D17,
@@ -340,7 +319,7 @@ pub static RULES: [RuleInfo; 19] = [
                  metadata buffers.",
         // Files whose datapath buffers must stay hinted (zero-copy eligible).
         scope: Scope::Under(&["crates/core/src", "crates/blklayer/src"]),
-        run: &[Runner::Engine],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D19,
@@ -355,7 +334,7 @@ pub static RULES: [RuleInfo; 19] = [
                  Fix by imposing a global acquisition order. Suppress with\n\
                  `// lint:allow(D19)` only with a proof both paths can't interleave.",
         scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Engine],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D21,
@@ -369,43 +348,24 @@ pub static RULES: [RuleInfo; 19] = [
                  Suppress with `// lint:allow(D21)` in shutdown-only paths.",
         // Where qpair engines live and are torn down.
         scope: Scope::Under(&["crates/core/src", "crates/nvme/src"]),
-        run: &[Runner::Engine],
-    },
-    RuleInfo {
-        rule: Rule::D22,
-        code: "D22",
-        summary: "SQE stored but the doorbell ring is reachable on only some paths to exit \
-                 (an error/early-return path leaves a written entry the device never fetches)",
-        explain: "D22 — doorbell reachable on only some paths after an SQE store\n\n\
-                 Path-sensitive (CFG): after a store into an SQE slot, every path to the\n\
-                 function's exit must pass a doorbell ring or an explicit failure\n\
-                 resolution (`fail`/`complete`). A path that returns early leaves a\n\
-                 written entry the device is never told about: the command is silently\n\
-                 lost and its tag never completes.\n\n\
-                 Example:\n    qp.sq.push(sqe)?;                 // store lands\n    \
-                 if budget_exhausted {\n        return Ok(());                // D22: wrote SQE, never rang\n    \
-                 }\n    qp.sq.ring().await?;\n\n\
-                 The store's own `?` is benign (failure means nothing was written).\n\
-                 Fix by ringing or failing the tag on every exit path. Suppress with\n\
-                 `// lint:allow(D22)` only for deliberately-seeded fixtures.",
-        scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d22)],
+        run: Runner::Engine,
     },
     RuleInfo {
         rule: Rule::D23,
         code: "D23",
-        summary: "tag/slot or hinted DMA allocation acquired but not retired/freed on every \
+        summary: "tag/slot, segment or DMA window acquired but not retired/freed on every \
                  path to exit (leak through ? / early return drains the pool)",
         explain: "D23 — allocation not retired on every path\n\n\
-                 Path-sensitive (CFG): a tag/slot acquire or hinted DMA allocation whose\n\
-                 owning function also retires resources, but where some path from the\n\
-                 acquire to exit skips every retire site — the `?`/early-return leak that\n\
-                 drains the tag pool under fault injection. Functions with no retire\n\
-                 site at all are assumed RAII and skipped.\n\n\
+                 Path-sensitive (CFG): a tag/slot acquire, segment creation or DMA-window\n\
+                 mapping whose owning function also retires it, but where some path from\n\
+                 the acquire to an error exit skips every retire site — the `?`/early-\n\
+                 return leak that drains the tag pool or the NTB's LUT under fault\n\
+                 injection. Functions with no retire site at all are assumed RAII and\n\
+                 skipped.\n\n\
                  Fix by retiring in the error arm (or converting to an RAII guard).\n\
                  Suppress with `// lint:allow(D23)` when ownership transfers out.",
         scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d23)],
+        run: Runner::Function(scan_d23),
     },
     RuleInfo {
         rule: Rule::D24,
@@ -421,23 +381,7 @@ pub static RULES: [RuleInfo; 19] = [
                  Suppress with `// lint:allow(D24)` for deliberate re-rings after a\n\
                  deadline (the timeout call already exempts the common shape).",
         scope: Scope::Under(&DF_SCOPE),
-        run: &[Runner::Function(scan_d24)],
-    },
-    RuleInfo {
-        rule: Rule::D25,
-        code: "D25",
-        summary: "blocking fabric/admin await reachable on a path that skipped the \
-                 simcore::timeout deadline arm this function otherwise has (path-sensitive D11)",
-        explain: "D25 — blocking await on a path that skipped the timeout arm\n\n\
-                 Path-sensitive refinement of D11: the function does have a\n\
-                 `simcore::timeout` deadline arm, but some entry path reaches a blocking\n\
-                 fabric/admin await without passing it. D11 checks the await is guarded\n\
-                 somewhere; D25 checks it is guarded on every path that reaches it.\n\n\
-                 Fix by hoisting the timeout to dominate the await. Suppress with\n\
-                 `// lint:allow(D25)` when the unguarded path is init-only.",
-        // D11's path-sensitive refinement rides D11's scope.
-        scope: Scope::Under(&IO_SCOPE),
-        run: &[Runner::Function(scan_d25)],
+        run: Runner::Function(scan_d24),
     },
 ];
 
@@ -720,7 +664,7 @@ pub fn path_matches(path: &str, rel: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Pattern helpers (line-level rules)
+// Pattern helpers (line and token rules)
 // ---------------------------------------------------------------------
 
 /// Whether `pat` occurs in `code` with no identifier character directly
@@ -742,47 +686,72 @@ fn has_token(code: &str, pat: &str) -> bool {
     false
 }
 
-/// The identifier ending at byte `end` of `code`, if any.
-fn ident_ending_at(code: &str, end: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    let mut start = end;
-    while start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
-        start -= 1;
+/// The name of the expression ending just before token `end`, once
+/// trailing pass-through calls (`.borrow()`, `.lock()`, …) are stripped:
+/// `self.leases.borrow()` names `leases`.
+fn receiver_before(toks: &[Tok], mut end: usize) -> Option<&str> {
+    const PASS: [&str; 6] = ["borrow", "borrow_mut", "lock", "as_ref", "as_mut", "unwrap"];
+    while end >= 4
+        && toks[end - 1].punct(')')
+        && toks[end - 2].punct('(')
+        && PASS.contains(&toks[end - 3].text.as_str())
+        && toks[end - 4].punct('.')
+    {
+        end -= 4;
     }
-    (start < end).then(|| &code[start..end])
+    let t = toks.get(end.checked_sub(1)?)?;
+    (t.kind == TokKind::Ident).then_some(t.text.as_str())
 }
 
-/// Strip trailing pass-through calls (`.borrow()`, `.lock()`, …) from an
-/// expression so the receiver's own name is exposed.
-fn strip_passthrough(mut expr: &str) -> &str {
-    const PASS: [&str; 6] = [
-        ".borrow()",
-        ".borrow_mut()",
-        ".lock()",
-        ".as_ref()",
-        ".as_mut()",
-        ".unwrap()",
-    ];
-    loop {
-        expr = expr.trim_end();
-        let before = expr.len();
-        for p in PASS {
-            if let Some(s) = expr.strip_suffix(p) {
-                expr = s;
-                break;
-            }
+/// The name a `HashMap`/`HashSet` mention at token `at` binds: walking
+/// back through the statement, the identifier before its `:` (field,
+/// parameter or typed `let`) or its `=` (inferred `let`, `type` alias).
+/// The flag is set for a `type` alias.
+fn map_binder(toks: &[Tok], at: usize) -> Option<(&str, bool)> {
+    let ident = |k: usize| {
+        let t = &toks[k];
+        (t.kind == TokKind::Ident).then_some(t.text.as_str())
+    };
+    let ends_stmt = |t: &Tok| t.punct(';') || t.punct('{') || t.punct('}');
+    let mut depth = 0usize;
+    for k in (1..at).rev() {
+        let t = &toks[k];
+        if t.punct(')') || t.punct(']') {
+            depth += 1;
+            continue;
         }
-        if expr.len() == before {
-            return expr;
+        if t.punct('(') || t.punct('[') {
+            // At depth 0 the mention sits inside this argument list
+            // (`RefCell::new(HashMap::new())`): keep walking out.
+            depth = depth.saturating_sub(1);
+            continue;
+        }
+        if depth > 0 {
+            continue;
+        }
+        if ends_stmt(t) || t.punct(',') || t.is("use") {
+            return None;
+        }
+        if t.punct(':') && !toks[k - 1].punct(':') && !toks[k + 1].punct(':') {
+            return ident(k - 1).map(|n| (n, false));
+        }
+        if t.punct('=') && !toks[k + 1].punct('=') && !toks[k + 1].punct('>') {
+            let mut stmt = (0..k).rev().take_while(|&j| !ends_stmt(&toks[j]));
+            return match stmt.find(|&j| toks[j].is("type")) {
+                Some(j) => ident(j + 1).map(|n| (n, true)),
+                None => ident(k - 1).map(|n| (n, false)),
+            };
         }
     }
+    None
 }
 
 // ---------------------------------------------------------------------
 // Rule vocabulary
 // ---------------------------------------------------------------------
 
-const D03_ITER: [&str; 4] = [".iter()", ".keys()", ".values()", ".drain("];
+/// Methods that walk a map in its iteration order (D03).
+const D03_ITER: [&str; 4] = ["iter", "keys", "values", "drain"];
 /// Calls whose `Result` encodes a fabric/DMA failure the distributed
 /// driver must handle (windows can be torn down under it at any time).
 const D05_FABRIC: [&str; 19] = [
@@ -863,8 +832,16 @@ const D13_FABRIC_SINKS: [&str; 8] = [
     "dma_read",
     "dma_read_payload",
 ];
-/// D23 acquire sites: tag/slot grants and hinted DMA allocations.
-const D23_ACQUIRE: [&str; 4] = ["acquire", "acquire_tag", "create_segment", "alloc_hinted"];
+/// D23 acquire sites: tag/slot grants, segment creation (plain and
+/// placement-hinted), hinted DMA allocations and per-I/O DMA windows.
+const D23_ACQUIRE: [&str; 6] = [
+    "acquire",
+    "acquire_tag",
+    "create_segment",
+    "create_segment_hinted",
+    "alloc_hinted",
+    "map_region_for_device",
+];
 /// D23/D24 retire sites: buffer/tag release calls plus the segment,
 /// mapping and tag-table teardown calls.
 const D2X_RETIRE: [&str; 9] = [
@@ -963,7 +940,7 @@ fn scan_program(inputs: &[(&str, &str, Vec<Rule>)]) -> (Vec<SourceScan>, ScanSta
             raw_lines: text.lines().collect(),
         })
         .collect();
-    let wants_engine = |r: &Rule| r.info().run.iter().any(|k| matches!(k, Runner::Engine));
+    let wants_engine = |r: &Rule| matches!(r.info().run, Runner::Engine);
     let prog = files
         .iter()
         .any(|f| f.rules.iter().any(wants_engine))
@@ -1069,27 +1046,25 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
         findings: Vec::new(),
     };
     for &rule in file.rules {
-        for runner in rule.info().run {
-            match *runner {
-                Runner::Patterns(pats) => {
-                    for (idx, (code, _)) in lines.iter().enumerate() {
-                        if pats.iter().any(|p| has_token(code, p)) {
-                            rep.hit(rule, idx + 1, Vec::new());
-                        }
+        match rule.info().run {
+            Runner::Patterns(pats) => {
+                for (idx, (code, _)) in lines.iter().enumerate() {
+                    if pats.iter().any(|p| has_token(code, p)) {
+                        rep.hit(rule, idx + 1, Vec::new());
                     }
                 }
-                Runner::File(run) => run(file.ast, &mut |line| {
-                    rep.hit(rule, line, Vec::new());
-                }),
-                Runner::Function(run) => {
-                    for facts in &file.fns {
-                        run(facts, &mut |line| {
-                            rep.hit(rule, line, Vec::new());
-                        });
-                    }
-                }
-                Runner::Engine => {} // merged below
             }
+            Runner::File(run) => run(file.ast, &mut |line| {
+                rep.hit(rule, line, Vec::new());
+            }),
+            Runner::Function(run) => {
+                for facts in &file.fns {
+                    run(facts, &mut |line| {
+                        rep.hit(rule, line, Vec::new());
+                    });
+                }
+            }
+            Runner::Engine => {} // merged below
         }
     }
     for f in engine {
@@ -1115,87 +1090,47 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
 // ---------------------------------------------------------------------
 
 /// D03: iteration over an identifier bound to a `HashMap`/`HashSet` (or
-/// an alias of one) — `.iter()`/`.keys()`/`.values()`/`.drain(` through
-/// pass-through chains, and `for x in &map`.
+/// an alias of one) — `.iter()`/`.keys()`/`.values()`/`.drain(..)`
+/// through pass-through chains, and `for x in &map`. The match is on
+/// tokens, so a chain rustfmt split over several lines is one expression.
 fn scan_d03(ast: &Ast, hit: &mut dyn FnMut(usize)) {
+    let toks = &ast.tokens;
     // Pass 1: identifiers bound to HashMap/HashSet (or aliases).
     let mut map_names: Vec<&str> = Vec::new();
     let mut aliases: Vec<&str> = Vec::new();
-    for (code, _) in &ast.lines {
-        let trimmed = code.trim_start();
-        if trimmed.starts_with("use ") {
+    for (i, t) in toks.iter().enumerate() {
+        let map_type = t.is("HashMap") || t.is("HashSet") || aliases.contains(&t.text.as_str());
+        if t.kind != TokKind::Ident || !map_type {
             continue;
         }
-        let mentions_map = has_token(code, "HashMap")
-            || has_token(code, "HashSet")
-            || aliases.iter().any(|a| has_token(code, a));
-        if !mentions_map {
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix("type ") {
-            if let Some(name) = rest.split(['=', '<', ' ']).next() {
-                if !name.is_empty() {
-                    aliases.push(name);
-                }
-            }
-            continue;
-        }
-        // `name: HashMap<…>` (field or param) or `let name = HashMap::…`.
-        let hit = ["HashMap", "HashSet"]
-            .iter()
-            .filter_map(|p| code.find(p))
-            .chain(aliases.iter().filter_map(|a| code.find(a)))
-            .min()
-            .unwrap_or(0);
-        let prefix = &code[..hit];
-        // Bind via the last single `:` (field/param/let type) or `=`
-        // (inferred let); `::` path separators don't count.
-        let bytes = prefix.as_bytes();
-        let type_colon = (0..bytes.len()).rev().find(|&i| {
-            bytes[i] == b':' && (i == 0 || bytes[i - 1] != b':') && bytes.get(i + 1) != Some(&b':')
-        });
-        let binder = if let Some(colon) = type_colon {
-            ident_ending_at(prefix, colon)
-        } else if let Some(eq) = prefix.rfind('=') {
-            let lhs = prefix[..eq].trim_end();
-            ident_ending_at(lhs, lhs.len())
-        } else {
-            None
-        };
-        if let Some(name) = binder {
-            if !map_names.contains(&name) {
-                map_names.push(name);
-            }
+        match map_binder(toks, i) {
+            Some((name, true)) => aliases.push(name),
+            Some((name, false)) if !map_names.contains(&name) => map_names.push(name),
+            _ => {}
         }
     }
+    let is_map = |name: Option<&str>| name.is_some_and(|n| map_names.contains(&n));
     // Pass 2: order-dependent walks over those names.
-    for (idx, (code, _)) in ast.lines.iter().enumerate() {
+    for (i, t) in toks.iter().enumerate() {
         // `map.iter()` (and through `.borrow()` chains).
-        for pat in D03_ITER {
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(pat) {
-                let at = from + pos;
-                let recv = strip_passthrough(&code[..at]);
-                if ident_ending_at(recv, recv.len()).is_some_and(|n| map_names.contains(&n)) {
-                    hit(idx + 1);
-                }
-                from = at + pat.len();
-            }
+        if D03_ITER.contains(&t.text.as_str())
+            && i > 0
+            && toks[i - 1].punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.punct('('))
+            && is_map(receiver_before(toks, i - 1))
+        {
+            hit(t.line);
         }
-        // `for x in &map` / `for x in map`.
-        if let Some(pos) = code.find(" in ") {
-            if code.trim_start().starts_with("for ") {
-                let expr = code[pos + 4..].split('{').next().unwrap_or("").trim();
-                let expr = expr
-                    .trim_start_matches('&')
-                    .trim_start_matches("mut ")
-                    .trim();
-                let expr = strip_passthrough(expr);
-                if !expr.ends_with(')')
-                    && ident_ending_at(expr, expr.len()).is_some_and(|n| map_names.contains(&n))
-                {
-                    hit(idx + 1);
-                }
+        // `for x in &map` / `for x in map`: the head between `in` and the
+        // body's `{`.
+        if t.is("for") && t.kind == TokKind::Ident {
+            let ends_head = |k: &usize| toks[*k].punct('{') || toks[*k].punct(';');
+            let Some(open) = (i + 1..toks.len()).find(ends_head) else {
+                continue;
+            };
+            let in_at = (i + 1..open).find(|&k| toks[k].is("in"));
+            if in_at.is_some_and(|k| k + 1 < open) && is_map(receiver_before(toks, open)) {
+                hit(t.line);
             }
         }
     }
@@ -1247,7 +1182,7 @@ fn scan_d10(ast: &Ast, hit: &mut dyn FnMut(usize)) {
 }
 
 // ---------------------------------------------------------------------
-// Submission-protocol rules (D08, D22, D24) and the other CFG rules
+// Submission-protocol rules (D08, D24) and the other CFG rules
 // ---------------------------------------------------------------------
 
 /// D08: an SQE store after a doorbell ring in token order; the finding
@@ -1256,88 +1191,6 @@ fn scan_d08(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
     let ev = &facts.sites().events;
     for &(tok, line) in &ev.stores {
         if ev.rings.iter().any(|r| r.0 < tok) {
-            hit(line);
-        }
-    }
-}
-
-/// The block holding the end of the statement containing token `pos`.
-/// Path queries for "after this store/acquire landed" start here rather
-/// than at the site itself, so the site's own `?`-failure edge (nothing
-/// was written / nothing was acquired) is not mistaken for a path that
-/// skips the ring/retire.
-fn stmt_exit_block(ast: &Ast, cfg: &Cfg, pos: usize, body_end: usize) -> Option<usize> {
-    // `pos` may sit *inside* the site's argument list, so track depth
-    // from there and let it go negative while climbing out; the
-    // statement ends at the first `;`/`,` at or above the start level,
-    // or at an enclosing close brace.
-    let end = body_end.min(ast.tokens.len());
-    let mut depth = 0isize;
-    let mut q = pos;
-    for i in pos..end {
-        let t = &ast.tokens[i];
-        if t.punct('(') || t.punct('[') || t.punct('{') {
-            depth += 1;
-        } else if t.punct(')') || t.punct(']') {
-            depth -= 1;
-        } else if t.punct('}') {
-            if depth <= 0 {
-                // Close of an enclosing block: the statement cannot
-                // extend past it.
-                q = i;
-                break;
-            }
-            depth -= 1;
-        } else if (t.punct(';') || t.punct(',')) && depth <= 0 {
-            q = i;
-            break;
-        }
-        q = i;
-    }
-    (pos..=q).rev().find_map(|k| cfg.block_of(k))
-}
-
-/// D22: an SQE store in a function that also rings a doorbell, where
-/// some path from the store to the exit passes neither a ring nor an
-/// explicit failure resolution. Functions that never ring are not this
-/// rule's business (the ring may live in the caller).
-fn scan_d22(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let ev = &facts.sites().events;
-    if ev.rings.is_empty() || ev.stores.is_empty() {
-        return;
-    }
-    let (ast, f, cfg) = (facts.ast, facts.f, facts.cfg());
-    // Positions that discharge a store: rings and resolutions.
-    let done: Vec<usize> = ev
-        .rings
-        .iter()
-        .map(|r| r.0)
-        .chain(ev.resolves.iter().map(|r| r.0))
-        .collect();
-    let mut avoid = vec![false; cfg.blocks.len()];
-    for &pos in &done {
-        if let Some(b) = cfg.block_of(pos) {
-            avoid[b] = true;
-        }
-    }
-    for &(pos, line) in &ev.stores {
-        let Some(sb) = cfg.block_of(pos) else {
-            continue;
-        };
-        if !cfg.reachable(sb) {
-            continue;
-        }
-        let start = stmt_exit_block(ast, cfg, pos, f.body.1).unwrap_or(sb);
-        // A ring or resolution later in the store's own block — or in
-        // the continuation block its `?` split off — covers the whole
-        // straight-line continuation: blocks execute atomically.
-        if done
-            .iter()
-            .any(|&r| r > pos && (cfg.block_of(r) == Some(sb) || cfg.block_of(r) == Some(start)))
-        {
-            continue;
-        }
-        if cfg.exit_reachable_avoiding(start, &avoid) {
             hit(line);
         }
     }
@@ -1524,68 +1377,9 @@ fn scan_d24(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
     }
 }
 
-/// D25: the function has a `simcore::timeout` deadline arm, but a
-/// blocking fabric/admin await is reachable from the entry on a path
-/// that never passes it — D11's guard holds on the measured path only.
-fn scan_d25(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let sites = facts.sites();
-    if sites.timeouts.is_empty() {
-        return;
-    }
-    let cfg = facts.cfg();
-    let mut avoid = vec![false; cfg.blocks.len()];
-    for &(t, _) in &sites.timeouts {
-        if let Some(b) = cfg.block_of(t) {
-            avoid[b] = true;
-        }
-    }
-    for (c, site) in facts.calls().iter().zip(&sites.calls) {
-        if !site.blocking_await || site.in_timeout {
-            continue;
-        }
-        let Some(cb) = cfg.block_of(c.args.0) else {
-            continue;
-        };
-        if !cfg.reachable(cb) {
-            continue;
-        }
-        // A timeout earlier in the await's own block guards every
-        // path that reaches it (blocks execute atomically); one
-        // later in the block does not, so the block itself must not
-        // be treated as avoided for the entry query.
-        let earlier = |&(t, _): &(usize, usize)| cfg.block_of(t) == Some(cb) && t < c.args.0;
-        if sites.timeouts.iter().any(earlier) {
-            continue;
-        }
-        let mut path_avoid = avoid.clone();
-        path_avoid[cb] = false;
-        if cfg.entry_reaches_avoiding(cb, &path_avoid) {
-            hit(c.line);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Dataflow rules (D13, D15, D16)
+// The interval rule (D15)
 // ---------------------------------------------------------------------
-
-/// D13: per function, an address def carrying one host tag used inside a
-/// sink bound to a *different* host tag — the receiving region's
-/// constructor host for `contains`/`slice`, the first (domain) argument
-/// for the fabric accessors — with no NTB translation call between the
-/// def and the use.
-fn scan_d13(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (du, vals, sites) = (facts.du(), facts.vals(), facts.sites());
-    for site in &sites.calls {
-        let Some(ctx) = &site.domain else { continue };
-        for u in &du.uses[site.uses.clone()] {
-            let crosses = vals[u.def].host.as_ref().is_some_and(|h| h != ctx);
-            if crosses && !sites.translated(du, u) {
-                hit(u.line);
-            }
-        }
-    }
-}
 
 /// D15: a `recv.slice(off, len)` whose receiver's literal region length
 /// is known and whose `off`/`len` constant intervals can exceed it.
@@ -1607,27 +1401,6 @@ fn scan_d15(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
             if off.1.saturating_add(len.1) > limit {
                 hit(call.line);
             }
-        }
-    }
-}
-
-/// D16: a `let`-bound lock/borrow guard with an `.await` inside its
-/// liveness window ([`dataflow::live_end`]): up to its last use —
-/// `drop(guard)` counts as one — or, for unused guards, to the point a
-/// same-name rebind releases it, else the end of the body (Rust drops
-/// at end of scope). A bare `let _ = …` drops immediately and is
-/// exempt.
-fn scan_d16(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (ast, f, du, vals) = (facts.ast, facts.f, facts.du(), facts.vals());
-    for (di, d) in du.defs.iter().enumerate() {
-        if !vals[di].guard {
-            continue;
-        }
-        let live_end = dataflow::live_end(du, di, f.body.1);
-        let awaited = (d.expr.1..live_end.min(ast.tokens.len()))
-            .any(|k| ast.tokens[k].is("await") && k > 0 && ast.tokens[k - 1].punct('.'));
-        if awaited {
-            hit(d.line);
         }
     }
 }
@@ -1850,9 +1623,9 @@ mod tests {
     }
 
     /// One parse per file and one fact set per function: a scan with
-    /// every rule on (engine extraction plus D08/D13/D15/D16/D22–D25
-    /// all reading the facts, six of them the site table) builds each
-    /// product exactly once.
+    /// every rule on (engine extraction plus D08/D15/D23/D24 all reading
+    /// the facts, three of them the site table) builds each product
+    /// exactly once.
     #[test]
     fn scan_parses_each_file_once_and_builds_facts_once_per_function() {
         let a = "async fn submit(&self, qp: &Qp, sqe: Sqe) -> Result<()> {\n    \
@@ -1882,7 +1655,7 @@ mod tests {
         for (i, r) in RULES.iter().enumerate() {
             assert_eq!(r.rule as usize, i);
             assert_eq!(r.code, format!("{:?}", r.rule));
-            assert!(!r.run.is_empty() && !r.summary.is_empty());
+            assert!(!r.summary.is_empty());
         }
         let readme = fs::read_to_string(workspace_root().join("README.md")).expect("README.md");
         let rows: Vec<&str> = readme
@@ -1896,7 +1669,9 @@ mod tests {
             let text = explain(&format!("d{row}")).expect("--explain covers every README row");
             assert!(text.starts_with(&format!("D{row} — ")), "{text}");
         }
-        for gone in ["D06", "D09", "D12", "D14", "D18", "D20", "D26"] {
+        for gone in [
+            "D06", "D09", "D12", "D14", "D16", "D18", "D20", "D22", "D25", "D26",
+        ] {
             assert!(explain(gone).is_none(), "{gone} is not a rule");
         }
     }
@@ -1954,8 +1729,10 @@ mod tests {
 
     #[test]
     fn rule_scoping_follows_crate_layout() {
+        // D03 binds every crate: all of them run under the executor.
         assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D03));
-        assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D03));
+        assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D03));
+        assert!(rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D03));
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/core/tests/dnvme_e2e.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D05));
@@ -1974,16 +1751,14 @@ mod tests {
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D11));
         assert!(!rules_for("tests/fault_injection.rs").contains(&Rule::D11));
         assert!(rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D10));
-        // D13/D15/D16 bind the production sources of the four
-        // address-typed crates plus nvmeof — not their tests (which assert
-        // through raw wire values on purpose) and not the sim/cluster
-        // scaffolding.
+        // D13/D15 bind the production sources of the four address-typed
+        // crates plus nvmeof — not their tests (which assert through raw
+        // wire values on purpose) and not the sim/cluster scaffolding.
         assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D13));
         assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D13));
-        assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D16));
         assert!(rules_for("crates/nvmeof/src/target.rs").contains(&Rule::D15));
         assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D13));
-        assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D16));
+        assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D15));
         assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D13));
         // D17 binds the client datapath crates; the reproduction allocates plain
         // bounce-mode buffers on purpose.
@@ -1998,18 +1773,13 @@ mod tests {
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D21));
         assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D21));
         assert!(!rules_for("crates/smartio/src/service.rs").contains(&Rule::D21));
-        // D22–D24 ride the dataflow scope (the explore fixture deck is
-        // not production code); D25 refines D11, so it binds the
-        // I/O/serve paths only.
-        assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D22));
+        // D23/D24 ride the dataflow scope (the explore fixture deck is
+        // not production code).
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D23));
         assert!(rules_for("crates/nvme/src/queue.rs").contains(&Rule::D24));
-        assert!(!rules_for("crates/explore/src/fixtures.rs").contains(&Rule::D22));
-        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D22));
+        assert!(!rules_for("crates/explore/src/fixtures.rs").contains(&Rule::D24));
+        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D23));
         assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D23));
-        assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D25));
-        assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D25));
-        assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D25));
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn parse_args() -> Result<Options, String> {
             "--bench" => opts.bench = true,
             "--explain" => match args.next() {
                 Some(rule) => opts.explain = Some(rule),
-                None => return Err("--explain expects a rule code (e.g. D22)".to_string()),
+                None => return Err("--explain expects a rule code (e.g. D23)".to_string()),
             },
             "--help" | "-h" => {
                 return Err(

@@ -1,10 +1,10 @@
-//! Property tests on the def-use builder: chains are generated against a
-//! ground-truth environment maintained *while the program is synthesized*
-//! (so the oracle is independent of the builder's own resolution logic),
-//! and consistent renaming of every binding never changes the chain
-//! shape. A second family synthesizes interprocedural helper chains
-//! with a known host-tag verdict (D13) and checks the summary engine
-//! against it.
+//! Property tests on the def-use builder and the value lattice: chains
+//! and abstract values are generated against a ground-truth environment
+//! maintained *while the program is synthesized* (so the oracle is
+//! independent of the analyzer's own resolution logic), and consistent
+//! renaming of every binding never changes the chain shape. A second
+//! family synthesizes interprocedural helper chains with a known
+//! host-tag verdict (D13) and checks the summary engine against it.
 //! Double-run fingerprint tests pin the full scan as deterministic over
 //! the real workspace tree.
 
@@ -107,52 +107,160 @@ proptest! {
     }
 }
 
+/// What the lattice must hold for one def, kept while the body is
+/// written: the `typed` flag, host tag, constant interval and region
+/// length (no op here produces a guard).
+#[derive(Clone, Copy, Default)]
+struct Expect {
+    typed: bool,
+    host: Option<&'static str>,
+    range: Option<(u64, u64)>,
+    region_len: Option<u64>,
+}
+
+impl Expect {
+    /// A value computed from `v`: it inherits the host tag and region
+    /// length of the def it reads, and nothing else.
+    fn from(v: &Expect) -> Expect {
+        Expect {
+            host: v.host,
+            region_len: v.region_len,
+            ..Expect::default()
+        }
+    }
+
+    /// The engine's `Debug` digest of a value with these facts.
+    fn digest(&self) -> String {
+        format!(
+            "AbstractVal {{ typed: {}, host: {:?}, range: {:?}, region_len: {:?}, guard: false }}",
+            self.typed, self.host, self.range, self.region_len
+        )
+    }
+}
+
 /// Emit a branch-free body from op codes, exercising the abstract
-/// value forms the lattice tracks: literals, copies, arithmetic,
-/// raw-address minting, retyping wrappers, and the clamp folds
-/// (`min`/`max`/`saturating_sub`/`.len()`). No `if`/`match`/`?`/loops,
-/// so the CFG is a straight line of blocks and the CFG-grounded engine
-/// must agree with the legacy linear walk def for def.
-fn straightline_src(ops: &[(u8, u8)], names: &[&str; 4]) -> String {
+/// value forms the lattice tracks — literals, copies, arithmetic,
+/// untyped calls, an NTB translation, a region minted in a host's
+/// domain, and the clamp folds (`min`/`max`/`saturating_sub`) — and
+/// return it with the digest every def must get, computed as each line
+/// is written. No `if`/`match`/`?`/loops: the CFG is one path.
+fn straightline_src(ops: &[(u8, u8)], names: &[&str; 4]) -> (String, Vec<String>) {
     let mut src = String::from("fn f(&self, buf: &[u8]) {\n");
-    let mut bound: [bool; 4] = [false; 4];
+    let mut vals: [Option<Expect>; 4] = [None; 4];
+    let mut digests = Vec::new();
+    let shift = |r: Option<(u64, u64)>, f: &dyn Fn(u64) -> u64| r.map(|(lo, hi)| (f(lo), f(hi)));
     for &(op, tgt) in ops {
         let t = (tgt % 4) as usize;
         let prev = names[(t + 1) % 4];
-        let have_prev = bound[(t + 1) % 4];
-        let rhs = match op % 10 {
-            0 => format!("{}", (op % 7) as u32 * 64),
-            1 if have_prev => prev.to_string(),
-            2 if have_prev => format!("{prev} + 8"),
-            3 => "self.base.as_u64()".to_string(),
-            4 if have_prev => format!("self.iommu.map_for_device({prev})"),
-            5 if have_prev => format!("{prev}.min(128)"),
-            6 if have_prev => format!("{prev}.max(16)"),
-            7 if have_prev => format!("{prev}.saturating_sub(4)"),
-            8 => "buf.len()".to_string(),
-            _ => "4096".to_string(),
+        let (rhs, e) = match (op % 10, vals[(t + 1) % 4]) {
+            (0, _) => {
+                let n = u64::from(op % 7) * 64;
+                let e = Expect {
+                    range: Some((n, n)),
+                    ..Expect::default()
+                };
+                (n.to_string(), e)
+            }
+            (1, Some(v)) => (
+                prev.to_string(),
+                Expect {
+                    range: v.range,
+                    ..Expect::from(&v)
+                },
+            ),
+            (2, Some(v)) => {
+                let range = shift(v.range, &|x| x + 8);
+                (
+                    format!("{prev} + 8"),
+                    Expect {
+                        range,
+                        ..Expect::from(&v)
+                    },
+                )
+            }
+            (3, _) => ("self.base.as_u64()".to_string(), Expect::default()),
+            (4, Some(v)) => {
+                let e = Expect {
+                    typed: true,
+                    ..Expect::from(&v)
+                };
+                (format!("self.iommu.map_for_device({prev})"), e)
+            }
+            (5, Some(v)) => {
+                let range = shift(v.range, &|x| x.min(128));
+                (
+                    format!("{prev}.min(128)"),
+                    Expect {
+                        range,
+                        ..Expect::from(&v)
+                    },
+                )
+            }
+            (6, Some(v)) => {
+                let range = shift(v.range, &|x| x.max(16));
+                (
+                    format!("{prev}.max(16)"),
+                    Expect {
+                        range,
+                        ..Expect::from(&v)
+                    },
+                )
+            }
+            (7, Some(v)) => {
+                let range = shift(v.range, &|x| x.saturating_sub(4));
+                (
+                    format!("{prev}.saturating_sub(4)"),
+                    Expect {
+                        range,
+                        ..Expect::from(&v)
+                    },
+                )
+            }
+            (8, _) => ("buf.len()".to_string(), Expect::default()),
+            (9, _) => {
+                let e = Expect {
+                    typed: true,
+                    host: Some("self.host"),
+                    range: None,
+                    region_len: Some(4096),
+                };
+                (
+                    "MemRegion::new(self.host, PhysAddr(0), 4096)".to_string(),
+                    e,
+                )
+            }
+            _ => {
+                let e = Expect {
+                    range: Some((4096, 4096)),
+                    ..Expect::default()
+                };
+                ("4096".to_string(), e)
+            }
         };
         src.push_str(&format!("    let {} = {};\n", names[t], rhs));
-        bound[t] = true;
+        vals[t] = Some(e);
+        digests.push(e.digest());
     }
-    let live: Vec<&str> = (0..4).filter(|&i| bound[i]).map(|i| names[i]).collect();
+    let live: Vec<&str> = (0..4)
+        .filter(|&i| vals[i].is_some())
+        .map(|i| names[i])
+        .collect();
     src.push_str(&format!("    use_it({});\n}}\n", live.join(", ")));
-    src
+    (src, digests)
 }
 
 proptest! {
-    /// On branch-free bodies the CFG has exactly one path, so the
-    /// block-structured forward dataflow and the legacy linear engine
-    /// must produce identical abstract values for every def — the
-    /// re-grounding changed the transport, not the transfer functions.
+    /// On branch-free bodies the CFG has exactly one path, so no merge
+    /// fires and every def's abstract value is the transfer function
+    /// applied to the values of the defs it reads — which the generator
+    /// knows, because it wrote them.
     #[test]
-    fn cfg_dataflow_matches_linear_engine_on_branch_free_bodies(
+    fn cfg_dataflow_matches_the_synthesized_values_on_branch_free_bodies(
         ops in prop::collection::vec((any::<u8>(), any::<u8>()), 1..20),
     ) {
-        let src = straightline_src(&ops, &NAMES);
-        let cfg = analyzer::dataflow::eval_digest(&src);
-        let lin = analyzer::dataflow::eval_digest_linear(&src);
-        prop_assert_eq!(cfg, lin, "engines disagree on:\n{}", src);
+        let (src, want) = straightline_src(&ops, &NAMES);
+        let got = analyzer::dataflow::eval_digest(&src);
+        prop_assert_eq!(got, vec![("f".to_string(), want)], "on:\n{}", src);
     }
 }
 

@@ -86,6 +86,30 @@ fn d03_flags_through_type_alias() {
 }
 
 #[test]
+fn d03_flags_a_chain_rustfmt_split_over_lines() {
+    // The manager's reaper as rustfmt prints it: receiver, borrow and
+    // `.iter()` each on a line of their own, so no single line holds both
+    // the map's name and the walk.
+    let src = "struct M { leases: RefCell<HashMap<usize, SimTime>> }\n\
+               impl M {\n\
+                   fn expired(&self, now: SimTime) -> Vec<usize> {\n\
+                       self\n\
+                           .leases\n\
+                           .borrow()\n\
+                           .iter()\n\
+                           .filter(|&(_, &seen)| now.since(seen) > LEASE)\n\
+                           .map(|(&slot, _)| slot)\n\
+                           .collect()\n\
+                   }\n\
+               }\n";
+    let f = scan(src, &[Rule::D03]);
+    assert_eq!(codes(&f), ["D03"]);
+    assert_eq!(f[0].line, 7, "finding points at the walk");
+    // Near miss: the same chain over a BTreeMap walks in key order.
+    assert!(scan(&src.replace("HashMap", "BTreeMap"), &[Rule::D03]).is_empty());
+}
+
+#[test]
 fn d03_ignores_btreemap_and_keyed_access() {
     let src = "use std::collections::{BTreeMap, HashMap};\n\
                struct S { ordered: BTreeMap<u32, u32>, keyed: HashMap<u32, u32> }\n\
@@ -417,6 +441,34 @@ fn d11_knows_the_payload_spelling_of_a_blocking_read() {
 }
 
 #[test]
+fn d11_flags_blocking_await_on_path_skipping_timeout() {
+    // The fast path reads the CQE under a deadline; the fallback path
+    // issues a bare admin abort that can hang the serve loop forever. A
+    // guarded sibling arm does not excuse it.
+    let src = "async fn serve_abort(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
+                   if self.deadline_armed.get() {\n\
+                       timeout(h, self.cfg.admin_timeout, admin.abort(cid)).await?;\n\
+                   } else {\n\
+                       admin.abort(cid).await?;\n\
+                   }\n\
+                   Ok(())\n\
+               }\n";
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 5);
+    // Nor does a deadline spent earlier on the same path bound a later
+    // await.
+    let src = "async fn serve(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
+                   let lease = timeout(h, self.cfg.admin_timeout, self.heartbeat()).await?;\n\
+                   admin.create_io_qpair(qid, depth).await?;\n\
+                   Ok(())\n\
+               }\n";
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 3);
+}
+
+#[test]
 fn d11_suppression() {
     let src = "async fn serve(self: Rc<Self>) {\n\
                    // lint:allow(D11) — seeded hang for the fault-injection test\n\
@@ -487,6 +539,54 @@ fn d13_knows_the_payload_spellings_of_the_fabric_sinks() {
 }
 
 #[test]
+fn d13_return_position_translators_mint_no_tag() {
+    // `slot` hands the peer's address back untranslated on its direct
+    // arm and translated on its tail. The translation call mints no tag
+    // of its own — `self.host`, its first argument, would hide the
+    // direct arm — so the peer tag is what reaches `kick`'s sink.
+    let src = "impl W {\n\
+                   fn peer_slot(&self) -> DomainAddr {\n\
+                       DomainAddr::new(self.peer, 0x4000)\n\
+                   }\n\
+                   fn slot(&self, direct: bool) -> DomainAddr {\n\
+                       let s = self.peer_slot();\n\
+                       if direct {\n\
+                           return s;\n\
+                       }\n\
+                       self.smartio.map_for_cpu(self.host, s)\n\
+                   }\n\
+                   fn kick(&self, fab: &Fabric) {\n\
+                       let a = self.slot(true);\n\
+                       fab.mem_write(self.host, a, &bytes);\n\
+                   }\n\
+               }\n";
+    let f = scan(src, &[Rule::D13]);
+    assert_eq!(codes(&f), ["D13"]);
+    assert_eq!(f[0].line, 14);
+    assert!(
+        f[0].related.iter().any(|r| r.note.contains("`self.peer`")),
+        "{:?}",
+        f[0].related
+    );
+    // Near miss: every return translates. The translated value carries
+    // no tag — in particular not the name of the argument it translated.
+    let src = "impl W {\n\
+                   fn peer_slot(&self) -> DomainAddr {\n\
+                       DomainAddr::new(self.peer, 0x4000)\n\
+                   }\n\
+                   fn slot(&self) -> DomainAddr {\n\
+                       let s = self.peer_slot();\n\
+                       self.ntb.translate(s)\n\
+                   }\n\
+                   fn kick(&self, fab: &Fabric) {\n\
+                       let a = self.slot();\n\
+                       fab.mem_write(self.host, a, &bytes);\n\
+                   }\n\
+               }\n";
+    assert!(scan(src, &[Rule::D13]).is_empty());
+}
+
+#[test]
 fn d13_suppression() {
     let src = "fn f(&self, fabric: &Fabric) {\n\
                    let addr = DomainAddr::new(host_a, 0x4000);\n\
@@ -544,54 +644,6 @@ fn d15_suppression() {
                    let tail = region.slice(4096, 8);\n\
                }\n";
     assert!(scan(src, &[Rule::D15]).is_empty());
-}
-
-// ------------------------------------------------------------------ D16
-
-#[test]
-fn d16_flags_guard_held_across_await() {
-    // Guard used after the await: the borrow is live across it.
-    let src = "async fn f(&self) {\n\
-                   let admin = self.admin.borrow_mut();\n\
-                   self.handle.sleep(d).await;\n\
-                   admin.submit(sqe);\n\
-               }\n";
-    let f = scan(src, &[Rule::D16]);
-    assert_eq!(codes(&f), ["D16"]);
-    assert_eq!(f[0].line, 2, "finding points at the guard binding");
-    // Named-but-unused guard: Rust keeps `_guard` alive to end of
-    // scope, so the await still happens under the lock.
-    let src = "async fn g(&self) {\n\
-                   let _guard = self.lock.lock();\n\
-                   self.handle.sleep(d).await;\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D16])), ["D16"]);
-}
-
-#[test]
-fn d16_ignores_scoped_borrows_and_immediate_drops() {
-    // The reap-loop discipline: borrow inside a block, copy out, drop
-    // before awaiting. A bare `let _ = …` drops the guard immediately.
-    let src = "async fn f(&self) {\n\
-                   let depth = { let admin = self.admin.borrow(); admin.depth() };\n\
-                   self.handle.sleep(d).await;\n\
-               }\n\
-               async fn g(&self) {\n\
-                   let _ = self.cell.borrow_mut();\n\
-                   self.handle.sleep(d).await;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D16]).is_empty());
-}
-
-#[test]
-fn d16_suppression() {
-    let src = "async fn f(&self) {\n\
-                   // lint:allow(D16) — exclusive reset path, no reentrant borrow\n\
-                   let admin = self.admin.borrow_mut();\n\
-                   self.handle.sleep(d).await;\n\
-                   admin.replace(fresh);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D16]).is_empty());
 }
 
 // ------------------------------------------------------------------ D17
@@ -734,17 +786,14 @@ fn strict_allow_findings_survive_uncovered() {
 
 #[test]
 fn two_code_allow_suppresses_both_findings() {
-    // The store is late (after a ring: D08) and its own ring is skipped
-    // by the early return (D22); one comment naming both codes allows
-    // both, and neither code is left unused.
-    let src = "async fn submit(&self, qp: &QPair, sqe: Sqe, more: bool) -> Result<()> {\n\
+    // The SQE store is late (after a ring: D08) and goes through host_b's
+    // domain with an address minted in host_a's (D13); one comment naming
+    // both codes allows both, and neither code is left unused.
+    let src = "async fn submit(&self, fabric: &Fabric, qp: &QPair, sqe: Sqe) -> Result<()> {\n\
                    qp.sq.ring().await?;\n\
-                   // lint:allow(D08, D22)\n\
-                   qp.sq.push(sqe)?;\n\
-                   if more {\n\
-                       return Ok(());\n\
-                   }\n\
-                   qp.sq.ring().await?;\n\
+                   let slot = DomainAddr::new(host_a, 0x4000);\n\
+                   // lint:allow(D08, D13)\n\
+                   fabric.mem_write(host_b, slot, &sqe.encode());\n\
                    Ok(())\n\
                }\n";
     let files = vec![("crates/nvme/src/fixture.rs".to_string(), src.to_string())];
@@ -758,11 +807,13 @@ fn two_code_allow_suppresses_both_findings() {
 // D06, D09, D12, D14 and D18 guard nothing any more — rustc rejects the
 // code they flagged (README, "retired — enforced by"; the witnesses are
 // the `compile_fail` doctests on `Fabric::dma_write` and `nvme::engine`
-// and `workspace_lints_cover_the_retired_rules` below). What is left to
-// pin per code is the opposite of the old suppression fixture: its
-// `lint:allow` names no rule, so it is never honoured silently —
-// `--strict-allow` reports the comment, and an `analyzer.toml` entry under
-// the code is a dead entry.
+// and `workspace_lints_cover_the_retired_rules` below). D16 is clippy's
+// `await_holding_refcell_ref`, denied in the same manifest table; D25's
+// sites are D11's; D22 never saw the one function that stores an SQE.
+// What is left to pin per code is the opposite of the old suppression
+// fixture: its `lint:allow` names no rule, so it is never honoured
+// silently — `--strict-allow` reports the comment, and an `analyzer.toml`
+// entry under the code is a dead entry.
 
 /// Each `(line of the comment, source)` is a former suppression fixture.
 fn assert_retired(code: &str, sources: &[(usize, &str)]) {
@@ -823,6 +874,45 @@ fn d14_suppression() {
 }
 
 #[test]
+fn d16_suppression() {
+    let src = "async fn f(&self) {\n\
+                   // lint:allow(D16) — exclusive reset path, no reentrant borrow\n\
+                   let admin = self.admin.borrow_mut();\n\
+                   self.handle.sleep(d).await;\n\
+                   admin.replace(fresh);\n\
+               }\n";
+    assert_retired("D16", &[(2, src)]);
+}
+
+#[test]
+fn d22_suppression() {
+    let src = "async fn seeded(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
+                   // lint:allow(D22) — seeded violation for the oracle test\n\
+                   qp.sq.push(&sqe).await?;\n\
+                   if self.paused.get() {\n\
+                       return Ok(());\n\
+                   }\n\
+                   qp.sq.ring().await?;\n\
+                   Ok(())\n\
+               }\n";
+    assert_retired("D22", &[(2, src)]);
+}
+
+#[test]
+fn d25_suppression() {
+    let src = "async fn serve_abort(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
+                   if self.deadline_armed.get() {\n\
+                       timeout(h, self.cfg.admin_timeout, admin.abort(cid)).await?;\n\
+                   } else {\n\
+                       // lint:allow(D25) — seeded hang for the watchdog test\n\
+                       admin.abort(cid).await?;\n\
+                   }\n\
+                   Ok(())\n\
+               }\n";
+    assert_retired("D25", &[(5, src)]);
+}
+
+#[test]
 fn d18_suppression() {
     let src = "impl W {\n\
                    fn window_base(&self) -> u64 {\n\
@@ -837,11 +927,11 @@ fn d18_suppression() {
     assert_retired("D18", &[(7, src)]);
 }
 
-/// The two retired rules that became workspace lints are only as good
-/// as the manifests: the root table must carry them at a level no
-/// attribute can lower (`forbid`) or that fails the build (`deny`), and
-/// every member must inherit the table — a new crate cannot opt out by
-/// leaving `[lints]` off.
+/// The three retired rules that became workspace lints are only as good
+/// as the manifests: the root tables must carry them at a level no
+/// attribute can lower (`forbid`) or that fails the build (`deny`, for
+/// clippy under CI's `cargo clippy`), and every member must inherit the
+/// tables — a new crate cannot opt out by leaving `[lints]` off.
 #[test]
 fn workspace_lints_cover_the_retired_rules() {
     let root = analyzer::workspace_root();
@@ -858,11 +948,19 @@ fn workspace_lints_cover_the_retired_rules() {
             .filter(|l| !l.is_empty())
             .collect()
     };
-    let lints = table(&read(root.join("Cargo.toml")), "[workspace.lints.rust]");
-    for want in ["unsafe_code = \"forbid\"", "unused_variables = \"deny\""] {
+    let manifest = read(root.join("Cargo.toml"));
+    for (header, want) in [
+        ("[workspace.lints.rust]", "unsafe_code = \"forbid\""),
+        ("[workspace.lints.rust]", "unused_variables = \"deny\""),
+        (
+            "[workspace.lints.clippy]",
+            "await_holding_refcell_ref = \"deny\"",
+        ),
+    ] {
+        let lints = table(&manifest, header);
         assert!(
             lints.iter().any(|l| l == want),
-            "root manifest lacks `{want}`: {lints:?}"
+            "root manifest lacks `{want}` under {header}: {lints:?}"
         );
     }
     let mut members = 0;
@@ -877,43 +975,6 @@ fn workspace_lints_cover_the_retired_rules() {
         assert_eq!(inherits, ["workspace = true"], "{}", dir.display());
     }
     assert!(members >= 14, "walked {members} member manifests");
-}
-
-// ------------------------------------------------------------------ D16 (interproc-era liveness)
-
-#[test]
-fn d16_ignores_guard_dropped_or_shadowed_before_await() {
-    // `drop(guard)` is a use: liveness ends right after it, so the
-    // await below runs lock-free.
-    let src = "async fn f(&self) {\n\
-                   let admin = self.admin.borrow_mut();\n\
-                   admin.submit(sqe);\n\
-                   drop(admin);\n\
-                   self.handle.sleep(d).await;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D16]).is_empty());
-    // Shadowing rebinds the name: the guard dies at the second `let`,
-    // even though `admin` is read again after the await.
-    let src = "async fn g(&self) {\n\
-                   let admin = self.admin.borrow_mut();\n\
-                   admin.submit(sqe);\n\
-                   let admin = done();\n\
-                   self.handle.sleep(d).await;\n\
-                   admin.check();\n\
-               }\n";
-    assert!(scan(src, &[Rule::D16]).is_empty());
-}
-
-#[test]
-fn d16_still_flags_guard_dropped_only_after_the_await() {
-    // The near-miss twin: the drop comes too late — the guard is live
-    // across the await because the `drop(admin)` use sits below it.
-    let src = "async fn f(&self) {\n\
-                   let admin = self.admin.borrow_mut();\n\
-                   self.handle.sleep(d).await;\n\
-                   drop(admin);\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D16])), ["D16"]);
 }
 
 // ------------------------------------------------------------------ D19
@@ -1224,70 +1285,6 @@ fn interproc_chains_render_in_github_and_sarif_output() {
     assert!(scan(&src, &[Rule::D13]).is_empty());
 }
 
-// ------------------------------------------------------------------ D22
-
-#[test]
-fn d22_flags_store_with_ringless_exit_path() {
-    // The pause check exits after the push without ringing or failing
-    // the command — it sits in the SQ invisible to the device.
-    let src = "async fn submit(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   if self.paused.get() {\n\
-                       return Ok(());\n\
-                   }\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    let f = scan(src, &[Rule::D22]);
-    assert_eq!(codes(&f), ["D22"]);
-    assert_eq!(f[0].line, 2);
-}
-
-#[test]
-fn d22_ignores_covered_and_resolved_paths() {
-    // Straight-line store-then-ring: the only path rings.
-    let src = "async fn submit(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D22]).is_empty());
-    // The early-exit path explicitly fails the command — resolved, not
-    // lost. The store's own `?` is not a missed-doorbell path either:
-    // a failed push stored nothing.
-    let src = "async fn submit(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   if self.paused.get() {\n\
-                       self.fail(sqe.cid, Status::aborted());\n\
-                       return Ok(());\n\
-                   }\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D22]).is_empty());
-    // A function that never rings is not this rule's business — the
-    // doorbell may live in the caller's flush.
-    let src = "async fn enqueue(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D22]).is_empty());
-}
-
-#[test]
-fn d22_suppression() {
-    let src = "async fn seeded(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   // lint:allow(D22) — seeded violation for the oracle test\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   if self.paused.get() {\n\
-                       return Ok(());\n\
-                   }\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D22]).is_empty());
-}
-
 // ------------------------------------------------------------------ D23
 
 #[test]
@@ -1303,6 +1300,38 @@ fn d23_flags_acquire_leaked_by_error_exit() {
     let f = scan(src, &[Rule::D23]);
     assert_eq!(codes(&f), ["D23"]);
     assert_eq!(f[0].line, 2);
+}
+
+#[test]
+fn d23_flags_a_dma_window_leaked_by_an_error_exit() {
+    // The DirectMapped submit path: the request buffer's window is
+    // mapped for this I/O, and the command's `?` returns before the
+    // unmap — one LUT slot lost per failed I/O.
+    let src = "async fn submit_with_tag(&self, bio: &Bio, tag: &Tag) -> BioResult {\n\
+                   let win = self\n\
+                       .smartio\n\
+                       .map_region_for_device(self.device, bio.buf)\n\
+                       .map_err(|e| BioError::DeviceError(e.to_string()))?;\n\
+                   let status = self.issue_recovered(tag, sqe_over(win.bus_base)).await?.status();\n\
+                   self.smartio.unmap_device(win);\n\
+                   Ok(())\n\
+               }\n";
+    let f = scan(src, &[Rule::D23]);
+    assert_eq!(codes(&f), ["D23"]);
+    assert_eq!(f[0].line, 4);
+    // Near miss: the command's result is held until the window is given
+    // back, and only then propagated.
+    let src = "async fn submit_with_tag(&self, bio: &Bio, tag: &Tag) -> BioResult {\n\
+                   let win = self\n\
+                       .smartio\n\
+                       .map_region_for_device(self.device, bio.buf)\n\
+                       .map_err(|e| BioError::DeviceError(e.to_string()))?;\n\
+                   let issued = self.issue_direct(bio, tag, win.bus_base).await;\n\
+                   self.smartio.unmap_device(win);\n\
+                   issued?.status();\n\
+                   Ok(())\n\
+               }\n";
+    assert!(scan(src, &[Rule::D23]).is_empty());
 }
 
 #[test]
@@ -1422,64 +1451,6 @@ fn d24_suppression() {
                    Ok(())\n\
                }\n";
     assert!(scan(src, &[Rule::D24]).is_empty());
-}
-
-// ------------------------------------------------------------------ D25
-
-#[test]
-fn d25_flags_blocking_await_on_path_skipping_timeout() {
-    // The fast path reads the CQE under a deadline; the fallback path
-    // issues a bare admin abort that can hang the serve loop forever.
-    let src = "async fn serve_abort(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
-                   if self.deadline_armed.get() {\n\
-                       timeout(h, self.cfg.admin_timeout, admin.abort(cid)).await?;\n\
-                   } else {\n\
-                       admin.abort(cid).await?;\n\
-                   }\n\
-                   Ok(())\n\
-               }\n";
-    let f = scan(src, &[Rule::D25]);
-    assert_eq!(codes(&f), ["D25"]);
-    assert_eq!(f[0].line, 5);
-}
-
-#[test]
-fn d25_ignores_guarded_awaits() {
-    // Every blocking await is inside the timeout's argument list.
-    let src = "async fn serve_abort(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
-                   timeout(h, self.cfg.admin_timeout, admin.abort(cid)).await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D25]).is_empty());
-    // A timeout re-armed earlier on the same straight-line path guards
-    // the await that follows it.
-    let src = "async fn serve(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
-                   let lease = timeout(h, self.cfg.admin_timeout, self.heartbeat()).await?;\n\
-                   admin.create_io_qpair(qid, depth).await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D25]).is_empty());
-    // Functions with no deadline arm at all are D11's business, not
-    // D25's refinement.
-    let src = "async fn bring_up(&self, admin: &mut AdminQueue) -> Result<()> {\n\
-                   admin.identify_controller(buf, bus).await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D25]).is_empty());
-}
-
-#[test]
-fn d25_suppression() {
-    let src = "async fn serve_abort(&self, h: &Handle, admin: &mut AdminQueue) -> Result<()> {\n\
-                   if self.deadline_armed.get() {\n\
-                       timeout(h, self.cfg.admin_timeout, admin.abort(cid)).await?;\n\
-                   } else {\n\
-                       // lint:allow(D25) — seeded hang for the watchdog test\n\
-                       admin.abort(cid).await?;\n\
-                   }\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D25]).is_empty());
 }
 
 // ------------------------------------ D15 clamp-then-slice regression

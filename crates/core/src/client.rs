@@ -908,7 +908,7 @@ impl ClientDriver {
                 }
                 status
             }
-            (op, DataPath::DirectMapped) => {
+            (_, DataPath::DirectMapped) => {
                 // IOMMU-style: map the request buffer for this I/O only.
                 self.handle.sleep(self.cfg.iommu_map_cost).await;
                 let win = self
@@ -916,31 +916,12 @@ impl ClientDriver {
                     .map_region_for_device(self.device, bio.buf.slice(0, len))
                     .map_err(|e| BioError::DeviceError(e.to_string()))?;
                 self.stats.borrow_mut().dynamic_maps += 1;
-                let (lists, lists_bus) = self.direct_lists.ok_or(BioError::Gone)?;
-                let list_bus = lists_bus.offset(slot as u64 * prp::PAGE);
-                let set = prp::build_prps(win.bus_base, len, list_bus)
-                    .map_err(|e| BioError::DeviceError(e.to_string()))?;
-                if !set.list.is_empty() {
-                    let raw: Vec<u8> = set.list.iter().flat_map(|e| e.to_le_bytes()).collect();
-                    self.fabric
-                        .mem_write(self.host, lists.offset(slot as u64 * prp::PAGE), &raw)
-                        .map_err(|e| BioError::DeviceError(e.to_string()))?;
-                }
-                let sqe = match op {
-                    BioOp::Read => {
-                        self.stats.borrow_mut().reads += 1;
-                        SqEntry::read(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
-                    }
-                    _ => {
-                        self.stats.borrow_mut().writes += 1;
-                        SqEntry::write(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
-                    }
-                };
-                let status = self.issue_recovered(tag, sqe).await?.status();
-                // Unmap + IOTLB shootdown.
+                let issued = self.issue_direct(bio, tag, win.bus_base, len).await;
+                // Unmap + IOTLB shootdown, whether or not the command made
+                // it: the window's LUT slots are the adapter's, not ours.
                 self.smartio.unmap_device(win);
                 self.handle.sleep(self.cfg.iommu_unmap_cost).await;
-                status
+                issued?.status()
             }
         };
         if status.is_success() {
@@ -948,6 +929,41 @@ impl ClientDriver {
         } else {
             Err(BioError::DeviceError(status.to_string()))
         }
+    }
+
+    /// The DirectMapped command over a window mapped at `bus`: PRPs (a
+    /// list page in the tag's slot when they need one), then the command
+    /// through the recovery ladder. The caller owns the window.
+    async fn issue_direct(
+        &self,
+        bio: &Bio,
+        tag: &Tag,
+        bus: PhysAddr,
+        len: u64,
+    ) -> std::result::Result<CqEntry, BioError> {
+        let cid = tag.cid();
+        let list_off = cid as u64 * prp::PAGE;
+        let nlb0 = bio.blocks.saturating_sub(1) as u16;
+        let (lists, lists_bus) = self.direct_lists.ok_or(BioError::Gone)?;
+        let set = prp::build_prps(bus, len, lists_bus.offset(list_off))
+            .map_err(|e| BioError::DeviceError(e.to_string()))?;
+        if !set.list.is_empty() {
+            let raw: Vec<u8> = set.list.iter().flat_map(|e| e.to_le_bytes()).collect();
+            self.fabric
+                .mem_write(self.host, lists.offset(list_off), &raw)
+                .map_err(|e| BioError::DeviceError(e.to_string()))?;
+        }
+        let sqe = match bio.op {
+            BioOp::Read => {
+                self.stats.borrow_mut().reads += 1;
+                SqEntry::read(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
+            }
+            _ => {
+                self.stats.borrow_mut().writes += 1;
+                SqEntry::write(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
+            }
+        };
+        self.issue_recovered(tag, sqe).await
     }
 }
 

@@ -11,7 +11,7 @@
 //!    pair on a single-function controller.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use nvme::driver::admin::{AdminError, AdminQueue, AdminQueueLayout, AdminResult};
@@ -157,11 +157,13 @@ pub struct Manager {
     admin: RefCell<AdminQueue>,
     qids: RefCell<QidPool>,
     /// Cached CPU mappings of client response segments.
-    resp_maps: RefCell<HashMap<u32, CpuMapping>>,
+    resp_maps: RefCell<BTreeMap<u32, CpuMapping>>,
     /// Which response segment each slot last used (reclamation unmaps it).
-    slot_resp_seg: RefCell<HashMap<usize, u32>>,
+    slot_resp_seg: RefCell<BTreeMap<usize, u32>>,
     /// Last time each slot was heard from (any decoded message counts).
-    leases: RefCell<HashMap<usize, SimTime>>,
+    /// Ordered by slot: the reaper reclaims expired clients in slot order,
+    /// so a run that loses several at once replays identically.
+    leases: RefCell<BTreeMap<usize, SimTime>>,
     /// Register window + ring layout, kept for controller re-init.
     bar_region: MemRegion,
     admin_layout: AdminQueueLayout,
@@ -299,9 +301,9 @@ impl Manager {
             mailbox_segment,
             admin: RefCell::new(admin),
             qids: RefCell::new(QidPool::new(granted)),
-            resp_maps: RefCell::new(HashMap::new()),
-            slot_resp_seg: RefCell::new(HashMap::new()),
-            leases: RefCell::new(HashMap::new()),
+            resp_maps: RefCell::new(BTreeMap::new()),
+            slot_resp_seg: RefCell::new(BTreeMap::new()),
+            leases: RefCell::new(BTreeMap::new()),
             bar_region: bar_map.region,
             admin_layout,
             stats: RefCell::new(ManagerStats::default()),
@@ -646,7 +648,8 @@ impl Manager {
         // Borrow the admin queue only *after* the re-init await resolves:
         // holding the RefCell guard across the await would turn any
         // concurrent admin use during the reset into a reentrant-borrow
-        // panic instead of the NOT_OWNER / timeout path (D16).
+        // panic instead of the NOT_OWNER / timeout path (clippy's
+        // `await_holding_refcell_ref`).
         let r = simcore::timeout(
             &handle,
             self.cfg.admin_timeout,

@@ -6,8 +6,8 @@ use std::rc::Rc;
 use blklayer::{Bio, BioError, BlockDevice};
 use dnvme::{ClientConfig, ClientDriver, DataPath, Manager, ManagerConfig, SqPlacement};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
-use pcie::{Fabric, FabricParams, HostId};
-use simcore::{SimRuntime, SimTime};
+use pcie::{Fabric, FabricParams, HostId, SeverMode};
+use simcore::{SimDuration, SimRuntime, SimTime};
 use smartio::{SmartDeviceId, SmartIo};
 
 struct Cluster {
@@ -345,6 +345,53 @@ fn direct_mapped_data_path_works() {
     });
     assert!(ok);
     assert_eq!(maps, 2, "each direct-mapped I/O programs a window");
+}
+
+#[test]
+fn a_failed_direct_mapped_io_gives_its_window_back() {
+    // A DirectMapped I/O whose window is mapped but whose command cannot
+    // complete: the client's cable is pulled after the first I/O, and
+    // with a deadline armed the second ends in a typed error. Its
+    // window's LUT slot on the device host's adapter must be free again
+    // afterwards, exactly as after the I/O that succeeded.
+    let c = cluster(2);
+    let smartio = c.smartio.clone();
+    let fabric = c.fabric.clone();
+    let dev = c.dev;
+    let (dev_host, client_host) = (c.dev_host, c.hosts[0]);
+    c.rt.block_on(async move {
+        let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
+            .await
+            .unwrap();
+        let cfg = ClientConfig {
+            data_path: DataPath::DirectMapped,
+            cmd_timeout: Some(SimDuration::from_micros(200)),
+            mailbox_timeout: Some(SimDuration::from_micros(500)),
+            ..ClientConfig::default()
+        };
+        let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
+            .await
+            .unwrap();
+        let buf = fabric.alloc(client_host, 4096).unwrap();
+        drv.submit(Bio::write(0, 8, buf)).await.unwrap();
+        let before = fabric.free_lut_slots(dev_host);
+        let ntb = fabric.first_ntb_of(client_host).unwrap();
+        fabric.sever_ntb_now(ntb, SeverMode::Outbound);
+        let err = drv.submit(Bio::read(0, 8, buf)).await.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BioError::DeviceError(_) | BioError::Timeout { .. } | BioError::Gone
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            drv.stats().dynamic_maps,
+            2,
+            "the failed I/O mapped a window"
+        );
+        assert_eq!(fabric.free_lut_slots(dev_host), before, "window leaked");
+    });
 }
 
 #[test]

@@ -216,9 +216,9 @@ fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
 }
 
 /// The submission path writes the SQE but a pause check returns before
-/// the tail doorbell moves — the missed-doorbell shape D22 flags
-/// statically in driver code. The device's fetch then acts on a slot the doorbell
-/// never exposed, which is how the lost command manifests dynamically.
+/// the tail doorbell moves. The device's fetch then acts on a slot the
+/// doorbell never exposed, which is how the lost command manifests
+/// dynamically: the lifecycle FSM reports the fetch before the doorbell.
 fn missed_doorbell(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
         let emit = |ev| oracle::emit(&fabric, ev);

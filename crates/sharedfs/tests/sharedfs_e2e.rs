@@ -223,8 +223,8 @@ fn random_file_operations_match_model() {
     // an in-memory reference. Catches extent-mapping, RMW-edge, and
     // allocator bugs that directed tests miss.
     use simcore::SimRng;
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
 
     let rt = SimRuntime::new();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
@@ -237,7 +237,9 @@ fn random_file_operations_match_model() {
                 .await
                 .unwrap();
             let fs = SharedFs::mount(&fabric, host, disk).await.unwrap();
-            let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+            // Ordered, so the final sweep reads the files back in the same
+            // order on every run.
+            let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
             let mut rng = SimRng::seed_from_u64(0xF5F5);
             for step in 0..200 {
                 let name = format!("f{}", rng.below(8));

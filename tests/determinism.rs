@@ -171,6 +171,36 @@ fn fault_schedule_replays_bit_identically() {
     );
 }
 
+#[test]
+fn simultaneous_client_crashes_are_reclaimed_in_one_order() {
+    // Six clients lose power at one instant, so one reaper sweep finds
+    // six expired leases. The manager must reclaim them in the same order
+    // in every run — including runs in one process, whose hashed maps
+    // would each walk in a different order.
+    let run = || {
+        let calib = Calibration::fault_recovery();
+        let lease = calib.manager.lease.unwrap();
+        let sc = Scenario::build(ScenarioKind::OursMultihost { clients: 6 }, &calib);
+        let fabric = sc.fabric.clone();
+        let hosts: Vec<_> = sc.clients.iter().map(|(h, _)| *h).collect();
+        sc.rt.block_on(async move {
+            for h in hosts {
+                fabric.crash_host_now(h);
+            }
+            fabric.handle().sleep(lease * 3).await;
+        });
+        let ms = sc.manager().unwrap().stats();
+        assert_eq!(ms.clients_evicted, 6, "{ms:?}");
+        sc.rt.trace_hash()
+    };
+    let hashes: std::collections::BTreeSet<u64> = (0..8).map(|_| run()).collect();
+    assert_eq!(
+        hashes.len(),
+        1,
+        "8 runs, distinct event streams: {hashes:x?}"
+    );
+}
+
 /// What one seeded mixed job on a fresh scenario leaves behind, with or
 /// without the checker armed.
 #[derive(Debug, PartialEq)]
