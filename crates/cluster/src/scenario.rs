@@ -9,7 +9,7 @@ use fioflex::{run_job, JobReport, JobSpec};
 use nvme::driver::{attach_local_driver, LocalNvmeDriver};
 use nvme::{BlockStore, NvmeController, QpairStats};
 use nvmeof::{NvmfInitiator, NvmfTarget};
-use pcie::{Fabric, FaultPlan, HostId, NtbId};
+use pcie::{Fabric, HostId, NtbId};
 use rdma::IbNet;
 use simcore::{ReactorId, SimRuntime};
 use smartio::SmartIo;
@@ -291,16 +291,6 @@ impl Scenario {
             label,
             _keep: Keep::Ours(mgr, drivers, smartio),
         }
-    }
-
-    /// Build `kind` fault-free, then install `plan` on the live fabric.
-    /// Bring-up never sees injected faults — delivery ordinals count from
-    /// installation — so the plan lands squarely on the I/O phase, where
-    /// the recovery ladder (not the bring-up path) must absorb it.
-    pub fn build_with_faults(kind: ScenarioKind, calib: &Calibration, plan: FaultPlan) -> Scenario {
-        let sc = Scenario::build(kind, calib);
-        sc.fabric.set_fault_plan(plan);
-        sc
     }
 
     /// The SmartIO service instance, for scenarios built on the

@@ -11,6 +11,12 @@
 //! * a CQ in client-local memory, polled (no interrupts over NTBs),
 //! * a partitioned bounce buffer with PRPs programmed once, or the
 //!   IOMMU-style dynamic mapping extension (the paper's future work).
+//!
+//! Every control-plane exchange — bring-up's CreateQp, heartbeats,
+//! recovery rungs 2–4, teardown's DeleteQp — goes through one
+//! `Mailbox`, which allows one request in flight. A refused connect and
+//! [`ClientDriver::disconnect`] give back the same `Held` record through
+//! one routine, `give_back`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -128,89 +134,168 @@ impl Default for ClientConfig {
     }
 }
 
-/// Everything a client must give back on disconnect: NTB window slots,
-/// device-side DMA windows, and its segments. Leaking these would
-/// exhaust the adapters' LUTs after enough connect/disconnect cycles.
+/// Everything a client holds at the device, recorded as it is taken:
+/// granted qids, NTB window slots, device-side DMA windows, segments and
+/// the bounce pool. Leaking these would exhaust the adapters' LUTs after
+/// enough connect/disconnect cycles.
 #[derive(Default)]
-struct Cleanup {
+struct Held {
+    qids: Vec<u16>,
     mappings: Vec<smartio::CpuMapping>,
     windows: Vec<smartio::DmaWindow>,
     segments: Vec<SegmentId>,
-}
-
-impl Cleanup {
-    /// Release every mapping, window, and segment (LUT slots are a
-    /// finite resource on the adapters).
-    fn release(self, smartio: &SmartIo) {
-        for w in self.windows {
-            smartio.unmap_device(w);
-        }
-        for m in self.mappings {
-            smartio.unmap_cpu(m);
-        }
-        for seg in self.segments {
-            let _ = smartio.destroy_segment(seg);
-        }
-    }
-}
-
-/// What a connect in progress holds, recorded as it is taken so that a
-/// refusal or failure part-way gives all of it back.
-#[derive(Default)]
-struct BringUp {
-    cleanup: Cleanup,
-    /// Queue ids the manager has granted so far.
-    qids: Vec<u16>,
-    /// Last mailbox sequence number used.
-    seq: u32,
-    /// `(slot address, response region, response segment)` once the
-    /// mailbox is wired: how granted qids are handed back.
-    mailbox: Option<(PhysAddr, MemRegion, SegmentId)>,
     bounce: Option<BouncePool>,
 }
 
-impl BringUp {
-    /// The connect was refused or failed: hand back what `disconnect`
-    /// would — granted qids, mappings, windows, segments, the bounce
-    /// pool and the device reference. Best-effort, like `disconnect`.
-    async fn give_back(
-        mut self,
-        smartio: &SmartIo,
-        device: SmartDeviceId,
-        host: HostId,
-        mailbox_timeout: Option<SimDuration>,
-    ) {
-        if let Some((slot_addr, resp_region, response_segment)) = self.mailbox {
-            for qid in self.qids {
-                self.seq += 1;
-                let request = Request::DeleteQp {
-                    qid,
-                    response_segment: response_segment.0,
-                };
-                let fabric = smartio.fabric();
-                let _ = mailbox_rpc(
-                    fabric,
-                    host,
-                    slot_addr,
-                    resp_region,
-                    self.seq,
-                    request,
-                    mailbox_timeout,
-                )
-                .await;
+/// The one teardown, for a refused connect and for
+/// [`ClientDriver::disconnect`]: hand every granted qid back through the
+/// mailbox (once it is wired), then release every mapping, window and
+/// segment, the bounce pool and the device reference. Best-effort: the
+/// local resources are released even when the manager is unreachable,
+/// and the first error is reported after.
+async fn give_back(
+    smartio: &SmartIo,
+    device: SmartDeviceId,
+    host: HostId,
+    mailbox: Option<&Mailbox>,
+    held: &RefCell<Held>,
+) -> Result<()> {
+    let mut first_err = None;
+    let qids = std::mem::take(&mut held.borrow_mut().qids);
+    if let Some(mailbox) = mailbox {
+        for qid in qids {
+            if let Err(e) = mailbox.call(Request::DeleteQp { qid }).await {
+                first_err.get_or_insert(e);
             }
         }
-        self.cleanup.release(smartio);
-        if let Some(b) = self.bounce {
-            b.destroy(smartio);
-        }
-        let _ = smartio.release(device, host);
     }
+    let held = held.take();
+    for w in held.windows {
+        smartio.unmap_device(w);
+    }
+    for m in held.mappings {
+        smartio.unmap_cpu(m);
+    }
+    for seg in held.segments {
+        let _ = smartio.destroy_segment(seg);
+    }
+    if let Some(b) = held.bounce {
+        b.destroy(smartio);
+    }
+    if let Err(e) = smartio.release(device, host) {
+        first_err.get_or_insert(e.into());
+    }
+    first_err.map_or(Ok(()), Err)
 }
 
 /// Same-seq retransmissions before a deadline-armed mailbox RPC gives up
 /// with [`DnvmeError::RpcTimeout`].
 pub const MAILBOX_RETRIES: u32 = 2;
+
+/// This host's end of the manager's mailbox: its slot, its response area,
+/// the sequence counter, and the rule that one slot carries one request
+/// at a time.
+struct Mailbox {
+    fabric: Fabric,
+    host: HostId,
+    /// This host's slot in the manager's mailbox segment.
+    slot: PhysAddr,
+    /// Where the manager writes its answers, and that segment's id.
+    response: MemRegion,
+    response_segment: SegmentId,
+    /// Last sequence number used.
+    seq: Cell<u32>,
+    /// Held for the length of one round trip.
+    turn: Semaphore,
+    /// Deadline for one round trip (`ClientConfig::mailbox_timeout`).
+    deadline: Option<SimDuration>,
+}
+
+impl Mailbox {
+    /// One round trip, after any in flight.
+    async fn call(&self, request: Request) -> Result<Response> {
+        let _turn = self.turn.acquire().await;
+        self.round_trip(request).await
+    }
+
+    /// One round trip, or `None` if another holds the slot.
+    async fn try_call(&self, request: Request) -> Option<Result<Response>> {
+        let _turn = self.turn.try_acquire()?;
+        Some(self.round_trip(request).await)
+    }
+
+    /// Write the request, stamped with the next seq, into this host's
+    /// slot; wait for the matching response in the local response area.
+    ///
+    /// With a deadline, the wait is raced against the clock; each expiry
+    /// retransmits the *same* seq with a bumped retry counter (the
+    /// manager re-sends its cached response without re-executing —
+    /// idempotent retry), and after [`MAILBOX_RETRIES`] retransmissions
+    /// the RPC fails with [`DnvmeError::RpcTimeout`] instead of hanging
+    /// on a dead manager.
+    async fn round_trip(&self, request: Request) -> Result<Response> {
+        let seq = self.seq.get() + 1;
+        self.seq.set(seq);
+        let (fabric, area) = (&self.fabric, self.response);
+        let watch = fabric.watch(area.host, area.addr, area.len);
+        let send = |retry: u32| {
+            SlotMessage {
+                seq,
+                retry,
+                response_segment: self.response_segment.0,
+                request,
+            }
+            .encode()
+        };
+        let wait_matching = || async {
+            loop {
+                watch.notify.notified().await;
+                let mut raw = [0u8; proto::RESPONSE_LEN];
+                fabric.mem_read(area.host, area.addr, &mut raw)?;
+                let r = Response::decode(&raw);
+                if r.seq == seq {
+                    // Observing the matching seq acquires the manager's
+                    // posted write (happens-before edge, like a CQE phase
+                    // observation).
+                    fabric.sanitize_consume(area.host, area.addr, proto::RESPONSE_LEN as u64);
+                    return Ok::<Response, DnvmeError>(r);
+                }
+            }
+        };
+        let sent = fabric.cpu_write(self.host, self.slot, &send(0)).await;
+        let resp = match (sent, self.deadline) {
+            (Err(e), _) => Err(e.into()),
+            (Ok(()), None) => wait_matching().await,
+            (Ok(()), Some(d)) => {
+                let mut attempt = 0u32;
+                loop {
+                    match simcore::timeout(&fabric.handle(), d, wait_matching()).await {
+                        Ok(r) => break r,
+                        Err(simcore::Elapsed) => {
+                            if attempt >= MAILBOX_RETRIES {
+                                break Err(DnvmeError::RpcTimeout);
+                            }
+                            attempt += 1;
+                            if fabric
+                                .cpu_write(self.host, self.slot, &send(attempt))
+                                .await
+                                .is_err()
+                            {
+                                break Err(DnvmeError::RpcTimeout);
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        fabric.unwatch(area.host, &watch);
+        let resp = resp?;
+        if resp.status != proto::status::OK {
+            return Err(DnvmeError::Mailbox(resp.status));
+        }
+        Ok(resp)
+    }
+}
 
 /// Everything needed to re-create a queue pair under its original id,
 /// and the state that lets only one command at a time try.
@@ -269,106 +354,22 @@ pub struct ClientDriver {
     pub metadata: Metadata,
     /// First granted queue id (see [`ClientDriver::qids`] for all).
     pub qid: u16,
-    qids: Vec<u16>,
     /// One engine striping all qpairs by cid; the cid doubles as the
     /// staging slot: the bounce partition and its PRP list, or the
     /// DirectMapped list page.
     engine: Rc<IoEngine>,
-    bounce: RefCell<Option<BouncePool>>,
     /// DirectMapped mode only: one PRP-list page per tag, as (client
     /// address, device bus address) of the first.
     direct_lists: Option<(PhysAddr, PhysAddr)>,
-    /// Mappings/segments to release on disconnect.
-    cleanup: RefCell<Option<Cleanup>>,
-    response_segment: SegmentId,
-    mailbox_map: smartio::CpuMapping,
-    next_seq: RefCell<u32>,
-    /// Serializes mailbox RPCs: one slot, one outstanding request.
-    rpc_lock: Semaphore,
-    /// Per-qid ring wiring, kept so recovery can re-create a queue pair
-    /// under the same id with the same rings.
+    /// What `disconnect` gives back; the bounce pool goes with the rest.
+    held: RefCell<Held>,
+    mailbox: Mailbox,
+    /// Per-qid ring wiring in stripe order, kept so recovery can
+    /// re-create a queue pair under the same id with the same rings.
     qp_wiring: Vec<QpWiring>,
     /// Set on disconnect; stops the heartbeat task.
     hb_stop: Cell<bool>,
     stats: RefCell<ClientStats>,
-}
-
-/// One mailbox round trip: write the stamped request into this host's
-/// slot, wait for the matching response in the local response segment.
-///
-/// With a `deadline`, the wait is raced against the clock; each expiry
-/// retransmits the *same* seq with a bumped retry counter (the manager
-/// re-sends its cached response without re-executing — idempotent
-/// retry), and after [`MAILBOX_RETRIES`] retransmissions the RPC fails with
-/// [`DnvmeError::RpcTimeout`] instead of hanging on a dead manager.
-async fn mailbox_rpc(
-    fabric: &Fabric,
-    host: HostId,
-    mailbox_slot_addr: pcie::PhysAddr,
-    resp_region: MemRegion,
-    seq: u32,
-    request: Request,
-    deadline: Option<SimDuration>,
-) -> Result<Response> {
-    let watch = fabric.watch(resp_region.host, resp_region.addr, resp_region.len);
-    let send = |retry: u32| {
-        SlotMessage {
-            seq,
-            retry,
-            request,
-        }
-        .encode()
-    };
-    let wait_matching = || async {
-        loop {
-            watch.notify.notified().await;
-            let mut raw = [0u8; proto::RESPONSE_LEN];
-            fabric.mem_read(resp_region.host, resp_region.addr, &mut raw)?;
-            let r = Response::decode(&raw);
-            if r.seq == seq {
-                // Observing the matching seq acquires the manager's posted
-                // write (happens-before edge, like a CQE phase observation).
-                fabric.sanitize_consume(
-                    resp_region.host,
-                    resp_region.addr,
-                    proto::RESPONSE_LEN as u64,
-                );
-                return Ok::<Response, DnvmeError>(r);
-            }
-        }
-    };
-    let sent = fabric.cpu_write(host, mailbox_slot_addr, &send(0)).await;
-    let resp = match (sent, deadline) {
-        (Err(e), _) => Err(e.into()),
-        (Ok(()), None) => wait_matching().await,
-        (Ok(()), Some(d)) => {
-            let mut attempt = 0u32;
-            loop {
-                match simcore::timeout(&fabric.handle(), d, wait_matching()).await {
-                    Ok(r) => break r,
-                    Err(simcore::Elapsed) => {
-                        if attempt >= MAILBOX_RETRIES {
-                            break Err(DnvmeError::RpcTimeout);
-                        }
-                        attempt += 1;
-                        if fabric
-                            .cpu_write(host, mailbox_slot_addr, &send(attempt))
-                            .await
-                            .is_err()
-                        {
-                            break Err(DnvmeError::RpcTimeout);
-                        }
-                    }
-                }
-            }
-        }
-    };
-    fabric.unwatch(resp_region.host, &watch);
-    let resp = resp?;
-    if resp.status != proto::status::OK {
-        return Err(DnvmeError::Mailbox(resp.status));
-    }
-    Ok(resp)
 }
 
 impl ClientDriver {
@@ -381,23 +382,26 @@ impl ClientDriver {
         cfg: ClientConfig,
     ) -> Result<Rc<ClientDriver>> {
         smartio.acquire(device, host, BorrowMode::Shared)?;
-        let mailbox_timeout = cfg.mailbox_timeout;
-        let mut up = BringUp::default();
-        let driver = Self::bring_up(smartio, device, host, cfg, &mut up).await;
+        let mut held = Held::default();
+        let mut mailbox = None;
+        let driver = Self::bring_up(smartio, device, host, cfg, &mut held, &mut mailbox).await;
         if driver.is_err() {
-            up.give_back(smartio, device, host, mailbox_timeout).await;
+            let held = RefCell::new(held);
+            let _ = give_back(smartio, device, host, mailbox.as_ref(), &held).await;
         }
         driver
     }
 
     /// [`ClientDriver::connect`] after the device reference is taken;
-    /// everything else it takes goes into `up` first.
+    /// everything else it takes goes into `held` first, and the mailbox
+    /// into `wired`, so a refusal part-way gives all of it back.
     async fn bring_up(
         smartio: &SmartIo,
         device: SmartDeviceId,
         host: HostId,
         cfg: ClientConfig,
-        up: &mut BringUp,
+        held: &mut Held,
+        wired: &mut Option<Mailbox>,
     ) -> Result<Rc<ClientDriver>> {
         let fabric = smartio.fabric().clone();
 
@@ -406,7 +410,7 @@ impl ClientDriver {
             .lookup(&Manager::meta_name(device))
             .map_err(|_| DnvmeError::BadMetadata)?;
         let meta_map = smartio.map_for_cpu(host, meta_seg)?;
-        up.cleanup.mappings.push(meta_map);
+        held.mappings.push(meta_map);
         let mut raw = [0u8; proto::META_LEN];
         fabric
             .cpu_read(host, meta_map.region.addr, &mut raw)
@@ -423,9 +427,9 @@ impl ClientDriver {
 
         // --- Map registers (BAR window) and the mailbox. ---
         let bar_map = smartio.map_for_cpu(host, SegmentId(metadata.bar_segment))?;
-        up.cleanup.mappings.push(bar_map);
+        held.mappings.push(bar_map);
         let mailbox_map = smartio.map_for_cpu(host, SegmentId(metadata.mailbox_segment))?;
-        up.cleanup.mappings.push(mailbox_map);
+        held.mappings.push(mailbox_map);
         let cap = Cap::decode(fabric.cpu_read_u64(host, bar_map.region.addr).await?);
 
         if cfg.num_qpairs == 0 {
@@ -436,13 +440,20 @@ impl ClientDriver {
         //     CreateQp, repeated for every requested queue pair. ---
         let entries = cfg.queue_entries;
         let response_segment = smartio.create_segment(host, proto::RESPONSE_LEN as u64)?;
-        up.cleanup.segments.push(response_segment);
-        let resp_region = smartio.segment_region(response_segment)?;
-        let slot_addr = mailbox_map
-            .region
-            .addr
-            .offset(host.0 as u64 * proto::MAILBOX_SLOT as u64);
-        up.mailbox = Some((slot_addr, resp_region, response_segment));
+        held.segments.push(response_segment);
+        let mailbox = wired.insert(Mailbox {
+            fabric: fabric.clone(),
+            host,
+            slot: mailbox_map
+                .region
+                .addr
+                .offset(host.0 as u64 * proto::MAILBOX_SLOT as u64),
+            response: smartio.segment_region(response_segment)?,
+            response_segment,
+            seq: Cell::new(0),
+            turn: Semaphore::new(1),
+            deadline: cfg.mailbox_timeout,
+        });
         let bar = bar_map.region;
         let mut specs = Vec::new();
         let mut wiring = Vec::new();
@@ -461,46 +472,37 @@ impl ClientDriver {
                     smartio.create_segment(host, entries as u64 * SQE_SIZE as u64)?
                 }
             };
-            up.cleanup.segments.push(sq_seg);
+            held.segments.push(sq_seg);
             let cq_seg = smartio.create_segment_hinted(
                 host,
                 device,
                 entries as u64 * CQE_SIZE as u64,
                 AccessHints::cq(),
             )?;
-            up.cleanup.segments.push(cq_seg);
+            held.segments.push(cq_seg);
             let cq_region = smartio.segment_region(cq_seg)?;
             assert_eq!(cq_region.host, host, "CQ must be client-local for polling");
             let sq_cpu = smartio.map_for_cpu(host, sq_seg)?;
-            up.cleanup.mappings.push(sq_cpu);
+            held.mappings.push(sq_cpu);
             let sq_win = smartio.map_for_device(device, sq_seg)?;
-            up.cleanup.windows.push(sq_win);
+            held.windows.push(sq_win);
             let cq_win = smartio.map_for_device(device, cq_seg)?;
-            up.cleanup.windows.push(cq_win);
-            up.seq += 1;
+            held.windows.push(cq_win);
             // Interrupt mode reserves a vector per queue pair; vectors are
             // granted as qid at the controller, so request "next" (the
             // manager echoes the actual qid and we route that vector).
             let want_iv = matches!(cfg.completion, CompletionStrategy::Interrupt { .. });
-            let resp = mailbox_rpc(
-                &fabric,
-                host,
-                slot_addr,
-                resp_region,
-                up.seq,
-                Request::CreateQp {
+            let resp = mailbox
+                .call(Request::CreateQp {
                     entries,
                     sq_bus: sq_win.bus_base,
                     cq_bus: cq_win.bus_base,
-                    response_segment: response_segment.0,
                     iv: want_iv.then_some(0), // placeholder; manager uses qid
                     want_qid: 0,
-                },
-                cfg.mailbox_timeout,
-            )
-            .await?;
+                })
+                .await?;
             let qid = resp.qid;
-            up.qids.push(qid);
+            held.qids.push(qid);
             wiring.push(QpWiring {
                 qid,
                 entries,
@@ -522,7 +524,6 @@ impl ClientDriver {
                 irq,
             });
         }
-        let qid = up.qids[0];
 
         // --- The engine: rings, tags, completion services. ---
         // Every tag must fit in any ring it can stripe onto (a ring holds
@@ -542,20 +543,21 @@ impl ClientDriver {
         let direct_lists = match cfg.data_path {
             DataPath::Bounce => {
                 let pool = BouncePool::new(smartio, device, host, qd, cfg.partition_size)?;
-                up.bounce = Some(pool);
+                held.bounce = Some(pool);
                 None
             }
             DataPath::DirectMapped => {
                 // Per-tag PRP list pages for transfers > 2 pages.
                 let seg = smartio.create_segment(host, qd as u64 * prp::PAGE)?;
-                up.cleanup.segments.push(seg);
+                held.segments.push(seg);
                 let region = smartio.segment_region(seg)?;
                 let win = smartio.map_for_device(device, seg)?;
-                up.cleanup.windows.push(win);
+                held.windows.push(win);
                 Some((region.addr, win.bus_base))
             }
         };
 
+        let mailbox = wired.take().expect("wired before the first CreateQp");
         let driver = Rc::new(ClientDriver {
             smartio: smartio.clone(),
             fabric: fabric.clone(),
@@ -563,16 +565,11 @@ impl ClientDriver {
             host,
             device,
             metadata,
-            qid,
-            qids: std::mem::take(&mut up.qids),
+            qid: wiring[0].qid,
             engine,
-            bounce: RefCell::new(up.bounce.take()),
             direct_lists,
-            cleanup: RefCell::new(Some(std::mem::take(&mut up.cleanup))),
-            response_segment,
-            mailbox_map,
-            next_seq: RefCell::new(up.seq + 1),
-            rpc_lock: Semaphore::new(1),
+            held: RefCell::new(std::mem::take(held)),
+            mailbox,
             qp_wiring: wiring,
             hb_stop: Cell::new(false),
             stats: RefCell::new(ClientStats::default()),
@@ -591,19 +588,7 @@ impl ClientDriver {
                     }
                     // Skip when another RPC holds the slot — its accept
                     // refreshes the lease just as well.
-                    let Some(_permit) = d.rpc_lock.try_acquire() else {
-                        continue;
-                    };
-                    let seq = d.take_seq();
-                    let r = d
-                        .raw_rpc(
-                            seq,
-                            Request::Heartbeat {
-                                response_segment: d.response_segment.0,
-                            },
-                        )
-                        .await;
-                    if r.is_ok() {
+                    if let Some(Ok(_)) = d.mailbox.try_call(Request::Heartbeat).await {
                         d.stats.borrow_mut().heartbeats_sent += 1;
                     }
                 }
@@ -614,7 +599,7 @@ impl ClientDriver {
 
     /// All granted queue ids, in stripe order.
     pub fn qids(&self) -> Vec<u16> {
-        self.qids.clone()
+        self.qp_wiring.iter().map(|w| w.qid).collect()
     }
 
     /// Snapshot of the run counters (the engine's doorbell/batch counters
@@ -636,41 +621,6 @@ impl ClientDriver {
     /// The host this client runs on.
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    fn take_seq(&self) -> u32 {
-        let mut s = self.next_seq.borrow_mut();
-        let v = *s;
-        *s += 1;
-        v
-    }
-
-    /// One mailbox round trip with this client's slot/response wiring.
-    /// Callers must hold (or have just taken) `rpc_lock`.
-    async fn raw_rpc(&self, seq: u32, request: Request) -> Result<Response> {
-        let resp_region = self.smartio.segment_region(self.response_segment)?;
-        let slot_addr = self
-            .mailbox_map
-            .region
-            .addr
-            .offset(self.host.0 as u64 * proto::MAILBOX_SLOT as u64);
-        mailbox_rpc(
-            &self.fabric,
-            self.host,
-            slot_addr,
-            resp_region,
-            seq,
-            request,
-            self.cfg.mailbox_timeout,
-        )
-        .await
-    }
-
-    /// Serialized mailbox RPC (one slot — one outstanding request).
-    async fn rpc(&self, request: Request) -> Result<Response> {
-        let _permit = self.rpc_lock.acquire().await;
-        let seq = self.take_seq();
-        self.raw_rpc(seq, request).await
     }
 
     /// Issue with the recovery ladder armed: an engine deadline expiry
@@ -710,14 +660,7 @@ impl ClientDriver {
         if ring.recreated.get() == seen {
             // Rung 2: ask the manager's admin queue to abort the command.
             self.stats.borrow_mut().aborts_requested += 1;
-            let aborted = match self
-                .rpc(Request::Abort {
-                    qid,
-                    cid,
-                    response_segment: self.response_segment.0,
-                })
-                .await
-            {
+            let aborted = match self.mailbox.call(Request::Abort { qid, cid }).await {
                 Ok(r) => r.flags & proto::flag::ABORTED != 0,
                 Err(_) => false,
             };
@@ -745,11 +688,7 @@ impl ClientDriver {
         // Rung 4: controller reset. Our grants (and everyone else's) are
         // void afterwards; surface the typed error either way.
         self.stats.borrow_mut().resets_requested += 1;
-        let _ = self
-            .rpc(Request::Reset {
-                response_segment: self.response_segment.0,
-            })
-            .await;
+        let _ = self.mailbox.call(Request::Reset).await;
         Err(timeout)
     }
 
@@ -758,20 +697,16 @@ impl ClientDriver {
     /// so the engine wiring stays valid.
     async fn recreate_qpair(&self, w: &QpWiring) -> Result<()> {
         let qid = w.qid;
-        self.rpc(Request::DeleteQp {
-            qid,
-            response_segment: self.response_segment.0,
-        })
-        .await?;
+        self.mailbox.call(Request::DeleteQp { qid }).await?;
         // Local rings/backlog wiped; in-flight waiters striped to this
         // qpair fail with `Gone` (recovery collateral, still typed).
         self.engine.reset_qpair(qid);
         let resp = self
-            .rpc(Request::CreateQp {
+            .mailbox
+            .call(Request::CreateQp {
                 entries: w.entries,
                 sq_bus: w.sq_bus,
                 cq_bus: w.cq_bus,
-                response_segment: self.response_segment.0,
                 iv: w.iv,
                 want_qid: qid,
             })
@@ -782,37 +717,13 @@ impl ClientDriver {
         Ok(())
     }
 
-    /// Return the queue pair to the manager (mailbox DeleteQp) and drop
-    /// the shared device reference. Cleanup is best-effort: local
-    /// resources are always released even when the manager is
-    /// unreachable, and the first RPC error is reported after.
+    /// Return the queue pairs to the manager (mailbox DeleteQp) and give
+    /// back everything else the client holds, device reference included
+    /// (`give_back`, the routine a refused connect runs too).
     pub async fn disconnect(&self) -> Result<()> {
         self.hb_stop.set(true);
-        let mut first_err = None;
-        for qid in &self.qids {
-            let r = self
-                .rpc(Request::DeleteQp {
-                    qid: *qid,
-                    response_segment: self.response_segment.0,
-                })
-                .await;
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(c) = self.cleanup.borrow_mut().take() {
-            c.release(&self.smartio);
-        }
-        if let Some(b) = self.bounce.borrow_mut().take() {
-            b.destroy(&self.smartio);
-        }
-        if let Err(e) = self.smartio.release(self.device, self.host) {
-            first_err.get_or_insert(e.into());
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let mailbox = Some(&self.mailbox);
+        give_back(&self.smartio, self.device, self.host, mailbox, &self.held).await
     }
 
     /// Charge driver CPU: reactor-accounted ([`Handle::cpu_work`]) or a
@@ -835,22 +746,38 @@ impl ClientDriver {
         result
     }
 
+    /// The read or write command for `bio` over these PRPs: where both
+    /// data paths build their command, and the one place it is counted.
+    fn rw_command(&self, bio: &Bio, cid: u16, prp1: PhysAddr, prp2: PhysAddr) -> SqEntry {
+        let nlb0 = bio.blocks.saturating_sub(1) as u16;
+        let mut st = self.stats.borrow_mut();
+        if bio.op == BioOp::Read {
+            st.reads += 1;
+            SqEntry::read(cid, 1, bio.lba, nlb0, prp1, prp2)
+        } else {
+            st.writes += 1;
+            SqEntry::write(cid, 1, bio.lba, nlb0, prp1, prp2)
+        }
+    }
+
     async fn submit_with_tag(&self, bio: &Bio, tag: &Tag, len: u64) -> BioResult {
         let cid = tag.cid();
         // The cid is the staging slot: bounce partition and PRP list, or
         // DirectMapped list page.
         let slot = cid as usize;
-        let nlb0 = bio.blocks.saturating_sub(1) as u16;
         let status = match (bio.op, self.cfg.data_path) {
             (BioOp::Flush, _) => self
                 .issue_recovered(tag, SqEntry::flush(cid, 1))
                 .await?
                 .status(),
             (op, DataPath::Bounce) => {
-                let staging = {
-                    let b = self.bounce.borrow();
-                    let b = b.as_ref().ok_or(BioError::Gone)?;
-                    b.staging(&self.smartio, slot, bio.buf, len)
+                let (staging, partition) = {
+                    let held = self.held.borrow();
+                    let b = held.bounce.as_ref().ok_or(BioError::Gone)?;
+                    (
+                        b.staging(&self.smartio, slot, bio.buf, len),
+                        b.partition(slot),
+                    )
                 };
                 let (prp1, prp2, part) = match staging {
                     Staging::ZeroCopy { prp1, prp2 } => {
@@ -859,11 +786,7 @@ impl ClientDriver {
                         self.stats.borrow_mut().zero_copy_ios += 1;
                         (prp1, prp2, None)
                     }
-                    Staging::Bounce { prp1, prp2 } => {
-                        let b = self.bounce.borrow();
-                        let b = b.as_ref().ok_or(BioError::Gone)?;
-                        (prp1, prp2, Some(b.partition(slot)))
-                    }
+                    Staging::Bounce { prp1, prp2 } => (prp1, prp2, Some(partition)),
                 };
                 if op == BioOp::Write {
                     if let Some(part) = part {
@@ -880,16 +803,7 @@ impl ClientDriver {
                         self.stats.borrow_mut().bounce_bytes_copied += len;
                     }
                 }
-                let sqe = match op {
-                    BioOp::Read => {
-                        self.stats.borrow_mut().reads += 1;
-                        SqEntry::read(cid, 1, bio.lba, nlb0, prp1, prp2)
-                    }
-                    _ => {
-                        self.stats.borrow_mut().writes += 1;
-                        SqEntry::write(cid, 1, bio.lba, nlb0, prp1, prp2)
-                    }
-                };
+                let sqe = self.rw_command(bio, cid, prp1, prp2);
                 let status = self.issue_recovered(tag, sqe).await?.status();
                 if op == BioOp::Read && status.is_success() {
                     if let Some(part) = part {
@@ -943,7 +857,6 @@ impl ClientDriver {
     ) -> std::result::Result<CqEntry, BioError> {
         let cid = tag.cid();
         let list_off = cid as u64 * prp::PAGE;
-        let nlb0 = bio.blocks.saturating_sub(1) as u16;
         let (lists, lists_bus) = self.direct_lists.ok_or(BioError::Gone)?;
         let set = prp::build_prps(bus, len, lists_bus.offset(list_off))
             .map_err(|e| BioError::DeviceError(e.to_string()))?;
@@ -953,16 +866,7 @@ impl ClientDriver {
                 .mem_write(self.host, lists.offset(list_off), &raw)
                 .map_err(|e| BioError::DeviceError(e.to_string()))?;
         }
-        let sqe = match bio.op {
-            BioOp::Read => {
-                self.stats.borrow_mut().reads += 1;
-                SqEntry::read(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
-            }
-            _ => {
-                self.stats.borrow_mut().writes += 1;
-                SqEntry::write(cid, 1, bio.lba, nlb0, set.prp1, set.prp2)
-            }
-        };
+        let sqe = self.rw_command(bio, cid, set.prp1, set.prp2);
         self.issue_recovered(tag, sqe).await
     }
 }

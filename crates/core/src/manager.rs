@@ -9,6 +9,12 @@
 //!    creating/deleting I/O queue pairs **on behalf of clients**, since
 //!    only the admin queue may do that and there is only one admin queue
 //!    pair on a single-function controller.
+//!
+//! Step 3 is one task, the serve loop, and it owns the admin queue and
+//! every per-client table outright: the one admin queue has one user. With
+//! a lease configured, reclaiming silent clients is a branch of the same
+//! loop — it waits for the mailbox or the next reap deadline, whichever
+//! comes first, and a reap pass finishes before the next request is read.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -144,31 +150,17 @@ impl QidPool {
     }
 }
 
-/// The running manager.
+/// The running manager: what its accessors read. The admin queue and the
+/// per-client tables belong to the serve loop (`Server`).
 pub struct Manager {
-    smartio: SmartIo,
-    host: HostId,
-    device: SmartDeviceId,
-    cfg: ManagerConfig,
     /// The metadata this manager published.
     pub metadata: Metadata,
+    host: HostId,
+    device: SmartDeviceId,
     meta_segment: SegmentId,
-    mailbox_segment: SegmentId,
-    admin: RefCell<AdminQueue>,
+    /// Granted queue ids; the serve loop is their only writer.
     qids: RefCell<QidPool>,
-    /// Cached CPU mappings of client response segments.
-    resp_maps: RefCell<BTreeMap<u32, CpuMapping>>,
-    /// Which response segment each slot last used (reclamation unmaps it).
-    slot_resp_seg: RefCell<BTreeMap<usize, u32>>,
-    /// Last time each slot was heard from (any decoded message counts).
-    /// Ordered by slot: the reaper reclaims expired clients in slot order,
-    /// so a run that loses several at once replays identically.
-    leases: RefCell<BTreeMap<usize, SimTime>>,
-    /// Register window + ring layout, kept for controller re-init.
-    bar_region: MemRegion,
-    admin_layout: AdminQueueLayout,
     stats: RefCell<ManagerStats>,
-    granted_qpairs: u16,
 }
 
 impl Manager {
@@ -272,6 +264,7 @@ impl Manager {
         // Mailbox + metadata segments, manager-local.
         let mailbox_segment =
             smartio.create_segment(host, cfg.mailbox_slots as u64 * proto::MAILBOX_SLOT as u64)?;
+        let mailbox = smartio.segment_region(mailbox_segment)?;
         let meta_segment = smartio.create_segment(host, proto::META_LEN as u64)?;
         let metadata = Metadata {
             magic: proto::META_MAGIC,
@@ -293,29 +286,25 @@ impl Manager {
         smartio.acquire(device, host, BorrowMode::Shared)?;
 
         let mgr = Rc::new(Manager {
-            smartio: smartio.clone(),
+            metadata,
             host,
             device,
-            metadata,
             meta_segment,
-            mailbox_segment,
-            admin: RefCell::new(admin),
             qids: RefCell::new(QidPool::new(granted)),
-            resp_maps: RefCell::new(BTreeMap::new()),
-            slot_resp_seg: RefCell::new(BTreeMap::new()),
-            leases: RefCell::new(BTreeMap::new()),
+            stats: RefCell::default(),
+        });
+        let server = Server {
+            mgr: mgr.clone(),
+            smartio: smartio.clone(),
+            admin,
             bar_region: bar_map.region,
             admin_layout,
-            stats: RefCell::new(ManagerStats::default()),
-            granted_qpairs: granted,
+            mailbox,
+            slots: vec![Slot::default(); cfg.mailbox_slots as usize],
+            resp_maps: BTreeMap::new(),
             cfg,
-        });
-        let m2 = mgr.clone();
-        fabric.handle().spawn(async move { m2.serve().await });
-        if mgr.cfg.lease.is_some() {
-            let m3 = mgr.clone();
-            fabric.handle().spawn(async move { m3.reap_loop().await });
-        }
+        };
+        fabric.handle().spawn_detached(server.serve());
         Ok(mgr)
     }
 
@@ -349,7 +338,7 @@ impl Manager {
 
     /// Queue pairs the controller granted at bring-up.
     pub fn granted_qpairs(&self) -> u16 {
-        self.granted_qpairs
+        self.metadata.max_qpairs
     }
 
     /// The managed device.
@@ -367,148 +356,179 @@ impl Manager {
         self.meta_segment
     }
 
-    /// Mailbox server: watch the mailbox memory, handle new requests.
-    async fn serve(self: Rc<Self>) {
+    fn reject(&self, status: u32, qid: u16) -> Response {
+        self.stats.borrow_mut().requests_rejected += 1;
+        Response::error(status, qid)
+    }
+}
+
+/// What the serve loop remembers about one mailbox slot.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Seq, response segment and retry counter of the last request
+    /// accepted; a request repeating the first two is a duplicate.
+    seq: u32,
+    seg: u32,
+    retry: u32,
+    /// The answer to that request, re-sent when the client retries.
+    cached: Option<Response>,
+    /// When the slot was last heard from (any decoded message counts);
+    /// `None` until then and once reaped.
+    seen: Option<SimTime>,
+}
+
+/// The serve loop's state: the one owner of the admin queue, the slot
+/// table and the response-segment mappings.
+struct Server {
+    mgr: Rc<Manager>,
+    smartio: SmartIo,
+    cfg: ManagerConfig,
+    admin: AdminQueue,
+    /// Register window + ring layout, kept for controller re-init.
+    bar_region: MemRegion,
+    admin_layout: AdminQueueLayout,
+    /// The mailbox segment, one [`proto::MAILBOX_SLOT`] per host.
+    mailbox: MemRegion,
+    slots: Vec<Slot>,
+    /// Cached CPU mappings of client response segments.
+    resp_maps: BTreeMap<u32, CpuMapping>,
+}
+
+impl Server {
+    /// Watch the mailbox and answer what changes in it. With a lease, the
+    /// same loop reaps every `lease / 2`: it waits for the mailbox or the
+    /// reap deadline, whichever comes first.
+    async fn serve(mut self) {
         let fabric = self.smartio.fabric().clone();
-        let Ok(region) = self.smartio.segment_region(self.mailbox_segment) else {
-            return; // mailbox destroyed before the server started
-        };
-        let watch = fabric.watch(region.host, region.addr, region.len);
-        let slots = self.cfg.mailbox_slots as usize;
-        let mut last_seq = vec![0u32; slots];
-        let mut last_seg = vec![0u32; slots];
-        let mut last_retry = vec![0u32; slots];
-        let mut cached: Vec<Option<Response>> = vec![None; slots];
+        let handle = fabric.handle();
+        let watch = fabric.watch(self.mailbox.host, self.mailbox.addr, self.mailbox.len);
+        let mut reap_at = self.cfg.lease.map(|lease| handle.now() + lease / 2);
         loop {
-            watch.notify.notified().await;
-            #[allow(clippy::needless_range_loop)] // slot also computes the offset
-            for slot in 0..slots {
-                let mut raw = [0u8; proto::MAILBOX_SLOT];
-                if fabric
-                    .mem_read(
-                        region.host,
-                        region.addr.offset((slot * proto::MAILBOX_SLOT) as u64),
-                        &mut raw,
-                    )
-                    .is_err()
-                {
-                    continue; // slot unreadable (segment torn down mid-poll)
-                }
-                let Some(msg) = SlotMessage::decode(&raw) else {
-                    continue;
-                };
-                if msg.seq == 0 {
+            match reap_at {
+                None => watch.notify.notified().await,
+                Some(at) if handle.now() >= at => {
+                    self.reap().await;
+                    reap_at = self.cfg.lease.map(|lease| handle.now() + lease / 2);
                     continue;
                 }
-                // A new connection numbers its requests from 1 again but
-                // answers into a new response segment (ids are never
-                // reused), so a repeated seq is a duplicate only when the
-                // segment repeats too — else a host refused on its first
-                // request could never be heard again.
-                let seg = msg.request.response_segment();
-                if msg.seq == last_seq[slot] && seg == last_seg[slot] {
-                    // Duplicate seq: either nothing new, or the client
-                    // retried because our response got lost. A bumped
-                    // retry counter asks for the cached answer again —
-                    // the request is NOT re-executed (idempotent retry).
-                    if msg.retry != last_retry[slot] {
-                        last_retry[slot] = msg.retry;
-                        if let Some(resp) = cached[slot] {
-                            self.touch_lease(slot);
-                            self.respond(msg, resp).await;
-                        }
-                    }
-                    continue;
-                }
-                last_seq[slot] = msg.seq;
-                last_seg[slot] = seg;
-                last_retry[slot] = msg.retry;
-                // Accepting a fresh seq acquires the client's posted
-                // request write (happens-before edge, mirroring the
-                // client's acquire on the response).
-                fabric.sanitize_consume(
-                    region.host,
-                    region.addr.offset((slot * proto::MAILBOX_SLOT) as u64),
-                    proto::MAILBOX_SLOT as u64,
-                );
-                self.touch_lease(slot);
-                self.slot_resp_seg
-                    .borrow_mut()
-                    .insert(slot, msg.request.response_segment());
-                // Manager software cost per request.
-                fabric.handle().sleep(self.cfg.serve_overhead).await;
-                let resp = self.handle(slot, msg.request).await;
-                cached[slot] = Some(resp);
-                let ok = resp.status == proto::status::OK;
-                let delivered = self.respond(msg, resp).await;
-                if !delivered && ok {
-                    // The client granted a queue pair never got told about
-                    // it (response segment unmappable — client vanished
-                    // mid-handshake). Roll the grant back so the qid and
-                    // the slot don't leak until lease expiry.
-                    if let Request::CreateQp { .. } = msg.request {
-                        self.rollback_create(slot, resp.qid).await;
-                        cached[slot] = None;
+                Some(at) => {
+                    let wait = at.since(handle.now());
+                    if simcore::timeout(&handle, wait, watch.notify.notified())
+                        .await
+                        .is_err()
+                    {
+                        continue;
                     }
                 }
-                // A departed client's response-segment mapping is dead
-                // weight on the manager's adapter, and so is a refused
-                // one's (it owes no DeleteQp that would drop it): release it.
-                let gone = match msg.request {
-                    Request::DeleteQp { .. } => ok,
-                    Request::CreateQp { .. } => !ok,
-                    _ => false,
-                };
-                if gone {
-                    let seg = msg.request.response_segment();
-                    if let Some(m) = self.resp_maps.borrow_mut().remove(&seg) {
-                        self.smartio.unmap_cpu(m);
+            }
+            self.scan().await;
+        }
+    }
+
+    /// Read every slot once: execute what is new, re-send what a client
+    /// asks for again.
+    async fn scan(&mut self) {
+        let fabric = self.smartio.fabric().clone();
+        for slot in 0..self.slots.len() {
+            let addr = self
+                .mailbox
+                .addr
+                .offset((slot * proto::MAILBOX_SLOT) as u64);
+            let mut raw = [0u8; proto::MAILBOX_SLOT];
+            if fabric.mem_read(self.mailbox.host, addr, &mut raw).is_err() {
+                continue; // slot unreadable (segment torn down mid-poll)
+            }
+            let Some(msg) = SlotMessage::decode(&raw) else {
+                continue;
+            };
+            if msg.seq == 0 {
+                continue;
+            }
+            let now = fabric.handle().now();
+            let last = &mut self.slots[slot];
+            // A new connection numbers its requests from 1 again but
+            // answers into a new response segment (ids are never reused),
+            // so a repeated seq is a duplicate only when the segment
+            // repeats too — else a host refused on its first request
+            // could never be heard again.
+            if msg.seq == last.seq && msg.response_segment == last.seg {
+                // Duplicate seq: either nothing new, or the client retried
+                // because our response got lost. A bumped retry counter
+                // asks for the cached answer again — the request is NOT
+                // re-executed (idempotent retry).
+                if msg.retry != last.retry {
+                    last.retry = msg.retry;
+                    if let Some(resp) = last.cached {
+                        last.seen = Some(now);
+                        self.respond(msg, resp).await;
                     }
+                }
+                continue;
+            }
+            *last = Slot {
+                seq: msg.seq,
+                seg: msg.response_segment,
+                retry: msg.retry,
+                cached: None,
+                seen: Some(now),
+            };
+            // Accepting a fresh seq acquires the client's posted request
+            // write (happens-before edge, mirroring the client's acquire
+            // on the response).
+            fabric.sanitize_consume(self.mailbox.host, addr, proto::MAILBOX_SLOT as u64);
+            // Manager software cost per request.
+            fabric.handle().sleep(self.cfg.serve_overhead).await;
+            let resp = self.handle(slot, msg.request).await;
+            self.slots[slot].cached = Some(resp);
+            let ok = resp.status == proto::status::OK;
+            let delivered = self.respond(msg, resp).await;
+            if !delivered && ok {
+                // The client granted a queue pair never got told about
+                // it (response segment unmappable — client vanished
+                // mid-handshake). Roll the grant back so the qid and
+                // the slot don't leak until lease expiry.
+                if let Request::CreateQp { .. } = msg.request {
+                    self.rollback_create(slot, resp.qid).await;
+                    self.slots[slot].cached = None;
+                }
+            }
+            // A departed client's response-segment mapping is dead
+            // weight on the manager's adapter, and so is a refused
+            // one's (it owes no DeleteQp that would drop it): release it.
+            let gone = match msg.request {
+                Request::DeleteQp { .. } => ok,
+                Request::CreateQp { .. } => !ok,
+                _ => false,
+            };
+            if gone {
+                if let Some(m) = self.resp_maps.remove(&msg.response_segment) {
+                    self.smartio.unmap_cpu(m);
                 }
             }
         }
     }
 
-    fn touch_lease(&self, slot: usize) {
-        let now = self.smartio.fabric().handle().now();
-        self.leases.borrow_mut().insert(slot, now);
-    }
-
     /// Undo a CreateQp whose grant response could not be delivered: delete
     /// the controller-side queues and return the qid to the pool.
-    #[allow(clippy::await_holding_refcell_ref)] // serial serve loop
-    async fn rollback_create(&self, slot: usize, qid: u16) {
-        if qid == 0 || !self.qids.borrow_mut().free(qid, slot) {
+    async fn rollback_create(&mut self, slot: usize, qid: u16) {
+        if qid == 0 || !self.mgr.qids.borrow_mut().free(qid, slot) {
             return;
         }
         let handle = self.smartio.fabric().handle();
-        let _ = {
-            let mut admin = self.admin.borrow_mut();
-            simcore::timeout(&handle, self.cfg.admin_timeout, admin.delete_io_qpair(qid)).await
-        };
-        let mut st = self.stats.borrow_mut();
+        let deleted = self.admin.delete_io_qpair(qid);
+        let _ = simcore::timeout(&handle, self.cfg.admin_timeout, deleted).await;
+        let mut st = self.mgr.stats.borrow_mut();
         st.qpairs_created -= 1;
         st.requests_rejected += 1;
     }
 
-    fn reject(&self, status: u32, qid: u16) -> Response {
-        self.stats.borrow_mut().requests_rejected += 1;
-        Response {
-            seq: 0,
-            status,
-            qid,
-            flags: 0,
-        }
-    }
-
-    /// The admin queue is used exclusively by the (single, serial) serve
-    /// loop; holding its RefCell borrow across the admin awaits is sound.
-    /// Every admin await is raced against `admin_timeout` so a wedged or
-    /// unreachable controller degrades to ADMIN_FAILED, never a hang.
-    #[allow(clippy::await_holding_refcell_ref)]
-    async fn handle(&self, slot: usize, req: Request) -> Response {
+    /// Execute one request for `slot`. Every admin await is raced against
+    /// `admin_timeout`, so a wedged or unreachable controller degrades to
+    /// ADMIN_FAILED, never a hang.
+    async fn handle(&mut self, slot: usize, req: Request) -> Response {
         let handle = self.smartio.fabric().handle();
         let deadline = self.cfg.admin_timeout;
+        let mgr = &self.mgr;
         match req {
             Request::CreateQp {
                 entries,
@@ -516,124 +536,70 @@ impl Manager {
                 cq_bus,
                 iv,
                 want_qid,
-                ..
             } => {
                 if entries < 2 {
-                    return self.reject(proto::status::BAD_REQUEST, 0);
+                    return mgr.reject(proto::status::BAD_REQUEST, 0);
                 }
-                let qid = if want_qid != 0 {
-                    if self.qids.borrow_mut().alloc_specific(want_qid, slot) {
-                        want_qid
-                    } else {
-                        return self.reject(proto::status::NO_FREE_QPAIR, 0);
-                    }
+                let granted = if want_qid != 0 {
+                    let mine = mgr.qids.borrow_mut().alloc_specific(want_qid, slot);
+                    mine.then_some(want_qid)
                 } else {
-                    match self.qids.borrow_mut().alloc(slot) {
-                        Some(q) => q,
-                        None => return self.reject(proto::status::NO_FREE_QPAIR, 0),
-                    }
+                    mgr.qids.borrow_mut().alloc(slot)
+                };
+                let Some(qid) = granted else {
+                    return mgr.reject(proto::status::NO_FREE_QPAIR, 0);
                 };
                 // Privileged admin operation on behalf of the client. The
                 // paper's clients poll (iv = None); the interrupt-
                 // forwarding extension passes a vector (== qid).
-                let r = {
-                    let mut admin = self.admin.borrow_mut();
-                    simcore::timeout(
-                        &handle,
-                        deadline,
-                        admin.create_io_qpair(qid, entries, sq_bus, cq_bus, iv.map(|_| qid)),
-                    )
-                    .await
-                };
-                match r {
+                let created =
+                    self.admin
+                        .create_io_qpair(qid, entries, sq_bus, cq_bus, iv.map(|_| qid));
+                match simcore::timeout(&handle, deadline, created).await {
                     Ok(Ok(())) => {
-                        self.stats.borrow_mut().qpairs_created += 1;
-                        Response {
-                            seq: 0,
-                            status: proto::status::OK,
-                            qid,
-                            flags: 0,
-                        }
+                        mgr.stats.borrow_mut().qpairs_created += 1;
+                        Response::ok(qid)
                     }
                     _ => {
-                        self.qids.borrow_mut().free(qid, slot);
-                        self.reject(proto::status::ADMIN_FAILED, 0)
+                        mgr.qids.borrow_mut().free(qid, slot);
+                        mgr.reject(proto::status::ADMIN_FAILED, 0)
                     }
                 }
             }
-            Request::DeleteQp { qid, .. } => {
-                if !self.qids.borrow_mut().free(qid, slot) {
-                    return self.reject(proto::status::NOT_OWNER, qid);
+            Request::DeleteQp { qid } => {
+                if !mgr.qids.borrow_mut().free(qid, slot) {
+                    return mgr.reject(proto::status::NOT_OWNER, qid);
                 }
-                let r = {
-                    let mut admin = self.admin.borrow_mut();
-                    simcore::timeout(&handle, deadline, admin.delete_io_qpair(qid)).await
-                };
-                match r {
+                let deleted = self.admin.delete_io_qpair(qid);
+                match simcore::timeout(&handle, deadline, deleted).await {
                     Ok(Ok(())) => {
-                        self.stats.borrow_mut().qpairs_deleted += 1;
-                        Response {
-                            seq: 0,
-                            status: proto::status::OK,
-                            qid,
-                            flags: 0,
-                        }
+                        mgr.stats.borrow_mut().qpairs_deleted += 1;
+                        Response::ok(qid)
                     }
-                    _ => Response {
-                        seq: 0,
-                        status: proto::status::ADMIN_FAILED,
-                        qid,
-                        flags: 0,
-                    },
+                    _ => Response::error(proto::status::ADMIN_FAILED, qid),
                 }
             }
-            Request::Abort { qid, cid, .. } => {
+            Request::Abort { qid, cid } => {
                 // Only the owner of the queue may abort commands on it.
-                if self.qids.borrow().owner(qid) != Some(slot) {
-                    return self.reject(proto::status::NOT_OWNER, qid);
+                if mgr.qids.borrow().owner(qid) != Some(slot) {
+                    return mgr.reject(proto::status::NOT_OWNER, qid);
                 }
-                let r = {
-                    let mut admin = self.admin.borrow_mut();
-                    simcore::timeout(&handle, deadline, admin.abort(qid, cid)).await
-                };
-                match r {
+                match simcore::timeout(&handle, deadline, self.admin.abort(qid, cid)).await {
                     Ok(Ok(aborted)) => {
-                        self.stats.borrow_mut().aborts_issued += 1;
+                        mgr.stats.borrow_mut().aborts_issued += 1;
                         Response {
-                            seq: 0,
-                            status: proto::status::OK,
-                            qid,
                             flags: if aborted { flag::ABORTED } else { 0 },
+                            ..Response::ok(qid)
                         }
                     }
-                    _ => Response {
-                        seq: 0,
-                        status: proto::status::ADMIN_FAILED,
-                        qid,
-                        flags: 0,
-                    },
+                    _ => Response::error(proto::status::ADMIN_FAILED, qid),
                 }
             }
-            Request::Heartbeat { .. } => Response {
-                // The lease was refreshed when the message was accepted.
-                seq: 0,
-                status: proto::status::OK,
-                qid: 0,
-                flags: 0,
-            },
-            Request::Reset { .. } => match self.reset_controller().await {
-                Ok(()) => Response {
-                    seq: 0,
-                    status: proto::status::OK,
-                    qid: 0,
-                    flags: 0,
-                },
-                Err(_) => Response {
-                    seq: 0,
-                    status: proto::status::ADMIN_FAILED,
-                    qid: 0,
-                    flags: 0,
-                },
+            // The lease was refreshed when the message was accepted.
+            Request::Heartbeat => Response::ok(0),
+            Request::Reset => match self.reset_controller().await {
+                Ok(()) => Response::ok(0),
+                Err(_) => Response::error(proto::status::ADMIN_FAILED, 0),
             },
         }
     }
@@ -641,95 +607,61 @@ impl Manager {
     /// Recovery ladder rung 4: full controller re-initialization. Every
     /// granted queue pair is revoked — clients other than the requester
     /// learn this through NOT_OWNER / timed-out I/O, the typed-error path.
-    async fn reset_controller(&self) -> AdminResult<()> {
+    async fn reset_controller(&mut self) -> AdminResult<()> {
         let fabric = self.smartio.fabric().clone();
-        let handle = fabric.handle();
-        self.qids.borrow_mut().clear();
-        // Borrow the admin queue only *after* the re-init await resolves:
-        // holding the RefCell guard across the await would turn any
-        // concurrent admin use during the reset into a reentrant-borrow
-        // panic instead of the NOT_OWNER / timeout path (clippy's
-        // `await_holding_refcell_ref`).
-        let r = simcore::timeout(
-            &handle,
-            self.cfg.admin_timeout,
-            AdminQueue::init(&fabric, self.bar_region, self.admin_layout),
-        )
-        .await;
-        match r {
-            Ok(Ok(fresh)) => {
-                *self.admin.borrow_mut() = fresh;
-                Ok(())
-            }
-            Ok(Err(e)) => Err(e),
-            Err(simcore::Elapsed) => Err(AdminError::ControllerFatal),
-        }
+        self.mgr.qids.borrow_mut().clear();
+        let init = AdminQueue::init(&fabric, self.bar_region, self.admin_layout);
+        self.admin = simcore::timeout(&fabric.handle(), self.cfg.admin_timeout, init)
+            .await
+            .map_err(|simcore::Elapsed| AdminError::ControllerFatal)??;
+        Ok(())
     }
 
-    /// Lease reaper: periodically reclaim the queue pairs, mappings, and
-    /// segments of clients that stopped heartbeating (§V crash recovery).
-    #[allow(clippy::await_holding_refcell_ref)]
-    async fn reap_loop(self: Rc<Self>) {
+    /// Lease reaper (§V crash recovery): reclaim, in slot order, every
+    /// client silent for longer than its lease — admin-delete and free its
+    /// qids, drop its response mapping, and let SmartIO sweep everything
+    /// else it owned (device-side rings, bounce partitions, LUT windows,
+    /// borrow references).
+    async fn reap(&mut self) {
         let Some(lease) = self.cfg.lease else { return };
-        let fabric = self.smartio.fabric().clone();
-        let handle = fabric.handle();
-        loop {
-            handle.sleep(lease / 2).await;
-            let now = handle.now();
-            let expired: Vec<usize> = self
-                .leases
-                .borrow()
-                .iter()
-                .filter(|&(_, &seen)| now.since(seen) > lease)
-                .map(|(&slot, _)| slot)
-                .collect();
-            for slot in expired {
-                self.leases.borrow_mut().remove(&slot);
-                let owned = self.qids.borrow().owned_by(slot);
-                for qid in owned {
-                    let _ = {
-                        let mut admin = self.admin.borrow_mut();
-                        simcore::timeout(
-                            &handle,
-                            self.cfg.admin_timeout,
-                            admin.delete_io_qpair(qid),
-                        )
-                        .await
-                    };
-                    self.qids.borrow_mut().free(qid, slot);
-                    self.stats.borrow_mut().qpairs_reclaimed += 1;
-                }
-                // Drop the response-segment mapping and let SmartIO sweep
-                // everything else the client owned (device-side rings,
-                // bounce partitions, LUT windows, borrow references).
-                if let Some(seg) = self.slot_resp_seg.borrow_mut().remove(&slot) {
-                    if let Some(m) = self.resp_maps.borrow_mut().remove(&seg) {
-                        self.smartio.unmap_cpu(m);
-                    }
-                }
-                self.smartio.purge_owner(HostId(slot as u16));
-                self.stats.borrow_mut().clients_evicted += 1;
+        let handle = self.smartio.fabric().handle();
+        let now = handle.now();
+        for slot in 0..self.slots.len() {
+            let last = &mut self.slots[slot];
+            if last.seen.is_none_or(|seen| now.since(seen) <= lease) {
+                continue;
             }
+            last.seen = None;
+            let seg = last.seg;
+            let owned = self.mgr.qids.borrow().owned_by(slot);
+            for qid in owned {
+                let deleted = self.admin.delete_io_qpair(qid);
+                let _ = simcore::timeout(&handle, self.cfg.admin_timeout, deleted).await;
+                self.mgr.qids.borrow_mut().free(qid, slot);
+                self.mgr.stats.borrow_mut().qpairs_reclaimed += 1;
+            }
+            if let Some(m) = self.resp_maps.remove(&seg) {
+                self.smartio.unmap_cpu(m);
+            }
+            self.smartio.purge_owner(HostId(slot as u16));
+            self.mgr.stats.borrow_mut().clients_evicted += 1;
         }
     }
 
     /// Write the response into the client's response segment (through an
     /// NTB mapping if the client is remote — a posted write). Returns
     /// whether the response could be delivered at all.
-    async fn respond(&self, msg: SlotMessage, mut resp: Response) -> bool {
+    async fn respond(&mut self, msg: SlotMessage, mut resp: Response) -> bool {
         resp.seq = msg.seq;
-        let seg = msg.request.response_segment();
-        let mapping = {
-            let mut maps = self.resp_maps.borrow_mut();
-            match maps.get(&seg) {
-                Some(m) => *m,
-                None => {
-                    let Ok(m) = self.smartio.map_for_cpu(self.host, SegmentId(seg)) else {
-                        return false; // client vanished; nothing to answer
-                    };
-                    maps.insert(seg, m);
-                    m
-                }
+        let seg = msg.response_segment;
+        let mapping = match self.resp_maps.get(&seg) {
+            Some(m) => *m,
+            None => {
+                let Ok(m) = self.smartio.map_for_cpu(self.mgr.host, SegmentId(seg)) else {
+                    return false; // client vanished; nothing to answer
+                };
+                self.resp_maps.insert(seg, m);
+                m
             }
         };
         let fabric = self.smartio.fabric();

@@ -95,7 +95,6 @@ pub enum Request {
         entries: u16,
         sq_bus: PhysAddr,
         cq_bus: PhysAddr,
-        response_segment: u32,
         iv: Option<u16>,
         /// Ask for this specific queue id (0 = any free qid). Recovery
         /// uses this to re-create a reset queue pair under its old id so
@@ -103,19 +102,15 @@ pub enum Request {
         want_qid: u16,
     },
     /// Delete a previously granted queue pair.
-    DeleteQp { qid: u16, response_segment: u32 },
+    DeleteQp { qid: u16 },
     /// Abort command `cid` on the client's own queue `qid` (recovery
     /// ladder rung 2 — only the manager's admin queue may issue Abort).
-    Abort {
-        qid: u16,
-        cid: u16,
-        response_segment: u32,
-    },
+    Abort { qid: u16, cid: u16 },
     /// Lease keep-alive; carries no other payload.
-    Heartbeat { response_segment: u32 },
+    Heartbeat,
     /// Controller reset (recovery ladder rung 4): re-initialize the
     /// controller and revoke every granted queue pair.
-    Reset { response_segment: u32 },
+    Reset,
 }
 
 const OP_CREATE: u32 = 1;
@@ -133,6 +128,8 @@ pub struct SlotMessage {
     /// response rewrites the *same* request with `retry` bumped, and the
     /// manager answers with its cached response (idempotent retry).
     pub retry: u32,
+    /// The client's response segment: where the manager writes the answer.
+    pub response_segment: u32,
     /// The request payload.
     pub request: Request,
 }
@@ -142,50 +139,35 @@ impl SlotMessage {
     pub fn encode(&self) -> [u8; MAILBOX_SLOT] {
         let mut b = [0u8; MAILBOX_SLOT];
         b[4..8].copy_from_slice(&self.seq.to_le_bytes());
-        match self.request {
+        let op = match self.request {
             Request::CreateQp {
                 entries,
                 sq_bus,
                 cq_bus,
-                response_segment,
                 iv,
                 want_qid,
             } => {
-                b[8..12].copy_from_slice(&OP_CREATE.to_le_bytes());
                 b[12..14].copy_from_slice(&entries.to_le_bytes());
                 b[14..16].copy_from_slice(&iv.unwrap_or(0xFFFF).to_le_bytes());
                 b[16..24].copy_from_slice(&sq_bus.to_le_bytes());
                 b[24..32].copy_from_slice(&cq_bus.to_le_bytes());
-                b[32..36].copy_from_slice(&response_segment.to_le_bytes());
                 b[36..38].copy_from_slice(&want_qid.to_le_bytes());
+                OP_CREATE
             }
-            Request::DeleteQp {
-                qid,
-                response_segment,
-            } => {
-                b[8..12].copy_from_slice(&OP_DELETE.to_le_bytes());
+            Request::DeleteQp { qid } => {
                 b[12..14].copy_from_slice(&qid.to_le_bytes());
-                b[32..36].copy_from_slice(&response_segment.to_le_bytes());
+                OP_DELETE
             }
-            Request::Abort {
-                qid,
-                cid,
-                response_segment,
-            } => {
-                b[8..12].copy_from_slice(&OP_ABORT.to_le_bytes());
+            Request::Abort { qid, cid } => {
                 b[12..14].copy_from_slice(&qid.to_le_bytes());
                 b[14..16].copy_from_slice(&cid.to_le_bytes());
-                b[32..36].copy_from_slice(&response_segment.to_le_bytes());
+                OP_ABORT
             }
-            Request::Heartbeat { response_segment } => {
-                b[8..12].copy_from_slice(&OP_HEARTBEAT.to_le_bytes());
-                b[32..36].copy_from_slice(&response_segment.to_le_bytes());
-            }
-            Request::Reset { response_segment } => {
-                b[8..12].copy_from_slice(&OP_RESET.to_le_bytes());
-                b[32..36].copy_from_slice(&response_segment.to_le_bytes());
-            }
-        }
+            Request::Heartbeat => OP_HEARTBEAT,
+            Request::Reset => OP_RESET,
+        };
+        b[8..12].copy_from_slice(&op.to_le_bytes());
+        b[32..36].copy_from_slice(&self.response_segment.to_le_bytes());
         // The retry counter sits outside the torn-write guard: a torn
         // retry value can at worst trigger (or miss) one duplicate
         // response re-send, which is idempotent by construction.
@@ -205,7 +187,6 @@ impl SlotMessage {
             return None; // torn write in flight
         }
         let op = u32::from_le_bytes(b[8..12].try_into().unwrap());
-        let response_segment = u32::from_le_bytes(b[32..36].try_into().unwrap());
         let request = match op {
             OP_CREATE => {
                 let raw_iv = u16::from_le_bytes(b[14..16].try_into().unwrap());
@@ -213,49 +194,27 @@ impl SlotMessage {
                     entries: u16::from_le_bytes(b[12..14].try_into().unwrap()),
                     sq_bus: PhysAddr(u64::from_le_bytes(b[16..24].try_into().unwrap())),
                     cq_bus: PhysAddr(u64::from_le_bytes(b[24..32].try_into().unwrap())),
-                    response_segment,
                     iv: (raw_iv != 0xFFFF).then_some(raw_iv),
                     want_qid: u16::from_le_bytes(b[36..38].try_into().unwrap()),
                 }
             }
             OP_DELETE => Request::DeleteQp {
                 qid: u16::from_le_bytes(b[12..14].try_into().unwrap()),
-                response_segment,
             },
             OP_ABORT => Request::Abort {
                 qid: u16::from_le_bytes(b[12..14].try_into().unwrap()),
                 cid: u16::from_le_bytes(b[14..16].try_into().unwrap()),
-                response_segment,
             },
-            OP_HEARTBEAT => Request::Heartbeat { response_segment },
-            OP_RESET => Request::Reset { response_segment },
+            OP_HEARTBEAT => Request::Heartbeat,
+            OP_RESET => Request::Reset,
             _ => return None,
         };
-        let retry = u32::from_le_bytes(b[60..64].try_into().unwrap());
         Some(SlotMessage {
             seq,
-            retry,
+            retry: u32::from_le_bytes(b[60..64].try_into().unwrap()),
+            response_segment: u32::from_le_bytes(b[32..36].try_into().unwrap()),
             request,
         })
-    }
-}
-
-impl Request {
-    /// The response segment every request variant carries.
-    pub fn response_segment(&self) -> u32 {
-        match *self {
-            Request::CreateQp {
-                response_segment, ..
-            }
-            | Request::DeleteQp {
-                response_segment, ..
-            }
-            | Request::Abort {
-                response_segment, ..
-            }
-            | Request::Heartbeat { response_segment }
-            | Request::Reset { response_segment } => response_segment,
-        }
     }
 }
 
@@ -295,6 +254,21 @@ pub mod status {
 }
 
 impl Response {
+    /// A success naming `qid`; the manager stamps `seq` when it answers.
+    pub fn ok(qid: u16) -> Response {
+        Response::error(status::OK, qid)
+    }
+
+    /// An answer with status `status` naming `qid`, no flags, unstamped.
+    pub fn error(status: u32, qid: u16) -> Response {
+        Response {
+            seq: 0,
+            status,
+            qid,
+            flags: 0,
+        }
+    }
+
     /// Serialize to the response area layout.
     pub fn encode(&self) -> [u8; RESPONSE_LEN] {
         let mut b = [0u8; RESPONSE_LEN];
@@ -349,11 +323,11 @@ mod tests {
         let msg = SlotMessage {
             seq: 9,
             retry: 0,
+            response_segment: 12,
             request: Request::CreateQp {
                 entries: 256,
                 sq_bus: PhysAddr(0xDEAD_0000),
                 cq_bus: PhysAddr(0xBEEF_0000),
-                response_segment: 12,
                 iv: None,
                 want_qid: 0,
             },
@@ -362,11 +336,11 @@ mod tests {
         let msg_iv = SlotMessage {
             seq: 10,
             retry: 2,
+            response_segment: 3,
             request: Request::CreateQp {
                 entries: 8,
                 sq_bus: PhysAddr(1),
                 cq_bus: PhysAddr(2),
-                response_segment: 3,
                 iv: Some(7),
                 want_qid: 5,
             },
@@ -374,15 +348,44 @@ mod tests {
         assert_eq!(SlotMessage::decode(&msg_iv.encode()), Some(msg_iv));
     }
 
+    /// The slot bytes of one CreateQp, as the encoder that carried the
+    /// response segment inside every request variant wrote them: the
+    /// segment moved onto the message, the wire layout did not move.
+    #[test]
+    fn create_slot_bytes_are_pinned() {
+        let msg = SlotMessage {
+            seq: 9,
+            retry: 2,
+            response_segment: 12,
+            request: Request::CreateQp {
+                entries: 256,
+                sq_bus: PhysAddr(0xDEAD_0000),
+                cq_bus: PhysAddr(0xBEEF_0000),
+                iv: Some(7),
+                want_qid: 5,
+            },
+        };
+        let mut want = [0u8; MAILBOX_SLOT];
+        want[..38].copy_from_slice(&[
+            9, 0, 0, 0, 9, 0, 0, 0, // seq, written twice (torn-write guard)
+            1, 0, 0, 0, // OP_CREATE
+            0, 1, 7, 0, // entries = 256, iv = 7
+            0, 0, 0xAD, 0xDE, 0, 0, 0, 0, // sq_bus
+            0, 0, 0xEF, 0xBE, 0, 0, 0, 0, // cq_bus
+            12, 0, 0, 0, // response segment
+            5, 0, // want_qid
+        ]);
+        want[60..].copy_from_slice(&[2, 0, 0, 0]); // retry
+        assert_eq!(msg.encode(), want);
+    }
+
     #[test]
     fn delete_request_roundtrip() {
         let msg = SlotMessage {
             seq: 10,
             retry: 0,
-            request: Request::DeleteQp {
-                qid: 5,
-                response_segment: 12,
-            },
+            response_segment: 12,
+            request: Request::DeleteQp { qid: 5 },
         };
         assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
     }
@@ -393,22 +396,17 @@ mod tests {
             Request::Abort {
                 qid: 3,
                 cid: 0x1234,
-                response_segment: 9,
             },
-            Request::Heartbeat {
-                response_segment: 9,
-            },
-            Request::Reset {
-                response_segment: 9,
-            },
+            Request::Heartbeat,
+            Request::Reset,
         ] {
             let msg = SlotMessage {
                 seq: 21,
                 retry: 1,
+                response_segment: 9,
                 request: req,
             };
             assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
-            assert_eq!(req.response_segment(), 9);
         }
     }
 
@@ -417,10 +415,8 @@ mod tests {
         let msg = SlotMessage {
             seq: 3,
             retry: 0,
-            request: Request::DeleteQp {
-                qid: 1,
-                response_segment: 2,
-            },
+            response_segment: 2,
+            request: Request::DeleteQp { qid: 1 },
         };
         let mut raw = msg.encode();
         raw[0] = 0xFF; // seq words disagree

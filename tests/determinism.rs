@@ -146,8 +146,8 @@ fn fault_schedule_replays_bit_identically() {
         let calib = Calibration::fault_recovery();
         let plan = pcie::FaultPlan::parse("f1:drop@0/cqe").unwrap();
         let _armed = simcore::sanitize::arm();
-        let sc =
-            Scenario::build_with_faults(ScenarioKind::OursRemote { switches: 1 }, &calib, plan);
+        let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
+        sc.fabric.set_fault_plan(plan);
         let (host, dev) = sc.clients[0].clone();
         let fabric = sc.fabric.clone();
         sc.rt.block_on(async move {

@@ -230,11 +230,8 @@ fn dropped_cqe_recovers_through_the_abort_ladder() {
     use pcie::FaultPlan;
     let calib = Calibration::fault_recovery();
     let _armed = simcore::sanitize::arm();
-    let sc = Scenario::build_with_faults(
-        ScenarioKind::OursRemote { switches: 1 },
-        &calib,
-        FaultPlan::drop_nth_cqe(0),
-    );
+    let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
+    sc.fabric.set_fault_plan(FaultPlan::drop_nth_cqe(0));
     let (host, dev) = sc.clients[0].clone();
     let fabric = sc.fabric.clone();
     sc.rt.block_on(async move {
@@ -266,11 +263,8 @@ fn drop_first_cqe_on_two_rings(lanes: u64) -> (cluster::Scenario, Vec<Result<(),
     let mut calib = Calibration::fault_recovery();
     calib.client.num_qpairs = 2;
     calib.client.queue_depth = lanes as usize;
-    let sc = Scenario::build_with_faults(
-        ScenarioKind::OursRemote { switches: 1 },
-        &calib,
-        FaultPlan::drop_nth_cqe(0),
-    );
+    let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
+    sc.fabric.set_fault_plan(FaultPlan::drop_nth_cqe(0));
     let (host, dev) = sc.clients[0].clone();
     let fabric = sc.fabric.clone();
     let handle = sc.rt.handle();
@@ -428,13 +422,17 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
-#[test]
-fn crashed_client_is_reaped_and_its_qpairs_reused() {
-    // Lease protocol end-to-end: a client connects (heartbeating), does
-    // I/O, and crashes without disconnecting. The manager's reaper notices
-    // the silent lease, admin-deletes the client's queues, frees its qids
-    // and mailbox state, and purges its SmartIO footprint — so a second
-    // client can connect and be granted the very same queue pair.
+/// Three hosts on one switch, the controller in the third, and the lease
+/// and client deadlines the lease tests run with.
+fn lease_bed() -> (
+    SimRuntime,
+    Fabric,
+    Vec<HostId>,
+    SmartIo,
+    smartio::SmartDeviceId,
+    ManagerConfig,
+    ClientConfig,
+) {
     let rt = SimRuntime::new();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let sw = fabric.add_switch("sw");
@@ -462,27 +460,34 @@ fn crashed_client_is_reaped_and_its_qpairs_reused() {
     );
     let smartio = SmartIo::new(&fabric);
     let dev = smartio.register_device(ctrl.device_id()).unwrap();
-    let lease = SimDuration::from_micros(300);
+    let mgr_cfg = ManagerConfig {
+        lease: Some(SimDuration::from_micros(300)),
+        ..ManagerConfig::default()
+    };
     let client_cfg = ClientConfig {
         cmd_timeout: Some(SimDuration::from_micros(200)),
         mailbox_timeout: Some(SimDuration::from_micros(500)),
         ..ClientConfig::default()
     };
+    (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg)
+}
+
+#[test]
+fn crashed_client_is_reaped_and_its_qpairs_reused() {
+    // Lease protocol end-to-end: a client connects (heartbeating), does
+    // I/O, and crashes without disconnecting. The manager's reaper notices
+    // the silent lease, admin-deletes the client's queues, frees its qids
+    // and mailbox state, and purges its SmartIO footprint — so a second
+    // client can connect and be granted the very same queue pair.
+    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+    let lease = mgr_cfg.lease.unwrap();
     rt.block_on({
         let smartio = smartio.clone();
         let fabric = fabric.clone();
         async move {
-            let mgr = Manager::start(
-                &smartio,
-                dev,
-                dev_host,
-                ManagerConfig {
-                    lease: Some(lease),
-                    ..ManagerConfig::default()
-                },
-            )
-            .await
-            .unwrap();
+            let mgr = Manager::start(&smartio, dev, hosts[2], mgr_cfg)
+                .await
+                .unwrap();
             let a = ClientDriver::connect(&smartio, dev, hosts[0], client_cfg.clone())
                 .await
                 .unwrap();
@@ -518,6 +523,39 @@ fn crashed_client_is_reaped_and_its_qpairs_reused() {
 }
 
 #[test]
+fn a_connect_racing_the_lease_reaper_is_served() {
+    // Client A crashes; client B connects `offset` later, for offsets
+    // swept across the first reap after the crash. Wherever B's CreateQp
+    // lands — before, during or after the reaper admin-deletes A's queue —
+    // the manager serializes the two on its one admin queue: B connects,
+    // and nothing panics.
+    for step in 0..600u64 {
+        let offset = SimDuration::from_nanos(step * 1_500);
+        let world = std::panic::catch_unwind(|| {
+            let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+            rt.block_on(async move {
+                let _mgr = Manager::start(&smartio, dev, hosts[2], mgr_cfg)
+                    .await
+                    .unwrap();
+                ClientDriver::connect(&smartio, dev, hosts[0], client_cfg.clone())
+                    .await
+                    .unwrap();
+                fabric.crash_host_now(hosts[0]);
+                fabric.handle().sleep(offset).await;
+                ClientDriver::connect(&smartio, dev, hosts[1], client_cfg)
+                    .await
+                    .map(|_| ())
+            })
+        });
+        match world {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("B connecting {offset} after A's crash: {e}"),
+            Err(_) => panic!("B connecting {offset} after A's crash panicked"),
+        }
+    }
+}
+
+#[test]
 fn torn_slot_never_decodes() {
     // Property: flipping the first seq word of any valid message makes it
     // undecodable (the torn-write guard).
@@ -526,11 +564,11 @@ fn torn_slot_never_decodes() {
         let msg = SlotMessage {
             seq,
             retry: 0,
+            response_segment: 9,
             request: Request::CreateQp {
                 entries: 64,
                 sq_bus: pcie::PhysAddr(0x123),
                 cq_bus: pcie::PhysAddr(0x456),
-                response_segment: 9,
                 iv: None,
                 want_qid: 0,
             },
