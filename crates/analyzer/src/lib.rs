@@ -8,11 +8,11 @@
 //! [`ast`]) instead of regexes, so rules can reason about function
 //! bodies, call expressions, and statement order.
 //!
-//! The sixteen rules are the rows of one table, [`RULES`]: code,
+//! The thirteen rules are the rows of one table, [`RULES`]: code,
 //! one-line summary, `--explain` text, the paths the rule binds, and
 //! the runner that implements it (`dnvme-lint --explain Dxx` and the
 //! README table are the reader-facing views of it). Four families:
-//! line/syntax rules (D01–D05, D08, D10); the interval rule on the
+//! syntax rules (D03, D05, D08, D10); the interval rule on the
 //! [`dataflow`] def-use engine and its abstract values (D15, DESIGN
 //! §5.3); the rules on the [`interproc`] summary engine (D13's host tags,
 //! D19's lock order, with D07/D11/D17/D21 walking the same call graph,
@@ -22,10 +22,13 @@
 //! A rule exists only for what `rustc` and clippy cannot say: D06, D09,
 //! D12, D14 and D18 are retired because a private type, two
 //! `[workspace.lints]` lines and the fabric accessors' `PhysAddr`
-//! parameters reject the same code at `cargo build`; D16 because clippy's
-//! `await_holding_refcell_ref` sees every guard it saw and more; D25
-//! because D11 flags every site it flagged; D22 because it was silent on
-//! the one function that can store an SQE (README has the table).
+//! parameters reject the same code at `cargo build`; D02 because the
+//! offline `rand` has no entropy-seeded constructor to call; D01, D04 and
+//! D16 because clippy's `disallowed_methods`/`disallowed_types` (paths in
+//! the root `clippy.toml`) and `await_holding_refcell_ref` see every site
+//! they saw and more; D25 because D11 flags every site it flagged; D22
+//! because it was silent on the one function that can store an SQE
+//! (README has the table).
 //!
 //! A scan is one pass over its sources: every file is parsed once,
 //! every function gets one lazily-built fact set
@@ -35,14 +38,15 @@
 //! all findings — engine findings included — go through one
 //! suppression accounting.
 //!
-//! Suppression: an `// lint:allow(Dxx)` comment on the finding's line or
-//! the line directly above silences it; `analyzer.toml` at the workspace
-//! root allowlists paths per rule (`"*"` = every rule); a path covers
-//! itself and everything below it.
+//! Suppression is one mechanism: an `// lint:allow(Dxx)` comment on the
+//! finding's line or the line directly above silences it. A code in such
+//! a comment that silences nothing — stale, retired or mistyped — is
+//! itself reported, by every scan.
 //!
 //! The pass runs as the `dnvme-lint` binary (`cargo run -p analyzer`,
-//! exit 1 on findings, `--format github` for CI annotations) and as this
-//! crate's `workspace_is_clean` test, so plain `cargo test` gates it.
+//! exit 1 on findings or unused suppressions, `--format github` for CI
+//! annotations) and as this crate's `workspace_is_clean` test, so plain
+//! `cargo test` gates it.
 
 mod ast;
 pub(crate) mod cfg;
@@ -56,15 +60,12 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The sixteen lint rules (D06, D09, D12, D14, D16, D18, D20, D22 and
-/// D25 are retired; the other codes keep their names); `rule as usize`
-/// indexes [`RULES`].
+/// The thirteen lint rules (D01, D02, D04, D06, D09, D12, D14, D16, D18,
+/// D20, D22 and D25 are retired; the other codes keep their names);
+/// `rule as usize` indexes [`RULES`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Rule {
-    D01,
-    D02,
     D03,
-    D04,
     D05,
     D07,
     D08,
@@ -82,7 +83,7 @@ pub enum Rule {
 /// One row of the rule table.
 pub struct RuleInfo {
     pub rule: Rule,
-    /// The code used in reports, `analyzer.toml`, and `lint:allow(..)`.
+    /// The code used in reports and `lint:allow(..)`.
     pub code: &'static str,
     /// One-line description (reports, annotations, SARIF metadata).
     pub summary: &'static str,
@@ -102,8 +103,6 @@ enum Scope {
 
 /// How a rule is evaluated. Callbacks take 1-based lines.
 enum Runner {
-    /// Any of these tokens on a sanitized code line.
-    Patterns(&'static [&'static str]),
     /// A walk over the whole file's lines or token stream.
     File(fn(&Ast, &mut dyn FnMut(usize))),
     /// Per function, reading the scan's shared fact set.
@@ -128,42 +127,7 @@ const DF_SCOPE: [&str; 5] = [
 ];
 
 /// Every rule, in code order.
-pub static RULES: [RuleInfo; 16] = [
-    RuleInfo {
-        rule: Rule::D01,
-        code: "D01",
-        summary: "wall-clock time in simulation code (virtual clock only)",
-        explain: "D01 — wall-clock time in simulation code\n\n\
-                 Flags `std::time::Instant/SystemTime` (and friends) inside crates that run\n\
-                 under the discrete-event simulator. Sim time is the virtual clock; reading\n\
-                 the host clock makes traces non-reproducible.\n\n\
-                 Example:\n    let t0 = std::time::Instant::now();      // D01\n    \
-                 let t0 = ctx.now();                      // ok: virtual nanos\n\n\
-                 Suppress with `// lint:allow(D01)` on or above the line — justified only\n\
-                 in host-side tooling that never runs under the simulator.",
-        scope: Scope::Everywhere,
-        run: Runner::Patterns(&[
-            "std::time::Instant",
-            "std::time::SystemTime",
-            "std::thread::sleep",
-            "use std::time",
-        ]),
-    },
-    RuleInfo {
-        rule: Rule::D02,
-        code: "D02",
-        summary: "entropy-seeded RNG (streams must be seed-derived)",
-        explain: "D02 — entropy-seeded RNG\n\n\
-                 Flags RNG construction from OS entropy (`thread_rng`, `from_entropy`, ...).\n\
-                 Every random stream must derive from the run seed so a schedule token\n\
-                 replays byte-identically.\n\n\
-                 Example:\n    let mut rng = rand::thread_rng();        // D02\n    \
-                 let mut rng = ctx.rng_stream(\"arb\");     // ok: seed-derived\n\n\
-                 Suppress with `// lint:allow(D02)` — essentially never justified in\n\
-                 sim-visible code.",
-        scope: Scope::Everywhere,
-        run: Runner::Patterns(&["thread_rng", "from_entropy", "rand::random"]),
-    },
+pub static RULES: [RuleInfo; 13] = [
     RuleInfo {
         rule: Rule::D03,
         code: "D03",
@@ -174,30 +138,13 @@ pub static RULES: [RuleInfo; 16] = [
                  varies run to run — between two maps built in one process too — so it\n\
                  silently reorders events. The match is on tokens, so a rustfmt'd chain\n\
                  (`self\\n.leases\\n.borrow()\\n.iter()`) counts. Use `BTreeMap`/`BTreeSet`\n\
-                 or sort before iterating.\n\n\
+                 or sort before iterating. Only names bound to a map count, so a map a\n\
+                 method returns passes; clippy's `iter_over_hash_type`, denied in\n\
+                 the root manifest, sees every `for` loop over one by type.\n\n\
                  Suppress with `// lint:allow(D03)` when the loop provably folds into an\n\
                  order-insensitive value (a sum, a max).",
         scope: Scope::Everywhere,
         run: Runner::File(scan_d03),
-    },
-    RuleInfo {
-        rule: Rule::D04,
-        code: "D04",
-        summary: "OS thread / raw Mutex in DES-driven code",
-        explain: "D04 — OS thread / raw Mutex in DES-driven code\n\n\
-                 Flags `std::thread::spawn` and `std::sync::{Mutex,RwLock,Condvar}` in\n\
-                 simulator-scheduled crates. Real threads race the virtual clock; blocking\n\
-                 a reactor on a kernel mutex deadlocks the single-threaded scheduler.\n\
-                 Use simcore tasks and `RefCell`/`LocalKey` state instead.\n\n\
-                 Suppress with `// lint:allow(D04)` only in host-side harness code.",
-        scope: Scope::Everywhere,
-        run: Runner::Patterns(&[
-            "std::thread::spawn",
-            "thread::spawn(",
-            "thread::scope(",
-            "std::sync::Mutex",
-            "Mutex<",
-        ]),
     },
     RuleInfo {
         rule: Rule::D05,
@@ -390,7 +337,7 @@ impl Rule {
         &RULES[self as usize]
     }
 
-    /// The code used in reports, `analyzer.toml`, and `lint:allow(..)`.
+    /// The code used in reports and `lint:allow(..)`.
     pub fn code(self) -> &'static str {
         self.info().code
     }
@@ -509,8 +456,8 @@ fn json_escape(s: &str) -> String {
 
 /// Render a scan as a SARIF 2.1.0 report — the schema GitHub code
 /// scanning ingests, so findings surface in the Security tab and as PR
-/// check annotations. Strict-allow hits ride along under the synthetic
-/// rule id `strict-allow`. An empty scan still yields a valid report
+/// check annotations. Unused suppressions ride along under the synthetic
+/// rule id `unused-allow`. An empty scan still yields a valid report
 /// (one run, zero results): CI uploads it unconditionally.
 pub fn to_sarif(findings: &[Finding], unused: &[AllowFinding]) -> String {
     let mut rules = RULES
@@ -524,7 +471,7 @@ pub fn to_sarif(findings: &[Finding], unused: &[AllowFinding]) -> String {
         })
         .collect::<Vec<_>>();
     rules.push(
-        "{\"id\":\"strict-allow\",\"shortDescription\":{\"text\":\
+        "{\"id\":\"unused-allow\",\"shortDescription\":{\"text\":\
          \"suppression that suppresses nothing\"}}"
             .to_string(),
     );
@@ -543,7 +490,7 @@ pub fn to_sarif(findings: &[Finding], unused: &[AllowFinding]) -> String {
     results.extend(
         unused
             .iter()
-            .map(|u| sarif_result("strict-allow", &u.detail, &u.path, u.line.max(1), &[])),
+            .map(|u| sarif_result("unused-allow", &u.detail(), &u.path, u.line, &[])),
     );
     format!(
         "{{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
@@ -597,94 +544,8 @@ fn sarif_result(
 }
 
 // ---------------------------------------------------------------------
-// Configuration (analyzer.toml)
+// Token helpers (D03)
 // ---------------------------------------------------------------------
-
-/// Parsed `analyzer.toml`: per-rule path allowlist.
-#[derive(Default, Debug)]
-pub struct Config {
-    /// `(rule code or "*", path)` pairs.
-    allow: Vec<(String, String)>,
-}
-
-impl Config {
-    /// Minimal hand-rolled parse of the `[allow]` table:
-    /// `D03 = ["crates/bench", …]` entries, `#` comments, quoted keys.
-    pub fn parse(text: &str) -> Config {
-        let mut allow = Vec::new();
-        let mut in_allow = false;
-        for raw in text.lines() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                in_allow = line == "[allow]";
-                continue;
-            }
-            if !in_allow {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim().trim_start_matches('[').trim_end_matches(']');
-            for item in value.split(',') {
-                let pattern = item.trim().trim_matches('"');
-                if !pattern.is_empty() {
-                    allow.push((key.clone(), pattern.to_string()));
-                }
-            }
-        }
-        Config { allow }
-    }
-
-    /// Load `analyzer.toml` from the workspace root (absent = empty).
-    pub fn load(root: &Path) -> Config {
-        match fs::read_to_string(root.join("analyzer.toml")) {
-            Ok(text) => Config::parse(&text),
-            Err(_) => Config::default(),
-        }
-    }
-
-    /// Whether `rule` is allowlisted for the file at `rel`.
-    pub fn allows(&self, rule: Rule, rel: &str) -> bool {
-        self.allow
-            .iter()
-            .any(|(k, p)| (k == "*" || k == rule.code()) && path_matches(p, rel))
-    }
-}
-
-/// Whether the allowlist path covers `rel`: the path itself or anything
-/// below it — on component boundaries, so `crates/nvme` does NOT cover
-/// `crates/nvmeof`.
-pub fn path_matches(path: &str, rel: &str) -> bool {
-    rel == path || (rel.starts_with(path) && rel.as_bytes().get(path.len()) == Some(&b'/'))
-}
-
-// ---------------------------------------------------------------------
-// Pattern helpers (line and token rules)
-// ---------------------------------------------------------------------
-
-/// Whether `pat` occurs in `code` with no identifier character directly
-/// before it (so `Mutex<` does not match `FakeMutex<`).
-fn has_token(code: &str, pat: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(pat) {
-        let at = from + pos;
-        let bounded = at == 0
-            || !code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if bounded {
-            return true;
-        }
-        from = at + pat.len();
-    }
-    false
-}
 
 /// The name of the expression ending just before token `end`, once
 /// trailing pass-through calls (`.borrow()`, `.lock()`, …) are stripped:
@@ -876,19 +737,61 @@ pub(crate) struct SourceFile<'a> {
 /// every `lint:allow` code that suppressed nothing.
 pub struct SourceScan {
     pub findings: Vec<Finding>,
-    /// `(1-based line, rule code)` of each unused suppression.
-    pub unused_allows: Vec<(usize, String)>,
+    pub unused: Vec<AllowFinding>,
 }
 
-/// Scan one source text with the given rules. `lint:allow` suppressions
-/// apply; the `analyzer.toml` allowlist is the caller's concern.
+/// A `lint:allow` code that suppresses nothing. A stale one hides
+/// nothing today and will silently hide a real finding tomorrow; a
+/// retired or mistyped one was never honoured.
+#[derive(Clone, Debug)]
+pub struct AllowFinding {
+    /// Workspace-relative path, forward slashes.
+    pub path: String,
+    /// 1-based line of the comment.
+    pub line: usize,
+    pub code: String,
+}
+
+impl AllowFinding {
+    fn detail(&self) -> String {
+        let why = match explain(&self.code) {
+            Some(_) => "suppresses nothing",
+            None => "names no rule (retired or mistyped)",
+        };
+        format!("lint:allow({}) {why} — remove it", self.code)
+    }
+
+    /// GitHub Actions annotation line (see [`Finding::to_github_annotation`]).
+    pub fn to_github_annotation(&self) -> String {
+        format!(
+            "::error file={},line={},title=dnvme-lint unused-allow::{}",
+            self.path,
+            self.line,
+            self.detail()
+        )
+    }
+}
+
+impl fmt::Display for AllowFinding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unused-allow {}:{}: {}",
+            self.path,
+            self.line,
+            self.detail()
+        )
+    }
+}
+
+/// Scan one source text with the given rules; `lint:allow` suppressions
+/// apply.
 pub fn scan_source(rel: &str, text: &str, rules: &[Rule]) -> Vec<Finding> {
     scan_source_strict(rel, text, rules).findings
 }
 
 /// Like [`scan_source`], but also reports which suppression comments
-/// never fired — a stale `lint:allow` hides nothing today and will
-/// silently hide a real finding tomorrow.
+/// never fired.
 pub fn scan_source_strict(rel: &str, text: &str, rules: &[Rule]) -> SourceScan {
     scan_program(&[(rel, text, rules.to_vec())]).0.remove(0)
 }
@@ -1028,7 +931,7 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
             let inside = rest.split(')').next().unwrap_or("");
             // Anything shaped like a rule code is tracked. A retired or
             // mistyped code matches no finding, so it is never honoured
-            // and `--strict-allow` reports it; prose like
+            // and is reported as unused; prose like
             // `lint:allow(Dxx)` in docs is not a suppression.
             for code in inside
                 .split(|c: char| !c.is_ascii_alphanumeric())
@@ -1047,13 +950,6 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
     };
     for &rule in file.rules {
         match rule.info().run {
-            Runner::Patterns(pats) => {
-                for (idx, (code, _)) in lines.iter().enumerate() {
-                    if pats.iter().any(|p| has_token(code, p)) {
-                        rep.hit(rule, idx + 1, Vec::new());
-                    }
-                }
-            }
             Runner::File(run) => run(file.ast, &mut |line| {
                 rep.hit(rule, line, Vec::new());
             }),
@@ -1076,17 +972,21 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
         .sort_by(|a, b| (a.line, a.rule.code()).cmp(&(b.line, b.rule.code())));
     SourceScan {
         findings: rep.findings,
-        unused_allows: rep
+        unused: rep
             .sups
             .into_iter()
             .filter(|s| !s.2)
-            .map(|(line, code, _)| (line, code.to_string()))
+            .map(|(line, code, _)| AllowFinding {
+                path: file.rel.to_string(),
+                line,
+                code: code.to_string(),
+            })
             .collect(),
     }
 }
 
 // ---------------------------------------------------------------------
-// Line and syntax rules
+// Syntax rules
 // ---------------------------------------------------------------------
 
 /// D03: iteration over an identifier bound to a `HashMap`/`HashSet` (or
@@ -1439,15 +1339,21 @@ fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Every `.rs` source under `crates/`, `tests/` and `examples/` as
-/// `(workspace-relative path with forward slashes, text)`, in walk order.
+/// Every `.rs` source of the workspace members — each directory under
+/// `crates/` with a `Cargo.toml` of its own, plus the `tests/` and
+/// `examples/` they build — as `(workspace-relative path with forward
+/// slashes, text)`, in walk order. The workspace-excluded dependency
+/// shims have no manifest directly under `crates/` and are not walked.
 fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut members: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<io::Result<_>>()?;
+    members.retain(|dir| dir.join("Cargo.toml").is_file());
+    members.sort();
+    members.extend(["tests", "examples"].map(|top| root.join(top)));
     let mut paths = Vec::new();
-    for top in ["crates", "tests", "examples"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_sources(&dir, &mut paths)?;
-        }
+    for dir in members.iter().filter(|d| d.is_dir()) {
+        collect_sources(dir, &mut paths)?;
     }
     let mut files = Vec::new();
     for path in paths {
@@ -1476,134 +1382,30 @@ pub struct ScanStats {
     pub passes: usize,
 }
 
-/// Scan every workspace source ([`workspace_files`]), applying the
-/// per-path rule scopes and the `analyzer.toml` allowlist.
-pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    scan_workspace_stats(root).map(|(f, _)| f)
-}
-
-/// [`scan_workspace`] plus the scan counters. Allowlisted rules are
-/// switched off before the scan, and a file left with none is skipped.
-pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Finding>, ScanStats)> {
-    let config = Config::load(root);
-    let files = workspace_files(root)?;
-    let inputs: Vec<(&str, &str, Vec<Rule>)> = files
-        .iter()
-        .map(|(rel, text)| {
-            let mut rules = rules_for(rel);
-            rules.retain(|r| !config.allows(*r, rel));
-            (rel.as_str(), text.as_str(), rules)
-        })
-        .filter(|(_, _, rules)| !rules.is_empty())
-        .collect();
-    let (scans, stats) = scan_program(&inputs);
-    let files = files.len(); // the walk's count, rule-less files included
-    Ok((merge_findings(scans), ScanStats { files, ..stats }))
-}
-
-// ---------------------------------------------------------------------
-// Strict-allow mode
-// ---------------------------------------------------------------------
-
-/// One `--strict-allow` diagnostic: a suppression mechanism that hides
-/// nothing. `line` is 0 for `analyzer.toml` entries.
-#[derive(Clone, Debug)]
-pub struct AllowFinding {
-    pub path: String,
-    pub line: usize,
-    pub detail: String,
-}
-
-impl fmt::Display for AllowFinding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "strict-allow {}: {}", self.path, self.detail)
-        } else {
-            write!(
-                f,
-                "strict-allow {}:{}: {}",
-                self.path, self.line, self.detail
-            )
-        }
-    }
-}
-
-impl AllowFinding {
-    /// GitHub Actions annotation line (see [`Finding::to_github_annotation`]).
-    pub fn to_github_annotation(&self) -> String {
-        format!(
-            "::error file={},line={},title=dnvme-lint strict-allow::{}",
-            self.path,
-            self.line.max(1),
-            self.detail
-        )
-    }
-}
-
-/// The outcome of a strict scan: the ordinary findings, and every
-/// unused `lint:allow` comment and dead `analyzer.toml` entry.
-pub struct StrictReport {
+/// The outcome of a workspace scan.
+pub struct WorkspaceScan {
+    /// Sorted by `(path, line, rule)`.
     pub findings: Vec<Finding>,
+    /// Every `lint:allow` code that suppressed nothing, in walk order.
     pub unused: Vec<AllowFinding>,
+    pub stats: ScanStats,
 }
 
-/// Strict scan over in-memory `(path, text)` sources. Every file is
-/// scanned with its *full* rule set; an `analyzer.toml` entry is live
-/// only if it covers a finding that would otherwise be reported, so
-/// allowlist rot (an entry whose offending code was fixed or moved) is
-/// flagged the moment it happens.
-pub fn strict_scan_files(config: &Config, files: &[(String, String)]) -> StrictReport {
+/// Scan every workspace source ([`workspace_files`]) under the per-path
+/// rule scopes.
+pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
+    let files = workspace_files(root)?;
     let inputs: Vec<(&str, &str, Vec<Rule>)> = files
         .iter()
         .map(|(rel, text)| (rel.as_str(), text.as_str(), rules_for(rel)))
         .collect();
-    let mut used_entries = vec![false; config.allow.len()];
-    let mut findings = Vec::new();
-    let mut unused = Vec::new();
-    for ((rel, _), scan) in files.iter().zip(scan_program(&inputs).0) {
-        for (line, code) in scan.unused_allows {
-            let why = match explain(&code) {
-                Some(_) => "suppresses nothing",
-                None => "names no rule (retired or mistyped)",
-            };
-            unused.push(AllowFinding {
-                path: rel.clone(),
-                line,
-                detail: format!("lint:allow({code}) {why} — remove it"),
-            });
-        }
-        for f in scan.findings {
-            let mut covered = false;
-            for (i, (k, p)) in config.allow.iter().enumerate() {
-                if (k == "*" || k == f.rule.code()) && path_matches(p, &f.path) {
-                    used_entries[i] = true;
-                    covered = true;
-                }
-            }
-            if !covered {
-                findings.push(f);
-            }
-        }
-    }
-    for (i, (k, p)) in config.allow.iter().enumerate() {
-        if !used_entries[i] {
-            unused.push(AllowFinding {
-                path: "analyzer.toml".to_string(),
-                line: 0,
-                detail: format!("[allow] entry {k} = {p:?} covers no finding — remove it"),
-            });
-        }
-    }
-    StrictReport { findings, unused }
-}
-
-/// [`strict_scan_files`] over the workspace tree (same walk as
-/// [`scan_workspace`]).
-pub fn scan_workspace_strict(root: &Path) -> io::Result<StrictReport> {
-    Ok(strict_scan_files(
-        &Config::load(root),
-        &workspace_files(root)?,
-    ))
+    let (mut scans, stats) = scan_program(&inputs);
+    let unused = scans.iter_mut().flat_map(|s| s.unused.drain(..)).collect();
+    Ok(WorkspaceScan {
+        findings: merge_findings(scans),
+        unused,
+        stats,
+    })
 }
 
 #[cfg(test)]
@@ -1670,7 +1472,8 @@ mod tests {
             assert!(text.starts_with(&format!("D{row} — ")), "{text}");
         }
         for gone in [
-            "D06", "D09", "D12", "D14", "D16", "D18", "D20", "D22", "D25", "D26",
+            "D01", "D02", "D04", "D06", "D09", "D12", "D14", "D16", "D18", "D20", "D22", "D25",
+            "D26",
         ] {
             assert!(explain(gone).is_none(), "{gone} is not a rule");
         }
@@ -1681,49 +1484,27 @@ mod tests {
     /// mid-rotation and every scan would pay the cap's passes).
     #[test]
     fn workspace_fixpoint_converges_below_the_pass_cap() {
-        let (_, stats) = scan_workspace_stats(&workspace_root()).expect("workspace scan");
+        let stats = scan_workspace(&workspace_root())
+            .expect("workspace scan")
+            .stats;
         assert!(stats.summaries > 0, "the engine ran: {stats:?}");
         assert!(stats.passes < interproc::PASS_CAP, "{stats:?}");
     }
 
-    /// Tier-1 gate: the workspace must be lint-clean.
+    /// Tier-1 gate: the workspace must be lint-clean — no finding, and no
+    /// `lint:allow` that suppresses nothing.
     #[test]
     fn workspace_is_clean() {
-        let findings = scan_workspace(&workspace_root()).expect("workspace scan");
+        let scan = scan_workspace(&workspace_root()).expect("workspace scan");
+        let report: Vec<String> = (scan.findings.iter().map(|f| f.to_string()))
+            .chain(scan.unused.iter().map(|u| u.to_string()))
+            .collect();
         assert!(
-            findings.is_empty(),
-            "dnvme-lint found {} issue(s):\n{}",
-            findings.len(),
-            findings
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
-
-    /// Tier-1 gate for `--strict-allow`: no stale `lint:allow` comments,
-    /// no dead `analyzer.toml` entries.
-    #[test]
-    fn workspace_is_strict_allow_clean() {
-        let report = scan_workspace_strict(&workspace_root()).expect("strict scan");
-        assert!(
-            report.findings.is_empty() && report.unused.is_empty(),
-            "dnvme-lint --strict-allow found {} finding(s), {} unused suppression(s):\n{}\n{}",
-            report.findings.len(),
-            report.unused.len(),
-            report
-                .findings
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-            report
-                .unused
-                .iter()
-                .map(|u| u.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
+            report.is_empty(),
+            "dnvme-lint found {} finding(s), {} unused suppression(s):\n{}",
+            scan.findings.len(),
+            scan.unused.len(),
+            report.join("\n")
         );
     }
 
@@ -1736,7 +1517,7 @@ mod tests {
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/core/tests/dnvme_e2e.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D05));
-        assert!(rules_for("tests/full_stack.rs").contains(&Rule::D01));
+        assert!(rules_for("tests/model_check.rs").contains(&Rule::D03));
         // D07 binds the client/engine I/O paths only; D08/D10 apply
         // everywhere.
         assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D07));
@@ -1784,24 +1565,22 @@ mod tests {
 
     #[test]
     fn sarif_report_is_well_formed() {
-        let findings = scan_source(
+        let scan = scan_source_strict(
             "crates/fixture/src/lib.rs",
-            "use std::time::Instant; // says \"now\"\n",
-            &[Rule::D01],
+            "let m = HashMap::new(); // lint:allow(D05)\n\
+             for k in m.keys() { log(\"now\", k); }\n",
+            &[Rule::D03, Rule::D05],
         );
-        assert_eq!(findings.len(), 1);
-        let unused = vec![AllowFinding {
-            path: "analyzer.toml".to_string(),
-            line: 0,
-            detail: "dead entry".to_string(),
-        }];
-        let sarif = to_sarif(&findings, &unused);
+        assert_eq!(scan.findings.len(), 1);
+        assert_eq!(scan.unused.len(), 1);
+        let sarif = to_sarif(&scan.findings, &scan.unused);
         assert!(sarif.contains("\"version\":\"2.1.0\""));
         assert!(sarif.contains("\"name\":\"dnvme-lint\""));
-        assert!(sarif.contains("\"ruleId\":\"D01\""));
-        assert!(sarif.contains("\"ruleId\":\"strict-allow\""));
+        assert!(sarif.contains("\"ruleId\":\"D03\""));
+        assert!(sarif.contains("\"ruleId\":\"unused-allow\""));
         assert!(sarif.contains("\"uri\":\"crates/fixture/src/lib.rs\""));
         assert!(sarif.contains("\"startLine\":1"));
+        assert!(sarif.contains("\"startLine\":2"));
         // Every rule is declared, and the excerpt's quotes are escaped.
         for r in &RULES {
             assert!(sarif.contains(&format!("\"id\":\"{}\"", r.code)));
@@ -1823,25 +1602,5 @@ mod tests {
         }
         assert_eq!(depth, 0);
         assert!(!in_str);
-    }
-
-    #[test]
-    fn config_allowlist_parses_and_matches() {
-        let cfg = Config::parse(
-            "# comment\n[allow]\nD01 = [\"crates/bench\"]\n\"*\" = [\"crates/shims\"]\n",
-        );
-        assert!(cfg.allows(Rule::D01, "crates/bench/src/lib.rs"));
-        assert!(!cfg.allows(Rule::D02, "crates/bench/src/lib.rs"));
-        assert!(cfg.allows(Rule::D04, "crates/shims/parking_lot/src/lib.rs"));
-    }
-
-    #[test]
-    fn allowlist_matches_on_component_boundaries_not_substrings() {
-        // The historic bug: a `crates/nvme` entry must not bleed into
-        // `crates/nvmeof`.
-        let cfg = Config::parse("[allow]\nD03 = [\"crates/nvme\"]\n");
-        assert!(cfg.allows(Rule::D03, "crates/nvme/src/engine.rs"));
-        assert!(cfg.allows(Rule::D03, "crates/nvme"));
-        assert!(!cfg.allows(Rule::D03, "crates/nvmeof/src/target.rs"));
     }
 }

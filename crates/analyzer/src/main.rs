@@ -1,15 +1,13 @@
 //! `dnvme-lint`: run the determinism/protocol lint pass over the
-//! workspace and exit non-zero on findings. The rules are the rows of
-//! `analyzer::RULES`; `analyzer.toml` at the workspace root holds the
-//! allowlist.
+//! workspace members and exit non-zero on findings or on `lint:allow`
+//! comments that suppress nothing (stale, retired or mistyped codes).
+//! The rules are the rows of `analyzer::RULES`; an inline `lint:allow`
+//! is the only suppression.
 //!
 //! `--format github` switches the report to GitHub Actions annotation
 //! lines (`::error file=…,line=…::…`) so findings surface inline on PRs.
 //! `--format sarif` emits a SARIF 2.1.0 report on stdout (empty scans
 //! included) for the code-scanning upload.
-//! `--strict-allow` (on in CI) additionally fails on suppressions that
-//! suppress nothing: stale `lint:allow` comments and dead `analyzer.toml`
-//! allowlist entries.
 //! `--bench` re-runs the scan once more under a wall-clock timer and
 //! rewrites `BENCH_lint.json` at the workspace root; CI diffs the
 //! committed copy (ignoring `wall_ms`) so rule-count and finding-count
@@ -27,7 +25,6 @@ enum Format {
 
 struct Options {
     format: Format,
-    strict_allow: bool,
     bench: bool,
     explain: Option<String>,
 }
@@ -35,7 +32,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         format: Format::Text,
-        strict_allow: false,
         bench: false,
         explain: None,
     };
@@ -48,7 +44,6 @@ fn parse_args() -> Result<Options, String> {
                 Some("sarif") => opts.format = Format::Sarif,
                 other => return Err(format!("--format expects text|github|sarif, got {other:?}")),
             },
-            "--strict-allow" => opts.strict_allow = true,
             "--bench" => opts.bench = true,
             "--explain" => match args.next() {
                 Some(rule) => opts.explain = Some(rule),
@@ -56,8 +51,7 @@ fn parse_args() -> Result<Options, String> {
             },
             "--help" | "-h" => {
                 return Err(
-                    "usage: dnvme-lint [--format text|github|sarif] [--strict-allow] [--bench] \
-                     [--explain <rule>]"
+                    "usage: dnvme-lint [--format text|github|sarif] [--bench] [--explain <rule>]"
                         .to_string(),
                 );
             }
@@ -71,9 +65,14 @@ fn parse_args() -> Result<Options, String> {
 /// root. The file is the canonical self-benchmark: everything in it but
 /// `wall_ms` must be byte-stable run to run.
 fn write_bench(root: &std::path::Path) -> std::io::Result<()> {
-    // lint:allow(D01) — host wall-clock benchmark of the linter itself
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock benchmark of the linter itself"
+    )]
     let t0 = std::time::Instant::now();
-    let (findings, stats) = analyzer::scan_workspace_stats(root)?;
+    let analyzer::WorkspaceScan {
+        findings, stats, ..
+    } = analyzer::scan_workspace(root)?;
     let wall_ms = t0.elapsed().as_millis();
     let json = format!(
         "{{\n  \"rules\": {},\n  \"files_scanned\": {},\n  \"findings\": {},\n  \
@@ -120,13 +119,8 @@ fn main() -> ExitCode {
         };
     }
     let root = analyzer::workspace_root();
-    let scanned = if opts.strict_allow {
-        analyzer::scan_workspace_strict(&root).map(|r| (r.findings, r.unused))
-    } else {
-        analyzer::scan_workspace(&root).map(|f| (f, Vec::new()))
-    };
-    let (findings, unused) = match scanned {
-        Ok(scan) => scan,
+    let (findings, unused) = match analyzer::scan_workspace(&root) {
+        Ok(scan) => (scan.findings, scan.unused),
         Err(e) => {
             eprintln!("dnvme-lint: failed to scan {}: {e}", root.display());
             return ExitCode::FAILURE;
@@ -153,14 +147,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if findings.is_empty() && unused.is_empty() {
-        println!(
-            "dnvme-lint: workspace clean{}",
-            if opts.strict_allow {
-                " (strict-allow)"
-            } else {
-                ""
-            }
-        );
+        println!("dnvme-lint: workspace clean");
         return ExitCode::SUCCESS;
     }
     for f in &findings {

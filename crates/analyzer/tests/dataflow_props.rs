@@ -354,9 +354,6 @@ fn full_scan_fingerprint_is_stable() {
     };
     let a = analyzer::scan_workspace(&root).expect("first scan");
     let b = analyzer::scan_workspace(&root).expect("second scan");
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-    let sa = analyzer::scan_workspace_strict(&root).expect("first strict scan");
-    let sb = analyzer::scan_workspace_strict(&root).expect("second strict scan");
-    assert_eq!(fingerprint(&sa.findings), fingerprint(&sb.findings));
-    assert_eq!(sa.unused.len(), sb.unused.len());
+    assert_eq!(fingerprint(&a.findings), fingerprint(&b.findings));
+    assert_eq!(a.unused.len(), b.unused.len());
 }

@@ -1,7 +1,7 @@
 //! Per-rule fixture snippets: every rule has a must-trigger case, a
 //! must-not-trigger case, and a `// lint:allow(Dxx)` suppression case.
 
-use analyzer::{scan_source, Finding, Rule};
+use analyzer::{scan_source, scan_source_strict, Finding, Rule, SourceScan};
 
 fn codes(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule.code()).collect()
@@ -11,51 +11,12 @@ fn scan(src: &str, rules: &[Rule]) -> Vec<Finding> {
     scan_source("crates/fixture/src/lib.rs", src, rules)
 }
 
-// ------------------------------------------------------------------ D01
-
-#[test]
-fn d01_flags_wallclock_time() {
-    let src = "use std::time::Instant;\nfn f() -> Instant { Instant::now() }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D01])), ["D01"]);
-    let src = "fn nap() { std::thread::sleep(d); }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D01])), ["D01"]);
-}
-
-#[test]
-fn d01_ignores_virtual_time() {
-    let src = "async fn nap(h: &Handle) { h.sleep(SimDuration::from_micros(5)).await; }\n\
-               fn now(h: &Handle) -> SimTime { h.now() }\n";
-    assert!(scan(src, &[Rule::D01]).is_empty());
-}
-
-#[test]
-fn d01_suppressed_inline_and_line_above() {
-    let src = "use std::time::Instant; // lint:allow(D01) — host-side profiling\n";
-    assert!(scan(src, &[Rule::D01]).is_empty());
-    let src = "// lint:allow(D01)\nuse std::time::SystemTime;\n";
-    assert!(scan(src, &[Rule::D01]).is_empty());
-}
-
-// ------------------------------------------------------------------ D02
-
-#[test]
-fn d02_flags_entropy_seeded_rng() {
-    let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D02])), ["D02"]);
-    let src = "let rng = SmallRng::from_entropy();\n";
-    assert_eq!(codes(&scan(src, &[Rule::D02])), ["D02"]);
-}
-
-#[test]
-fn d02_ignores_seeded_rng() {
-    let src = "let rng = SmallRng::seed_from_u64(0x5EED);\n";
-    assert!(scan(src, &[Rule::D02]).is_empty());
-}
-
-#[test]
-fn d02_suppression() {
-    let src = "let mut rng = rand::thread_rng(); // lint:allow(D02)\n";
-    assert!(scan(src, &[Rule::D02]).is_empty());
+/// `(line, code)` of each suppression that suppressed nothing.
+fn unused(scan: &SourceScan) -> Vec<(usize, &str)> {
+    scan.unused
+        .iter()
+        .map(|u| (u.line, u.code.as_str()))
+        .collect()
 }
 
 // ------------------------------------------------------------------ D03
@@ -122,36 +83,31 @@ fn d03_ignores_btreemap_and_keyed_access() {
 }
 
 #[test]
+fn d03_is_silent_on_a_map_reached_through_a_getter() {
+    // D03 matches the names bound to a map, so a walk over a method's
+    // return value passes it. Clippy's type-based `iter_over_hash_type`,
+    // denied in the root manifest, is the gate for this `for` loop.
+    let src = "use std::collections::HashMap;\n\
+               struct S { t: HashMap<u32, u32> }\n\
+               impl S {\n\
+                   fn table(&self) -> &HashMap<u32, u32> { &self.t }\n\
+                   fn walk(&self) { for (k, _) in self.table() { emit(*k); } }\n\
+               }\n";
+    assert!(scan(src, &[Rule::D03]).is_empty());
+    let manifest = std::fs::read_to_string(analyzer::workspace_root().join("Cargo.toml"))
+        .expect("root Cargo.toml");
+    assert!(
+        manifest.contains("\niter_over_hash_type = \"deny\"\n"),
+        "clippy's iter_over_hash_type must be denied"
+    );
+}
+
+#[test]
 fn d03_suppression() {
     let src = "let m = HashMap::new();\n\
                // lint:allow(D03) — results are sorted right after\n\
                let mut v: Vec<_> = m.keys().collect();\n";
     assert!(scan(src, &[Rule::D03]).is_empty());
-}
-
-// ------------------------------------------------------------------ D04
-
-#[test]
-fn d04_flags_threads_and_mutexes() {
-    let src = "fn f() { std::thread::spawn(move || {}); }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D04])), ["D04"]);
-    let src = "use std::sync::Mutex;\n";
-    assert_eq!(codes(&scan(src, &[Rule::D04])), ["D04"]);
-    let src = "struct Q { ready: Mutex<VecDeque<u64>> }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D04])), ["D04"]);
-}
-
-#[test]
-fn d04_ignores_des_spawn_and_refcell() {
-    let src = "fn f(h: &Handle) { h.spawn(async move {}); }\n\
-               struct S { state: RefCell<State> }\n";
-    assert!(scan(src, &[Rule::D04]).is_empty());
-}
-
-#[test]
-fn d04_suppression() {
-    let src = "use std::sync::{Arc, Mutex}; // lint:allow(D04) — waker must be Send\n";
-    assert!(scan(src, &[Rule::D04]).is_empty());
 }
 
 // ------------------------------------------------------------------ D05
@@ -694,94 +650,75 @@ fn d17_suppression() {
 
 #[test]
 fn patterns_inside_strings_and_comments_do_not_trigger() {
-    let src = "// std::thread::sleep would break the virtual clock\n\
-               /* thread_rng() is banned */\n\
-               let msg = \"no std::time::Instant in sim code\";\n\
-               let raw = r#\"Mutex<VecDeque<TaskId>>\"#;\n";
-    assert!(scan(src, &[Rule::D01, Rule::D02, Rule::D04]).is_empty());
+    let src = "let m: HashMap<u32, u32> = HashMap::new();\n\
+               // for k in m.keys() would walk in hasher order\n\
+               /* m.iter() is banned */\n\
+               let msg = \"no m.values() in sim code\";\n\
+               let raw = r#\"fabric.mem_read(h, a, &mut b).unwrap()\"#;\n";
+    assert!(scan(src, &[Rule::D03, Rule::D05]).is_empty());
 }
 
 #[test]
 fn findings_carry_location_and_excerpt() {
-    let src = "fn ok() {}\nuse std::time::Instant;\n";
-    let f = scan(src, &[Rule::D01]);
+    let src = "fn ok() {}\nlet r = fabric.mem_read(h, a, &mut b).unwrap();\n";
+    let f = scan(src, &[Rule::D05]);
     assert_eq!(f.len(), 1);
     assert_eq!(f[0].line, 2);
-    assert!(f[0].excerpt.contains("std::time::Instant"));
+    assert!(f[0].excerpt.contains("fabric.mem_read"));
     assert!(f[0].to_string().contains("crates/fixture/src/lib.rs:2"));
 }
 
-// ----------------------------------------------------- strict-allow mode
+// ----------------------------------------------------- unused suppressions
+//
+// Every scan reports a `lint:allow` code that suppresses nothing.
 
 #[test]
 fn strict_allow_flags_unused_suppression() {
     // A suppression on a line where nothing fires is dead weight.
     let src = "fn f() {\n\
-                   let x = 1; // lint:allow(D04)\n\
+                   let x = 1; // lint:allow(D05)\n\
                    x\n\
                }\n";
-    let scan = analyzer::scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D04]);
+    let scan = scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D05]);
     assert!(scan.findings.is_empty());
-    assert_eq!(scan.unused_allows, vec![(2, "D04".to_string())]);
+    assert_eq!(unused(&scan), [(2, "D05")]);
 }
 
 #[test]
 fn strict_allow_accepts_working_suppression() {
-    let src = "// lint:allow(D04) — intentional\n\
-               static Q: Mutex<u32> = Mutex::new(0);\n";
-    let scan = analyzer::scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D04]);
+    let src = "// lint:allow(D05) — intentional\n\
+               let r = fabric.mem_read(h, a, &mut b).unwrap();\n";
+    let scan = scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D05]);
     assert!(scan.findings.is_empty());
-    assert!(scan.unused_allows.is_empty());
+    assert!(scan.unused.is_empty());
 }
 
 #[test]
 fn strict_allow_ignores_prose_placeholders() {
     // `Dxx` in documentation is not a rule code and must not be flagged.
     let src = "//! Suppress with a `// lint:allow(Dxx)` comment.\nfn f() {}\n";
-    let scan = analyzer::scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D04]);
-    assert!(scan.unused_allows.is_empty());
+    let scan = scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D05]);
+    assert!(scan.unused.is_empty());
 }
 
 #[test]
 fn strict_allow_reports_each_code_of_a_multi_code_comment() {
-    // D04 fires on the next line, D01 never does: only D01 is unused.
-    let src = "// lint:allow(D04, D01)\n\
-               static Q: Mutex<u32> = Mutex::new(0);\n";
-    let scan =
-        analyzer::scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D01, Rule::D04]);
+    // D05 fires on the next line, D03 never does: only D03 is unused.
+    let src = "// lint:allow(D05, D03)\n\
+               let r = fabric.mem_read(h, a, &mut b).unwrap();\n";
+    let scan = scan_source_strict("crates/fixture/src/lib.rs", src, &[Rule::D03, Rule::D05]);
     assert!(scan.findings.is_empty());
-    assert_eq!(scan.unused_allows, vec![(1, "D01".to_string())]);
-}
-
-#[test]
-fn strict_allow_flags_dead_config_entries() {
-    // One live entry (covers a real D04 finding) and one dead glob.
-    let config = analyzer::Config::parse(
-        "[allow]\nD04 = [\"crates/fixture\"]\nD01 = [\"crates/ghost/**\"]\n",
-    );
-    let files = vec![(
-        "crates/fixture/src/lib.rs".to_string(),
-        "static Q: Mutex<u32> = Mutex::new(0);\n".to_string(),
-    )];
-    let report = analyzer::strict_scan_files(&config, &files);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.unused.len(), 1, "{:?}", report.unused);
-    assert_eq!(report.unused[0].path, "analyzer.toml");
-    assert!(report.unused[0].detail.contains("crates/ghost/**"));
-    assert!(report.unused[0].detail.contains("D01"));
+    assert_eq!(unused(&scan), [(1, "D03")]);
 }
 
 #[test]
 fn strict_allow_findings_survive_uncovered() {
-    // A finding with no covering entry still reports in strict mode.
-    let config = analyzer::Config::parse("[allow]\n");
-    let files = vec![(
-        "crates/fixture/src/lib.rs".to_string(),
-        "static Q: Mutex<u32> = Mutex::new(0);\n".to_string(),
-    )];
-    let report = analyzer::strict_scan_files(&config, &files);
-    assert_eq!(codes(&report.findings), vec!["D04"]);
-    assert!(report.unused.is_empty());
+    // A finding with no covering suppression still reports beside the
+    // suppression accounting.
+    let src = "let r = fabric.mem_read(h, a, &mut b).unwrap();\n";
+    let scan = scan_source_strict("crates/core/src/fixture.rs", src, &[Rule::D05]);
+    assert_eq!(codes(&scan.findings), vec!["D05"]);
+    assert!(scan.unused.is_empty());
 }
 
 #[test]
@@ -796,10 +733,10 @@ fn two_code_allow_suppresses_both_findings() {
                    fabric.mem_write(host_b, slot, &sqe.encode());\n\
                    Ok(())\n\
                }\n";
-    let files = vec![("crates/nvme/src/fixture.rs".to_string(), src.to_string())];
-    let report = analyzer::strict_scan_files(&analyzer::Config::parse("[allow]\n"), &files);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert!(report.unused.is_empty(), "{:?}", report.unused);
+    let rel = "crates/nvme/src/fixture.rs";
+    let scan = scan_source_strict(rel, src, &analyzer::rules_for(rel));
+    assert!(scan.findings.is_empty(), "{:?}", scan.findings);
+    assert!(scan.unused.is_empty(), "{:?}", scan.unused);
 }
 
 // ----------------------------------------------------- retired codes
@@ -807,37 +744,50 @@ fn two_code_allow_suppresses_both_findings() {
 // D06, D09, D12, D14 and D18 guard nothing any more — rustc rejects the
 // code they flagged (README, "retired — enforced by"; the witnesses are
 // the `compile_fail` doctests on `Fabric::dma_write` and `nvme::engine`
-// and `workspace_lints_cover_the_retired_rules` below). D16 is clippy's
-// `await_holding_refcell_ref`, denied in the same manifest table; D25's
-// sites are D11's; D22 never saw the one function that stores an SQE.
-// What is left to pin per code is the opposite of the old suppression
-// fixture: its `lint:allow` names no rule, so it is never honoured
-// silently — `--strict-allow` reports the comment, and an `analyzer.toml`
-// entry under the code is a dead entry.
+// and `workspace_lints_cover_the_retired_rules` below). D02's calls do
+// not exist in the offline `rand` (the `compile_fail` doctests in
+// `simcore::rng`). D01, D04 and D16 are clippy's `disallowed_methods`,
+// `disallowed_types` and `await_holding_refcell_ref`, denied in the same
+// manifest; D25's sites are D11's; D22 never saw the one function that
+// stores an SQE. What is left to pin per code is the opposite of the old
+// suppression fixture: its `lint:allow` names no rule, so it is never
+// honoured silently — the scan reports the comment.
 
 /// Each `(line of the comment, source)` is a former suppression fixture.
 fn assert_retired(code: &str, sources: &[(usize, &str)]) {
     assert!(analyzer::explain(code).is_none(), "{code} is still a rule");
-    let config = analyzer::Config::parse(&format!("[allow]\n{code} = [\"crates/nvme\"]\n"));
+    let rel = "crates/nvme/src/fixture.rs";
     for &(line, src) in sources {
-        let files = vec![("crates/nvme/src/fixture.rs".to_string(), src.to_string())];
-        let report = analyzer::strict_scan_files(&config, &files);
-        let unused: Vec<String> = report.unused.iter().map(|u| u.to_string()).collect();
+        let scan = scan_source_strict(rel, src, &analyzer::rules_for(rel));
+        let unused: Vec<String> = scan.unused.iter().map(|u| u.to_string()).collect();
         assert_eq!(
             unused,
-            [
-                format!(
-                    "strict-allow crates/nvme/src/fixture.rs:{line}: lint:allow({code}) names \
-                     no rule (retired or mistyped) — remove it"
-                ),
-                format!(
-                    "strict-allow analyzer.toml: [allow] entry {code} = \"crates/nvme\" covers \
-                     no finding — remove it"
-                ),
-            ],
+            [format!(
+                "unused-allow {rel}:{line}: lint:allow({code}) names no rule (retired or \
+                 mistyped) — remove it"
+            )],
             "{src}"
         );
     }
+}
+
+#[test]
+fn d01_suppressed_inline_and_line_above() {
+    let inline = "use std::time::Instant; // lint:allow(D01) — host-side profiling\n";
+    let above = "// lint:allow(D01)\nuse std::time::SystemTime;\n";
+    assert_retired("D01", &[(1, inline), (1, above)]);
+}
+
+#[test]
+fn d02_suppression() {
+    let src = "let mut rng = rand::thread_rng(); // lint:allow(D02)\n";
+    assert_retired("D02", &[(1, src)]);
+}
+
+#[test]
+fn d04_suppression() {
+    let src = "use std::sync::{Arc, Mutex}; // lint:allow(D04) — waker must be Send\n";
+    assert_retired("D04", &[(1, src)]);
 }
 
 #[test]
@@ -927,14 +877,41 @@ fn d18_suppression() {
     assert_retired("D18", &[(7, src)]);
 }
 
-/// The three retired rules that became workspace lints are only as good
-/// as the manifests: the root tables must carry them at a level no
-/// attribute can lower (`forbid`) or that fails the build (`deny`, for
-/// clippy under CI's `cargo clippy`), and every member must inherit the
-/// tables — a new crate cannot opt out by leaving `[lints]` off. `deny`
-/// can be lowered, though, so no member's `src` may name the clippy lint
-/// in an attribute: a local allow is how two tasks once held one
-/// `RefCell` across awaits unreported.
+/// Every attribute (`#[…]`, `#![…]`) in `text`, whitespace removed.
+fn attributes(text: &str) -> Vec<String> {
+    let b = text.as_bytes();
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices('#') {
+        let open = at + 1 + usize::from(b.get(at + 1) == Some(&b'!'));
+        if b.get(open) != Some(&b'[') {
+            continue;
+        }
+        let mut depth = 0;
+        let close = (open..b.len()).find(|&k| {
+            match b[k] {
+                b'[' => depth += 1,
+                b']' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        });
+        let end = close.map_or(text.len(), |k| k + 1);
+        out.push(text[at..end].split_whitespace().collect());
+    }
+    out
+}
+
+/// The retired rules that became workspace lints are only as good as the
+/// manifests: the root tables must carry them at a level no attribute can
+/// lower (`forbid`) or that fails the build (`deny`, for clippy under
+/// CI's `cargo clippy`), `clippy.toml` must list what D01 and D04 flagged,
+/// and every member must inherit the tables — a new crate cannot opt out
+/// by leaving `[lints]` off. `deny` can be lowered, though: no member's
+/// `src` may name `await_holding_refcell_ref` at all (a local allow is how
+/// two tasks once held one `RefCell` across awaits unreported), and an
+/// attribute naming `disallowed_methods`/`disallowed_types` anywhere in a
+/// member must be an `expect` with a reason, which fails `-D warnings`
+/// once the site it excuses is gone.
 #[test]
 fn workspace_lints_cover_the_retired_rules() {
     let root = analyzer::workspace_root();
@@ -959,6 +936,9 @@ fn workspace_lints_cover_the_retired_rules() {
             "[workspace.lints.clippy]",
             "await_holding_refcell_ref = \"deny\"",
         ),
+        ("[workspace.lints.clippy]", "disallowed_methods = \"deny\""),
+        ("[workspace.lints.clippy]", "disallowed_types = \"deny\""),
+        ("[workspace.lints.clippy]", "iter_over_hash_type = \"deny\""),
     ] {
         let lints = table(&manifest, header);
         assert!(
@@ -966,7 +946,47 @@ fn workspace_lints_cover_the_retired_rules() {
             "root manifest lacks `{want}` under {header}: {lints:?}"
         );
     }
+    let clippy = read(root.join("clippy.toml"));
+    let (methods, types) = clippy
+        .split_once("\ndisallowed-types = [")
+        .expect("clippy.toml lists disallowed-types");
+    let methods = methods
+        .split_once("\ndisallowed-methods = [")
+        .expect("clippy.toml lists disallowed-methods")
+        .1;
+    for (list, paths) in [
+        (
+            methods,
+            &[
+                "std::time::Instant::now",
+                "std::time::SystemTime::now",
+                "std::time::SystemTime::elapsed",
+                "std::thread::sleep",
+                "std::thread::spawn",
+                "std::thread::scope",
+                "std::thread::Builder::spawn",
+            ][..],
+        ),
+        (
+            types,
+            &[
+                "std::sync::Mutex",
+                "std::sync::RwLock",
+                "std::sync::Condvar",
+            ][..],
+        ),
+    ] {
+        for path in paths {
+            assert!(
+                list.contains(&format!("path = \"{path}\"")),
+                "clippy.toml does not disallow {path}"
+            );
+        }
+    }
     let mut members = 0;
+    // `(file or directory, whether it is a member's src)`; the root
+    // `tests/` and `examples/` are targets of a member too.
+    let mut sources = vec![(root.join("tests"), false), (root.join("examples"), false)];
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
         let dir = entry.expect("dir entry").path();
         // `crates/shims` holds the workspace-excluded dependency shims.
@@ -976,19 +996,34 @@ fn workspace_lints_cover_the_retired_rules() {
         members += 1;
         let inherits = table(&read(dir.join("Cargo.toml")), "[lints]");
         assert_eq!(inherits, ["workspace = true"], "{}", dir.display());
-        let mut sources = vec![dir.join("src")];
-        while let Some(path) = sources.pop() {
-            if path.is_dir() {
-                for entry in std::fs::read_dir(&path).expect("src dir") {
-                    sources.push(entry.expect("dir entry").path());
-                }
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                for (i, line) in read(path.clone()).lines().enumerate() {
+        sources.push((dir.join("src"), true));
+        for target in ["tests", "examples", "benches"] {
+            sources.push((dir.join(target), false));
+        }
+    }
+    while let Some((path, src)) = sources.pop() {
+        if path.is_dir() {
+            for entry in std::fs::read_dir(&path).expect("source dir") {
+                sources.push((entry.expect("dir entry").path(), src));
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = read(path.clone());
+            for (i, line) in text.lines().enumerate() {
+                assert!(
+                    !(src && line.contains("clippy::await_holding_refcell_ref")),
+                    "{}:{} lowers the lint",
+                    path.display(),
+                    i + 1
+                );
+            }
+            for attr in attributes(&text) {
+                let names = ["clippy::disallowed_methods", "clippy::disallowed_types"];
+                if names.iter().any(|n| attr.contains(n)) {
                     assert!(
-                        !line.contains("clippy::await_holding_refcell_ref"),
-                        "{}:{} lowers the lint",
-                        path.display(),
-                        i + 1
+                        attr.starts_with("#[expect(") && attr.contains(",reason="),
+                        "{}: `{attr}` lowers the lint; only an `expect` with a reason may \
+                         name it",
+                        path.display()
                     );
                 }
             }

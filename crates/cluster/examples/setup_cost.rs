@@ -25,7 +25,10 @@ fn build_cost(kind: &ScenarioKind, armed: bool) -> (f64, u64) {
     let mut steps = 0;
     for _ in 0..BUILDS {
         let _armed = armed.then(simcore::sanitize::arm);
-        // lint:allow(D01) — host wall-clock measurement of the build itself
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host wall-clock measurement of the build itself"
+        )]
         let t0 = std::time::Instant::now();
         let sc = Scenario::build(kind.clone(), &calib);
         micros.push(t0.elapsed().as_nanos() as f64 / 1e3);

@@ -38,7 +38,10 @@ fn ns_per_step(background: u64) -> f64 {
     }
     rt.block_on(async {}); // the background tasks park on their timers
     let before = rt.steps();
-    // lint:allow(D01) — host wall-clock measurement of the executor itself
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock measurement of the executor itself"
+    )]
     let t0 = std::time::Instant::now();
     rt.block_on(async move {
         for _ in 0..STEPS {
@@ -54,7 +57,10 @@ fn ns_per_step(background: u64) -> f64 {
 fn ns_per_spawn(detached: bool) -> f64 {
     let rt = SimRuntime::new();
     let h = rt.handle();
-    // lint:allow(D01) — host wall-clock measurement of the executor itself
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock measurement of the executor itself"
+    )]
     let t0 = std::time::Instant::now();
     rt.block_on(async move {
         for batch in 0..SPAWNS / 64 {

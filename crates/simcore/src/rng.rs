@@ -1,5 +1,37 @@
 //! Seeded random number generation and the distributions the latency and
 //! workload models need. Everything is deterministic given the seed.
+//!
+//! No stream can be seeded from OS entropy: the offline `rand` the
+//! workspace builds against has no such constructor, so code that asks
+//! for one does not compile. A stream comes from a seed:
+//!
+//! ```
+//! use rand::{rngs::StdRng, RngCore, SeedableRng};
+//! let mut rng = StdRng::seed_from_u64(0x5EED);
+//! rng.next_u64();
+//! ```
+//!
+//! not from the thread's entropy pool (E0425, no such function):
+//!
+//! ```compile_fail,E0425
+//! use rand::RngCore;
+//! let mut rng = rand::thread_rng();
+//! rng.next_u64();
+//! ```
+//!
+//! A generator is built from a seed:
+//!
+//! ```
+//! use rand::{rngs::StdRng, SeedableRng};
+//! let _rng = StdRng::seed_from_u64(7);
+//! ```
+//!
+//! not from entropy (E0599, no such associated function):
+//!
+//! ```compile_fail,E0599
+//! use rand::{rngs::StdRng, SeedableRng};
+//! let _rng = StdRng::from_entropy();
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
