@@ -109,7 +109,8 @@ pub(crate) fn e12_datapath_shards() -> Vec<Row> {
             let qd1 = run(1, reactors, zero_copy, qd1_runtime);
             let p50 = qd1.summary().expect("QD1 samples").p50;
             let agg = run(AGG_HOSTS, reactors, zero_copy, agg_runtime);
-            let kiops = agg.len() as f64 / agg_runtime.as_secs_f64() / 1e3;
+            let ios = agg.summary().expect("aggregate samples").count;
+            let kiops = ios as f64 / agg_runtime.as_secs_f64() / 1e3;
             rows.push(
                 Row::new(format!("{reactors} reactors/{mode}"))
                     .int("qd1_p50_ns", p50)

@@ -19,7 +19,6 @@ struct Collect {
     read: LatencyRecorder,
     write: LatencyRecorder,
     errors: u64,
-    first_completion: Option<SimTime>,
     last_completion: SimTime,
 }
 
@@ -51,7 +50,6 @@ pub async fn run_job(
         read: LatencyRecorder::new(),
         write: LatencyRecorder::new(),
         errors: 0,
-        first_completion: None,
         last_completion: measure_start,
     }));
     let remaining = Rc::new(Cell::new(spec.io_limit.unwrap_or(u64::MAX)));
@@ -114,9 +112,6 @@ pub async fn run_job(
                                 c.read.record(lat);
                             } else {
                                 c.write.record(lat);
-                            }
-                            if c.first_completion.is_none() {
-                                c.first_completion = Some(t1);
                             }
                             c.last_completion = c.last_completion.max(t1);
                         }

@@ -5,11 +5,27 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
-/// Records every sample exactly (nanoseconds). Fine for the volumes a
-/// simulated FIO run produces.
+/// Raw samples a recorder holds, at least, before folding them into its
+/// runs.
+const BUFFER: usize = 4096;
+
+/// The seven reported percentiles, as nearest-rank per-mille points in
+/// ascending order: p1, p25, p50, p75, p90, p99, p99.9.
+const PER_MILLE: [usize; 7] = [10, 250, 500, 750, 900, 990, 999];
+
+/// Records every sample exactly (nanoseconds) as ascending
+/// `(value, count)` runs plus a raw buffer, sorted and folded into the
+/// runs in place once it holds [`BUFFER`] samples or as many samples as
+/// there are runs, whichever is more. A fold walks every run, so the
+/// second bound keeps its cost per sample constant however many distinct
+/// values there are; storage stays at most `distinct + max(BUFFER,
+/// distinct)` entries however many samples are recorded.
 #[derive(Default, Clone, Debug)]
 pub struct LatencyRecorder {
-    samples: Vec<u64>,
+    /// One entry per distinct value folded in so far, ascending.
+    runs: Vec<(u64, u64)>,
+    /// Samples not yet folded in, in record order.
+    pending: Vec<u64>,
 }
 
 impl LatencyRecorder {
@@ -18,78 +34,117 @@ impl LatencyRecorder {
         Self::default()
     }
 
-    /// An empty recorder preallocated for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        LatencyRecorder {
-            samples: Vec::with_capacity(n),
-        }
-    }
-
     /// Record one latency sample.
     pub fn record(&mut self, latency: SimDuration) {
-        self.samples.push(latency.as_nanos());
+        self.record_nanos(latency.as_nanos());
     }
 
     /// Record one sample given directly in nanoseconds.
     pub fn record_nanos(&mut self, ns: u64) {
-        self.samples.push(ns);
+        self.pending.push(ns);
+        if self.pending.len() >= BUFFER.max(self.runs.len()) {
+            self.flush();
+        }
     }
 
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Append another recorder's samples.
+    /// Add another recorder's samples.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// The raw samples, in record order (nanoseconds).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
+        fold(&mut self.runs, other.runs.iter().copied());
+        for &ns in &other.pending {
+            self.record_nanos(ns);
+        }
     }
 
     /// Compute the full summary. `None` if no samples were recorded.
+    ///
+    /// Every field equals what sorting all samples would give; `mean`
+    /// and `stddev` add the same `f64` terms in the same ascending order.
     pub fn summary(&self) -> Option<LatencySummary> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let count = sorted.len();
-        let sum: u128 = sorted.iter().map(|&v| v as u128).sum();
+        let mut all = self.clone();
+        all.flush();
+        let runs = &all.runs;
+        let (min, max) = (runs.first()?.0, runs.last()?.0);
+        let count: usize = runs.iter().map(|&(_, n)| n as usize).sum();
+        let sum: u128 = runs.iter().map(|&(v, n)| v as u128 * n as u128).sum();
         let mean = (sum / count as u128) as u64;
         let mean_f = sum as f64 / count as f64;
-        let var = sorted
+        let var = runs
             .iter()
-            .map(|&v| (v as f64 - mean_f).powi(2))
+            .flat_map(|&(v, n)| std::iter::repeat_n((v as f64 - mean_f).powi(2), n as usize))
             .sum::<f64>()
             / count as f64;
-        let pct = |q: f64| -> u64 {
-            // Nearest-rank percentile on the sorted array.
-            let rank = ((q / 100.0) * count as f64).ceil().max(1.0) as usize;
-            sorted[rank.min(count) - 1]
-        };
+        // Nearest rank, in integers: the smallest rank covering the point.
+        let ranks = PER_MILLE.map(|pm| (pm * count).div_ceil(1000).max(1));
+        let mut pct = [0u64; 7];
+        let (mut next, mut seen) = (0, 0usize);
+        for &(v, n) in runs {
+            seen += n as usize;
+            while next < ranks.len() && ranks[next] <= seen {
+                pct[next] = v;
+                next += 1;
+            }
+        }
+        let [p1, p25, p50, p75, p90, p99, p999] = pct;
         Some(LatencySummary {
             count,
-            min: sorted[0],
-            p1: pct(1.0),
-            p25: pct(25.0),
-            p50: pct(50.0),
-            p75: pct(75.0),
-            p90: pct(90.0),
-            p99: pct(99.0),
-            p999: pct(99.9),
-            max: *sorted.last().unwrap(),
+            min,
+            p1,
+            p25,
+            p50,
+            p75,
+            p90,
+            p99,
+            p999,
+            max,
             mean,
             stddev: var.sqrt() as u64,
         })
+    }
+
+    /// Sort the buffer and fold its `(value, count)` runs into the runs.
+    fn flush(&mut self) {
+        self.pending.sort_unstable();
+        let groups = self.pending.chunk_by(|a, b| a == b);
+        fold(&mut self.runs, groups.map(|g| (g[0], g.len() as u64)));
+        self.pending.clear();
+    }
+}
+
+/// Fold ascending `(value, count)` runs into `runs` in place. A forward
+/// walk adds the counts of values already present where they stand; the
+/// new values are then merged in from the top down, after `runs` has
+/// grown once by their number.
+fn fold(runs: &mut Vec<(u64, u64)>, new: impl DoubleEndedIterator<Item = (u64, u64)> + Clone) {
+    let (mut fresh, mut at) = (0, 0);
+    for (v, n) in new.clone() {
+        while at < runs.len() && runs[at].0 < v {
+            at += 1;
+        }
+        match runs.get_mut(at) {
+            Some(r) if r.0 == v => r.1 += n,
+            _ => fresh += 1,
+        }
+    }
+    if fresh == 0 {
+        return;
+    }
+    let mut i = runs.len();
+    runs.resize(i + fresh, (0, 0));
+    let mut k = runs.len();
+    for (v, n) in new.rev() {
+        while i > 0 && runs[i - 1].0 > v {
+            i -= 1;
+            k -= 1;
+            runs[k] = runs[i];
+        }
+        if i > 0 && runs[i - 1].0 == v {
+            continue; // counted above
+        }
+        k -= 1;
+        runs[k] = (v, n);
+        if k == i {
+            break; // everything below is already in place
+        }
     }
 }
 
@@ -148,6 +203,113 @@ impl LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+
+    /// The sort-everything summary the runs must reproduce field for field.
+    fn reference(samples: &[u64]) -> Option<LatencySummary> {
+        if samples.is_empty() {
+            return None;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let count = sorted.len();
+        let sum: u128 = sorted.iter().map(|&v| v as u128).sum();
+        let mean_f = sum as f64 / count as f64;
+        let var = sorted
+            .iter()
+            .map(|&v| (v as f64 - mean_f).powi(2))
+            .sum::<f64>()
+            / count as f64;
+        let pct = |pm: usize| sorted[(pm * count).div_ceil(1000).max(1) - 1];
+        Some(LatencySummary {
+            count,
+            min: sorted[0],
+            p1: pct(10),
+            p25: pct(250),
+            p50: pct(500),
+            p75: pct(750),
+            p90: pct(900),
+            p99: pct(990),
+            p999: pct(999),
+            max: sorted[count - 1],
+            mean: (sum / count as u128) as u64,
+            stddev: var.sqrt() as u64,
+        })
+    }
+
+    /// A stream mixing heavy duplicates, zero and values past 2^53.
+    fn stream(rng: &mut SimRng, len: usize) -> Vec<u64> {
+        let hot: Vec<u64> = (0..1 + rng.below(6)).map(|_| rng.below(50_000)).collect();
+        (0..len)
+            .map(|_| match rng.below(10) {
+                0 => 0,
+                1 => (1 << 53) + rng.below(1 << 12),
+                2 => u64::MAX / 3 + rng.below(1_000),
+                3 | 4 => rng.next_u64() >> rng.below(64),
+                _ => hot[rng.below(hot.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runs_reproduce_the_sort_everything_summary() {
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        for case in 0..60 {
+            let len = [0, 1, BUFFER - 1, BUFFER, BUFFER + 1][case % 5] + rng.below(9_000) as usize;
+            let mut samples = stream(&mut rng, len);
+            // Ordered streams make every flush bring only new minima (or
+            // maxima) next to values already folded in.
+            match case % 3 {
+                1 => samples.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => samples.sort_unstable(),
+                _ => {}
+            }
+            // Split across recorders, then merge them in a random order.
+            let mut parts: Vec<LatencyRecorder> = (0..1 + rng.below(5))
+                .map(|_| LatencyRecorder::new())
+                .collect();
+            for &v in &samples {
+                let i = rng.below(parts.len() as u64) as usize;
+                parts[i].record_nanos(v);
+            }
+            let mut all = parts.swap_remove(rng.below(parts.len() as u64) as usize);
+            while !parts.is_empty() {
+                let part = parts.swap_remove(rng.below(parts.len() as u64) as usize);
+                all.merge(&part);
+            }
+            assert_eq!(
+                all.summary(),
+                reference(&samples),
+                "case {case}, {len} samples"
+            );
+        }
+    }
+
+    #[test]
+    fn storage_is_bounded_by_distinct_values() {
+        let mut rng = SimRng::seed_from_u64(7);
+        for distinct in [4_096, 50_000] {
+            let mut r = LatencyRecorder::new();
+            for _ in 0..2_000_000 {
+                r.record_nanos(10_000 + rng.below(distinct as u64));
+            }
+            let stored = r.runs.len() + r.pending.len();
+            assert!(
+                stored <= distinct + BUFFER.max(distinct),
+                "{stored} entries"
+            );
+            assert_eq!(r.summary().unwrap().count, 2_000_000);
+        }
+    }
+
+    #[test]
+    fn p999_is_the_nearest_rank() {
+        let mut r = LatencyRecorder::new();
+        for v in 1..=1000u64 {
+            r.record_nanos(v);
+        }
+        assert_eq!(r.summary().unwrap().p999, 999);
+    }
 
     #[test]
     fn empty_recorder_has_no_summary() {
@@ -191,8 +353,8 @@ mod tests {
         a.record_nanos(1);
         b.record_nanos(3);
         a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.summary().unwrap().max, 3);
+        let s = a.summary().unwrap();
+        assert_eq!((s.count, s.min, s.max), (2, 1, 3));
     }
 
     #[test]
