@@ -1,5 +1,5 @@
 //! dnvme-dataflow: intraprocedural def-use chains and an abstract-value
-//! lattice over the [`crate::ast`] token stream.
+//! lattice over the `crate::ast` token stream.
 //!
 //! The syntactic rules see single lines or call expressions; the domain,
 //! interval and lock-order rules (D13, D15, D19) need to know *where a
@@ -7,12 +7,12 @@
 //! domain is still host A's when it reaches a fabric call for host B.
 //! This module recovers that with two passes per function body:
 //!
-//! 1. **Def-use chains** ([`def_use`]): every `let` binding,
+//! 1. **Def-use chains** (`def_use`): every `let` binding,
 //!    reassignment, and `for` loop variable becomes a [`Def`]; every
 //!    later mention of the name resolves to the nearest preceding def
 //!    (shadowing-aware, so `let x = x + 1` reads the *old* `x`).
-//! 2. **Abstract values** ([`eval_fn`]): each def's right-hand side is
-//!    folded into an [`AbstractVal`] carrying
+//! 2. **Abstract values** (`eval_fn`): each def's right-hand side is
+//!    folded into an `AbstractVal` carrying
 //!    * a host tag (the first-argument path of `MemRegion::new` /
 //!      `DomainAddr::new`), so D13 can see an address minted in one
 //!      host's domain crossing into another's, and a `typed` flag for
@@ -31,7 +31,7 @@
 //! `PhysAddr`, so a `u64` at a sink is a type error (E0308), not a lint
 //! finding.
 //!
-//! Since the CFG landed ([`crate::cfg`]), [`eval_fn`] is a forward
+//! Since the CFG landed (`crate::cfg`), `eval_fn` is a forward
 //! dataflow over basic blocks: defs are evaluated in reverse postorder
 //! and, at every use, the values of all same-name definitions that
 //! reach it merge under the lattice join (intervals take their hull,
@@ -39,9 +39,9 @@
 //! merge fires; the property suite checks that case against values its
 //! generator computes while it writes the body.
 //!
-//! A scan builds these products once per function: [`FnFacts`] holds the
+//! A scan builds these products once per function: `FnFacts` holds the
 //! call list, the parameter-aware def-use chains, the CFG, the abstract
-//! values and the per-call site table ([`Sites`]) behind `OnceCell`s,
+//! values and the per-call site table (`Sites`) behind `OnceCell`s,
 //! and both the interprocedural extractor and every per-function rule
 //! read that one set.
 

@@ -5,7 +5,7 @@
 //! (posted writes only on the data path, SQ/CQ placement per Fig. 8).
 //! This crate enforces the source-level half of those promises with a
 //! dependency-free syntax pass (lexer → token stream → item tree, see
-//! [`ast`]) instead of regexes, so rules can reason about function
+//! `ast`) instead of regexes, so rules can reason about function
 //! bodies, call expressions, and statement order.
 //!
 //! The thirteen rules are the rows of one table, [`RULES`]: code,
@@ -14,7 +14,7 @@
 //! README table are the reader-facing views of it). Four families:
 //! syntax rules (D03, D05, D08, D10); the interval rule on the
 //! [`dataflow`] def-use engine and its abstract values (D15, DESIGN
-//! §5.3); the rules on the [`interproc`] summary engine (D13's host tags,
+//! §5.3); the rules on the `interproc` summary engine (D13's host tags,
 //! D19's lock order, with D07/D11/D17/D21 walking the same call graph,
 //! DESIGN §5.4); and the path-sensitive rules on the [`cfg`]
 //! control-flow graph (D23, D24, DESIGN §5.5).
@@ -32,7 +32,7 @@
 //!
 //! A scan is one pass over its sources: every file is parsed once,
 //! every function gets one lazily-built fact set
-//! ([`dataflow::FnFacts`]: calls, def-use chains, CFG, abstract values,
+//! (`dataflow::FnFacts`: calls, def-use chains, CFG, abstract values,
 //! and the per-call site table) that the summary extractor and every
 //! per-function rule share, and
 //! all findings — engine findings included — go through one
@@ -1391,7 +1391,7 @@ pub struct WorkspaceScan {
     pub stats: ScanStats,
 }
 
-/// Scan every workspace source ([`workspace_files`]) under the per-path
+/// Scan every workspace source (`workspace_files`) under the per-path
 /// rule scopes.
 pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
     let files = workspace_files(root)?;

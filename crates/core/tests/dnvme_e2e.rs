@@ -7,7 +7,7 @@ use blklayer::{Bio, BioError, BlockDevice};
 use dnvme::{ClientConfig, ClientDriver, DataPath, Manager, ManagerConfig, SqPlacement};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams, HostId, SeverMode};
-use simcore::{SimDuration, SimRuntime, SimTime};
+use simcore::{SimDuration, SimRuntime, SimTime, Stage};
 use smartio::{SmartDeviceId, SmartIo};
 
 struct Cluster {
@@ -22,6 +22,12 @@ struct Cluster {
 }
 
 /// `n_hosts` hosts on one cluster switch; the NVMe lives in the last host.
+/// Records of `stage` on `rt`'s armed stream.
+fn recorded(rt: &SimRuntime, stage: Stage) -> usize {
+    let records = rt.handle().sanitize_records();
+    records.iter().filter(|r| r.stage == stage).count()
+}
+
 fn cluster(n_hosts: usize) -> Cluster {
     let rt = SimRuntime::new();
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
@@ -92,6 +98,7 @@ fn remote_client_reads_and_writes() {
         ..ClientConfig::default()
     };
     for (cfg, depth) in [(ClientConfig::default(), 32), (tiny, 3)] {
+        let _armed = simcore::sanitize::arm();
         let c = cluster(2);
         let smartio = c.smartio.clone();
         let fabric = c.fabric.clone();
@@ -118,9 +125,8 @@ fn remote_client_reads_and_writes() {
             out == pattern
         });
         assert!(ok, "remote write/read mismatch");
-        let stats = c.ctrl.stats();
-        assert_eq!(stats.io_writes, 1);
-        assert_eq!(stats.io_reads, 1);
+        assert_eq!(recorded(&c.rt, Stage::MediaWrite), 1);
+        assert_eq!(recorded(&c.rt, Stage::MediaRead), 1);
     }
 }
 
@@ -169,6 +175,7 @@ fn six_entry_rings_wrap_clean_under_the_armed_checker() {
 
 #[test]
 fn queue_memory_lands_where_hints_say() {
+    let _armed = simcore::sanitize::arm();
     let c = cluster(2);
     let smartio = c.smartio.clone();
     let dev = c.dev;
@@ -188,11 +195,8 @@ fn queue_memory_lands_where_hints_say() {
     // we double-check the service state is consistent: the device host
     // has at least one segment (the SQ) owned there.
     let _ = sio;
-    let stats = c.ctrl.stats();
-    assert!(
-        stats.admin_commands >= 4,
-        "expected admin traffic, got {stats:?}"
-    );
+    let admin = recorded(&c.rt, Stage::AdminExecuted);
+    assert!(admin >= 4, "expected admin traffic, got {admin} commands");
 }
 
 #[test]

@@ -9,9 +9,9 @@
 
 use std::future::Future;
 
-use nvme::oracle::{self, Event};
+use nvme::oracle;
 use pcie::{Fabric, FabricParams, HostId};
-use simcore::{ReplayScheduler, SimRuntime};
+use simcore::{ReplayScheduler, SimRuntime, Stage};
 
 use crate::RunOutcome;
 
@@ -46,8 +46,9 @@ pub fn by_name(name: &str) -> Option<(&'static str, FixtureFn)> {
         .map(|(_, code, f)| (*code, *f))
 }
 
-/// Shared bed: fresh armed runtime + two-host fabric, replay scheduler
-/// installed, then `body` runs as the simulated buggy stack.
+/// Shared bed: fresh armed runtime with the lifecycle oracle attached,
+/// two-host fabric, replay scheduler installed; then `body` runs as the
+/// simulated buggy stack.
 fn run_fixture<F, Fut>(prefix: &[u32], body: F) -> RunOutcome
 where
     F: FnOnce(Fabric, HostId, HostId) -> Fut + 'static,
@@ -55,6 +56,7 @@ where
 {
     let _armed = simcore::sanitize::arm();
     let rt = SimRuntime::new();
+    oracle::attach(&rt.handle());
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let h0 = fabric.add_host(1 << 20);
     let h1 = fabric.add_host(1 << 20);
@@ -95,42 +97,39 @@ async fn background_traffic(fabric: &Fabric, h0: HostId, h1: HostId) {
 const Q: u16 = 1;
 const ENTRIES: u16 = 8;
 
+/// SQ `Q`'s tail doorbell written with `tail`.
+fn rung(tail: u16) -> Stage {
+    Stage::SqDoorbell {
+        qid: Q,
+        tail,
+        entries: ENTRIES,
+    }
+}
+
+const WRITTEN: Stage = Stage::SqeWritten {
+    slot: 0,
+    entries: ENTRIES,
+};
+const FETCHED: Stage = Stage::Fetched { slot: 0 };
+
 /// The controller posts two CQEs for one CID: the second completion is
 /// the spec violation (e.g. a retried fetch executing twice).
 fn double_cqe(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
-        let emit = |ev| oracle::emit(&fabric, ev);
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 7,
-            slot: 0,
-            entries: ENTRIES,
-        });
-        emit(Event::SqDoorbell {
-            qid: Q,
-            tail: 1,
-            entries: ENTRIES,
-        });
+        let h = fabric.handle();
+        let cmd = Some((Q, 7));
+        h.sanitize_record(cmd, WRITTEN);
+        h.sanitize_record(None, rung(1));
         background_traffic(&fabric, h0, h1).await;
-        emit(Event::CmdFetched {
-            qid: Q,
-            cid: 7,
-            slot: 0,
-        });
-        emit(Event::CqePosted {
-            qid: Q,
-            cid: 7,
-            slot: 0,
-            phase: true,
-            entries: ENTRIES,
-        });
-        emit(Event::CqePosted {
-            qid: Q,
-            cid: 7,
-            slot: 1,
-            phase: true,
-            entries: ENTRIES,
-        });
+        h.sanitize_record(cmd, FETCHED);
+        for slot in 0..2 {
+            let posted = Stage::CqePosted {
+                slot,
+                phase: true,
+                entries: ENTRIES,
+            };
+            h.sanitize_record(cmd, posted);
+        }
     })
 }
 
@@ -138,32 +137,19 @@ fn double_cqe(prefix: &[u32]) -> RunOutcome {
 /// epoch — the entry it "completed" was never posted.
 fn stale_phase_consume(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
-        let emit = |ev| oracle::emit(&fabric, ev);
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 3,
-            slot: 0,
-            entries: ENTRIES,
-        });
-        emit(Event::SqDoorbell {
-            qid: Q,
-            tail: 1,
-            entries: ENTRIES,
-        });
+        let h = fabric.handle();
+        let cmd = Some((Q, 3));
+        h.sanitize_record(cmd, WRITTEN);
+        h.sanitize_record(None, rung(1));
         background_traffic(&fabric, h0, h1).await;
-        emit(Event::CmdFetched {
-            qid: Q,
-            cid: 3,
-            slot: 0,
-        });
+        h.sanitize_record(cmd, FETCHED);
         // No CqePosted: the consumption below acts on a stale entry.
-        emit(Event::CqeConsumed {
-            qid: Q,
-            cid: 3,
+        let consumed = Stage::CqeConsumed {
             slot: 0,
             phase: false,
             entries: ENTRIES,
-        });
+        };
+        h.sanitize_record(cmd, consumed);
     })
 }
 
@@ -171,22 +157,12 @@ fn stale_phase_consume(prefix: &[u32]) -> RunOutcome {
 /// has not fetched yet.
 fn slot_reuse(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
-        let emit = |ev| oracle::emit(&fabric, ev);
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 1,
-            slot: 0,
-            entries: ENTRIES,
-        });
+        let h = fabric.handle();
+        h.sanitize_record(Some((Q, 1)), WRITTEN);
         background_traffic(&fabric, h0, h1).await;
         // Slot 0 is still owned by cid 1 (never fetched) when cid 2 lands
         // in it.
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 2,
-            slot: 0,
-            entries: ENTRIES,
-        });
+        h.sanitize_record(Some((Q, 2)), WRITTEN);
     })
 }
 
@@ -194,24 +170,11 @@ fn slot_reuse(prefix: &[u32]) -> RunOutcome {
 /// exposes more slots than were ever written.
 fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
-        let emit = |ev| oracle::emit(&fabric, ev);
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 9,
-            slot: 0,
-            entries: ENTRIES,
-        });
-        emit(Event::SqDoorbell {
-            qid: Q,
-            tail: 1,
-            entries: ENTRIES,
-        });
+        let h = fabric.handle();
+        h.sanitize_record(Some((Q, 9)), WRITTEN);
+        h.sanitize_record(None, rung(1));
         background_traffic(&fabric, h0, h1).await;
-        emit(Event::SqDoorbell {
-            qid: Q,
-            tail: 0,
-            entries: ENTRIES,
-        });
+        h.sanitize_record(None, rung(0));
     })
 }
 
@@ -221,30 +184,17 @@ fn doorbell_regression(prefix: &[u32]) -> RunOutcome {
 /// dynamically: the lifecycle FSM reports the fetch before the doorbell.
 fn missed_doorbell(prefix: &[u32]) -> RunOutcome {
     run_fixture(prefix, |fabric, h0, h1| async move {
-        let emit = |ev| oracle::emit(&fabric, ev);
+        let h = fabric.handle();
         let paused = true;
-        emit(Event::SqeWritten {
-            qid: Q,
-            cid: 5,
-            slot: 0,
-            entries: ENTRIES,
-        });
+        h.sanitize_record(Some((Q, 5)), WRITTEN);
         background_traffic(&fabric, h0, h1).await;
         // The controller polls the ring and fetches the entry even
         // though the doorbell never advertised it.
-        emit(Event::CmdFetched {
-            qid: Q,
-            cid: 5,
-            slot: 0,
-        });
+        h.sanitize_record(Some((Q, 5)), FETCHED);
         if paused {
             return;
         }
-        emit(Event::SqDoorbell {
-            qid: Q,
-            tail: 1,
-            entries: ENTRIES,
-        });
+        h.sanitize_record(None, rung(1));
     })
 }
 

@@ -14,7 +14,7 @@ use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, Payload, PhysAddr, WeakFabric};
 use simcore::sync::{Notify, Semaphore};
-use simcore::{Handle, SimDuration};
+use simcore::{Handle, SimDuration, Stage};
 
 use crate::medium::BlockStore;
 use crate::spec::command::{SqEntry, SQE_SIZE};
@@ -94,23 +94,15 @@ struct CqState {
     alive: bool,
 }
 
-/// Counters exposed for tests and reports.
+/// The counters an un-armed run can read. Every other count (admin
+/// commands, media reads and writes, CQEs posted, resets) is read off the
+/// armed record stream (`simcore::sanitize`).
 #[derive(Default, Clone, Debug)]
 pub struct CtrlStats {
     /// SQEs fetched from submission queues.
     pub commands_fetched: u64,
-    /// CQEs posted to completion queues.
-    pub completions_posted: u64,
-    /// Admin commands executed.
-    pub admin_commands: u64,
-    /// NVM Read commands executed.
-    pub io_reads: u64,
-    /// NVM Write commands executed.
-    pub io_writes: u64,
     /// Completions with a non-success status.
     pub errors_returned: u64,
-    /// Controller resets (CC.EN 1 -> 0).
-    pub resets: u64,
 }
 
 /// The controller. Register it on the fabric with [`NvmeController::attach`].
@@ -306,8 +298,7 @@ impl NvmeController {
         drop(r);
         self.inflight.borrow_mut().clear();
         self.error_log.borrow_mut().clear();
-        self.stats.borrow_mut().resets += 1;
-        crate::oracle::emit(&self.fabric(), crate::oracle::Event::ControllerReset);
+        self.handle.sanitize_record(None, Stage::ControllerReset);
     }
 
     fn record_error(&self, sqid: u16, cid: u16, status: Status, lba: Option<u64>) {
@@ -414,14 +405,8 @@ impl NvmeController {
                 sq.borrow_mut().head = new_head;
                 self.stats.borrow_mut().commands_fetched += 1;
                 let sqe = SqEntry::decode(&raw);
-                crate::oracle::emit(
-                    &fabric,
-                    crate::oracle::Event::CmdFetched {
-                        qid,
-                        cid: sqe.cid,
-                        slot: head,
-                    },
-                );
+                let fetched = Stage::Fetched { slot: head };
+                self.handle.sanitize_record(Some((qid, sqe.cid)), fetched);
                 self.handle.sleep(self.config.cmd_overhead).await;
                 let permit = self.exec_sem.acquire().await;
                 if qid == 0 {
@@ -499,16 +484,12 @@ impl NvmeController {
                 space.notified().await;
                 continue;
             }
-            crate::oracle::emit(
-                &fabric,
-                crate::oracle::Event::CqePosted {
-                    qid: sq_id,
-                    cid,
-                    slot,
-                    phase,
-                    entries,
-                },
-            );
+            let posted = Stage::CqePosted {
+                slot,
+                phase,
+                entries,
+            };
+            self.handle.sanitize_record(Some((sq_id, cid)), posted);
             if fabric.sanitize_armed() {
                 self.sanitize_cq_post(cqid, slot, phase, base);
             }
@@ -524,7 +505,6 @@ impl NvmeController {
                     &cqe.encode(),
                 )
                 .await;
-            self.stats.borrow_mut().completions_posted += 1;
             if let Some(v) = iv {
                 fabric.raise_msi(dev, v);
             }
@@ -537,7 +517,8 @@ impl NvmeController {
     // -----------------------------------------------------------------
 
     async fn exec_admin(self: Rc<Self>, sqe: SqEntry, sq_head: u16) {
-        self.stats.borrow_mut().admin_commands += 1;
+        self.handle
+            .sanitize_record(Some((0, sqe.cid)), Stage::AdminExecuted);
         let (result, status) = match AdminOpcode::from_u8(sqe.opcode) {
             Some(AdminOpcode::Identify) => self.admin_identify(&sqe).await,
             Some(AdminOpcode::CreateIoCq) => self.admin_create_cq(&sqe),
@@ -683,7 +664,8 @@ impl NvmeController {
         self.inflight
             .borrow_mut()
             .retain(|(sqid, _), _| *sqid != qid);
-        crate::oracle::emit(&self.fabric(), crate::oracle::Event::QueueDeleted { qid });
+        self.handle
+            .sanitize_record(None, Stage::QueueDeleted { qid });
         (0, Status::SUCCESS)
     }
 
@@ -706,7 +688,8 @@ impl NvmeController {
         let mut c = cq.borrow_mut();
         c.alive = false;
         c.space.notify_all();
-        crate::oracle::emit(&self.fabric(), crate::oracle::Event::QueueDeleted { qid });
+        self.handle
+            .sanitize_record(None, Stage::QueueDeleted { qid });
         (0, Status::SUCCESS)
     }
 
@@ -721,10 +704,8 @@ impl NvmeController {
         match self.inflight.borrow().get(&(sqid, cid)) {
             Some(flag) => {
                 flag.set(true);
-                crate::oracle::emit(
-                    &self.fabric(),
-                    crate::oracle::Event::CmdAborted { qid: sqid, cid },
-                );
+                self.handle
+                    .sanitize_record(Some((sqid, cid)), Stage::Aborted);
                 (0, Status::SUCCESS)
             }
             None => (1, Status::SUCCESS),
@@ -755,8 +736,8 @@ impl NvmeController {
     ) {
         let mut status = match NvmOpcode::from_u8(sqe.opcode) {
             Some(NvmOpcode::DatasetManagement) => self.io_dsm(&sqe).await,
-            Some(NvmOpcode::Read) => self.io_read(&sqe).await,
-            Some(NvmOpcode::Write) => self.io_write(&sqe).await,
+            Some(NvmOpcode::Read) => self.io_read(qid, &sqe).await,
+            Some(NvmOpcode::Write) => self.io_write(qid, &sqe).await,
             Some(NvmOpcode::Flush) => {
                 if sqe.nsid == 1 {
                     self.store.flush().await;
@@ -847,7 +828,7 @@ impl NvmeController {
         prp::chunks(sqe.prp1, &rest, len).map_err(|_| Status::INVALID_PRP_OFFSET)
     }
 
-    async fn io_read(&self, sqe: &SqEntry) -> Status {
+    async fn io_read(&self, qid: u16, sqe: &SqEntry) -> Status {
         let fabric = self.fabric();
         if sqe.nsid != 1 {
             return Status::INVALID_NAMESPACE;
@@ -861,7 +842,8 @@ impl NvmeController {
             Ok(c) => c,
             Err(s) => return s,
         };
-        self.stats.borrow_mut().io_reads += 1;
+        self.handle
+            .sanitize_record(Some((qid, sqe.cid)), Stage::MediaRead);
         // One snapshot of the whole range at the post-media instant;
         // copy-on-write keeps it intact while a racing write replaces
         // store pages during the pipelined deliveries below.
@@ -879,7 +861,7 @@ impl NvmeController {
         Status::SUCCESS
     }
 
-    async fn io_write(&self, sqe: &SqEntry) -> Status {
+    async fn io_write(&self, qid: u16, sqe: &SqEntry) -> Status {
         let fabric = self.fabric();
         if sqe.nsid != 1 {
             return Status::INVALID_NAMESPACE;
@@ -893,7 +875,8 @@ impl NvmeController {
             Ok(c) => c,
             Err(s) => return s,
         };
-        self.stats.borrow_mut().io_writes += 1;
+        self.handle
+            .sanitize_record(Some((qid, sqe.cid)), Stage::MediaWrite);
         // Fetch data from host memory: non-posted reads (round trips!),
         // each chunk snapshotted as its own read completes.
         let dev = self.device_id();

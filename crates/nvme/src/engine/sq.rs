@@ -14,6 +14,7 @@
 use std::cell::Cell;
 
 use pcie::{DomainAddr, Fabric, MemRegion};
+use simcore::Stage;
 
 use crate::oracle;
 use crate::spec::command::{SqEntry, SQE_SIZE};
@@ -53,6 +54,7 @@ impl SqRing {
             ring.len >= entries as u64 * SQE_SIZE as u64,
             "SQ ring region too small"
         );
+        oracle::attach(&fabric.handle());
         SqRing {
             fabric: fabric.clone(),
             qid,
@@ -102,14 +104,10 @@ impl SqRing {
         // controller could fetch and must not eat ring capacity.
         self.tail.set((tail + 1) % self.entries);
         self.outstanding.set(self.outstanding.get() + 1);
-        oracle::emit(
-            &self.fabric,
-            oracle::Event::SqeWritten {
-                qid: self.qid,
-                cid: sqe.cid,
-                slot: tail,
-                entries: self.entries,
-            },
+        let (slot, entries) = (tail, self.entries);
+        self.fabric.handle().sanitize_record(
+            Some((self.qid, sqe.cid)),
+            Stage::SqeWritten { slot, entries },
         );
         Ok(())
     }
@@ -120,14 +118,10 @@ impl SqRing {
         self.fabric
             .cpu_write_u32(self.doorbell.host, self.doorbell.addr, tail as u32)
             .await?;
-        oracle::emit(
-            &self.fabric,
-            oracle::Event::SqDoorbell {
-                qid: self.qid,
-                tail,
-                entries: self.entries,
-            },
-        );
+        let (qid, entries) = (self.qid, self.entries);
+        self.fabric
+            .handle()
+            .sanitize_record(None, Stage::SqDoorbell { qid, tail, entries });
         Ok(())
     }
 }

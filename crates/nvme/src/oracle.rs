@@ -1,11 +1,11 @@
 //! NVMe command-lifecycle conformance oracle.
 //!
 //! A per-command finite-state machine derived from the spec's queue
-//! contract, fed by events from both sides of the wire: the host rings
-//! ([`crate::queue`], via [`crate::engine::IoEngine`]) report SQE stores,
+//! contract, fed by records from both sides of the wire: the host rings
+//! ([`crate::queue`], via [`crate::engine::IoEngine`]) record SQE stores,
 //! doorbell writes and CQE consumption; the controller
-//! ([`crate::ctrl::NvmeController`]) reports command fetches and CQE
-//! posts. Every command must walk
+//! ([`crate::ctrl::NvmeController`]) records command fetches, aborts, CQE
+//! posts, queue deletes and resets. Every command must walk
 //!
 //! ```text
 //! SQE written → doorbell exposes slot → fetched → CQE posted with the
@@ -17,67 +17,22 @@
 //! fetched the previous occupant, and doorbells that regress or expose
 //! unwritten slots.
 //!
-//! The oracle is one consumer of the run-time checker: emitters call
-//! [`emit`] unconditionally, which is one bool test on a runtime not built
-//! under `simcore::sanitize::arm`. Armed, the FSM's state lives in the
-//! runtime's checker slot and every violation goes to the runtime's one
-//! log (`nvme.lifecycle.*` codes) beside the race detector's and the
-//! protocol checks'.
+//! The oracle is a consumer of the armed record stream
+//! (`simcore::sanitize`): emitters call `Handle::sanitize_record`
+//! unconditionally, one bool test on a runtime not built under
+//! `simcore::sanitize::arm`. [`attach`] hooks the FSM to an armed runtime
+//! (the driver's SQ ring does it); from then on it follows each record at
+//! the instant it is appended and reports into the runtime's one log
+//! (`nvme.lifecycle.*` codes) beside the race detector and the protocol
+//! checks.
 //!
 //! Queue identifiers: this codebase (like the paper's prototype) pairs SQ
 //! *n* with CQ *n*, so one `qid` keys both directions of a qpair.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
-use pcie::Fabric;
-
-/// Everything the oracle can observe. `entries` rides along on ring events
-/// so the oracle needs no out-of-band queue registration.
-#[derive(Copy, Clone, Debug)]
-pub enum Event {
-    /// Host stored an SQE into `slot` of SQ `qid`.
-    SqeWritten {
-        qid: u16,
-        cid: u16,
-        slot: u16,
-        entries: u16,
-    },
-    /// Host wrote `tail` to SQ `qid`'s tail doorbell.
-    SqDoorbell { qid: u16, tail: u16, entries: u16 },
-    /// Controller fetched the command in `slot` of SQ `qid`.
-    CmdFetched { qid: u16, cid: u16, slot: u16 },
-    /// Controller posted a CQE for `cid` into `slot` of CQ `qid` with the
-    /// given phase tag.
-    CqePosted {
-        qid: u16,
-        cid: u16,
-        slot: u16,
-        phase: bool,
-        entries: u16,
-    },
-    /// Host consumed the CQE in `slot` of CQ `qid`, observing `phase`.
-    CqeConsumed {
-        qid: u16,
-        cid: u16,
-        slot: u16,
-        phase: bool,
-        entries: u16,
-    },
-    /// Host wrote `head` to CQ `qid`'s head doorbell.
-    CqHeadDoorbell { qid: u16, head: u16 },
-    /// Controller accepted an Abort for `cid` on SQ `qid`: the command
-    /// will complete with ABORT_REQUESTED instead of its own status.
-    CmdAborted { qid: u16, cid: u16 },
-    /// Controller executed Delete I/O SQ/CQ for `qid`: the queue pair's
-    /// lifecycle state is void. A later Create with the same qid starts a
-    /// fresh ring at slot 0 / phase 1 (the recovery ladder's
-    /// Delete-and-Recreate rung does exactly this).
-    QueueDeleted { qid: u16 },
-    /// CC.EN 1 → 0: every queue and every in-flight command is gone.
-    ControllerReset,
-}
+use simcore::{Handle, Record, Stage};
 
 /// Where a command stands in its lifecycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -132,26 +87,22 @@ struct OracleState {
     cmds: HashMap<(u16, u16), CmdRec>,
 }
 
-/// Where the FSM lives: the armed runtime's checker slot.
-type Slot = Rc<RefCell<OracleState>>;
+/// The FSM as a consumer of the record stream.
+#[derive(Default)]
+struct Oracle(RefCell<OracleState>);
 
-/// Feed one event to the lifecycle FSM of `fabric`'s runtime (no-op unless
-/// that runtime is armed).
-pub fn emit(fabric: &Fabric, ev: Event) {
-    if !fabric.sanitize_armed() {
-        return;
+impl simcore::sanitize::Consumer for Oracle {
+    fn consume(&self, handle: &Handle, record: &Record) {
+        let report = |code: &'static str, detail: String| handle.sanitize_report(code, detail);
+        self.0.borrow_mut().on_record(record, report);
     }
-    let handle = fabric.handle();
-    let state: Slot = handle.sanitize_slot().expect("an armed runtime has a slot");
-    let report = |code: &'static str, detail: String| handle.sanitize_report(code, detail);
-    state.borrow_mut().on_event(ev, report);
 }
 
-/// Number of commands currently tracked mid-lifecycle (diagnostic); `None`
-/// on a runtime that is not armed, where no FSM state exists.
-pub fn in_flight(fabric: &Fabric) -> Option<usize> {
-    let state: Option<Slot> = fabric.handle().sanitize_slot();
-    state.map(|s| s.borrow().cmds.len())
+/// Follow the lifecycle of every command recorded on `handle`'s runtime
+/// from now on (no-op unless it is armed; attaching twice is attaching
+/// once).
+pub fn attach(handle: &Handle) {
+    handle.sanitize_attach::<Oracle>();
 }
 
 /// The slot after `slot` on an `entries`-deep ring, with the phase tag
@@ -162,14 +113,9 @@ fn ring_next(slot: u16, phase: bool, entries: u16) -> (u16, bool) {
 }
 
 impl OracleState {
-    fn on_event(&mut self, ev: Event, report: impl Fn(&'static str, String)) {
-        match ev {
-            Event::SqeWritten {
-                qid,
-                cid,
-                slot,
-                entries,
-            } => {
+    fn on_record(&mut self, rec: &Record, report: impl Fn(&'static str, String)) {
+        match (rec.cmd, rec.stage) {
+            (Some((qid, cid)), Stage::SqeWritten { slot, entries }) => {
                 let sq = self.sqs.entry(qid).or_insert_with(|| SqTrack {
                     entries,
                     last_tail: None,
@@ -201,7 +147,7 @@ impl OracleState {
                     );
                 }
             }
-            Event::SqDoorbell { qid, tail, entries } => {
+            (_, Stage::SqDoorbell { qid, tail, entries }) => {
                 let Some(sq) = self.sqs.get_mut(&qid) else {
                     return;
                 };
@@ -237,7 +183,7 @@ impl OracleState {
                     }
                 }
             }
-            Event::CmdFetched { qid, cid, slot } => {
+            (Some((qid, cid)), Stage::Fetched { slot }) => {
                 let Some(sq) = self.sqs.get_mut(&qid) else {
                     return; // untracked queue (e.g. raw-register bring-up)
                 };
@@ -277,13 +223,14 @@ impl OracleState {
                     sq.slot_owner.remove(&slot);
                 }
             }
-            Event::CqePosted {
-                qid,
-                cid,
-                slot,
-                phase,
-                entries,
-            } => {
+            (
+                Some((qid, cid)),
+                Stage::CqePosted {
+                    slot,
+                    phase,
+                    entries,
+                },
+            ) => {
                 if !self.sqs.contains_key(&qid) {
                     return;
                 }
@@ -332,13 +279,14 @@ impl OracleState {
                     ),
                 }
             }
-            Event::CqeConsumed {
-                qid,
-                cid,
-                slot,
-                phase,
-                entries,
-            } => {
+            (
+                Some((qid, cid)),
+                Stage::CqeConsumed {
+                    slot,
+                    phase,
+                    entries,
+                },
+            ) => {
                 if !self.sqs.contains_key(&qid) {
                     return;
                 }
@@ -395,7 +343,7 @@ impl OracleState {
                     ),
                 }
             }
-            Event::CqHeadDoorbell { qid, head } => {
+            (_, Stage::CqHeadDoorbell { qid, head }) => {
                 let Some(c) = self.cq_consumer.get(&qid) else {
                     return;
                 };
@@ -410,7 +358,7 @@ impl OracleState {
                     );
                 }
             }
-            Event::CmdAborted { qid, cid } => {
+            (Some((qid, cid)), Stage::Aborted) => {
                 // Abort for an untracked command is legal: it raced the
                 // completion (or the queue is not mirrored).
                 match self.cmds.get_mut(&(qid, cid)) {
@@ -431,7 +379,7 @@ impl OracleState {
                     None => {}
                 }
             }
-            Event::QueueDeleted { qid } => {
+            (_, Stage::QueueDeleted { qid }) => {
                 // The qpair's whole lifecycle state is void: commands the
                 // host abandoned (timed out, aborted, CQE lost in the
                 // fabric) are disposed of with the queue, and a recreate
@@ -441,7 +389,8 @@ impl OracleState {
                 self.cq_poster.remove(&qid);
                 self.cmds.retain(|(q, _), _| *q != qid);
             }
-            Event::ControllerReset => *self = OracleState::default(),
+            (_, Stage::ControllerReset) => *self = OracleState::default(),
+            _ => {}
         }
     }
 }
@@ -449,151 +398,119 @@ impl OracleState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcie::FabricParams;
     use simcore::SimRuntime;
 
-    /// A runtime (armed or not) and a fabric on it to emit through.
-    fn bed(armed: bool) -> (SimRuntime, Fabric) {
+    /// A runtime (armed or not) with the oracle attached.
+    fn bed(armed: bool) -> SimRuntime {
         let _armed = armed.then(simcore::sanitize::arm);
         let rt = SimRuntime::new();
-        let fabric = Fabric::new(rt.handle(), FabricParams::default());
-        (rt, fabric)
+        attach(&rt.handle());
+        rt
     }
 
-    fn walk_clean(fabric: &Fabric, qid: u16) {
-        emit(
-            fabric,
-            Event::SqeWritten {
-                qid,
-                cid: 1,
+    fn walk_clean(h: &Handle, qid: u16) {
+        let cmd = Some((qid, 1));
+        h.sanitize_record(
+            cmd,
+            Stage::SqeWritten {
                 slot: 0,
                 entries: 4,
             },
         );
-        emit(
-            fabric,
-            Event::SqDoorbell {
+        h.sanitize_record(
+            None,
+            Stage::SqDoorbell {
                 qid,
                 tail: 1,
                 entries: 4,
             },
         );
-        emit(
-            fabric,
-            Event::CmdFetched {
-                qid,
-                cid: 1,
-                slot: 0,
+        h.sanitize_record(cmd, Stage::Fetched { slot: 0 });
+        let (slot, phase, entries) = (0, true, 4);
+        h.sanitize_record(
+            cmd,
+            Stage::CqePosted {
+                slot,
+                phase,
+                entries,
             },
         );
-        emit(
-            fabric,
-            Event::CqePosted {
-                qid,
-                cid: 1,
-                slot: 0,
-                phase: true,
-                entries: 4,
+        h.sanitize_record(
+            cmd,
+            Stage::CqeConsumed {
+                slot,
+                phase,
+                entries,
             },
         );
-        emit(
-            fabric,
-            Event::CqeConsumed {
-                qid,
-                cid: 1,
-                slot: 0,
-                phase: true,
-                entries: 4,
-            },
-        );
-        emit(fabric, Event::CqHeadDoorbell { qid, head: 1 });
+        h.sanitize_record(None, Stage::CqHeadDoorbell { qid, head: 1 });
     }
 
     #[test]
     fn clean_lifecycle_records_nothing() {
-        let (rt, fabric) = bed(true);
-        walk_clean(&fabric, 3);
+        let rt = bed(true);
+        walk_clean(&rt.handle(), 3);
         assert_eq!(rt.sanitize_violations(), []);
-        assert_eq!(in_flight(&fabric), Some(0));
+        assert_eq!(rt.handle().sanitize_records().len(), 6);
     }
 
     #[test]
     fn emit_unarmed_is_noop() {
-        let (rt, fabric) = bed(false);
-        walk_clean(&fabric, 3);
+        let rt = bed(false);
+        walk_clean(&rt.handle(), 3);
         assert_eq!(rt.sanitize_violations(), []);
-        assert_eq!(in_flight(&fabric), None, "no FSM state was allocated");
+        assert_eq!(rt.handle().sanitize_records(), [], "nothing was recorded");
     }
+
+    /// The codes `stages` of command `(1, cid)`, doorbells of SQ 1 between
+    /// them, leave in the log.
+    fn codes_of(cid: u16, stages: &[Stage]) -> Vec<&'static str> {
+        let rt = bed(true);
+        let h = rt.handle();
+        for &stage in stages {
+            let cmd = match stage {
+                Stage::SqDoorbell { .. } => None,
+                _ => Some((1, cid)),
+            };
+            h.sanitize_record(cmd, stage);
+        }
+        rt.sanitize_violations().iter().map(|v| v.code).collect()
+    }
+
+    const WRITTEN: Stage = Stage::SqeWritten {
+        slot: 0,
+        entries: 8,
+    };
+    const RUNG: Stage = Stage::SqDoorbell {
+        qid: 1,
+        tail: 1,
+        entries: 8,
+    };
 
     #[test]
     fn double_completion_is_flagged() {
-        let (rt, fabric) = bed(true);
-        emit(
-            &fabric,
-            Event::SqeWritten {
-                qid: 1,
-                cid: 9,
-                slot: 0,
-                entries: 8,
-            },
-        );
-        emit(
-            &fabric,
-            Event::SqDoorbell {
-                qid: 1,
-                tail: 1,
-                entries: 8,
-            },
-        );
-        emit(
-            &fabric,
-            Event::CmdFetched {
-                qid: 1,
-                cid: 9,
-                slot: 0,
-            },
-        );
-        for slot in 0..2 {
-            emit(
-                &fabric,
-                Event::CqePosted {
-                    qid: 1,
-                    cid: 9,
-                    slot,
-                    phase: true,
-                    entries: 8,
-                },
-            );
-        }
-        let v = rt.sanitize_violations();
-        assert!(
-            v.iter()
-                .any(|v| v.code == "nvme.lifecycle.double-completion"),
-            "{v:?}"
-        );
+        let posted = |slot| Stage::CqePosted {
+            slot,
+            phase: true,
+            entries: 8,
+        };
+        let stages = [
+            WRITTEN,
+            RUNG,
+            Stage::Fetched { slot: 0 },
+            posted(0),
+            posted(1),
+        ];
+        let v = codes_of(9, &stages);
+        assert!(v.contains(&"nvme.lifecycle.double-completion"), "{v:?}");
     }
 
     #[test]
     fn slot_reuse_before_fetch_is_flagged() {
-        let (rt, fabric) = bed(true);
-        emit(
-            &fabric,
-            Event::SqeWritten {
-                qid: 1,
-                cid: 1,
-                slot: 0,
-                entries: 8,
-            },
-        );
-        emit(
-            &fabric,
-            Event::SqeWritten {
-                qid: 1,
-                cid: 2,
-                slot: 0,
-                entries: 8,
-            },
-        );
+        let rt = bed(true);
+        let h = rt.handle();
+        h.sanitize_record(Some((1, 1)), WRITTEN);
+        h.sanitize_record(Some((1, 2)), WRITTEN);
         let v = rt.sanitize_violations();
         assert!(
             v.iter().any(|v| v.code == "nvme.lifecycle.slot-reuse"),
@@ -603,140 +520,69 @@ mod tests {
 
     #[test]
     fn stale_phase_consume_is_flagged() {
-        let (rt, fabric) = bed(true);
-        emit(
-            &fabric,
-            Event::SqeWritten {
-                qid: 1,
-                cid: 5,
-                slot: 0,
-                entries: 8,
-            },
-        );
-        emit(
-            &fabric,
-            Event::SqDoorbell {
-                qid: 1,
-                tail: 1,
-                entries: 8,
-            },
-        );
         // Consume before the controller posted anything: stale ring bytes.
-        emit(
-            &fabric,
-            Event::CqeConsumed {
-                qid: 1,
-                cid: 5,
-                slot: 0,
-                phase: false,
-                entries: 8,
-            },
-        );
-        let v = rt.sanitize_violations();
-        assert!(
-            v.iter()
-                .any(|v| v.code == "nvme.lifecycle.stale-phase-consume"),
-            "{v:?}"
-        );
+        let consumed = Stage::CqeConsumed {
+            slot: 0,
+            phase: false,
+            entries: 8,
+        };
+        let v = codes_of(5, &[WRITTEN, RUNG, consumed]);
+        assert!(v.contains(&"nvme.lifecycle.stale-phase-consume"), "{v:?}");
     }
 
     #[test]
     fn doorbell_regression_is_flagged() {
-        let (rt, fabric) = bed(true);
-        emit(
-            &fabric,
-            Event::SqeWritten {
-                qid: 1,
-                cid: 1,
-                slot: 0,
-                entries: 8,
-            },
-        );
-        emit(
-            &fabric,
-            Event::SqDoorbell {
-                qid: 1,
-                tail: 1,
-                entries: 8,
-            },
-        );
         // Ring claims three more slots with nothing written.
-        emit(
-            &fabric,
-            Event::SqDoorbell {
-                qid: 1,
-                tail: 4,
-                entries: 8,
-            },
-        );
-        let v = rt.sanitize_violations();
-        assert!(
-            v.iter()
-                .any(|v| v.code == "nvme.lifecycle.doorbell-regression"),
-            "{v:?}"
-        );
+        let lapped = Stage::SqDoorbell {
+            qid: 1,
+            tail: 4,
+            entries: 8,
+        };
+        let v = codes_of(1, &[WRITTEN, RUNG, lapped]);
+        assert!(v.contains(&"nvme.lifecycle.doorbell-regression"), "{v:?}");
     }
 
     /// Two full laps of an `entries`-deep qpair, one command at a time:
     /// phases flip, slots are reused legally.
     fn two_laps_stay_clean(entries: u16) {
-        let (rt, fabric) = bed(true);
+        let rt = bed(true);
+        let h = rt.handle();
         let mut phase = true;
         for lap in 0..2u16 {
             for slot in 0..entries {
-                let cid = lap * entries + slot;
-                emit(
-                    &fabric,
-                    Event::SqeWritten {
+                let cmd = Some((2, lap * entries + slot));
+                let next = (slot + 1) % entries;
+                h.sanitize_record(cmd, Stage::SqeWritten { slot, entries });
+                h.sanitize_record(
+                    None,
+                    Stage::SqDoorbell {
                         qid: 2,
-                        cid,
-                        slot,
+                        tail: next,
                         entries,
                     },
                 );
-                emit(
-                    &fabric,
-                    Event::SqDoorbell {
-                        qid: 2,
-                        tail: (slot + 1) % entries,
-                        entries,
-                    },
-                );
-                emit(&fabric, Event::CmdFetched { qid: 2, cid, slot });
-                emit(
-                    &fabric,
-                    Event::CqePosted {
-                        qid: 2,
-                        cid,
+                h.sanitize_record(cmd, Stage::Fetched { slot });
+                h.sanitize_record(
+                    cmd,
+                    Stage::CqePosted {
                         slot,
                         phase,
                         entries,
                     },
                 );
-                emit(
-                    &fabric,
-                    Event::CqeConsumed {
-                        qid: 2,
-                        cid,
+                h.sanitize_record(
+                    cmd,
+                    Stage::CqeConsumed {
                         slot,
                         phase,
                         entries,
                     },
                 );
-                emit(
-                    &fabric,
-                    Event::CqHeadDoorbell {
-                        qid: 2,
-                        head: (slot + 1) % entries,
-                    },
-                );
-                if slot == entries - 1 {
-                    phase = !phase;
-                }
+                h.sanitize_record(None, Stage::CqHeadDoorbell { qid: 2, head: next });
+                phase ^= next == 0;
             }
         }
         assert_eq!(rt.sanitize_violations(), []);
-        assert_eq!(in_flight(&fabric), Some(0));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 use std::cell::Cell;
 
 use pcie::{DomainAddr, Fabric, MemRegion, WatchHandle};
-use simcore::SimDuration;
+use simcore::{SimDuration, Stage};
 
-use crate::oracle;
 use crate::spec::completion::{CqEntry, CQE_SIZE};
 
 /// Driver-side completion queue. The ring must live in memory local to the
@@ -93,16 +92,15 @@ impl CqRing {
         self.fabric
             .sanitize_consume(self.ring.host, slot, CQE_SIZE as u64);
         let cqe = CqEntry::decode(&raw);
-        oracle::emit(
-            &self.fabric,
-            oracle::Event::CqeConsumed {
-                qid: self.qid,
-                cid: cqe.cid,
-                slot: head,
-                phase,
-                entries: self.entries,
-            },
-        );
+        let entries = self.entries;
+        let stage = Stage::CqeConsumed {
+            slot: head,
+            phase,
+            entries,
+        };
+        self.fabric
+            .handle()
+            .sanitize_record(Some((self.qid, cqe.cid)), stage);
         self.advance(head);
         Some(cqe)
     }
@@ -133,13 +131,10 @@ impl CqRing {
 
     /// Ring the CQ head doorbell, releasing consumed slots to the device.
     pub async fn ring_doorbell(&self) -> pcie::Result<()> {
-        oracle::emit(
-            &self.fabric,
-            oracle::Event::CqHeadDoorbell {
-                qid: self.qid,
-                head: self.head.get(),
-            },
-        );
+        let (qid, head) = (self.qid, self.head.get());
+        self.fabric
+            .handle()
+            .sanitize_record(None, Stage::CqHeadDoorbell { qid, head });
         self.fabric
             .cpu_write_u32(
                 self.doorbell.host,

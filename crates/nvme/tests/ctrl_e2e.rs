@@ -7,7 +7,7 @@ use blklayer::{Bio, BioError, BioOp, BlockDevice};
 use nvme::driver::{attach_local_driver, LocalDriverConfig};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams, HostId};
-use simcore::SimRuntime;
+use simcore::{SimRuntime, Stage};
 
 struct Bed {
     rt: SimRuntime,
@@ -62,6 +62,7 @@ fn bring_up_and_identify() {
 
 #[test]
 fn write_read_integrity() {
+    let _armed = simcore::sanitize::arm();
     let b = bed();
     let fabric = b.fabric.clone();
     let host = b.host;
@@ -82,10 +83,11 @@ fn write_read_integrity() {
         out == pattern
     });
     assert!(ok, "read-back data mismatch");
-    let stats = b.ctrl.stats();
-    assert_eq!(stats.io_writes, 1);
-    assert_eq!(stats.io_reads, 1);
-    assert_eq!(stats.errors_returned, 0);
+    let records = b.rt.handle().sanitize_records();
+    let count = |stage| records.iter().filter(|r| r.stage == stage).count();
+    assert_eq!(count(Stage::MediaWrite), 1);
+    assert_eq!(count(Stage::MediaRead), 1);
+    assert_eq!(b.ctrl.stats().errors_returned, 0);
 }
 
 #[test]

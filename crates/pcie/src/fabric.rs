@@ -31,12 +31,12 @@ use std::rc::{Rc, Weak};
 
 use simcore::sched::{ChoiceKind, ChoiceOption, Footprint};
 use simcore::sync::Notify;
-use simcore::{Handle, SerialResource, SimDuration, SimTime, TaskId};
+use simcore::{Handle, SerialResource, SimDuration, SimTime, Stage, TaskId};
 
 use crate::addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr};
 use crate::device::MmioDevice;
 use crate::error::{FabricError, Result};
-use crate::fault::{FaultAction, FaultInjector, FaultPlan, FaultStats, SeverMode};
+use crate::fault::{FaultAction, FaultInjector, FaultPlan, SeverMode};
 use crate::hb::{Agent, HbLog};
 use crate::memory::{HostMemory, WatchHandle};
 use crate::ntb::Ntb;
@@ -435,15 +435,11 @@ impl Fabric {
     // Fault injection
     // ---------------------------------------------------------------
 
-    /// Install a fault plan; replaces any previous plan and resets the
-    /// injection statistics. The empty plan disables injection.
+    /// Install a fault plan; replaces any previous plan. The empty plan
+    /// disables injection. Each fault injected is a `Fault*` record of the
+    /// armed stream (`simcore::Stage`).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.inner.faults.borrow_mut().install(plan);
-    }
-
-    /// Counters of faults injected so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.inner.faults.borrow().stats
     }
 
     /// Immediately crash a host actor: every timed fabric operation it
@@ -465,7 +461,7 @@ impl Fabric {
         }
         fi.refresh(self.inner.handle.now());
         if fi.is_crashed(host) {
-            fi.stats.refused += 1;
+            self.inner.handle.sanitize_record(None, Stage::FaultRefused);
             return Err(FabricError::HostCrashed(host));
         }
         Ok(())
@@ -491,7 +487,7 @@ impl Fabric {
         fi.refresh(self.inner.handle.now());
         for &ntb in crossed {
             if fi.severed_mode(ntb).is_some() {
-                fi.stats.refused += 1;
+                self.inner.handle.sanitize_record(None, Stage::FaultRefused);
                 return Err(FabricError::LinkDown { ntb });
             }
         }
@@ -504,10 +500,10 @@ impl Fabric {
             for &(ntb, mode) in fi.severed() {
                 if mode == SeverMode::Both && st.ntbs[ntb.0 as usize].local_domain == target {
                     if posted {
-                        fi.stats.dropped += 1;
+                        self.inner.handle.sanitize_record(None, Stage::FaultDropped);
                         return Ok(true);
                     }
-                    fi.stats.refused += 1;
+                    self.inner.handle.sanitize_record(None, Stage::FaultRefused);
                     return Err(FabricError::LinkDown { ntb });
                 }
             }
@@ -946,7 +942,7 @@ impl Fabric {
                 };
                 match fi.delivery_action(src_host, to_dram_host, data.len() as u64) {
                     Some(FaultAction::Drop) => {
-                        fi.stats.dropped += 1;
+                        self.inner.handle.sanitize_record(None, Stage::FaultDropped);
                         drop(fi);
                         // The write vanishes in flight: forget it, so it
                         // is neither reported as pending forever nor
@@ -958,11 +954,13 @@ impl Fabric {
                         return;
                     }
                     Some(FaultAction::Delay(extra)) => {
-                        fi.stats.delayed += 1;
+                        self.inner.handle.sanitize_record(None, Stage::FaultDelayed);
                         delay += extra;
                     }
                     Some(FaultAction::Duplicate) => {
-                        fi.stats.duplicated += 1;
+                        self.inner
+                            .handle
+                            .sanitize_record(None, Stage::FaultDuplicated);
                         copies = 2;
                     }
                     None => {}

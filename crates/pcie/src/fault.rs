@@ -110,22 +110,6 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashHost>,
 }
 
-/// Counters for faults actually injected; read with
-/// [`Fabric::fault_stats`](crate::Fabric) so tests can assert a plan
-/// fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Deliveries discarded (drop faults + deliveries lost to a severed
-    /// inbound link).
-    pub dropped: u64,
-    /// Deliveries given extra delay.
-    pub delayed: u64,
-    /// Deliveries duplicated.
-    pub duplicated: u64,
-    /// Timed operations refused with `LinkDown` or `HostCrashed`.
-    pub refused: u64,
-}
-
 impl FaultPlan {
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
@@ -365,7 +349,6 @@ pub(crate) struct FaultInjector {
     choice_count: u64,
     severed: Vec<(NtbId, SeverMode)>,
     crashed: Vec<HostId>,
-    pub(crate) stats: FaultStats,
 }
 
 impl FaultInjector {
@@ -378,7 +361,6 @@ impl FaultInjector {
         self.choice_count = 0;
         self.severed.clear();
         self.crashed.clear();
-        self.stats = FaultStats::default();
     }
 
     /// Whether any fault could still fire (cheap fast-path guard).

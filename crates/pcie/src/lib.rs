@@ -33,8 +33,7 @@ pub use device::{MmioDevice, RegisterFile};
 pub use error::{FabricError, Result};
 pub use fabric::{Fabric, Location, WeakFabric};
 pub use fault::{
-    CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, FaultStats, Selector,
-    SeverLink, SeverMode,
+    CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, Selector, SeverLink, SeverMode,
 };
 pub use memory::{HostMemory, PageTable, WatchHandle, PAGE_SIZE};
 pub use params::FabricParams;

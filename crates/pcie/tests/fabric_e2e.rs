@@ -7,7 +7,7 @@ use pcie::{
     DomainAddr, Fabric, FabricError, FabricParams, FaultPlan, HostId, Location, MmioDevice,
     Payload, PhysAddr, RegisterFile,
 };
-use simcore::{ChoiceKind, ReplayScheduler, SimDuration, SimRuntime};
+use simcore::{ChoiceKind, ReplayScheduler, SimDuration, SimRuntime, Stage};
 
 /// Build: hostA(RC) - ntbA - switch - ntbB - hostB(RC) - device.
 struct TestBed {
@@ -18,6 +18,12 @@ struct TestBed {
     dev: pcie::DeviceId,
     ntb_a: pcie::NtbId,
     ntb_b: pcie::NtbId,
+}
+
+/// Faults of kind `stage` on the armed stream of `f`'s runtime.
+fn injected(f: &Fabric, stage: Stage) -> usize {
+    let records = f.handle().sanitize_records();
+    records.iter().filter(|r| r.stage == stage).count()
 }
 
 fn build() -> TestBed {
@@ -253,6 +259,7 @@ fn dma_write_ordering_preserved_for_same_path() {
     // data write is held up in flight, so that the flag comes due first.
     let delay_data = FaultPlan::parse("f1:delay@0/any/5000").unwrap();
     for plan in [FaultPlan::default(), delay_data] {
+        let _armed = simcore::sanitize::arm();
         let tb = build();
         let f = tb.fabric.clone();
         let delayed = !plan.is_empty();
@@ -278,7 +285,7 @@ fn dma_write_ordering_preserved_for_same_path() {
             buf.iter().all(|&b| b == 0xAB)
         });
         assert!(ok, "flag landed before data (delayed: {delayed})");
-        assert_eq!(f.fault_stats().delayed, u64::from(delayed));
+        assert_eq!(injected(&f, Stage::FaultDelayed), usize::from(delayed));
     }
 }
 
@@ -607,6 +614,7 @@ fn duplicated_page_payload_applies_twice() {
     // `dup` re-queues the same payload (a clone shares its pages) right
     // behind the original. A BAR destination makes both applications
     // countable: 4096 B = 512 register writes, twice.
+    let _armed = simcore::sanitize::arm();
     let rt = SimRuntime::new();
     let f = Fabric::new(rt.handle(), FabricParams::default());
     let host = f.add_host(16 << 20);
@@ -627,6 +635,6 @@ fn duplicated_page_payload_applies_twice() {
             f.handle().sleep(SimDuration::from_micros(5)).await;
         }
     });
-    assert_eq!(f.fault_stats().duplicated, 1);
+    assert_eq!(injected(&f, Stage::FaultDuplicated), 1);
     assert_eq!(counter.hits.get(), 2 * 512);
 }

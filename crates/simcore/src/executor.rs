@@ -229,8 +229,9 @@ struct Core {
     /// Number of logical reactors. One (the default) disables every
     /// reactor-aware code path, including the `ReactorPick` choice point.
     reactors: usize,
-    /// The task currently being polled, which a [`Sleep`] polled now
-    /// belongs to; `None` outside any poll.
+    /// The task currently running, a polled future or a called callback:
+    /// a [`Sleep`] polled now belongs to it and a checker record names it.
+    /// `None` outside any step.
     current_task: Cell<Option<TaskId>>,
     /// Reactor of the task currently being polled; spawns inherit it.
     /// Outside any poll (bring-up, `block_on` root) it is reactor 0.
@@ -457,15 +458,15 @@ impl Core {
             self.steps.set(self.steps.get() + 1);
             let hash = trace_fold(self.trace.get(), id.0);
             self.trace.set(trace_fold(hash, self.now.get().as_nanos()));
-            // The task's reactor becomes current so spawns inherit it and
-            // `cpu_work` charges the right core.
+            // The task and its reactor become current so spawns inherit the
+            // reactor, `cpu_work` charges the right core and a record names
+            // the task.
             let prev_reactor = self.current_reactor.replace(reactor);
+            let prev_task = self.current_task.replace(Some(id));
             match step {
                 Step::Call(run) => run(),
                 Step::Poll(mut fut, waker) => {
-                    let prev_task = self.current_task.replace(Some(id));
                     let polled = fut.as_mut().poll(&mut Context::from_waker(&waker));
-                    self.current_task.set(prev_task);
                     let mut tasks = self.tasks.borrow_mut();
                     match polled {
                         Poll::Ready(()) => {
@@ -480,6 +481,7 @@ impl Core {
                     }
                 }
             }
+            self.current_task.set(prev_task);
             self.current_reactor.set(prev_reactor);
         }
     }
@@ -857,11 +859,33 @@ impl Handle {
         self.core().sanitize.take()
     }
 
-    /// The armed runtime's one checker-state slot as a `T`, created on
-    /// first use: where a checker above `simcore` keeps what it tracks
-    /// between hooks. `None` (and nothing allocated) when not armed.
-    pub fn sanitize_slot<T: Default + 'static>(&self) -> Option<Rc<T>> {
-        self.core().sanitize.slot()
+    /// Append a record of `stage` (of command `cmd`, if any) to the armed
+    /// stream, stamped with the current virtual time and task, and feed it
+    /// to the attached consumer. Un-armed: one test, nothing recorded.
+    pub fn sanitize_record(&self, cmd: Option<(u16, u16)>, stage: crate::sanitize::Stage) {
+        let core = self.core();
+        if !core.sanitize.armed {
+            return;
+        }
+        let record = crate::sanitize::Record {
+            at_nanos: core.now.get().as_nanos(),
+            task: core.current_task.get(),
+            cmd,
+            stage,
+        };
+        core.sanitize.append(self, record);
+    }
+
+    /// The armed stream so far; empty when not armed.
+    pub fn sanitize_records(&self) -> Vec<crate::sanitize::Record> {
+        self.core().sanitize.records()
+    }
+
+    /// Attach a `C` as the armed stream's one consumer, unless a consumer
+    /// is attached already: it sees every record appended from now on.
+    /// No-op when not armed.
+    pub fn sanitize_attach<C: crate::sanitize::Consumer + Default + 'static>(&self) {
+        self.core().sanitize.attach::<C>();
     }
 }
 
@@ -1114,6 +1138,20 @@ mod tests {
     fn logging_callback(h: &Handle, log: &Rc<RefCell<Vec<u64>>>) -> TaskId {
         let (h2, log) = (h.clone(), log.clone());
         h.spawn_callback(move || log.borrow_mut().push(h2.now().as_nanos()))
+    }
+
+    #[test]
+    fn a_record_made_inside_a_callback_names_the_callback() {
+        let _armed = crate::sanitize::arm();
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let h2 = h.clone();
+        let stage = crate::sanitize::Stage::ControllerReset;
+        let task = h.spawn_callback(move || h2.sanitize_record(None, stage));
+        h.sanitize_record(None, stage);
+        rt.run();
+        let tasks: Vec<_> = h.sanitize_records().iter().map(|r| r.task).collect();
+        assert_eq!(tasks, [None, Some(task)]);
     }
 
     #[test]

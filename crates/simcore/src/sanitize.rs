@@ -22,17 +22,25 @@
 //! Unarmed, nothing is recorded or allocated. Tests assert on the recorded
 //! violations.
 //!
-//! This module is the switch, the [`Violation`] record, the log, and one
-//! typed state slot ([`Handle::sanitize_slot`]) for a checker that keeps
-//! state between hooks; the checkers themselves live beside what they
-//! check (`pcie::hb`, `nvme::oracle`).
+//! This module is the switch, the [`Violation`] log and the record
+//! stream: every stage a command, a queue or a fabric delivery passes
+//! through is appended as one [`Record`] by [`Handle::sanitize_record`],
+//! which stamps it with the virtual time and the running task and hands
+//! it, at that instant, to the runtime's one [`Consumer`]
+//! ([`Handle::sanitize_attach`]), the NVMe lifecycle FSM
+//! (`nvme::oracle`). Counts the model no longer keeps (faults injected,
+//! media reads and writes, resets) are read off the stream
+//! ([`Handle::sanitize_records`]).
 //!
 //! [`Handle::sanitize_armed`]: crate::Handle::sanitize_armed
-//! [`Handle::sanitize_slot`]: crate::Handle::sanitize_slot
+//! [`Handle::sanitize_record`]: crate::Handle::sanitize_record
+//! [`Handle::sanitize_attach`]: crate::Handle::sanitize_attach
+//! [`Handle::sanitize_records`]: crate::Handle::sanitize_records
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+
+use crate::{Handle, TaskId};
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
@@ -76,14 +84,82 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// A stage of the NVMe queue protocol or of fault injection. The
+/// command-level stages belong to the record's `cmd`; the others name
+/// their queue themselves or none.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Host stored the SQE into `slot` of its `entries`-deep SQ.
+    SqeWritten { slot: u16, entries: u16 },
+    /// Host wrote `tail` to SQ `qid`'s tail doorbell.
+    SqDoorbell { qid: u16, tail: u16, entries: u16 },
+    /// Controller fetched the command from `slot` of its SQ.
+    Fetched { slot: u16 },
+    /// Controller began executing an admin command.
+    AdminExecuted,
+    /// Controller began reading an NVM Read's blocks from the medium.
+    MediaRead,
+    /// Controller began fetching an NVM Write's data for the medium.
+    MediaWrite,
+    /// Controller accepted an Abort for the command: it completes with
+    /// ABORT_REQUESTED instead of its own status.
+    Aborted,
+    /// Controller posted the CQE into `slot` of its CQ with tag `phase`.
+    CqePosted {
+        slot: u16,
+        phase: bool,
+        entries: u16,
+    },
+    /// Host consumed the CQE in `slot` of its CQ, observing `phase`.
+    CqeConsumed {
+        slot: u16,
+        phase: bool,
+        entries: u16,
+    },
+    /// Host wrote `head` to CQ `qid`'s head doorbell.
+    CqHeadDoorbell { qid: u16, head: u16 },
+    /// Controller executed Delete I/O SQ/CQ for `qid`.
+    QueueDeleted { qid: u16 },
+    /// CC.EN 1 -> 0: every queue and every in-flight command is gone.
+    ControllerReset,
+    /// A fault plan (or a severed inbound link) discarded a delivery.
+    FaultDropped,
+    /// A fault plan gave a delivery extra delay.
+    FaultDelayed,
+    /// A fault plan duplicated a delivery.
+    FaultDuplicated,
+    /// A timed operation was refused with `LinkDown` or `HostCrashed`.
+    FaultRefused,
+}
+
+/// One entry of the armed record stream.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Record {
+    /// Virtual time of the stage, in nanoseconds.
+    pub at_nanos: u64,
+    /// The task (future or callback) that recorded it; `None` outside
+    /// any task.
+    pub task: Option<TaskId>,
+    /// `(qid, cid)` of the command the stage belongs to. A qid names one
+    /// queue pair of the one controller at any instant, so no host is
+    /// needed.
+    pub cmd: Option<(u16, u16)>,
+    pub stage: Stage,
+}
+
+/// A checker fed each record of an armed runtime at the instant it is
+/// appended.
+pub trait Consumer {
+    fn consume(&self, handle: &Handle, record: &Record);
+}
+
 /// Per-runtime checker state, owned by the executor core.
 pub(crate) struct SanitizerState {
     /// Whether an [`arm`] guard was alive when the runtime was built.
     pub(crate) armed: bool,
     violations: RefCell<Vec<Violation>>,
-    /// State a checker above `simcore` keeps between hooks (the NVMe
-    /// lifecycle FSM); allocated by its first armed hook.
-    slot: RefCell<Option<Rc<dyn Any>>>,
+    records: RefCell<Vec<Record>>,
+    consumer: RefCell<Option<Rc<dyn Consumer>>>,
 }
 
 impl SanitizerState {
@@ -91,7 +167,8 @@ impl SanitizerState {
         SanitizerState {
             armed: ARMED.with(Cell::get),
             violations: RefCell::default(),
-            slot: RefCell::default(),
+            records: RefCell::default(),
+            consumer: RefCell::default(),
         }
     }
 
@@ -114,32 +191,72 @@ impl SanitizerState {
         std::mem::take(&mut *self.violations.borrow_mut())
     }
 
-    pub(crate) fn slot<T: Default + 'static>(&self) -> Option<Rc<T>> {
-        if !self.armed {
-            return None;
+    pub(crate) fn attach<C: Consumer + Default + 'static>(&self) {
+        if self.armed {
+            let mut consumer = self.consumer.borrow_mut();
+            consumer.get_or_insert_with(|| Rc::new(C::default()));
         }
-        let state = self
-            .slot
-            .borrow_mut()
-            .get_or_insert_with(|| Rc::new(T::default()))
-            .clone();
-        Some(state.downcast().expect("the checker slot holds one type"))
+    }
+
+    /// Append `record` (armed runtimes only) and feed it to the consumer.
+    pub(crate) fn append(&self, handle: &Handle, record: Record) {
+        self.records.borrow_mut().push(record);
+        if let Some(consumer) = self.consumer.borrow().as_ref() {
+            consumer.consume(handle, &record);
+        }
+    }
+
+    pub(crate) fn records(&self) -> Vec<Record> {
+        self.records.borrow().clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRuntime;
+
+    thread_local! {
+        static FED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Counts the records it is fed into `FED`.
+    #[derive(Default)]
+    struct Tally;
+
+    impl Consumer for Tally {
+        fn consume(&self, _: &Handle, _: &Record) {
+            FED.with(|n| n.set(n.get() + 1));
+        }
+    }
 
     #[test]
-    fn slot_is_armed_only_and_keeps_its_state() {
-        let unarmed = SanitizerState::new();
-        assert!(unarmed.slot::<Cell<u32>>().is_none());
-        assert!(unarmed.slot.borrow().is_none(), "nothing allocated");
-        let _armed = arm();
+    fn stream_is_armed_only_and_feeds_its_consumer_once() {
+        let unarmed = SimRuntime::new();
+        let h = unarmed.handle();
+        h.sanitize_attach::<Tally>();
+        h.sanitize_record(None, Stage::ControllerReset);
+        assert!(h.sanitize_records().is_empty());
+        assert_eq!(FED.with(Cell::get), 0);
         let st = SanitizerState::new();
-        assert!(st.slot.borrow().is_none(), "allocated by the first hook");
-        st.slot::<Cell<u32>>().expect("armed").set(7);
-        assert_eq!(st.slot::<Cell<u32>>().expect("armed").get(), 7);
+        st.attach::<Tally>();
+        assert!(st.consumer.borrow().is_none(), "nothing allocated");
+
+        let _armed = arm();
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        h.sanitize_attach::<Tally>();
+        h.sanitize_attach::<Tally>();
+        h.sanitize_record(Some((1, 7)), Stage::Fetched { slot: 3 });
+        h.sanitize_record(None, Stage::FaultDropped);
+        assert_eq!(FED.with(Cell::get), 2, "attaching twice is attaching once");
+        let first = Record {
+            at_nanos: 0,
+            task: None,
+            cmd: Some((1, 7)),
+            stage: Stage::Fetched { slot: 3 },
+        };
+        assert_eq!(h.sanitize_records()[..1], [first]);
+        assert_eq!(h.sanitize_records().len(), 2);
     }
 }

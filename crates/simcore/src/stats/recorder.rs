@@ -15,7 +15,7 @@ const PER_MILLE: [usize; 7] = [10, 250, 500, 750, 900, 990, 999];
 
 /// Records every sample exactly (nanoseconds) as ascending
 /// `(value, count)` runs plus a raw buffer, sorted and folded into the
-/// runs in place once it holds [`BUFFER`] samples or as many samples as
+/// runs in place once it holds `BUFFER` samples or as many samples as
 /// there are runs, whichever is more. A fold walks every run, so the
 /// second bound keeps its cost per sample constant however many distinct
 /// values there are; storage stays at most `distinct + max(BUFFER,

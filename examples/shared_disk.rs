@@ -90,8 +90,8 @@ fn main() {
 
     let stats = sc.ctrl.stats();
     println!(
-        "controller stats: {} commands fetched, {} completions, {} errors",
-        stats.commands_fetched, stats.completions_posted, stats.errors_returned
+        "controller stats: {} commands fetched, {} errors",
+        stats.commands_fetched, stats.errors_returned
     );
     println!("shared_disk: OK — one device, {CLIENTS} hosts, full cross-visibility");
 }

@@ -12,7 +12,7 @@
 use blklayer::Bio;
 use cluster::{Calibration, Scenario, ScenarioKind};
 use fioflex::{run_job, verify_region, JobSpec, RwMode};
-use simcore::{LatencySummary, SimDuration};
+use simcore::{LatencySummary, Record, SimDuration, Stage};
 
 /// FNV-1a over the sanitize violation set, order-sensitive: the sanitizer
 /// must report the same violations in the same order on every replay.
@@ -154,8 +154,15 @@ fn fault_schedule_replays_bit_identically() {
             let buf = fabric.alloc(host, 4096).unwrap();
             dev.submit(Bio::read(0, 8, buf)).await.unwrap();
         });
-        let fs = sc.fabric.fault_stats();
-        assert_eq!(fs.dropped, 1, "the fault must fire on every run");
+        let records = sc.rt.handle().sanitize_records();
+        let fs = [
+            Stage::FaultDropped,
+            Stage::FaultDelayed,
+            Stage::FaultDuplicated,
+            Stage::FaultRefused,
+        ]
+        .map(|stage| records.iter().filter(|r| r.stage == stage).count());
+        assert_eq!(fs[0], 1, "the fault must fire on every run");
         (
             sc.rt.trace_hash(),
             violations_fingerprint(&sc.rt.sanitize_violations()),
@@ -212,8 +219,30 @@ struct JobOutcome {
     violations: usize,
     /// Records in the fabric's access table (the race detector's state).
     hb_log: usize,
-    /// Commands the lifecycle FSM still tracks; `None` = no FSM state.
-    fsm_in_flight: Option<usize>,
+    /// Records on the armed stream.
+    records: usize,
+    /// Commands with an SQE-written record that no consume or queue-delete
+    /// record follows.
+    unfinished: usize,
+}
+
+/// Commands of `records` whose SQE store is never followed by their CQE's
+/// consumption or their queue's deletion.
+fn unfinished(records: &[Record]) -> usize {
+    let mut open = std::collections::BTreeSet::new();
+    for r in records {
+        match (r.cmd, r.stage) {
+            (Some(cmd), Stage::SqeWritten { .. }) => {
+                open.insert(cmd);
+            }
+            (Some(cmd), Stage::CqeConsumed { .. }) => {
+                open.remove(&cmd);
+            }
+            (_, Stage::QueueDeleted { qid }) => open.retain(|&(q, _)| q != qid),
+            _ => {}
+        }
+    }
+    open.len()
 }
 
 fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
@@ -231,6 +260,7 @@ fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
         .rt
         .block_on(async move { run_job(&fabric, host, dev, &spec).await });
     assert_eq!(report.errors, 0, "{}", sc.label);
+    let records = sc.rt.handle().sanitize_records();
     JobOutcome {
         trace_hash: sc.rt.trace_hash(),
         steps: sc.rt.steps(),
@@ -238,7 +268,8 @@ fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
         write: report.write.map(|s| s.lat),
         violations: sc.rt.sanitize_violations().len(),
         hb_log: sc.fabric.sanitize_log_len(),
-        fsm_in_flight: nvme::oracle::in_flight(&sc.fabric),
+        records: records.len(),
+        unfinished: unfinished(&records),
     }
 }
 
@@ -246,8 +277,8 @@ fn job_once(kind: ScenarioKind, armed: bool) -> JobOutcome {
 fn checker_is_passive() {
     // The armed and the un-armed run are the same binary: arming may add
     // bookkeeping but not one poll, one nanosecond or one violation, and
-    // un-armed the checker — race detector, protocol checks and lifecycle
-    // FSM alike — records nothing and allocates no state at all.
+    // un-armed the checker — race detector, protocol checks, record stream
+    // and lifecycle FSM alike — records nothing and allocates no state.
     for kind in [
         ScenarioKind::LinuxLocal,
         ScenarioKind::NvmfRemote,
@@ -260,10 +291,10 @@ fn checker_is_passive() {
             armed.hb_log > 0,
             "{kind:?}: the armed run recorded no accesses"
         );
+        assert!(armed.records > 0, "{kind:?}: the armed stream is empty");
         assert_eq!(
-            armed.fsm_in_flight,
-            Some(0),
-            "{kind:?}: the FSM must have followed every command to its end"
+            armed.unfinished, 0,
+            "{kind:?}: the stream must follow every command to its end"
         );
         assert_eq!(
             armed.violations, 0,
@@ -273,7 +304,7 @@ fn checker_is_passive() {
             job_once(kind.clone(), false),
             JobOutcome {
                 hb_log: 0,
-                fsm_in_flight: None,
+                records: 0,
                 ..armed
             },
             "{kind:?}: arming the checker changed the run"

@@ -6,9 +6,15 @@ use cluster::{Calibration, Scenario, ScenarioKind};
 use dnvme::{ClientConfig, ClientDriver, Manager, ManagerConfig};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams};
-use simcore::SimRuntime;
+use simcore::{Handle, SimRuntime, Stage};
 use smartio::{BorrowMode, SmartIo};
 use std::rc::Rc;
+
+/// Records of `stage` on `handle`'s armed stream.
+fn recorded(handle: &Handle, stage: Stage) -> usize {
+    let records = handle.sanitize_records();
+    records.iter().filter(|r| r.stage == stage).count()
+}
 
 fn star_cluster(
     hosts: usize,
@@ -53,7 +59,8 @@ fn star_cluster(
 fn manager_can_run_on_a_third_host() {
     // Device in host 2, manager on host 0, client on host 1: three
     // different machines, queues and data crossing two NTB paths.
-    let (rt, fabric, smartio, hosts, ctrl) = star_cluster(3);
+    let _armed = simcore::sanitize::arm();
+    let (rt, fabric, smartio, hosts, _ctrl) = star_cluster(3);
     let dev = smartio.devices()[0];
     let ok = rt.block_on({
         let smartio = smartio.clone();
@@ -77,7 +84,7 @@ fn manager_can_run_on_a_third_host() {
         }
     });
     assert!(ok);
-    assert!(ctrl.stats().io_reads >= 1);
+    assert!(recorded(&rt.handle(), Stage::MediaRead) >= 1);
 }
 
 #[test]
@@ -129,6 +136,7 @@ fn qpair_churn_reuses_resources() {
 fn controller_reset_tears_down_queues() {
     // CC.EN=0 must kill every queue; CSTS.RDY drops.
     use nvme::spec::registers::{csts, offset};
+    let _armed = simcore::sanitize::arm();
     let (rt, fabric, smartio, hosts, ctrl) = star_cluster(2);
     let dev = smartio.devices()[0];
     rt.block_on({
@@ -158,7 +166,7 @@ fn controller_reset_tears_down_queues() {
                 .unwrap();
             assert_eq!(v & csts::RDY, 0, "controller must drop ready");
             assert_eq!(ctrl.live_io_queues(), 0, "queues must be torn down");
-            assert!(ctrl.stats().resets >= 1);
+            assert!(recorded(&fabric.handle(), Stage::ControllerReset) >= 1);
         }
     });
 }

@@ -6,11 +6,13 @@ use blklayer::Bio;
 use cluster::{Calibration, Scenario, ScenarioKind};
 use dnvme::{ClientConfig, ClientDriver};
 use fioflex::stamp;
+use simcore::Stage;
 use smartio::SmartIo;
 
 #[test]
 fn thirty_one_hosts_share_one_controller() {
     let calib = Calibration::paper();
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build(ScenarioKind::OursMultihost { clients: 31 }, &calib);
     assert_eq!(sc.ctrl.live_io_queues(), 31, "31 I/O queue pairs live");
 
@@ -56,10 +58,11 @@ fn thirty_one_hosts_share_one_controller() {
         total
     });
     assert_eq!(total_errors, 0, "31-host sharing with data integrity");
-    let stats = sc.ctrl.stats();
-    assert!(stats.io_writes >= 31 * 8);
-    assert!(stats.io_reads >= 31 * 8);
-    assert_eq!(stats.errors_returned, 0);
+    let records = sc.rt.handle().sanitize_records();
+    let count = |stage| records.iter().filter(|r| r.stage == stage).count();
+    assert!(count(Stage::MediaWrite) >= 31 * 8);
+    assert!(count(Stage::MediaRead) >= 31 * 8);
+    assert_eq!(sc.ctrl.stats().errors_returned, 0);
 }
 
 #[test]

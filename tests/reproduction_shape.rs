@@ -5,7 +5,7 @@
 
 use cluster::{Calibration, Scenario, ScenarioKind};
 use fioflex::{JobSpec, RwMode};
-use simcore::{LatencySummary, SimDuration};
+use simcore::{LatencySummary, Record, SimDuration, Stage};
 
 fn job(rw: RwMode) -> JobSpec {
     JobSpec::fig10(rw, SimDuration::from_millis(20)).ramp(SimDuration::from_micros(500))
@@ -128,10 +128,17 @@ fn a_second_command_in_flight_does_not_delay_completions() {
     );
 }
 
-/// `(executor polls, I/Os)` of `spec` over its 20 simulated ms.
+/// `(executor polls, I/Os)` of `spec` over its 20 simulated ms. Armed, to
+/// count the controller's media reads and writes on the record stream;
+/// arming moves no poll.
 fn polls_and_ios(kind: ScenarioKind, spec: &JobSpec) -> (u64, u64) {
+    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build(kind, &Calibration::paper());
-    let ios = |sc: &Scenario| sc.ctrl.stats().io_reads + sc.ctrl.stats().io_writes;
+    let ios = |sc: &Scenario| {
+        let records = sc.rt.handle().sanitize_records();
+        let media = |r: &&Record| matches!(r.stage, Stage::MediaRead | Stage::MediaWrite);
+        records.iter().filter(media).count() as u64
+    };
     let (steps_before, ios_before) = (sc.rt.steps(), ios(&sc));
     let rep = sc.run(spec);
     assert_eq!(rep.errors, 0);

@@ -6,18 +6,20 @@
 use std::rc::Rc;
 
 use nvme::driver::{AdminQueue, AdminQueueLayout};
-use nvme::oracle::{self, Event};
+use nvme::oracle;
 use nvme::spec::command::SQE_SIZE;
 use nvme::spec::completion::CQE_SIZE;
 use nvme::{BlockStore, CqEntry, MediaProfile, NvmeConfig, NvmeController, SqEntry, Status};
 use pcie::{DomainAddr, Fabric, FabricParams, FaultPlan, HostId, MemRegion, NtbId, PhysAddr};
-use simcore::{SimDuration, SimRuntime, Violation};
+use simcore::{SimDuration, SimRuntime, Stage, Violation};
 
 /// A runtime with the checker armed (the guard only has to outlive the
-/// runtime's construction).
+/// runtime's construction) and the lifecycle oracle attached.
 fn armed_runtime() -> SimRuntime {
     let _armed = simcore::sanitize::arm();
-    SimRuntime::new()
+    let rt = SimRuntime::new();
+    oracle::attach(&rt.handle());
+    rt
 }
 
 fn codes(violations: &[Violation]) -> Vec<&'static str> {
@@ -308,16 +310,15 @@ fn pop_unchecked(fabric: &Fabric, ring: MemRegion, qid: u16, slot: u16, entries:
     fabric.mem_read(ring.host, addr, &mut raw).unwrap();
     fabric.sanitize_consume(ring.host, addr, CQE_SIZE as u64);
     let cqe = CqEntry::decode(&raw);
-    oracle::emit(
-        fabric,
-        Event::CqeConsumed {
-            qid,
-            cid: cqe.cid,
-            slot,
-            phase: CqEntry::peek_phase(&raw),
-            entries,
-        },
-    );
+    let phase = CqEntry::peek_phase(&raw);
+    let consumed = Stage::CqeConsumed {
+        slot,
+        phase,
+        entries,
+    };
+    fabric
+        .handle()
+        .sanitize_record(Some((qid, cqe.cid)), consumed);
     cqe
 }
 
@@ -332,33 +333,27 @@ fn stale_phase_consumption_is_flagged() {
         .alloc(host, ENTRIES as u64 * CQE_SIZE as u64)
         .unwrap();
     // A genuinely delivered entry pops silently, even unguarded.
-    for ev in [
-        Event::SqeWritten {
-            qid: QID,
-            cid: 42,
-            slot: 0,
-            entries: ENTRIES,
-        },
-        Event::SqDoorbell {
+    let (h, cmd) = (rt.handle(), Some((QID, 42)));
+    let (slot, entries) = (0, ENTRIES);
+    h.sanitize_record(cmd, Stage::SqeWritten { slot, entries });
+    h.sanitize_record(
+        None,
+        Stage::SqDoorbell {
             qid: QID,
             tail: 1,
-            entries: ENTRIES,
+            entries,
         },
-        Event::CmdFetched {
-            qid: QID,
-            cid: 42,
-            slot: 0,
+    );
+    h.sanitize_record(cmd, Stage::Fetched { slot });
+    let phase = true;
+    h.sanitize_record(
+        cmd,
+        Stage::CqePosted {
+            slot,
+            phase,
+            entries,
         },
-        Event::CqePosted {
-            qid: QID,
-            cid: 42,
-            slot: 0,
-            phase: true,
-            entries: ENTRIES,
-        },
-    ] {
-        oracle::emit(&fabric, ev);
-    }
+    );
     let cqe = CqEntry::new(0, 0, QID, 42, true, Status::SUCCESS);
     fabric.mem_write(host, ring.addr, &cqe.encode()).unwrap();
     assert_eq!(pop_unchecked(&fabric, ring, QID, 0, ENTRIES).cid, 42);
@@ -563,7 +558,9 @@ fn dropped_write_gives_no_happens_before_edge() {
                 .await
                 .unwrap();
             fabric.handle().sleep(SimDuration::from_micros(10)).await;
-            assert_eq!(fabric.fault_stats().dropped, 1);
+            let records = fabric.handle().sanitize_records();
+            let dropped = records.iter().filter(|r| r.stage == Stage::FaultDropped);
+            assert_eq!(dropped.count(), 1);
             let mut buf = [0u8; 64];
             fabric
                 .cpu_read(b, target.addr.offset(0x100), &mut buf)
