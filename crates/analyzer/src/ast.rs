@@ -1,10 +1,10 @@
 //! Lightweight syntax layer for the lint pass: a lossless-enough lexer
 //! (comments and literal bodies stripped, everything else tokenized with
 //! line numbers) plus a shallow item parse that recovers what the
-//! protocol rules need from real syntax — function items with body
-//! extents, call expressions with receiver/argument token ranges, and
-//! field-assignment statements. No external dependencies: the crate must
-//! build offline, so this stands in for a `syn`-style AST.
+//! rules need from real syntax — function items with body extents,
+//! trait method names, and call expressions with receiver/argument token
+//! ranges. No external dependencies: the crate must build offline, so
+//! this stands in for a `syn`-style AST.
 
 /// Lexer state across lines (block comments and strings span lines).
 enum LexState {
@@ -154,24 +154,13 @@ impl Tok {
     }
 }
 
-/// One declared parameter of a `fn` item.
-#[derive(Debug, Clone)]
-pub(crate) struct Param {
-    /// The bound identifier (`self` receivers and pattern parameters are
-    /// not recorded).
-    pub name: String,
-    /// Token index of the identifier in the signature.
-    pub at: usize,
-}
-
-/// A `fn` item: name, parameters, and the token-index extent of the
+/// A `fn` item: its name and the token-index extent of the
 /// body (inclusive of the braces). Trait-method declarations without a
 /// body are not recorded as items (their names still surface through
 /// [`Ast::traits`]).
 #[derive(Debug)]
 pub(crate) struct FnItem {
     pub name: String,
-    pub params: Vec<Param>,
     pub body: (usize, usize),
 }
 
@@ -196,17 +185,6 @@ pub(crate) struct Call {
     pub receiver: Option<String>,
     /// Token-index range of the argument list (exclusive of the parens).
     pub args: (usize, usize),
-}
-
-/// A field-assignment statement `a.b.c = …` (plain `=`, not `let`
-/// bindings, compound assignments, or comparisons).
-#[derive(Debug)]
-pub(crate) struct FieldAssign {
-    pub line: usize,
-    /// The dotted path's identifier segments, left to right.
-    pub path: Vec<String>,
-    /// Token index of the `=` sign (for ordering against calls).
-    pub at: usize,
 }
 
 /// The parsed file: sanitized lines (for line-pattern rules and
@@ -238,10 +216,10 @@ impl Ast {
     /// Call expressions inside the token range, in token order. An ident
     /// followed by `(` — directly, or through a `::<…>` turbofish — is a
     /// call unless it is a definition (`fn name(`). Turbofish matters
-    /// for the call-graph rules: `recv.probe::<u32>(…)` used to be
-    /// invisible, so a non-posted read inside a generic trait method
-    /// called through a `&dyn` / `impl Trait` receiver silently escaped
-    /// the D07/D11 reachability walk.
+    /// for the call graph: `recv.probe::<u32>(…)` used to be invisible,
+    /// so a blocking await inside a generic trait method called through a
+    /// `&dyn` / `impl Trait` receiver silently escaped D11's reachability
+    /// walk.
     pub(crate) fn calls_in(&self, range: (usize, usize)) -> Vec<Call> {
         let mut out = Vec::new();
         let (start, end) = range;
@@ -292,56 +270,6 @@ impl Ast {
         out
     }
 
-    /// Field assignments (`a.b = …`) inside the token range.
-    pub(crate) fn field_assigns_in(&self, range: (usize, usize)) -> Vec<FieldAssign> {
-        let mut out = Vec::new();
-        let (start, end) = range;
-        for i in start..end.min(self.tokens.len()) {
-            if !self.tokens[i].punct('=') {
-                continue;
-            }
-            // Not `==`, `=>`, `<=`, `>=`, `!=`, compound ops, or `..=`.
-            if self
-                .tokens
-                .get(i + 1)
-                .is_some_and(|t| t.punct('=') || t.punct('>'))
-            {
-                continue;
-            }
-            if i > 0
-                && self.tokens[i - 1].kind == TokKind::Punct
-                && "=<>!+-*/%&|^.".contains(&self.tokens[i - 1].text)
-            {
-                continue;
-            }
-            // Walk the dotted path backwards: ident (. ident)*.
-            let mut j = i;
-            let mut path_rev = Vec::new();
-            while j >= 1 && self.tokens[j - 1].kind == TokKind::Ident {
-                path_rev.push(self.tokens[j - 1].text.clone());
-                if j >= 2 && self.tokens[j - 2].punct('.') {
-                    j -= 2;
-                } else {
-                    j -= 1;
-                    break;
-                }
-            }
-            if path_rev.len() < 2 {
-                continue; // plain rebinding / pattern, not a field store
-            }
-            if j >= 1 && (self.tokens[j - 1].is("let") || self.tokens[j - 1].is("mut")) {
-                continue;
-            }
-            path_rev.reverse();
-            out.push(FieldAssign {
-                line: self.tokens[i].line,
-                path: path_rev,
-                at: i,
-            });
-        }
-        out
-    }
-
     /// The identifier bound by the statement enclosing token `at`: the
     /// ident after the nearest preceding `let` with no `;` in between
     /// (covers `let x = match … { … call … }` arms too).
@@ -366,6 +294,26 @@ impl Ast {
             }
         }
         None
+    }
+
+    /// Token index one past the statement starting at `from`: the `;` at
+    /// zero delimiter depth, the delimiter closing the enclosing group,
+    /// or `end`.
+    pub(crate) fn stmt_end(&self, from: usize, end: usize) -> usize {
+        let mut depth = 0isize;
+        for (k, t) in self.tokens[from..end].iter().enumerate() {
+            if t.punct('(') || t.punct('[') || t.punct('{') {
+                depth += 1;
+            } else if t.punct(')') || t.punct(']') || t.punct('}') {
+                depth -= 1;
+                if depth < 0 {
+                    return from + k;
+                }
+            } else if t.punct(';') && depth == 0 {
+                return from + k;
+            }
+        }
+        end
     }
 
     /// Whether any token in the range is an identifier for which `pred`
@@ -470,14 +418,11 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
                 let mut angle = 0isize;
                 let mut j = i + 2;
                 let mut body = None;
-                let mut sig = None;
+                let mut in_sig = false;
                 while j < tokens.len() {
                     let t = &tokens[j];
                     if t.punct('(') {
-                        if paren == 0 && bracket == 0 && angle == 0 && sig.is_none() {
-                            let close = match_delim(tokens, j, '(', ')');
-                            sig = Some((j, close));
-                        }
+                        in_sig |= paren == 0 && bracket == 0 && angle == 0;
                         paren += 1;
                     } else if t.punct(')') {
                         paren -= 1;
@@ -485,10 +430,10 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
                         bracket += 1;
                     } else if t.punct(']') {
                         bracket -= 1;
-                    } else if sig.is_none() && t.punct('<') {
+                    } else if !in_sig && t.punct('<') {
                         // Generic-parameter list before the signature.
                         angle += 1;
-                    } else if sig.is_none() && t.punct('>') && !(tokens[j - 1].punct('-')) {
+                    } else if !in_sig && t.punct('>') && !(tokens[j - 1].punct('-')) {
                         angle -= 1;
                     } else if paren == 0 && bracket == 0 {
                         if t.punct(';') {
@@ -504,7 +449,6 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
                 if let Some(body) = body {
                     out.push(FnItem {
                         name: name_tok.text.clone(),
-                        params: sig.map_or_else(Vec::new, |s| parse_params(tokens, s)),
                         body,
                     });
                 }
@@ -513,73 +457,6 @@ fn parse_functions(tokens: &[Tok]) -> Vec<FnItem> {
         i += 1;
     }
     out
-}
-
-/// Parse the parameter list between the signature parens. Each top-level
-/// comma-separated segment with a `name: type` shape yields a [`Param`];
-/// `self` receivers and pattern parameters are skipped.
-fn parse_params(tokens: &[Tok], sig: (usize, usize)) -> Vec<Param> {
-    let mut out = Vec::new();
-    let mut depth = 0isize;
-    let mut seg_start = sig.0 + 1;
-    let mut k = sig.0 + 1;
-    while k <= sig.1 {
-        let at_end = k == sig.1;
-        if !at_end {
-            let t = &tokens[k];
-            if t.punct('(') || t.punct('[') || t.punct('<') {
-                depth += 1;
-            } else if t.punct(')')
-                || t.punct(']')
-                || (t.punct('>') && !(k > 0 && tokens[k - 1].punct('-')))
-            {
-                depth -= 1; // `>` after `-` is a return arrow, not a close
-            }
-        }
-        if at_end || (depth == 0 && tokens[k].punct(',')) {
-            if let Some(p) = parse_param_segment(tokens, seg_start, k) {
-                out.push(p);
-            }
-            seg_start = k + 1;
-        }
-        k += 1;
-    }
-    out
-}
-
-fn parse_param_segment(tokens: &[Tok], start: usize, end: usize) -> Option<Param> {
-    // Find the first `:` at segment depth 0 that is not part of `::`.
-    let mut depth = 0isize;
-    let mut colon = None;
-    let mut k = start;
-    while k < end {
-        let t = &tokens[k];
-        if t.punct('(') || t.punct('[') || t.punct('<') {
-            depth += 1;
-        } else if t.punct(')')
-            || t.punct(']')
-            || (t.punct('>') && !(k > 0 && tokens[k - 1].punct('-')))
-        {
-            depth -= 1;
-        } else if depth == 0 && t.punct(':') {
-            if tokens.get(k + 1).is_some_and(|n| n.punct(':')) {
-                k += 2;
-                continue;
-            }
-            colon = Some(k);
-            break;
-        }
-        k += 1;
-    }
-    let colon = colon?;
-    let name_tok = tokens.get(colon.checked_sub(1)?)?;
-    if name_tok.kind != TokKind::Ident || colon - 1 < start {
-        return None; // tuple/struct pattern parameter — not a plain binding
-    }
-    Some(Param {
-        name: name_tok.text.clone(),
-        at: colon - 1,
-    })
 }
 
 /// Collect `trait Name { … }` declarations with the method names they

@@ -9,8 +9,8 @@
 //! token ranges (`segs`) rather than one range because join blocks
 //! resume the enclosing statement sequence.
 //!
-//! The graph answers the one question the path-sensitive rules (D23,
-//! D24) and the forward dataflow need and a token walk could not: can
+//! The graph answers the one question the path-sensitive leak rule
+//! (D23) needs and a token walk could not: can
 //! the event at one token position be followed by the event at another
 //! on *some* execution, without passing a blocker
 //! ([`Cfg::site_reaches_site`])? "Every path from the acquire to an
@@ -28,7 +28,7 @@
 //! return), labeled `break`/`continue` target the innermost loop, and
 //! `?`/branches inside `if` conditions or `match` scrutinees stay in
 //! the pre-branch block. All three over- or under-split in ways the
-//! rules tolerate; none manufacture an impossible path for D23.
+//! rule tolerates; none manufacture an impossible path for D23.
 
 use crate::ast::{match_delim, Ast, FnItem, Tok, TokKind};
 
@@ -44,8 +44,6 @@ pub(crate) struct Block {
 #[derive(Debug)]
 pub(crate) struct Cfg {
     pub blocks: Vec<Block>,
-    pub entry: usize,
-    rpo: Vec<usize>,
     reach: Vec<bool>,
 }
 
@@ -69,30 +67,19 @@ impl Cfg {
         b.edge(last, 1);
         let blocks = b.blocks;
         let n = blocks.len();
-        // Reachability + postorder from the entry block.
+        // Reachability from the entry block.
         let mut reach = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        let mut stack = vec![(0usize, 0usize)];
+        let mut stack = vec![0usize];
         reach[0] = true;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < blocks[node].succs.len() {
-                let s = blocks[node].succs[*next];
-                *next += 1;
+        while let Some(node) = stack.pop() {
+            for &s in &blocks[node].succs {
                 if !reach[s] {
                     reach[s] = true;
-                    stack.push((s, 0));
+                    stack.push(s);
                 }
-            } else {
-                post.push(node);
-                stack.pop();
             }
         }
-        Cfg {
-            blocks,
-            entry: 0,
-            rpo: post.into_iter().rev().collect(),
-            reach,
-        }
+        Cfg { blocks, reach }
     }
 
     /// The block whose segs contain token position `pos`, if any.
@@ -108,11 +95,6 @@ impl Cfg {
 
     pub(crate) fn reachable(&self, b: usize) -> bool {
         self.reach[b]
-    }
-
-    /// Reachable blocks in reverse postorder (entry first).
-    pub(crate) fn rpo(&self) -> &[usize] {
-        &self.rpo
     }
 
     /// Path-sensitive event ordering: can the event at `from` =
@@ -472,7 +454,8 @@ mod tests {
     use super::*;
     use crate::ast::Ast;
 
-    /// The exit block's index (the entry is 0).
+    /// The entry and exit blocks' indices.
+    const ENTRY: usize = 0;
     const EXIT: usize = 1;
 
     fn build(src: &str) -> (Ast, Cfg) {
@@ -499,9 +482,9 @@ mod tests {
         let (ast, cfg) = build("fn f() {\n let a = 1;\n let b = a + 2;\n}\n");
         let ba = cfg.block_of(pos_of(&ast, "a")).unwrap();
         let bb = cfg.block_of(pos_of(&ast, "b")).unwrap();
-        assert_eq!(ba, cfg.entry);
+        assert_eq!(ba, ENTRY);
         assert_eq!(ba, bb);
-        assert_eq!(cfg.blocks[cfg.entry].succs, vec![EXIT]);
+        assert_eq!(cfg.blocks[ENTRY].succs, vec![EXIT]);
     }
 
     #[test]
@@ -512,7 +495,7 @@ mod tests {
         let done = cfg.block_of(done_at).unwrap();
         assert_ne!(ring, done);
         assert!(cfg.reachable(ring) && cfg.reachable(done));
-        let entry = (cfg.entry, 0);
+        let entry = (ENTRY, 0);
         assert!(exit_avoiding(&cfg, entry, &[ring_at]));
         // Every path runs `done`; not every path runs `ring` first.
         assert!(!exit_avoiding(&cfg, entry, &[done_at]));
@@ -523,7 +506,7 @@ mod tests {
     fn if_else_covers_both_paths() {
         let (ast, cfg) = build("fn f(c: bool) {\n if c {\n ring();\n } else {\n also();\n }\n}\n");
         let (ring, also) = (pos_of(&ast, "ring"), pos_of(&ast, "also"));
-        let entry = (cfg.entry, 0);
+        let entry = (ENTRY, 0);
         assert!(!exit_avoiding(&cfg, entry, &[ring, also]));
         assert!(exit_avoiding(&cfg, entry, &[ring]));
     }
@@ -534,7 +517,7 @@ mod tests {
             "fn f(r: Result<u32, E>) {\n match r {\n Ok(v) => ring(v),\n Err(_) => return,\n }\n tail();\n}\n",
         );
         let ring = pos_of(&ast, "ring");
-        let entry = (cfg.entry, 0);
+        let entry = (ENTRY, 0);
         // Some path reaches exit without ringing (the Err arm returns).
         assert!(exit_avoiding(&cfg, entry, &[ring]));
         // But not without taking any arm: match is exhaustive.
@@ -568,7 +551,7 @@ mod tests {
         // Back edge: the body tail loops to the header that holds `done`.
         let header = cfg.block_of(pos_of(&ast, "done")).unwrap();
         assert!(cfg.blocks[step].succs.contains(&header));
-        assert!(exit_avoiding(&cfg, (cfg.entry, 0), &[step_at]));
+        assert!(exit_avoiding(&cfg, (ENTRY, 0), &[step_at]));
     }
 
     #[test]
@@ -576,7 +559,7 @@ mod tests {
         let (ast, cfg) = build("fn f(x: bool) {\n if x {\n return;\n }\n tail();\n}\n");
         let tail_at = pos_of(&ast, "tail");
         assert!(cfg.reachable(cfg.block_of(tail_at).unwrap()));
-        assert!(exit_avoiding(&cfg, (cfg.entry, 0), &[tail_at]));
+        assert!(exit_avoiding(&cfg, (ENTRY, 0), &[tail_at]));
     }
 
     #[test]
@@ -600,7 +583,7 @@ mod tests {
         for at in [a, b, c, done] {
             assert!(cfg.reachable(cfg.block_of(at).unwrap()));
         }
-        let entry = (cfg.entry, 0);
+        let entry = (ENTRY, 0);
         assert!(!exit_avoiding(&cfg, entry, &[a, b, c]));
         assert!(exit_avoiding(&cfg, entry, &[a, b]));
         assert!(!exit_avoiding(&cfg, entry, &[done]));

@@ -1,41 +1,38 @@
 //! # dnvme-analyze — static determinism/protocol lint pass
 //!
 //! The evaluation rests on DESIGN.md §5's promise of a *deterministic*
-//! virtual-time simulation and on the paper's PCIe ordering discipline
-//! (posted writes only on the data path, SQ/CQ placement per Fig. 8).
-//! This crate enforces the source-level half of those promises with a
-//! dependency-free syntax pass (lexer → token stream → item tree, see
-//! `ast`) instead of regexes, so rules can reason about function
-//! bodies, call expressions, and statement order.
+//! virtual-time simulation and on a driver that survives injected
+//! faults. This crate enforces the source-level half of those promises
+//! that nothing else checks, with a dependency-free syntax pass (lexer →
+//! token stream → item tree, see `ast`) instead of regexes, so rules can
+//! reason about function bodies, call expressions, and statement order.
 //!
-//! The thirteen rules are the rows of one table, [`RULES`]: code,
-//! one-line summary, `--explain` text, the paths the rule binds, and
-//! the runner that implements it (`dnvme-lint --explain Dxx` and the
-//! README table are the reader-facing views of it). Four families:
-//! syntax rules (D03, D05, D08, D10); the interval rule on the
-//! [`dataflow`] def-use engine and its abstract values (D15, DESIGN
-//! §5.3); the rules on the `interproc` summary engine (D13's host tags,
-//! D19's lock order, with D07/D11/D17/D21 walking the same call graph,
-//! DESIGN §5.4); and the path-sensitive rules on the [`cfg`]
-//! control-flow graph (D23, D24, DESIGN §5.5).
+//! The four rules are the rows of one table, [`RULES`]: code, one-line
+//! summary, `--explain` text, the paths the rule binds, and the runner
+//! that implements it (`dnvme-lint --explain Dxx` and the README table
+//! are the reader-facing views of it). Three families: syntax rules
+//! (D03, D05); the call-graph rule on the `interproc` walk (D11, DESIGN
+//! §5.4); and the path-sensitive rule on the [`cfg`] control-flow graph
+//! (D23, DESIGN §5.5).
 //!
-//! A rule exists only for what `rustc` and clippy cannot say: D06, D09,
-//! D12, D14 and D18 are retired because a private type, two
-//! `[workspace.lints]` lines and the fabric accessors' `PhysAddr`
-//! parameters reject the same code at `cargo build`; D02 because the
-//! offline `rand` has no entropy-seeded constructor to call; D01, D04 and
-//! D16 because clippy's `disallowed_methods`/`disallowed_types` (paths in
-//! the root `clippy.toml`) and `await_holding_refcell_ref` see every site
-//! they saw and more; D25 because D11 flags every site it flagged; D22
-//! because it was silent on the one function that can store an SQE
-//! (README has the table).
+//! A rule exists only for what `rustc`, clippy and the tier-1 suite
+//! cannot say: D06, D09, D12, D14 and D18 are retired because a private
+//! type, two `[workspace.lints]` lines and the fabric accessors'
+//! `PhysAddr` parameters reject the same code at `cargo build`; D02
+//! because the offline `rand` has no entropy-seeded constructor to call;
+//! D01, D04 and D16 because clippy's `disallowed_methods`/
+//! `disallowed_types` (paths in the root `clippy.toml`) and
+//! `await_holding_refcell_ref` see every site they saw and more; D25
+//! because D11 flags every site it flagged; D22 because it was silent on
+//! the one function that can store an SQE; and D07, D08, D10, D13, D15,
+//! D17, D19, D21 and D24 because a named tier-1 test fails on every
+//! behaviour-changing mutant of the bug each claimed (README has the
+//! table, EXPERIMENTS.md M2 the mutant matrix).
 //!
 //! A scan is one pass over its sources: every file is parsed once,
-//! every function gets one lazily-built fact set
-//! (`dataflow::FnFacts`: calls, def-use chains, CFG, abstract values,
-//! and the per-call site table) that the summary extractor and every
-//! per-function rule share, and
-//! all findings — engine findings included — go through one
+//! every function gets one lazily-built fact set (`FnFacts`: its
+//! calls and its CFG) that the call graph and the per-function rule
+//! share, and all findings — the call graph's included — go through one
 //! suppression accounting.
 //!
 //! Suppression is one mechanism: an `// lint:allow(Dxx)` comment on the
@@ -50,34 +47,25 @@
 
 mod ast;
 pub(crate) mod cfg;
-pub mod dataflow;
 mod interproc;
 
-use ast::{Ast, Tok, TokKind};
-use dataflow::FnFacts;
+use ast::{Ast, Call, FnItem, Tok, TokKind};
+use cfg::Cfg;
+use std::cell::OnceCell;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The thirteen lint rules (D01, D02, D04, D06, D09, D12, D14, D16, D18,
-/// D20, D22 and D25 are retired; the other codes keep their names);
-/// `rule as usize` indexes [`RULES`].
+/// The four lint rules (D01, D02, D04, D06–D10, D12–D22, D24 and D25
+/// are retired; the other codes keep their names); `rule as usize`
+/// indexes [`RULES`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Rule {
     D03,
     D05,
-    D07,
-    D08,
-    D10,
     D11,
-    D13,
-    D15,
-    D17,
-    D19,
-    D21,
     D23,
-    D24,
 }
 
 /// One row of the rule table.
@@ -107,18 +95,18 @@ enum Runner {
     File(fn(&Ast, &mut dyn FnMut(usize))),
     /// Per function, reading the scan's shared fact set.
     Function(fn(&FnFacts, &mut dyn FnMut(usize))),
-    /// Reported by the whole-program [`interproc`] engine, with the call
+    /// Reported by the whole-program [`interproc`] walk, with the call
     /// chain as related locations.
-    Engine,
+    CallGraph,
 }
 
-/// Files whose I/O paths the paper's read-free discipline binds (the
-/// engine prefix covers `engine.rs` and its ring module under `engine/`).
+/// The driver's I/O and manager-serve paths: the crates whose loops must
+/// survive injected faults without hanging (the engine prefix covers
+/// `engine.rs` and its ring module under `engine/`).
 const IO_SCOPE: [&str; 2] = ["crates/core/src", "crates/nvme/src/engine"];
-/// Production crates the dataflow, interprocedural address/lock and
-/// path-sensitive rules bind (src only — tests assert through raw values
-/// on purpose).
-const DF_SCOPE: [&str; 5] = [
+/// Production crates the leak rule binds (src only — tests own their
+/// resources on purpose).
+const PROD_SCOPE: [&str; 5] = [
     "crates/pcie/src",
     "crates/nvme/src",
     "crates/smartio/src",
@@ -127,7 +115,7 @@ const DF_SCOPE: [&str; 5] = [
 ];
 
 /// Every rule, in code order.
-pub static RULES: [RuleInfo; 13] = [
+pub static RULES: [RuleInfo; 4] = [
     RuleInfo {
         rule: Rule::D03,
         code: "D03",
@@ -162,140 +150,22 @@ pub static RULES: [RuleInfo; 13] = [
         run: Runner::File(scan_d05),
     },
     RuleInfo {
-        rule: Rule::D07,
-        code: "D07",
-        summary: "non-posted fabric read reachable from an I/O-path function (stalls a full NTB RTT)",
-        explain: "D07 — non-posted fabric read on an I/O path\n\n\
-                 Interprocedural: flags `cpu_read*`/`dma_read` reachable from a\n\
-                 submit/poll/complete root. A non-posted read stalls the caller for a full\n\
-                 NTB round trip; the datapath must stay posted-write-only (the paper's\n\
-                 core latency argument).\n\n\
-                 Example: submit() -> refresh_head() -> fabric.cpu_read_u32(db)   // D07\n\n\
-                 Suppress with `// lint:allow(D07)` at the read site when the root is\n\
-                 provably cold (slow-path recovery only).",
-        scope: Scope::Under(&IO_SCOPE),
-        run: Runner::Engine,
-    },
-    RuleInfo {
-        rule: Rule::D08,
-        code: "D08",
-        summary: "SQE store after the doorbell ring in the same function (device may fetch early)",
-        explain: "D08 — SQE store after the doorbell ring\n\n\
-                 Within one function, flags a store into an SQE slot that happens after\n\
-                 the doorbell write. The device may fetch the entry the moment the\n\
-                 doorbell lands, reading a half-written command.\n\n\
-                 Example:\n    sq.ring_doorbell(tail);\n    \
-                 sq.slot_mut(tail).cdw0 = opcode;   // D08: device may already have fetched\n\n\
-                 Fix by completing all stores before the ring. Suppress with\n\
-                 `// lint:allow(D08)` never — reorder instead.",
-        scope: Scope::Everywhere,
-        run: Runner::Function(scan_d08),
-    },
-    RuleInfo {
-        rule: Rule::D10,
-        code: "D10",
-        summary: "queue segment allocated without its placement hint (SQ device-side, CQ local)",
-        explain: "D10 — queue segment without its placement hint\n\n\
-                 SQs belong device-side (doorbell locality), CQs host-local (polling\n\
-                 locality). Allocating without the hint silently gets the default and\n\
-                 costs a fabric crossing per access. Pass the placement hint explicitly.\n\n\
-                 Suppress with `// lint:allow(D10)` in tests that don't measure placement.",
-        scope: Scope::Everywhere,
-        run: Runner::File(scan_d10),
-    },
-    RuleInfo {
         rule: Rule::D11,
         code: "D11",
         summary: "unbounded await on a fabric read / admin RPC in an I/O-path or manager-serve \
                  function (wrap it in simcore::timeout so a lost event escalates, not hangs)",
         explain: "D11 — unbounded blocking await on an I/O or manager path\n\n\
                  Flags `.await` on fabric reads / admin RPCs reachable from datapath or\n\
-                 manager-serve roots without a `simcore::timeout` wrapper. A lost\n\
+                 manager-serve roots without a `simcore::timeout` wrapper — awaited\n\
+                 directly or through a `let` binding of the call. A lost\n\
                  completion must escalate through the recovery ladder, not hang the\n\
                  reactor. Every such await is flagged, whether or not a sibling path\n\
                  of the same function is guarded.\n\n\
                  Fix:\n    simcore::timeout(&handle, deadline, fabric.cpu_read_u32(host, addr)).await\n\n\
                  Suppress with `// lint:allow(D11)` when an enclosing frame owns the\n\
                  deadline (name the frame in the comment).",
-        // The same production paths as D07: the crates whose I/O and serve
-        // loops must survive injected faults without hanging.
         scope: Scope::Under(&IO_SCOPE),
-        run: Runner::Engine,
-    },
-    RuleInfo {
-        rule: Rule::D13,
-        code: "D13",
-        summary: "address from one host's domain used against another host's region or fabric \
-                 call with no NTB translation on the def-use path",
-        explain: "D13 — cross-domain address without NTB translation\n\n\
-                 Dataflow rule: an address whose def-use chain starts in host A's domain\n\
-                 — minted in this function or returned by a helper — must pass an NTB\n\
-                 translation (`translate`/`map_for_*`/`program_window`) before hitting\n\
-                 host B's region or a fabric call for B. The classic symptom is a DMA\n\
-                 landing in the wrong host's window.\n\n\
-                 Suppress with `// lint:allow(D13)` when both domains are provably the\n\
-                 same host (say why).",
-        scope: Scope::Under(&DF_SCOPE),
-        run: Runner::Engine,
-    },
-    RuleInfo {
-        rule: Rule::D15,
-        code: "D15",
-        summary: "offset/length arithmetic whose constant interval exceeds the region's \
-                 literal bounds (slice would panic / DMA would stray)",
-        explain: "D15 — interval arithmetic exceeds region bounds\n\n\
-                 Dataflow rule: constant-interval analysis of offset/len arithmetic\n\
-                 against the region's literal size. The lattice folds `min`/`max`/\n\
-                 `saturating_sub`/`.len()`, so clamp-then-slice patterns stay precise\n\
-                 instead of widening to Top.\n\n\
-                 Example:\n    let off = base.min(region_len);          // folded, ok\n    \
-                 let end = off + 128;                     // D15 iff 128 > slack\n\n\
-                 Suppress with `// lint:allow(D15)` when bounds come from checked config.",
-        scope: Scope::Under(&DF_SCOPE),
-        run: Runner::Function(scan_d15),
-    },
-    RuleInfo {
-        rule: Rule::D17,
-        code: "D17",
-        summary: "plain fabric.alloc buffer on the client datapath (use SmartIo::alloc_hinted \
-                 so the staging decision can pick zero-copy)",
-        explain: "D17 — unhinted allocation on the client datapath\n\n\
-                 Client buffers must come from `SmartIo::alloc_hinted` so the staging\n\
-                 tier can choose zero-copy vs. bounce. Plain `fabric.alloc` pins the\n\
-                 decision to bounce. Suppress with `// lint:allow(D17)` for control-plane\n\
-                 metadata buffers.",
-        // Files whose datapath buffers must stay hinted (zero-copy eligible).
-        scope: Scope::Under(&["crates/core/src", "crates/blklayer/src"]),
-        run: Runner::Engine,
-    },
-    RuleInfo {
-        rule: Rule::D19,
-        code: "D19",
-        summary: "lock/RefCell acquisition-order cycle across functions (two guard classes \
-                 each acquired while the other is held — deadlock/reentrant-borrow hazard)",
-        explain: "D19 — cross-function lock-order cycle\n\n\
-                 Summary-based: builds the acquired-while-held graph over guard classes\n\
-                 and flags cycles. Two functions acquiring {A then B} and {B then A} can\n\
-                 deadlock (or reentrant-panic RefCells) under interleaving. The related\n\
-                 hops name both acquisition sites.\n\n\
-                 Fix by imposing a global acquisition order. Suppress with\n\
-                 `// lint:allow(D19)` only with a proof both paths can't interleave.",
-        scope: Scope::Under(&DF_SCOPE),
-        run: Runner::Engine,
-    },
-    RuleInfo {
-        rule: Rule::D21,
-        code: "D21",
-        summary: "reset_qpair/engine teardown reachable from a datapath root outside the \
-                 recovery ladder (pending tags may be live — escalate via recover*/recreate*)",
-        explain: "D21 — teardown outside the recovery ladder\n\n\
-                 Summary-based: `reset_qpair`/engine teardown reachable from a datapath\n\
-                 root without an intervening `recover*`/`recreate*` frame. The ladder\n\
-                 drains pending tags first; bypassing it drops them.\n\n\
-                 Suppress with `// lint:allow(D21)` in shutdown-only paths.",
-        // Where qpair engines live and are torn down.
-        scope: Scope::Under(&["crates/core/src", "crates/nvme/src"]),
-        run: Runner::Engine,
+        run: Runner::CallGraph,
     },
     RuleInfo {
         rule: Rule::D23,
@@ -311,24 +181,8 @@ pub static RULES: [RuleInfo; 13] = [
                  skipped.\n\n\
                  Fix by retiring in the error arm (or converting to an RAII guard).\n\
                  Suppress with `// lint:allow(D23)` when ownership transfers out.",
-        scope: Scope::Under(&DF_SCOPE),
+        scope: Scope::Under(&PROD_SCOPE),
         run: Runner::Function(scan_d23),
-    },
-    RuleInfo {
-        rule: Rule::D24,
-        code: "D24",
-        summary: "doorbell ring or slot retire repeated along a single path with no \
-                 intervening store/acquire (static double-complete)",
-        explain: "D24 — ring/retire repeated along a single path\n\n\
-                 Path-sensitive (CFG): two doorbell rings with no intervening SQE store\n\
-                 (or timeout re-arm), or two textually-identical slot retires with no\n\
-                 intervening acquire, connected by one control-flow path. This is the\n\
-                 static shadow of the double-complete the lifecycle oracle catches\n\
-                 dynamically.\n\n\
-                 Suppress with `// lint:allow(D24)` for deliberate re-rings after a\n\
-                 deadline (the timeout call already exempts the common shape).",
-        scope: Scope::Under(&DF_SCOPE),
-        run: Runner::Function(scan_d24),
     },
 ];
 
@@ -615,6 +469,8 @@ fn map_binder(toks: &[Tok], at: usize) -> Option<(&str, bool)> {
 const D03_ITER: [&str; 4] = ["iter", "keys", "values", "drain"];
 /// Calls whose `Result` encodes a fabric/DMA failure the distributed
 /// driver must handle (windows can be torn down under it at any time).
+/// Both spellings of a fabric accessor count: the slice form and the
+/// owned-`Payload` form (`*_payload`, `mem_snapshot`, `mem_adopt`).
 const D05_FABRIC: [&str; 19] = [
     "dma_read(",
     "dma_read_payload(",
@@ -637,35 +493,11 @@ const D05_FABRIC: [&str; 19] = [
     "alloc(",
 ];
 
-/// Non-posted fabric/memory reads: each stalls the caller for a full NTB
-/// round trip, so none may sit on the I/O path (D07).
-///
-/// Every list below carries both spellings of a fabric accessor: the slice
-/// form and the owned-`Payload` form (`*_payload`, `mem_snapshot`,
-/// `mem_adopt`) — same operation, same timing, same rules.
-const D07_READS: [&str; 5] = [
-    "cpu_read",
-    "cpu_read_u32",
-    "cpu_read_u64",
-    "dma_read",
-    "dma_read_payload",
-];
-/// Write-style calls D08 inspects for doorbell targets / SQE payloads.
-const D08_WRITES: [&str; 7] = [
-    "cpu_write",
-    "cpu_write_payload",
-    "cpu_write_u32",
-    "mem_write",
-    "mem_adopt",
-    "dma_write",
-    "dma_write_payload",
-];
-
 /// Awaits that park until a *remote* event arrives (D11): non-posted
 /// fabric reads and the admin-queue RPCs. Under fault injection the
 /// completing CQE or delivery may never come, so each of these must sit
 /// inside a `simcore::timeout` wrapper on the paths that cannot stall.
-const D11_BLOCKING: [&str; 11] = [
+pub(crate) const D11_BLOCKING: [&str; 11] = [
     "cpu_read",
     "cpu_read_u32",
     "cpu_read_u64",
@@ -679,20 +511,6 @@ const D11_BLOCKING: [&str; 11] = [
     "set_num_queues",
 ];
 
-/// D13 sinks: operations that interpret an address *within a specific
-/// host's domain* — region membership/slicing and the fabric accessors
-/// (whose first argument names the domain).
-const D13_REGION_SINKS: [&str; 2] = ["contains", "slice"];
-const D13_FABRIC_SINKS: [&str; 8] = [
-    "mem_write",
-    "mem_adopt",
-    "mem_read",
-    "mem_snapshot",
-    "dma_write",
-    "dma_write_payload",
-    "dma_read",
-    "dma_read_payload",
-];
 /// D23 acquire sites: tag/slot grants, segment creation (plain and
 /// placement-hinted), hinted DMA allocations and per-I/O DMA windows.
 const D23_ACQUIRE: [&str; 6] = [
@@ -703,9 +521,9 @@ const D23_ACQUIRE: [&str; 6] = [
     "alloc_hinted",
     "map_region_for_device",
 ];
-/// D23/D24 retire sites: buffer/tag release calls plus the segment,
-/// mapping and tag-table teardown calls.
-const D2X_RETIRE: [&str; 9] = [
+/// D23 retire sites: buffer/tag release calls plus the segment, mapping
+/// and tag-table teardown calls.
+const D23_RETIRE: [&str; 9] = [
     "free",
     "free_hinted",
     "release",
@@ -721,8 +539,42 @@ const D2X_RETIRE: [&str; 9] = [
 // The scanner
 // ---------------------------------------------------------------------
 
+/// One function's analysis products, each built on first use and then
+/// shared by every reader in the scan: its call list (D11's sites and
+/// the call graph, D23's acquires and retires) and its CFG (D23).
+pub(crate) struct FnFacts<'a> {
+    pub ast: &'a Ast,
+    pub f: &'a FnItem,
+    calls: OnceCell<Vec<Call>>,
+    cfg: OnceCell<Cfg>,
+}
+
+impl<'a> FnFacts<'a> {
+    fn new(ast: &'a Ast, f: &'a FnItem) -> Self {
+        FnFacts {
+            ast,
+            f,
+            calls: OnceCell::new(),
+            cfg: OnceCell::new(),
+        }
+    }
+
+    /// Call expressions in the body, in token order.
+    pub(crate) fn calls(&self) -> &[Call] {
+        self.calls.get_or_init(|| {
+            #[cfg(test)]
+            tests::count("calls");
+            self.ast.calls_in(self.f.body)
+        })
+    }
+
+    pub(crate) fn cfg(&self) -> &Cfg {
+        self.cfg.get_or_init(|| Cfg::build(self.ast, self.f))
+    }
+}
+
 /// One parsed file inside a scan: what the per-file rules and the
-/// whole-program engine both read.
+/// whole-program call graph both read.
 pub(crate) struct SourceFile<'a> {
     /// Workspace-relative path, forward slashes.
     pub rel: &'a str,
@@ -798,7 +650,7 @@ pub fn scan_source_strict(rel: &str, text: &str, rules: &[Rule]) -> SourceScan {
 
 /// Multi-file twin of [`scan_source`]: scan in-memory sources as one
 /// program, so fixtures can exercise findings that only exist through
-/// cross-file call chains (helper summaries, trait-impl dispatch).
+/// cross-file call chains (free helpers, trait-impl dispatch).
 pub fn scan_sources(files: &[(&str, &str, Vec<Rule>)]) -> Vec<Finding> {
     merge_findings(scan_program(files).0)
 }
@@ -814,64 +666,49 @@ fn merge_findings(scans: Vec<SourceScan>) -> Vec<Finding> {
 
 /// The one scan driver: `(path, text, rules)` sources in, one
 /// [`SourceScan`] per source out (input order), plus the scan's
-/// counters. Each file is parsed once and
-/// each function gets one [`FnFacts`]; the whole-program engine (built
-/// only when some file carries an engine rule) and the per-file rules
-/// read the same sets, and engine findings pass through the same
-/// `lint:allow` accounting as the rest.
+/// counters. Each file is parsed once and each function gets one
+/// [`FnFacts`]; the whole-program call graph (built only when some file
+/// carries D11) and the per-file rules read the same sets, and its
+/// findings pass through the same `lint:allow` accounting as the rest.
 fn scan_program(inputs: &[(&str, &str, Vec<Rule>)]) -> (Vec<SourceScan>, ScanStats) {
-    let parsed: Vec<(Ast, Vec<(String, u64)>)> = inputs
-        .iter()
-        .map(|(_, text, _)| {
-            let ast = Ast::parse(text);
-            let consts = dataflow::const_env(&ast);
-            (ast, consts)
-        })
-        .collect();
+    let asts: Vec<Ast> = inputs.iter().map(|(_, text, _)| Ast::parse(text)).collect();
     let files: Vec<SourceFile> = inputs
         .iter()
-        .zip(&parsed)
-        .map(|((rel, text, rules), (ast, consts))| SourceFile {
+        .zip(&asts)
+        .map(|((rel, text, rules), ast)| SourceFile {
             rel,
             rules,
             ast,
-            fns: ast
-                .functions
-                .iter()
-                .map(|f| FnFacts::new(ast, f, consts))
-                .collect(),
+            fns: ast.functions.iter().map(|f| FnFacts::new(ast, f)).collect(),
             raw_lines: text.lines().collect(),
         })
         .collect();
-    let wants_engine = |r: &Rule| matches!(r.info().run, Runner::Engine);
-    let prog = files
-        .iter()
-        .any(|f| f.rules.iter().any(wants_engine))
-        .then(|| interproc::Program::build(&files));
-    let mut engine: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
-    for pf in prog.iter().flat_map(|p| p.findings()) {
-        let hop = |(file, line, note): (usize, usize, String)| Related {
-            path: files[file].rel.to_string(),
-            line,
-            note,
-        };
-        engine[pf.file].push(Finding {
-            rule: pf.rule,
-            path: files[pf.file].rel.to_string(),
-            line: pf.line,
-            excerpt: String::new(),
-            related: pf.related.into_iter().map(hop).collect(),
-        });
+    let wants_graph = |r: &Rule| matches!(r.info().run, Runner::CallGraph);
+    let mut graph: Vec<Vec<Finding>> = files.iter().map(|_| Vec::new()).collect();
+    if files.iter().any(|f| f.rules.iter().any(wants_graph)) {
+        for pf in interproc::Program::build(&files).findings() {
+            let hop = |(file, line, note): (usize, usize, String)| Related {
+                path: files[file].rel.to_string(),
+                line,
+                note,
+            };
+            graph[pf.file].push(Finding {
+                rule: pf.rule,
+                path: files[pf.file].rel.to_string(),
+                line: pf.line,
+                excerpt: String::new(),
+                related: pf.related.into_iter().map(hop).collect(),
+            });
+        }
     }
     let scans = files
         .iter()
-        .zip(engine)
-        .map(|(file, engine)| scan_file(file, engine))
+        .zip(graph)
+        .map(|(file, graph)| scan_file(file, graph))
         .collect();
     let stats = ScanStats {
         files: inputs.len(),
-        summaries: prog.as_ref().map_or(0, |p| p.summary_count()),
-        passes: prog.map_or(0, |p| p.passes),
+        functions: files.iter().map(|f| f.fns.len()).sum(),
     };
     (scans, stats)
 }
@@ -922,8 +759,8 @@ impl Report<'_> {
 }
 
 /// Run one file's rules off the rule table and merge its share of the
-/// engine's findings.
-fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
+/// call graph's findings.
+fn scan_file(file: &SourceFile, graph: Vec<Finding>) -> SourceScan {
     let lines = &file.ast.lines;
     let mut sups = Vec::new();
     for (idx, (_, comment)) in lines.iter().enumerate() {
@@ -960,10 +797,10 @@ fn scan_file(file: &SourceFile, engine: Vec<Finding>) -> SourceScan {
                     });
                 }
             }
-            Runner::Engine => {} // merged below
+            Runner::CallGraph => {} // merged below
         }
     }
-    for f in engine {
+    for f in graph {
         if file.rules.contains(&f.rule) {
             rep.hit(f.rule, f.line, f.related);
         }
@@ -1054,47 +891,9 @@ fn scan_d05(ast: &Ast, hit: &mut dyn FnMut(usize)) {
     }
 }
 
-/// D10: every `create_segment`/`create_segment_hinted` call whose
-/// `let`-binding names a queue (`…sq…` / `…cq…`) must pass the matching
-/// `AccessHints` constructor (`sq()` device-side, `cq()` client-local).
-/// Unclassifiable bindings (buffers, mailboxes, metadata) are skipped.
-fn scan_d10(ast: &Ast, hit: &mut dyn FnMut(usize)) {
-    let all = ast.calls_in((0, ast.tokens.len()));
-    for call in &all {
-        if call.name != "create_segment" && call.name != "create_segment_hinted" {
-            continue;
-        }
-        let Some(binding) = ast.binding_for(call.args.0) else {
-            continue;
-        };
-        let binding = binding.to_ascii_lowercase();
-        let want = if binding.contains("cq") {
-            "cq"
-        } else if binding.contains("sq") {
-            "sq"
-        } else {
-            continue;
-        };
-        if !ast.any_ident_in(call.args, |id| id == want) {
-            hit(call.line);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Submission-protocol rules (D08, D24) and the other CFG rules
+// The path-sensitive leak rule (D23)
 // ---------------------------------------------------------------------
-
-/// D08: an SQE store after a doorbell ring in token order; the finding
-/// sits on the store.
-fn scan_d08(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let ev = &facts.sites().events;
-    for &(tok, line) in &ev.stores {
-        if ev.rings.iter().any(|r| r.0 < tok) {
-            hit(line);
-        }
-    }
-}
 
 /// First identifier token inside a range (e.g. the leading argument of
 /// a call) — the coarse resource key D23 pairs acquires and retires by
@@ -1123,7 +922,7 @@ fn scan_d23(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
         let calls = facts.calls().iter();
         calls.filter(|c| names.contains(&c.name.as_str())).collect()
     };
-    let (acquires, retires) = (named(&D23_ACQUIRE), named(&D2X_RETIRE));
+    let (acquires, retires) = (named(&D23_ACQUIRE), named(&D23_RETIRE));
     if acquires.is_empty() || retires.is_empty() {
         return;
     }
@@ -1136,7 +935,7 @@ fn scan_d23(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
         if t.punct('?') {
             err_exits.push(i);
         } else if t.kind == TokKind::Ident && t.is("return") {
-            let e = dataflow::stmt_end(ast, i + 1, f.body.1);
+            let e = ast.stmt_end(i + 1, f.body.1);
             if ast.any_ident_in((i, e), |id| id == "Err") {
                 err_exits.push(i);
             }
@@ -1172,7 +971,7 @@ fn scan_d23(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
         // Path query from the end of the acquire's own statement
         // (its own `?`-failure acquired nothing) to each error
         // exit, with the paired retires as blockers.
-        let q = dataflow::stmt_end(ast, c.args.1 + 1, f.body.1).min(f.body.1 - 1);
+        let q = ast.stmt_end(c.args.1 + 1, f.body.1).min(f.body.1 - 1);
         let Some(from_pos) = (c.args.0..=q).rev().find(|&k| cfg.block_of(k).is_some()) else {
             continue;
         };
@@ -1186,121 +985,6 @@ fn scan_d23(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
         });
         if leaks {
             hit(c.line);
-        }
-    }
-}
-
-/// Whether the statement on `line` consumes the call's result —
-/// asserted, branched on, or bound. A checked ring/retire is observing
-/// the protocol's defensive return; the D24 bug shape is the bare
-/// statement that ignores it.
-fn consumed_at(ast: &Ast, line: usize) -> bool {
-    ast.lines.get(line - 1).is_some_and(|(code, _)| {
-        let lt = code.trim_start();
-        code.contains("assert")
-            || lt.starts_with("if ")
-            || lt.starts_with("while ")
-            || lt.starts_with("match ")
-            || lt.starts_with("let ")
-    })
-}
-
-/// The textual identity of a call — receiver, name, and argument
-/// tokens — used by D24 to tell a deliberate second retire (different
-/// tag) from a double-complete of the same one.
-fn call_text(ast: &Ast, c: &ast::Call) -> String {
-    let mut s = c.receiver.clone().unwrap_or_default();
-    s.push('.');
-    s.push_str(&c.name);
-    for t in &ast.tokens[c.args.0..c.args.1] {
-        s.push_str(&t.text);
-    }
-    s
-}
-
-/// D24: a doorbell ring reachable from a ring (itself via a back edge,
-/// or another site) with no intervening SQE store or `timeout` re-arm;
-/// or a retire call reachable from a textually-identical retire with no
-/// intervening acquire. Both are single-path repeats — the static
-/// shadow of the lifecycle oracle's double-complete checks.
-fn scan_d24(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (ast, calls) = (facts.ast, facts.calls());
-    if calls.is_empty() {
-        return;
-    }
-    let ev = &facts.sites().events;
-    let cfg = facts.cfg();
-    // Whether site `to` (token, line) repeats site `from` along one path.
-    let repeats = |from: usize, to: (usize, usize), blockers: &[usize]| -> bool {
-        let (Some(b1), Some(b2)) = (cfg.block_of(from), cfg.block_of(to.0)) else {
-            return false;
-        };
-        !consumed_at(ast, to.1)
-            && cfg.reachable(b1)
-            && cfg.site_reaches_site((b1, from), (b2, to.0), blockers)
-    };
-    let positions = |names: &[&str]| -> Vec<usize> {
-        let named = calls.iter().filter(|c| names.contains(&c.name.as_str()));
-        named.map(|c| c.args.0).collect()
-    };
-    // (a) ring repeated: blockers are events that justify a new ring —
-    // an SQE store (new tail entry), a CQE pop (new head position),
-    // or a timeout re-arm (deadline re-ring). Sites pair only within
-    // one receiver — ringing two different queues back to back is
-    // two protocols, not a repeat.
-    let mut blockers: Vec<usize> = ev.stores.iter().map(|&(p, _)| p).collect();
-    blockers.extend(positions(&[
-        "timeout", "try_pop", "pop", "next", "drain", "recv",
-    ]));
-    for r1 in &ev.rings {
-        for r2 in &ev.rings {
-            if r1.2 == r2.2 && repeats(r1.0, (r2.0, r2.1), &blockers) {
-                hit(r2.1);
-            }
-        }
-    }
-    // (b) identical retire repeated: blockers are acquires.
-    let acquires = positions(&D23_ACQUIRE);
-    let retires: Vec<&ast::Call> = calls
-        .iter()
-        .filter(|c| D2X_RETIRE.contains(&c.name.as_str()))
-        .collect();
-    for a in &retires {
-        for b in &retires {
-            if a.args.0 != b.args.0
-                && call_text(ast, a) == call_text(ast, b)
-                && repeats(a.args.0, (b.args.0, b.line), &acquires)
-            {
-                hit(b.line);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The interval rule (D15)
-// ---------------------------------------------------------------------
-
-/// D15: a `recv.slice(off, len)` whose receiver's literal region length
-/// is known and whose `off`/`len` constant intervals can exceed it.
-fn scan_d15(facts: &FnFacts, hit: &mut dyn FnMut(usize)) {
-    let (ast, du, vals) = (facts.ast, facts.du(), facts.vals());
-    for (call, site) in facts.calls().iter().zip(&facts.sites().calls) {
-        if call.name != "slice" {
-            continue;
-        }
-        let Some(limit) = site.recv_def.and_then(|ri| vals[ri].region_len) else {
-            continue;
-        };
-        let args = &site.args;
-        if args.len() != 2 {
-            continue;
-        }
-        let range = |arg| dataflow::eval_range(ast, du, vals, arg, facts.consts);
-        if let (Some(off), Some(len)) = (range(args[0]), range(args[1])) {
-            if off.1.saturating_add(len.1) > limit {
-                hit(call.line);
-            }
         }
     }
 }
@@ -1375,11 +1059,8 @@ fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
 pub struct ScanStats {
     /// Source files the workspace walk visited.
     pub files: usize,
-    /// Function summaries the interprocedural engine computed.
-    pub summaries: usize,
-    /// Passes its summary fixpoint ran; at the engine's cap (50) it was
-    /// cut off before converging.
-    pub passes: usize,
+    /// Functions in those files — one fact set each.
+    pub functions: usize,
 }
 
 /// The outcome of a workspace scan.
@@ -1416,7 +1097,7 @@ mod tests {
 
     thread_local! {
         /// How often this thread built each analysis product
-        /// ("parse", "cfg", "def_use", "eval", "sites").
+        /// ("parse", "calls", "cfg").
         static BUILDS: RefCell<BTreeMap<&'static str, usize>> = RefCell::default();
     }
 
@@ -1425,29 +1106,28 @@ mod tests {
     }
 
     /// One parse per file and one fact set per function: a scan with
-    /// every rule on (engine extraction plus D08/D15/D23/D24 all reading
-    /// the facts, three of them the site table) builds each product
-    /// exactly once.
+    /// every rule on (the call graph and D11's sites both reading every
+    /// call list, D23 the calls and the CFG) builds each call list
+    /// exactly once, and a CFG only for the one function with both an
+    /// acquire and a retire.
     #[test]
     fn scan_parses_each_file_once_and_builds_facts_once_per_function() {
-        let a = "async fn submit(&self, qp: &Qp, sqe: Sqe) -> Result<()> {\n    \
-                 let g = self.state.borrow_mut();\n    qp.sq.push(sqe)?;\n    \
-                 if g.paused { return Ok(()); }\n    helper(qp.base.as_u64());\n    \
-                 simcore::timeout(d, qp.sq.ring()).await?;\n    Ok(())\n}\n\
-                 fn helper(raw: u64) { fabric.dma_write(raw, 0, 8); }\n";
-        let b = "fn poll(&self) { let r = MemRegion::new(h, PhysAddr(0), 64); r.slice(0, 128); }\n";
+        let a = "async fn submit(&self, s: &SmartIo, qp: &Qp) -> Result<()> {\n    \
+                 let seg = s.create_segment(h, 64)?;\n    helper(qp)?;\n    \
+                 s.destroy_segment(seg)?;\n    Ok(())\n}\n\
+                 fn helper(qp: &Qp) -> Result<()> { Ok(()) }\n";
+        let b = "async fn poll(&self) { self.admin.abort(1, 2).await; }\n";
         let all: Vec<Rule> = RULES.iter().map(|r| r.rule).collect();
         BUILDS.with(|b| b.borrow_mut().clear());
         let findings = scan_sources(&[
             ("crates/core/src/a.rs", a, all.clone()),
             ("crates/core/src/b.rs", b, all),
         ]);
-        assert!(!findings.is_empty());
+        assert_eq!(findings.len(), 2, "{findings:?}");
         let builds = BUILDS.with(|b| b.borrow().clone());
         assert_eq!(builds["parse"], 2, "{builds:?}");
-        for product in ["cfg", "def_use", "eval", "sites"] {
-            assert_eq!(builds[product], 3, "three functions: {builds:?}");
-        }
+        assert_eq!(builds["calls"], 3, "three functions: {builds:?}");
+        assert_eq!(builds["cfg"], 1, "{builds:?}");
     }
 
     /// The table is indexed by `rule as usize`, and the README's rule
@@ -1472,23 +1152,11 @@ mod tests {
             assert!(text.starts_with(&format!("D{row} — ")), "{text}");
         }
         for gone in [
-            "D01", "D02", "D04", "D06", "D09", "D12", "D14", "D16", "D18", "D20", "D22", "D25",
-            "D26",
+            "D01", "D02", "D04", "D06", "D07", "D08", "D09", "D10", "D12", "D13", "D14", "D15",
+            "D16", "D17", "D18", "D19", "D20", "D21", "D22", "D24", "D25", "D26",
         ] {
             assert!(explain(gone).is_none(), "{gone} is not a rule");
         }
-    }
-
-    /// The summary fixpoint converges on the real tree instead of
-    /// running into its pass cap (where summaries would be cut off
-    /// mid-rotation and every scan would pay the cap's passes).
-    #[test]
-    fn workspace_fixpoint_converges_below_the_pass_cap() {
-        let stats = scan_workspace(&workspace_root())
-            .expect("workspace scan")
-            .stats;
-        assert!(stats.summaries > 0, "the engine ran: {stats:?}");
-        assert!(stats.passes < interproc::PASS_CAP, "{stats:?}");
     }
 
     /// Tier-1 gate: the workspace must be lint-clean — no finding, and no
@@ -1514,52 +1182,28 @@ mod tests {
         assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D03));
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D03));
         assert!(rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D03));
+        assert!(rules_for("tests/model_check.rs").contains(&Rule::D03));
+        // D05 binds the distributed driver's production code only.
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/core/tests/dnvme_e2e.rs").contains(&Rule::D05));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D05));
-        assert!(rules_for("tests/model_check.rs").contains(&Rule::D03));
-        // D07 binds the client/engine I/O paths only; D08/D10 apply
-        // everywhere.
-        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D07));
-        assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D07));
-        assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D07));
-        assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D07));
-        assert!(rules_for("tests/sanitize.rs").contains(&Rule::D08));
-        // D11 rides the D07 scope: production I/O/serve paths, not tests
-        // (a test awaiting an admin RPC unwrapped is the test's business).
+        // D11 binds the production I/O/serve paths, not tests (a test
+        // awaiting an admin RPC unwrapped is the test's business).
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D11));
+        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D11));
         assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D11));
+        assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D11));
         assert!(!rules_for("crates/nvme/src/ctrl.rs").contains(&Rule::D11));
         assert!(!rules_for("tests/fault_injection.rs").contains(&Rule::D11));
-        assert!(rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D10));
-        // D13/D15 bind the production sources of the four address-typed
-        // crates plus nvmeof — not their tests (which assert through raw
-        // wire values on purpose) and not the sim/cluster scaffolding.
-        assert!(rules_for("crates/pcie/src/fabric.rs").contains(&Rule::D13));
-        assert!(rules_for("crates/nvme/src/engine/sq.rs").contains(&Rule::D13));
-        assert!(rules_for("crates/nvmeof/src/target.rs").contains(&Rule::D15));
-        assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D13));
-        assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D15));
-        assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D13));
-        // D17 binds the client datapath crates; the reproduction allocates plain
-        // bounce-mode buffers on purpose.
-        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D17));
-        assert!(rules_for("crates/blklayer/src/lib.rs").contains(&Rule::D17));
-        assert!(!rules_for("crates/bench/src/datapath.rs").contains(&Rule::D17));
-        assert!(!rules_for("crates/nvme/src/driver/local.rs").contains(&Rule::D17));
-        // D19 rides the dataflow scope; tests stay exempt.
-        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D19));
-        assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D19));
-        // D21 binds the engine/teardown crates.
-        assert!(rules_for("crates/core/src/client.rs").contains(&Rule::D21));
-        assert!(rules_for("crates/nvme/src/engine.rs").contains(&Rule::D21));
-        assert!(!rules_for("crates/smartio/src/service.rs").contains(&Rule::D21));
-        // D23/D24 ride the dataflow scope (the explore fixture deck is
-        // not production code).
+        // D23 binds the production sources of the four address-typed
+        // crates plus nvmeof — not their tests, not the sim/cluster
+        // scaffolding, not the explore fixture deck.
         assert!(rules_for("crates/core/src/manager.rs").contains(&Rule::D23));
-        assert!(rules_for("crates/nvme/src/queue.rs").contains(&Rule::D24));
-        assert!(!rules_for("crates/explore/src/fixtures.rs").contains(&Rule::D24));
+        assert!(rules_for("crates/nvme/src/queue.rs").contains(&Rule::D23));
+        assert!(rules_for("crates/nvmeof/src/target.rs").contains(&Rule::D23));
+        assert!(!rules_for("crates/explore/src/fixtures.rs").contains(&Rule::D23));
         assert!(!rules_for("crates/nvme/tests/engine.rs").contains(&Rule::D23));
+        assert!(!rules_for("crates/cluster/src/scenario.rs").contains(&Rule::D23));
         assert!(!rules_for("tests/sanitize.rs").contains(&Rule::D23));
     }
 

@@ -76,20 +76,20 @@ fn write_bench(root: &std::path::Path) -> std::io::Result<()> {
     let wall_ms = t0.elapsed().as_millis();
     let json = format!(
         "{{\n  \"rules\": {},\n  \"files_scanned\": {},\n  \"findings\": {},\n  \
-         \"summaries\": {},\n  \"wall_ms\": {}\n}}\n",
+         \"functions\": {},\n  \"wall_ms\": {}\n}}\n",
         analyzer::RULES.len(),
         stats.files,
         findings.len(),
-        stats.summaries,
+        stats.functions,
         wall_ms
     );
     let path = root.join("BENCH_lint.json");
     std::fs::write(&path, json)?;
     eprintln!(
-        "dnvme-lint: bench — {} files, {} finding(s), {} summaries, {wall_ms} ms → {}",
+        "dnvme-lint: bench — {} files, {} finding(s), {} functions, {wall_ms} ms → {}",
         stats.files,
         findings.len(),
-        stats.summaries,
+        stats.functions,
         path.display()
     );
     Ok(())

@@ -134,200 +134,6 @@ fn d05_suppression() {
     assert!(scan(src, &[Rule::D05]).is_empty());
 }
 
-// ------------------------------------------------------------------ D07
-
-#[test]
-fn d07_flags_read_reachable_from_io_path() {
-    // Direct: a non-posted read inside a submit-path function.
-    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
-                   let v = self.fabric.cpu_read_u32(self.host, addr).await?;\n\
-                   Ok(v)\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D07])), ["D07"]);
-    // Transitive: the read hides one call deep in the same file.
-    let src = "async fn issue(&self, sqe: SqEntry) {\n\
-                   self.peek_tail().await;\n\
-               }\n\
-               async fn peek_tail(&self) {\n\
-                   let _ = self.fabric.dma_read(self.dev, addr, &mut buf).await;\n\
-               }\n";
-    let f = scan(src, &[Rule::D07]);
-    assert_eq!(codes(&f), ["D07"]);
-    assert_eq!(f[0].line, 5, "finding must point at the read call site");
-}
-
-#[test]
-fn d07_ignores_reads_off_the_io_path_and_functional_reads() {
-    // `connect` is bring-up, not I/O path: the CAP read is legitimate.
-    let src = "async fn connect(&self) {\n\
-                   let cap = self.fabric.cpu_read_u64(self.host, bar).await?;\n\
-               }\n\
-               async fn submit(&self, bio: Bio) {\n\
-                   self.fabric.mem_read(self.host, addr, &mut staged)?;\n\
-                   self.engine.issue(&tag, sqe).await;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D07]).is_empty());
-}
-
-#[test]
-fn d07_follows_turbofish_method_calls() {
-    // Regression: `probe::<u32>()` is still a method call. Before the
-    // turbofish fix the call-graph walk did not recognise `name::<T>(`
-    // as a call, dropped the submit→probe edge, and the transitive
-    // non-posted read below slipped through the I/O-path scan.
-    let src = "async fn submit(&self, bio: Bio) {\n\
-                   let v = self.backend.probe::<u32>().await?;\n\
-               }\n\
-               async fn probe<T>(&self) -> T {\n\
-                   self.fabric.cpu_read_u32(self.host, self.bar).await\n\
-               }\n";
-    let f = scan(src, &[Rule::D07]);
-    assert_eq!(codes(&f), ["D07"]);
-    assert_eq!(f[0].line, 5, "finding points at the transitive read");
-}
-
-#[test]
-fn d07_knows_the_payload_spelling_of_a_non_posted_read() {
-    // `dma_read_payload` waits out the same round trip as `dma_read`.
-    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
-                   let data = self.fabric.dma_read_payload(self.dev, addr, len).await?;\n\
-                   Ok(())\n\
-               }\n";
-    let f = scan(src, &[Rule::D07]);
-    assert_eq!(codes(&f), ["D07"]);
-    assert_eq!(f[0].line, 2);
-    // Near miss: `mem_snapshot` is the functional read (no round trip),
-    // the payload twin of `mem_read` — fine on the I/O path.
-    let src = "async fn submit_with_tag(&self, bio: &Bio) -> BioResult {\n\
-                   let data = self.fabric.mem_snapshot(self.host, addr, len)?;\n\
-                   self.fabric.cpu_write_payload(self.host, part, data).await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D07]).is_empty());
-}
-
-#[test]
-fn d07_suppression() {
-    let src = "async fn submit(&self) {\n\
-                   // lint:allow(D07) — migration fallback reads the old ring once\n\
-                   let v = self.fabric.cpu_read_u32(self.host, addr).await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D07]).is_empty());
-}
-
-// ------------------------------------------------------------------ D08
-
-#[test]
-fn d08_flags_sqe_store_after_doorbell() {
-    // Field store into the SQE after the tail doorbell was rung.
-    let src = "async fn oops(&self, qp: &Qp, mut sqe: SqEntry) {\n\
-                   qp.sq.ring().await?;\n\
-                   sqe.cdw10 = 7;\n\
-               }\n";
-    let f = scan(src, &[Rule::D08]);
-    assert_eq!(codes(&f), ["D08"]);
-    assert_eq!(f[0].line, 3);
-    // Push after an explicit doorbell MMIO write.
-    let src = "async fn oops(&self) {\n\
-                   fabric.cpu_write_u32(h, cap.sq_doorbell(0), 1).await?;\n\
-                   fabric.cpu_write(h, win, &sqe.encode()).await?;\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D08])), ["D08"]);
-}
-
-#[test]
-fn d08_ignores_store_then_ring_order() {
-    // The engine's flush discipline: every push precedes the one ring.
-    let src = "async fn flush(&self, qp: &Qp) {\n\
-                   for sqe in batch {\n\
-                       qp.sq.push(&sqe).await?;\n\
-                   }\n\
-                   qp.sq.ring().await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D08]).is_empty());
-    // Stores after a doorbell in a *different* function don't pair up.
-    let src = "async fn a(&self) { self.qp.sq.ring().await?; }\n\
-               async fn b(&self, mut sqe: SqEntry) { sqe.cdw10 = 7; }\n";
-    assert!(scan(src, &[Rule::D08]).is_empty());
-}
-
-#[test]
-fn d08_knows_the_payload_spellings_of_a_store() {
-    // An SQE pushed as an owned payload after the doorbell MMIO is still
-    // a store after the ring.
-    let src = "async fn oops(&self) {\n\
-                   fabric.cpu_write_u32(h, cap.sq_doorbell(0), 1).await?;\n\
-                   fabric.cpu_write_payload(h, win, Payload::from(&sqe.encode()[..])).await?;\n\
-               }\n";
-    let f = scan(src, &[Rule::D08]);
-    assert_eq!(codes(&f), ["D08"]);
-    assert_eq!(f[0].line, 3);
-    // Near miss: a data payload after the ring is ordinary traffic.
-    let src = "async fn fine(&self) {\n\
-                   fabric.cpu_write_u32(h, cap.sq_doorbell(0), 1).await?;\n\
-                   fabric.cpu_write_payload(h, part, data).await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D08]).is_empty());
-}
-
-#[test]
-fn d08_suppression() {
-    let src = "async fn seeded(&self, qp: &Qp) {\n\
-                   qp.sq.ring().await?;\n\
-                   // lint:allow(D08) — seeded violation for the sanitizer test\n\
-                   qp.sq.push(&sqe).await?;\n\
-               }\n";
-    assert!(scan(src, &[Rule::D08]).is_empty());
-}
-
-// ------------------------------------------------------------------ D10
-
-#[test]
-fn d10_flags_unhinted_queue_segments() {
-    // SQ allocated without the device-side hint.
-    let src = "fn f(s: &SmartIo) -> Result<()> {\n\
-                   let sq_seg = s.create_segment(host, entries * SQE_SIZE)?;\n\
-                   Ok(())\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D10])), ["D10"]);
-    // CQ hinted, but with the wrong (SQ/device-side) hint.
-    let src = "fn g(s: &SmartIo) -> Result<()> {\n\
-                   let cq_seg = s.create_segment_hinted(host, dev, len, AccessHints::sq())?;\n\
-                   Ok(())\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D10])), ["D10"]);
-}
-
-#[test]
-fn d10_ignores_hinted_queues_and_plain_buffers() {
-    let src = "fn f(s: &SmartIo) -> Result<()> {\n\
-                   let sq_seg = s.create_segment_hinted(host, dev, len, AccessHints::sq())?;\n\
-                   let acq_seg = s.create_segment_hinted(host, dev, len, AccessHints::cq())?;\n\
-                   let mailbox_segment = s.create_segment(host, 4096)?;\n\
-                   let seg = s.create_segment(host, 8192)?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D10]).is_empty());
-    // Binding through a match (the placement-ablation shape).
-    let src = "fn g(s: &SmartIo) -> Result<()> {\n\
-                   let sq_seg = match placement {\n\
-                       Placement::DeviceSide => s.create_segment_hinted(host, dev, len, AccessHints::sq())?,\n\
-                   };\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D10]).is_empty());
-}
-
-#[test]
-fn d10_suppression() {
-    let src = "fn f(s: &SmartIo) -> Result<()> {\n\
-                   // lint:allow(D10) — client-side SQ ablation arm\n\
-                   let sq_seg = s.create_segment(host, entries * SQE_SIZE)?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D10]).is_empty());
-}
-
 // ------------------------------------------------------------------ D11
 
 #[test]
@@ -433,217 +239,52 @@ fn d11_suppression() {
     assert!(scan(src, &[Rule::D11]).is_empty());
 }
 
-// ------------------------------------------------------------------ D13
-
 #[test]
-fn d13_flags_cross_host_address_without_translation() {
-    // Fabric sink: an address minted in host_a's domain written through
-    // host_b's window with no NTB translation on the path.
-    let src = "fn f(&self, fabric: &Fabric) {\n\
-                   let addr = DomainAddr::new(host_a, 0x4000);\n\
-                   fabric.mem_write(host_b, addr, &bytes);\n\
+fn d11_follows_turbofish_method_calls() {
+    // Regression: `probe::<u32>()` is still a method call. Before the
+    // turbofish fix the call-graph walk did not recognise `name::<T>(`
+    // as a call, dropped the submit→probe edge, and the transitive
+    // blocking read below slipped through the I/O-path scan.
+    let src = "async fn submit(&self, bio: Bio) {\n\
+                   let v = self.backend.probe::<u32>().await?;\n\
+               }\n\
+               async fn probe<T>(&self) -> T {\n\
+                   self.fabric.cpu_read_u32(self.host, self.bar).await\n\
                }\n";
-    let f = scan(src, &[Rule::D13]);
-    assert_eq!(codes(&f), ["D13"]);
-    assert_eq!(f[0].line, 3);
-    // Region sink: a peer-domain region probed with a local address.
-    let src = "fn g(&self) {\n\
-                   let remote = MemRegion::new(self.peer, PhysAddr(0), 4096);\n\
-                   let local = DomainAddr::new(self.host, 0x100);\n\
-                   let ok = remote.contains(local);\n\
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 5, "finding points at the transitive read");
+}
+
+/// The manager's own idiom binds the admin RPC first and hands the
+/// binding to `simcore::timeout`; awaiting the binding bare blocks just
+/// the same as awaiting the call.
+#[test]
+fn d11_flags_a_let_bound_blocking_call_awaited_bare() {
+    let src = "async fn serve(&mut self, qid: u16) {\n\
+                   let deleted = self.admin.delete_io_qpair(qid);\n\
+                   self.log(qid);\n\
+                   let _ = deleted.await;\n\
                }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D13])), ["D13"]);
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 4, "reported on the await");
 }
 
 #[test]
-fn d13_ignores_translated_and_same_host_flows() {
-    let src = "fn f(&self, fabric: &Fabric) {\n\
-                   let addr = DomainAddr::new(host_a, 0x4000);\n\
-                   let mapped = ntb.translate(addr);\n\
-                   fabric.mem_write(host_b, mapped, &bytes);\n\
-                   fabric.mem_write(host_a, addr, &bytes);\n\
+fn d11_ignores_a_let_bound_blocking_call_handed_to_timeout() {
+    let src = "async fn serve(&mut self, h: &Handle, t: SimDuration, qid: u16) {\n\
+                   let d = self.admin.delete_io_qpair(qid);\n\
+                   let _ = simcore::timeout(&h, t, d).await;\n\
                }\n";
-    assert!(scan(src, &[Rule::D13]).is_empty());
-}
-
-#[test]
-fn d13_knows_the_payload_spellings_of_the_fabric_sinks() {
-    // An address minted in host_a's domain adopted into / snapshotted
-    // from host_b's memory with no translation on the path.
-    for sink in [
-        "fabric.mem_adopt(host_b, addr, data);",
-        "let data = fabric.mem_snapshot(host_b, addr, 4096);",
-    ] {
-        let src = format!(
-            "fn f(&self, fabric: &Fabric) {{\n\
-                 let addr = DomainAddr::new(host_a, 0x4000);\n\
-                 {sink}\n\
-             }}\n"
-        );
-        let f = scan(&src, &[Rule::D13]);
-        assert_eq!(codes(&f), ["D13"], "{sink}");
-        assert_eq!(f[0].line, 3);
-    }
-    // Near miss: translated, or the address's own host.
-    let src = "fn f(&self, fabric: &Fabric) {\n\
-                   let addr = DomainAddr::new(host_a, 0x4000);\n\
-                   let mapped = ntb.translate(addr);\n\
-                   fabric.mem_adopt(host_b, mapped, data);\n\
-                   let data = fabric.mem_snapshot(host_a, addr, 4096);\n\
+    assert!(scan(src, &[Rule::D11]).is_empty());
+    // A binding that is not the call itself (the call sits inside a
+    // larger expression) is not a pending RPC.
+    let src = "async fn serve(&mut self, h: &Handle, t: SimDuration, qid: u16) {\n\
+                   let r = simcore::timeout(&h, t, self.admin.delete_io_qpair(qid)).await;\n\
+                   let _ = r;\n\
                }\n";
-    assert!(scan(src, &[Rule::D13]).is_empty());
-}
-
-#[test]
-fn d13_return_position_translators_mint_no_tag() {
-    // `slot` hands the peer's address back untranslated on its direct
-    // arm and translated on its tail. The translation call mints no tag
-    // of its own — `self.host`, its first argument, would hide the
-    // direct arm — so the peer tag is what reaches `kick`'s sink.
-    let src = "impl W {\n\
-                   fn peer_slot(&self) -> DomainAddr {\n\
-                       DomainAddr::new(self.peer, 0x4000)\n\
-                   }\n\
-                   fn slot(&self, direct: bool) -> DomainAddr {\n\
-                       let s = self.peer_slot();\n\
-                       if direct {\n\
-                           return s;\n\
-                       }\n\
-                       self.smartio.map_for_cpu(self.host, s)\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.slot(true);\n\
-                       fab.mem_write(self.host, a, &bytes);\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D13]);
-    assert_eq!(codes(&f), ["D13"]);
-    assert_eq!(f[0].line, 14);
-    assert!(
-        f[0].related.iter().any(|r| r.note.contains("`self.peer`")),
-        "{:?}",
-        f[0].related
-    );
-    // Near miss: every return translates. The translated value carries
-    // no tag — in particular not the name of the argument it translated.
-    let src = "impl W {\n\
-                   fn peer_slot(&self) -> DomainAddr {\n\
-                       DomainAddr::new(self.peer, 0x4000)\n\
-                   }\n\
-                   fn slot(&self) -> DomainAddr {\n\
-                       let s = self.peer_slot();\n\
-                       self.ntb.translate(s)\n\
-                   }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.slot();\n\
-                       fab.mem_write(self.host, a, &bytes);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D13]).is_empty());
-}
-
-#[test]
-fn d13_suppression() {
-    let src = "fn f(&self, fabric: &Fabric) {\n\
-                   let addr = DomainAddr::new(host_a, 0x4000);\n\
-                   // lint:allow(D13) — loopback probe writes the raw peer window\n\
-                   fabric.mem_write(host_b, addr, &bytes);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D13]).is_empty());
-}
-
-// ------------------------------------------------------------------ D15
-
-#[test]
-fn d15_flags_slice_bounds_exceeding_region_length() {
-    // Literal offset at the region's end: off + len = 4104 > 4096.
-    let src = "fn f(&self) {\n\
-                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   let tail = region.slice(4096, 8);\n\
-               }\n";
-    let f = scan(src, &[Rule::D15]);
-    assert_eq!(codes(&f), ["D15"]);
-    assert_eq!(f[0].line, 3);
-    // Interval arithmetic: an inclusive loop bound pushes the last
-    // entry one stride past the ring (max off 64*64 + 64 = 4160).
-    let src = "const SQE: u64 = 64;\n\
-               fn f(&self) {\n\
-                   let ring = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   for i in 0..=64 {\n\
-                       let e = ring.slice(i * SQE, SQE);\n\
-                   }\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D15])), ["D15"]);
-}
-
-#[test]
-fn d15_ignores_in_bounds_and_unknown_ranges() {
-    // The exclusive-bound version of the same loop stays in bounds
-    // (max off 63*64 + 64 = 4096 exactly), and dynamic offsets with no
-    // static interval are honestly unknown, not flagged.
-    let src = "const SQE: u64 = 64;\n\
-               fn f(&self) {\n\
-                   let ring = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   for i in 0..64 {\n\
-                       let e = ring.slice(i * SQE, SQE);\n\
-                   }\n\
-                   let d = ring.slice(dynamic_off, 8);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D15]).is_empty());
-}
-
-#[test]
-fn d15_suppression() {
-    let src = "fn f(&self) {\n\
-                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   // lint:allow(D15) — deliberate overrun for the sanitizer seed\n\
-                   let tail = region.slice(4096, 8);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D15]).is_empty());
-}
-
-// ------------------------------------------------------------------ D17
-
-#[test]
-fn d17_flags_plain_alloc_on_the_datapath() {
-    // Directly inside a submit root …
-    let src = "fn submit(&self, bio: Bio) {\n\
-                   let staging = self.fabric.alloc(self.host, len).unwrap();\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D17])), ["D17"]);
-    // … and through an intra-file helper the root calls.
-    let src = "fn write_blocks(&self, lba: u64) { self.stage(lba); }\n\
-               fn stage(&self, lba: u64) {\n\
-                   let buf = fabric.alloc(host, 4096).unwrap();\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D17])), ["D17"]);
-}
-
-#[test]
-fn d17_ignores_hinted_and_off_path_allocations() {
-    // alloc_hinted is the sanctioned datapath allocator.
-    let src = "fn submit(&self, bio: Bio) {\n\
-                   let buf = smartio.alloc_hinted(host, dev, len, AccessHints::buffer());\n\
-               }\n";
-    assert!(scan(src, &[Rule::D17]).is_empty());
-    // Bring-up code allocates bounce partitions legally: `connect` is
-    // not a datapath root.
-    let src = "async fn connect(&self) {\n\
-                   let pool = self.fabric.alloc(self.host, pool_len).unwrap();\n\
-               }\n";
-    assert!(scan(src, &[Rule::D17]).is_empty());
-    // A non-fabric `alloc` receiver (qid pool, tag set) is not a buffer.
-    let src = "fn submit(&self) { let qid = self.qids.alloc(slot); }\n";
-    assert!(scan(src, &[Rule::D17]).is_empty());
-}
-
-#[test]
-fn d17_suppression() {
-    let src = "fn submit_probe(&self) {\n\
-                   // lint:allow(D17) — one-shot diagnostic buffer, never hot\n\
-                   let buf = self.fabric.alloc(self.host, 512).unwrap();\n\
-               }\n";
-    assert!(scan(src, &[Rule::D17]).is_empty());
+    assert!(scan(src, &[Rule::D11]).is_empty());
 }
 
 // ----------------------------------------------------- scanner hygiene
@@ -723,17 +364,15 @@ fn strict_allow_findings_survive_uncovered() {
 
 #[test]
 fn two_code_allow_suppresses_both_findings() {
-    // The SQE store is late (after a ring: D08) and goes through host_b's
-    // domain with an address minted in host_a's (D13); one comment naming
-    // both codes allows both, and neither code is left unused.
-    let src = "async fn submit(&self, fabric: &Fabric, qp: &QPair, sqe: Sqe) -> Result<()> {\n\
-                   qp.sq.ring().await?;\n\
-                   let slot = DomainAddr::new(host_a, 0x4000);\n\
-                   // lint:allow(D08, D13)\n\
-                   fabric.mem_write(host_b, slot, &sqe.encode());\n\
+    // The read is awaited with no deadline on the submit path (D11) and
+    // its fabric result unwrapped (D05); one comment naming both codes
+    // allows both, and neither code is left unused.
+    let src = "async fn submit(&self, fabric: &Fabric) -> Result<()> {\n\
+                   // lint:allow(D05, D11)\n\
+                   let head = fabric.cpu_read_u32(self.host, self.head).await.unwrap();\n\
                    Ok(())\n\
                }\n";
-    let rel = "crates/nvme/src/fixture.rs";
+    let rel = "crates/core/src/fixture.rs";
     let scan = scan_source_strict(rel, src, &analyzer::rules_for(rel));
     assert!(scan.findings.is_empty(), "{:?}", scan.findings);
     assert!(scan.unused.is_empty(), "{:?}", scan.unused);
@@ -749,8 +388,11 @@ fn two_code_allow_suppresses_both_findings() {
 // `simcore::rng`). D01, D04 and D16 are clippy's `disallowed_methods`,
 // `disallowed_types` and `await_holding_refcell_ref`, denied in the same
 // manifest; D25's sites are D11's; D22 never saw the one function that
-// stores an SQE. What is left to pin per code is the opposite of the old
-// suppression fixture: its `lint:allow` names no rule, so it is never
+// stores an SQE. D07, D08, D10, D13, D15, D17, D19, D21 and D24 are the
+// tier-1 suite's: a named test fails on every mutant of theirs that
+// changes behaviour (README's table names the tests, EXPERIMENTS.md M2
+// has the matrix). What is left to pin per code is the opposite of the
+// old suppression fixture: its `lint:allow` names no rule, so it is never
 // honoured silently — the scan reports the comment.
 
 /// Each `(line of the comment, source)` is a former suppression fixture.
@@ -875,6 +517,110 @@ fn d18_suppression() {
                    }\n\
                }\n";
     assert_retired("D18", &[(7, src)]);
+}
+
+#[test]
+fn d07_suppression() {
+    let src = "async fn submit(&self) {\n\
+                   // lint:allow(D07) — migration fallback reads the old ring once\n\
+                   let v = self.fabric.cpu_read_u32(self.host, addr).await?;\n\
+               }\n";
+    assert_retired("D07", &[(2, src)]);
+}
+
+#[test]
+fn d08_suppression() {
+    let src = "async fn seeded(&self, qp: &Qp) {\n\
+                   qp.sq.ring().await?;\n\
+                   // lint:allow(D08) — seeded violation for the sanitizer test\n\
+                   qp.sq.push(&sqe).await?;\n\
+               }\n";
+    assert_retired("D08", &[(3, src)]);
+}
+
+#[test]
+fn d10_suppression() {
+    let src = "fn f(s: &SmartIo) -> Result<()> {\n\
+                   // lint:allow(D10) — client-side SQ ablation arm\n\
+                   let sq_seg = s.create_segment(host, entries * SQE_SIZE)?;\n\
+                   Ok(())\n\
+               }\n";
+    assert_retired("D10", &[(2, src)]);
+}
+
+#[test]
+fn d13_suppression() {
+    let src = "fn f(&self, fabric: &Fabric) {\n\
+                   let addr = DomainAddr::new(host_a, 0x4000);\n\
+                   // lint:allow(D13) — loopback probe writes the raw peer window\n\
+                   fabric.mem_write(host_b, addr, &bytes);\n\
+               }\n";
+    assert_retired("D13", &[(3, src)]);
+}
+
+#[test]
+fn d15_suppression() {
+    let src = "fn f(&self) {\n\
+                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
+                   // lint:allow(D15) — deliberate overrun for the sanitizer seed\n\
+                   let tail = region.slice(4096, 8);\n\
+               }\n";
+    assert_retired("D15", &[(3, src)]);
+}
+
+#[test]
+fn d17_suppression() {
+    let src = "fn submit_probe(&self) {\n\
+                   // lint:allow(D17) — one-shot diagnostic buffer, never hot\n\
+                   let buf = self.fabric.alloc(self.host, 512).unwrap();\n\
+               }\n";
+    assert_retired("D17", &[(2, src)]);
+}
+
+#[test]
+fn d19_suppression() {
+    let src = "impl M {\n\
+                   fn serve_tick(&self) {\n\
+                       // lint:allow(D19) — tick never runs concurrently with reap\n\
+                       let a = self.alpha.lock();\n\
+                       self.grab_beta();\n\
+                   }\n\
+                   fn grab_beta(&self) {\n\
+                       let b = self.beta.lock();\n\
+                       b.touch();\n\
+                   }\n\
+                   fn reap_tick(&self) {\n\
+                       let b = self.beta.lock();\n\
+                       let a = self.alpha.lock();\n\
+                       a.merge(b);\n\
+                   }\n\
+               }\n";
+    assert_retired("D19", &[(3, src)]);
+}
+
+#[test]
+fn d21_suppression() {
+    let src = "impl C {\n\
+                   fn submit_io(&self, e: &Engine) {\n\
+                       self.fast_reset(e);\n\
+                   }\n\
+                   fn fast_reset(&self, e: &Engine) {\n\
+                       // lint:allow(D21) — test-only teardown shim\n\
+                       e.reset_qpair(qid);\n\
+                   }\n\
+               }\n";
+    assert_retired("D21", &[(6, src)]);
+}
+
+#[test]
+fn d24_suppression() {
+    let src = "async fn seeded(&self, qp: &Qp) -> Result<()> {\n\
+                   qp.sq.ring().await?;\n\
+                   // lint:allow(D24) — seeded double ring for the oracle test\n\
+                   qp.sq.ring().await?;\n\
+                   Ok(())\n\
+               }\n";
+    assert_retired("D24", &[(3, src)]);
 }
 
 /// Every attribute (`#[…]`, `#![…]`) in `text`, whitespace removed.
@@ -1032,160 +778,11 @@ fn workspace_lints_cover_the_retired_rules() {
     assert!(members >= 14, "walked {members} member manifests");
 }
 
-// ------------------------------------------------------------------ D19
-
-#[test]
-fn d19_flags_cross_function_lock_order_cycle() {
-    let src = "impl M {\n\
-                   fn serve_tick(&self) {\n\
-                       let a = self.alpha.lock();\n\
-                       self.grab_beta();\n\
-                   }\n\
-                   fn grab_beta(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       b.touch();\n\
-                   }\n\
-                   fn reap_tick(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       let a = self.alpha.lock();\n\
-                       a.merge(b);\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D19]);
-    assert_eq!(codes(&f), ["D19"]);
-    assert_eq!(
-        f[0].line, 3,
-        "reported at the first acquisition of the cycle"
-    );
-    // Both acquisition chains render: the forward order and the reverse.
-    assert!(
-        f[0].related
-            .iter()
-            .any(|r| r.note.contains("opposite order")),
-        "{:?}",
-        f[0].related
-    );
-}
-
-#[test]
-fn d19_ignores_consistent_order_and_released_guards() {
-    // Same order on both paths: no cycle.
-    let src = "impl M {\n\
-                   fn serve_tick(&self) {\n\
-                       let a = self.alpha.lock();\n\
-                       let b = self.beta.lock();\n\
-                       b.merge(a);\n\
-                   }\n\
-                   fn reap_tick(&self) {\n\
-                       let a = self.alpha.lock();\n\
-                       self.grab_beta();\n\
-                   }\n\
-                   fn grab_beta(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       b.touch();\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D19]).is_empty());
-    // The reverse path releases beta (drop is a use — liveness ends
-    // there) before taking alpha: no overlap, no cycle.
-    let src = "impl M {\n\
-                   fn serve_tick(&self) {\n\
-                       let a = self.alpha.lock();\n\
-                       self.grab_beta();\n\
-                   }\n\
-                   fn grab_beta(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       b.touch();\n\
-                   }\n\
-                   fn reap_tick(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       b.touch();\n\
-                       drop(b);\n\
-                       let a = self.alpha.lock();\n\
-                       a.touch();\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D19]).is_empty());
-}
-
-#[test]
-fn d19_suppression() {
-    let src = "impl M {\n\
-                   fn serve_tick(&self) {\n\
-                       // lint:allow(D19) — tick never runs concurrently with reap\n\
-                       let a = self.alpha.lock();\n\
-                       self.grab_beta();\n\
-                   }\n\
-                   fn grab_beta(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       b.touch();\n\
-                   }\n\
-                   fn reap_tick(&self) {\n\
-                       let b = self.beta.lock();\n\
-                       let a = self.alpha.lock();\n\
-                       a.merge(b);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D19]).is_empty());
-}
-
-// ------------------------------------------------------------------ D21
-
-#[test]
-fn d21_flags_teardown_reachable_outside_the_ladder() {
-    let src = "impl C {\n\
-                   fn submit_io(&self, e: &Engine) {\n\
-                       self.fast_reset(e);\n\
-                   }\n\
-                   fn fast_reset(&self, e: &Engine) {\n\
-                       e.reset_qpair(qid);\n\
-                   }\n\
-               }\n";
-    let f = scan(src, &[Rule::D21]);
-    assert_eq!(codes(&f), ["D21"]);
-    assert_eq!(f[0].line, 6, "reported at the reset_qpair call");
-    assert!(
-        f[0].related.iter().any(|r| r.note.contains("submit_io")),
-        "chain reaches back to the datapath root: {:?}",
-        f[0].related
-    );
-}
-
-#[test]
-fn d21_ignores_teardown_behind_the_recovery_ladder() {
-    let src = "impl C {\n\
-                   fn submit_io(&self, e: &Engine) {\n\
-                       self.recover_qpair(e);\n\
-                   }\n\
-                   fn recover_qpair(&self, e: &Engine) {\n\
-                       self.recreate_qpair(e);\n\
-                   }\n\
-                   fn recreate_qpair(&self, e: &Engine) {\n\
-                       e.reset_qpair(qid);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D21]).is_empty());
-}
-
-#[test]
-fn d21_suppression() {
-    let src = "impl C {\n\
-                   fn submit_io(&self, e: &Engine) {\n\
-                       self.fast_reset(e);\n\
-                   }\n\
-                   fn fast_reset(&self, e: &Engine) {\n\
-                       // lint:allow(D21) — test-only teardown shim\n\
-                       e.reset_qpair(qid);\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D21]).is_empty());
-}
-
 // --------------------------------------------- dyn dispatch across files
 
 #[test]
-fn d07_follows_dyn_dispatch_across_files() {
-    // The raw read is reachable only through the trait object: the root
+fn d11_follows_dyn_dispatch_across_files() {
+    // The blocking read is reachable only through the trait object: the root
     // file holds the `dyn Backend` call, the impl lives elsewhere.
     let trait_file = "pub trait Backend {\n\
                           fn enqueue_one(&self, sqe: SqEntry);\n\
@@ -1195,15 +792,15 @@ fn d07_follows_dyn_dispatch_across_files() {
                       }\n";
     let impl_file = "impl Backend for MmioBackend {\n\
                          fn enqueue_one(&self, sqe: SqEntry) {\n\
-                             let head = self.window.cpu_read(HEAD_OFF);\n\
+                             let head = self.window.cpu_read(HEAD_OFF).await;\n\
                              self.ring.store(sqe, head);\n\
                          }\n\
                      }\n";
     let f = analyzer::scan_sources(&[
-        ("crates/core/src/root.rs", trait_file, vec![Rule::D07]),
-        ("crates/core/src/mmio.rs", impl_file, vec![Rule::D07]),
+        ("crates/core/src/root.rs", trait_file, vec![Rule::D11]),
+        ("crates/core/src/mmio.rs", impl_file, vec![Rule::D11]),
     ]);
-    assert_eq!(codes(&f), ["D07"]);
+    assert_eq!(codes(&f), ["D11"]);
     assert_eq!(f[0].path, "crates/core/src/mmio.rs");
     assert_eq!(f[0].line, 3);
     assert!(
@@ -1211,28 +808,6 @@ fn d07_follows_dyn_dispatch_across_files() {
         "{:?}",
         f[0].related
     );
-}
-
-#[test]
-fn d17_follows_dyn_dispatch_across_files() {
-    let trait_file = "pub trait Stager {\n\
-                          fn stage(&self, buf: Buf) -> Staged;\n\
-                      }\n\
-                      pub fn read_block(s: &dyn Stager, buf: Buf) {\n\
-                          let staged = s.stage(buf);\n\
-                      }\n";
-    let impl_file = "impl Stager for BounceStager {\n\
-                         fn stage(&self, buf: Buf) -> Staged {\n\
-                             let bb = self.fabric.alloc(self.host, buf.len).unwrap();\n\
-                             Staged::new(bb)\n\
-                         }\n\
-                     }\n";
-    let f = analyzer::scan_sources(&[
-        ("crates/core/src/root.rs", trait_file, vec![Rule::D17]),
-        ("crates/core/src/stager.rs", impl_file, vec![Rule::D17]),
-    ]);
-    assert_eq!(codes(&f), ["D17"]);
-    assert_eq!(f[0].path, "crates/core/src/stager.rs");
 }
 
 #[test]
@@ -1244,13 +819,13 @@ fn method_calls_do_not_cross_files_without_a_trait() {
                 }\n";
     let other = "impl MmioBackend {\n\
                      fn enqueue_one(&self, sqe: SqEntry) {\n\
-                         let head = self.window.cpu_read(HEAD_OFF);\n\
+                         let head = self.window.cpu_read(HEAD_OFF).await;\n\
                          self.ring.store(sqe, head);\n\
                      }\n\
                  }\n";
     let f = analyzer::scan_sources(&[
-        ("crates/core/src/root.rs", root, vec![Rule::D07]),
-        ("crates/core/src/mmio.rs", other, vec![Rule::D07]),
+        ("crates/core/src/root.rs", root, vec![Rule::D11]),
+        ("crates/core/src/mmio.rs", other, vec![Rule::D11]),
     ]);
     assert!(f.is_empty(), "{f:?}");
 }
@@ -1263,7 +838,7 @@ fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
     // walks no further than `let fabric = self.fabric(); fabric.x()`.
     let other = "impl Fabric {\n\
                      pub async fn dma_write(&self, dev: Dev, addr: PhysAddr, data: &[u8]) {\n\
-                         let head = self.window.cpu_read(HEAD_OFF);\n\
+                         let head = self.window.cpu_read(HEAD_OFF).await;\n\
                          self.land(dev, addr, data, head);\n\
                      }\n\
                  }\n";
@@ -1278,8 +853,8 @@ fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
              }}\n"
         );
         analyzer::scan_sources(&[
-            ("crates/core/src/ctrl.rs", &root, vec![Rule::D07]),
-            ("crates/core/src/fabric.rs", other, vec![Rule::D07]),
+            ("crates/core/src/ctrl.rs", &root, vec![Rule::D11]),
+            ("crates/core/src/fabric.rs", other, vec![Rule::D11]),
         ])
     };
     let bound = scan("fabric.dma_write(dev, addr, data).await");
@@ -1295,7 +870,7 @@ fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
     }
     // The free-helper arm itself still stands.
     let free = scan("dma_write(&fabric, dev, addr, data).await");
-    assert_eq!(codes(&free), ["D07"]);
+    assert_eq!(codes(&free), ["D11"]);
     assert_eq!(free[0].path, "crates/core/src/fabric.rs");
 }
 
@@ -1303,41 +878,38 @@ fn chained_method_calls_do_not_resolve_as_unique_free_helpers() {
 
 #[test]
 fn interproc_chains_render_in_github_and_sarif_output() {
-    // The interprocedural D13: the address is minted in the peer's
-    // domain two helpers down and used against the local host's — no
-    // single function sees both the tag and the sink.
-    let src = "impl W {\n\
-                   fn peer_slot(&self) -> DomainAddr {\n\
-                       DomainAddr::new(self.peer, 0x4000)\n\
+    // D11 two helpers down: the serve root reaches the unguarded admin
+    // RPC through `handle` and `teardown` — no single function sees both
+    // the root and the await.
+    let src = "impl S {\n\
+                   async fn teardown(&mut self, qid: u16) {\n\
+                       self.admin.delete_io_qpair(qid).await;\n\
                    }\n\
-                   fn slot(&self) -> DomainAddr {\n\
-                       let s = self.peer_slot();\n\
-                       s\n\
+                   async fn handle(&mut self, qid: u16) {\n\
+                       self.teardown(qid).await;\n\
                    }\n\
-                   fn kick(&self, fab: &Fabric) {\n\
-                       let a = self.slot();\n\
-                       fab.mem_write(self.host, a, &bytes);\n\
+                   async fn serve(&mut self) {\n\
+                       loop {\n\
+                           self.handle(self.next()).await;\n\
+                       }\n\
                    }\n\
                }\n";
-    let f = scan(src, &[Rule::D13]);
-    assert_eq!(codes(&f), ["D13"]);
-    assert_eq!(f[0].line, 11, "reported at the sink");
+    let f = scan(src, &[Rule::D11]);
+    assert_eq!(codes(&f), ["D11"]);
+    assert_eq!(f[0].line, 3, "reported at the await");
     let hops: Vec<usize> = f[0].related.iter().map(|r| r.line).collect();
     assert_eq!(hops, [10, 6], "root first: {:?}", f[0].related);
     let gh = f[0].to_github_annotation();
     assert!(gh.contains("via crates/fixture/src/lib.rs:6"), "{gh}");
     let sarif = analyzer::to_sarif(&f, &[]);
     assert!(sarif.contains("relatedLocations"), "{sarif}");
-    assert!(
-        sarif.contains("`peer_slot` returns an address in `self.peer`'s domain"),
-        "{sarif}"
-    );
-    // Translated on the way up, the same chain is clean.
+    assert!(sarif.contains("`handle` calls `teardown`"), "{sarif}");
+    // Bounded at the await, the same chain is clean.
     let src = src.replace(
-        "let s = self.peer_slot();",
-        "let s = self.ntb.translate(self.peer_slot());",
+        "self.admin.delete_io_qpair(qid).await;",
+        "simcore::timeout(&self.h, self.t, self.admin.delete_io_qpair(qid)).await;",
     );
-    assert!(scan(&src, &[Rule::D13]).is_empty());
+    assert!(scan(&src, &[Rule::D11]).is_empty());
 }
 
 // ------------------------------------------------------------------ D23
@@ -1433,112 +1005,4 @@ fn d23_suppression() {
                    Ok(region)\n\
                }\n";
     assert!(scan(src, &[Rule::D23]).is_empty());
-}
-
-// ------------------------------------------------------------------ D24
-
-#[test]
-fn d24_flags_repeated_ring_and_double_retire() {
-    // Two bare rings of the same queue with nothing new stored between.
-    let src = "async fn kick(&self, qp: &Qp) -> Result<()> {\n\
-                   qp.sq.ring().await?;\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    let f = scan(src, &[Rule::D24]);
-    assert_eq!(codes(&f), ["D24"]);
-    assert_eq!(f[0].line, 3);
-    // Textually identical retire repeated: the classic double-free.
-    let src = "fn put(&self, pool: &Pool, tag: Tag) {\n\
-                   pool.release(tag);\n\
-                   pool.release(tag);\n\
-               }\n";
-    let f = scan(src, &[Rule::D24]);
-    assert_eq!(codes(&f), ["D24"]);
-    assert_eq!(f[0].line, 3);
-}
-
-#[test]
-fn d24_ignores_justified_repeats() {
-    // A store between the rings justifies the second ring.
-    let src = "async fn pump(&self, qp: &Qp, sqe: SqEntry) -> Result<()> {\n\
-                   qp.sq.ring().await?;\n\
-                   qp.sq.push(&sqe).await?;\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D24]).is_empty());
-    // Re-ring in a sweep loop that pops CQEs in between: the head
-    // moved, so each ring is new information.
-    let src = "async fn sweep(&self, cq: &Cq) -> Result<()> {\n\
-                   loop {\n\
-                       while let Some(cqe) = cq.try_pop() {\n\
-                           self.deliver(cqe);\n\
-                       }\n\
-                       cq.ring_doorbell().await?;\n\
-                   }\n\
-               }\n";
-    assert!(scan(src, &[Rule::D24]).is_empty());
-    // A consumed second ring is observing the defensive return, and an
-    // acquire between retires makes the second retire a new tag.
-    let src = "async fn retry(&self, qp: &Qp) -> Result<()> {\n\
-                   qp.sq.ring().await?;\n\
-                   if qp.sq.ring().await.is_err() {\n\
-                       self.note_retry();\n\
-                   }\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D24]).is_empty());
-    let src = "fn cycle(&self, pool: &Pool, tag: Tag) {\n\
-                   pool.release(tag);\n\
-                   let tag = pool.acquire_tag();\n\
-                   pool.release(tag);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D24]).is_empty());
-}
-
-#[test]
-fn d24_suppression() {
-    let src = "async fn seeded(&self, qp: &Qp) -> Result<()> {\n\
-                   qp.sq.ring().await?;\n\
-                   // lint:allow(D24) — seeded double ring for the oracle test\n\
-                   qp.sq.ring().await?;\n\
-                   Ok(())\n\
-               }\n";
-    assert!(scan(src, &[Rule::D24]).is_empty());
-}
-
-// ------------------------------------ D15 clamp-then-slice regression
-
-#[test]
-fn d15_clamp_then_slice_folds_through_min_and_len() {
-    // An insufficient clamp still overruns: off ≤ 4094 but 4094 + 8 >
-    // 4096. The interval lattice must fold `.min()` rather than drop
-    // the clamped value to Top (which would silently pass this).
-    let src = "fn f(&self) {\n\
-                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   let want = 8192;\n\
-                   let off = want.min(4094);\n\
-                   let e = region.slice(off, 8);\n\
-               }\n";
-    let f = scan(src, &[Rule::D15]);
-    assert_eq!(codes(&f), ["D15"]);
-    assert_eq!(f[0].line, 5);
-    // The correct clamp — `min(region.len().saturating_sub(64))` —
-    // provably keeps off + 64 ≤ 4096 and must scan clean.
-    let src = "fn f(&self) {\n\
-                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   let want = 8192;\n\
-                   let off = want.min(region.len().saturating_sub(64));\n\
-                   let e = region.slice(off, 64);\n\
-               }\n";
-    assert!(scan(src, &[Rule::D15]).is_empty());
-    // `.max()` folds too: a floor above the region end is caught.
-    let src = "fn f(&self) {\n\
-                   let region = MemRegion::new(self.host, PhysAddr(0), 4096);\n\
-                   let want = 16;\n\
-                   let off = want.min(8).max(4095);\n\
-                   let e = region.slice(off, 8);\n\
-               }\n";
-    assert_eq!(codes(&scan(src, &[Rule::D15])), ["D15"]);
 }

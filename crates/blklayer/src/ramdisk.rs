@@ -36,7 +36,6 @@ impl RamDisk {
         // Device backing store, not a client I/O buffer — hinting does
         // not apply (there is no SmartIO device here).
         let backing = fabric
-            // lint:allow(D17)
             .alloc(host, capacity_blocks * block_size as u64)
             .expect("ramdisk backing allocation");
         Rc::new(RamDisk {
@@ -117,7 +116,6 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         let (rt, fabric, host, disk) = setup();
-        // lint:allow(D17) — in-module test, no SmartIO device to hint
         let buf = fabric.alloc(host, 4096).unwrap();
         fabric.mem_write(host, buf.addr, &[7u8; 4096]).unwrap();
         let ok = rt.block_on({

@@ -468,7 +468,7 @@ impl ClientDriver {
                 )?,
                 SqPlacement::ClientSide => {
                     // Deliberate Fig. 8 ablation: client-local SQ, so the
-                    // controller pays the fetch RTT. lint:allow(D10)
+                    // controller pays the fetch RTT.
                     smartio.create_segment(host, entries as u64 * SQE_SIZE as u64)?
                 }
             };

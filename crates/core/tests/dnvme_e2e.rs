@@ -1193,6 +1193,10 @@ fn only_a_direct_mapped_connect_creates_the_per_tag_list_pages() {
     }
 }
 
+/// A connect, sixteen write/read pairs and a disconnect leave both hosts'
+/// adapters and DRAM allocators exactly as they were: every LUT slot and
+/// every byte the cycle took — rings, bounce partitions, PRP list pages,
+/// per-I/O windows — comes back.
 #[test]
 fn a_connect_disconnect_cycle_gives_back_every_lut_slot() {
     let direct = ClientConfig {
@@ -1214,10 +1218,14 @@ fn a_connect_disconnect_cycle_gives_back_every_lut_slot() {
             let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
                 .await
                 .unwrap();
+            // The test's own buffer is taken before the baseline.
+            let buf = fabric.alloc(client_host, 4096).unwrap();
             let free = || {
                 (
                     fabric.free_lut_slots(client_host),
                     fabric.free_lut_slots(dev_host),
+                    fabric.free_dram_bytes(client_host),
+                    fabric.free_dram_bytes(dev_host),
                 )
             };
             let before = free();
@@ -1229,6 +1237,10 @@ fn a_connect_disconnect_cycle_gives_back_every_lut_slot() {
                 during.0 < before.0 && during.1 < before.1,
                 "{label}: {during:?}"
             );
+            for pair in 0..16u64 {
+                drv.submit(Bio::write(pair * 8, 8, buf)).await.unwrap();
+                drv.submit(Bio::read(pair * 8, 8, buf)).await.unwrap();
+            }
             drv.disconnect().await.unwrap();
             assert_eq!(free(), before, "{label}");
         });

@@ -399,6 +399,14 @@ impl Fabric {
             .sum()
     }
 
+    /// Bytes left in `host`'s DRAM allocator — what a leak check compares
+    /// before and after a connect, I/O and disconnect cycle.
+    pub fn free_dram_bytes(&self, host: HostId) -> u64 {
+        let st = self.inner.state.borrow();
+        let own = st.hosts.get(host.0 as usize);
+        own.map_or(0, |h| h.memory.free_bytes())
+    }
+
     /// The first NTB adapter attached to a host's domain, if it has any.
     pub fn first_ntb_of(&self, host: HostId) -> Option<NtbId> {
         let st = self.inner.state.borrow();

@@ -490,7 +490,6 @@ fn sqe_store_after_doorbell_races_fetch() {
             // Deliberate seeded violation: the store lands after the bell
             // already exposed the slot.
             let sqe = SqEntry::set_num_queues(7, 3, 3);
-            // lint:allow(D08)
             fabric.cpu_write(a, win, &sqe.encode()).await.unwrap();
             // Let the store apply: only the happens-before detector can
             // see this race now.
