@@ -1,13 +1,13 @@
-//! E1–E11: the fio-driven experiments and the filesystem workload, each
-//! built on a [`cluster::Scenario`] and each keeping the shape asserts
-//! that make a wrong reproduction fail the run.
+//! E1–E8 and E11: the fio-driven experiments and the filesystem
+//! workload, each built on a [`cluster::Scenario`] and each keeping the
+//! shape asserts that make a wrong reproduction fail the run.
 
 use std::rc::Rc;
 
 use cluster::{Calibration, Scenario, ScenarioKind};
 use dnvme::{ClientConfig, DataPath, SqPlacement};
 use fioflex::{JobReport, JobSpec, RwMode, SideReport};
-use nvme::{CompletionStrategy, QpairStats};
+use nvme::QpairStats;
 use sharedfs::SharedFs;
 use simcore::{LatencySummary, SimDuration};
 
@@ -26,7 +26,7 @@ const STACKS: [ScenarioKind; 4] = [
     ScenarioKind::OursRemote { switches: 1 },
 ];
 
-const OURS_REMOTE: ScenarioKind = ScenarioKind::OursRemote { switches: 1 };
+pub(crate) const OURS_REMOTE: ScenarioKind = ScenarioKind::OursRemote { switches: 1 };
 
 /// The paper's FIO job (4 KiB, QD 1) over the window; builder methods
 /// adjust depth, size and mix.
@@ -255,32 +255,34 @@ pub(crate) fn e5_hop_sensitivity() -> Vec<Row> {
     rows
 }
 
+/// One E6 point: 4 KiB random read on `kind` at queue depth `qd`.
+pub(crate) fn e6_point(kind: ScenarioKind, qd: usize) -> Row {
+    let label = kind.label();
+    let spec = job(RwMode::RandRead).iodepth(qd);
+    let (rep, db) = measure(kind, &Calibration::paper(), &spec);
+    let r = side(&rep);
+    // At QD 1 the engine must ring per command (the latency path is
+    // untouched). At depth the `sqes` / `sq_doorbells` columns are a
+    // record, not a target: no end-to-end metric sees them.
+    if qd == 1 {
+        assert_eq!(
+            db.sq_doorbells, db.sqes_submitted,
+            "{label} qd1: coalescing must be inert at queue depth 1"
+        );
+    }
+    Row::new(format!("{label}/qd{qd}"))
+        .rate("kiops", r.iops / 1e3)
+        .int("p50_ns", r.lat.p50)
+        .int("p99_ns", r.lat.p99)
+        .int("sqes", db.sqes_submitted)
+        .int("sq_doorbells", db.sq_doorbells)
+}
+
 pub(crate) fn e6_qd_sweep() -> Vec<Row> {
-    let calib = Calibration::paper();
     let mut rows = Vec::new();
     for kind in STACKS {
-        let label = kind.label();
         for qd in [1usize, 2, 4, 8, 16, 32] {
-            let spec = job(RwMode::RandRead).iodepth(qd);
-            let (rep, db) = measure(kind.clone(), &calib, &spec);
-            let r = side(&rep);
-            // At QD 1 the engine must ring per command (the latency path
-            // is untouched). At depth the `sqes` / `sq_doorbells` columns
-            // are a record, not a target: no end-to-end metric sees them.
-            if qd == 1 {
-                assert_eq!(
-                    db.sq_doorbells, db.sqes_submitted,
-                    "{label} qd1: coalescing must be inert at queue depth 1"
-                );
-            }
-            rows.push(
-                Row::new(format!("{label}/qd{qd}"))
-                    .rate("kiops", r.iops / 1e3)
-                    .int("p50_ns", r.lat.p50)
-                    .int("p99_ns", r.lat.p99)
-                    .int("sqes", db.sqes_submitted)
-                    .int("sq_doorbells", db.sq_doorbells),
-            );
+            rows.push(e6_point(kind.clone(), qd));
         }
     }
     let at = |name: &str, key: &str| cell(&rows, name, key);
@@ -385,88 +387,6 @@ pub(crate) fn e8_bounce_vs_direct() -> Vec<Row> {
     assert!(
         d128 < b128,
         "128 KiB writes: direct mapping must win once the copy dominates ({d128} vs {b128})"
-    );
-    rows
-}
-
-pub(crate) fn e9_polling_vs_irq() -> Vec<Row> {
-    let polling = ClientConfig::default().completion;
-    let irq = CompletionStrategy::Interrupt {
-        latency: SimDuration::from_nanos(1_400),
-    };
-    let mut rows = Vec::new();
-    for (label, completion) in [("polling", polling), ("irq-1.4us", irq)] {
-        let calib = ablation(ClientConfig {
-            completion,
-            ..ClientConfig::default()
-        });
-        for qd in [1usize, 8] {
-            let spec = job(RwMode::RandRead).iodepth(qd);
-            let (rep, _) = measure(OURS_REMOTE, &calib, &spec);
-            let r = side(&rep);
-            rows.push(
-                Row::new(format!("{label}/qd{qd}"))
-                    .int("p50_ns", r.lat.p50)
-                    .int("p99_ns", r.lat.p99)
-                    .rate("kiops", r.iops / 1e3),
-            );
-        }
-    }
-    // What polling buys per QD1 I/O — the paper's rationale for it.
-    let qd1_p50 = |mode: &str| cell(&rows, &format!("{mode}/qd1"), "p50_ns") as u64;
-    let saving = qd1_p50("irq-1.4us").saturating_sub(qd1_p50("polling"));
-    assert!(
-        (800..3_000).contains(&saving),
-        "saving {saving} ns should be ~IRQ latency"
-    );
-    rows.push(Row::new("polling saves/qd1").int("p50_ns", saving));
-    rows
-}
-
-pub(crate) fn e10_realistic_workloads() -> Vec<Row> {
-    let mixes = [
-        // 70/30 random, zipfian hotspots.
-        (
-            "oltp",
-            job(RwMode::RandRw { read_pct: 70 })
-                .bs(8 << 10)
-                .iodepth(8)
-                .zipf(1.1),
-        ),
-        // Backup/analytics.
-        ("scan", job(RwMode::SeqRead).bs(128 << 10).iodepth(4)),
-        // Journaling: 4 KiB sequential writes at QD 1.
-        ("logger", job(RwMode::SeqWrite)),
-    ];
-    let calib = Calibration::paper();
-    let mut rows = Vec::new();
-    for (mix, spec) in &mixes {
-        for kind in STACKS {
-            let label = kind.label();
-            let (rep, _) = measure(kind, &calib, spec);
-            let mut row = Row::new(format!("{mix}/{label}"));
-            if let Some(r) = &rep.read {
-                row = row.int("read_p50_ns", r.lat.p50);
-            }
-            if let Some(w) = &rep.write {
-                row = row.int("write_p50_ns", w.lat.p50);
-            }
-            let bw = rep.read.map_or(0.0, |r| r.bw_mib_s) + rep.write.map_or(0.0, |w| w.bw_mib_s);
-            rows.push(row.rate("mib_s", bw));
-        }
-    }
-    // Our remote driver must beat NVMe-oF on the latency-bound mix and
-    // match local on the bandwidth-bound one.
-    let at = |name: &str, key: &str| cell(&rows, name, key);
-    let oltp_ours = at("oltp/ours/remote", "read_p50_ns");
-    let oltp_nvmf = at("oltp/nvmeof/remote", "read_p50_ns");
-    assert!(
-        oltp_ours < oltp_nvmf,
-        "OLTP read p50: ours {oltp_ours} ns must beat NVMe-oF {oltp_nvmf} ns"
-    );
-    assert!(
-        at("scan/ours/remote", "mib_s") > at("scan/linux/local", "mib_s") * 0.8,
-        "scan bandwidth must be media-bound on the remote path too"
     );
     rows
 }

@@ -1,12 +1,13 @@
 //! The paper-reproduction record.
 //!
 //! One table, [`EXPERIMENTS`], lists every figure and claim of the
-//! paper's evaluation this repository reproduces (E1–E12; EXPERIMENTS.md
-//! discusses them). Each entry is a function that runs its simulations,
-//! asserts the shape the paper reports and returns its numbers as named
-//! rows. `cargo bench -p bench` (`benches/repro.rs`) walks the table,
-//! prints every row and rewrites the committed, root-level
-//! `BENCH_repro.json`, which CI diffs with `git diff --exit-code`.
+//! paper's evaluation this repository reproduces (E1–E8, E11 and E12;
+//! EXPERIMENTS.md discusses them). Each entry is a function that runs its
+//! simulations, asserts the shape the paper reports and returns its
+//! numbers as named rows. `cargo bench -p bench` (`benches/repro.rs`)
+//! walks the table, prints every row and rewrites the committed,
+//! root-level `BENCH_repro.json`, which CI diffs with `git diff
+//! --exit-code`.
 //!
 //! The simulation is deterministic, so one run per data point is exact
 //! and the file is byte-stable: integer nanoseconds and counts, rates
@@ -20,7 +21,8 @@ mod figures;
 /// One row of the reproduction table.
 pub struct Experiment {
     /// `E1` … `E12`: the key in `BENCH_repro.json` and the section of
-    /// EXPERIMENTS.md.
+    /// EXPERIMENTS.md. Ids are never reused or renumbered, so the table
+    /// has gaps (E9, E10).
     pub id: &'static str,
     /// What is measured.
     pub title: &'static str,
@@ -31,7 +33,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in file order.
-pub const EXPERIMENTS: [Experiment; 12] = [
+pub const EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         id: "E1",
         title: "Figure 10: completion latency, 4 KiB random, QD1, four stacks",
@@ -79,18 +81,6 @@ pub const EXPERIMENTS: [Experiment; 12] = [
         title: "Bounce buffer vs per-I/O IOMMU-style mapping, remote client p50",
         source: "§V (bounce design) and future work (IOMMU path)",
         run: figures::e8_bounce_vs_direct,
-    },
-    Experiment {
-        id: "E9",
-        title: "Polling vs forwarded-interrupt completions, remote client",
-        source: "§V/§VI (why the driver polls); extension",
-        run: figures::e9_polling_vs_irq,
-    },
-    Experiment {
-        id: "E10",
-        title: "Realistic mixes: OLTP 70/30 zipf 8 KiB QD8, 128 KiB scan QD4, 4 KiB logger QD1",
-        source: "§VIII future work (realistic workloads)",
-        run: figures::e10_realistic_workloads,
     },
     Experiment {
         id: "E11",
@@ -176,13 +166,20 @@ pub fn render_section(exp: &Experiment, rows: &[Row]) -> String {
         exp.id, exp.title, exp.source
     );
     for (i, row) in rows.iter().enumerate() {
-        out += &format!("      {{\"name\": \"{}\"", row.name);
-        for (key, val) in &row.cells {
-            out += &format!(", \"{key}\": {val}");
-        }
-        out += if i + 1 < rows.len() { "},\n" } else { "}\n" };
+        out += "      ";
+        out += &render_row(row);
+        out += if i + 1 < rows.len() { ",\n" } else { "\n" };
     }
     out + "    ]\n  }"
+}
+
+/// One row as `BENCH_repro.json` holds it: a one-line JSON object.
+fn render_row(row: &Row) -> String {
+    let mut out = format!("{{\"name\": \"{}\"", row.name);
+    for (key, val) in &row.cells {
+        out += &format!(", \"{key}\": {val}");
+    }
+    out + "}"
 }
 
 /// The whole file from its sections, in table order.
@@ -238,17 +235,40 @@ mod tests {
     }
 
     /// No `BENCHMARK.json` workload sits at an unsaturated mid queue
-    /// depth, so this is the tier-1 guard for that regime: E9's QD8
-    /// points, regenerated through the table entry the runner uses.
+    /// depth, so this is the tier-1 guard for that regime: E6's
+    /// ours/remote QD 2 and QD 8 rows, regenerated by the function the
+    /// sweep runs.
     #[test]
     fn mid_queue_depth_canary_matches_the_committed_record() {
-        let exp = &EXPERIMENTS[8];
-        assert_eq!(exp.id, "E9");
-        let section = render_section(exp, &(exp.run)());
-        assert!(
-            committed().contains(&section),
-            "E9 drifted from BENCH_repro.json; if intended, regenerate with \
-             `cargo bench -p bench`:\n{section}"
+        let exp = EXPERIMENTS.iter().find(|e| e.id == "E6").expect("E6");
+        let file = committed();
+        for qd in [2, 8] {
+            let line = render_row(&figures::e6_point(figures::OURS_REMOTE, qd));
+            assert!(
+                file.contains(&line),
+                "{} drifted from BENCH_repro.json; if intended, regenerate with \
+                 `cargo bench -p bench`:\n{line}",
+                exp.id
+            );
+        }
+    }
+
+    /// EXPERIMENTS.md has one `## E<n> — ` section per table row, in
+    /// table order, so a deleted row's section cannot outlive it.
+    #[test]
+    fn experiments_md_sections_equal_the_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+        let headings: Vec<&str> = doc
+            .lines()
+            .filter_map(|l| l.strip_prefix("## E"))
+            .filter_map(|l| l.split_once(" — "))
+            .map(|(n, _)| n)
+            .collect();
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| &e.id[1..]).collect();
+        assert_eq!(
+            headings, ids,
+            "EXPERIMENTS.md sections drifted from EXPERIMENTS"
         );
     }
 }

@@ -60,8 +60,14 @@ pub enum DataPath {
     DirectMapped,
 }
 
+/// CPU cost of one check of the client's CQ. The paper's SISCI extension
+/// "does not currently support device-generated interrupts", so the
+/// client always polls its CQ in client-local memory.
+const POLL_CHECK_COST: SimDuration = SimDuration::from_nanos(120);
+
 /// Client driver configuration. Defaults model the paper's "naive"
-/// proof-of-concept driver.
+/// proof-of-concept driver. How completions arrive is not a setting: the
+/// client polls its CQ, 120 ns of CPU per check.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Entries per I/O queue.
@@ -79,12 +85,6 @@ pub struct ClientConfig {
     pub sq_placement: SqPlacement,
     /// Bounce buffer or per-I/O mapping.
     pub data_path: DataPath,
-    /// How the client learns about completions. The paper's SISCI
-    /// extension "does not currently support device-generated
-    /// interrupts", so its driver polls the CQ in client-local memory
-    /// (the default). `Interrupt` models the forwarding extension (MSI
-    /// routed through the NTB to the client host) as an ablation.
-    pub completion: CompletionStrategy,
     /// CPU cost of the submit path (block layer glue + naive driver).
     pub submission_overhead: SimDuration,
     /// CPU cost after completion detection.
@@ -120,9 +120,6 @@ impl Default for ClientConfig {
             partition_size: 128 << 10,
             sq_placement: SqPlacement::DeviceSide,
             data_path: DataPath::Bounce,
-            completion: CompletionStrategy::Polling {
-                check_cost: SimDuration::from_nanos(120),
-            },
             submission_overhead: SimDuration::from_nanos(2_400),
             completion_overhead: SimDuration::from_nanos(600),
             iommu_map_cost: SimDuration::from_nanos(450),
@@ -304,7 +301,6 @@ struct QpWiring {
     entries: u16,
     sq_bus: PhysAddr,
     cq_bus: PhysAddr,
-    iv: Option<u16>,
     /// Held by the one command climbing ladder rungs 2–4 for this ring.
     /// A lost CQE stalls the ring's consumer, so every command in flight
     /// on it times out; climbing side by side their delete/recreate RPCs
@@ -457,7 +453,6 @@ impl ClientDriver {
         let bar = bar_map.region;
         let mut specs = Vec::new();
         let mut wiring = Vec::new();
-        let fabric_dev = smartio.device_fabric_id(device)?;
         for _ in 0..cfg.num_qpairs {
             let sq_seg = match cfg.sq_placement {
                 SqPlacement::DeviceSide => smartio.create_segment_hinted(
@@ -488,16 +483,11 @@ impl ClientDriver {
             held.windows.push(sq_win);
             let cq_win = smartio.map_for_device(device, cq_seg)?;
             held.windows.push(cq_win);
-            // Interrupt mode reserves a vector per queue pair; vectors are
-            // granted as qid at the controller, so request "next" (the
-            // manager echoes the actual qid and we route that vector).
-            let want_iv = matches!(cfg.completion, CompletionStrategy::Interrupt { .. });
             let resp = mailbox
                 .call(Request::CreateQp {
                     entries,
                     sq_bus: sq_win.bus_base,
                     cq_bus: cq_win.bus_base,
-                    iv: want_iv.then_some(0), // placeholder; manager uses qid
                     want_qid: 0,
                 })
                 .await?;
@@ -508,12 +498,9 @@ impl ClientDriver {
                 entries,
                 sq_bus: sq_win.bus_base,
                 cq_bus: cq_win.bus_base,
-                iv: want_iv.then_some(0),
                 climber: Semaphore::new(1),
                 recreated: Cell::new(0),
             });
-            // Interrupt extension: route vector `qid` to this host.
-            let irq = want_iv.then(|| fabric.config_msi(fabric_dev, qid, host));
             specs.push(QueuePairSpec {
                 qid,
                 sq_ring: sq_cpu.region,
@@ -521,7 +508,7 @@ impl ClientDriver {
                 cq_ring: cq_region,
                 cq_doorbell: DomainAddr::new(host, bar.addr.offset(cap.cq_doorbell(qid))),
                 entries,
-                irq,
+                irq: None,
             });
         }
 
@@ -532,7 +519,9 @@ impl ClientDriver {
         let engine = IoEngine::start(
             &fabric,
             specs,
-            cfg.completion,
+            CompletionStrategy::Polling {
+                check_cost: POLL_CHECK_COST,
+            },
             EngineConfig {
                 queue_depth: qd,
                 cmd_timeout: cfg.cmd_timeout,
@@ -707,7 +696,6 @@ impl ClientDriver {
                 entries: w.entries,
                 sq_bus: w.sq_bus,
                 cq_bus: w.cq_bus,
-                iv: w.iv,
                 want_qid: qid,
             })
             .await?;

@@ -534,7 +534,6 @@ impl Server {
                 entries,
                 sq_bus,
                 cq_bus,
-                iv,
                 want_qid,
             } => {
                 if entries < 2 {
@@ -549,12 +548,11 @@ impl Server {
                 let Some(qid) = granted else {
                     return mgr.reject(proto::status::NO_FREE_QPAIR, 0);
                 };
-                // Privileged admin operation on behalf of the client. The
-                // paper's clients poll (iv = None); the interrupt-
-                // forwarding extension passes a vector (== qid).
-                let created =
-                    self.admin
-                        .create_io_qpair(qid, entries, sq_bus, cq_bus, iv.map(|_| qid));
+                // Privileged admin operation on behalf of the client, whose
+                // CQ is polled: no interrupt vector.
+                let created = self
+                    .admin
+                    .create_io_qpair(qid, entries, sq_bus, cq_bus, None);
                 match simcore::timeout(&handle, deadline, created).await {
                     Ok(Ok(())) => {
                         mgr.stats.borrow_mut().qpairs_created += 1;

@@ -88,14 +88,12 @@ impl Metadata {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Create an I/O queue pair with rings at the given *bus* addresses
-    /// (already resolved by SmartIO for the device). `iv` requests an
-    /// interrupt vector (the interrupt-forwarding extension; the paper's
-    /// clients poll and pass `None`).
+    /// (already resolved by SmartIO for the device). Clients poll, so the
+    /// CQ is created with interrupts off.
     CreateQp {
         entries: u16,
         sq_bus: PhysAddr,
         cq_bus: PhysAddr,
-        iv: Option<u16>,
         /// Ask for this specific queue id (0 = any free qid). Recovery
         /// uses this to re-create a reset queue pair under its old id so
         /// the client's doorbell/ring wiring stays valid.
@@ -144,11 +142,12 @@ impl SlotMessage {
                 entries,
                 sq_bus,
                 cq_bus,
-                iv,
                 want_qid,
             } => {
                 b[12..14].copy_from_slice(&entries.to_le_bytes());
-                b[14..16].copy_from_slice(&iv.unwrap_or(0xFFFF).to_le_bytes());
+                // Reserved; the "no interrupt vector" value the layout
+                // has always carried there.
+                b[14..16].copy_from_slice(&0xFFFFu16.to_le_bytes());
                 b[16..24].copy_from_slice(&sq_bus.to_le_bytes());
                 b[24..32].copy_from_slice(&cq_bus.to_le_bytes());
                 b[36..38].copy_from_slice(&want_qid.to_le_bytes());
@@ -188,16 +187,12 @@ impl SlotMessage {
         }
         let op = u32::from_le_bytes(b[8..12].try_into().unwrap());
         let request = match op {
-            OP_CREATE => {
-                let raw_iv = u16::from_le_bytes(b[14..16].try_into().unwrap());
-                Request::CreateQp {
-                    entries: u16::from_le_bytes(b[12..14].try_into().unwrap()),
-                    sq_bus: PhysAddr(u64::from_le_bytes(b[16..24].try_into().unwrap())),
-                    cq_bus: PhysAddr(u64::from_le_bytes(b[24..32].try_into().unwrap())),
-                    iv: (raw_iv != 0xFFFF).then_some(raw_iv),
-                    want_qid: u16::from_le_bytes(b[36..38].try_into().unwrap()),
-                }
-            }
+            OP_CREATE => Request::CreateQp {
+                entries: u16::from_le_bytes(b[12..14].try_into().unwrap()),
+                sq_bus: PhysAddr(u64::from_le_bytes(b[16..24].try_into().unwrap())),
+                cq_bus: PhysAddr(u64::from_le_bytes(b[24..32].try_into().unwrap())),
+                want_qid: u16::from_le_bytes(b[36..38].try_into().unwrap()),
+            },
             OP_DELETE => Request::DeleteQp {
                 qid: u16::from_le_bytes(b[12..14].try_into().unwrap()),
             },
@@ -328,29 +323,17 @@ mod tests {
                 entries: 256,
                 sq_bus: PhysAddr(0xDEAD_0000),
                 cq_bus: PhysAddr(0xBEEF_0000),
-                iv: None,
                 want_qid: 0,
             },
         };
         assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
-        let msg_iv = SlotMessage {
-            seq: 10,
-            retry: 2,
-            response_segment: 3,
-            request: Request::CreateQp {
-                entries: 8,
-                sq_bus: PhysAddr(1),
-                cq_bus: PhysAddr(2),
-                iv: Some(7),
-                want_qid: 5,
-            },
-        };
-        assert_eq!(SlotMessage::decode(&msg_iv.encode()), Some(msg_iv));
     }
 
     /// The slot bytes of one CreateQp, as the encoder that carried the
     /// response segment inside every request variant wrote them: the
     /// segment moved onto the message, the wire layout did not move.
+    /// Bytes 14..16 are reserved and hold 0xFFFF, the value a polling
+    /// client always wrote there.
     #[test]
     fn create_slot_bytes_are_pinned() {
         let msg = SlotMessage {
@@ -361,7 +344,6 @@ mod tests {
                 entries: 256,
                 sq_bus: PhysAddr(0xDEAD_0000),
                 cq_bus: PhysAddr(0xBEEF_0000),
-                iv: Some(7),
                 want_qid: 5,
             },
         };
@@ -369,7 +351,7 @@ mod tests {
         want[..38].copy_from_slice(&[
             9, 0, 0, 0, 9, 0, 0, 0, // seq, written twice (torn-write guard)
             1, 0, 0, 0, // OP_CREATE
-            0, 1, 7, 0, // entries = 256, iv = 7
+            0, 1, 0xFF, 0xFF, // entries = 256, reserved
             0, 0, 0xAD, 0xDE, 0, 0, 0, 0, // sq_bus
             0, 0, 0xEF, 0xBE, 0, 0, 0, 0, // cq_bus
             12, 0, 0, 0, // response segment

@@ -677,63 +677,6 @@ fn multi_qpair_disconnect_returns_all_qpairs() {
 }
 
 #[test]
-fn interrupt_mode_extension_works_and_costs_latency() {
-    // The paper's driver polls because its SISCI extension lacks
-    // device-generated interrupts; the forwarding extension must work
-    // correctly and cost roughly the interrupt latency per I/O.
-    use nvme::CompletionStrategy;
-    use simcore::SimDuration;
-    fn one_read(completion: CompletionStrategy) -> (bool, u64) {
-        let c = cluster(2);
-        let smartio = c.smartio.clone();
-        let fabric = c.fabric.clone();
-        let dev = c.dev;
-        let dev_host = c.dev_host;
-        let client_host = c.hosts[0];
-        let h = c.rt.handle();
-        c.rt.block_on(async move {
-            let _mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
-                .await
-                .unwrap();
-            let cfg = ClientConfig {
-                completion,
-                ..ClientConfig::default()
-            };
-            let drv = ClientDriver::connect(&smartio, dev, client_host, cfg)
-                .await
-                .unwrap();
-            let buf = fabric.alloc(client_host, 4096).unwrap();
-            fabric
-                .mem_write(client_host, buf.addr, &[0x42u8; 4096])
-                .unwrap();
-            drv.submit(Bio::write(0, 8, buf)).await.unwrap();
-            fabric
-                .mem_write(client_host, buf.addr, &[0u8; 4096])
-                .unwrap();
-            let t0 = h.now();
-            drv.submit(Bio::read(0, 8, buf)).await.unwrap();
-            let lat = (h.now() - t0).as_nanos();
-            let mut out = vec![0u8; 4096];
-            fabric.mem_read(client_host, buf.addr, &mut out).unwrap();
-            (out.iter().all(|&b| b == 0x42), lat)
-        })
-    }
-    let (ok_poll, lat_poll) = one_read(ClientConfig::default().completion);
-    let (ok_irq, lat_irq) = one_read(CompletionStrategy::Interrupt {
-        latency: SimDuration::from_nanos(1_400),
-    });
-    assert!(ok_poll && ok_irq, "data integrity in both modes");
-    assert!(
-        lat_irq > lat_poll + 800,
-        "interrupts must cost ~the IRQ latency over polling ({lat_poll} vs {lat_irq})"
-    );
-    assert!(
-        lat_irq < lat_poll + 3_000,
-        "but not more ({lat_poll} vs {lat_irq})"
-    );
-}
-
-#[test]
 fn zero_copy_staging_skips_the_bounce_copy_and_round_trips() {
     // A hinted user buffer is pre-mapped for the device, so aligned
     // transfers DMA straight to/from it (Staging::ZeroCopy) while

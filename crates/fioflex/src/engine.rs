@@ -79,7 +79,7 @@ pub async fn run_job(
                 }
                 remaining.set(left - 1);
                 let slot = match spec2.rw {
-                    RwMode::SeqRead | RwMode::SeqWrite => {
+                    RwMode::SeqRead => {
                         let s = seq_cursor;
                         seq_cursor = (seq_cursor + lanes as u64) % slots;
                         s
@@ -92,7 +92,7 @@ pub async fn run_job(
                 let lba = first + slot * blocks_per_io;
                 let is_read = match spec2.rw {
                     RwMode::RandRead | RwMode::SeqRead => true,
-                    RwMode::RandWrite | RwMode::SeqWrite => false,
+                    RwMode::RandWrite => false,
                     RwMode::RandRw { read_pct } => rng.below(100) < read_pct as u64,
                 };
                 let bio = if is_read {
@@ -274,9 +274,8 @@ mod tests {
     #[test]
     fn zipf_creates_hotspots_without_errors() {
         let (rt, fabric, host, disk) = setup();
-        let spec = JobSpec::new("t", RwMode::RandRead)
-            .zipf(1.1)
-            .runtime(SimDuration::from_millis(2));
+        let mut spec = JobSpec::new("t", RwMode::RandRead).runtime(SimDuration::from_millis(2));
+        spec.zipf = Some(1.1);
         let rep = rt.block_on(async move { run_job(&fabric, host, disk, &spec).await });
         assert_eq!(rep.errors, 0);
         assert!(rep.read.unwrap().ios > 0);

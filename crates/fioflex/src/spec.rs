@@ -1,7 +1,7 @@
 //! Job specifications — the subset of FIO's job grammar the paper's
 //! evaluation uses (§VI: random read/write, 4 KiB, QD 1, 60 s), plus the
 //! knobs the extended experiments need (queue depth, block size, mixed
-//! workloads, sequential runs, zipfian hotspots).
+//! workloads, sequential reads, zipfian hotspots).
 
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
@@ -17,14 +17,12 @@ pub enum RwMode {
     RandRw { read_pct: u8 },
     /// Sequential reads (lanes stripe the region).
     SeqRead,
-    /// Sequential writes.
-    SeqWrite,
 }
 
 impl RwMode {
     /// Whether the mode issues any reads.
     pub fn does_reads(&self) -> bool {
-        !matches!(self, RwMode::RandWrite | RwMode::SeqWrite)
+        !matches!(self, RwMode::RandWrite)
     }
 
     /// Whether the mode issues any writes.
@@ -39,7 +37,6 @@ impl RwMode {
             RwMode::RandWrite => "randwrite".into(),
             RwMode::RandRw { read_pct } => format!("randrw{read_pct}"),
             RwMode::SeqRead => "read".into(),
-            RwMode::SeqWrite => "write".into(),
         }
     }
 }
@@ -141,12 +138,6 @@ impl JobSpec {
         self.seed = s;
         self
     }
-
-    /// Use zipfian (hotspot) offsets with exponent `theta`.
-    pub fn zipf(mut self, theta: f64) -> Self {
-        self.zipf = Some(theta);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +163,7 @@ mod tests {
         assert!(!RwMode::RandRead.does_writes());
         assert!(RwMode::RandRw { read_pct: 70 }.does_reads());
         assert!(RwMode::RandRw { read_pct: 70 }.does_writes());
-        assert_eq!(RwMode::SeqWrite.label(), "write");
+        assert_eq!(RwMode::SeqRead.label(), "read");
         assert_eq!(RwMode::RandRw { read_pct: 70 }.label(), "randrw70");
     }
 

@@ -227,12 +227,9 @@ impl SmartIo {
 
     /// The host a device physically resides in.
     pub fn device_host(&self, id: SmartDeviceId) -> Result<HostId> {
-        Ok(self.dev_info(id)?.0)
-    }
-
-    /// The raw fabric device id.
-    pub fn device_fabric_id(&self, id: SmartDeviceId) -> Result<DeviceId> {
-        Ok(self.dev_info(id)?.1)
+        let st = self.state.borrow();
+        let d = st.devices.get(&id).ok_or(SmartIoError::NoSuchDevice(id))?;
+        Ok(d.host)
     }
 
     /// Segment exporting BAR `bar` of the device.
@@ -246,12 +243,6 @@ impl SmartIo {
                 dev: d.dev,
                 bar,
             }))
-    }
-
-    fn dev_info(&self, id: SmartDeviceId) -> Result<(HostId, DeviceId)> {
-        let st = self.state.borrow();
-        let d = st.devices.get(&id).ok_or(SmartIoError::NoSuchDevice(id))?;
-        Ok((d.host, d.dev))
     }
 
     // ------------------------------------------------------------------
@@ -541,7 +532,7 @@ impl SmartIo {
         device: SmartDeviceId,
         region: MemRegion,
     ) -> Result<DmaWindow> {
-        let (dev_host, _) = self.dev_info(device)?;
+        let dev_host = self.device_host(device)?;
         if region.host == dev_host {
             // Local to the device: bus address == physical address.
             return Ok(DmaWindow {

@@ -583,7 +583,6 @@ fn torn_slot_never_decodes() {
                 entries: 64,
                 sq_bus: pcie::PhysAddr(0x123),
                 cq_bus: pcie::PhysAddr(0x456),
-                iv: None,
                 want_qid: 0,
             },
         };
