@@ -12,11 +12,17 @@
 //! The simulation is deterministic, so one run per data point is exact
 //! and the file is byte-stable: integer nanoseconds and counts, rates
 //! rounded to a tenth, table order, no wall-clock field.
+//!
+//! The same runner writes [`SIM`] to `BENCH_sim.json`: not a paper
+//! figure but the behavioural contract (hashes, steps and exact latency
+//! summaries over a fixed scenario × job grid) that a change claiming
+//! "no simulated number moved" proves as an empty diff.
 
 use std::fmt;
 
 mod datapath;
 mod figures;
+mod sim;
 
 /// One row of the reproduction table.
 pub struct Experiment {
@@ -97,6 +103,22 @@ pub const EXPERIMENTS: [Experiment; 10] = [
     },
 ];
 
+/// The two sections of `BENCH_sim.json`: the grid un-armed, then armed.
+pub const SIM: [Experiment; 2] = [
+    Experiment {
+        id: "unarmed",
+        title: "Scenario x job grid, checker off: trace hash, steps, exact latencies",
+        source: "the behavioural contract (no paper figure)",
+        run: sim::unarmed,
+    },
+    Experiment {
+        id: "armed",
+        title: "The same grid under simcore::sanitize::arm()",
+        source: "the behavioural contract (no paper figure)",
+        run: sim::armed,
+    },
+];
+
 /// One cell of a row.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Val {
@@ -104,6 +126,8 @@ pub enum Val {
     Int(u64),
     /// A rate (kIOPS, MiB/s), rounded to one decimal.
     Tenth(f64),
+    /// A hash, written as a 16-digit hex string.
+    Hex(u64),
 }
 
 impl fmt::Display for Val {
@@ -111,6 +135,7 @@ impl fmt::Display for Val {
         match self {
             Val::Int(n) => write!(f, "{n}"),
             Val::Tenth(x) => write!(f, "{x:.1}"),
+            Val::Hex(h) => write!(f, "\"{h:016x}\""),
         }
     }
 }
@@ -146,12 +171,18 @@ impl Row {
         self
     }
 
+    /// Append a hash.
+    pub fn hex(mut self, key: &'static str, v: u64) -> Row {
+        self.cells.push((key, Val::Hex(v)));
+        self
+    }
+
     /// The cell under `key`, as the shape asserts compare it.
     pub fn get(&self, key: &str) -> f64 {
         match self.cells.iter().find(|(k, _)| *k == key) {
             Some((_, Val::Int(n))) => *n as f64,
             Some((_, Val::Tenth(x))) => *x,
-            None => panic!("row {:?} has no cell {key:?}", self.name),
+            Some((_, Val::Hex(_))) | None => panic!("row {:?} has no number {key:?}", self.name),
         }
     }
 }
@@ -159,7 +190,11 @@ impl Row {
 /// Where `cargo bench -p bench` writes, and the tests read, the record.
 pub const REPRO_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
 
-/// `exp`'s section of `BENCH_repro.json`: one row per line.
+/// Where the same runner writes [`SIM`].
+pub const SIM_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+
+/// `exp`'s section of `BENCH_repro.json` (or `BENCH_sim.json`): one row
+/// per line.
 pub fn render_section(exp: &Experiment, rows: &[Row]) -> String {
     let mut out = format!(
         "  \"{}\": {{\n    \"title\": \"{}\",\n    \"source\": \"{}\",\n    \"rows\": [\n",
@@ -249,6 +284,22 @@ mod tests {
                 "{} drifted from BENCH_repro.json; if intended, regenerate with \
                  `cargo bench -p bench`:\n{line}",
                 exp.id
+            );
+        }
+    }
+
+    /// The tier-1 guard of `BENCH_sim.json`: its cheapest rows, the
+    /// Fig. 10 read on the paper's remote client un-armed and armed,
+    /// regenerated.
+    #[test]
+    fn sim_canary_matches_the_committed_contract() {
+        let file = std::fs::read_to_string(SIM_PATH).expect("BENCH_sim.json is committed");
+        for row in sim::cheapest() {
+            let line = render_row(&row);
+            assert!(
+                file.contains(&line),
+                "a simulated number moved; if intended, regenerate with \
+                 `cargo bench -p bench`:\n{line}"
             );
         }
     }
