@@ -67,9 +67,11 @@ impl MediaProfile {
 /// "storage medium" an [`crate::ctrl::NvmeController`] executes against.
 ///
 /// Blocks live in a [`PageTable`] (4 KiB pages, eight blocks each at 512 B;
-/// an unwritten or deallocated page is absent and reads as zeros), so a
-/// page-aligned command moves page references: [`BlockStore::read_payload`]
-/// snapshots, [`BlockStore::write_payload`] adopts.
+/// an unwritten or deallocated page, or one written all zeros, is absent
+/// and reads as zeros, and a page written all one other byte is that
+/// byte's shared page), so a page-aligned command moves page references:
+/// [`BlockStore::read_payload`] snapshots, [`BlockStore::write_payload`]
+/// adopts.
 pub struct BlockStore {
     handle: Handle,
     profile: MediaProfile,
@@ -386,6 +388,39 @@ mod tests {
             assert_eq!(s2.read_payload(4, 1).await.to_vec(), data[512..1024]);
             assert_eq!(s2.snapshot(20, 9).to_vec(), [0xEE; 4608]);
         });
+    }
+
+    #[test]
+    fn a_uniform_fill_is_one_shared_page_and_later_writes_read_back() {
+        let rt = SimRuntime::new();
+        let s = store(&rt);
+        s.write_raw(0, &vec![0xA5; 1 << 20]);
+        assert_eq!(s.resident_pages(), 256);
+        let fill = s.snapshot(0, 2048);
+        let distinct: std::collections::BTreeSet<_> = fill
+            .pages()
+            .unwrap()
+            .iter()
+            .map(|p| Rc::as_ptr(p.as_ref().unwrap()))
+            .collect();
+        assert_eq!(distinct.len(), 1);
+        let s2 = s.clone();
+        rt.block_on(async move {
+            let data: Vec<u8> = (0..4096 + 512).map(|i| (i % 253) as u8).collect();
+            s2.write(7, &data).await;
+            s2.write_zeroes(100, 17).await;
+            let mut got = vec![0u8; 1 << 20];
+            s2.read(0, &mut got).await;
+            let mut want = vec![0xA5; 1 << 20];
+            want[7 * 512..7 * 512 + data.len()].copy_from_slice(&data);
+            want[100 * 512..117 * 512].fill(0);
+            assert_eq!(got, want);
+        });
+        assert_eq!(
+            fill.to_vec(),
+            vec![0xA5; 1 << 20],
+            "the fill's pages are untouched"
+        );
     }
 
     #[test]

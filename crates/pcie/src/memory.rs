@@ -19,17 +19,19 @@ use simcore::IntMap;
 
 use crate::addr::PhysAddr;
 use crate::error::{FabricError, Result};
-use crate::payload::{make_mut, new_page, recycle, zero_page, Page, Payload, PAGE};
+use crate::payload::{uniform, Page, PageRef, Payload, PAGE};
 
 /// Memory page granularity of the allocator and backing store.
 pub const PAGE_SIZE: u64 = 4096;
 
 /// Sparse byte store of shared copy-on-write pages, addressed by byte
 /// offset. An absent page reads as zeros, so space nobody wrote costs
-/// nothing. A page may be shared with payloads in flight and with other
-/// tables: every in-place store first makes the page unshared (copying it
-/// if it is not), so a holder of a reference keeps reading what was there
-/// when it took it.
+/// nothing, and a whole page of any other repeated byte is the one page of
+/// that byte every table shares (see [`crate::payload::PageRef`]). A page
+/// may be shared with payloads in flight and with other tables: every
+/// in-place store first makes the page unshared (copying it if it is not),
+/// so a holder of a reference keeps reading what was there when it took
+/// it.
 #[derive(Default)]
 pub struct PageTable {
     pages: IntMap<u64, Rc<Page>>,
@@ -67,26 +69,36 @@ impl PageTable {
         }
     }
 
-    /// Store `data` at `off`. A whole-page piece overwrites an unshared
-    /// resident page in place and otherwise *is* the new page — it never
-    /// clones bytes it is about to replace.
+    /// Store `data` at `off`. A whole-page piece of one repeated byte
+    /// becomes that byte's shared page (zeros: no page); any other
+    /// whole-page piece overwrites an unshared resident page in place and
+    /// otherwise *is* the new page — it never clones bytes it is about to
+    /// replace.
     pub fn write(&mut self, off: u64, data: &[u8]) {
         let mut rest = data;
         for (idx, in_page, n) in page_pieces(off, rest.len() as u64) {
             let (head, tail) = rest.split_at(n);
-            if n == PAGE {
-                match self.pages.get_mut(&idx).and_then(Rc::get_mut) {
-                    Some(page) => page.copy_from_slice(head),
-                    None => {
-                        self.pages.insert(idx, new_page(head));
-                    }
-                }
+            if n < PAGE {
+                let page = self.pages.entry(idx).or_insert_with(|| Rc::new([0; PAGE]));
+                Rc::make_mut(page)[in_page..in_page + n].copy_from_slice(head);
+            } else if let Some(shared) = uniform(head) {
+                self.set(idx, shared);
+            } else if let Some(page) = self.pages.get_mut(&idx).and_then(Rc::get_mut) {
+                page.copy_from_slice(head);
             } else {
-                let page = self.pages.entry(idx).or_insert_with(zero_page);
-                make_mut(page)[in_page..in_page + n].copy_from_slice(head);
+                self.pages
+                    .insert(idx, Rc::new(head.try_into().expect("page-sized")));
             }
             rest = tail;
         }
+    }
+
+    /// Hold `page` at page `idx`; the absent page frees the slot.
+    fn set(&mut self, idx: u64, page: PageRef) {
+        match page {
+            Some(page) => self.pages.insert(idx, page),
+            None => self.pages.remove(&idx),
+        };
     }
 
     /// The `len` bytes at `off` as a payload: by reference (no byte is
@@ -108,11 +120,7 @@ impl PageTable {
         match data.pages() {
             Some(pages) if off.is_multiple_of(PAGE_SIZE) => {
                 for (idx, page) in (off / PAGE_SIZE..).zip(pages) {
-                    let old = match page {
-                        Some(page) => self.pages.insert(idx, page.clone()),
-                        None => self.pages.remove(&idx),
-                    };
-                    old.into_iter().for_each(recycle);
+                    self.set(idx, page.clone());
                 }
             }
             _ => {
@@ -130,9 +138,9 @@ impl PageTable {
     pub fn zero(&mut self, off: u64, len: u64) {
         for (idx, in_page, n) in page_pieces(off, len) {
             if n == PAGE {
-                self.pages.remove(&idx).into_iter().for_each(recycle);
+                self.pages.remove(&idx);
             } else if let Some(page) = self.pages.get_mut(&idx) {
-                make_mut(page)[in_page..in_page + n].fill(0);
+                Rc::make_mut(page)[in_page..in_page + n].fill(0);
             }
         }
     }
@@ -141,12 +149,6 @@ impl PageTable {
     /// not counted).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
-    }
-}
-
-impl Drop for PageTable {
-    fn drop(&mut self) {
-        self.pages.drain().for_each(|(_, page)| recycle(page));
     }
 }
 
@@ -449,30 +451,89 @@ mod tests {
         Rc::as_ptr(t.snapshot(off, PAGE).pages().unwrap()[0].as_ref().unwrap())
     }
 
+    /// A page whose bytes all differ from their neighbours, so no store
+    /// of it is shared.
+    fn varied(seed: u8) -> [u8; PAGE] {
+        std::array::from_fn(|i| seed.wrapping_add(i as u8))
+    }
+
     #[test]
     fn whole_page_write_overwrites_in_place_unless_the_page_is_shared() {
         let mut t = PageTable::default();
-        t.write(0, &[1; PAGE]);
+        t.write(0, &varied(1));
         let first = page_ptr(&t, 0);
-        t.write(0, &[2; PAGE]);
+        t.write(0, &varied(2));
         assert_eq!(page_ptr(&t, 0), first, "unshared: overwritten in place");
         let held = t.snapshot(0, PAGE);
-        t.write(0, &[3; PAGE]);
+        t.write(0, &varied(3));
         assert_ne!(
             page_ptr(&t, 0),
             first,
             "shared: a new page, no clone-then-overwrite"
         );
-        assert_eq!(held.to_vec(), [2; PAGE]);
+        assert_eq!(held.to_vec(), varied(2));
         // A partial write to a shared page copies it first.
         let held = t.snapshot(0, PAGE);
         t.write(10, &[4; 20]);
-        assert_eq!(held.to_vec(), [3; PAGE]);
+        assert_eq!(held.to_vec(), varied(3));
         let mut got = [0u8; 40];
         t.read(0, &mut got);
-        assert_eq!(got[..10], [3; 10]);
+        assert_eq!(got[..10], varied(3)[..10]);
         assert_eq!(got[10..30], [4; 20]);
-        assert_eq!(got[30..], [3; 10]);
+        assert_eq!(got[30..], varied(3)[30..40]);
+        // A snapshot outlives its table: its holder becomes the page's
+        // only owner and still reads the same bytes.
+        drop(t);
+        let page = held.pages().unwrap()[0].as_ref().unwrap();
+        assert_eq!(Rc::strong_count(page), 1);
+        assert_eq!(held.to_vec(), varied(3));
+    }
+
+    #[test]
+    fn pages_of_one_repeated_byte_are_shared_and_copied_on_write() {
+        let (mut a, mut b) = (PageTable::default(), PageTable::default());
+        a.write(0, &[0xA5; 3 * PAGE]);
+        b.write(5 * PAGE_SIZE, &[0xA5; PAGE]);
+        let canonical = page_ptr(&a, 0);
+        for off in [PAGE_SIZE, 2 * PAGE_SIZE] {
+            assert_eq!(page_ptr(&a, off), canonical, "one page for all three");
+        }
+        assert_eq!(page_ptr(&b, 5 * PAGE_SIZE), canonical, "and across tables");
+        // A whole page of zeros is no page.
+        a.write(PAGE_SIZE, &[0; PAGE]);
+        assert_eq!(a.resident_pages(), 2);
+        // A partial store copies the shared page; nobody else sees it.
+        a.write(8, &[1; 4]);
+        assert_ne!(page_ptr(&a, 0), canonical);
+        let mut got = [0u8; 16];
+        a.read(0, &mut got);
+        assert_eq!(
+            got,
+            [0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 1, 1, 1, 1, 0xA5, 0xA5, 0xA5, 0xA5]
+        );
+        b.read(5 * PAGE_SIZE, &mut got);
+        assert_eq!(got, [0xA5; 16]);
+        let shared = b.snapshot(5 * PAGE_SIZE, PAGE);
+        assert_eq!(
+            shared.to_vec(),
+            [0xA5; PAGE],
+            "the shared page is untouched"
+        );
+        // A non-uniform whole-page store replaces the shared page.
+        b.write(5 * PAGE_SIZE, &varied(7));
+        assert_ne!(page_ptr(&b, 5 * PAGE_SIZE), canonical);
+        assert_eq!(b.snapshot(5 * PAGE_SIZE, PAGE).to_vec(), varied(7));
+        assert_eq!(page_ptr(&a, 2 * PAGE_SIZE), canonical);
+        // One differing byte at either end is enough not to share.
+        let (mut head, mut tail) = ([0xA5; PAGE], [0xA5; PAGE]);
+        head[0] = 0;
+        tail[PAGE - 1] = 0;
+        b.write(0, &head);
+        b.write(PAGE_SIZE, &tail);
+        assert_ne!(page_ptr(&b, 0), canonical);
+        assert_ne!(page_ptr(&b, PAGE_SIZE), canonical);
+        assert_ne!(page_ptr(&b, 0), page_ptr(&b, PAGE_SIZE));
+        assert_eq!(b.snapshot(0, 2 * PAGE).to_vec(), [head, tail].concat());
     }
 
     #[test]
@@ -511,51 +572,6 @@ mod tests {
         // Zeroing what was never written allocates nothing.
         t.zero(10 * PAGE_SIZE + 8, 100);
         assert_eq!(t.resident_pages(), 2);
-    }
-
-    #[test]
-    fn a_dropped_table_hands_its_unshared_pages_to_the_next() {
-        let mut old = PageTable::default();
-        old.write(0, &[1; 3 * PAGE]);
-        let ptrs = [0, 1, 2].map(|i| page_ptr(&old, i * PAGE_SIZE));
-        let held = old.snapshot(0, PAGE);
-        drop(old);
-        // The shared page was not recycled: its holder is now its only
-        // owner and still reads the same bytes.
-        let page = held.pages().unwrap()[0].as_ref().unwrap();
-        assert_eq!(Rc::strong_count(page), 1);
-        assert_eq!(held.to_vec(), [1; PAGE]);
-        let mut new = PageTable::default();
-        new.write(0, &[2; 2 * PAGE]);
-        for i in 0..2 {
-            assert!(ptrs[1..].contains(&page_ptr(&new, i * PAGE_SIZE)));
-        }
-        let mut got = [0u8; 2 * PAGE];
-        new.read(0, &mut got);
-        assert_eq!(got, [2; 2 * PAGE]);
-    }
-
-    #[test]
-    fn the_spare_list_does_not_grow_over_identical_build_and_drop_rounds() {
-        // Whole-page, partial and copy-on-write allocations all draw from
-        // the list a dropped table feeds, so a round takes out what the
-        // previous one put in.
-        let round = || {
-            let mut t = PageTable::default();
-            t.write(0, &[1; 2 * PAGE]);
-            t.write(5 * PAGE_SIZE + 100, &[2; 50]);
-            let held = t.snapshot(0, PAGE);
-            t.write(8, &[3; 8]);
-            t.zero(PAGE_SIZE, 16);
-            drop(held);
-        };
-        round();
-        let after_one = crate::payload::spare_pages();
-        assert_eq!(after_one, 3, "pages 0, 1 and 5");
-        for _ in 0..3 {
-            round();
-            assert_eq!(crate::payload::spare_pages(), after_one);
-        }
     }
 
     #[test]

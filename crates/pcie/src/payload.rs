@@ -13,9 +13,12 @@
 //!   *adopts* them (see [`crate::memory::PageTable`]); sharing is
 //!   copy-on-write, so a reference taken at one instant keeps reading what
 //!   was there at that instant whatever is written afterwards;
+//! * a whole page of one repeated byte is never copied: zeros are the
+//!   absent page, and any other byte is the one page of it this thread
+//!   shares with every table and payload that holds it;
 //! * everything else is plain bytes.
 
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use crate::memory::PAGE_SIZE;
@@ -26,7 +29,8 @@ pub(crate) const PAGE: usize = PAGE_SIZE as usize;
 pub type Page = [u8; PAGE];
 
 /// A shared page. `None` is the all-zero page: what a sparse table holds
-/// for a page nobody wrote.
+/// for a page nobody wrote. A page of any other repeated byte is the one
+/// [`Rc`] this thread keeps for that byte.
 pub type PageRef = Option<Rc<Page>>;
 
 /// Largest payload stored inline (an SQE is 64 B, a CQE 16 B).
@@ -194,13 +198,16 @@ impl Payload {
     }
 }
 
-/// Copies the slice: inline when short, as freshly built pages when it is
-/// a whole number of them (a page-aligned destination then adopts the
-/// pages instead of copying a second time), as plain bytes otherwise.
+/// Copies the slice: inline when short, as pages when it is a whole
+/// number of them (a page-aligned destination then adopts the pages
+/// instead of copying a second time; a page of one repeated byte is not
+/// copied, see [`PageRef`]), as plain bytes otherwise.
 impl From<&[u8]> for Payload {
     fn from(data: &[u8]) -> Payload {
         if !data.is_empty() && data.len().is_multiple_of(PAGE) {
-            Payload::from_pages(data.chunks_exact(PAGE).map(|c| Some(new_page(c))))
+            Payload::from_pages(data.chunks_exact(PAGE).map(|c| {
+                uniform(c).unwrap_or_else(|| Some(Rc::new(c.try_into().expect("page-sized"))))
+            }))
         } else {
             Payload::filled_with(data.len(), |buf| buf.copy_from_slice(data))
         }
@@ -208,63 +215,26 @@ impl From<&[u8]> for Payload {
 }
 
 thread_local! {
-    /// Unshared pages a [`crate::memory::PageTable`] let go of (dropped
-    /// with it, replaced by an adopted page, or freed), reused by
-    /// [`new_page`]. A run that builds one simulated machine after another
-    /// (every benchmark repetition prefills a fresh medium) would otherwise
-    /// hand tens of MiB back to the operating system at each tear-down and
-    /// page-fault them in again at the next build — the allocator trims a
-    /// heap that is all free — which costs more than filling the pages.
-    /// Every page a table allocates comes through [`new_page`], so the list
-    /// is drawn down before the heap grows: live pages plus spare ones never
-    /// exceed the most pages that were ever live at once.
-    static SPARE_PAGES: RefCell<Vec<Rc<Page>>> = const { RefCell::new(Vec::new()) };
+    /// The shared page of each nonzero byte value, made the first time a
+    /// whole page of that byte is stored: at most 255 pages per thread.
+    static UNIFORM: [OnceCell<Rc<Page>>; 256] = const { [const { OnceCell::new() }; 256] };
 }
 
-/// A fresh, unshared page holding exactly `bytes` (which must be
-/// page-sized).
-pub(crate) fn new_page(bytes: &[u8]) -> Rc<Page> {
-    let spare = SPARE_PAGES
-        .try_with(|s| s.borrow_mut().pop())
-        .ok()
-        .flatten();
-    match spare {
-        Some(mut page) => {
-            let unshared = Rc::get_mut(&mut page).expect("spare pages are unshared");
-            unshared.copy_from_slice(bytes);
-            page
-        }
-        None => Rc::new(bytes.try_into().expect("page-sized chunk")),
+/// The page every whole-page store of `bytes` shares, when they are one
+/// repeated byte: the absent page for zeros, this thread's page of that
+/// byte otherwise. `None` when the bytes differ. The check is one
+/// overlapping compare, which stops at the first differing byte.
+pub(crate) fn uniform(bytes: &[u8]) -> Option<PageRef> {
+    if bytes[1..] != bytes[..PAGE - 1] {
+        return None;
     }
-}
-
-/// [`Rc::make_mut`], with the private copy of a shared page drawn from the
-/// spare list like every other page.
-pub(crate) fn make_mut(page: &mut Rc<Page>) -> &mut Page {
-    if Rc::get_mut(page).is_none() {
-        let copy = new_page(&page[..]);
-        *page = copy;
-    }
-    Rc::get_mut(page).expect("just made unshared")
-}
-
-/// A fresh, unshared all-zero page.
-pub(crate) fn zero_page() -> Rc<Page> {
-    new_page(&ZERO_PAGE)
-}
-
-/// Pages on this thread's spare list.
-#[cfg(test)]
-pub(crate) fn spare_pages() -> usize {
-    SPARE_PAGES.with(|s| s.borrow().len())
-}
-
-/// Keep `page` for [`new_page`] if nothing else refers to it.
-pub(crate) fn recycle(mut page: Rc<Page>) {
-    if Rc::get_mut(&mut page).is_some() {
-        // `try_with`: a table dropped during thread tear-down just frees.
-        let _ = SPARE_PAGES.try_with(|s| s.borrow_mut().push(page));
-    }
+    let byte = bytes[0];
+    Some((byte != 0).then(|| {
+        UNIFORM.with(|pages| {
+            let page = pages[usize::from(byte)].get_or_init(|| Rc::new([byte; PAGE]));
+            page.clone()
+        })
+    }))
 }
 
 #[cfg(test)]
@@ -292,6 +262,26 @@ mod tests {
         ));
         assert_eq!(Payload::zeroed(PAGE).pages().unwrap(), [None]);
         assert!(Payload::from(&[][..]).is_empty());
+        // Pages of one repeated byte: zeros are absent, any other byte is
+        // one shared page.
+        assert_eq!(
+            Payload::from(&[0u8; 2 * PAGE][..]).pages().unwrap(),
+            [None, None]
+        );
+        let ones = Payload::from(&[1u8; 2 * PAGE][..]);
+        let twos = Payload::from(&[2u8; PAGE][..]);
+        let [a, b] = ones.pages().unwrap() else {
+            panic!("two pages")
+        };
+        let one = |p: &PageRef| Rc::as_ptr(p.as_ref().expect("a resident page"));
+        assert_eq!(one(a), one(b));
+        assert_eq!(
+            one(a),
+            one(&Payload::from(&[1u8; PAGE][..]).pages().unwrap()[0])
+        );
+        assert_ne!(one(a), one(&twos.pages().unwrap()[0]));
+        assert_eq!(ones.to_vec(), [1u8; 2 * PAGE]);
+        assert_eq!(twos.to_vec(), [2u8; PAGE]);
     }
 
     #[test]
