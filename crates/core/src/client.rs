@@ -12,8 +12,8 @@
 //! * a partitioned bounce buffer with PRPs programmed once, or the
 //!   IOMMU-style dynamic mapping extension (the paper's future work).
 //!
-//! Every control-plane exchange — bring-up's CreateQp, heartbeats,
-//! recovery rungs 2–4, teardown's DeleteQp — goes through one
+//! Every control-plane exchange — bring-up's CreateQp, heartbeats, the
+//! ladder's Abort and re-creates, teardown's DeleteQp — goes through one
 //! `Mailbox`, which allows one request in flight. A refused connect and
 //! [`ClientDriver::disconnect`] give back the same `Held` record through
 //! one routine, `give_back`.
@@ -96,9 +96,9 @@ pub struct ClientConfig {
     /// Per-command deadline. `None` (the seed default) waits forever;
     /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
     /// doorbell re-rings with exponential backoff, then Abort via the
-    /// manager, then delete-and-recreate of the queue pair, then
-    /// controller reset — surfacing [`BioError::Timeout`] instead of
-    /// hanging.
+    /// manager, then delete-and-recreate of the queue pair, then one more
+    /// that retires the command — surfacing [`BioError::Timeout`] instead
+    /// of hanging, and never touching another tenant's queue pairs.
     pub cmd_timeout: Option<SimDuration>,
     /// Deadline for one mailbox round trip. `None` waits forever; after
     /// [`MAILBOX_RETRIES`] same-seq retransmissions the RPC gives up with
@@ -304,7 +304,7 @@ struct QpWiring {
     /// Held by the one command climbing ladder rungs 2–4 for this ring.
     /// A lost CQE stalls the ring's consumer, so every command in flight
     /// on it times out; climbing side by side their delete/recreate RPCs
-    /// collide and a fault one recreate absorbs ends in a controller reset.
+    /// would collide and fail a fault one recreate absorbs.
     climber: Semaphore,
     /// Times this ring has been re-created. A command that waited for
     /// `climber` and finds it advanced died with the old ring: all that
@@ -330,10 +330,8 @@ pub struct ClientStats {
     pub recoveries: u64,
     /// Abort RPCs sent (ladder rung 2).
     pub aborts_requested: u64,
-    /// Queue pairs deleted and re-created in place (ladder rung 3).
+    /// Queue pairs deleted and re-created in place (ladder rungs 3–4).
     pub qpairs_recreated: u64,
-    /// Controller resets requested (ladder rung 4).
-    pub resets_requested: u64,
     /// Lease heartbeats sent.
     pub heartbeats_sent: u64,
 }
@@ -615,10 +613,10 @@ impl ClientDriver {
     /// Issue with the recovery ladder armed: an engine deadline expiry
     /// (rung 1, doorbell retries exhausted) escalates to Abort via the
     /// manager (rung 2), then delete-and-recreate of the queue pair with
-    /// one resubmission (rung 3), then controller reset (rung 4) — always
-    /// ending in a completion or a typed [`BioError`], never a hang. Rungs
-    /// 2–4 run one command at a time per ring; the others on that ring
-    /// wait for its verdict.
+    /// one resubmission (rung 3), then one more without (rung 4) — always
+    /// ending in a completion or a typed [`BioError`], never a hang, and
+    /// only ever on the client's own ring. Rungs 2–4 run one command at a
+    /// time per ring; the others on that ring wait for its verdict.
     async fn issue_recovered(
         &self,
         tag: &Tag,
@@ -662,10 +660,7 @@ impl ClientDriver {
             // Rung 3: the command was never seen or its completion was
             // lost — tear the queue pair down and re-create it under the
             // same id.
-            if self.recreate_qpair(ring).await.is_ok() {
-                self.stats.borrow_mut().qpairs_recreated += 1;
-                ring.recreated.set(seen + 1);
-            }
+            let _ = self.recreate_qpair(ring).await;
         }
         // On the rebuilt ring — by this climb or the one waited for —
         // resubmit exactly once.
@@ -673,17 +668,17 @@ impl ClientDriver {
             if let Ok(cqe) = self.engine.issue(tag, sqe).await {
                 return Ok(cqe);
             }
+            // Rung 4: lost again. Re-create the ring once more, without
+            // resubmitting: the command dies with the old queue, freeing
+            // its cid. Resetting the shared controller is no tenant's call.
+            let _ = self.recreate_qpair(ring).await;
         }
-        // Rung 4: controller reset. Our grants (and everyone else's) are
-        // void afterwards; surface the typed error either way.
-        self.stats.borrow_mut().resets_requested += 1;
-        let _ = self.mailbox.call(Request::Reset).await;
         Err(timeout)
     }
 
     /// Delete + re-create queue pair `w.qid` in place: same rings, same
     /// doorbells, same qid — only the controller-side state is rebuilt,
-    /// so the engine wiring stays valid.
+    /// so the engine wiring stays valid. Success advances `w.recreated`.
     async fn recreate_qpair(&self, w: &QpWiring) -> Result<()> {
         let qid = w.qid;
         self.mailbox.call(Request::DeleteQp { qid }).await?;
@@ -702,14 +697,18 @@ impl ClientDriver {
         if resp.qid != qid {
             return Err(DnvmeError::Mailbox(proto::status::NO_FREE_QPAIR));
         }
+        self.stats.borrow_mut().qpairs_recreated += 1;
+        w.recreated.set(w.recreated.get() + 1);
         Ok(())
     }
 
-    /// Return the queue pairs to the manager (mailbox DeleteQp) and give
+    /// Stop polling the CQ rings, whose memory a later connect may get,
+    /// return the queue pairs to the manager (mailbox DeleteQp) and give
     /// back everything else the client holds, device reference included
     /// (`give_back`, the routine a refused connect runs too).
     pub async fn disconnect(&self) -> Result<()> {
         self.hb_stop.set(true);
+        self.engine.stop();
         let mailbox = Some(&self.mailbox);
         give_back(&self.smartio, self.device, self.host, mailbox, &self.held).await
     }

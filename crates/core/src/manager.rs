@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nvme::driver::admin::{AdminError, AdminQueue, AdminQueueLayout, AdminResult};
+use nvme::driver::admin::{AdminQueue, AdminQueueLayout};
 use nvme::spec::command::SQE_SIZE;
 use nvme::spec::completion::CQE_SIZE;
 use nvme::IdentifyNamespace;
@@ -136,13 +136,6 @@ impl QidPool {
             .filter(|&q| self.owners[q] == Some(slot))
             .map(|q| q as u16)
             .collect()
-    }
-
-    /// Revoke every grant (controller reset voids all queue pairs).
-    fn clear(&mut self) -> usize {
-        let n = self.in_use();
-        self.owners.iter_mut().for_each(|o| *o = None);
-        n
     }
 
     fn in_use(&self) -> usize {
@@ -297,8 +290,6 @@ impl Manager {
             mgr: mgr.clone(),
             smartio: smartio.clone(),
             admin,
-            bar_region: bar_map.region,
-            admin_layout,
             mailbox,
             slots: vec![Slot::default(); cfg.mailbox_slots as usize],
             resp_maps: BTreeMap::new(),
@@ -384,9 +375,6 @@ struct Server {
     smartio: SmartIo,
     cfg: ManagerConfig,
     admin: AdminQueue,
-    /// Register window + ring layout, kept for controller re-init.
-    bar_region: MemRegion,
-    admin_layout: AdminQueueLayout,
     /// The mailbox segment, one [`proto::MAILBOX_SLOT`] per host.
     mailbox: MemRegion,
     slots: Vec<Slot>,
@@ -595,24 +583,7 @@ impl Server {
             }
             // The lease was refreshed when the message was accepted.
             Request::Heartbeat => Response::ok(0),
-            Request::Reset => match self.reset_controller().await {
-                Ok(()) => Response::ok(0),
-                Err(_) => Response::error(proto::status::ADMIN_FAILED, 0),
-            },
         }
-    }
-
-    /// Recovery ladder rung 4: full controller re-initialization. Every
-    /// granted queue pair is revoked — clients other than the requester
-    /// learn this through NOT_OWNER / timed-out I/O, the typed-error path.
-    async fn reset_controller(&mut self) -> AdminResult<()> {
-        let fabric = self.smartio.fabric().clone();
-        self.mgr.qids.borrow_mut().clear();
-        let init = AdminQueue::init(&fabric, self.bar_region, self.admin_layout);
-        self.admin = simcore::timeout(&fabric.handle(), self.cfg.admin_timeout, init)
-            .await
-            .map_err(|simcore::Elapsed| AdminError::ControllerFatal)??;
-        Ok(())
     }
 
     /// Lease reaper (§V crash recovery): reclaim, in slot order, every
@@ -730,15 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn owned_by_and_clear_reclaim_everything() {
+    fn owned_by_lists_each_slots_grants() {
         let mut p = QidPool::new(4);
         assert_eq!(p.alloc(3), Some(1));
         assert_eq!(p.alloc(5), Some(2));
         assert_eq!(p.alloc(3), Some(3));
         assert_eq!(p.owned_by(3), vec![1, 3]);
         assert_eq!(p.owned_by(5), vec![2]);
-        assert_eq!(p.clear(), 3, "controller reset revokes all grants");
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.owned_by(3), Vec::<u16>::new());
+        assert!(p.free(1, 3));
+        assert_eq!(p.owned_by(3), vec![3]);
+        assert_eq!(p.owned_by(4), Vec::<u16>::new());
     }
 }

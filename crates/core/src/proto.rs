@@ -106,16 +106,14 @@ pub enum Request {
     Abort { qid: u16, cid: u16 },
     /// Lease keep-alive; carries no other payload.
     Heartbeat,
-    /// Controller reset (recovery ladder rung 4): re-initialize the
-    /// controller and revoke every granted queue pair.
-    Reset,
 }
 
 const OP_CREATE: u32 = 1;
 const OP_DELETE: u32 = 2;
 const OP_ABORT: u32 = 3;
 const OP_HEARTBEAT: u32 = 4;
-const OP_RESET: u32 = 5;
+// Opcode 5 is reserved: it was a client's request to reset the controller,
+// a device-wide action no tenant may ask for.
 
 /// A stamped request as written into a mailbox slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,7 +161,6 @@ impl SlotMessage {
                 OP_ABORT
             }
             Request::Heartbeat => OP_HEARTBEAT,
-            Request::Reset => OP_RESET,
         };
         b[8..12].copy_from_slice(&op.to_le_bytes());
         b[32..36].copy_from_slice(&self.response_segment.to_le_bytes());
@@ -201,7 +198,6 @@ impl SlotMessage {
                 cid: u16::from_le_bytes(b[14..16].try_into().unwrap()),
             },
             OP_HEARTBEAT => Request::Heartbeat,
-            OP_RESET => Request::Reset,
             _ => return None,
         };
         Some(SlotMessage {
@@ -380,7 +376,6 @@ mod tests {
                 cid: 0x1234,
             },
             Request::Heartbeat,
-            Request::Reset,
         ] {
             let msg = SlotMessage {
                 seq: 21,
@@ -407,9 +402,12 @@ mod tests {
 
     #[test]
     fn unknown_opcode_rejected() {
-        let mut raw = [0u8; MAILBOX_SLOT];
-        raw[8] = 0x77;
-        assert_eq!(SlotMessage::decode(&raw), None);
+        // 5 is the retired controller-reset opcode.
+        for op in [5u8, 0x77] {
+            let mut raw = [0u8; MAILBOX_SLOT];
+            raw[8] = op;
+            assert_eq!(SlotMessage::decode(&raw), None);
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Job reports: latency summaries, IOPS/bandwidth, fio-like rendering.
 
-use serde::{Deserialize, Serialize};
 use simcore::{LatencySummary, SimDuration};
 
 /// The result of one job run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JobReport {
     /// Job name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct JobReport {
 }
 
 /// Per-direction results.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SideReport {
     /// Completed I/Os.
     pub ios: u64,
@@ -144,30 +143,5 @@ mod tests {
         assert!(text.contains("read :"));
         assert!(text.contains("write:"));
         assert!(text.contains("iops="));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let s = summary(5);
-        let rep = JobReport {
-            name: "t".into(),
-            rw: "randread".into(),
-            block_size: 512,
-            iodepth: 4,
-            numjobs: 2,
-            measured_ns: 42,
-            read: Some(SideReport::from_summary(
-                s,
-                SimDuration::from_micros(10),
-                512,
-            )),
-            write: None,
-            errors: 1,
-        };
-        let json = serde_json::to_string(&rep).unwrap();
-        let back: JobReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, "t");
-        assert_eq!(back.read.unwrap().ios, 5);
-        assert!(back.write.is_none());
     }
 }

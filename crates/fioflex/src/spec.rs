@@ -3,11 +3,10 @@
 //! knobs the extended experiments need (queue depth, block size, mixed
 //! workloads, sequential reads, zipfian hotspots).
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// I/O pattern.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum RwMode {
     /// Uniform random reads.
     RandRead,
@@ -42,7 +41,7 @@ impl RwMode {
 }
 
 /// One benchmark job.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Job name, echoed in the report.
     pub name: String,

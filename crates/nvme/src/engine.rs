@@ -76,7 +76,7 @@ pub enum EngineError {
     Gone,
     /// The command blew through its deadline and every doorbell re-ring
     /// retry (rung 1 of the recovery ladder). The caller escalates:
-    /// Abort via the admin path, then queue recreate, then reset.
+    /// Abort via the admin path, then queue recreate.
     Timeout {
         /// Queue pair the command was striped onto.
         qid: u16,
@@ -378,9 +378,11 @@ impl EngineStats {
 struct EngineQpair {
     qid: u16,
     sq: SqRing,
-    /// The CQ ring, shared with the completion-service task so
-    /// [`IoEngine::reset_qpair`] can restart the phase walk in place.
-    cq: Rc<CqRing>,
+    /// The CQ ring the completion service polls; [`IoEngine::reset_qpair`]
+    /// restarts its phase walk in place.
+    cq: CqRing,
+    /// MSI route for [`CompletionStrategy::Interrupt`].
+    irq: Option<Notify>,
     /// SQEs accepted but not yet written to the ring. The active flusher
     /// drains this; its doorbell covers everything it wrote.
     backlog: RefCell<VecDeque<SqEntry>>,
@@ -410,7 +412,6 @@ impl IoEngine {
     ) -> Rc<IoEngine> {
         assert!(!specs.is_empty(), "engine needs at least one queue pair");
         let mut qpairs = Vec::with_capacity(specs.len());
-        let mut services = Vec::with_capacity(specs.len());
         for spec in specs {
             if matches!(strategy, CompletionStrategy::Interrupt { .. }) {
                 assert!(
@@ -433,22 +434,21 @@ impl IoEngine {
                 spec.sq_doorbell,
                 spec.entries,
             );
-            let cq = Rc::new(CqRing::new(
-                fabric,
-                spec.qid,
-                spec.cq_ring,
-                spec.cq_doorbell,
-                spec.entries,
-            ));
             qpairs.push(EngineQpair {
                 qid: spec.qid,
                 sq,
-                cq: cq.clone(),
+                cq: CqRing::new(
+                    fabric,
+                    spec.qid,
+                    spec.cq_ring,
+                    spec.cq_doorbell,
+                    spec.entries,
+                ),
+                irq: spec.irq,
                 backlog: RefCell::new(VecDeque::new()),
                 flushing: Cell::new(false),
                 stats: RefCell::new(QpairStats::default()),
             });
-            services.push((cq, spec.irq));
         }
         let engine = Rc::new(IoEngine {
             handle: fabric.handle(),
@@ -457,11 +457,11 @@ impl IoEngine {
             qpairs,
             tags: TagSet::new(cfg.queue_depth),
         });
-        for (index, (cq, irq)) in services.into_iter().enumerate() {
+        for index in 0..engine.qpairs.len() {
             let e = engine.clone();
             engine
                 .handle
-                .spawn(async move { e.completion_service(index, cq, irq).await });
+                .spawn(async move { e.completion_service(index).await });
         }
         engine
     }
@@ -528,7 +528,7 @@ impl IoEngine {
         // doorbell delivery outright — and doubles the deadline so a
         // merely-slow device isn't hammered. A command that stays silent
         // through the whole budget surfaces as `Timeout` for the caller's
-        // abort/recreate/reset escalation instead of hanging forever.
+        // abort/recreate escalation instead of hanging forever.
         let mut wait = base;
         for attempt in 0..=MAX_RETRIES {
             match simcore::timeout(&self.handle, wait, &mut rx).await {
@@ -552,11 +552,11 @@ impl IoEngine {
         })
     }
 
-    /// Per-queue-pair recovery (ladder rung 3 support): fail every waiter
+    /// Per-queue-pair recovery (ladder rungs 3–4): fail every waiter
     /// striped onto `qid` with [`EngineError::Gone`], discard its backlog,
     /// and restart both rings at slot 0 / phase 1 — the state a freshly
     /// recreated controller-side queue pair expects. The completion
-    /// service keeps running on the same (shared) CQ ring. Returns false
+    /// service keeps running on the same CQ ring. Returns false
     /// when the engine owns no such qid.
     pub fn reset_qpair(&self, qid: u16) -> bool {
         let stripe = self.qpairs.len();
@@ -575,6 +575,17 @@ impl IoEngine {
         qp.sq.reset();
         qp.cq.reset();
         true
+    }
+
+    /// End every completion service and drop its CQ watch before the
+    /// rings' memory is given back and its next owner writes there.
+    pub fn stop(&self) {
+        for qp in &self.qpairs {
+            qp.cq.close();
+            if let Some(irq) = &qp.irq {
+                irq.notify_one();
+            }
+        }
     }
 
     /// The one submit path: enqueue `sqe`, and unless a flusher is already
@@ -639,18 +650,23 @@ impl IoEngine {
 
     /// The per-queue-pair completion service: detect (poll or IRQ),
     /// deliver the detected CQE and every other one already in the ring,
-    /// ring the CQ head doorbell once per sweep.
-    async fn completion_service(self: Rc<Self>, index: usize, cq: Rc<CqRing>, irq: Option<Notify>) {
+    /// ring the CQ head doorbell once per sweep. Ends once
+    /// [`IoEngine::stop`] closes the ring.
+    async fn completion_service(self: Rc<Self>, index: usize) {
+        let cq = &self.qpairs[index].cq;
         loop {
-            let held = match (self.strategy, &irq) {
+            let held = match (self.strategy, &self.qpairs[index].irq) {
                 (CompletionStrategy::Interrupt { latency }, Some(irq)) => {
                     irq.notified().await;
                     self.handle.sleep(latency).await;
                     None
                 }
-                (CompletionStrategy::Polling { check_cost }, _) => Some(cq.next(check_cost).await),
+                (CompletionStrategy::Polling { check_cost }, _) => cq.next(check_cost).await,
                 _ => unreachable!("interrupt strategy without an IRQ route"),
             };
+            if cq.is_closed() {
+                return;
+            }
             let mut reaped = 0u64;
             if let Some(cqe) = held {
                 self.deliver(index, cqe);

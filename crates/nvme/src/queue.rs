@@ -25,10 +25,13 @@ pub struct CqRing {
     head: Cell<u16>,
     phase: Cell<bool>,
     watch: WatchHandle,
+    /// Set by [`CqRing::close`]: the ring's memory is being given back.
+    closed: Cell<bool>,
 }
 
 impl CqRing {
-    /// CQ `qid`: a ring over `ring` with its doorbell at `doorbell`.
+    /// CQ `qid`: a ring over `ring` with its doorbell at `doorbell`,
+    /// wiped, since the memory may have held another queue's CQEs.
     pub fn new(
         fabric: &Fabric,
         qid: u16,
@@ -41,7 +44,7 @@ impl CqRing {
             "CQ ring region too small"
         );
         let watch = fabric.watch(ring.host, ring.addr, entries as u64 * CQE_SIZE as u64);
-        CqRing {
+        let cq = CqRing {
             fabric: fabric.clone(),
             qid,
             ring,
@@ -50,7 +53,10 @@ impl CqRing {
             head: Cell::new(0),
             phase: Cell::new(true),
             watch,
-        }
+            closed: Cell::new(false),
+        };
+        cq.reset();
+        cq
     }
 
     /// Ring capacity in entries.
@@ -63,9 +69,9 @@ impl CqRing {
         self.head.get()
     }
 
-    /// Forget consumer state and wipe the ring memory (untimed): the
-    /// Delete-and-Recreate recovery path restarts the phase walk exactly
-    /// like a freshly created queue, so stale CQEs from the deleted queue
+    /// Forget consumer state and wipe the ring memory (untimed): a new
+    /// ring and the Delete-and-Recreate recovery path start the phase walk
+    /// at slot 0 with zeroed memory, so stale CQEs from a deleted queue
     /// can never satisfy the new one's phase expectation.
     pub fn reset(&self) {
         self.head.set(0);
@@ -113,16 +119,32 @@ impl CqRing {
         }
     }
 
+    /// Stop watching the ring before its memory is given back; a waiter
+    /// in [`CqRing::next`] wakes and gets `None`.
+    pub(crate) fn close(&self) {
+        self.closed.set(true);
+        self.fabric.unwatch(self.ring.host, &self.watch);
+        self.watch.notify.notify_one();
+    }
+
+    /// Whether [`CqRing::close`] has run.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.get()
+    }
+
     /// Wait for the next entry: parks on the memory watch (the simulation
     /// stand-in for spinning on the cache line), then charges `check_cost`
-    /// per successful detection.
-    pub async fn next(&self, check_cost: SimDuration) -> CqEntry {
+    /// per successful detection. `None` once the ring is closed.
+    pub async fn next(&self, check_cost: SimDuration) -> Option<CqEntry> {
         loop {
+            if self.closed.get() {
+                return None;
+            }
             if let Some(cqe) = self.try_pop() {
                 if !check_cost.is_zero() {
                     self.fabric.handle().sleep(check_cost).await;
                 }
-                return cqe;
+                return Some(cqe);
             }
             let notified = self.watch.notify.clone();
             notified.notified().await;
@@ -205,7 +227,7 @@ mod tests {
             f2.mem_write(host, ring.addr, &cqe.encode()).unwrap();
         });
         let (cid, t) = rt.block_on(async move {
-            let cqe = cq.next(SimDuration::from_nanos(100)).await;
+            let cqe = cq.next(SimDuration::from_nanos(100)).await.unwrap();
             (cqe.cid, fabric.handle().now())
         });
         assert_eq!(cid, 42);

@@ -5,11 +5,10 @@
 //! only meaningful together with the [`HostId`] of the domain it belongs
 //! to; the pairing is captured by [`DomainAddr`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A host (and its PCIe address domain).
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u16);
 
 impl fmt::Debug for HostId {
@@ -25,7 +24,7 @@ impl fmt::Display for HostId {
 }
 
 /// A device endpoint on the fabric.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Debug for DeviceId {
@@ -36,7 +35,7 @@ impl fmt::Debug for DeviceId {
 
 /// A node in the physical topology graph (root complex, switch chip,
 /// NTB adapter, or endpoint slot).
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl fmt::Debug for NodeId {
@@ -46,7 +45,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// An NTB adapter.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NtbId(pub u32);
 
 impl fmt::Debug for NtbId {
@@ -56,7 +55,7 @@ impl fmt::Debug for NtbId {
 }
 
 /// A physical address within one host's PCIe address domain.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {
@@ -111,7 +110,7 @@ impl fmt::Display for PhysAddr {
 
 /// A (domain, address) pair: the only unambiguous way to name memory in a
 /// multi-domain cluster.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DomainAddr {
     /// The address domain.
     pub host: HostId,
@@ -136,7 +135,7 @@ impl DomainAddr {
 
 /// A contiguous region of memory in one host's domain, with a length —
 /// what a driver hands to a device as a DMA target.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct MemRegion {
     /// The address domain.
     pub host: HostId,

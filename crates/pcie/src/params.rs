@@ -11,11 +11,10 @@
 //!   microarchitectural values; see EXPERIMENTS.md for the calibration
 //!   table.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Timing/bandwidth parameters for a [`crate::fabric::Fabric`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FabricParams {
     /// Per-switch-chip forwarding latency, one direction.
     pub chip_latency_ns: u64,

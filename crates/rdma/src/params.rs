@@ -5,11 +5,10 @@
 //! payload bandwidth. The PCIe costs of the NIC DMAing buffers in and out
 //! of host memory come from the [`pcie`] fabric, not from these numbers.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Timing/bandwidth parameters of the IB wire and NICs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IbParams {
     /// Wire + switch propagation, one direction.
     pub wire_ns: u64,

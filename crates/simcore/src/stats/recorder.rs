@@ -1,8 +1,6 @@
 //! Exact latency recording and percentile summaries (the boxplot data for
 //! the paper's Figure 10 is derived from these).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Raw samples a recorder holds, at least, before folding them into its
@@ -149,7 +147,7 @@ fn fold(runs: &mut Vec<(u64, u64)>, new: impl DoubleEndedIterator<Item = (u64, u
 }
 
 /// Percentile summary of a latency distribution, all values in nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

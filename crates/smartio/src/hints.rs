@@ -7,10 +7,8 @@
 //! (SQ is read by the device → device-side; CQ is read by the CPU →
 //! CPU-side).
 
-use serde::{Deserialize, Serialize};
-
 /// Who accesses a segment, and how.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AccessHints {
     /// The device reads (DMA fetch) from the segment.
     pub device_read: bool,

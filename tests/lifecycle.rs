@@ -109,8 +109,14 @@ fn second_manager_is_locked_out_during_bringup_race() {
 #[test]
 fn qpair_churn_reuses_resources() {
     // Connect/disconnect repeatedly: queue ids, LUT slots and segments
-    // must all recycle (far more cycles than any single pool holds).
-    let (rt, _fabric, smartio, hosts, ctrl) = star_cluster(2);
+    // must all recycle (far more cycles than any single pool holds). Each
+    // connection on the host is handed the memory of the last one's
+    // rings, so two cycles out of three run byte-verified I/O: one after
+    // an I/O cycle meets the CQEs it left in that memory (a new CQ ring
+    // must be wiped), one after an idle cycle shares slot 0 with its
+    // poller (a disconnect must stop polling).
+    let _armed = simcore::sanitize::arm();
+    let (rt, fabric, smartio, hosts, ctrl) = star_cluster(2);
     let dev = smartio.devices()[0];
     rt.block_on({
         let smartio = smartio.clone();
@@ -118,10 +124,24 @@ fn qpair_churn_reuses_resources() {
             let mgr = Manager::start(&smartio, dev, hosts[1], ManagerConfig::default())
                 .await
                 .unwrap();
-            for cycle in 0..40 {
+            let (wbuf, rbuf) = (
+                fabric.alloc(hosts[0], 4096).unwrap(),
+                fabric.alloc(hosts[0], 4096).unwrap(),
+            );
+            for cycle in 0..40u64 {
                 let drv = ClientDriver::connect(&smartio, dev, hosts[0], ClientConfig::default())
                     .await
                     .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+                for pair in (0..4).filter(|_| cycle % 3 != 0) {
+                    let tag = (cycle * 4 + pair) as u8;
+                    let data: Vec<u8> = (0..4096u32).map(|b| (b as u8) ^ tag).collect();
+                    fabric.mem_write(hosts[0], wbuf.addr, &data).unwrap();
+                    drv.submit(Bio::write(pair * 8, 8, wbuf)).await.unwrap();
+                    drv.submit(Bio::read(pair * 8, 8, rbuf)).await.unwrap();
+                    let mut out = vec![0u8; 4096];
+                    fabric.mem_read(hosts[0], rbuf.addr, &mut out).unwrap();
+                    assert!(out == data, "cycle {cycle} pair {pair}: bytes differ");
+                }
                 drv.disconnect().await.unwrap();
             }
             assert_eq!(mgr.qpairs_in_use(), 0);
@@ -130,6 +150,7 @@ fn qpair_churn_reuses_resources() {
         }
     });
     assert_eq!(ctrl.live_io_queues(), 0);
+    assert_eq!(rt.sanitize_violations(), []);
 }
 
 #[test]
