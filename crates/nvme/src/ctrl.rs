@@ -9,10 +9,10 @@
 //! basis of the paper's design (Fig. 4).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, Payload, PhysAddr, WeakFabric};
+use simcore::hash::IntMap;
 use simcore::sync::{Notify, Semaphore};
 use simcore::{Handle, SimDuration, Stage};
 
@@ -116,24 +116,35 @@ pub struct NvmeController {
     dev: Cell<Option<DeviceId>>,
     weak_self: RefCell<Weak<NvmeController>>,
     regs: RefCell<Regs>,
-    // Ordered by qid: `reset` walks these to wake parked workers, and the
-    // wake order must be reproducible run-to-run (determinism).
-    sqs: RefCell<BTreeMap<u16, Rc<RefCell<SqState>>>>,
-    cqs: RefCell<BTreeMap<u16, Rc<RefCell<CqState>>>>,
+    /// Live queues, indexed by qid (0 is the admin queue): `reset` wakes
+    /// their parked workers in qid order, reproducibly.
+    sqs: RefCell<QueueTable<SqState>>,
+    cqs: RefCell<QueueTable<CqState>>,
     exec_sem: Semaphore,
     stats: RefCell<CtrlStats>,
     /// Newest-first Error Information log (capped at 64 entries).
     error_log: RefCell<Vec<ErrorLogEntry>>,
     /// LBA context for the next error completion (set by the I/O path).
     last_error_lba: Cell<Option<u64>>,
-    /// Executing I/O commands, `(sqid, cid)` → aborted flag. An Abort for
-    /// a tracked command sets the flag; the executor completes it with
-    /// ABORT_REQUESTED. Ordered for reproducible reset teardown.
-    inflight: RefCell<InflightMap>,
+    /// Executing I/O commands, [`inflight_key`]`(sqid, cid)` → aborted
+    /// flag. An Abort for a tracked command sets the flag; the executor
+    /// completes it with ABORT_REQUESTED. Looked up, inserted, removed and
+    /// cleared, never walked.
+    inflight: RefCell<IntMap<u64, Rc<Cell<bool>>>>,
 }
 
-/// `(sqid, cid)` → aborted flag for every executing I/O command.
-type InflightMap = BTreeMap<(u16, u16), Rc<Cell<bool>>>;
+/// One slot per qid the controller supports, `None` where no queue lives.
+type QueueTable<T> = Vec<Option<Rc<RefCell<T>>>>;
+
+/// The queue at `qid`, if one lives there.
+fn queue<T>(table: &QueueTable<T>, qid: u16) -> Option<&Rc<RefCell<T>>> {
+    table.get(usize::from(qid))?.as_ref()
+}
+
+/// `(sqid, cid)` as one [`NvmeController::inflight`] key.
+fn inflight_key(sqid: u16, cid: u16) -> u64 {
+    u64::from(sqid) << 16 | u64::from(cid)
+}
 
 impl NvmeController {
     /// Create the controller, attach it to `host`'s domain at topology node
@@ -151,6 +162,7 @@ impl NvmeController {
             to: 20,
             cqr: true,
         };
+        let queues = usize::from(config.io_queue_pairs) + 1;
         let ctrl = Rc::new(NvmeController {
             fabric: fabric.downgrade(),
             handle: fabric.handle(),
@@ -161,12 +173,12 @@ impl NvmeController {
             dev: Cell::new(None),
             weak_self: RefCell::new(Weak::new()),
             regs: RefCell::new(Regs::default()),
-            sqs: RefCell::new(BTreeMap::new()),
-            cqs: RefCell::new(BTreeMap::new()),
+            sqs: RefCell::new(vec![None; queues]),
+            cqs: RefCell::new(vec![None; queues]),
             stats: RefCell::new(CtrlStats::default()),
             error_log: RefCell::new(Vec::new()),
             last_error_lba: Cell::new(None),
-            inflight: RefCell::new(BTreeMap::new()),
+            inflight: RefCell::default(),
         });
         *ctrl.weak_self.borrow_mut() = Rc::downgrade(&ctrl);
         let bar0 = ctrl.config.bar0_size;
@@ -197,7 +209,7 @@ impl NvmeController {
 
     /// Number of live I/O submission queues (diagnostic).
     pub fn live_io_queues(&self) -> usize {
-        self.sqs.borrow().keys().filter(|qid| **qid != 0).count()
+        self.sqs.borrow()[1..].iter().flatten().count()
     }
 
     fn fabric(&self) -> Fabric {
@@ -275,20 +287,20 @@ impl NvmeController {
             doorbell: Notify::new(),
             alive: true,
         }));
-        self.cqs.borrow_mut().insert(0, cq);
-        self.sqs.borrow_mut().insert(0, sq.clone());
+        self.cqs.borrow_mut()[0] = Some(cq);
+        self.sqs.borrow_mut()[0] = Some(sq.clone());
         self.regs.borrow_mut().csts |= csts::RDY;
         let me = self.me();
         self.handle.spawn(async move { me.sq_worker(sq).await });
     }
 
     fn reset(&self) {
-        for (_, sq) in std::mem::take(&mut *self.sqs.borrow_mut()) {
+        for sq in self.sqs.borrow_mut().iter_mut().filter_map(Option::take) {
             let mut s = sq.borrow_mut();
             s.alive = false;
             s.doorbell.notify_one();
         }
-        for (_, cq) in std::mem::take(&mut *self.cqs.borrow_mut()) {
+        for cq in self.cqs.borrow_mut().iter_mut().filter_map(Option::take) {
             let mut c = cq.borrow_mut();
             c.alive = false;
             c.space.notify_all();
@@ -330,7 +342,7 @@ impl NvmeController {
     fn handle_doorbell(&self, qid: u16, is_cq: bool, value: u32) {
         if is_cq {
             let cqs = self.cqs.borrow();
-            if let Some(cq) = cqs.get(&qid) {
+            if let Some(cq) = queue(&cqs, qid) {
                 let mut c = cq.borrow_mut();
                 if value as u16 >= c.entries {
                     drop(c);
@@ -343,7 +355,7 @@ impl NvmeController {
             }
         } else {
             let sqs = self.sqs.borrow();
-            if let Some(sq) = sqs.get(&qid) {
+            if let Some(sq) = queue(&sqs, qid) {
                 let mut s = sq.borrow_mut();
                 if value as u16 >= s.entries {
                     drop(s);
@@ -418,7 +430,7 @@ impl NvmeController {
                     let aborted = Rc::new(Cell::new(false));
                     self.inflight
                         .borrow_mut()
-                        .insert((qid, sqe.cid), aborted.clone());
+                        .insert(inflight_key(qid, sqe.cid), aborted.clone());
                     let me = self.clone();
                     self.handle.spawn_detached(async move {
                         me.exec_io(qid, cqid, sqe, new_head, aborted).await;
@@ -443,7 +455,7 @@ impl NvmeController {
         loop {
             let (slot, phase, base, iv, full, space, alive, entries) = {
                 let cqs = self.cqs.borrow();
-                let Some(cq) = cqs.get(&cqid) else { return };
+                let Some(cq) = queue(&cqs, cqid) else { return };
                 let mut c = cq.borrow_mut();
                 let next = (c.tail + 1) % c.entries;
                 if next == c.head_shadow {
@@ -585,7 +597,8 @@ impl NvmeController {
     fn admin_create_cq(&self, sqe: &SqEntry) -> (u32, Status) {
         let qid = (sqe.cdw10 & 0xFFFF) as u16;
         let entries = ((sqe.cdw10 >> 16) as u16).wrapping_add(1);
-        if qid == 0 || qid > self.config.io_queue_pairs || self.cqs.borrow().contains_key(&qid) {
+        if qid == 0 || qid > self.config.io_queue_pairs || queue(&self.cqs.borrow(), qid).is_some()
+        {
             return (0, Status::INVALID_QUEUE_ID);
         }
         if entries < 2 || entries > self.config.max_queue_entries {
@@ -596,20 +609,17 @@ impl NvmeController {
         }
         let ien = sqe.cdw11 & 0x2 != 0;
         let iv = ien.then_some((sqe.cdw11 >> 16) as u16);
-        self.cqs.borrow_mut().insert(
-            qid,
-            Rc::new(RefCell::new(CqState {
-                base: sqe.prp1,
-                entries,
-                tail: 0,
-                phase: true,
-                head_shadow: 0,
-                iv,
-                space: Notify::new(),
-                sq_refs: 0,
-                alive: true,
-            })),
-        );
+        self.cqs.borrow_mut()[usize::from(qid)] = Some(Rc::new(RefCell::new(CqState {
+            base: sqe.prp1,
+            entries,
+            tail: 0,
+            phase: true,
+            head_shadow: 0,
+            iv,
+            space: Notify::new(),
+            sq_refs: 0,
+            alive: true,
+        })));
         (0, Status::SUCCESS)
     }
 
@@ -617,14 +627,15 @@ impl NvmeController {
         let qid = (sqe.cdw10 & 0xFFFF) as u16;
         let entries = ((sqe.cdw10 >> 16) as u16).wrapping_add(1);
         let cqid = (sqe.cdw11 >> 16) as u16;
-        if qid == 0 || qid > self.config.io_queue_pairs || self.sqs.borrow().contains_key(&qid) {
+        if qid == 0 || qid > self.config.io_queue_pairs || queue(&self.sqs.borrow(), qid).is_some()
+        {
             return (0, Status::INVALID_QUEUE_ID);
         }
         if entries < 2 || entries > self.config.max_queue_entries {
             return (0, Status::INVALID_QUEUE_SIZE);
         }
         let cqs = self.cqs.borrow();
-        let Some(cq) = cqs.get(&cqid) else {
+        let Some(cq) = queue(&cqs, cqid) else {
             return (0, Status::INVALID_QUEUE_ID);
         };
         cq.borrow_mut().sq_refs += 1;
@@ -639,7 +650,7 @@ impl NvmeController {
             doorbell: Notify::new(),
             alive: true,
         }));
-        self.sqs.borrow_mut().insert(qid, sq.clone());
+        self.sqs.borrow_mut()[usize::from(qid)] = Some(sq.clone());
         let me = self.me();
         self.handle.spawn(async move { me.sq_worker(sq).await });
         (0, Status::SUCCESS)
@@ -650,20 +661,25 @@ impl NvmeController {
         if qid == 0 {
             return (0, Status::INVALID_QUEUE_ID);
         }
-        let Some(sq) = self.sqs.borrow_mut().remove(&qid) else {
+        let taken = self
+            .sqs
+            .borrow_mut()
+            .get_mut(usize::from(qid))
+            .and_then(Option::take);
+        let Some(sq) = taken else {
             return (0, Status::INVALID_QUEUE_ID);
         };
         let mut s = sq.borrow_mut();
         s.alive = false;
         s.doorbell.notify_one();
-        if let Some(cq) = self.cqs.borrow().get(&s.cqid) {
+        if let Some(cq) = queue(&self.cqs.borrow(), s.cqid) {
             cq.borrow_mut().sq_refs -= 1;
         }
         // Commands of the deleted queue are disposed of with it: a
         // recreate under the same qid must not collide with stale flags.
         self.inflight
             .borrow_mut()
-            .retain(|(sqid, _), _| *sqid != qid);
+            .retain(|key, _| key >> 16 != u64::from(qid));
         self.handle
             .sanitize_record(None, Stage::QueueDeleted { qid });
         (0, Status::SUCCESS)
@@ -676,7 +692,7 @@ impl NvmeController {
         }
         {
             let cqs = self.cqs.borrow();
-            let Some(cq) = cqs.get(&qid) else {
+            let Some(cq) = queue(&cqs, qid) else {
                 return (0, Status::INVALID_QUEUE_ID);
             };
             if cq.borrow().sq_refs > 0 {
@@ -684,7 +700,7 @@ impl NvmeController {
                 return (0, Status { sct: 1, sc: 0x0C });
             }
         }
-        let cq = self.cqs.borrow_mut().remove(&qid).unwrap();
+        let cq = self.cqs.borrow_mut()[usize::from(qid)].take().unwrap();
         let mut c = cq.borrow_mut();
         c.alive = false;
         c.space.notify_all();
@@ -701,7 +717,7 @@ impl NvmeController {
     fn admin_abort(&self, sqe: &SqEntry) -> (u32, Status) {
         let sqid = (sqe.cdw10 & 0xFFFF) as u16;
         let cid = (sqe.cdw10 >> 16) as u16;
-        match self.inflight.borrow().get(&(sqid, cid)) {
+        match self.inflight.borrow().get(&inflight_key(sqid, cid)) {
             Some(flag) => {
                 flag.set(true);
                 self.handle
@@ -764,7 +780,9 @@ impl NvmeController {
         if aborted.get() {
             status = Status::ABORT_REQUESTED;
         }
-        self.inflight.borrow_mut().remove(&(qid, sqe.cid));
+        self.inflight
+            .borrow_mut()
+            .remove(&inflight_key(qid, sqe.cid));
         if !status.is_success() {
             self.last_error_lba.set(Some(sqe.slba()));
         }

@@ -1,8 +1,10 @@
-//! What one executor step costs the host, with a shallow and a deep timer
-//! heap: nanoseconds per sleep-and-wake of a single task while 0 and while
-//! 200 other timers are pending, three repetitions each. Then what a task
-//! nobody joins costs from spawn to finish, spawned with `spawn` (handle
-//! dropped on the spot) and with `spawn_detached`.
+//! What one executor step costs the host, with few and with many timers
+//! pending: nanoseconds per sleep-and-wake of a single task while 0 and
+//! while 200 other timers are parked an hour out, then per step of 200
+//! tasks whose timers are spread over the next 200 µs and re-arm as they
+//! fire; three repetitions each. Then what a task nobody joins costs from
+//! spawn to finish, spawned with `spawn` (handle dropped on the spot) and
+//! with `spawn_detached`.
 //!
 //! ```sh
 //! cargo run --release -p simcore --example step_cost
@@ -11,9 +13,13 @@
 //! A step here is the executor's whole loop and nothing else — register a
 //! timer, advance the clock, pop the timer, queue the task, poll it — so
 //! the figure is the floor under every `host_ns_per_step` that
-//! `dnvme-bench` reports. Its probes keep at most a few timers pending per
-//! task; the 200-deep case is the one they do not cover (31 hosts at QD 4
-//! have that many sleeps and posted writes in flight). The spawn pair is
+//! `dnvme-bench` reports. Timers parked far out wait in the executor's
+//! heap untouched, so the parked case costs what the empty one does. The
+//! spread case is as deep as `mh31_shared` gets (31 hosts at QD 4: 89
+//! timers pending at a registration on average, 341 at the peak), but it
+//! is the executor's worst case: almost no timer is due within the near
+//! tier's window, so every one passes through the heap, where most of
+//! `mh31_shared`'s, due within a microsecond, never do. The spawn pair is
 //! what a per-command task (`exec_io`, an RDMA delivery) pays before its
 //! body does anything: box, admit, one poll, and for `spawn` the join cell
 //! on top. A record, not a gate: the numbers are host time and move with
@@ -22,6 +28,10 @@
 use simcore::{SimDuration, SimRuntime};
 
 const STEPS: u64 = 2_000_000;
+/// Tasks, and so timers pending, in the spread case.
+const SPREAD: u64 = 200;
+/// Each re-arm of the spread case sleeps 1 ns to this long.
+const SPREAD_NS: u64 = 200_000;
 const SPAWNS: u64 = 1_000_000;
 const REPETITIONS: usize = 3;
 
@@ -50,6 +60,34 @@ fn ns_per_step(background: u64) -> f64 {
     });
     let elapsed = t0.elapsed();
     elapsed.as_nanos() as f64 / (rt.steps() - before) as f64
+}
+
+/// Host nanoseconds per step of `SPREAD` tasks that each sleep a
+/// pseudo-random 1 ns to `SPREAD_NS` and re-arm, for about `STEPS` steps.
+fn ns_per_step_spread() -> f64 {
+    let rt = SimRuntime::new();
+    let h = rt.handle();
+    for task in 0..SPREAD {
+        let h2 = h.clone();
+        h.spawn(async move {
+            let mut x = task + 1; // xorshift64, one stream per task
+            loop {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                h2.sleep(SimDuration::from_nanos(1 + x % SPREAD_NS)).await;
+            }
+        });
+    }
+    // Each task re-arms every `SPREAD_NS / 2` on average.
+    let span = SimDuration::from_nanos(STEPS / SPREAD * SPREAD_NS / 2);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock measurement of the executor itself"
+    )]
+    let t0 = std::time::Instant::now();
+    rt.block_on(async move { h.sleep(span).await });
+    t0.elapsed().as_nanos() as f64 / rt.steps() as f64
 }
 
 /// Host nanoseconds per task that is spawned by a running task, polled
@@ -90,10 +128,14 @@ fn repeated(measure: impl Fn() -> f64) -> String {
 fn main() {
     for background in [0, 200] {
         println!(
-            "step_cost: {background:>3} timers pending: {} ns per step",
+            "step_cost: {background:>3} timers pending, parked: {} ns per step",
             repeated(|| ns_per_step(background))
         );
     }
+    println!(
+        "step_cost: {SPREAD:>3} timers pending, spread: {} ns per step",
+        repeated(ns_per_step_spread)
+    );
     for (name, detached) in [("spawn, handle dropped", false), ("spawn_detached", true)] {
         println!(
             "step_cost: {name:>21}: {} ns per spawn-and-finish",
