@@ -97,24 +97,9 @@ impl Calibration {
         c
     }
 
-    /// Same testbed with a NAND-class SSD instead of Optane (tail-latency
-    /// contrast experiments).
-    pub fn paper_nand() -> Calibration {
-        Calibration {
-            media: MediaProfile::nand(),
-            ..Calibration::paper()
-        }
-    }
-
     /// Switch-chip latency corner cases (the paper quotes 100–150 ns).
     pub fn with_chip_latency(mut self, ns: u64) -> Calibration {
         self.fabric.chip_latency_ns = ns;
-        self
-    }
-
-    /// Override the latency/workload seed.
-    pub fn with_seed(mut self, seed: u64) -> Calibration {
-        self.seed = seed;
         self
     }
 
@@ -143,8 +128,7 @@ mod tests {
 
     #[test]
     fn corner_builders() {
-        let c = Calibration::paper().with_chip_latency(150).with_seed(9);
-        assert_eq!(c.fabric.chip_latency_ns, 150);
-        assert_eq!(c.seed, 9);
+        let c = Calibration::paper().with_chip_latency(100);
+        assert_eq!(c.fabric.chip_latency_ns, 100);
     }
 }

@@ -30,36 +30,33 @@ use smartio::{AccessHints, BorrowMode, CpuMapping, SegmentId, SmartDeviceId, Sma
 
 use crate::proto::{self, flag, Metadata, Request, Response, SlotMessage};
 
+/// Admin queue depth.
+const ADMIN_ENTRIES: u16 = 32;
+
+/// Deadline for each admin command issued on a client's behalf. The serve
+/// loop must never block forever on a wedged controller, so every admin
+/// await is raced against this.
+const ADMIN_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
 /// Manager configuration.
 #[derive(Clone, Debug)]
 pub struct ManagerConfig {
-    /// Admin queue depth.
-    pub admin_entries: u16,
     /// I/O queue pairs to negotiate (the device may grant fewer).
     pub want_qpairs: u16,
-    /// Mailbox slots (one per possible client host).
-    pub mailbox_slots: u32,
     /// CPU cost to process one mailbox request (manager software).
     pub serve_overhead: SimDuration,
     /// Client lease duration. `None` disables the lease protocol (the
     /// seed behavior); `Some(d)` makes clients heartbeat and lets the
     /// manager reclaim the queue pairs of any client silent for `d`.
     pub lease: Option<SimDuration>,
-    /// Deadline for each admin command issued on a client's behalf. The
-    /// serve loop must never block forever on a wedged controller, so
-    /// every admin await is raced against this.
-    pub admin_timeout: SimDuration,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
-            admin_entries: 32,
             want_qpairs: 31,
-            mailbox_slots: 64,
             serve_overhead: SimDuration::from_nanos(400),
             lease: None,
-            admin_timeout: SimDuration::from_millis(50),
         }
     }
 }
@@ -207,13 +204,13 @@ impl Manager {
         let asq_seg = smartio.create_segment_hinted(
             host,
             device,
-            cfg.admin_entries as u64 * SQE_SIZE as u64,
+            u64::from(ADMIN_ENTRIES) * SQE_SIZE as u64,
             AccessHints::sq(),
         )?;
         let acq_seg = smartio.create_segment_hinted(
             host,
             device,
-            cfg.admin_entries as u64 * CQE_SIZE as u64,
+            u64::from(ADMIN_ENTRIES) * CQE_SIZE as u64,
             AccessHints::cq(),
         )?;
         let asq_cpu = smartio.map_for_cpu(host, asq_seg)?;
@@ -230,7 +227,7 @@ impl Manager {
             asq_bus,
             acq_cpu: acq_region,
             acq_bus,
-            entries: cfg.admin_entries,
+            entries: ADMIN_ENTRIES,
         };
         let mut admin = AdminQueue::init(&fabric, bar_map.region, admin_layout).await?;
 
@@ -255,8 +252,10 @@ impl Manager {
         smartio.destroy_segment(idbuf_seg)?;
 
         // Mailbox + metadata segments, manager-local.
-        let mailbox_segment =
-            smartio.create_segment(host, cfg.mailbox_slots as u64 * proto::MAILBOX_SLOT as u64)?;
+        let mailbox_segment = smartio.create_segment(
+            host,
+            u64::from(proto::MAILBOX_SLOTS) * proto::MAILBOX_SLOT as u64,
+        )?;
         let mailbox = smartio.segment_region(mailbox_segment)?;
         let meta_segment = smartio.create_segment(host, proto::META_LEN as u64)?;
         let metadata = Metadata {
@@ -267,7 +266,7 @@ impl Manager {
             capacity_blocks: ns_info.nsze,
             mailbox_segment: mailbox_segment.0,
             bar_segment: bar_seg.0,
-            mailbox_slots: cfg.mailbox_slots,
+            mailbox_slots: proto::MAILBOX_SLOTS,
             lease_nanos: cfg.lease.map(SimDuration::as_nanos).unwrap_or(0),
         };
         let meta_region = smartio.segment_region(meta_segment)?;
@@ -291,7 +290,7 @@ impl Manager {
             smartio: smartio.clone(),
             admin,
             mailbox,
-            slots: vec![Slot::default(); cfg.mailbox_slots as usize],
+            slots: vec![Slot::default(); proto::MAILBOX_SLOTS as usize],
             resp_maps: BTreeMap::new(),
             cfg,
         };
@@ -504,18 +503,17 @@ impl Server {
         }
         let handle = self.smartio.fabric().handle();
         let deleted = self.admin.delete_io_qpair(qid);
-        let _ = simcore::timeout(&handle, self.cfg.admin_timeout, deleted).await;
+        let _ = simcore::timeout(&handle, ADMIN_TIMEOUT, deleted).await;
         let mut st = self.mgr.stats.borrow_mut();
         st.qpairs_created -= 1;
         st.requests_rejected += 1;
     }
 
     /// Execute one request for `slot`. Every admin await is raced against
-    /// `admin_timeout`, so a wedged or unreachable controller degrades to
+    /// [`ADMIN_TIMEOUT`], so a wedged or unreachable controller degrades to
     /// ADMIN_FAILED, never a hang.
     async fn handle(&mut self, slot: usize, req: Request) -> Response {
         let handle = self.smartio.fabric().handle();
-        let deadline = self.cfg.admin_timeout;
         let mgr = &self.mgr;
         match req {
             Request::CreateQp {
@@ -541,7 +539,7 @@ impl Server {
                 let created = self
                     .admin
                     .create_io_qpair(qid, entries, sq_bus, cq_bus, None);
-                match simcore::timeout(&handle, deadline, created).await {
+                match simcore::timeout(&handle, ADMIN_TIMEOUT, created).await {
                     Ok(Ok(())) => {
                         mgr.stats.borrow_mut().qpairs_created += 1;
                         Response::ok(qid)
@@ -557,7 +555,7 @@ impl Server {
                     return mgr.reject(proto::status::NOT_OWNER, qid);
                 }
                 let deleted = self.admin.delete_io_qpair(qid);
-                match simcore::timeout(&handle, deadline, deleted).await {
+                match simcore::timeout(&handle, ADMIN_TIMEOUT, deleted).await {
                     Ok(Ok(())) => {
                         mgr.stats.borrow_mut().qpairs_deleted += 1;
                         Response::ok(qid)
@@ -570,7 +568,7 @@ impl Server {
                 if mgr.qids.borrow().owner(qid) != Some(slot) {
                     return mgr.reject(proto::status::NOT_OWNER, qid);
                 }
-                match simcore::timeout(&handle, deadline, self.admin.abort(qid, cid)).await {
+                match simcore::timeout(&handle, ADMIN_TIMEOUT, self.admin.abort(qid, cid)).await {
                     Ok(Ok(aborted)) => {
                         mgr.stats.borrow_mut().aborts_issued += 1;
                         Response {
@@ -605,7 +603,7 @@ impl Server {
             let owned = self.mgr.qids.borrow().owned_by(slot);
             for qid in owned {
                 let deleted = self.admin.delete_io_qpair(qid);
-                let _ = simcore::timeout(&handle, self.cfg.admin_timeout, deleted).await;
+                let _ = simcore::timeout(&handle, ADMIN_TIMEOUT, deleted).await;
                 self.mgr.qids.borrow_mut().free(qid, slot);
                 self.mgr.stats.borrow_mut().qpairs_reclaimed += 1;
             }

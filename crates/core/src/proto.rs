@@ -17,6 +17,9 @@ pub const META_LEN: usize = 64;
 /// One mailbox slot per client host.
 pub const MAILBOX_SLOT: usize = 64;
 
+/// Mailbox slots the manager publishes: one per possible client host.
+pub(crate) const MAILBOX_SLOTS: u32 = 64;
+
 /// Size of a client's response area.
 pub const RESPONSE_LEN: usize = 16;
 

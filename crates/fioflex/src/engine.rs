@@ -8,7 +8,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use blklayer::{Bio, BlockDevice};
+use blklayer::{Bio, BioError, BlockDevice};
 use pcie::{Fabric, HostId};
 use simcore::{LatencyRecorder, SimDuration, SimRng, SimTime};
 
@@ -103,6 +103,15 @@ pub async fn run_job(
                 let t0 = handle.now();
                 let result = dev.submit(bio).await;
                 let t1 = handle.now();
+                // A refusal of the request's shape comes back at once and
+                // would come back for every later request of this lane:
+                // retrying it would spin without simulated time passing.
+                let refused = matches!(
+                    result,
+                    Err(BioError::TooLarge { .. }
+                        | BioError::OutOfRange { .. }
+                        | BioError::BadBuffer)
+                );
                 let mut c = collect.borrow_mut();
                 if t0 >= measure_start && t1 <= end {
                     match result {
@@ -119,6 +128,9 @@ pub async fn run_job(
                     }
                 } else if result.is_err() {
                     c.errors += 1;
+                }
+                if refused {
+                    break;
                 }
             }
             fabric.release(buf);
@@ -269,6 +281,38 @@ mod tests {
         let rep = rt.block_on(async move { run_job(&fabric, host, disk, &spec).await });
         assert_eq!(rep.errors, 0);
         assert!(rep.read.unwrap().ios > 0);
+    }
+
+    /// Refuses every request on the spot, as a driver refuses a transfer
+    /// larger than its maximum.
+    struct RefuseAll;
+
+    impl BlockDevice for RefuseAll {
+        fn block_size(&self) -> u32 {
+            512
+        }
+        fn capacity_blocks(&self) -> u64 {
+            8192
+        }
+        fn queue_depth(&self) -> usize {
+            4
+        }
+        fn submit(&self, bio: Bio) -> blklayer::BioFuture<'_> {
+            let bytes = bio.len(512);
+            Box::pin(async move { Err(BioError::TooLarge { bytes, max: 0 }) })
+        }
+    }
+
+    #[test]
+    fn a_lane_ends_at_a_refusal_of_its_request_shape() {
+        let (rt, fabric, host, _) = setup();
+        let spec = JobSpec::new("t", RwMode::RandRead)
+            .iodepth(4)
+            .runtime(SimDuration::from_millis(1));
+        let rep =
+            rt.block_on(async move { run_job(&fabric, host, Rc::new(RefuseAll), &spec).await });
+        assert_eq!(rep.errors, 4, "one refusal per lane");
+        assert!(rep.read.is_none());
     }
 
     #[test]

@@ -28,11 +28,15 @@ use crate::spec::prp;
 use crate::spec::registers::{csts, decode_doorbell, offset, Aqa, Cap, Cc};
 use crate::spec::status::Status;
 
+/// Queue entries supported per queue (CAP.MQES + 1).
+const MAX_QUEUE_ENTRIES: u16 = 1024;
+
+/// Size of BAR0: the register file and the doorbells.
+const BAR0_SIZE: u64 = 0x4000;
+
 /// Static configuration of a controller instance.
 #[derive(Clone, Debug)]
 pub struct NvmeConfig {
-    /// Queue entries supported per queue (MQES + 1).
-    pub max_queue_entries: u16,
     /// I/O queue pairs supported (the P4800X supports 31 + admin).
     pub io_queue_pairs: u16,
     /// Firmware processing overhead per command.
@@ -41,19 +45,15 @@ pub struct NvmeConfig {
     pub enable_delay: SimDuration,
     /// Maximum concurrently executing commands (internal tags).
     pub max_exec: usize,
-    /// BAR0 size.
-    pub bar0_size: u64,
 }
 
 impl Default for NvmeConfig {
     fn default() -> Self {
         NvmeConfig {
-            max_queue_entries: 1024,
             io_queue_pairs: 31,
             cmd_overhead: SimDuration::from_nanos(250),
             enable_delay: SimDuration::from_micros(50),
             max_exec: 64,
-            bar0_size: 0x4000,
         }
     }
 }
@@ -157,7 +157,7 @@ impl NvmeController {
         config: NvmeConfig,
     ) -> Rc<NvmeController> {
         let cap = Cap {
-            mqes: config.max_queue_entries - 1,
+            mqes: MAX_QUEUE_ENTRIES - 1,
             dstrd: 0,
             to: 20,
             cqr: true,
@@ -181,8 +181,7 @@ impl NvmeController {
             inflight: RefCell::default(),
         });
         *ctrl.weak_self.borrow_mut() = Rc::downgrade(&ctrl);
-        let bar0 = ctrl.config.bar0_size;
-        let dev = fabric.add_device(host, at, &[bar0], ctrl.clone());
+        let dev = fabric.add_device(host, at, &[BAR0_SIZE], ctrl.clone());
         ctrl.dev.set(Some(dev));
         ctrl
     }
@@ -601,7 +600,7 @@ impl NvmeController {
         {
             return (0, Status::INVALID_QUEUE_ID);
         }
-        if entries < 2 || entries > self.config.max_queue_entries {
+        if !(2..=MAX_QUEUE_ENTRIES).contains(&entries) {
             return (0, Status::INVALID_QUEUE_SIZE);
         }
         if sqe.cdw11 & 1 == 0 {
@@ -631,7 +630,7 @@ impl NvmeController {
         {
             return (0, Status::INVALID_QUEUE_ID);
         }
-        if entries < 2 || entries > self.config.max_queue_entries {
+        if !(2..=MAX_QUEUE_ENTRIES).contains(&entries) {
             return (0, Status::INVALID_QUEUE_SIZE);
         }
         let cqs = self.cqs.borrow();

@@ -26,6 +26,9 @@ use crate::spec::log::{DsmRange, DSM_MAX_RANGES, DSM_RANGE_LEN};
 use crate::spec::prp;
 use crate::spec::status::Status;
 
+/// Largest single transfer (bytes) either local driver accepts.
+const MAX_TRANSFER: u64 = 1 << 20;
+
 /// Software-cost profile of a local driver.
 #[derive(Clone, Debug)]
 pub struct LocalDriverConfig {
@@ -39,8 +42,6 @@ pub struct LocalDriverConfig {
     pub completion_overhead: SimDuration,
     /// How completions are detected.
     pub mode: CompletionStrategy,
-    /// Largest single transfer (bytes).
-    pub max_transfer: u64,
 }
 
 impl LocalDriverConfig {
@@ -54,7 +55,6 @@ impl LocalDriverConfig {
             mode: CompletionStrategy::Interrupt {
                 latency: SimDuration::from_nanos(1_400),
             },
-            max_transfer: 1 << 20,
         }
     }
 
@@ -68,7 +68,6 @@ impl LocalDriverConfig {
             mode: CompletionStrategy::Polling {
                 check_cost: SimDuration::from_nanos(90),
             },
-            max_transfer: 1 << 20,
         }
     }
 }
@@ -270,10 +269,10 @@ impl BlockDevice for LocalNvmeDriver {
         Box::pin(async move {
             validate(self, &bio)?;
             let len = bio.len(self.block_size());
-            if len > self.cfg.max_transfer {
+            if len > MAX_TRANSFER {
                 return Err(BioError::TooLarge {
                     bytes: len,
-                    max: self.cfg.max_transfer,
+                    max: MAX_TRANSFER,
                 });
             }
             if bio.op != BioOp::Flush && bio.buf.host != self.host {

@@ -11,8 +11,8 @@
 //!   batched submission with doorbell coalescing. It owns the submission
 //!   ring (written through any CPU-visible address, including NTB
 //!   windows), which no other module can name.
-//! * [`medium`] — storage media with calibrated latency profiles
-//!   (Optane-like consistency, NAND-like asymmetry).
+//! * [`medium`] — the storage medium behind the controller, with the
+//!   calibrated Optane-like latency profile (consistent, low jitter).
 //! * [`ctrl`] — the controller device model: one register file, one admin
 //!   queue pair, up to 31 I/O queue pairs, DMA through the PCIe fabric
 //!   with full NTB translation.

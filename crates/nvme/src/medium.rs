@@ -3,8 +3,7 @@
 //! The paper uses an Intel Optane P4800X precisely because its latency is
 //! *consistent* — boxplot whiskers stay tight, so network overheads stand
 //! out. [`MediaProfile::optane`] models that: ~9 µs media latency with a
-//! small log-normal tail. [`MediaProfile::nand`] is provided for contrast
-//! experiments (higher, asymmetric, jittery latency).
+//! small log-normal tail.
 
 use std::cell::RefCell;
 
@@ -15,8 +14,6 @@ use simcore::{Handle, SimDuration, SimRng};
 /// Latency/parallelism profile of a storage medium.
 #[derive(Clone, Debug)]
 pub struct MediaProfile {
-    /// Human-readable medium name.
-    pub name: &'static str,
     /// Median media latency for a small read.
     pub read_median: SimDuration,
     /// Log-normal shape for reads.
@@ -37,7 +34,6 @@ impl MediaProfile {
     /// Intel Optane P4800X-like: consistent ~9 µs, 7 channels.
     pub fn optane() -> Self {
         MediaProfile {
-            name: "optane-p4800x",
             read_median: SimDuration::from_nanos(8_600),
             read_sigma: 0.018,
             write_median: SimDuration::from_nanos(8_300),
@@ -45,20 +41,6 @@ impl MediaProfile {
             floor: SimDuration::from_nanos(8_000),
             channels: 7,
             stream_gbps: 2.4,
-        }
-    }
-
-    /// TLC NAND-like: fast-ish reads, slow writes, fat tails.
-    pub fn nand() -> Self {
-        MediaProfile {
-            name: "nand-tlc",
-            read_median: SimDuration::from_nanos(75_000),
-            read_sigma: 0.25,
-            write_median: SimDuration::from_nanos(350_000),
-            write_sigma: 0.40,
-            floor: SimDuration::from_nanos(25_000),
-            channels: 16,
-            stream_gbps: 3.0,
         }
     }
 }
@@ -111,11 +93,6 @@ impl BlockStore {
     /// Namespace capacity in logical blocks.
     pub fn capacity_blocks(&self) -> u64 {
         self.capacity_blocks
-    }
-
-    /// The latency profile in use.
-    pub fn profile(&self) -> &MediaProfile {
-        &self.profile
     }
 
     fn stream_cost(&self, len: u64) -> SimDuration {
@@ -458,30 +435,5 @@ mod tests {
             "rest of the second block is zeroed"
         );
         assert_eq!(buf[1024..], [0; 512]);
-    }
-
-    #[test]
-    fn nand_writes_slower_than_reads() {
-        let rt = SimRuntime::new();
-        let h = rt.handle();
-        let s = Rc::new(BlockStore::new(
-            rt.handle(),
-            MediaProfile::nand(),
-            512,
-            1 << 20,
-            2,
-        ));
-        let s2 = s.clone();
-        let (rd, wr) = rt.block_on(async move {
-            let mut buf = vec![0u8; 4096];
-            let t0 = h.now();
-            s2.read(0, &mut buf).await;
-            let rd = h.now() - t0;
-            let t1 = h.now();
-            s2.write(0, &buf).await;
-            let wr = h.now() - t1;
-            (rd, wr)
-        });
-        assert!(wr > rd, "NAND write ({wr}) must exceed read ({rd})");
     }
 }

@@ -4,7 +4,10 @@
 use std::rc::Rc;
 
 use blklayer::{Bio, BioError, BioOp, BlockDevice};
+use nvme::driver::admin::{AdminQueue, AdminQueueLayout};
 use nvme::driver::{attach_local_driver, LocalDriverConfig};
+use nvme::spec::command::SQE_SIZE;
+use nvme::spec::completion::CQE_SIZE;
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams, HostId};
 use simcore::{SimRuntime, Stage};
@@ -40,6 +43,26 @@ fn bed() -> Bed {
         host,
         ctrl,
     }
+}
+
+/// Take the controller over with a fresh 32-entry admin queue pair in
+/// `host`'s memory (bring-up resets the controller).
+async fn raw_admin(fabric: &Fabric, host: HostId, ctrl: &NvmeController) -> AdminQueue {
+    let asq = fabric.alloc(host, 32 * SQE_SIZE as u64).unwrap();
+    let acq = fabric.alloc(host, 32 * CQE_SIZE as u64).unwrap();
+    AdminQueue::init(
+        fabric,
+        fabric.bar_region(ctrl.device_id(), 0).unwrap(),
+        AdminQueueLayout {
+            asq_cpu: asq,
+            asq_bus: asq.addr,
+            acq_cpu: acq,
+            acq_bus: acq.addr,
+            entries: 32,
+        },
+    )
+    .await
+    .unwrap()
 }
 
 #[test]
@@ -375,9 +398,6 @@ fn error_log_records_failures_newest_first() {
 fn error_log_readable_via_get_log_page() {
     // The wire path: a driver reads the Error Information log with a real
     // Get Log Page command.
-    use nvme::driver::admin::{AdminQueue, AdminQueueLayout};
-    use nvme::spec::command::SQE_SIZE;
-    use nvme::spec::completion::CQE_SIZE;
     let b = bed();
     let fabric = b.fabric.clone();
     let host = b.host;
@@ -397,28 +417,14 @@ fn error_log_readable_via_get_log_page() {
         // ...then re-own the controller with a fresh admin queue. (The
         // re-init resets the controller, which clears the log — so trigger
         // another error after re-init via raw queue mechanics instead.)
-        let asq = fabric.alloc(host, 32 * SQE_SIZE as u64).unwrap();
-        let acq = fabric.alloc(host, 32 * CQE_SIZE as u64).unwrap();
-        let mut admin = AdminQueue::init(
-            &fabric,
-            fabric.bar_region(ctrl.device_id(), 0).unwrap(),
-            AdminQueueLayout {
-                asq_cpu: asq,
-                asq_bus: asq.addr,
-                acq_cpu: acq,
-                acq_bus: acq.addr,
-                entries: 32,
-            },
-        )
-        .await
-        .unwrap();
+        let mut admin = raw_admin(&fabric, host, &ctrl).await;
         assert!(ctrl.error_log().is_empty(), "reset must clear the log");
         // Issue a bad admin command (invalid identify CNS) to log an error.
+        let logbuf = fabric.alloc(host, 4096).unwrap();
         let err = admin
-            .submit(nvme::SqEntry::identify(0, 0x55, 0, asq.addr))
+            .submit(nvme::SqEntry::identify(0, 0x55, 0, logbuf.addr))
             .await;
         assert!(err.is_err());
-        let logbuf = fabric.alloc(host, 4096).unwrap();
         let entries = admin.read_error_log(logbuf, logbuf.addr, 8).await.unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].status, nvme::Status::INVALID_FIELD);
@@ -534,5 +540,41 @@ fn transfers_that_cannot_move_whole_pages_round_trip_byte_exact() {
         let mut edge = [0xFFu8; 512];
         ctrl.store().read_raw(42, &mut edge);
         assert_eq!(edge, [0u8; 512]);
+    });
+}
+
+#[test]
+fn io_queue_sizes_are_bounded_by_cap_mqes() {
+    // CAP.MQES is 0-based: 1,023 advertises 1,024 entries per queue. Create
+    // I/O CQ and Create I/O SQ refuse one entry (a queue holds at least
+    // two) and 1,025 with INVALID_QUEUE_SIZE, and take 1,024.
+    use nvme::driver::admin::AdminError;
+    use nvme::{SqEntry, Status};
+    let b = bed();
+    assert_eq!(b.ctrl.cap().mqes, 1023);
+    let fabric = b.fabric.clone();
+    let host = b.host;
+    let ctrl = b.ctrl.clone();
+    b.rt.block_on(async move {
+        let mut admin = raw_admin(&fabric, host, &ctrl).await;
+        assert_eq!(admin.cap.mqes, 1023, "CAP as the host reads it");
+        let cq = fabric.alloc(host, 1025 * CQE_SIZE as u64).unwrap();
+        let sq = fabric.alloc(host, 1025 * SQE_SIZE as u64).unwrap();
+        // The CQ first: an SQ needs a live CQ to bind to.
+        for name in ["CQ", "SQ"] {
+            let build = |size0| match name {
+                "CQ" => SqEntry::create_io_cq(0, 1, size0, cq.addr, None),
+                _ => SqEntry::create_io_sq(0, 1, size0, sq.addr, 1),
+            };
+            for entries in [1u16, 1025] {
+                let refused = admin.submit(build(entries - 1)).await;
+                let Err(AdminError::Command(status)) = refused else {
+                    panic!("{name} of {entries} entries must be refused");
+                };
+                assert_eq!(status, Status::INVALID_QUEUE_SIZE, "{name} of {entries}");
+            }
+            admin.submit(build(1023)).await.unwrap();
+        }
+        assert_eq!(ctrl.live_io_queues(), 1);
     });
 }

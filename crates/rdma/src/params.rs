@@ -20,8 +20,6 @@ pub struct IbParams {
     pub post_ns: u64,
     /// Payload bandwidth (GB/s).
     pub bw_gbps: f64,
-    /// Path MTU.
-    pub mtu: u64,
 }
 
 impl Default for IbParams {
@@ -32,7 +30,6 @@ impl Default for IbParams {
             nic_rx_ns: 330,
             post_ns: 80,
             bw_gbps: 11.0,
-            mtu: 4096,
         }
     }
 }

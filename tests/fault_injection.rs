@@ -198,10 +198,13 @@ fn garbage_in_mailbox_is_ignored() {
 
 #[test]
 fn oversized_bio_rejected_cleanly_everywhere() {
-    // A 2 MiB request exceeds both the client partition and the NVMe-oF
-    // max I/O: every stack refuses without side effects.
+    // A 2 MiB request exceeds the client partition (128 KiB), the NVMe-oF
+    // max I/O (128 KiB) and the local driver's max transfer (1 MiB): every
+    // stack refuses without side effects.
     use cluster::{Calibration, Scenario, ScenarioKind};
     for kind in [
+        ScenarioKind::LinuxLocal,
+        ScenarioKind::OursLocal,
         ScenarioKind::OursRemote { switches: 1 },
         ScenarioKind::NvmfRemote,
     ] {

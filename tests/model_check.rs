@@ -217,19 +217,6 @@ fn ours_remote_long_path_verifies() {
 }
 
 #[test]
-fn nand_media_stack_verifies() {
-    // Same stack over the NAND profile: different latencies, same data.
-    let calib = Calibration::paper_nand();
-    let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
-    let (host, dev) = sc.clients[0].clone();
-    let fabric = sc.fabric.clone();
-    let report = sc
-        .rt
-        .block_on(async move { verify_region(&fabric, host, dev, 0, 512, 8, 0xBEEF).await });
-    assert!(report.clean(), "{report:?}");
-}
-
-#[test]
 fn concurrent_mixed_workload_leaves_consistent_state() {
     // Two clients run mixed read/write over disjoint regions while a third
     // verifies its own region — nothing corrupts anything.
