@@ -14,9 +14,9 @@
 //!
 //! Every control-plane exchange — bring-up's CreateQp, heartbeats, the
 //! ladder's Abort and re-creates, teardown's DeleteQp — goes through one
-//! `Mailbox`, which allows one request in flight. A refused connect and
-//! [`ClientDriver::disconnect`] give back the same `Held` record through
-//! one routine, `give_back`.
+//! `Mailbox`, which allows one request in flight. A refused connect,
+//! [`ClientDriver::disconnect`] and a failed [`Manager::start`] give back
+//! the same `Held` record through one routine, `give_back`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -134,23 +134,24 @@ impl Default for ClientConfig {
 /// Everything a client holds at the device, recorded as it is taken:
 /// granted qids, NTB window slots, device-side DMA windows, segments and
 /// the bounce pool. Leaking these would exhaust the adapters' LUTs after
-/// enough connect/disconnect cycles.
+/// enough connect/disconnect cycles. A manager's bring-up records its
+/// windows and segments here too, until it serves.
 #[derive(Default)]
-struct Held {
+pub(crate) struct Held {
     qids: Vec<u16>,
-    mappings: Vec<smartio::CpuMapping>,
-    windows: Vec<smartio::DmaWindow>,
-    segments: Vec<SegmentId>,
+    pub(crate) mappings: Vec<smartio::CpuMapping>,
+    pub(crate) windows: Vec<smartio::DmaWindow>,
+    pub(crate) segments: Vec<SegmentId>,
     bounce: Option<BouncePool>,
 }
 
-/// The one teardown, for a refused connect and for
-/// [`ClientDriver::disconnect`]: hand every granted qid back through the
+/// The one teardown, for a refused connect, for
+/// [`ClientDriver::disconnect`] and for a failed [`Manager::start`]: hand every granted qid back through the
 /// mailbox (once it is wired), then release every mapping, window and
 /// segment, the bounce pool and the device reference. Best-effort: the
 /// local resources are released even when the manager is unreachable,
 /// and the first error is reported after.
-async fn give_back(
+pub(crate) async fn give_back(
     smartio: &SmartIo,
     device: SmartDeviceId,
     host: HostId,
@@ -192,7 +193,7 @@ pub const MAILBOX_RETRIES: u32 = 2;
 /// This host's end of the manager's mailbox: its slot, its response area,
 /// the sequence counter, and the rule that one slot carries one request
 /// at a time.
-struct Mailbox {
+pub(crate) struct Mailbox {
     fabric: Fabric,
     host: HostId,
     /// This host's slot in the manager's mailbox segment.
@@ -357,7 +358,7 @@ pub struct ClientDriver {
     direct_lists: Option<(PhysAddr, PhysAddr)>,
     /// What `disconnect` gives back; the bounce pool goes with the rest.
     held: RefCell<Held>,
-    mailbox: Mailbox,
+    mailbox: Rc<Mailbox>,
     /// Per-qid ring wiring in stripe order, kept so recovery can
     /// re-create a queue pair under the same id with the same rings.
     qp_wiring: Vec<QpWiring>,
@@ -381,7 +382,7 @@ impl ClientDriver {
         let driver = Self::bring_up(smartio, device, host, cfg, &mut held, &mut mailbox).await;
         if driver.is_err() {
             let held = RefCell::new(held);
-            let _ = give_back(smartio, device, host, mailbox.as_ref(), &held).await;
+            let _ = give_back(smartio, device, host, mailbox.as_deref(), &held).await;
         }
         driver
     }
@@ -395,7 +396,7 @@ impl ClientDriver {
         host: HostId,
         cfg: ClientConfig,
         held: &mut Held,
-        wired: &mut Option<Mailbox>,
+        wired: &mut Option<Rc<Mailbox>>,
     ) -> Result<Rc<ClientDriver>> {
         let fabric = smartio.fabric().clone();
 
@@ -435,7 +436,7 @@ impl ClientDriver {
         let entries = cfg.queue_entries;
         let response_segment = smartio.create_segment(host, proto::RESPONSE_LEN as u64)?;
         held.segments.push(response_segment);
-        let mailbox = wired.insert(Mailbox {
+        let mailbox = Rc::new(Mailbox {
             fabric: fabric.clone(),
             host,
             slot: mailbox_map
@@ -448,6 +449,7 @@ impl ClientDriver {
             turn: Semaphore::new(1),
             deadline: cfg.mailbox_timeout,
         });
+        *wired = Some(mailbox.clone());
         let bar = bar_map.region;
         let mut specs = Vec::new();
         let mut wiring = Vec::new();
@@ -544,7 +546,6 @@ impl ClientDriver {
             }
         };
 
-        let mailbox = wired.take().expect("wired before the first CreateQp");
         let driver = Rc::new(ClientDriver {
             smartio: smartio.clone(),
             fabric: fabric.clone(),
@@ -709,7 +710,7 @@ impl ClientDriver {
     pub async fn disconnect(&self) -> Result<()> {
         self.hb_stop.set(true);
         self.engine.stop();
-        let mailbox = Some(&self.mailbox);
+        let mailbox = Some(&*self.mailbox);
         give_back(&self.smartio, self.device, self.host, mailbox, &self.held).await
     }
 

@@ -16,6 +16,12 @@
 //!   extension, implemented as an ablation: map each request buffer
 //!   dynamically instead of bouncing.
 
+// A fabric or DMA failure on one host must reach the caller as a typed
+// error, not panic the cluster every tenant shares: no unwrap or expect
+// in the driver (tests may; see clippy.toml). A site that cannot fail says
+// why with `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bounce;
 pub mod client;
 pub mod error;

@@ -20,22 +20,23 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nvme::driver::admin::{AdminQueue, AdminQueueLayout};
+use nvme::driver::admin::{AdminError, AdminQueue, AdminQueueLayout};
 use nvme::spec::command::SQE_SIZE;
 use nvme::spec::completion::CQE_SIZE;
-use nvme::IdentifyNamespace;
 use pcie::{HostId, MemRegion};
 use simcore::{SimDuration, SimTime};
 use smartio::{AccessHints, BorrowMode, CpuMapping, SegmentId, SmartDeviceId, SmartIo};
 
+use crate::client::{give_back, Held};
 use crate::proto::{self, flag, Metadata, Request, Response, SlotMessage};
 
 /// Admin queue depth.
 const ADMIN_ENTRIES: u16 = 32;
 
-/// Deadline for each admin command issued on a client's behalf. The serve
-/// loop must never block forever on a wedged controller, so every admin
-/// await is raced against this.
+/// Deadline for each admin command issued on a client's behalf, and for
+/// bring-up's three. Neither the serve loop nor `Manager::start` may block
+/// forever on a wedged controller, so every admin await is raced against
+/// this.
 const ADMIN_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 /// Manager configuration.
@@ -170,34 +171,36 @@ impl Manager {
     ) -> crate::error::Result<Rc<Manager>> {
         // Exclusive lock for the privileged bring-up phase. Bring-up is
         // a long ladder of fallible steps; an early failure must not
-        // leave the device wedged in Exclusive for every other host, so
-        // the borrow is dropped on any error. On success the manager
-        // keeps a Shared borrow (bring_up downgrades internally).
+        // leave the device wedged in Exclusive for every other host, nor
+        // keep the segments and windows taken so far. On success the
+        // manager keeps a Shared borrow (bring_up downgrades internally).
         smartio.acquire(device, host, BorrowMode::Exclusive)?;
-        match Self::bring_up(smartio, device, host, cfg).await {
-            Ok(mgr) => Ok(mgr),
-            Err(e) => {
-                // Best-effort: if bring-up failed after its downgrade,
-                // this drops the Shared borrow instead.
-                let _ = smartio.release(device, host);
-                Err(e)
-            }
+        let mut held = Held::default();
+        let mgr = Self::bring_up(smartio, device, host, cfg, &mut held).await;
+        if mgr.is_err() {
+            let held = RefCell::new(held);
+            let _ = give_back(smartio, device, host, None, &held).await;
         }
+        mgr
     }
 
     /// The fallible body of [`Manager::start`], run while the caller
-    /// holds the device borrow (and releases it if this returns `Err`).
+    /// holds the device borrow. Everything it takes goes into `held`
+    /// first, so the caller can give all of it back if this returns
+    /// `Err`.
     async fn bring_up(
         smartio: &SmartIo,
         device: SmartDeviceId,
         host: HostId,
         cfg: ManagerConfig,
+        held: &mut Held,
     ) -> crate::error::Result<Rc<Manager>> {
         let fabric = smartio.fabric().clone();
 
         // Map the controller's registers (BAR window if remote).
         let bar_seg = smartio.bar_segment(device, 0)?;
         let bar_map = smartio.map_for_cpu(host, bar_seg)?;
+        held.mappings.push(bar_map);
 
         // Admin queues, placed by access hints: ASQ device-side (the
         // controller fetches from it), ACQ manager-local (we poll it).
@@ -207,82 +210,50 @@ impl Manager {
             u64::from(ADMIN_ENTRIES) * SQE_SIZE as u64,
             AccessHints::sq(),
         )?;
+        held.segments.push(asq_seg);
         let acq_seg = smartio.create_segment_hinted(
             host,
             device,
             u64::from(ADMIN_ENTRIES) * CQE_SIZE as u64,
             AccessHints::cq(),
         )?;
+        held.segments.push(acq_seg);
         let asq_cpu = smartio.map_for_cpu(host, asq_seg)?;
+        held.mappings.push(asq_cpu);
         let acq_region = smartio.segment_region(acq_seg)?;
         assert_eq!(
             acq_region.host, host,
             "ACQ must be manager-local for polling"
         );
-        let asq_bus = smartio.map_for_device(device, asq_seg)?.bus_base;
-        let acq_bus = smartio.map_for_device(device, acq_seg)?.bus_base;
+        let asq_win = smartio.map_for_device(device, asq_seg)?;
+        held.windows.push(asq_win);
+        let acq_win = smartio.map_for_device(device, acq_seg)?;
+        held.windows.push(acq_win);
 
         let admin_layout = AdminQueueLayout {
             asq_cpu: asq_cpu.region,
-            asq_bus,
+            asq_bus: asq_win.bus_base,
             acq_cpu: acq_region,
-            acq_bus,
+            acq_bus: acq_win.bus_base,
             entries: ADMIN_ENTRIES,
         };
         let mut admin = AdminQueue::init(&fabric, bar_map.region, admin_layout).await?;
-
-        // Identify + queue negotiation. The scratch segment must be
-        // torn down on the failure paths too, not just after success.
-        let idbuf_seg = smartio.create_segment(host, 4096)?;
-        let (ns_info, granted) = match Self::identify_and_negotiate(
-            smartio,
-            device,
-            &mut admin,
-            idbuf_seg,
-            cfg.want_qpairs,
-        )
-        .await
-        {
+        let published = Self::publish(smartio, device, host, bar_seg, &cfg, &mut admin, held).await;
+        let (metadata, meta_segment, mailbox) = match published {
             Ok(v) => v,
             Err(e) => {
-                let _ = smartio.destroy_segment(idbuf_seg);
+                // Stop polling the ACQ before `start` gives its memory back.
+                admin.stop();
                 return Err(e);
             }
         };
-        smartio.destroy_segment(idbuf_seg)?;
-
-        // Mailbox + metadata segments, manager-local.
-        let mailbox_segment = smartio.create_segment(
-            host,
-            u64::from(proto::MAILBOX_SLOTS) * proto::MAILBOX_SLOT as u64,
-        )?;
-        let mailbox = smartio.segment_region(mailbox_segment)?;
-        let meta_segment = smartio.create_segment(host, proto::META_LEN as u64)?;
-        let metadata = Metadata {
-            magic: proto::META_MAGIC,
-            manager_host: host.0,
-            max_qpairs: granted,
-            block_size: ns_info.block_size() as u32,
-            capacity_blocks: ns_info.nsze,
-            mailbox_segment: mailbox_segment.0,
-            bar_segment: bar_seg.0,
-            mailbox_slots: proto::MAILBOX_SLOTS,
-            lease_nanos: cfg.lease.map(SimDuration::as_nanos).unwrap_or(0),
-        };
-        let meta_region = smartio.segment_region(meta_segment)?;
-        fabric.mem_write(meta_region.host, meta_region.addr, &metadata.encode())?;
-        smartio.publish(&Self::meta_name(device), meta_segment)?;
-
-        // Downgrade: release exclusive, take a shared reference.
-        smartio.release(device, host)?;
-        smartio.acquire(device, host, BorrowMode::Shared)?;
 
         let mgr = Rc::new(Manager {
             metadata,
             host,
             device,
             meta_segment,
-            qids: RefCell::new(QidPool::new(granted)),
+            qids: RefCell::new(QidPool::new(metadata.max_qpairs)),
             stats: RefCell::default(),
         });
         let server = Server {
@@ -298,22 +269,67 @@ impl Manager {
         Ok(mgr)
     }
 
-    /// Identify the controller and namespace 1 through the scratch
-    /// segment, then negotiate the I/O queue count. The caller owns
-    /// `idbuf_seg` and destroys it on every path, success or failure.
-    async fn identify_and_negotiate(
+    /// Identify the controller and namespace 1 through a scratch segment
+    /// and negotiate the I/O queue count, then publish the mailbox and the
+    /// metadata segment and downgrade to a shared borrow. Returns the
+    /// metadata, its segment and the mailbox. The three admin commands
+    /// race [`ADMIN_TIMEOUT`] together, as each of the serve loop's does:
+    /// a lost completion fails the start instead of hanging it.
+    async fn publish(
         smartio: &SmartIo,
         device: SmartDeviceId,
+        host: HostId,
+        bar_seg: SegmentId,
+        cfg: &ManagerConfig,
         admin: &mut AdminQueue,
-        idbuf_seg: SegmentId,
-        want_qpairs: u16,
-    ) -> crate::error::Result<(IdentifyNamespace, u16)> {
+        held: &mut Held,
+    ) -> crate::error::Result<(Metadata, SegmentId, MemRegion)> {
+        let fabric = smartio.fabric();
+        let idbuf_seg = smartio.create_segment(host, 4096)?;
+        held.segments.push(idbuf_seg);
         let idbuf = smartio.segment_region(idbuf_seg)?;
-        let idbuf_bus = smartio.map_for_device(device, idbuf_seg)?.bus_base;
-        let _ctrl_info = admin.identify_controller(idbuf, idbuf_bus).await?;
-        let ns_info = admin.identify_namespace(1, idbuf, idbuf_bus).await?;
-        let granted = admin.set_num_queues(want_qpairs).await?;
-        Ok((ns_info, granted))
+        let idbuf_win = smartio.map_for_device(device, idbuf_seg)?;
+        held.windows.push(idbuf_win);
+        let bus = idbuf_win.bus_base;
+        let negotiate = async {
+            admin.identify_controller(idbuf, bus).await?;
+            let ns_info = admin.identify_namespace(1, idbuf, bus).await?;
+            let granted = admin.set_num_queues(cfg.want_qpairs).await?;
+            Ok((ns_info, granted))
+        };
+        let (ns_info, granted) = simcore::timeout(&fabric.handle(), ADMIN_TIMEOUT, negotiate)
+            .await
+            .unwrap_or(Err(AdminError::ControllerFatal))?;
+        smartio.destroy_segment(idbuf_seg)?;
+
+        // Mailbox + metadata segments, manager-local.
+        let mailbox_segment = smartio.create_segment(
+            host,
+            u64::from(proto::MAILBOX_SLOTS) * proto::MAILBOX_SLOT as u64,
+        )?;
+        held.segments.push(mailbox_segment);
+        let mailbox = smartio.segment_region(mailbox_segment)?;
+        let meta_segment = smartio.create_segment(host, proto::META_LEN as u64)?;
+        held.segments.push(meta_segment);
+        let metadata = Metadata {
+            magic: proto::META_MAGIC,
+            manager_host: host.0,
+            max_qpairs: granted,
+            block_size: ns_info.block_size() as u32,
+            capacity_blocks: ns_info.nsze,
+            mailbox_segment: mailbox_segment.0,
+            bar_segment: bar_seg.0,
+            mailbox_slots: proto::MAILBOX_SLOTS,
+            lease_nanos: cfg.lease.map(SimDuration::as_nanos).unwrap_or(0),
+        };
+        let meta_region = smartio.segment_region(meta_segment)?;
+        fabric.mem_write(meta_region.host, meta_region.addr, &metadata.encode())?;
+        smartio.publish(&Manager::meta_name(device), meta_segment)?;
+
+        // Downgrade: release exclusive, take a shared reference.
+        smartio.release(device, host)?;
+        smartio.acquire(device, host, BorrowMode::Shared)?;
+        Ok((metadata, meta_segment, mailbox))
     }
 
     /// Snapshot of the run counters.

@@ -23,6 +23,15 @@ pub(crate) const MAILBOX_SLOTS: u32 = 64;
 /// Size of a client's response area.
 pub const RESPONSE_LEN: usize = 16;
 
+/// The `N` bytes of `b` from `at` on, for the fixed-width fields of the
+/// layouts below. Like the slice it copies, it panics if they run past
+/// the end of `b`.
+fn field<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&b[at..at + N]);
+    out
+}
+
 /// Metadata the manager publishes about a managed controller (§V: "a
 /// shared memory segment associated with the controller with metadata
 /// about the manager, such as which host it runs on").
@@ -69,15 +78,15 @@ impl Metadata {
     /// Parse from the shared-memory layout.
     pub fn decode(b: &[u8; META_LEN]) -> Metadata {
         Metadata {
-            magic: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            manager_host: u16::from_le_bytes(b[4..6].try_into().unwrap()),
-            max_qpairs: u16::from_le_bytes(b[6..8].try_into().unwrap()),
-            block_size: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            capacity_blocks: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            mailbox_segment: u32::from_le_bytes(b[24..28].try_into().unwrap()),
-            bar_segment: u32::from_le_bytes(b[28..32].try_into().unwrap()),
-            mailbox_slots: u32::from_le_bytes(b[32..36].try_into().unwrap()),
-            lease_nanos: u64::from_le_bytes(b[36..44].try_into().unwrap()),
+            magic: u32::from_le_bytes(field(b, 0)),
+            manager_host: u16::from_le_bytes(field(b, 4)),
+            max_qpairs: u16::from_le_bytes(field(b, 6)),
+            block_size: u32::from_le_bytes(field(b, 8)),
+            capacity_blocks: u64::from_le_bytes(field(b, 16)),
+            mailbox_segment: u32::from_le_bytes(field(b, 24)),
+            bar_segment: u32::from_le_bytes(field(b, 28)),
+            mailbox_slots: u32::from_le_bytes(field(b, 32)),
+            lease_nanos: u64::from_le_bytes(field(b, 36)),
         }
     }
 
@@ -180,33 +189,33 @@ impl SlotMessage {
 
     /// Parse a slot; `None` for torn or unknown contents.
     pub fn decode(b: &[u8; MAILBOX_SLOT]) -> Option<SlotMessage> {
-        let seq = u32::from_le_bytes(b[0..4].try_into().unwrap());
-        let seq2 = u32::from_le_bytes(b[4..8].try_into().unwrap());
+        let seq = u32::from_le_bytes(field(b, 0));
+        let seq2 = u32::from_le_bytes(field(b, 4));
         if seq != seq2 {
             return None; // torn write in flight
         }
-        let op = u32::from_le_bytes(b[8..12].try_into().unwrap());
+        let op = u32::from_le_bytes(field(b, 8));
         let request = match op {
             OP_CREATE => Request::CreateQp {
-                entries: u16::from_le_bytes(b[12..14].try_into().unwrap()),
-                sq_bus: PhysAddr(u64::from_le_bytes(b[16..24].try_into().unwrap())),
-                cq_bus: PhysAddr(u64::from_le_bytes(b[24..32].try_into().unwrap())),
-                want_qid: u16::from_le_bytes(b[36..38].try_into().unwrap()),
+                entries: u16::from_le_bytes(field(b, 12)),
+                sq_bus: PhysAddr(u64::from_le_bytes(field(b, 16))),
+                cq_bus: PhysAddr(u64::from_le_bytes(field(b, 24))),
+                want_qid: u16::from_le_bytes(field(b, 36)),
             },
             OP_DELETE => Request::DeleteQp {
-                qid: u16::from_le_bytes(b[12..14].try_into().unwrap()),
+                qid: u16::from_le_bytes(field(b, 12)),
             },
             OP_ABORT => Request::Abort {
-                qid: u16::from_le_bytes(b[12..14].try_into().unwrap()),
-                cid: u16::from_le_bytes(b[14..16].try_into().unwrap()),
+                qid: u16::from_le_bytes(field(b, 12)),
+                cid: u16::from_le_bytes(field(b, 14)),
             },
             OP_HEARTBEAT => Request::Heartbeat,
             _ => return None,
         };
         Some(SlotMessage {
             seq,
-            retry: u32::from_le_bytes(b[60..64].try_into().unwrap()),
-            response_segment: u32::from_le_bytes(b[32..36].try_into().unwrap()),
+            retry: u32::from_le_bytes(field(b, 60)),
+            response_segment: u32::from_le_bytes(field(b, 32)),
             request,
         })
     }
@@ -276,10 +285,10 @@ impl Response {
     /// Parse from the response area layout.
     pub fn decode(b: &[u8; RESPONSE_LEN]) -> Response {
         Response {
-            seq: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            status: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            qid: u16::from_le_bytes(b[8..10].try_into().unwrap()),
-            flags: u16::from_le_bytes(b[10..12].try_into().unwrap()),
+            seq: u32::from_le_bytes(field(b, 0)),
+            status: u32::from_le_bytes(field(b, 4)),
+            qid: u16::from_le_bytes(field(b, 8)),
+            flags: u16::from_le_bytes(field(b, 10)),
         }
     }
 }

@@ -1189,3 +1189,79 @@ fn a_connect_disconnect_cycle_gives_back_every_lut_slot() {
         });
     }
 }
+
+#[test]
+fn a_lost_bring_up_admin_cqe_fails_manager_start_and_gives_everything_back() {
+    // Bring-up's admin commands are the first three completions the
+    // controller posts. Losing any one of them must fail `start` typed,
+    // within the admin deadline, with the borrow released and every
+    // segment and NTB window returned on both hosts, so that the next
+    // `start` succeeds. With the manager on the device's host and on
+    // another host.
+    let commands = ["identify controller", "identify namespace", "set features"];
+    for remote in [false, true] {
+        for (nth, command) in commands.into_iter().enumerate() {
+            let label = format!("remote manager {remote}, lost {command} CQE");
+            let _armed = simcore::sanitize::arm();
+            let c = cluster(2);
+            let (smartio, fabric, dev) = (c.smartio.clone(), c.fabric.clone(), c.dev);
+            let hosts = c.hosts.clone();
+            let mgr_host = if remote { c.hosts[0] } else { c.dev_host };
+            let held = move || {
+                let pools: Vec<_> = hosts
+                    .iter()
+                    .map(|&h| (fabric.free_dram_bytes(h), fabric.free_lut_slots(h)))
+                    .collect();
+                (smartio.borrow_state(dev).unwrap(), pools)
+            };
+            let before = held();
+            assert_eq!(before.0, (None, 0));
+            c.fabric
+                .set_fault_plan(pcie::FaultPlan::drop_nth_cqe(nth as u64));
+            let smartio = c.smartio.clone();
+            let handle = c.rt.handle();
+            let (first, took, after, second) = c.rt.block_on(async move {
+                let first = Manager::start(&smartio, dev, mgr_host, ManagerConfig::default()).await;
+                let took = handle.now().since(SimTime::ZERO);
+                let after = held();
+                let second =
+                    Manager::start(&smartio, dev, mgr_host, ManagerConfig::default()).await;
+                (first.map(|_| ()), took, after, second.map(|_| ()))
+            });
+            assert!(
+                matches!(first, Err(dnvme::DnvmeError::Admin(_))),
+                "{label}: {first:?}"
+            );
+            assert!(
+                took < SimDuration::from_millis(51),
+                "{label}: failed after {took}"
+            );
+            assert_eq!(
+                after, before,
+                "{label}: (borrow, [(free DRAM, free LUT slots)])"
+            );
+            assert!(second.is_ok(), "{label}: {second:?}");
+            // The drop hit the `nth` admin command's completion: the
+            // controller had executed `nth + 1` of them and the manager had
+            // consumed `nth` completions when it fired.
+            let records = c.rt.handle().sanitize_records();
+            let drops: Vec<_> = records
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.stage == Stage::FaultDropped)
+                .collect();
+            assert_eq!(drops.len(), 1, "{label}");
+            let before_drop = &records[..drops[0].0];
+            let executed = before_drop
+                .iter()
+                .filter(|r| r.stage == Stage::AdminExecuted)
+                .count();
+            let consumed = before_drop
+                .iter()
+                .filter(|r| matches!(r.stage, Stage::CqeConsumed { .. }))
+                .count();
+            assert_eq!((executed, consumed), (nth + 1, nth), "{label}");
+            assert_eq!(c.rt.sanitize_violations(), [], "{label}");
+        }
+    }
+}

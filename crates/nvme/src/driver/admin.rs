@@ -167,6 +167,12 @@ impl AdminQueue {
         self.bar
     }
 
+    /// End the admin completion service, before the admin rings' memory
+    /// is given back (a failed bring-up).
+    pub fn stop(&self) {
+        self.engine.stop();
+    }
+
     /// Submit one admin command and wait for its completion (admin traffic
     /// is serialized; this is bring-up, not the fast path).
     pub async fn submit(&mut self, mut sqe: SqEntry) -> AdminResult<CqEntry> {

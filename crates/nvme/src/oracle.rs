@@ -30,7 +30,7 @@
 //! *n* with CQ *n*, so one `qid` keys both directions of a qpair.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use simcore::{Handle, Record, Stage};
 
@@ -63,7 +63,7 @@ struct SqTrack {
     /// SQEs written but not yet covered by a doorbell, in write order.
     unexposed: VecDeque<u16>,
     /// Slot → cid of the occupant; busy from store until fetch.
-    slot_owner: HashMap<u16, u16>,
+    slot_owner: BTreeMap<u16, u16>,
 }
 
 /// Consumer-side completion-queue mirror (expected next slot + phase).
@@ -80,11 +80,11 @@ struct CqPoster {
 
 #[derive(Default)]
 struct OracleState {
-    sqs: HashMap<u16, SqTrack>,
-    cq_consumer: HashMap<u16, CqConsumer>,
-    cq_poster: HashMap<u16, CqPoster>,
+    sqs: BTreeMap<u16, SqTrack>,
+    cq_consumer: BTreeMap<u16, CqConsumer>,
+    cq_poster: BTreeMap<u16, CqPoster>,
     /// (qid, cid) → lifecycle record.
-    cmds: HashMap<(u16, u16), CmdRec>,
+    cmds: BTreeMap<(u16, u16), CmdRec>,
 }
 
 /// The FSM as a consumer of the record stream.
@@ -120,7 +120,7 @@ impl OracleState {
                     entries,
                     last_tail: None,
                     unexposed: VecDeque::new(),
-                    slot_owner: HashMap::new(),
+                    slot_owner: BTreeMap::new(),
                 });
                 if let Some(owner) = sq.slot_owner.insert(slot, cid) {
                     report(

@@ -14,6 +14,7 @@ use nvme::driver::LocalNvmeDriver;
 use nvme::spec::command::SqEntry;
 use nvme::spec::completion::CqEntry;
 use nvme::spec::opcode::NvmOpcode;
+use nvme::spec::prp;
 use nvme::spec::status::Status;
 use pcie::{Fabric, HostId, MemRegion, PhysAddr};
 use rdma::{Access, Cq, IbNet, NicId, Qp, SendWr, Wc, WcStatus};
@@ -129,6 +130,13 @@ impl NvmfTarget {
         self.cfg.max_io_size
     }
 
+    /// Bytes between two tags' staging buffers: the largest transfer,
+    /// rounded up to whole pages so that every buffer starts on a page
+    /// and a transfer spans no more PRP pages than its length needs.
+    fn staging_stride(&self) -> u64 {
+        self.cfg.max_io_size.next_multiple_of(prp::PAGE)
+    }
+
     /// In-capsule data threshold advertised to initiators.
     pub fn in_capsule_data_size(&self) -> u64 {
         self.cfg.in_capsule_data_size
@@ -153,7 +161,7 @@ impl NvmfTarget {
             .register_mr(self.nic, cmd_region, Access::local_only());
         let staging_region = self
             .fabric
-            .alloc(self.host, qd as u64 * self.cfg.max_io_size)
+            .alloc(self.host, qd as u64 * self.staging_stride())
             .expect("target OOM");
         let staging_mr = self
             .net
@@ -260,7 +268,7 @@ impl Connection {
     fn staging(&self, tag: u64) -> PhysAddr {
         self.staging_region
             .addr
-            .offset(tag * self.target.cfg.max_io_size)
+            .offset(tag * self.target.staging_stride())
     }
 
     async fn handle_capsule(self: Rc<Self>, wc: Wc) {

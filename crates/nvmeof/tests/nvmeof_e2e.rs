@@ -62,20 +62,19 @@ async fn connect(p: &Parts) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
 }
 
 async fn connect_with_depth(p: &Parts, queue_depth: usize) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
+    let cfg = TargetConfig {
+        queue_depth,
+        ..TargetConfig::default()
+    };
+    connect_with(p, cfg).await
+}
+
+async fn connect_with(p: &Parts, cfg: TargetConfig) -> (Rc<NvmfTarget>, Rc<NvmfInitiator>) {
+    let queue_depth = cfg.queue_depth;
     let driver = attach_local_driver(&p.fabric, p.target_host, &p.ctrl, LocalDriverConfig::spdk())
         .await
         .unwrap();
-    let target = NvmfTarget::new(
-        &p.fabric,
-        &p.net,
-        p.nic_t,
-        p.target_host,
-        driver,
-        TargetConfig {
-            queue_depth,
-            ..TargetConfig::default()
-        },
-    );
+    let target = NvmfTarget::new(&p.fabric, &p.net, p.nic_t, p.target_host, driver, cfg);
     let init = NvmfInitiator::connect(
         &p.fabric,
         &p.net,
@@ -250,6 +249,36 @@ fn nvmeof_latency_penalty_is_several_microseconds() {
         (4_000..12_000).contains(&delta),
         "NVMe-oF penalty should be several µs, got {delta} ns (local {local_ns}, remote {remote_ns})"
     );
+}
+
+#[test]
+fn staging_buffers_start_on_a_page_whatever_the_largest_transfer() {
+    // Tag t stages its data t strides into the staging region. A stride
+    // of exactly 157,286 B (128 KiB + 20 %) would start tag t part-way
+    // into a page, and the controller's DMA into a buffer that is not
+    // page-aligned takes more bursts. Receives rotate through the tags,
+    // so sixteen reads in a row use sixteen buffers: each must take
+    // exactly as long as with the default, page-multiple `max_io_size`.
+    let latencies = |max_io_size: u64| {
+        let (rt, p) = bed();
+        let h = rt.handle();
+        rt.block_on(async move {
+            let cfg = TargetConfig {
+                max_io_size,
+                ..TargetConfig::default()
+            };
+            let (_t, init) = connect_with(&p, cfg).await;
+            let buf = p.fabric.alloc(p.initiator_host, 4096).unwrap();
+            let mut out = Vec::new();
+            for i in 0..16 {
+                let t0 = h.now();
+                init.submit(Bio::read(i * 8, 8, buf)).await.unwrap();
+                out.push((h.now() - t0).as_nanos());
+            }
+            out
+        })
+    };
+    assert_eq!(latencies(157_286), latencies(128 << 10));
 }
 
 /// `count` signaled sends of `len` bytes of `host`'s memory on `qp`, then

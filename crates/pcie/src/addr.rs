@@ -72,9 +72,9 @@ impl PhysAddr {
     /// The raw address value.
     ///
     /// This is the *only* sanctioned escape hatch out of the typed
-    /// address world; the `dnvme-lint` D12 rule tracks values produced
-    /// here and flags them when they reach a fabric/DMA/doorbell sink
-    /// without being re-wrapped in a domain type.
+    /// address world: the fabric, DMA and doorbell sinks take
+    /// [`PhysAddr`] or a domain type, so the `u64` this returns has to be
+    /// wrapped again before it can reach one.
     pub const fn as_u64(self) -> u64 {
         self.0
     }

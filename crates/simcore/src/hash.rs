@@ -6,7 +6,6 @@
 //! control bytes. SipHash's flooding resistance buys nothing for keys no
 //! outsider chooses, and costs most of a lookup.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One-multiply hasher for integer keys the program itself generates.
@@ -30,7 +29,11 @@ impl Hasher for IntHasher {
 }
 
 /// A `HashMap` hashed with [`IntHasher`].
-pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed hasher: the same keys iterate in the same order every run"
+)]
+pub type IntMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@ fn main() {
         "{:<18} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "scenario", "dir", "min us", "p50 us", "p99 us", "kIOPS"
     );
-    let mut p50 = std::collections::HashMap::new();
+    let mut p50 = std::collections::BTreeMap::new();
     for kind in [
         ScenarioKind::NvmfRemote,
         ScenarioKind::OursRemote { switches: 1 },

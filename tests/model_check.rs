@@ -11,7 +11,7 @@
 //! each client issues a random interleaving of reads and writes of random
 //! sizes at random offsets.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blklayer::{Bio, BlockDevice};
@@ -24,7 +24,7 @@ const RANGE_BLOCKS: u64 = 4096;
 const OPS_PER_CLIENT: usize = 120;
 
 /// Reference model: lba -> last written 512-byte block.
-type Model = HashMap<u64, Vec<u8>>;
+type Model = BTreeMap<u64, Vec<u8>>;
 
 fn block_pattern(rng: &mut SimRng, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
@@ -44,7 +44,7 @@ async fn run_client(
     seed: u64,
 ) -> (Model, u64) {
     let mut rng = SimRng::seed_from_u64(seed);
-    let mut model: Model = HashMap::new();
+    let mut model: Model = BTreeMap::new();
     let mut mismatches = 0u64;
     let buf = fabric.alloc(host, 64 * 512).unwrap();
     for _ in 0..OPS_PER_CLIENT {
