@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 
-use cluster::{Calibration, Scenario, ScenarioKind};
+use cluster::{Calibration, Scenario, ScenarioKind, FIG10_DELTAS};
 use dnvme::{ClientConfig, DataPath, SqPlacement};
 use fioflex::{JobReport, JobSpec, RwMode, SideReport};
 use nvme::QpairStats;
@@ -98,32 +98,22 @@ pub(crate) fn e1_fig10_latency() -> Vec<Row> {
 }
 
 /// Derived from E1's minima (the eight points are cheap; they run again).
+/// Each delta must land in its paper band, which also orders them: NVMe-oF
+/// penalties dwarf the NTB's, and bounce writes cost the NTB more than
+/// reads.
 pub(crate) fn e2_fig10_deltas() -> Vec<Row> {
     let fig10 = e1_fig10_latency();
     let min = |stack: &str, rw: &str| cell(&fig10, &format!("{stack}/{rw}"), "min_ns") as u64;
-    let delta = |remote: &str, local: &str, rw: &str, paper_ns: u64| {
-        let d = min(remote, rw).saturating_sub(min(local, rw));
-        let row = Row::new(format!("{remote} - {local}, {rw}"));
-        (d, row.int("delta_ns", d).int("paper_ns", paper_ns))
-    };
-    let (nvmf_read, r0) = delta("nvmeof/remote", "linux/local", "randread", 7_700);
-    let (nvmf_write, r1) = delta("nvmeof/remote", "linux/local", "randwrite", 7_500);
-    let (ours_read, r2) = delta("ours/remote", "ours/local", "randread", 1_000);
-    let (ours_write, r3) = delta("ours/remote", "ours/local", "randwrite", 2_000);
-    // Shape: who wins and by roughly what factor.
-    assert!(
-        nvmf_read as f64 / ours_read.max(10) as f64 > 3.0,
-        "NVMe-oF read penalty must dwarf the PCIe penalty ({nvmf_read} vs {ours_read} ns)"
-    );
-    assert!(
-        nvmf_write as f64 / ours_write.max(10) as f64 > 2.0,
-        "NVMe-oF write penalty must dwarf the PCIe penalty ({nvmf_write} vs {ours_write} ns)"
-    );
-    assert!(
-        ours_write > ours_read,
-        "bounce writes cross the NTB and must cost more than reads"
-    );
-    vec![r0, r1, r2, r3]
+    let rows = FIG10_DELTAS.iter().map(|d| {
+        let (remote, local, rw) = (d.remote.label(), d.local.label(), d.rw.label());
+        let (delta, band) = (min(&remote, &rw).saturating_sub(min(&local, &rw)), &d.band);
+        let name = format!("{remote} - {local}, {rw}");
+        assert!(band.contains(&delta), "{name}: {delta} ns outside {band:?}");
+        Row::new(name)
+            .int("delta_ns", delta)
+            .int("paper_ns", d.paper_ns)
+    });
+    rows.collect()
 }
 
 pub(crate) fn e3_multihost_scaling() -> Vec<Row> {

@@ -252,6 +252,10 @@ mod tests {
         std::fs::read_to_string(REPRO_PATH).expect("BENCH_repro.json is committed at the root")
     }
 
+    fn record() -> serde_json::Value {
+        serde_json::parse_value(&committed()).expect("BENCH_repro.json is JSON")
+    }
+
     #[test]
     fn table_ids_are_unique_and_equal_the_committed_keys() {
         let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
@@ -259,7 +263,7 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), ids.len(), "duplicate id in {ids:?}");
-        let file = serde_json::parse_value(&committed()).expect("BENCH_repro.json is JSON");
+        let file = record();
         let keys: Vec<&str> = file
             .as_map()
             .expect("a top-level object")
@@ -304,12 +308,31 @@ mod tests {
         }
     }
 
+    /// The repository root, where the docs are.
+    const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+    fn doc(name: &str) -> String {
+        std::fs::read_to_string(format!("{ROOT}/{name}")).expect(name)
+    }
+
+    /// The numbers in `text`, `,` thousands separators dropped.
+    fn numbers(text: &str) -> Vec<String> {
+        text.split(|c: char| !(c.is_ascii_digit() || c == ',' || c == '.'))
+            .map(|t| t.trim_matches([',', '.']).replace(',', ""))
+            .filter(|t| !t.is_empty())
+            .collect()
+    }
+
     /// EXPERIMENTS.md has one `## E<n> — ` section per table row, in
-    /// table order, so a deleted row's section cannot outlive it.
+    /// table order, so a deleted row's section cannot outlive it; and
+    /// every number in a section's tables is one of that experiment's
+    /// rows in `BENCH_repro.json`: a cell (`*_ns` also as µs to two
+    /// decimals; rates to a tenth) or a number in a row's name (clients,
+    /// QD, block size). Columns headed paper, error or ratio are the
+    /// doc's own.
     #[test]
     fn experiments_md_sections_equal_the_table() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-        let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+        let doc = doc("EXPERIMENTS.md");
         let headings: Vec<&str> = doc
             .lines()
             .filter_map(|l| l.strip_prefix("## E"))
@@ -321,5 +344,178 @@ mod tests {
             headings, ids,
             "EXPERIMENTS.md sections drifted from EXPERIMENTS"
         );
+        let file = record();
+        let rows = |id: &str| {
+            let exp = file.as_map().and_then(|m| m.iter().find(|(k, _)| k == id));
+            let rows = exp.and_then(|(_, e)| e.as_map()?.iter().find(|(k, _)| k == "rows"));
+            rows.and_then(|(_, r)| r.as_seq()).expect("rows").to_vec()
+        };
+        let mut allowed: Option<(&str, Vec<String>)> = None;
+        let mut exempt: Option<Vec<bool>> = None;
+        for line in doc.lines() {
+            if let Some(heading) = line.strip_prefix("## ") {
+                let exp = heading
+                    .split_once(" — ")
+                    .filter(|(id, _)| id.starts_with('E'));
+                allowed = exp.map(|(id, _)| {
+                    let mut ok = Vec::new();
+                    for (key, v) in rows(id).iter().flat_map(|r| r.as_map().expect("a row")) {
+                        match v {
+                            serde_json::Value::Str(name) => ok.extend(numbers(name)),
+                            serde_json::Value::UInt(n) if key.ends_with("_ns") => {
+                                ok.extend([n.to_string(), format!("{:.2}", *n as f64 / 1e3)])
+                            }
+                            serde_json::Value::UInt(n) => ok.push(n.to_string()),
+                            serde_json::Value::Float(x) => ok.push(format!("{x:.1}")),
+                            other => panic!("{id}: unexpected cell {other:?}"),
+                        }
+                    }
+                    (id, ok)
+                });
+                continue;
+            }
+            let Some((id, ok)) = &allowed else { continue };
+            let Some(line) = line.strip_prefix('|') else {
+                exempt = None;
+                continue;
+            };
+            let cells: Vec<&str> = line.trim_end().trim_end_matches('|').split('|').collect();
+            let Some(exempt) = &exempt else {
+                let own = |h: &str| {
+                    ["paper", "error", "ratio"]
+                        .iter()
+                        .any(|w| h.to_lowercase().contains(w))
+                };
+                exempt = Some(cells.iter().map(|h| own(h)).collect());
+                continue;
+            };
+            for (cell, _) in cells.iter().zip(exempt).filter(|(_, own)| !**own) {
+                for n in numbers(cell) {
+                    assert!(
+                        ok.contains(&n),
+                        "EXPERIMENTS.md {id}: {n} in `{}` is in none of its BENCH_repro.json rows",
+                        cell.trim()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every `binary::test_fn` citation in the docs names a `fn` of that
+    /// test binary (`tests/binary.rs` or `crates/*/tests/binary.rs`). A
+    /// citation may list names (`binary::{a, b}`), expand alternatives
+    /// (`a{,_b}_c`) and stand for a name's rest with `*` or a trailing `…`.
+    #[test]
+    fn doc_citations_name_existing_tests() {
+        let mut fns: Vec<(String, Vec<String>)> = Vec::new();
+        let mut dirs = vec![format!("{ROOT}/tests")];
+        for entry in std::fs::read_dir(format!("{ROOT}/crates")).expect("crates/") {
+            dirs.push(format!(
+                "{}/tests",
+                entry.expect("dir entry").path().display()
+            ));
+        }
+        for entry in dirs
+            .iter()
+            .filter_map(|d| std::fs::read_dir(d).ok())
+            .flatten()
+        {
+            let path = entry.expect("dir entry").path();
+            let (Some(stem), Some("rs")) =
+                (path.file_stem(), path.extension().and_then(|e| e.to_str()))
+            else {
+                continue;
+            };
+            let text = std::fs::read_to_string(&path).expect("test source");
+            let names = text.split("fn ").skip(1).map(|t| {
+                t.chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect()
+            });
+            fns.push((stem.to_string_lossy().into_owned(), names.collect()));
+        }
+        // The root docs, and every skill recipe (`SKILL.md`) kept under a
+        // hidden directory of the root.
+        let mut docs: Vec<String> = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+            .map(String::from)
+            .into();
+        let entries = |dir: &str| {
+            let read = std::fs::read_dir(dir).expect("a directory");
+            read.map(|e| e.expect("dir entry").path())
+                .collect::<Vec<_>>()
+        };
+        let hidden = |p: &std::path::PathBuf| {
+            let name = p.file_name().map(|n| n.to_string_lossy().into_owned());
+            p.is_dir() && name.is_some_and(|n| n.starts_with('.') && n != ".git")
+        };
+        let mut dirs: Vec<_> = entries(ROOT).into_iter().filter(hidden).collect();
+        while let Some(dir) = dirs.pop() {
+            for path in entries(&dir.to_string_lossy()) {
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.ends_with("SKILL.md") {
+                    let rel = path.strip_prefix(ROOT).expect("under the root");
+                    docs.push(rel.to_string_lossy().into_owned());
+                }
+            }
+        }
+        assert!(docs.len() > 3, "no skill recipe found");
+        let word = |c: char| c.is_alphanumeric() || c == '_';
+        for name in &docs {
+            let text = doc(name);
+            for (at, _) in text.match_indices("::") {
+                let head = &text[..at];
+                let head = head.strip_suffix(".rs").unwrap_or(head);
+                let start = head.rfind(|c| !word(c)).map_or(0, |k| k + 1);
+                // A later segment of a path, or a name in a `use`-style list.
+                let before = &head[..start];
+                let list = before
+                    .rfind(['{', '}', '`'])
+                    .is_some_and(|k| before[k..].starts_with('{'));
+                if before.ends_with(':') || list {
+                    continue;
+                }
+                let Some((binary, defined)) = fns.iter().find(|(s, _)| *s == head[start..]) else {
+                    continue;
+                };
+                // The cited segment: words, wildcards and `{…}` groups.
+                let tail = &text[at + 2..];
+                let mut len = 0;
+                while let Some(c) = tail[len..].chars().next() {
+                    len += match c {
+                        '{' => tail[len..].find('}').expect("a closing brace") + 1,
+                        c if word(c) || c == '*' || c == '…' => c.len_utf8(),
+                        _ => break,
+                    };
+                }
+                let cited = &tail[..len];
+                if cited.is_empty() || tail[len..].starts_with("::") {
+                    continue;
+                }
+                let (prefix, alts, suffix) = match cited.split_once('{') {
+                    Some((p, rest)) => {
+                        let (alts, s) = rest.split_once('}').expect("a closing brace");
+                        (p, alts.split(',').map(str::trim).collect(), s)
+                    }
+                    None => (cited, vec![""], ""),
+                };
+                for alt in alts {
+                    let want = format!("{prefix}{alt}{suffix}");
+                    let parts: Vec<&str> = want.split(['*', '…']).collect();
+                    let (first, last) = (parts[0], parts[parts.len() - 1]);
+                    let found = defined.iter().any(|f| {
+                        if parts.len() == 1 {
+                            *f == want
+                        } else {
+                            f.starts_with(first) && f[first.len()..].ends_with(last)
+                        }
+                    });
+                    assert!(
+                        found,
+                        "{name} cites {binary}::{want}, which no {binary}.rs defines"
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,13 +12,18 @@
 //! * The paper's own driver: "naive" — bigger submit cost, polling, and
 //!   a bounce-buffer copy per data-bearing request.
 
+use std::ops::RangeInclusive;
+
 use dnvme::{ClientConfig, ManagerConfig};
+use fioflex::RwMode;
 use nvme::driver::LocalDriverConfig;
 use nvme::{MediaProfile, NvmeConfig};
 use nvmeof::{InitiatorConfig, TargetConfig};
 use pcie::FabricParams;
 use rdma::IbParams;
 use simcore::SimDuration;
+
+use crate::ScenarioKind;
 
 /// Everything a scenario needs, bundled.
 #[derive(Clone)]
@@ -109,6 +114,51 @@ impl Calibration {
         self
     }
 }
+
+/// One of the §VI minimum-latency deltas Fig. 10 shows: what the `remote`
+/// stack adds over its `local` baseline for `rw`, the paper's value, and
+/// the deltas a reproduction may show.
+pub struct PaperDelta {
+    pub remote: ScenarioKind,
+    pub local: ScenarioKind,
+    pub rw: RwMode,
+    pub paper_ns: u64,
+    pub band: RangeInclusive<u64>,
+}
+
+/// The four Fig. 10 deltas and the one definition of their bands: ±5 %
+/// of NVMe-oF's 7.7 / 7.5 µs, and 0.8–1.2 / 1.6–2.4 µs for the driver's
+/// "~1 µs" / "~2 µs". E2 and `tests/reproduction_shape.rs` assert them.
+pub const FIG10_DELTAS: [PaperDelta; 4] = [
+    PaperDelta {
+        remote: ScenarioKind::NvmfRemote,
+        local: ScenarioKind::LinuxLocal,
+        rw: RwMode::RandRead,
+        paper_ns: 7_700,
+        band: 7_315..=8_085,
+    },
+    PaperDelta {
+        remote: ScenarioKind::NvmfRemote,
+        local: ScenarioKind::LinuxLocal,
+        rw: RwMode::RandWrite,
+        paper_ns: 7_500,
+        band: 7_125..=7_875,
+    },
+    PaperDelta {
+        remote: ScenarioKind::OursRemote { switches: 1 },
+        local: ScenarioKind::OursLocal,
+        rw: RwMode::RandRead,
+        paper_ns: 1_000,
+        band: 800..=1_200,
+    },
+    PaperDelta {
+        remote: ScenarioKind::OursRemote { switches: 1 },
+        local: ScenarioKind::OursLocal,
+        rw: RwMode::RandWrite,
+        paper_ns: 2_000,
+        band: 1_600..=2_400,
+    },
+];
 
 #[cfg(test)]
 mod tests {

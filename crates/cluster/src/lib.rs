@@ -8,5 +8,5 @@
 pub mod calib;
 pub mod scenario;
 
-pub use calib::Calibration;
+pub use calib::{Calibration, PaperDelta, FIG10_DELTAS};
 pub use scenario::{Scenario, ScenarioKind};

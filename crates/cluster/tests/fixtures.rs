@@ -179,9 +179,13 @@ fn report(findings: &[Finding]) -> Vec<(usize, &str)> {
 /// its lines keep their numbers.
 fn without_expect(src: &str) -> String {
     src.lines()
-        .map(|l| match l.strip_prefix('#') {
-            Some(rest) if rest.starts_with("[expect(") => format!("// {l}\n"),
-            _ => format!("{l}\n"),
+        .map(|l| {
+            let comment = if l.starts_with("#[expect(") {
+                "// "
+            } else {
+                ""
+            };
+            format!("{comment}{l}\n")
         })
         .collect()
 }

@@ -105,9 +105,8 @@ pub struct ClientConfig {
     /// [`DnvmeError::RpcTimeout`].
     pub mailbox_timeout: Option<SimDuration>,
     /// `true`: charge submission/completion overheads as reactor CPU
-    /// time ([`Handle::cpu_work`]) so per-core saturation is modelled in
-    /// sharded benchmarks. `false` (default): plain sleeps (infinite CPU,
-    /// the legacy timing model).
+    /// time ([`Handle::cpu_work`]), so sharded benchmarks see per-core
+    /// saturation. `false` (default): plain sleeps, infinite CPU.
     pub cpu_accounting: bool,
 }
 

@@ -55,6 +55,7 @@ replay:
                       report its violations (combines with --fault-plan)
 ";
 
+#[derive(Default)]
 struct Cli {
     scenario: Option<ScenarioKind>,
     all: bool,
@@ -83,80 +84,49 @@ fn parse_kind(s: &str) -> Option<ScenarioKind> {
     }
 }
 
+/// `value`, the argument of option `name`, as a count.
+fn number(name: &str, value: String) -> Result<usize, String> {
+    value.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
-        scenario: None,
-        all: false,
-        fixture: None,
-        list_fixtures: false,
-        schedules: None,
-        exhaustive: false,
-        preemptions: None,
         prune: true,
         ops: 1,
-        clients: None,
         reactors: 1,
-        faults: None,
-        fault_plan: None,
-        replay: None,
+        ..Cli::default()
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{arg} needs a value"))
         };
         match arg.as_str() {
             "--scenario" => {
-                let v = value("--scenario")?;
+                let v = value()?;
                 cli.scenario =
                     Some(parse_kind(&v).ok_or_else(|| format!("unknown scenario {v:?}"))?);
             }
             "--all" => cli.all = true,
-            "--fixture" => cli.fixture = Some(value("--fixture")?),
+            "--fixture" => cli.fixture = Some(value()?),
             "--list-fixtures" => cli.list_fixtures = true,
-            "--schedules" => {
-                cli.schedules = Some(
-                    value("--schedules")?
-                        .parse()
-                        .map_err(|e| format!("--schedules: {e}"))?,
-                )
-            }
+            "--schedules" => cli.schedules = Some(number(arg, value()?)?),
             "--exhaustive" => cli.exhaustive = true,
-            "--preemptions" => {
-                cli.preemptions = Some(
-                    value("--preemptions")?
-                        .parse()
-                        .map_err(|e| format!("--preemptions: {e}"))?,
-                )
-            }
+            "--preemptions" => cli.preemptions = Some(number(arg, value()?)?),
             "--no-prune" => cli.prune = false,
-            "--ops" => cli.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--clients" => {
-                cli.clients = Some(
-                    value("--clients")?
-                        .parse()
-                        .map_err(|e| format!("--clients: {e}"))?,
-                )
-            }
+            "--ops" => cli.ops = number(arg, value()?)?,
+            "--clients" => cli.clients = Some(number(arg, value()?)?),
             "--reactors" => {
-                cli.reactors = value("--reactors")?
-                    .parse()
-                    .map_err(|e| format!("--reactors: {e}"))?;
+                cli.reactors = number(arg, value()?)?;
                 if cli.reactors == 0 {
                     return Err("--reactors must be at least 1".into());
                 }
             }
-            "--faults" => {
-                cli.faults = Some(
-                    value("--faults")?
-                        .parse()
-                        .map_err(|e| format!("--faults: {e}"))?,
-                )
-            }
-            "--fault-plan" => cli.fault_plan = Some(value("--fault-plan")?),
-            "--replay" => cli.replay = Some(value("--replay")?),
+            "--faults" => cli.faults = Some(number(arg, value()?)?),
+            "--fault-plan" => cli.fault_plan = Some(value()?),
+            "--replay" => cli.replay = Some(value()?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -174,9 +144,7 @@ fn config_of(cli: &Cli) -> ExploreConfig {
         // A cap alongside --exhaustive acts as a safety valve.
         cfg.max_schedules = cli.schedules;
     }
-    if let Some(p) = cli.preemptions {
-        cfg.max_preemptions = p;
-    }
+    cfg.max_preemptions = cli.preemptions.unwrap_or(cfg.max_preemptions);
     cfg.prune = cli.prune;
     cfg
 }
@@ -229,9 +197,7 @@ fn run() -> Result<bool, String> {
             }
             return Ok(out.violations.is_empty());
         }
-        let res = explore(&|p: &[u32]| f(p), &cfg);
-        let clean = report(name, &res);
-        if clean {
+        if report(name, &explore(&|p: &[u32]| f(p), &cfg)) {
             return Err(format!("fixture {name} failed to trip {code}"));
         }
         return Ok(false);

@@ -1,10 +1,7 @@
 //! # `nvme::engine` — the shared host-side queue-pair engine
 //!
-//! Every driver stack in this workspace used to re-implement the same
-//! host-side machinery: SQE push + per-command doorbell ring, CQ
-//! phase-walk drain, a tag/pending-slot table, and a poll-vs-IRQ
-//! completion loop. This module is the single implementation all of them
-//! build on now:
+//! The one host-side machinery every driver stack builds on: SQE push
+//! and doorbell, CQ phase-walk drain, a tag table, a completion loop.
 //!
 //! * [`IoEngine`] owns one or more queue pairs (built from
 //!   [`QueuePairSpec`]s), a [`TagSet`], and one completion-service task
@@ -241,8 +238,7 @@ impl TagSet {
 // Engine configuration
 // ---------------------------------------------------------------------
 
-/// How a completion service detects CQEs — the poll-vs-IRQ choice that
-/// used to be duplicated across every driver's completion loop.
+/// How a completion service detects CQEs: polling or interrupts.
 #[derive(Clone, Copy, Debug)]
 pub enum CompletionStrategy {
     /// Busy-poll the CQ; `check_cost` is charged per successful detection

@@ -28,9 +28,8 @@
 //! which stamps it with the virtual time and the running task and hands
 //! it, at that instant, to the runtime's one [`Consumer`]
 //! ([`Handle::sanitize_attach`]), the NVMe lifecycle FSM
-//! (`nvme::oracle`). Counts the model no longer keeps (faults injected,
-//! media reads and writes, resets) are read off the stream
-//! ([`Handle::sanitize_records`]).
+//! (`nvme::oracle`). Faults injected, media reads and writes and resets
+//! are counted off the stream ([`Handle::sanitize_records`]).
 //!
 //! [`Handle::sanitize_armed`]: crate::Handle::sanitize_armed
 //! [`Handle::sanitize_record`]: crate::Handle::sanitize_record

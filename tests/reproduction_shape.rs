@@ -3,7 +3,7 @@
 //! on every build. (Absolute values are simulator-calibrated; these
 //! tests pin the *shape* the paper reports.)
 
-use cluster::{Calibration, Scenario, ScenarioKind};
+use cluster::{Calibration, Scenario, ScenarioKind, FIG10_DELTAS};
 use fioflex::{JobSpec, RwMode};
 use simcore::{LatencySummary, Record, SimDuration, Stage};
 
@@ -23,49 +23,40 @@ fn latency_of(kind: ScenarioKind, spec: &JobSpec) -> LatencySummary {
     rep.read.or(rep.write).map(|s| s.lat).unwrap()
 }
 
+/// Asserts each of §VI's minimum-latency deltas for `rw` inside its band
+/// in `cluster::FIG10_DELTAS` (the bands E2 asserts on the full window).
+fn assert_fig10_bands(rw: RwMode) {
+    let deltas: Vec<_> = FIG10_DELTAS.iter().filter(|d| d.rw == rw).collect();
+    assert_eq!(deltas.len(), 2, "{rw:?}: one NVMe-oF and one PCIe delta");
+    for d in deltas {
+        let remote = latency(d.remote.clone(), rw).min;
+        let local = latency(d.local.clone(), rw).min;
+        let delta = remote.saturating_sub(local);
+        assert!(
+            d.band.contains(&delta),
+            "{} - {}, {rw:?}: delta {delta} ns outside the paper's band {:?} (paper: {} ns)",
+            d.remote.label(),
+            d.local.label(),
+            d.band,
+            d.paper_ns
+        );
+    }
+}
+
 #[test]
 fn fig10_read_deltas_match_paper_bands() {
-    let linux = latency(ScenarioKind::LinuxLocal, RwMode::RandRead);
-    let nvmf = latency(ScenarioKind::NvmfRemote, RwMode::RandRead);
-    let ours_l = latency(ScenarioKind::OursLocal, RwMode::RandRead);
-    let ours_r = latency(ScenarioKind::OursRemote { switches: 1 }, RwMode::RandRead);
-
-    // Paper: minimum read delta is 7.7 µs for NVMe-oF, ~1 µs for ours.
-    let nvmf_delta = nvmf.min.saturating_sub(linux.min);
-    let ours_delta = ours_r.min.saturating_sub(ours_l.min);
-    assert!(
-        (6_000..10_000).contains(&nvmf_delta),
-        "NVMe-oF read delta {nvmf_delta} ns outside the paper's band (7.7 µs ± tolerance)"
-    );
-    assert!(
-        (500..1_600).contains(&ours_delta),
-        "PCIe read delta {ours_delta} ns outside the paper's band (~1 µs)"
-    );
+    assert_fig10_bands(RwMode::RandRead);
     // Naive driver baseline is above stock Linux (paper, §VI).
+    let p50 = |kind| latency(kind, RwMode::RandRead).p50;
     assert!(
-        ours_l.p50 > linux.p50,
+        p50(ScenarioKind::OursLocal) > p50(ScenarioKind::LinuxLocal),
         "naive driver must have a higher local baseline"
     );
 }
 
 #[test]
 fn fig10_write_deltas_match_paper_bands() {
-    let linux = latency(ScenarioKind::LinuxLocal, RwMode::RandWrite);
-    let nvmf = latency(ScenarioKind::NvmfRemote, RwMode::RandWrite);
-    let ours_l = latency(ScenarioKind::OursLocal, RwMode::RandWrite);
-    let ours_r = latency(ScenarioKind::OursRemote { switches: 1 }, RwMode::RandWrite);
-
-    // Paper: minimum write delta is 7.5 µs for NVMe-oF, ~2 µs for ours.
-    let nvmf_delta = nvmf.min.saturating_sub(linux.min);
-    let ours_delta = ours_r.min.saturating_sub(ours_l.min);
-    assert!(
-        (6_000..10_000).contains(&nvmf_delta),
-        "NVMe-oF write delta {nvmf_delta} ns outside the paper's band (7.5 µs ± tolerance)"
-    );
-    assert!(
-        (1_200..3_000).contains(&ours_delta),
-        "PCIe write delta {ours_delta} ns outside the paper's band (~2 µs)"
-    );
+    assert_fig10_bands(RwMode::RandWrite);
 }
 
 #[test]

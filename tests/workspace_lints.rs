@@ -7,11 +7,75 @@
 
 use std::path::{Path, PathBuf};
 
+/// `text`'s bytes with every comment and every string, byte-string, raw
+/// string and char literal blanked, so a `#[` or a bracket inside one is
+/// not read as code. Byte offsets are `text`'s.
+fn code_only(text: &str) -> Vec<u8> {
+    let mut b = text.as_bytes().to_vec();
+    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    let mut i = 0;
+    while i < b.len() {
+        let starts_token = i == 0 || !ident(b[i - 1]);
+        let rest = &b[i..];
+        let end = if rest.starts_with(b"//") {
+            rest.iter()
+                .position(|&c| c == b'\n')
+                .map_or(b.len(), |k| i + k)
+        } else if rest.starts_with(b"/*") {
+            let (mut depth, mut k) = (0, i);
+            loop {
+                if b[k..].starts_with(b"/*") {
+                    (depth, k) = (depth + 1, k + 2);
+                } else if b[k..].starts_with(b"*/") {
+                    (depth, k) = (depth - 1, k + 2);
+                    if depth == 0 {
+                        break k;
+                    }
+                } else {
+                    k += 1;
+                }
+            }
+        } else if b[i] == b'"' {
+            let mut k = i + 1;
+            while b[k] != b'"' {
+                k += if b[k] == b'\\' { 2 } else { 1 };
+            }
+            k + 1
+        } else if b[i] == b'r'
+            && (starts_token || (b[i - 1] == b'b' && (i < 2 || !ident(b[i - 2]))))
+            && rest[1..].iter().find(|&&c| c != b'#') == Some(&b'"')
+        {
+            let hashes = rest[1..].iter().take_while(|&&c| c == b'#').count();
+            let close = format!("\"{}", "#".repeat(hashes));
+            let body = i + 2 + hashes;
+            body + text[body..].find(&close).unwrap() + close.len()
+        } else if b[i] == b'\'' && rest.get(1) == Some(&b'\\') {
+            i + 3 + b[i + 3..].iter().position(|&c| c == b'\'').unwrap() + 1
+        } else if b[i] == b'\'' {
+            // A char literal, or the quote of a lifetime or label.
+            let len = text[i + 1..].chars().next().map_or(0, char::len_utf8);
+            if b.get(i + 1 + len) == Some(&b'\'') {
+                i + len + 2
+            } else {
+                i + 1
+            }
+        } else {
+            i + 1
+        };
+        if end > i + 1 {
+            b[i..end].iter_mut().for_each(|c| *c = b' ');
+        }
+        i = end;
+    }
+    b
+}
+
 /// Every attribute (`#[…]`, `#![…]`) in `text`, whitespace removed.
+/// Comments and literals are skipped, so only real attributes count.
 fn attributes(text: &str) -> Vec<String> {
-    let b = text.as_bytes();
+    let b = code_only(text);
     let mut out = Vec::new();
-    for (at, _) in text.match_indices('#') {
+    for at in (0..b.len()).filter(|&k| b[k] == b'#') {
         let open = at + 1 + usize::from(b.get(at + 1) == Some(&b'!'));
         if b.get(open) != Some(&b'[') {
             continue;
@@ -25,10 +89,37 @@ fn attributes(text: &str) -> Vec<String> {
             }
             depth == 0
         });
-        let end = close.map_or(text.len(), |k| k + 1);
-        out.push(text[at..end].split_whitespace().collect());
+        let close = close.unwrap_or_else(|| panic!("unbalanced `#[` at byte {at}"));
+        out.push(text[at..=close].split_whitespace().collect());
     }
     out
+}
+
+/// Literals and comments that hold `#[` or brackets are not attributes,
+/// and do not hide the real ones around them.
+#[test]
+fn attributes_skip_literals_and_comments() {
+    let text = r##"#![deny(clippy::expect_used)]
+#[expect(clippy::unwrap_used, reason = "a ] in a reason")]
+fn f<'a>(s: &'a str) -> char {
+    let _ = "#[expect";
+    // #[allow(clippy::unwrap_used)]
+    let _ = (r#"#[x"#, br"[", b"\"[");
+    /* #[allow(clippy::expect_used)] /* nested */ ] */
+    let _ = ('[', b'"', '\'', 'é');
+    #[allow(unused)]
+    let _ = s;
+    '#'
+}
+"##;
+    assert_eq!(
+        attributes(text),
+        [
+            "#![deny(clippy::expect_used)]",
+            "#[expect(clippy::unwrap_used,reason=\"a]inareason\")]",
+            "#[allow(unused)]",
+        ]
+    );
 }
 
 /// The rules that became lints are only as good as the manifests: the
