@@ -19,16 +19,6 @@ pub enum RwMode {
 }
 
 impl RwMode {
-    /// Whether the mode issues any reads.
-    pub fn does_reads(&self) -> bool {
-        !matches!(self, RwMode::RandWrite)
-    }
-
-    /// Whether the mode issues any writes.
-    pub fn does_writes(&self) -> bool {
-        !matches!(self, RwMode::RandRead | RwMode::SeqRead)
-    }
-
     /// fio-style label (e.g. `randread`).
     pub fn label(&self) -> String {
         match self {
@@ -158,10 +148,6 @@ mod tests {
 
     #[test]
     fn mode_predicates() {
-        assert!(RwMode::RandRead.does_reads());
-        assert!(!RwMode::RandRead.does_writes());
-        assert!(RwMode::RandRw { read_pct: 70 }.does_reads());
-        assert!(RwMode::RandRw { read_pct: 70 }.does_writes());
         assert_eq!(RwMode::SeqRead.label(), "read");
         assert_eq!(RwMode::RandRw { read_pct: 70 }.label(), "randrw70");
     }

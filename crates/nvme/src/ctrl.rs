@@ -7,6 +7,18 @@
 //! knows nor cares whether a queue lives in local host memory or behind
 //! two switch chips in another host's DRAM. That property is the entire
 //! basis of the paper's design (Fig. 4).
+//!
+//! # Command set
+//!
+//! The controller implements the commands some driver in the workspace
+//! sends, and answers every other opcode with `INVALID_OPCODE`:
+//!
+//! * **Admin** (the manager's bring-up and queue service, §V): Identify
+//!   (CNS Controller and Namespace), Set Features (Number of Queues
+//!   only), Create/Delete I/O CQ, Create/Delete I/O SQ, and Abort (the
+//!   recovery ladder's rung 2).
+//! * **NVM** (namespace 1, the clients' datapath): Read, Write and Flush.
+//!   Data moves through PRP1/PRP2 or a PRP list.
 
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
@@ -20,10 +32,7 @@ use crate::medium::BlockStore;
 use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::{CqEntry, CQE_SIZE};
 use crate::spec::identify::{IdentifyController, IdentifyNamespace};
-use crate::spec::log::{
-    DsmRange, ErrorLogEntry, DSM_MAX_RANGES, DSM_RANGE_LEN, ERROR_LOG_ENTRY_LEN,
-};
-use crate::spec::opcode::{cns, feature, log_page, AdminOpcode, NvmOpcode};
+use crate::spec::opcode::{cns, feature, AdminOpcode, NvmOpcode};
 use crate::spec::prp;
 use crate::spec::registers::{csts, decode_doorbell, offset, Aqa, Cap, Cc};
 use crate::spec::status::Status;
@@ -122,10 +131,6 @@ pub struct NvmeController {
     cqs: RefCell<QueueTable<CqState>>,
     exec_sem: Semaphore,
     stats: RefCell<CtrlStats>,
-    /// Newest-first Error Information log (capped at 64 entries).
-    error_log: RefCell<Vec<ErrorLogEntry>>,
-    /// LBA context for the next error completion (set by the I/O path).
-    last_error_lba: Cell<Option<u64>>,
     /// Executing I/O commands, [`inflight_key`]`(sqid, cid)` → aborted
     /// flag. An Abort for a tracked command sets the flag; the executor
     /// completes it with ABORT_REQUESTED. Looked up, inserted, removed and
@@ -176,8 +181,6 @@ impl NvmeController {
             sqs: RefCell::new(vec![None; queues]),
             cqs: RefCell::new(vec![None; queues]),
             stats: RefCell::new(CtrlStats::default()),
-            error_log: RefCell::new(Vec::new()),
-            last_error_lba: Cell::new(None),
             inflight: RefCell::default(),
         });
         *ctrl.weak_self.borrow_mut() = Rc::downgrade(&ctrl);
@@ -308,30 +311,7 @@ impl NvmeController {
         r.csts &= !csts::RDY;
         drop(r);
         self.inflight.borrow_mut().clear();
-        self.error_log.borrow_mut().clear();
         self.handle.sanitize_record(None, Stage::ControllerReset);
-    }
-
-    fn record_error(&self, sqid: u16, cid: u16, status: Status, lba: Option<u64>) {
-        let mut log = self.error_log.borrow_mut();
-        let count = self.stats.borrow().errors_returned;
-        log.insert(
-            0,
-            ErrorLogEntry {
-                error_count: count,
-                sqid,
-                cid,
-                status,
-                lba: lba.unwrap_or(0),
-                nsid: 1,
-            },
-        );
-        log.truncate(64);
-    }
-
-    /// Snapshot of the Error Information log, newest first (diagnostic).
-    pub fn error_log(&self) -> Vec<ErrorLogEntry> {
-        self.error_log.borrow().clone()
     }
 
     fn fatal(&self) {
@@ -507,7 +487,6 @@ impl NvmeController {
             let cqe = CqEntry::new(result, sq_head, sq_id, cid, phase, status);
             if !status.is_success() {
                 self.stats.borrow_mut().errors_returned += 1;
-                self.record_error(sq_id, cid, status, self.last_error_lba.take());
             }
             let _ = fabric
                 .dma_write(
@@ -536,12 +515,8 @@ impl NvmeController {
             Some(AdminOpcode::CreateIoSq) => self.admin_create_sq(&sqe),
             Some(AdminOpcode::DeleteIoSq) => self.admin_delete_sq(&sqe),
             Some(AdminOpcode::DeleteIoCq) => self.admin_delete_cq(&sqe),
-            Some(AdminOpcode::SetFeatures) | Some(AdminOpcode::GetFeatures) => {
-                self.admin_features(&sqe)
-            }
-            Some(AdminOpcode::GetLogPage) => self.admin_get_log_page(&sqe).await,
+            Some(AdminOpcode::SetFeatures) => self.admin_features(&sqe),
             Some(AdminOpcode::Abort) => self.admin_abort(&sqe),
-            Some(AdminOpcode::AsyncEventRequest) => return, // parked forever
             None => (0, Status::INVALID_OPCODE),
         };
         self.post_cqe(0, result, sq_head, 0, sqe.cid, status).await;
@@ -561,33 +536,6 @@ impl NvmeController {
         };
         let dev = self.device_id();
         if fabric.dma_write(dev, sqe.prp1, &data).await.is_err() {
-            return (0, Status::DATA_TRANSFER_ERROR);
-        }
-        (0, Status::SUCCESS)
-    }
-
-    /// Get Log Page: serves the Error Information log (newest first) and
-    /// an all-zero health page; truncates to the requested dword count.
-    async fn admin_get_log_page(&self, sqe: &SqEntry) -> (u32, Status) {
-        let fabric = self.fabric();
-        let lid = sqe.cdw10 & 0xFF;
-        let numd = ((sqe.cdw10 >> 16) & 0xFFF) as usize + 1;
-        let want_bytes = numd * 4;
-        let data = match lid {
-            log_page::ERROR_INFO => {
-                let mut out = Vec::new();
-                for e in self.error_log.borrow().iter() {
-                    out.extend_from_slice(&e.encode());
-                }
-                out.resize(out.len().max(want_bytes).max(ERROR_LOG_ENTRY_LEN), 0);
-                out
-            }
-            log_page::HEALTH => vec![0u8; 512],
-            _ => return (0, Status::INVALID_FIELD),
-        };
-        let n = want_bytes.min(data.len());
-        let dev = self.device_id();
-        if fabric.dma_write(dev, sqe.prp1, &data[..n]).await.is_err() {
             return (0, Status::DATA_TRANSFER_ERROR);
         }
         (0, Status::SUCCESS)
@@ -750,7 +698,6 @@ impl NvmeController {
         aborted: Rc<Cell<bool>>,
     ) {
         let mut status = match NvmOpcode::from_u8(sqe.opcode) {
-            Some(NvmOpcode::DatasetManagement) => self.io_dsm(&sqe).await,
             Some(NvmOpcode::Read) => self.io_read(qid, &sqe).await,
             Some(NvmOpcode::Write) => self.io_write(qid, &sqe).await,
             Some(NvmOpcode::Flush) => {
@@ -759,16 +706,6 @@ impl NvmeController {
                     Status::SUCCESS
                 } else {
                     Status::INVALID_NAMESPACE
-                }
-            }
-            Some(NvmOpcode::WriteZeroes) => {
-                if sqe.nsid != 1 {
-                    Status::INVALID_NAMESPACE
-                } else if !self.store.in_range(sqe.slba(), sqe.num_blocks()) {
-                    Status::LBA_OUT_OF_RANGE
-                } else {
-                    self.store.write_zeroes(sqe.slba(), sqe.num_blocks()).await;
-                    Status::SUCCESS
                 }
             }
             None => Status::INVALID_OPCODE,
@@ -782,43 +719,7 @@ impl NvmeController {
         self.inflight
             .borrow_mut()
             .remove(&inflight_key(qid, sqe.cid));
-        if !status.is_success() {
-            self.last_error_lba.set(Some(sqe.slba()));
-        }
         self.post_cqe(cqid, 0, sq_head, qid, sqe.cid, status).await;
-    }
-
-    /// Dataset Management: deallocate (TRIM) the listed ranges.
-    async fn io_dsm(&self, sqe: &SqEntry) -> Status {
-        let fabric = self.fabric();
-        if sqe.nsid != 1 {
-            return Status::INVALID_NAMESPACE;
-        }
-        let nr = (sqe.cdw10 & 0xFF) as usize + 1;
-        if nr > DSM_MAX_RANGES {
-            return Status::INVALID_FIELD;
-        }
-        let deallocate = sqe.cdw11 & 0x4 != 0;
-        let mut raw = vec![0u8; nr * DSM_RANGE_LEN];
-        if fabric
-            .dma_read(self.device_id(), sqe.prp1, &mut raw)
-            .await
-            .is_err()
-        {
-            return Status::DATA_TRANSFER_ERROR;
-        }
-        for chunk in raw.chunks(DSM_RANGE_LEN) {
-            let range = DsmRange::decode(chunk.try_into().unwrap());
-            if !self.store.in_range(range.slba, range.blocks as u64) {
-                return Status::LBA_OUT_OF_RANGE;
-            }
-            if deallocate && range.blocks > 0 {
-                self.store
-                    .write_zeroes(range.slba, range.blocks as u64)
-                    .await;
-            }
-        }
-        Status::SUCCESS
     }
 
     /// Gather the DMA chunk list for a command, fetching the PRP list from

@@ -16,8 +16,6 @@ use crate::engine::{CompletionStrategy, EngineConfig, EngineError, IoEngine, Que
 use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::{CqEntry, CQE_SIZE};
 use crate::spec::identify::{IdentifyController, IdentifyNamespace};
-use crate::spec::log::{ErrorLogEntry, ERROR_LOG_ENTRY_LEN};
-use crate::spec::opcode::log_page;
 use crate::spec::registers::{csts, offset, Aqa, Cap, Cc};
 use crate::spec::status::Status;
 
@@ -79,12 +77,9 @@ pub struct AdminQueueLayout {
     pub entries: u16,
 }
 
-/// A live admin queue pair plus the register mapping.
+/// A live admin queue pair.
 pub struct AdminQueue {
     fabric: Fabric,
-    /// Register window: the BAR as the driver's host sees it (directly for
-    /// a local device, via an NTB "BAR window" for a remote one).
-    bar: MemRegion,
     /// Capabilities read at bring-up.
     pub cap: Cap,
     engine: Rc<IoEngine>,
@@ -156,15 +151,9 @@ impl AdminQueue {
         );
         Ok(AdminQueue {
             fabric: fabric.clone(),
-            bar,
             cap,
             engine,
         })
-    }
-
-    /// The register window this queue drives.
-    pub fn bar(&self) -> MemRegion {
-        self.bar
     }
 
     /// End the admin completion service, before the admin rings' memory
@@ -262,49 +251,6 @@ impl AdminQueue {
     pub async fn abort(&mut self, sqid: u16, cid: u16) -> AdminResult<bool> {
         let cqe = self.submit(SqEntry::abort(0, sqid, cid)).await?;
         Ok(cqe.result & 1 == 0)
-    }
-
-    /// Read up to `max_entries` Error Information log entries (newest
-    /// first). `buf` must hold `max_entries * 64` bytes.
-    pub async fn read_error_log(
-        &mut self,
-        buf: MemRegion,
-        buf_bus: PhysAddr,
-        max_entries: usize,
-    ) -> AdminResult<Vec<ErrorLogEntry>> {
-        let bytes = max_entries * ERROR_LOG_ENTRY_LEN;
-        assert!(buf.len >= bytes as u64, "log buffer too small");
-        let numd0 = (bytes / 4 - 1) as u16;
-        self.submit(SqEntry::get_log_page(
-            0,
-            log_page::ERROR_INFO,
-            numd0,
-            buf_bus,
-        ))
-        .await?;
-        let mut raw = vec![0u8; bytes];
-        self.fabric.mem_read(buf.host, buf.addr, &mut raw)?;
-        Ok(raw
-            .chunks(ERROR_LOG_ENTRY_LEN)
-            .map(|c| ErrorLogEntry::decode(c.try_into().unwrap()))
-            .filter(|e| e.error_count > 0)
-            .collect())
-    }
-
-    /// Disable the controller (reset) — used on teardown.
-    pub async fn shutdown(&mut self) -> AdminResult<()> {
-        let host = self.bar.host;
-        self.fabric
-            .cpu_write_u32(host, self.bar.addr.offset(offset::CC), 0)
-            .await?;
-        wait_csts(
-            &self.fabric,
-            host,
-            self.bar.addr.offset(offset::CSTS),
-            false,
-            self.cap.to,
-        )
-        .await
     }
 }
 

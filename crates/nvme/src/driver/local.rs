@@ -5,8 +5,7 @@
 //!
 //! Both run on [`crate::engine::IoEngine`]: the ring handling, tag table,
 //! completion service, and submit-path flusher all live there; this file
-//! keeps only the bring-up sequence and the command-building glue (PRPs,
-//! DSM range staging).
+//! keeps only the bring-up sequence and the command-building glue (PRPs).
 
 use std::rc::Rc;
 
@@ -22,7 +21,6 @@ use crate::engine::{
 use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::CQE_SIZE;
 use crate::spec::identify::{IdentifyController, IdentifyNamespace};
-use crate::spec::log::{DsmRange, DSM_MAX_RANGES, DSM_RANGE_LEN};
 use crate::spec::prp;
 use crate::spec::status::Status;
 
@@ -90,7 +88,8 @@ pub struct LocalNvmeDriver {
 
 impl LocalNvmeDriver {
     /// Bring up the controller at `bar` (which must be local to `host`)
-    /// and create one I/O queue pair.
+    /// and create one I/O queue pair. A refused bring-up stops the admin
+    /// engine and gives back every region it took.
     pub async fn init(
         fabric: &Fabric,
         host: HostId,
@@ -101,30 +100,61 @@ impl LocalNvmeDriver {
             bar.host, host,
             "LocalNvmeDriver requires a device in the local domain"
         );
+        // Room for every region a bring-up holds at once: four rings and
+        // a PRP list page per tag.
+        let mut taken = Vec::with_capacity(4 + cfg.queue_depth);
+        let mut admin = None;
+        let driver = Self::bring_up(fabric, host, bar, cfg, &mut taken, &mut admin).await;
+        if driver.is_err() {
+            // Stop polling the ACQ before its memory is given back.
+            if let Some(admin) = admin {
+                admin.stop();
+            }
+            for region in taken {
+                fabric.release(region);
+            }
+        }
+        driver
+    }
+
+    /// The fallible body of [`LocalNvmeDriver::init`]. Every region it
+    /// holds goes into `taken`, and the admin queue into `admin`, before
+    /// the next step that can fail.
+    async fn bring_up(
+        fabric: &Fabric,
+        host: HostId,
+        bar: MemRegion,
+        cfg: LocalDriverConfig,
+        taken: &mut Vec<MemRegion>,
+        admin: &mut Option<AdminQueue>,
+    ) -> AdminResult<Rc<LocalNvmeDriver>> {
+        let take = |len: u64, taken: &mut Vec<MemRegion>| -> AdminResult<MemRegion> {
+            let region = fabric.alloc(host, len)?;
+            taken.push(region);
+            Ok(region)
+        };
         let entries = cfg.queue_entries;
-        let asq = fabric.alloc(host, 32 * SQE_SIZE as u64)?;
-        let acq = fabric.alloc(host, 32 * CQE_SIZE as u64)?;
-        let mut admin = AdminQueue::init(
-            fabric,
-            bar,
-            AdminQueueLayout {
-                asq_cpu: asq,
-                asq_bus: asq.addr,
-                acq_cpu: acq,
-                acq_bus: acq.addr,
-                entries: 32,
-            },
-        )
-        .await?;
-        let idbuf = fabric.alloc(host, 4096)?;
+        let asq = take(32 * SQE_SIZE as u64, taken)?;
+        let acq = take(32 * CQE_SIZE as u64, taken)?;
+        let layout = AdminQueueLayout {
+            asq_cpu: asq,
+            asq_bus: asq.addr,
+            acq_cpu: acq,
+            acq_bus: acq.addr,
+            entries: 32,
+        };
+        let admin = admin.insert(AdminQueue::init(fabric, bar, layout).await?);
+        let idbuf = take(4096, taken)?;
         let ctrl_info = admin.identify_controller(idbuf, idbuf.addr).await?;
         let ns_info = admin.identify_namespace(1, idbuf, idbuf.addr).await?;
+        // The identify buffer is the last region taken; it goes back now.
+        taken.pop();
         fabric.release(idbuf);
         admin.set_num_queues(1).await?;
 
         // I/O queue pair 1, both rings in local memory.
-        let sq_mem = fabric.alloc(host, entries as u64 * SQE_SIZE as u64)?;
-        let cq_mem = fabric.alloc(host, entries as u64 * CQE_SIZE as u64)?;
+        let sq_mem = take(entries as u64 * SQE_SIZE as u64, taken)?;
+        let cq_mem = take(entries as u64 * CQE_SIZE as u64, taken)?;
         let iv = match cfg.mode {
             CompletionStrategy::Interrupt { .. } => Some(1u16),
             CompletionStrategy::Polling { .. } => None,
@@ -142,6 +172,12 @@ impl LocalNvmeDriver {
             fabric.config_msi(dev_id, vector, host)
         });
         let qd = cfg.queue_depth.min(entries as usize - 1);
+        // The PRP list pages are the last step that can fail, so the I/O
+        // engine never starts on a refused bring-up.
+        let mut prp_pages = Vec::with_capacity(qd);
+        for _ in 0..qd {
+            prp_pages.push(take(prp::PAGE, taken)?);
+        }
         let engine = IoEngine::start(
             fabric,
             vec![QueuePairSpec {
@@ -159,10 +195,6 @@ impl LocalNvmeDriver {
                 ..EngineConfig::default()
             },
         );
-        let mut prp_pages = Vec::with_capacity(qd);
-        for _ in 0..qd {
-            prp_pages.push(fabric.alloc(host, prp::PAGE)?);
-        }
         Ok(Rc::new(LocalNvmeDriver {
             fabric: fabric.clone(),
             handle: fabric.handle(),
@@ -226,27 +258,6 @@ impl LocalNvmeDriver {
     /// Summed engine counters.
     pub fn engine_totals(&self) -> QpairStats {
         self.engine.totals()
-    }
-
-    /// Deallocate (TRIM) the given LBA ranges via Dataset Management.
-    pub async fn deallocate(&self, ranges: &[DsmRange]) -> Result<Status, BioError> {
-        assert!(!ranges.is_empty() && ranges.len() <= DSM_MAX_RANGES);
-        let tag = self.engine.acquire_tag().await?;
-        self.handle.sleep(self.cfg.submission_overhead).await;
-        let cid = tag.cid();
-        // Stage the range list in this tag's PRP page (it is exactly one
-        // page: 256 ranges x 16 B).
-        let list_page = &self.prp_pages[cid as usize];
-        let raw: Vec<u8> = ranges.iter().flat_map(|r| r.encode()).collect();
-        debug_assert!(raw.len() <= prp::PAGE as usize && DSM_RANGE_LEN * ranges.len() == raw.len());
-        self.fabric
-            .mem_write(self.host, list_page.addr, &raw)
-            .map_err(|e| BioError::DeviceError(e.to_string()))?;
-        let sqe =
-            SqEntry::dataset_management(cid, 1, (ranges.len() - 1) as u8, true, list_page.addr);
-        let cqe = self.engine.issue(&tag, sqe).await?;
-        self.handle.sleep(self.cfg.completion_overhead).await;
-        Ok(cqe.status())
     }
 }
 

@@ -15,7 +15,8 @@
 //!   calibrated Optane-like latency profile (consistent, low jitter).
 //! * [`ctrl`] — the controller device model: one register file, one admin
 //!   queue pair, up to 31 I/O queue pairs, DMA through the PCIe fabric
-//!   with full NTB translation.
+//!   with full NTB translation. Its [command set](ctrl#command-set)
+//!   lists the admin and NVM commands it implements.
 //! * [`driver`] — local drivers: the stock-Linux analog (interrupts) and
 //!   the SPDK analog (polling), plus the shared admin bring-up code.
 

@@ -49,7 +49,7 @@ impl MediaProfile {
 /// "storage medium" an [`crate::ctrl::NvmeController`] executes against.
 ///
 /// Blocks live in a [`PageTable`] (4 KiB pages, eight blocks each at 512 B;
-/// an unwritten or deallocated page, or one written all zeros, is absent
+/// an unwritten page, or one written all zeros, is absent
 /// and reads as zeros, and a page written all one other byte is that
 /// byte's shared page), so a page-aligned command moves page references:
 /// [`BlockStore::read_payload`] snapshots, [`BlockStore::write_payload`]
@@ -173,13 +173,6 @@ impl BlockStore {
         self.data.borrow_mut().write_payload(off, &data);
     }
 
-    /// Write zeroes without a data transfer; whole pages are freed.
-    pub async fn write_zeroes(&self, slba: u64, blocks: u64) {
-        let _channel = self.access(true, 0).await;
-        let (off, len) = (self.byte_offset(slba), self.byte_offset(blocks));
-        self.data.borrow_mut().zero(off, len);
-    }
-
     /// Flush: drains device-side buffering; cheap for both profiles.
     pub async fn flush(&self) {
         self.handle.sleep(SimDuration::from_nanos(500)).await;
@@ -206,8 +199,8 @@ impl BlockStore {
         table.zero(off + data.len() as u64, pad as u64);
     }
 
-    /// Pages the store currently holds (diagnostic: deallocated and
-    /// never-written pages are not resident).
+    /// Pages the store currently holds (diagnostic: never-written and
+    /// all-zero pages are not resident).
     pub fn resident_pages(&self) -> usize {
         self.data.borrow().resident_pages()
     }
@@ -319,21 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn write_zeroes_clears() {
-        let rt = SimRuntime::new();
-        let s = store(&rt);
-        let s2 = s.clone();
-        let buf = rt.block_on(async move {
-            s2.write(10, &[0xAA; 1024]).await;
-            s2.write_zeroes(10, 2).await;
-            let mut buf = vec![0xFFu8; 1024];
-            s2.read(10, &mut buf).await;
-            buf
-        });
-        assert!(buf.iter().all(|&b| b == 0));
-    }
-
-    #[test]
     fn aligned_payloads_move_by_reference_and_others_by_copy() {
         let rt = SimRuntime::new();
         let s = store(&rt);
@@ -385,12 +363,10 @@ mod tests {
         rt.block_on(async move {
             let data: Vec<u8> = (0..4096 + 512).map(|i| (i % 253) as u8).collect();
             s2.write(7, &data).await;
-            s2.write_zeroes(100, 17).await;
             let mut got = vec![0u8; 1 << 20];
             s2.read(0, &mut got).await;
             let mut want = vec![0xA5; 1 << 20];
             want[7 * 512..7 * 512 + data.len()].copy_from_slice(&data);
-            want[100 * 512..117 * 512].fill(0);
             assert_eq!(got, want);
         });
         assert_eq!(
@@ -398,26 +374,6 @@ mod tests {
             vec![0xA5; 1 << 20],
             "the fill's pages are untouched"
         );
-    }
-
-    #[test]
-    fn write_zeroes_frees_whole_pages_and_spares_the_neighbours() {
-        let rt = SimRuntime::new();
-        let s = store(&rt);
-        let s2 = s.clone();
-        rt.block_on(async move {
-            s2.write(0, &[0xAA; 4 * 4096]).await;
-            assert_eq!(s2.resident_pages(), 4);
-            // Blocks 6..=17: the tail of page 0, all of page 1, two blocks
-            // of page 2.
-            s2.write_zeroes(6, 12).await;
-            assert_eq!(s2.resident_pages(), 3, "page 1 is freed");
-            let mut buf = vec![0u8; 4 * 4096];
-            s2.read(0, &mut buf).await;
-            assert!(buf[..6 * 512].iter().all(|&b| b == 0xAA));
-            assert!(buf[6 * 512..18 * 512].iter().all(|&b| b == 0));
-            assert!(buf[18 * 512..].iter().all(|&b| b == 0xAA));
-        });
     }
 
     #[test]

@@ -130,51 +130,6 @@ impl SqEntry {
         }
     }
 
-    /// Dataset Management (deallocate): `nr0` is the 0-based range count;
-    /// PRP1 points at the range list.
-    pub fn dataset_management(
-        cid: u16,
-        nsid: u32,
-        nr0: u8,
-        deallocate: bool,
-        prp1: PhysAddr,
-    ) -> SqEntry {
-        SqEntry {
-            opcode: NvmOpcode::DatasetManagement as u8,
-            cid,
-            nsid,
-            prp1,
-            cdw10: nr0 as u32,
-            cdw11: if deallocate { 0x4 } else { 0 },
-            ..Default::default()
-        }
-    }
-
-    /// Get Log Page: `numd0` is the 0-based dword count to transfer.
-    pub fn get_log_page(cid: u16, lid: u32, numd0: u16, prp1: PhysAddr) -> SqEntry {
-        SqEntry {
-            opcode: AdminOpcode::GetLogPage as u8,
-            cid,
-            nsid: 0xFFFF_FFFF,
-            prp1,
-            cdw10: (lid & 0xFF) | ((numd0 as u32) << 16),
-            ..Default::default()
-        }
-    }
-
-    /// NVM Write Zeroes (`nlb0` 0-based).
-    pub fn write_zeroes(cid: u16, nsid: u32, slba: u64, nlb0: u16) -> SqEntry {
-        SqEntry {
-            opcode: NvmOpcode::WriteZeroes as u8,
-            cid,
-            nsid,
-            cdw10: slba as u32,
-            cdw11: (slba >> 32) as u32,
-            cdw12: nlb0 as u32,
-            ..Default::default()
-        }
-    }
-
     /// Starting LBA of an I/O command.
     pub fn slba(&self) -> u64 {
         self.cdw10 as u64 | ((self.cdw11 as u64) << 32)

@@ -4,7 +4,6 @@
 pub mod command;
 pub mod completion;
 pub mod identify;
-pub mod log;
 pub mod opcode;
 pub mod prp;
 pub mod registers;
@@ -13,6 +12,5 @@ pub mod status;
 pub use command::{SqEntry, SQE_SIZE};
 pub use completion::{CqEntry, CQE_SIZE};
 pub use identify::{IdentifyController, IdentifyNamespace};
-pub use log::{DsmRange, ErrorLogEntry};
 pub use opcode::{AdminOpcode, NvmOpcode};
 pub use status::Status;

@@ -8,8 +8,6 @@ pub enum AdminOpcode {
     DeleteIoSq = 0x00,
     /// Create I/O Submission Queue.
     CreateIoSq = 0x01,
-    /// Get Log Page.
-    GetLogPage = 0x02,
     /// Delete I/O Completion Queue.
     DeleteIoCq = 0x04,
     /// Create I/O Completion Queue.
@@ -20,10 +18,6 @@ pub enum AdminOpcode {
     Abort = 0x08,
     /// Set Features.
     SetFeatures = 0x09,
-    /// Get Features.
-    GetFeatures = 0x0A,
-    /// Asynchronous Event Request.
-    AsyncEventRequest = 0x0C,
 }
 
 impl AdminOpcode {
@@ -32,14 +26,11 @@ impl AdminOpcode {
         Some(match v {
             0x00 => AdminOpcode::DeleteIoSq,
             0x01 => AdminOpcode::CreateIoSq,
-            0x02 => AdminOpcode::GetLogPage,
             0x04 => AdminOpcode::DeleteIoCq,
             0x05 => AdminOpcode::CreateIoCq,
             0x06 => AdminOpcode::Identify,
             0x08 => AdminOpcode::Abort,
             0x09 => AdminOpcode::SetFeatures,
-            0x0A => AdminOpcode::GetFeatures,
-            0x0C => AdminOpcode::AsyncEventRequest,
             _ => return None,
         })
     }
@@ -55,10 +46,6 @@ pub enum NvmOpcode {
     Write = 0x01,
     /// Read.
     Read = 0x02,
-    /// Write Zeroes.
-    WriteZeroes = 0x08,
-    /// Dataset Management (deallocate / TRIM).
-    DatasetManagement = 0x09,
 }
 
 impl NvmOpcode {
@@ -68,25 +55,15 @@ impl NvmOpcode {
             0x00 => NvmOpcode::Flush,
             0x01 => NvmOpcode::Write,
             0x02 => NvmOpcode::Read,
-            0x08 => NvmOpcode::WriteZeroes,
-            0x09 => NvmOpcode::DatasetManagement,
             _ => return None,
         })
     }
 }
 
-/// Feature identifiers (Set/Get Features).
+/// Feature identifiers (Set Features).
 pub mod feature {
     /// Number of Queues (NCQR/NSQR in CDW11, allocated counts in DW0).
     pub const NUM_QUEUES: u32 = 0x07;
-}
-
-/// Log page identifiers (Get Log Page).
-pub mod log_page {
-    /// Error Information log.
-    pub const ERROR_INFO: u32 = 0x01;
-    /// SMART / Health Information log.
-    pub const HEALTH: u32 = 0x02;
 }
 
 /// Identify CNS values.
@@ -106,14 +83,11 @@ mod tests {
         for op in [
             AdminOpcode::DeleteIoSq,
             AdminOpcode::CreateIoSq,
-            AdminOpcode::GetLogPage,
             AdminOpcode::DeleteIoCq,
             AdminOpcode::CreateIoCq,
             AdminOpcode::Identify,
             AdminOpcode::Abort,
             AdminOpcode::SetFeatures,
-            AdminOpcode::GetFeatures,
-            AdminOpcode::AsyncEventRequest,
         ] {
             assert_eq!(AdminOpcode::from_u8(op as u8), Some(op));
         }
@@ -122,13 +96,7 @@ mod tests {
 
     #[test]
     fn nvm_roundtrip() {
-        for op in [
-            NvmOpcode::Flush,
-            NvmOpcode::Write,
-            NvmOpcode::Read,
-            NvmOpcode::WriteZeroes,
-            NvmOpcode::DatasetManagement,
-        ] {
+        for op in [NvmOpcode::Flush, NvmOpcode::Write, NvmOpcode::Read] {
             assert_eq!(NvmOpcode::from_u8(op as u8), Some(op));
         }
         assert_eq!(NvmOpcode::from_u8(0x99), None);

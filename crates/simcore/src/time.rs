@@ -71,11 +71,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from a float number of microseconds (rounds to nearest ns).
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// The value in whole nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -231,8 +226,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
-        assert_eq!(SimDuration::from_micros_f64(-1.0).as_nanos(), 0);
     }
 
     #[test]
