@@ -84,7 +84,7 @@ pub enum BioError {
     /// The device is gone (hot-removed / reset).
     Gone,
     /// The command exceeded its deadline and every recovery rung (retry,
-    /// abort, queue recreate) failed to produce a completion.
+    /// queue recreate) failed to produce a completion.
     Timeout { qid: u16, cid: u16 },
 }
 

@@ -13,7 +13,7 @@
 //!   IOMMU-style dynamic mapping extension (the paper's future work).
 //!
 //! Every control-plane exchange — bring-up's CreateQp, heartbeats, the
-//! ladder's Abort and re-creates, teardown's DeleteQp — goes through one
+//! ladder's re-creates, teardown's DeleteQp — goes through one
 //! `Mailbox`, which allows one request in flight. A refused connect,
 //! [`ClientDriver::disconnect`] and a failed [`Manager::start`] give back
 //! the same `Held` record through one routine, `give_back`.
@@ -95,10 +95,10 @@ pub struct ClientConfig {
     pub iommu_unmap_cost: SimDuration,
     /// Per-command deadline. `None` (the seed default) waits forever;
     /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
-    /// doorbell re-rings with exponential backoff, then Abort via the
-    /// manager, then delete-and-recreate of the queue pair, then one more
-    /// that retires the command — surfacing [`BioError::Timeout`] instead
-    /// of hanging, and never touching another tenant's queue pairs.
+    /// doorbell re-rings with exponential backoff, then delete-and-recreate
+    /// of the queue pair, then one more that retires the command —
+    /// surfacing [`BioError::Timeout`] instead of hanging, and never
+    /// touching another tenant's queue pairs.
     pub cmd_timeout: Option<SimDuration>,
     /// Deadline for one mailbox round trip. `None` waits forever; after
     /// [`MAILBOX_RETRIES`] same-seq retransmissions the RPC gives up with
@@ -301,7 +301,7 @@ struct QpWiring {
     entries: u16,
     sq_bus: PhysAddr,
     cq_bus: PhysAddr,
-    /// Held by the one command climbing ladder rungs 2–4 for this ring.
+    /// Held by the one command climbing ladder rungs 2–3 for this ring.
     /// A lost CQE stalls the ring's consumer, so every command in flight
     /// on it times out; climbing side by side their delete/recreate RPCs
     /// would collide and fail a fault one recreate absorbs.
@@ -328,9 +328,7 @@ pub struct ClientStats {
     pub dynamic_maps: u64,
     /// Commands that entered the recovery ladder (deadline expired).
     pub recoveries: u64,
-    /// Abort RPCs sent (ladder rung 2).
-    pub aborts_requested: u64,
-    /// Queue pairs deleted and re-created in place (ladder rungs 3–4).
+    /// Queue pairs deleted and re-created in place (ladder rungs 2–3).
     pub qpairs_recreated: u64,
     /// Lease heartbeats sent.
     pub heartbeats_sent: u64,
@@ -611,12 +609,12 @@ impl ClientDriver {
     }
 
     /// Issue with the recovery ladder armed: an engine deadline expiry
-    /// (rung 1, doorbell retries exhausted) escalates to Abort via the
-    /// manager (rung 2), then delete-and-recreate of the queue pair with
-    /// one resubmission (rung 3), then one more without (rung 4) — always
-    /// ending in a completion or a typed [`BioError`], never a hang, and
-    /// only ever on the client's own ring. Rungs 2–4 run one command at a
-    /// time per ring; the others on that ring wait for its verdict.
+    /// (rung 1, doorbell retries exhausted) escalates to delete-and-recreate
+    /// of the queue pair with one resubmission (rung 2), then one more
+    /// without (rung 3) — always ending in a completion or a typed
+    /// [`BioError`], never a hang, and only ever on the client's own ring.
+    /// Rungs 2–3 run one command at a time per ring; the others on that
+    /// ring wait for its verdict.
     async fn issue_recovered(
         &self,
         tag: &Tag,
@@ -645,19 +643,7 @@ impl ClientDriver {
         let seen = ring.recreated.get();
         let _climbing = ring.climber.acquire().await;
         if ring.recreated.get() == seen {
-            // Rung 2: ask the manager's admin queue to abort the command.
-            self.stats.borrow_mut().aborts_requested += 1;
-            let aborted = match self.mailbox.call(Request::Abort { qid, cid }).await {
-                Ok(r) => r.flags & proto::flag::ABORTED != 0,
-                Err(_) => false,
-            };
-            if aborted {
-                // The controller killed it; the command is dead and the
-                // slot will retire when the abort CQE lands. Surface the
-                // deadline.
-                return Err(timeout);
-            }
-            // Rung 3: the command was never seen or its completion was
+            // Rung 2: the command was never seen or its completion was
             // lost — tear the queue pair down and re-create it under the
             // same id.
             let _ = self.recreate_qpair(ring).await;
@@ -668,7 +654,7 @@ impl ClientDriver {
             if let Ok(cqe) = self.engine.issue(tag, sqe).await {
                 return Ok(cqe);
             }
-            // Rung 4: lost again. Re-create the ring once more, without
+            // Rung 3: lost again. Re-create the ring once more, without
             // resubmitting: the command dies with the old queue, freeing
             // its cid. Resetting the shared controller is no tenant's call.
             let _ = self.recreate_qpair(ring).await;

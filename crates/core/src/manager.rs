@@ -28,7 +28,7 @@ use simcore::{SimDuration, SimTime};
 use smartio::{AccessHints, BorrowMode, CpuMapping, SegmentId, SmartDeviceId, SmartIo};
 
 use crate::client::{give_back, Held};
-use crate::proto::{self, flag, Metadata, Request, Response, SlotMessage};
+use crate::proto::{self, Metadata, Request, Response, SlotMessage};
 
 /// Admin queue depth.
 const ADMIN_ENTRIES: u16 = 32;
@@ -75,8 +75,6 @@ pub struct ManagerStats {
     pub qpairs_reclaimed: u64,
     /// Clients evicted by the lease reaper.
     pub clients_evicted: u64,
-    /// Abort commands issued on behalf of clients.
-    pub aborts_issued: u64,
 }
 
 struct QidPool {
@@ -124,10 +122,6 @@ impl QidPool {
         }
     }
 
-    fn owner(&self, qid: u16) -> Option<usize> {
-        self.owners.get(qid as usize).copied().flatten()
-    }
-
     /// All qids a slot currently owns (lease reclamation).
     fn owned_by(&self, slot: usize) -> Vec<u16> {
         (1..self.owners.len())
@@ -148,7 +142,6 @@ pub struct Manager {
     pub metadata: Metadata,
     host: HostId,
     device: SmartDeviceId,
-    meta_segment: SegmentId,
     /// Granted queue ids; the serve loop is their only writer.
     qids: RefCell<QidPool>,
     stats: RefCell<ManagerStats>,
@@ -239,7 +232,7 @@ impl Manager {
         };
         let mut admin = AdminQueue::init(&fabric, bar_map.region, admin_layout).await?;
         let published = Self::publish(smartio, device, host, bar_seg, &cfg, &mut admin, held).await;
-        let (metadata, meta_segment, mailbox) = match published {
+        let (metadata, mailbox) = match published {
             Ok(v) => v,
             Err(e) => {
                 // Stop polling the ACQ before `start` gives its memory back.
@@ -252,7 +245,6 @@ impl Manager {
             metadata,
             host,
             device,
-            meta_segment,
             qids: RefCell::new(QidPool::new(metadata.max_qpairs)),
             stats: RefCell::default(),
         });
@@ -272,7 +264,7 @@ impl Manager {
     /// Identify the controller and namespace 1 through a scratch segment
     /// and negotiate the I/O queue count, then publish the mailbox and the
     /// metadata segment and downgrade to a shared borrow. Returns the
-    /// metadata, its segment and the mailbox. The three admin commands
+    /// metadata and the mailbox. The three admin commands
     /// race [`ADMIN_TIMEOUT`] together, as each of the serve loop's does:
     /// a lost completion fails the start instead of hanging it.
     async fn publish(
@@ -283,7 +275,7 @@ impl Manager {
         cfg: &ManagerConfig,
         admin: &mut AdminQueue,
         held: &mut Held,
-    ) -> crate::error::Result<(Metadata, SegmentId, MemRegion)> {
+    ) -> crate::error::Result<(Metadata, MemRegion)> {
         let fabric = smartio.fabric();
         let idbuf_seg = smartio.create_segment(host, 4096)?;
         held.segments.push(idbuf_seg);
@@ -329,7 +321,7 @@ impl Manager {
         // Downgrade: release exclusive, take a shared reference.
         smartio.release(device, host)?;
         smartio.acquire(device, host, BorrowMode::Shared)?;
-        Ok((metadata, meta_segment, mailbox))
+        Ok((metadata, mailbox))
     }
 
     /// Snapshot of the run counters.
@@ -355,11 +347,6 @@ impl Manager {
     /// The host the manager runs on.
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    /// The published metadata segment.
-    pub fn meta_segment(&self) -> SegmentId {
-        self.meta_segment
     }
 
     fn reject(&self, status: u32, qid: u16) -> Response {
@@ -579,22 +566,6 @@ impl Server {
                     _ => Response::error(proto::status::ADMIN_FAILED, qid),
                 }
             }
-            Request::Abort { qid, cid } => {
-                // Only the owner of the queue may abort commands on it.
-                if mgr.qids.borrow().owner(qid) != Some(slot) {
-                    return mgr.reject(proto::status::NOT_OWNER, qid);
-                }
-                match simcore::timeout(&handle, ADMIN_TIMEOUT, self.admin.abort(qid, cid)).await {
-                    Ok(Ok(aborted)) => {
-                        mgr.stats.borrow_mut().aborts_issued += 1;
-                        Response {
-                            flags: if aborted { flag::ABORTED } else { 0 },
-                            ..Response::ok(qid)
-                        }
-                    }
-                    _ => Response::error(proto::status::ADMIN_FAILED, qid),
-                }
-            }
             // The lease was refreshed when the message was accepted.
             Request::Heartbeat => Response::ok(0),
         }
@@ -711,7 +682,7 @@ mod tests {
         assert!(p.alloc_specific(2, 1), "idempotent for the same owner");
         assert!(!p.alloc_specific(2, 0), "taken qid refused to others");
         assert!(!p.alloc_specific(9, 0), "out-of-range qid refused");
-        assert_eq!(p.owner(2), Some(1));
+        assert_eq!(p.owned_by(1), vec![2]);
     }
 
     #[test]

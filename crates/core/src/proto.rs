@@ -113,19 +113,16 @@ pub enum Request {
     },
     /// Delete a previously granted queue pair.
     DeleteQp { qid: u16 },
-    /// Abort command `cid` on the client's own queue `qid` (recovery
-    /// ladder rung 2 — only the manager's admin queue may issue Abort).
-    Abort { qid: u16, cid: u16 },
     /// Lease keep-alive; carries no other payload.
     Heartbeat,
 }
 
 const OP_CREATE: u32 = 1;
 const OP_DELETE: u32 = 2;
-const OP_ABORT: u32 = 3;
 const OP_HEARTBEAT: u32 = 4;
-// Opcode 5 is reserved: it was a client's request to reset the controller,
-// a device-wide action no tenant may ask for.
+// Opcodes 3 and 5 are reserved. 3 asked the manager to Abort a command,
+// which in this model always found it completed already; 5 asked it to
+// reset the controller, a device-wide action no tenant may ask for.
 
 /// A stamped request as written into a mailbox slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,11 +164,6 @@ impl SlotMessage {
                 b[12..14].copy_from_slice(&qid.to_le_bytes());
                 OP_DELETE
             }
-            Request::Abort { qid, cid } => {
-                b[12..14].copy_from_slice(&qid.to_le_bytes());
-                b[14..16].copy_from_slice(&cid.to_le_bytes());
-                OP_ABORT
-            }
             Request::Heartbeat => OP_HEARTBEAT,
         };
         b[8..12].copy_from_slice(&op.to_le_bytes());
@@ -205,10 +197,6 @@ impl SlotMessage {
             OP_DELETE => Request::DeleteQp {
                 qid: u16::from_le_bytes(field(b, 12)),
             },
-            OP_ABORT => Request::Abort {
-                qid: u16::from_le_bytes(field(b, 12)),
-                cid: u16::from_le_bytes(field(b, 14)),
-            },
             OP_HEARTBEAT => Request::Heartbeat,
             _ => return None,
         };
@@ -230,16 +218,6 @@ pub struct Response {
     pub status: u32,
     /// Granted queue id (CreateQp).
     pub qid: u16,
-    /// Per-operation detail bits (see [`flag`]).
-    pub flags: u16,
-}
-
-/// Bits of [`Response::flags`].
-pub mod flag {
-    /// Abort: the controller actually killed the command (CQE DW0 bit 0
-    /// clear, NVMe 1.3 §5.1). Unset means the command had already
-    /// completed or was never seen.
-    pub const ABORTED: u16 = 1;
 }
 
 /// Response status codes.
@@ -262,22 +240,21 @@ impl Response {
         Response::error(status::OK, qid)
     }
 
-    /// An answer with status `status` naming `qid`, no flags, unstamped.
+    /// An answer with status `status` naming `qid`, unstamped.
     pub fn error(status: u32, qid: u16) -> Response {
         Response {
             seq: 0,
             status,
             qid,
-            flags: 0,
         }
     }
 
-    /// Serialize to the response area layout.
+    /// Serialize to the response area layout. Bytes 10..16 are reserved
+    /// zeros.
     pub fn encode(&self) -> [u8; RESPONSE_LEN] {
         let mut b = [0u8; RESPONSE_LEN];
         b[4..8].copy_from_slice(&self.status.to_le_bytes());
         b[8..10].copy_from_slice(&self.qid.to_le_bytes());
-        b[10..12].copy_from_slice(&self.flags.to_le_bytes());
         b[0..4].copy_from_slice(&self.seq.to_le_bytes());
         b
     }
@@ -288,7 +265,6 @@ impl Response {
             seq: u32::from_le_bytes(field(b, 0)),
             status: u32::from_le_bytes(field(b, 4)),
             qid: u16::from_le_bytes(field(b, 8)),
-            flags: u16::from_le_bytes(field(b, 10)),
         }
     }
 }
@@ -382,21 +358,13 @@ mod tests {
 
     #[test]
     fn recovery_request_roundtrips() {
-        for req in [
-            Request::Abort {
-                qid: 3,
-                cid: 0x1234,
-            },
-            Request::Heartbeat,
-        ] {
-            let msg = SlotMessage {
-                seq: 21,
-                retry: 1,
-                response_segment: 9,
-                request: req,
-            };
-            assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
-        }
+        let msg = SlotMessage {
+            seq: 21,
+            retry: 1,
+            response_segment: 9,
+            request: Request::Heartbeat,
+        };
+        assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
     }
 
     #[test]
@@ -414,8 +382,8 @@ mod tests {
 
     #[test]
     fn unknown_opcode_rejected() {
-        // 5 is the retired controller-reset opcode.
-        for op in [5u8, 0x77] {
+        // 3 and 5 are the retired Abort and controller-reset opcodes.
+        for op in [3u8, 5, 0x77] {
             let mut raw = [0u8; MAILBOX_SLOT];
             raw[8] = op;
             assert_eq!(SlotMessage::decode(&raw), None);
@@ -428,7 +396,6 @@ mod tests {
             seq: 4,
             status: status::OK,
             qid: 17,
-            flags: flag::ABORTED,
         };
         assert_eq!(Response::decode(&r.encode()), r);
     }

@@ -15,8 +15,7 @@
 //!
 //! * **Admin** (the manager's bring-up and queue service, §V): Identify
 //!   (CNS Controller and Namespace), Set Features (Number of Queues
-//!   only), Create/Delete I/O CQ, Create/Delete I/O SQ, and Abort (the
-//!   recovery ladder's rung 2).
+//!   only), and Create/Delete I/O CQ and SQ.
 //! * **NVM** (namespace 1, the clients' datapath): Read, Write and Flush.
 //!   Data moves through PRP1/PRP2 or a PRP list.
 
@@ -24,7 +23,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use pcie::{DeviceId, Fabric, HostId, MmioDevice, NodeId, Payload, PhysAddr, WeakFabric};
-use simcore::hash::IntMap;
 use simcore::sync::{Notify, Semaphore};
 use simcore::{Handle, SimDuration, Stage};
 
@@ -131,11 +129,6 @@ pub struct NvmeController {
     cqs: RefCell<QueueTable<CqState>>,
     exec_sem: Semaphore,
     stats: RefCell<CtrlStats>,
-    /// Executing I/O commands, [`inflight_key`]`(sqid, cid)` → aborted
-    /// flag. An Abort for a tracked command sets the flag; the executor
-    /// completes it with ABORT_REQUESTED. Looked up, inserted, removed and
-    /// cleared, never walked.
-    inflight: RefCell<IntMap<u64, Rc<Cell<bool>>>>,
 }
 
 /// One slot per qid the controller supports, `None` where no queue lives.
@@ -144,11 +137,6 @@ type QueueTable<T> = Vec<Option<Rc<RefCell<T>>>>;
 /// The queue at `qid`, if one lives there.
 fn queue<T>(table: &QueueTable<T>, qid: u16) -> Option<&Rc<RefCell<T>>> {
     table.get(usize::from(qid))?.as_ref()
-}
-
-/// `(sqid, cid)` as one [`NvmeController::inflight`] key.
-fn inflight_key(sqid: u16, cid: u16) -> u64 {
-    u64::from(sqid) << 16 | u64::from(cid)
 }
 
 impl NvmeController {
@@ -181,7 +169,6 @@ impl NvmeController {
             sqs: RefCell::new(vec![None; queues]),
             cqs: RefCell::new(vec![None; queues]),
             stats: RefCell::new(CtrlStats::default()),
-            inflight: RefCell::default(),
         });
         *ctrl.weak_self.borrow_mut() = Rc::downgrade(&ctrl);
         let dev = fabric.add_device(host, at, &[BAR0_SIZE], ctrl.clone());
@@ -310,7 +297,6 @@ impl NvmeController {
         let mut r = self.regs.borrow_mut();
         r.csts &= !csts::RDY;
         drop(r);
-        self.inflight.borrow_mut().clear();
         self.handle.sanitize_record(None, Stage::ControllerReset);
     }
 
@@ -406,13 +392,9 @@ impl NvmeController {
                     drop(permit);
                 } else {
                     // I/O commands execute concurrently (device pipelining).
-                    let aborted = Rc::new(Cell::new(false));
-                    self.inflight
-                        .borrow_mut()
-                        .insert(inflight_key(qid, sqe.cid), aborted.clone());
                     let me = self.clone();
                     self.handle.spawn_detached(async move {
-                        me.exec_io(qid, cqid, sqe, new_head, aborted).await;
+                        me.exec_io(qid, cqid, sqe, new_head).await;
                         drop(permit);
                     });
                 }
@@ -516,7 +498,6 @@ impl NvmeController {
             Some(AdminOpcode::DeleteIoSq) => self.admin_delete_sq(&sqe),
             Some(AdminOpcode::DeleteIoCq) => self.admin_delete_cq(&sqe),
             Some(AdminOpcode::SetFeatures) => self.admin_features(&sqe),
-            Some(AdminOpcode::Abort) => self.admin_abort(&sqe),
             None => (0, Status::INVALID_OPCODE),
         };
         self.post_cqe(0, result, sq_head, 0, sqe.cid, status).await;
@@ -622,11 +603,6 @@ impl NvmeController {
         if let Some(cq) = queue(&self.cqs.borrow(), s.cqid) {
             cq.borrow_mut().sq_refs -= 1;
         }
-        // Commands of the deleted queue are disposed of with it: a
-        // recreate under the same qid must not collide with stale flags.
-        self.inflight
-            .borrow_mut()
-            .retain(|key, _| key >> 16 != u64::from(qid));
         self.handle
             .sanitize_record(None, Stage::QueueDeleted { qid });
         (0, Status::SUCCESS)
@@ -656,25 +632,6 @@ impl NvmeController {
         (0, Status::SUCCESS)
     }
 
-    /// Abort (NVMe 1.3 §5.1): CDW10 carries the SQ id (15:0) and the cid
-    /// to kill (31:16). DW0 bit 0 **clear** means the command was found
-    /// executing and will complete with ABORT_REQUESTED; **set** means it
-    /// was not found — already completed (perhaps its CQE got lost in the
-    /// fabric) or never fetched, and the host must escalate.
-    fn admin_abort(&self, sqe: &SqEntry) -> (u32, Status) {
-        let sqid = (sqe.cdw10 & 0xFFFF) as u16;
-        let cid = (sqe.cdw10 >> 16) as u16;
-        match self.inflight.borrow().get(&inflight_key(sqid, cid)) {
-            Some(flag) => {
-                flag.set(true);
-                self.handle
-                    .sanitize_record(Some((sqid, cid)), Stage::Aborted);
-                (0, Status::SUCCESS)
-            }
-            None => (1, Status::SUCCESS),
-        }
-    }
-
     fn admin_features(&self, sqe: &SqEntry) -> (u32, Status) {
         match sqe.cdw10 & 0xFF {
             feature::NUM_QUEUES => {
@@ -689,15 +646,8 @@ impl NvmeController {
     // I/O command execution
     // -----------------------------------------------------------------
 
-    async fn exec_io(
-        self: Rc<Self>,
-        qid: u16,
-        cqid: u16,
-        sqe: SqEntry,
-        sq_head: u16,
-        aborted: Rc<Cell<bool>>,
-    ) {
-        let mut status = match NvmOpcode::from_u8(sqe.opcode) {
+    async fn exec_io(self: Rc<Self>, qid: u16, cqid: u16, sqe: SqEntry, sq_head: u16) {
+        let status = match NvmOpcode::from_u8(sqe.opcode) {
             Some(NvmOpcode::Read) => self.io_read(qid, &sqe).await,
             Some(NvmOpcode::Write) => self.io_write(qid, &sqe).await,
             Some(NvmOpcode::Flush) => {
@@ -710,15 +660,6 @@ impl NvmeController {
             }
             None => Status::INVALID_OPCODE,
         };
-        // An Abort that raced this command wins over whatever the data
-        // path produced (media effects may still have happened — abort is
-        // best-effort, as on real hardware).
-        if aborted.get() {
-            status = Status::ABORT_REQUESTED;
-        }
-        self.inflight
-            .borrow_mut()
-            .remove(&inflight_key(qid, sqe.cid));
         self.post_cqe(cqid, 0, sq_head, qid, sqe.cid, status).await;
     }
 

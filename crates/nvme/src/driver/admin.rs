@@ -243,15 +243,6 @@ impl AdminQueue {
         self.submit(SqEntry::delete_io_cq(0, qid)).await?;
         Ok(())
     }
-
-    /// Abort command `cid` on I/O submission queue `sqid` (recovery
-    /// ladder rung 2). Returns whether the controller actually aborted
-    /// it — CQE DW0 bit 0 *clear* means aborted; set means the command
-    /// had already completed or was never seen (NVMe 1.3 §5.1).
-    pub async fn abort(&mut self, sqid: u16, cid: u16) -> AdminResult<bool> {
-        let cqe = self.submit(SqEntry::abort(0, sqid, cid)).await?;
-        Ok(cqe.result & 1 == 0)
-    }
 }
 
 /// Poll CSTS until RDY reaches `want` or the CAP timeout expires.

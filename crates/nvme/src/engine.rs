@@ -72,8 +72,8 @@ pub enum EngineError {
     /// torn down or the tag slot was clobbered.
     Gone,
     /// The command blew through its deadline and every doorbell re-ring
-    /// retry (rung 1 of the recovery ladder). The caller escalates:
-    /// Abort via the admin path, then queue recreate.
+    /// retry (rung 1 of the recovery ladder). The caller escalates to a
+    /// queue recreate.
     Timeout {
         /// Queue pair the command was striped onto.
         qid: u16,
@@ -524,7 +524,7 @@ impl IoEngine {
         // doorbell delivery outright — and doubles the deadline so a
         // merely-slow device isn't hammered. A command that stays silent
         // through the whole budget surfaces as `Timeout` for the caller's
-        // abort/recreate escalation instead of hanging forever.
+        // queue-recreate escalation instead of hanging forever.
         let mut wait = base;
         for attempt in 0..=MAX_RETRIES {
             match simcore::timeout(&self.handle, wait, &mut rx).await {
@@ -548,7 +548,7 @@ impl IoEngine {
         })
     }
 
-    /// Per-queue-pair recovery (ladder rungs 3–4): fail every waiter
+    /// Per-queue-pair recovery (ladder rungs 2–3): fail every waiter
     /// striped onto `qid` with [`EngineError::Gone`], discard its backlog,
     /// and restart both rings at slot 0 / phase 1 — the state a freshly
     /// recreated controller-side queue pair expects. The completion

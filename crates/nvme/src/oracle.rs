@@ -4,8 +4,8 @@
 //! contract, fed by records from both sides of the wire: the host rings
 //! ([`crate::queue`], via [`crate::engine::IoEngine`]) record SQE stores,
 //! doorbell writes and CQE consumption; the controller
-//! ([`crate::ctrl::NvmeController`]) records command fetches, aborts, CQE
-//! posts, queue deletes and resets. Every command must walk
+//! ([`crate::ctrl::NvmeController`]) records command fetches, CQE posts,
+//! queue deletes and resets. Every command must walk
 //!
 //! ```text
 //! SQE written → doorbell exposes slot → fetched → CQE posted with the
@@ -50,10 +50,6 @@ enum CmdState {
 struct CmdRec {
     state: CmdState,
     slot: u16,
-    /// Abort accepted for this command; its CQE carries ABORT_REQUESTED
-    /// and the host may legitimately tear the queue down instead of
-    /// consuming it.
-    aborted: bool,
 }
 
 /// Host-visible submission-queue mirror.
@@ -135,7 +131,6 @@ impl OracleState {
                 let rec = CmdRec {
                     state: CmdState::Written,
                     slot,
-                    aborted: false,
                 };
                 if let Some(prev) = self.cmds.insert((qid, cid), rec) {
                     report(
@@ -358,30 +353,9 @@ impl OracleState {
                     );
                 }
             }
-            (Some((qid, cid)), Stage::Aborted) => {
-                // Abort for an untracked command is legal: it raced the
-                // completion (or the queue is not mirrored).
-                match self.cmds.get_mut(&(qid, cid)) {
-                    // A controller can only abort a command it has
-                    // fetched; claiming to abort one still sitting in the
-                    // ring means it peeked past the doorbell.
-                    Some(CmdRec {
-                        state: state @ (CmdState::Written | CmdState::Exposed),
-                        ..
-                    }) => report(
-                        "nvme.lifecycle.abort-unfetched",
-                        format!(
-                            "SQ {qid} cid {cid}: abort accepted for a command the \
-                             controller never fetched (state {state:?})"
-                        ),
-                    ),
-                    Some(cmd) => cmd.aborted = true,
-                    None => {}
-                }
-            }
             (_, Stage::QueueDeleted { qid }) => {
                 // The qpair's whole lifecycle state is void: commands the
-                // host abandoned (timed out, aborted, CQE lost in the
+                // host abandoned (timed out, CQE lost in the
                 // fabric) are disposed of with the queue, and a recreate
                 // under the same qid starts a pristine mirror.
                 self.sqs.remove(&qid);

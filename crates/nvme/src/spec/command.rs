@@ -219,19 +219,6 @@ impl SqEntry {
         }
     }
 
-    /// Admin Abort: ask the controller to abort the command `target_cid`
-    /// submitted on SQ `sqid` (NVMe 1.3 §5.1). Best-effort per spec: the
-    /// completion's DW0 bit 0 is **set** when the command was *not*
-    /// aborted.
-    pub fn abort(cid: u16, sqid: u16, target_cid: u16) -> SqEntry {
-        SqEntry {
-            opcode: AdminOpcode::Abort as u8,
-            cid,
-            cdw10: sqid as u32 | ((target_cid as u32) << 16),
-            ..Default::default()
-        }
-    }
-
     /// Set Features / Number of Queues: request `nsq`/`ncq` I/O queues
     /// (0-based per spec).
     pub fn set_num_queues(cid: u16, nsq0: u16, ncq0: u16) -> SqEntry {

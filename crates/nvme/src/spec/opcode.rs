@@ -14,8 +14,6 @@ pub enum AdminOpcode {
     CreateIoCq = 0x05,
     /// Identify.
     Identify = 0x06,
-    /// Abort.
-    Abort = 0x08,
     /// Set Features.
     SetFeatures = 0x09,
 }
@@ -29,7 +27,6 @@ impl AdminOpcode {
             0x04 => AdminOpcode::DeleteIoCq,
             0x05 => AdminOpcode::CreateIoCq,
             0x06 => AdminOpcode::Identify,
-            0x08 => AdminOpcode::Abort,
             0x09 => AdminOpcode::SetFeatures,
             _ => return None,
         })
@@ -86,7 +83,6 @@ mod tests {
             AdminOpcode::DeleteIoCq,
             AdminOpcode::CreateIoCq,
             AdminOpcode::Identify,
-            AdminOpcode::Abort,
             AdminOpcode::SetFeatures,
         ] {
             assert_eq!(AdminOpcode::from_u8(op as u8), Some(op));

@@ -18,21 +18,15 @@ impl Status {
     pub const INVALID_FIELD: Status = Status { sct: 0, sc: 0x02 };
     /// Data transfer error.
     pub const DATA_TRANSFER_ERROR: Status = Status { sct: 0, sc: 0x04 };
-    /// Command abort requested (the command was killed by an Abort).
-    pub const ABORT_REQUESTED: Status = Status { sct: 0, sc: 0x07 };
     /// Invalid namespace or format.
     pub const INVALID_NAMESPACE: Status = Status { sct: 0, sc: 0x0B };
     /// LBA out of range.
     pub const LBA_OUT_OF_RANGE: Status = Status { sct: 0, sc: 0x80 };
-    /// Capacity exceeded.
-    pub const CAPACITY_EXCEEDED: Status = Status { sct: 0, sc: 0x81 };
     // Command-specific (SCT=1):
     /// Invalid queue identifier.
     pub const INVALID_QUEUE_ID: Status = Status { sct: 1, sc: 0x01 };
     /// Invalid queue size.
     pub const INVALID_QUEUE_SIZE: Status = Status { sct: 1, sc: 0x02 };
-    /// Invalid interrupt vector.
-    pub const INVALID_INTERRUPT_VECTOR: Status = Status { sct: 1, sc: 0x08 };
     /// Invalid PRP offset.
     pub const INVALID_PRP_OFFSET: Status = Status { sct: 1, sc: 0x13 };
 

@@ -460,7 +460,7 @@ fn unknown_opcodes_complete_with_invalid_opcode_and_the_queue_carries_on() {
     b.rt.block_on(async move {
         let h = fabric.handle();
         let mut admin = raw_admin(&fabric, host, &ctrl).await;
-        for opcode in [0x02, 0x0A, 0x0C, 0x7F] {
+        for opcode in [0x02, 0x08, 0x0A, 0x0C, 0x7F] {
             let sqe = SqEntry {
                 opcode,
                 ..SqEntry::default()
@@ -537,5 +537,5 @@ fn unknown_opcodes_complete_with_invalid_opcode_and_the_queue_carries_on() {
             );
         }
     });
-    assert_eq!(b.ctrl.stats().errors_returned, 7);
+    assert_eq!(b.ctrl.stats().errors_returned, 8);
 }

@@ -100,9 +100,6 @@ pub enum Stage {
     MediaRead,
     /// Controller began fetching an NVM Write's data for the medium.
     MediaWrite,
-    /// Controller accepted an Abort for the command: it completes with
-    /// ABORT_REQUESTED instead of its own status.
-    Aborted,
     /// Controller posted the CQE into `slot` of its CQ with tag `phase`.
     CqePosted {
         slot: u16,

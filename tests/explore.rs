@@ -78,7 +78,7 @@ fn exhaustive_two_client_is_conformant() {
 fn exhaustive_two_client_with_cqe_drop_is_conformant() {
     // Fault-bearing model check: the same two-client space, but with the
     // first CQE after bring-up dropped on every explored schedule. The
-    // recovery ladder (timeout → abort → queue recreate → resubmit) runs
+    // recovery ladder (timeout → queue recreate → resubmit) runs
     // under every delivery ordering, and the armed checker must stay
     // silent on all of them — recovery may not double-complete, reuse a
     // live cid, or leave a queue half-deleted, on any schedule.

@@ -232,10 +232,9 @@ fn oversized_bio_rejected_cleanly_everywhere() {
 fn dropped_cqe_recovers_through_the_abort_ladder() {
     // Drop the first CQE the device posts after bring-up. The client's
     // per-command deadline expires, doorbell re-rings go unanswered (the
-    // controller already completed the command), the Abort RPC reports
-    // "already completed", and the ladder recreates the queue pair and
-    // resubmits — the I/O ultimately *succeeds*, with every escalation
-    // visible in the counters and no hang anywhere.
+    // controller already completed the command), and the ladder recreates
+    // the queue pair and resubmits — the I/O ultimately *succeeds*, with
+    // every escalation visible in the counters and no hang anywhere.
     use cluster::{Calibration, Scenario, ScenarioKind};
     use pcie::FaultPlan;
     let calib = Calibration::fault_recovery();
@@ -258,23 +257,18 @@ fn dropped_cqe_recovers_through_the_abort_ladder() {
         "the plan must fire"
     );
     // The climb costs an exact simulated time: rung 1's deadlines and
-    // re-rings, the Abort, DeleteQp and CreateQp round trips and the
+    // re-rings, the DeleteQp and CreateQp round trips and the
     // resubmission. Any wait added on the ladder, such as a non-posted
-    // read before the Abort, moves it; update it with the change that does.
-    assert_eq!(took.as_nanos(), 1_427_793, "the recovered read's latency");
+    // read before the DeleteQp, moves it; update it with the change that
+    // does.
+    assert_eq!(took.as_nanos(), 1_425_021, "the recovered read's latency");
     let cs = sc.client_drivers()[0].stats();
     assert!(cs.recoveries >= 1, "deadline must trip: {cs:?}");
-    assert!(cs.aborts_requested >= 1, "abort rung must run: {cs:?}");
     assert!(cs.qpairs_recreated >= 1, "recreate rung must run: {cs:?}");
     assert_eq!(
         injected(&sc.fabric, Stage::ControllerReset),
         bring_up_resets,
         "no controller reset after bring-up"
-    );
-    let ms = sc.manager().unwrap().stats();
-    assert!(
-        ms.aborts_issued >= 1,
-        "manager must issue the abort: {ms:?}"
     );
     // The lost CQE and the whole recovery ladder are protocol-clean: the
     // dropped write is forgotten, not left pending or "observed".
@@ -333,7 +327,7 @@ fn drop_first_cqe_on_two_rings(lanes: u64) -> (cluster::Scenario, Vec<Result<(),
 #[test]
 fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
     // Two submitters keep both rings busy when the first CQE is dropped:
-    // the ring that lost it climbs the ladder once — abort, `reset_qpair`,
+    // the ring that lost it climbs the ladder once — delete, `reset_qpair`,
     // recreate — while the sibling ring, sharing the engine's tag set and
     // flusher state, keeps reaping its own completions. Every read
     // succeeds and the checker (race detector, protocol checks, lifecycle
@@ -343,11 +337,7 @@ fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
     assert_eq!(results, vec![Ok(()); 6]);
     let drv = sc.client_drivers()[0].clone();
     let cs = drv.stats();
-    assert_eq!(
-        (cs.recoveries, cs.aborts_requested, cs.qpairs_recreated),
-        (1, 1, 1),
-        "{cs:?}"
-    );
+    assert_eq!((cs.recoveries, cs.qpairs_recreated), (1, 1), "{cs:?}");
     let rings = drv.qpair_stats().qpairs;
     assert_eq!(rings.len(), 2);
     let (hit, sibling): (Vec<_>, Vec<_>) = rings.iter().partition(|(_, s)| s.timeouts > 0);
@@ -361,7 +351,7 @@ fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
 fn one_climber_per_ring_when_two_commands_lose_the_same_cqe_slot() {
     // Four submitters, two commands in flight per ring. The dropped CQE
     // stalls its ring's consumer, so *both* of that ring's commands run
-    // out their deadline and enter the ladder. One climbs (abort, delete,
+    // out their deadline and enter the ladder. One climbs (delete,
     // recreate); the other waits for that verdict, finds the ring rebuilt
     // and goes straight to its one resubmission. Left to climb side by
     // side their delete/recreate RPCs would collide and a fault one
@@ -370,11 +360,7 @@ fn one_climber_per_ring_when_two_commands_lose_the_same_cqe_slot() {
     let (sc, results) = drop_first_cqe_on_two_rings(4);
     assert_eq!(results, vec![Ok(()); 12]);
     let cs = sc.client_drivers()[0].stats();
-    assert_eq!(
-        (cs.recoveries, cs.aborts_requested, cs.qpairs_recreated),
-        (2, 1, 1),
-        "{cs:?}"
-    );
+    assert_eq!((cs.recoveries, cs.qpairs_recreated), (2, 1), "{cs:?}");
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
@@ -419,7 +405,7 @@ async fn verified_pairs(
 
 /// `clients` hosts share the controller under the recovery calibration.
 /// E (the last client) disconnects; then the CQE deliveries `drops` are
-/// lost, which are A's (client 0) one read and its rung-3 resubmission.
+/// lost, which are A's (client 0) one read and its rung-2 resubmission.
 /// B–D (every other client) start 10 µs after A and run byte-verified
 /// write/read pairs until 30 pairs after A's verdict; then E reconnects
 /// on the same host and runs 30 pairs, and A reads once more. A must
@@ -516,15 +502,15 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
 #[test]
 fn a_tenants_failed_recovery_never_resets_the_shared_controller() {
     // The paper's manager is the one party that does device-wide work; a
-    // client whose ladder runs out ends at its own queue pair. Ordinal 243
+    // client whose ladder runs out ends at its own queue pair. Ordinal 242
     // is A's resubmission on five hosts.
-    one_tenants_failed_recovery_stays_on_its_ring(5, [0, 243]);
+    one_tenants_failed_recovery_stays_on_its_ring(5, [0, 242]);
 }
 
 #[test]
 fn a_tenants_failed_recovery_leaves_thirty_other_hosts_alone() {
     // The same at the paper's 31 hosts, 29 of them busy throughout.
-    one_tenants_failed_recovery_stays_on_its_ring(31, [0, 987]);
+    one_tenants_failed_recovery_stays_on_its_ring(31, [0, 978]);
 }
 
 #[test]
@@ -803,9 +789,7 @@ fn duplicated_page_payload_is_oracle_and_hb_clean() {
 /// 50 ms admin deadline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum ServeCall {
-    /// Rung 2: Abort on a client's behalf.
-    Abort,
-    /// Rung 3: DeleteQp of the ring being re-created.
+    /// Rung 2: DeleteQp of the ring being re-created.
     DeleteQp,
     /// A connect's CreateQp.
     CreateQp,
@@ -825,11 +809,8 @@ fn a_lost_admin_cqe_stalls_each_serve_loop_call_once_and_never_hangs_it() {
     // Without the deadline at that call's site the serve loop waits
     // forever and the connect ends in `RpcTimeout`.
     let cells = [
-        // A's read, then the Abort its ladder sends.
-        (ServeCall::Abort, &[0, 1][..]),
-        // A's read; the Abort answers "already completed"; rung 3's Delete
-        // I/O SQ.
-        (ServeCall::DeleteQp, &[0, 2]),
+        // A's read, then rung 2's Delete I/O SQ.
+        (ServeCall::DeleteQp, &[0, 1][..]),
         // A's Create I/O CQ.
         (ServeCall::CreateQp, &[0]),
         // A gives up at once: Create I/O CQ and SQ complete, the grant
@@ -887,7 +868,7 @@ fn serve_call_survives_a_lost_cqe(call: ServeCall, drops: &[u64]) {
             .await
             .unwrap();
         match call {
-            ServeCall::Abort | ServeCall::DeleteQp => {
+            ServeCall::DeleteQp => {
                 let drv = ClientDriver::connect(&smartio, dev, a, client_cfg)
                     .await
                     .unwrap();
@@ -944,8 +925,7 @@ fn serve_call_survives_a_lost_cqe(call: ServeCall, drops: &[u64]) {
     assert_eq!(posted.and_then(|r| r.cmd).map(|c| c.0), Some(0), "{call:?}");
     let ms = mgr.stats();
     let marked = match call {
-        ServeCall::Abort => ms.aborts_issued == 0,
-        ServeCall::DeleteQp => ms.aborts_issued == 1 && ms.qpairs_deleted == 0,
+        ServeCall::DeleteQp => ms.qpairs_deleted == 0,
         ServeCall::CreateQp => ms.qpairs_created == 0 && ms.requests_rejected >= 1,
         ServeCall::RollbackCreate => ms.qpairs_created == 0 && ms.requests_rejected >= 1,
         ServeCall::ReaperDeleteQp => ms.qpairs_reclaimed == 1 && ms.clients_evicted >= 1,
