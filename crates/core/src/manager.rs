@@ -23,7 +23,7 @@ use std::rc::Rc;
 use nvme::driver::admin::{AdminError, AdminQueue, AdminQueueLayout};
 use nvme::spec::command::SQE_SIZE;
 use nvme::spec::completion::CQE_SIZE;
-use pcie::{HostId, MemRegion};
+use pcie::{HostId, MemRegion, PhysAddr};
 use simcore::{SimDuration, SimTime};
 use smartio::{AccessHints, BorrowMode, CpuMapping, SegmentId, SmartDeviceId, SmartIo};
 
@@ -420,20 +420,9 @@ impl Server {
     async fn scan(&mut self) {
         let fabric = self.smartio.fabric().clone();
         for slot in 0..self.slots.len() {
-            let addr = self
-                .mailbox
-                .addr
-                .offset((slot * proto::MAILBOX_SLOT) as u64);
-            let mut raw = [0u8; proto::MAILBOX_SLOT];
-            if fabric.mem_read(self.mailbox.host, addr, &mut raw).is_err() {
-                continue; // slot unreadable (segment torn down mid-poll)
-            }
-            let Some(msg) = SlotMessage::decode(&raw) else {
+            let Some((addr, msg)) = self.read_slot(slot) else {
                 continue;
             };
-            if msg.seq == 0 {
-                continue;
-            }
             let now = fabric.handle().now();
             let last = &mut self.slots[slot];
             // A new connection numbers its requests from 1 again but
@@ -496,6 +485,21 @@ impl Server {
                 }
             }
         }
+    }
+
+    /// The request in `slot` of the mailbox and its address, if one
+    /// decodes (an unreadable slot is a segment torn down mid-poll).
+    fn read_slot(&self, slot: usize) -> Option<(PhysAddr, SlotMessage)> {
+        let addr = self
+            .mailbox
+            .addr
+            .offset((slot * proto::MAILBOX_SLOT) as u64);
+        let mut raw = [0u8; proto::MAILBOX_SLOT];
+        let fabric = self.smartio.fabric();
+        fabric.mem_read(self.mailbox.host, addr, &mut raw).ok()?;
+        SlotMessage::decode(&raw)
+            .filter(|msg| msg.seq != 0)
+            .map(|msg| (addr, msg))
     }
 
     /// Undo a CreateQp whose grant response could not be delivered: delete
@@ -581,8 +585,20 @@ impl Server {
         let handle = self.smartio.fabric().handle();
         let now = handle.now();
         for slot in 0..self.slots.len() {
-            let last = &mut self.slots[slot];
+            let last = &self.slots[slot];
             if last.seen.is_none_or(|seen| now.since(seen) <= lease) {
+                continue;
+            }
+            // A message other than the last one accepted is a sign of life
+            // that a stalled admin call kept the loop from reading; the
+            // next scan answers it.
+            let heard = (last.seq, last.seg, last.retry);
+            let unread = self
+                .read_slot(slot)
+                .is_some_and(|(_, msg)| (msg.seq, msg.response_segment, msg.retry) != heard);
+            let last = &mut self.slots[slot];
+            if unread {
+                last.seen = Some(now);
                 continue;
             }
             last.seen = None;

@@ -463,11 +463,10 @@ impl Fabric {
 
     /// Refuse the op if the issuing host has crashed.
     fn fault_check_issuer(&self, host: HostId) -> Result<()> {
-        let mut fi = self.inner.faults.borrow_mut();
+        let fi = self.inner.faults.borrow();
         if !fi.active() {
             return Ok(());
         }
-        fi.refresh(self.inner.handle.now());
         if fi.is_crashed(host) {
             self.inner.handle.sanitize_record(None, Stage::FaultRefused);
             return Err(FabricError::HostCrashed(host));
@@ -488,11 +487,10 @@ impl Fabric {
         loc: &Location,
         posted: bool,
     ) -> Result<bool> {
-        let mut fi = self.inner.faults.borrow_mut();
+        let fi = self.inner.faults.borrow();
         if !fi.active() {
             return Ok(false);
         }
-        fi.refresh(self.inner.handle.now());
         for &ntb in crossed {
             if fi.severed_mode(ntb).is_some() {
                 self.inner.handle.sanitize_record(None, Stage::FaultRefused);
@@ -938,7 +936,6 @@ impl Fabric {
         {
             let mut fi = self.inner.faults.borrow_mut();
             if fi.active() {
-                fi.refresh(self.inner.handle.now());
                 let src_host = if path.0 & DEVICE_PATH_BIT == 0 {
                     Some(HostId(path.0 as u16))
                 } else {
@@ -1040,15 +1037,6 @@ impl Fabric {
         let pick = match heads.next() {
             None => first,
             Some(second) => {
-                // A real schedule choice point: tell the fault injector, so
-                // choice-indexed host crashes fire at schedule-relative
-                // positions the explorer can enumerate.
-                {
-                    let mut fi = self.inner.faults.borrow_mut();
-                    if fi.active() {
-                        fi.on_choice_point();
-                    }
-                }
                 let heads: Vec<usize> = [first, second].into_iter().chain(heads).collect();
                 let options: Vec<ChoiceOption> = heads
                     .iter()

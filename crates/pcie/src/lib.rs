@@ -32,9 +32,7 @@ pub use addr::{DeviceId, DomainAddr, HostId, MemRegion, NodeId, NtbId, PhysAddr}
 pub use device::{MmioDevice, RegisterFile};
 pub use error::{FabricError, Result};
 pub use fabric::{Fabric, Location, WeakFabric};
-pub use fault::{
-    CrashHost, CrashTrigger, DeliveryFault, FaultAction, FaultPlan, Selector, SeverLink, SeverMode,
-};
+pub use fault::{DeliveryFault, FaultAction, FaultPlan, Selector, SeverMode};
 pub use memory::{HostMemory, PageTable, WatchHandle, PAGE_SIZE};
 pub use params::FabricParams;
 pub use payload::{Page, PageRef, Payload};

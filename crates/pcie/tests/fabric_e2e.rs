@@ -262,7 +262,7 @@ fn dma_write_ordering_preserved_for_same_path() {
         let _armed = simcore::sanitize::arm();
         let tb = build();
         let f = tb.fabric.clone();
-        let delayed = !plan.is_empty();
+        let delayed = !plan.deliveries.is_empty();
         f.set_fault_plan(plan);
         let seg = f.alloc(tb.host_a, 8192).unwrap();
         let data_bus = f

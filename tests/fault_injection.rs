@@ -229,6 +229,41 @@ fn oversized_bio_rejected_cleanly_everywhere() {
 }
 
 #[test]
+fn a_lost_sq_doorbell_is_recovered_by_the_re_ring_alone() {
+    // Drop the first host-to-device write after bring-up: the read's SQ
+    // tail doorbell. The controller never learns of the command, so the
+    // first deadline expires and rung 1 re-rings the doorbell; the
+    // controller fetches, and the read completes without climbing further.
+    use cluster::{Calibration, Scenario, ScenarioKind};
+    use pcie::FaultPlan;
+    let calib = Calibration::fault_recovery();
+    let _armed = simcore::sanitize::arm();
+    let sc = Scenario::build(ScenarioKind::OursRemote { switches: 1 }, &calib);
+    sc.fabric
+        .set_fault_plan(FaultPlan::parse("f1:drop@0/h2d").unwrap());
+    let (host, dev) = sc.clients[0].clone();
+    let fabric = sc.fabric.clone();
+    let handle = sc.rt.handle();
+    let (read, took) = sc.rt.block_on(async move {
+        let buf = fabric.alloc(host, 4096).unwrap();
+        let start = handle.now();
+        let read = dev.submit(Bio::read(0, 8, buf)).await;
+        (read, handle.now().since(start))
+    });
+    assert_eq!(read, Ok(()));
+    assert_eq!(
+        injected(&sc.fabric, Stage::FaultDropped),
+        1,
+        "the plan must fire"
+    );
+    let cs = sc.client_drivers()[0].stats();
+    assert_eq!((cs.recoveries, cs.qpairs_recreated), (0, 0), "{cs:?}");
+    assert_eq!(sc.rt.sanitize_violations(), []);
+    // One 200 µs deadline, then the re-rung read.
+    assert_eq!(took.as_nanos(), 217_062, "the recovered read's latency");
+}
+
+#[test]
 fn dropped_cqe_recovers_through_the_abort_ladder() {
     // Drop the first CQE the device posts after bring-up. The client's
     // per-command deadline expires, doorbell re-rings go unanswered (the
@@ -405,19 +440,28 @@ async fn verified_pairs(
 
 /// `clients` hosts share the controller under the recovery calibration.
 /// E (the last client) disconnects; then the CQE deliveries `drops` are
-/// lost, which are A's (client 0) one read and its rung-2 resubmission.
-/// B–D (every other client) start 10 µs after A and run byte-verified
-/// write/read pairs until 30 pairs after A's verdict; then E reconnects
-/// on the same host and runs 30 pairs, and A reads once more. A must
-/// fail typed and then read at once, without a new climb; everyone
-/// else's bytes must verify; the armed log must stay empty and no
-/// controller reset may follow bring-up.
-fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]) {
+/// lost. B–D (every other client) start 10 µs after A (client 0) reads
+/// once and run byte-verified write/read pairs until 30 pairs after A's
+/// verdict. If A's read succeeds, as in a probe that loses only its CQE
+/// (ordinal 0), the run stops there; else E reconnects on the same host
+/// and runs 30 pairs, and A reads once more.
+struct FailedRecovery {
+    sc: cluster::Scenario,
+    /// Records appended since the plan's install.
+    records: Vec<simcore::Record>,
+    verdict: Result<(), BioError>,
+    next_read: Result<(), BioError>,
+    /// A's recoveries before and after its next read.
+    climbs: (u64, u64),
+    failed_pairs: usize,
+    bring_up_resets: usize,
+}
+
+fn failed_recovery(clients: usize, drops: &[u64]) -> FailedRecovery {
     use cluster::{Calibration, Scenario, ScenarioKind};
     use pcie::{DeliveryFault, FaultAction, FaultPlan, Selector};
     use std::cell::Cell;
     let calib = Calibration::fault_recovery();
-    let _armed = simcore::sanitize::arm();
     let sc = Scenario::build(ScenarioKind::OursMultihost { clients }, &calib);
     let bring_up_resets = injected(&sc.fabric, Stage::ControllerReset);
     let e = clients - 1;
@@ -426,6 +470,7 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
     sc.rt
         .block_on(async move { departing.disconnect().await })
         .unwrap();
+    let installed = sc.rt.handle().sanitize_records().len();
     sc.fabric.set_fault_plan(FaultPlan {
         deliveries: drops
             .iter()
@@ -435,7 +480,6 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
                 action: FaultAction::Drop,
             })
             .collect(),
-        ..FaultPlan::default()
     });
     let a = sc.client_drivers()[0].clone();
     let (a_host, a_dev) = sc.clients[0].clone();
@@ -467,6 +511,9 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
             })
             .collect();
         let verdict = first.await;
+        if verdict.is_ok() {
+            return (verdict, Ok(()), (0, 0), 0);
+        }
         let back = ClientDriver::connect(&smartio, device, e_host, calib.client.clone())
             .await
             .unwrap();
@@ -479,22 +526,69 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
         }
         (verdict, next_read, climbs, failed_pairs)
     });
-    assert_eq!(
-        injected(&sc.fabric, Stage::FaultDropped),
-        2,
-        "both drops must fire"
-    );
-    assert!(
-        matches!(verdict, Err(BioError::Timeout { .. })),
-        "{verdict:?}"
-    );
-    assert_eq!(next_read, Ok(()));
-    assert_eq!(climbs.0, climbs.1, "the next read must not climb");
-    assert_eq!(failed_pairs, 0);
-    assert_eq!(sc.rt.sanitize_violations(), []);
-    assert_eq!(
-        injected(&sc.fabric, Stage::ControllerReset),
+    let records = sc.rt.handle().sanitize_records()[installed..].to_vec();
+    FailedRecovery {
+        sc,
+        records,
+        verdict,
+        next_read,
+        climbs,
+        failed_pairs,
         bring_up_resets,
+    }
+}
+
+/// The CQE ordinal, counted from the plan's install, of A's rung-2
+/// resubmission on `clients` hosts: a probe that loses only A's read
+/// (ordinal 0) finds the second CQE posted for A's (qid, cid).
+fn a_resubmission_ordinal(clients: usize) -> u64 {
+    let probe = failed_recovery(clients, &[0]);
+    let posted: Vec<_> = probe
+        .records
+        .iter()
+        .filter(|r| matches!(r.stage, Stage::CqePosted { .. }))
+        .map(|r| r.cmd)
+        .collect();
+    let a_cmd = posted[0];
+    let a_qids = probe.sc.client_drivers()[0].qids();
+    assert!(
+        a_cmd.is_some_and(|(qid, _)| a_qids.contains(&qid)),
+        "CQE 0 is not A's read: {a_cmd:?}"
+    );
+    let nth = posted
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c == a_cmd)
+        .nth(1);
+    nth.expect("A's resubmission posted no CQE").0 as u64
+}
+
+/// A's read and its rung-2 resubmission lose their CQEs. A must fail
+/// typed and then read at once, without a new climb; everyone else's
+/// bytes must verify; the armed log must stay empty and no controller
+/// reset may follow bring-up.
+fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize) {
+    let _armed = simcore::sanitize::arm();
+    let nth = a_resubmission_ordinal(clients);
+    let run = failed_recovery(clients, &[0, nth]);
+    let ordinal = format!("CQE ordinal {nth} as A's resubmission");
+    assert!(
+        matches!(run.verdict, Err(BioError::Timeout { .. })),
+        "{ordinal} missed it: A read {:?}",
+        run.verdict
+    );
+    assert_eq!(
+        injected(&run.sc.fabric, Stage::FaultDropped),
+        2,
+        "both drops must fire ({ordinal})"
+    );
+    assert_eq!(run.next_read, Ok(()));
+    assert_eq!(run.climbs.0, run.climbs.1, "the next read must not climb");
+    assert_eq!(run.failed_pairs, 0);
+    assert_eq!(run.sc.rt.sanitize_violations(), []);
+    assert_eq!(
+        injected(&run.sc.fabric, Stage::ControllerReset),
+        run.bring_up_resets,
         "no controller reset after bring-up"
     );
 }
@@ -502,15 +596,14 @@ fn one_tenants_failed_recovery_stays_on_its_ring(clients: usize, drops: [u64; 2]
 #[test]
 fn a_tenants_failed_recovery_never_resets_the_shared_controller() {
     // The paper's manager is the one party that does device-wide work; a
-    // client whose ladder runs out ends at its own queue pair. Ordinal 242
-    // is A's resubmission on five hosts.
-    one_tenants_failed_recovery_stays_on_its_ring(5, [0, 242]);
+    // client whose ladder runs out ends at its own queue pair.
+    one_tenants_failed_recovery_stays_on_its_ring(5);
 }
 
 #[test]
 fn a_tenants_failed_recovery_leaves_thirty_other_hosts_alone() {
     // The same at the paper's 31 hosts, 29 of them busy throughout.
-    one_tenants_failed_recovery_stays_on_its_ring(31, [0, 978]);
+    one_tenants_failed_recovery_stays_on_its_ring(31);
 }
 
 #[test]
@@ -726,6 +819,72 @@ fn a_connect_racing_the_lease_reaper_is_served() {
     }
 }
 
+/// Client `stalling` of `kind` under the recovery calibration reads once;
+/// the read's CQE and rung 2's Delete I/O SQ CQE (ordinals 0 and 1) are
+/// lost, so the serve loop stalls for the admin deadline while every
+/// client keeps heartbeating. 60 ms on, each client reads once more.
+/// Returns the clients evicted and the later reads.
+fn reads_around_a_stalled_admin_call(
+    kind: cluster::ScenarioKind,
+    stalling: usize,
+) -> (u64, Vec<Result<(), BioError>>) {
+    use cluster::{Calibration, Scenario};
+    use pcie::FaultPlan;
+    let sc = Scenario::build(kind, &Calibration::fault_recovery());
+    sc.fabric
+        .set_fault_plan(FaultPlan::parse("f1:drop@0/cqe,drop@1/cqe").unwrap());
+    let clients = sc.clients.clone();
+    let fabric = sc.fabric.clone();
+    let (first, later) = sc.rt.block_on(async move {
+        let bufs: Vec<_> = clients
+            .iter()
+            .map(|&(host, _)| fabric.alloc(host, 4096).unwrap())
+            .collect();
+        let first = clients[stalling]
+            .1
+            .submit(Bio::read(0, 8, bufs[stalling]))
+            .await;
+        fabric.handle().sleep(SimDuration::from_millis(60)).await;
+        let mut later = Vec::new();
+        for ((_, dev), buf) in clients.iter().zip(bufs) {
+            later.push(dev.submit(Bio::read(0, 8, buf)).await);
+        }
+        (first, later)
+    });
+    assert!(matches!(first, Err(BioError::Timeout { .. })), "{first:?}");
+    (sc.manager().unwrap().stats().clients_evicted, later)
+}
+
+#[test]
+fn a_stalled_admin_call_does_not_get_live_tenants_evicted() {
+    // The tenant whose call stalled heartbeats through the stall; the reap
+    // pass after it must count those heartbeats, not evict the tenant for
+    // a silence that was the manager's own. Its later read stays on its
+    // own ring and ends typed: the lost admin CQE left the admin queue
+    // dead (ROADMAP K4), so rung 2 cannot rebuild the ring the lost read
+    // CQE desynchronised. Evicted, the read failed on a purged window.
+    let (evicted, later) =
+        reads_around_a_stalled_admin_call(cluster::ScenarioKind::OursRemote { switches: 1 }, 0);
+    assert_eq!(evicted, 0, "{later:?}");
+    assert!(
+        matches!(later[0], Err(BioError::Timeout { .. })),
+        "{later:?}"
+    );
+}
+
+#[test]
+fn a_tenant_heartbeating_through_anothers_stalled_call_keeps_its_lease() {
+    // The same stall, with a bystander in the mailbox slot the stalled
+    // scan had already passed: its heartbeats during the stall are read
+    // only by the next scan, after the reap. It must keep its lease and
+    // read as if nothing happened.
+    let (evicted, later) =
+        reads_around_a_stalled_admin_call(cluster::ScenarioKind::OursMultihost { clients: 2 }, 1);
+    // An eviction's count lands after its stalled admin delete; the read
+    // on the deleted queue fails first.
+    assert_eq!((evicted, &later[0]), (0, &Ok(())));
+}
+
 #[test]
 fn torn_slot_never_decodes() {
     // Property: flipping the first seq word of any valid message makes it
@@ -839,12 +998,7 @@ fn serve_call_survives_a_lost_cqe(call: ServeCall, drops: &[u64]) {
     use dnvme::DnvmeError;
     use pcie::{DeliveryFault, FaultAction, FaultPlan, Selector};
     let _armed = simcore::sanitize::arm();
-    let (rt, fabric, hosts, smartio, dev, mut mgr_cfg, client_cfg) = lease_bed();
-    if !matches!(call, ServeCall::ReaperDeleteQp) {
-        // A live client is silent while the serve loop stalls: leave
-        // the reaper out of the rows that do not test it.
-        mgr_cfg.lease = None;
-    }
+    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
     let plan = FaultPlan {
         deliveries: drops
             .iter()
@@ -854,7 +1008,6 @@ fn serve_call_survives_a_lost_cqe(call: ServeCall, drops: &[u64]) {
                 action: FaultAction::Drop,
             })
             .collect(),
-        ..FaultPlan::default()
     };
     // B's three tries outlast two stalled calls.
     let patient = ClientConfig {
