@@ -83,8 +83,8 @@ pub enum BioError {
     NoFreeTag,
     /// The device is gone (hot-removed / reset).
     Gone,
-    /// The command exceeded its deadline and every recovery rung (retry,
-    /// queue recreate) failed to produce a completion.
+    /// The command exceeded its deadline and every recovery rung (doorbell
+    /// re-rings, one resubmission) failed to produce a completion.
     Timeout { qid: u16, cid: u16 },
 }
 

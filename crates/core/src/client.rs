@@ -12,9 +12,10 @@
 //! * a partitioned bounce buffer with PRPs programmed once, or the
 //!   IOMMU-style dynamic mapping extension (the paper's future work).
 //!
-//! Every control-plane exchange — bring-up's CreateQp, heartbeats, the
-//! ladder's re-creates, teardown's DeleteQp — goes through one
-//! `Mailbox`, which allows one request in flight. A refused connect,
+//! Every control-plane exchange — bring-up's CreateQp, heartbeats,
+//! teardown's DeleteQp — goes through one `Mailbox`, which allows one
+//! request in flight. Recovery never does: a lost completion heals on the
+//! client's own ring. A refused connect,
 //! [`ClientDriver::disconnect`] and a failed [`Manager::start`] give back
 //! the same `Held` record through one routine, `give_back`.
 
@@ -95,13 +96,14 @@ pub struct ClientConfig {
     pub iommu_unmap_cost: SimDuration,
     /// Per-command deadline. `None` (the seed default) waits forever;
     /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
-    /// doorbell re-rings with exponential backoff, then delete-and-recreate
-    /// of the queue pair, then one more that retires the command —
-    /// surfacing [`BioError::Timeout`] instead of hanging, and never
-    /// touching another tenant's queue pairs.
+    /// doorbell re-rings with exponential backoff, then one resubmission
+    /// under a fresh cid, whose CQE lets the ring step over a lost one,
+    /// then [`BioError::Timeout`] instead of a hang. The ladder stays on
+    /// the client's own ring: it sends the manager nothing.
     pub cmd_timeout: Option<SimDuration>,
-    /// Deadline for one mailbox round trip. `None` waits forever; after
-    /// [`MAILBOX_RETRIES`] same-seq retransmissions the RPC gives up with
+    /// Deadline for one mailbox round trip (connect, heartbeat,
+    /// disconnect). `None` waits forever; after [`MAILBOX_RETRIES`]
+    /// same-seq retransmissions the RPC gives up with
     /// [`DnvmeError::RpcTimeout`].
     pub mailbox_timeout: Option<SimDuration>,
     /// `true`: charge submission/completion overheads as reactor CPU
@@ -294,24 +296,6 @@ impl Mailbox {
     }
 }
 
-/// Everything needed to re-create a queue pair under its original id,
-/// and the state that lets only one command at a time try.
-struct QpWiring {
-    qid: u16,
-    entries: u16,
-    sq_bus: PhysAddr,
-    cq_bus: PhysAddr,
-    /// Held by the one command climbing ladder rungs 2–3 for this ring.
-    /// A lost CQE stalls the ring's consumer, so every command in flight
-    /// on it times out; climbing side by side their delete/recreate RPCs
-    /// would collide and fail a fault one recreate absorbs.
-    climber: Semaphore,
-    /// Times this ring has been re-created. A command that waited for
-    /// `climber` and finds it advanced died with the old ring: all that
-    /// is left for it to do is resubmit.
-    recreated: Cell<u64>,
-}
-
 /// Per-client driver stats.
 #[derive(Default, Clone, Debug)]
 pub struct ClientStats {
@@ -326,10 +310,8 @@ pub struct ClientStats {
     pub zero_copy_ios: u64,
     /// Per-I/O windows programmed (DirectMapped).
     pub dynamic_maps: u64,
-    /// Commands that entered the recovery ladder (deadline expired).
+    /// Commands resubmitted after rung 1's deadlines expired.
     pub recoveries: u64,
-    /// Queue pairs deleted and re-created in place (ladder rungs 2–3).
-    pub qpairs_recreated: u64,
     /// Lease heartbeats sent.
     pub heartbeats_sent: u64,
 }
@@ -346,8 +328,8 @@ pub struct ClientDriver {
     pub metadata: Metadata,
     /// First granted queue id (see [`ClientDriver::qids`] for all).
     pub qid: u16,
-    /// One engine striping all qpairs by cid; the cid doubles as the
-    /// staging slot: the bounce partition and its PRP list, or the
+    /// One engine striping all qpairs by tag index; the index doubles as
+    /// the staging slot: the bounce partition and its PRP list, or the
     /// DirectMapped list page.
     engine: Rc<IoEngine>,
     /// DirectMapped mode only: one PRP-list page per tag, as (client
@@ -356,9 +338,6 @@ pub struct ClientDriver {
     /// What `disconnect` gives back; the bounce pool goes with the rest.
     held: RefCell<Held>,
     mailbox: Rc<Mailbox>,
-    /// Per-qid ring wiring in stripe order, kept so recovery can
-    /// re-create a queue pair under the same id with the same rings.
-    qp_wiring: Vec<QpWiring>,
     /// Set on disconnect; stops the heartbeat task.
     hb_stop: Cell<bool>,
     stats: RefCell<ClientStats>,
@@ -449,7 +428,6 @@ impl ClientDriver {
         *wired = Some(mailbox.clone());
         let bar = bar_map.region;
         let mut specs = Vec::new();
-        let mut wiring = Vec::new();
         for _ in 0..cfg.num_qpairs {
             let sq_seg = match cfg.sq_placement {
                 SqPlacement::DeviceSide => smartio.create_segment_hinted(
@@ -485,19 +463,10 @@ impl ClientDriver {
                     entries,
                     sq_bus: sq_win.bus_base,
                     cq_bus: cq_win.bus_base,
-                    want_qid: 0,
                 })
                 .await?;
             let qid = resp.qid;
             held.qids.push(qid);
-            wiring.push(QpWiring {
-                qid,
-                entries,
-                sq_bus: sq_win.bus_base,
-                cq_bus: cq_win.bus_base,
-                climber: Semaphore::new(1),
-                recreated: Cell::new(0),
-            });
             specs.push(QueuePairSpec {
                 qid,
                 sq_ring: sq_cpu.region,
@@ -550,12 +519,11 @@ impl ClientDriver {
             host,
             device,
             metadata,
-            qid: wiring[0].qid,
+            qid: engine.qids()[0],
             engine,
             direct_lists,
             held: RefCell::new(std::mem::take(held)),
             mailbox,
-            qp_wiring: wiring,
             hb_stop: Cell::new(false),
             stats: RefCell::new(ClientStats::default()),
             cfg,
@@ -584,7 +552,7 @@ impl ClientDriver {
 
     /// All granted queue ids, in stripe order.
     pub fn qids(&self) -> Vec<u16> {
-        self.qp_wiring.iter().map(|w| w.qid).collect()
+        self.engine.qids()
     }
 
     /// Snapshot of the run counters (the engine's doorbell/batch counters
@@ -608,84 +576,22 @@ impl ClientDriver {
         self.host
     }
 
-    /// Issue with the recovery ladder armed: an engine deadline expiry
-    /// (rung 1, doorbell retries exhausted) escalates to delete-and-recreate
-    /// of the queue pair with one resubmission (rung 2), then one more
-    /// without (rung 3) — always ending in a completion or a typed
-    /// [`BioError`], never a hang, and only ever on the client's own ring.
-    /// Rungs 2–3 run one command at a time per ring; the others on that
-    /// ring wait for its verdict.
+    /// Issue with the recovery ladder armed: after rung 1 (the engine's
+    /// doorbell re-rings), issue the tag once more under the fresh cid its
+    /// lost instance left it. A second timeout is the verdict, a typed
+    /// [`BioError::Timeout`]; nothing on the way calls the manager.
     async fn issue_recovered(
         &self,
         tag: &Tag,
         sqe: SqEntry,
     ) -> std::result::Result<CqEntry, BioError> {
         match self.engine.issue(tag, sqe).await {
-            Ok(cqe) => Ok(cqe),
-            Err(EngineError::Timeout { qid, cid }) => self.recover(tag, sqe, qid, cid).await,
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    async fn recover(
-        &self,
-        tag: &Tag,
-        sqe: SqEntry,
-        qid: u16,
-        cid: u16,
-    ) -> std::result::Result<CqEntry, BioError> {
-        self.stats.borrow_mut().recoveries += 1;
-        let timeout = BioError::Timeout { qid, cid };
-        let Some(ring) = self.qp_wiring.iter().find(|w| w.qid == qid) else {
-            return Err(timeout);
-        };
-        // One climber per ring; read the epoch before waiting for the turn.
-        let seen = ring.recreated.get();
-        let _climbing = ring.climber.acquire().await;
-        if ring.recreated.get() == seen {
-            // Rung 2: the command was never seen or its completion was
-            // lost — tear the queue pair down and re-create it under the
-            // same id.
-            let _ = self.recreate_qpair(ring).await;
-        }
-        // On the rebuilt ring — by this climb or the one waited for —
-        // resubmit exactly once.
-        if ring.recreated.get() != seen {
-            if let Ok(cqe) = self.engine.issue(tag, sqe).await {
-                return Ok(cqe);
+            Err(EngineError::Timeout { .. }) => {
+                self.stats.borrow_mut().recoveries += 1;
+                Ok(self.engine.issue(tag, sqe).await?)
             }
-            // Rung 3: lost again. Re-create the ring once more, without
-            // resubmitting: the command dies with the old queue, freeing
-            // its cid. Resetting the shared controller is no tenant's call.
-            let _ = self.recreate_qpair(ring).await;
+            issued => Ok(issued?),
         }
-        Err(timeout)
-    }
-
-    /// Delete + re-create queue pair `w.qid` in place: same rings, same
-    /// doorbells, same qid — only the controller-side state is rebuilt,
-    /// so the engine wiring stays valid. Success advances `w.recreated`.
-    async fn recreate_qpair(&self, w: &QpWiring) -> Result<()> {
-        let qid = w.qid;
-        self.mailbox.call(Request::DeleteQp { qid }).await?;
-        // Local rings/backlog wiped; in-flight waiters striped to this
-        // qpair fail with `Gone` (recovery collateral, still typed).
-        self.engine.reset_qpair(qid);
-        let resp = self
-            .mailbox
-            .call(Request::CreateQp {
-                entries: w.entries,
-                sq_bus: w.sq_bus,
-                cq_bus: w.cq_bus,
-                want_qid: qid,
-            })
-            .await?;
-        if resp.qid != qid {
-            return Err(DnvmeError::Mailbox(proto::status::NO_FREE_QPAIR));
-        }
-        self.stats.borrow_mut().qpairs_recreated += 1;
-        w.recreated.set(w.recreated.get() + 1);
-        Ok(())
     }
 
     /// Stop polling the CQ rings, whose memory a later connect may get,
@@ -735,9 +641,9 @@ impl ClientDriver {
 
     async fn submit_with_tag(&self, bio: &Bio, tag: &Tag, len: u64) -> BioResult {
         let cid = tag.cid();
-        // The cid is the staging slot: bounce partition and PRP list, or
-        // DirectMapped list page.
-        let slot = cid as usize;
+        // The tag's index is the staging slot: bounce partition and PRP
+        // list, or DirectMapped list page.
+        let slot = tag.index();
         let status = match (bio.op, self.cfg.data_path) {
             (BioOp::Flush, _) => self
                 .issue_recovered(tag, SqEntry::flush(cid, 1))
@@ -828,8 +734,7 @@ impl ClientDriver {
         bus: PhysAddr,
         len: u64,
     ) -> std::result::Result<CqEntry, BioError> {
-        let cid = tag.cid();
-        let list_off = cid as u64 * prp::PAGE;
+        let list_off = tag.index() as u64 * prp::PAGE;
         let (lists, lists_bus) = self.direct_lists.ok_or(BioError::Gone)?;
         let set = prp::build_prps(bus, len, lists_bus.offset(list_off))
             .map_err(|e| BioError::DeviceError(e.to_string()))?;
@@ -839,7 +744,7 @@ impl ClientDriver {
                 .mem_write(self.host, lists.offset(list_off), &raw)
                 .map_err(|e| BioError::DeviceError(e.to_string()))?;
         }
-        let sqe = self.rw_command(bio, cid, set.prp1, set.prp2);
+        let sqe = self.rw_command(bio, tag.cid(), set.prp1, set.prp2);
         self.issue_recovered(tag, sqe).await
     }
 }

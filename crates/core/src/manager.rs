@@ -98,20 +98,6 @@ impl QidPool {
             })
     }
 
-    /// Allocate a *specific* qid (recovery re-creates a queue pair under
-    /// its old id). Fails if the qid is taken by anyone else; allocating
-    /// a qid the slot already owns is a no-op success (idempotent retry).
-    fn alloc_specific(&mut self, qid: u16, slot: usize) -> bool {
-        match self.owners.get_mut(qid as usize) {
-            Some(o) if o.is_none() => {
-                *o = Some(slot);
-                true
-            }
-            Some(o) => *o == Some(slot),
-            None => false,
-        }
-    }
-
     fn free(&mut self, qid: u16, slot: usize) -> bool {
         match self.owners.get_mut(qid as usize) {
             Some(o) if *o == Some(slot) => {
@@ -527,18 +513,11 @@ impl Server {
                 entries,
                 sq_bus,
                 cq_bus,
-                want_qid,
             } => {
                 if entries < 2 {
                     return mgr.reject(proto::status::BAD_REQUEST, 0);
                 }
-                let granted = if want_qid != 0 {
-                    let mine = mgr.qids.borrow_mut().alloc_specific(want_qid, slot);
-                    mine.then_some(want_qid)
-                } else {
-                    mgr.qids.borrow_mut().alloc(slot)
-                };
-                let Some(qid) = granted else {
+                let Some(qid) = mgr.qids.borrow_mut().alloc(slot) else {
                     return mgr.reject(proto::status::NO_FREE_QPAIR, 0);
                 };
                 // Privileged admin operation on behalf of the client, whose
@@ -685,20 +664,6 @@ mod tests {
         // Pool still fully usable afterwards.
         assert_eq!(p.alloc(1), Some(1));
         assert_eq!(p.alloc(2), Some(2));
-    }
-
-    #[test]
-    fn alloc_specific_for_recovery() {
-        let mut p = QidPool::new(3);
-        assert_eq!(p.alloc(0), Some(1));
-        assert_eq!(p.alloc(1), Some(2));
-        // Recreate under the old id after the owner deleted it.
-        assert!(p.free(2, 1));
-        assert!(p.alloc_specific(2, 1), "freed qid re-grantable by id");
-        assert!(p.alloc_specific(2, 1), "idempotent for the same owner");
-        assert!(!p.alloc_specific(2, 0), "taken qid refused to others");
-        assert!(!p.alloc_specific(9, 0), "out-of-range qid refused");
-        assert_eq!(p.owned_by(1), vec![2]);
     }
 
     #[test]

@@ -106,10 +106,6 @@ pub enum Request {
         entries: u16,
         sq_bus: PhysAddr,
         cq_bus: PhysAddr,
-        /// Ask for this specific queue id (0 = any free qid). Recovery
-        /// uses this to re-create a reset queue pair under its old id so
-        /// the client's doorbell/ring wiring stays valid.
-        want_qid: u16,
     },
     /// Delete a previously granted queue pair.
     DeleteQp { qid: u16 },
@@ -149,7 +145,6 @@ impl SlotMessage {
                 entries,
                 sq_bus,
                 cq_bus,
-                want_qid,
             } => {
                 b[12..14].copy_from_slice(&entries.to_le_bytes());
                 // Reserved; the "no interrupt vector" value the layout
@@ -157,7 +152,6 @@ impl SlotMessage {
                 b[14..16].copy_from_slice(&0xFFFFu16.to_le_bytes());
                 b[16..24].copy_from_slice(&sq_bus.to_le_bytes());
                 b[24..32].copy_from_slice(&cq_bus.to_le_bytes());
-                b[36..38].copy_from_slice(&want_qid.to_le_bytes());
                 OP_CREATE
             }
             Request::DeleteQp { qid } => {
@@ -192,7 +186,6 @@ impl SlotMessage {
                 entries: u16::from_le_bytes(field(b, 12)),
                 sq_bus: PhysAddr(u64::from_le_bytes(field(b, 16))),
                 cq_bus: PhysAddr(u64::from_le_bytes(field(b, 24))),
-                want_qid: u16::from_le_bytes(field(b, 36)),
             },
             OP_DELETE => Request::DeleteQp {
                 qid: u16::from_le_bytes(field(b, 12)),
@@ -307,7 +300,6 @@ mod tests {
                 entries: 256,
                 sq_bus: PhysAddr(0xDEAD_0000),
                 cq_bus: PhysAddr(0xBEEF_0000),
-                want_qid: 0,
             },
         };
         assert_eq!(SlotMessage::decode(&msg.encode()), Some(msg));
@@ -317,7 +309,7 @@ mod tests {
     /// response segment inside every request variant wrote them: the
     /// segment moved onto the message, the wire layout did not move.
     /// Bytes 14..16 are reserved and hold 0xFFFF, the value a polling
-    /// client always wrote there.
+    /// client always wrote there; bytes 36..38 are reserved zeros.
     #[test]
     fn create_slot_bytes_are_pinned() {
         let msg = SlotMessage {
@@ -328,7 +320,6 @@ mod tests {
                 entries: 256,
                 sq_bus: PhysAddr(0xDEAD_0000),
                 cq_bus: PhysAddr(0xBEEF_0000),
-                want_qid: 5,
             },
         };
         let mut want = [0u8; MAILBOX_SLOT];
@@ -339,7 +330,7 @@ mod tests {
             0, 0, 0xAD, 0xDE, 0, 0, 0, 0, // sq_bus
             0, 0, 0xEF, 0xBE, 0, 0, 0, 0, // cq_bus
             12, 0, 0, 0, // response segment
-            5, 0, // want_qid
+            0, 0, // reserved
         ]);
         want[60..].copy_from_slice(&[2, 0, 0, 0]); // retry
         assert_eq!(msg.encode(), want);

@@ -286,7 +286,7 @@ pub struct ScenarioProgram {
     pub ops_per_client: usize,
     /// Fault plan installed after bring-up, identically on every explored
     /// schedule. When set, the clients run with the recovery ladder armed
-    /// (deadlines + mailbox retries), and a workload op failing with a
+    /// (command deadlines), and a workload op failing with a
     /// *typed* error is acceptable — the checker still judges every
     /// schedule, and a hang still fails the run.
     pub fault: Option<FaultPlan>,

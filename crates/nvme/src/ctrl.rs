@@ -373,8 +373,8 @@ impl NvmeController {
                     }
                     // An I/O ring behind a severed link or a crashed host
                     // must not take the controller down for every other
-                    // client: kill just this queue. The owner recreates it
-                    // (or the manager reclaims it) later.
+                    // client: kill just this queue. The manager reclaims it
+                    // later.
                     sq.borrow_mut().alive = false;
                     return;
                 }

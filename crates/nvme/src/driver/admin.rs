@@ -214,6 +214,8 @@ impl AdminQueue {
     }
 
     /// Create an I/O queue pair: CQ first (per spec), then SQ bound to it.
+    /// A queue the controller still holds under `qid`, left by a create or
+    /// delete whose completion never arrived, is deleted first.
     pub async fn create_io_qpair(
         &mut self,
         qid: u16,
@@ -222,8 +224,14 @@ impl AdminQueue {
         cq_bus: PhysAddr,
         iv: Option<u16>,
     ) -> AdminResult<()> {
-        self.submit(SqEntry::create_io_cq(0, qid, entries - 1, cq_bus, iv))
-            .await?;
+        let create_cq = SqEntry::create_io_cq(0, qid, entries - 1, cq_bus, iv);
+        if let Err(e) = self.submit(create_cq).await {
+            let AdminError::Command(Status::INVALID_QUEUE_ID) = e else {
+                return Err(e);
+            };
+            self.delete_io_qpair(qid).await?;
+            self.submit(create_cq).await?;
+        }
         match self
             .submit(SqEntry::create_io_sq(0, qid, entries - 1, sq_bus, qid))
             .await
@@ -237,10 +245,15 @@ impl AdminQueue {
         }
     }
 
-    /// Delete an I/O queue pair: SQ first, then CQ (per spec ordering).
+    /// Delete an I/O queue pair: SQ first, then CQ (per spec ordering). A
+    /// queue the controller does not hold counts as deleted.
     pub async fn delete_io_qpair(&mut self, qid: u16) -> AdminResult<()> {
-        self.submit(SqEntry::delete_io_sq(0, qid)).await?;
-        self.submit(SqEntry::delete_io_cq(0, qid)).await?;
+        for sqe in [SqEntry::delete_io_sq(0, qid), SqEntry::delete_io_cq(0, qid)] {
+            match self.submit(sqe).await {
+                Ok(_) | Err(AdminError::Command(Status::INVALID_QUEUE_ID)) => {}
+                Err(e) => return Err(e),
+            }
+        }
         Ok(())
     }
 }

@@ -224,7 +224,7 @@ impl LocalNvmeDriver {
         let sqe = match op {
             BioOp::Flush => SqEntry::flush(cid, 1),
             BioOp::Read | BioOp::Write => {
-                let list_page = &self.prp_pages[cid as usize];
+                let list_page = &self.prp_pages[tag.index()];
                 let set = prp::build_prps(bus_addr, len, list_page.addr)
                     .map_err(|e| BioError::DeviceError(e.to_string()))?;
                 if !set.list.is_empty() {

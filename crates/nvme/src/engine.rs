@@ -72,8 +72,8 @@ pub enum EngineError {
     /// torn down or the tag slot was clobbered.
     Gone,
     /// The command blew through its deadline and every doorbell re-ring
-    /// retry (rung 1 of the recovery ladder). The caller escalates to a
-    /// queue recreate.
+    /// retry (rung 1 of the recovery ladder). Its cid is retired; the
+    /// caller may issue the tag once more under a fresh one.
     Timeout {
         /// Queue pair the command was striped onto.
         qid: u16,
@@ -124,30 +124,56 @@ pub type EngineResult = Result<CqEntry, EngineError>;
 
 struct TagTable {
     slots: Vec<Option<oneshot::Sender<EngineResult>>>,
+    /// Per index, the cid of its live instance.
+    cids: Vec<u16>,
     free: Vec<u16>,
 }
 
-/// A reserved command identifier. Dropping the tag returns the cid to the
-/// free list (and discards any still-pending completion slot), so error
-/// paths cannot leak tags.
+impl TagTable {
+    /// End index `index`'s live instance without its completion, if one
+    /// waits: its cid goes stale, and the next instance's is `depth`
+    /// further on. Returns whether one waited.
+    fn abandon(&mut self, index: usize) -> bool {
+        if self.slots[index].take().is_none() {
+            return false;
+        }
+        let depth = self.cids.len() as u32;
+        let span = (1u32 << 16) / depth * depth;
+        let cid = &mut self.cids[index];
+        *cid = ((u32::from(*cid) + depth) % span) as u16;
+        true
+    }
+}
+
+/// A reserved tag. Its index names the staging slot and the ring stripe;
+/// its cid is `index + depth × generation`, where the generation advances
+/// each time an instance ends without its completion, so a retry never
+/// goes out under a cid a late CQE may still answer. Dropping the tag
+/// returns the index to the free list (and abandons any still-pending
+/// instance), so error paths cannot leak tags.
 pub struct Tag {
-    cid: u16,
+    index: u16,
     table: Rc<RefCell<TagTable>>,
     _permit: Permit,
 }
 
 impl Tag {
-    /// The command identifier this tag reserves.
+    /// The command identifier of this tag's live instance.
     pub fn cid(&self) -> u16 {
-        self.cid
+        self.table.borrow().cids[self.index as usize]
+    }
+
+    /// The tag's index in `0..depth`: its staging slot.
+    pub fn index(&self) -> usize {
+        self.index as usize
     }
 }
 
 impl Drop for Tag {
     fn drop(&mut self) {
         let mut t = self.table.borrow_mut();
-        t.slots[self.cid as usize] = None;
-        t.free.push(self.cid);
+        t.abandon(self.index as usize);
+        t.free.push(self.index);
     }
 }
 
@@ -162,7 +188,8 @@ pub struct TagSet {
 }
 
 impl TagSet {
-    /// A set of `depth` tags, cids `0..depth`.
+    /// A set of `depth` tags, indices `0..depth`, each starting at cid =
+    /// index.
     pub fn new(depth: usize) -> TagSet {
         assert!(depth > 0 && depth <= u16::MAX as usize);
         TagSet {
@@ -170,6 +197,7 @@ impl TagSet {
             depth,
             table: Rc::new(RefCell::new(TagTable {
                 slots: (0..depth).map(|_| None).collect(),
+                cids: (0..depth as u16).collect(),
                 free: (0..depth as u16).rev().collect(),
             })),
         }
@@ -183,35 +211,37 @@ impl TagSet {
     /// Reserve a tag, waiting until one is free.
     pub async fn acquire(&self) -> Result<Tag, EngineError> {
         let permit = self.sem.acquire().await;
-        let cid = self
+        let index = self
             .table
             .borrow_mut()
             .free
             .pop()
             .ok_or(EngineError::TagsExhausted)?;
         Ok(Tag {
-            cid,
+            index,
             table: self.table.clone(),
             _permit: permit,
         })
     }
 
-    /// Install a completion slot for `tag` and return its receiver.
+    /// Install a completion slot for `tag`'s live instance and return its
+    /// receiver.
     pub fn register(&self, tag: &Tag) -> oneshot::Receiver<EngineResult> {
         let (tx, rx) = oneshot::channel();
-        self.table.borrow_mut().slots[tag.cid as usize] = Some(tx);
+        self.table.borrow_mut().slots[tag.index()] = Some(tx);
         rx
     }
 
     /// Deliver `result` to the waiter registered on `cid`. Returns false
-    /// when no waiter is registered (stale or duplicate completion).
+    /// when no live instance has that cid or none waits (stale or
+    /// duplicate completion).
     pub fn complete(&self, cid: u16, result: EngineResult) -> bool {
-        let tx = self
-            .table
-            .borrow_mut()
-            .slots
-            .get_mut(cid as usize)
-            .and_then(Option::take);
+        let tx = {
+            let mut t = self.table.borrow_mut();
+            let index = cid as usize % self.depth;
+            let live = t.cids[index] == cid;
+            t.slots[index].take_if(|_| live)
+        };
         match tx {
             Some(tx) => {
                 tx.send(result);
@@ -219,18 +249,6 @@ impl TagSet {
             }
             None => false,
         }
-    }
-
-    /// Cids with a registered completion slot, for recovery sweeps.
-    fn registered_cids(&self) -> Vec<u16> {
-        self.table
-            .borrow()
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(cid, _)| cid as u16)
-            .collect()
     }
 }
 
@@ -374,8 +392,7 @@ impl EngineStats {
 struct EngineQpair {
     qid: u16,
     sq: SqRing,
-    /// The CQ ring the completion service polls; [`IoEngine::reset_qpair`]
-    /// restarts its phase walk in place.
+    /// The CQ ring the completion service polls.
     cq: CqRing,
     /// MSI route for [`CompletionStrategy::Interrupt`].
     irq: Option<Notify>,
@@ -472,20 +489,14 @@ impl IoEngine {
         self.tags.depth()
     }
 
-    /// The engine's tag set (for callers that pre-stage per-cid
-    /// resources such as PRP pages or bounce partitions).
-    pub fn tags(&self) -> &TagSet {
-        &self.tags
-    }
-
     /// Reserve a tag, waiting until one is free.
     pub async fn acquire_tag(&self) -> Result<Tag, EngineError> {
         self.tags.acquire().await
     }
 
-    /// The queue pair a cid stripes onto.
-    fn qp_for(&self, cid: u16) -> &EngineQpair {
-        &self.qpairs[cid as usize % self.qpairs.len()]
+    /// The queue pair a tag stripes onto.
+    fn qp_for(&self, tag: &Tag) -> &EngineQpair {
+        &self.qpairs[tag.index() % self.qpairs.len()]
     }
 
     /// Counter snapshot across all queue pairs.
@@ -504,14 +515,17 @@ impl IoEngine {
         self.stats().totals()
     }
 
-    /// Submit one command and wait for its completion. `tag` must be the
-    /// reservation backing `sqe.cid`; the tag stays reserved afterwards so
-    /// the caller can keep using per-cid staging resources until it drops
-    /// the tag.
-    pub async fn issue(&self, tag: &Tag, sqe: SqEntry) -> EngineResult {
-        debug_assert_eq!(tag.cid(), sqe.cid, "SQE cid must match the reserved tag");
+    /// Submit one command under `tag`'s live cid (stamped into `sqe`) and
+    /// wait for its completion. The tag stays reserved afterwards so the
+    /// caller can keep using its staging slot until it drops the tag, or
+    /// issue it again after a [`EngineError::Timeout`].
+    pub async fn issue(&self, tag: &Tag, mut sqe: SqEntry) -> EngineResult {
+        sqe.cid = tag.cid();
         let mut rx = self.tags.register(tag);
-        let qp = self.qp_for(sqe.cid);
+        let qp = self.qp_for(tag);
+        // However this instance ends without its CQE (out of budget
+        // below, or dropped by the caller), its ring is told.
+        let _lost = Lost { tag, cq: &qp.cq };
         self.submit(qp, sqe).await;
         let Some(base) = self.cfg.cmd_timeout else {
             return match rx.await {
@@ -523,14 +537,16 @@ impl IoEngine {
         // re-rings the SQ tail doorbell — which recovers a dropped
         // doorbell delivery outright — and doubles the deadline so a
         // merely-slow device isn't hammered. A command that stays silent
-        // through the whole budget surfaces as `Timeout` for the caller's
-        // queue-recreate escalation instead of hanging forever.
+        // through the whole budget surfaces as `Timeout` instead of
+        // hanging forever.
         let mut wait = base;
         for attempt in 0..=MAX_RETRIES {
             match simcore::timeout(&self.handle, wait, &mut rx).await {
                 Ok(Ok(result)) => return result,
                 Ok(Err(_)) => return Err(EngineError::Gone),
                 Err(simcore::Elapsed) => {
+                    // A CQE beyond a lost one may already be waiting.
+                    qp.cq.note_lost(false);
                     if attempt == MAX_RETRIES {
                         break;
                     }
@@ -546,31 +562,6 @@ impl IoEngine {
             qid: qp.qid,
             cid: sqe.cid,
         })
-    }
-
-    /// Per-queue-pair recovery (ladder rungs 2–3): fail every waiter
-    /// striped onto `qid` with [`EngineError::Gone`], discard its backlog,
-    /// and restart both rings at slot 0 / phase 1 — the state a freshly
-    /// recreated controller-side queue pair expects. The completion
-    /// service keeps running on the same CQ ring. Returns false
-    /// when the engine owns no such qid.
-    pub fn reset_qpair(&self, qid: u16) -> bool {
-        let stripe = self.qpairs.len();
-        let Some((index, qp)) = self.qpairs.iter().enumerate().find(|(_, q)| q.qid == qid) else {
-            return false;
-        };
-        let backlogged: Vec<SqEntry> = qp.backlog.borrow_mut().drain(..).collect();
-        for sqe in backlogged {
-            self.tags.complete(sqe.cid, Err(EngineError::Gone));
-        }
-        for cid in self.tags.registered_cids() {
-            if cid as usize % stripe == index {
-                self.tags.complete(cid, Err(EngineError::Gone));
-            }
-        }
-        qp.sq.reset();
-        qp.cq.reset();
-        true
     }
 
     /// End every completion service and drop its CQ watch before the
@@ -689,11 +680,22 @@ impl IoEngine {
     fn deliver(&self, index: usize, cqe: CqEntry) {
         let qp = &self.qpairs[index];
         qp.stats.borrow_mut().cqes_reaped += 1;
-        // Only release an SQ slot for commands this engine submitted: a
-        // CQE for a raw-injected SQE (fault-injection tests write the
-        // ring and doorbell directly) must not touch ring occupancy.
-        if self.tags.complete(cqe.cid, Ok(cqe)) {
-            qp.sq.retire(cqe.sq_head);
+        let live = self.tags.complete(cqe.cid, Ok(cqe));
+        qp.sq.retire(qp.cq.settle(live));
+    }
+}
+
+/// Held by [`IoEngine::issue`] for one instance: dropped with the
+/// instance still waiting, it abandons the instance and tells its ring.
+struct Lost<'a> {
+    tag: &'a Tag,
+    cq: &'a CqRing,
+}
+
+impl Drop for Lost<'_> {
+    fn drop(&mut self) {
+        if self.tag.table.borrow_mut().abandon(self.tag.index()) {
+            self.cq.note_lost(true);
         }
     }
 }

@@ -32,10 +32,6 @@ pub(super) struct SqRing {
     doorbell: DomainAddr,
     entries: u16,
     tail: Cell<u16>,
-    /// Controller's consumed head, learned from CQE.sq_head. Advisory:
-    /// completions can arrive out of submission order, so a later CQE may
-    /// carry an *earlier* fetch-head snapshot.
-    head: Cell<u16>,
     /// Entries pushed but not yet retired by a completion — the exact
     /// occupancy, unaffected by out-of-order head snapshots.
     outstanding: Cell<u16>,
@@ -62,7 +58,6 @@ impl SqRing {
             doorbell,
             entries,
             tail: Cell::new(0),
-            head: Cell::new(0),
             outstanding: Cell::new(0),
         }
     }
@@ -72,22 +67,12 @@ impl SqRing {
         self.outstanding.get() >= self.entries - 1
     }
 
-    /// Forget all host-side ring state (tail, head snapshot, occupancy) —
-    /// the Delete-and-Recreate recovery path rebuilds the controller-side
-    /// queue from scratch, so the driver's view restarts at slot 0.
-    pub(super) fn reset(&self) {
-        self.tail.set(0);
-        self.head.set(0);
-        self.outstanding.set(0);
-    }
-
-    /// Retire one command on its completion: records the controller's SQ
-    /// head snapshot and releases the slot.
-    pub(super) fn retire(&self, sq_head: u16) {
-        self.head.set(sq_head);
+    /// Release the slots of `commands` commands the controller has
+    /// consumed (their CQEs arrived or were skipped as lost).
+    pub(super) fn retire(&self, commands: u16) {
         let n = self.outstanding.get();
-        debug_assert!(n > 0, "retired a command from an empty SQ");
-        self.outstanding.set(n.saturating_sub(1));
+        debug_assert!(n >= commands, "retired a command from an empty SQ");
+        self.outstanding.set(n.saturating_sub(commands));
     }
 
     /// Write one entry at the tail (posted; CPU-side cost applies).
@@ -153,7 +138,6 @@ mod tests {
             assert!(sq.is_full());
             assert_eq!(sq.outstanding.get(), 3);
             // Two commands completed.
-            sq.retire(1);
             sq.retire(2);
             assert!(!sq.is_full());
             assert_eq!(sq.outstanding.get(), 1);

@@ -43,8 +43,9 @@ enum CmdState {
     Exposed,
     /// Controller read the SQE out of the ring.
     Fetched,
-    /// CQE posted with the recorded phase; awaiting consumption.
-    Completed { phase: bool },
+    /// CQE posted into CQ `slot` with the recorded phase; awaiting
+    /// consumption, or a skip of that slot if the CQE was lost.
+    Completed { phase: bool, slot: u16 },
 }
 
 struct CmdRec {
@@ -251,7 +252,7 @@ impl OracleState {
                 }
                 match self.cmds.get_mut(&(qid, cid)) {
                     Some(cmd) => match cmd.state {
-                        CmdState::Fetched => cmd.state = CmdState::Completed { phase },
+                        CmdState::Fetched => cmd.state = CmdState::Completed { phase, slot },
                         CmdState::Completed { .. } => report(
                             "nvme.lifecycle.double-completion",
                             format!("CQ {qid}: second CQE posted for cid {cid} (slot {slot})"),
@@ -309,7 +310,7 @@ impl OracleState {
                 };
                 self.cq_consumer.insert(qid, next);
                 match self.cmds.remove(&(qid, cid)).map(|cmd| cmd.state) {
-                    Some(CmdState::Completed { phase: posted }) => {
+                    Some(CmdState::Completed { phase: posted, .. }) => {
                         if posted != phase {
                             report(
                                 "nvme.lifecycle.stale-phase-consume",
@@ -338,6 +339,29 @@ impl OracleState {
                     ),
                 }
             }
+            (_, Stage::CqeSkipped { qid, slot }) => {
+                // The host stepped over a lost CQE: retire the command
+                // posted into that slot, and walk the consumer on.
+                let Some(entries) = self.sqs.get(&qid).map(|sq| sq.entries) else {
+                    return;
+                };
+                let posted = self.cmds.iter().find_map(|(&key, cmd)| match cmd.state {
+                    CmdState::Completed { phase, slot: at } if key.0 == qid && at == slot => {
+                        Some((key, phase))
+                    }
+                    _ => None,
+                });
+                let Some((key, phase)) = posted else {
+                    report(
+                        "nvme.lifecycle.skip-unposted",
+                        format!("CQ {qid}: skipped slot {slot}, which holds no posted CQE"),
+                    );
+                    return;
+                };
+                self.cmds.remove(&key);
+                let (head, phase) = ring_next(slot, phase, entries);
+                self.cq_consumer.insert(qid, CqConsumer { head, phase });
+            }
             (_, Stage::CqHeadDoorbell { qid, head }) => {
                 let Some(c) = self.cq_consumer.get(&qid) else {
                     return;
@@ -355,8 +379,8 @@ impl OracleState {
             }
             (_, Stage::QueueDeleted { qid }) => {
                 // The qpair's whole lifecycle state is void: commands the
-                // host abandoned (timed out, CQE lost in the
-                // fabric) are disposed of with the queue, and a recreate
+                // host abandoned (timed out, CQE lost in the fabric) are
+                // disposed of with the queue, and a queue created later
                 // under the same qid starts a pristine mirror.
                 self.sqs.remove(&qid);
                 self.cq_consumer.remove(&qid);
@@ -557,6 +581,73 @@ mod tests {
             }
         }
         assert_eq!(rt.sanitize_violations(), []);
+    }
+
+    /// Command `(1, cid)` written into SQ slot `slot`, exposed, fetched
+    /// and posted into CQ slot `slot`, its CQE never consumed.
+    fn posted(h: &Handle, cid: u16, slot: u16) {
+        let cmd = Some((1, cid));
+        h.sanitize_record(cmd, Stage::SqeWritten { slot, entries: 8 });
+        let tail = slot + 1;
+        h.sanitize_record(
+            None,
+            Stage::SqDoorbell {
+                qid: 1,
+                tail,
+                entries: 8,
+            },
+        );
+        h.sanitize_record(cmd, Stage::Fetched { slot });
+        let (phase, entries) = (true, 8);
+        h.sanitize_record(
+            cmd,
+            Stage::CqePosted {
+                slot,
+                phase,
+                entries,
+            },
+        );
+    }
+
+    #[test]
+    fn a_skip_over_a_posted_slot_retires_its_cid() {
+        let rt = bed(true);
+        let h = rt.handle();
+        posted(&h, 0, 0);
+        h.sanitize_record(None, Stage::CqeSkipped { qid: 1, slot: 0 });
+        // The lost command is retired: cid 0 goes out again cleanly, and
+        // its CQE is consumed at the slot after the skipped one.
+        posted(&h, 0, 1);
+        let (slot, phase, entries) = (1, true, 8);
+        let consumed = Stage::CqeConsumed {
+            slot,
+            phase,
+            entries,
+        };
+        h.sanitize_record(Some((1, 0)), consumed);
+        h.sanitize_record(None, Stage::CqHeadDoorbell { qid: 1, head: 2 });
+        assert_eq!(rt.sanitize_violations(), []);
+    }
+
+    #[test]
+    fn a_skip_over_an_unposted_slot_is_flagged() {
+        let rt = bed(true);
+        let h = rt.handle();
+        h.sanitize_record(Some((1, 0)), WRITTEN);
+        h.sanitize_record(None, RUNG);
+        h.sanitize_record(None, Stage::CqeSkipped { qid: 1, slot: 0 });
+        let v: Vec<_> = rt.sanitize_violations().iter().map(|v| v.code).collect();
+        assert_eq!(v, ["nvme.lifecycle.skip-unposted"]);
+    }
+
+    #[test]
+    fn a_cid_reused_without_a_skip_is_flagged() {
+        let rt = bed(true);
+        let h = rt.handle();
+        posted(&h, 0, 0);
+        posted(&h, 0, 1);
+        let v: Vec<_> = rt.sanitize_violations().iter().map(|v| v.code).collect();
+        assert_eq!(v, ["nvme.lifecycle.cid-reuse"]);
     }
 
     #[test]

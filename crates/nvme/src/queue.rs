@@ -1,13 +1,13 @@
 //! Host-side (driver) view of an NVMe completion queue.
 //!
 //! A [`CqRing`] polls local memory for entries whose phase tag matches its
-//! expectation. Its submission-side twin is private to [`crate::engine`]
-//! (`engine/sq.rs`): submission goes through the engine's one submit
+//! expectation, and steps over a CQE lost on the fabric (DESIGN.md §6.2).
+//! Its submission-side twin is private to [`crate::engine`] (`engine/sq.rs`): submission goes through the engine's one submit
 //! path, and the compiler — not a lint — keeps it that way.
 
 use std::cell::Cell;
 
-use pcie::{DomainAddr, Fabric, MemRegion, WatchHandle};
+use pcie::{DomainAddr, Fabric, MemRegion, PhysAddr, WatchHandle};
 use simcore::{SimDuration, Stage};
 
 use crate::spec::completion::{CqEntry, CQE_SIZE};
@@ -25,6 +25,14 @@ pub struct CqRing {
     head: Cell<u16>,
     phase: Cell<bool>,
     watch: WatchHandle,
+    /// Commands that ended without their CQE, less the slots skipped and
+    /// the late CQEs seen since; while positive, a stale head is looked
+    /// past.
+    lost: Cell<i32>,
+    /// Look past a stale head once (set at a deadline expiry).
+    look: Cell<bool>,
+    /// Slots skipped, not yet taken by [`CqRing::settle`].
+    skipped: Cell<u16>,
     /// Set by [`CqRing::close`]: the ring's memory is being given back.
     closed: Cell<bool>,
 }
@@ -53,48 +61,44 @@ impl CqRing {
             head: Cell::new(0),
             phase: Cell::new(true),
             watch,
+            lost: Cell::new(0),
+            look: Cell::new(false),
+            skipped: Cell::new(0),
             closed: Cell::new(false),
         };
-        cq.reset();
+        let zeros = vec![0u8; entries as usize * CQE_SIZE];
+        fabric
+            .mem_write(ring.host, ring.addr, &zeros)
+            .expect("CQ ring wipe");
         cq
     }
 
-    /// Ring capacity in entries.
-    pub fn entries(&self) -> u16 {
-        self.entries
-    }
-
-    /// Consumer head index.
-    pub fn head(&self) -> u16 {
-        self.head.get()
-    }
-
-    /// Forget consumer state and wipe the ring memory (untimed): a new
-    /// ring and the Delete-and-Recreate recovery path start the phase walk
-    /// at slot 0 with zeroed memory, so stale CQEs from a deleted queue
-    /// can never satisfy the new one's phase expectation.
-    pub fn reset(&self) {
-        self.head.set(0);
-        self.phase.set(true);
-        let zeros = vec![0u8; self.entries as usize * CQE_SIZE];
-        self.fabric
-            .mem_write(self.ring.host, self.ring.addr, &zeros)
-            .expect("CQ ring wipe");
-    }
-
-    /// Check the slot at the head for a new entry (phase match). Functional
-    /// read; the caller models the CPU cost of the check.
-    pub fn try_pop(&self) -> Option<CqEntry> {
-        let head = self.head.get();
-        let phase = self.phase.get();
-        let slot = self.ring.addr.offset(head as u64 * CQE_SIZE as u64);
+    /// The raw CQE in `slot`.
+    fn read(&self, slot: u16) -> [u8; CQE_SIZE] {
         let mut raw = [0u8; CQE_SIZE];
         self.fabric
-            .mem_read(self.ring.host, slot, &mut raw)
+            .mem_read(self.ring.host, self.slot_addr(slot), &mut raw)
             .expect("CQ ring read");
-        if CqEntry::peek_phase(&raw) != phase {
-            return None;
+        raw
+    }
+
+    fn slot_addr(&self, slot: u16) -> PhysAddr {
+        self.ring.addr.offset(slot as u64 * CQE_SIZE as u64)
+    }
+
+    /// Check the slot at the head for a new entry (phase match), stepping
+    /// over lost slots first if the ring has cause to look. Functional
+    /// reads; the caller models the CPU cost of the check.
+    pub fn try_pop(&self) -> Option<CqEntry> {
+        let mut raw = self.read(self.head.get());
+        if CqEntry::peek_phase(&raw) != self.phase.get() {
+            if !(self.lost.get() > 0 || self.look.replace(false)) || !self.skip_lost() {
+                return None;
+            }
+            raw = self.read(self.head.get());
         }
+        let (head, phase) = (self.head.get(), self.phase.get());
+        let slot = self.slot_addr(head);
         self.fabric
             .sanitize_consume(self.ring.host, slot, CQE_SIZE as u64);
         let cqe = CqEntry::decode(&raw);
@@ -109,6 +113,55 @@ impl CqRing {
             .sanitize_record(Some((self.qid, cqe.cid)), stage);
         self.advance(head);
         Some(cqe)
+    }
+
+    /// The stale head's CQE was lost if a current-phase entry sits beyond
+    /// it: step over every slot up to that entry. Returns whether it did.
+    fn skip_lost(&self) -> bool {
+        let (head, phase) = (self.head.get(), self.phase.get());
+        let posted = (1..self.entries).find(|&k| {
+            let slot = (head + k) % self.entries;
+            let expect = phase ^ (slot < head);
+            CqEntry::peek_phase(&self.read(slot)) == expect
+        });
+        let Some(gap) = posted else {
+            return false;
+        };
+        for _ in 0..gap {
+            let (qid, slot) = (self.qid, self.head.get());
+            // The slot still holds the previous lap's phase, which is the
+            // next lap's: tag it as this lap's, so it reads as consumed.
+            let mut consumed = [0u8; CQE_SIZE];
+            consumed[14] = u8::from(self.phase.get());
+            self.fabric
+                .mem_write(self.ring.host, self.slot_addr(slot), &consumed)
+                .expect("CQ ring write");
+            self.fabric
+                .handle()
+                .sanitize_record(None, Stage::CqeSkipped { qid, slot });
+            self.advance(slot);
+        }
+        self.lost.set(self.lost.get() - i32::from(gap));
+        self.skipped.set(self.skipped.get() + gap);
+        true
+    }
+
+    /// A command on this ring passed a deadline, or `ended` without its
+    /// CQE: wake the consumer to look past a stale head, once, or until a
+    /// skip or a late CQE accounts for the command.
+    pub(crate) fn note_lost(&self, ended: bool) {
+        self.lost.set(self.lost.get() + i32::from(ended));
+        self.look.set(self.look.get() || !ended);
+        self.watch.notify.notify_one();
+    }
+
+    /// SQ slots the entry just popped frees: one per slot skipped on the
+    /// way, and its own if it answered a `live` command or, late, a lost
+    /// one (not a raw-injected SQE, which fault tests write directly).
+    pub(crate) fn settle(&self, live: bool) -> u16 {
+        let late = !live && self.lost.get() > 0;
+        self.lost.set(self.lost.get() - i32::from(late));
+        self.skipped.replace(0) + u16::from(live || late)
     }
 
     fn advance(&self, head: u16) {

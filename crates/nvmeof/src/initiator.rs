@@ -259,9 +259,9 @@ impl NvmfInitiator {
                 )
             }
         };
-        // Stage the capsule in this cid's command buffer and send it.
+        // Stage the capsule in this tag's command buffer and send it.
         let raw = capsule.encode();
-        let addr = self.cmd_region.addr.as_u64() + cid as u64 * self.capsule_stride;
+        let addr = self.cmd_region.addr.as_u64() + tag.index() as u64 * self.capsule_stride;
         self.fabric
             .mem_write(self.host, PhysAddr(addr), &raw)
             .map_err(|e| BioError::DeviceError(e.to_string()))?;

@@ -112,6 +112,9 @@ pub enum Stage {
         phase: bool,
         entries: u16,
     },
+    /// Host stepped its CQ `qid` head past `slot`, whose CQE was lost: a
+    /// later slot already holds a current-phase entry.
+    CqeSkipped { qid: u16, slot: u16 },
     /// Host wrote `head` to CQ `qid`'s head doorbell.
     CqHeadDoorbell { qid: u16, head: u16 },
     /// Controller executed Delete I/O SQ/CQ for `qid`.

@@ -138,8 +138,8 @@ fn sharded_multihost_is_deterministic() {
 #[test]
 fn fault_schedule_replays_bit_identically() {
     // The tentpole's replay guarantee: the same fault token (a dropped
-    // CQE, which drives the full recovery ladder — timeout, queue
-    // recreate, resubmit) produces a bit-identical event stream on
+    // CQE, which drives the recovery ladder — timeout, resubmit, step
+    // over the lost slot) produces a bit-identical event stream on
     // every run. Fault injection must be as deterministic as the fault-
     // free simulation it perturbs.
     let run = || {

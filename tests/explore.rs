@@ -78,10 +78,11 @@ fn exhaustive_two_client_is_conformant() {
 fn exhaustive_two_client_with_cqe_drop_is_conformant() {
     // Fault-bearing model check: the same two-client space, but with the
     // first CQE after bring-up dropped on every explored schedule. The
-    // recovery ladder (timeout → queue recreate → resubmit) runs
-    // under every delivery ordering, and the armed checker must stay
-    // silent on all of them — recovery may not double-complete, reuse a
-    // live cid, or leave a queue half-deleted, on any schedule.
+    // recovery ladder (timeout → resubmit under a fresh cid → step over
+    // the lost slot) runs under every delivery ordering, and the armed
+    // checker must stay silent on all of them — recovery may not
+    // double-complete, reuse a live cid, or skip a slot nothing was
+    // posted to, on any schedule.
     let mut prog = two_client_program();
     prog.fault = Some(pcie::FaultPlan::drop_nth_cqe(0));
     let cfg = ExploreConfig {
