@@ -7,7 +7,7 @@ use std::rc::Rc;
 use cluster::{Calibration, Scenario, ScenarioKind, FIG10_DELTAS};
 use dnvme::{ClientConfig, DataPath, SqPlacement};
 use fioflex::{JobReport, JobSpec, RwMode, SideReport};
-use nvme::QpairStats;
+use nvme::EngineStats;
 use sharedfs::SharedFs;
 use simcore::{LatencySummary, SimDuration};
 
@@ -38,7 +38,7 @@ fn job(rw: RwMode) -> JobSpec {
 
 /// One data point in a fresh simulation, with the doorbell-MMIO ledger
 /// of its host-side drivers. No point may see an I/O or doorbell error.
-fn measure(kind: ScenarioKind, calib: &Calibration, spec: &JobSpec) -> (JobReport, QpairStats) {
+fn measure(kind: ScenarioKind, calib: &Calibration, spec: &JobSpec) -> (JobReport, EngineStats) {
     let sc = Scenario::build(kind, calib);
     let rep = sc.run(spec);
     let doorbells = sc.doorbell_totals();

@@ -7,7 +7,7 @@ use blklayer::BlockDevice;
 use dnvme::{ClientDriver, Manager};
 use fioflex::{run_job, JobReport, JobSpec};
 use nvme::driver::{attach_local_driver, LocalNvmeDriver};
-use nvme::{BlockStore, NvmeController, QpairStats};
+use nvme::{BlockStore, EngineStats, NvmeController};
 use nvmeof::{NvmfInitiator, NvmfTarget};
 use pcie::{Fabric, HostId, NtbId};
 use rdma::IbNet;
@@ -322,14 +322,14 @@ impl Scenario {
     /// scenario: the Linux driver, the NVMe-oF target's SPDK driver, or
     /// all distributed clients. This is where the benches read doorbell
     /// MMIO counts from.
-    pub fn doorbell_totals(&self) -> QpairStats {
-        let mut total = QpairStats::default();
+    pub fn doorbell_totals(&self) -> EngineStats {
+        let mut total = EngineStats::default();
         match &self._keep {
             Keep::Linux(drv) => total.absorb(&drv.engine_totals()),
             Keep::Nvmf(target, _) => total.absorb(&target.driver().engine_totals()),
             Keep::Ours(_, drivers, _) => {
                 for d in drivers {
-                    total.absorb(&d.qpair_stats().totals());
+                    total.absorb(&d.engine_stats());
                 }
             }
         }

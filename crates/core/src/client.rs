@@ -66,6 +66,13 @@ pub enum DataPath {
 /// client always polls its CQ in client-local memory.
 const POLL_CHECK_COST: SimDuration = SimDuration::from_nanos(120);
 
+/// IOMMU map cost per I/O ([`DataPath::DirectMapped`] only).
+const IOMMU_MAP_COST: SimDuration = SimDuration::from_nanos(450);
+
+/// IOMMU unmap + IOTLB shootdown cost per I/O ([`DataPath::DirectMapped`]
+/// only).
+const IOMMU_UNMAP_COST: SimDuration = SimDuration::from_nanos(700);
+
 /// Client driver configuration. Defaults model the paper's "naive"
 /// proof-of-concept driver. How completions arrive is not a setting: the
 /// client polls its CQ, 120 ns of CPU per check.
@@ -90,10 +97,6 @@ pub struct ClientConfig {
     pub submission_overhead: SimDuration,
     /// CPU cost after completion detection.
     pub completion_overhead: SimDuration,
-    /// IOMMU map / unmap costs (DirectMapped only).
-    pub iommu_map_cost: SimDuration,
-    /// IOMMU unmap + IOTLB shootdown cost (DirectMapped).
-    pub iommu_unmap_cost: SimDuration,
     /// Per-command deadline. `None` (the seed default) waits forever;
     /// `Some(d)` arms the recovery ladder: [`nvme::engine::MAX_RETRIES`]
     /// doorbell re-rings with exponential backoff, then one resubmission
@@ -123,8 +126,6 @@ impl Default for ClientConfig {
             data_path: DataPath::Bounce,
             submission_overhead: SimDuration::from_nanos(2_400),
             completion_overhead: SimDuration::from_nanos(600),
-            iommu_map_cost: SimDuration::from_nanos(450),
-            iommu_unmap_cost: SimDuration::from_nanos(700),
             cmd_timeout: None,
             mailbox_timeout: None,
             cpu_accounting: false,
@@ -301,8 +302,6 @@ impl Mailbox {
 pub struct ClientStats {
     /// Read commands issued.
     pub reads: u64,
-    /// Write commands issued.
-    pub writes: u64,
     /// Bytes staged through the bounce buffer.
     pub bounce_bytes_copied: u64,
     /// I/Os that DMA'd directly to/from a hinted user buffer — no
@@ -556,13 +555,13 @@ impl ClientDriver {
     }
 
     /// Snapshot of the run counters (the engine's doorbell/batch counters
-    /// are [`ClientDriver::qpair_stats`]).
+    /// are [`ClientDriver::engine_stats`]).
     pub fn stats(&self) -> ClientStats {
         self.stats.borrow().clone()
     }
 
-    /// Per-queue-pair engine counters, in stripe order.
-    pub fn qpair_stats(&self) -> EngineStats {
+    /// The engine's counters, summed over its queue pairs.
+    pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
     }
 
@@ -626,15 +625,14 @@ impl ClientDriver {
     }
 
     /// The read or write command for `bio` over these PRPs: where both
-    /// data paths build their command, and the one place it is counted.
+    /// data paths build their command, and the one place a read is
+    /// counted.
     fn rw_command(&self, bio: &Bio, cid: u16, prp1: PhysAddr, prp2: PhysAddr) -> SqEntry {
         let nlb0 = bio.blocks.saturating_sub(1) as u16;
-        let mut st = self.stats.borrow_mut();
         if bio.op == BioOp::Read {
-            st.reads += 1;
+            self.stats.borrow_mut().reads += 1;
             SqEntry::read(cid, 1, bio.lba, nlb0, prp1, prp2)
         } else {
-            st.writes += 1;
             SqEntry::write(cid, 1, bio.lba, nlb0, prp1, prp2)
         }
     }
@@ -703,7 +701,7 @@ impl ClientDriver {
             }
             (_, DataPath::DirectMapped) => {
                 // IOMMU-style: map the request buffer for this I/O only.
-                self.handle.sleep(self.cfg.iommu_map_cost).await;
+                self.handle.sleep(IOMMU_MAP_COST).await;
                 let win = self
                     .smartio
                     .map_region_for_device(self.device, bio.buf.slice(0, len))
@@ -713,7 +711,7 @@ impl ClientDriver {
                 // Unmap + IOTLB shootdown, whether or not the command made
                 // it: the window's LUT slots are the adapter's, not ours.
                 self.smartio.unmap_device(win);
-                self.handle.sleep(self.cfg.iommu_unmap_cost).await;
+                self.handle.sleep(IOMMU_UNMAP_COST).await;
                 issued?.status()
             }
         };

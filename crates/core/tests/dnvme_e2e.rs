@@ -1,6 +1,7 @@
 //! Full distributed-driver tests on a Fig. 9b-style cluster: manager +
 //! remote clients sharing one single-function controller.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blklayer::{Bio, BioError, BlockDevice};
@@ -26,6 +27,22 @@ struct Cluster {
 fn recorded(rt: &SimRuntime, stage: Stage) -> usize {
     let records = rt.handle().sanitize_records();
     records.iter().filter(|r| r.stage == stage).count()
+}
+
+/// `[SQEs written, CQEs consumed, CQ slots skipped]` per queue id, off the
+/// armed stream of `handle`'s runtime.
+fn per_ring(handle: &simcore::Handle) -> BTreeMap<u16, [usize; 3]> {
+    let mut rings = BTreeMap::new();
+    for r in handle.sanitize_records() {
+        let (qid, i) = match (r.cmd, r.stage) {
+            (Some((qid, _)), Stage::SqeWritten { .. }) => (qid, 0),
+            (Some((qid, _)), Stage::CqeConsumed { .. }) => (qid, 1),
+            (_, Stage::CqeSkipped { qid, .. }) => (qid, 2),
+            _ => continue,
+        };
+        rings.entry(qid).or_insert([0; 3])[i] += 1;
+    }
+    rings
 }
 
 fn cluster(n_hosts: usize) -> Cluster {
@@ -587,6 +604,7 @@ fn multi_qpair_client_stripes_and_verifies() {
     // single ring's capacity (every tag can stripe onto any ring), so
     // connect must not trip the engine's per-ring assert.
     for (num_qpairs, queue_entries, queue_depth, depth) in [(4u16, 256u16, 16, 16), (2, 4, 32, 3)] {
+        let _armed = simcore::sanitize::arm();
         let c = cluster(2);
         let smartio = c.smartio.clone();
         let fabric = c.fabric.clone();
@@ -594,7 +612,7 @@ fn multi_qpair_client_stripes_and_verifies() {
         let dev_host = c.dev_host;
         let client_host = c.hosts[0];
         let handle = c.rt.handle();
-        let (qids, ok, per_qp) = c.rt.block_on(async move {
+        let (qids, ok) = c.rt.block_on(async move {
             let mgr = Manager::start(&smartio, dev, dev_host, ManagerConfig::default())
                 .await
                 .unwrap();
@@ -633,7 +651,7 @@ fn multi_qpair_client_stripes_and_verifies() {
             for j in joins {
                 all &= j.await;
             }
-            (qids, all, drv.qpair_stats().qpairs)
+            (qids, all)
         });
         assert!(ok, "striped I/O corrupted data");
         assert_eq!(qids.len(), num_qpairs as usize);
@@ -643,9 +661,11 @@ fn multi_qpair_client_stripes_and_verifies() {
         // pairs the 16 concurrent first-wave writes hold all 16 tags, 4
         // per queue pair; with 3 tags over 2 rings each ring still sees
         // a third of the 32 commands.
-        assert_eq!(per_qp.len(), num_qpairs as usize);
-        for (qid, s) in &per_qp {
-            assert!(s.sqes_submitted >= 4, "qpair {qid} starved: {s:?}");
+        let rings = per_ring(&c.rt.handle());
+        for qid in &qids {
+            let [written, consumed, _] = rings[qid];
+            assert!(written >= 4, "qpair {qid} starved: {rings:?}");
+            assert_eq!(consumed, written, "{rings:?}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The job engine: spawns `numjobs × iodepth` lanes against a block
+//! The job engine: spawns `iodepth` lanes against a block
 //! device, collects per-I/O completion latency, and builds the report.
 //!
 //! Determinism: every lane forks its own RNG stream from the job seed, so
@@ -55,7 +55,7 @@ pub async fn run_job(
     let remaining = Rc::new(Cell::new(spec.io_limit.unwrap_or(u64::MAX)));
 
     let mut root_rng = SimRng::seed_from_u64(spec.seed);
-    let lanes = spec.numjobs * spec.iodepth;
+    let lanes = spec.iodepth;
     let mut joins = Vec::with_capacity(lanes);
     for lane in 0..lanes {
         let mut rng = root_rng.fork();
@@ -153,7 +153,6 @@ pub async fn run_job(
         rw: spec.rw.label(),
         block_size: bs,
         iodepth: spec.iodepth,
-        numjobs: spec.numjobs,
         measured_ns: measured.as_nanos(),
         read: c
             .read

@@ -11,10 +11,8 @@ pub struct JobReport {
     pub rw: String,
     /// I/O size in bytes.
     pub block_size: u32,
-    /// Outstanding I/Os per job.
+    /// Outstanding I/Os.
     pub iodepth: usize,
-    /// Parallel jobs.
-    pub numjobs: usize,
     /// Measured (post-ramp) duration.
     pub measured_ns: u64,
     /// Read-side results, if the job read.
@@ -56,8 +54,8 @@ impl JobReport {
     /// fio-style multi-line rendering.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{}: rw={} bs={} iodepth={} numjobs={} errors={}\n",
-            self.name, self.rw, self.block_size, self.iodepth, self.numjobs, self.errors
+            "{}: rw={} bs={} iodepth={} errors={}\n",
+            self.name, self.rw, self.block_size, self.iodepth, self.errors
         );
         if let Some(r) = &self.read {
             out += &format!(
@@ -125,7 +123,6 @@ mod tests {
             rw: "randrw50".into(),
             block_size: 4096,
             iodepth: 1,
-            numjobs: 1,
             measured_ns: 1_000_000,
             read: Some(SideReport::from_summary(
                 s,

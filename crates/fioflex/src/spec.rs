@@ -39,10 +39,8 @@ pub struct JobSpec {
     pub rw: RwMode,
     /// I/O size in bytes (must be a multiple of the device block size).
     pub block_size: u32,
-    /// Outstanding I/Os per job.
+    /// Outstanding I/Os: one lane each.
     pub iodepth: usize,
-    /// Parallel jobs (threads).
-    pub numjobs: usize,
     /// Measured duration (simulated time).
     pub runtime: SimDuration,
     /// Warm-up before measurement starts.
@@ -63,14 +61,13 @@ impl JobSpec {
         JobSpec::new("fig10", rw).runtime(runtime)
     }
 
-    /// A 4 KiB QD1 single-job spec (builder methods adjust).
+    /// A 4 KiB QD1 spec (builder methods adjust).
     pub fn new(name: &str, rw: RwMode) -> JobSpec {
         JobSpec {
             name: name.into(),
             rw,
             block_size: 4096,
             iodepth: 1,
-            numjobs: 1,
             runtime: SimDuration::from_millis(100),
             ramp: SimDuration::from_millis(1),
             io_limit: None,
@@ -86,15 +83,9 @@ impl JobSpec {
         self
     }
 
-    /// Set outstanding I/Os per job.
+    /// Set outstanding I/Os.
     pub fn iodepth(mut self, qd: usize) -> Self {
         self.iodepth = qd;
-        self
-    }
-
-    /// Set the number of parallel jobs.
-    pub fn numjobs(mut self, n: usize) -> Self {
-        self.numjobs = n;
         self
     }
 
@@ -138,11 +129,9 @@ mod tests {
         let j = JobSpec::new("t", RwMode::RandRead)
             .bs(512)
             .iodepth(8)
-            .numjobs(2)
             .seed(7);
         assert_eq!(j.block_size, 512);
         assert_eq!(j.iodepth, 8);
-        assert_eq!(j.numjobs, 2);
         assert_eq!(j.seed, 7);
     }
 
@@ -157,7 +146,6 @@ mod tests {
         let j = JobSpec::fig10(RwMode::RandRead, SimDuration::from_secs(60));
         assert_eq!(j.block_size, 4096);
         assert_eq!(j.iodepth, 1);
-        assert_eq!(j.numjobs, 1);
         assert_eq!(j.runtime, SimDuration::from_secs(60));
     }
 }

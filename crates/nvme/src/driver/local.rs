@@ -15,9 +15,7 @@ use simcore::{Handle, SimDuration};
 use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BlockDevice};
 
 use crate::driver::admin::{AdminError, AdminQueue, AdminQueueLayout, AdminResult};
-use crate::engine::{
-    CompletionStrategy, EngineConfig, EngineStats, IoEngine, QpairStats, QueuePairSpec,
-};
+use crate::engine::{CompletionStrategy, EngineConfig, EngineStats, IoEngine, QueuePairSpec};
 use crate::spec::command::{SqEntry, SQE_SIZE};
 use crate::spec::completion::CQE_SIZE;
 use crate::spec::identify::{IdentifyController, IdentifyNamespace};
@@ -250,14 +248,9 @@ impl LocalNvmeDriver {
         &self.cfg
     }
 
-    /// Per-qpair engine counters (doorbells, batches, reaps).
-    pub fn engine_stats(&self) -> EngineStats {
+    /// Engine counters (doorbells, batches, reaps) over its queue pairs.
+    pub fn engine_totals(&self) -> EngineStats {
         self.engine.stats()
-    }
-
-    /// Summed engine counters.
-    pub fn engine_totals(&self) -> QpairStats {
-        self.engine.totals()
     }
 }
 

@@ -19,8 +19,9 @@
 //!   over the CQE it saw, drains whatever else has already landed, and
 //!   rings the CQ head doorbell once per sweep. The engine counts those
 //!   doorbells, and counts ring failures instead of discarding them.
-//! * Per-qpair [`QpairStats`] feed the drivers' `qpair_stats()` and the
-//!   cluster-level benchmark reports.
+//! * One [`EngineStats`] per engine, summed over its queue pairs, feeds
+//!   the drivers' counters and the cluster-level benchmark reports. Which
+//!   ring carried a command is on the armed record stream, keyed by qid.
 //!
 //! The run-time checker sees every engine: it reaches the fabric through
 //! its private submission ring (`engine/sq.rs`) and [`CqRing`], which
@@ -328,10 +329,10 @@ pub struct QueuePairSpec {
 // Stats
 // ---------------------------------------------------------------------
 
-/// Per-queue-pair counters, exposed through driver stats and the
-/// cluster-level benchmark reports.
+/// An engine's counters over all its queue pairs, exposed through driver
+/// stats and the cluster-level benchmark reports.
 #[derive(Default, Clone, Debug)]
-pub struct QpairStats {
+pub struct EngineStats {
     /// SQEs written into the ring.
     pub sqes_submitted: u64,
     /// SQ tail-doorbell MMIOs: ≤ `sqes_submitted`, and equal to it at
@@ -352,10 +353,10 @@ pub struct QpairStats {
     pub timeouts: u64,
 }
 
-impl QpairStats {
+impl EngineStats {
     /// Fold another counter set into this one (`max_batch` takes the max,
     /// everything else sums).
-    pub fn absorb(&mut self, other: &QpairStats) {
+    pub fn absorb(&mut self, other: &EngineStats) {
         self.sqes_submitted += other.sqes_submitted;
         self.sq_doorbells += other.sq_doorbells;
         self.max_batch = self.max_batch.max(other.max_batch);
@@ -364,24 +365,6 @@ impl QpairStats {
         self.doorbell_errors += other.doorbell_errors;
         self.push_errors += other.push_errors;
         self.timeouts += other.timeouts;
-    }
-}
-
-/// Snapshot of every queue pair's counters.
-#[derive(Default, Clone, Debug)]
-pub struct EngineStats {
-    /// `(qid, counters)` per queue pair, in stripe order.
-    pub qpairs: Vec<(u16, QpairStats)>,
-}
-
-impl EngineStats {
-    /// Sum across queue pairs.
-    pub fn totals(&self) -> QpairStats {
-        let mut t = QpairStats::default();
-        for (_, s) in &self.qpairs {
-            t.absorb(s);
-        }
-        t
     }
 }
 
@@ -401,7 +384,6 @@ struct EngineQpair {
     backlog: RefCell<VecDeque<SqEntry>>,
     /// Whether a flusher task is currently draining the backlog.
     flushing: Cell<bool>,
-    stats: RefCell<QpairStats>,
 }
 
 /// The shared host-side I/O engine: tags, queue pairs, the coalescing
@@ -412,6 +394,7 @@ pub struct IoEngine {
     cfg: EngineConfig,
     qpairs: Vec<EngineQpair>,
     tags: TagSet,
+    stats: RefCell<EngineStats>,
 }
 
 impl IoEngine {
@@ -460,7 +443,6 @@ impl IoEngine {
                 irq: spec.irq,
                 backlog: RefCell::new(VecDeque::new()),
                 flushing: Cell::new(false),
-                stats: RefCell::new(QpairStats::default()),
             });
         }
         let engine = Rc::new(IoEngine {
@@ -469,6 +451,7 @@ impl IoEngine {
             cfg,
             qpairs,
             tags: TagSet::new(cfg.queue_depth),
+            stats: RefCell::default(),
         });
         for index in 0..engine.qpairs.len() {
             let e = engine.clone();
@@ -501,18 +484,7 @@ impl IoEngine {
 
     /// Counter snapshot across all queue pairs.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            qpairs: self
-                .qpairs
-                .iter()
-                .map(|q| (q.qid, q.stats.borrow().clone()))
-                .collect(),
-        }
-    }
-
-    /// Summed counter snapshot.
-    pub fn totals(&self) -> QpairStats {
-        self.stats().totals()
+        self.stats.borrow().clone()
     }
 
     /// Submit one command under `tag`'s live cid (stamped into `sqe`) and
@@ -551,13 +523,13 @@ impl IoEngine {
                         break;
                     }
                     if qp.sq.ring().await.is_err() {
-                        qp.stats.borrow_mut().doorbell_errors += 1;
+                        self.stats.borrow_mut().doorbell_errors += 1;
                     }
                     wait = wait * 2;
                 }
             }
         }
-        qp.stats.borrow_mut().timeouts += 1;
+        self.stats.borrow_mut().timeouts += 1;
         Err(EngineError::Timeout {
             qid: qp.qid,
             cid: sqe.cid,
@@ -594,7 +566,7 @@ impl IoEngine {
                 break;
             };
             if let Err(e) = qp.sq.push(&first).await {
-                qp.stats.borrow_mut().push_errors += 1;
+                self.stats.borrow_mut().push_errors += 1;
                 self.tags.complete(first.cid, Err(EngineError::Fabric(e)));
                 continue; // nothing written yet, so no doorbell is owed
             }
@@ -608,7 +580,7 @@ impl IoEngine {
                 match qp.sq.push(&sqe).await {
                     Ok(()) => batch.push(sqe.cid),
                     Err(e) => {
-                        qp.stats.borrow_mut().push_errors += 1;
+                        self.stats.borrow_mut().push_errors += 1;
                         self.tags.complete(sqe.cid, Err(EngineError::Fabric(e)));
                     }
                 }
@@ -616,7 +588,7 @@ impl IoEngine {
             match qp.sq.ring().await {
                 Ok(()) => {
                     let n = batch.len() as u64;
-                    let mut s = qp.stats.borrow_mut();
+                    let mut s = self.stats.borrow_mut();
                     s.sqes_submitted += n;
                     s.sq_doorbells += 1;
                     s.max_batch = s.max_batch.max(n);
@@ -625,7 +597,7 @@ impl IoEngine {
                     // The tail never reached the device: the batch's SQEs
                     // sit in the ring unannounced. Fail their waiters
                     // instead of letting them hang.
-                    qp.stats.borrow_mut().doorbell_errors += 1;
+                    self.stats.borrow_mut().doorbell_errors += 1;
                     for cid in batch {
                         self.tags.complete(cid, Err(EngineError::Fabric(e.clone())));
                     }
@@ -669,7 +641,7 @@ impl IoEngine {
                 continue;
             }
             let rung = cq.ring_doorbell().await;
-            let mut s = self.qpairs[index].stats.borrow_mut();
+            let mut s = self.stats.borrow_mut();
             match rung {
                 Ok(()) => s.cq_doorbells += 1,
                 Err(_) => s.doorbell_errors += 1,
@@ -679,7 +651,7 @@ impl IoEngine {
 
     fn deliver(&self, index: usize, cqe: CqEntry) {
         let qp = &self.qpairs[index];
-        qp.stats.borrow_mut().cqes_reaped += 1;
+        self.stats.borrow_mut().cqes_reaped += 1;
         let live = self.tags.complete(cqe.cid, Ok(cqe));
         qp.sq.retire(qp.cq.settle(live));
     }

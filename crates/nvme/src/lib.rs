@@ -30,8 +30,7 @@ pub mod spec;
 
 pub use ctrl::{CtrlStats, NvmeConfig, NvmeController};
 pub use engine::{
-    CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QpairStats,
-    QueuePairSpec, TagSet,
+    CompletionStrategy, EngineConfig, EngineError, EngineStats, IoEngine, QueuePairSpec, TagSet,
 };
 pub use medium::{BlockStore, MediaProfile};
 pub use queue::CqRing;

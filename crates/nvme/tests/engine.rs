@@ -2,13 +2,14 @@
 //! accounting. At QD=1 the engine rings exactly once per command, and
 //! submitters that arrive at the same instant share one doorbell.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blklayer::BioOp;
 use nvme::driver::{attach_local_driver, LocalDriverConfig};
 use nvme::{BlockStore, MediaProfile, NvmeConfig, NvmeController};
 use pcie::{Fabric, FabricParams, HostId};
-use simcore::SimRuntime;
+use simcore::{SimRuntime, Stage};
 
 struct Bed {
     rt: SimRuntime,
@@ -41,6 +42,22 @@ fn bed() -> Bed {
         host,
         ctrl,
     }
+}
+
+/// `[SQEs written, CQEs consumed, CQ slots skipped]` per queue id, off the
+/// armed stream of `handle`'s runtime.
+fn per_ring(handle: &simcore::Handle) -> BTreeMap<u16, [usize; 3]> {
+    let mut rings = BTreeMap::new();
+    for r in handle.sanitize_records() {
+        let (qid, i) = match (r.cmd, r.stage) {
+            (Some((qid, _)), Stage::SqeWritten { .. }) => (qid, 0),
+            (Some((qid, _)), Stage::CqeConsumed { .. }) => (qid, 1),
+            (_, Stage::CqeSkipped { qid, .. }) => (qid, 2),
+            _ => continue,
+        };
+        rings.entry(qid).or_insert([0; 3])[i] += 1;
+    }
+    rings
 }
 
 #[test]
@@ -113,8 +130,10 @@ fn concurrent_submission_coalesces_doorbells() {
 }
 
 #[test]
-fn engine_stats_report_per_qpair() {
+fn the_armed_stream_counts_the_io_ring_by_qid() {
+    let _armed = simcore::sanitize::arm();
     let b = bed();
+    let handle = b.rt.handle();
     let fabric = b.fabric.clone();
     let host = b.host;
     let ctrl = b.ctrl.clone();
@@ -124,9 +143,11 @@ fn engine_stats_report_per_qpair() {
             .unwrap();
         let buf = fabric.alloc(host, 4096).unwrap();
         drv.io_raw(BioOp::Read, 0, 8, buf.addr).await.unwrap();
-        let stats = drv.engine_stats();
-        assert_eq!(stats.qpairs.len(), 1, "local driver runs one I/O qpair");
-        assert_eq!(stats.qpairs[0].0, 1, "I/O qpair is qid 1");
-        assert_eq!(stats.totals().sqes_submitted, 1);
+        assert_eq!(drv.engine_totals().sqes_submitted, 1);
+        // The local driver runs one I/O queue pair, qid 1, beside the
+        // admin queue (qid 0).
+        let mut rings = per_ring(&handle);
+        rings.remove(&0);
+        assert_eq!(rings, BTreeMap::from([(1, [1, 1, 0])]));
     });
 }

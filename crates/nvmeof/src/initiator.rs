@@ -6,7 +6,6 @@
 //! as response capsules and are handled with interrupt latency, like the
 //! kernel's RDMA completion path.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use blklayer::{validate, Bio, BioError, BioFuture, BioOp, BioResult, BlockDevice};
@@ -49,17 +48,6 @@ impl Default for InitiatorConfig {
     }
 }
 
-/// Initiator-side counters.
-#[derive(Default, Clone, Debug)]
-pub struct InitiatorStats {
-    /// Read commands issued.
-    pub reads: u64,
-    /// Write commands issued.
-    pub writes: u64,
-    /// Writes sent with in-capsule data.
-    pub icd_writes: u64,
-}
-
 /// A connected initiator exposing the remote namespace as a block device.
 pub struct NvmfInitiator {
     fabric: Fabric,
@@ -80,7 +68,6 @@ pub struct NvmfInitiator {
     /// Tag allocator + response-capsule matching (the engine's tag table,
     /// used standalone — NVMe-oF has no host-side rings to coalesce).
     tags: TagSet,
-    stats: RefCell<InitiatorStats>,
 }
 
 impl NvmfInitiator {
@@ -133,7 +120,6 @@ impl NvmfInitiator {
             cmd_lkey: cmd_mr.lkey,
             capsule_stride,
             tags: TagSet::new(qd),
-            stats: RefCell::new(InitiatorStats::default()),
             cfg,
         });
         // Completion service: response capsules arrive on the recv CQ and
@@ -181,11 +167,6 @@ impl NvmfInitiator {
         &self.qp
     }
 
-    /// Snapshot of the run counters.
-    pub fn stats(&self) -> InitiatorStats {
-        self.stats.borrow().clone()
-    }
-
     async fn do_io(&self, bio: Bio) -> BioResult {
         let len = bio.len(self.block_size);
         let tag = self.tags.acquire().await?;
@@ -209,8 +190,6 @@ impl NvmfInitiator {
             ),
             BioOp::Write if len <= self.icd_size => {
                 // In-capsule data: read the user buffer and inline it.
-                self.stats.borrow_mut().icd_writes += 1;
-                self.stats.borrow_mut().writes += 1;
                 let mut data = vec![0u8; len as usize];
                 self.fabric
                     .mem_read(bio.buf.host, bio.buf.addr, &mut data)
@@ -237,14 +216,8 @@ impl NvmfInitiator {
                     .net
                     .register_mr(self.nic, bio.buf.slice(0, len), access);
                 let sqe = match op {
-                    BioOp::Read => {
-                        self.stats.borrow_mut().reads += 1;
-                        SqEntry::read(cid, 1, bio.lba, nlb0, PhysAddr(0), PhysAddr(0))
-                    }
-                    _ => {
-                        self.stats.borrow_mut().writes += 1;
-                        SqEntry::write(cid, 1, bio.lba, nlb0, PhysAddr(0), PhysAddr(0))
-                    }
+                    BioOp::Read => SqEntry::read(cid, 1, bio.lba, nlb0, PhysAddr(0), PhysAddr(0)),
+                    _ => SqEntry::write(cid, 1, bio.lba, nlb0, PhysAddr(0), PhysAddr(0)),
                 };
                 (
                     CommandCapsule {

@@ -15,5 +15,5 @@ pub mod initiator;
 pub mod target;
 
 pub use capsule::{CommandCapsule, DataRef};
-pub use initiator::{InitiatorConfig, InitiatorStats, NvmfInitiator};
+pub use initiator::{InitiatorConfig, NvmfInitiator};
 pub use target::{NvmfTarget, TargetConfig, TargetStats};

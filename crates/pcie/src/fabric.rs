@@ -444,8 +444,9 @@ impl Fabric {
     // ---------------------------------------------------------------
 
     /// Install a fault plan; replaces any previous plan. The empty plan
-    /// disables injection. Each fault injected is a `Fault*` record of the
-    /// armed stream (`simcore::Stage`).
+    /// disables delivery faults; severed links and crashed hosts stay
+    /// down. Each fault injected is a `Fault*` record of the armed stream
+    /// (`simcore::Stage`).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.inner.faults.borrow_mut().install(plan);
     }

@@ -196,12 +196,12 @@ pub(crate) struct FaultInjector {
 }
 
 impl FaultInjector {
+    /// Replace the delivery plan and its match counters. Links severed
+    /// and hosts crashed so far stay down.
     pub(crate) fn install(&mut self, plan: FaultPlan) {
         self.matched = vec![0; plan.deliveries.len()];
         self.fired = vec![false; plan.deliveries.len()];
         self.plan = plan;
-        self.severed.clear();
-        self.crashed.clear();
     }
 
     /// Whether any fault could still fire (cheap fast-path guard).

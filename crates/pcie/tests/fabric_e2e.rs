@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use pcie::{
     DomainAddr, Fabric, FabricError, FabricParams, FaultPlan, HostId, Location, MmioDevice,
-    Payload, PhysAddr, RegisterFile,
+    Payload, PhysAddr, RegisterFile, SeverMode,
 };
 use simcore::{ChoiceKind, ReplayScheduler, SimDuration, SimRuntime, Stage};
 
@@ -637,4 +637,29 @@ fn duplicated_page_payload_applies_twice() {
     });
     assert_eq!(injected(&f, Stage::FaultDuplicated), 1);
     assert_eq!(counter.hits.get(), 2 * 512);
+}
+
+#[test]
+fn installing_a_plan_keeps_crashed_hosts_and_severed_links_down() {
+    // A plan holds delivery faults only: installing one must neither
+    // revive a crashed host nor mend a cut cable.
+    let tb = build();
+    let f = tb.fabric.clone();
+    let seg = f.alloc(tb.host_b, 4096).unwrap();
+    let win = f
+        .program_lut(tb.ntb_a, 0, DomainAddr::new(tb.host_b, seg.addr))
+        .unwrap();
+    let (host_a, host_b, ntb_a) = (tb.host_a, tb.host_b, tb.ntb_a);
+    f.crash_host_now(host_b);
+    f.sever_ntb_now(ntb_a, SeverMode::Both);
+    f.set_fault_plan(FaultPlan::parse("f1:drop@0/cqe").unwrap());
+    let (crashed, severed) = tb.rt.block_on({
+        let f = f.clone();
+        async move {
+            let crashed = f.cpu_write(host_b, seg.addr, b"x").await;
+            (crashed, f.cpu_write(host_a, win, b"x").await)
+        }
+    });
+    assert_eq!(crashed, Err(FabricError::HostCrashed(host_b)));
+    assert_eq!(severed, Err(FabricError::LinkDown { ntb: ntb_a }));
 }

@@ -10,14 +10,15 @@ use std::task::{Context, Poll, Waker};
 
 struct SemState {
     permits: usize,
-    /// FIFO of parked acquirers: (key, wanted, waker). Keys are handed out
-    /// in increasing order and only ever pushed at the back, so the queue
-    /// is sorted by key.
-    waiters: VecDeque<(u64, usize, Waker)>,
+    /// FIFO of parked acquirers: (key, waker). Keys are handed out in
+    /// increasing order and only ever pushed at the back, so the queue is
+    /// sorted by key.
+    waiters: VecDeque<(u64, Waker)>,
     next_key: u64,
 }
 
-/// Async counting semaphore (single-threaded, FIFO fairness).
+/// Async counting semaphore (single-threaded, FIFO fairness). Every
+/// acquire takes one permit, and dropping the [`Permit`] gives it back.
 #[derive(Clone)]
 pub struct Semaphore {
     state: Rc<RefCell<SemState>>,
@@ -40,17 +41,11 @@ impl Semaphore {
         self.state.borrow().permits
     }
 
-    /// Acquire one permit; resolves to an RAII guard.
+    /// Acquire one permit; resolves to an RAII guard. Waiters are served
+    /// in arrival order.
     pub fn acquire(&self) -> Acquire {
-        self.acquire_many(1)
-    }
-
-    /// Acquire `n` permits at once (FIFO: a large waiter at the head blocks
-    /// later small ones, preventing starvation).
-    pub fn acquire_many(&self, n: usize) -> Acquire {
         Acquire {
             sem: self.clone(),
-            wanted: n,
             key: None,
         }
     }
@@ -60,19 +55,10 @@ impl Semaphore {
         let mut st = self.state.borrow_mut();
         if st.waiters.is_empty() && st.permits >= 1 {
             st.permits -= 1;
-            Some(Permit {
-                sem: self.clone(),
-                count: 1,
-            })
+            Some(Permit { sem: self.clone() })
         } else {
             None
         }
-    }
-
-    /// Add permits (used by Permit drop and by dynamic resizing).
-    pub fn release(&self, n: usize) {
-        self.state.borrow_mut().permits += n;
-        self.wake_satisfiable();
     }
 
     /// A parked acquire was dropped: it leaves the queue, and permits a
@@ -89,40 +75,35 @@ impl Semaphore {
         self.wake_satisfiable();
     }
 
-    /// Wake, in order, the head waiters the free permits can satisfy
-    /// (FIFO: the scan stops at the first that must keep waiting). Each
-    /// waker is cloned under the borrow and woken after it.
+    /// Wake, in order, as many head waiters as there are free permits.
+    /// Each waker is cloned under the borrow and woken after it.
     fn wake_satisfiable(&self) {
-        let mut budget = self.state.borrow().permits;
-        for i in 0.. {
+        let budget = self.state.borrow().permits;
+        for i in 0..budget {
             let waker = match self.state.borrow().waiters.get(i) {
-                Some((_, wanted, waker)) if *wanted <= budget => {
-                    budget -= wanted;
-                    waker.clone()
-                }
-                _ => return,
+                Some((_, waker)) => waker.clone(),
+                None => return,
             };
             waker.wake();
         }
     }
 }
 
-/// RAII permit; returns its permits on drop.
+/// RAII permit; returns its permit on drop.
 pub struct Permit {
     sem: Semaphore,
-    count: usize,
 }
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        self.sem.release(self.count);
+        self.sem.state.borrow_mut().permits += 1;
+        self.sem.wake_satisfiable();
     }
 }
 
-/// Future returned by the acquire methods.
+/// Future returned by [`Semaphore::acquire`].
 pub struct Acquire {
     sem: Semaphore,
-    wanted: usize,
     key: Option<u64>,
 }
 
@@ -135,31 +116,28 @@ impl Future for Acquire {
             None => st.waiters.is_empty(),
             Some(key) => st.waiters.front().is_some_and(|w| w.0 == key),
         };
-        if at_head && st.permits >= self.wanted {
-            st.permits -= self.wanted;
+        if at_head && st.permits >= 1 {
+            st.permits -= 1;
             if self.key.is_some() {
                 st.waiters.pop_front();
             }
-            let wanted = self.wanted;
             drop(st);
             self.key = None;
             return Poll::Ready(Permit {
                 sem: self.sem.clone(),
-                count: wanted,
             });
         }
         match self.key {
             None => {
                 let key = st.next_key;
                 st.next_key += 1;
-                let wanted = self.wanted;
-                st.waiters.push_back((key, wanted, cx.waker().clone()));
+                st.waiters.push_back((key, cx.waker().clone()));
                 drop(st);
                 self.key = Some(key);
             }
             Some(key) => {
                 if let Ok(i) = st.waiters.binary_search_by_key(&key, |w| w.0) {
-                    st.waiters[i].2.clone_from(cx.waker());
+                    st.waiters[i].1.clone_from(cx.waker());
                 }
             }
         }
@@ -210,41 +188,30 @@ mod tests {
     }
 
     #[test]
-    fn fifo_large_waiter_not_starved() {
+    fn waiters_are_served_in_arrival_order() {
         let rt = SimRuntime::new();
         let h = rt.handle();
-        let sem = Semaphore::new(2);
+        let sem = Semaphore::new(1);
         let log = Rc::new(RefCell::new(Vec::new()));
-        // Occupy both permits.
-        let sem0 = sem.clone();
+        // Hold the one permit while three waiters park, one a tick apart.
+        let held = sem.try_acquire().unwrap();
+        for (tick, name) in [(1, "a"), (2, "b"), (3, "c")] {
+            let (sem, h2, log) = (sem.clone(), h.clone(), log.clone());
+            h.spawn(async move {
+                h2.sleep(SimDuration::from_nanos(tick)).await;
+                let _p = sem.acquire().await;
+                log.borrow_mut().push(name);
+                h2.sleep(SimDuration::from_nanos(10)).await;
+            });
+        }
         let h0 = h.clone();
-        let log0 = log.clone();
         h.spawn(async move {
-            let p = sem0.acquire_many(2).await;
             h0.sleep(SimDuration::from_nanos(50)).await;
-            log0.borrow_mut().push("holder-done");
-            drop(p);
-        });
-        // A big request queued first...
-        let sem1 = sem.clone();
-        let h1 = h.clone();
-        let log1 = log.clone();
-        h.spawn(async move {
-            h1.sleep(SimDuration::from_nanos(1)).await;
-            let _p = sem1.acquire_many(2).await;
-            log1.borrow_mut().push("big");
-        });
-        // ...must win over a later small request.
-        let sem2 = sem.clone();
-        let h2 = h.clone();
-        let log2 = log.clone();
-        h.spawn(async move {
-            h2.sleep(SimDuration::from_nanos(2)).await;
-            let _p = sem2.acquire().await;
-            log2.borrow_mut().push("small");
+            drop(held);
         });
         rt.run();
-        assert_eq!(*log.borrow(), vec!["holder-done", "big", "small"]);
+        assert_eq!(*log.borrow(), vec!["a", "b", "c"]);
+        assert_eq!(sem.available(), 1);
     }
 
     #[test]
@@ -262,10 +229,11 @@ mod tests {
     fn cancelled_acquire_leaves_queue_clean() {
         let rt = SimRuntime::new();
         let h = rt.handle();
-        let sem = Semaphore::new(0);
+        let sem = Semaphore::new(1);
         let sem2 = sem.clone();
         let h2 = h.clone();
         rt.block_on(async move {
+            let held = sem2.try_acquire().unwrap();
             {
                 let mut fut = Box::pin(sem2.acquire());
                 // poll once to park
@@ -275,7 +243,7 @@ mod tests {
                 })
                 .await;
             } // dropped here
-            sem2.release(1);
+            drop(held);
             // Must be immediately acquirable; the cancelled waiter is gone.
             let _p = sem2.acquire().await;
             h2.sleep(SimDuration::from_nanos(1)).await;

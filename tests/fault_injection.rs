@@ -4,6 +4,7 @@
 //! real components contain it (CFS, error statuses, ignored requests),
 //! never a hang or corruption.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use blklayer::{Bio, BioError, BlockDevice};
@@ -28,6 +29,22 @@ fn skipped(fabric: &Fabric) -> usize {
     let records = fabric.handle().sanitize_records();
     let skip = |r: &&simcore::Record| matches!(r.stage, Stage::CqeSkipped { .. });
     records.iter().filter(skip).count()
+}
+
+/// `[SQEs written, CQEs consumed, CQ slots skipped]` per queue id, off the
+/// armed stream of `handle`'s runtime.
+fn per_ring(handle: &simcore::Handle) -> BTreeMap<u16, [usize; 3]> {
+    let mut rings = BTreeMap::new();
+    for r in handle.sanitize_records() {
+        let (qid, i) = match (r.cmd, r.stage) {
+            (Some((qid, _)), Stage::SqeWritten { .. }) => (qid, 0),
+            (Some((qid, _)), Stage::CqeConsumed { .. }) => (qid, 1),
+            (_, Stage::CqeSkipped { qid, .. }) => (qid, 2),
+            _ => continue,
+        };
+        rings.entry(qid).or_insert([0; 3])[i] += 1;
+    }
+    rings
 }
 
 fn local_bed() -> (SimRuntime, Fabric, HostId, Rc<NvmeController>) {
@@ -429,12 +446,13 @@ fn dropped_cqe_on_one_ring_leaves_the_sibling_ring_untouched() {
     let cs = drv.stats();
     assert_eq!(cs.recoveries, 1, "{cs:?}");
     assert_eq!(skipped(&sc.fabric), 1);
-    let rings = drv.qpair_stats().qpairs;
-    assert_eq!(rings.len(), 2);
-    let (hit, sibling): (Vec<_>, Vec<_>) = rings.iter().partition(|(_, s)| s.timeouts > 0);
-    assert_eq!((hit.len(), sibling.len()), (1, 1), "{rings:?}");
-    let (_, s) = sibling[0];
-    assert_eq!((s.sqes_submitted, s.cqes_reaped), (3, 3), "{rings:?}");
+    // Per ring: [SQEs written, CQEs consumed, CQ slots skipped]. The hit
+    // ring wrote the lost read twice and stepped over its slot; the
+    // sibling wrote and reaped its three.
+    let rings = per_ring(&sc.rt.handle());
+    let mut counts: Vec<_> = drv.qids().iter().map(|qid| rings[qid]).collect();
+    counts.sort();
+    assert_eq!(counts, [[3, 3, 0], [4, 3, 1]], "{rings:?}");
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
@@ -717,7 +735,7 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
         }
     }
     assert!(prompt, "post-burst submit parked behind the flusher flag");
-    let engine = sc.client_drivers()[0].qpair_stats().totals();
+    let engine = sc.client_drivers()[0].engine_stats();
     assert!(
         engine.push_errors > 0 && engine.doorbell_errors > 0,
         "the pull must land mid-flush (failed pushes and a failed ring): {engine:?}"
@@ -735,9 +753,12 @@ fn severed_ntb_surfaces_typed_errors_and_detaches() {
     assert_eq!(sc.rt.sanitize_violations(), []);
 }
 
-/// Three hosts on one switch, the controller in the third, and the lease
-/// and client deadlines the lease tests run with.
-fn lease_bed() -> (
+/// `n` hosts on one switch (256 LUT slots per adapter, enough for 31
+/// clients), the controller in the last, and the lease and client
+/// deadlines the lease tests run with.
+fn lease_bed(
+    n: usize,
+) -> (
     SimRuntime,
     Fabric,
     Vec<HostId>,
@@ -750,13 +771,13 @@ fn lease_bed() -> (
     let fabric = Fabric::new(rt.handle(), FabricParams::default());
     let sw = fabric.add_switch("sw");
     let mut hosts = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..n {
         let h = fabric.add_host(256 << 20);
-        let ntb = fabric.add_ntb(h, 2 << 20, 128);
+        let ntb = fabric.add_ntb(h, 2 << 20, 256);
         fabric.link(fabric.ntb_node(ntb), sw);
         hosts.push(h);
     }
-    let dev_host = hosts[2];
+    let dev_host = hosts[n - 1];
     let store = Rc::new(BlockStore::new(
         rt.handle(),
         MediaProfile::optane(),
@@ -785,41 +806,62 @@ fn lease_bed() -> (
     (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg)
 }
 
-/// The lease bed with the manager on its own host (`hosts[1]`, no lease,
-/// so no heartbeats) and one client on `hosts[0]`. After connect `plan`
-/// is installed, the manager's host crashes if `crash` says so, and the
-/// client reads `reads` times. Returns each read's result and
-/// latency in nanoseconds.
+/// The lease bed with `clients` clients on `hosts[..clients]` and the
+/// manager on its own host next to them (no lease, so no heartbeats).
+/// After every client has connected, `plan` is installed and each client
+/// reads `reads` times from its own range; 5 µs in, the manager's host
+/// crashes if `crash` says so. Returns each client's reads as (result,
+/// latency in nanoseconds).
 fn reads_beside_the_managers_host(
+    clients: usize,
     crash: bool,
     plan: &str,
     reads: u64,
-) -> Vec<(Result<(), BioError>, u64)> {
+) -> Vec<Vec<(Result<(), BioError>, u64)>> {
     use pcie::FaultPlan;
-    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed(clients + 2);
     let mgr_cfg = ManagerConfig {
         lease: None,
         ..mgr_cfg
     };
     let plan = FaultPlan::parse(plan).unwrap();
+    let handle = rt.handle();
     rt.block_on(async move {
-        let _mgr = Manager::start(&smartio, dev, hosts[1], mgr_cfg)
+        let manager_host = hosts[clients];
+        let _mgr = Manager::start(&smartio, dev, manager_host, mgr_cfg)
             .await
             .unwrap();
-        let client = ClientDriver::connect(&smartio, dev, hosts[0], client_cfg)
-            .await
-            .unwrap();
-        // Installing a plan clears crashes, so the crash comes second.
-        fabric.set_fault_plan(plan);
-        if crash {
-            fabric.crash_host_now(hosts[1]);
+        let mut lanes = Vec::new();
+        for (c, &host) in hosts[..clients].iter().enumerate() {
+            let client = ClientDriver::connect(&smartio, dev, host, client_cfg.clone())
+                .await
+                .unwrap();
+            let buf = fabric.alloc(host, 4096).unwrap();
+            lanes.push((c as u64, client, buf));
         }
-        let buf = fabric.alloc(hosts[0], 4096).unwrap();
+        fabric.set_fault_plan(plan);
+        let lanes: Vec<_> = lanes
+            .into_iter()
+            .map(|(c, client, buf)| {
+                let now = fabric.handle();
+                handle.spawn(async move {
+                    let mut out = Vec::new();
+                    for i in 0..reads {
+                        let start = now.now();
+                        let read = client.submit(Bio::read((c * reads + i) * 8, 8, buf)).await;
+                        out.push((read, now.now().since(start).as_nanos()));
+                    }
+                    out
+                })
+            })
+            .collect();
+        fabric.handle().sleep(SimDuration::from_micros(5)).await;
+        if crash {
+            fabric.crash_host_now(manager_host);
+        }
         let mut out = Vec::new();
-        for i in 0..reads {
-            let start = fabric.handle().now();
-            let read = client.submit(Bio::read(i * 8, 8, buf)).await;
-            out.push((read, fabric.handle().now().since(start).as_nanos()));
+        for lane in lanes {
+            out.push(lane.await);
         }
         out
     })
@@ -829,17 +871,27 @@ fn reads_beside_the_managers_host(
 fn a_lost_cqe_heals_with_the_managers_host_crashed() {
     // The paper's claim: once a client holds its queue pair, no software
     // on the manager's host is in its I/O path. A lost CQE is healed on
-    // the client's own ring, so it heals the same with the manager's host
-    // dead, to the nanosecond; and so does a run of plain reads.
-    let healed = reads_beside_the_managers_host(true, "f1:drop@0/cqe", 1);
-    assert_eq!(healed[0].0, Ok(()));
-    assert_eq!(
-        healed,
-        reads_beside_the_managers_host(false, "f1:drop@0/cqe", 1)
-    );
-    let plain = reads_beside_the_managers_host(true, "f1:", 100);
-    assert!(plain.iter().all(|(read, _)| read.is_ok()), "{plain:?}");
-    assert_eq!(plain, reads_beside_the_managers_host(false, "f1:", 100));
+    // the client's own ring, so with 1, 4 or 31 clients sharing the
+    // controller every client's reads match the run without the crash,
+    // result for result and nanosecond for nanosecond; and so does one
+    // client's run of plain reads.
+    for clients in [1, 4, 31] {
+        let crashed = reads_beside_the_managers_host(clients, true, "f1:drop@0/cqe", 20);
+        assert_eq!(crashed.len(), clients);
+        let ok = crashed.iter().flatten().all(|(read, _)| read.is_ok());
+        assert!(ok, "{clients} clients: {crashed:?}");
+        // The lost CQE's read waited out its deadline and healed.
+        let healed = crashed.iter().flatten().filter(|(_, ns)| *ns > 200_000);
+        assert_eq!(healed.count(), 1, "{clients} clients: {crashed:?}");
+        assert_eq!(
+            crashed,
+            reads_beside_the_managers_host(clients, false, "f1:drop@0/cqe", 20),
+            "{clients} clients"
+        );
+    }
+    let plain = reads_beside_the_managers_host(1, true, "f1:", 100);
+    assert!(plain[0].iter().all(|(read, _)| read.is_ok()), "{plain:?}");
+    assert_eq!(plain, reads_beside_the_managers_host(1, false, "f1:", 100));
 }
 
 #[test]
@@ -849,7 +901,7 @@ fn crashed_client_is_reaped_and_its_qpairs_reused() {
     // the silent lease, admin-deletes the client's queues, frees its qids
     // and mailbox state, and purges its SmartIO footprint — so a second
     // client can connect and be granted the very same queue pair.
-    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed(3);
     let lease = mgr_cfg.lease.unwrap();
     rt.block_on({
         let smartio = smartio.clone();
@@ -902,7 +954,7 @@ fn a_connect_racing_the_lease_reaper_is_served() {
     for step in 0..600u64 {
         let offset = SimDuration::from_nanos(step * 1_500);
         let world = std::panic::catch_unwind(|| {
-            let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+            let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed(3);
             rt.block_on(async move {
                 let _mgr = Manager::start(&smartio, dev, hosts[2], mgr_cfg)
                     .await
@@ -1098,7 +1150,7 @@ fn serve_call_survives_a_lost_cqe(call: ServeCall, drops: &[u64]) {
     use dnvme::DnvmeError;
     use pcie::{DeliveryFault, FaultAction, FaultPlan, Selector};
     let _armed = simcore::sanitize::arm();
-    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed();
+    let (rt, fabric, hosts, smartio, dev, mgr_cfg, client_cfg) = lease_bed(3);
     let plan = FaultPlan {
         deliveries: drops
             .iter()
