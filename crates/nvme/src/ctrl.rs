@@ -663,28 +663,35 @@ impl NvmeController {
         self.post_cqe(cqid, 0, sq_head, qid, sqe.cid, status).await;
     }
 
-    /// Gather the DMA chunk list for a command, fetching the PRP list from
-    /// host memory when the transfer spans more than two pages.
-    async fn dma_chunks(&self, sqe: &SqEntry, len: u64) -> Result<Vec<(PhysAddr, u64)>, Status> {
-        let fabric = self.fabric();
+    /// The DMA chunks of a command's transfer. Past two pages PRP2 points
+    /// at a PRP list, fetched from host memory into `list`: the one case
+    /// that allocates.
+    async fn dma_chunks<'a>(
+        &self,
+        sqe: &'a SqEntry,
+        len: u64,
+        list: &'a mut Vec<PhysAddr>,
+    ) -> Result<prp::Chunks<'a>, Status> {
         let off = sqe.prp1.align_offset(prp::PAGE);
         let pages = prp::pages_spanned(off, len);
-        let rest: Vec<PhysAddr> = if pages <= 1 {
-            Vec::new()
+        let rest: &[PhysAddr] = if pages <= 1 {
+            &[]
         } else if pages == 2 {
-            vec![sqe.prp2]
+            std::slice::from_ref(&sqe.prp2)
         } else {
             let n = (pages - 1) as usize;
             let mut raw = vec![0u8; n * 8];
-            fabric
+            self.fabric()
                 .dma_read(self.device_id(), sqe.prp2, &mut raw)
                 .await
                 .map_err(|_| Status::DATA_TRANSFER_ERROR)?;
-            raw.chunks(8)
-                .map(|c| PhysAddr(u64::from_le_bytes(c.try_into().unwrap())))
-                .collect()
+            list.extend(
+                raw.chunks(8)
+                    .map(|c| PhysAddr(u64::from_le_bytes(c.try_into().unwrap()))),
+            );
+            list
         };
-        prp::chunks(sqe.prp1, &rest, len).map_err(|_| Status::INVALID_PRP_OFFSET)
+        prp::chunks(sqe.prp1, rest, len).map_err(|_| Status::INVALID_PRP_OFFSET)
     }
 
     async fn io_read(&self, qid: u16, sqe: &SqEntry) -> Status {
@@ -697,7 +704,8 @@ impl NvmeController {
             return Status::LBA_OUT_OF_RANGE;
         }
         let len = blocks * self.store.block_size() as u64;
-        let chunks = match self.dma_chunks(sqe, len).await {
+        let mut list = Vec::new();
+        let chunks = match self.dma_chunks(sqe, len, &mut list).await {
             Ok(c) => c,
             Err(s) => return s,
         };
@@ -730,25 +738,32 @@ impl NvmeController {
             return Status::LBA_OUT_OF_RANGE;
         }
         let len = blocks * self.store.block_size() as u64;
-        let chunks = match self.dma_chunks(sqe, len).await {
+        let mut list = Vec::new();
+        let chunks = match self.dma_chunks(sqe, len, &mut list).await {
             Ok(c) => c,
             Err(s) => return s,
         };
         self.handle
             .sanitize_record(Some((qid, sqe.cid)), Stage::MediaWrite);
         // Fetch data from host memory: non-posted reads (round trips!),
-        // each chunk snapshotted as its own read completes.
+        // each chunk snapshotted as its own read completes. Only a
+        // transfer of two or more chunks gathers them in a list.
         let dev = self.device_id();
-        let mut parts = Vec::with_capacity(chunks.len());
+        let (mut parts, mut last) = (Vec::new(), None);
         for (addr, clen) in chunks {
             match fabric.dma_read_payload(dev, addr, clen).await {
-                Ok(part) => parts.push(part),
+                Ok(part) => parts.extend(last.replace(part)),
                 Err(_) => return Status::DATA_TRANSFER_ERROR,
             }
         }
-        self.store
-            .write_payload(sqe.slba(), Payload::concat(parts))
-            .await;
+        let last = last.expect("a transfer has a first chunk");
+        let data = if parts.is_empty() {
+            last
+        } else {
+            parts.push(last);
+            Payload::concat(parts)
+        };
+        self.store.write_payload(sqe.slba(), data).await;
         Status::SUCCESS
     }
 }

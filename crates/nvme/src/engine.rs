@@ -47,11 +47,14 @@ mod sq;
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use blklayer::BioError;
 use pcie::{DomainAddr, Fabric, MemRegion};
-use simcore::sync::{oneshot, Notify, Permit, Semaphore};
+use simcore::sync::{Notify, Permit, Semaphore};
 use simcore::{Handle, SimDuration};
 
 use self::sq::SqRing;
@@ -123,8 +126,19 @@ pub type EngineResult = Result<CqEntry, EngineError>;
 // Tag allocation + pending-completion table
 // ---------------------------------------------------------------------
 
+/// An index's completion slot, reused by every instance issued under it.
+enum Waiter {
+    /// No instance waits.
+    Idle,
+    /// An instance waits; its receiver's waker once that has parked.
+    Armed(Option<Waker>),
+    /// The instance's result (`Err(Gone)` once abandoned), until its
+    /// receiver takes it.
+    Done(EngineResult),
+}
+
 struct TagTable {
-    slots: Vec<Option<oneshot::Sender<EngineResult>>>,
+    slots: Vec<Waiter>,
     /// Per index, the cid of its live instance.
     cids: Vec<u16>,
     free: Vec<u16>,
@@ -135,8 +149,14 @@ impl TagTable {
     /// waits: its cid goes stale, and the next instance's is `depth`
     /// further on. Returns whether one waited.
     fn abandon(&mut self, index: usize) -> bool {
-        if self.slots[index].take().is_none() {
+        let slot = &mut self.slots[index];
+        let Waiter::Armed(waker) = slot else {
             return false;
+        };
+        let waker = waker.take();
+        *slot = Waiter::Done(Err(EngineError::Gone));
+        if let Some(waker) = waker {
+            waker.wake();
         }
         let depth = self.cids.len() as u32;
         let span = (1u32 << 16) / depth * depth;
@@ -197,7 +217,7 @@ impl TagSet {
             sem: Semaphore::new(depth),
             depth,
             table: Rc::new(RefCell::new(TagTable {
-                slots: (0..depth).map(|_| None).collect(),
+                slots: (0..depth).map(|_| Waiter::Idle).collect(),
                 cids: (0..depth as u16).collect(),
                 free: (0..depth as u16).rev().collect(),
             })),
@@ -225,30 +245,62 @@ impl TagSet {
         })
     }
 
-    /// Install a completion slot for `tag`'s live instance and return its
-    /// receiver.
-    pub fn register(&self, tag: &Tag) -> oneshot::Receiver<EngineResult> {
-        let (tx, rx) = oneshot::channel();
-        self.table.borrow_mut().slots[tag.index()] = Some(tx);
-        rx
+    /// Arm `tag`'s completion slot for its live instance and return the
+    /// receiver. The slot is the index's own, so this allocates nothing.
+    pub fn register(&self, tag: &Tag) -> Completion<'_> {
+        self.table.borrow_mut().slots[tag.index()] = Waiter::Armed(None);
+        Completion {
+            table: &self.table,
+            index: tag.index(),
+        }
     }
 
     /// Deliver `result` to the waiter registered on `cid`. Returns false
     /// when no live instance has that cid or none waits (stale or
     /// duplicate completion).
     pub fn complete(&self, cid: u16, result: EngineResult) -> bool {
-        let tx = {
+        let waker = {
             let mut t = self.table.borrow_mut();
             let index = cid as usize % self.depth;
-            let live = t.cids[index] == cid;
-            t.slots[index].take_if(|_| live)
-        };
-        match tx {
-            Some(tx) => {
-                tx.send(result);
-                true
+            if t.cids[index] != cid {
+                return false;
             }
-            None => false,
+            let slot = &mut t.slots[index];
+            let Waiter::Armed(waker) = slot else {
+                return false;
+            };
+            let waker = waker.take();
+            *slot = Waiter::Done(result);
+            waker
+        };
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+        true
+    }
+}
+
+/// The receiver [`TagSet::register`] returns: resolves to the result
+/// delivered to that instance, or `Err(Gone)` once it is abandoned.
+pub struct Completion<'a> {
+    table: &'a RefCell<TagTable>,
+    index: usize,
+}
+
+impl Future for Completion<'_> {
+    type Output = EngineResult;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<EngineResult> {
+        let mut t = self.table.borrow_mut();
+        match &mut t.slots[self.index] {
+            Waiter::Armed(waker) => {
+                *waker = Some(cx.waker().clone());
+                Poll::Pending
+            }
+            slot => match std::mem::replace(slot, Waiter::Idle) {
+                Waiter::Done(result) => Poll::Ready(result),
+                Waiter::Idle | Waiter::Armed(_) => Poll::Ready(Err(EngineError::Gone)),
+            },
         }
     }
 }
@@ -340,8 +392,6 @@ pub struct EngineStats {
     pub sq_doorbells: u64,
     /// Largest number of SQEs covered by a single doorbell.
     pub max_batch: u64,
-    /// CQEs reaped by the completion service.
-    pub cqes_reaped: u64,
     /// CQ head-doorbell MMIOs (one per drain sweep).
     pub cq_doorbells: u64,
     /// Doorbell MMIO failures — counted, never silently discarded.
@@ -360,7 +410,6 @@ impl EngineStats {
         self.sqes_submitted += other.sqes_submitted;
         self.sq_doorbells += other.sq_doorbells;
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.cqes_reaped += other.cqes_reaped;
         self.cq_doorbells += other.cq_doorbells;
         self.doorbell_errors += other.doorbell_errors;
         self.push_errors += other.push_errors;
@@ -500,10 +549,7 @@ impl IoEngine {
         let _lost = Lost { tag, cq: &qp.cq };
         self.submit(qp, sqe).await;
         let Some(base) = self.cfg.cmd_timeout else {
-            return match rx.await {
-                Ok(result) => result,
-                Err(_) => Err(EngineError::Gone),
-            };
+            return rx.await;
         };
         // Recovery ladder, rung 1: bound the completion wait. Each expiry
         // re-rings the SQ tail doorbell — which recovers a dropped
@@ -514,8 +560,7 @@ impl IoEngine {
         let mut wait = base;
         for attempt in 0..=MAX_RETRIES {
             match simcore::timeout(&self.handle, wait, &mut rx).await {
-                Ok(Ok(result)) => return result,
-                Ok(Err(_)) => return Err(EngineError::Gone),
+                Ok(result) => return result,
                 Err(simcore::Elapsed) => {
                     // A CQE beyond a lost one may already be waiting.
                     qp.cq.note_lost(false);
@@ -571,14 +616,18 @@ impl IoEngine {
                 continue; // nothing written yet, so no doorbell is owed
             }
             // From the first successful push on, every path reaches the
-            // one ring below.
-            let mut batch = vec![first.cid];
-            while batch.len() < COALESCE_LIMIT {
+            // one ring below. The batch's cids, on the stack.
+            let mut batch = [first.cid; COALESCE_LIMIT];
+            let mut batched = 1;
+            while batched < COALESCE_LIMIT {
                 let Some(sqe) = qp.backlog.borrow_mut().pop_front() else {
                     break;
                 };
                 match qp.sq.push(&sqe).await {
-                    Ok(()) => batch.push(sqe.cid),
+                    Ok(()) => {
+                        batch[batched] = sqe.cid;
+                        batched += 1;
+                    }
                     Err(e) => {
                         self.stats.borrow_mut().push_errors += 1;
                         self.tags.complete(sqe.cid, Err(EngineError::Fabric(e)));
@@ -587,7 +636,7 @@ impl IoEngine {
             }
             match qp.sq.ring().await {
                 Ok(()) => {
-                    let n = batch.len() as u64;
+                    let n = batched as u64;
                     let mut s = self.stats.borrow_mut();
                     s.sqes_submitted += n;
                     s.sq_doorbells += 1;
@@ -598,7 +647,7 @@ impl IoEngine {
                     // sit in the ring unannounced. Fail their waiters
                     // instead of letting them hang.
                     self.stats.borrow_mut().doorbell_errors += 1;
-                    for cid in batch {
+                    for &cid in &batch[..batched] {
                         self.tags.complete(cid, Err(EngineError::Fabric(e.clone())));
                     }
                 }
@@ -651,7 +700,6 @@ impl IoEngine {
 
     fn deliver(&self, index: usize, cqe: CqEntry) {
         let qp = &self.qpairs[index];
-        self.stats.borrow_mut().cqes_reaped += 1;
         let live = self.tags.complete(cqe.cid, Ok(cqe));
         qp.sq.retire(qp.cq.settle(live));
     }
@@ -702,7 +750,7 @@ mod tests {
             assert!(!tags.complete(tag.cid(), Err(EngineError::Gone)));
             let rx = tags.register(&tag);
             assert!(tags.complete(tag.cid(), Err(EngineError::Gone)));
-            assert!(matches!(rx.await, Ok(Err(EngineError::Gone))));
+            assert!(matches!(rx.await, Err(EngineError::Gone)));
         });
     }
 

@@ -97,37 +97,52 @@ pub fn build_prps(bus_addr: PhysAddr, len: u64, list_base: PhysAddr) -> Result<P
 
 /// Expand PRP entries into contiguous `(bus_addr, len)` DMA chunks, as the
 /// controller does when executing a command. `rest` holds PRP2 (two-page
-/// case) or the fetched PRP-list entries (list case).
-pub fn chunks(
-    prp1: PhysAddr,
-    rest: &[PhysAddr],
-    len: u64,
-) -> Result<Vec<(PhysAddr, u64)>, PrpError> {
+/// case) or the fetched PRP-list entries (list case). Every entry used is
+/// checked before the first chunk is yielded.
+pub fn chunks(prp1: PhysAddr, rest: &[PhysAddr], len: u64) -> Result<Chunks<'_>, PrpError> {
     if len == 0 {
         return Err(PrpError::EmptyTransfer);
     }
-    let mut out = Vec::with_capacity(1 + rest.len());
     let off = prp1.align_offset(PAGE);
     let first = (PAGE - off).min(len);
-    out.push((prp1, first));
-    let mut remaining = len - first;
-    for &entry in rest {
-        if remaining == 0 {
-            break;
-        }
-        if entry.align_offset(PAGE) != 0 {
-            return Err(PrpError::UnalignedEntry(entry));
-        }
-        let n = remaining.min(PAGE);
-        out.push((entry, n));
-        remaining -= n;
+    let remaining = len - first;
+    let used = &rest[..(remaining.div_ceil(PAGE) as usize).min(rest.len())];
+    if let Some(&entry) = used.iter().find(|e| e.align_offset(PAGE) != 0) {
+        return Err(PrpError::UnalignedEntry(entry));
     }
-    if remaining > 0 {
+    if remaining > used.len() as u64 * PAGE {
         return Err(PrpError::TooLarge {
             pages: pages_spanned(off, len),
         });
     }
-    Ok(out)
+    Ok(Chunks {
+        first: Some((prp1, first)),
+        rest: used,
+        remaining,
+    })
+}
+
+/// The DMA chunks of one transfer, in order: PRP1's, then one per entry
+/// used. Walking them allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chunks<'a> {
+    first: Option<(PhysAddr, u64)>,
+    rest: &'a [PhysAddr],
+    remaining: u64,
+}
+
+impl Iterator for Chunks<'_> {
+    type Item = (PhysAddr, u64);
+
+    fn next(&mut self) -> Option<(PhysAddr, u64)> {
+        if let Some(first) = self.first.take() {
+            return Some(first);
+        }
+        let (&entry, rest) = self.rest.split_first()?;
+        let n = self.remaining.min(PAGE);
+        (self.rest, self.remaining) = (rest, self.remaining - n);
+        Some((entry, n))
+    }
 }
 
 #[cfg(test)]
@@ -141,7 +156,7 @@ mod tests {
         assert_eq!(s.prp1, PhysAddr(0x1000_0200));
         assert_eq!(s.prp2, PhysAddr(0));
         assert!(s.list.is_empty());
-        let c = chunks(s.prp1, &[], 0x100).unwrap();
+        let c: Vec<_> = chunks(s.prp1, &[], 0x100).unwrap().collect();
         assert_eq!(c, vec![(PhysAddr(0x1000_0200), 0x100)]);
     }
 
@@ -151,7 +166,7 @@ mod tests {
         let s = build_prps(PhysAddr(0x1000_0800), 4096, PhysAddr(0)).unwrap();
         assert_eq!(s.prp2, PhysAddr(0x1000_1000));
         assert!(s.list.is_empty());
-        let c = chunks(s.prp1, &[s.prp2], 4096).unwrap();
+        let c: Vec<_> = chunks(s.prp1, &[s.prp2], 4096).unwrap().collect();
         assert_eq!(
             c,
             vec![
@@ -173,7 +188,7 @@ mod tests {
         assert_eq!(s.prp1, PhysAddr(0x2000_0000));
         assert_eq!(s.prp2, PhysAddr(0x3000_0000));
         assert_eq!(s.list.len(), 15); // 16 pages, first in PRP1
-        let c = chunks(s.prp1, &s.list, 64 * 1024).unwrap();
+        let c: Vec<_> = chunks(s.prp1, &s.list, 64 * 1024).unwrap().collect();
         assert_eq!(c.len(), 16);
         assert!(c.iter().all(|&(_, l)| l == 4096));
     }

@@ -248,7 +248,7 @@ impl NvmfInitiator {
                 imm: 0,
             })
             .await;
-        let cqe = rx.await.map_err(|_| BioError::Gone)??;
+        let cqe = rx.await?;
         if let Some(lkey) = mr_to_drop {
             self.handle.sleep(self.cfg.mr_invalidate).await;
             self.net.deregister_mr(self.nic, lkey);

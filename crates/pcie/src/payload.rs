@@ -9,10 +9,11 @@
 //!
 //! * up to [`INLINE_MAX`] bytes live inline — no heap allocation for a
 //!   doorbell, an SQE or a CQE;
-//! * whole pages travel as shared [`PageRef`]s. A page-aligned destination
-//!   *adopts* them (see [`crate::memory::PageTable`]); sharing is
-//!   copy-on-write, so a reference taken at one instant keeps reading what
-//!   was there at that instant whatever is written afterwards;
+//! * whole pages travel as shared [`PageRef`]s, one page by itself and
+//!   more in a shared list. A page-aligned destination *adopts* them (see
+//!   [`crate::memory::PageTable`]); sharing is copy-on-write, so a
+//!   reference taken at one instant keeps reading what was there at that
+//!   instant whatever is written afterwards;
 //! * a whole page of one repeated byte is never copied: zeros are the
 //!   absent page, and any other byte is the one page of it this thread
 //!   shares with every table and payload that holds it;
@@ -48,6 +49,8 @@ enum Repr {
         len: u8,
         bytes: [u8; INLINE_MAX],
     },
+    /// One whole page, held by itself: a 4 KiB transfer allocates nothing.
+    Page(PageRef),
     /// Whole pages: `count` of them from `first` on in a shared list, so a
     /// page-aligned [`Payload::slice`] (one per PRP chunk) allocates nothing.
     Pages {
@@ -61,13 +64,19 @@ enum Repr {
 impl Payload {
     /// A payload of whole pages, shared with whoever else holds them.
     pub fn from_pages(pages: impl IntoIterator<Item = PageRef>) -> Payload {
-        let list: Rc<[PageRef]> = pages.into_iter().collect();
-        let count = list.len();
-        Payload(Repr::Pages {
-            list,
-            first: 0,
-            count,
-        })
+        let mut pages = pages.into_iter();
+        match (pages.next(), pages.next()) {
+            (Some(page), None) => Payload(Repr::Page(page)),
+            (first, second) => {
+                let list: Rc<[PageRef]> = first.into_iter().chain(second).chain(pages).collect();
+                let count = list.len();
+                Payload(Repr::Pages {
+                    list,
+                    first: 0,
+                    count,
+                })
+            }
+        }
     }
 
     /// `len` bytes produced by `fill`, which is handed a zeroed buffer.
@@ -121,6 +130,7 @@ impl Payload {
     pub fn len(&self) -> usize {
         match &self.0 {
             Repr::Inline { len, .. } => usize::from(*len),
+            Repr::Page(_) => PAGE,
             Repr::Pages { count, .. } => count * PAGE,
             Repr::Bytes(bytes) => bytes.len(),
         }
@@ -134,6 +144,7 @@ impl Payload {
     /// The shared pages, when the payload is whole pages.
     pub fn pages(&self) -> Option<&[PageRef]> {
         match &self.0 {
+            Repr::Page(page) => Some(std::slice::from_ref(page)),
             Repr::Pages { list, first, count } => Some(&list[*first..first + count]),
             Repr::Inline { .. } | Repr::Bytes(_) => None,
         }
@@ -144,7 +155,7 @@ impl Payload {
         let (flat, pages): (&[u8], &[PageRef]) = match &self.0 {
             Repr::Inline { len, bytes } => (&bytes[..usize::from(*len)], &[]),
             Repr::Bytes(bytes) => (bytes, &[]),
-            Repr::Pages { .. } => (&[], self.pages().expect("page payload")),
+            Repr::Page(_) | Repr::Pages { .. } => (&[], self.pages().expect("page payload")),
         };
         let pages = pages.iter().map(|p| match p {
             Some(page) => &page[..],
@@ -185,13 +196,17 @@ impl Payload {
     /// when both fall on this payload's page boundaries, copied otherwise.
     pub fn slice(&self, off: usize, len: usize) -> Payload {
         assert!(off + len <= self.len(), "slice outside payload");
-        if let Repr::Pages { list, first, .. } = &self.0 {
-            if len > 0 && off.is_multiple_of(PAGE) && len.is_multiple_of(PAGE) {
-                return Payload(Repr::Pages {
-                    list: list.clone(),
-                    first: first + off / PAGE,
-                    count: len / PAGE,
-                });
+        if len > 0 && off.is_multiple_of(PAGE) && len.is_multiple_of(PAGE) {
+            match &self.0 {
+                Repr::Page(_) => return self.clone(),
+                Repr::Pages { list, first, .. } => {
+                    return Payload(Repr::Pages {
+                        list: list.clone(),
+                        first: first + off / PAGE,
+                        count: len / PAGE,
+                    })
+                }
+                Repr::Inline { .. } | Repr::Bytes(_) => {}
             }
         }
         Payload::filled_with(len, |buf| self.read_at(off, buf))
@@ -252,6 +267,10 @@ mod tests {
             Repr::Inline { len: 64, .. }
         ));
         assert!(matches!(Payload::from(&[1u8; 65][..]).0, Repr::Bytes(_)));
+        assert!(matches!(
+            Payload::from(&[1u8; PAGE][..]).0,
+            Repr::Page(Some(_))
+        ));
         assert!(matches!(
             Payload::from(&[1u8; 2 * PAGE][..]).0,
             Repr::Pages { count: 2, .. }

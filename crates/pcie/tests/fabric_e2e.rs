@@ -290,7 +290,7 @@ fn dma_write_ordering_preserved_for_same_path() {
 }
 
 #[test]
-fn a_posted_write_costs_its_issuers_wake_and_one_delivery_step() {
+fn a_posted_write_costs_one_delivery_step() {
     // `writes` doorbell-sized stores from host A into host B's DRAM, one
     // after the other: executor steps until everything has landed.
     fn steps(writes: u32) -> u64 {
@@ -313,8 +313,10 @@ fn a_posted_write_costs_its_issuers_wake_and_one_delivery_step() {
         tb.rt.steps()
     }
     // The issuer's first poll and the pump's admission, then per write the
-    // issuer waking from the issue cost and the pump applying the write.
-    assert_eq!((steps(1), steps(2), steps(7)), (4, 6, 16));
+    // pump applying it. An issue cost completes in place when nothing is
+    // due before it ends; only the second write's waits behind the pump's
+    // admission, which the first write queued, and costs one issuer wake.
+    assert_eq!((steps(1), steps(2), steps(7)), (3, 5, 10));
 }
 
 #[test]
@@ -386,9 +388,10 @@ fn a_device_dma_read_is_one_wait_until_slot_end_plus_round_trip() {
     let p = FabricParams::default();
     let slot = p.nonposted_transfer(4096).as_nanos();
     let rtt = p.read_rtt(3).as_nanos();
-    // A first poll and one wake per read; the second read's slot on the
-    // device's inbound engine starts where the first one's ends.
-    assert_eq!(read_at(1), (vec![slot + rtt], 2));
+    // A lone read is its task's first poll: its wait completes in place.
+    // Two reads are a first poll and one wake each; the second read's slot
+    // on the device's inbound engine starts where the first one's ends.
+    assert_eq!(read_at(1), (vec![slot + rtt], 1));
     assert_eq!(read_at(2), (vec![slot + rtt, 2 * slot + rtt], 4));
 }
 

@@ -1,11 +1,35 @@
 //! A deterministic, single-threaded async executor driven by virtual time.
 //!
 //! Simulated components (device models, driver logic, workload generators)
-//! are written as ordinary `async` functions. Awaiting [`Handle::sleep`]
-//! advances nothing by itself; instead the executor runs every runnable task
-//! to quiescence and then jumps the virtual clock to the earliest pending
-//! timer. A whole "60 second" benchmark therefore takes only as many event
-//! steps as there are latency transitions.
+//! are written as ordinary `async` functions. The executor runs every
+//! runnable task to quiescence and then jumps the virtual clock to the
+//! earliest pending timer. A whole "60 second" benchmark therefore takes
+//! only as many event steps as there are latency transitions.
+//!
+//! A sleep ([`Handle::sleep`], [`Handle::sleep_until`], [`Handle::cpu_work`],
+//! and so `SerialResource::occupy`) completes *in place* when nothing could
+//! happen before its deadline: polled inside a task, it sets the clock to
+//! the deadline and is ready at once, and the task carries on in the same
+//! poll — no timer, no step, nothing folded into `trace_hash`. Nothing
+//! could happen first when all four guards hold:
+//!
+//! * nothing is runnable: the ready queue and the spawn queue are empty;
+//! * every pending timer (sleep, `run_at`, `notify_at`) is due strictly
+//!   after the deadline — on a tie the timer path keeps the `(deadline,
+//!   registration)` order;
+//! * the deadline comes before that of every enclosing
+//!   [`crate::timeout()`], which fences its inner future while it polls it
+//!   (its own timer is registered only after that poll);
+//! * the run loop has not stopped: once a [`SimRuntime::block_on`] root has
+//!   finished, no peer run in the same drain moves the clock past that
+//!   instant.
+//!
+//! Otherwise the sleep registers its timer and the task parks. Either way
+//! the task resumes at the deadline having seen the same world, so every
+//! simulated instant and order is the timer path's; only `steps` and
+//! `trace_hash` tell them apart. There is no switch: the rule holds on
+//! every runtime, under an installed scheduler too (with nothing else
+//! runnable, the timer path offers it no choice either).
 //!
 //! Determinism: tasks are woken in FIFO order, timers fire in
 //! `(deadline, registration sequence)` order, and there is exactly one
@@ -14,19 +38,20 @@
 //!
 //! A task has one of two bodies. An `async` task ([`Handle::spawn`], or
 //! [`Handle::spawn_detached`] when nobody joins it) is a future polled with
-//! the [`Waker`] built for it at admission; the poll moves both out of the
-//! task's entry and back, and the entry leaves the table when the future
-//! completes, so a wake that arrives afterwards finds nothing and is
-//! skipped unpolled. A callback task
-//! ([`Handle::spawn_callback`]) is a plain `Fn()` that never completes: it
-//! runs once when admitted and once each time it is made runnable, with no
-//! future, no [`Context`] and no waker. Both kinds live in one slot table
-//! indexed by the slot inside their [`TaskId`], wait in the same ready
-//! queue, count as a step and enter `trace_hash` the same way, and are the
-//! same [`ChoiceKind::Task`] candidates to an installed scheduler. A
-//! finished task's slot goes to the next spawn; the id also carries the
-//! task's registration sequence (what `trace_hash` folds), so a wake or
-//! timer naming a task that is gone finds nothing.
+//! the [`Waker`] given to it at admission (its slot's, re-aimed at it
+//! unless a clone outlived the slot's last task); the poll moves both out
+//! of the task's entry and back, and the entry leaves the table when the
+//! future completes, so a wake that arrives afterwards finds nothing and is
+//! skipped unpolled. A callback task ([`Handle::spawn_callback`]) is a
+//! plain `Fn()` that never completes: it runs once when admitted and once
+//! each time it is made runnable, with no future, no [`Context`] and no
+//! waker. Both kinds live in one slot table indexed by the slot inside
+//! their [`TaskId`], wait in the same ready queue, count as a step and
+//! enter `trace_hash` the same way, and are the same [`ChoiceKind::Task`]
+//! candidates to an installed scheduler. A finished task's slot goes to the
+//! next spawn; the id also carries the task's registration sequence (what
+//! `trace_hash` folds), so a wake or timer naming a task that is gone finds
+//! nothing.
 //!
 //! Timers come in three kinds sharing the one `(deadline, registration)`
 //! order. A [`Handle::sleep`] timer wakes the task that awaited it. A
@@ -190,11 +215,13 @@ impl TaskEntry {
     }
 }
 
-/// A task-table slot: the id of the task holding it and that task's body
-/// (`None` between spawn and admission, and once the task has completed).
+/// A task-table slot: the id of the task holding it, that task's body
+/// (`None` between spawn and admission, and once the task has completed)
+/// and the waker its `async` tasks share (see [`TaskTable::waker`]).
 struct Slot {
     id: TaskId,
     entry: Option<TaskEntry>,
+    waker: Option<Arc<TaskWaker>>,
 }
 
 /// Every live task, at the slot its [`TaskId`] names. A completed task's
@@ -212,12 +239,28 @@ impl TaskTable {
     fn reserve(&mut self, seq: u64) -> TaskId {
         let slot = self.free.pop().unwrap_or(self.slots.len());
         let id = TaskId::new(seq, slot);
-        let vacant = Slot { id, entry: None };
         match self.slots.get_mut(slot) {
-            Some(reused) => *reused = vacant,
-            None => self.slots.push(vacant),
+            Some(reused) => (reused.id, reused.entry) = (id, None),
+            None => self.slots.push(Slot {
+                id,
+                entry: None,
+                waker: None,
+            }),
         }
         id
+    }
+
+    /// A waker for the `async` task `id` of runtime `runtime`. The slot's
+    /// waker is re-aimed at `id` when no clone of it outlived the slot's
+    /// previous task, so a spawn allocates one only when some clone did —
+    /// and that clone keeps naming the task that is gone.
+    fn waker(&mut self, id: TaskId, runtime: u64) -> Waker {
+        let cached = &mut self.slots[id.slot()].waker;
+        match cached.as_mut().and_then(Arc::get_mut) {
+            Some(reused) => reused.task = id,
+            None => *cached = Some(Arc::new(TaskWaker { runtime, task: id })),
+        }
+        Waker::from(cached.clone().expect("set above"))
     }
 
     fn get(&self, id: TaskId) -> Option<&TaskEntry> {
@@ -314,6 +357,15 @@ impl TimerQueue {
         }
     }
 
+    /// The earliest pending deadline: every near timer is due before every
+    /// far one.
+    fn earliest_ns(&self) -> Option<u64> {
+        match self.near.last() {
+            Some(e) => Some(e.deadline_ns()),
+            None => self.far.peek().map(|Reverse(e)| e.deadline_ns()),
+        }
+    }
+
     /// Remove and return the earliest timer if it is due by `by`.
     fn pop_due(&mut self, by: u64) -> Option<TimerEntry> {
         if self.near.is_empty() {
@@ -391,6 +443,13 @@ struct Core {
     /// charged to one reactor serializes back to back, so fewer reactors
     /// mean more queueing delay at the same offered load.
     reactor_busy: RefCell<Vec<SimTime>>,
+    /// The earliest deadline of every [`crate::timeout()`] whose inner future
+    /// is being polled (`u64::MAX` under none): a sleep due at or past it
+    /// takes the timer path, so the timeout still fires first.
+    fence_ns: Cell<u64>,
+    /// Set once a [`SimRuntime::block_on`] root has finished, until that
+    /// call returns: the rest of its drain must not move the clock.
+    stopped: Cell<bool>,
     sanitize: crate::sanitize::SanitizerState,
 }
 
@@ -444,6 +503,8 @@ impl Core {
             current_task: Cell::new(None),
             current_reactor: Cell::new(ReactorId(0)),
             reactor_busy: RefCell::new(vec![SimTime::ZERO; reactors]),
+            fence_ns: Cell::new(u64::MAX),
+            stopped: Cell::new(false),
             sanitize: crate::sanitize::SanitizerState::new(),
         })
     }
@@ -489,11 +550,7 @@ impl Core {
         for (id, reactor, body) in spawned.drain(..) {
             let entry = match body {
                 Spawned::Future(future) => {
-                    let waker = Waker::from(Arc::new(TaskWaker {
-                        runtime: self.id,
-                        task: id,
-                    }));
-                    TaskEntry::Parked(future, waker, reactor)
+                    TaskEntry::Parked(future, tasks.waker(id, self.id), reactor)
                 }
                 Spawned::Callback(index) => TaskEntry::Callback {
                     index,
@@ -504,6 +561,20 @@ impl Core {
             tasks.insert(id, entry);
             ready.push_back(id);
         }
+    }
+
+    /// Whether a sleep due at `deadline` may complete in place: nothing
+    /// could happen before it (see the module header's four guards).
+    fn nothing_before(&self, deadline: u64) -> bool {
+        !self.stopped.get()
+            && deadline < self.fence_ns.get()
+            && self.ready.borrow().is_empty()
+            && self.spawn_queue.borrow().is_empty()
+            && self
+                .timers
+                .borrow()
+                .earliest_ns()
+                .is_none_or(|t| t > deadline)
     }
 
     /// Pick the next runnable task. Without a scheduler this is a plain
@@ -773,20 +844,29 @@ impl SimRuntime {
 
     /// Spawn `fut` as the root task, run the simulation until it finishes,
     /// and return its output. Runnable tasks sharing the root's final
-    /// instant still drain; timers past it do not fire, so unbounded
-    /// periodic tasks (lease reapers, heartbeats) cannot keep the
-    /// simulation alive after the root is done.
+    /// instant still drain; timers past it do not fire, and no sleep in
+    /// that drain completes in place past it, so unbounded periodic tasks
+    /// (lease reapers, heartbeats) cannot keep the simulation alive after
+    /// the root is done.
     ///
     /// Panics if the simulation went idle before the root future finished
     /// (i.e. the root deadlocked on an event nobody will produce).
     pub fn block_on<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> T {
-        let join = self.handle().spawn(fut);
+        let core = Rc::downgrade(&self.core);
+        let join = self.handle().spawn(async move {
+            let out = fut.await;
+            if let Some(core) = core.upgrade() {
+                core.stopped.set(true);
+            }
+            out
+        });
         loop {
             self.core.run_ready();
             if join.is_finished() || !self.core.advance() {
                 break;
             }
         }
+        self.core.stopped.set(false);
         join.try_take()
             .expect("simulation went idle before the main future completed (deadlock)")
     }
@@ -810,7 +890,11 @@ impl Handle {
         self.core().now.get()
     }
 
-    /// A future that completes `d` later on the virtual clock.
+    /// A future that completes `d` later on the virtual clock. Polled when
+    /// nothing could happen before then (the module header's four guards),
+    /// it completes in place: the clock moves to the deadline inside the
+    /// task's poll, with no timer and no step. Otherwise it parks the task
+    /// on a timer.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
         let core = self.core();
         Sleep {
@@ -820,7 +904,7 @@ impl Handle {
     }
 
     /// A future that completes at absolute virtual time `t` (immediately if
-    /// `t` has passed).
+    /// `t` has passed); in place or on a timer, as [`Handle::sleep`].
     pub fn sleep_until(&self, t: SimTime) -> Sleep {
         Sleep {
             handle: self.clone(),
@@ -922,7 +1006,8 @@ impl Handle {
     /// per-core run loop executes one thing at a time), so the completion
     /// instant is `max(now, reactor busy horizon) + d` — concurrent tasks
     /// sharing a reactor queue behind each other, while tasks on distinct
-    /// reactors proceed in parallel.
+    /// reactors proceed in parallel. The wait is a [`Sleep`]: in place when
+    /// nothing could happen before it retires, as [`Handle::sleep`].
     pub fn cpu_work(&self, d: SimDuration) -> Sleep {
         let core = self.core();
         let r = core.current_reactor.get().index();
@@ -935,6 +1020,19 @@ impl Handle {
             handle: self.clone(),
             deadline: end,
         }
+    }
+
+    /// Run `poll` — a [`crate::timeout()`]'s poll of its inner future —
+    /// with the fence at no later than `deadline`: no sleep inside
+    /// completes in place at or past it.
+    pub(crate) fn fenced<R>(&self, deadline: SimTime, poll: impl FnOnce() -> R) -> R {
+        let core = self.core();
+        let outer = core
+            .fence_ns
+            .replace(core.fence_ns.get().min(deadline.as_nanos()));
+        let out = poll();
+        core.fence_ns.set(outer);
+        out
     }
 
     /// Signal `notify` (as [`Notify::notify_one`]) at absolute virtual time
@@ -1048,18 +1146,21 @@ impl Future for Sleep {
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let core = self.handle.core();
         if core.now.get() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            let task = core.current_task.get();
-            debug_assert!(
-                task.is_some(),
-                "Sleep polled outside any task of its runtime: nothing would advance its clock"
-            );
-            if let Some(task) = task {
-                core.register_timer(self.deadline, TimerAction::Wake(task));
-            }
-            Poll::Pending
+            return Poll::Ready(());
         }
+        let task = core.current_task.get();
+        debug_assert!(
+            task.is_some(),
+            "Sleep polled outside any task of its runtime: nothing would advance its clock"
+        );
+        if let Some(task) = task {
+            if core.nothing_before(self.deadline.as_nanos()) {
+                core.now.set(self.deadline);
+                return Poll::Ready(());
+            }
+            core.register_timer(self.deadline, TimerAction::Wake(task));
+        }
+        Poll::Pending
     }
 }
 
@@ -1753,6 +1854,120 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_sleep_completes_in_place() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let at = rt.block_on(async move {
+            h.sleep(SimDuration::from_micros(5)).await;
+            h.cpu_work(SimDuration::from_nanos(250)).await;
+            h.now().as_nanos()
+        });
+        // The root's first poll is the only step, and it ran at t=0.
+        let expected = trace_fold(trace_fold(FNV_OFFSET, 0), 0);
+        assert_eq!((at, rt.now().as_nanos()), (5_250, 5_250));
+        assert_eq!((rt.steps(), rt.trace_hash()), (1, expected));
+    }
+
+    /// A task body that logs `name` and the instant it runs.
+    fn log_now(
+        h: &Handle,
+        log: &Rc<RefCell<Vec<(&'static str, u64)>>>,
+        name: &'static str,
+    ) -> impl Future<Output = ()> + 'static {
+        let (h, log) = (h.clone(), log.clone());
+        async move { log.borrow_mut().push((name, h.now().as_nanos())) }
+    }
+
+    #[test]
+    fn a_runnable_or_spawned_peer_forces_the_timer_path() {
+        // Each sleep is polled while the peer waits to run at t=0: in the
+        // ready queue behind the sleeper, or spawned by it just before.
+        for spawned in [false, true] {
+            let rt = SimRuntime::new();
+            let h = rt.handle();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let (h2, log2) = (h.clone(), log.clone());
+            h.spawn(async move {
+                if spawned {
+                    h2.spawn(log_now(&h2, &log2, "peer"));
+                }
+                h2.sleep(SimDuration::from_nanos(100)).await;
+                log_now(&h2, &log2, "sleeper").await;
+            });
+            if !spawned {
+                h.spawn(log_now(&h, &log, "peer"));
+            }
+            rt.run();
+            assert_eq!(*log.borrow(), [("peer", 0), ("sleeper", 100)]);
+            assert_eq!(rt.steps(), 3, "two first polls and the sleeper's wake");
+        }
+    }
+
+    #[test]
+    fn an_earlier_timer_forces_the_timer_path() {
+        // `a` parks on its timer at 100; `b`'s sleep to 200 is polled
+        // with nothing runnable and must not jump past it.
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (name, nanos) in [("a", 100), ("b", 200)] {
+            let (h2, log) = (h.clone(), log.clone());
+            h.spawn(async move {
+                h2.sleep(SimDuration::from_nanos(nanos)).await;
+                log.borrow_mut().push((name, h2.now().as_nanos()));
+            });
+        }
+        rt.run();
+        assert_eq!(*log.borrow(), [("a", 100), ("b", 200)]);
+        // Two first polls, `a`'s wake, and `b`'s wake: when `b` was polled
+        // `a`'s timer was pending, so `b` took the timer path too.
+        assert_eq!(rt.steps(), 4);
+    }
+
+    #[test]
+    fn a_timer_due_at_the_deadline_forces_the_timer_path() {
+        // `a` registered its timer at 100 first; `b` sleeps to the same
+        // instant with nothing runnable. The tie keeps registration order.
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for name in ["a", "b"] {
+            let (h2, log) = (h.clone(), log.clone());
+            h.spawn(async move {
+                h2.sleep_until(SimTime::from_nanos(100)).await;
+                log.borrow_mut().push(name);
+            });
+        }
+        rt.run();
+        assert_eq!((log.borrow().clone(), rt.steps()), (vec!["a", "b"], 4));
+    }
+
+    #[test]
+    fn a_peer_woken_as_the_root_finishes_does_not_move_the_clock() {
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let n = Notify::new();
+        let woke_at = Rc::new(Cell::new(None));
+        {
+            let (h2, n, woke_at) = (h.clone(), n.clone(), woke_at.clone());
+            h.spawn(async move {
+                n.notified().await;
+                h2.sleep(SimDuration::from_nanos(1_000)).await;
+                woke_at.set(Some(h2.now().as_nanos()));
+            });
+        }
+        let h2 = h.clone();
+        rt.block_on(async move {
+            h2.sleep(SimDuration::from_nanos(10)).await;
+            n.notify_one();
+        });
+        // The peer ran at 10 in the root's last drain and parked on a timer.
+        assert_eq!((rt.now().as_nanos(), woke_at.get()), (10, None));
+        rt.run();
+        assert_eq!((rt.now().as_nanos(), woke_at.get()), (1_010, Some(1_010)));
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "outside any task")]
     fn sleep_polled_outside_any_task_is_a_bug() {
@@ -1887,10 +2102,12 @@ mod tests {
         }
         let joined = run(false);
         assert_eq!(joined.1, vec![0, 30, 1_030, 70, 1_070]);
+        // The 30 ns sleep, polled when nothing else is runnable and the
+        // only timer is due at 70 ns, completes in place: no wake step.
         assert_eq!(
             joined.2,
-            3 + 2 * 3,
-            "three first polls, two wakes and a child each"
+            3 + 2 + 3,
+            "three first polls; a yield and a child, then a wake, a yield and a child"
         );
         assert_eq!(run(true), joined);
     }

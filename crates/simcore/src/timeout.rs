@@ -31,15 +31,21 @@ impl std::error::Error for Elapsed {}
 /// Run `fut` for at most `dur` of virtual time; `Err(Elapsed)` if the
 /// deadline fires first. The future is dropped on timeout, cancelling
 /// whatever it was waiting on.
+///
+/// `fut` is polled before the deadline's own timer is registered, so while
+/// it is polled the deadline fences it: a sleep inside completes in place
+/// (see the executor's module header) only if it is due before the
+/// deadline, and otherwise takes the timer path and loses the race as it
+/// should.
 pub async fn timeout<F: Future>(
     handle: &Handle,
     dur: SimDuration,
     fut: F,
 ) -> Result<F::Output, Elapsed> {
-    let mut fut = Box::pin(fut);
+    let mut fut = std::pin::pin!(fut);
     let mut sleep = handle.sleep(dur);
     std::future::poll_fn(move |cx| {
-        if let Poll::Ready(v) = fut.as_mut().poll(cx) {
+        if let Poll::Ready(v) = handle.fenced(sleep.deadline(), || fut.as_mut().poll(cx)) {
             return Poll::Ready(Ok(v));
         }
         if Pin::new(&mut sleep).poll(cx).is_ready() {
@@ -83,6 +89,19 @@ mod tests {
         });
         assert_eq!(out.0, Err(Elapsed));
         assert_eq!(out.1.as_nanos(), 10_000, "gave up exactly at the deadline");
+    }
+
+    #[test]
+    fn an_inner_cpu_work_does_not_outrun_the_deadline() {
+        // Nothing else is pending, but the deadline fences the inner wait.
+        let rt = SimRuntime::new();
+        let h = rt.handle();
+        let out = rt.block_on(async move {
+            let work = h.cpu_work(SimDuration::from_nanos(500));
+            let r = timeout(&h, SimDuration::from_nanos(10), work).await;
+            (r, h.now().as_nanos())
+        });
+        assert_eq!(out, (Err(Elapsed), 10));
     }
 
     #[test]
